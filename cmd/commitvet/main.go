@@ -1,16 +1,28 @@
-// Command commitvet is a small static checker for the unified write-path
-// commit engine (internal/core/writeplan.go): pool transactions over data
-// blocks — pool.Begin(clk), pool.Alloc(tx, size), pool.Free(tx, id) — may be
-// taken ONLY by the commit engine, so the alloc-in-tx ordering, persist
-// points, and crash-consistency windows stay auditable in one place.
-// commitvet flags any such call in a non-test internal/core file other than
-// writeplan.go.
+// Command commitvet is a small static checker for the two engines that own
+// every touch of data-block storage in internal/core.
 //
-// The match is syntactic (no type information): Begin with exactly one
-// argument, and Alloc/Free with exactly two (the public three-argument
-// PMEM.Alloc dims declaration does not match). The pool-format bootstraps in
-// core.go run before any data exists; they opt out with a `//commitvet:ignore`
-// comment on the call's line or the line above.
+// Rule "tx" — the unified write-path commit engine (writeplan.go): pool
+// transactions over data blocks — pool.Begin(clk), pool.Alloc(tx, size),
+// pool.Free(tx, id) — may be taken ONLY by the commit engine, so the
+// alloc-in-tx ordering, persist points, and crash-consistency windows stay
+// auditable in one place.
+//
+// Rule "slice" — the unified read engine (readplan.go): mapped pool bytes —
+// pool.Slice(off, n) — may be dereferenced ONLY by the two engines, so the
+// lock → quarantine gate → CRC verify → charge → consume order of every read
+// (and the capture → fill → persist order of every write) cannot be
+// re-implemented, or forgotten, at a call site.
+//
+// commitvet flags any such call in a non-test internal/core file outside the
+// rule's engine files.
+//
+// The match is syntactic (no type information): a method call with the rule's
+// name and exact argument count — Begin with one argument, Alloc/Free/Slice
+// with two (the public three-argument PMEM.Alloc dims declaration does not
+// match) — whose receiver is not an imported package (sort.Slice is not the
+// pool API). The pool-format bootstraps in core.go run before any data exists;
+// they opt out with a `//commitvet:ignore` comment on the call's line or the
+// line above.
 //
 // Usage: commitvet ./internal/core (or any package directories / ./...
 // patterns). Exits 1 when any finding is reported. Wired into
@@ -23,22 +35,35 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 )
 
-// engineFiles are the files allowed to take pool transactions: the commit
-// engine itself.
-var engineFiles = map[string]bool{
-	"writeplan.go": true,
+// rule is one ownership contract: the method calls (name -> exact argument
+// count) that only the engine files may make.
+type rule struct {
+	name   string
+	calls  map[string]int
+	engine map[string]bool
+	advice string
 }
 
-// txCalls maps the recognized transactional call names to the exact argument
-// count that marks the pool-transaction form.
-var txCalls = map[string]int{
-	"Begin": 1, // pool.Begin(clk)
-	"Alloc": 2, // pool.Alloc(tx, size)
-	"Free":  2, // pool.Free(tx, id)
+var rules = []rule{
+	{
+		name:   "tx",
+		calls:  map[string]int{"Begin": 1, "Alloc": 2, "Free": 2},
+		engine: map[string]bool{"writeplan.go": true},
+		advice: "outside the commit engine — route this write through writeplan.go",
+	},
+	{
+		name:   "slice",
+		calls:  map[string]int{"Slice": 2},
+		engine: map[string]bool{"writeplan.go": true, "readplan.go": true},
+		advice: "outside the read/commit engines — plan this read over readplan.go",
+	},
 }
 
 const ignoreDirective = "//commitvet:ignore"
@@ -76,32 +101,47 @@ func main() {
 	}
 
 	findings := 0
-	fset := token.NewFileSet()
 	for _, dir := range dirs {
-		pkgs, err := parser.ParseDir(fset, dir, nil, parser.ParseComments)
+		found, err := checkDir(dir)
 		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			fatal(fmt.Errorf("%s: %w", dir, err))
+			fatal(err)
 		}
-		for _, pkg := range pkgs {
-			for name, file := range pkg.Files {
-				base := filepath.Base(name)
-				if strings.HasSuffix(base, "_test.go") || engineFiles[base] {
-					continue
-				}
-				findings += checkFile(fset, file)
-			}
+		for _, f := range found {
+			fmt.Fprintln(os.Stderr, f)
 		}
+		findings += len(found)
 	}
 	if findings > 0 {
-		fmt.Fprintf(os.Stderr, "commitvet: %d pool transaction(s) outside the commit engine\n", findings)
+		fmt.Fprintf(os.Stderr, "commitvet: %d call(s) outside the engine that owns them\n", findings)
 		os.Exit(1)
 	}
 }
 
-func checkFile(fset *token.FileSet, file *ast.File) int {
+// checkDir applies every rule to the non-test Go files of one directory and
+// returns the findings, one "file:line:col: [rule] message" string each,
+// sorted.
+func checkDir(dir string) ([]string, error) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, nil, parser.ParseComments)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("%s: %w", dir, err)
+	}
+	var found []string
+	for _, pkg := range pkgs {
+		for name, file := range pkg.Files {
+			if base := filepath.Base(name); !strings.HasSuffix(base, "_test.go") {
+				found = append(found, checkFile(fset, file, base)...)
+			}
+		}
+	}
+	sort.Strings(found)
+	return found, nil
+}
+
+func checkFile(fset *token.FileSet, file *ast.File, base string) []string {
 	// Lines carrying (or preceding) an ignore directive exempt their calls:
 	// the pool-format bootstraps in core.go legitimately transact before any
 	// data exists.
@@ -115,51 +155,39 @@ func checkFile(fset *token.FileSet, file *ast.File) int {
 			}
 		}
 	}
-	findings := 0
+	// Imported package names: pkg.Func(...) is not a method on a pool.
+	imports := map[string]bool{}
+	for _, im := range file.Imports {
+		if im.Name != nil {
+			imports[im.Name.Name] = true
+		} else if p, err := strconv.Unquote(im.Path.Value); err == nil {
+			imports[path.Base(p)] = true
+		}
+	}
+	var found []string
 	ast.Inspect(file, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		name := callName(call)
-		want, isTx := txCalls[name]
-		if !isTx || len(call.Args) != want {
-			return true
-		}
 		// Only method calls on a pool-like receiver count; bare identifiers
 		// (local helpers named Begin/Alloc/Free) are not the pmdk pool API.
-		if _, isSel := call.Fun.(*ast.SelectorExpr); !isSel {
+		sel, isSel := call.Fun.(*ast.SelectorExpr)
+		if !isSel || ignored[fset.Position(call.Pos()).Line] {
 			return true
 		}
-		if ignored[fset.Position(call.Pos()).Line] {
+		if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] {
 			return true
 		}
-		findings++
-		fmt.Fprintf(os.Stderr, "%s: pool.%s outside the commit engine — route this write through writeplan.go\n",
-			fset.Position(call.Pos()), name)
+		for _, r := range rules {
+			if want, ok := r.calls[sel.Sel.Name]; ok && len(call.Args) == want && !r.engine[base] {
+				found = append(found, fmt.Sprintf("%s: [%s] pool.%s %s",
+					fset.Position(call.Pos()), r.name, sel.Sel.Name, r.advice))
+			}
+		}
 		return true
 	})
-	return findings
-}
-
-// callName extracts the bare called name: the method or function identifier
-// with any package/receiver selector and generic instantiation stripped.
-func callName(call *ast.CallExpr) string {
-	fn := call.Fun
-	for {
-		switch f := fn.(type) {
-		case *ast.IndexExpr:
-			fn = f.X
-		case *ast.IndexListExpr:
-			fn = f.X
-		case *ast.SelectorExpr:
-			return f.Sel.Name
-		case *ast.Ident:
-			return f.Name
-		default:
-			return ""
-		}
-	}
+	return found
 }
 
 func fatal(err error) {

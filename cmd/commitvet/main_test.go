@@ -1,0 +1,73 @@
+package main
+
+import (
+	"bufio"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// TestRulesOnFixture runs both rules over testdata/core and requires exactly
+// the findings the fixture marks with "// want <rule>" comments: the tx and
+// slice calls of a planner file, the tx call of readplan.go, nothing in
+// writeplan.go or _test.go files, and nothing on ignored or non-pool lines.
+func TestRulesOnFixture(t *testing.T) {
+	dir := filepath.Join("testdata", "core")
+	var want []string
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRe := regexp.MustCompile(`// want (\w+)$`)
+	for _, name := range files {
+		f, err := os.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(f)
+		for line := 1; sc.Scan(); line++ {
+			if m := wantRe.FindStringSubmatch(sc.Text()); m != nil {
+				want = append(want, fmt.Sprintf("%s:%d [%s]", name, line, m[1]))
+			}
+		}
+		f.Close()
+	}
+	sort.Strings(want)
+
+	found, err := checkDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reduce "file:line:col: [rule] message" to "file:line [rule]".
+	findingRe := regexp.MustCompile(`^(.+):(\d+):\d+: (\[\w+\])`)
+	var got []string
+	for _, f := range found {
+		m := findingRe.FindStringSubmatch(f)
+		if m == nil {
+			t.Fatalf("malformed finding %q", f)
+		}
+		got = append(got, fmt.Sprintf("%s:%s %s", m[1], m[2], m[3]))
+	}
+	sort.Strings(got)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if len(want) != 5 {
+		t.Errorf("fixture marks %d findings, expected 5 (4 planner + 1 readplan)", len(want))
+	}
+}
+
+// TestRepoIsClean is the `make commitvet` gate as a unit test.
+func TestRepoIsClean(t *testing.T) {
+	found, err := checkDir(filepath.Join("..", "..", "internal", "core"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range found {
+		t.Error(f)
+	}
+}

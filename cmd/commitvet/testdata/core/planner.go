@@ -1,0 +1,34 @@
+// Package core is a commitvet fixture: a planner file that must go through
+// the engines. Lines marked "want" are findings; everything else is clean.
+package core
+
+import (
+	"sort"
+	srt "sort"
+)
+
+type pool struct{}
+
+func (pool) Begin(clk int) int                { return 0 }
+func (pool) Alloc(tx, n int) int              { return 0 }
+func (pool) Free(tx, id int) error            { return nil }
+func (pool) Slice(off, n int) ([]byte, error) { return nil, nil }
+
+// Alloc with three arguments is the public dims declaration, not the pool API.
+func Alloc(id string, dtype int, dims []int) {}
+
+func planner(p pool, xs []int) {
+	tx := p.Begin(0)     // want tx
+	_ = p.Alloc(tx, 8)   // want tx
+	_ = p.Free(tx, 1)    // want tx
+	_, _ = p.Slice(0, 8) // want slice
+
+	// Not the pool API: wrong arity, a bare call, a package function.
+	Alloc("x", 0, nil)
+	sort.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
+	srt.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
+
+	_ = p.Begin(0) //commitvet:ignore (same line)
+	//commitvet:ignore (line above)
+	_, _ = p.Slice(0, 8)
+}

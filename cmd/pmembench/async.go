@@ -181,7 +181,7 @@ func runAsyncAblation(rankCounts []int, base harness.Params) ([]harness.Result, 
 	}
 
 	// Harness parity: the same pipeline through the pio surface — Params.Async
-	// applies pio.Asyncable, session writes queue, Close drains — with every
+	// reaches the library through pio.Configurable, session writes queue, Close drains — with every
 	// byte verified on read-back. This is a correctness cross-check on the
 	// bulk-transfer workload, not a small-write measurement.
 	p := base

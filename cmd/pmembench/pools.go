@@ -131,7 +131,7 @@ func runPoolsAblation(rankCounts []int, base harness.Params) ([]harness.Result, 
 	}
 
 	// Harness parity: the same striping through the pio surface — Params.Pools
-	// applies pio.Poolable, the node carries one device per member — with
+	// reaches the library through pio.Configurable, the node carries one device per member — with
 	// every byte verified on read-back.
 	p := base
 	p.Verify = true

@@ -4,16 +4,20 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+var poolOffset = regexp.MustCompile(`at offset \d+`)
+
 // golden compares got against testdata/<name>, rewriting it under -update.
-// The -deep workload and the simulator are fully deterministic, so the whole
-// report — block counts, bytes, and under -corrupt the damaged pool offsets —
-// is pinned byte-for-byte.
+// The whole report — block counts, bytes, the damaged ids and lengths — is
+// pinned byte-for-byte, except pool offsets: the store is built by concurrent
+// ranks, so where each rank's blocks land depends on goroutine scheduling
+// (the pinned offsets drifted in 6 of 20 plain runs, more under -race).
 func golden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
@@ -63,5 +67,5 @@ func TestDeepCorruptStoreExitsTwo(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, s)
 		}
 	}
-	golden(t, "deep_corrupt.golden", s)
+	golden(t, "deep_corrupt.golden", poolOffset.ReplaceAllString(s, "at offset N"))
 }

@@ -173,16 +173,14 @@ func TestExploreAsyncMerge(t *testing.T) {
 
 // TestExploreAsyncPointsReached pins that the async scripts actually execute
 // under the async persist points — otherwise the two explorations above would
-// vacuously pass while testing the synchronous path. The wanted names are the
-// historical ones, resolved through the alias table (core.CanonicalPoint), so
-// the assertion survives point renames without losing its meaning.
+// vacuously pass while testing the synchronous path.
 func TestExploreAsyncPointsReached(t *testing.T) {
 	events, err := core.TraceScript(exploreAsyncBatchScript())
 	if err != nil {
 		t.Fatal(err)
 	}
 	names := persistPointNames(events)
-	if want := core.CanonicalPoint("core.async.payload"); !containsStr(names, want) {
+	if want := "core.commit.batch"; !containsStr(names, want) {
 		t.Errorf("async-batch trace reached %v, want %s", names, want)
 	}
 	events, err = core.TraceScript(exploreAsyncMergeScript())
@@ -190,7 +188,7 @@ func TestExploreAsyncPointsReached(t *testing.T) {
 		t.Fatal(err)
 	}
 	names = persistPointNames(events)
-	if want := core.CanonicalPoint("core.async.merge"); !containsStr(names, want) {
+	if want := "core.commit.merge"; !containsStr(names, want) {
 		t.Errorf("async-merge trace reached %v, want %s", names, want)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -118,27 +117,18 @@ func (p *PMEM) invalidateCache(key string) {
 // on a miss. The build reads the dims record and block list exactly the way
 // the uncached path did (same metadata charges); a hit touches neither the
 // device nor the clock. Returns the entry and the version it was read at.
+//
+// The caller holds id's read lock — the read engine is the only caller and
+// holds it across resolve AND execution — so the block-list read below is
+// covered (a writer's republish frees the previous metadata record) and must
+// not re-acquire it: a recursive RLock can deadlock against a queued writer.
 func (p *PMEM) blockIndex(id string) (*cacheEntry, uint64, error) {
-	return p.blockIndexImpl(id, false)
-}
-
-// blockIndexLocked is blockIndex for callers that already hold id's read
-// lock (the gather path holds it across planning AND execution, see
-// loadBlock). It must not re-acquire the lock: a recursive RLock can
-// deadlock against a queued writer on the same RWMutex.
-func (p *PMEM) blockIndexLocked(id string) (*cacheEntry, uint64, error) {
-	return p.blockIndexImpl(id, true)
-}
-
-func (p *PMEM) blockIndexImpl(id string, haveIDLock bool) (*cacheEntry, uint64, error) {
 	e, ver, ok := p.st.cache.lookup(id)
 	if ok {
 		return e, ver, nil
 	}
 	// Miss: ver was snapshotted before the metadata reads below, so a
 	// concurrent republish makes the install a no-op rather than a stale hit.
-	// The reads hold the ids' read locks — a writer's republish frees the
-	// previous metadata record, so an unlocked Get could read freed bytes.
 	dl := p.varLock(id + DimsSuffix)
 	dl.RLock()
 	rec, err := p.loadDimsLocked(id)
@@ -146,16 +136,7 @@ func (p *PMEM) blockIndexImpl(id string, haveIDLock bool) (*cacheEntry, uint64, 
 	if err != nil {
 		return nil, 0, err
 	}
-	var blocks []blockRec
-	var hasBlocks bool
-	if haveIDLock {
-		blocks, hasBlocks, err = p.loadBlockList(id)
-	} else {
-		l := p.varLock(id)
-		l.RLock()
-		blocks, hasBlocks, err = p.loadBlockList(id)
-		l.RUnlock()
-	}
+	blocks, hasBlocks, err := p.loadBlockList(id)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -205,12 +186,4 @@ func copyStats(stats []BlockStats) []BlockStats {
 		out[i].Counts = append([]uint64(nil), s.Counts...)
 	}
 	return out
-}
-
-// checkEntry asserts the cached entry can serve a block read for id.
-func (e *cacheEntry) checkEntry(id string) error {
-	if !e.hasBlocks {
-		return fmt.Errorf("core: id %q has no stored blocks: %w", id, ErrNotFound)
-	}
-	return nil
 }

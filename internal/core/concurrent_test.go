@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pmemcpy/internal/bytesview"
@@ -220,5 +221,111 @@ func TestConcurrentCompactVsParallelGather(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentCompactVsMinMax is the regression gate for the
+// Compact-vs-statistics race: BlockStatsOf used to look the block index up,
+// drop every lock, and then slice and scan block bytes, so a concurrent
+// Compact could free — and a concurrent store reuse — the storage MinMax was
+// scanning; with verification off that is a silently wrong range. Statistics
+// are now a read plan like any load, holding the id's read lock from the index
+// lookup through the last byte scanned. The raw codec carries no block
+// characteristics, so every statistics miss streams whole blocks. Rank 0
+// overwrites the array with generation g (uniform values), compacts the
+// previous generation away, and re-stores a scratch variable of the same size
+// (negative values) so the allocator hands the freed block straight back out;
+// reader ranks hammer MinMax. Against the DRAM model — generation g is
+// uniformly float64(g), and MinMax ranges over every stored block, so between
+// a store and its Compact the shadowed generation g-1 still counts — every
+// answer must be [g, g] or [g-1, g] for a generation g that was current at
+// some point during the call. Run under -race (make integrity) the detector
+// must stay silent too.
+func TestConcurrentCompactVsMinMax(t *testing.T) {
+	const (
+		ranks = 4
+		elems = 1 << 16 // 512 KB per generation: a scan long enough to overlap a free
+		gens  = 40
+	)
+	n := node.New(sim.DefaultConfig(), 512<<20)
+	n.Machine.SetConcurrency(ranks)
+	opts := &core.Options{Codec: "raw", PoolSize: 256 << 20}
+	// published is the newest generation whose store has returned; started
+	// the newest whose store has begun. A MinMax must answer with a newest
+	// generation in [published at call start, started at call end].
+	var published, started atomic.Int64
+	var done atomic.Bool
+	var failures [ranks]error // per-rank verdicts; ranks still unmap collectively
+
+	_, err := mpi.Run(n.Machine, ranks, func(c *mpi.Comm) error {
+		p, err := core.Mmap(c, n, "/statsrace.pool", core.OptionsArg(opts))
+		if err != nil {
+			return err
+		}
+		full := []uint64{0}
+		cnt := []uint64{elems}
+		if c.Rank() == 0 {
+			for _, id := range []string{"grid", "scratch"} {
+				if err := p.Alloc(id, serial.Float64, cnt); err != nil {
+					return err
+				}
+				if err := p.StoreBlock(id, full, cnt, make([]byte, elems*8)); err != nil {
+					return err
+				}
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		var rerr error
+		defer func() { failures[c.Rank()] = rerr }()
+		if c.Rank() == 0 {
+			vals := make([]float64, elems)
+			for g := int64(1); g <= gens && rerr == nil; g++ {
+				for _, id := range []string{"grid", "scratch"} {
+					v := float64(g)
+					if id == "scratch" {
+						v = -v
+					} else {
+						started.Store(g)
+					}
+					for i := range vals {
+						vals[i] = v
+					}
+					if rerr = p.StoreBlock(id, full, cnt, bytesview.Bytes(vals)); rerr != nil {
+						break
+					}
+					if id == "grid" {
+						published.Store(g)
+					}
+					if _, rerr = p.Compact(context.Background(), id); rerr != nil {
+						break
+					}
+				}
+			}
+			done.Store(true)
+		} else {
+			for q := 0; !done.Load() && rerr == nil; q++ {
+				lo := published.Load()
+				mn, mx, err := p.MinMax("grid")
+				hi := started.Load()
+				switch {
+				case err != nil:
+					rerr = fmt.Errorf("rank %d query %d: %w", c.Rank(), q, err)
+				case (mn != mx && mn != mx-1) || mx != math.Trunc(mx) || int64(mx) < lo || int64(mx) > hi:
+					rerr = fmt.Errorf("rank %d query %d: MinMax = [%v, %v], model says [g-1|g, g] for a g in [%d, %d]",
+						c.Rank(), q, mn, mx, lo, hi)
+				}
+			}
+		}
+		return p.Munmap()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ferr := range failures {
+		if ferr != nil {
+			t.Error(ferr)
+		}
 	}
 }

@@ -658,6 +658,12 @@ func (p *PMEM) MapSync() bool { return p.st.mapSync }
 func (p *PMEM) CodecName() string { return p.codec.Name() }
 
 func (p *PMEM) varLock(id string) *sync.RWMutex {
+	// Load first: LoadOrStore's candidate mutex and boxed key are two heap
+	// objects per call, and every read plan — memoized statistics hits
+	// included — now takes this lock.
+	if l, ok := p.st.varLocks.Load(id); ok {
+		return l.(*sync.RWMutex)
+	}
 	l, _ := p.st.varLocks.LoadOrStore(id, new(sync.RWMutex))
 	return l.(*sync.RWMutex)
 }
@@ -734,10 +740,9 @@ func (p *PMEM) Pools() int { return p.st.npools() }
 // without touching the medium.
 func (p *PMEM) HomePool(id string) int { return p.st.homeIdx(id) }
 
-// homeIdx, homePool and homeHT are the handle-side routing shorthands.
-func (p *PMEM) homeIdx(id string) int          { return p.st.homeIdx(id) }
-func (p *PMEM) homePool(id string) *pmdk.Pool  { return p.st.poolAt(p.st.homeIdx(id)) }
-func (p *PMEM) poolOf(pi uint8) *pmdk.Pool     { return p.st.poolAt(int(pi)) }
+// homeIdx, poolOf and homeHT are the handle-side routing shorthands.
+func (p *PMEM) homeIdx(id string) int      { return p.st.homeIdx(id) }
+func (p *PMEM) poolOf(pi uint8) *pmdk.Pool { return p.st.poolAt(int(pi)) }
 func (p *PMEM) homeHT(id string) *pmdk.Hashtable {
 	return p.st.htAt(p.st.homeIdx(id))
 }
@@ -888,11 +893,13 @@ func (p *PMEM) chargeDirectRead(pi int, n int64, passes float64) {
 	}
 }
 
-// chargeParallelRead accounts one parallel gather out of pool pi: `workers`
-// goroutines each stream a slice of the n encoded bytes out of mapped PMEM.
-// The mirror image of chargeParallelStore.
-func (p *PMEM) chargeParallelRead(pi int, n int64, passes float64, workers int) {
-	p.chargeStripedRead([]int64{n}, []int{pi}, passes, workers)
+// chargeReadLatency accounts a read that touches a handful of bytes or none:
+// opening a zero-copy view (the application's in-place traversal is the read,
+// and it happens outside the library at DRAM load granularity — precisely the
+// copy elimination the view exists to model) or reading one block's
+// characteristics header. One device read latency; no bytes are streamed.
+func (p *PMEM) chargeReadLatency() {
+	p.comm.Clock().Advance(p.node.Machine.Config().PMEMReadLatency)
 }
 
 // chargeStripedRead is the gather-side mirror of chargeStripedStore: per-pool

@@ -7,6 +7,8 @@ import (
 
 	"pmemcpy/internal/nd"
 	"pmemcpy/internal/node"
+	"pmemcpy/internal/pmdk"
+	"pmemcpy/internal/posixfs"
 	"pmemcpy/internal/serial"
 	"pmemcpy/internal/sim"
 )
@@ -142,27 +144,6 @@ func (h *hierStore) storeDatum(p *PMEM, id string, d *serial.Datum) error {
 	})
 }
 
-func (h *hierStore) loadDatum(p *PMEM, id string) (*serial.Datum, error) {
-	clk := p.comm.Clock()
-	raw, ok, err := h.getValue(clk, id)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("core: id %q: %w", id, ErrNotFound)
-	}
-	if len(raw) < 1 {
-		return nil, fmt.Errorf("core: empty value file for %q", id)
-	}
-	d, err := p.codec.Decode(raw[1:], &serial.Datum{Type: serial.DType(raw[0])})
-	if err != nil {
-		return nil, err
-	}
-	_, decPasses := p.codec.CostProfile()
-	h.chargeStagedDecode(p, int64(len(raw)), decPasses)
-	return d.Clone(), nil
-}
-
 // Block record framing in a variable file:
 //
 //	u8 dtype | u8 ndims | offs u64[nd] | counts u64[nd] | u64 encLen | payload
@@ -193,72 +174,57 @@ func (h *hierStore) storeBlock(p *PMEM, id string, offs []uint64, d *serial.Datu
 	})
 }
 
-// loadBlock scans the variable's file and gathers every intersecting record.
-func (h *hierStore) loadBlock(p *PMEM, id string, rec dimsRecord, offs, counts []uint64, dst []byte) error {
-	clk := p.comm.Clock()
+// open opens id's file for the read engine, which closes it.
+func (h *hierStore) open(clk *sim.Clock, id string) (*posixfs.File, error) {
 	fp, err := h.filePath(clk, id, false)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	f, err := h.node.FS.Open(clk, fp)
 	if err != nil {
-		return fmt.Errorf("core: id %q has no stored blocks: %w", id, ErrNotFound)
+		return nil, fmt.Errorf("core: id %q has no stored file: %w", id, ErrNotFound)
 	}
-	defer f.Close()
-	esize := rec.dtype.Size()
-	need := int64(nd.Size(counts)) * int64(esize)
-	_, decPasses := p.codec.CostProfile()
-	covered := int64(0)
+	return f, nil
+}
 
+// scanRecords walks the record headers of a variable's file and returns every
+// record intersecting the request as a read unit, in append (= publish)
+// order; src.data is the payload's offset in f. The read engine (readplan.go)
+// checks coverage, then reads, decodes and scatters the units one at a time,
+// exactly as it does mapped blocks.
+func scanRecords(clk *sim.Clock, f *posixfs.File, offs, counts []uint64, esize int) ([]readUnit, error) {
+	var units []readUnit
 	size := f.Size()
 	pos := int64(0)
 	for pos < size {
 		var hdr [2]byte
 		if _, err := f.ReadAt(clk, hdr[:], pos); err != nil {
-			return err
+			return nil, err
 		}
 		ndims := int(hdr[1])
 		hdrLen := blockRecordHeaderSize(ndims)
 		rest := make([]byte, hdrLen-2)
 		if _, err := f.ReadAt(clk, rest, pos+2); err != nil {
-			return err
+			return nil, err
 		}
-		bOffs := make([]uint64, ndims)
-		bCnts := make([]uint64, ndims)
+		b := blockRec{dtype: serial.DType(hdr[0]), offs: make([]uint64, ndims), counts: make([]uint64, ndims)}
 		rp := 0
-		for i := range bOffs {
-			bOffs[i] = binary.LittleEndian.Uint64(rest[rp:])
+		for i := range b.offs {
+			b.offs[i] = binary.LittleEndian.Uint64(rest[rp:])
 			rp += 8
 		}
-		for i := range bCnts {
-			bCnts[i] = binary.LittleEndian.Uint64(rest[rp:])
+		for i := range b.counts {
+			b.counts[i] = binary.LittleEndian.Uint64(rest[rp:])
 			rp += 8
 		}
-		encLen := int64(binary.LittleEndian.Uint64(rest[rp:]))
-		payloadOff := pos + hdrLen
-		pos = payloadOff + encLen
+		b.encLen = int64(binary.LittleEndian.Uint64(rest[rp:]))
+		b.data = pmdk.PMID(pos + hdrLen)
+		pos += hdrLen + b.encLen
 
-		isOffs, isCnts, okIs := nd.Intersect(offs, counts, bOffs, bCnts)
-		if !okIs {
-			continue
+		if isOffs, isCnts, ok := nd.Intersect(offs, counts, b.offs, b.counts); ok {
+			units = append(units, readUnit{src: b, isOffs: isOffs, isCnts: isCnts,
+				bytes: int64(nd.Size(isCnts)) * int64(esize)})
 		}
-		enc := make([]byte, encLen)
-		if _, err := f.ReadAt(clk, enc, payloadOff); err != nil {
-			return err
-		}
-		d, err := p.codec.Decode(enc, &serial.Datum{Type: serial.DType(hdr[0]), Dims: bCnts})
-		if err != nil {
-			return err
-		}
-		h.chargeStagedDecode(p, encLen, decPasses)
-		if err := nd.PlaceIntersection(dst, offs, counts, d.Payload, bOffs, bCnts,
-			isOffs, isCnts, esize); err != nil {
-			return err
-		}
-		covered += int64(nd.Size(isCnts)) * int64(esize)
 	}
-	if covered < need {
-		return fmt.Errorf("core: request on %q only covered %d of %d bytes: %w", id, covered, need, ErrNotFound)
-	}
-	return nil
+	return units, nil
 }

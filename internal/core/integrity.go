@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
-	"pmemcpy/internal/checksum"
 	"pmemcpy/internal/fsck"
 	"pmemcpy/internal/pmdk"
 	"pmemcpy/internal/sim"
@@ -19,7 +19,8 @@ import (
 // Every stored block carries a CRC32C (internal/checksum) computed during the
 // serialize-into-PMEM copy and published atomically with the block's metadata
 // — the value-ref record for whole values, the block-list record for array
-// blocks. Three consumers recompute it:
+// blocks. Three consumers recompute it, all as read plans whose quarantine
+// gate and CRC compare run in the one read engine (readplan.go):
 //
 //   - verified reads (WithVerifyReads): LoadDatum/LoadBlock check the CRC of
 //     every gathered block before decoding, in full or sampled mode;
@@ -93,58 +94,6 @@ func (p *PMEM) shouldVerify() bool {
 	default:
 		return false
 	}
-}
-
-// verifySlice recomputes the CRC32C of src and fails with a wrapped
-// ErrCorrupt identifying the id, pool offset, and length when it does not
-// match the published CRC. It charges no virtual time (see the package
-// comment above).
-func (p *PMEM) verifySlice(id string, blk pmdk.PMID, src []byte, want uint32) error {
-	p.st.ins.verifyBlocks.Inc()
-	if got := checksum.Sum(src); got != want {
-		p.st.ins.verifyFails.Inc()
-		return fmt.Errorf("core: id %q block at pool offset %d (%d bytes): crc %#08x, stored %#08x: %w",
-			id, int64(blk), len(src), got, want, ErrCorrupt)
-	}
-	return nil
-}
-
-// precheckJobs gates a gather plan before any byte is decoded: quarantined
-// blocks fail fast unconditionally, and when the load is selected for
-// verification every distinct source block's CRC is recomputed. Runs under
-// the id's read lock, so no block can be freed mid-check.
-func (p *PMEM) precheckJobs(id string, jobs []copyJob) error {
-	return p.precheckJobsVerify(id, jobs, p.shouldVerify())
-}
-
-// precheckJobsVerify is precheckJobs with the verification decision made by
-// the caller — the view path (view.go) draws it once before choosing between
-// zero-copy and fallback so a sampled-mode view consumes exactly one tick.
-func (p *PMEM) precheckJobsVerify(id string, jobs []copyJob, verify bool) error {
-	seen := make(map[poolPMID]bool, len(jobs))
-	for _, job := range jobs {
-		b := job.src
-		key := poolPMID{pool: b.pool, id: b.data}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if p.isQuarantined(b.pool, b.data) {
-			return fmt.Errorf("core: id %q block at pool offset %d is quarantined: %w",
-				id, int64(b.data), ErrCorrupt)
-		}
-		if !verify {
-			continue
-		}
-		src, err := p.poolOf(b.pool).Slice(b.data, b.encLen)
-		if err != nil {
-			return err
-		}
-		if err := p.verifySlice(id, b.data, src, b.crc); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // --- quarantine ---
@@ -380,7 +329,7 @@ func (p *PMEM) Scrub(ctx context.Context) (ScrubReport, error) {
 	}
 	clk := p.comm.Clock()
 	start := clk.Now()
-	pace := &scrubPacer{start: int64(start)}
+	pace := &scrubPacer{ctx: ctx, start: int64(start)}
 	keys, err := p.Keys()
 	if err != nil {
 		return rep, err
@@ -394,7 +343,7 @@ func (p *PMEM) Scrub(ctx context.Context) (ScrubReport, error) {
 			rep.Elapsed = time.Duration(clk.Now() - start)
 			return rep, err
 		}
-		bad, err := p.scrubVar(ctx, id, &rep, pace)
+		bad, err := p.scrubVar(id, &rep, pace)
 		if err != nil {
 			rep.Elapsed = time.Duration(clk.Now() - start)
 			return rep, err
@@ -414,66 +363,35 @@ func (p *PMEM) Scrub(ctx context.Context) (ScrubReport, error) {
 	return rep, nil
 }
 
-// scrubVar verifies every block of one id under its read lock, returning the
-// PMIDs of newly found corrupt blocks (already-quarantined blocks are
-// skipped). The lock is released before the caller quarantines, since
-// quarantineBlocks persists through the shared hashtable.
-func (p *PMEM) scrubVar(ctx context.Context, id string, rep *ScrubReport, pace *scrubPacer) ([]poolPMID, error) {
-	lock := p.varLock(id)
-	lock.RLock()
-	defer lock.RUnlock()
-	raw, ok, err := p.getValue(id)
-	if err != nil || !ok {
-		return nil, err // deleted since Keys(): not an error
+// scrubVar verifies every block of one id as one read plan — already-
+// quarantined blocks skipped, mismatches reported rather than failing, each
+// block charged at the paced scrub rate, cancellable between blocks — and
+// returns the newly found corrupt blocks. A pass cut short still counts what
+// it finished. The plan's read lock is released before the caller
+// quarantines, since quarantineBlocks persists through the shared hashtable.
+// An id deleted since Keys() is an empty sweep, not an error.
+func (p *PMEM) scrubVar(id string, rep *ScrubReport, pace *scrubPacer) ([]poolPMID, error) {
+	pl := readPlan{id: id, consume: consumeCRC, quarantine: quarSkip, verify: verifyReport, sweep: pace}
+	err := p.reader().run(&pl)
+	if errors.Is(err, ErrNotFound) {
+		return nil, nil
 	}
-	var bad []poolPMID
-	check := func(pool uint8, blk pmdk.PMID, encLen int64, want uint32) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if p.isQuarantined(pool, blk) {
-			return nil
-		}
-		src, err := p.poolOf(pool).Slice(blk, encLen)
-		if err != nil {
-			return err
-		}
-		p.chargeScrub(int(pool), encLen, pace)
-		rep.Blocks++
-		rep.Bytes += encLen
-		p.st.ins.scrubBlocks.Inc()
-		if checksum.Sum(src) != want {
-			rep.Corruptions++
-			p.st.ins.scrubCorrupt.Inc()
-			bad = append(bad, poolPMID{pool: pool, id: blk})
-		}
-		return nil
+	rep.Blocks += pl.blocks
+	rep.Bytes += pl.covered
+	rep.Corruptions += len(pl.bad)
+	p.st.ins.scrubBlocks.Add(pl.blocks)
+	p.st.ins.scrubCorrupt.Add(int64(len(pl.bad)))
+	bad := make([]poolPMID, len(pl.bad))
+	for i, b := range pl.bad {
+		bad[i] = poolPMID{pool: b.rec.pool, id: b.rec.data}
 	}
-	switch {
-	case len(raw) > 0 && isBlockListTag(raw[0]):
-		blocks, err := decodeBlockList(raw)
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range blocks {
-			if err := check(b.pool, b.data, b.encLen, b.crc); err != nil {
-				return bad, err
-			}
-		}
-	case len(raw) == valueRefLen && raw[0] == valueRefTag:
-		blk, n, crc, err := decodeValueRef(raw)
-		if err != nil {
-			return nil, err
-		}
-		if err := check(uint8(p.homeIdx(id)), blk, n, crc); err != nil {
-			return bad, err
-		}
-	}
-	return bad, nil
+	return bad, err
 }
 
-// scrubPacer tracks one pass's progress against the rate limit.
+// scrubPacer is one Scrub pass's state across its per-id plans: the caller's
+// cancellation and the progress against the rate limit.
 type scrubPacer struct {
+	ctx   context.Context
 	start int64 // virtual ns at pass start
 	bytes int64 // bytes verified so far
 }
@@ -528,44 +446,22 @@ func (p *PMEM) DeepCheck() (*fsck.DeepReport, error) {
 }
 
 func (p *PMEM) deepCheckVar(id string, rep *fsck.DeepReport) error {
-	lock := p.varLock(id)
-	lock.RLock()
-	defer lock.RUnlock()
-	raw, ok, err := p.getValue(id)
-	if err != nil || !ok {
+	pl := readPlan{id: id, consume: consumeCRC, quarantine: quarIgnore, verify: verifyReport}
+	if err := p.reader().run(&pl); err != nil {
+		if errors.Is(err, ErrNotFound) {
+			return nil // deleted since Keys()
+		}
 		return err
 	}
-	check := func(idx int, pool uint8, blk pmdk.PMID, encLen int64, want uint32) error {
-		src, err := p.poolOf(pool).Slice(blk, encLen)
-		if err != nil {
-			return err
+	rep.Blocks += pl.blocks
+	rep.Bytes += pl.covered
+	for _, b := range pl.bad {
+		if pl.kind == recValueRef {
+			b.idx = -1 // a whole value's single block
 		}
-		rep.Blocks++
-		rep.Bytes += encLen
-		if checksum.Sum(src) != want {
-			rep.Corrupt = append(rep.Corrupt, fsck.Corruption{
-				ID: id, Block: idx, Offset: int64(blk), Len: encLen,
-			})
-		}
-		return nil
-	}
-	switch {
-	case len(raw) > 0 && isBlockListTag(raw[0]):
-		blocks, err := decodeBlockList(raw)
-		if err != nil {
-			return err
-		}
-		for i, b := range blocks {
-			if err := check(i, b.pool, b.data, b.encLen, b.crc); err != nil {
-				return err
-			}
-		}
-	case len(raw) == valueRefLen && raw[0] == valueRefTag:
-		blk, n, crc, err := decodeValueRef(raw)
-		if err != nil {
-			return err
-		}
-		return check(-1, uint8(p.homeIdx(id)), blk, n, crc)
+		rep.Corrupt = append(rep.Corrupt, fsck.Corruption{
+			ID: id, Block: b.idx, Offset: int64(b.rec.data), Len: b.rec.encLen,
+		})
 	}
 	return nil
 }
@@ -574,44 +470,6 @@ func (p *PMEM) deepCheckVar(id string, rep *fsck.DeepReport) error {
 // regardless of the handle's verify mode. It backs Array.Verify.
 func (p *PMEM) VerifyVar(id string) error {
 	p.asyncBarrier()
-	lock := p.varLock(id)
-	lock.RLock()
-	defer lock.RUnlock()
-	raw, ok, err := p.getValue(id)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("core: id %q: %w", id, ErrNotFound)
-	}
-	check := func(pool uint8, blk pmdk.PMID, encLen int64, want uint32) error {
-		if p.isQuarantined(pool, blk) {
-			return fmt.Errorf("core: id %q block at pool offset %d is quarantined: %w",
-				id, int64(blk), ErrCorrupt)
-		}
-		src, err := p.poolOf(pool).Slice(blk, encLen)
-		if err != nil {
-			return err
-		}
-		return p.verifySlice(id, blk, src, want)
-	}
-	switch {
-	case len(raw) > 0 && isBlockListTag(raw[0]):
-		blocks, err := decodeBlockList(raw)
-		if err != nil {
-			return err
-		}
-		for _, b := range blocks {
-			if err := check(b.pool, b.data, b.encLen, b.crc); err != nil {
-				return err
-			}
-		}
-	case len(raw) == valueRefLen && raw[0] == valueRefTag:
-		blk, n, crc, err := decodeValueRef(raw)
-		if err != nil {
-			return err
-		}
-		return check(uint8(p.homeIdx(id)), blk, n, crc)
-	}
-	return nil
+	pl := readPlan{id: id, consume: consumeCRC, verify: verifyAlways}
+	return p.reader().run(&pl)
 }

@@ -284,6 +284,76 @@ func TestScrubRateLimit(t *testing.T) {
 	}
 }
 
+// countdownCtx reports context.Canceled from its n-th Err call on.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left--; c.left <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestScrubCancelBetweenBlocks pins Scrub's contract for a cancel that lands
+// inside a many-block variable: the pass stops before the next block, and the
+// partial report counts exactly the blocks it finished — corrupt ones
+// included — and the virtual time they cost.
+func TestScrubCancelBetweenBlocks(t *testing.T) {
+	const blocks, elems, swept = 8, 64, 3
+	n := newNode()
+	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+		p, err := core.Mmap(c, n, "/cancel-mid.pool", core.WithCodec("raw"))
+		if err != nil {
+			return err
+		}
+		if err := p.Alloc("M", serial.Float64, []uint64{blocks * elems}); err != nil {
+			return err
+		}
+		for b := uint64(0); b < blocks; b++ {
+			if err := p.StoreBlock("M", []uint64{b * elems}, []uint64{elems}, make([]byte, elems*8)); err != nil {
+				return err
+			}
+		}
+		if _, _, err := p.InjectCorruption("M", 1, 0, 1, 0x01); err != nil {
+			return err
+		}
+		full, err := p.DeepCheck()
+		if err != nil {
+			return err
+		}
+		// Scrub polls once per id, then once per block: the cancel arrives at
+		// the poll before block `swept`.
+		rep, err := p.Scrub(&countdownCtx{Context: context.Background(), left: 1 + swept + 1})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Scrub = %v, want context.Canceled", err)
+		}
+		if want := full.Bytes / blocks * swept; rep.Blocks != swept || rep.Bytes != want {
+			t.Errorf("canceled pass reported %d blocks / %d bytes, want %d / %d", rep.Blocks, rep.Bytes, swept, want)
+		}
+		if rep.Corruptions != 1 {
+			t.Errorf("canceled pass reported %d corruptions, want the 1 among the blocks it swept", rep.Corruptions)
+		}
+		if rep.Elapsed <= 0 {
+			t.Errorf("canceled pass reported no elapsed virtual time")
+		}
+		// A later pass finishes the job.
+		rep, err = p.Scrub(context.Background())
+		if err != nil {
+			return err
+		}
+		if rep.Blocks != blocks || rep.Quarantined != 1 {
+			t.Errorf("follow-up pass: %d blocks, %d quarantined, want %d and 1", rep.Blocks, rep.Quarantined, blocks)
+		}
+		return p.Munmap()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestScrubCancellation(t *testing.T) {
 	n := scrubStore(t, "/cancel.pool")
 	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {

@@ -81,9 +81,8 @@ func (l Library) options() *Options {
 
 // Configure implements pio.Configurable: it applies the set fields of c on
 // top of the literal's configuration (codec, layout, pool size, ...), which
-// zero-valued fields leave untouched. This is the supported way for the
-// harness to enable features; the per-feature With* methods below are
-// deprecated shims over it.
+// zero-valued fields leave untouched. This is how the harness enables
+// features.
 func (l Library) Configure(c pio.Capabilities) pio.Library {
 	if c.Parallelism != 0 {
 		l.Parallelism = c.Parallelism
@@ -105,56 +104,6 @@ func (l Library) Configure(c pio.Capabilities) pio.Library {
 	if c.Pools > 1 {
 		l.Pools = c.Pools
 	}
-	return l
-}
-
-// WithPools implements pio.Poolable.
-//
-// Deprecated: use Configure.
-func (l Library) WithPools(n int) pio.Library {
-	l.Pools = n
-	return l
-}
-
-// WithParallelism implements pio.Parallelizable.
-//
-// Deprecated: use Configure.
-func (l Library) WithParallelism(p int) pio.Library {
-	l.Parallelism = p
-	return l
-}
-
-// WithReadParallelism implements pio.ReadParallelizable.
-//
-// Deprecated: use Configure.
-func (l Library) WithReadParallelism(p int) pio.Library {
-	l.ReadParallelism = p
-	return l
-}
-
-// WithMetrics implements pio.Instrumentable.
-//
-// Deprecated: use Configure.
-func (l Library) WithMetrics() pio.Library {
-	l.Metrics = true
-	return l
-}
-
-// WithVerifyReads implements pio.Verifiable.
-//
-// Deprecated: use Configure.
-func (l Library) WithVerifyReads(mode int) pio.Library {
-	l.VerifyReads = VerifyMode(mode)
-	return l
-}
-
-// WithAsync implements pio.Asyncable.
-//
-// Deprecated: use Configure.
-func (l Library) WithAsync(window, inflight int) pio.Library {
-	l.Async = true
-	l.CoalesceWindow = window
-	l.MaxInflight = inflight
 	return l
 }
 
@@ -227,17 +176,11 @@ func (s *session) Close() error {
 func (s *session) Metrics() obs.Snapshot { return s.p.Metrics() }
 
 var (
-	_ pio.Writer             = (*session)(nil)
-	_ pio.Reader             = (*session)(nil)
-	_ pio.Instrumented       = (*session)(nil)
-	_ pio.Library            = Library{}
-	_ pio.Configurable       = Library{}
-	_ pio.Parallelizable     = Library{}
-	_ pio.ReadParallelizable = Library{}
-	_ pio.Instrumentable     = Library{}
-	_ pio.Verifiable         = Library{}
-	_ pio.Asyncable          = Library{}
-	_ pio.Poolable           = Library{}
+	_ pio.Writer       = (*session)(nil)
+	_ pio.Reader       = (*session)(nil)
+	_ pio.Instrumented = (*session)(nil)
+	_ pio.Library      = Library{}
+	_ pio.Configurable = Library{}
 )
 
 // Handle returns the underlying PMEM for callers that need the full API.

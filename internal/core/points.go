@@ -22,27 +22,3 @@ var (
 	ptAsyncPayload = pmem.RegisterPoint("core.commit.batch")
 	ptAsyncMerge   = pmem.RegisterPoint("core.commit.merge")
 )
-
-// pointAliases maps the pre-engine persist-point names (PRs 1–9, when each
-// write path registered its own points) to the unified commit engine's
-// names. The alias table keeps old explorer scripts, recorded traces, and
-// test assertions meaningful across the refactor: every historical name
-// resolves to exactly one live point.
-var pointAliases = map[string]string{
-	"core.datum.payload": "core.commit.datum",
-	"core.datum.chunk":   "core.commit.chunk",
-	"core.block.payload": "core.commit.block",
-	"core.block.shard":   "core.commit.shard",
-	"core.async.payload": "core.commit.batch",
-	"core.async.merge":   "core.commit.merge",
-}
-
-// CanonicalPoint resolves a possibly historical persist-point name to its
-// current registered name. Unknown names pass through unchanged, so callers
-// can feed it any trace without pre-filtering.
-func CanonicalPoint(name string) string {
-	if n, ok := pointAliases[name]; ok {
-		return n
-	}
-	return name
-}

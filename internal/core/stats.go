@@ -83,78 +83,55 @@ func (p *PMEM) FindBlocks(id string, lo, hi float64) ([]BlockStats, error) {
 // others are scanned. The result is memoized in the DRAM block-index cache,
 // so repeat MinMax/FindBlocks calls touch neither the device nor the clock
 // until a mutation of id invalidates the entry.
+//
+// Statistics are decoded from stored bytes, so they are a read plan like any
+// load (readplan.go): the id's read lock is held from the index lookup through
+// the last byte scanned, quarantined blocks fail fast, and under the handle's
+// verify mode each block's CRC is recomputed before its header (or payload) is
+// trusted. Otherwise a damaged characteristics header would silently skew
+// MinMax while every data read stays verified.
 func (p *PMEM) BlockStatsOf(id string) ([]BlockStats, error) {
 	if p.st.layout == LayoutHierarchy {
 		return nil, fmt.Errorf("core: block statistics require the hashtable layout")
 	}
 	p.asyncBarrier()
-	entry, ver, err := p.blockIndex(id)
-	if err != nil {
+	pl := readPlan{id: id, consume: consumeStats}
+	if err := p.reader().run(&pl); err != nil {
 		return nil, err
 	}
-	if !entry.hasBlocks {
-		return nil, fmt.Errorf("core: %q has no stored blocks: %w", id, ErrNotFound)
+	if pl.entry.stats == nil {
+		// Memoize under the version discipline: a concurrent republish makes
+		// the install a no-op.
+		p.st.cache.install(id, pl.entry.withStats(pl.stats), pl.ver)
 	}
-	if entry.stats != nil {
-		return copyStats(entry.stats), nil
+	// The cache keeps pl.stats; the caller may mutate its deep copy freely.
+	return copyStats(pl.stats), nil
+}
+
+// blockStats is the read engine's statistics consume step for one verified
+// unit: the value range from the block's characteristics header when the
+// codec carries one (a handful of bytes, one device latency), else from a
+// decode and scan of the payload (a full read pass).
+func (p *PMEM) blockStats(b blockRec, src []byte, dtype serial.DType) (BlockStats, error) {
+	bs := BlockStats{
+		Offs:   append([]uint64(nil), b.offs...),
+		Counts: append([]uint64(nil), b.counts...),
+		Pool:   int(b.pool),
 	}
-	rec := entry.dims
-	blocks := entry.blocks
-	clk := p.comm.Clock()
-	cfg := p.node.Machine.Config()
-	sr, hasSR := p.codec.(statsReader)
-	// Statistics are decoded from stored bytes, so they get the same
-	// containment as loads: quarantined blocks fail fast, and under the
-	// handle's verify mode each block's CRC is recomputed before its header
-	// (or payload) is trusted. Otherwise a damaged characteristics header
-	// would silently skew MinMax while every data read stays verified.
-	verify := p.shouldVerify()
-	out := make([]BlockStats, 0, len(blocks))
-	for _, b := range blocks {
-		bs := BlockStats{
-			Offs:   append([]uint64(nil), b.offs...),
-			Counts: append([]uint64(nil), b.counts...),
-			Pool:   int(b.pool),
+	if sr, ok := p.codec.(statsReader); ok {
+		if mn, mx, okStats, err := sr.Stats(src); err == nil && okStats {
+			p.chargeReadLatency()
+			bs.Min, bs.Max, bs.HasStats, bs.Skipped = mn, mx, true, true
+			return bs, nil
 		}
-		if p.isQuarantined(b.pool, b.data) {
-			return nil, fmt.Errorf("core: id %q block at pool offset %d is quarantined: %w",
-				id, int64(b.data), ErrCorrupt)
-		}
-		src, err := p.poolOf(b.pool).Slice(b.data, b.encLen)
-		if err != nil {
-			return nil, err
-		}
-		if verify {
-			if err := p.verifySlice(id, b.data, src, b.crc); err != nil {
-				return nil, err
-			}
-		}
-		if hasSR {
-			mn, mx, okStats, err := sr.Stats(src)
-			if err == nil && okStats {
-				// Characteristics live in the block header: a handful of
-				// bytes, one device latency.
-				clk.Advance(cfg.PMEMReadLatency)
-				bs.Min, bs.Max, bs.HasStats, bs.Skipped = mn, mx, true, true
-				out = append(out, bs)
-				continue
-			}
-		}
-		// Fallback: decode and scan the payload (a full read pass).
-		d, err := p.codec.Decode(src, &serial.Datum{Type: b.dtype, Dims: b.counts})
-		if err != nil {
-			return nil, err
-		}
-		p.chargeDirectRead(int(b.pool), int64(len(d.Payload)), 1)
-		mn, mx, okScan := scanMinMax(rec.dtype, d.Payload)
-		bs.Min, bs.Max, bs.HasStats = mn, mx, okScan
-		out = append(out, bs)
 	}
-	// Memoize under the version discipline: a concurrent republish makes the
-	// install a no-op. The cache keeps its own deep copy so the caller may
-	// mutate the returned slice freely.
-	p.st.cache.install(id, entry.withStats(copyStats(out)), ver)
-	return out, nil
+	d, err := p.codec.Decode(src, &serial.Datum{Type: b.dtype, Dims: b.counts})
+	if err != nil {
+		return bs, err
+	}
+	p.chargeDirectRead(int(b.pool), int64(len(d.Payload)), 1)
+	bs.Min, bs.Max, bs.HasStats = scanMinMax(dtype, d.Payload)
+	return bs, nil
 }
 
 // scanMinMax computes the range of a payload by element type.

@@ -58,22 +58,14 @@ func (p *PMEM) deleteValue(id string) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	var owned []poolPMID
-	switch {
-	case len(raw) > 0 && isBlockListTag(raw[0]):
-		blocks, err := decodeBlockList(raw)
-		if err != nil {
-			return false, err
-		}
-		for _, b := range blocks {
-			owned = append(owned, poolPMID{pool: b.pool, id: b.data})
-		}
-	case len(raw) == valueRefLen && raw[0] == valueRefTag:
-		blk, _, _, err := decodeValueRef(raw)
-		if err != nil {
-			return false, err
-		}
-		owned = append(owned, poolPMID{pool: uint8(p.homeIdx(id)), id: blk})
+	var one [1]blockRec
+	blocks, _, err := p.ownedBlocks(id, raw, one[:0])
+	if err != nil {
+		return false, err
+	}
+	owned := make([]poolPMID, len(blocks))
+	for i, b := range blocks {
+		owned[i] = poolPMID{pool: b.pool, id: b.data}
 	}
 	// Unlink the metadata entry first, then free the storage it owned: a
 	// crash between the two leaks blocks (recoverable garbage), while the
@@ -188,56 +180,11 @@ func (p *PMEM) LoadDatum(id string) (*serial.Datum, error) {
 }
 
 func (p *PMEM) loadDatum(id string) (*serial.Datum, int64, error) {
-	if p.st.layout == LayoutHierarchy {
-		d, err := p.st.hier.loadDatum(p, id)
-		if d != nil {
-			return d, int64(len(d.Payload)), err
-		}
-		return d, 0, err
-	}
-	clk := p.comm.Clock()
-	// The whole load shares the id's read lock: a concurrent republish frees
-	// the previous value record, and a concurrent Delete frees the payload
-	// block itself, so both the Get and the decode below must be covered.
-	lock := p.varLock(id)
-	lock.RLock()
-	defer lock.RUnlock()
-	raw, ok, err := p.getValue(id)
-	if err != nil {
+	pl := readPlan{id: id, consume: consumeClone}
+	if err := p.reader().run(&pl); err != nil {
 		return nil, 0, err
 	}
-	if !ok {
-		return nil, 0, fmt.Errorf("core: id %q: %w", id, ErrNotFound)
-	}
-	blk, n, crc, err := decodeValueRef(raw)
-	if err != nil {
-		// The id exists but holds something else (a block list, raw
-		// metadata): a kind mismatch, not a missing id.
-		return nil, 0, fmt.Errorf("core: id %q does not hold a datum: %w", id, ErrTypeMismatch)
-	}
-	home := p.homeIdx(id)
-	if p.isQuarantined(uint8(home), blk) {
-		return nil, 0, fmt.Errorf("core: id %q block %d is quarantined: %w", id, blk, ErrCorrupt)
-	}
-	src, err := p.st.poolAt(home).Slice(blk, n)
-	if err != nil {
-		return nil, 0, err
-	}
-	if p.shouldVerify() {
-		if err := p.verifySlice(id, blk, src, crc); err != nil {
-			return nil, 0, err
-		}
-	}
-	hint := &serial.Datum{Type: serial.DType(src[0])}
-	d, err := p.codec.Decode(src[1:], hint)
-	if err != nil {
-		return nil, 0, err
-	}
-	_, decPasses := p.codec.CostProfile()
-	p.chargeDirectRead(home, n, decPasses)
-	out := d.Clone() // the caller's datum must not alias the pool
-	_ = clk
-	return out, n, nil
+	return pl.datum, pl.covered, nil
 }
 
 // valueRefTag distinguishes single-value pointer records from block lists;
@@ -369,8 +316,8 @@ func (p *PMEM) storeBlock(id string, offs, counts []uint64, data []byte) (int64,
 // from every stored block that intersects the request and deserializing
 // directly from PMEM. The gather is planned against the DRAM block-index
 // cache (built on the first read, coherent with every mutation) and, for
-// large non-overlapping plans on a handle with read workers, executed by the
-// parallel gather engine (readplan.go).
+// large non-overlapping plans on a handle with read workers, scattered by the
+// read engine's worker pool (readplan.go).
 func (p *PMEM) LoadBlock(id string, offs, counts []uint64, dst []byte) error {
 	p.asyncBarrier()
 	done := p.beginOp(opLoadBlock, id)
@@ -380,71 +327,11 @@ func (p *PMEM) LoadBlock(id string, offs, counts []uint64, dst []byte) error {
 }
 
 func (p *PMEM) loadBlock(id string, offs, counts []uint64, dst []byte) (int64, bool, error) {
-	if p.st.layout == LayoutHierarchy {
-		rec, err := p.loadDimsLocked(id)
-		if err != nil {
-			return 0, false, err
-		}
-		if err := nd.CheckBlock(rec.dims, offs, counts); err != nil {
-			return 0, false, err
-		}
-		esize := rec.dtype.Size()
-		need := int64(nd.Size(counts)) * int64(esize)
-		if int64(len(dst)) < need {
-			return 0, false, fmt.Errorf("core: dst %d bytes, block needs %d: %w", len(dst), need, ErrOutOfBounds)
-		}
-		return need, false, p.st.hier.loadBlock(p, id, rec, offs, counts, dst)
-	}
-
-	// The id's read lock is held across the whole gather — planning AND
-	// execution — not just the metadata read: a concurrent Compact (or
-	// Delete) publishes its pruned list and then frees the dropped blocks,
-	// so a gather still copying out of a planned block after the lock was
-	// released would read storage the allocator may already have handed to a
-	// concurrent store. Compact takes the write side of this lock, which
-	// now excludes it for the duration of the copy.
-	lock := p.varLock(id)
-	lock.RLock()
-	defer lock.RUnlock()
-	entry, _, err := p.blockIndexLocked(id)
-	if err != nil {
+	pl := readPlan{id: id, offs: offs, counts: counts, dst: dst}
+	if err := p.reader().run(&pl); err != nil {
 		return 0, false, err
 	}
-	rec := entry.dims
-	if err := nd.CheckBlock(rec.dims, offs, counts); err != nil {
-		return 0, false, err
-	}
-	esize := rec.dtype.Size()
-	need := int64(nd.Size(counts)) * int64(esize)
-	if int64(len(dst)) < need {
-		return 0, false, fmt.Errorf("core: dst %d bytes, block needs %d: %w", len(dst), need, ErrOutOfBounds)
-	}
-	if err := entry.checkEntry(id); err != nil {
-		return 0, false, err
-	}
-	jobs, covered := planGather(entry, offs, counts, esize)
-	if covered < need {
-		return 0, false, fmt.Errorf("core: request on %q only covered %d of %d bytes: %w",
-			id, covered, need, ErrNotFound)
-	}
-	// Integrity gate: quarantined blocks fail fast, and (under WithVerifyReads)
-	// every gathered block's CRC is checked before its bytes are decoded.
-	if err := p.precheckJobs(id, jobs); err != nil {
-		return 0, false, err
-	}
-	parallel, err := p.executeGather(jobs, offs, counts, dst, esize, covered)
-	return covered, parallel, err
-}
-
-// executeGather runs a planned gather into dst, choosing the parallel engine
-// for large non-overlapping plans on a handle with read workers. It reports
-// which engine ran so the caller can label the op's instrumentation path.
-// Callers hold the id's read lock and have already passed precheckJobs.
-func (p *PMEM) executeGather(jobs []copyJob, offs, counts []uint64, dst []byte, esize int, covered int64) (bool, error) {
-	if p.readParallelEligible(covered) && !jobsOverlap(jobs) {
-		return true, p.loadJobsParallel(jobs, offs, counts, dst, esize, covered)
-	}
-	return false, p.loadJobsSerial(jobs, offs, counts, dst, esize)
+	return pl.covered, pl.parallel, nil
 }
 
 // loadBlockList reads and decodes the block list stored under id.

@@ -44,13 +44,11 @@ func (p *PMEM) VerifyStore() []string {
 			}
 			continue
 		}
+		blocks, kind, err := p.ownedBlocks(key, raw, nil)
 		switch {
-		case len(raw) > 0 && isBlockListTag(raw[0]):
-			blocks, err := decodeBlockList(raw)
-			if err != nil {
-				violatef("store.blocklist: %q: %v", key, err)
-				continue
-			}
+		case err != nil:
+			violatef("store.record: %q: undecodable %v: %v", key, kind, err)
+		case kind == recBlockList:
 			rec, err := p.loadDimsLocked(key)
 			if err != nil {
 				violatef("store.blocklist: %q has blocks but no dims record: %v", key, err)
@@ -73,17 +71,13 @@ func (p *PMEM) VerifyStore() []string {
 						key, i, b.encLen, usable)
 				}
 			}
-		case len(raw) == valueRefLen && raw[0] == valueRefTag:
-			blk, n, _, err := decodeValueRef(raw)
+		case kind == recValueRef:
+			b := blocks[0]
+			usable, err := p.poolOf(b.pool).UsableSize(clk, b.data)
 			if err != nil {
-				violatef("store.valueref: %q: %v", key, err)
-				continue
-			}
-			usable, err := p.homePool(key).UsableSize(clk, blk)
-			if err != nil {
-				violatef("store.valueref: %q payload %d not allocated: %v", key, blk, err)
-			} else if n > usable {
-				violatef("store.valueref: %q length %d exceeds block payload %d", key, n, usable)
+				violatef("store.valueref: %q payload %d not allocated: %v", key, b.data, err)
+			} else if b.encLen > usable {
+				violatef("store.valueref: %q length %d exceeds block payload %d", key, b.encLen, usable)
 			}
 		default:
 			// Raw metadata record without the dims suffix: nothing produced

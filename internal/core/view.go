@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-
-	"pmemcpy/internal/nd"
-	"pmemcpy/internal/serial"
 )
 
 // Zero-copy leased read views. Every Load* path in the library used to copy
@@ -114,8 +111,9 @@ func (v *BlockView) Close() error {
 	return v.p.reclaimLimbo()
 }
 
-// openLease takes one lease at the current epoch. Callers hold the id's read
-// lock, ordering the lease against any concurrent free of the id's blocks.
+// openLease takes one lease at the current epoch. Only the read engine's alias
+// step calls it, under the id's read lock, ordering the lease against any
+// concurrent free of the id's blocks.
 func (st *shared) openLease() uint64 {
 	st.viewMu.Lock()
 	e := st.viewEpoch
@@ -225,121 +223,15 @@ func (p *PMEM) loadBlockView(id string, offs, counts []uint64) (*BlockView, int6
 	if p.st.viewsInvalid.Load() {
 		return nil, 0, false, fmt.Errorf("core: handle unmapped: %w", ErrStaleView)
 	}
-	if p.st.layout == LayoutHierarchy {
-		// The hierarchy layout reads through the FS model; there is no mapped
-		// block to alias, so every view is a fallback copy.
-		rec, err := p.loadDimsLocked(id)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		if err := nd.CheckBlock(rec.dims, offs, counts); err != nil {
-			return nil, 0, false, err
-		}
-		need := int64(nd.Size(counts)) * int64(rec.dtype.Size())
-		dst := make([]byte, need)
-		if err := p.st.hier.loadBlock(p, id, rec, offs, counts, dst); err != nil {
-			return nil, 0, false, err
-		}
-		p.st.ins.viewFallback.Inc()
-		return p.newView(id, dst, false, 0), need, false, nil
-	}
-
-	// The id's read lock covers planning, the lease open, and (on the
-	// fallback path) the whole gather — the same discipline as loadBlock.
-	lock := p.varLock(id)
-	lock.RLock()
-	defer lock.RUnlock()
-	entry, _, err := p.blockIndexLocked(id)
-	if err != nil {
+	// One plan serves both outcomes: the read engine aliases when it can and
+	// degrades to the copying scatter when it cannot, under one lock hold and
+	// one verification decision (readplan.go). The hierarchy layout has no
+	// mapped block to alias, so its views are always fallback copies.
+	pl := readPlan{id: id, offs: offs, counts: counts, consume: consumeAlias}
+	if err := p.reader().run(&pl); err != nil {
 		return nil, 0, false, err
 	}
-	rec := entry.dims
-	if err := nd.CheckBlock(rec.dims, offs, counts); err != nil {
-		return nil, 0, false, err
-	}
-	esize := rec.dtype.Size()
-	need := int64(nd.Size(counts)) * int64(esize)
-	if err := entry.checkEntry(id); err != nil {
-		return nil, 0, false, err
-	}
-	jobs, covered := planGather(entry, offs, counts, esize)
-	if covered < need {
-		return nil, 0, false, fmt.Errorf("core: request on %q only covered %d of %d bytes: %w",
-			id, covered, need, ErrNotFound)
-	}
-	// One verification decision for the whole op, shared by both paths, so a
-	// sampled-mode view consumes exactly one sampling tick like a load.
-	verify := p.shouldVerify()
-
-	if src, ok := p.zeroCopyRange(jobs, need, verify); ok {
-		epoch := p.st.openLease()
-		p.chargeViewOpen()
-		p.st.ins.viewZero.Inc()
-		return p.newView(id, src, true, epoch), need, false, nil
-	}
-
-	// Fallback: the copying planner, identical to loadBlock's execution.
-	if err := p.precheckJobsVerify(id, jobs, verify); err != nil {
-		return nil, 0, false, err
-	}
-	dst := make([]byte, need)
-	parallel, err := p.executeGather(jobs, offs, counts, dst, esize, covered)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	p.st.ins.viewFallback.Inc()
-	return p.newView(id, dst, false, 0), covered, parallel, nil
-}
-
-// zeroCopyRange decides zero-copy eligibility and, when eligible, returns the
-// aliasing sub-slice of the stored block: exactly one gather job covering the
-// whole request, an identity codec (stored bytes are payload bytes), a
-// contiguous sub-range of the block (full extent in every dimension but the
-// outermost), no CRC verification selected, and the block not quarantined.
-func (p *PMEM) zeroCopyRange(jobs []copyJob, need int64, verify bool) ([]byte, bool) {
-	if verify || len(jobs) != 1 || jobs[0].bytes != need {
-		return nil, false
-	}
-	ie, ok := p.codec.(serial.IdentityEncoder)
-	if !ok || !ie.IdentityEncode() {
-		return nil, false
-	}
-	b := jobs[0].src
-	if p.isQuarantined(b.pool, b.data) {
-		return nil, false
-	}
-	// Contiguity: the intersection may trim only dim 0; inner dims must span
-	// the stored block exactly, or the requested elements are strided through
-	// the block and cannot alias as one slice.
-	j := jobs[0]
-	rowBytes := int64(b.dtype.Size())
-	for d := 1; d < len(b.counts); d++ {
-		if j.isOffs[d] != b.offs[d] || j.isCnts[d] != b.counts[d] {
-			return nil, false
-		}
-		rowBytes *= int64(b.counts[d])
-	}
-	var start int64
-	if len(b.offs) > 0 {
-		start = int64(j.isOffs[0]-b.offs[0]) * rowBytes
-	}
-	if start+need > b.encLen {
-		return nil, false // stored block shorter than its shape claims
-	}
-	src, err := p.poolOf(b.pool).Slice(b.data, b.encLen)
-	if err != nil {
-		return nil, false
-	}
-	return src[start : start+need : start+need], true
-}
-
-// chargeViewOpen accounts opening a zero-copy view: one device read latency,
-// and the MAP_SYNC line charge for the first touch when enabled. No bytes are
-// streamed — the application's in-place traversal is the read, and it happens
-// outside the library at DRAM load granularity, which is precisely the copy
-// elimination the view exists to model.
-func (p *PMEM) chargeViewOpen() {
-	p.comm.Clock().Advance(p.node.Machine.Config().PMEMReadLatency)
+	return pl.view, pl.covered, pl.parallel, nil
 }
 
 // newView builds a view and arms its leak detector: a view garbage-collected

@@ -45,22 +45,22 @@ type Params struct {
 	// (0 = same as Ranks).
 	ReadRanks int
 	// Parallelism asks the library for this many copy workers per rank
-	// (libraries that do not implement pio.Parallelizable ignore it).
+	// (libraries that are not pio.Configurable ignore it).
 	Parallelism int
 	// ReadParallelism asks the library for this many gather workers per rank
-	// (libraries that do not implement pio.ReadParallelizable ignore it;
+	// (libraries that are not pio.Configurable ignore it;
 	// 0 follows Parallelism, 1 forces serial reads).
 	ReadParallelism int
-	// Metrics asks the library for instrumented sessions (libraries that do
-	// not implement pio.Instrumentable ignore it) and captures an
-	// observability snapshot per phase into the Result.
+	// Metrics asks the library for instrumented sessions (libraries that are
+	// not pio.Configurable ignore it) and captures an observability snapshot
+	// per phase into the Result.
 	Metrics bool
 	// VerifyReads asks the library for checksum-verified reads at the given
-	// mode (0 = off, 1 = sampled, 2 = full; libraries that do not implement
-	// pio.Verifiable ignore it). Used by the integrity ablation (E15).
+	// mode (0 = off, 1 = sampled, 2 = full; libraries that are not
+	// pio.Configurable ignore it). Used by the integrity ablation (E15).
 	VerifyReads int
 	// Async asks the library for asynchronously pipelined writes (libraries
-	// that do not implement pio.Asyncable ignore it): writes queue and
+	// that are not pio.Configurable ignore it): writes queue and
 	// group-commit in batches of up to CoalesceWindow submissions, and Close
 	// drains the queue. Used by the coalescing ablation (E16).
 	Async bool
@@ -69,7 +69,7 @@ type Params struct {
 	// MaxInflight is the async queue bound (0 = library default).
 	MaxInflight int
 	// Pools shards the namespace across this many PMEM pools (libraries
-	// that do not implement pio.Poolable ignore it; <=1 = single pool). The
+	// that are not pio.Configurable ignore it; <=1 = single pool). The
 	// harness provisions the node with one device per pool, each of
 	// DeviceSize bytes. Used by the multi-pool ablation (E17).
 	Pools int
@@ -121,12 +121,11 @@ func Run(lib pio.Library, p Params) (Result, error) {
 	return res, nil
 }
 
-// configure applies the run parameters' optional capabilities to the library.
-// The supported path is one pio.Configurable call: wrappers forward Configure
-// explicitly, so a library's capabilities cannot be hidden by an embedding
-// wrapper the way the old per-feature type assertions were (every wrapped
-// assertion silently failed and the run measured an unconfigured store).
-// Libraries that predate Configurable fall back to the deprecated probes.
+// configure applies the run parameters' optional capabilities to the library
+// with one pio.Configurable call: wrappers forward Configure explicitly, so a
+// library's capabilities cannot be hidden by an embedding wrapper. Libraries
+// that are not Configurable (the baselines) have nothing to enable and run
+// as given.
 func configure(lib pio.Library, p Params) pio.Library {
 	caps := pio.Capabilities{
 		ReadParallelism: p.ReadParallelism,
@@ -144,36 +143,6 @@ func configure(lib pio.Library, p Params) pio.Library {
 	}
 	if cz, ok := lib.(pio.Configurable); ok {
 		return cz.Configure(caps)
-	}
-	if caps.Parallelism > 1 {
-		if pz, ok := lib.(pio.Parallelizable); ok {
-			lib = pz.WithParallelism(caps.Parallelism)
-		}
-	}
-	if caps.ReadParallelism != 0 {
-		if rp, ok := lib.(pio.ReadParallelizable); ok {
-			lib = rp.WithReadParallelism(caps.ReadParallelism)
-		}
-	}
-	if caps.Metrics {
-		if iz, ok := lib.(pio.Instrumentable); ok {
-			lib = iz.WithMetrics()
-		}
-	}
-	if caps.VerifyReads != 0 {
-		if vz, ok := lib.(pio.Verifiable); ok {
-			lib = vz.WithVerifyReads(caps.VerifyReads)
-		}
-	}
-	if caps.Async {
-		if az, ok := lib.(pio.Asyncable); ok {
-			lib = az.WithAsync(caps.CoalesceWindow, caps.MaxInflight)
-		}
-	}
-	if caps.Pools > 1 {
-		if pl, ok := lib.(pio.Poolable); ok {
-			lib = pl.WithPools(caps.Pools)
-		}
 	}
 	return lib
 }

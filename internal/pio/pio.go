@@ -76,13 +76,11 @@ type Library interface {
 // built straight from harness parameters composes with configuration already
 // baked into the library literal.
 //
-// It replaces the per-feature assertion interfaces below (Parallelizable,
-// Poolable, Asyncable, ...): probing by type assertion silently failed
-// through wrappers that embedded a Library without re-implementing every
-// With* method — a wrapper like pmembench's named{} would hide the
-// capabilities of the library it wrapped and the run would quietly measure an
-// unconfigured store. A single Configure method forwards through wrappers
-// explicitly, so hiding a capability now requires writing code to do it.
+// It is the only configuration protocol: one Configure method forwards
+// through wrappers (pmembench's named{}) explicitly, so hiding a capability of
+// the wrapped library requires writing code to do it. (Per-feature probing by
+// type assertion failed silently through such wrappers and the run would
+// quietly measure an unconfigured store.)
 type Capabilities struct {
 	// Parallelism is the per-rank write copy-engine worker count
 	// (0: library default; 1: serial).
@@ -115,82 +113,9 @@ type Configurable interface {
 	Configure(c Capabilities) Library
 }
 
-// Parallelizable is implemented by libraries whose writes can fan out over
-// worker goroutines within one rank (pMEMCPY's sharded copy engine).
-// WithParallelism returns a copy of the library configured to use p workers
-// per rank; p <= 1 restores the serial path. The harness uses it to run the
-// paper's procs sweep as a goroutine sweep.
-//
-// Deprecated: implement Configurable instead; the per-feature assertion
-// interfaces are kept for one release so external libraries keep working.
-type Parallelizable interface {
-	Library
-	WithParallelism(p int) Library
-}
-
-// ReadParallelizable is implemented by libraries whose reads can fan out over
-// worker goroutines within one rank (pMEMCPY's gather engine).
-// WithReadParallelism returns a copy configured to use p gather workers per
-// rank; p == 1 forces serial reads and p == 0 follows the write parallelism.
-//
-// Deprecated: implement Configurable instead.
-type ReadParallelizable interface {
-	Library
-	WithReadParallelism(p int) Library
-}
-
 // Instrumented is implemented by sessions (Writers/Readers) that expose an
 // observability snapshot. The harness captures it on rank 0 before Close so
 // benchmark tools can write a Prometheus-style exposition next to results.
 type Instrumented interface {
 	Metrics() obs.Snapshot
-}
-
-// Instrumentable is implemented by libraries whose sessions can record
-// latency/shape histograms on demand. WithMetrics returns a copy of the
-// library whose sessions have histogram recording enabled; counters are
-// always on regardless.
-//
-// Deprecated: implement Configurable instead.
-type Instrumentable interface {
-	Library
-	WithMetrics() Library
-}
-
-// Verifiable is implemented by libraries whose reads can check per-block
-// checksums against the medium (pMEMCPY's integrity layer). WithVerifyReads
-// returns a copy configured with the given verification mode: 0 = off,
-// 1 = sampled, 2 = full. The harness uses it for the integrity ablation.
-//
-// Deprecated: implement Configurable instead.
-type Verifiable interface {
-	Library
-	WithVerifyReads(mode int) Library
-}
-
-// Poolable is implemented by libraries that can shard one namespace across
-// multiple independent persistent-memory pools (pMEMCPY's pool sets).
-// WithPools returns a copy configured to stripe data over n member pools;
-// n <= 1 restores the classic single-pool store. The node driving the session
-// must carry a matching device per pool (node.WithPMEMPools). The harness
-// uses it for the multi-pool ablation (E17).
-//
-// Deprecated: implement Configurable instead.
-type Poolable interface {
-	Library
-	WithPools(n int) Library
-}
-
-// Asyncable is implemented by libraries whose writes can run through an
-// asynchronous submission pipeline with write coalescing and group commit
-// (pMEMCPY's async engine). WithAsync returns a copy whose sessions queue
-// writes in batches of up to window submissions with at most inflight ops
-// queued (0 selects the library defaults); the session's Close drains the
-// queue, so a closed session's data is durable. The harness uses it for the
-// coalescing ablation (E16).
-//
-// Deprecated: implement Configurable instead.
-type Asyncable interface {
-	Library
-	WithAsync(window, inflight int) Library
 }
