@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 vet verify race faults obs obsdeps integrity async cover apicheck leasecheck commitvet loc bench-check bench-async bench-views fuzz bench clean
+.PHONY: all build test tier1 vet verify race faults obs obsdeps integrity async cover apicheck leasecheck commitvet loc loccheck bench-check bench-async bench-views fuzz bench clean
 
 all: tier1
 
@@ -21,8 +21,8 @@ tier1: build vet test
 
 # verify is the pre-merge checklist: the tier-1 gate, the race detector, the
 # fault-injection suite, the observability gates, the integrity battery, and
-# the API-surface / lease-misuse lints.
-verify: tier1 race faults obs obsdeps integrity async cover apicheck leasecheck commitvet
+# the API-surface / lease-misuse lints, and the code-size ratchet.
+verify: tier1 race faults obs obsdeps integrity async cover apicheck leasecheck commitvet loccheck
 
 # apicheck pins the public v2 API surface: every exported declaration in
 # package pmemcpy against testdata/api_golden.txt. An intended surface change
@@ -63,6 +63,16 @@ loc:
 		END { printf "%8s %8s  %s\n", "lines", "code", "package (non-test .go)"; \
 			for (p in lines) printf "%8d %8d  %s\n", lines[p], code[p], p | "sort -k3"; \
 			close("sort -k3"); printf "%8d %8d  total\n", tl, tc }'
+
+# loccheck makes subtraction a ratchet: it prints `make loc` and fails when the
+# module's total non-test code lines exceed the ceiling, which records the
+# figure of the last change that lowered it. A change that must grow the code
+# raises the ceiling in the same diff, where a reviewer sees it.
+LOC_CEILING ?= 16503
+loccheck:
+	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
+		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \
+			printf "non-test code lines: %s (ceiling %s)\n", t, c }'
 
 # Integrity battery: checksum algebra, verified reads and quarantine, the
 # scrubber, the corruption differential (flavor C: ErrCorrupt or model bytes,
@@ -146,7 +156,7 @@ obsdeps:
 # have teeth with -race, so this target is part of the review checklist for
 # allocator or copy-engine changes.
 race:
-	$(GO) test -race -timeout 20m ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Short real fuzzing runs for every fuzz target. The seed corpora also run
 # as part of `make test`; this target additionally mutates for a few

@@ -122,7 +122,7 @@ func BenchmarkAblationStaging(b *testing.B) {
 		lib  pio.Library
 	}{
 		{"direct", core.Library{}},
-		{"staged", core.Library{Staged: true}},
+		{"staged", core.Library{StagedSerialization: true}},
 	} {
 		b.Run(cfg.name+"/procs=24", func(b *testing.B) {
 			res := benchCell(b, cfg.lib, 24)

@@ -10,7 +10,6 @@ import (
 	"pmemcpy/internal/harness"
 	"pmemcpy/internal/mpi"
 	"pmemcpy/internal/node"
-	"pmemcpy/internal/pio"
 	"pmemcpy/internal/serial"
 	"pmemcpy/internal/sim"
 )
@@ -188,7 +187,7 @@ func runAsyncAblation(rankCounts []int, base harness.Params) ([]harness.Result, 
 	p.Verify = true
 	p.Async = true
 	p.CoalesceWindow = 32
-	libs := []pio.Library{named{core.Library{Codec: "raw"}, "harness-async"}}
+	libs := []harness.Entry{{Label: "harness-async", Lib: core.Library{Codec: "raw"}}}
 	res, err := harness.Sweep(libs, rankCounts[:1], p)
 	if err != nil {
 		return all, fmt.Errorf("async ablation harness parity: %w", err)

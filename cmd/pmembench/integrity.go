@@ -8,7 +8,6 @@ import (
 
 	"pmemcpy/internal/core"
 	"pmemcpy/internal/harness"
-	"pmemcpy/internal/pio"
 )
 
 // Budgets enforced by runIntegrityAblation; exceeding either is an error, so
@@ -48,12 +47,12 @@ func runIntegrityAblation(rankCounts []int, base harness.Params) ([]harness.Resu
 		reps  [][]harness.Result
 	}
 
-	mklib := func(name string, mode int) pio.Library {
-		return named{core.Library{VerifyReads: core.VerifyMode(mode)}, name}
+	mklib := func(name string, mode int) []harness.Entry {
+		return []harness.Entry{{Label: name, Lib: core.Library{VerifyReads: core.VerifyMode(mode)}}}
 	}
 
 	// Untimed warmup absorbs one-time costs (page faults, allocator growth).
-	if _, err := harness.Sweep([]pio.Library{mklib("off", 0)}, rankCounts, base); err != nil {
+	if _, err := harness.Sweep(mklib("off", 0), rankCounts, base); err != nil {
 		return nil, fmt.Errorf("integrity ablation warmup: %w", err)
 	}
 
@@ -66,7 +65,7 @@ func runIntegrityAblation(rankCounts []int, base harness.Params) ([]harness.Resu
 			p := base
 			p.VerifyReads = v.verify
 			t0 := time.Now()
-			res, err := harness.Sweep([]pio.Library{mklib(v.name, v.verify)}, rankCounts, p)
+			res, err := harness.Sweep(mklib(v.name, v.verify), rankCounts, p)
 			wall := time.Since(t0)
 			if err != nil {
 				return nil, fmt.Errorf("integrity ablation %q: %w", v.name, err)

@@ -72,16 +72,18 @@ func main() {
 		fatal(err)
 	}
 	base := harness.Params{
-		TotalBytes:      int64(*size / scale),
-		Vars:            *vars,
-		Config:          sim.DefaultConfig().Scale(scale),
-		Verify:          *verify,
-		Runs:            *runs,
-		Pattern:         pat,
-		ReadRanks:       *readprocs,
-		Parallelism:     *parallel,
-		ReadParallelism: *readpar,
-		Metrics:         *metrics != "",
+		TotalBytes: int64(*size / scale),
+		Vars:       *vars,
+		Config:     sim.DefaultConfig().Scale(scale),
+		Verify:     *verify,
+		Runs:       *runs,
+		Pattern:    pat,
+		ReadRanks:  *readprocs,
+		Capabilities: pio.Capabilities{
+			Parallelism:     *parallel,
+			ReadParallelism: *readpar,
+			Metrics:         *metrics != "",
+		},
 	}
 	fmt.Printf("pmembench: modelled %.1f GB across %d rectangles, profile scale %.0fx (physical %.0f MB)\n\n",
 		*size/1e9, *vars, scale, float64(base.TotalBytes)/1e6)
@@ -101,12 +103,12 @@ func main() {
 	case *ablation != "":
 		results, err = runAblation(*ablation, rankCounts, base)
 	default:
-		libs := []pio.Library{
-			adios.Library{},
-			netcdf.Library{},
-			pnetcdf.Library{},
-			core.Library{},
-			core.Library{MapSync: true},
+		libs := []harness.Entry{
+			{Lib: adios.Library{}},
+			{Lib: netcdf.Library{}},
+			{Lib: pnetcdf.Library{}},
+			{Lib: core.Library{}},
+			{Lib: core.Library{MapSync: true}},
 		}
 		results, err = harness.Sweep(libs, rankCounts, base)
 		if err == nil {
@@ -185,16 +187,16 @@ func runObsAblation(rankCounts []int, base harness.Params) ([]harness.Result, er
 	const obsReps = 7
 	variants := []struct {
 		name    string
-		lib     pio.Library
+		lib     core.Library
 		metrics bool
 	}{
 		// Counters are always on; "base" is the library as every other
 		// experiment runs it. "hist" adds latency/shape histograms (the
 		// WithMetrics surface plus per-phase snapshot capture), "trace"
 		// additionally records operation spans with device persist points.
-		{"base", named{core.Library{}, "base"}, false},
-		{"hist", named{core.Library{Metrics: true}, "hist"}, true},
-		{"trace", named{core.Library{Metrics: true, Tracing: true}, "trace"}, true},
+		{"base", core.Library{}, false},
+		{"hist", core.Library{Metrics: true}, true},
+		{"trace", core.Library{Metrics: true, Tracing: true}, true},
 	}
 	type row struct {
 		name  string
@@ -204,7 +206,7 @@ func runObsAblation(rankCounts []int, base harness.Params) ([]harness.Result, er
 
 	// Untimed warmup so the first timed variant doesn't absorb one-time costs
 	// (page faults, allocator growth).
-	if _, err := harness.Sweep([]pio.Library{variants[0].lib}, rankCounts, base); err != nil {
+	if _, err := harness.Sweep([]harness.Entry{{Label: variants[0].name, Lib: variants[0].lib}}, rankCounts, base); err != nil {
 		return nil, fmt.Errorf("obs ablation warmup: %w", err)
 	}
 
@@ -222,7 +224,7 @@ func runObsAblation(rankCounts []int, base harness.Params) ([]harness.Result, er
 			p := base
 			p.Metrics = v.metrics
 			t0 := time.Now()
-			res, err := harness.Sweep([]pio.Library{v.lib}, rankCounts, p)
+			res, err := harness.Sweep([]harness.Entry{{Label: v.name, Lib: v.lib}}, rankCounts, p)
 			wall := time.Since(t0)
 			if err != nil {
 				return nil, fmt.Errorf("obs ablation %q: %w", v.name, err)
@@ -378,76 +380,55 @@ func printClaims(results []harness.Result, rankCounts []int) {
 }
 
 func runAblation(name string, rankCounts []int, base harness.Params) ([]harness.Result, error) {
-	var libs []pio.Library
+	var libs []harness.Entry
 	switch name {
 	case "staging":
-		libs = []pio.Library{
-			named{core.Library{}, "direct"},
-			named{core.Library{Staged: true}, "staged"},
+		libs = []harness.Entry{
+			{Label: "direct", Lib: core.Library{}},
+			{Label: "staged", Lib: core.Library{StagedSerialization: true}},
 		}
 	case "layout":
-		libs = []pio.Library{
-			named{core.Library{}, "hashtable"},
-			named{core.Library{Layout: core.LayoutHierarchy}, "hierarchy"},
+		libs = []harness.Entry{
+			{Label: "hashtable", Lib: core.Library{}},
+			{Label: "hierarchy", Lib: core.Library{Layout: core.LayoutHierarchy}},
 		}
 	case "mapsync":
-		libs = []pio.Library{core.Library{}, core.Library{MapSync: true}}
+		libs = []harness.Entry{{Lib: core.Library{}}, {Lib: core.Library{MapSync: true}}}
 	case "serializer":
-		libs = []pio.Library{
-			named{core.Library{Codec: "bp4"}, "bp4"},
-			named{core.Library{Codec: "flat"}, "flat"},
-			named{core.Library{Codec: "cbin"}, "cbin"},
-			named{core.Library{Codec: "raw"}, "raw"},
+		libs = []harness.Entry{
+			{Label: "bp4", Lib: core.Library{Codec: "bp4"}},
+			{Label: "flat", Lib: core.Library{Codec: "flat"}},
+			{Label: "cbin", Lib: core.Library{Codec: "cbin"}},
+			{Label: "raw", Lib: core.Library{Codec: "raw"}},
 		}
 	case "parallel":
 		// The copy-engine sweep: the paper's procs sweep reproduced as a
 		// per-rank worker sweep (run with a fixed -procs, e.g. -procs 8).
 		for _, k := range []int{1, 2, 4, 8, 16, 32, 48} {
-			libs = append(libs, named{core.Library{Parallelism: k}, fmt.Sprintf("par=%d", k)})
+			libs = append(libs, harness.Entry{Label: fmt.Sprintf("par=%d", k), Lib: core.Library{Parallelism: k}})
 		}
 	case "readparallel":
 		// The gather-engine sweep: read-side mirror of "parallel". Writes are
 		// kept serial so the write column stays flat and only the read column
 		// responds to the worker count (run with a fixed -procs, e.g. -procs 8).
 		for _, k := range []int{1, 2, 4, 8, 16, 32} {
-			libs = append(libs, named{core.Library{ReadParallelism: k}, fmt.Sprintf("rpar=%d", k)})
+			libs = append(libs, harness.Entry{Label: fmt.Sprintf("rpar=%d", k), Lib: core.Library{ReadParallelism: k}})
 		}
 	case "fill":
-		libs = []pio.Library{
-			named{netcdf.Library{}, "nofill"},
-			named{netcdf.Library{Fill: true}, "fill"},
+		libs = []harness.Entry{
+			{Label: "nofill", Lib: netcdf.Library{}},
+			{Label: "fill", Lib: netcdf.Library{Fill: true}},
 		}
 	case "chunked":
-		libs = []pio.Library{
-			named{netcdf.Library{}, "contiguous"},
-			named{netcdf.Library{Chunked: true}, "chunked"},
-			named{netcdf.Library{Chunked: true, Filter: "shuffle+rle"}, "chunked+flt"},
+		libs = []harness.Entry{
+			{Label: "contiguous", Lib: netcdf.Library{}},
+			{Label: "chunked", Lib: netcdf.Library{Chunked: true}},
+			{Label: "chunked+flt", Lib: netcdf.Library{Chunked: true, Filter: "shuffle+rle"}},
 		}
 	default:
 		return nil, fmt.Errorf("unknown ablation %q", name)
 	}
 	return harness.Sweep(libs, rankCounts, base)
-}
-
-// named overrides a library's display name for ablation tables.
-type named struct {
-	pio.Library
-	name string
-}
-
-func (n named) Name() string { return n.name }
-
-// Configure forwards capability configuration to the wrapped library,
-// keeping the display name. This is the pitfall pio.Capabilities exists to
-// close: the old probe-per-interface protocol silently lost capabilities
-// behind wrappers like this one unless every interface was re-plumbed, so
-// harness configuration (worker pools, verified reads, async batching,
-// striping) never reached the inner library.
-func (n named) Configure(c pio.Capabilities) pio.Library {
-	if cz, ok := n.Library.(pio.Configurable); ok {
-		return named{cz.Configure(c), n.name}
-	}
-	return n
 }
 
 func parseProcs(s string) ([]int, error) {

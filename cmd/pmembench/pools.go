@@ -9,7 +9,6 @@ import (
 	"pmemcpy/internal/harness"
 	"pmemcpy/internal/mpi"
 	"pmemcpy/internal/node"
-	"pmemcpy/internal/pio"
 	"pmemcpy/internal/serial"
 	"pmemcpy/internal/sim"
 )
@@ -138,10 +137,8 @@ func runPoolsAblation(rankCounts []int, base harness.Params) ([]harness.Result, 
 	p.Pools = 4
 	p.Parallelism = par
 	// Only the codec is baked into the literal; the pool and worker counts
-	// arrive through Params via pio.Configurable, which the named wrapper
-	// forwards — the configuration can no longer be silently swallowed the
-	// way the old per-interface probes were.
-	libs := []pio.Library{named{core.Library{Codec: "raw"}, "harness-pools4"}}
+	// arrive through Params via pio.Configurable.
+	libs := []harness.Entry{{Label: "harness-pools4", Lib: core.Library{Codec: "raw"}}}
 	res, err := harness.Sweep(libs, rankCounts[:1], p)
 	if err != nil {
 		return all, fmt.Errorf("pools ablation harness parity: %w", err)

@@ -145,26 +145,11 @@ type pendingOp struct {
 // handle (queues are per-rank like clocks); the commit paths below run on the
 // goroutine that triggered the drain, under the engine mutex.
 type asyncEngine struct {
-	p        *PMEM
-	window   int // submissions per batch
-	inflight int // max queued submissions before backpressure
+	p *PMEM
 
 	mu     sync.Mutex
-	cur    []pendingOp   // open batch, sealed at window size
+	cur    []pendingOp   // open batch, sealed at Options.CoalesceWindow ops
 	sealed [][]pendingOp // committed oldest-first
-}
-
-func newAsyncEngine(p *PMEM, window, inflight int) *asyncEngine {
-	if window <= 0 {
-		window = defaultCoalesceWindow
-	}
-	if inflight <= 0 {
-		inflight = defaultInflightWindows * window
-	}
-	if inflight < window {
-		inflight = window
-	}
-	return &asyncEngine{p: p, window: window, inflight: inflight}
 }
 
 // AsyncEnabled reports whether this handle queues asynchronous submissions.
@@ -288,7 +273,7 @@ func (e *asyncEngine) submit(op pendingOp) *Future {
 	in := e.p.st.ins
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for e.pendingLocked() >= e.inflight {
+	for e.pendingLocked() >= e.p.st.opt.MaxInflight {
 		in.asyncBackpressure.Inc()
 		b := e.takeOldestLocked()
 		if b == nil {
@@ -299,7 +284,7 @@ func (e *asyncEngine) submit(op pendingOp) *Future {
 	in.asyncSubmitted.Inc()
 	e.cur = append(e.cur, op)
 	e.p.st.asyncDepth.Add(1)
-	if len(e.cur) >= e.window {
+	if len(e.cur) >= e.p.st.opt.CoalesceWindow {
 		e.sealed = append(e.sealed, e.cur)
 		e.cur = nil
 	}

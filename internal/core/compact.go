@@ -29,7 +29,7 @@ func (p *PMEM) Compact(ctx context.Context, id string) (int, error) {
 }
 
 func (p *PMEM) compact(ctx context.Context, id string) (int, error) {
-	if p.st.layout == LayoutHierarchy {
+	if p.st.opt.Layout == LayoutHierarchy {
 		return 0, fmt.Errorf("core: Compact requires the hashtable layout")
 	}
 	if err := ctx.Err(); err != nil {

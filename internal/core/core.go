@@ -32,7 +32,6 @@ import (
 
 	"pmemcpy/internal/mpi"
 	"pmemcpy/internal/node"
-	"pmemcpy/internal/obs"
 	"pmemcpy/internal/pmdk"
 	"pmemcpy/internal/pmem"
 	"pmemcpy/internal/posixfs"
@@ -70,8 +69,6 @@ type Options struct {
 	// PoolSize is the pool file size for the hashtable layout; 0 sizes it
 	// to 3/4 of the device.
 	PoolSize int64
-	// Buckets is the metadata hashtable's bucket count (0 = default).
-	Buckets uint64
 	// StagedSerialization disables the direct-to-PMEM path: data is
 	// serialized into a DRAM buffer first and then copied to PMEM, the way
 	// the related work the paper contrasts against behaves ("serializes
@@ -154,20 +151,16 @@ type PMEM struct {
 
 // shared is the node-wide state every rank's handle points at.
 type shared struct {
-	layout  Layout
-	mapSync bool
-	staged  bool // StagedSerialization ablation
-	par     int  // write copy-engine workers per rank (<=1: serial path)
-	rpar    int  // gather (read) engine workers per rank (<=1: serial path)
-	pool    *pmdk.Pool
-	ht      *pmdk.Hashtable
-	hier    *hierStore
-	// pools/hts are the sharded namespace's member pools and their metadata
-	// hashtables (multi-pool handles only; pools[0] == pool, hts[0] == ht).
-	// Single-pool handles leave them nil and every pool index resolves to
-	// the one pool, so the routing helpers below are uniform.
+	// opt is the handle group's configuration after Options.resolve: every
+	// default is applied, so the engines read its fields as they stand.
+	opt Options
+	// pools/hts are the namespace's member pools and their metadata
+	// hashtables, index-aligned: one of each per PMEM device the namespace
+	// spans (a single entry on a single-pool handle; a single nil entry under
+	// the hierarchy layout, which keeps its data in hier instead).
 	pools []*pmdk.Pool
 	hts   []*pmdk.Hashtable
+	hier  *hierStore
 	// varLocks maps id -> *sync.RWMutex. Writers hold the write lock across
 	// their metadata republish; readers hold the read lock only while
 	// reading persistent metadata on a cache miss (hits bypass it).
@@ -180,25 +173,17 @@ type shared struct {
 	// ins is the observability state (instrument.go), shared like the pool.
 	ins *instruments
 
-	// Integrity state (integrity.go): the read-path verify mode with its
-	// sampling counter, the scrubber's rate limit, and the DRAM mirror of
-	// the persistent quarantine list. quarLen shadows len(quar) so the
-	// nothing-quarantined fast path is a single atomic load.
-	verify    VerifyMode
+	// Integrity state (integrity.go): the sampled-verify counter and the DRAM
+	// mirror of the persistent quarantine list. quarLen shadows len(quar) so
+	// the nothing-quarantined fast path is a single atomic load.
 	verifyCtr atomic.Uint64
-	scrubRate int64
 	quarMu    sync.Mutex
 	quar      map[poolPMID]struct{}
 	quarLen   atomic.Int64
 
-	// Async pipeline configuration (async.go), resolved by openShared so
-	// every rank's engine runs the same window/backpressure bounds.
-	// asyncDepth aggregates the ranks' queued-submission counts for the
-	// queue-depth gauge.
-	asyncOn       bool
-	asyncWindow   int
-	asyncInflight int
-	asyncDepth    atomic.Int64
+	// asyncDepth aggregates the ranks' queued-submission counts (async.go)
+	// for the queue-depth gauge.
+	asyncDepth atomic.Int64
 
 	// Copy-engine counters, surfaced through StoreStats.
 	parallelStores   atomic.Int64 // stores that took the parallel path
@@ -222,18 +207,14 @@ type shared struct {
 	viewsInvalid atomic.Bool
 }
 
-// limboAt returns pool i's deferred-free arena (uniform over single- and
-// multi-pool handles, like poolAt).
-func (st *shared) limboAt(i int) *pmdk.Limbo { return st.limbos[i] }
-
 // Mmap opens (creating if necessary) the pMEMCPY store at path. It is
 // collective over c: all ranks must call it with the same arguments, just as
 // all processes of an MPI job map the same pool file (Figure 3, line 14).
 //
 // Configuration is variadic: pass nothing for the paper's evaluated defaults,
-// a *Options struct (every pre-existing call site, including nil, compiles
-// unchanged), functional options (WithMapSync, WithLayout, WithParallelism,
-// ...), or a mix — later options override earlier ones field by field.
+// or functional options (WithMapSync, WithLayout, WithParallelism, ...), which
+// apply in argument order — a later option overrides an earlier one that sets
+// the same field. A nil option is skipped.
 func Mmap(c *mpi.Comm, n *node.Node, path string, opts ...MmapOption) (*PMEM, error) {
 	o := Options{}
 	for _, op := range opts {
@@ -241,18 +222,15 @@ func Mmap(c *mpi.Comm, n *node.Node, path string, opts ...MmapOption) (*PMEM, er
 			op.ApplyMmapOption(&o)
 		}
 	}
-	codecName := o.Codec
-	if codecName == "" {
-		codecName = "bp4"
-	}
-	codec, err := serial.Get(codecName)
+	o = o.resolve(n)
+	codec, err := serial.Get(o.Codec)
 	if err != nil {
 		return nil, err
 	}
 
 	var st *shared
 	if c.Rank() == 0 {
-		st, err = openShared(c, n, path, &o)
+		st, err = openShared(c, n, path, o)
 		if err != nil {
 			// Propagate the failure to every rank through the share.
 			if _, serr := c.ShareLocal(0, (*shared)(nil)); serr != nil {
@@ -270,25 +248,64 @@ func Mmap(c *mpi.Comm, n *node.Node, path string, opts ...MmapOption) (*PMEM, er
 		return nil, fmt.Errorf("core: rank 0 failed to open %q", path)
 	}
 	p := &PMEM{comm: c, node: n, codec: codec, st: st}
-	if st.asyncOn {
-		p.async = newAsyncEngine(p, st.asyncWindow, st.asyncInflight)
+	if st.opt.Async {
+		p.async = &asyncEngine{p: p}
 	}
 	return p, nil
 }
 
-// openShared builds the node-wide state (rank 0 only).
-func openShared(c *mpi.Comm, n *node.Node, path string, o *Options) (*shared, error) {
+// resolve returns o with every default applied — the one step where a zero
+// knob becomes the value the engines run with, computed identically on every
+// rank. n supplies the device the pool size defaults from.
+func (o Options) resolve(n *node.Node) Options {
+	if o.Codec == "" {
+		o.Codec = "bp4"
+	}
+	if o.Parallelism < 1 {
+		o.Parallelism = 1
+	}
+	if o.ReadParallelism == 0 {
+		o.ReadParallelism = o.Parallelism
+	}
+	if o.ReadParallelism < 1 {
+		o.ReadParallelism = 1
+	}
+	if o.Pools < 1 {
+		o.Pools = 1
+	}
+	if o.PoolSize == 0 {
+		o.PoolSize = n.Device.Size() / 4 * 3
+	}
+	// The pipeline commits through pool transactions, which only the
+	// hashtable layout has.
+	o.Async = o.Async && o.Layout == LayoutHashtable
+	if o.CoalesceWindow <= 0 {
+		o.CoalesceWindow = defaultCoalesceWindow
+	}
+	if o.MaxInflight <= 0 {
+		o.MaxInflight = defaultInflightWindows * o.CoalesceWindow
+	}
+	if o.MaxInflight < o.CoalesceWindow {
+		o.MaxInflight = o.CoalesceWindow
+	}
+	return o
+}
+
+// openShared builds the node-wide state from the resolved options (rank 0
+// only).
+func openShared(c *mpi.Comm, n *node.Node, path string, o Options) (*shared, error) {
 	clk := c.Clock()
-	par := o.Parallelism
-	if par < 1 {
-		par = 1
+	st := &shared{
+		opt:        o,
+		pools:      make([]*pmdk.Pool, o.Pools),
+		hts:        make([]*pmdk.Hashtable, o.Pools),
+		limbos:     make([]*pmdk.Limbo, o.Pools),
+		cache:      newBlockCache(),
+		quar:       make(map[poolPMID]struct{}),
+		viewLeases: make(map[uint64]int),
 	}
-	rpar := o.ReadParallelism
-	if rpar == 0 {
-		rpar = par
-	}
-	if rpar < 1 {
-		rpar = 1
+	for i := range st.limbos {
+		st.limbos[i] = &pmdk.Limbo{}
 	}
 	if o.Layout == LayoutHierarchy {
 		if o.Pools > 1 {
@@ -297,168 +314,19 @@ func openShared(c *mpi.Comm, n *node.Node, path string, o *Options) (*shared, er
 		if err := n.FS.MkdirAll(clk, path); err != nil {
 			return nil, err
 		}
-		st := &shared{
-			layout:    LayoutHierarchy,
-			mapSync:   o.MapSync,
-			par:       par,
-			rpar:      rpar,
-			hier:      &hierStore{node: n, root: path},
-			cache:     newBlockCache(),
-			ins:       newInstruments(o, n, nil),
-			verify:    o.VerifyReads,
-			scrubRate: o.ScrubRate,
-			quar:      make(map[poolPMID]struct{}),
-		}
-		// Hierarchy views are always fallback copies (no mapped block to
-		// alias), so the lease map stays empty — but it is initialized, and
-		// the gauges bridged, so the view API is uniform across layouts.
-		st.viewLeases = make(map[uint64]int)
-		st.ins.bridgeCache(st.cache)
-		st.ins.bridgeQuarantine(st)
-		st.ins.bridgeViews(st)
-		installTracer(o, n, st)
-		return st, nil
-	}
-
-	if o.Pools > 1 {
-		return openSharedMulti(c, n, path, o, par, rpar)
-	}
-
-	poolSize := o.PoolSize
-	if poolSize == 0 {
-		poolSize = n.Device.Size() / 4 * 3
-	}
-	buckets := o.Buckets
-	if buckets == 0 {
-		buckets = pmdk.DefaultBuckets
-	}
-
-	_, statErr := n.FS.Stat(clk, path)
-	fresh := statErr != nil
-	var pool *pmdk.Pool
-	var htID pmdk.PMID
-	if fresh {
-		f, err := n.FS.Create(clk, path)
-		if err != nil {
-			return nil, err
-		}
-		if err := f.Truncate(clk, poolSize); err != nil {
-			return nil, err
-		}
-		m, err := f.Mmap(clk, o.MapSync)
-		if err != nil {
-			return nil, err
-		}
-		// Arenas are pinned rather than left to GOMAXPROCS so virtual-time
-		// results are host-independent: at least 8 (one per DIMM of the
-		// modelled node, the count needed to saturate PMEM), more if the
-		// copy engine runs more workers than that.
-		po := pmdk.DefaultOptions()
-		po.Arenas = 8
-		if par > po.Arenas {
-			po.Arenas = par
-		}
-		pool, err = pmdk.Create(clk, m, &po)
-		if err != nil {
-			return nil, err
-		}
-		// Pool-format bootstrap: the metadata hashtable is created before any
-		// data exists, so this transaction legitimately runs outside the
-		// commit engine.
-		tx, err := pool.Begin(clk) //commitvet:ignore
-		if err != nil {
-			return nil, err
-		}
-		htID, err = pmdk.CreateHashtable(tx, buckets)
-		if err != nil {
-			tx.Abort()
-			return nil, err
-		}
-		root, _ := pool.Root()
-		if err := tx.WriteU64(root, uint64(htID)); err != nil {
-			tx.Abort()
-			return nil, err
-		}
-		if err := tx.Commit(); err != nil {
-			return nil, err
-		}
+		st.hier = &hierStore{node: n, root: path}
 	} else {
-		f, err := n.FS.Open(clk, path)
-		if err != nil {
+		if err := st.openPools(clk, n, path); err != nil {
 			return nil, err
 		}
-		m, err := f.Mmap(clk, o.MapSync)
-		if err != nil {
+		// Repopulate the quarantine fail-fast mirror from the persistent
+		// list, so a reopen after a crash keeps refusing reads of known-bad
+		// blocks.
+		if err := st.loadQuarantine(clk); err != nil {
 			return nil, err
 		}
-		pool, err = pmdk.Open(clk, m)
-		if err != nil {
-			return nil, err
-		}
-		root, _ := pool.Root()
-		id, err := pool.ReadU64(clk, root)
-		if err != nil {
-			return nil, err
-		}
-		htID = pmdk.PMID(id)
 	}
-	ht, err := pmdk.OpenHashtable(clk, pool, htID)
-	if err != nil {
-		return nil, err
-	}
-	st := &shared{
-		layout:    LayoutHashtable,
-		mapSync:   o.MapSync,
-		staged:    o.StagedSerialization,
-		par:       par,
-		rpar:      rpar,
-		pool:      pool,
-		ht:        ht,
-		cache:     newBlockCache(),
-		ins:       newInstruments(o, n, pool),
-		verify:    o.VerifyReads,
-		scrubRate: o.ScrubRate,
-	}
-	return finishHashtableShared(st, o, n, clk)
-}
-
-// finishHashtableShared applies the configuration shared by the single- and
-// multi-pool hashtable paths: async pipeline resolution, the quarantine
-// fail-fast mirror, and the observability bridges.
-func finishHashtableShared(st *shared, o *Options, n *node.Node, clk *sim.Clock) (*shared, error) {
-	if o.Async {
-		window := o.CoalesceWindow
-		if window <= 0 {
-			window = defaultCoalesceWindow
-		}
-		inflight := o.MaxInflight
-		if inflight <= 0 {
-			inflight = defaultInflightWindows * window
-		}
-		if inflight < window {
-			inflight = window
-		}
-		st.asyncOn = true
-		st.asyncWindow = window
-		st.asyncInflight = inflight
-		st.ins.bridgeAsync(st)
-	}
-	// Repopulate the quarantine fail-fast mirror from the persistent list, so
-	// a reopen after a crash keeps refusing reads of known-bad blocks.
-	if err := st.loadQuarantine(clk); err != nil {
-		return nil, err
-	}
-	// Zero-copy view lease state: one deferred-free arena per member pool,
-	// index-aligned with pools (view.go).
-	st.viewLeases = make(map[uint64]int)
-	st.limbos = make([]*pmdk.Limbo, st.npools())
-	for i := range st.limbos {
-		st.limbos[i] = &pmdk.Limbo{}
-	}
-	st.ins.bridgeCache(st.cache)
-	st.ins.bridgeQuarantine(st)
-	st.ins.bridgeViews(st)
-	installTracer(o, n, st)
+	st.ins = newInstruments(st, n)
 	return st, nil
 }
 
@@ -477,155 +345,117 @@ func setID(path string) uint64 {
 	return h
 }
 
-// openSharedMulti builds the node-wide state of a sharded namespace: one pool
-// (with its own hashtable) per PMEM device, created under the crash-consistent
-// prepare/publish protocol of pmdk.CreateSet. A reopen that finds the set
-// unpublished — creation crashed before the commit point — re-formats from
-// scratch: the namespace never existed, so no data can be lost.
-func openSharedMulti(c *mpi.Comm, n *node.Node, path string, o *Options, par, rpar int) (*shared, error) {
-	clk := c.Clock()
-	npools := o.Pools
-	if n.Pools() != npools {
-		return nil, fmt.Errorf("core: WithPools(%d) needs a node built with %d PMEM devices, have %d",
-			npools, npools, n.Pools())
-	}
-	buckets := o.Buckets
-	if buckets == 0 {
-		buckets = pmdk.DefaultBuckets
-	}
-	po := pmdk.DefaultOptions()
-	po.Arenas = 8
-	if par > po.Arenas {
-		po.Arenas = par
-	}
-	// initPool bootstraps one freshly formatted member: its metadata
-	// hashtable, published through the pool root. It runs under CreateSet's
-	// prepare phase, BEFORE the set publishes, so a crash mid-bootstrap
-	// leaves an unpublished set that the next open simply re-creates.
-	initPool := func(i int, pool *pmdk.Pool) error {
-		tx, err := pool.Begin(clk) //commitvet:ignore (pool-format bootstrap)
-		if err != nil {
-			return err
-		}
-		htID, err := pmdk.CreateHashtable(tx, buckets)
-		if err != nil {
-			tx.Abort()
-			return err
-		}
-		root, _ := pool.Root()
-		if err := tx.WriteU64(root, uint64(htID)); err != nil {
-			tx.Abort()
-			return err
-		}
-		return tx.Commit()
-	}
-	openMaps := func(create bool) ([]*pmem.Mapping, error) {
-		maps := make([]*pmem.Mapping, npools)
-		for i := 0; i < npools; i++ {
-			fs := n.FSAt(i)
-			var f *posixfs.File
-			var err error
-			if create {
-				f, err = fs.Create(clk, path)
-				if err != nil {
-					return nil, err
-				}
-				poolSize := o.PoolSize
-				if poolSize == 0 {
-					poolSize = n.DeviceAt(i).Size() / 4 * 3
-				}
-				if err := f.Truncate(clk, poolSize); err != nil {
-					return nil, err
-				}
-			} else {
-				f, err = fs.Open(clk, path)
-				if err != nil {
-					return nil, err
-				}
-			}
-			m, err := f.Mmap(clk, o.MapSync)
-			if err != nil {
-				return nil, err
-			}
-			maps[i] = m
-		}
-		return maps, nil
-	}
-
-	_, statErr := n.FSAt(0).Stat(clk, path)
-	fresh := statErr != nil
-	var set *pmdk.PoolSet
-	var err error
-	if fresh {
-		maps, merr := openMaps(true)
-		if merr != nil {
-			return nil, merr
-		}
-		set, err = pmdk.CreateSet(clk, setID(path), maps, &po, initPool)
-	} else {
-		maps, merr := openMaps(false)
-		if merr != nil {
-			return nil, merr
-		}
-		set, err = pmdk.OpenSet(clk, maps)
-		if errors.Is(err, pmdk.ErrSetUnpublished) {
-			// Creation crashed before the publish record: the namespace never
-			// existed. Re-format every member in place.
-			set, err = pmdk.CreateSet(clk, setID(path), maps, &po, initPool)
-		}
-	}
+// formatPool is the pool-format bootstrap of one freshly created member: its
+// metadata hashtable, published through the pool root. The table is created
+// before any data exists, so this transaction legitimately runs outside the
+// commit engine.
+func formatPool(clk *sim.Clock, pool *pmdk.Pool) (pmdk.PMID, error) {
+	tx, err := pool.Begin(clk) //commitvet:ignore
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-
-	pools := make([]*pmdk.Pool, npools)
-	hts := make([]*pmdk.Hashtable, npools)
-	for i := 0; i < npools; i++ {
-		pools[i] = set.Pool(i)
-		root, _ := pools[i].Root()
-		id, err := pools[i].ReadU64(clk, root)
-		if err != nil {
-			return nil, err
-		}
-		hts[i], err = pmdk.OpenHashtable(clk, pools[i], pmdk.PMID(id))
-		if err != nil {
-			return nil, fmt.Errorf("core: pool %d hashtable: %w", i, err)
-		}
+	htID, err := pmdk.CreateHashtable(tx, pmdk.DefaultBuckets)
+	if err != nil {
+		tx.Abort()
+		return 0, err
 	}
-	st := &shared{
-		layout:    LayoutHashtable,
-		mapSync:   o.MapSync,
-		staged:    o.StagedSerialization,
-		par:       par,
-		rpar:      rpar,
-		pool:      pools[0],
-		ht:        hts[0],
-		pools:     pools,
-		hts:       hts,
-		cache:     newBlockCache(),
-		ins:       newInstruments(o, n, pools[0]),
-		verify:    o.VerifyReads,
-		scrubRate: o.ScrubRate,
+	root, _ := pool.Root()
+	if err := tx.WriteU64(root, uint64(htID)); err != nil {
+		tx.Abort()
+		return 0, err
 	}
-	return finishHashtableShared(st, o, n, clk)
+	return htID, tx.Commit()
 }
 
-// installTracer wires span tracing: the tracer becomes the device's event
-// sink, so every persist/fence is attributed to the op active on the issuing
-// rank's clock. The sink stays installed until another tracing handle group
-// replaces it; events outside any op are counted, not recorded.
-func installTracer(o *Options, n *node.Node, st *shared) {
-	if !o.Tracing {
-		return
+// openPools maps the namespace's pool file on each member device and opens
+// the pools and their hashtables, formatting them when the file is new. One
+// member is a bare pmdk pool; several are a pmdk.PoolSet created under its
+// crash-consistent prepare/publish protocol, and a reopen that finds the set
+// unpublished — creation crashed before the commit point — re-formats from
+// scratch: the namespace never existed, so no data can be lost.
+func (st *shared) openPools(clk *sim.Clock, n *node.Node, path string) error {
+	o := &st.opt
+	if o.Pools > 1 && n.Pools() != o.Pools {
+		return fmt.Errorf("core: WithPools(%d) needs a node built with %d PMEM devices, have %d",
+			o.Pools, o.Pools, n.Pools())
 	}
-	tr := obs.NewTracer(0)
-	st.ins.tracer = tr
-	// Every device of a multi-pool node feeds the same tracer: the pools
-	// share one fault domain and one persist-ordinal space, so their events
-	// interleave into one coherent span stream.
-	for i := 0; i < n.Pools(); i++ {
-		n.DeviceAt(i).SetEventSink(tr)
+	// Arenas are pinned rather than left to GOMAXPROCS so virtual-time
+	// results are host-independent: at least 8 (one per DIMM of the modelled
+	// node, the count needed to saturate PMEM), more if the copy engine runs
+	// more workers than that.
+	po := pmdk.DefaultOptions()
+	po.Arenas = max(8, o.Parallelism)
+
+	_, statErr := n.FS.Stat(clk, path)
+	fresh := statErr != nil
+	maps := make([]*pmem.Mapping, o.Pools)
+	for i := range maps {
+		var f *posixfs.File
+		var err error
+		if fresh {
+			if f, err = n.FSAt(i).Create(clk, path); err == nil {
+				err = f.Truncate(clk, o.PoolSize)
+			}
+		} else {
+			f, err = n.FSAt(i).Open(clk, path)
+		}
+		if err != nil {
+			return err
+		}
+		if maps[i], err = f.Mmap(clk, o.MapSync); err != nil {
+			return err
+		}
 	}
+
+	// A single pool formatted just now hands its table id over (htID); every
+	// other member's is read from its pool root below. That includes fresh set
+	// members: CreateSet runs formatPool inside its prepare phase, before the
+	// set publishes, and the set is then opened the way a reopen finds it.
+	var htID pmdk.PMID
+	var err error
+	switch {
+	case o.Pools > 1:
+		var set *pmdk.PoolSet
+		if !fresh {
+			set, err = pmdk.OpenSet(clk, maps)
+		}
+		if fresh || errors.Is(err, pmdk.ErrSetUnpublished) {
+			set, err = pmdk.CreateSet(clk, setID(path), maps, &po, func(_ int, pool *pmdk.Pool) error {
+				_, err := formatPool(clk, pool)
+				return err
+			})
+		}
+		if err != nil {
+			return err
+		}
+		for i := range st.pools {
+			st.pools[i] = set.Pool(i)
+		}
+	case fresh:
+		if st.pools[0], err = pmdk.Create(clk, maps[0], &po); err == nil {
+			htID, err = formatPool(clk, st.pools[0])
+		}
+	default:
+		st.pools[0], err = pmdk.Open(clk, maps[0])
+	}
+	if err != nil {
+		return err
+	}
+	for i, pool := range st.pools {
+		id := htID
+		if id == 0 {
+			root, _ := pool.Root()
+			v, err := pool.ReadU64(clk, root)
+			if err != nil {
+				return err
+			}
+			id = pmdk.PMID(v)
+		}
+		if st.hts[i], err = pmdk.OpenHashtable(clk, pool, id); err != nil {
+			return fmt.Errorf("core: pool %d hashtable: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Munmap closes the handle collectively. The rank's submission queue drains
@@ -652,7 +482,7 @@ func (p *PMEM) Munmap() error {
 func (p *PMEM) Comm() *mpi.Comm { return p.comm }
 
 // MapSync reports whether the handle runs with MAP_SYNC semantics.
-func (p *PMEM) MapSync() bool { return p.st.mapSync }
+func (p *PMEM) MapSync() bool { return p.st.opt.MapSync }
 
 // CodecName returns the active serializer's name.
 func (p *PMEM) CodecName() string { return p.codec.Name() }
@@ -670,32 +500,6 @@ func (p *PMEM) varLock(id string) *sync.RWMutex {
 
 // --- multi-pool placement ---
 
-// npools returns the number of member pools of the namespace (1 for
-// single-pool and hierarchy handles).
-func (st *shared) npools() int {
-	if len(st.pools) < 2 {
-		return 1
-	}
-	return len(st.pools)
-}
-
-// poolAt returns the i-th member pool (the one pool for single-pool handles,
-// whatever i).
-func (st *shared) poolAt(i int) *pmdk.Pool {
-	if len(st.pools) < 2 {
-		return st.pool
-	}
-	return st.pools[i]
-}
-
-// htAt returns the i-th member pool's metadata hashtable.
-func (st *shared) htAt(i int) *pmdk.Hashtable {
-	if len(st.hts) < 2 {
-		return st.ht
-	}
-	return st.hts[i]
-}
-
 // placementKey reduces an id to its placement key: the "#dims" companion
 // follows its base variable so a variable's metadata co-locates, and reserved
 // '#'-prefixed keys (the quarantine list) pin to pool 0.
@@ -710,7 +514,7 @@ func placementKey(id string) string {
 // metadata entry and its serially stored data blocks. Deterministic FNV-1a
 // striping, so every rank and every reopen computes the same placement.
 func (st *shared) homeIdx(id string) int {
-	n := st.npools()
+	n := len(st.pools)
 	if n == 1 {
 		return 0
 	}
@@ -732,7 +536,7 @@ func (st *shared) homeIdx(id string) int {
 
 // Pools returns the number of member pools backing this handle (1 for the
 // classic single-pool store and the hierarchy layout).
-func (p *PMEM) Pools() int { return p.st.npools() }
+func (p *PMEM) Pools() int { return len(p.st.pools) }
 
 // HomePool returns the member pool index the id's metadata and serially
 // stored payloads route to. Always 0 on a single-pool handle. The placement
@@ -742,28 +546,21 @@ func (p *PMEM) HomePool(id string) int { return p.st.homeIdx(id) }
 
 // homeIdx, poolOf and homeHT are the handle-side routing shorthands.
 func (p *PMEM) homeIdx(id string) int      { return p.st.homeIdx(id) }
-func (p *PMEM) poolOf(pi uint8) *pmdk.Pool { return p.st.poolAt(int(pi)) }
+func (p *PMEM) poolOf(pi uint8) *pmdk.Pool { return p.st.pools[pi] }
 func (p *PMEM) homeHT(id string) *pmdk.Hashtable {
-	return p.st.htAt(p.st.homeIdx(id))
+	return p.st.hts[p.st.homeIdx(id)]
 }
 
 // writePort and readPort return the bandwidth port of the pi-th member
-// pool's device. Single-pool and hierarchy handles resolve to the machine's
-// default device ports, so every pre-existing cost is unchanged; each member
-// of a multi-pool namespace has its own dedicated port pair (one DIMM set per
-// pool), which is what makes striped aggregate bandwidth scale.
+// pool's device. A single-device node's ports are the machine's default PMEM
+// ports; each device of a multi-pool node has its own dedicated pair (one DIMM
+// set per pool), which is what makes striped aggregate bandwidth scale.
 func (p *PMEM) writePort(pi int) *sim.Pool {
-	if len(p.st.pools) > 1 {
-		return p.st.pools[pi].Mapping().Device().WritePort()
-	}
-	return p.node.Machine.PMEMWrite
+	return p.st.pools[pi].Mapping().Device().WritePort()
 }
 
 func (p *PMEM) readPort(pi int) *sim.Pool {
-	if len(p.st.pools) > 1 {
-		return p.st.pools[pi].Mapping().Device().ReadPort()
-	}
-	return p.node.Machine.PMEMRead
+	return p.st.pools[pi].Mapping().Device().ReadPort()
 }
 
 // chargeStoreBytes accounts moving n encoded bytes into pool pi. On the
@@ -772,7 +569,7 @@ func (p *PMEM) readPort(pi int) *sim.Pool {
 // followed by a separate device copy — the double movement the paper's
 // design eliminates.
 func (p *PMEM) chargeStoreBytes(pi int, n int64, passes float64) {
-	if !p.st.staged {
+	if !p.st.opt.StagedSerialization {
 		p.chargeDirectWrite(pi, n, passes)
 		return
 	}
@@ -781,7 +578,7 @@ func (p *PMEM) chargeStoreBytes(pi int, n int64, passes float64) {
 	clk := p.comm.Clock()
 	clk.Advance(sim.MoveCost(int64(float64(n)*passes), cfg.SerializeBPS,
 		m.Oversub(p.comm.Size()), m.DRAM))
-	p.st.poolAt(pi).Mapping().ChargeWrite(clk, n)
+	p.st.pools[pi].Mapping().ChargeWrite(clk, n)
 }
 
 // chargeDirectWrite accounts a single serialization pass that streams bytes
@@ -803,7 +600,7 @@ func (p *PMEM) chargeDirectWrite(pi int, n int64, passes float64) {
 		extra := int64(float64(n) * (passes - 1))
 		clk.Advance(sim.MoveCost(extra, cfg.SerializeBPS, m.Oversub(p.comm.Size()), m.DRAM))
 	}
-	if p.st.mapSync {
+	if p.st.opt.MapSync {
 		lines := (n + sim.CachelineSize - 1) / sim.CachelineSize
 		clk.Advance(time.Duration(lines) * cfg.MapSyncLine)
 	}
@@ -853,7 +650,7 @@ func (p *PMEM) chargeStripedStore(perPool []int64, pis []int, passes float64, wo
 		extra := int64(float64(total) * (passes - 1))
 		clk.Advance(sim.MoveCostParallel(extra, cfg.SerializeBPS, over, workers, m.DRAM))
 	}
-	if p.st.mapSync {
+	if p.st.opt.MapSync {
 		lines := (total + sim.CachelineSize - 1) / sim.CachelineSize
 		perWorker := (lines + int64(workers) - 1) / int64(workers)
 		clk.Advance(time.Duration(perWorker) * cfg.MapSyncLine)
@@ -887,7 +684,7 @@ func (p *PMEM) chargeDirectRead(pi int, n int64, passes float64) {
 		extra := int64(float64(n) * (passes - 1))
 		clk.Advance(sim.MoveCost(extra, cfg.DeserializeBPS, m.Oversub(p.comm.Size()), m.DRAM))
 	}
-	if p.st.mapSync {
+	if p.st.opt.MapSync {
 		lines := (n + sim.CachelineSize - 1) / sim.CachelineSize
 		clk.Advance(time.Duration(lines) * cfg.MapSyncLine)
 	}
@@ -928,7 +725,7 @@ func (p *PMEM) chargeStripedRead(perPool []int64, pis []int, passes float64, wor
 		extra := int64(float64(total) * (passes - 1))
 		clk.Advance(sim.MoveCostParallel(extra, cfg.DeserializeBPS, over, workers, m.DRAM))
 	}
-	if p.st.mapSync {
+	if p.st.opt.MapSync {
 		lines := (total + sim.CachelineSize - 1) / sim.CachelineSize
 		perWorker := (lines + int64(workers) - 1) / int64(workers)
 		clk.Advance(time.Duration(perWorker) * cfg.MapSyncLine)

@@ -120,13 +120,13 @@ type instruments struct {
 	viewReclaimed *obs.Counter
 }
 
-// newInstruments builds the registry for one handle group. pool is nil for
-// the hierarchy layout.
-func newInstruments(o *Options, n *node.Node, pool *pmdk.Pool) *instruments {
+// newInstruments builds the registry for one handle group over its finished
+// shared state, and — when the group traces — the tracer.
+func newInstruments(st *shared, n *node.Node) *instruments {
 	in := &instruments{
 		reg:      obs.NewRegistry(),
-		enabled:  o.Metrics,
-		sampling: int64(o.MetricsSampling),
+		enabled:  st.opt.Metrics,
+		sampling: int64(st.opt.MetricsSampling),
 	}
 	reg := in.reg
 	for op := 0; op < nOps; op++ {
@@ -198,85 +198,99 @@ func newInstruments(o *Options, n *node.Node, pool *pmdk.Pool) *instruments {
 	in.viewReclaimed = reg.Counter("pmemcpy_view_reclaimed_total",
 		"limbo blocks freed after their lease epoch drained")
 
-	dev := n.Device
+	// The device and allocator bridge series sum over every member of the
+	// namespace, as Stats() does. (A hierarchy handle has the one device and
+	// no pool.)
+	devSum := func(f func(pmem.Counters) int64) func() int64 {
+		return func() (total int64) {
+			for i := range st.pools {
+				total += f(n.DeviceAt(i).Counters())
+			}
+			return total
+		}
+	}
 	reg.CounterFunc("pmemcpy_device_persists_total", "successful device persists",
-		func() int64 { return dev.Counters().Persists })
+		devSum(func(c pmem.Counters) int64 { return c.Persists }))
 	reg.CounterFunc("pmemcpy_device_fences_total", "device fences",
-		func() int64 { return dev.Counters().Fences })
+		devSum(func(c pmem.Counters) int64 { return c.Fences }))
 	reg.CounterFunc("pmemcpy_device_persisted_bytes_total", "bytes covered by persists",
-		func() int64 { return dev.Counters().PersistedBytes })
+		devSum(func(c pmem.Counters) int64 { return c.PersistedBytes }))
 	reg.CounterFunc("pmemcpy_device_read_bytes_total", "bytes charged through the device read port",
-		func() int64 { return dev.Counters().ReadBytes })
+		devSum(func(c pmem.Counters) int64 { return c.ReadBytes }))
 	reg.CounterFunc("pmemcpy_device_written_bytes_total", "bytes charged through the device write port",
-		func() int64 { return dev.Counters().WrittenBytes })
+		devSum(func(c pmem.Counters) int64 { return c.WrittenBytes }))
+	// Injection counters live in the fault domain the member devices share,
+	// so device 0 already reports the namespace's totals.
 	reg.CounterFunc("pmemcpy_device_persist_retries_total", "transient persist failures absorbed by retry/backoff",
-		dev.PersistRetries)
+		n.Device.PersistRetries)
 	reg.CounterFunc("pmemcpy_device_media_failures_total", "persists escalated to ErrMedia",
-		dev.MediaFailures)
+		n.Device.MediaFailures)
 
-	if pool != nil {
+	if st.hier == nil {
+		poolSum := func(f func(pmdk.Stats) int64) func() int64 {
+			return func() (total int64) {
+				for _, pool := range st.pools {
+					total += f(pool.Stats())
+				}
+				return total
+			}
+		}
 		reg.CounterFunc("pmemcpy_alloc_allocs_total", "allocator blocks handed out",
-			func() int64 { return pool.Stats().Allocs })
+			poolSum(func(s pmdk.Stats) int64 { return s.Allocs }))
 		reg.CounterFunc("pmemcpy_alloc_frees_total", "allocator blocks returned",
-			func() int64 { return pool.Stats().Frees })
+			poolSum(func(s pmdk.Stats) int64 { return s.Frees }))
 		reg.CounterFunc("pmemcpy_alloc_alloc_bytes_total", "block bytes handed out (headers included)",
-			func() int64 { return pool.Stats().AllocBytes })
+			poolSum(func(s pmdk.Stats) int64 { return s.AllocBytes }))
 		reg.CounterFunc("pmemcpy_alloc_free_bytes_total", "block bytes returned via Free",
-			func() int64 { return pool.Stats().FreeBytes })
+			poolSum(func(s pmdk.Stats) int64 { return s.FreeBytes }))
 		reg.CounterFunc("pmemcpy_alloc_extents_total", "extents reserved off the shared brk",
-			func() int64 { return pool.Stats().Extents })
+			poolSum(func(s pmdk.Stats) int64 { return s.Extents }))
 		reg.CounterFunc("pmemcpy_alloc_extent_bytes_total", "heap bytes reserved off the brk",
-			func() int64 { return pool.Stats().ExtentBytes })
+			poolSum(func(s pmdk.Stats) int64 { return s.ExtentBytes }))
 		reg.GaugeFunc("pmemcpy_alloc_live_bytes", "allocated minus freed block bytes (fragmentation = 1 - live/extent)",
-			func() int64 { s := pool.Stats(); return s.AllocBytes - s.FreeBytes })
+			poolSum(func(s pmdk.Stats) int64 { return s.AllocBytes - s.FreeBytes }))
 		reg.CounterFunc("pmemcpy_alloc_transactions_total", "committed transactions",
-			func() int64 { return pool.Stats().Transactions })
+			poolSum(func(s pmdk.Stats) int64 { return s.Transactions }))
 		reg.CounterFunc("pmemcpy_alloc_aborts_total", "aborted transactions",
-			func() int64 { return pool.Stats().Aborts })
+			poolSum(func(s pmdk.Stats) int64 { return s.Aborts }))
 		reg.CounterFunc("pmemcpy_alloc_arena_steals_total", "allocations served by a non-home arena",
-			func() int64 { return pool.Stats().ArenaSteals })
+			poolSum(func(s pmdk.Stats) int64 { return s.ArenaSteals }))
+	}
+
+	reg.CounterFunc("pmemcpy_cache_hits_total", "block-index cache hits",
+		st.cache.hits.Load)
+	reg.CounterFunc("pmemcpy_cache_misses_total", "block-index cache misses",
+		st.cache.misses.Load)
+	reg.CounterFunc("pmemcpy_cache_invalidations_total", "block-index cache invalidations",
+		st.cache.invalidations.Load)
+	reg.GaugeFunc("pmemcpy_quarantined_blocks", "blocks currently on the quarantine list",
+		st.quarLen.Load)
+	reg.GaugeFunc("pmemcpy_view_active_leases", "zero-copy view leases currently open",
+		st.viewActive.Load)
+	reg.GaugeFunc("pmemcpy_view_limbo_blocks", "blocks parked on the deferred-free limbo lists",
+		st.limboLen.Load)
+	reg.CounterFunc("pmemcpy_view_leaked_total", "views garbage-collected without Close (their leases pin limbo forever)",
+		st.viewLeaked.Load)
+	if st.opt.Async {
+		// The gauge aggregates every rank's queue.
+		reg.GaugeFunc("pmemcpy_async_queue_depth", "ops queued on the async submission queues",
+			st.asyncDepth.Load)
+	}
+
+	if st.opt.Tracing {
+		// The tracer becomes the device's event sink, so every persist/fence
+		// is attributed to the op active on the issuing rank's clock. The sink
+		// stays installed until another tracing handle group replaces it;
+		// events outside any op are counted, not recorded. Every device of a
+		// multi-pool node feeds the same tracer: the pools share one fault
+		// domain and one persist-ordinal space, so their events interleave
+		// into one coherent span stream.
+		in.tracer = obs.NewTracer(0)
+		for i := 0; i < n.Pools(); i++ {
+			n.DeviceAt(i).SetEventSink(in.tracer)
+		}
 	}
 	return in
-}
-
-// bridgeCache registers the block-index cache series (the cache is created
-// alongside the instruments; registration is split so openShared can build
-// the shared struct in one literal).
-func (in *instruments) bridgeCache(c *blockCache) {
-	in.reg.CounterFunc("pmemcpy_cache_hits_total", "block-index cache hits",
-		c.hits.Load)
-	in.reg.CounterFunc("pmemcpy_cache_misses_total", "block-index cache misses",
-		c.misses.Load)
-	in.reg.CounterFunc("pmemcpy_cache_invalidations_total", "block-index cache invalidations",
-		c.invalidations.Load)
-}
-
-// bridgeQuarantine registers the quarantine-size gauge (split from
-// construction like bridgeCache: the shared struct holding the quarantine is
-// built after the instruments).
-func (in *instruments) bridgeQuarantine(st *shared) {
-	in.reg.GaugeFunc("pmemcpy_quarantined_blocks", "blocks currently on the quarantine list",
-		st.quarLen.Load)
-}
-
-// bridgeViews registers the view-lease gauges (split from construction like
-// bridgeQuarantine: the shared struct holding the lease state is built after
-// the instruments).
-func (in *instruments) bridgeViews(st *shared) {
-	in.reg.GaugeFunc("pmemcpy_view_active_leases", "zero-copy view leases currently open",
-		st.viewActive.Load)
-	in.reg.GaugeFunc("pmemcpy_view_limbo_blocks", "blocks parked on the deferred-free limbo lists",
-		st.limboLen.Load)
-	in.reg.CounterFunc("pmemcpy_view_leaked_total", "views garbage-collected without Close (their leases pin limbo forever)",
-		st.viewLeaked.Load)
-}
-
-// bridgeAsync registers the async queue-depth gauge (split from construction
-// like bridgeQuarantine: the shared struct holding the depth counter is built
-// after the instruments). The gauge aggregates every rank's queue.
-func (in *instruments) bridgeAsync(st *shared) {
-	in.reg.GaugeFunc("pmemcpy_async_queue_depth", "ops queued on the async submission queues",
-		st.asyncDepth.Load)
 }
 
 // sample reports whether this op's latency should be observed.

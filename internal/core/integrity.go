@@ -86,7 +86,7 @@ const quarantineKey = "#quarantine"
 // shouldVerify reports whether the current load operation must CRC-check the
 // blocks it gathers.
 func (p *PMEM) shouldVerify() bool {
-	switch p.st.verify {
+	switch p.st.opt.VerifyReads {
 	case VerifyFull:
 		return true
 	case VerifySampled:
@@ -164,11 +164,7 @@ func decodeQuarantine(raw []byte) ([]poolPMID, error) {
 // loadQuarantine populates the DRAM mirror of the persistent quarantine list
 // at open time, so fail-fast reads work from the first op after a reopen.
 func (st *shared) loadQuarantine(clk *sim.Clock) error {
-	st.quar = make(map[poolPMID]struct{})
-	if st.ht == nil {
-		return nil
-	}
-	raw, ok, err := st.ht.Get(clk, []byte(quarantineKey))
+	raw, ok, err := st.hts[0].Get(clk, []byte(quarantineKey))
 	if err != nil || !ok {
 		return err
 	}
@@ -229,7 +225,7 @@ func (p *PMEM) quarantineBlocks(blks []poolPMID) error {
 	ids := quarSnapshot(st)
 	st.quarLen.Store(int64(len(st.quar)))
 	st.quarMu.Unlock()
-	if !changed || st.ht == nil {
+	if !changed || st.hier != nil {
 		return nil
 	}
 	return p.engine().publishQuarantine(ids)
@@ -256,7 +252,7 @@ func (p *PMEM) unquarantine(blks []poolPMID) {
 	ids := quarSnapshot(st)
 	st.quarLen.Store(int64(len(st.quar)))
 	st.quarMu.Unlock()
-	if !changed || st.ht == nil {
+	if !changed || st.hier != nil {
 		return
 	}
 	_ = p.engine().publishQuarantine(ids)
@@ -324,7 +320,7 @@ func (r ScrubReport) String() string {
 // calls.
 func (p *PMEM) Scrub(ctx context.Context) (ScrubReport, error) {
 	var rep ScrubReport
-	if p.st.layout != LayoutHashtable {
+	if p.st.opt.Layout != LayoutHashtable {
 		return rep, fmt.Errorf("core: Scrub requires the hashtable layout")
 	}
 	clk := p.comm.Clock()
@@ -402,7 +398,7 @@ type scrubPacer struct {
 // virtual second.
 func (p *PMEM) chargeScrub(pi int, n int64, pace *scrubPacer) {
 	p.chargeDirectRead(pi, n, 1)
-	rate := p.st.scrubRate
+	rate := p.st.opt.ScrubRate
 	if rate <= 0 {
 		return
 	}
@@ -427,7 +423,7 @@ func (p *PMEM) chargeScrub(pi int, n int64, pace *scrubPacer) {
 // added sweep.
 func (p *PMEM) DeepCheck() (*fsck.DeepReport, error) {
 	rep := &fsck.DeepReport{}
-	if p.st.layout != LayoutHashtable {
+	if p.st.opt.Layout != LayoutHashtable {
 		return rep, nil
 	}
 	keys, err := p.Keys()

@@ -8,48 +8,13 @@ import (
 )
 
 // Library adapts pMEMCPY to the common pio.Library interface so the
-// experiment harness can drive it next to the baselines. The paper's two
-// evaluated configurations are:
+// experiment harness can drive it next to the baselines. It is an Options
+// value — every knob is declared there, once — with the pio methods on it.
+// The paper's two evaluated configurations are:
 //
 //	Library{}              -> "PMCPY-A" (MAP_SYNC disabled)
 //	Library{MapSync: true} -> "PMCPY-B" (MAP_SYNC enabled)
-type Library struct {
-	// MapSync selects the PMCPY-B configuration.
-	MapSync bool
-	// Codec overrides the serializer (default bp4, as in the evaluation).
-	Codec string
-	// Layout selects the data layout (default hashtable, as evaluated).
-	Layout Layout
-	// PoolSize overrides the pool file size (0 = 3/4 of the device).
-	PoolSize int64
-	// Pools shards the namespace across n member pools (<=1: single pool).
-	// The node must carry matching devices (node.WithPMEMPools).
-	Pools int
-	// Staged enables the staging ablation (serialize to DRAM, then copy).
-	Staged bool
-	// Parallelism is the per-rank copy-engine worker count (<=1: serial).
-	Parallelism int
-	// ReadParallelism overrides the gather-engine worker count
-	// (0: follow Parallelism; 1: serial reads).
-	ReadParallelism int
-	// Metrics enables latency/shape histograms on the sessions this library
-	// opens (counters are always on regardless).
-	Metrics bool
-	// MetricsSampling records every k-th histogram observation (<=1: all).
-	MetricsSampling int
-	// Tracing enables span-style operation tracing on sessions.
-	Tracing bool
-	// VerifyReads selects the read-path CRC verification mode
-	// (VerifyOff/VerifySampled/VerifyFull).
-	VerifyReads VerifyMode
-	// Async routes session writes through the asynchronous submission
-	// pipeline (queued, coalesced, group-committed); Close drains the queue.
-	Async bool
-	// CoalesceWindow is the async batch size (0 = default 32).
-	CoalesceWindow int
-	// MaxInflight is the async queue bound (0 = 8 windows).
-	MaxInflight int
-}
+type Library Options
 
 // Name implements pio.Library.
 func (l Library) Name() string {
@@ -59,30 +24,9 @@ func (l Library) Name() string {
 	return "PMCPY-A"
 }
 
-func (l Library) options() *Options {
-	return &Options{
-		Codec:               l.Codec,
-		Layout:              l.Layout,
-		MapSync:             l.MapSync,
-		PoolSize:            l.PoolSize,
-		Pools:               l.Pools,
-		StagedSerialization: l.Staged,
-		Parallelism:         l.Parallelism,
-		ReadParallelism:     l.ReadParallelism,
-		Metrics:             l.Metrics,
-		MetricsSampling:     l.MetricsSampling,
-		Tracing:             l.Tracing,
-		VerifyReads:         l.VerifyReads,
-		Async:               l.Async,
-		CoalesceWindow:      l.CoalesceWindow,
-		MaxInflight:         l.MaxInflight,
-	}
-}
-
-// Configure implements pio.Configurable: it applies the set fields of c on
-// top of the literal's configuration (codec, layout, pool size, ...), which
-// zero-valued fields leave untouched. This is how the harness enables
-// features.
+// Configure implements pio.Configurable: it applies the non-zero fields of c
+// on top of the literal's configuration, which zero-valued fields leave
+// untouched. This is how the harness enables features.
 func (l Library) Configure(c pio.Capabilities) pio.Library {
 	if c.Parallelism != 0 {
 		l.Parallelism = c.Parallelism
@@ -98,10 +42,11 @@ func (l Library) Configure(c pio.Capabilities) pio.Library {
 	}
 	if c.Async {
 		l.Async = true
-		l.CoalesceWindow = c.CoalesceWindow
-		l.MaxInflight = c.MaxInflight
 	}
-	if c.Pools > 1 {
+	if c.CoalesceWindow != 0 {
+		l.CoalesceWindow = c.CoalesceWindow
+	}
+	if c.Pools != 0 {
 		l.Pools = c.Pools
 	}
 	return l
@@ -109,7 +54,7 @@ func (l Library) Configure(c pio.Capabilities) pio.Library {
 
 // OpenWrite implements pio.Library.
 func (l Library) OpenWrite(c *mpi.Comm, n *node.Node, path string) (pio.Writer, error) {
-	p, err := Mmap(c, n, path, optionsOption(*l.options()))
+	p, err := Mmap(c, n, path, optionsOption(l))
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +63,7 @@ func (l Library) OpenWrite(c *mpi.Comm, n *node.Node, path string) (pio.Writer, 
 
 // OpenRead implements pio.Library.
 func (l Library) OpenRead(c *mpi.Comm, n *node.Node, path string) (pio.Reader, error) {
-	p, err := Mmap(c, n, path, optionsOption(*l.options()))
+	p, err := Mmap(c, n, path, optionsOption(l))
 	if err != nil {
 		return nil, err
 	}

@@ -153,6 +153,58 @@ func TestMultiPoolRoundTrip(t *testing.T) {
 	})
 }
 
+// TestMultiPoolMetricsSumMembers pins the Metrics() bridge on a sharded
+// namespace: the allocator series equal what Stats() sums over the members,
+// and the device series count every member's persists, not only member 0's.
+func TestMultiPoolMetricsSumMembers(t *testing.T) {
+	const elems = 1 << 16 // 512 KB of f64: striped over all four pools
+	n := multiNode(4, 64<<20, 1)
+	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+		p, err := core.Mmap(c, n, "/metrics.pool", core.WithPools(4), core.WithCodec("raw"), core.WithParallelism(4))
+		if err != nil {
+			return err
+		}
+		if err := p.Alloc("grid", serial.Float64, []uint64{elems}); err != nil {
+			return err
+		}
+		if err := p.StoreBlock("grid", []uint64{0}, []uint64{elems}, uniformF64(elems, 3)); err != nil {
+			return err
+		}
+		if _, err := p.Delete("grid"); err != nil {
+			return err
+		}
+		st, err := p.Stats()
+		if err != nil {
+			return err
+		}
+		snap := p.Metrics()
+		for name, want := range map[string]int64{
+			"pmemcpy_alloc_allocs_total":       st.Allocs,
+			"pmemcpy_alloc_frees_total":        st.Frees,
+			"pmemcpy_alloc_transactions_total": st.Transactions,
+			"pmemcpy_alloc_aborts_total":       st.Aborts,
+			"pmemcpy_alloc_arena_steals_total": st.ArenaSteals,
+		} {
+			if got := snap.Get(name); got != want {
+				t.Errorf("%s = %d, Stats() sums %d over the members", name, got, want)
+			}
+		}
+		var persists int64
+		for i := 0; i < n.Pools(); i++ {
+			persists += n.DeviceAt(i).Counters().Persists
+		}
+		member0 := n.Device.Counters().Persists
+		if got := snap.Get("pmemcpy_device_persists_total"); got != persists || got <= member0 {
+			t.Errorf("pmemcpy_device_persists_total = %d, want the members' total %d (member 0 alone: %d)",
+				got, persists, member0)
+		}
+		return p.Munmap()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMultiPoolReopen closes a 4-pool namespace and reopens it: placement is
 // recomputed, every member's shard is found again, and data reads back.
 func TestMultiPoolReopen(t *testing.T) {

@@ -38,12 +38,12 @@ func (p *PMEM) Stats() (StoreStats, error) {
 		return StoreStats{}, err
 	}
 	st := StoreStats{
-		Layout:           p.st.layout,
+		Layout:           p.st.opt.Layout,
 		Keys:             len(keys),
-		Parallelism:      p.st.par,
+		Parallelism:      p.st.opt.Parallelism,
 		ParallelStores:   p.st.parallelStores.Load(),
 		ParallelBlocks:   p.st.parallelBlocks.Load(),
-		ReadParallelism:  p.st.rpar,
+		ReadParallelism:  p.st.opt.ReadParallelism,
 		ParallelReads:    p.st.parallelReads.Load(),
 		ParallelReadJobs: p.st.parallelReadJobs.Load(),
 	}
@@ -52,13 +52,13 @@ func (p *PMEM) Stats() (StoreStats, error) {
 		st.CacheMisses = c.misses.Load()
 		st.CacheInvalidations = c.invalidations.Load()
 	}
-	if p.st.layout != LayoutHashtable {
+	if p.st.opt.Layout != LayoutHashtable {
 		return st, nil
 	}
 	// On a sharded namespace, heap and transaction statistics aggregate over
 	// every member pool.
-	for pi := 0; pi < p.st.npools(); pi++ {
-		pool := p.st.poolAt(pi)
+	for pi := 0; pi < len(p.st.pools); pi++ {
+		pool := p.st.pools[pi]
 		used, err := pool.HeapUsed(p.comm.Clock())
 		if err != nil {
 			return StoreStats{}, err

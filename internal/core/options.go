@@ -42,11 +42,6 @@ func WithPoolSize(n int64) MmapOption {
 	return mmapOptionFunc(func(o *Options) { o.PoolSize = n })
 }
 
-// WithBuckets sets the metadata hashtable's bucket count.
-func WithBuckets(n uint64) MmapOption {
-	return mmapOptionFunc(func(o *Options) { o.Buckets = n })
-}
-
 // WithPools shards the namespace across n independent member pools (hashtable
 // layout only; n <= 1 keeps the classic single-pool store). The node must
 // carry matching devices — see node.WithPMEMPools.

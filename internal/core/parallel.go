@@ -68,9 +68,9 @@ func splitShards(d *serial.Datum, offs, counts []uint64, want int) []shard {
 // parallelEligible reports whether a store of encSize encoded bytes should
 // take the parallel path.
 func (p *PMEM) parallelEligible(counts []uint64, encSize int64) bool {
-	return p.st.par > 1 &&
-		!p.st.staged && // staging ablation models the serial related work
-		p.st.layout == LayoutHashtable &&
+	return p.st.opt.Parallelism > 1 &&
+		!p.st.opt.StagedSerialization && // staging ablation models the serial related work
+		p.st.opt.Layout == LayoutHashtable &&
 		encSize >= parallelMinBytes &&
 		len(counts) > 0 && counts[0] > 1
 }
@@ -81,8 +81,8 @@ func (p *PMEM) parallelEligible(counts []uint64, encSize int64) bool {
 // drives every device concurrently — the aggregate-bandwidth win E17 sweeps.
 func (p *PMEM) storeBlockParallel(id string, rec dimsRecord, offs, counts []uint64, d *serial.Datum) (int64, error) {
 	encPasses, _ := p.codec.CostProfile()
-	shards := splitShards(d, offs, counts, p.st.par)
-	npools := p.st.npools()
+	shards := splitShards(d, offs, counts, p.st.opt.Parallelism)
+	npools := len(p.st.pools)
 	home := p.homeIdx(id)
 
 	// Plan: one writeUnit per shard, striping round-robin from the id's home
@@ -129,7 +129,7 @@ func (p *PMEM) storeDatumParallel(id string, d *serial.Datum) (int64, error) {
 	// join, clamping the worker budget to the payload size.
 	plan := &writePlan{
 		fill:      fillChunked,
-		workers:   p.st.par,
+		workers:   p.st.opt.Parallelism,
 		encPasses: encPasses,
 		groups: []*planGroup{{
 			id:      id,

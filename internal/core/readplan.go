@@ -185,7 +185,7 @@ func (e readEngine) run(pl *readPlan) error {
 	// The op's one verification decision. Hierarchy records carry no published
 	// CRC, so there is nothing to verify them against and they draw no
 	// sampling tick.
-	verify := p.st.layout == LayoutHashtable && (pl.verify != verifyByMode || p.shouldVerify())
+	verify := p.st.opt.Layout == LayoutHashtable && (pl.verify != verifyByMode || p.shouldVerify())
 	if units, err = e.gate(pl, units); err != nil {
 		return err
 	}
@@ -222,7 +222,7 @@ func (e readEngine) resolve(pl *readPlan, scratch []readUnit) (units []readUnit,
 		return e.resolveRecord(pl, scratch)
 	}
 	var rec dimsRecord
-	if p.st.layout == LayoutHierarchy {
+	if p.st.opt.Layout == LayoutHierarchy {
 		if rec, err = p.loadDimsLocked(pl.id); err != nil {
 			return nil, false, err
 		}
@@ -249,7 +249,7 @@ func (e readEngine) resolve(pl *readPlan, scratch []readUnit) (units []readUnit,
 	if pl.consume == consumeScatter && int64(len(pl.dst)) < pl.need {
 		return nil, false, fmt.Errorf("core: dst %d bytes, block needs %d: %w", len(pl.dst), pl.need, ErrOutOfBounds)
 	}
-	if p.st.layout == LayoutHierarchy {
+	if p.st.opt.Layout == LayoutHierarchy {
 		if pl.file, err = p.st.hier.open(p.comm.Clock(), pl.id); err != nil {
 			return nil, false, err
 		}
@@ -265,7 +265,7 @@ func (e readEngine) resolve(pl *readPlan, scratch []readUnit) (units []readUnit,
 // resolveRecord resolves a clone or CRC plan from the id's metadata record.
 func (e readEngine) resolveRecord(pl *readPlan, scratch []readUnit) ([]readUnit, bool, error) {
 	p := e.p
-	if p.st.layout == LayoutHierarchy && pl.consume == consumeClone {
+	if p.st.opt.Layout == LayoutHierarchy && pl.consume == consumeClone {
 		// A hierarchy value is its file's bytes, not a reference to a block:
 		// a whole-value load reads the file as one record.
 		var err error
@@ -282,7 +282,7 @@ func (e readEngine) resolveRecord(pl *readPlan, scratch []readUnit) ([]readUnit,
 	if !ok {
 		return nil, false, fmt.Errorf("core: id %q: %w", pl.id, ErrNotFound)
 	}
-	if p.st.layout == LayoutHierarchy {
+	if p.st.opt.Layout == LayoutHierarchy {
 		return nil, true, nil // no block references to sweep
 	}
 	var one [1]blockRec
@@ -443,7 +443,7 @@ func (e readEngine) consume(pl *readPlan, units []readUnit, verified bool) error
 // and the load not selected for CRC verification. (A quarantined block never
 // gets here: the gate failed the plan.)
 func (e readEngine) aliasRange(pl *readPlan, units []readUnit, verified bool) ([]byte, bool) {
-	if verified || len(units) != 1 || units[0].bytes != pl.need || e.p.st.layout != LayoutHashtable {
+	if verified || len(units) != 1 || units[0].bytes != pl.need || e.p.st.opt.Layout != LayoutHashtable {
 		return nil, false
 	}
 	ie, ok := e.p.codec.(serial.IdentityEncoder)
@@ -503,7 +503,7 @@ func (e readEngine) scatter(pl *readPlan, units []readUnit, decPasses float64) e
 // it moves out of its pool's mapping, or — under the hierarchy layout, whose
 // bytes the FS model already charged for — the staged decode of the record.
 func (e readEngine) chargeStream(u *readUnit, decPasses float64) {
-	if p := e.p; p.st.layout == LayoutHierarchy {
+	if p := e.p; p.st.opt.Layout == LayoutHierarchy {
 		p.st.hier.chargeStagedDecode(p, u.src.encLen, decPasses)
 	} else {
 		p.chargeDirectRead(int(u.src.pool), u.bytes, decPasses)
@@ -514,7 +514,7 @@ func (e readEngine) chargeStream(u *readUnit, decPasses float64) {
 // charges the analytic striped read cost once.
 func (e readEngine) scatterParallel(pl *readPlan, units []readUnit, decPasses float64) error {
 	p := e.p
-	workers := p.st.rpar
+	workers := p.st.opt.ReadParallelism
 	jobs := splitUnits(units, workers)
 	if len(jobs) < workers {
 		workers = len(jobs)
@@ -559,7 +559,7 @@ func (e readEngine) scatterParallel(pl *readPlan, units []readUnit, decPasses fl
 	// pool's stripe.
 	perPool := make([]int64, 0, 4)
 	pis := make([]int, 0, 4)
-	for pi := 0; pi < p.st.npools(); pi++ {
+	for pi := 0; pi < len(p.st.pools); pi++ {
 		var n int64
 		for i := range jobs {
 			if int(jobs[i].src.pool) == pi {
@@ -699,9 +699,9 @@ func splitUnits(plan []readUnit, want int) []readUnit {
 // readParallelEligible reports whether a gather of total intersection bytes
 // should take the parallel path.
 func (p *PMEM) readParallelEligible(total int64) bool {
-	return p.st.rpar > 1 &&
-		!p.st.staged && // staging ablation models the serial related work
-		p.st.layout == LayoutHashtable &&
+	return p.st.opt.ReadParallelism > 1 &&
+		!p.st.opt.StagedSerialization && // staging ablation models the serial related work
+		p.st.opt.Layout == LayoutHashtable &&
 		total >= parallelMinBytes
 }
 
@@ -755,7 +755,7 @@ func (p *PMEM) ownedBlocks(id string, raw []byte, buf []blockRec) ([]blockRec, r
 // the id's write lock so the damage is ordered against every reader of the
 // block. It lives here because this file is where pool bytes are sliced.
 func (p *PMEM) InjectCorruption(id string, block int, off, n int64, mask byte) (int64, int64, error) {
-	if p.st.layout != LayoutHashtable {
+	if p.st.opt.Layout != LayoutHashtable {
 		return 0, 0, fmt.Errorf("core: InjectCorruption requires the hashtable layout")
 	}
 	if mask == 0 {

@@ -91,7 +91,7 @@ func (p *PMEM) FindBlocks(id string, lo, hi float64) ([]BlockStats, error) {
 // trusted. Otherwise a damaged characteristics header would silently skew
 // MinMax while every data read stays verified.
 func (p *PMEM) BlockStatsOf(id string) ([]BlockStats, error) {
-	if p.st.layout == LayoutHierarchy {
+	if p.st.opt.Layout == LayoutHierarchy {
 		return nil, fmt.Errorf("core: block statistics require the hashtable layout")
 	}
 	p.asyncBarrier()

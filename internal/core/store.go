@@ -14,7 +14,7 @@ import (
 // sharded namespace the entry lands in the id's home pool's hashtable.
 func (p *PMEM) putValue(id string, value []byte) error {
 	clk := p.comm.Clock()
-	if p.st.layout == LayoutHierarchy {
+	if p.st.opt.Layout == LayoutHierarchy {
 		return p.st.hier.putValue(clk, id, value)
 	}
 	return p.homeHT(id).Put(clk, []byte(id), value)
@@ -23,7 +23,7 @@ func (p *PMEM) putValue(id string, value []byte) error {
 // getValue loads small metadata bytes stored under id.
 func (p *PMEM) getValue(id string) ([]byte, bool, error) {
 	clk := p.comm.Clock()
-	if p.st.layout == LayoutHierarchy {
+	if p.st.opt.Layout == LayoutHierarchy {
 		return p.st.hier.getValue(clk, id)
 	}
 	return p.homeHT(id).Get(clk, []byte(id))
@@ -45,7 +45,7 @@ func (p *PMEM) deleteValue(id string) (bool, error) {
 	lock.Lock()
 	defer lock.Unlock()
 	defer p.invalidateCache(id)
-	if p.st.layout == LayoutHierarchy {
+	if p.st.opt.Layout == LayoutHierarchy {
 		return p.st.hier.delete(clk, id)
 	}
 	// Free whatever data the entry owns — a block list's blocks, a value
@@ -96,14 +96,14 @@ func (p *PMEM) Keys() ([]string, error) {
 	clk := p.comm.Clock()
 	var out []string
 	var err error
-	if p.st.layout == LayoutHierarchy {
+	if p.st.opt.Layout == LayoutHierarchy {
 		out, err = p.st.hier.keys(clk)
 	} else {
 		// Every member pool's hashtable contributes its shard of the
 		// namespace; ids are unique across shards (each lives only in its
 		// home pool), so a plain merge needs no dedup.
-		for pi := 0; pi < p.st.npools() && err == nil; pi++ {
-			err = p.st.htAt(pi).Range(clk, func(key []byte, _ pmdk.PMID, _ int64) bool {
+		for pi := 0; pi < len(p.st.pools) && err == nil; pi++ {
+			err = p.st.hts[pi].Range(clk, func(key []byte, _ pmdk.PMID, _ int64) bool {
 				out = append(out, string(key))
 				return true
 			})
@@ -134,7 +134,7 @@ func (p *PMEM) storeDatum(id string, d *serial.Datum) (int64, bool, error) {
 	}
 	encPasses, _ := p.codec.CostProfile()
 	need := int64(p.codec.EncodedSize(d)) + 1
-	if p.st.layout == LayoutHierarchy {
+	if p.st.opt.Layout == LayoutHierarchy {
 		return need, false, p.st.hier.storeDatum(p, id, d)
 	}
 	// Plan: serialize directly into one PMEM block (1-byte type prefix so
@@ -143,7 +143,7 @@ func (p *PMEM) storeDatum(id string, d *serial.Datum) (int64, bool, error) {
 	// the same pool as the pointer record — so a value ref needs no pool
 	// field. The commit engine runs the alloc/fill/persist/publish sequence.
 	if ie, ok := p.codec.(serial.IdentityEncoder); ok && ie.IdentityEncode() &&
-		p.st.par > 1 && !p.st.staged && need >= parallelMinBytes {
+		p.st.opt.Parallelism > 1 && !p.st.opt.StagedSerialization && need >= parallelMinBytes {
 		n, err := p.storeDatumParallel(id, d)
 		return n, true, err
 	}
@@ -274,7 +274,7 @@ func (p *PMEM) storeBlock(id string, offs, counts []uint64, data []byte) (int64,
 		return 0, false, fmt.Errorf("core: data %d bytes, block needs %d: %w", len(data), need, ErrOutOfBounds)
 	}
 	d := &serial.Datum{Type: rec.dtype, Dims: counts, Payload: data[:need]}
-	if p.st.layout == LayoutHierarchy {
+	if p.st.opt.Layout == LayoutHierarchy {
 		return need, false, p.st.hier.storeBlock(p, id, offs, d)
 	}
 

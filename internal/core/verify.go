@@ -15,7 +15,7 @@ import (
 // invariant (nil when clean). Hierarchy-layout stores are backed by the
 // filesystem model and have no pool to verify.
 func (p *PMEM) VerifyStore() []string {
-	if p.st.layout == LayoutHierarchy {
+	if p.st.opt.Layout == LayoutHierarchy {
 		return nil
 	}
 	clk := p.comm.Clock()

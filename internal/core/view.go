@@ -160,7 +160,7 @@ func (p *PMEM) deferOrFreeBlocks(owned []poolPMID) error {
 	e := st.viewEpoch
 	st.viewEpoch++
 	for _, b := range owned {
-		st.limboAt(int(b.pool)).Defer(e, b.id)
+		st.limbos[b.pool].Defer(e, b.id)
 	}
 	st.limboLen.Add(int64(len(owned)))
 	st.viewMu.Unlock()

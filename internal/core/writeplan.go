@@ -195,7 +195,7 @@ func (e commitEngine) run(plan *writePlan) error {
 func (e commitEngine) alloc(plan *writePlan, units []*writeUnit) error {
 	p := e.p
 	clk := p.comm.Clock()
-	for pi := 0; pi < p.st.npools(); pi++ {
+	for pi := 0; pi < len(p.st.pools); pi++ {
 		var tx *pmdk.Tx
 		for _, u := range units {
 			if int(u.pool) != pi {
@@ -203,12 +203,12 @@ func (e commitEngine) alloc(plan *writePlan, units []*writeUnit) error {
 			}
 			if tx == nil {
 				var err error
-				tx, err = p.st.poolAt(pi).Begin(clk)
+				tx, err = p.st.pools[pi].Begin(clk)
 				if err != nil {
 					return plan.failWith(err)
 				}
 			}
-			blk, err := p.st.poolAt(pi).Alloc(tx, u.encLen)
+			blk, err := p.st.pools[pi].Alloc(tx, u.encLen)
 			if err != nil {
 				tx.Abort()
 				return plan.failWith(err)
@@ -401,7 +401,7 @@ func (e commitEngine) fillSharded(plan *writePlan, units []*writeUnit) error {
 	}
 	// Charge the striped cost: per-pool byte totals stream concurrently, so
 	// virtual time advances by the slowest stripe, not the sum.
-	npools := p.st.npools()
+	npools := len(p.st.pools)
 	perPool := make([]int64, 0, npools)
 	pis := make([]int, 0, npools)
 	for pi := 0; pi < npools; pi++ {
@@ -504,10 +504,10 @@ func (e commitEngine) publishQuarantine(ids []poolPMID) error {
 	st := e.p.st
 	clk := e.p.comm.Clock()
 	if len(ids) == 0 {
-		_, err := st.ht.Delete(clk, []byte(quarantineKey))
+		_, err := st.hts[0].Delete(clk, []byte(quarantineKey))
 		return err
 	}
-	return st.ht.Put(clk, []byte(quarantineKey), encodeQuarantine(ids))
+	return st.hts[0].Put(clk, []byte(quarantineKey), encodeQuarantine(ids))
 }
 
 // freeBlocks frees a set of (pool, PMID) blocks, one transaction per touched
@@ -516,7 +516,7 @@ func (e commitEngine) publishQuarantine(ids []poolPMID) error {
 func (e commitEngine) freeBlocks(blks []poolPMID) error {
 	p := e.p
 	clk := p.comm.Clock()
-	for pi := 0; pi < p.st.npools(); pi++ {
+	for pi := 0; pi < len(p.st.pools); pi++ {
 		var tx *pmdk.Tx
 		for _, b := range blks {
 			if int(b.pool) != pi {
@@ -524,12 +524,12 @@ func (e commitEngine) freeBlocks(blks []poolPMID) error {
 			}
 			if tx == nil {
 				var err error
-				tx, err = p.st.poolAt(pi).Begin(clk)
+				tx, err = p.st.pools[pi].Begin(clk)
 				if err != nil {
 					return err
 				}
 			}
-			if err := p.st.poolAt(pi).Free(tx, b.id); err != nil {
+			if err := p.st.pools[pi].Free(tx, b.id); err != nil {
 				tx.Abort()
 				return err
 			}

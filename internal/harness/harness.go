@@ -44,35 +44,21 @@ type Params struct {
 	// ReadRanks overrides the reader count for the restart pattern
 	// (0 = same as Ranks).
 	ReadRanks int
-	// Parallelism asks the library for this many copy workers per rank
-	// (libraries that are not pio.Configurable ignore it).
-	Parallelism int
-	// ReadParallelism asks the library for this many gather workers per rank
-	// (libraries that are not pio.Configurable ignore it;
-	// 0 follows Parallelism, 1 forces serial reads).
-	ReadParallelism int
-	// Metrics asks the library for instrumented sessions (libraries that are
-	// not pio.Configurable ignore it) and captures an observability snapshot
-	// per phase into the Result.
-	Metrics bool
-	// VerifyReads asks the library for checksum-verified reads at the given
-	// mode (0 = off, 1 = sampled, 2 = full; libraries that are not
-	// pio.Configurable ignore it). Used by the integrity ablation (E15).
-	VerifyReads int
-	// Async asks the library for asynchronously pipelined writes (libraries
-	// that are not pio.Configurable ignore it): writes queue and
-	// group-commit in batches of up to CoalesceWindow submissions, and Close
-	// drains the queue. Used by the coalescing ablation (E16).
-	Async bool
-	// CoalesceWindow is the async batch size (0 = library default).
-	CoalesceWindow int
-	// MaxInflight is the async queue bound (0 = library default).
-	MaxInflight int
-	// Pools shards the namespace across this many PMEM pools (libraries
-	// that are not pio.Configurable ignore it; <=1 = single pool). The
-	// harness provisions the node with one device per pool, each of
-	// DeviceSize bytes. Used by the multi-pool ablation (E17).
-	Pools int
+	// Capabilities are the optional library features the run asks for
+	// (worker pools, histograms, verified reads, async writes, striping),
+	// handed as they stand to a pio.Configurable library; the baselines have
+	// nothing to enable and ignore them. Metrics also captures a per-phase
+	// observability snapshot into the Result, and with Pools > 1 the harness
+	// provisions the node with one device of DeviceSize bytes per pool.
+	pio.Capabilities
+}
+
+// Entry is one library of a sweep. Label, when set, replaces the library's
+// own name in the results — how ablation tables tell variants of one library
+// apart.
+type Entry struct {
+	Label string
+	Lib   pio.Library
 }
 
 // Result is one (library, ranks) measurement.
@@ -100,15 +86,25 @@ func (r Result) String() string {
 // Run executes the write+read experiment for lib under p and returns the
 // averaged phase times.
 func Run(lib pio.Library, p Params) (Result, error) {
+	return run(Entry{Lib: lib}, p)
+}
+
+func run(e Entry, p Params) (Result, error) {
 	if p.Runs <= 0 {
 		p.Runs = 1
 	}
-	lib = configure(lib, p)
-	res := Result{Library: lib.Name(), Ranks: p.Ranks}
+	lib := e.Lib
+	if cz, ok := lib.(pio.Configurable); ok {
+		lib = cz.Configure(p.Capabilities)
+	}
+	if e.Label == "" {
+		e.Label = lib.Name()
+	}
+	res := Result{Library: e.Label, Ranks: p.Ranks}
 	for i := 0; i < p.Runs; i++ {
 		one, err := runOnce(lib, p)
 		if err != nil {
-			return res, fmt.Errorf("%s n=%d run %d: %w", lib.Name(), p.Ranks, i, err)
+			return res, fmt.Errorf("%s n=%d run %d: %w", e.Label, p.Ranks, i, err)
 		}
 		res.Bytes = one.Bytes
 		res.Write += one.Write
@@ -119,32 +115,6 @@ func Run(lib pio.Library, p Params) (Result, error) {
 	res.Write /= time.Duration(p.Runs)
 	res.Read /= time.Duration(p.Runs)
 	return res, nil
-}
-
-// configure applies the run parameters' optional capabilities to the library
-// with one pio.Configurable call: wrappers forward Configure explicitly, so a
-// library's capabilities cannot be hidden by an embedding wrapper. Libraries
-// that are not Configurable (the baselines) have nothing to enable and run
-// as given.
-func configure(lib pio.Library, p Params) pio.Library {
-	caps := pio.Capabilities{
-		ReadParallelism: p.ReadParallelism,
-		Metrics:         p.Metrics,
-		VerifyReads:     p.VerifyReads,
-		Async:           p.Async,
-		Pools:           p.Pools,
-	}
-	if p.Parallelism > 1 {
-		caps.Parallelism = p.Parallelism
-	}
-	if p.Async {
-		caps.CoalesceWindow = p.CoalesceWindow
-		caps.MaxInflight = p.MaxInflight
-	}
-	if cz, ok := lib.(pio.Configurable); ok {
-		return cz.Configure(caps)
-	}
-	return lib
 }
 
 func runOnce(lib pio.Library, p Params) (Result, error) {
@@ -162,11 +132,7 @@ func runOnce(lib pio.Library, p Params) (Result, error) {
 			devSize = devSize/int64(p.Pools) + (64 << 20)
 		}
 	}
-	var nopts []node.Option
-	if p.Pools > 1 {
-		nopts = append(nopts, node.WithPMEMPools(p.Pools))
-	}
-	n := node.New(p.Config, devSize, nopts...)
+	n := node.New(p.Config, devSize, node.WithPMEMPools(p.Pools))
 
 	// ---- Write phase: open/mmap .. close, max over ranks ----
 	n.Machine.SetConcurrency(p.Ranks)
@@ -297,15 +263,15 @@ func f64bytes(v []float64) []byte {
 	return bytesview.Bytes(v)
 }
 
-// Sweep runs every library over every rank count and returns all results in
-// (library, ranks) order.
-func Sweep(libs []pio.Library, rankCounts []int, base Params) ([]Result, error) {
+// Sweep runs every entry over every rank count and returns all results in
+// (entry, ranks) order.
+func Sweep(entries []Entry, rankCounts []int, base Params) ([]Result, error) {
 	var out []Result
-	for _, lib := range libs {
+	for _, e := range entries {
 		for _, ranks := range rankCounts {
 			p := base
 			p.Ranks = ranks
-			res, err := Run(lib, p)
+			res, err := run(e, p)
 			if err != nil {
 				return out, err
 			}

@@ -116,7 +116,7 @@ func TestPaperShapeHolds(t *testing.T) {
 
 func TestSweepAndRendering(t *testing.T) {
 	p := smallParams(0)
-	results, err := Sweep([]pio.Library{core.Library{}, adios.Library{}}, []int{8, 16}, p)
+	results, err := Sweep([]Entry{{Lib: core.Library{}}, {Lib: adios.Library{}}}, []int{8, 16}, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,16 +71,12 @@ type Library interface {
 }
 
 // Capabilities is the full set of optional features a harness run may ask a
-// library to enable. Zero values mean "leave the library's own default": a
-// library's Configure applies only the fields that are set, so a Capabilities
-// built straight from harness parameters composes with configuration already
+// library to enable — the only library-neutral declaration of those knobs:
+// harness.Params embeds it, and a Configurable library maps each field onto
+// its own option of the same name. Zero values mean "leave the library's own
+// default": Configure applies only the non-zero fields, so a Capabilities
+// taken straight from harness parameters composes with configuration already
 // baked into the library literal.
-//
-// It is the only configuration protocol: one Configure method forwards
-// through wrappers (pmembench's named{}) explicitly, so hiding a capability of
-// the wrapped library requires writing code to do it. (Per-feature probing by
-// type assertion failed silently through such wrappers and the run would
-// quietly measure an unconfigured store.)
 type Capabilities struct {
 	// Parallelism is the per-rank write copy-engine worker count
 	// (0: library default; 1: serial).
@@ -93,21 +89,21 @@ type Capabilities struct {
 	// VerifyReads selects read-path checksum verification:
 	// 0 = off, 1 = sampled, 2 = full.
 	VerifyReads int
-	// Async routes writes through the asynchronous submission pipeline;
-	// CoalesceWindow and MaxInflight tune it (0 selects library defaults).
-	Async          bool
+	// Async routes writes through the asynchronous submission pipeline:
+	// writes queue and group-commit in batches, and Close drains the queue.
+	Async bool
+	// CoalesceWindow is the async batch size (0: library default).
 	CoalesceWindow int
-	MaxInflight    int
-	// Pools shards the namespace across n member pools (0 or 1: single pool).
-	// The node driving the session must carry a matching device per pool.
+	// Pools shards the namespace across n member pools (0: library default;
+	// 1: single pool). The node driving the session must carry a matching
+	// device per pool.
 	Pools int
 }
 
 // Configurable is implemented by libraries that accept a Capabilities set.
-// Configure returns a copy of the library with the set fields applied; it
-// must leave fields at their zero value untouched so literal-level
-// configuration (codec, layout, ...) survives. Wrappers embedding a Library
-// should implement Configure by forwarding to the wrapped value.
+// Configure returns a copy of the library with the non-zero fields applied;
+// it must leave fields at their zero value untouched so literal-level
+// configuration (codec, layout, ...) survives.
 type Configurable interface {
 	Library
 	Configure(c Capabilities) Library

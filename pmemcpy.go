@@ -199,8 +199,6 @@ var (
 	WithMapSync = core.WithMapSync
 	// WithPoolSize sets the pool file size for the hashtable layout.
 	WithPoolSize = core.WithPoolSize
-	// WithBuckets sets the metadata hashtable's bucket count.
-	WithBuckets = core.WithBuckets
 	// WithPools shards the namespace across n member pools (hashtable layout
 	// only); the node must carry matching devices (WithPMEMPools).
 	WithPools = core.WithPools
