@@ -31,18 +31,19 @@ apicheck:
 	$(GO) test -run 'TestPublicAPIGolden' .
 
 # leasecheck is the view-misuse lint pass: go vet's copylocks catches a View
-# or BlockView copied by value (both embed a noCopy lock), and leasevet flags
-# view-producing calls whose result — and therefore whose lease — is
-# discarded.
+# or BlockView copied by value (both embed a noCopy lock), and commitvet's
+# lease rule flags view-producing calls whose result — and therefore whose
+# lease — is discarded, anywhere in the module.
 leasecheck:
 	$(GO) vet -copylocks ./...
-	$(GO) run ./cmd/leasevet ./...
+	$(GO) run ./cmd/commitvet ./...
 
-# commitvet enforces the two engines' ownership contracts: pool transactions
-# over data blocks (Begin/Alloc/Free) appear only in the commit engine
-# (internal/core/writeplan.go), and mapped pool bytes are dereferenced
-# (pool.Slice) only there and in the read engine (internal/core/readplan.go);
-# every other non-test internal/core file must plan over them.
+# commitvet enforces the engines' ownership contracts over internal/core: pool
+# transactions over data blocks (Begin/Alloc/Free) appear only in the commit
+# engine (writeplan.go), mapped pool bytes are dereferenced (pool.Slice) only
+# there and in the read engine (readplan.go), and goroutines start only in the
+# wave runner (wave.go); every other non-test internal/core file must plan
+# over them. It is the same binary as leasecheck's, pointed at one package.
 commitvet:
 	$(GO) run ./cmd/commitvet ./internal/core
 
@@ -68,7 +69,7 @@ loc:
 # module's total non-test code lines exceed the ceiling, which records the
 # figure of the last change that lowered it. A change that must grow the code
 # raises the ceiling in the same diff, where a reviewer sees it.
-LOC_CEILING ?= 16503
+LOC_CEILING ?= 16302
 loccheck:
 	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
 		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \

@@ -1,5 +1,7 @@
-// Command commitvet is a small static checker for the two engines that own
-// every touch of data-block storage in internal/core.
+// Command commitvet is the repository's one static checker: a shared
+// directory walk, ignore directive and report under four syntactic rules (no
+// type information). Three fence in what internal/core's engines own, and
+// apply to the non-test files of directories named "core":
 //
 // Rule "tx" — the unified write-path commit engine (writeplan.go): pool
 // transactions over data blocks — pool.Begin(clk), pool.Alloc(tx, size),
@@ -13,20 +15,30 @@
 // (and the capture → fill → persist order of every write) cannot be
 // re-implemented, or forgotten, at a call site.
 //
-// commitvet flags any such call in a non-test internal/core file outside the
-// rule's engine files.
+// Rule "go" — the wave runner (wave.go): a go statement anywhere else would
+// be a second place where workers, their join, and the rule that only the
+// coordinator touches the clock have to be got right.
 //
-// The match is syntactic (no type information): a method call with the rule's
-// name and exact argument count — Begin with one argument, Alloc/Free/Slice
-// with two (the public three-argument PMEM.Alloc dims declaration does not
-// match) — whose receiver is not an imported package (sort.Slice is not the
-// pool API). The pool-format bootstraps in core.go run before any data exists;
-// they opt out with a `//commitvet:ignore` comment on the call's line or the
-// line above.
+// The call rules match a method call with the rule's name and exact argument
+// count — Begin with one argument, Alloc/Free/Slice with two (the public
+// three-argument PMEM.Alloc dims declaration does not match) — whose receiver
+// is not an imported package (sort.Slice is not the pool API).
+//
+// Rule "lease" applies to every file, tests included: a view returned by
+// LoadView, LoadBlockView, or Array.View holds a lease that pins deferred
+// block frees until Close, so a call whose result is discarded — a bare, go
+// or defer statement, or the view assigned to the blank identifier — leaks
+// the lease for the life of the process (the runtime finalizer only counts
+// the leak, it does not release it). go vet's copylocks pass catches the
+// complementary misuse (copying a View by value).
+//
+// A `//commitvet:ignore` comment on a finding's line or the line above opts
+// it out; the pool-format bootstraps in core.go, which run before any data
+// exists, do.
 //
 // Usage: commitvet ./internal/core (or any package directories / ./...
-// patterns). Exits 1 when any finding is reported. Wired into
-// `make commitvet` and the verify pipeline.
+// patterns). Exits 1 when any finding is reported. `make commitvet` runs it
+// over internal/core and `make leasecheck` over the module.
 package main
 
 import (
@@ -37,33 +49,151 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// rule is one ownership contract: the method calls (name -> exact argument
-// count) that only the engine files may make.
+// rule is one syntactic check: check returns the finding a node amounts to in
+// a file the rule covers, or "". imports holds the file's imported package
+// names (pkg.Func(...) is not a method on a pool).
 type rule struct {
 	name   string
-	calls  map[string]int
-	engine map[string]bool
-	advice string
+	covers func(dir, base string) bool
+	check  func(imports map[string]bool, n ast.Node) string
+}
+
+// coreExcept covers the non-test files of a directory named "core", except
+// the files that own what the rule fences in.
+func coreExcept(owners ...string) func(dir, base string) bool {
+	return func(dir, base string) bool {
+		return filepath.Base(dir) == "core" && !strings.HasSuffix(base, "_test.go") &&
+			!slices.Contains(owners, base)
+	}
+}
+
+// poolCalls flags method calls by name and exact argument count.
+func poolCalls(calls map[string]int, advice string) func(map[string]bool, ast.Node) string {
+	return func(imports map[string]bool, n ast.Node) string {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return ""
+		}
+		// Only method calls on a pool-like receiver count; bare identifiers
+		// (local helpers named Begin/Alloc/Free) are not the pmdk pool API.
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return ""
+		}
+		if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] {
+			return ""
+		}
+		if want, ok := calls[sel.Sel.Name]; !ok || len(call.Args) != want {
+			return ""
+		}
+		return "pool." + sel.Sel.Name + " " + advice
+	}
 }
 
 var rules = []rule{
 	{
 		name:   "tx",
-		calls:  map[string]int{"Begin": 1, "Alloc": 2, "Free": 2},
-		engine: map[string]bool{"writeplan.go": true},
-		advice: "outside the commit engine — route this write through writeplan.go",
+		covers: coreExcept("writeplan.go"),
+		check: poolCalls(map[string]int{"Begin": 1, "Alloc": 2, "Free": 2},
+			"outside the commit engine — route this write through writeplan.go"),
 	},
 	{
 		name:   "slice",
-		calls:  map[string]int{"Slice": 2},
-		engine: map[string]bool{"writeplan.go": true, "readplan.go": true},
-		advice: "outside the read/commit engines — plan this read over readplan.go",
+		covers: coreExcept("writeplan.go", "readplan.go"),
+		check: poolCalls(map[string]int{"Slice": 2},
+			"outside the read/commit engines — plan this read over readplan.go"),
 	},
+	{
+		name:   "go",
+		covers: coreExcept("wave.go"),
+		check: func(_ map[string]bool, n ast.Node) string {
+			if _, ok := n.(*ast.GoStmt); ok {
+				return "go statement outside the wave runner — run the jobs through runWave (wave.go)"
+			}
+			return ""
+		},
+	},
+	{
+		name:   "lease",
+		covers: func(string, string) bool { return true },
+		check:  leakedLease,
+	},
+}
+
+// viewFuncs are the view-producing call names the lease rule recognizes: the
+// name of the called function or method, after stripping any generic
+// instantiation and selector base.
+var viewFuncs = map[string]bool{
+	"LoadView":      true,
+	"LoadBlockView": true,
+	"View":          true,
+}
+
+// leakedLease flags a statement that discards a view-producing call's view.
+func leakedLease(_ map[string]bool, n ast.Node) string {
+	leak := func(e ast.Expr, how string) string {
+		if name := viewCall(e); name != "" {
+			return fmt.Sprintf("result of %s %s: the view's lease is never closed", name, how)
+		}
+		return ""
+	}
+	switch stmt := n.(type) {
+	case *ast.ExprStmt:
+		return leak(stmt.X, "discarded")
+	case *ast.GoStmt:
+		return leak(stmt.Call, "discarded (go statement)")
+	case *ast.DeferStmt:
+		return leak(stmt.Call, "discarded (defer statement)")
+	case *ast.AssignStmt:
+		// One call on the RHS: its first result is the view. Multiple RHS
+		// values pair one-to-one with LHS names.
+		for i, rhs := range stmt.Rhs {
+			if i >= len(stmt.Lhs) {
+				break
+			}
+			if id, ok := stmt.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
+				if msg := leak(rhs, "assigned to _"); msg != "" {
+					return msg
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// viewCall returns the bare called name — the method or function identifier
+// with any package/receiver selector and generic instantiation stripped — when
+// e is a call of a view-producing function or method, else "".
+func viewCall(e ast.Expr) string {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	fn := call.Fun
+	for {
+		switch f := fn.(type) {
+		case *ast.IndexExpr:
+			fn = f.X
+			continue
+		case *ast.IndexListExpr:
+			fn = f.X
+			continue
+		case *ast.SelectorExpr:
+			fn = f.Sel
+			continue
+		case *ast.Ident:
+			if viewFuncs[f.Name] {
+				return f.Name
+			}
+		}
+		return ""
+	}
 }
 
 const ignoreDirective = "//commitvet:ignore"
@@ -77,7 +207,7 @@ func main() {
 	for _, a := range args {
 		if strings.HasSuffix(a, "/...") {
 			root := strings.TrimSuffix(a, "/...")
-			if root == "." || root == "" {
+			if root == "" {
 				root = "."
 			}
 			err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -112,14 +242,13 @@ func main() {
 		findings += len(found)
 	}
 	if findings > 0 {
-		fmt.Fprintf(os.Stderr, "commitvet: %d call(s) outside the engine that owns them\n", findings)
+		fmt.Fprintf(os.Stderr, "commitvet: %d finding(s)\n", findings)
 		os.Exit(1)
 	}
 }
 
-// checkDir applies every rule to the non-test Go files of one directory and
-// returns the findings, one "file:line:col: [rule] message" string each,
-// sorted.
+// checkDir applies every rule to the Go files of one directory and returns
+// the findings, one "file:line:col: [rule] message" string each, sorted.
 func checkDir(dir string) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, nil, parser.ParseComments)
@@ -132,19 +261,21 @@ func checkDir(dir string) ([]string, error) {
 	var found []string
 	for _, pkg := range pkgs {
 		for name, file := range pkg.Files {
-			if base := filepath.Base(name); !strings.HasSuffix(base, "_test.go") {
-				found = append(found, checkFile(fset, file, base)...)
-			}
+			found = append(found, checkFile(fset, file, dir, filepath.Base(name))...)
 		}
 	}
 	sort.Strings(found)
 	return found, nil
 }
 
-func checkFile(fset *token.FileSet, file *ast.File, base string) []string {
-	// Lines carrying (or preceding) an ignore directive exempt their calls:
-	// the pool-format bootstraps in core.go legitimately transact before any
-	// data exists.
+func checkFile(fset *token.FileSet, file *ast.File, dir, base string) []string {
+	var active []rule
+	for _, r := range rules {
+		if r.covers(dir, base) {
+			active = append(active, r)
+		}
+	}
+	// Lines carrying (or preceding) an ignore directive exempt their findings.
 	ignored := map[int]bool{}
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
@@ -155,7 +286,6 @@ func checkFile(fset *token.FileSet, file *ast.File, base string) []string {
 			}
 		}
 	}
-	// Imported package names: pkg.Func(...) is not a method on a pool.
 	imports := map[string]bool{}
 	for _, im := range file.Imports {
 		if im.Name != nil {
@@ -166,23 +296,12 @@ func checkFile(fset *token.FileSet, file *ast.File, base string) []string {
 	}
 	var found []string
 	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
+		if n == nil || ignored[fset.Position(n.Pos()).Line] {
 			return true
 		}
-		// Only method calls on a pool-like receiver count; bare identifiers
-		// (local helpers named Begin/Alloc/Free) are not the pmdk pool API.
-		sel, isSel := call.Fun.(*ast.SelectorExpr)
-		if !isSel || ignored[fset.Position(call.Pos()).Line] {
-			return true
-		}
-		if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] {
-			return true
-		}
-		for _, r := range rules {
-			if want, ok := r.calls[sel.Sel.Name]; ok && len(call.Args) == want && !r.engine[base] {
-				found = append(found, fmt.Sprintf("%s: [%s] pool.%s %s",
-					fset.Position(call.Pos()), r.name, sel.Sel.Name, r.advice))
+		for _, r := range active {
+			if msg := r.check(imports, n); msg != "" {
+				found = append(found, fmt.Sprintf("%s: [%s] %s", fset.Position(n.Pos()), r.name, msg))
 			}
 		}
 		return true

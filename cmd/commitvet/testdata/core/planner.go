@@ -17,6 +17,11 @@ func (pool) Slice(off, n int) ([]byte, error) { return nil, nil }
 // Alloc with three arguments is the public dims declaration, not the pool API.
 func Alloc(id string, dtype int, dims []int) {}
 
+type view struct{}
+
+func (pool) LoadView(id string) (*view, error) { return nil, nil }
+func (*view) Close()                           {}
+
 func planner(p pool, xs []int) {
 	tx := p.Begin(0)     // want tx
 	_ = p.Alloc(tx, 8)   // want tx
@@ -27,6 +32,15 @@ func planner(p pool, xs []int) {
 	Alloc("x", 0, nil)
 	sort.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
 	srt.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
+
+	go planner(p, xs) // want go
+
+	// A view whose lease nobody can close, and two that can be.
+	p.LoadView("x")        // want lease
+	_, _ = p.LoadView("x") // want lease
+	defer p.LoadView("x")  // want lease
+	v, _ := p.LoadView("x")
+	defer v.Close()
 
 	_ = p.Begin(0) //commitvet:ignore (same line)
 	//commitvet:ignore (line above)

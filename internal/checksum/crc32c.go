@@ -14,9 +14,14 @@
 // PMEM-adjacent storage stacks standardize on (iSCSI, ext4 metadata, Btrfs),
 // which keeps the modelled cost story honest.
 //
-// Combine lets the parallel engines checksum concurrently: each worker
-// checksums the byte range it copied, and the coordinator folds the partial
-// CRCs into the block's CRC without a second pass over the data.
+// Update is how a block gets its CRC: whoever writes bytes front to back
+// carries one running sum across them, however many fragments they came in.
+// Combine exists for the one case a running sum cannot cover — several workers
+// writing disjoint ranges of one block concurrently: each sums the range it
+// copied, and the coordinator joins the partial CRCs into the block's CRC
+// without a second pass over the data. It costs a GF(2) matrix exponentiation
+// per call, so it joins only what ran concurrently, never what one goroutine
+// wrote in sequence.
 package checksum
 
 import "hash/crc32"

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"pmemcpy/internal/nd"
 	"pmemcpy/internal/serial"
 )
 
@@ -15,12 +14,12 @@ import (
 //
 // StoreBlockAsync/StoreDatumAsync/LoadBlockAsync enqueue work on a per-handle
 // (per-rank) submission queue and return a Future immediately. Ops accumulate
-// into a batch; when the batch reaches the coalesce window it is sealed, and
-// sealed batches commit as a group: every store of the batch allocates out of
-// ONE pool transaction, adjacent same-id sub-stores merge into single blocks
-// (identity codecs only — their per-fragment CRC32Cs fold with
-// checksum.Combine into the published block CRC), and each id's new blocks
-// publish with ONE metadata update. That amortizes the three per-op costs that
+// in FIFO order and commit a coalesce window at a time, as a group: every
+// store of the batch allocates out of ONE pool transaction, adjacent same-id
+// sub-stores merge into single blocks (identity codecs only — the merged
+// fragments encode back-to-back on one goroutine, so one running CRC32C
+// covers the published block), and each id's new blocks publish with ONE
+// metadata update. That amortizes the three per-op costs that
 // dominate small writes — transaction begin/commit, the persist barrier, and
 // the hashtable publish — across the window, which is the small-write penalty
 // "Persistent Memory I/O Primitives" quantifies and E16 measures.
@@ -53,7 +52,7 @@ import (
 
 // Async queue defaults, used when the options leave the knobs zero.
 const (
-	// defaultCoalesceWindow is the number of submissions that seal a batch.
+	// defaultCoalesceWindow is the number of submissions one batch commits.
 	defaultCoalesceWindow = 32
 	// defaultInflightWindows sizes the in-flight bound as a multiple of the
 	// coalesce window: submission stalls (committing the oldest batch) once
@@ -94,7 +93,7 @@ func (f *Future) Wait(ctx context.Context) error {
 	if f.eng == nil {
 		return f.err
 	}
-	if err := f.eng.flushUntil(ctx, f); err != nil {
+	if err := f.eng.flush(ctx, f); err != nil {
 		return err
 	}
 	return f.err
@@ -147,9 +146,8 @@ type pendingOp struct {
 type asyncEngine struct {
 	p *PMEM
 
-	mu     sync.Mutex
-	cur    []pendingOp   // open batch, sealed at Options.CoalesceWindow ops
-	sealed [][]pendingOp // committed oldest-first
+	mu sync.Mutex
+	q  []pendingOp // FIFO; a commit takes the oldest Options.CoalesceWindow ops
 }
 
 // AsyncEnabled reports whether this handle queues asynchronous submissions.
@@ -164,7 +162,7 @@ func (p *PMEM) AsyncPending() int {
 	}
 	p.async.mu.Lock()
 	defer p.async.mu.Unlock()
-	return p.async.pendingLocked()
+	return len(p.async.q)
 }
 
 // StoreBlockAsync submits a block store (StoreBlock's asynchronous form) and
@@ -218,7 +216,7 @@ func (p *PMEM) Flush(ctx context.Context) error {
 	if p.async == nil {
 		return nil
 	}
-	return p.async.flushAll(ctx)
+	return p.async.flush(ctx, nil)
 }
 
 // Drain is Flush plus the guarantee that no submission is left in flight: in
@@ -236,32 +234,20 @@ func (p *PMEM) Drain(ctx context.Context) error {
 // fails because an unrelated queued op did.
 func (p *PMEM) asyncBarrier() {
 	if p.async != nil {
-		_ = p.async.flushAll(context.Background())
+		_ = p.async.flush(context.Background(), nil)
 	}
 }
 
-func (e *asyncEngine) pendingLocked() int {
-	n := len(e.cur)
-	for _, b := range e.sealed {
-		n += len(b)
-	}
-	return n
-}
-
-// takeOldestLocked removes and returns the oldest batch (sealing the open one
-// if it is all that remains), or nil when the queue is empty.
+// takeOldestLocked removes and returns the oldest batch — the first coalesce
+// window of the queue, or all of it when less is queued — or nil when the
+// queue is empty.
 func (e *asyncEngine) takeOldestLocked() []pendingOp {
-	if len(e.sealed) > 0 {
-		b := e.sealed[0]
-		e.sealed = e.sealed[1:]
-		return b
+	n := min(e.p.st.opt.CoalesceWindow, len(e.q))
+	b := e.q[:n:n]
+	if e.q = e.q[n:]; len(e.q) == 0 {
+		e.q = nil // release the drained queue's submissions to the collector
 	}
-	if len(e.cur) > 0 {
-		b := e.cur
-		e.cur = nil
-		return b
-	}
-	return nil
+	return b
 }
 
 // submit enqueues op and applies backpressure: when the in-flight window is
@@ -273,36 +259,20 @@ func (e *asyncEngine) submit(op pendingOp) *Future {
 	in := e.p.st.ins
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for e.pendingLocked() >= e.p.st.opt.MaxInflight {
+	for len(e.q) >= e.p.st.opt.MaxInflight {
 		in.asyncBackpressure.Inc()
-		b := e.takeOldestLocked()
-		if b == nil {
-			break
-		}
-		_ = e.commitBatch(b) // errors live on the batch's futures
+		_ = e.commitBatch(e.takeOldestLocked()) // errors live on the batch's futures
 	}
 	in.asyncSubmitted.Inc()
-	e.cur = append(e.cur, op)
+	e.q = append(e.q, op)
 	e.p.st.asyncDepth.Add(1)
-	if len(e.cur) >= e.p.st.opt.CoalesceWindow {
-		e.sealed = append(e.sealed, e.cur)
-		e.cur = nil
-	}
 	return fut
 }
 
-// flushAll commits batches until the queue is empty, returning the first
-// batch error. ctx is checked between batches.
-func (e *asyncEngine) flushAll(ctx context.Context) error {
-	return e.flush(ctx, nil)
-}
-
-// flushUntil commits batches until f completes (another drainer may have
-// completed it already).
-func (e *asyncEngine) flushUntil(ctx context.Context, f *Future) error {
-	return e.flush(ctx, f)
-}
-
+// flush commits batches, oldest first, until the queue is empty — or, with
+// until set, until that future completes (another drainer may have completed
+// it already) — returning the first batch error. ctx is checked between
+// batches.
 func (e *asyncEngine) flush(ctx context.Context, until *Future) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -315,7 +285,7 @@ func (e *asyncEngine) flush(ctx context.Context, until *Future) error {
 			return err
 		}
 		b := e.takeOldestLocked()
-		if b == nil {
+		if len(b) == 0 {
 			if until != nil && !until.Done() {
 				// The future was not queued here (impossible unless a future
 				// outlives its engine); fail it rather than spin.
@@ -344,7 +314,8 @@ func batchFatal(err error) bool {
 
 // commitBatch executes one batch on the calling goroutine. Consecutive block
 // stores form group commits (commitStores); datum stores and loads execute in
-// queue position, so same-id submission order is preserved across kinds.
+// queue position, so same-id submission order is preserved across kinds. It
+// returns the error that poisoned the batch, if one did.
 func (e *asyncEngine) commitBatch(ops []pendingOp) error {
 	p := e.p
 	in := p.st.ins
@@ -354,28 +325,30 @@ func (e *asyncEngine) commitBatch(ops []pendingOp) error {
 		start = int64(p.comm.Clock().Now())
 		in.asyncBatchOps.Observe(int64(len(ops)))
 	}
-	var firstErr error
+	var fatal error
 	for i := 0; i < len(ops); {
-		if batchFatal(firstErr) {
-			ops[i].fut.complete(0, firstErr)
+		op := &ops[i]
+		if fatal != nil {
+			op.fut.complete(0, fatal)
 			i++
 			continue
 		}
-		switch ops[i].kind {
+		var n int64
+		var err error
+		switch op.kind {
 		case pendLoad:
-			op := ops[i]
-			n, _, err := p.loadBlock(op.id, op.offs, op.counts, op.data)
+			n, _, err = p.loadBlock(op.id, op.offs, op.counts, op.data)
 			op.fut.complete(n, err)
-			if batchFatal(err) && firstErr == nil {
-				firstErr = err
-			}
 			i++
 		case pendStoreDatum:
-			op := ops[i]
-			n, _, err := p.storeDatum(op.id, op.datum)
-			op.fut.complete(n, err)
-			if err != nil && firstErr == nil {
-				firstErr = err
+			// A malformed argument is the submitter's own: it fails its Future
+			// here and never enters a commit, so it cannot be taken for a
+			// failing device.
+			if verr := op.datum.Validate(); verr != nil {
+				op.fut.complete(0, verr)
+			} else {
+				n, _, err = p.commitDatum(op.id, op.datum)
+				op.fut.complete(n, err)
 			}
 			i++
 		default: // pendStoreBlock: take the maximal run of block stores
@@ -383,23 +356,24 @@ func (e *asyncEngine) commitBatch(ops []pendingOp) error {
 			for j < len(ops) && ops[j].kind == pendStoreBlock {
 				j++
 			}
-			if err := e.commitStores(ops[i:j]); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			err = e.commitStores(ops[i:j])
 			i = j
+		}
+		if batchFatal(err) {
+			fatal = err
 		}
 	}
 	p.st.asyncDepth.Add(-int64(len(ops)))
 	if in.enabled && in.sample() {
 		in.asyncBatchLat.Observe(int64(p.comm.Clock().Now()) - start)
 	}
-	return firstErr
+	return fatal
 }
 
 // commitStores is the group commit planner: validate, group by id, and
 // coalesce adjacent runs, then hand the commit engine one writePlan — every
-// block allocates out of one transaction per touched pool, merged units'
-// fragments encode back-to-back with their CRC32Cs folded, and each id's
+// block allocates out of one transaction per touched pool, a merged unit's
+// fragments encode back-to-back under one running CRC32C, and each id's
 // additions publish with a single metadata update.
 func (e *asyncEngine) commitStores(stores []pendingOp) error {
 	p := e.p
@@ -408,37 +382,22 @@ func (e *asyncEngine) commitStores(stores []pendingOp) error {
 	ie, ok := p.codec.(serial.IdentityEncoder)
 	identity := ok && ie.IdentityEncode()
 
-	// 1. Validate each submission against its dims (exactly the synchronous
-	// checks, so the wrapped sentinels match) and group by id in
+	// 1. Validate each submission (the synchronous path's own step; a failure
+	// completes only that submission's Future) and group by id in
 	// first-appearance order, coalescing adjacent runs as they arrive.
 	var order []*planGroup
 	groups := make(map[string]*planGroup)
 	for i := range stores {
 		op := &stores[i]
-		rec, err := p.loadDimsLocked(op.id)
+		d, err := p.blockDatum(op.id, op.offs, op.counts, op.data)
 		if err != nil {
 			op.fut.complete(0, err)
 			continue
 		}
-		if err := nd.CheckBlock(rec.dims, op.offs, op.counts); err != nil {
-			op.fut.complete(0, err)
-			continue
-		}
-		esize := rec.dtype.Size()
-		need := int64(nd.Size(op.counts)) * int64(esize)
-		if int64(len(op.data)) < need {
-			op.fut.complete(0, fmt.Errorf("core: data %d bytes, block needs %d: %w",
-				len(op.data), need, ErrOutOfBounds))
-			continue
-		}
-		frag := writeFrag{
-			fut:   op.fut,
-			datum: serial.Datum{Type: rec.dtype, Dims: op.counts, Payload: op.data[:need]},
-		}
-		frag.encLen = int64(p.codec.EncodedSize(&frag.datum))
+		frag := writeFrag{fut: op.fut, datum: d, encLen: int64(p.codec.EncodedSize(d))}
 		g := groups[op.id]
 		if g == nil {
-			g = &planGroup{id: op.id, dtype: rec.dtype, publish: publishBlockList}
+			g = &planGroup{id: op.id, dtype: d.Type, publish: publishBlockList}
 			groups[op.id] = g
 			order = append(order, g)
 		}
@@ -479,38 +438,26 @@ func (e *asyncEngine) commitStores(stores []pendingOp) error {
 		}
 	}
 
-	plan := &writePlan{
+	return p.engine().run(&writePlan{
 		groups:    order,
-		fill:      fillSerial,
 		encPasses: encPasses,
-		// fail completes every store future of the run with err. The engine
-		// only invokes it before any publish happened; complete is
-		// first-wins, so futures already carrying a validation error are
-		// untouched.
-		fail: func(err error) {
-			for _, g := range order {
-				for i := range g.units {
-					for fi := range g.units[i].frags {
-						g.units[i].frags[fi].fut.complete(0, err)
-					}
-				}
-			}
-		},
 		// A fatal publish error poisons the remaining groups: their payloads
 		// persisted but the metadata path is failing.
 		fatal: batchFatal,
-		afterUnit: func(u *writeUnit) {
-			if in.enabled {
-				in.asyncBatchBytes.Observe(u.wrote)
-			}
-		},
+		// Every store future of the run completes here, with its group's
+		// outcome. complete is first-wins, so futures already carrying a
+		// validation error are untouched.
 		published: func(g *planGroup, err error) {
 			if err == nil {
 				in.asyncPublishes.Inc()
 			}
 			for i := range g.units {
-				for fi := range g.units[i].frags {
-					f := &g.units[i].frags[fi]
+				u := &g.units[i]
+				if err == nil && in.enabled {
+					in.asyncBatchBytes.Observe(u.wrote)
+				}
+				for fi := range u.frags {
+					f := &u.frags[fi]
 					if err != nil {
 						f.fut.complete(0, err)
 					} else {
@@ -519,8 +466,7 @@ func (e *asyncEngine) commitStores(stores []pendingOp) error {
 				}
 			}
 		},
-	}
-	return p.engine().run(plan)
+	})
 }
 
 // adjacentDim0 reports whether region (bOffs, bCounts) extends (aOffs,

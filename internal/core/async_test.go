@@ -394,8 +394,26 @@ func TestAsyncBatchErrorIsolation(t *testing.T) {
 		good1 := p.StoreBlockAsync("A", []uint64{0}, []uint64{8}, seqBytes(8, 1))
 		bad := p.StoreBlockAsync("A", []uint64{12}, []uint64{8}, seqBytes(8, 2))
 		good2 := p.StoreBlockAsync("A", []uint64{8}, []uint64{8}, seqBytes(8, 3))
+		// The datum row: a malformed StoreDatumAsync argument is as per-op as a
+		// bad block selection — a valid store to another id queued behind it
+		// must still commit.
+		if err := p.Alloc("B", serial.Uint8, []uint64{8}); err != nil {
+			return err
+		}
+		badDatum := p.StoreDatumAsync("D", &serial.Datum{Type: serial.Float64, Dims: []uint64{4}, Payload: make([]byte, 7)})
+		good3 := p.StoreBlockAsync("B", []uint64{0}, []uint64{8}, seqBytes(8, 4))
 		if err := p.Flush(context.Background()); err != nil {
 			return fmt.Errorf("Flush surfaced a per-op error: %v", err)
+		}
+		if err := badDatum.Wait(context.Background()); !errors.Is(err, serial.ErrBadDatum) {
+			return fmt.Errorf("malformed-datum future = %v, want ErrBadDatum", err)
+		}
+		if err := good3.Wait(context.Background()); err != nil {
+			return fmt.Errorf("good3 poisoned by a malformed datum to another id: %v", err)
+		}
+		got := make([]byte, 8)
+		if err := p.LoadBlock("B", []uint64{0}, []uint64{8}, got); err != nil || !bytes.Equal(got, seqBytes(8, 4)) {
+			return fmt.Errorf("B after the batch = %v, %v: the valid store was not committed", got, err)
 		}
 		if err := bad.Wait(context.Background()); !errors.Is(err, core.ErrOutOfBounds) {
 			return fmt.Errorf("out-of-bounds future = %v, want ErrOutOfBounds", err)

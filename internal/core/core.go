@@ -465,7 +465,7 @@ func (st *shared) openPools(clk *sim.Clock, n *node.Node, path string) error {
 func (p *PMEM) Munmap() error {
 	var derr error
 	if p.async != nil {
-		derr = p.async.flushAll(context.Background())
+		derr = p.async.flush(context.Background(), nil)
 	}
 	if err := p.comm.Barrier(); err != nil {
 		return err
@@ -551,142 +551,108 @@ func (p *PMEM) homeHT(id string) *pmdk.Hashtable {
 	return p.st.hts[p.st.homeIdx(id)]
 }
 
-// writePort and readPort return the bandwidth port of the pi-th member
-// pool's device. A single-device node's ports are the machine's default PMEM
-// ports; each device of a multi-pool node has its own dedicated pair (one DIMM
-// set per pool), which is what makes striped aggregate bandwidth scale.
-func (p *PMEM) writePort(pi int) *sim.Pool {
-	return p.st.pools[pi].Mapping().Device().WritePort()
-}
-
-func (p *PMEM) readPort(pi int) *sim.Pool {
-	return p.st.pools[pi].Mapping().Device().ReadPort()
-}
-
-// chargeStoreBytes accounts moving n encoded bytes into pool pi. On the
-// default direct path this is a single serialization pass streaming straight
-// into the mapping; under the staging ablation it is a DRAM encode pass
-// followed by a separate device copy — the double movement the paper's
-// design eliminates.
+// chargeStoreBytes accounts the staging ablation's store of n encoded bytes
+// into pool pi: a DRAM encode pass followed by a separate device copy — the
+// double movement the paper's design eliminates, and chargeMove's single pass
+// replaces on the default direct path.
 func (p *PMEM) chargeStoreBytes(pi int, n int64, passes float64) {
-	if !p.st.opt.StagedSerialization {
-		p.chargeDirectWrite(pi, n, passes)
-		return
-	}
 	m := p.node.Machine
-	cfg := m.Config()
 	clk := p.comm.Clock()
-	clk.Advance(sim.MoveCost(int64(float64(n)*passes), cfg.SerializeBPS,
+	clk.Advance(sim.MoveCost(int64(float64(n)*passes), m.Config().SerializeBPS,
 		m.Oversub(p.comm.Size()), m.DRAM))
 	p.st.pools[pi].Mapping().ChargeWrite(clk, n)
 }
 
-// chargeDirectWrite accounts a single serialization pass that streams bytes
-// straight into pool pi's mapped PMEM: bounded by the per-core encode rate
-// and the device write port, plus the MAP_SYNC write-through penalty if
-// enabled. This single charge — instead of a DRAM pass followed by a device
-// pass — is the heart of the paper's claim.
+// moveDir is the direction of a charged move: it selects the device latency,
+// the per-core codec rate, and which of a device's bandwidth ports is crossed.
+type moveDir uint8
+
+const (
+	moveStore moveDir = iota // serialize into mapped PMEM
+	moveLoad                 // deserialize out of it
+)
+
+// poolBytes is the bytes one job moved into or out of one member pool.
+type poolBytes struct {
+	pool  int
+	bytes int64
+}
+
+// chargeMove accounts one wave of the copy engines: `workers` concurrent
+// streams moved the listed bytes between DRAM and mapped PMEM in a single
+// (de)serialization pass — the heart of the paper's claim, instead of a DRAM
+// pass followed by a device pass. A serial store or load is the one-entry,
+// one-worker case.
+//
+// The CPU side scales with the worker count (discounted by the
+// oversubscription of ranks*workers total threads) and the device side by the
+// port's GroupShare: several concurrent streams lift the single-thread PMEM
+// cap until the rank's slice of the device bandwidth is saturated, the
+// behaviour measured by "Persistent Memory I/O Primitives". Each device of a
+// multi-pool node has its own pair of ports (one DIMM set per pool), so the
+// bytes tally per pool, the worker pool splits across those stripes in
+// proportion to their bytes, and virtual time advances by the SLOWEST stripe —
+// not the sum — which is exactly the aggregate-bandwidth win of a sharded
+// namespace (and why Advance-per-pool would model it away).
 //
 // Codec passes beyond the first (e.g. BP4's min/max characterization) only
-// re-read the source data in DRAM; they never touch the device, so their
-// cost is CPU/DRAM-bound and charged separately.
-func (p *PMEM) chargeDirectWrite(pi int, n int64, passes float64) {
+// re-read the data in DRAM; they never touch the device, so their cost is
+// CPU/DRAM-bound and charged separately. They and the MAP_SYNC per-line
+// penalty are charged once over the total, split across all workers.
+func (p *PMEM) chargeMove(dir moveDir, moved []poolBytes, passes float64, workers int) {
 	m := p.node.Machine
 	cfg := m.Config()
 	clk := p.comm.Clock()
-	clk.Advance(cfg.PMEMWriteLatency)
-	clk.Advance(sim.MoveCost(n, cfg.SerializeBPS, m.Oversub(p.comm.Size()), p.writePort(pi)))
-	if passes > 1 {
-		extra := int64(float64(n) * (passes - 1))
-		clk.Advance(sim.MoveCost(extra, cfg.SerializeBPS, m.Oversub(p.comm.Size()), m.DRAM))
+	lat, bps := cfg.PMEMWriteLatency, cfg.SerializeBPS
+	if dir == moveLoad {
+		lat, bps = cfg.PMEMReadLatency, cfg.DeserializeBPS
 	}
-	if p.st.opt.MapSync {
-		lines := (n + sim.CachelineSize - 1) / sim.CachelineSize
-		clk.Advance(time.Duration(lines) * cfg.MapSyncLine)
-	}
-}
-
-// chargeParallelStore accounts one parallel store into pool pi: `workers`
-// goroutines each stream a shard of the n encoded bytes straight into mapped
-// PMEM. The CPU side scales with the worker count (discounted by the
-// oversubscription of ranks*workers total threads) and the device side by the
-// port's GroupShare — several concurrent streams lift the single-thread PMEM
-// write cap until the rank's slice of the device bandwidth is saturated, the
-// behaviour measured by "Persistent Memory I/O Primitives". The MAP_SYNC
-// write-through penalty is paid per line but the lines are split across
-// workers.
-func (p *PMEM) chargeParallelStore(pi int, n int64, passes float64, workers int) {
-	p.chargeStripedStore([]int64{n}, []int{pi}, passes, workers)
-}
-
-// chargeStripedStore accounts one parallel store striped over several pools:
-// perPool[i] encoded bytes stream into pool pis[i], with the worker pool
-// split across the stripes in proportion to their bytes. The pools' devices
-// operate concurrently, so virtual time advances by the SLOWEST stripe — not
-// the sum — which is exactly the aggregate-bandwidth win of a sharded
-// namespace (and why Advance-per-pool would model it away). Extra codec
-// passes and the MAP_SYNC per-line penalty are charged once over the total,
-// split across all workers.
-func (p *PMEM) chargeStripedStore(perPool []int64, pis []int, passes float64, workers int) {
-	m := p.node.Machine
-	cfg := m.Config()
-	clk := p.comm.Clock()
 	over := m.Oversub(p.comm.Size() * workers)
-	var total int64
-	for _, n := range perPool {
-		total += n
-	}
-	clk.Advance(cfg.PMEMWriteLatency)
-	var slowest time.Duration
-	for i, n := range perPool {
-		w := stripeWorkers(workers, n, total, len(perPool))
-		d := sim.MoveCostParallel(n, cfg.SerializeBPS, over, w, p.writePort(pis[i]))
-		if d > slowest {
-			slowest = d
+	stripe := func(pi int) (n int64) {
+		for _, mv := range moved {
+			if mv.pool == pi {
+				n += mv.bytes
+			}
 		}
+		return n
+	}
+	var total int64
+	stripes := 0
+	for pi := range p.st.pools {
+		if n := stripe(pi); n > 0 {
+			total += n
+			stripes++
+		}
+	}
+	clk.Advance(lat)
+	var slowest time.Duration
+	for pi := range p.st.pools {
+		n := stripe(pi)
+		if n <= 0 {
+			continue
+		}
+		dev := p.st.pools[pi].Mapping().Device()
+		port := dev.WritePort()
+		if dir == moveLoad {
+			port = dev.ReadPort()
+		}
+		// A stripe carrying n of total bytes gets its share of the workers, at
+		// least one; a lone stripe gets them all.
+		w := workers
+		if stripes > 1 {
+			w = max(1, int(float64(workers)*float64(n)/float64(total)))
+		}
+		slowest = max(slowest, sim.MoveCostParallel(n, bps, over, w, port))
 	}
 	clk.Advance(slowest)
 	if passes > 1 {
 		extra := int64(float64(total) * (passes - 1))
-		clk.Advance(sim.MoveCostParallel(extra, cfg.SerializeBPS, over, workers, m.DRAM))
+		clk.Advance(sim.MoveCostParallel(extra, bps, over, workers, m.DRAM))
 	}
 	if p.st.opt.MapSync {
 		lines := (total + sim.CachelineSize - 1) / sim.CachelineSize
 		perWorker := (lines + int64(workers) - 1) / int64(workers)
 		clk.Advance(time.Duration(perWorker) * cfg.MapSyncLine)
-	}
-}
-
-// stripeWorkers splits a worker pool across stripes proportionally to bytes:
-// a stripe carrying n of total bytes gets its share of the workers, at least
-// one. With one stripe it degenerates to the whole pool.
-func stripeWorkers(workers int, n, total int64, stripes int) int {
-	if stripes <= 1 || total <= 0 {
-		return workers
-	}
-	w := int(float64(workers) * float64(n) / float64(total))
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// chargeDirectRead accounts a single deserialization pass streaming from
-// pool pi's mapped PMEM into the destination buffer; extra codec passes stay
-// in DRAM.
-func (p *PMEM) chargeDirectRead(pi int, n int64, passes float64) {
-	m := p.node.Machine
-	cfg := m.Config()
-	clk := p.comm.Clock()
-	clk.Advance(cfg.PMEMReadLatency)
-	clk.Advance(sim.MoveCost(n, cfg.DeserializeBPS, m.Oversub(p.comm.Size()), p.readPort(pi)))
-	if passes > 1 {
-		extra := int64(float64(n) * (passes - 1))
-		clk.Advance(sim.MoveCost(extra, cfg.DeserializeBPS, m.Oversub(p.comm.Size()), m.DRAM))
-	}
-	if p.st.opt.MapSync {
-		lines := (n + sim.CachelineSize - 1) / sim.CachelineSize
-		clk.Advance(time.Duration(lines) * cfg.MapSyncLine)
 	}
 }
 
@@ -697,39 +663,6 @@ func (p *PMEM) chargeDirectRead(pi int, n int64, passes float64) {
 // characteristics header. One device read latency; no bytes are streamed.
 func (p *PMEM) chargeReadLatency() {
 	p.comm.Clock().Advance(p.node.Machine.Config().PMEMReadLatency)
-}
-
-// chargeStripedRead is the gather-side mirror of chargeStripedStore: per-pool
-// byte totals stream out of their devices concurrently and virtual time
-// advances by the slowest stripe.
-func (p *PMEM) chargeStripedRead(perPool []int64, pis []int, passes float64, workers int) {
-	m := p.node.Machine
-	cfg := m.Config()
-	clk := p.comm.Clock()
-	over := m.Oversub(p.comm.Size() * workers)
-	var total int64
-	for _, n := range perPool {
-		total += n
-	}
-	clk.Advance(cfg.PMEMReadLatency)
-	var slowest time.Duration
-	for i, n := range perPool {
-		w := stripeWorkers(workers, n, total, len(perPool))
-		d := sim.MoveCostParallel(n, cfg.DeserializeBPS, over, w, p.readPort(pis[i]))
-		if d > slowest {
-			slowest = d
-		}
-	}
-	clk.Advance(slowest)
-	if passes > 1 {
-		extra := int64(float64(total) * (passes - 1))
-		clk.Advance(sim.MoveCostParallel(extra, cfg.DeserializeBPS, over, workers, m.DRAM))
-	}
-	if p.st.opt.MapSync {
-		lines := (total + sim.CachelineSize - 1) / sim.CachelineSize
-		perWorker := (lines + int64(workers) - 1) / int64(workers)
-		clk.Advance(time.Duration(perWorker) * cfg.MapSyncLine)
-	}
 }
 
 // Alloc declares the final global dimensions of array id (Figure 2's

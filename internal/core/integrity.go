@@ -397,7 +397,7 @@ type scrubPacer struct {
 // enough extra virtual time to hold the pass at or under scrubRate bytes per
 // virtual second.
 func (p *PMEM) chargeScrub(pi int, n int64, pace *scrubPacer) {
-	p.chargeDirectRead(pi, n, 1)
+	p.chargeMove(moveLoad, []poolBytes{{pi, n}}, 1, 1)
 	rate := p.st.opt.ScrubRate
 	if rate <= 0 {
 		return

@@ -11,22 +11,24 @@ import (
 // Memory Transactions" prescribes) and published in the variable's block list
 // with ONE metadata update, so a crash anywhere leaves either the whole
 // multi-shard store or none of it — never a torn block list. The crash-matrix
-// tests drive exactly that property.
+// tests drive exactly that property. A large StoreDatum payload under an
+// identity codec stays ONE block, cut into per-worker byte ranges.
 //
-// This file only plans (shard the payload, assign stripe pools); the commit
-// engine's sharded and chunked fills (writeplan.go) execute the concurrent
-// encode waves. Workers only run the codec's EncodeTo into their shard's
-// mapped slice; the coordinator does every clock charge, capture and persist,
-// keeping virtual time and the crash simulator's persist ordering
-// deterministic regardless of goroutine scheduling.
+// This file only plans (shard the payload, assign stripe pools, cut chunks);
+// the commit engine's fill (writeplan.go) runs either as one concurrent wave,
+// a job per fragment. Workers only run the codec's EncodeTo into their range
+// of a mapped block and checksum it; the coordinator does every clock charge,
+// capture and persist — and joins the CRCs of jobs that shared a block with
+// checksum.Combine — keeping virtual time and the crash simulator's persist
+// ordering deterministic regardless of goroutine scheduling.
 
 // parallelMinBytes is the smallest encoded payload worth sharding; below it
 // the per-shard transaction and header overhead outweighs the copy win.
 const parallelMinBytes = 256 << 10
 
 // shard is one worker's slice of a parallel store, as cut by splitShards;
-// the commit engine's sharded fill carries the execution state (block,
-// bytes written, CRC) on the plan's writeUnits.
+// the commit engine carries the execution state (block, bytes written, CRC)
+// on the plan's writeUnits.
 type shard struct {
 	datum serial.Datum // dims/payload restricted to this shard's rows
 	offs  []uint64
@@ -75,79 +77,47 @@ func (p *PMEM) parallelEligible(counts []uint64, encSize int64) bool {
 		len(counts) > 0 && counts[0] > 1
 }
 
-// storeBlockParallel is StoreBlock's sharded write path. It returns the total
-// encoded bytes written. On a sharded namespace the shards stripe round-robin
-// across the member pools starting at the id's home pool, so one large store
-// drives every device concurrently — the aggregate-bandwidth win E17 sweeps.
-func (p *PMEM) storeBlockParallel(id string, rec dimsRecord, offs, counts []uint64, d *serial.Datum) (int64, error) {
-	encPasses, _ := p.codec.CostProfile()
+// shardUnits plans StoreBlock's sharded write path: one writeUnit per shard.
+// On a sharded namespace the shards stripe round-robin across the member
+// pools starting at the id's home pool, so one large store drives every device
+// concurrently — the aggregate-bandwidth win E17 sweeps. The engine allocates
+// in ONE batched transaction per touched pool (ascending pool order), fills
+// the shards as one concurrent wave, and persists after the join; the shards
+// publish as separate block records, so their CRCs need no joining.
+func (p *PMEM) shardUnits(id string, d *serial.Datum, offs, counts []uint64) []writeUnit {
 	shards := splitShards(d, offs, counts, p.st.opt.Parallelism)
 	npools := len(p.st.pools)
 	home := p.homeIdx(id)
-
-	// Plan: one writeUnit per shard, striping round-robin from the id's home
-	// pool, all published with a single block-list update — one hashtable
-	// Put, one transaction, all-or-nothing. The engine allocates in ONE
-	// batched transaction per touched pool (ascending pool order), runs the
-	// concurrent encode wave, and persists after the join.
-	g := &planGroup{id: id, dtype: rec.dtype, publish: publishBlockList}
-	g.units = make([]writeUnit, len(shards))
+	units := make([]writeUnit, len(shards))
 	for i := range shards {
 		encLen := int64(p.codec.EncodedSize(&shards[i].datum))
-		g.units[i] = writeUnit{
+		units[i] = writeUnit{
 			pool:   uint8((home + i) % npools),
 			offs:   shards[i].offs,
 			counts: shards[i].datum.Dims,
-			frags:  []writeFrag{{datum: shards[i].datum, encLen: encLen}},
+			frags:  []writeFrag{{datum: &shards[i].datum, encLen: encLen}},
 			encLen: encLen,
 			point:  ptBlockShard,
 		}
 	}
-	plan := &writePlan{groups: []*planGroup{g}, fill: fillSharded, encPasses: encPasses}
-	if err := p.engine().run(plan); err != nil {
-		return 0, err
-	}
-	var total int64
-	for i := range g.units {
-		total += g.units[i].wrote
-	}
-	p.st.parallelStores.Add(1)
-	p.st.parallelBlocks.Add(int64(len(shards)))
-	return total, nil
+	return units
 }
 
-// storeDatumParallel is StoreDatum's chunked write path for identity-encoding
-// codecs (raw): the single destination block is cut into byte ranges copied
-// by concurrent workers. Only valid when the codec's encoding is a plain
-// payload copy, since workers write disjoint sub-ranges of one encode.
-func (p *PMEM) storeDatumParallel(id string, d *serial.Datum) (int64, error) {
-	encPasses, _ := p.codec.CostProfile()
-	need := int64(len(d.Payload)) + 1
-	// Plan: one chunk-filled unit in the id's home pool, published as a
-	// value ref. The engine's chunked fill cuts the payload into worker byte
-	// ranges and folds the per-chunk CRC32Cs with checksum.Combine after the
-	// join, clamping the worker budget to the payload size.
-	plan := &writePlan{
-		fill:      fillChunked,
-		workers:   p.st.opt.Parallelism,
-		encPasses: encPasses,
-		groups: []*planGroup{{
-			id:      id,
-			publish: publishValueRef,
-			units: []writeUnit{{
-				pool:        uint8(p.homeIdx(id)),
-				frags:       []writeFrag{{datum: *d, encLen: need - 1}},
-				encLen:      need,
-				prefix:      true,
-				persistFull: true,
-				point:       ptDatumChunk,
-			}},
-		}},
+// chunkFrags plans StoreDatum's chunked write path: the payload of one
+// identity-encoded whole value cut into at most `workers` contiguous byte
+// ranges, each a fragment concurrent workers copy into their range of the
+// value's single block. Only valid when the codec's encoding is a plain
+// payload copy (which is all a Bytes fragment asks of it), since workers write
+// disjoint sub-ranges of one encode.
+func chunkFrags(payload []byte, workers int) []writeFrag {
+	n := int64(len(payload))
+	workers = int(min(int64(workers), n))
+	chunk := (n + int64(workers) - 1) / int64(workers)
+	frags := make([]writeFrag, workers)
+	for w := range frags {
+		lo := min(int64(w)*chunk, n)
+		hi := min(lo+chunk, n)
+		frags[w] = writeFrag{datum: &serial.Datum{Type: serial.Bytes, Payload: payload[lo:hi]}, encLen: hi - lo}
 	}
-	if err := p.engine().run(plan); err != nil {
-		return 0, err
-	}
-	p.st.parallelStores.Add(1)
-	p.st.parallelBlocks.Add(int64(plan.workers))
-	return need, nil
+	return frags
 }

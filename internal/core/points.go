@@ -8,13 +8,13 @@ import "pmemcpy/internal/pmem"
 // transactionally), so they carry their own points distinct from the pmdk
 // protocol steps.
 var (
-	// The serial whole-value fill (StoreDatum through fillSerial).
+	// A whole value filled by one job (StoreDatum).
 	ptDatumPayload = pmem.RegisterPoint("core.commit.datum")
-	// The parallel chunked-copy whole-value fill (fillChunked).
+	// A whole value filled by concurrent byte-range jobs (chunkFrags).
 	ptDatumChunk = pmem.RegisterPoint("core.commit.chunk")
-	// The serial block fill (StoreBlock through fillSerial).
+	// A block filled by one job (StoreBlock).
 	ptBlockPayload = pmem.RegisterPoint("core.commit.block")
-	// The sharded parallel per-shard fill (fillSharded).
+	// One shard of a block store filled as a concurrent wave (shardUnits).
 	ptBlockShard = pmem.RegisterPoint("core.commit.shard")
 	// The async group commit's per-unit fill: one point for
 	// single-submission units, one for units that coalesced several adjacent

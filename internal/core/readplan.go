@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"pmemcpy/internal/checksum"
 	"pmemcpy/internal/nd"
@@ -411,7 +409,7 @@ func (e readEngine) consume(pl *readPlan, units []readUnit, verified bool) error
 		if len(src) < 1 {
 			return fmt.Errorf("core: empty value for %q", pl.id)
 		}
-		e.chargeStream(&units[0], decPasses)
+		e.chargeWave(units[:1], decPasses, 1)
 		// The 1-byte type prefix lets non-self-describing codecs decode.
 		d, err := p.codec.Decode(src[1:], &serial.Datum{Type: serial.DType(src[0])})
 		if err != nil {
@@ -476,118 +474,87 @@ func (e readEngine) aliasRange(pl *readPlan, units []readUnit, verified bool) ([
 	return src[start : start+pl.need : start+pl.need], true
 }
 
-// scatter decodes every unit and places its intersection into pl.dst:
-// serially in publish order — each unit charged as it streams — or, for large
-// plans whose units are pairwise disjoint, on the worker pool.
+// gather is what a scatter wave's jobs share: the engine and the request,
+// by value, so the plan itself stays on its planner's stack.
+type gather struct {
+	e            readEngine
+	file         *posixfs.File
+	dst          []byte
+	offs, counts []uint64
+	esize        int
+}
+
+// scatter decodes every unit and places its intersection into pl.dst, wave by
+// wave on the wave runner (wave.go), each wave charged once as it completes:
+// a wave per unit on the caller's goroutine, in publish order — or, for large
+// plans whose units are pairwise disjoint, ONE wave on the worker pool.
 func (e readEngine) scatter(pl *readPlan, units []readUnit, decPasses float64) error {
 	p := e.p
-	if p.readParallelEligible(pl.covered) && !unitsOverlap(units) {
-		pl.parallel = true
-		return e.scatterParallel(pl, units, decPasses)
+	pl.parallel = p.readParallelEligible(pl.covered) && !unitsOverlap(units)
+	workers, step := 1, 1
+	if pl.parallel {
+		workers = p.st.opt.ReadParallelism
 	}
-	for i := range units {
-		u := &units[i]
-		src, err := e.stored(pl.file, u)
-		if err != nil {
-			return err
-		}
-		e.chargeStream(u, decPasses)
-		if err := p.gatherUnit(u, src, pl.dst, pl.offs, pl.counts, pl.esize); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// chargeStream accounts one unit streamed by the calling goroutine: the bytes
-// it moves out of its pool's mapping, or — under the hierarchy layout, whose
-// bytes the FS model already charged for — the staged decode of the record.
-func (e readEngine) chargeStream(u *readUnit, decPasses float64) {
-	if p := e.p; p.st.opt.Layout == LayoutHierarchy {
-		p.st.hier.chargeStagedDecode(p, u.src.encLen, decPasses)
-	} else {
-		p.chargeDirectRead(int(u.src.pool), u.bytes, decPasses)
-	}
-}
-
-// scatterParallel executes a non-overlapping plan on the worker pool, then
-// charges the analytic striped read cost once.
-func (e readEngine) scatterParallel(pl *readPlan, units []readUnit, decPasses float64) error {
-	p := e.p
-	workers := p.st.opt.ReadParallelism
 	jobs := splitUnits(units, workers)
-	if len(jobs) < workers {
-		workers = len(jobs)
-	}
-	if in := p.st.ins; in.enabled {
-		in.gatherDepth.Observe(int64(len(jobs)))
-		for i := range jobs {
-			in.gatherJobBytes.Observe(jobs[i].bytes)
-		}
-	}
-	// Workers see the request by value, so the plan stays on its planner's
-	// stack.
-	dst, offs, counts, esize := pl.dst, pl.offs, pl.counts, pl.esize
-	errs := make([]error, len(jobs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				src, err := e.stored(nil, &jobs[i])
-				if err == nil {
-					err = p.gatherUnit(&jobs[i], src, dst, offs, counts, esize)
-				}
-				errs[i] = err
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("core: parallel gather job %d: %w", i, err)
-		}
-	}
-	// Striped charge: units may gather from several member pools, whose
-	// devices stream concurrently — virtual time advances by the slowest
-	// pool's stripe.
-	perPool := make([]int64, 0, 4)
-	pis := make([]int, 0, 4)
-	for pi := 0; pi < len(p.st.pools); pi++ {
-		var n int64
-		for i := range jobs {
-			if int(jobs[i].src.pool) == pi {
-				n += jobs[i].bytes
+	workers = min(workers, len(jobs))
+	if pl.parallel {
+		step = len(jobs)
+		p.st.parallelReads.Add(1)
+		p.st.parallelReadJobs.Add(int64(len(jobs)))
+		if in := p.st.ins; in.enabled {
+			in.gatherDepth.Observe(int64(len(jobs)))
+			for i := range jobs {
+				in.gatherJobBytes.Observe(jobs[i].bytes)
 			}
 		}
-		if n > 0 {
-			perPool = append(perPool, n)
-			pis = append(pis, pi)
-		}
 	}
-	p.chargeStripedRead(perPool, pis, decPasses, workers)
-	p.st.parallelReads.Add(1)
-	p.st.parallelReadJobs.Add(int64(len(jobs)))
+	g := gather{e: e, file: pl.file, dst: pl.dst, offs: pl.offs, counts: pl.counts, esize: pl.esize}
+	for lo := 0; lo < len(jobs); lo += step {
+		wave := jobs[lo : lo+step]
+		if err := runWave(workers, g, wave, gather.place); err != nil {
+			return err
+		}
+		e.chargeWave(wave, decPasses, workers)
+	}
 	return nil
 }
 
-// gatherUnit decodes one unit's stored block (zero-copy for the default
-// codec: the payload aliases mapped PMEM) and scatters its intersection into
-// dst. Beyond the pool slice it is the only code workers run: no clock, no
+// chargeWave accounts the units `workers` goroutines just streamed: the bytes
+// they moved out of their pools' mappings, or — under the hierarchy layout,
+// whose bytes the FS model already charged for — the staged decode of each
+// record.
+func (e readEngine) chargeWave(wave []readUnit, decPasses float64, workers int) {
+	p := e.p
+	if p.st.opt.Layout == LayoutHierarchy {
+		for i := range wave {
+			p.st.hier.chargeStagedDecode(p, wave[i].src.encLen, decPasses)
+		}
+		return
+	}
+	var buf [8]poolBytes
+	moved := buf[:0]
+	for i := range wave {
+		moved = append(moved, poolBytes{int(wave[i].src.pool), wave[i].bytes})
+	}
+	p.chargeMove(moveLoad, moved, decPasses, workers)
+}
+
+// place decodes one unit's stored block (zero-copy for the default codec: the
+// payload aliases mapped PMEM) and scatters its intersection into the
+// request's destination. It is the only code a scatter worker runs: no clock
+// (the hierarchy layout's file read, serial by construction, aside), no
 // allocator, no device bookkeeping.
-func (p *PMEM) gatherUnit(u *readUnit, src, dst []byte, offs, counts []uint64, esize int) error {
-	d, err := p.codec.Decode(src, &serial.Datum{Type: u.src.dtype, Dims: u.src.counts})
+func (g gather) place(u *readUnit) error {
+	src, err := g.e.stored(g.file, u)
 	if err != nil {
 		return err
 	}
-	return nd.PlaceIntersection(dst, offs, counts, d.Payload, u.src.offs, u.src.counts,
-		u.isOffs, u.isCnts, esize)
+	d, err := g.e.p.codec.Decode(src, &serial.Datum{Type: u.src.dtype, Dims: u.src.counts})
+	if err != nil {
+		return err
+	}
+	return nd.PlaceIntersection(g.dst, g.offs, g.counts, d.Payload, u.src.offs, u.src.counts,
+		u.isOffs, u.isCnts, g.esize)
 }
 
 // planGather intersects the request (offs, counts) with the stored blocks,
@@ -655,7 +622,7 @@ func unitsOverlap(units []readUnit) bool {
 	return false
 }
 
-// splitUnits returns a copy of plan — the wave's own, so the plan's units
+// splitUnits returns a copy of plan — the scatter's own, so the plan's units
 // stay in run's frame — with large units cut along dim 0 of their
 // intersection until there are at least want of them, so even a single huge
 // stored block fans out over the worker pool. Sub-units of one block never

@@ -129,7 +129,7 @@ func (p *PMEM) blockStats(b blockRec, src []byte, dtype serial.DType) (BlockStat
 	if err != nil {
 		return bs, err
 	}
-	p.chargeDirectRead(int(b.pool), int64(len(d.Payload)), 1)
+	p.chargeMove(moveLoad, []poolBytes{{int(b.pool), int64(len(d.Payload))}}, 1, 1)
 	bs.Min, bs.Max, bs.HasStats = scanMinMax(dtype, d.Payload)
 	return bs, nil
 }

@@ -132,41 +132,50 @@ func (p *PMEM) storeDatum(id string, d *serial.Datum) (int64, bool, error) {
 	if err := d.Validate(); err != nil {
 		return 0, false, err
 	}
+	return p.commitDatum(id, d)
+}
+
+// commitDatum stores a validated datum — the step StoreDatum and the async
+// pipeline share, so an argument error never enters a commit. It reports the
+// bytes written and whether the fill ran on the worker pool.
+func (p *PMEM) commitDatum(id string, d *serial.Datum) (int64, bool, error) {
 	encPasses, _ := p.codec.CostProfile()
 	need := int64(p.codec.EncodedSize(d)) + 1
 	if p.st.opt.Layout == LayoutHierarchy {
 		return need, false, p.st.hier.storeDatum(p, id, d)
 	}
-	// Plan: serialize directly into one PMEM block (1-byte type prefix so
-	// non-self-describing codecs can decode), then publish it as the KV value
-	// via a small pointer record. Whole values live in the id's home pool —
-	// the same pool as the pointer record — so a value ref needs no pool
-	// field. The commit engine runs the alloc/fill/persist/publish sequence.
+	// Plan: serialize directly into one PMEM block (framed by the 1-byte type
+	// tag of a value ref's block), then publish it as the KV value via a small
+	// pointer record. Whole values live in the id's home pool — the same pool
+	// as the pointer record — so a value ref needs no pool field. The commit
+	// engine runs the alloc/fill/persist/publish sequence.
+	u := writeUnit{
+		pool:   uint8(p.homeIdx(id)),
+		frags:  []writeFrag{{datum: d, encLen: need - 1}},
+		encLen: need,
+		point:  ptDatumPayload,
+	}
+	// A large value under an identity-encoding codec (raw) is a plain payload
+	// copy, so disjoint byte ranges of it can be written concurrently: the one
+	// fragment becomes one per worker and the fill one concurrent wave.
 	if ie, ok := p.codec.(serial.IdentityEncoder); ok && ie.IdentityEncode() &&
 		p.st.opt.Parallelism > 1 && !p.st.opt.StagedSerialization && need >= parallelMinBytes {
-		n, err := p.storeDatumParallel(id, d)
-		return n, true, err
+		u.frags, u.point = chunkFrags(d.Payload, p.st.opt.Parallelism), ptDatumChunk
 	}
+	workers := len(u.frags)
 	plan := &writePlan{
-		fill:      fillSerial,
+		workers:   workers,
 		encPasses: encPasses,
-		groups: []*planGroup{{
-			id:      id,
-			publish: publishValueRef,
-			units: []writeUnit{{
-				pool:        uint8(p.homeIdx(id)),
-				frags:       []writeFrag{{datum: *d, encLen: need - 1}},
-				encLen:      need,
-				prefix:      true,
-				persistFull: true,
-				point:       ptDatumPayload,
-			}},
-		}},
+		groups:    []*planGroup{{id: id, dtype: d.Type, publish: publishValueRef, units: []writeUnit{u}}},
 	}
 	if err := p.engine().run(plan); err != nil {
 		return 0, false, err
 	}
-	return plan.groups[0].units[0].wrote, false, nil
+	if workers > 1 {
+		p.st.parallelStores.Add(1)
+		p.st.parallelBlocks.Add(int64(workers))
+	}
+	return plan.groups[0].units[0].wrote, workers > 1, nil
 }
 
 // LoadDatum loads a datum stored with StoreDatum, deserializing directly
@@ -261,55 +270,65 @@ func (p *PMEM) StoreBlock(id string, offs, counts []uint64, data []byte) error {
 }
 
 func (p *PMEM) storeBlock(id string, offs, counts []uint64, data []byte) (int64, bool, error) {
-	rec, err := p.loadDimsLocked(id)
+	d, err := p.blockDatum(id, offs, counts, data)
 	if err != nil {
 		return 0, false, err
 	}
-	if err := nd.CheckBlock(rec.dims, offs, counts); err != nil {
-		return 0, false, err
-	}
-	esize := rec.dtype.Size()
-	need := int64(nd.Size(counts)) * int64(esize)
-	if int64(len(data)) < need {
-		return 0, false, fmt.Errorf("core: data %d bytes, block needs %d: %w", len(data), need, ErrOutOfBounds)
-	}
-	d := &serial.Datum{Type: rec.dtype, Dims: counts, Payload: data[:need]}
 	if p.st.opt.Layout == LayoutHierarchy {
-		return need, false, p.st.hier.storeBlock(p, id, offs, d)
+		return int64(len(d.Payload)), false, p.st.hier.storeBlock(p, id, offs, d)
 	}
 
+	// Plan: one block-list append. A serial store is one block in the id's
+	// home pool — serial stores never stripe, so block and metadata co-locate;
+	// a large one is cut into per-worker shards striped across the pools
+	// (parallel.go). The commit engine serializes DIRECTLY into the mapped PMEM
+	// blocks (the single pass that defines pMEMCPY), persists, and publishes.
 	encPasses, _ := p.codec.CostProfile()
-	encSize := int64(p.codec.EncodedSize(d))
-	if p.parallelEligible(counts, encSize) {
-		n, err := p.storeBlockParallel(id, rec, offs, counts, d)
-		return n, true, err
+	g := &planGroup{id: id, dtype: d.Type, publish: publishBlockList}
+	if encSize := int64(p.codec.EncodedSize(d)); p.parallelEligible(counts, encSize) {
+		g.units = p.shardUnits(id, d, offs, counts)
+	} else {
+		g.units = []writeUnit{{
+			pool:   uint8(p.homeIdx(id)),
+			offs:   append([]uint64(nil), offs...),
+			counts: append([]uint64(nil), counts...),
+			frags:  []writeFrag{{datum: d, encLen: encSize}},
+			encLen: encSize,
+			point:  ptBlockPayload,
+		}}
 	}
-
-	// Plan: one block in the id's home pool — serial stores never stripe, so
-	// block and metadata co-locate — published as one block-list append. The
-	// commit engine serializes DIRECTLY into the mapped PMEM block (the
-	// single pass that defines pMEMCPY), persists, and publishes.
-	plan := &writePlan{
-		fill:      fillSerial,
-		encPasses: encPasses,
-		groups: []*planGroup{{
-			id:      id,
-			dtype:   rec.dtype,
-			publish: publishBlockList,
-			units: []writeUnit{{
-				pool:   uint8(p.homeIdx(id)),
-				offs:   append([]uint64(nil), offs...),
-				counts: append([]uint64(nil), counts...),
-				frags:  []writeFrag{{datum: *d, encLen: encSize}},
-				encLen: encSize,
-				point:  ptBlockPayload,
-			}},
-		}},
-	}
-	if err := p.engine().run(plan); err != nil {
+	shards := len(g.units)
+	if err := p.engine().run(&writePlan{groups: []*planGroup{g}, workers: shards, encPasses: encPasses}); err != nil {
 		return 0, false, err
 	}
-	return plan.groups[0].units[0].wrote, false, nil
+	var total int64
+	for i := range g.units {
+		total += g.units[i].wrote
+	}
+	if shards > 1 {
+		p.st.parallelStores.Add(1)
+		p.st.parallelBlocks.Add(int64(shards))
+	}
+	return total, shards > 1, nil
+}
+
+// blockDatum is the validation step under every block store, sync or async —
+// exactly one set of checks, so the wrapped sentinels match: the id's declared
+// dims exist, the region lies inside them, and data covers it. It returns the
+// datum the codec will encode.
+func (p *PMEM) blockDatum(id string, offs, counts []uint64, data []byte) (*serial.Datum, error) {
+	rec, err := p.loadDimsLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	if err := nd.CheckBlock(rec.dims, offs, counts); err != nil {
+		return nil, err
+	}
+	need := int64(nd.Size(counts)) * int64(rec.dtype.Size())
+	if int64(len(data)) < need {
+		return nil, fmt.Errorf("core: data %d bytes, block needs %d: %w", len(data), need, ErrOutOfBounds)
+	}
+	return &serial.Datum{Type: rec.dtype, Dims: counts, Payload: data[:need]}, nil
 }
 
 // LoadBlock fills dst with the block (offs, counts) of array id, gathering

@@ -15,10 +15,12 @@ package core_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
 
+	"pmemcpy/internal/checksum"
 	"pmemcpy/internal/core"
 	"pmemcpy/internal/mpi"
 	"pmemcpy/internal/node"
@@ -42,8 +44,44 @@ func eqNode(pools int) *node.Node {
 	return n
 }
 
-// eqRecords runs the canonical store script on a fresh store and returns
-// every published metadata record, keyed by id.
+// eqRun maps a fresh store with opts, runs script on it, and returns every
+// published metadata record, keyed by id.
+func eqRun(t *testing.T, opts *core.Options, script func(p *core.PMEM) error) map[string]string {
+	t.Helper()
+	recs := map[string]string{}
+	n := eqNode(opts.Pools)
+	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+		p, err := core.Mmap(c, n, "/eq.pool", core.OptionsArg(opts))
+		if err != nil {
+			return err
+		}
+		if err := script(p); err != nil {
+			return err
+		}
+		keys, err := p.Keys()
+		if err != nil {
+			return err
+		}
+		for _, id := range keys {
+			raw, ok, err := p.RawValue(id)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				return fmt.Errorf("key %q listed but has no record", id)
+			}
+			recs[id] = string(raw)
+		}
+		return p.Munmap()
+	})
+	if err != nil {
+		t.Fatalf("%+v: %v", *opts, err)
+	}
+	return recs
+}
+
+// eqRecords runs the canonical store script in one of the eqModes and returns
+// the published records.
 func eqRecords(t *testing.T, codec string, pools int, mode string) map[string]string {
 	t.Helper()
 	opts := &core.Options{Codec: codec, Pools: pools}
@@ -54,13 +92,7 @@ func eqRecords(t *testing.T, codec string, pools int, mode string) map[string]st
 		opts.Async = true
 		opts.CoalesceWindow = 1
 	}
-	recs := map[string]string{}
-	n := eqNode(pools)
-	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
-		p, err := core.Mmap(c, n, "/eq.pool", core.OptionsArg(opts))
-		if err != nil {
-			return err
-		}
+	return eqRun(t, opts, func(p *core.PMEM) error {
 		ctx := context.Background()
 		storeBlock := func(id string, offs, counts []uint64, data []byte) error {
 			if mode == "async" {
@@ -106,7 +138,7 @@ func eqRecords(t *testing.T, codec string, pools int, mode string) map[string]st
 		if err := storeDatum("S", &serial.Datum{Type: serial.Bytes, Payload: []byte("unified write engine")}); err != nil {
 			return err
 		}
-		if err := storeDatum("D", &serial.Datum{Type: serial.Float64, Dims: []uint64{128}, Payload: eqPattern(128 * 8, 7)}); err != nil {
+		if err := storeDatum("D", &serial.Datum{Type: serial.Float64, Dims: []uint64{128}, Payload: eqPattern(128*8, 7)}); err != nil {
 			return err
 		}
 		for k := 0; k < 8; k++ {
@@ -119,26 +151,8 @@ func eqRecords(t *testing.T, codec string, pools int, mode string) map[string]st
 			}
 		}
 
-		keys, err := p.Keys()
-		if err != nil {
-			return err
-		}
-		for _, id := range keys {
-			raw, ok, err := p.RawValue(id)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("key %q listed but has no record", id)
-			}
-			recs[id] = string(raw)
-		}
-		return p.Munmap()
+		return nil
 	})
-	if err != nil {
-		t.Fatalf("%s/%s/pools=%d: %v", codec, mode, pools, err)
-	}
-	return recs
 }
 
 // eqPattern builds a deterministic payload of n bytes seeded by s.
@@ -180,6 +194,67 @@ func TestWritePathEquivalence(t *testing.T) {
 			})
 		}
 	}
+
+	// The two fills that join or run CRCs across fragments, each against the
+	// plain serial store of the same bytes: under the raw codec the stored
+	// bytes are known by construction, so the published CRC is checked against
+	// checksum.Sum of them directly, and the records must not differ by path.
+	sameRecord := func(t *testing.T, id string, wantCRC uint32, recs ...map[string]string) {
+		t.Helper()
+		for i, r := range recs {
+			rec := r[id]
+			if len(rec) < 4 {
+				t.Fatalf("path %d: no record for %q", i, id)
+			}
+			if got := binary.LittleEndian.Uint32([]byte(rec[len(rec)-4:])); got != wantCRC {
+				t.Errorf("path %d: %q published crc %#08x, checksum.Sum of the stored bytes %#08x", i, id, got, wantCRC)
+			}
+			if rec != recs[0][id] {
+				t.Errorf("path %d: record %q differs from path 0:\n got %x\nwant %x", i, id, rec, recs[0][id])
+			}
+		}
+	}
+	t.Run("raw/chunked", func(t *testing.T) {
+		// A 300 KB whole value: one job at Parallelism 1, four concurrent
+		// byte-range jobs joined with checksum.Combine at 4.
+		d := &serial.Datum{Type: serial.Float64, Dims: []uint64{300 << 7}, Payload: eqPattern(300<<10, 5)}
+		var recs []map[string]string
+		for _, workers := range []int{1, 4} {
+			recs = append(recs, eqRun(t, &core.Options{Codec: "raw", Parallelism: workers},
+				func(p *core.PMEM) error { return p.StoreDatum("V", d) }))
+		}
+		stored := append([]byte{byte(serial.Float64)}, d.Payload...)
+		sameRecord(t, "V", checksum.Sum(stored), recs...)
+	})
+	t.Run("raw/coalesced", func(t *testing.T) {
+		// Five adjacent sub-stores coalesce into one async unit whose CRC runs
+		// across the fragments; one sync store of the same rows is the same block.
+		const rows, cols, frags = 4, 16, 5
+		data := eqPattern(frags*rows*cols*8, 9)
+		alloc := func(p *core.PMEM) error { return p.Alloc("C", serial.Float64, []uint64{frags * rows, cols}) }
+		coalesced := eqRun(t, &core.Options{Codec: "raw", Async: true}, func(p *core.PMEM) error {
+			if err := alloc(p); err != nil {
+				return err
+			}
+			for f := uint64(0); f < frags; f++ {
+				p.StoreBlockAsync("C", []uint64{f * rows, 0}, []uint64{rows, cols}, data[f*rows*cols*8:(f+1)*rows*cols*8])
+			}
+			if err := p.Flush(context.Background()); err != nil {
+				return err
+			}
+			if got := p.Metrics().Get("pmemcpy_async_coalesced_total"); got != frags-1 {
+				return fmt.Errorf("coalesced %d sub-stores, want %d", got, frags-1)
+			}
+			return nil
+		})
+		serialStore := eqRun(t, &core.Options{Codec: "raw"}, func(p *core.PMEM) error {
+			if err := alloc(p); err != nil {
+				return err
+			}
+			return p.StoreBlock("C", []uint64{0, 0}, []uint64{frags * rows, cols}, data)
+		})
+		sameRecord(t, "C", checksum.Sum(data), serialStore, coalesced)
+	})
 }
 
 // TestCommitAbortSemantics pins the engine's shared failure contract across

@@ -2,8 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
-	"sync"
 
 	"pmemcpy/internal/checksum"
 	"pmemcpy/internal/pmdk"
@@ -21,12 +19,19 @@ import (
 //	   pool, pools visited in ascending order (deterministic persist order
 //	   for the crash explorer; a crash between pool transactions leaves only
 //	   unpublished allocations — recoverable garbage, never torn metadata);
-//	2. serialize DIRECTLY into the mapped PMEM blocks — the single pass that
-//	   defines pMEMCPY — folding per-fragment CRC32Cs with checksum.Combine
-//	   so the published CRC covers each block without a second pass;
-//	3. charge the analytic copy cost, then persist each block with one
-//	   barrier carrying its registered persist point;
-//	4. publish each id's new metadata with ONE atomic update per id.
+//	2. fill, one wave at a time: capture each unit of the wave, run its jobs —
+//	   each serializes DIRECTLY into the mapped PMEM block, the single pass
+//	   that defines pMEMCPY, and checksums what it wrote with a running
+//	   checksum.Update while the bytes are hot — fold the job CRCs into the
+//	   unit's, charge the analytic copy cost once, then persist each unit with
+//	   one barrier carrying its registered persist point;
+//	3. publish each id's new metadata with ONE atomic update per id.
+//
+// A serial or async plan is one wave per unit, each a single job on the
+// caller's goroutine; a concurrent plan (storeBlock's shards, storeDatum's
+// chunks) is one wave of all its fragments on the wave runner's pool
+// (wave.go). checksum.Combine joins only what ran concurrently: the jobs that
+// shared a unit. Bytes one goroutine wrote front to back never need it.
 //
 // The entry paths (store.go, parallel.go, async.go) are planners: they
 // validate, shard, coalesce, and route, then hand a writePlan to the one
@@ -36,12 +41,12 @@ import (
 // by cmd/commitvet); the sole exceptions are the pool-format bootstraps in
 // core.go, which run before any data exists.
 
-// writeFrag is one submitted sub-store inside a commit unit. Sync plans have
-// exactly one frag per unit and a nil Future; async units may carry a
-// coalesced run of fragments that encode back-to-back into one block.
+// writeFrag is one piece of a commit unit, encoded back-to-back with its
+// siblings: the one sub-store of a sync unit (nil Future), one submission of
+// a coalesced async run, or one worker's byte range of a chunked whole value.
 type writeFrag struct {
 	fut    *Future // completion handle (async plans only)
-	datum  serial.Datum
+	datum  *serial.Datum
 	encLen int64 // encoded size, computed at planning time
 }
 
@@ -53,18 +58,12 @@ type writeUnit struct {
 	offs   []uint64 // block-list publish coordinates (unused for value refs)
 	counts []uint64
 	frags  []writeFrag
-	encLen int64 // allocation size
-	// prefix writes a 1-byte dtype tag before the encoded payload, the frame
-	// non-self-describing codecs need to decode a whole value.
-	prefix bool
-	// persistFull persists the allocated encLen rather than the written
-	// length (whole-value records persist their full extent).
-	persistFull bool
-	point       pmem.PointID // persist point of this unit's payload flush
+	encLen int64        // allocation size
+	point  pmem.PointID // persist point of this unit's payload flush
 
 	// Filled by the engine.
 	blk   pmdk.PMID
-	wrote int64 // bytes written, prefix included
+	wrote int64 // bytes written, type prefix included
 	crc   uint32
 }
 
@@ -73,7 +72,9 @@ type publishKind uint8
 
 const (
 	// publishValueRef publishes the group's single unit as a (pmid, len, crc)
-	// pointer record — the whole-value form.
+	// pointer record — the whole-value form. Its block is framed by a 1-byte
+	// dtype tag before the encoded payload, which non-self-describing codecs
+	// need to decode a whole value.
 	publishValueRef publishKind = iota
 	// publishBlockList appends every unit to the id's block list with one
 	// metadata update — all-or-nothing, never a torn list.
@@ -89,66 +90,50 @@ type planGroup struct {
 	units   []writeUnit
 }
 
-// fillMode selects how the engine serializes a plan's units into PMEM.
-type fillMode uint8
-
-const (
-	// fillSerial encodes units one after another on the calling goroutine
-	// (serial stores; async group commits, whose merged units fold fragment
-	// CRCs with checksum.Combine).
-	fillSerial fillMode = iota
-	// fillChunked cuts one identity-encoded unit into byte ranges copied by
-	// concurrent workers (storeDatumParallel).
-	fillChunked
-	// fillSharded captures every unit up front, then a worker wave encodes
-	// all units concurrently; the coordinator charges the striped cost and
-	// persists after the join (storeBlockParallel).
-	fillSharded
-)
-
-// writePlan is a fully planned write: what to allocate where, how to fill
-// it, and how to publish and complete it. Planners build one; the engine
+// writePlan is a fully planned write: what to allocate where, how wide to
+// fill it, and how to publish and complete it. Planners build one; the engine
 // executes it.
 type writePlan struct {
-	groups    []*planGroup
-	fill      fillMode
-	workers   int     // fillChunked worker budget (clamped by the engine)
+	groups []*planGroup
+	// workers is the width of the fill. At 0 or 1 every unit is its own wave:
+	// one job on the caller's goroutine encodes the unit's fragments back to
+	// back. Above 1 the whole plan is ONE wave of exactly this many jobs, one
+	// per fragment — a sharded store's units, or the byte ranges a planner cut
+	// an identity-encoded whole value into.
+	workers   int
 	encPasses float64 // codec cost profile, sampled at planning time
 
-	// fail completes every queued future with err before any publish
-	// happened (async plans; nil on sync plans). The engine invokes it on
-	// alloc and fill errors — never after a group published.
-	fail func(error)
 	// fatal reports whether a publish error poisons the remaining groups
 	// (async batch semantics); nil means stop on the first error, which is
 	// equivalent for single-group sync plans.
 	fatal func(error) bool
-	// published runs after each group's metadata update (lock released),
-	// with the group's outcome; poisoned trailing groups see the fatal
-	// error. Async plans complete futures and count publishes here.
+	// published runs once per group with its outcome (async plans complete
+	// futures and count publishes here): after the group's metadata update,
+	// lock released; with the fatal error for poisoned trailing groups; and
+	// with the alloc or fill error for every group of a plan that failed
+	// before anything was published.
 	published func(g *planGroup, err error)
-	// afterUnit runs after each fillSerial unit persists (async batch-bytes
-	// instrumentation).
-	afterUnit func(u *writeUnit)
 }
 
-// allUnits flattens the plan's groups in publish order — also the alloc and
-// fill order, so persist sequences are deterministic.
-func (pl *writePlan) allUnits() []*writeUnit {
-	var out []*writeUnit
+// units iterates the plan's units in publish order — also the alloc and fill
+// order, so persist sequences are deterministic.
+func (pl *writePlan) units(yield func(*planGroup, *writeUnit) bool) {
 	for _, g := range pl.groups {
 		for i := range g.units {
-			out = append(out, &g.units[i])
+			if !yield(g, &g.units[i]) {
+				return
+			}
 		}
 	}
-	return out
 }
 
-// failWith routes a pre-publish error to the plan's queued futures (if any)
-// and returns it.
+// failWith routes a pre-publish error to every group's completion and
+// returns it.
 func (pl *writePlan) failWith(err error) error {
-	if pl.fail != nil {
-		pl.fail(err)
+	if pl.published != nil {
+		for _, g := range pl.groups {
+			pl.published(g, err)
+		}
 	}
 	return err
 }
@@ -164,26 +149,16 @@ type commitEngine struct {
 func (p *PMEM) engine() commitEngine { return commitEngine{p: p} }
 
 // run executes a plan: alloc, fill+persist, publish. On a nil error every
-// group's metadata is published and every unit is durable.
+// group's metadata is published and every unit is durable. An alloc or fill
+// failure fails the whole plan — nothing is published yet — and leaves the
+// allocated blocks unpublished: like every post-commit failure they are
+// garbage a Compact can reclaim, never dangling pointers.
 func (e commitEngine) run(plan *writePlan) error {
-	units := plan.allUnits()
-	if len(units) == 0 {
-		return nil
+	if err := e.alloc(plan); err != nil {
+		return plan.failWith(err)
 	}
-	if err := e.alloc(plan, units); err != nil {
-		return err
-	}
-	var err error
-	switch plan.fill {
-	case fillChunked:
-		err = e.fillChunked(plan, units)
-	case fillSharded:
-		err = e.fillSharded(plan, units)
-	default:
-		err = e.fillSerial(plan, units)
-	}
-	if err != nil {
-		return err
+	if err := e.fill(plan); err != nil {
+		return plan.failWith(err)
 	}
 	return e.publish(plan)
 }
@@ -192,12 +167,12 @@ func (e commitEngine) run(plan *writePlan) error {
 // pool, pools in ascending order. Amortizing tx begin/commit across a plan's
 // units is the first of the three costs group commit and parallel stores
 // batch over per-op writes.
-func (e commitEngine) alloc(plan *writePlan, units []*writeUnit) error {
+func (e commitEngine) alloc(plan *writePlan) error {
 	p := e.p
 	clk := p.comm.Clock()
 	for pi := 0; pi < len(p.st.pools); pi++ {
 		var tx *pmdk.Tx
-		for _, u := range units {
+		for _, u := range plan.units {
 			if int(u.pool) != pi {
 				continue
 			}
@@ -205,223 +180,144 @@ func (e commitEngine) alloc(plan *writePlan, units []*writeUnit) error {
 				var err error
 				tx, err = p.st.pools[pi].Begin(clk)
 				if err != nil {
-					return plan.failWith(err)
+					return err
 				}
 			}
 			blk, err := p.st.pools[pi].Alloc(tx, u.encLen)
 			if err != nil {
 				tx.Abort()
-				return plan.failWith(err)
+				return err
 			}
 			u.blk = blk
 		}
 		if tx != nil {
 			if err := tx.Commit(); err != nil {
-				return plan.failWith(err)
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// fillSerial encodes each unit directly into its mapped block and persists
-// it with ONE barrier per unit. A merged unit's fragments encode
-// back-to-back and their CRC32Cs fold with checksum.Combine, so the
-// published CRC covers the whole block without a second pass. A mid-fill
-// failure fails the whole plan (nothing is published yet) and leaves the
-// allocated blocks unpublished — recoverable garbage.
-func (e commitEngine) fillSerial(plan *writePlan, units []*writeUnit) error {
+// fillJob is one goroutine's share of a wave: a run of one unit's fragments
+// and the range of the unit's mapped block they encode into, front to back.
+type fillJob struct {
+	u     *writeUnit
+	dst   []byte
+	frags []writeFrag
+	// tagged jobs open a whole value's block: they write the dtype tag first.
+	tagged bool
+	dtype  serial.DType
+
+	wrote int64 // bytes written, tag included
+	crc   uint32
+}
+
+// fill serializes every unit into its mapped block, wave by wave. Capturing a
+// unit (the crash simulator's pre-image) opens it and queues its jobs: one
+// over all its fragments, or — in a concurrent plan — one per fragment.
+func (e commitEngine) fill(plan *writePlan) error {
 	p := e.p
-	clk := p.comm.Clock()
-	for _, u := range units {
+	jobs := make([]fillJob, 0, max(1, plan.workers))
+	for g, u := range plan.units {
 		pool := p.poolOf(u.pool)
 		dst, err := pool.Slice(u.blk, u.encLen)
 		if err != nil {
-			return plan.failWith(err)
+			return err
 		}
 		if err := pool.Mapping().Capture(int64(u.blk), u.encLen); err != nil {
-			return plan.failWith(err)
+			return err
 		}
-		var off int64
-		if u.prefix {
-			dst[0] = byte(u.frags[0].datum.Type)
-			off = 1
+		whole := fillJob{u: u, dst: dst, frags: u.frags, tagged: g.publish == publishValueRef, dtype: g.dtype}
+		if plan.workers <= 1 {
+			if err := e.wave(plan, append(jobs, whole)); err != nil {
+				return err
+			}
+			continue
 		}
 		for fi := range u.frags {
-			frag := &u.frags[fi]
-			wrote, err := p.codec.EncodeTo(dst[off:off+frag.encLen], &frag.datum)
-			if err != nil {
-				return plan.failWith(err)
+			part := whole
+			part.frags, part.tagged = u.frags[fi:fi+1], whole.tagged && fi == 0
+			n := u.frags[fi].encLen
+			if part.tagged {
+				n++
 			}
-			// Checksum while the bytes are still hot in cache; the prefix
-			// byte's CRC folds in front of the first fragment's.
-			fcrc := checksum.Sum(dst[off : off+int64(wrote)])
-			switch {
-			case fi == 0 && u.prefix:
-				u.crc = checksum.Combine(checksum.Sum(dst[:1]), fcrc, int64(wrote))
-			case fi == 0:
-				u.crc = fcrc
-			default:
-				u.crc = checksum.Combine(u.crc, fcrc, int64(wrote))
-			}
-			off += int64(wrote)
-		}
-		u.wrote = off
-		p.chargeStoreBytes(int(u.pool), u.wrote, plan.encPasses)
-		n := u.wrote
-		if u.persistFull {
-			n = u.encLen
-		}
-		if err := pool.Mapping().Persist(clk, int64(u.blk), n, u.point); err != nil {
-			return plan.failWith(err)
-		}
-		if plan.afterUnit != nil {
-			plan.afterUnit(u)
+			part.dst, whole.dst = whole.dst[:n], whole.dst[n:]
+			jobs = append(jobs, part)
 		}
 	}
-	return nil
+	if len(jobs) == 0 {
+		return nil
+	}
+	return e.wave(plan, jobs)
 }
 
-// fillChunked cuts the plan's single identity-encoded unit into byte ranges
-// copied by concurrent workers. Workers checksum their own chunk; the
-// coordinator folds the chunk CRCs after the join so the published CRC
-// covers the whole block without a second pass.
-func (e commitEngine) fillChunked(plan *writePlan, units []*writeUnit) error {
+// wave runs one wave's jobs, folds their checksums into their units, charges
+// the wave's analytic cost once, and persists each of its units with ONE
+// barrier. Jobs touch neither the clock nor the device bookkeeping, so a
+// crash point lands before or after the whole copy wave deterministically.
+func (e commitEngine) wave(plan *writePlan, jobs []fillJob) error {
 	p := e.p
+	if err := runWave(plan.workers, e, jobs, commitEngine.encode); err != nil {
+		return err
+	}
+	var buf [8]poolBytes
+	moved := buf[:0]
+	for i := range jobs {
+		j := &jobs[i]
+		if i == 0 || jobs[i-1].u != j.u {
+			j.u.crc = j.crc
+		} else {
+			// The unit's jobs ran concurrently on adjacent ranges of its
+			// block: the one place partial CRCs have to be joined.
+			j.u.crc = checksum.Combine(j.u.crc, j.crc, j.wrote)
+		}
+		j.u.wrote += j.wrote
+		moved = append(moved, poolBytes{int(j.u.pool), j.wrote})
+		if in := p.st.ins; in.enabled && plan.workers > 1 {
+			in.shardBytes.Observe(j.wrote)
+		}
+	}
+	if p.st.opt.StagedSerialization {
+		for _, m := range moved {
+			p.chargeStoreBytes(m.pool, m.bytes, plan.encPasses)
+		}
+	} else {
+		p.chargeMove(moveStore, moved, plan.encPasses, len(jobs))
+	}
 	clk := p.comm.Clock()
-	u := units[0]
-	payload := u.frags[0].datum.Payload
-	need := u.encLen
-	pool := p.poolOf(u.pool)
-	dst, err := pool.Slice(u.blk, need)
-	if err != nil {
-		return err
-	}
-	if err := pool.Mapping().Capture(int64(u.blk), need); err != nil {
-		return err
-	}
-	dst[0] = byte(u.frags[0].datum.Type)
-	workers := plan.workers
-	if int64(workers) > need-1 {
-		workers = int(need - 1)
-	}
-	plan.workers = workers
-	chunk := (need - 1 + int64(workers) - 1) / int64(workers)
-	chunkCRC := make([]uint32, workers)
-	chunkLen := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := int64(w) * chunk
-		hi := lo + chunk
-		if hi > need-1 {
-			hi = need - 1
+	for i := range jobs {
+		u := jobs[i].u
+		if i > 0 && jobs[i-1].u == u {
+			continue
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w int, lo, hi int64) {
-			defer wg.Done()
-			copy(dst[1+lo:1+hi], payload[lo:hi])
-			chunkCRC[w] = checksum.Sum(dst[1+lo : 1+hi])
-			chunkLen[w] = hi - lo
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	// The block's CRC covers the type-prefix byte plus the chunked payload.
-	crc := checksum.Sum(dst[:1])
-	for w := 0; w < workers; w++ {
-		crc = checksum.Combine(crc, chunkCRC[w], chunkLen[w])
-	}
-	if in := p.st.ins; in.enabled {
-		in.shardBytes.Observe(chunk)
-	}
-	p.chargeParallelStore(int(u.pool), need, plan.encPasses, workers)
-	if err := pool.Mapping().Persist(clk, int64(u.blk), need, u.point); err != nil {
-		return err
-	}
-	u.wrote = need
-	u.crc = crc
-	return nil
-}
-
-// fillSharded captures every destination range up front (the crash
-// simulator's pre-images), then a worker wave encodes all units
-// concurrently. Workers touch neither the clock nor the device bookkeeping —
-// the coordinator charges the analytic striped cost and persists after the
-// join, so a crash point lands before or after the whole copy wave
-// deterministically regardless of goroutine scheduling.
-func (e commitEngine) fillSharded(plan *writePlan, units []*writeUnit) error {
-	p := e.p
-	clk := p.comm.Clock()
-	g := plan.groups[0]
-	dsts := make([][]byte, len(units))
-	for i, u := range units {
-		pool := p.poolOf(u.pool)
-		dst, err := pool.Slice(u.blk, u.encLen)
-		if err != nil {
-			return err
-		}
-		if err := pool.Mapping().Capture(int64(u.blk), u.encLen); err != nil {
-			return err
-		}
-		dsts[i] = dst
-	}
-	errs := make([]error, len(units))
-	var wg sync.WaitGroup
-	for i := range units {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			u := units[i]
-			wrote, err := p.codec.EncodeTo(dsts[i], &u.frags[0].datum)
-			u.wrote = int64(wrote)
-			errs[i] = err
-			if err == nil {
-				// Each worker checksums its own shard while the bytes are
-				// hot; shards publish as separate block records, so no
-				// combine step is needed here.
-				u.crc = checksum.Sum(dsts[i][:wrote])
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i := range units {
-		if errs[i] != nil {
-			// The allocated blocks stay unpublished; like every post-commit
-			// failure they are garbage a Compact can reclaim, never dangling
-			// pointers.
-			return fmt.Errorf("core: parallel store of %q shard %d: %w", g.id, i, errs[i])
-		}
-	}
-	if in := p.st.ins; in.enabled {
-		for _, u := range units {
-			in.shardBytes.Observe(u.wrote)
-		}
-	}
-	// Charge the striped cost: per-pool byte totals stream concurrently, so
-	// virtual time advances by the slowest stripe, not the sum.
-	npools := len(p.st.pools)
-	perPool := make([]int64, 0, npools)
-	pis := make([]int, 0, npools)
-	for pi := 0; pi < npools; pi++ {
-		var n int64
-		for _, u := range units {
-			if int(u.pool) == pi {
-				n += u.wrote
-			}
-		}
-		if n > 0 {
-			perPool = append(perPool, n)
-			pis = append(pis, pi)
-		}
-	}
-	p.chargeStripedStore(perPool, pis, plan.encPasses, len(units))
-	for _, u := range units {
 		if err := p.poolOf(u.pool).Mapping().Persist(clk, int64(u.blk), u.wrote, u.point); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// encode is the only code a fill worker runs: write the job's fragments into
+// its range through the codec, checksumming each while its bytes are still
+// hot in cache.
+func (e commitEngine) encode(j *fillJob) error {
+	var off int64
+	if j.tagged {
+		j.dst[0] = byte(j.dtype)
+		j.crc = checksum.Update(0, j.dst[:1])
+		off = 1
+	}
+	for fi := range j.frags {
+		frag := &j.frags[fi]
+		wrote, err := e.p.codec.EncodeTo(j.dst[off:off+frag.encLen], frag.datum)
+		if err != nil {
+			return err
+		}
+		j.crc = checksum.Update(j.crc, j.dst[off:off+int64(wrote)])
+		off += int64(wrote)
+	}
+	j.wrote = off
 	return nil
 }
 

@@ -175,13 +175,85 @@ func Sub(offs, base []uint64) []uint64 {
 // coordinates — from a source block (src buffer laid out as sOffs/sCnts)
 // into a destination block (dst buffer laid out as dOffs/dCnts). It is the
 // block-to-block scatter used when a read request overlaps stored blocks.
+//
+// The copy is ONE strided walk from the source layout to the destination
+// layout, with no intermediate buffer: the trailing dimensions the region
+// spans fully in BOTH layouts fold into one contiguous run, the remaining
+// outer dimensions advance an odometer that steps both byte offsets by their
+// layout's strides, and every run is bounds-checked against both buffers.
+// (CopyOut into a temporary followed by CopyIn computes the same result in
+// two passes; the tests keep that composition as the oracle.)
 func PlaceIntersection(dst []byte, dOffs, dCnts []uint64, src []byte, sOffs, sCnts,
 	isOffs, isCnts []uint64, esize int) error {
-	tmp := make([]byte, int64(Size(isCnts))*int64(esize))
-	if err := CopyOut(src, sCnts, Sub(isOffs, sOffs), isCnts, tmp, esize); err != nil {
-		return err
+	r := len(isCnts)
+	if len(isOffs) != r || len(sOffs) != r || len(sCnts) != r || len(dOffs) != r || len(dCnts) != r {
+		return fmt.Errorf("nd: rank mismatch: region %d/%d, src %d/%d, dst %d/%d: %w",
+			len(isOffs), r, len(sOffs), len(sCnts), len(dOffs), len(dCnts), ErrOutOfBounds)
 	}
-	return CopyIn(dst, dCnts, Sub(isOffs, dOffs), isCnts, tmp, esize)
+	// Per-dimension byte strides of both layouts and the odometer, on the
+	// stack for every rank the libraries use.
+	var stack [3 * 8]int64
+	work := stack[:]
+	if 3*r > len(work) {
+		work = make([]int64, 3*r)
+	}
+	sStr, dStr, idx := work[:r], work[r:2*r], work[2*r:3*r]
+	sAcc, dAcc := int64(esize), int64(esize)
+	var sOff, dOff int64 // the region's first byte in each buffer
+	empty := false
+	for i := r - 1; i >= 0; i-- {
+		n := isCnts[i]
+		if isOffs[i] < sOffs[i] || n > sCnts[i] || isOffs[i]-sOffs[i] > sCnts[i]-n ||
+			isOffs[i] < dOffs[i] || n > dCnts[i] || isOffs[i]-dOffs[i] > dCnts[i]-n {
+			return fmt.Errorf("nd: region [%d,%d) of dim %d leaves src block [%d,%d) or dst block [%d,%d): %w",
+				isOffs[i], isOffs[i]+n, i, sOffs[i], sOffs[i]+sCnts[i], dOffs[i], dOffs[i]+dCnts[i], ErrOutOfBounds)
+		}
+		empty = empty || n == 0
+		sStr[i], dStr[i] = sAcc, dAcc
+		sOff += int64(isOffs[i]-sOffs[i]) * sAcc
+		dOff += int64(isOffs[i]-dOffs[i]) * dAcc
+		sAcc *= int64(sCnts[i])
+		dAcc *= int64(dCnts[i])
+	}
+	if empty {
+		return nil
+	}
+	// The run covers the innermost dimension plus every trailing dimension
+	// that is full in both layouts; outer is the number of dimensions left to
+	// the odometer. A rank-0 region (scalar) is one run of esize bytes.
+	outer, run := 0, int64(esize)
+	if r > 0 {
+		outer, run = r-1, int64(isCnts[r-1])*int64(esize)
+		for outer > 0 && isCnts[outer] == sCnts[outer] && isCnts[outer] == dCnts[outer] {
+			outer--
+			run *= int64(isCnts[outer])
+		}
+	}
+	for {
+		if sOff < 0 || sOff+run > int64(len(src)) {
+			return fmt.Errorf("nd: run [%d,%d) exceeds src buffer %d: %w", sOff, sOff+run, len(src), ErrOutOfBounds)
+		}
+		if dOff < 0 || dOff+run > int64(len(dst)) {
+			return fmt.Errorf("nd: run [%d,%d) exceeds dst buffer %d: %w", dOff, dOff+run, len(dst), ErrOutOfBounds)
+		}
+		copy(dst[dOff:dOff+run], src[sOff:sOff+run])
+		// Odometer increment over the outer dims, carrying both offsets.
+		i := outer - 1
+		for ; i >= 0; i-- {
+			idx[i]++
+			if idx[i] < int64(isCnts[i]) {
+				sOff += sStr[i]
+				dOff += dStr[i]
+				break
+			}
+			sOff -= (idx[i] - 1) * sStr[i]
+			dOff -= (idx[i] - 1) * dStr[i]
+			idx[i] = 0
+		}
+		if i < 0 {
+			return nil
+		}
+	}
 }
 
 // Decompose splits n ranks into a balanced rank-D processor grid whose

@@ -73,8 +73,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				t.Fatal(err)
 			}
 			buf := make([]byte, c.EncodedSize(d))
-			if _, err := c.EncodeTo(buf, d); err != nil {
+			if wrote, err := c.EncodeTo(buf, d); err != nil {
 				t.Fatalf("%s: encode: %v", name, err)
+			} else if wrote != len(buf) {
+				t.Fatalf("%s: wrote %d, EncodedSize %d", name, wrote, len(buf))
 			}
 			hint := &Datum{Type: d.Type, Dims: d.Dims}
 			got, err := c.Decode(buf, hint)
