@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 vet verify race faults obs obsdeps integrity async cover apicheck leasecheck commitvet loc loccheck bench-check bench-async bench-views fuzz bench clean
+.PHONY: all build test tier1 vet verify race faults obs obsdeps integrity async cover apicheck leasecheck commitvet loc loccheck figcheck bench-check bench-async bench-views fuzz bench clean
 
 all: tier1
 
@@ -21,8 +21,9 @@ tier1: build vet test
 
 # verify is the pre-merge checklist: the tier-1 gate, the race detector, the
 # fault-injection suite, the observability gates, the integrity battery, and
-# the API-surface / lease-misuse lints, and the code-size ratchet.
-verify: tier1 race faults obs obsdeps integrity async cover apicheck leasecheck commitvet loccheck
+# the API-surface / lease-misuse lints, the code-size ratchet, and the
+# bit-exact figure rows.
+verify: tier1 race faults obs obsdeps integrity async cover apicheck leasecheck commitvet loccheck figcheck
 
 # apicheck pins the public v2 API surface: every exported declaration in
 # package pmemcpy against testdata/api_golden.txt. An intended surface change
@@ -69,11 +70,29 @@ loc:
 # module's total non-test code lines exceed the ceiling, which records the
 # figure of the last change that lowered it. A change that must grow the code
 # raises the ceiling in the same diff, where a reviewer sees it.
-LOC_CEILING ?= 16302
+LOC_CEILING ?= 15398
 loccheck:
 	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
 		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \
 			printf "non-test code lines: %s (ceiling %s)\n", t, c }'
+
+# figcheck holds the deterministic figure rows bit-exact: the one-rank Figure
+# 6/7 sweep and the one-rank fill, chunked, layout and staging ablations have
+# no scheduling in them, so their CSVs reproduce byte-for-byte run to run
+# (multi-rank rows jitter in the last digits) and are compared with the
+# committed testdata/figcheck/*.csv. A change that means to move a virtual
+# time regenerates the goldens in the same diff, where a reviewer sees it.
+FIGCHECK = $(GO) run ./cmd/pmembench -procs 1 -size 2e9 -phys 64e6
+figcheck:
+	@out=results/figcheck.tmp; rm -rf $$out; mkdir -p $$out; \
+	$(FIGCHECK) -fig all -csv $$out/fig_all.csv >/dev/null || exit 1; \
+	for a in fill chunked layout staging; do \
+		$(FIGCHECK) -ablation $$a -csv $$out/$$a.csv >/dev/null || exit 1; \
+	done; \
+	for f in fig_all fill chunked layout staging; do \
+		cmp $$out/$$f.csv testdata/figcheck/$$f.csv || { echo "figcheck FAILED: $$f.csv moved"; exit 1; }; \
+	done; \
+	rm -rf $$out; echo "figcheck: 5 one-rank CSVs byte-identical to testdata/figcheck"
 
 # Integrity battery: checksum algebra, verified reads and quarantine, the
 # scrubber, the corruption differential (flavor C: ErrCorrupt or model bytes,

@@ -10,6 +10,7 @@ import (
 	"pmemcpy/internal/harness"
 	"pmemcpy/internal/mpi"
 	"pmemcpy/internal/node"
+	"pmemcpy/internal/obs"
 	"pmemcpy/internal/serial"
 	"pmemcpy/internal/sim"
 )
@@ -31,79 +32,96 @@ type asyncCell struct {
 	batches     int64
 }
 
+// rankCase is the scaffold the E16-E18 cases share: a node of npools devices
+// sized for ranks arrays of arrayLen bytes, every rank with the pool at path
+// mapped under opts, its own uint8 array "rank<r>" allocated, and a bufLen-byte
+// pattern buffer in hand. body does the case's I/O and returns the two virtual
+// durations it timed; rankCase returns the max of each over ranks and rank 0's
+// closing metrics snapshot.
+func rankCase(cfg sim.Config, ranks, npools int, path string, opts []core.MmapOption, arrayLen, bufLen int64,
+	body func(c *mpi.Comm, p *core.PMEM, id string, buf []byte) (first, second time.Duration, err error),
+) (first, second time.Duration, snap obs.Snapshot, err error) {
+	devSize := int64(ranks)*arrayLen*3/int64(npools) + (64 << 20)
+	n := node.New(cfg, devSize, node.WithPMEMPools(npools))
+	n.Machine.SetConcurrency(ranks)
+	_, err = mpi.Run(n.Machine, ranks, func(c *mpi.Comm) error {
+		p, err := core.Mmap(c, n, path, opts...)
+		if err != nil {
+			return err
+		}
+		id := fmt.Sprintf("rank%d", c.Rank())
+		if err := p.Alloc(id, serial.Uint8, []uint64{uint64(arrayLen)}); err != nil {
+			return err
+		}
+		buf := make([]byte, bufLen)
+		for i := range buf {
+			buf[i] = byte(c.Rank() + i)
+		}
+		d1, d2, err := body(c, p, id, buf)
+		if err != nil {
+			return err
+		}
+		m1, err := c.AllreduceU64(uint64(d1), mpi.OpMax)
+		if err != nil {
+			return err
+		}
+		m2, err := c.AllreduceU64(uint64(d2), mpi.OpMax)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			first, second, snap = time.Duration(m1), time.Duration(m2), p.Metrics()
+		}
+		return p.Munmap()
+	})
+	return first, second, snap, err
+}
+
 // runAsyncCase writes perRank bytes per rank as adjacent chunk-sized
 // sub-stores of one per-rank array — synchronously, or through the submission
 // queue with the given coalesce window — and times the write (submit..drain)
 // and a full read-back, virtual time, max over ranks.
 func runAsyncCase(ranks int, cfg sim.Config, codec string, window int, async bool, chunk, perRank int64) (asyncCell, error) {
-	devSize := int64(ranks)*perRank*3 + (64 << 20)
-	n := node.New(cfg, devSize)
-	n.Machine.SetConcurrency(ranks)
-	var cell asyncCell
-	_, err := mpi.Run(n.Machine, ranks, func(c *mpi.Comm) error {
-		opts := []core.MmapOption{core.WithCodec(codec)}
-		if async {
-			opts = append(opts, core.WithAsync(), core.WithCoalesceWindow(window))
-		}
-		p, err := core.Mmap(c, n, "/e16.pool", opts...)
-		if err != nil {
-			return err
-		}
-		id := fmt.Sprintf("rank%d", c.Rank())
-		if err := p.Alloc(id, serial.Uint8, []uint64{uint64(perRank)}); err != nil {
-			return err
-		}
-		buf := make([]byte, chunk)
-		for i := range buf {
-			buf[i] = byte(c.Rank() + i)
-		}
-		t0 := c.Clock().Now()
-		if async {
+	opts := []core.MmapOption{core.WithCodec(codec)}
+	if async {
+		opts = append(opts, core.WithAsync(), core.WithCoalesceWindow(window))
+	}
+	write, read, snap, err := rankCase(cfg, ranks, 1, "/e16.pool", opts, perRank, chunk,
+		func(c *mpi.Comm, p *core.PMEM, id string, buf []byte) (wdt, rdt time.Duration, err error) {
+			t0 := c.Clock().Now()
 			for off := int64(0); off < perRank; off += chunk {
-				p.StoreBlockAsync(id, []uint64{uint64(off)}, []uint64{uint64(chunk)}, buf)
-			}
-			if err := p.Flush(context.Background()); err != nil {
-				return err
-			}
-		} else {
-			for off := int64(0); off < perRank; off += chunk {
-				if err := p.StoreBlock(id, []uint64{uint64(off)}, []uint64{uint64(chunk)}, buf); err != nil {
-					return err
+				if async {
+					p.StoreBlockAsync(id, []uint64{uint64(off)}, []uint64{uint64(chunk)}, buf)
+				} else if err := p.StoreBlock(id, []uint64{uint64(off)}, []uint64{uint64(chunk)}, buf); err != nil {
+					return 0, 0, err
 				}
 			}
-		}
-		wdt := c.Clock().Now() - t0
-		dst := make([]byte, perRank)
-		t1 := c.Clock().Now()
-		if err := p.LoadBlock(id, []uint64{0}, []uint64{uint64(perRank)}, dst); err != nil {
-			return err
-		}
-		rdt := c.Clock().Now() - t1
-		for i := range dst {
-			if dst[i] != buf[i%int(chunk)] {
-				return fmt.Errorf("read-back mismatch at byte %d", i)
+			if async {
+				if err := p.Flush(context.Background()); err != nil {
+					return 0, 0, err
+				}
 			}
-		}
-		wmx, err := c.AllreduceU64(uint64(wdt), mpi.OpMax)
-		if err != nil {
-			return err
-		}
-		rmx, err := c.AllreduceU64(uint64(rdt), mpi.OpMax)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			cell.write = time.Duration(wmx)
-			cell.read = time.Duration(rmx)
-			snap := p.Metrics()
-			cell.submitted = snap.Get("pmemcpy_async_submitted_total")
-			cell.publishes = snap.Get("pmemcpy_async_publishes_total")
-			cell.coalesced = snap.Get("pmemcpy_async_coalesced_total")
-			cell.batches = snap.Get("pmemcpy_async_batches_total")
-		}
-		return p.Munmap()
-	})
-	return cell, err
+			wdt = c.Clock().Now() - t0
+			dst := make([]byte, perRank)
+			t1 := c.Clock().Now()
+			if err := p.LoadBlock(id, []uint64{0}, []uint64{uint64(perRank)}, dst); err != nil {
+				return 0, 0, err
+			}
+			rdt = c.Clock().Now() - t1
+			for i := range dst {
+				if dst[i] != buf[i%int(chunk)] {
+					return 0, 0, fmt.Errorf("read-back mismatch at byte %d", i)
+				}
+			}
+			return wdt, rdt, nil
+		})
+	return asyncCell{
+		write: write, read: read,
+		submitted: snap.Get("pmemcpy_async_submitted_total"),
+		publishes: snap.Get("pmemcpy_async_publishes_total"),
+		coalesced: snap.Get("pmemcpy_async_coalesced_total"),
+		batches:   snap.Get("pmemcpy_async_batches_total"),
+	}, err
 }
 
 // runAsyncAblation is E16: the group-commit/coalescing experiment. Unlike E14

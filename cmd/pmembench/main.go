@@ -19,10 +19,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"pmemcpy/internal/adios"
 	"pmemcpy/internal/core"
@@ -172,163 +170,6 @@ func writeMetrics(path string, results []harness.Result) error {
 		}
 	}
 	return f.Close()
-}
-
-// runObsAblation is E14: the observability overhead experiment. The
-// instrumentation layer never touches the virtual clock, so its real cost is
-// host wall-clock only; each variant's full sweep repeats obsReps times and
-// keeps the fastest wall time, the usual defense against scheduler noise.
-// Virtual phase times carry a tiny (ppm-scale) scheduling jitter that
-// pre-dates instrumentation — which rank wins an arena steal or rebuilds a
-// variable's DRAM block index first is scheduling-dependent — so each
-// variant's virtual times are compared in ppm against the baseline's own
-// rep-to-rep jitter rather than for bit equality.
-func runObsAblation(rankCounts []int, base harness.Params) ([]harness.Result, error) {
-	const obsReps = 7
-	variants := []struct {
-		name    string
-		lib     core.Library
-		metrics bool
-	}{
-		// Counters are always on; "base" is the library as every other
-		// experiment runs it. "hist" adds latency/shape histograms (the
-		// WithMetrics surface plus per-phase snapshot capture), "trace"
-		// additionally records operation spans with device persist points.
-		{"base", core.Library{}, false},
-		{"hist", core.Library{Metrics: true}, true},
-		{"trace", core.Library{Metrics: true, Tracing: true}, true},
-	}
-	type row struct {
-		name  string
-		walls []time.Duration
-		reps  [][]harness.Result
-	}
-
-	// Untimed warmup so the first timed variant doesn't absorb one-time costs
-	// (page faults, allocator growth).
-	if _, err := harness.Sweep([]harness.Entry{{Label: variants[0].name, Lib: variants[0].lib}}, rankCounts, base); err != nil {
-		return nil, fmt.Errorf("obs ablation warmup: %w", err)
-	}
-
-	// Reps are interleaved round-robin across variants (not run as one block
-	// per variant) so slow machine drift — thermal throttling, competing
-	// load — lands on every variant equally. Overhead is the ratio of
-	// per-variant median walls, which is robust to slow or lucky outlier
-	// rounds on a shared machine.
-	rows := make([]row, len(variants))
-	for i, v := range variants {
-		rows[i].name = v.name
-	}
-	for rep := 0; rep < obsReps; rep++ {
-		for i, v := range variants {
-			p := base
-			p.Metrics = v.metrics
-			t0 := time.Now()
-			res, err := harness.Sweep([]harness.Entry{{Label: v.name, Lib: v.lib}}, rankCounts, p)
-			wall := time.Since(t0)
-			if err != nil {
-				return nil, fmt.Errorf("obs ablation %q: %w", v.name, err)
-			}
-			rows[i].walls = append(rows[i].walls, wall)
-			rows[i].reps = append(rows[i].reps, res)
-		}
-	}
-	var all []harness.Result
-	for i := range rows {
-		all = append(all, rows[i].reps[len(rows[i].reps)-1]...)
-	}
-
-	// devPPM is the worst-case relative phase-time deviation between two
-	// result sets, in parts per million, across both phases.
-	devPPM := func(a, b []harness.Result) float64 {
-		var worst float64
-		rel := func(x, y time.Duration) float64 {
-			if y == 0 {
-				return 0
-			}
-			d := 1e6 * (float64(x) - float64(y)) / float64(y)
-			if d < 0 {
-				d = -d
-			}
-			return d
-		}
-		for i := range a {
-			if d := rel(a[i].Write, b[i].Write); d > worst {
-				worst = d
-			}
-			if d := rel(a[i].Read, b[i].Read); d > worst {
-				worst = d
-			}
-		}
-		return worst
-	}
-	baseRow := rows[0]
-	ref := baseRow.reps[0]
-	var baseJitter float64
-	for _, rep := range baseRow.reps[1:] {
-		if d := devPPM(rep, ref); d > baseJitter {
-			baseJitter = d
-		}
-	}
-	median := func(v []float64) float64 {
-		s := append([]float64(nil), v...)
-		sort.Float64s(s)
-		return s[len(s)/2]
-	}
-	min := func(v []float64) float64 {
-		m := v[0]
-		for _, x := range v[1:] {
-			if x < m {
-				m = x
-			}
-		}
-		return m
-	}
-	secs := func(ws []time.Duration) []float64 {
-		out := make([]float64, len(ws))
-		for j, w := range ws {
-			out[j] = w.Seconds()
-		}
-		return out
-	}
-	baseWalls := secs(baseRow.walls)
-	fmt.Printf("E14 — OBSERVABILITY OVERHEAD (host wall-clock of the full sweep, %d interleaved rounds):\n", obsReps)
-	fmt.Printf("%-8s %10s %10s %10s  %s\n", "VARIANT", "MIN", "MEDIAN", "OVERHEAD", "VIRTUAL TIME VS BASE")
-	fmt.Println(strings.Repeat("-", 84))
-	var overheads []float64
-	for i, r := range rows {
-		walls := secs(r.walls)
-		over := "-"
-		if i != 0 {
-			// Best-of: the minimum is the least noise-contaminated sample of
-			// a CPU-bound run; everything above it is interference.
-			o := 100 * (min(walls)/min(baseWalls) - 1)
-			overheads = append(overheads, o)
-			over = fmt.Sprintf("%+.2f%%", o)
-		}
-		var dev float64
-		for _, rep := range r.reps {
-			if d := devPPM(rep, ref); d > dev {
-				dev = d
-			}
-		}
-		verdict := fmt.Sprintf("dev %.1f ppm", dev)
-		if i == 0 {
-			verdict = fmt.Sprintf("self-jitter %.1f ppm", dev)
-		}
-		fmt.Printf("%-8s %9.3fs %9.3fs %10s  %s (base self-jitter %.1f ppm)\n",
-			r.name, min(walls), median(walls), over, verdict, baseJitter)
-	}
-	noise := 100 * (median(baseWalls)/min(baseWalls) - 1)
-	fmt.Printf("machine noise floor (base median vs min): %.1f%%\n", noise)
-	worst := overheads[0]
-	for _, o := range overheads[1:] {
-		if o > worst {
-			worst = o
-		}
-	}
-	fmt.Printf("verdict: worst-case instrumentation overhead %+.2f%% (target < 2%%, noise floor %.1f%%)\n\n", worst, noise)
-	return all, nil
 }
 
 func printFigures(fig string, results []harness.Result) {

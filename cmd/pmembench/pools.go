@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"time"
@@ -8,8 +9,6 @@ import (
 	"pmemcpy/internal/core"
 	"pmemcpy/internal/harness"
 	"pmemcpy/internal/mpi"
-	"pmemcpy/internal/node"
-	"pmemcpy/internal/serial"
 	"pmemcpy/internal/sim"
 )
 
@@ -25,56 +24,25 @@ const poolsBandwidthTarget = 1.5
 // on an npools-member namespace, times the store and a full verified
 // read-back (virtual time, max over ranks), and returns both phases.
 func runPoolsCase(cfg sim.Config, ranks, npools, par int, perRank int64) (write, read time.Duration, err error) {
-	devSize := int64(ranks)*perRank*3/int64(npools) + (64 << 20)
-	n := node.New(cfg, devSize, node.WithPMEMPools(npools))
-	n.Machine.SetConcurrency(ranks)
-	_, err = mpi.Run(n.Machine, ranks, func(c *mpi.Comm) error {
-		p, err := core.Mmap(c, n, "/e17.pool",
-			core.WithCodec("raw"),
-			core.WithParallelism(par),
-			core.WithReadParallelism(par),
-			core.WithPools(npools))
-		if err != nil {
-			return err
-		}
-		id := fmt.Sprintf("rank%d", c.Rank())
-		if err := p.Alloc(id, serial.Uint8, []uint64{uint64(perRank)}); err != nil {
-			return err
-		}
-		buf := make([]byte, perRank)
-		for i := range buf {
-			buf[i] = byte(c.Rank() + i)
-		}
-		t0 := c.Clock().Now()
-		if err := p.StoreBlock(id, []uint64{0}, []uint64{uint64(perRank)}, buf); err != nil {
-			return err
-		}
-		wdt := c.Clock().Now() - t0
-		dst := make([]byte, perRank)
-		t1 := c.Clock().Now()
-		if err := p.LoadBlock(id, []uint64{0}, []uint64{uint64(perRank)}, dst); err != nil {
-			return err
-		}
-		rdt := c.Clock().Now() - t1
-		for i := range dst {
-			if dst[i] != buf[i] {
-				return fmt.Errorf("read-back mismatch at byte %d", i)
+	opts := []core.MmapOption{core.WithCodec("raw"), core.WithParallelism(par), core.WithReadParallelism(par), core.WithPools(npools)}
+	write, read, _, err = rankCase(cfg, ranks, npools, "/e17.pool", opts, perRank, perRank,
+		func(c *mpi.Comm, p *core.PMEM, id string, buf []byte) (wdt, rdt time.Duration, err error) {
+			t0 := c.Clock().Now()
+			if err := p.StoreBlock(id, []uint64{0}, []uint64{uint64(perRank)}, buf); err != nil {
+				return 0, 0, err
 			}
-		}
-		wmx, err := c.AllreduceU64(uint64(wdt), mpi.OpMax)
-		if err != nil {
-			return err
-		}
-		rmx, err := c.AllreduceU64(uint64(rdt), mpi.OpMax)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			write = time.Duration(wmx)
-			read = time.Duration(rmx)
-		}
-		return p.Munmap()
-	})
+			wdt = c.Clock().Now() - t0
+			dst := make([]byte, perRank)
+			t1 := c.Clock().Now()
+			if err := p.LoadBlock(id, []uint64{0}, []uint64{uint64(perRank)}, dst); err != nil {
+				return 0, 0, err
+			}
+			rdt = c.Clock().Now() - t1
+			if !bytes.Equal(dst, buf) {
+				return 0, 0, fmt.Errorf("read-back mismatch")
+			}
+			return wdt, rdt, nil
+		})
 	return write, read, err
 }
 

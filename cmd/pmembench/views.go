@@ -8,8 +8,6 @@ import (
 	"pmemcpy/internal/core"
 	"pmemcpy/internal/harness"
 	"pmemcpy/internal/mpi"
-	"pmemcpy/internal/node"
-	"pmemcpy/internal/serial"
 	"pmemcpy/internal/sim"
 )
 
@@ -36,77 +34,50 @@ type viewsCell struct {
 // and times reps full reads of it through the copying path and through
 // LoadBlockView (open, touch, close), virtual time, max over ranks.
 func runViewsCase(cfg sim.Config, ranks int, codec string, size int64, reps int) (viewsCell, error) {
-	devSize := int64(ranks)*size*3 + (64 << 20)
-	n := node.New(cfg, devSize)
-	n.Machine.SetConcurrency(ranks)
-	var cell viewsCell
-	_, err := mpi.Run(n.Machine, ranks, func(c *mpi.Comm) error {
-		p, err := core.Mmap(c, n, "/e18.pool", core.WithCodec(codec))
-		if err != nil {
-			return err
-		}
-		id := fmt.Sprintf("rank%d", c.Rank())
-		if err := p.Alloc(id, serial.Uint8, []uint64{uint64(size)}); err != nil {
-			return err
-		}
-		buf := make([]byte, size)
-		for i := range buf {
-			buf[i] = byte(c.Rank() + i)
-		}
-		if err := p.StoreBlock(id, []uint64{0}, []uint64{uint64(size)}, buf); err != nil {
-			return err
-		}
+	whole, extent := []uint64{0}, []uint64{uint64(size)}
+	copyT, viewT, snap, err := rankCase(cfg, ranks, 1, "/e18.pool", []core.MmapOption{core.WithCodec(codec)}, size, size,
+		func(c *mpi.Comm, p *core.PMEM, id string, buf []byte) (copyT, viewT time.Duration, err error) {
+			if err := p.StoreBlock(id, whole, extent, buf); err != nil {
+				return 0, 0, err
+			}
+			dst := make([]byte, size)
+			t0 := c.Clock().Now()
+			for r := 0; r < reps; r++ {
+				if err := p.LoadBlock(id, whole, extent, dst); err != nil {
+					return 0, 0, err
+				}
+			}
+			copyT = c.Clock().Now() - t0
+			if dst[0] != buf[0] || dst[size-1] != buf[size-1] {
+				return 0, 0, fmt.Errorf("copy read-back mismatch")
+			}
 
-		dst := make([]byte, size)
-		t0 := c.Clock().Now()
-		for r := 0; r < reps; r++ {
-			if err := p.LoadBlock(id, []uint64{0}, []uint64{uint64(size)}, dst); err != nil {
-				return err
+			t1 := c.Clock().Now()
+			for r := 0; r < reps; r++ {
+				v, err := p.LoadBlockView(id, whole, extent)
+				if err != nil {
+					return 0, 0, err
+				}
+				raw, err := v.Bytes()
+				if err != nil {
+					return 0, 0, err
+				}
+				// Touch both ends: the view is usable data, not just a handle.
+				if raw[0] != buf[0] || raw[size-1] != buf[size-1] {
+					return 0, 0, fmt.Errorf("view read-back mismatch")
+				}
+				if err := v.Close(); err != nil {
+					return 0, 0, err
+				}
 			}
-		}
-		copyT := c.Clock().Now() - t0
-		if dst[0] != buf[0] || dst[size-1] != buf[size-1] {
-			return fmt.Errorf("copy read-back mismatch")
-		}
-
-		t1 := c.Clock().Now()
-		for r := 0; r < reps; r++ {
-			v, err := p.LoadBlockView(id, []uint64{0}, []uint64{uint64(size)})
-			if err != nil {
-				return err
-			}
-			raw, err := v.Bytes()
-			if err != nil {
-				return err
-			}
-			// Touch both ends: the view is usable data, not just a handle.
-			if raw[0] != buf[0] || raw[size-1] != buf[size-1] {
-				return fmt.Errorf("view read-back mismatch")
-			}
-			if err := v.Close(); err != nil {
-				return err
-			}
-		}
-		viewT := c.Clock().Now() - t1
-
-		cmx, err := c.AllreduceU64(uint64(copyT), mpi.OpMax)
-		if err != nil {
-			return err
-		}
-		vmx, err := c.AllreduceU64(uint64(viewT), mpi.OpMax)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			cell.copyT = time.Duration(cmx) / time.Duration(reps)
-			cell.viewT = time.Duration(vmx) / time.Duration(reps)
-			snap := p.Metrics()
-			cell.zeroCopy = snap.Get("pmemcpy_view_zero_copy_total")
-			cell.fallback = snap.Get("pmemcpy_view_fallback_total")
-		}
-		return p.Munmap()
-	})
-	return cell, err
+			return copyT, c.Clock().Now() - t1, nil
+		})
+	return viewsCell{
+		copyT:    copyT / time.Duration(reps),
+		viewT:    viewT / time.Duration(reps),
+		zeroCopy: snap.Get("pmemcpy_view_zero_copy_total"),
+		fallback: snap.Get("pmemcpy_view_fallback_total"),
+	}, err
 }
 
 // runViewsAblation is E18: the zero-copy read view experiment. The copying

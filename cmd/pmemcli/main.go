@@ -30,6 +30,7 @@ import (
 	"pmemcpy"
 	"pmemcpy/internal/obs"
 	"pmemcpy/internal/sim"
+	"pmemcpy/internal/workload"
 )
 
 func main() {
@@ -90,20 +91,14 @@ func main() {
 				return err
 			}
 		}
-		for v := 0; v < 3; v++ {
-			name := fmt.Sprintf("rect%d", v)
-			gdim := uint64(*ranks) * 64
-			if err := pmemcpy.Alloc[float64](p, name, gdim); err != nil {
+		for v := 0; v < workload.DemoVars; v++ {
+			name, data, offs, counts := workload.DemoBlock(v, c.Rank())
+			if err := pmemcpy.Alloc[float64](p, name, uint64(*ranks)*workload.DemoElems); err != nil {
 				return err
 			}
-			data := make([]float64, 64)
-			off := uint64(c.Rank()) * 64
-			for i := range data {
-				data[i] = float64(v)*1e6 + float64(off) + float64(i)
-			}
 			if *async {
-				pmemcpy.StoreSubAsync(p, name, data, []uint64{off}, []uint64{64})
-			} else if err := pmemcpy.StoreSub(p, name, data, []uint64{off}, []uint64{64}); err != nil {
+				pmemcpy.StoreSubAsync(p, name, data, offs, counts)
+			} else if err := pmemcpy.StoreSub(p, name, data, offs, counts); err != nil {
 				return err
 			}
 		}
@@ -283,22 +278,15 @@ func runStats(args []string) {
 				return err
 			}
 		}
-		for v := 0; v < 3; v++ {
-			name := fmt.Sprintf("rect%d", v)
-			gdim := uint64(*ranks) * 64
-			if err := pmemcpy.Alloc[float64](p, name, gdim); err != nil {
+		for v := 0; v < workload.DemoVars; v++ {
+			name, data, offs, counts := workload.DemoBlock(v, c.Rank())
+			if err := pmemcpy.Alloc[float64](p, name, uint64(*ranks)*workload.DemoElems); err != nil {
 				return err
 			}
-			data := make([]float64, 64)
-			off := uint64(c.Rank()) * 64
-			for i := range data {
-				data[i] = float64(v)*1e6 + float64(off) + float64(i)
-			}
-			if err := pmemcpy.StoreSub(p, name, data, []uint64{off}, []uint64{64}); err != nil {
+			if err := pmemcpy.StoreSub(p, name, data, offs, counts); err != nil {
 				return err
 			}
-			dst := make([]float64, 64)
-			if err := pmemcpy.LoadSub(p, name, dst, []uint64{off}, []uint64{64}); err != nil {
+			if err := pmemcpy.LoadSub(p, name, make([]float64, len(data)), offs, counts); err != nil {
 				return err
 			}
 		}

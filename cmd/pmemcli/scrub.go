@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"pmemcpy"
+	"pmemcpy/internal/workload"
 )
 
 // runScrub is the "pmemcli scrub" subcommand: it populates the demo store,
@@ -34,18 +35,12 @@ func runScrub(args []string) {
 		if err != nil {
 			return err
 		}
-		for v := 0; v < 3; v++ {
-			name := fmt.Sprintf("rect%d", v)
-			gdim := uint64(*ranks) * 64
-			if err := pmemcpy.Alloc[float64](p, name, gdim); err != nil {
+		for v := 0; v < workload.DemoVars; v++ {
+			name, data, offs, counts := workload.DemoBlock(v, c.Rank())
+			if err := pmemcpy.Alloc[float64](p, name, uint64(*ranks)*workload.DemoElems); err != nil {
 				return err
 			}
-			data := make([]float64, 64)
-			off := uint64(c.Rank()) * 64
-			for i := range data {
-				data[i] = float64(v)*1e6 + float64(off) + float64(i)
-			}
-			if err := pmemcpy.StoreSub(p, name, data, []uint64{off}, []uint64{64}); err != nil {
+			if err := pmemcpy.StoreSub(p, name, data, offs, counts); err != nil {
 				return err
 			}
 		}
@@ -74,8 +69,8 @@ func runScrub(args []string) {
 		fmt.Printf("%s\n", rep)
 		if q := p.Quarantined(); len(q) > 0 {
 			fmt.Printf("quarantined pool offsets: %v\n", q)
-			dst := make([]float64, 64)
-			err := pmemcpy.LoadSub(p, "rect1", dst, []uint64{0}, []uint64{64})
+			dst := make([]float64, workload.DemoElems)
+			err := pmemcpy.LoadSub(p, "rect1", dst, []uint64{0}, []uint64{workload.DemoElems})
 			switch {
 			case errors.Is(err, pmemcpy.ErrCorrupt):
 				fmt.Printf("read of \"rect1\" fails fast: %v\n", err)

@@ -5,15 +5,13 @@ import (
 	"io"
 
 	"pmemcpy"
+	"pmemcpy/internal/workload"
 )
 
-// deepRanks and deepElems fix the -deep workload shape; the store contents
-// are fully deterministic, so the summary line (and, under -corrupt, the
-// damaged offsets) are stable across runs and pinned by golden files.
-const (
-	deepRanks = 2
-	deepElems = 64
-)
+// deepRanks fixes the -deep workload shape; the store contents are fully
+// deterministic, so the summary line (and, under -corrupt, the damaged
+// offsets) are stable across runs and pinned by golden files.
+const deepRanks = 2
 
 // buildStore populates a deterministic store the way the experiment harness
 // does: a few decomposed arrays plus scalar metadata, written by deepRanks
@@ -32,18 +30,12 @@ func buildStore(n *pmemcpy.Node) error {
 				return err
 			}
 		}
-		for v := 0; v < 3; v++ {
-			name := fmt.Sprintf("rect%d", v)
-			gdim := uint64(deepRanks) * deepElems
-			if err := pmemcpy.Alloc[float64](p, name, gdim); err != nil {
+		for v := 0; v < workload.DemoVars; v++ {
+			name, data, offs, counts := workload.DemoBlock(v, c.Rank())
+			if err := pmemcpy.Alloc[float64](p, name, uint64(deepRanks)*workload.DemoElems); err != nil {
 				return err
 			}
-			data := make([]float64, deepElems)
-			off := uint64(c.Rank()) * deepElems
-			for i := range data {
-				data[i] = float64(v)*1e6 + float64(off) + float64(i)
-			}
-			if err := pmemcpy.StoreSub(p, name, data, []uint64{off}, []uint64{deepElems}); err != nil {
+			if err := pmemcpy.StoreSub(p, name, data, offs, counts); err != nil {
 				return err
 			}
 		}

@@ -12,28 +12,23 @@
 //   - data is serialized into DRAM first and then copied to PMEM, one full
 //     extra pass the paper's pMEMCPY avoids by serializing directly into the
 //     mapped device (so pMEMCPY beats ADIOS by the cost of that copy).
+//
+// The file is filefmt's block log; this package adds what is ADIOS's own: the
+// staging buffer, the codec transform, and the one big write at Close.
 package adios
 
 import (
 	"bytes"
-	"encoding/binary"
-	"fmt"
-	"sort"
 
 	"pmemcpy/internal/mpi"
-	"pmemcpy/internal/nd"
 	"pmemcpy/internal/node"
 	"pmemcpy/internal/pio"
+	"pmemcpy/internal/pio/filefmt"
 	"pmemcpy/internal/posixfs"
 	"pmemcpy/internal/serial"
-	"pmemcpy/internal/sim"
 )
 
-const (
-	fileMagic  = uint64(0x314E50425F534F41) // "AOS_BPN1"
-	headerSize = 64
-	footerSize = 24
-)
+var format = filefmt.Log{Lib: "adios", Magic: 0x314E50425F534F41} // "AOS_BPN1"
 
 // Library is the pio.Library implementation for ADIOS.
 type Library struct{}
@@ -43,73 +38,27 @@ func (Library) Name() string { return "ADIOS" }
 
 // OpenWrite implements pio.Library.
 func (Library) OpenWrite(c *mpi.Comm, n *node.Node, path string) (pio.Writer, error) {
-	if c.Rank() == 0 {
-		f, err := n.FS.Create(c.Clock(), path)
-		if err != nil {
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.Barrier(); err != nil {
+	lw, err := format.Create(c, n, path, nil)
+	if err != nil {
 		return nil, err
 	}
-	return &writer{
-		comm:  c,
-		node:  n,
-		path:  path,
-		codec: serial.Default(),
-		vars:  make(map[string]pio.Var),
-	}, nil
-}
-
-type blockMeta struct {
-	name       string
-	offs       []uint64
-	counts     []uint64
-	fileOff    uint64 // absolute, filled in at Close
-	stagingOff uint64
-	encLen     uint64
+	return &writer{LogWriter: lw, node: n, path: path, codec: serial.Default()}, nil
 }
 
 type writer struct {
-	comm    *mpi.Comm
+	*filefmt.LogWriter
 	node    *node.Node
 	path    string
 	codec   serial.Codec
-	vars    map[string]pio.Var
-	order   []string
 	staging bytes.Buffer
-	blocks  []blockMeta
-	closed  bool
-}
-
-// DefineVar implements pio.Writer.
-func (w *writer) DefineVar(v pio.Var) error {
-	if err := v.Validate(); err != nil {
-		return err
-	}
-	if _, dup := w.vars[v.Name]; dup {
-		return fmt.Errorf("adios: variable %q already defined", v.Name)
-	}
-	w.vars[v.Name] = v
-	w.order = append(w.order, v.Name)
-	return nil
 }
 
 // Write implements pio.Writer: serialize the block into the BP staging
 // buffer in DRAM. No storage traffic happens until Close (delayed
 // consistency).
 func (w *writer) Write(name string, offs, counts []uint64, data []byte) error {
-	if w.closed {
-		return fmt.Errorf("adios: write after close")
-	}
-	v, ok := w.vars[name]
-	if !ok {
-		return fmt.Errorf("adios: undefined variable %q", name)
-	}
-	if err := nd.CheckBlock(v.GlobalDims, offs, counts); err != nil {
+	v, data, err := w.Begin(name, offs, counts, data)
+	if err != nil {
 		return err
 	}
 	d := &serial.Datum{Type: v.Type, Dims: counts, Payload: data}
@@ -124,434 +73,88 @@ func (w *writer) Write(name string, offs, counts []uint64, data []byte) error {
 	w.staging.Write(buf[:wrote])
 
 	// Serialization pass into DRAM: CPU encode rate bounded by the DRAM pool.
-	m := w.node.Machine
+	m := w.Comm.Machine()
 	encPasses, _ := w.codec.CostProfile()
-	cost := sim.MoveCost(int64(float64(wrote)*encPasses), m.Config().SerializeBPS,
-		m.Oversub(w.comm.Size()), m.DRAM)
-	w.comm.Clock().Advance(cost)
+	m.ChargePasses(w.Comm.Clock(), int64(wrote), encPasses, m.Config().SerializeBPS, w.Comm.Size())
 
-	w.blocks = append(w.blocks, blockMeta{
-		name:       name,
-		offs:       append([]uint64(nil), offs...),
-		counts:     append([]uint64(nil), counts...),
-		stagingOff: uint64(start),
-		encLen:     uint64(wrote),
-	})
+	// FileOff is relative to the staging buffer until Close places the buffer.
+	w.Record(filefmt.Block{Name: name, Offs: offs, Counts: counts, FileOff: uint64(start), StoredLen: uint64(wrote)})
 	return nil
 }
 
 // Close implements pio.Writer: flush the staging buffer with one large
 // independent write, then rank 0 writes the index and footer.
 func (w *writer) Close() error {
-	if w.closed {
-		return fmt.Errorf("adios: double close")
+	if err := w.Closing(); err != nil {
+		return err
 	}
-	w.closed = true
-	clk := w.comm.Clock()
-
-	mySize := uint64(w.staging.Len())
-	base, err := w.comm.ExscanU64(mySize)
+	clk := w.Comm.Clock()
+	myOff, err := w.Alloc(uint64(w.staging.Len()))
 	if err != nil {
 		return err
 	}
-	total, err := w.comm.AllreduceU64(mySize, mpi.OpSum)
-	if err != nil {
+	if w.File, err = w.node.FS.Open(clk, w.path); err != nil {
 		return err
 	}
-
-	f, err := w.node.FS.Open(clk, w.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
 	// Rank 0 provisions the file (sparse; holes are unwritten extents) and
 	// writes the file header.
-	if w.comm.Rank() == 0 {
-		if err := f.Truncate(clk, int64(headerSize+total)); err != nil {
+	if w.Comm.Rank() == 0 {
+		if err := w.File.Truncate(clk, w.Cursor); err != nil {
 			return err
 		}
-		var hdr [headerSize]byte
-		binary.LittleEndian.PutUint64(hdr[0:], fileMagic)
-		binary.LittleEndian.PutUint64(hdr[8:], total)
-		if _, err := f.WriteAt(clk, hdr[:], 0); err != nil {
+		if _, err := w.File.WriteAt(clk, format.Header(uint64(w.Cursor-filefmt.LogHeader)), 0); err != nil {
 			return err
 		}
 	}
-	if err := w.comm.Barrier(); err != nil {
+	if err := w.Comm.Barrier(); err != nil {
 		return err
 	}
-
 	// The one big copy: staging DRAM buffer -> storage, independent I/O.
-	myOff := int64(headerSize + base)
-	if mySize > 0 {
-		if _, err := f.WriteAt(clk, w.staging.Bytes(), myOff); err != nil {
+	if w.staging.Len() > 0 {
+		if _, err := w.File.WriteAt(clk, w.staging.Bytes(), myOff); err != nil {
 			return err
 		}
 	}
-	// Patch absolute offsets into the block metadata.
-	for i := range w.blocks {
-		w.blocks[i].fileOff = uint64(myOff) + w.blocks[i].stagingOff
+	for i := range w.Blocks {
+		w.Blocks[i].FileOff += uint64(myOff)
 	}
-
-	// Rank 0 gathers per-rank block tables and writes index + footer.
-	mine := encodeBlockTable(w.blocks)
-	tables, err := w.comm.Gather(0, mine)
-	if err != nil {
-		return err
-	}
-	if w.comm.Rank() == 0 {
-		var all []blockMeta
-		for _, t := range tables {
-			blocks, err := decodeBlockTable(t)
-			if err != nil {
-				return err
-			}
-			all = append(all, blocks...)
-		}
-		index, err := encodeIndex(w.orderedVars(), all)
-		if err != nil {
-			return err
-		}
-		indexOff := int64(headerSize + total)
-		if _, err := f.WriteAt(clk, index, indexOff); err != nil {
-			return err
-		}
-		var foot [footerSize]byte
-		binary.LittleEndian.PutUint64(foot[0:], uint64(indexOff))
-		binary.LittleEndian.PutUint64(foot[8:], uint64(len(index)))
-		binary.LittleEndian.PutUint64(foot[16:], fileMagic)
-		if _, err := f.WriteAt(clk, foot[:], indexOff+int64(len(index))); err != nil {
-			return err
-		}
-		if err := f.Sync(clk); err != nil {
-			return err
-		}
-	}
-	return w.comm.Barrier()
+	return w.Finish()
 }
 
-func (w *writer) orderedVars() []pio.Var {
-	out := make([]pio.Var, 0, len(w.order))
-	for _, name := range w.order {
-		out = append(out, w.vars[name])
-	}
-	return out
-}
-
-// OpenRead implements pio.Library.
+// OpenRead implements pio.Library. Rank 0 reads the index through a handle of
+// its own before every rank opens the one it reads blocks through.
 func (Library) OpenRead(c *mpi.Comm, n *node.Node, path string) (pio.Reader, error) {
 	clk := c.Clock()
-	var raw []byte
+	var f0 *posixfs.File
 	if c.Rank() == 0 {
-		f, err := n.FS.Open(clk, path)
+		var err error
+		if f0, err = n.FS.Open(clk, path); err != nil {
+			return nil, err
+		}
+		defer f0.Close()
+	}
+	r, _, err := format.ReadIndex(c, f0)
+	if err != nil {
+		return nil, err
+	}
+	if r.File, err = n.FS.Open(clk, path); err != nil {
+		return nil, err
+	}
+	codec := serial.Default()
+	_, decPasses := codec.CostProfile()
+	m := c.Machine()
+	// The double-move path the paper measures: "ADIOS requires the serialized
+	// data to be copied from PMEM into DRAM and then deserialized into another
+	// DRAM buffer."
+	r.Decode = func(v *filefmt.Var, b filefmt.Block, enc []byte) ([]byte, error) {
+		d, err := codec.Decode(enc, &serial.Datum{Type: v.Type, Dims: b.Counts})
 		if err != nil {
 			return nil, err
-		}
-		defer f.Close()
-		size := f.Size()
-		if size < footerSize {
-			return nil, fmt.Errorf("adios: file too small (%d bytes)", size)
-		}
-		var foot [footerSize]byte
-		if _, err := f.ReadAt(clk, foot[:], size-footerSize); err != nil {
-			return nil, err
-		}
-		if binary.LittleEndian.Uint64(foot[16:]) != fileMagic {
-			return nil, fmt.Errorf("adios: bad footer magic")
-		}
-		indexOff := int64(binary.LittleEndian.Uint64(foot[0:]))
-		indexLen := int64(binary.LittleEndian.Uint64(foot[8:]))
-		raw = make([]byte, indexLen)
-		if _, err := f.ReadAt(clk, raw, indexOff); err != nil {
-			return nil, err
-		}
-	}
-	raw, err := c.Bcast(0, raw)
-	if err != nil {
-		return nil, err
-	}
-	vars, blocks, err := decodeIndex(raw)
-	if err != nil {
-		return nil, err
-	}
-	f, err := n.FS.Open(clk, path)
-	if err != nil {
-		return nil, err
-	}
-	return &reader{
-		comm:   c,
-		node:   n,
-		f:      f,
-		codec:  serial.Default(),
-		vars:   vars,
-		blocks: blocks,
-	}, nil
-}
-
-type reader struct {
-	comm   *mpi.Comm
-	node   *node.Node
-	f      *posixfs.File
-	codec  serial.Codec
-	vars   map[string]pio.Var
-	blocks map[string][]blockMeta
-}
-
-// Dims implements pio.Reader.
-func (r *reader) Dims(name string) ([]uint64, error) {
-	v, ok := r.vars[name]
-	if !ok {
-		return nil, fmt.Errorf("adios: unknown variable %q", name)
-	}
-	return append([]uint64(nil), v.GlobalDims...), nil
-}
-
-// Read implements pio.Reader: locate the blocks intersecting the request,
-// copy each from storage into DRAM (kernel read), deserialize, and place the
-// intersection into dst. This is the double-move path the paper measures:
-// "ADIOS requires the serialized data to be copied from PMEM into DRAM and
-// then deserialized into another DRAM buffer."
-func (r *reader) Read(name string, offs, counts []uint64, dst []byte) error {
-	v, ok := r.vars[name]
-	if !ok {
-		return fmt.Errorf("adios: unknown variable %q", name)
-	}
-	if err := nd.CheckBlock(v.GlobalDims, offs, counts); err != nil {
-		return err
-	}
-	esize := v.ElemSize()
-	need := int64(nd.Size(counts)) * int64(esize)
-	if int64(len(dst)) < need {
-		return fmt.Errorf("adios: dst %d bytes, request needs %d", len(dst), need)
-	}
-	m := r.node.Machine
-	clk := r.comm.Clock()
-	_, decPasses := r.codec.CostProfile()
-	covered := int64(0)
-	for _, b := range r.blocks[name] {
-		isOffs, isCnts, ok := nd.Intersect(offs, counts, b.offs, b.counts)
-		if !ok {
-			continue
-		}
-		// Kernel read of the whole encoded block into DRAM.
-		enc := make([]byte, b.encLen)
-		if _, err := r.f.ReadAt(clk, enc, int64(b.fileOff)); err != nil {
-			return err
-		}
-		d, err := r.codec.Decode(enc, &serial.Datum{Type: v.Type, Dims: b.counts})
-		if err != nil {
-			return err
 		}
 		// Deserialize pass: block bytes stream through the CPU into the
 		// destination buffer.
-		clk.Advance(sim.MoveCost(int64(float64(len(d.Payload))*decPasses),
-			m.Config().DeserializeBPS, m.Oversub(r.comm.Size()), m.DRAM))
-
-		if err := nd.PlaceIntersection(dst, offs, counts, d.Payload, b.offs, b.counts,
-			isOffs, isCnts, esize); err != nil {
-			return err
-		}
-		covered += int64(nd.Size(isCnts)) * int64(esize)
+		m.ChargePasses(clk, int64(len(d.Payload)), decPasses, m.Config().DeserializeBPS, c.Size())
+		return d.Payload, nil
 	}
-	if covered < need {
-		return fmt.Errorf("adios: request on %q only covered %d of %d bytes (region never written?)",
-			name, covered, need)
-	}
-	return nil
-}
-
-// Close implements pio.Reader.
-func (r *reader) Close() error {
-	if err := r.f.Close(); err != nil {
-		return err
-	}
-	return r.comm.Barrier()
-}
-
-// --- index encoding ---
-
-func encodeBlockTable(blocks []blockMeta) []byte {
-	var buf bytes.Buffer
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(blocks)))
-	buf.Write(tmp[:4])
-	for _, b := range blocks {
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(len(b.name)))
-		buf.Write(tmp[:2])
-		buf.WriteString(b.name)
-		buf.WriteByte(byte(len(b.offs)))
-		for _, o := range b.offs {
-			binary.LittleEndian.PutUint64(tmp[:], o)
-			buf.Write(tmp[:])
-		}
-		for _, c := range b.counts {
-			binary.LittleEndian.PutUint64(tmp[:], c)
-			buf.Write(tmp[:])
-		}
-		binary.LittleEndian.PutUint64(tmp[:], b.fileOff)
-		buf.Write(tmp[:])
-		binary.LittleEndian.PutUint64(tmp[:], b.encLen)
-		buf.Write(tmp[:])
-	}
-	return buf.Bytes()
-}
-
-func decodeBlockTable(raw []byte) ([]blockMeta, error) {
-	rd := bytes.NewReader(raw)
-	var n uint32
-	if err := binary.Read(rd, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("adios: block table: %w", err)
-	}
-	out := make([]blockMeta, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var nameLen uint16
-		if err := binary.Read(rd, binary.LittleEndian, &nameLen); err != nil {
-			return nil, err
-		}
-		nameBuf := make([]byte, nameLen)
-		if _, err := rd.Read(nameBuf); err != nil {
-			return nil, err
-		}
-		ndims, err := rd.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		b := blockMeta{name: string(nameBuf), offs: make([]uint64, ndims), counts: make([]uint64, ndims)}
-		for j := range b.offs {
-			if err := binary.Read(rd, binary.LittleEndian, &b.offs[j]); err != nil {
-				return nil, err
-			}
-		}
-		for j := range b.counts {
-			if err := binary.Read(rd, binary.LittleEndian, &b.counts[j]); err != nil {
-				return nil, err
-			}
-		}
-		if err := binary.Read(rd, binary.LittleEndian, &b.fileOff); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(rd, binary.LittleEndian, &b.encLen); err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
-}
-
-func encodeIndex(vars []pio.Var, blocks []blockMeta) ([]byte, error) {
-	var buf bytes.Buffer
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(vars)))
-	buf.Write(tmp[:4])
-	byVar := make(map[string][]blockMeta)
-	for _, b := range blocks {
-		byVar[b.name] = append(byVar[b.name], b)
-	}
-	for _, v := range vars {
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(len(v.Name)))
-		buf.Write(tmp[:2])
-		buf.WriteString(v.Name)
-		buf.WriteByte(byte(v.Type))
-		buf.WriteByte(byte(len(v.GlobalDims)))
-		for _, d := range v.GlobalDims {
-			binary.LittleEndian.PutUint64(tmp[:], d)
-			buf.Write(tmp[:])
-		}
-		vb := byVar[v.Name]
-		sort.Slice(vb, func(i, j int) bool { return vb[i].fileOff < vb[j].fileOff })
-		buf.Write(encodeBlockTable(vb))
-		delete(byVar, v.Name)
-	}
-	if len(byVar) > 0 {
-		return nil, fmt.Errorf("adios: %d blocks reference undefined variables", len(byVar))
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeIndex(raw []byte) (map[string]pio.Var, map[string][]blockMeta, error) {
-	vars := make(map[string]pio.Var)
-	blocks := make(map[string][]blockMeta)
-	pos := 0
-	if len(raw) < 4 {
-		return nil, nil, fmt.Errorf("adios: index truncated")
-	}
-	nvars := binary.LittleEndian.Uint32(raw[pos:])
-	pos += 4
-	for i := uint32(0); i < nvars; i++ {
-		if pos+2 > len(raw) {
-			return nil, nil, fmt.Errorf("adios: index truncated")
-		}
-		nameLen := int(binary.LittleEndian.Uint16(raw[pos:]))
-		pos += 2
-		if pos+nameLen+2 > len(raw) {
-			return nil, nil, fmt.Errorf("adios: index truncated")
-		}
-		name := string(raw[pos : pos+nameLen])
-		pos += nameLen
-		v := pio.Var{Name: name, Type: serial.DType(raw[pos])}
-		ndims := int(raw[pos+1])
-		pos += 2
-		if pos+8*ndims > len(raw) {
-			return nil, nil, fmt.Errorf("adios: index truncated")
-		}
-		v.GlobalDims = make([]uint64, ndims)
-		for j := range v.GlobalDims {
-			v.GlobalDims[j] = binary.LittleEndian.Uint64(raw[pos:])
-			pos += 8
-		}
-		vars[name] = v
-		// The block table length isn't framed; decode incrementally.
-		bt, consumed, err := decodeBlockTablePrefix(raw[pos:])
-		if err != nil {
-			return nil, nil, err
-		}
-		pos += consumed
-		blocks[name] = bt
-	}
-	return vars, blocks, nil
-}
-
-// decodeBlockTablePrefix decodes a block table from the front of raw and
-// returns how many bytes it consumed.
-func decodeBlockTablePrefix(raw []byte) ([]blockMeta, int, error) {
-	if len(raw) < 4 {
-		return nil, 0, fmt.Errorf("adios: block table truncated")
-	}
-	n := binary.LittleEndian.Uint32(raw)
-	pos := 4
-	out := make([]blockMeta, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if pos+2 > len(raw) {
-			return nil, 0, fmt.Errorf("adios: block table truncated")
-		}
-		nameLen := int(binary.LittleEndian.Uint16(raw[pos:]))
-		pos += 2
-		if pos+nameLen+1 > len(raw) {
-			return nil, 0, fmt.Errorf("adios: block table truncated")
-		}
-		name := string(raw[pos : pos+nameLen])
-		pos += nameLen
-		ndims := int(raw[pos])
-		pos++
-		need := 8*2*ndims + 16
-		if pos+need > len(raw) {
-			return nil, 0, fmt.Errorf("adios: block table truncated")
-		}
-		b := blockMeta{name: name, offs: make([]uint64, ndims), counts: make([]uint64, ndims)}
-		for j := range b.offs {
-			b.offs[j] = binary.LittleEndian.Uint64(raw[pos:])
-			pos += 8
-		}
-		for j := range b.counts {
-			b.counts[j] = binary.LittleEndian.Uint64(raw[pos:])
-			pos += 8
-		}
-		b.fileOff = binary.LittleEndian.Uint64(raw[pos:])
-		pos += 8
-		b.encLen = binary.LittleEndian.Uint64(raw[pos:])
-		pos += 8
-		out = append(out, b)
-	}
-	return out, pos, nil
+	return r, nil
 }

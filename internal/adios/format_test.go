@@ -4,21 +4,22 @@ import (
 	"testing"
 
 	"pmemcpy/internal/pio"
+	"pmemcpy/internal/pio/filefmt"
 	"pmemcpy/internal/serial"
 )
 
-func sampleBlocks() []blockMeta {
-	return []blockMeta{
-		{name: "rect0", offs: []uint64{0, 0}, counts: []uint64{4, 8}, fileOff: 64, encLen: 300},
-		{name: "rect0", offs: []uint64{4, 0}, counts: []uint64{4, 8}, fileOff: 364, encLen: 300},
-		{name: "rect1", offs: []uint64{0}, counts: []uint64{128}, fileOff: 664, encLen: 1100},
+func sampleBlocks() []filefmt.Block {
+	return []filefmt.Block{
+		{Name: "rect0", Offs: []uint64{0, 0}, Counts: []uint64{4, 8}, FileOff: 64, StoredLen: 300},
+		{Name: "rect0", Offs: []uint64{4, 0}, Counts: []uint64{4, 8}, FileOff: 364, StoredLen: 300},
+		{Name: "rect1", Offs: []uint64{0}, Counts: []uint64{128}, FileOff: 664, StoredLen: 1100},
 	}
 }
 
 func TestBlockTableRoundTrip(t *testing.T) {
 	in := sampleBlocks()
-	raw := encodeBlockTable(in)
-	out, err := decodeBlockTable(raw)
+	raw := format.EncodeTable(in)
+	out, err := format.DecodeTable(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +28,11 @@ func TestBlockTableRoundTrip(t *testing.T) {
 	}
 	for i := range in {
 		a, b := in[i], out[i]
-		if a.name != b.name || a.fileOff != b.fileOff || a.encLen != b.encLen {
+		if a.Name != b.Name || a.FileOff != b.FileOff || a.StoredLen != b.StoredLen {
 			t.Fatalf("block %d mismatch: %+v vs %+v", i, a, b)
 		}
-		for d := range a.offs {
-			if a.offs[d] != b.offs[d] || a.counts[d] != b.counts[d] {
+		for d := range a.Offs {
+			if a.Offs[d] != b.Offs[d] || a.Counts[d] != b.Counts[d] {
 				t.Fatalf("block %d dims mismatch", i)
 			}
 		}
@@ -39,15 +40,15 @@ func TestBlockTableRoundTrip(t *testing.T) {
 }
 
 func TestIndexRoundTrip(t *testing.T) {
-	vars := []pio.Var{
-		{Name: "rect0", Type: serial.Float64, GlobalDims: []uint64{8, 8}},
-		{Name: "rect1", Type: serial.Int32, GlobalDims: []uint64{128}},
+	vars := []*filefmt.Var{
+		{Var: pio.Var{Name: "rect0", Type: serial.Float64, GlobalDims: []uint64{8, 8}}},
+		{Var: pio.Var{Name: "rect1", Type: serial.Int32, GlobalDims: []uint64{128}}},
 	}
-	raw, err := encodeIndex(vars, sampleBlocks())
+	raw, err := format.EncodeIndex(vars, "", sampleBlocks())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotVars, gotBlocks, err := decodeIndex(raw)
+	gotVars, _, gotBlocks, err := format.DecodeIndex(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,28 +59,28 @@ func TestIndexRoundTrip(t *testing.T) {
 	if gotVars["rect1"].Type != serial.Int32 || gotVars["rect0"].GlobalDims[1] != 8 {
 		t.Fatalf("vars = %+v", gotVars)
 	}
-	// Blocks within a variable come back sorted by file offset.
-	if gotBlocks["rect0"][0].fileOff > gotBlocks["rect0"][1].fileOff {
-		t.Fatal("blocks not sorted by file offset")
+	// Blocks within a variable come back in file-offset order.
+	if gotBlocks["rect0"][0].FileOff > gotBlocks["rect0"][1].FileOff {
+		t.Fatal("blocks not in file-offset order")
 	}
 }
 
 func TestIndexRejectsOrphanBlocks(t *testing.T) {
-	vars := []pio.Var{{Name: "known", Type: serial.Float64, GlobalDims: []uint64{4}}}
-	blocks := []blockMeta{{name: "unknown", offs: []uint64{0}, counts: []uint64{4}}}
-	if _, err := encodeIndex(vars, blocks); err == nil {
+	vars := []*filefmt.Var{{Var: pio.Var{Name: "known", Type: serial.Float64, GlobalDims: []uint64{4}}}}
+	blocks := []filefmt.Block{{Name: "unknown", Offs: []uint64{0}, Counts: []uint64{4}}}
+	if _, err := format.EncodeIndex(vars, "", blocks); err == nil {
 		t.Fatal("orphan blocks accepted")
 	}
 }
 
 func TestIndexTruncationRejected(t *testing.T) {
-	vars := []pio.Var{{Name: "v", Type: serial.Float64, GlobalDims: []uint64{4}}}
-	raw, err := encodeIndex(vars, nil)
+	vars := []*filefmt.Var{{Var: pio.Var{Name: "v", Type: serial.Float64, GlobalDims: []uint64{4}}}}
+	raw, err := format.EncodeIndex(vars, "", sampleBlocks()[:0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{1, 3, len(raw) - 1} {
-		if _, _, err := decodeIndex(raw[:cut]); err == nil {
+	for cut := range raw {
+		if _, _, _, err := format.DecodeIndex(raw[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}

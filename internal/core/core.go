@@ -558,8 +558,7 @@ func (p *PMEM) homeHT(id string) *pmdk.Hashtable {
 func (p *PMEM) chargeStoreBytes(pi int, n int64, passes float64) {
 	m := p.node.Machine
 	clk := p.comm.Clock()
-	clk.Advance(sim.MoveCost(int64(float64(n)*passes), m.Config().SerializeBPS,
-		m.Oversub(p.comm.Size()), m.DRAM))
+	m.ChargePasses(clk, n, passes, m.Config().SerializeBPS, p.comm.Size())
 	p.st.pools[pi].Mapping().ChargeWrite(clk, n)
 }
 

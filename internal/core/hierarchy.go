@@ -119,21 +119,6 @@ func (h *hierStore) keys(clk *sim.Clock) ([]string, error) {
 	return out, nil
 }
 
-// chargeStagedEncode accounts serializing into a DRAM buffer (the
-// hierarchical layout writes through the kernel path, so it cannot encode
-// straight into the device).
-func (h *hierStore) chargeStagedEncode(p *PMEM, n int64, passes float64) {
-	m := h.node.Machine
-	p.comm.Clock().Advance(sim.MoveCost(int64(float64(n)*passes),
-		m.Config().SerializeBPS, m.Oversub(p.comm.Size()), m.DRAM))
-}
-
-func (h *hierStore) chargeStagedDecode(p *PMEM, n int64, passes float64) {
-	m := h.node.Machine
-	p.comm.Clock().Advance(sim.MoveCost(int64(float64(n)*passes),
-		m.Config().DeserializeBPS, m.Oversub(p.comm.Size()), m.DRAM))
-}
-
 // storeDatum writes one whole value as a single-record file: a staged plan
 // whose frame is the 1-byte type prefix, executed by the commit engine.
 func (h *hierStore) storeDatum(p *PMEM, id string, d *serial.Datum) error {

@@ -526,8 +526,9 @@ func (e readEngine) scatter(pl *readPlan, units []readUnit, decPasses float64) e
 func (e readEngine) chargeWave(wave []readUnit, decPasses float64, workers int) {
 	p := e.p
 	if p.st.opt.Layout == LayoutHierarchy {
+		m := p.node.Machine
 		for i := range wave {
-			p.st.hier.chargeStagedDecode(p, wave[i].src.encLen, decPasses)
+			m.ChargePasses(p.comm.Clock(), wave[i].src.encLen, decPasses, m.Config().DeserializeBPS, p.comm.Size())
 		}
 		return
 	}

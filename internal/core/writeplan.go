@@ -473,7 +473,10 @@ func (e commitEngine) runStaged(h *hierStore, plan *stagedPlan) error {
 		binary.LittleEndian.PutUint64(enc[hdrLen-8:], uint64(wrote))
 	}
 	total := int64(hdrLen) + int64(wrote)
-	h.chargeStagedEncode(p, total, encPasses)
+	// Serializing into a DRAM buffer: the hierarchical layout writes through
+	// the kernel path, so it cannot encode straight into the device.
+	m := p.node.Machine
+	m.ChargePasses(p.comm.Clock(), total, encPasses, m.Config().SerializeBPS, p.comm.Size())
 
 	lock := p.varLock(plan.id)
 	lock.Lock()

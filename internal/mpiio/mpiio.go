@@ -225,8 +225,7 @@ func eachChunk(b []byte, fn func(off int64, data []byte) error) error {
 // chargePack accounts a pack/unpack pass over n bytes (CPU + DRAM).
 func (f *File) chargePack(n int64) {
 	m := f.comm.Machine()
-	cfg := m.Config()
-	f.comm.Clock().Advance(sim.MoveCost(n, cfg.PackBPS, m.Oversub(f.comm.Size()), m.DRAM))
+	m.ChargePasses(f.comm.Clock(), n, 1, m.Config().PackBPS, f.comm.Size())
 }
 
 // WriteAtAll performs a two-phase collective write: this rank contributes p

@@ -1,17 +1,13 @@
 package netcdf
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"pmemcpy/internal/filter"
 	"pmemcpy/internal/mpi"
-	"pmemcpy/internal/nd"
 	"pmemcpy/internal/node"
 	"pmemcpy/internal/pio"
-	"pmemcpy/internal/posixfs"
-	"pmemcpy/internal/serial"
-	"pmemcpy/internal/sim"
+	"pmemcpy/internal/pio/filefmt"
 )
 
 // Chunked mode, the HDF5 alternative to the default contiguous layout that
@@ -29,33 +25,14 @@ import (
 // filter, and scatter the intersection — no rearrangement communication,
 // which is why chunked mode trades NetCDF's contiguous-read friendliness for
 // write locality.
-const (
-	chunkedMagic  = uint64(0x4B4E484335464448) // "HDF5CHNK"
-	chunkedHdr    = 64
-	chunkedFooter = 24
-)
-
-type chunkMeta struct {
-	name      string
-	offs      []uint64
-	counts    []uint64
-	fileOff   uint64
-	storedLen uint64
-	rawLen    uint64
-	filtered  bool
-}
+//
+// The file is filefmt's block log; what is chunked mode's own is the
+// per-write allocation and the filter transform.
+var chunkFormat = filefmt.Log{Lib: "netcdf", Magic: 0x4B4E484335464448, Filtered: true} // "HDF5CHNK"
 
 type chunkedWriter struct {
-	lib    Library
-	comm   *mpi.Comm
-	node   *node.Node
-	f      *posixfs.File
-	flt    filter.Filter
-	vars   map[string]*varInfo
-	order  []string
-	cursor int64 // next free file offset (identical on all ranks)
-	chunks []chunkMeta
-	closed bool
+	*filefmt.LogWriter
+	flt filter.Filter
 }
 
 // openChunkedWrite builds the chunked-mode writer.
@@ -64,211 +41,74 @@ func (l Library) openChunkedWrite(c *mpi.Comm, n *node.Node, path string) (pio.W
 	if err != nil {
 		return nil, err
 	}
-	clk := c.Clock()
-	if c.Rank() == 0 {
-		f, err := n.FS.Create(clk, path)
-		if err != nil {
-			return nil, err
-		}
-		var hdr [chunkedHdr]byte
-		binary.LittleEndian.PutUint64(hdr[:], chunkedMagic)
-		if _, err := f.WriteAt(clk, hdr[:], 0); err != nil {
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.Barrier(); err != nil {
-		return nil, err
-	}
-	f, err := n.FS.Open(clk, path)
+	lw, err := chunkFormat.Create(c, n, path, chunkFormat.Header(0))
 	if err != nil {
 		return nil, err
 	}
-	return &chunkedWriter{
-		lib:    l,
-		comm:   c,
-		node:   n,
-		f:      f,
-		flt:    flt,
-		vars:   make(map[string]*varInfo),
-		cursor: chunkedHdr,
-	}, nil
+	lw.Filter = l.Filter
+	if lw.File, err = n.FS.Open(c.Clock(), path); err != nil {
+		return nil, err
+	}
+	return &chunkedWriter{LogWriter: lw, flt: flt}, nil
+}
+
+// chargeLibrary accounts n bytes streamed through the library's internal
+// processing the given number of times (CPU- and DRAM-bound).
+func chargeLibrary(c *mpi.Comm, n uint64, passes float64) {
+	m := c.Machine()
+	m.ChargePasses(c.Clock(), int64(n), passes, m.Config().PackBPS, c.Size())
 }
 
 // DefineVar implements pio.Writer.
 func (w *chunkedWriter) DefineVar(v pio.Var) error {
-	if err := v.Validate(); err != nil {
+	if err := w.LogWriter.DefineVar(v); err != nil {
 		return err
 	}
-	if _, dup := w.vars[v.Name]; dup {
-		return fmt.Errorf("netcdf: variable %q already defined", v.Name)
-	}
-	w.vars[v.Name] = &varInfo{Var: v}
-	w.order = append(w.order, v.Name)
-	w.comm.Clock().Advance(w.node.Machine.Config().MetaOp)
+	w.Comm.Clock().Advance(w.Comm.Machine().Config().MetaOp)
 	return nil
 }
 
 // Write implements pio.Writer: the block becomes one filtered chunk;
 // collective space allocation, independent chunk write.
 func (w *chunkedWriter) Write(name string, offs, counts []uint64, data []byte) error {
-	if w.closed {
-		return fmt.Errorf("netcdf: write after close")
-	}
-	vi, ok := w.vars[name]
-	if !ok {
-		return fmt.Errorf("netcdf: undefined variable %q", name)
-	}
-	if err := nd.CheckBlock(vi.GlobalDims, offs, counts); err != nil {
+	_, raw, err := w.Begin(name, offs, counts, data)
+	if err != nil {
 		return err
-	}
-	esize := vi.ElemSize()
-	raw := int64(nd.Size(counts)) * int64(esize)
-	if int64(len(data)) < raw {
-		return fmt.Errorf("netcdf: data %d bytes, chunk needs %d", len(data), raw)
 	}
 	// HDF5 internal hyperslab + datatype passes, as in contiguous mode.
-	chargeLibraryPasses(w.comm, w.node, raw, 2)
-
-	payload := data[:raw]
-	filtered := false
+	chargeLibrary(w.Comm, uint64(len(raw)), 2)
+	b := filefmt.Block{Name: name, Offs: offs, Counts: counts, RawLen: uint64(len(raw))}
+	payload := raw
 	if w.flt != nil {
-		enc, err := w.flt.Encode(nil, payload)
+		enc, err := w.flt.Encode(nil, raw)
 		if err != nil {
 			return err
 		}
-		m := w.node.Machine
-		w.comm.Clock().Advance(sim.MoveCost(int64(float64(raw)*w.flt.Passes()),
-			m.Config().PackBPS, m.Oversub(w.comm.Size()), m.DRAM))
-		if len(enc) < len(payload) {
-			payload = enc
-			filtered = true
+		chargeLibrary(w.Comm, b.RawLen, w.flt.Passes())
+		if len(enc) < len(raw) {
+			payload, b.Filtered = enc, true
 		}
 	}
-
-	// Collective allocation: exclusive scan of stored sizes.
-	mine := uint64(len(payload))
-	base, err := w.comm.ExscanU64(mine)
+	b.StoredLen = uint64(len(payload))
+	off, err := w.Alloc(b.StoredLen)
 	if err != nil {
 		return err
 	}
-	total, err := w.comm.AllreduceU64(mine, mpi.OpSum)
-	if err != nil {
+	if _, err := w.File.WriteAt(w.Comm.Clock(), payload, off); err != nil {
 		return err
 	}
-	myOff := w.cursor + int64(base)
-	w.cursor += int64(total)
-
-	if _, err := w.f.WriteAt(w.comm.Clock(), payload, myOff); err != nil {
-		return err
-	}
-	w.chunks = append(w.chunks, chunkMeta{
-		name:      name,
-		offs:      append([]uint64(nil), offs...),
-		counts:    append([]uint64(nil), counts...),
-		fileOff:   uint64(myOff),
-		storedLen: mine,
-		rawLen:    uint64(raw),
-		filtered:  filtered,
-	})
+	b.FileOff = uint64(off)
+	w.Record(b)
 	return nil
-}
-
-// Close implements pio.Writer: rank 0 appends the chunk index and footer.
-func (w *chunkedWriter) Close() error {
-	if w.closed {
-		return fmt.Errorf("netcdf: double close")
-	}
-	w.closed = true
-	clk := w.comm.Clock()
-	tables, err := w.comm.Gather(0, encodeChunkTable(w.chunks))
-	if err != nil {
-		return err
-	}
-	if w.comm.Rank() == 0 {
-		var all []chunkMeta
-		for _, t := range tables {
-			chunks, err := decodeChunkTable(t)
-			if err != nil {
-				return err
-			}
-			all = append(all, chunks...)
-		}
-		index, err := encodeChunkIndex(w.orderedVars(), w.lib.Filter, all)
-		if err != nil {
-			return err
-		}
-		if _, err := w.f.WriteAt(clk, index, w.cursor); err != nil {
-			return err
-		}
-		var foot [chunkedFooter]byte
-		binary.LittleEndian.PutUint64(foot[0:], uint64(w.cursor))
-		binary.LittleEndian.PutUint64(foot[8:], uint64(len(index)))
-		binary.LittleEndian.PutUint64(foot[16:], chunkedMagic)
-		if _, err := w.f.WriteAt(clk, foot[:], w.cursor+int64(len(index))); err != nil {
-			return err
-		}
-		if err := w.f.Sync(clk); err != nil {
-			return err
-		}
-	}
-	if err := w.comm.Barrier(); err != nil {
-		return err
-	}
-	return w.f.Close()
-}
-
-func (w *chunkedWriter) orderedVars() []*varInfo {
-	out := make([]*varInfo, 0, len(w.order))
-	for _, name := range w.order {
-		out = append(out, w.vars[name])
-	}
-	return out
-}
-
-type chunkedReader struct {
-	comm   *mpi.Comm
-	node   *node.Node
-	f      *posixfs.File
-	flt    filter.Filter
-	vars   map[string]*varInfo
-	chunks map[string][]chunkMeta
 }
 
 // openChunkedRead parses the chunk index.
 func (l Library) openChunkedRead(c *mpi.Comm, n *node.Node, path string) (pio.Reader, error) {
-	clk := c.Clock()
-	f, err := n.FS.Open(clk, path)
+	f, err := n.FS.Open(c.Clock(), path)
 	if err != nil {
 		return nil, err
 	}
-	var raw []byte
-	if c.Rank() == 0 {
-		size := f.Size()
-		if size < chunkedFooter {
-			return nil, fmt.Errorf("netcdf: chunked file too small")
-		}
-		var foot [chunkedFooter]byte
-		if _, err := f.ReadAt(clk, foot[:], size-chunkedFooter); err != nil {
-			return nil, err
-		}
-		if binary.LittleEndian.Uint64(foot[16:]) != chunkedMagic {
-			return nil, fmt.Errorf("netcdf: bad chunked footer")
-		}
-		idxOff := int64(binary.LittleEndian.Uint64(foot[0:]))
-		idxLen := int64(binary.LittleEndian.Uint64(foot[8:]))
-		raw = make([]byte, idxLen)
-		if _, err := f.ReadAt(clk, raw, idxOff); err != nil {
-			return nil, err
-		}
-	}
-	raw, err = c.Bcast(0, raw)
-	if err != nil {
-		return nil, err
-	}
-	vars, fltSpec, chunks, err := decodeChunkIndex(raw)
+	r, fltSpec, err := chunkFormat.ReadIndex(c, f)
 	if err != nil {
 		return nil, err
 	}
@@ -276,241 +116,17 @@ func (l Library) openChunkedRead(c *mpi.Comm, n *node.Node, path string) (pio.Re
 	if err != nil {
 		return nil, err
 	}
-	return &chunkedReader{comm: c, node: n, f: f, flt: flt, vars: vars, chunks: chunks}, nil
-}
-
-// Dims implements pio.Reader.
-func (r *chunkedReader) Dims(name string) ([]uint64, error) {
-	vi, ok := r.vars[name]
-	if !ok {
-		return nil, fmt.Errorf("netcdf: unknown variable %q", name)
+	r.File = f
+	r.RequestPasses = 1
+	r.Decode = func(v *filefmt.Var, ch filefmt.Block, stored []byte) ([]byte, error) {
+		if !ch.Filtered {
+			return stored, nil
+		}
+		if flt == nil {
+			return nil, fmt.Errorf("netcdf: chunk of %q filtered but index names no filter", v.Name)
+		}
+		chargeLibrary(c, ch.RawLen, flt.Passes())
+		return flt.Decode(stored, int(ch.RawLen))
 	}
-	return append([]uint64(nil), vi.GlobalDims...), nil
-}
-
-// Read implements pio.Reader: gather intersecting chunks, defilter, place.
-func (r *chunkedReader) Read(name string, offs, counts []uint64, dst []byte) error {
-	vi, ok := r.vars[name]
-	if !ok {
-		return fmt.Errorf("netcdf: unknown variable %q", name)
-	}
-	if err := nd.CheckBlock(vi.GlobalDims, offs, counts); err != nil {
-		return err
-	}
-	esize := vi.ElemSize()
-	need := int64(nd.Size(counts)) * int64(esize)
-	if int64(len(dst)) < need {
-		return fmt.Errorf("netcdf: dst %d bytes, request needs %d", len(dst), need)
-	}
-	chargeLibraryPasses(r.comm, r.node, need, 1)
-	clk := r.comm.Clock()
-	m := r.node.Machine
-	covered := int64(0)
-	for _, ch := range r.chunks[name] {
-		isOffs, isCnts, okIs := nd.Intersect(offs, counts, ch.offs, ch.counts)
-		if !okIs {
-			continue
-		}
-		stored := make([]byte, ch.storedLen)
-		if _, err := r.f.ReadAt(clk, stored, int64(ch.fileOff)); err != nil {
-			return err
-		}
-		payload := stored
-		if ch.filtered {
-			if r.flt == nil {
-				return fmt.Errorf("netcdf: chunk of %q filtered but index names no filter", name)
-			}
-			dec, err := r.flt.Decode(stored, int(ch.rawLen))
-			if err != nil {
-				return err
-			}
-			clk.Advance(sim.MoveCost(int64(float64(ch.rawLen)*r.flt.Passes()),
-				m.Config().PackBPS, m.Oversub(r.comm.Size()), m.DRAM))
-			payload = dec
-		}
-		if err := nd.PlaceIntersection(dst, offs, counts, payload, ch.offs, ch.counts,
-			isOffs, isCnts, esize); err != nil {
-			return err
-		}
-		covered += int64(nd.Size(isCnts)) * int64(esize)
-	}
-	if covered < need {
-		return fmt.Errorf("netcdf: request on %q only covered %d of %d bytes", name, covered, need)
-	}
-	return nil
-}
-
-// Close implements pio.Reader.
-func (r *chunkedReader) Close() error {
-	if err := r.comm.Barrier(); err != nil {
-		return err
-	}
-	return r.f.Close()
-}
-
-// --- chunk table / index encoding ---
-
-func encodeChunkTable(chunks []chunkMeta) []byte {
-	var buf []byte
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(chunks)))
-	buf = append(buf, tmp[:4]...)
-	for _, ch := range chunks {
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(len(ch.name)))
-		buf = append(buf, tmp[:2]...)
-		buf = append(buf, ch.name...)
-		buf = append(buf, byte(len(ch.offs)))
-		for _, o := range ch.offs {
-			binary.LittleEndian.PutUint64(tmp[:], o)
-			buf = append(buf, tmp[:]...)
-		}
-		for _, c := range ch.counts {
-			binary.LittleEndian.PutUint64(tmp[:], c)
-			buf = append(buf, tmp[:]...)
-		}
-		for _, v := range []uint64{ch.fileOff, ch.storedLen, ch.rawLen} {
-			binary.LittleEndian.PutUint64(tmp[:], v)
-			buf = append(buf, tmp[:]...)
-		}
-		if ch.filtered {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
-}
-
-func decodeChunkTablePrefix(raw []byte) ([]chunkMeta, int, error) {
-	if len(raw) < 4 {
-		return nil, 0, fmt.Errorf("netcdf: chunk table truncated")
-	}
-	n := binary.LittleEndian.Uint32(raw)
-	pos := 4
-	out := make([]chunkMeta, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if pos+2 > len(raw) {
-			return nil, 0, fmt.Errorf("netcdf: chunk table truncated")
-		}
-		nameLen := int(binary.LittleEndian.Uint16(raw[pos:]))
-		pos += 2
-		if pos+nameLen+1 > len(raw) {
-			return nil, 0, fmt.Errorf("netcdf: chunk table truncated")
-		}
-		ch := chunkMeta{name: string(raw[pos : pos+nameLen])}
-		pos += nameLen
-		ndims := int(raw[pos])
-		pos++
-		if pos+16*ndims+25 > len(raw) {
-			return nil, 0, fmt.Errorf("netcdf: chunk table truncated")
-		}
-		ch.offs = make([]uint64, ndims)
-		ch.counts = make([]uint64, ndims)
-		for j := range ch.offs {
-			ch.offs[j] = binary.LittleEndian.Uint64(raw[pos:])
-			pos += 8
-		}
-		for j := range ch.counts {
-			ch.counts[j] = binary.LittleEndian.Uint64(raw[pos:])
-			pos += 8
-		}
-		ch.fileOff = binary.LittleEndian.Uint64(raw[pos:])
-		ch.storedLen = binary.LittleEndian.Uint64(raw[pos+8:])
-		ch.rawLen = binary.LittleEndian.Uint64(raw[pos+16:])
-		ch.filtered = raw[pos+24] != 0
-		pos += 25
-		out = append(out, ch)
-	}
-	return out, pos, nil
-}
-
-func decodeChunkTable(raw []byte) ([]chunkMeta, error) {
-	out, _, err := decodeChunkTablePrefix(raw)
-	return out, err
-}
-
-func encodeChunkIndex(vars []*varInfo, fltSpec string, chunks []chunkMeta) ([]byte, error) {
-	var buf []byte
-	var tmp [8]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(fltSpec)))
-	buf = append(buf, tmp[:2]...)
-	buf = append(buf, fltSpec...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(vars)))
-	buf = append(buf, tmp[:4]...)
-	byVar := make(map[string][]chunkMeta)
-	for _, ch := range chunks {
-		byVar[ch.name] = append(byVar[ch.name], ch)
-	}
-	for _, vi := range vars {
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(len(vi.Name)))
-		buf = append(buf, tmp[:2]...)
-		buf = append(buf, vi.Name...)
-		buf = append(buf, byte(vi.Type), byte(len(vi.GlobalDims)))
-		for _, d := range vi.GlobalDims {
-			binary.LittleEndian.PutUint64(tmp[:], d)
-			buf = append(buf, tmp[:]...)
-		}
-		buf = append(buf, encodeChunkTable(byVar[vi.Name])...)
-		delete(byVar, vi.Name)
-	}
-	if len(byVar) > 0 {
-		return nil, fmt.Errorf("netcdf: chunks reference undefined variables: %v", keysOf(byVar))
-	}
-	return buf, nil
-}
-
-func keysOf(m map[string][]chunkMeta) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-func decodeChunkIndex(raw []byte) (map[string]*varInfo, string, map[string][]chunkMeta, error) {
-	if len(raw) < 2 {
-		return nil, "", nil, fmt.Errorf("netcdf: chunk index truncated")
-	}
-	fltLen := int(binary.LittleEndian.Uint16(raw))
-	pos := 2
-	if pos+fltLen+4 > len(raw) {
-		return nil, "", nil, fmt.Errorf("netcdf: chunk index truncated")
-	}
-	fltSpec := string(raw[pos : pos+fltLen])
-	pos += fltLen
-	nvars := binary.LittleEndian.Uint32(raw[pos:])
-	pos += 4
-	vars := make(map[string]*varInfo, nvars)
-	chunks := make(map[string][]chunkMeta, nvars)
-	for i := uint32(0); i < nvars; i++ {
-		if pos+2 > len(raw) {
-			return nil, "", nil, fmt.Errorf("netcdf: chunk index truncated")
-		}
-		nameLen := int(binary.LittleEndian.Uint16(raw[pos:]))
-		pos += 2
-		if pos+nameLen+2 > len(raw) {
-			return nil, "", nil, fmt.Errorf("netcdf: chunk index truncated")
-		}
-		name := string(raw[pos : pos+nameLen])
-		pos += nameLen
-		vi := &varInfo{Var: pio.Var{Name: name, Type: serial.DType(raw[pos])}}
-		ndims := int(raw[pos+1])
-		pos += 2
-		if pos+8*ndims > len(raw) {
-			return nil, "", nil, fmt.Errorf("netcdf: chunk index truncated")
-		}
-		vi.GlobalDims = make([]uint64, ndims)
-		for j := range vi.GlobalDims {
-			vi.GlobalDims[j] = binary.LittleEndian.Uint64(raw[pos:])
-			pos += 8
-		}
-		vars[name] = vi
-		table, consumed, err := decodeChunkTablePrefix(raw[pos:])
-		if err != nil {
-			return nil, "", nil, err
-		}
-		pos += consumed
-		chunks[name] = table
-	}
-	return vars, fltSpec, chunks, nil
+	return r, nil
 }

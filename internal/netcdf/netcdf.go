@@ -8,29 +8,21 @@
 // communication and pack/unpack copies that the log-structured libraries
 // avoid, and all storage traffic goes through kernel read/write.
 //
-// Fill mode mirrors nc_def_var_fill: by default variables are pre-filled
-// with a fill value at definition time, "which causes significant overhead
-// for write workloads" — the paper explicitly sets NC_NOFILL, and so does
-// the harness; the fill path is kept for the ablation.
+// The file is filefmt's region file, written with one collective per Write;
+// this package adds fill mode. Fill mode mirrors nc_def_var_fill: by default
+// variables are pre-filled with a fill value at definition time, "which
+// causes significant overhead for write workloads" — the paper explicitly
+// sets NC_NOFILL, and so does the harness; the fill path is kept for the
+// ablation.
 package netcdf
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"pmemcpy/internal/mpi"
 	"pmemcpy/internal/mpiio"
 	"pmemcpy/internal/nd"
 	"pmemcpy/internal/node"
 	"pmemcpy/internal/pio"
-	"pmemcpy/internal/serial"
-	"pmemcpy/internal/sim"
-)
-
-const (
-	fileMagic  = uint64(0x344644435F54454E) // "NET_CDF4"
-	headerArea = 64 << 10
-	regionAlgn = 64
+	"pmemcpy/internal/pio/filefmt"
 )
 
 // FillValue is the byte written over variable regions in fill mode.
@@ -41,9 +33,6 @@ type Library struct {
 	// Fill enables fill mode (the NC_FILL default of real NetCDF). The
 	// harness leaves it false, matching the paper's NC_NOFILL setting.
 	Fill bool
-	// Aggregators overrides the collective-buffering fan-in (0 = library
-	// default: all ranks aggregate, ROMIO's single-node behaviour).
-	Aggregators int
 	// Chunked selects HDF5's chunked layout instead of the default
 	// contiguous one: each written block becomes a chunk, optionally run
 	// through a filter pipeline.
@@ -61,201 +50,19 @@ func (l Library) Name() string {
 	return "NetCDF"
 }
 
-func (l Library) aggs(c *mpi.Comm) int {
-	if l.Aggregators > 0 {
-		return l.Aggregators
-	}
-	return c.Size()
-}
-
-type varInfo struct {
-	pio.Var
-	dataOff int64
-}
+// format is the contiguous layout's file; fill mode hangs off AfterDef.
+var format = filefmt.Region{Lib: "netcdf", Magic: 0x344644435F54454E, NameLenBytes: 2} // "NET_CDF4"
 
 // OpenWrite implements pio.Library.
 func (l Library) OpenWrite(c *mpi.Comm, n *node.Node, path string) (pio.Writer, error) {
 	if l.Chunked {
 		return l.openChunkedWrite(c, n, path)
 	}
-	f, err := mpiio.OpenCreate(c, n.FS, path, l.aggs(c))
-	if err != nil {
-		return nil, err
+	layout := format
+	if l.Fill {
+		layout.AfterDef = fillRegions
 	}
-	return &writer{
-		lib:     l,
-		comm:    c,
-		node:    n,
-		f:       f,
-		vars:    make(map[string]*varInfo),
-		nextOff: headerArea,
-	}, nil
-}
-
-type writer struct {
-	lib     Library
-	comm    *mpi.Comm
-	node    *node.Node
-	f       *mpiio.File
-	vars    map[string]*varInfo
-	order   []string
-	nextOff int64
-	defined bool
-	closed  bool
-}
-
-// DefineVar implements pio.Writer: assigns the variable a contiguous region.
-func (w *writer) DefineVar(v pio.Var) error {
-	if w.defined {
-		return fmt.Errorf("netcdf: DefineVar after end of define mode")
-	}
-	if err := v.Validate(); err != nil {
-		return err
-	}
-	if _, dup := w.vars[v.Name]; dup {
-		return fmt.Errorf("netcdf: variable %q already defined", v.Name)
-	}
-	size := int64(nd.Size(v.GlobalDims)) * int64(v.ElemSize())
-	w.vars[v.Name] = &varInfo{Var: v, dataOff: w.nextOff}
-	w.order = append(w.order, v.Name)
-	w.nextOff += (size + regionAlgn - 1) &^ (regionAlgn - 1)
-	w.comm.Clock().Advance(w.node.Machine.Config().MetaOp)
-	return nil
-}
-
-// endDef leaves define mode: rank 0 provisions the file and writes the
-// header; in fill mode every variable region is pre-written with the fill
-// value, split evenly across ranks.
-func (w *writer) endDef() error {
-	if w.defined {
-		return nil
-	}
-	w.defined = true
-	// Rank 0 writes the header through its handle.
-	if w.comm.Rank() == 0 {
-		hdr, err := encodeHeader(w.orderedVars())
-		if err != nil {
-			return err
-		}
-		if len(hdr) > headerArea {
-			return fmt.Errorf("netcdf: header of %d bytes exceeds %d", len(hdr), headerArea)
-		}
-		if _, err := w.f.WriteAt(hdr, 0); err != nil {
-			return err
-		}
-	}
-	if err := w.comm.Barrier(); err != nil {
-		return err
-	}
-	if w.lib.Fill {
-		if err := w.fillRegions(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fillRegions writes the fill value over every variable region, with the
-// work split evenly across ranks (independent writes).
-func (w *writer) fillRegions() error {
-	n := int64(w.comm.Size())
-	r := int64(w.comm.Rank())
-	for _, name := range w.order {
-		vi := w.vars[name]
-		size := int64(nd.Size(vi.GlobalDims)) * int64(vi.ElemSize())
-		per := (size + n - 1) / n
-		lo := r * per
-		hi := lo + per
-		if lo > size {
-			lo = size
-		}
-		if hi > size {
-			hi = size
-		}
-		if hi <= lo {
-			continue
-		}
-		fill := make([]byte, hi-lo)
-		for i := range fill {
-			fill[i] = FillValue
-		}
-		if _, err := w.f.WriteAt(fill, vi.dataOff+lo); err != nil {
-			return err
-		}
-	}
-	return w.comm.Barrier()
-}
-
-// Write implements pio.Writer: linearize the block into the variable's
-// global region via two-phase collective I/O.
-func (w *writer) Write(name string, offs, counts []uint64, data []byte) error {
-	if w.closed {
-		return fmt.Errorf("netcdf: write after close")
-	}
-	if err := w.endDef(); err != nil {
-		return err
-	}
-	vi, ok := w.vars[name]
-	if !ok {
-		return fmt.Errorf("netcdf: undefined variable %q", name)
-	}
-	if err := nd.CheckBlock(vi.GlobalDims, offs, counts); err != nil {
-		return err
-	}
-	esize := vi.ElemSize()
-	if int64(len(data)) < int64(nd.Size(counts))*int64(esize) {
-		return fmt.Errorf("netcdf: data %d bytes, block needs %d", len(data), nd.Size(counts)*uint64(esize))
-	}
-	var ranges []mpiio.Range
-	err := nd.Runs(vi.GlobalDims, offs, counts, esize, func(gOff, bOff, n int64) error {
-		ranges = append(ranges, mpiio.Range{Off: vi.dataOff + gOff, Data: data[bOff : bOff+n]})
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// The HDF5 layer under NetCDF-4 runs two full passes over the block
-	// beyond the MPI-IO rearrangement itself: hyperslab selection iteration
-	// and datatype conversion/validation. These are the "software overheads
-	// [that] are no longer negligible on the I/O path" once the device is
-	// PMEM-fast.
-	chargeLibraryPasses(w.comm, w.node, int64(nd.Size(counts))*int64(esize), 2)
-	w.comm.Clock().Advance(w.node.Machine.Config().MetaOp)
-	return w.f.WriteRangesAll(ranges)
-}
-
-// chargeLibraryPasses accounts n bytes streamed through the library's
-// internal processing the given number of times (CPU- and DRAM-bound).
-func chargeLibraryPasses(c *mpi.Comm, nd1 *node.Node, n int64, passes float64) {
-	m := nd1.Machine
-	c.Clock().Advance(sim.MoveCost(int64(float64(n)*passes), m.Config().PackBPS,
-		m.Oversub(c.Size()), m.DRAM))
-}
-
-// Close implements pio.Writer.
-func (w *writer) Close() error {
-	if w.closed {
-		return fmt.Errorf("netcdf: double close")
-	}
-	if err := w.endDef(); err != nil {
-		return err
-	}
-	w.closed = true
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	if err := w.comm.Barrier(); err != nil {
-		return err
-	}
-	return w.f.Close()
-}
-
-func (w *writer) orderedVars() []*varInfo {
-	out := make([]*varInfo, 0, len(w.order))
-	for _, name := range w.order {
-		out = append(out, w.vars[name])
-	}
-	return out
+	return layout.Create(c, n, path)
 }
 
 // OpenRead implements pio.Library.
@@ -263,139 +70,29 @@ func (l Library) OpenRead(c *mpi.Comm, n *node.Node, path string) (pio.Reader, e
 	if l.Chunked {
 		return l.openChunkedRead(c, n, path)
 	}
-	f, err := mpiio.OpenRead(c, n.FS, path, l.aggs(c))
-	if err != nil {
-		return nil, err
-	}
-	var raw []byte
-	if c.Rank() == 0 {
-		raw = make([]byte, headerArea)
-		if _, err := f.ReadAt(raw, 0); err != nil {
-			return nil, err
-		}
-	}
-	raw, err = c.Bcast(0, raw)
-	if err != nil {
-		return nil, err
-	}
-	vars, err := decodeHeader(raw)
-	if err != nil {
-		return nil, err
-	}
-	return &reader{comm: c, node: n, f: f, vars: vars}, nil
+	return format.Open(c, n, path)
 }
 
-type reader struct {
-	comm *mpi.Comm
-	node *node.Node
-	f    *mpiio.File
-	vars map[string]*varInfo
-}
-
-// Dims implements pio.Reader.
-func (r *reader) Dims(name string) ([]uint64, error) {
-	vi, ok := r.vars[name]
-	if !ok {
-		return nil, fmt.Errorf("netcdf: unknown variable %q", name)
-	}
-	return append([]uint64(nil), vi.GlobalDims...), nil
-}
-
-// Read implements pio.Reader: gather the block's runs from the contiguous
-// region via two-phase collective I/O.
-func (r *reader) Read(name string, offs, counts []uint64, dst []byte) error {
-	vi, ok := r.vars[name]
-	if !ok {
-		return fmt.Errorf("netcdf: unknown variable %q", name)
-	}
-	if err := nd.CheckBlock(vi.GlobalDims, offs, counts); err != nil {
-		return err
-	}
-	esize := vi.ElemSize()
-	need := int64(nd.Size(counts)) * int64(esize)
-	if int64(len(dst)) < need {
-		return fmt.Errorf("netcdf: dst %d bytes, request needs %d", len(dst), need)
-	}
-	var ranges []mpiio.Range
-	err := nd.Runs(vi.GlobalDims, offs, counts, esize, func(gOff, bOff, n int64) error {
-		ranges = append(ranges, mpiio.Range{Off: vi.dataOff + gOff, Data: dst[bOff : bOff+n]})
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// Hyperslab iteration + type conversion on the inbound path.
-	chargeLibraryPasses(r.comm, r.node, need, 1)
-	return r.f.ReadRangesAll(ranges)
-}
-
-// Close implements pio.Reader.
-func (r *reader) Close() error {
-	if err := r.comm.Barrier(); err != nil {
-		return err
-	}
-	return r.f.Close()
-}
-
-// --- header encoding ---
-
-func encodeHeader(vars []*varInfo) ([]byte, error) {
-	buf := make([]byte, 0, 1024)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], fileMagic)
-	buf = append(buf, tmp[:]...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(vars)))
-	buf = append(buf, tmp[:4]...)
-	for _, vi := range vars {
-		if len(vi.Name) > 1<<16-1 {
-			return nil, fmt.Errorf("netcdf: variable name too long")
+// fillRegions writes the fill value over every variable region, with the
+// work split evenly across ranks (independent writes).
+func fillRegions(c *mpi.Comm, f *mpiio.File, vars []*filefmt.Var) error {
+	n := int64(c.Size())
+	r := int64(c.Rank())
+	for _, v := range vars {
+		size := int64(nd.Size(v.GlobalDims)) * int64(v.ElemSize())
+		per := (size + n - 1) / n
+		lo := min(r*per, size)
+		hi := min(lo+per, size)
+		if hi <= lo {
+			continue
 		}
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(len(vi.Name)))
-		buf = append(buf, tmp[:2]...)
-		buf = append(buf, vi.Name...)
-		buf = append(buf, byte(vi.Type), byte(len(vi.GlobalDims)))
-		for _, d := range vi.GlobalDims {
-			binary.LittleEndian.PutUint64(tmp[:], d)
-			buf = append(buf, tmp[:]...)
+		fill := make([]byte, hi-lo)
+		for i := range fill {
+			fill[i] = FillValue
 		}
-		binary.LittleEndian.PutUint64(tmp[:], uint64(vi.dataOff))
-		buf = append(buf, tmp[:]...)
+		if _, err := f.WriteAt(fill, v.Off+lo); err != nil {
+			return err
+		}
 	}
-	return buf, nil
-}
-
-func decodeHeader(raw []byte) (map[string]*varInfo, error) {
-	if len(raw) < 12 || binary.LittleEndian.Uint64(raw) != fileMagic {
-		return nil, fmt.Errorf("netcdf: bad header magic")
-	}
-	nvars := binary.LittleEndian.Uint32(raw[8:])
-	pos := 12
-	out := make(map[string]*varInfo, nvars)
-	for i := uint32(0); i < nvars; i++ {
-		if pos+2 > len(raw) {
-			return nil, fmt.Errorf("netcdf: header truncated")
-		}
-		nameLen := int(binary.LittleEndian.Uint16(raw[pos:]))
-		pos += 2
-		if pos+nameLen+2 > len(raw) {
-			return nil, fmt.Errorf("netcdf: header truncated")
-		}
-		name := string(raw[pos : pos+nameLen])
-		pos += nameLen
-		vi := &varInfo{Var: pio.Var{Name: name, Type: serial.DType(raw[pos])}}
-		ndims := int(raw[pos+1])
-		pos += 2
-		if pos+8*ndims+8 > len(raw) {
-			return nil, fmt.Errorf("netcdf: header truncated")
-		}
-		vi.GlobalDims = make([]uint64, ndims)
-		for j := range vi.GlobalDims {
-			vi.GlobalDims[j] = binary.LittleEndian.Uint64(raw[pos:])
-			pos += 8
-		}
-		vi.dataOff = int64(binary.LittleEndian.Uint64(raw[pos:]))
-		pos += 8
-		out[name] = vi
-	}
-	return out, nil
+	return c.Barrier()
 }

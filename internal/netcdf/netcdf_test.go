@@ -15,10 +15,6 @@ func TestConformanceFillMode(t *testing.T) {
 	piotest.RunConformance(t, netcdf.Library{Fill: true})
 }
 
-func TestConformanceFewAggregators(t *testing.T) {
-	piotest.RunConformance(t, netcdf.Library{Aggregators: 2})
-}
-
 func TestConformanceChunked(t *testing.T) {
 	piotest.RunConformance(t, netcdf.Library{Chunked: true})
 }

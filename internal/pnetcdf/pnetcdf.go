@@ -6,326 +6,33 @@
 // (ncmpi_wait_all), which is how the library is used in practice.
 //
 // The paper finds pNetCDF performs close to NetCDF-4 on PMEM (both pay the
-// rearrangement and kernel-copy costs of a global linearization); the two
-// implementations here share the mpiio substrate but differ in header
-// format, request batching, and the extra iput staging copy.
+// rearrangement and kernel-copy costs of a global linearization). Both are
+// filefmt's region file; what is pNetCDF's own is the CDF-5 header (4-byte
+// name lengths) and the deferred queue: the iput staging copy on every Write
+// and the single flush at Close.
 package pnetcdf
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"pmemcpy/internal/mpi"
-	"pmemcpy/internal/mpiio"
-	"pmemcpy/internal/nd"
 	"pmemcpy/internal/node"
 	"pmemcpy/internal/pio"
-	"pmemcpy/internal/serial"
-	"pmemcpy/internal/sim"
+	"pmemcpy/internal/pio/filefmt"
 )
 
-const (
-	fileMagic  = uint64(0x0135464443503550) // "P5PCDF5\x01"
-	headerArea = 64 << 10
-	regionAlgn = 64
-)
+var format = filefmt.Region{Lib: "pnetcdf", Magic: 0x0135464443503550, NameLenBytes: 4, Deferred: true} // "P5PCDF5\x01"
 
 // Library is the pio.Library implementation for pNetCDF.
-type Library struct {
-	// Aggregators overrides the collective-buffering fan-in (0 = all ranks).
-	Aggregators int
-}
+type Library struct{}
 
 // Name implements pio.Library.
 func (Library) Name() string { return "pNetCDF" }
 
-func (l Library) aggs(c *mpi.Comm) int {
-	if l.Aggregators > 0 {
-		return l.Aggregators
-	}
-	return c.Size()
-}
-
-type varInfo struct {
-	pio.Var
-	begin int64 // CDF terminology: the variable's begin offset
-}
-
 // OpenWrite implements pio.Library.
-func (l Library) OpenWrite(c *mpi.Comm, n *node.Node, path string) (pio.Writer, error) {
-	f, err := mpiio.OpenCreate(c, n.FS, path, l.aggs(c))
-	if err != nil {
-		return nil, err
-	}
-	return &writer{
-		comm:    c,
-		node:    n,
-		f:       f,
-		vars:    make(map[string]*varInfo),
-		nextOff: headerArea,
-	}, nil
-}
-
-type writer struct {
-	comm    *mpi.Comm
-	node    *node.Node
-	f       *mpiio.File
-	vars    map[string]*varInfo
-	order   []string
-	nextOff int64
-	defined bool
-	closed  bool
-
-	// pending holds the queued iput requests: staged copies of the blocks
-	// plus their target ranges.
-	pending []mpiio.Range
-}
-
-// DefineVar implements pio.Writer.
-func (w *writer) DefineVar(v pio.Var) error {
-	if w.defined {
-		return fmt.Errorf("pnetcdf: DefineVar after ncmpi_enddef")
-	}
-	if err := v.Validate(); err != nil {
-		return err
-	}
-	if _, dup := w.vars[v.Name]; dup {
-		return fmt.Errorf("pnetcdf: variable %q already defined", v.Name)
-	}
-	size := int64(nd.Size(v.GlobalDims)) * int64(v.ElemSize())
-	w.vars[v.Name] = &varInfo{Var: v, begin: w.nextOff}
-	w.order = append(w.order, v.Name)
-	w.nextOff += (size + regionAlgn - 1) &^ (regionAlgn - 1)
-	w.comm.Clock().Advance(w.node.Machine.Config().MetaOp)
-	return nil
-}
-
-func (w *writer) endDef() error {
-	if w.defined {
-		return nil
-	}
-	w.defined = true
-	if w.comm.Rank() == 0 {
-		hdr, err := encodeHeader(w.orderedVars())
-		if err != nil {
-			return err
-		}
-		if len(hdr) > headerArea {
-			return fmt.Errorf("pnetcdf: header of %d bytes exceeds %d", len(hdr), headerArea)
-		}
-		if _, err := w.f.WriteAt(hdr, 0); err != nil {
-			return err
-		}
-	}
-	return w.comm.Barrier()
-}
-
-// Write implements pio.Writer in iput_vara style: the block is copied into
-// an internal staging buffer (charged as a DRAM pass) and queued; no file
-// traffic happens until Close.
-func (w *writer) Write(name string, offs, counts []uint64, data []byte) error {
-	if w.closed {
-		return fmt.Errorf("pnetcdf: write after close")
-	}
-	if err := w.endDef(); err != nil {
-		return err
-	}
-	vi, ok := w.vars[name]
-	if !ok {
-		return fmt.Errorf("pnetcdf: undefined variable %q", name)
-	}
-	if err := nd.CheckBlock(vi.GlobalDims, offs, counts); err != nil {
-		return err
-	}
-	esize := vi.ElemSize()
-	need := int64(nd.Size(counts)) * int64(esize)
-	if int64(len(data)) < need {
-		return fmt.Errorf("pnetcdf: data %d bytes, block needs %d", len(data), need)
-	}
-	// iput staging copy: the nonblocking API must own the data until
-	// wait_all, so it copies the user buffer.
-	staged := make([]byte, need)
-	copy(staged, data[:need])
-	// Two CPU passes: the iput staging copy plus pNetCDF's internal CDF
-	// variable/type processing of the request.
-	m := w.node.Machine
-	w.comm.Clock().Advance(sim.MoveCost(2*need, m.Config().PackBPS, m.Oversub(w.comm.Size()), m.DRAM))
-
-	err := nd.Runs(vi.GlobalDims, offs, counts, esize, func(gOff, bOff, n int64) error {
-		w.pending = append(w.pending, mpiio.Range{Off: vi.begin + gOff, Data: staged[bOff : bOff+n]})
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	w.comm.Clock().Advance(m.Config().MetaOp)
-	return nil
-}
-
-// Close implements pio.Writer: ncmpi_wait_all followed by close — one
-// combined two-phase collective write of every queued request.
-func (w *writer) Close() error {
-	if w.closed {
-		return fmt.Errorf("pnetcdf: double close")
-	}
-	if err := w.endDef(); err != nil {
-		return err
-	}
-	w.closed = true
-	if err := w.f.WriteRangesAll(w.pending); err != nil {
-		return err
-	}
-	w.pending = nil
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	if err := w.comm.Barrier(); err != nil {
-		return err
-	}
-	return w.f.Close()
-}
-
-func (w *writer) orderedVars() []*varInfo {
-	out := make([]*varInfo, 0, len(w.order))
-	for _, name := range w.order {
-		out = append(out, w.vars[name])
-	}
-	return out
+func (Library) OpenWrite(c *mpi.Comm, n *node.Node, path string) (pio.Writer, error) {
+	return format.Create(c, n, path)
 }
 
 // OpenRead implements pio.Library.
-func (l Library) OpenRead(c *mpi.Comm, n *node.Node, path string) (pio.Reader, error) {
-	f, err := mpiio.OpenRead(c, n.FS, path, l.aggs(c))
-	if err != nil {
-		return nil, err
-	}
-	var raw []byte
-	if c.Rank() == 0 {
-		raw = make([]byte, headerArea)
-		if _, err := f.ReadAt(raw, 0); err != nil {
-			return nil, err
-		}
-	}
-	raw, err = c.Bcast(0, raw)
-	if err != nil {
-		return nil, err
-	}
-	vars, err := decodeHeader(raw)
-	if err != nil {
-		return nil, err
-	}
-	return &reader{comm: c, node: n, f: f, vars: vars}, nil
-}
-
-type reader struct {
-	comm *mpi.Comm
-	node *node.Node
-	f    *mpiio.File
-	vars map[string]*varInfo
-}
-
-// Dims implements pio.Reader.
-func (r *reader) Dims(name string) ([]uint64, error) {
-	vi, ok := r.vars[name]
-	if !ok {
-		return nil, fmt.Errorf("pnetcdf: unknown variable %q", name)
-	}
-	return append([]uint64(nil), vi.GlobalDims...), nil
-}
-
-// Read implements pio.Reader (get_vara_all): a two-phase collective read of
-// the block's runs.
-func (r *reader) Read(name string, offs, counts []uint64, dst []byte) error {
-	vi, ok := r.vars[name]
-	if !ok {
-		return fmt.Errorf("pnetcdf: unknown variable %q", name)
-	}
-	if err := nd.CheckBlock(vi.GlobalDims, offs, counts); err != nil {
-		return err
-	}
-	esize := vi.ElemSize()
-	need := int64(nd.Size(counts)) * int64(esize)
-	if int64(len(dst)) < need {
-		return fmt.Errorf("pnetcdf: dst %d bytes, request needs %d", len(dst), need)
-	}
-	var ranges []mpiio.Range
-	err := nd.Runs(vi.GlobalDims, offs, counts, esize, func(gOff, bOff, n int64) error {
-		ranges = append(ranges, mpiio.Range{Off: vi.begin + gOff, Data: dst[bOff : bOff+n]})
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// CDF variable/type processing on the inbound path.
-	m := r.node.Machine
-	r.comm.Clock().Advance(sim.MoveCost(need, m.Config().PackBPS, m.Oversub(r.comm.Size()), m.DRAM))
-	return r.f.ReadRangesAll(ranges)
-}
-
-// Close implements pio.Reader.
-func (r *reader) Close() error {
-	if err := r.comm.Barrier(); err != nil {
-		return err
-	}
-	return r.f.Close()
-}
-
-// --- CDF-5-style header ---
-
-func encodeHeader(vars []*varInfo) ([]byte, error) {
-	buf := make([]byte, 0, 1024)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], fileMagic)
-	buf = append(buf, tmp[:]...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(vars)))
-	buf = append(buf, tmp[:4]...)
-	for _, vi := range vars {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(len(vi.Name)))
-		buf = append(buf, tmp[:4]...)
-		buf = append(buf, vi.Name...)
-		buf = append(buf, byte(vi.Type), byte(len(vi.GlobalDims)))
-		for _, d := range vi.GlobalDims {
-			binary.LittleEndian.PutUint64(tmp[:], d)
-			buf = append(buf, tmp[:]...)
-		}
-		binary.LittleEndian.PutUint64(tmp[:], uint64(vi.begin))
-		buf = append(buf, tmp[:]...)
-	}
-	return buf, nil
-}
-
-func decodeHeader(raw []byte) (map[string]*varInfo, error) {
-	if len(raw) < 12 || binary.LittleEndian.Uint64(raw) != fileMagic {
-		return nil, fmt.Errorf("pnetcdf: bad header magic")
-	}
-	nvars := binary.LittleEndian.Uint32(raw[8:])
-	pos := 12
-	out := make(map[string]*varInfo, nvars)
-	for i := uint32(0); i < nvars; i++ {
-		if pos+4 > len(raw) {
-			return nil, fmt.Errorf("pnetcdf: header truncated")
-		}
-		nameLen := int(binary.LittleEndian.Uint32(raw[pos:]))
-		pos += 4
-		if pos+nameLen+2 > len(raw) {
-			return nil, fmt.Errorf("pnetcdf: header truncated")
-		}
-		name := string(raw[pos : pos+nameLen])
-		pos += nameLen
-		vi := &varInfo{Var: pio.Var{Name: name, Type: serial.DType(raw[pos])}}
-		ndims := int(raw[pos+1])
-		pos += 2
-		if pos+8*ndims+8 > len(raw) {
-			return nil, fmt.Errorf("pnetcdf: header truncated")
-		}
-		vi.GlobalDims = make([]uint64, ndims)
-		for j := range vi.GlobalDims {
-			vi.GlobalDims[j] = binary.LittleEndian.Uint64(raw[pos:])
-			pos += 8
-		}
-		vi.begin = int64(binary.LittleEndian.Uint64(raw[pos:]))
-		pos += 8
-		out[name] = vi
-	}
-	return out, nil
+func (Library) OpenRead(c *mpi.Comm, n *node.Node, path string) (pio.Reader, error) {
+	return format.Open(c, n, path)
 }

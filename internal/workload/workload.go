@@ -252,7 +252,7 @@ func (s *Spec) VerifyBlock(c *mpi.Comm, m *sim.Machine, varIdx int, offs, counts
 			idx[d] = 0
 		}
 	}
-	c.Clock().Advance(sim.MoveCost(int64(n*8), m.Config().TouchBPS, m.Oversub(readers), m.DRAM))
+	m.ChargePasses(c.Clock(), int64(n*8), 1, m.Config().TouchBPS, readers)
 	return nil
 }
 
@@ -283,7 +283,7 @@ func (s *Spec) Fill(c *mpi.Comm, m *sim.Machine, varIdx, rank int, buf []float64
 			idx[d] = 0
 		}
 	}
-	c.Clock().Advance(sim.MoveCost(int64(n*8), m.Config().TouchBPS, m.Oversub(s.Ranks), m.DRAM))
+	m.ChargePasses(c.Clock(), int64(n*8), 1, m.Config().TouchBPS, s.Ranks)
 	return out
 }
 
@@ -312,6 +312,21 @@ func (s *Spec) Verify(c *mpi.Comm, m *sim.Machine, varIdx, rank int, buf []byte)
 			idx[d] = 0
 		}
 	}
-	c.Clock().Advance(sim.MoveCost(int64(n*8), m.Config().TouchBPS, m.Oversub(s.Ranks), m.DRAM))
+	m.ChargePasses(c.Clock(), int64(n*8), 1, m.Config().TouchBPS, s.Ranks)
 	return nil
+}
+
+// DemoVars and DemoElems shape the demo dataset the inspection tools (pmemcli,
+// pmemfsck -deep) populate: DemoVars 1-D float64 arrays of ranks*DemoElems
+// elements, one DemoElems block per rank.
+const DemoVars, DemoElems = 3, 64
+
+// DemoBlock returns rank's block of demo array v — its name, the values (every
+// element encodes its variable and global index), and where the block sits.
+func DemoBlock(v, rank int) (name string, data []float64, offs, counts []uint64) {
+	data, off := make([]float64, DemoElems), uint64(rank)*DemoElems
+	for i := range data {
+		data[i] = float64(v)*1e6 + float64(off) + float64(i)
+	}
+	return fmt.Sprintf("rect%d", v), data, []uint64{off}, []uint64{DemoElems}
 }
