@@ -39,11 +39,13 @@ leasecheck:
 	$(GO) vet -copylocks ./...
 	$(GO) run ./cmd/commitvet ./...
 
-# commitvet enforces the engines' ownership contracts over internal/core: pool
+# commitvet enforces the ownership contracts over internal/core: pool
 # transactions over data blocks (Begin/Alloc/Free) appear only in the commit
 # engine (writeplan.go), mapped pool bytes are dereferenced (pool.Slice) only
-# there and in the read engine (readplan.go), and goroutines start only in the
-# wave runner (wave.go); every other non-test internal/core file must plan
+# there and in the read engine (readplan.go), goroutines start only in the
+# wave runner (wave.go), and persisted bytes are encoded or decoded
+# (encoding/binary, internal/wire) and the layout constants named only in the
+# metadata module (meta.go); every other non-test internal/core file must plan
 # over them. It is the same binary as leasecheck's, pointed at one package.
 commitvet:
 	$(GO) run ./cmd/commitvet ./internal/core
@@ -70,7 +72,7 @@ loc:
 # module's total non-test code lines exceed the ceiling, which records the
 # figure of the last change that lowered it. A change that must grow the code
 # raises the ceiling in the same diff, where a reviewer sees it.
-LOC_CEILING ?= 15398
+LOC_CEILING ?= 15314
 loccheck:
 	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
 		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \
@@ -183,8 +185,10 @@ race:
 # seconds per target.
 FUZZTIME ?= 10s
 fuzz:
+	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBlockList -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeValueRef -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzReadSetDesc -fuzztime=$(FUZZTIME) ./internal/pmdk/
 	$(GO) test -run=NONE -fuzz=FuzzCodecDecode -fuzztime=$(FUZZTIME) ./internal/serial/
 	$(GO) test -run=NONE -fuzz=FuzzCodecRoundTrip -fuzztime=$(FUZZTIME) ./internal/serial/
 

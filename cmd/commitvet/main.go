@@ -1,7 +1,7 @@
 // Command commitvet is the repository's one static checker: a shared
-// directory walk, ignore directive and report under four syntactic rules (no
-// type information). Three fence in what internal/core's engines own, and
-// apply to the non-test files of directories named "core":
+// directory walk, ignore directive and report under six syntactic rules (no
+// type information). Five fence in what internal/core's engines and metadata
+// module own, and apply to the non-test files of directories named "core":
 //
 // Rule "tx" — the unified write-path commit engine (writeplan.go): pool
 // transactions over data blocks — pool.Begin(clk), pool.Alloc(tx, size),
@@ -18,6 +18,15 @@
 // Rule "go" — the wave runner (wave.go): a go statement anywhere else would
 // be a second place where workers, their join, and the rule that only the
 // coordinator touches the clock have to be got right.
+//
+// Rule "record" — the metadata module (meta.go): a selector on the
+// encoding/binary or internal/wire packages (binary.LittleEndian, wire.Cursor)
+// anywhere else would be a second place that knows a persisted byte.
+//
+// Rule "layout" — the same module: the identifiers LayoutHierarchy and
+// LayoutHashtable. The module declares them, compares them once, and hands
+// the engines a layout value; any other mention is a test of which layout is
+// calling (callers of core name them from outside, and in tests).
 //
 // The call rules match a method call with the rule's name and exact argument
 // count — Begin with one argument, Alloc/Free/Slice with two (the public
@@ -115,6 +124,28 @@ var rules = []rule{
 		check: func(_ map[string]bool, n ast.Node) string {
 			if _, ok := n.(*ast.GoStmt); ok {
 				return "go statement outside the wave runner — run the jobs through runWave (wave.go)"
+			}
+			return ""
+		},
+	},
+	{
+		name:   "record",
+		covers: coreExcept("meta.go"),
+		check: func(imports map[string]bool, n ast.Node) string {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] && (x.Name == "binary" || x.Name == "wire") {
+					return x.Name + "." + sel.Sel.Name + " outside the metadata module — give the record form a field in meta.go"
+				}
+			}
+			return ""
+		},
+	},
+	{
+		name:   "layout",
+		covers: coreExcept("meta.go"),
+		check: func(_ map[string]bool, n ast.Node) string {
+			if id, ok := n.(*ast.Ident); ok && (id.Name == "LayoutHierarchy" || id.Name == "LayoutHashtable") {
+				return id.Name + " outside the metadata module — ask the layout value (a method or a capability fact)"
 			}
 			return ""
 		},

@@ -13,9 +13,10 @@ import (
 
 // TestRulesOnFixture runs every rule over testdata/core and requires exactly
 // the findings the fixture marks with "// want <rule>" comments: the tx and
-// slice calls, the go statement and the discarded views of a planner file,
-// the tx call of readplan.go, a discarded view (and nothing else) in a _test.go
-// file, nothing in writeplan.go or wave.go, and nothing on ignored or non-pool
+// slice calls, the go statement, the discarded views, the byte-order selector
+// and the two layout comparisons of a planner file, the tx call of
+// readplan.go, a discarded view (and nothing else) in a _test.go file, nothing
+// in writeplan.go, wave.go or meta.go, and nothing on ignored or non-pool
 // lines.
 func TestRulesOnFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "core")
@@ -58,8 +59,8 @@ func TestRulesOnFixture(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	if len(want) != 10 {
-		t.Errorf("fixture marks %d findings, expected 10 (8 planner + 1 readplan + 1 test file)", len(want))
+	if len(want) != 13 {
+		t.Errorf("fixture marks %d findings, expected 13 (11 planner + 1 readplan + 1 test file)", len(want))
 	}
 }
 

@@ -3,6 +3,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"sort"
 	srt "sort"
 )
@@ -45,4 +46,16 @@ func planner(p pool, xs []int) {
 	_ = p.Begin(0) //commitvet:ignore (same line)
 	//commitvet:ignore (line above)
 	_, _ = p.Slice(0, 8)
+}
+
+// A planner neither decodes persisted bytes nor asks which layout it runs on.
+func layoutBlind(l Layout, raw []byte) Layout {
+	_ = binary.LittleEndian.Uint32(raw) // want record
+	if l == LayoutHierarchy {           // want layout
+		return l
+	}
+	switch l {
+	case LayoutHashtable: // want layout
+	}
+	return l
 }

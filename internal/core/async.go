@@ -259,7 +259,7 @@ func (e *asyncEngine) submit(op pendingOp) *Future {
 	in := e.p.st.ins
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for len(e.q) >= e.p.st.opt.MaxInflight {
+	for len(e.q) >= defaultInflightWindows*e.p.st.opt.CoalesceWindow {
 		in.asyncBackpressure.Inc()
 		_ = e.commitBatch(e.takeOldestLocked()) // errors live on the batch's futures
 	}
@@ -385,8 +385,8 @@ func (e *asyncEngine) commitStores(stores []pendingOp) error {
 	// 1. Validate each submission (the synchronous path's own step; a failure
 	// completes only that submission's Future) and group by id in
 	// first-appearance order, coalescing adjacent runs as they arrive.
-	var order []*planGroup
-	groups := make(map[string]*planGroup)
+	var order []planGroup
+	groups := make(map[string]int) // id -> index in order
 	for i := range stores {
 		op := &stores[i]
 		d, err := p.blockDatum(op.id, op.offs, op.counts, op.data)
@@ -395,12 +395,13 @@ func (e *asyncEngine) commitStores(stores []pendingOp) error {
 			continue
 		}
 		frag := writeFrag{fut: op.fut, datum: d, encLen: int64(p.codec.EncodedSize(d))}
-		g := groups[op.id]
-		if g == nil {
-			g = &planGroup{id: op.id, dtype: d.Type, publish: publishBlockList}
-			groups[op.id] = g
-			order = append(order, g)
+		gi, ok := groups[op.id]
+		if !ok {
+			gi = len(order)
+			groups[op.id] = gi
+			order = append(order, planGroup{id: op.id, dtype: d.Type, publish: publishBlockList})
 		}
+		g := &order[gi]
 		// Coalesce: merge into the id's last unit when the codec's encoding
 		// is a plain payload copy and this fragment extends the unit's region
 		// contiguously along dimension 0 (other dims identical). Merging only
@@ -428,17 +429,17 @@ func (e *asyncEngine) commitStores(stores []pendingOp) error {
 	}
 	// Persist points resolve once coalescing settles: merged units carry the
 	// merge point, single submissions the batch payload point.
-	for _, g := range order {
-		for i := range g.units {
-			if len(g.units[i].frags) > 1 {
-				g.units[i].point = ptAsyncMerge
+	for gi := range order {
+		for i := range order[gi].units {
+			if u := &order[gi].units[i]; len(u.frags) > 1 {
+				u.point = ptAsyncMerge
 			} else {
-				g.units[i].point = ptAsyncPayload
+				u.point = ptAsyncPayload
 			}
 		}
 	}
 
-	return p.engine().run(&writePlan{
+	return p.st.lay.commit(p, writePlan{
 		groups:    order,
 		encPasses: encPasses,
 		// A fatal publish error poisons the remaining groups: their payloads

@@ -299,16 +299,16 @@ func TestAsyncInterleavedKinds(t *testing.T) {
 	}, core.WithAsync())
 }
 
-// TestAsyncBackpressure pins the bounded queue: submitting past MaxInflight
-// commits the oldest batch inline, so early futures complete without any
-// explicit drain and the backpressure counter ticks.
+// TestAsyncBackpressure pins the bounded queue: submitting past 8 coalesce
+// windows commits the oldest batch inline, so early futures complete without
+// any explicit drain and the backpressure counter ticks.
 func TestAsyncBackpressure(t *testing.T) {
 	runAsync(t, func(p *core.PMEM) error {
 		if err := p.Alloc("A", serial.Uint8, []uint64{1024}); err != nil {
 			return err
 		}
 		var futs []*core.Future
-		for i := 0; i < 16; i++ {
+		for i := 0; i < 40; i++ {
 			futs = append(futs, p.StoreBlockAsync("A",
 				[]uint64{uint64(i)}, []uint64{1}, []byte{byte(i)}))
 		}
@@ -318,11 +318,11 @@ func TestAsyncBackpressure(t *testing.T) {
 		if got := p.Metrics().Get("pmemcpy_async_backpressure_total"); got == 0 {
 			return fmt.Errorf("backpressure_total = 0, want > 0")
 		}
-		if got := p.AsyncPending(); got > 4 {
-			return fmt.Errorf("AsyncPending = %d, want <= MaxInflight 4", got)
+		if got := p.AsyncPending(); got > 16 {
+			return fmt.Errorf("AsyncPending = %d, want <= 16 (8 windows of 2)", got)
 		}
 		return p.Flush(context.Background())
-	}, core.WithAsync(), core.WithCoalesceWindow(2), core.WithMaxInflight(4))
+	}, core.WithAsync(), core.WithCoalesceWindow(2))
 }
 
 // TestAsyncFlushCancel pins Flush's context handling: a cancelled context
@@ -443,7 +443,7 @@ func TestAsyncQueueStress(t *testing.T) {
 	_, err := mpi.Run(n.Machine, ranks, func(c *mpi.Comm) error {
 		p, err := core.Mmap(c, n, "/stress.pool",
 			core.WithAsync(), core.WithCodec("raw"),
-			core.WithCoalesceWindow(8), core.WithMaxInflight(16))
+			core.WithCoalesceWindow(2)) // 8 windows: at most 16 in flight
 		if err != nil {
 			return err
 		}

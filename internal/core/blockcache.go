@@ -14,13 +14,14 @@ import (
 // first read, serve repeat reads from DRAM, and invalidate it precisely when
 // a writer republishes the persistent truth.
 //
-// Coherence protocol: every id has a version counter. Readers snapshot the
-// version, read persistent metadata, and install the decoded entry only if
-// the version is unchanged — a writer that republished in between bumped it
-// (under the id's varLock, strictly AFTER its putValue), so a racing reader
-// can never install a stale index over fresh data. Entries are immutable
+// Coherence protocol: a variable has ONE lock (varLock, keyed by placement
+// key, so the id and its "#dims" companion share it). Every writer republishes
+// and then invalidates under its write side; the read engine looks up, builds
+// and installs — and memoizes statistics — under its read side. No republish
+// can fall between a reader's metadata reads and its install, so an installed
+// entry is never stale and the cache needs no versions. Entries are immutable
 // after install; refinements (lazily computed per-block statistics) install a
-// new entry under the same version discipline.
+// new entry.
 //
 // What is never cached: the hierarchy layout (metadata are files, reads go
 // through the FS model), raw metadata values (scalars, strings, structs),
@@ -48,7 +49,6 @@ type cacheEntry struct {
 type blockCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
-	vers    map[string]uint64
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -56,98 +56,37 @@ type blockCache struct {
 }
 
 func newBlockCache() *blockCache {
-	return &blockCache{
-		entries: make(map[string]*cacheEntry),
-		vers:    make(map[string]uint64),
-	}
+	return &blockCache{entries: make(map[string]*cacheEntry)}
 }
 
-// lookup returns the cached entry for id (counting a hit or miss) together
-// with the id's current version, to be passed back to install.
-func (bc *blockCache) lookup(id string) (*cacheEntry, uint64, bool) {
+// lookup returns the cached entry for id, counting a hit or miss.
+func (bc *blockCache) lookup(id string) (*cacheEntry, bool) {
 	bc.mu.Lock()
 	e, ok := bc.entries[id]
-	ver := bc.vers[id]
 	bc.mu.Unlock()
 	if ok {
 		bc.hits.Add(1)
 	} else {
 		bc.misses.Add(1)
 	}
-	return e, ver, ok
+	return e, ok
 }
 
-// install publishes an entry built from metadata read while the id was at
-// version ver. It refuses (returning false) if a writer invalidated the id
-// in between — the entry would index stale metadata.
-func (bc *blockCache) install(id string, e *cacheEntry, ver uint64) bool {
+// install publishes an entry built from metadata read under the id's read
+// lock, which the caller still holds.
+func (bc *blockCache) install(id string, e *cacheEntry) {
 	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if bc.vers[id] != ver {
-		return false
-	}
 	bc.entries[id] = e
-	return true
+	bc.mu.Unlock()
 }
 
-// invalidate drops id's entry and bumps its version. Writers call it under
-// the id's varLock, after republishing persistent metadata.
+// invalidate drops id's entry. Writers call it under the id's write lock,
+// after republishing persistent metadata.
 func (bc *blockCache) invalidate(id string) {
 	bc.mu.Lock()
-	bc.vers[id]++
 	delete(bc.entries, id)
 	bc.mu.Unlock()
 	bc.invalidations.Add(1)
-}
-
-// invalidateCache drops the DRAM index of the base variable behind key: a
-// mutation of either the id itself or its "#dims" companion invalidates the
-// one combined entry.
-func (p *PMEM) invalidateCache(key string) {
-	if p.st.cache == nil {
-		return
-	}
-	if n := len(key) - len(DimsSuffix); n > 0 && key[n:] == DimsSuffix {
-		key = key[:n]
-	}
-	p.st.cache.invalidate(key)
-}
-
-// blockIndex returns id's DRAM index, building it from persistent metadata
-// on a miss. The build reads the dims record and block list exactly the way
-// the uncached path did (same metadata charges); a hit touches neither the
-// device nor the clock. Returns the entry and the version it was read at.
-//
-// The caller holds id's read lock — the read engine is the only caller and
-// holds it across resolve AND execution — so the block-list read below is
-// covered (a writer's republish frees the previous metadata record) and must
-// not re-acquire it: a recursive RLock can deadlock against a queued writer.
-func (p *PMEM) blockIndex(id string) (*cacheEntry, uint64, error) {
-	e, ver, ok := p.st.cache.lookup(id)
-	if ok {
-		return e, ver, nil
-	}
-	// Miss: ver was snapshotted before the metadata reads below, so a
-	// concurrent republish makes the install a no-op rather than a stale hit.
-	dl := p.varLock(id + DimsSuffix)
-	dl.RLock()
-	rec, err := p.loadDimsLocked(id)
-	dl.RUnlock()
-	if err != nil {
-		return nil, 0, err
-	}
-	blocks, hasBlocks, err := p.loadBlockList(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	e = &cacheEntry{
-		dims:      rec,
-		blocks:    blocks,
-		hasBlocks: hasBlocks,
-		byStart:   sortByStart(blocks),
-	}
-	p.st.cache.install(id, e, ver)
-	return e, ver, nil
 }
 
 // sortByStart builds the sorted extent index: block indices ordered by dim-0

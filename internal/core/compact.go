@@ -29,7 +29,7 @@ func (p *PMEM) Compact(ctx context.Context, id string) (int, error) {
 }
 
 func (p *PMEM) compact(ctx context.Context, id string) (int, error) {
-	if p.st.opt.Layout == LayoutHierarchy {
+	if !p.st.lay.caps().pool {
 		return 0, fmt.Errorf("core: Compact requires the hashtable layout")
 	}
 	if err := ctx.Err(); err != nil {
@@ -81,14 +81,10 @@ func (p *PMEM) compact(ctx context.Context, id string) (int, error) {
 	if err := p.engine().republishLocked(id, live); err != nil {
 		return 0, err
 	}
-	victimIDs := make([]poolPMID, len(victims))
-	for i, v := range victims {
-		victimIDs[i] = poolPMID{pool: v.pool, id: v.data}
-	}
 	// With zero-copy view leases open the victims park on the limbo lists
 	// instead of freeing (view.go): a view planned against the old block list
 	// keeps reading its blocks until the lease epoch drains.
-	if err := p.deferOrFreeBlocks(victimIDs); err != nil {
+	if err := p.deferOrFreeBlocks(victims); err != nil {
 		return 0, err
 	}
 	return len(victims), nil

@@ -23,9 +23,9 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,35 +39,20 @@ import (
 	"pmemcpy/internal/sim"
 )
 
-// Layout selects where pMEMCPY keeps data and metadata.
-type Layout int
-
-// Layouts.
-const (
-	// LayoutHashtable stores all data in a single pool file with a flat
-	// persistent-hashtable namespace (the paper's default and the
-	// configuration used in its evaluation).
-	LayoutHashtable Layout = iota
-	// LayoutHierarchy stores each variable in its own file under a
-	// directory tree derived from "/"-separated ids.
-	LayoutHierarchy
-)
-
-// DimsSuffix is appended to an id to form the key holding its dimensions,
-// exactly as the paper describes ("by appending '#dims' to the id").
-const DimsSuffix = "#dims"
-
-// Options configures Mmap.
+// Options configures Mmap. Every field names the EXPERIMENTS.md row that
+// sweeps it; a knob no experiment, flag or caller moves is a constant instead.
 type Options struct {
 	// Codec names the serializer ("bp4", "flat", "cbin", "raw"); empty
-	// selects the default BP4.
+	// selects the default BP4. Swept by E7.
 	Codec string
-	// Layout selects the data layout.
+	// Layout selects the data layout. Swept by E5.
 	Layout Layout
-	// MapSync enables MAP_SYNC semantics on the mapping (PMCPY-B).
+	// MapSync enables MAP_SYNC semantics on the mapping (PMCPY-B). Swept by
+	// E6, and the A/B columns of E1 and E2.
 	MapSync bool
 	// PoolSize is the pool file size for the hashtable layout; 0 sizes it
-	// to 3/4 of the device.
+	// to 3/4 of the device. Deployment sizing, not an ablation: every E-row's
+	// harness run sets it from its dataset (harness.runOnce).
 	PoolSize int64
 	// StagedSerialization disables the direct-to-PMEM path: data is
 	// serialized into a DRAM buffer first and then copied to PMEM, the way
@@ -81,56 +66,59 @@ type Options struct {
 	// paper's procs sweep). Values <= 1 keep every store on the serial
 	// path. It also sizes the pool's allocator arenas, so concurrent
 	// workers allocate without contending on one lock. Reads use the same
-	// worker count unless ReadParallelism overrides it.
+	// worker count unless ReadParallelism overrides it. Swept by E12
+	// (-ablation parallel).
 	Parallelism int
 	// ReadParallelism overrides the worker count for the gather (read)
 	// engine only: 0 follows Parallelism, 1 forces serial reads, k > 1 runs
-	// k gather workers. It exists so the read-parallel ablation can sweep
-	// readers while writes stay serial.
+	// k gather workers. It exists so the read-parallel ablation (E13) can
+	// sweep readers while writes stay serial.
 	ReadParallelism int
 	// Metrics enables latency/shape histogram recording. Operation, device,
 	// allocator and cache counters are always on (plain atomics); histograms
 	// additionally read the virtual clock around every op, so they sit
 	// behind this switch. Metrics never advance the virtual clock either
 	// way — virtual-time results are identical with metrics on or off.
+	// E14's hist variant.
 	Metrics bool
 	// MetricsSampling records every k-th op in the latency histograms
-	// (0 or 1 = every op). Counters are never sampled.
+	// (0 or 1 = every op). Counters are never sampled. No row sweeps it yet:
+	// it is the knob ROADMAP item 6d's small-op E14 row is to be met with.
 	MetricsSampling int
 	// Tracing enables span-style op tracing: every API call becomes a span
 	// and the persist/fence points it triggers nest under it. Retrieve with
-	// PMEM.TraceSpans.
+	// PMEM.TraceSpans. E14's trace variant.
 	Tracing bool
 	// VerifyReads selects the read-path CRC verification mode (integrity.go):
 	// off (default), sampled, or full. Quarantine fail-fast is active in
 	// every mode. Verification never advances the virtual clock, so
-	// virtual-time results are identical across modes.
+	// virtual-time results are identical across modes. Swept by E15.
 	VerifyReads VerifyMode
 	// ScrubRate caps Scrub's throughput at this many bytes per virtual
 	// second (0 = unpaced): the pass advances the virtual clock so that its
-	// sweep never outruns the configured rate.
+	// sweep never outruns the configured rate. An operator's setting, not an
+	// ablation: `pmemcli scrub -rate` carries it.
 	ScrubRate int64
 	// Async enables the asynchronous submission pipeline (async.go): the
 	// *Async entry points queue ops and return Futures, and batches of up to
-	// CoalesceWindow submissions group-commit together. Hashtable layout
-	// only; under the hierarchy layout the *Async calls run eagerly.
+	// CoalesceWindow submissions group-commit together. It needs a layout
+	// with pools; under the hierarchy layout the *Async calls run eagerly.
+	// E16's sync-vs-window columns.
 	Async bool
 	// CoalesceWindow is the number of queued submissions that seal a batch
 	// for group commit (0 = default 32). Adjacent same-id sub-stores inside
-	// a batch merge into single blocks under identity codecs.
+	// a batch merge into single blocks under identity codecs. The submission
+	// queue holds at most defaultInflightWindows of them before submitting
+	// stalls. Swept by E16 (window 1 vs 32).
 	CoalesceWindow int
-	// MaxInflight bounds the submission queue: once this many ops are
-	// queued, submitting blocks (committing the oldest batch inline) — the
-	// pipeline's backpressure. 0 defaults to 8 coalesce windows; values
-	// below one window are raised to it.
-	MaxInflight int
 	// Pools stripes the namespace over this many independent pools, one per
 	// PMEM device of the node (which must have been built with that many
 	// devices). Ids are placed on a home pool by a deterministic hash and
 	// large parallel stores stripe their shards round-robin across all
 	// pools, so aggregate bandwidth scales with the pool count. Creation is
 	// crash-consistent under a cross-pool prepare/publish commit
-	// (pmdk.CreateSet). Hashtable layout only. 0 or 1 = single pool.
+	// (pmdk.CreateSet). Hashtable layout only. 0 or 1 = single pool. Swept by
+	// E17.
 	Pools int
 }
 
@@ -143,7 +131,7 @@ type PMEM struct {
 	codec serial.Codec
 	st    *shared
 	// async is this rank's submission queue (async.go), nil unless the
-	// handle group was mapped WithAsync on the hashtable layout. Queues are
+	// handle group was mapped WithAsync on a layout with pools. Queues are
 	// per-rank like clocks; the pool and metadata they commit into are
 	// shared.
 	async *asyncEngine
@@ -154,16 +142,20 @@ type shared struct {
 	// opt is the handle group's configuration after Options.resolve: every
 	// default is applied, so the engines read its fields as they stand.
 	opt Options
-	// pools/hts are the namespace's member pools and their metadata
+	// lay is the layout (meta.go): where records and payload bytes live.
+	lay layout
+	// pools/hts are the pool layout's member pools and their metadata
 	// hashtables, index-aligned: one of each per PMEM device the namespace
 	// spans (a single entry on a single-pool handle; a single nil entry under
-	// the hierarchy layout, which keeps its data in hier instead).
+	// the hierarchy layout, which has one device and no pool).
 	pools []*pmdk.Pool
 	hts   []*pmdk.Hashtable
-	hier  *hierStore
-	// varLocks maps id -> *sync.RWMutex. Writers hold the write lock across
-	// their metadata republish; readers hold the read lock only while
-	// reading persistent metadata on a cache miss (hits bypass it).
+	// varLocks maps a variable's placement key -> *sync.RWMutex: one lock
+	// covers the variable's record, its "#dims" companion and its DRAM index
+	// entry. Writers hold the write side across their metadata republish and
+	// the invalidation that follows; every read plan holds the read side from
+	// its metadata lookup through the last byte it touches, index hits
+	// included.
 	varLocks sync.Map
 
 	// cache is the DRAM block-index cache (blockcache.go), shared by every
@@ -276,17 +268,8 @@ func (o Options) resolve(n *node.Node) Options {
 	if o.PoolSize == 0 {
 		o.PoolSize = n.Device.Size() / 4 * 3
 	}
-	// The pipeline commits through pool transactions, which only the
-	// hashtable layout has.
-	o.Async = o.Async && o.Layout == LayoutHashtable
 	if o.CoalesceWindow <= 0 {
 		o.CoalesceWindow = defaultCoalesceWindow
-	}
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = defaultInflightWindows * o.CoalesceWindow
-	}
-	if o.MaxInflight < o.CoalesceWindow {
-		o.MaxInflight = o.CoalesceWindow
 	}
 	return o
 }
@@ -307,18 +290,11 @@ func openShared(c *mpi.Comm, n *node.Node, path string, o Options) (*shared, err
 	for i := range st.limbos {
 		st.limbos[i] = &pmdk.Limbo{}
 	}
-	if o.Layout == LayoutHierarchy {
-		if o.Pools > 1 {
-			return nil, fmt.Errorf("core: WithPools(%d) requires the hashtable layout", o.Pools)
-		}
-		if err := n.FS.MkdirAll(clk, path); err != nil {
-			return nil, err
-		}
-		st.hier = &hierStore{node: n, root: path}
-	} else {
-		if err := st.openPools(clk, n, path); err != nil {
-			return nil, err
-		}
+	var err error
+	if st.lay, err = newLayout(clk, st, n, path); err != nil {
+		return nil, err
+	}
+	if st.lay.caps().pool {
 		// Repopulate the quarantine fail-fast mirror from the persistent
 		// list, so a reopen after a crash keeps refusing reads of known-bad
 		// blocks.
@@ -326,24 +302,15 @@ func openShared(c *mpi.Comm, n *node.Node, path string, o Options) (*shared, err
 			return nil, err
 		}
 	}
+	// The pipeline commits through pool transactions.
+	st.opt.Async = o.Async && st.lay.caps().pool
 	st.ins = newInstruments(st, n)
 	return st, nil
 }
 
 // setID derives the cross-pool commit identifier from the namespace path, so
 // every rank and every reopen binds the same member pools together.
-func setID(path string) uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	for i := 0; i < len(path); i++ {
-		h ^= uint64(path[i])
-		h *= fnvPrime
-	}
-	return h
-}
+func setID(path string) uint64 { return fnv1a(path) }
 
 // formatPool is the pool-format bootstrap of one freshly created member: its
 // metadata hashtable, published through the pool root. The table is created
@@ -487,51 +454,18 @@ func (p *PMEM) MapSync() bool { return p.st.opt.MapSync }
 // CodecName returns the active serializer's name.
 func (p *PMEM) CodecName() string { return p.codec.Name() }
 
+// varLock returns the lock of the variable id belongs to: the id itself and
+// its "#dims" companion share one.
 func (p *PMEM) varLock(id string) *sync.RWMutex {
+	id = placementKey(id)
 	// Load first: LoadOrStore's candidate mutex and boxed key are two heap
 	// objects per call, and every read plan — memoized statistics hits
-	// included — now takes this lock.
+	// included — takes this lock.
 	if l, ok := p.st.varLocks.Load(id); ok {
 		return l.(*sync.RWMutex)
 	}
 	l, _ := p.st.varLocks.LoadOrStore(id, new(sync.RWMutex))
 	return l.(*sync.RWMutex)
-}
-
-// --- multi-pool placement ---
-
-// placementKey reduces an id to its placement key: the "#dims" companion
-// follows its base variable so a variable's metadata co-locates, and reserved
-// '#'-prefixed keys (the quarantine list) pin to pool 0.
-func placementKey(id string) string {
-	if n := len(id) - len(DimsSuffix); n > 0 && id[n:] == DimsSuffix {
-		id = id[:n]
-	}
-	return id
-}
-
-// homeIdx returns the id's home pool index: the member pool holding its
-// metadata entry and its serially stored data blocks. Deterministic FNV-1a
-// striping, so every rank and every reopen computes the same placement.
-func (st *shared) homeIdx(id string) int {
-	n := len(st.pools)
-	if n == 1 {
-		return 0
-	}
-	key := placementKey(id)
-	if len(key) > 0 && key[0] == '#' {
-		return 0
-	}
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime
-	}
-	return int(h % uint64(n))
 }
 
 // Pools returns the number of member pools backing this handle (1 for the
@@ -544,12 +478,9 @@ func (p *PMEM) Pools() int { return len(p.st.pools) }
 // without touching the medium.
 func (p *PMEM) HomePool(id string) int { return p.st.homeIdx(id) }
 
-// homeIdx, poolOf and homeHT are the handle-side routing shorthands.
+// homeIdx and poolOf are the handle-side routing shorthands.
 func (p *PMEM) homeIdx(id string) int      { return p.st.homeIdx(id) }
 func (p *PMEM) poolOf(pi uint8) *pmdk.Pool { return p.st.pools[pi] }
-func (p *PMEM) homeHT(id string) *pmdk.Hashtable {
-	return p.st.hts[p.st.homeIdx(id)]
-}
 
 // chargeStoreBytes accounts the staging ablation's store of n encoded bytes
 // into pool pi: a DRAM encode pass followed by a separate device copy — the
@@ -679,17 +610,12 @@ func (p *PMEM) alloc(id string, dtype serial.DType, gdims []uint64) error {
 	if len(gdims) == 0 || len(gdims) > serial.MaxDims {
 		return fmt.Errorf("core: Alloc(%q) with rank %d: %w", id, len(gdims), ErrOutOfBounds)
 	}
-	lock := p.varLock(id + DimsSuffix)
+	lock := p.varLock(id)
 	lock.Lock()
 	defer lock.Unlock()
-	if existing, err := p.loadDimsLocked(id); err == nil {
-		if len(existing.dims) != len(gdims) {
+	if existing, err := p.loadDims(id); err == nil {
+		if !slices.Equal(existing.dims, gdims) {
 			return fmt.Errorf("core: Alloc(%q) conflicts with existing dims %v: %w", id, existing.dims, ErrTypeMismatch)
-		}
-		for i := range gdims {
-			if existing.dims[i] != gdims[i] {
-				return fmt.Errorf("core: Alloc(%q) conflicts with existing dims %v: %w", id, existing.dims, ErrTypeMismatch)
-			}
 		}
 		if existing.dtype != dtype {
 			return fmt.Errorf("core: Alloc(%q) conflicts with existing type %v: %w",
@@ -697,62 +623,19 @@ func (p *PMEM) alloc(id string, dtype serial.DType, gdims []uint64) error {
 		}
 		return nil
 	}
-	rec := encodeDimsRecord(dtype, gdims)
-	if err := p.putValue(id+DimsSuffix, rec); err != nil {
+	rec := encodeDims(dimsRecord{dtype: dtype, dims: gdims})
+	if err := p.st.lay.put(p.comm.Clock(), id, DimsSuffix, rec); err != nil {
 		return err
 	}
-	p.invalidateCache(id + DimsSuffix)
+	p.invalidateCache(id)
 	return nil
-}
-
-// dimsRecord is the decoded id+"#dims" entry.
-type dimsRecord struct {
-	dtype serial.DType
-	dims  []uint64
-}
-
-func encodeDimsRecord(dtype serial.DType, dims []uint64) []byte {
-	buf := make([]byte, 2+8*len(dims))
-	buf[0] = byte(dtype)
-	buf[1] = byte(len(dims))
-	for i, d := range dims {
-		binary.LittleEndian.PutUint64(buf[2+8*i:], d)
-	}
-	return buf
-}
-
-func decodeDimsRecord(raw []byte) (dimsRecord, error) {
-	if len(raw) < 2 {
-		return dimsRecord{}, fmt.Errorf("core: dims record truncated")
-	}
-	r := dimsRecord{dtype: serial.DType(raw[0])}
-	ndims := int(raw[1])
-	if len(raw) < 2+8*ndims {
-		return dimsRecord{}, fmt.Errorf("core: dims record truncated")
-	}
-	r.dims = make([]uint64, ndims)
-	for i := range r.dims {
-		r.dims[i] = binary.LittleEndian.Uint64(raw[2+8*i:])
-	}
-	return r, nil
 }
 
 // LoadDims returns the global dimensions and element type declared for id.
 func (p *PMEM) LoadDims(id string) (serial.DType, []uint64, error) {
-	rec, err := p.loadDimsLocked(id)
+	rec, err := p.loadDims(id)
 	if err != nil {
 		return serial.Invalid, nil, err
 	}
 	return rec.dtype, rec.dims, nil
-}
-
-func (p *PMEM) loadDimsLocked(id string) (dimsRecord, error) {
-	raw, ok, err := p.getValue(id + DimsSuffix)
-	if err != nil {
-		return dimsRecord{}, err
-	}
-	if !ok {
-		return dimsRecord{}, fmt.Errorf("core: %q has no dims (Alloc not called): %w", id, ErrNotFound)
-	}
-	return decodeDimsRecord(raw)
 }

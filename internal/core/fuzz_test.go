@@ -2,21 +2,105 @@ package core
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pmemcpy/internal/serial"
 )
 
-// The metadata record codecs parse bytes read back from the pool, which a
-// crash (or a corrupted device) can leave in any state. The fuzz targets pin
-// the contract the loaders rely on: arbitrary input never panics and never
-// drives an unbounded allocation — it either errors or decodes into records
-// that survive a round trip.
+// The metadata record codecs parse bytes read back from the pool or a
+// variable's file, which a crash (or a corrupted device) can leave in any
+// state. The fuzz targets pin the contract the loaders rely on: arbitrary
+// input never panics and never drives an unbounded allocation — it either
+// errors or decodes into records that survive a round trip.
+
+// The record forms checkDecode drives, selected by form % nForms.
+const (
+	formTagged     = iota // block list | value ref | raw, through the tag dispatch
+	formDims              // id+"#dims"
+	formQuarantine        // the quarantine list
+	formFrame             // a hierarchy block frame header
+	nForms
+)
+
+// checkDecode runs one form's decoder over raw. Whatever decodes must be
+// expressible: re-encoding and re-decoding yields the same record (trailing
+// junk in raw is ignored).
+func checkDecode(t *testing.T, form uint8, raw []byte) {
+	roundTrip := func(l listForm, refs []blockRec) {
+		back, err := l.decode(l.encode(refs))
+		if err != nil {
+			t.Fatalf("re-decode of re-encoded %s failed: %v", l.what, err)
+		}
+		if !reflect.DeepEqual(normalizeRecs(back), normalizeRecs(refs)) {
+			t.Fatalf("%s round trip mismatch:\n got %+v\nwant %+v", l.what, back, refs)
+		}
+	}
+	switch form % nForms {
+	case formTagged:
+		blocks, kind, err := decodeRecord(raw, 0, nil)
+		switch {
+		case err != nil:
+		case kind == recBlockList:
+			roundTrip(blockList, blocks)
+		case kind == recValueRef && !bytes.Equal(encodeValueRef(&blocks[0]), raw):
+			t.Fatalf("value ref round trip mismatch for %x", raw)
+		}
+	case formDims:
+		r, err := decodeDims(raw)
+		if err != nil {
+			return
+		}
+		if enc := encodeDims(r); !bytes.Equal(enc, raw[:len(enc)]) {
+			t.Fatalf("dims round trip mismatch: %x from %x", enc, raw)
+		}
+	case formQuarantine:
+		if refs, err := quarList.decode(raw); err == nil {
+			roundTrip(quarList, refs)
+		}
+	case formFrame:
+		b, err := decodeFrame(raw, int64(len(raw)))
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("frame error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		if b.encLen < 0 || b.encLen > int64(len(raw)) || len(b.offs) > serial.MaxDims {
+			t.Fatalf("frame decoder accepted %+v from %d bytes", b, len(raw))
+		}
+		if enc := frameFields.append(nil, &b); !bytes.Equal(enc, raw[:len(enc)]) {
+			t.Fatalf("frame round trip mismatch: %x from %x", enc, raw)
+		}
+	}
+}
+
+// FuzzDecodeRecord drives every record form's decoder. Its seeds are the
+// records TestRecordBytesPinned pins, each offered to every form.
+func FuzzDecodeRecord(f *testing.F) {
+	golden, err := os.ReadFile("testdata/record_bytes.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		raw, err := hex.DecodeString(line[strings.LastIndexByte(line, ' ')+1:])
+		if err != nil {
+			f.Fatalf("golden line %q: %v", line, err)
+		}
+		for form := uint8(0); form < nForms; form++ {
+			f.Add(form, raw)
+		}
+	}
+	f.Fuzz(checkDecode)
+}
 
 func FuzzDecodeBlockList(f *testing.F) {
-	f.Add(encodeBlockList(nil))
-	f.Add(encodeBlockList([]blockRec{{
+	f.Add(blockList.encode(nil))
+	f.Add(blockList.encode([]blockRec{{
 		dtype:  serial.Float64,
 		offs:   []uint64{0, 128},
 		counts: []uint64{4, 32},
@@ -31,7 +115,7 @@ func FuzzDecodeBlockList(f *testing.F) {
 	}}))
 	// Pooled form: any nonzero pool index flips the encoder to the pooled
 	// tag, which carries a member index per record.
-	f.Add(encodeBlockList([]blockRec{{
+	f.Add(blockList.encode([]blockRec{{
 		dtype:  serial.Float64,
 		offs:   []uint64{0},
 		counts: []uint64{64},
@@ -47,26 +131,12 @@ func FuzzDecodeBlockList(f *testing.F) {
 	}}))
 	// A count field the buffer cannot possibly hold: must error out instead
 	// of sizing a four-billion-record allocation.
-	f.Add([]byte{blockListTag, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{blockList.tag, 0xff, 0xff, 0xff, 0xff})
 	// Impossible rank.
-	f.Add([]byte{blockListTag, 1, 0, 0, 0, byte(serial.Float64), 0xff})
+	f.Add([]byte{blockList.tag, 1, 0, 0, 0, byte(serial.Float64), 0xff})
 	// Pooled tag with a truncated member index.
-	f.Add([]byte{blockListPooledTag, 1, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		blocks, err := decodeBlockList(raw)
-		if err != nil {
-			return
-		}
-		// Whatever decodes must be expressible: re-encoding and re-decoding
-		// yields the same records (trailing junk in raw is ignored).
-		back, err := decodeBlockList(encodeBlockList(blocks))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded list failed: %v", err)
-		}
-		if !reflect.DeepEqual(normalizeRecs(back), normalizeRecs(blocks)) {
-			t.Fatalf("block list round trip mismatch:\n got %+v\nwant %+v", back, blocks)
-		}
-	})
+	f.Add([]byte{blockList.tag + 1, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, raw []byte) { checkDecode(t, formTagged, raw) })
 }
 
 // normalizeRecs maps empty dim slices to nil so DeepEqual compares shape,
@@ -86,17 +156,9 @@ func normalizeRecs(recs []blockRec) []blockRec {
 }
 
 func FuzzDecodeValueRef(f *testing.F) {
-	f.Add(encodeValueRef(4096, 77, 0xdeadbeef))
-	f.Add(encodeValueRef(0, 0, 0))
+	f.Add(encodeValueRef(&blockRec{data: 4096, encLen: 77, crc: 0xdeadbeef}))
+	f.Add(encodeValueRef(&blockRec{}))
 	f.Add([]byte{valueRefTag, 1, 2})
-	f.Add([]byte{blockListTag})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		blk, n, crc, err := decodeValueRef(raw)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(encodeValueRef(blk, n, crc), raw) {
-			t.Fatalf("value ref round trip mismatch for %x", raw)
-		}
-	})
+	f.Add([]byte{blockList.tag})
+	f.Fuzz(func(t *testing.T, raw []byte) { checkDecode(t, formTagged, raw) })
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"path"
 
@@ -9,7 +8,6 @@ import (
 	"pmemcpy/internal/node"
 	"pmemcpy/internal/pmdk"
 	"pmemcpy/internal/posixfs"
-	"pmemcpy/internal/serial"
 	"pmemcpy/internal/sim"
 )
 
@@ -20,12 +18,28 @@ import (
 // already exist."
 //
 // Variables map to files under the store's root directory; every stored
-// block is appended to its variable's file as a framed record. Data moves
-// through the filesystem's kernel path, which is what the layout ablation
-// (E5) compares against the mapped hashtable layout.
+// block is appended to its variable's file as a framed record (decodeFrame,
+// meta.go), and a whole value is its file: a dtype byte and the payload. Data
+// moves through the filesystem's kernel path, which is what the layout
+// ablation (E5) compares against the mapped hashtable layout. The filesystem
+// replaces the allocator, the metadata table and the mapping, so the layout
+// has none of the pool layout's capabilities: no published CRCs, nothing to
+// alias, no transactions.
 type hierStore struct {
 	node *node.Node
 	root string
+}
+
+func (h *hierStore) caps() layoutCaps { return layoutCaps{} }
+
+// varFile is a variable's open file: what a resolved read plan's units point
+// into until the read engine closes it.
+type varFile posixfs.File
+
+func (f *varFile) close() {
+	if f != nil {
+		(*posixfs.File)(f).Close()
+	}
 }
 
 // filePath maps an id to its file path, creating parent directories.
@@ -44,26 +58,36 @@ func (h *hierStore) filePath(clk *sim.Clock, id string, mkdirs bool) (string, er
 	return full, nil
 }
 
-// putValue writes a whole small metadata file.
-func (h *hierStore) putValue(clk *sim.Clock, id string, value []byte) error {
+// put writes a whole small file.
+func (h *hierStore) put(clk *sim.Clock, id, suffix string, value []byte) error {
+	return h.writeFile(clk, id+suffix, value, false)
+}
+
+// writeFile replaces id's file with rec, or appends rec to it, and syncs.
+func (h *hierStore) writeFile(clk *sim.Clock, id string, rec []byte, appendRec bool) error {
 	p, err := h.filePath(clk, id, true)
 	if err != nil {
 		return err
 	}
-	f, err := h.node.FS.Create(clk, p)
-	if err != nil {
-		return err
+	var f *posixfs.File
+	if appendRec {
+		f, _ = h.node.FS.Open(clk, p)
+	}
+	if f == nil {
+		if f, err = h.node.FS.Create(clk, p); err != nil {
+			return err
+		}
 	}
 	defer f.Close()
-	if _, err := f.WriteAt(clk, value, 0); err != nil {
+	if _, err := f.WriteAt(clk, rec, f.Size()); err != nil {
 		return err
 	}
 	return f.Sync(clk)
 }
 
-// getValue reads a whole small metadata file.
-func (h *hierStore) getValue(clk *sim.Clock, id string) ([]byte, bool, error) {
-	p, err := h.filePath(clk, id, false)
+// get reads a whole small file.
+func (h *hierStore) get(clk *sim.Clock, id, suffix string) ([]byte, bool, error) {
+	p, err := h.filePath(clk, id+suffix, false)
 	if err != nil {
 		return nil, false, err
 	}
@@ -79,7 +103,7 @@ func (h *hierStore) getValue(clk *sim.Clock, id string) ([]byte, bool, error) {
 	return buf, true, nil
 }
 
-func (h *hierStore) delete(clk *sim.Clock, id string) (bool, error) {
+func (h *hierStore) del(clk *sim.Clock, id string) (bool, error) {
 	p, err := h.filePath(clk, id, false)
 	if err != nil {
 		return false, err
@@ -119,48 +143,47 @@ func (h *hierStore) keys(clk *sim.Clock) ([]string, error) {
 	return out, nil
 }
 
-// storeDatum writes one whole value as a single-record file: a staged plan
-// whose frame is the 1-byte type prefix, executed by the commit engine.
-func (h *hierStore) storeDatum(p *PMEM, id string, d *serial.Datum) error {
-	return p.engine().runStaged(h, &stagedPlan{
-		id:     id,
-		header: []byte{byte(d.Type)},
-		datum:  d,
-	})
+// commit writes each unit of the plan as one record: a whole value replaces
+// its file with dtype byte | payload, a block appends frame | payload to its
+// variable's. The layout writes through the kernel path, so it cannot encode
+// straight into a device mapping: the record is serialized into a DRAM buffer,
+// charged as staged, then written and synced under the variable's lock.
+func (h *hierStore) commit(p *PMEM, plan writePlan) error {
+	clk := p.comm.Clock()
+	m := p.node.Machine
+	for g, u := range plan.units {
+		d := u.frags[0].datum // no pool: never chunked, sharded or coalesced
+		framed := g.publish == publishBlockList
+		hdrLen := 1
+		if framed {
+			hdrLen = frameFields.size(len(u.offs))
+		}
+		enc := make([]byte, hdrLen+p.codec.EncodedSize(d))
+		wrote, err := p.codec.EncodeTo(enc[hdrLen:], d)
+		if err != nil {
+			return err
+		}
+		enc = enc[:hdrLen+wrote]
+		if framed {
+			frameFields.append(enc[:0], &blockRec{dtype: g.dtype, offs: u.offs, counts: u.counts, encLen: int64(wrote)})
+		} else {
+			enc[0] = byte(g.dtype)
+		}
+		m.ChargePasses(clk, int64(len(enc)), plan.encPasses, m.Config().SerializeBPS, p.comm.Size())
+		lock := p.varLock(g.id)
+		lock.Lock()
+		err = h.writeFile(clk, g.id, enc, framed)
+		lock.Unlock()
+		if err != nil {
+			return err
+		}
+		u.wrote = int64(len(enc))
+	}
+	return nil
 }
 
-// Block record framing in a variable file:
-//
-//	u8 dtype | u8 ndims | offs u64[nd] | counts u64[nd] | u64 encLen | payload
-func blockRecordHeaderSize(ndims int) int64 { return 2 + 16*int64(ndims) + 8 }
-
-// storeBlock appends one block record to the variable's file: a staged plan
-// whose frame is the record header (with the encoded-length hole stamped by
-// the engine after the fill), executed by the commit engine.
-func (h *hierStore) storeBlock(p *PMEM, id string, offs []uint64, d *serial.Datum) error {
-	hdr := make([]byte, blockRecordHeaderSize(len(d.Dims)))
-	hdr[0] = byte(d.Type)
-	hdr[1] = byte(len(d.Dims))
-	pos := 2
-	for _, o := range offs {
-		binary.LittleEndian.PutUint64(hdr[pos:], o)
-		pos += 8
-	}
-	for _, c := range d.Dims {
-		binary.LittleEndian.PutUint64(hdr[pos:], c)
-		pos += 8
-	}
-	return p.engine().runStaged(h, &stagedPlan{
-		id:        id,
-		header:    hdr,
-		stampLen:  true,
-		datum:     d,
-		appendRec: true,
-	})
-}
-
-// open opens id's file for the read engine, which closes it.
-func (h *hierStore) open(clk *sim.Clock, id string) (*posixfs.File, error) {
+// open opens id's file for a read plan; the read engine closes it.
+func (h *hierStore) open(clk *sim.Clock, id string) (*varFile, error) {
 	fp, err := h.filePath(clk, id, false)
 	if err != nil {
 		return nil, err
@@ -169,47 +192,91 @@ func (h *hierStore) open(clk *sim.Clock, id string) (*posixfs.File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: id %q has no stored file: %w", id, ErrNotFound)
 	}
-	return f, nil
+	return (*varFile)(f), nil
 }
 
-// scanRecords walks the record headers of a variable's file and returns every
-// record intersecting the request as a read unit, in append (= publish)
-// order; src.data is the payload's offset in f. The read engine (readplan.go)
-// checks coverage, then reads, decodes and scatters the units one at a time,
-// exactly as it does mapped blocks.
-func scanRecords(clk *sim.Clock, f *posixfs.File, offs, counts []uint64, esize int) ([]readUnit, error) {
-	var units []readUnit
-	size := f.Size()
-	pos := int64(0)
-	for pos < size {
-		var hdr [2]byte
-		if _, err := f.ReadAt(clk, hdr[:], pos); err != nil {
-			return nil, err
+// resolve scans a request plan's units out of the variable's file. A value is
+// its file, not a reference to a block: a whole-value load reads the file as
+// one record, and a CRC plan finds nothing to sweep.
+func (h *hierStore) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
+	clk := p.comm.Clock()
+	switch pl.consume {
+	case consumeStats:
+		return r, fmt.Errorf("core: block statistics require the hashtable layout")
+	case consumeCRC:
+		_, ok, err := h.get(clk, pl.id, "")
+		if err == nil && !ok {
+			err = fmt.Errorf("core: id %q: %w", pl.id, ErrNotFound)
 		}
-		ndims := int(hdr[1])
-		hdrLen := blockRecordHeaderSize(ndims)
-		rest := make([]byte, hdrLen-2)
-		if _, err := f.ReadAt(clk, rest, pos+2); err != nil {
-			return nil, err
+		r.done = true
+		return r, err
+	case consumeClone:
+		if r.file, err = h.open(clk, pl.id); err == nil {
+			n := (*posixfs.File)(r.file).Size()
+			r.one[0], r.single = readUnit{src: blockRec{encLen: n}, bytes: n, file: r.file}, true
 		}
-		b := blockRec{dtype: serial.DType(hdr[0]), offs: make([]uint64, ndims), counts: make([]uint64, ndims)}
-		rp := 0
-		for i := range b.offs {
-			b.offs[i] = binary.LittleEndian.Uint64(rest[rp:])
-			rp += 8
-		}
-		for i := range b.counts {
-			b.counts[i] = binary.LittleEndian.Uint64(rest[rp:])
-			rp += 8
-		}
-		b.encLen = int64(binary.LittleEndian.Uint64(rest[rp:]))
-		b.data = pmdk.PMID(pos + hdrLen)
-		pos += hdrLen + b.encLen
+		return r, err
+	}
+	rec, err := p.loadDims(pl.id)
+	if err != nil {
+		return r, err
+	}
+	if err := r.bound(&pl, rec); err != nil {
+		return r, err
+	}
+	if r.file, err = h.open(clk, pl.id); err == nil {
+		r.units, err = h.scan(clk, r.file, &pl, r.esize)
+	}
+	return r, err
+}
 
-		if isOffs, isCnts, ok := nd.Intersect(offs, counts, b.offs, b.counts); ok {
+// scan walks the frames of a variable's file and returns every block
+// intersecting the request as a read unit, in append (= publish) order;
+// src.data is the payload's offset in f. Each frame costs two reads: its first
+// two bytes size the rest of its header.
+func (h *hierStore) scan(clk *sim.Clock, vf *varFile, pl *readPlan, esize int) ([]readUnit, error) {
+	var units []readUnit
+	f := (*posixfs.File)(vf)
+	size := f.Size()
+	for pos := int64(0); pos < size; {
+		var head [2]byte
+		n, err := f.ReadAt(clk, head[:], pos)
+		if err != nil {
+			return nil, err
+		}
+		hdr := make([]byte, frameLen(head[:]))
+		copy(hdr, head[:n])
+		m, err := f.ReadAt(clk, hdr[2:], pos+2)
+		if err != nil {
+			return nil, err
+		}
+		pos += int64(len(hdr))
+		b, err := decodeFrame(hdr[:n+m], size-pos)
+		if err != nil {
+			return nil, fmt.Errorf("core: id %q: %w", pl.id, err)
+		}
+		b.data = pmdk.PMID(pos)
+		pos += b.encLen
+		if isOffs, isCnts, ok := nd.Intersect(pl.offs, pl.counts, b.offs, b.counts); ok {
 			units = append(units, readUnit{src: b, isOffs: isOffs, isCnts: isCnts,
-				bytes: int64(nd.Size(isCnts)) * int64(esize)})
+				bytes: int64(nd.Size(isCnts)) * int64(esize), file: vf})
 		}
 	}
 	return units, nil
+}
+
+// stored reads a unit's record from the variable's file into DRAM through the
+// FS model. The read engine calls it once per unit, as the unit is consumed,
+// so a gather holds one record at a time.
+func (h *hierStore) stored(p *PMEM, u readUnit) ([]byte, error) {
+	buf := make([]byte, u.src.encLen)
+	_, err := (*posixfs.File)(u.file).ReadAt(p.comm.Clock(), buf, int64(u.src.data))
+	return buf, err
+}
+
+// chargeUnit accounts the staged decode of one record; the FS model already
+// charged for its bytes.
+func (h *hierStore) chargeUnit(p *PMEM, u readUnit, decPasses float64) {
+	m := p.node.Machine
+	m.ChargePasses(p.comm.Clock(), u.src.encLen, decPasses, m.Config().DeserializeBPS, p.comm.Size())
 }

@@ -226,7 +226,7 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 	reg.CounterFunc("pmemcpy_device_media_failures_total", "persists escalated to ErrMedia",
 		n.Device.MediaFailures)
 
-	if st.hier == nil {
+	if st.lay.caps().pool {
 		poolSum := func(f func(pmdk.Stats) int64) func() int64 {
 			return func() (total int64) {
 				for _, pool := range st.pools {

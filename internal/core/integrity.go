@@ -1,17 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"pmemcpy/internal/fsck"
 	"pmemcpy/internal/pmdk"
-	"pmemcpy/internal/sim"
 )
 
 // Integrity layer: detect and contain corruption instead of returning garbage.
@@ -77,12 +76,6 @@ func (m VerifyMode) String() string {
 // differential runs replay identically.
 const verifySampleEvery = 8
 
-// quarantineKey is the reserved metadata key holding the persistent
-// quarantine list. It sorts before every user id that does not itself start
-// with '#', keeping Keys() output stable, and decodeValueRef/decodeBlockList
-// reject its tag so it can never be misread as user data.
-const quarantineKey = "#quarantine"
-
 // shouldVerify reports whether the current load operation must CRC-check the
 // blocks it gathers.
 func (p *PMEM) shouldVerify() bool {
@@ -98,87 +91,6 @@ func (p *PMEM) shouldVerify() bool {
 
 // --- quarantine ---
 
-// poolPMID is a fully qualified block address on a sharded namespace: PMIDs
-// are pool-relative offsets, so blocks from different member pools can carry
-// the same PMID and the quarantine must key on the pair.
-type poolPMID struct {
-	pool uint8
-	id   pmdk.PMID
-}
-
-// encodeQuarantine writes the persistent quarantine list. Like block lists,
-// the encoding is content-driven: the pooled form (9-byte entries with a pool
-// prefix) is used exactly when an entry lives outside pool 0, so single-pool
-// stores keep their legacy 8-byte-entry records.
-func encodeQuarantine(ids []poolPMID) []byte {
-	pooled := false
-	for _, id := range ids {
-		if id.pool != 0 {
-			pooled = true
-			break
-		}
-	}
-	if !pooled {
-		buf := make([]byte, 5+8*len(ids))
-		buf[0] = quarantineTag
-		binary.LittleEndian.PutUint32(buf[1:], uint32(len(ids)))
-		for i, id := range ids {
-			binary.LittleEndian.PutUint64(buf[5+8*i:], uint64(id.id))
-		}
-		return buf
-	}
-	buf := make([]byte, 5+9*len(ids))
-	buf[0] = quarantinePooledTag
-	binary.LittleEndian.PutUint32(buf[1:], uint32(len(ids)))
-	for i, id := range ids {
-		buf[5+9*i] = id.pool
-		binary.LittleEndian.PutUint64(buf[5+9*i+1:], uint64(id.id))
-	}
-	return buf
-}
-
-func decodeQuarantine(raw []byte) ([]poolPMID, error) {
-	if len(raw) < 5 || (raw[0] != quarantineTag && raw[0] != quarantinePooledTag) {
-		return nil, fmt.Errorf("core: not a quarantine record")
-	}
-	entry := 8
-	if raw[0] == quarantinePooledTag {
-		entry = 9
-	}
-	n := binary.LittleEndian.Uint32(raw[1:])
-	if int64(n) > int64(len(raw)-5)/int64(entry) {
-		return nil, fmt.Errorf("core: quarantine record truncated")
-	}
-	out := make([]poolPMID, n)
-	for i := range out {
-		pos := 5 + entry*i
-		if entry == 9 {
-			out[i].pool = raw[pos]
-			pos++
-		}
-		out[i].id = pmdk.PMID(binary.LittleEndian.Uint64(raw[pos:]))
-	}
-	return out, nil
-}
-
-// loadQuarantine populates the DRAM mirror of the persistent quarantine list
-// at open time, so fail-fast reads work from the first op after a reopen.
-func (st *shared) loadQuarantine(clk *sim.Clock) error {
-	raw, ok, err := st.hts[0].Get(clk, []byte(quarantineKey))
-	if err != nil || !ok {
-		return err
-	}
-	ids, err := decodeQuarantine(raw)
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		st.quar[id] = struct{}{}
-	}
-	st.quarLen.Store(int64(len(st.quar)))
-	return nil
-}
-
 // isQuarantined reports whether (pool, blk) is on the quarantine list. The
 // common case — nothing quarantined — is a single atomic load, keeping the
 // check invisible on hot read paths.
@@ -193,42 +105,46 @@ func (p *PMEM) isQuarantined(pool uint8, blk pmdk.PMID) bool {
 	return ok
 }
 
-// quarSnapshot returns the quarantined addresses sorted by (pool, offset),
-// for a deterministic persistent encoding. Caller holds quarMu.
-func quarSnapshot(st *shared) []poolPMID {
-	ids := make([]poolPMID, 0, len(st.quar))
-	for id := range st.quar {
-		ids = append(ids, id)
+// quarSnapshot returns the quarantined addresses as bare block references
+// sorted by (pool, offset), for a deterministic persistent encoding. Caller
+// holds quarMu.
+func quarSnapshot(st *shared) []blockRec {
+	refs := make([]blockRec, 0, len(st.quar))
+	for a := range st.quar {
+		refs = append(refs, blockRec{pool: a.pool, data: a.id})
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		if ids[a].pool != ids[b].pool {
-			return ids[a].pool < ids[b].pool
-		}
-		return ids[a].id < ids[b].id
+	slices.SortFunc(refs, func(a, b blockRec) int {
+		return cmp.Or(cmp.Compare(a.pool, b.pool), cmp.Compare(a.data, b.data))
 	})
-	return ids
+	return refs
 }
 
-// quarantineBlocks adds blks to the quarantine and persists the updated list.
-// The list always lives in pool 0's hashtable, even on a sharded namespace:
-// '#'-prefixed reserved keys route there by construction.
-func (p *PMEM) quarantineBlocks(blks []poolPMID) error {
+// setQuarantine adds blks to the quarantine, or drops them from it, and
+// persists the list when it changed. The list always lives in pool 0's
+// hashtable, even on a sharded namespace (homeIdx).
+func (p *PMEM) setQuarantine(blks []blockRec, on bool) error {
 	st := p.st
 	st.quarMu.Lock()
 	changed := false
-	for _, b := range blks {
-		if _, ok := st.quar[b]; !ok {
-			st.quar[b] = struct{}{}
-			changed = true
+	for i := range blks {
+		a := blks[i].addr()
+		if _, ok := st.quar[a]; ok == on {
+			continue
+		}
+		changed = true
+		if on {
+			st.quar[a] = struct{}{}
+		} else {
+			delete(st.quar, a)
 		}
 	}
-	ids := quarSnapshot(st)
+	refs := quarSnapshot(st)
 	st.quarLen.Store(int64(len(st.quar)))
 	st.quarMu.Unlock()
-	if !changed || st.hier != nil {
+	if !changed {
 		return nil
 	}
-	return p.engine().publishQuarantine(ids)
+	return p.publishQuarantine(refs)
 }
 
 // unquarantine drops blks from the quarantine: their storage was freed, and
@@ -236,26 +152,10 @@ func (p *PMEM) quarantineBlocks(blks []poolPMID) error {
 // on the persistence side — the caller already committed the free, and a
 // stale persistent entry can only cause a spurious fail-fast after reopen,
 // never a silent wrong read.
-func (p *PMEM) unquarantine(blks []poolPMID) {
-	st := p.st
-	if st.quarLen.Load() == 0 {
-		return
+func (p *PMEM) unquarantine(blks []blockRec) {
+	if p.st.quarLen.Load() != 0 {
+		_ = p.setQuarantine(blks, false)
 	}
-	st.quarMu.Lock()
-	changed := false
-	for _, b := range blks {
-		if _, ok := st.quar[b]; ok {
-			delete(st.quar, b)
-			changed = true
-		}
-	}
-	ids := quarSnapshot(st)
-	st.quarLen.Store(int64(len(st.quar)))
-	st.quarMu.Unlock()
-	if !changed || st.hier != nil {
-		return
-	}
-	_ = p.engine().publishQuarantine(ids)
 }
 
 // Quarantined returns the currently quarantined pool offsets, sorted by
@@ -264,11 +164,11 @@ func (p *PMEM) unquarantine(blks []poolPMID) {
 func (p *PMEM) Quarantined() []int64 {
 	st := p.st
 	st.quarMu.Lock()
-	ids := quarSnapshot(st)
+	refs := quarSnapshot(st)
 	st.quarMu.Unlock()
-	out := make([]int64, len(ids))
-	for i, id := range ids {
-		out[i] = int64(id.id)
+	out := make([]int64, len(refs))
+	for i := range refs {
+		out[i] = int64(refs[i].data)
 	}
 	return out
 }
@@ -320,7 +220,7 @@ func (r ScrubReport) String() string {
 // calls.
 func (p *PMEM) Scrub(ctx context.Context) (ScrubReport, error) {
 	var rep ScrubReport
-	if p.st.opt.Layout != LayoutHashtable {
+	if !p.st.lay.caps().crc {
 		return rep, fmt.Errorf("core: Scrub requires the hashtable layout")
 	}
 	clk := p.comm.Clock()
@@ -347,7 +247,7 @@ func (p *PMEM) Scrub(ctx context.Context) (ScrubReport, error) {
 		rep.Vars++
 		if len(bad) > 0 {
 			rep.Quarantined += len(bad)
-			if err := p.quarantineBlocks(bad); err != nil {
+			if err := p.setQuarantine(bad, true); err != nil {
 				rep.Elapsed = time.Duration(clk.Now() - start)
 				return rep, err
 			}
@@ -364,9 +264,9 @@ func (p *PMEM) Scrub(ctx context.Context) (ScrubReport, error) {
 // block charged at the paced scrub rate, cancellable between blocks — and
 // returns the newly found corrupt blocks. A pass cut short still counts what
 // it finished. The plan's read lock is released before the caller
-// quarantines, since quarantineBlocks persists through the shared hashtable.
+// quarantines, since setQuarantine persists through the shared hashtable.
 // An id deleted since Keys() is an empty sweep, not an error.
-func (p *PMEM) scrubVar(id string, rep *ScrubReport, pace *scrubPacer) ([]poolPMID, error) {
+func (p *PMEM) scrubVar(id string, rep *ScrubReport, pace *scrubPacer) ([]blockRec, error) {
 	pl := readPlan{id: id, consume: consumeCRC, quarantine: quarSkip, verify: verifyReport, sweep: pace}
 	err := p.reader().run(&pl)
 	if errors.Is(err, ErrNotFound) {
@@ -377,11 +277,7 @@ func (p *PMEM) scrubVar(id string, rep *ScrubReport, pace *scrubPacer) ([]poolPM
 	rep.Corruptions += len(pl.bad)
 	p.st.ins.scrubBlocks.Add(pl.blocks)
 	p.st.ins.scrubCorrupt.Add(int64(len(pl.bad)))
-	bad := make([]poolPMID, len(pl.bad))
-	for i, b := range pl.bad {
-		bad[i] = poolPMID{pool: b.rec.pool, id: b.rec.data}
-	}
-	return bad, err
+	return pl.bad, err
 }
 
 // scrubPacer is one Scrub pass's state across its per-id plans: the caller's
@@ -423,7 +319,7 @@ func (p *PMEM) chargeScrub(pi int, n int64, pace *scrubPacer) {
 // added sweep.
 func (p *PMEM) DeepCheck() (*fsck.DeepReport, error) {
 	rep := &fsck.DeepReport{}
-	if p.st.opt.Layout != LayoutHashtable {
+	if !p.st.lay.caps().crc {
 		return rep, nil
 	}
 	keys, err := p.Keys()
@@ -451,13 +347,12 @@ func (p *PMEM) deepCheckVar(id string, rep *fsck.DeepReport) error {
 	}
 	rep.Blocks += pl.blocks
 	rep.Bytes += pl.covered
-	for _, b := range pl.bad {
+	for i, b := range pl.bad {
+		at := pl.badAt[i]
 		if pl.kind == recValueRef {
-			b.idx = -1 // a whole value's single block
+			at = -1 // a whole value's single block
 		}
-		rep.Corrupt = append(rep.Corrupt, fsck.Corruption{
-			ID: id, Block: b.idx, Offset: int64(b.rec.data), Len: b.rec.encLen,
-		})
+		rep.Corrupt = append(rep.Corrupt, fsck.Corruption{ID: id, Block: at, Offset: int64(b.data), Len: b.encLen})
 	}
 	return nil
 }

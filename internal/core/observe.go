@@ -52,7 +52,7 @@ func (p *PMEM) Stats() (StoreStats, error) {
 		st.CacheMisses = c.misses.Load()
 		st.CacheInvalidations = c.invalidations.Load()
 	}
-	if p.st.opt.Layout != LayoutHashtable {
+	if !p.st.lay.caps().pool {
 		return st, nil
 	}
 	// On a sharded namespace, heap and transaction statistics aggregate over

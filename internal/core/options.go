@@ -109,21 +109,16 @@ func WithScrubber(bytesPerSec int64) MmapOption {
 // batches (one transaction and one metadata publish per batch, adjacent
 // same-id sub-stores coalesced into single blocks under identity codecs).
 // Hashtable layout only; under the hierarchy layout the *Async calls run
-// eagerly. Tune with WithCoalesceWindow and WithMaxInflight.
+// eagerly. Tune with WithCoalesceWindow.
 func WithAsync() MmapOption {
 	return mmapOptionFunc(func(o *Options) { o.Async = true })
 }
 
 // WithCoalesceWindow sets how many queued submissions seal a batch for group
 // commit (0 = default 32). Larger windows amortize more transaction, persist,
-// and publish cost per op but delay completion of queued Futures.
+// and publish cost per op but delay completion of queued Futures. The queue
+// holds at most 8 windows: past that, submitting stalls and commits the oldest
+// batch inline (backpressure).
 func WithCoalesceWindow(n int) MmapOption {
 	return mmapOptionFunc(func(o *Options) { o.CoalesceWindow = n })
-}
-
-// WithMaxInflight bounds the async submission queue: once n ops are queued,
-// submitting stalls and commits the oldest batch inline (backpressure).
-// 0 defaults to 8 coalesce windows; values below one window are raised to it.
-func WithMaxInflight(n int) MmapOption {
-	return mmapOptionFunc(func(o *Options) { o.MaxInflight = n })
 }

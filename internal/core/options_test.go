@@ -37,7 +37,6 @@ var withOptions = map[string]any{
 	"WithScrubber":            core.WithScrubber,
 	"WithAsync":               core.WithAsync,
 	"WithCoalesceWindow":      core.WithCoalesceWindow,
-	"WithMaxInflight":         core.WithMaxInflight,
 }
 
 // nonZero sets v (a settable scalar) to a value different from its zero.

@@ -67,14 +67,20 @@ func splitShards(d *serial.Datum, offs, counts []uint64, want int) []shard {
 	return shards
 }
 
-// parallelEligible reports whether a store of encSize encoded bytes should
-// take the parallel path.
-func (p *PMEM) parallelEligible(counts []uint64, encSize int64) bool {
+// wideStore reports whether a store of n encoded bytes is worth a concurrent
+// wave: the handle has write workers, the layout has pools to fill in place,
+// and the payload clears the threshold.
+func (p *PMEM) wideStore(n int64) bool {
 	return p.st.opt.Parallelism > 1 &&
 		!p.st.opt.StagedSerialization && // staging ablation models the serial related work
-		p.st.opt.Layout == LayoutHashtable &&
-		encSize >= parallelMinBytes &&
-		len(counts) > 0 && counts[0] > 1
+		p.st.lay.caps().pool &&
+		n >= parallelMinBytes
+}
+
+// parallelEligible reports whether a block store of encSize encoded bytes
+// should be sharded along dimension 0.
+func (p *PMEM) parallelEligible(counts []uint64, encSize int64) bool {
+	return p.wideStore(encSize) && len(counts) > 0 && counts[0] > 1
 }
 
 // shardUnits plans StoreBlock's sharded write path: one writeUnit per shard.

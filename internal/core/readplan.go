@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"pmemcpy/internal/checksum"
 	"pmemcpy/internal/nd"
-	"pmemcpy/internal/posixfs"
 	"pmemcpy/internal/serial"
 )
 
@@ -20,10 +18,9 @@ import (
 //	1. lock     the id's read lock, held from the metadata lookup through the
 //	            last byte touched, so no concurrent Compact/Delete can free
 //	            what the plan reads;
-//	2. resolve  which stored blocks the plan touches: the blocks intersecting
-//	            a request (DRAM index; FS scan under the hierarchy layout),
-//	            every indexed block, or the blocks the id's metadata record
-//	            owns (ownedBlocks);
+//	2. resolve  which stored blocks the plan touches, asked of the layout
+//	            (meta.go): the blocks intersecting a request, every indexed
+//	            block, or the blocks the id's metadata record owns;
 //	3. gate     the quarantine policy over ALL units: fail | skip | ignore;
 //	4. verify   the op's single verification decision, then CRC32C over all
 //	            units — so no byte reaches the caller before every selected
@@ -33,16 +30,15 @@ import (
 //	            decode+clone, alias+lease, statistics, or nothing beyond the
 //	            CRC verdicts.
 //
-// Steps 4 and 5 reach a unit's bytes through the engine's one accessor,
-// stored: a slice of the pool mapping, or — hierarchy layout — a read of the
-// record from the variable's file.
+// Steps 4 and 5 reach a unit's bytes through the layout's one accessor,
+// stored — on the pool layout, below, a slice of the pool mapping.
 //
 // The entry points (store.go, view.go, stats.go, integrity.go) are planners:
 // they describe WHAT to read and with which policies as a readPlan value on
 // their own stack, and the one readEngine below does the rest. Pool bytes are
 // sliced ONLY here and in writeplan.go (enforced by cmd/commitvet); the other
 // Slice in this file is InjectCorruption's, a test-only WRITE of stored bytes
-// that shares ownedBlocks and nothing else with the engine.
+// that shares decodeRecord and nothing else with the engine.
 //
 // The gather keeps the write engine's determinism rule: workers only run the
 // codec's Decode and the nd scatter into disjoint destination elements, the
@@ -57,12 +53,13 @@ import (
 
 // readUnit is one stored block a plan touches. Request plans also carry the
 // block's intersection with the request, in absolute array coordinates.
-// Under the hierarchy layout src.data is the record's offset in the
-// variable's file and src.crc is unset (the file framing stores none).
+// Under the hierarchy layout src.data is the payload's offset in file, the
+// variable's open file, and src.crc is unset (the file framing stores none).
 type readUnit struct {
 	src            blockRec
 	isOffs, isCnts []uint64
 	bytes          int64 // bytes the unit moves: the intersection, or encLen
+	file           *varFile
 }
 
 // quarPolicy is what the gate does with a quarantined unit.
@@ -125,28 +122,47 @@ type readPlan struct {
 	// blocks. Nil on every other plan.
 	sweep *scrubPacer
 
-	// Resolved by the engine.
-	kind          recordKind    // record plans: what the record turned out to be
-	entry         *cacheEntry   // request/stats plans: the index the plan ran against ...
-	ver           uint64        // ... and the version it was read at
-	file          *posixfs.File // hierarchy layout: the id's open file, closed by run
-	esize         int
-	need, covered int64 // request bytes; sum of the (post-gate) units' bytes
+	resolution
+	covered int64 // sum of the (post-gate) units' bytes
 
 	// Results.
 	blocks   int64         // units that passed the gate (a reporting sweep: that it finished)
 	parallel bool          // the worker pool ran the scatter
-	bad      []badBlock    // verifyReport: units that failed their CRC
+	bad      []blockRec    // verifyReport: units that failed their CRC ...
+	badAt    []int         // ... and their positions in the plan
 	datum    *serial.Datum // consumeClone
 	view     *BlockView    // consumeAlias
-	stats    []BlockStats  // consumeStats (the memoized slice on an index hit: copy before returning)
 }
 
-// badBlock is one reported CRC mismatch: the unit's position in the plan and
-// its block record.
-type badBlock struct {
-	idx int
-	rec blockRec
+// resolution is what the layout resolves a plan to, returned by value (see
+// layout). The units are a slice or — every whole-value load — the single
+// unit in one, so that load still adds no heap object for being planned.
+type resolution struct {
+	units  []readUnit
+	one    [1]readUnit
+	single bool
+	done   bool // nothing to execute: a memoized statistics hit, a value that references no blocks
+
+	kind  recordKind  // record plans: what the record turned out to be
+	entry *cacheEntry // request/stats plans: the index the plan ran against
+	file  *varFile    // the variable's open file, closed by run
+	esize int
+	need  int64        // request bytes
+	stats []BlockStats // consumeStats (the memoized slice on an index hit: copy before returning)
+}
+
+// bound checks a request plan against the variable's declared dims and sizes
+// it.
+func (r *resolution) bound(pl *readPlan, rec dimsRecord) error {
+	if err := nd.CheckBlock(rec.dims, pl.offs, pl.counts); err != nil {
+		return err
+	}
+	r.esize = rec.dtype.Size()
+	r.need = int64(nd.Size(pl.counts)) * int64(r.esize)
+	if pl.consume == consumeScatter && int64(len(pl.dst)) < r.need {
+		return fmt.Errorf("core: dst %d bytes, block needs %d: %w", len(pl.dst), r.need, ErrOutOfBounds)
+	}
+	return nil
 }
 
 // readEngine executes readPlans. Like the commit engine it is a view over the
@@ -164,14 +180,16 @@ func (e readEngine) run(pl *readPlan) error {
 	lock := p.varLock(pl.id)
 	lock.RLock()
 	defer lock.RUnlock()
-	// Single-block plans (every whole-value load) resolve into this frame.
-	var one [1]readUnit
-	units, done, err := e.resolve(pl, one[:0])
-	if pl.file != nil {
-		defer pl.file.Close()
-	}
-	if done || err != nil {
+	lay := p.st.lay
+	var err error
+	pl.resolution, err = lay.resolve(p, *pl)
+	defer pl.file.close()
+	if pl.done || err != nil {
 		return err
+	}
+	units := pl.units
+	if pl.single {
+		units = pl.one[:]
 	}
 	for i := range units {
 		pl.covered += units[i].bytes
@@ -180,10 +198,9 @@ func (e readEngine) run(pl *readPlan) error {
 		return fmt.Errorf("core: request on %q only covered %d of %d bytes: %w",
 			pl.id, pl.covered, pl.need, ErrNotFound)
 	}
-	// The op's one verification decision. Hierarchy records carry no published
-	// CRC, so there is nothing to verify them against and they draw no
-	// sampling tick.
-	verify := p.st.opt.Layout == LayoutHashtable && (pl.verify != verifyByMode || p.shouldVerify())
+	// The op's one verification decision. Without published CRCs there is
+	// nothing to verify against, and the op draws no sampling tick.
+	verify := lay.caps().crc && (pl.verify != verifyByMode || p.shouldVerify())
 	if units, err = e.gate(pl, units); err != nil {
 		return err
 	}
@@ -196,112 +213,26 @@ func (e readEngine) run(pl *readPlan) error {
 	return e.consume(pl, units, verify)
 }
 
-// stored returns a unit's stored bytes: the block's slice of its pool's
-// mapping — the only read-side pool.Slice — or, under the hierarchy layout,
-// the record read from the variable's file into DRAM through the FS model.
-// Hierarchy plans call it once per unit, as the unit is consumed, so a gather
-// holds one record at a time.
-func (e readEngine) stored(file *posixfs.File, u *readUnit) ([]byte, error) {
-	if file != nil {
-		buf := make([]byte, u.src.encLen)
-		_, err := file.ReadAt(e.p.comm.Clock(), buf, int64(u.src.data))
-		return buf, err
-	}
-	return e.p.poolOf(u.src.pool).Slice(u.src.data, u.src.encLen)
+// stored returns a unit's stored bytes, as the layout keeps them.
+func (e readEngine) stored(u *readUnit) ([]byte, error) { return e.p.st.lay.stored(e.p, *u) }
+
+// stored is the pool layout's: the block's slice of its pool's mapping — the
+// only read-side pool.Slice.
+func (l poolLayout) stored(p *PMEM, u readUnit) ([]byte, error) {
+	return p.poolOf(u.src.pool).Slice(u.src.data, u.src.encLen)
 }
 
-// resolve returns the plan's units, appended to scratch. done reports a plan
-// that is already complete: a memoized statistics hit, or a record plan on a
-// layout whose values reference no blocks.
-func (e readEngine) resolve(pl *readPlan, scratch []readUnit) (units []readUnit, done bool, err error) {
-	p := e.p
-	switch pl.consume {
-	case consumeClone, consumeCRC:
-		return e.resolveRecord(pl, scratch)
-	}
-	var rec dimsRecord
-	if p.st.opt.Layout == LayoutHierarchy {
-		if rec, err = p.loadDimsLocked(pl.id); err != nil {
-			return nil, false, err
-		}
-	} else {
-		if pl.entry, pl.ver, err = p.blockIndex(pl.id); err != nil {
-			return nil, false, err
-		}
-		rec = pl.entry.dims
-	}
-	if pl.consume == consumeStats {
-		if !pl.entry.hasBlocks {
-			return nil, false, fmt.Errorf("core: %q has no stored blocks: %w", pl.id, ErrNotFound)
-		}
-		if pl.stats = pl.entry.stats; pl.stats != nil {
-			return nil, true, nil
-		}
-		return wholeBlocks(scratch, pl.entry.blocks), false, nil
-	}
-	if err := nd.CheckBlock(rec.dims, pl.offs, pl.counts); err != nil {
-		return nil, false, err
-	}
-	pl.esize = rec.dtype.Size()
-	pl.need = int64(nd.Size(pl.counts)) * int64(pl.esize)
-	if pl.consume == consumeScatter && int64(len(pl.dst)) < pl.need {
-		return nil, false, fmt.Errorf("core: dst %d bytes, block needs %d: %w", len(pl.dst), pl.need, ErrOutOfBounds)
-	}
-	if p.st.opt.Layout == LayoutHierarchy {
-		if pl.file, err = p.st.hier.open(p.comm.Clock(), pl.id); err != nil {
-			return nil, false, err
-		}
-		units, err = scanRecords(p.comm.Clock(), pl.file, pl.offs, pl.counts, pl.esize)
-		return units, false, err
-	}
-	if !pl.entry.hasBlocks {
-		return nil, false, fmt.Errorf("core: id %q has no stored blocks: %w", pl.id, ErrNotFound)
-	}
-	return planGather(pl.entry, pl.offs, pl.counts, pl.esize), false, nil
+// chargeUnit is the pool layout's: the unit's bytes streamed out of its
+// pool's mapping by one goroutine.
+func (l poolLayout) chargeUnit(p *PMEM, u readUnit, decPasses float64) {
+	p.chargeMove(moveLoad, []poolBytes{{int(u.src.pool), u.bytes}}, decPasses, 1)
 }
 
-// resolveRecord resolves a clone or CRC plan from the id's metadata record.
-func (e readEngine) resolveRecord(pl *readPlan, scratch []readUnit) ([]readUnit, bool, error) {
-	p := e.p
-	if p.st.opt.Layout == LayoutHierarchy && pl.consume == consumeClone {
-		// A hierarchy value is its file's bytes, not a reference to a block:
-		// a whole-value load reads the file as one record.
-		var err error
-		if pl.file, err = p.st.hier.open(p.comm.Clock(), pl.id); err != nil {
-			return nil, false, err
-		}
-		n := pl.file.Size()
-		return append(scratch, readUnit{src: blockRec{encLen: n}, bytes: n}), false, nil
-	}
-	raw, ok, err := p.getValue(pl.id)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		return nil, false, fmt.Errorf("core: id %q: %w", pl.id, ErrNotFound)
-	}
-	if p.st.opt.Layout == LayoutHierarchy {
-		return nil, true, nil // no block references to sweep
-	}
-	var one [1]blockRec
-	blocks, kind, err := p.ownedBlocks(pl.id, raw, one[:0])
-	if err != nil {
-		return nil, false, err
-	}
-	pl.kind = kind
-	if pl.consume == consumeClone && kind != recValueRef {
-		// The id exists but holds something else (a block list, raw
-		// metadata): a kind mismatch, not a missing id.
-		return nil, false, fmt.Errorf("core: id %q does not hold a datum: %w", pl.id, ErrTypeMismatch)
-	}
-	return wholeBlocks(scratch, blocks), false, nil
-}
-
-// wholeBlocks appends one whole-block unit per block record to units.
-func wholeBlocks(units []readUnit, blocks []blockRec) []readUnit {
-	units = slices.Grow(units, len(blocks))
-	for _, b := range blocks {
-		units = append(units, readUnit{src: b, bytes: b.encLen})
+// wholeBlocks returns one whole-block unit per block record.
+func wholeBlocks(blocks []blockRec) []readUnit {
+	units := make([]readUnit, len(blocks))
+	for i, b := range blocks {
+		units[i] = readUnit{src: b, bytes: b.encLen}
 	}
 	return units
 }
@@ -350,7 +281,7 @@ func (e readEngine) verify(pl *readPlan, units []readUnit) error {
 				return err
 			}
 		}
-		src, err := e.stored(pl.file, u)
+		src, err := e.stored(u)
 		if err != nil {
 			return err
 		}
@@ -363,7 +294,7 @@ func (e readEngine) verify(pl *readPlan, units []readUnit) error {
 			pl.blocks++
 			pl.covered += u.bytes
 			if !intact {
-				pl.bad = append(pl.bad, badBlock{idx: i, rec: u.src})
+				pl.bad, pl.badAt = append(pl.bad, u.src), append(pl.badAt, i)
 			}
 			continue
 		}
@@ -402,14 +333,14 @@ func (e readEngine) consume(pl *readPlan, units []readUnit, verified bool) error
 	case consumeScatter:
 		return e.scatter(pl, units, decPasses)
 	case consumeClone:
-		src, err := e.stored(pl.file, &units[0])
+		src, err := e.stored(&units[0])
 		if err != nil {
 			return err
 		}
 		if len(src) < 1 {
 			return fmt.Errorf("core: empty value for %q", pl.id)
 		}
-		e.chargeWave(units[:1], decPasses, 1)
+		p.st.lay.chargeUnit(p, units[0], decPasses)
 		// The 1-byte type prefix lets non-self-describing codecs decode.
 		d, err := p.codec.Decode(src[1:], &serial.Datum{Type: serial.DType(src[0])})
 		if err != nil {
@@ -420,7 +351,7 @@ func (e readEngine) consume(pl *readPlan, units []readUnit, verified bool) error
 	case consumeStats:
 		pl.stats = make([]BlockStats, len(units))
 		for i := range units {
-			src, err := e.stored(pl.file, &units[i])
+			src, err := e.stored(&units[i])
 			if err != nil {
 				return err
 			}
@@ -428,6 +359,8 @@ func (e readEngine) consume(pl *readPlan, units []readUnit, verified bool) error
 				return err
 			}
 		}
+		// Memoized inside the plan's lock hold: no republish can intervene.
+		p.st.cache.install(pl.id, pl.entry.withStats(pl.stats))
 		return nil
 	default: // consumeCRC: the verify stage did everything
 		return nil
@@ -441,7 +374,7 @@ func (e readEngine) consume(pl *readPlan, units []readUnit, verified bool) error
 // and the load not selected for CRC verification. (A quarantined block never
 // gets here: the gate failed the plan.)
 func (e readEngine) aliasRange(pl *readPlan, units []readUnit, verified bool) ([]byte, bool) {
-	if verified || len(units) != 1 || units[0].bytes != pl.need || e.p.st.opt.Layout != LayoutHashtable {
+	if verified || len(units) != 1 || units[0].bytes != pl.need || !e.p.st.lay.caps().alias {
 		return nil, false
 	}
 	ie, ok := e.p.codec.(serial.IdentityEncoder)
@@ -467,7 +400,7 @@ func (e readEngine) aliasRange(pl *readPlan, units []readUnit, verified bool) ([
 	if start+pl.need > b.encLen {
 		return nil, false // stored block shorter than its shape claims
 	}
-	src, err := e.stored(pl.file, u)
+	src, err := e.stored(u)
 	if err != nil {
 		return nil, false // the fallback's read reports it
 	}
@@ -478,7 +411,6 @@ func (e readEngine) aliasRange(pl *readPlan, units []readUnit, verified bool) ([
 // by value, so the plan itself stays on its planner's stack.
 type gather struct {
 	e            readEngine
-	file         *posixfs.File
 	dst          []byte
 	offs, counts []uint64
 	esize        int
@@ -508,7 +440,7 @@ func (e readEngine) scatter(pl *readPlan, units []readUnit, decPasses float64) e
 			}
 		}
 	}
-	g := gather{e: e, file: pl.file, dst: pl.dst, offs: pl.offs, counts: pl.counts, esize: pl.esize}
+	g := gather{e: e, dst: pl.dst, offs: pl.offs, counts: pl.counts, esize: pl.esize}
 	for lo := 0; lo < len(jobs); lo += step {
 		wave := jobs[lo : lo+step]
 		if err := runWave(workers, g, wave, gather.place); err != nil {
@@ -519,17 +451,13 @@ func (e readEngine) scatter(pl *readPlan, units []readUnit, decPasses float64) e
 	return nil
 }
 
-// chargeWave accounts the units `workers` goroutines just streamed: the bytes
-// they moved out of their pools' mappings, or — under the hierarchy layout,
-// whose bytes the FS model already charged for — the staged decode of each
-// record.
+// chargeWave accounts the units `workers` goroutines just streamed. One unit
+// is the layout's to charge; a wider wave only ever runs where blocks live in
+// pools (readParallelEligible), moving bytes out of their mappings.
 func (e readEngine) chargeWave(wave []readUnit, decPasses float64, workers int) {
 	p := e.p
-	if p.st.opt.Layout == LayoutHierarchy {
-		m := p.node.Machine
-		for i := range wave {
-			m.ChargePasses(p.comm.Clock(), wave[i].src.encLen, decPasses, m.Config().DeserializeBPS, p.comm.Size())
-		}
+	if len(wave) == 1 {
+		p.st.lay.chargeUnit(p, wave[0], decPasses)
 		return
 	}
 	var buf [8]poolBytes
@@ -546,7 +474,7 @@ func (e readEngine) chargeWave(wave []readUnit, decPasses float64, workers int) 
 // (the hierarchy layout's file read, serial by construction, aside), no
 // allocator, no device bookkeeping.
 func (g gather) place(u *readUnit) error {
-	src, err := g.e.stored(g.file, u)
+	src, err := g.e.stored(u)
 	if err != nil {
 		return err
 	}
@@ -669,41 +597,8 @@ func splitUnits(plan []readUnit, want int) []readUnit {
 func (p *PMEM) readParallelEligible(total int64) bool {
 	return p.st.opt.ReadParallelism > 1 &&
 		!p.st.opt.StagedSerialization && // staging ablation models the serial related work
-		p.st.opt.Layout == LayoutHashtable &&
+		p.st.lay.caps().pool &&
 		total >= parallelMinBytes
-}
-
-// recordKind classifies a metadata record by what storage it owns.
-type recordKind uint8
-
-const (
-	recRaw       recordKind = iota // raw metadata (dims, quarantine list): owns nothing
-	recBlockList                   // an array's block list
-	recValueRef                    // a whole value's pointer record
-)
-
-func (k recordKind) String() string {
-	return [...]string{"raw record", "block list", "value ref"}[k]
-}
-
-// ownedBlocks decodes the payload blocks the metadata record raw of id owns:
-// a block list's blocks, a value ref's single block (always in the id's home
-// pool), or nothing for raw metadata. It is the one place record tags are
-// dispatched. buf is optional scratch so a value ref resolves without a heap
-// allocation.
-func (p *PMEM) ownedBlocks(id string, raw []byte, buf []blockRec) ([]blockRec, recordKind, error) {
-	switch {
-	case len(raw) > 0 && isBlockListTag(raw[0]):
-		blocks, err := decodeBlockList(raw)
-		return blocks, recBlockList, err
-	case len(raw) == valueRefLen && raw[0] == valueRefTag:
-		blk, n, crc, err := decodeValueRef(raw)
-		if err != nil {
-			return nil, recValueRef, err
-		}
-		return append(buf[:0], blockRec{pool: uint8(p.homeIdx(id)), data: blk, encLen: n, crc: crc}), recValueRef, nil
-	}
-	return nil, recRaw, nil
 }
 
 // InjectCorruption simulates silent media corruption: it XORs mask into n
@@ -723,7 +618,7 @@ func (p *PMEM) ownedBlocks(id string, raw []byte, buf []blockRec) ([]blockRec, r
 // the id's write lock so the damage is ordered against every reader of the
 // block. It lives here because this file is where pool bytes are sliced.
 func (p *PMEM) InjectCorruption(id string, block int, off, n int64, mask byte) (int64, int64, error) {
-	if p.st.opt.Layout != LayoutHashtable {
+	if !p.st.lay.caps().pool {
 		return 0, 0, fmt.Errorf("core: InjectCorruption requires the hashtable layout")
 	}
 	if mask == 0 {
@@ -742,7 +637,7 @@ func (p *PMEM) InjectCorruption(id string, block int, off, n int64, mask byte) (
 	if !ok {
 		return 0, 0, fmt.Errorf("core: id %q: %w", id, ErrNotFound)
 	}
-	blocks, kind, err := p.ownedBlocks(id, raw, nil)
+	blocks, kind, err := decodeRecord(raw, uint8(p.homeIdx(id)), nil)
 	if err != nil {
 		return 0, 0, err
 	}

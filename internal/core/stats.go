@@ -91,18 +91,10 @@ func (p *PMEM) FindBlocks(id string, lo, hi float64) ([]BlockStats, error) {
 // trusted. Otherwise a damaged characteristics header would silently skew
 // MinMax while every data read stays verified.
 func (p *PMEM) BlockStatsOf(id string) ([]BlockStats, error) {
-	if p.st.opt.Layout == LayoutHierarchy {
-		return nil, fmt.Errorf("core: block statistics require the hashtable layout")
-	}
 	p.asyncBarrier()
 	pl := readPlan{id: id, consume: consumeStats}
 	if err := p.reader().run(&pl); err != nil {
 		return nil, err
-	}
-	if pl.entry.stats == nil {
-		// Memoize under the version discipline: a concurrent republish makes
-		// the install a no-op.
-		p.st.cache.install(id, pl.entry.withStats(pl.stats), pl.ver)
 	}
 	// The cache keeps pl.stats; the caller may mutate its deep copy freely.
 	return copyStats(pl.stats), nil

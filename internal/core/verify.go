@@ -15,7 +15,7 @@ import (
 // invariant (nil when clean). Hierarchy-layout stores are backed by the
 // filesystem model and have no pool to verify.
 func (p *PMEM) VerifyStore() []string {
-	if p.st.opt.Layout == LayoutHierarchy {
+	if !p.st.lay.caps().pool {
 		return nil
 	}
 	clk := p.comm.Clock()
@@ -34,7 +34,7 @@ func (p *PMEM) VerifyStore() []string {
 			continue
 		}
 		if strings.HasSuffix(key, DimsSuffix) {
-			rec, err := decodeDimsRecord(raw)
+			rec, err := decodeDims(raw)
 			if err != nil {
 				violatef("store.dims: %q: %v", key, err)
 				continue
@@ -44,12 +44,12 @@ func (p *PMEM) VerifyStore() []string {
 			}
 			continue
 		}
-		blocks, kind, err := p.ownedBlocks(key, raw, nil)
+		blocks, kind, err := decodeRecord(raw, uint8(p.homeIdx(key)), nil)
 		switch {
 		case err != nil:
 			violatef("store.record: %q: undecodable %v: %v", key, kind, err)
 		case kind == recBlockList:
-			rec, err := p.loadDimsLocked(key)
+			rec, err := p.loadDims(key)
 			if err != nil {
 				violatef("store.blocklist: %q has blocks but no dims record: %v", key, err)
 				continue

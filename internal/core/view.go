@@ -147,7 +147,7 @@ func minOpenEpoch(leases map[uint64]int) (uint64, bool) {
 // Either way the blocks leave the quarantine: their PMIDs will eventually be
 // reallocated to healthy data, and a parked block is unreachable from
 // metadata already.
-func (p *PMEM) deferOrFreeBlocks(owned []poolPMID) error {
+func (p *PMEM) deferOrFreeBlocks(owned []blockRec) error {
 	st := p.st
 	if st.viewActive.Load() == 0 {
 		if err := p.engine().freeBlocks(owned); err != nil {
@@ -160,7 +160,7 @@ func (p *PMEM) deferOrFreeBlocks(owned []poolPMID) error {
 	e := st.viewEpoch
 	st.viewEpoch++
 	for _, b := range owned {
-		st.limbos[b.pool].Defer(e, b.id)
+		st.limbos[b.pool].Defer(e, b.data)
 	}
 	st.limboLen.Add(int64(len(owned)))
 	st.viewMu.Unlock()
@@ -183,10 +183,10 @@ func (p *PMEM) reclaimLimbo() error {
 	}
 	st.viewMu.Lock()
 	mn, have := minOpenEpoch(st.viewLeases)
-	var frees []poolPMID
+	var frees []blockRec
 	for pi := range st.limbos {
 		for _, id := range st.limbos[pi].Reclaimable(mn, have) {
-			frees = append(frees, poolPMID{pool: uint8(pi), id: id})
+			frees = append(frees, blockRec{pool: uint8(pi), data: id})
 		}
 	}
 	st.limboLen.Add(-int64(len(frees)))
@@ -225,8 +225,8 @@ func (p *PMEM) loadBlockView(id string, offs, counts []uint64) (*BlockView, int6
 	}
 	// One plan serves both outcomes: the read engine aliases when it can and
 	// degrades to the copying scatter when it cannot, under one lock hold and
-	// one verification decision (readplan.go). The hierarchy layout has no
-	// mapped block to alias, so its views are always fallback copies.
+	// one verification decision (readplan.go). A layout with nothing mapped to
+	// alias always serves the fallback copy.
 	pl := readPlan{id: id, offs: offs, counts: counts, consume: consumeAlias}
 	if err := p.reader().run(&pl); err != nil {
 		return nil, 0, false, err

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"pmemcpy/internal/checksum"
 	"pmemcpy/internal/pmdk"
 	"pmemcpy/internal/pmem"
@@ -34,12 +32,12 @@ import (
 // shared a unit. Bytes one goroutine wrote front to back never need it.
 //
 // The entry paths (store.go, parallel.go, async.go) are planners: they
-// validate, shard, coalesce, and route, then hand a writePlan to the one
-// commitEngine below. The hierarchy layout's staged write (serialize to a
-// DRAM buffer, write through the kernel path) shares the engine through
-// runStaged. Pool transactions for data blocks are taken ONLY here (enforced
-// by cmd/commitvet); the sole exceptions are the pool-format bootstraps in
-// core.go, which run before any data exists.
+// validate, shard, coalesce, and route, then hand a writePlan to the layout's
+// commit — on the pool layout, the one commitEngine below. (The hierarchy
+// layout's commit, hierarchy.go, stages each unit in DRAM and writes it
+// through the kernel path.) Pool transactions for data blocks are taken ONLY
+// here (enforced by cmd/commitvet); the sole exceptions are the pool-format
+// bootstraps in core.go, which run before any data exists.
 
 // writeFrag is one piece of a commit unit, encoded back-to-back with its
 // siblings: the one sub-store of a sync unit (nil Future), one submission of
@@ -67,6 +65,11 @@ type writeUnit struct {
 	crc   uint32
 }
 
+// rec is the unit's published block reference.
+func (u *writeUnit) rec(dtype serial.DType) blockRec {
+	return blockRec{dtype: dtype, pool: u.pool, offs: u.offs, counts: u.counts, data: u.blk, encLen: u.wrote, crc: u.crc}
+}
+
 // publishKind selects a group's metadata record shape.
 type publishKind uint8
 
@@ -92,9 +95,10 @@ type planGroup struct {
 
 // writePlan is a fully planned write: what to allocate where, how wide to
 // fill it, and how to publish and complete it. Planners build one; the engine
-// executes it.
+// executes it. A plan crosses the layout interface by value: its groups are
+// where the engine leaves the outcome.
 type writePlan struct {
-	groups []*planGroup
+	groups []planGroup
 	// workers is the width of the fill. At 0 or 1 every unit is its own wave:
 	// one job on the caller's goroutine encodes the unit's fragments back to
 	// back. Above 1 the whole plan is ONE wave of exactly this many jobs, one
@@ -118,7 +122,8 @@ type writePlan struct {
 // units iterates the plan's units in publish order — also the alloc and fill
 // order, so persist sequences are deterministic.
 func (pl *writePlan) units(yield func(*planGroup, *writeUnit) bool) {
-	for _, g := range pl.groups {
+	for gi := range pl.groups {
+		g := &pl.groups[gi]
 		for i := range g.units {
 			if !yield(g, &g.units[i]) {
 				return
@@ -131,8 +136,8 @@ func (pl *writePlan) units(yield func(*planGroup, *writeUnit) bool) {
 // returns it.
 func (pl *writePlan) failWith(err error) error {
 	if pl.published != nil {
-		for _, g := range pl.groups {
-			pl.published(g, err)
+		for gi := range pl.groups {
+			pl.published(&pl.groups[gi], err)
 		}
 	}
 	return err
@@ -147,6 +152,9 @@ type commitEngine struct {
 
 // engine returns the handle's commit engine.
 func (p *PMEM) engine() commitEngine { return commitEngine{p: p} }
+
+// commit is the pool layout's: the commit engine runs the plan.
+func (l poolLayout) commit(p *PMEM, plan writePlan) error { return p.engine().run(&plan) }
 
 // run executes a plan: alloc, fill+persist, publish. On a nil error every
 // group's metadata is published and every unit is durable. An alloc or fill
@@ -329,31 +337,26 @@ func (e commitEngine) encode(j *fillJob) error {
 func (e commitEngine) publish(plan *writePlan) error {
 	p := e.p
 	var firstErr error
-	for gi, g := range plan.groups {
+	// The namespace is called concretely, not through the layout value, so a
+	// value ref's 21-byte record stays in this frame.
+	ns, clk := poolLayout{p.st}, p.comm.Clock()
+	for gi := range plan.groups {
+		g := &plan.groups[gi]
 		lock := p.varLock(g.id)
 		lock.Lock()
 		var err error
 		switch g.publish {
 		case publishValueRef:
-			u := &g.units[0]
-			err = p.putValue(g.id, encodeValueRef(u.blk, u.wrote, u.crc))
+			rec := g.units[0].rec(g.dtype)
+			err = ns.put(clk, g.id, "", encodeValueRef(&rec))
 		default:
 			var blocks []blockRec
 			blocks, _, err = p.loadBlockList(g.id)
 			if err == nil {
 				for i := range g.units {
-					u := &g.units[i]
-					blocks = append(blocks, blockRec{
-						dtype:  g.dtype,
-						pool:   u.pool,
-						offs:   u.offs,
-						counts: u.counts,
-						data:   u.blk,
-						encLen: u.wrote,
-						crc:    u.crc,
-					})
+					blocks = append(blocks, g.units[i].rec(g.dtype))
 				}
-				err = p.putValue(g.id, encodeBlockList(blocks))
+				err = ns.put(clk, g.id, "", blockList.encode(blocks))
 			}
 		}
 		if err == nil {
@@ -368,10 +371,8 @@ func (e commitEngine) publish(plan *writePlan) error {
 				firstErr = err
 			}
 			if plan.fatal == nil || plan.fatal(err) {
-				for _, g2 := range plan.groups[gi+1:] {
-					if plan.published != nil {
-						plan.published(g2, err)
-					}
+				for g2 := gi + 1; g2 < len(plan.groups) && plan.published != nil; g2++ {
+					plan.published(&plan.groups[g2], err)
 				}
 				return firstErr
 			}
@@ -385,31 +386,17 @@ func (e commitEngine) publish(plan *writePlan) error {
 // index drops with the publish so no reader plans a gather against a PMID
 // the allocator may repurpose.
 func (e commitEngine) republishLocked(id string, blocks []blockRec) error {
-	if err := e.p.putValue(id, encodeBlockList(blocks)); err != nil {
+	if err := e.p.putValue(id, blockList.encode(blocks)); err != nil {
 		return err
 	}
 	e.p.invalidateCache(id)
 	return nil
 }
 
-// publishQuarantine persists the store-wide quarantine list — the scrub
-// path's metadata republish. The list always lives in pool 0's hashtable
-// ('#'-prefixed reserved keys route there by construction); an empty list
-// deletes the key.
-func (e commitEngine) publishQuarantine(ids []poolPMID) error {
-	st := e.p.st
-	clk := e.p.comm.Clock()
-	if len(ids) == 0 {
-		_, err := st.hts[0].Delete(clk, []byte(quarantineKey))
-		return err
-	}
-	return st.hts[0].Put(clk, []byte(quarantineKey), encodeQuarantine(ids))
-}
-
 // freeBlocks frees a set of (pool, PMID) blocks, one transaction per touched
 // pool in ascending pool order — the single free loop under Delete, Compact,
 // the view layer's limbo reclaim, and every abort path.
-func (e commitEngine) freeBlocks(blks []poolPMID) error {
+func (e commitEngine) freeBlocks(blks []blockRec) error {
 	p := e.p
 	clk := p.comm.Clock()
 	for pi := 0; pi < len(p.st.pools); pi++ {
@@ -425,7 +412,7 @@ func (e commitEngine) freeBlocks(blks []poolPMID) error {
 					return err
 				}
 			}
-			if err := p.st.pools[pi].Free(tx, b.id); err != nil {
+			if err := p.st.pools[pi].Free(tx, b.data); err != nil {
 				tx.Abort()
 				return err
 			}
@@ -437,66 +424,4 @@ func (e commitEngine) freeBlocks(blks []poolPMID) error {
 		}
 	}
 	return nil
-}
-
-// stagedPlan is the hierarchy layout's write request: one framed record
-// serialized into a DRAM buffer and written through the kernel path (the
-// layout cannot encode straight into a device mapping). header is the frame
-// prefix; with stampLen its trailing 8 bytes receive the encoded length
-// after the fill.
-type stagedPlan struct {
-	id       string
-	header   []byte
-	stampLen bool
-	datum    *serial.Datum
-	// appendRec appends a block record to the variable's file; otherwise the
-	// record replaces the file (whole-value form).
-	appendRec bool
-}
-
-// runStaged executes a staged plan: encode into DRAM, charge the staged
-// cost, then write and sync the variable's file under its lock. It is the
-// engine's fill+publish for the hierarchy layout, where the filesystem
-// replaces both the allocator and the metadata table.
-func (e commitEngine) runStaged(h *hierStore, plan *stagedPlan) error {
-	p := e.p
-	clk := p.comm.Clock()
-	encPasses, _ := p.codec.CostProfile()
-	hdrLen := len(plan.header)
-	enc := make([]byte, int64(hdrLen)+int64(p.codec.EncodedSize(plan.datum)))
-	copy(enc, plan.header)
-	wrote, err := p.codec.EncodeTo(enc[hdrLen:], plan.datum)
-	if err != nil {
-		return err
-	}
-	if plan.stampLen {
-		binary.LittleEndian.PutUint64(enc[hdrLen-8:], uint64(wrote))
-	}
-	total := int64(hdrLen) + int64(wrote)
-	// Serializing into a DRAM buffer: the hierarchical layout writes through
-	// the kernel path, so it cannot encode straight into the device.
-	m := p.node.Machine
-	m.ChargePasses(p.comm.Clock(), total, encPasses, m.Config().SerializeBPS, p.comm.Size())
-
-	lock := p.varLock(plan.id)
-	lock.Lock()
-	defer lock.Unlock()
-	if !plan.appendRec {
-		return h.putValue(clk, plan.id, enc[:total])
-	}
-	fp, err := h.filePath(clk, plan.id, true)
-	if err != nil {
-		return err
-	}
-	f, err := h.node.FS.Open(clk, fp)
-	if err != nil {
-		if f, err = h.node.FS.Create(clk, fp); err != nil {
-			return err
-		}
-	}
-	defer f.Close()
-	if _, err := f.WriteAt(clk, enc[:total], f.Size()); err != nil {
-		return err
-	}
-	return f.Sync(clk)
 }

@@ -8,6 +8,7 @@ import (
 	"pmemcpy/internal/node"
 	"pmemcpy/internal/pio"
 	"pmemcpy/internal/posixfs"
+	"pmemcpy/internal/wire"
 )
 
 const (
@@ -38,29 +39,29 @@ type Block struct {
 // Header renders the file header; total is the data bytes between it and the
 // index, for a library that knows them when it writes the header.
 func (l Log) Header(total uint64) []byte {
-	hdr := appendUint(make([]byte, 0, LogHeader), l.Magic, 8)
-	return appendUint(hdr, total, 8)[:LogHeader]
+	hdr := wire.AppendUint(make([]byte, 0, LogHeader), l.Magic, 8)
+	return wire.AppendUint(hdr, total, 8)[:LogHeader]
 }
 
 // EncodeTable renders a block table: a rank's own blocks on their way to rank
 // 0, or one variable's blocks inside the index.
 func (l Log) EncodeTable(blocks []Block) []byte {
-	buf := appendUint(nil, uint64(len(blocks)), 4)
+	buf := wire.AppendUint(nil, uint64(len(blocks)), 4)
 	for _, b := range blocks {
-		buf = appendUint(buf, uint64(len(b.Name)), 2)
+		buf = wire.AppendUint(buf, uint64(len(b.Name)), 2)
 		buf = append(buf, b.Name...)
 		buf = append(buf, byte(len(b.Offs)))
 		for _, o := range b.Offs {
-			buf = appendUint(buf, o, 8)
+			buf = wire.AppendUint(buf, o, 8)
 		}
 		for _, n := range b.Counts {
-			buf = appendUint(buf, n, 8)
+			buf = wire.AppendUint(buf, n, 8)
 		}
-		buf = appendUint(buf, b.FileOff, 8)
-		buf = appendUint(buf, b.StoredLen, 8)
+		buf = wire.AppendUint(buf, b.FileOff, 8)
+		buf = wire.AppendUint(buf, b.StoredLen, 8)
 		if l.Filtered {
-			buf = appendUint(buf, b.RawLen, 8)
-			buf = appendUint(buf, btou(b.Filtered), 1)
+			buf = wire.AppendUint(buf, b.RawLen, 8)
+			buf = wire.AppendUint(buf, btou(b.Filtered), 1)
 		}
 	}
 	return buf
@@ -74,15 +75,15 @@ func btou(b bool) uint64 {
 }
 
 // decodeTable reads one block table off the cursor.
-func (l Log) decodeTable(c *cursor) []Block {
+func (l Log) decodeTable(c *wire.Cursor) []Block {
 	var out []Block
-	for n := c.uint(4); n > 0 && !c.bad; n-- {
-		b := Block{Name: string(c.take(c.uint(2)))}
-		ndims := int(c.uint(1))
-		b.Offs, b.Counts = c.dims(ndims), c.dims(ndims)
-		b.FileOff, b.StoredLen = c.uint(8), c.uint(8)
+	for n := c.Uint(4); n > 0 && !c.Bad; n-- {
+		b := Block{Name: string(c.Take(c.Uint(2)))}
+		ndims := int(c.Uint(1))
+		b.Offs, b.Counts = c.Dims(ndims), c.Dims(ndims)
+		b.FileOff, b.StoredLen = c.Uint(8), c.Uint(8)
 		if l.Filtered {
-			b.RawLen, b.Filtered = c.uint(8), c.uint(1) != 0
+			b.RawLen, b.Filtered = c.Uint(8), c.Uint(1) != 0
 		}
 		out = append(out, b)
 	}
@@ -91,9 +92,9 @@ func (l Log) decodeTable(c *cursor) []Block {
 
 // DecodeTable parses a whole EncodeTable rendering.
 func (l Log) DecodeTable(raw []byte) ([]Block, error) {
-	c := cursor{raw: raw}
+	c := wire.Cursor{Raw: raw}
 	out := l.decodeTable(&c)
-	if c.bad {
+	if c.Bad {
 		return nil, fmt.Errorf("%s: block table truncated", l.Lib)
 	}
 	return out, nil
@@ -105,10 +106,10 @@ func (l Log) DecodeTable(raw []byte) ([]Block, error) {
 func (l Log) EncodeIndex(vars []*Var, filter string, blocks []Block) ([]byte, error) {
 	var buf []byte
 	if l.Filtered {
-		buf = appendUint(buf, uint64(len(filter)), 2)
+		buf = wire.AppendUint(buf, uint64(len(filter)), 2)
 		buf = append(buf, filter...)
 	}
-	buf = appendUint(buf, uint64(len(vars)), 4)
+	buf = wire.AppendUint(buf, uint64(len(vars)), 4)
 	byVar := make(map[string][]Block)
 	for _, b := range blocks {
 		byVar[b.Name] = append(byVar[b.Name], b)
@@ -129,16 +130,16 @@ func (l Log) EncodeIndex(vars []*Var, filter string, blocks []Block) ([]byte, er
 
 // DecodeIndex parses what EncodeIndex wrote.
 func (l Log) DecodeIndex(raw []byte) (vars map[string]*Var, filter string, blocks map[string][]Block, err error) {
-	c := cursor{raw: raw}
+	c := wire.Cursor{Raw: raw}
 	if l.Filtered {
-		filter = string(c.take(c.uint(2)))
+		filter = string(c.Take(c.Uint(2)))
 	}
 	vars, blocks = make(map[string]*Var), make(map[string][]Block)
-	for n := c.uint(4); n > 0 && !c.bad; n-- {
-		v := &Var{Var: c.variable(2)}
+	for n := c.Uint(4); n > 0 && !c.Bad; n-- {
+		v := &Var{Var: readVar(&c, 2)}
 		vars[v.Name], blocks[v.Name] = v, l.decodeTable(&c)
 	}
-	if c.bad {
+	if c.Bad {
 		return nil, "", nil, fmt.Errorf("%s: index truncated", l.Lib)
 	}
 	return vars, filter, blocks, nil
@@ -247,9 +248,9 @@ func (w *LogWriter) Finish() error {
 		if err != nil {
 			return err
 		}
-		foot := appendUint(nil, uint64(w.Cursor), 8)
-		foot = appendUint(foot, uint64(len(index)), 8)
-		foot = appendUint(foot, w.layout.Magic, 8)
+		foot := wire.AppendUint(nil, uint64(w.Cursor), 8)
+		foot = wire.AppendUint(foot, uint64(len(index)), 8)
+		foot = wire.AppendUint(foot, w.layout.Magic, 8)
 		if _, err := w.File.WriteAt(clk, index, w.Cursor); err != nil {
 			return err
 		}
@@ -304,8 +305,8 @@ func (l Log) ReadIndex(c *mpi.Comm, f *posixfs.File) (*LogReader, string, error)
 		if _, err := f.ReadAt(clk, foot, size-logFooter); err != nil {
 			return nil, "", err
 		}
-		fc := cursor{raw: foot}
-		off, n, magic := fc.uint(8), fc.uint(8), fc.uint(8)
+		fc := wire.Cursor{Raw: foot}
+		off, n, magic := fc.Uint(8), fc.Uint(8), fc.Uint(8)
 		if magic != l.Magic || off+n != uint64(size-logFooter) {
 			return nil, "", fmt.Errorf("%s: bad footer", l.Lib)
 		}

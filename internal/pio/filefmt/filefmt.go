@@ -21,6 +21,7 @@ import (
 	"pmemcpy/internal/nd"
 	"pmemcpy/internal/pio"
 	"pmemcpy/internal/serial"
+	"pmemcpy/internal/wire"
 )
 
 // Var is one defined variable. Off is the file offset of its region (region
@@ -83,14 +84,6 @@ func (t *vars) block(name string, offs, counts []uint64, buf []byte) (*Var, []by
 	return v, buf[:need], nil
 }
 
-// appendUint appends the low width bytes of v, little-endian.
-func appendUint(buf []byte, v uint64, width int) []byte {
-	for i := 0; i < width; i++ {
-		buf = append(buf, byte(v>>(8*i)))
-	}
-	return buf
-}
-
 // appendVar appends a variable's description — name (behind a length field
 // nameLen bytes wide), element type, rank, global dims — the record both
 // layouts open a variable's metadata with.
@@ -98,55 +91,19 @@ func appendVar(buf []byte, lib string, v pio.Var, nameLen int) ([]byte, error) {
 	if uint64(len(v.Name)) >= 1<<(8*nameLen) {
 		return nil, fmt.Errorf("%s: variable name of %d bytes too long", lib, len(v.Name))
 	}
-	buf = appendUint(buf, uint64(len(v.Name)), nameLen)
+	buf = wire.AppendUint(buf, uint64(len(v.Name)), nameLen)
 	buf = append(buf, v.Name...)
 	buf = append(buf, byte(v.Type), byte(len(v.GlobalDims)))
 	for _, d := range v.GlobalDims {
-		buf = appendUint(buf, d, 8)
+		buf = wire.AppendUint(buf, d, 8)
 	}
 	return buf, nil
 }
 
-// cursor decodes fields from the front of raw. Reading past the end sets bad
-// and yields zeros from then on, so a decoder checks bad once per record
-// instead of before every field.
-type cursor struct {
-	raw []byte
-	bad bool
-}
-
-func (c *cursor) take(n uint64) []byte {
-	if n > uint64(len(c.raw)) {
-		c.bad, c.raw = true, nil
-		return nil
-	}
-	b := c.raw[:n]
-	c.raw = c.raw[n:]
-	return b
-}
-
-// uint reads a little-endian integer width bytes wide.
-func (c *cursor) uint(width int) uint64 {
-	var v uint64
-	for i, b := range c.take(uint64(width)) {
-		v |= uint64(b) << (8 * i)
-	}
-	return v
-}
-
-// dims reads n 8-byte extents.
-func (c *cursor) dims(n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = c.uint(8)
-	}
-	return out
-}
-
-// variable reads one appendVar record.
-func (c *cursor) variable(nameLen int) pio.Var {
-	name := string(c.take(c.uint(nameLen)))
-	v := pio.Var{Name: name, Type: serial.DType(c.uint(1))}
-	v.GlobalDims = c.dims(int(c.uint(1)))
+// readVar reads one appendVar record.
+func readVar(c *wire.Cursor, nameLen int) pio.Var {
+	name := string(c.Take(c.Uint(nameLen)))
+	v := pio.Var{Name: name, Type: serial.DType(c.Uint(1))}
+	v.GlobalDims = c.Dims(int(c.Uint(1)))
 	return v
 }

@@ -8,6 +8,7 @@ import (
 	"pmemcpy/internal/nd"
 	"pmemcpy/internal/node"
 	"pmemcpy/internal/pio"
+	"pmemcpy/internal/wire"
 )
 
 const (
@@ -33,30 +34,30 @@ type Region struct {
 
 // EncodeHeader renders the variable table.
 func (r Region) EncodeHeader(vars []*Var) ([]byte, error) {
-	buf := appendUint(nil, r.Magic, 8)
-	buf = appendUint(buf, uint64(len(vars)), 4)
+	buf := wire.AppendUint(nil, r.Magic, 8)
+	buf = wire.AppendUint(buf, uint64(len(vars)), 4)
 	for _, v := range vars {
 		var err error
 		if buf, err = appendVar(buf, r.Lib, v.Var, r.NameLenBytes); err != nil {
 			return nil, err
 		}
-		buf = appendUint(buf, uint64(v.Off), 8)
+		buf = wire.AppendUint(buf, uint64(v.Off), 8)
 	}
 	return buf, nil
 }
 
 // DecodeHeader parses what EncodeHeader wrote (raw may run past its end).
 func (r Region) DecodeHeader(raw []byte) (map[string]*Var, error) {
-	c := cursor{raw: raw}
-	magic, nvars := c.uint(8), c.uint(4)
-	if c.bad || magic != r.Magic {
+	c := wire.Cursor{Raw: raw}
+	magic, nvars := c.Uint(8), c.Uint(4)
+	if c.Bad || magic != r.Magic {
 		return nil, fmt.Errorf("%s: bad header magic", r.Lib)
 	}
 	out := make(map[string]*Var)
 	for i := uint64(0); i < nvars; i++ {
-		v := &Var{Var: c.variable(r.NameLenBytes)}
-		v.Off = int64(c.uint(8))
-		if c.bad {
+		v := &Var{Var: readVar(&c, r.NameLenBytes)}
+		v.Off = int64(c.Uint(8))
+		if c.Bad {
 			return nil, fmt.Errorf("%s: header truncated", r.Lib)
 		}
 		out[v.Name] = v

@@ -229,11 +229,9 @@ var (
 	// and queued stores group-commit in batches (see PMEM.Flush/Drain).
 	WithAsync = core.WithAsync
 	// WithCoalesceWindow sets how many queued async submissions seal a batch
-	// for group commit (0 = default 32).
+	// for group commit (0 = default 32). The queue holds 8 windows; a full
+	// queue applies backpressure to submitters.
 	WithCoalesceWindow = core.WithCoalesceWindow
-	// WithMaxInflight bounds the async submission queue; a full queue applies
-	// backpressure to submitters (0 = 8 coalesce windows).
-	WithMaxInflight = core.WithMaxInflight
 )
 
 // VerifyMode selects how aggressively reads check stored-block checksums.
