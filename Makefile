@@ -35,20 +35,21 @@ apicheck:
 # or BlockView copied by value (both embed a noCopy lock), and commitvet's
 # lease rule flags view-producing calls whose result — and therefore whose
 # lease — is discarded, anywhere in the module.
-leasecheck:
+leasecheck: commitvet
 	$(GO) vet -copylocks ./...
-	$(GO) run ./cmd/commitvet ./...
 
-# commitvet enforces the ownership contracts over internal/core: pool
-# transactions over data blocks (Begin/Alloc/Free) appear only in the commit
-# engine (writeplan.go), mapped pool bytes are dereferenced (pool.Slice) only
-# there and in the read engine (readplan.go), goroutines start only in the
-# wave runner (wave.go), and persisted bytes are encoded or decoded
+# commitvet runs the repository's static checker over the module. Five of its
+# rules enforce the ownership contracts over internal/core: pool transactions
+# over data blocks (Begin/Alloc/Free) appear only in the commit engine
+# (writeplan.go), mapped pool bytes are dereferenced (pool.Slice) only there
+# and in the read engine (readplan.go), goroutines start only in the wave
+# runner (wave.go), and persisted bytes are encoded or decoded
 # (encoding/binary, internal/wire) and the layout constants named only in the
 # metadata module (meta.go); every other non-test internal/core file must plan
-# over them. It is the same binary as leasecheck's, pointed at one package.
+# over them. The charge rule holds the cost model in one package: no non-test
+# file outside internal/sim advances a clock. The lease rule is leasecheck's.
 commitvet:
-	$(GO) run ./cmd/commitvet ./internal/core
+	$(GO) run ./cmd/commitvet ./...
 
 # loc prints, per package and in total, the non-test Go lines of the module
 # and how many of them are code (not blank, not comment) — the paper's
@@ -72,7 +73,7 @@ loc:
 # module's total non-test code lines exceed the ceiling, which records the
 # figure of the last change that lowered it. A change that must grow the code
 # raises the ceiling in the same diff, where a reviewer sees it.
-LOC_CEILING ?= 15314
+LOC_CEILING ?= 15076
 loccheck:
 	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
 		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \

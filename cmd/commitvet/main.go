@@ -1,5 +1,5 @@
 // Command commitvet is the repository's one static checker: a shared
-// directory walk, ignore directive and report under six syntactic rules (no
+// directory walk, ignore directive and report under seven syntactic rules (no
 // type information). Five fence in what internal/core's engines and metadata
 // module own, and apply to the non-test files of directories named "core":
 //
@@ -28,10 +28,16 @@
 // the engines a layout value; any other mention is a test of which layout is
 // calling (callers of core name them from outside, and in tests).
 //
+// Rule "charge" applies to the non-test files of every directory not named
+// "sim": a clock.Advance(d) call anywhere else would be a second place that
+// turns work into virtual time. internal/sim owns the cost model (charge.go);
+// everything else charges through a sim.Machine method named for what it pays
+// for.
+//
 // The call rules match a method call with the rule's name and exact argument
-// count — Begin with one argument, Alloc/Free/Slice with two (the public
-// three-argument PMEM.Alloc dims declaration does not match) — whose receiver
-// is not an imported package (sort.Slice is not the pool API).
+// count — Begin and Advance with one argument, Alloc/Free/Slice with two (the
+// public three-argument PMEM.Alloc dims declaration does not match) — whose
+// receiver is not an imported package (sort.Slice is not the pool API).
 //
 // Rule "lease" applies to every file, tests included: a view returned by
 // LoadView, LoadBlockView, or Array.View holds a lease that pins deferred
@@ -42,12 +48,10 @@
 // complementary misuse (copying a View by value).
 //
 // A `//commitvet:ignore` comment on a finding's line or the line above opts
-// it out; the pool-format bootstraps in core.go, which run before any data
-// exists, do.
+// it out.
 //
-// Usage: commitvet ./internal/core (or any package directories / ./...
-// patterns). Exits 1 when any finding is reported. `make commitvet` runs it
-// over internal/core and `make leasecheck` over the module.
+// Usage: commitvet ./... (or any package directories). Exits 1 when any
+// finding is reported. `make commitvet` runs it over the module.
 package main
 
 import (
@@ -82,15 +86,16 @@ func coreExcept(owners ...string) func(dir, base string) bool {
 	}
 }
 
-// poolCalls flags method calls by name and exact argument count.
-func poolCalls(calls map[string]int, advice string) func(map[string]bool, ast.Node) string {
+// methodCalls flags method calls on a recv-like receiver by name and exact
+// argument count.
+func methodCalls(recv string, calls map[string]int, advice string) func(map[string]bool, ast.Node) string {
 	return func(imports map[string]bool, n ast.Node) string {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return ""
 		}
-		// Only method calls on a pool-like receiver count; bare identifiers
-		// (local helpers named Begin/Alloc/Free) are not the pmdk pool API.
+		// Only method calls count; bare identifiers (local helpers named
+		// Begin/Alloc/Free) are not the pmdk pool API.
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
 			return ""
@@ -101,7 +106,7 @@ func poolCalls(calls map[string]int, advice string) func(map[string]bool, ast.No
 		if want, ok := calls[sel.Sel.Name]; !ok || len(call.Args) != want {
 			return ""
 		}
-		return "pool." + sel.Sel.Name + " " + advice
+		return recv + "." + sel.Sel.Name + " " + advice
 	}
 }
 
@@ -109,13 +114,13 @@ var rules = []rule{
 	{
 		name:   "tx",
 		covers: coreExcept("writeplan.go"),
-		check: poolCalls(map[string]int{"Begin": 1, "Alloc": 2, "Free": 2},
+		check: methodCalls("pool", map[string]int{"Begin": 1, "Alloc": 2, "Free": 2},
 			"outside the commit engine — route this write through writeplan.go"),
 	},
 	{
 		name:   "slice",
 		covers: coreExcept("writeplan.go", "readplan.go"),
-		check: poolCalls(map[string]int{"Slice": 2},
+		check: methodCalls("pool", map[string]int{"Slice": 2},
 			"outside the read/commit engines — plan this read over readplan.go"),
 	},
 	{
@@ -149,6 +154,14 @@ var rules = []rule{
 			}
 			return ""
 		},
+	},
+	{
+		name: "charge",
+		covers: func(dir, base string) bool {
+			return filepath.Base(dir) != "sim" && !strings.HasSuffix(base, "_test.go")
+		},
+		check: methodCalls("clock", map[string]int{"Advance": 1},
+			"outside internal/sim — charge through a sim.Machine method named for what it pays for (charge.go)"),
 	},
 	{
 		name:   "lease",
@@ -232,9 +245,32 @@ const ignoreDirective = "//commitvet:ignore"
 func main() {
 	args := os.Args[1:]
 	if len(args) == 0 {
-		args = []string{"./internal/core"}
+		args = []string{"./..."}
 	}
-	var dirs []string
+	dirs, err := expand(args)
+	if err != nil {
+		fatal(err)
+	}
+	findings := 0
+	for _, dir := range dirs {
+		found, err := checkDir(dir)
+		if err != nil {
+			fatal(err)
+		}
+		for _, f := range found {
+			fmt.Fprintln(os.Stderr, f)
+		}
+		findings += len(found)
+	}
+	if findings > 0 {
+		fmt.Fprintf(os.Stderr, "commitvet: %d finding(s)\n", findings)
+		os.Exit(1)
+	}
+}
+
+// expand resolves the arguments to directories: a ./... pattern walks its
+// root, skipping hidden, testdata and results directories.
+func expand(args []string) (dirs []string, err error) {
 	for _, a := range args {
 		if strings.HasSuffix(a, "/...") {
 			root := strings.TrimSuffix(a, "/...")
@@ -254,28 +290,13 @@ func main() {
 				return nil
 			})
 			if err != nil {
-				fatal(err)
+				return nil, err
 			}
 		} else {
 			dirs = append(dirs, a)
 		}
 	}
-
-	findings := 0
-	for _, dir := range dirs {
-		found, err := checkDir(dir)
-		if err != nil {
-			fatal(err)
-		}
-		for _, f := range found {
-			fmt.Fprintln(os.Stderr, f)
-		}
-		findings += len(found)
-	}
-	if findings > 0 {
-		fmt.Fprintf(os.Stderr, "commitvet: %d finding(s)\n", findings)
-		os.Exit(1)
-	}
+	return dirs, nil
 }
 
 // checkDir applies every rule to the Go files of one directory and returns

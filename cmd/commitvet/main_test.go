@@ -11,19 +11,25 @@ import (
 	"testing"
 )
 
-// TestRulesOnFixture runs every rule over testdata/core and requires exactly
-// the findings the fixture marks with "// want <rule>" comments: the tx and
-// slice calls, the go statement, the discarded views, the byte-order selector
-// and the two layout comparisons of a planner file, the tx call of
-// readplan.go, a discarded view (and nothing else) in a _test.go file, nothing
-// in writeplan.go, wave.go or meta.go, and nothing on ignored or non-pool
-// lines.
+// TestRulesOnFixture runs every rule over testdata/core and testdata/sim and
+// requires exactly the findings the fixture marks with "// want <rule>"
+// comments: the tx and slice calls, the go statement, the discarded views, the
+// clock advance, the byte-order selector and the two layout comparisons of a
+// planner file, the tx call of readplan.go, a discarded view (and nothing
+// else) in a _test.go file, nothing in writeplan.go, wave.go or meta.go,
+// nothing on ignored or non-pool lines, and nothing in a directory named sim.
 func TestRulesOnFixture(t *testing.T) {
-	dir := filepath.Join("testdata", "core")
-	var want []string
-	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	var want, found []string
+	files, err := filepath.Glob(filepath.Join("testdata", "*", "*.go"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, dir := range []string{"core", "sim"} {
+		f, err := checkDir(filepath.Join("testdata", dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		found = append(found, f...)
 	}
 	wantRe := regexp.MustCompile(`// want (\w+)$`)
 	for _, name := range files {
@@ -40,11 +46,6 @@ func TestRulesOnFixture(t *testing.T) {
 		f.Close()
 	}
 	sort.Strings(want)
-
-	found, err := checkDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Reduce "file:line:col: [rule] message" to "file:line [rule]".
 	findingRe := regexp.MustCompile(`^(.+):(\d+):\d+: (\[\w+\])`)
 	var got []string
@@ -59,18 +60,28 @@ func TestRulesOnFixture(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	if len(want) != 13 {
-		t.Errorf("fixture marks %d findings, expected 13 (11 planner + 1 readplan + 1 test file)", len(want))
+	if len(want) != 14 {
+		t.Errorf("fixture marks %d findings, expected 14 (12 planner + 1 readplan + 1 test file)", len(want))
 	}
 }
 
 // TestRepoIsClean is the `make commitvet` gate as a unit test.
 func TestRepoIsClean(t *testing.T) {
-	found, err := checkDir(filepath.Join("..", "..", "internal", "core"))
+	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range found {
-		t.Error(f)
+	dirs, err := expand([]string{root + "/..."})
+	if err != nil || len(dirs) < 20 {
+		t.Fatalf("walking the module from %s: %d directories, err %v", root, len(dirs), err)
+	}
+	for _, dir := range dirs {
+		found, err := checkDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range found {
+			t.Error(f)
+		}
 	}
 }

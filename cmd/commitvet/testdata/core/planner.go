@@ -48,6 +48,15 @@ func planner(p pool, xs []int) {
 	_, _ = p.Slice(0, 8)
 }
 
+type clock struct{}
+
+func (clock) Advance(d int) {}
+
+// A planner charges through a sim.Machine method, never the clock itself.
+func charges(clk clock) {
+	clk.Advance(5) // want charge
+}
+
 // A planner neither decodes persisted bytes nor asks which layout it runs on.
 func layoutBlind(l Layout, raw []byte) Layout {
 	_ = binary.LittleEndian.Uint32(raw) // want record

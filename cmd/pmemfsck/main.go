@@ -119,19 +119,8 @@ func buildPool() (*pmem.Mapping, *pmdk.Hashtable, *sim.Clock, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tx, err := pool.Begin(clk)
+	htID, err := pmdk.FormatPool(clk, pool, 64)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	htID, err := pmdk.CreateHashtable(tx, 64)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	root, _ := pool.Root()
-	if err := tx.WriteU64(root, uint64(htID)); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := tx.Commit(); err != nil {
 		return nil, nil, nil, err
 	}
 	ht, err := pmdk.OpenHashtable(clk, pool, htID)
@@ -203,22 +192,9 @@ func runFsckSet(w io.Writer, npools int, corrupt bool) int {
 		}
 		maps[i] = mp
 	}
-	_, err := pmdk.CreateSet(clk, 0x70736574, maps, nil, func(i int, p *pmdk.Pool) error {
-		tx, err := p.Begin(clk)
-		if err != nil {
-			return err
-		}
-		htID, err := pmdk.CreateHashtable(tx, 64)
-		if err != nil {
-			tx.Abort()
-			return err
-		}
-		root, _ := p.Root()
-		if err := tx.WriteU64(root, uint64(htID)); err != nil {
-			tx.Abort()
-			return err
-		}
-		return tx.Commit()
+	_, err := pmdk.CreateSet(clk, 0x70736574, maps, nil, func(_ int, p *pmdk.Pool) error {
+		_, err := pmdk.FormatPool(clk, p, 64)
+		return err
 	})
 	if err != nil {
 		fmt.Fprintf(w, "pmemfsck: creating set: %v\n", err)
@@ -296,19 +272,8 @@ func crashPoint(w io.Writer, mode pmem.CrashMode, k int64, rng *rand.Rand, verbo
 	if err != nil {
 		return false, err
 	}
-	tx, err := pool.Begin(clk)
+	htID, err := pmdk.FormatPool(clk, pool, 16)
 	if err != nil {
-		return false, err
-	}
-	htID, err := pmdk.CreateHashtable(tx, 16)
-	if err != nil {
-		return false, err
-	}
-	root, _ := pool.Root()
-	if err := tx.WriteU64(root, uint64(htID)); err != nil {
-		return false, err
-	}
-	if err := tx.Commit(); err != nil {
 		return false, err
 	}
 	ht, err := pmdk.OpenHashtable(clk, pool, htID)
@@ -322,7 +287,7 @@ func crashPoint(w io.Writer, mode pmem.CrashMode, k int64, rng *rand.Rand, verbo
 		return false, err
 	}
 
-	dev.FailAfterPersists(k)
+	dev.ArmCrashAtOp(k, 0)
 	err1 := ht.Put(clk, []byte("victim"), []byte("new-victim"))
 	var err2 error
 	if err1 == nil {

@@ -65,8 +65,7 @@ func (p *PFS) Pool() *sim.Pool { return p.pool }
 func (p *PFS) Put(clk *sim.Clock, name string, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	clk.Advance(p.latency)
-	clk.Advance(p.pool.Cost(int64(len(data))))
+	p.pool.ChargeLink(clk, p.latency, int64(len(data)))
 	p.mu.Lock()
 	p.objects[name] = cp
 	p.mu.Unlock()
@@ -81,8 +80,7 @@ func (p *PFS) Get(clk *sim.Clock, name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("burstbuffer: object %q not found", name)
 	}
-	clk.Advance(p.latency)
-	clk.Advance(p.pool.Cost(int64(len(data))))
+	p.pool.ChargeLink(clk, p.latency, int64(len(data)))
 	out := make([]byte, len(data))
 	copy(out, data)
 	return out, nil

@@ -86,6 +86,26 @@ func TestPFSChargesSlowTier(t *testing.T) {
 	if got := clk.Now(); got != want {
 		t.Fatalf("Put cost = %v, want %v", got, want)
 	}
+	if _, err := pfs.Get(clk, "big"); err != nil {
+		t.Fatal(err)
+	}
+	if got := clk.Now(); got != 2*want {
+		t.Fatalf("Put+Get cost = %v, want %v", got, 2*want)
+	}
+	// The default tier with the uplink shared four ways, pinned to the
+	// nanosecond: 500 us latency + 1000003 B at 0.5 GB/s, each way.
+	pfs, clk = NewPFS(0, 0), new(sim.Clock)
+	pfs.Pool().SetConcurrency(4)
+	if err := pfs.Put(clk, "odd", make([]byte, 1_000_003)); err != nil {
+		t.Fatal(err)
+	}
+	put := clk.Now()
+	if _, err := pfs.Get(clk, "odd"); err != nil {
+		t.Fatal(err)
+	}
+	if get := clk.Now() - put; put != 2_500_006 || get != 2_500_006 {
+		t.Fatalf("shared Put, Get cost = %d, %d ns, want 2500006 each", put, get)
+	}
 }
 
 func TestPFSIsolatesStoredData(t *testing.T) {

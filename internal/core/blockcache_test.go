@@ -192,7 +192,7 @@ func TestBlockCacheFreshAfterCrashRecovery(t *testing.T) {
 			return err
 		}
 		// Power-fail mid-overwrite: the handle dies with its cache.
-		n.Device.FailAfterPersists(3)
+		n.Device.ArmCrashAtOp(3, 0)
 		serr := fillBlock(p, "A", 0, elems, 2)
 		if serr != nil && !errors.Is(serr, pmem.ErrFailed) {
 			t.Errorf("unexpected store error: %v", serr)

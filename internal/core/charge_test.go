@@ -40,7 +40,7 @@ func TestChargeMoveTable(t *testing.T) {
 					moved = append(moved, poolBytes{pi, b / 2}, poolBytes{pi, b - b/2})
 				}
 				clk := c.Clock()
-				for _, dir := range []moveDir{moveStore, moveLoad} {
+				for _, dir := range []sim.Dir{sim.Store, sim.Load} {
 					for _, workers := range []int{1, 4} {
 						for _, codec := range []string{"raw", "bp4"} {
 							cd, err := serial.Get(codec)
@@ -49,7 +49,7 @@ func TestChargeMoveTable(t *testing.T) {
 							}
 							name := "store"
 							passes, dec := cd.CostProfile()
-							if dir == moveLoad {
+							if dir == sim.Load {
 								name, passes = "load", dec
 							}
 							t0 := clk.Now()

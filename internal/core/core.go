@@ -28,7 +28,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pmemcpy/internal/mpi"
 	"pmemcpy/internal/node"
@@ -312,28 +311,6 @@ func openShared(c *mpi.Comm, n *node.Node, path string, o Options) (*shared, err
 // every rank and every reopen binds the same member pools together.
 func setID(path string) uint64 { return fnv1a(path) }
 
-// formatPool is the pool-format bootstrap of one freshly created member: its
-// metadata hashtable, published through the pool root. The table is created
-// before any data exists, so this transaction legitimately runs outside the
-// commit engine.
-func formatPool(clk *sim.Clock, pool *pmdk.Pool) (pmdk.PMID, error) {
-	tx, err := pool.Begin(clk) //commitvet:ignore
-	if err != nil {
-		return 0, err
-	}
-	htID, err := pmdk.CreateHashtable(tx, pmdk.DefaultBuckets)
-	if err != nil {
-		tx.Abort()
-		return 0, err
-	}
-	root, _ := pool.Root()
-	if err := tx.WriteU64(root, uint64(htID)); err != nil {
-		tx.Abort()
-		return 0, err
-	}
-	return htID, tx.Commit()
-}
-
 // openPools maps the namespace's pool file on each member device and opens
 // the pools and their hashtables, formatting them when the file is new. One
 // member is a bare pmdk pool; several are a pmdk.PoolSet created under its
@@ -376,7 +353,7 @@ func (st *shared) openPools(clk *sim.Clock, n *node.Node, path string) error {
 
 	// A single pool formatted just now hands its table id over (htID); every
 	// other member's is read from its pool root below. That includes fresh set
-	// members: CreateSet runs formatPool inside its prepare phase, before the
+	// members: CreateSet runs pmdk.FormatPool inside its prepare phase, before the
 	// set publishes, and the set is then opened the way a reopen finds it.
 	var htID pmdk.PMID
 	var err error
@@ -388,7 +365,7 @@ func (st *shared) openPools(clk *sim.Clock, n *node.Node, path string) error {
 		}
 		if fresh || errors.Is(err, pmdk.ErrSetUnpublished) {
 			set, err = pmdk.CreateSet(clk, setID(path), maps, &po, func(_ int, pool *pmdk.Pool) error {
-				_, err := formatPool(clk, pool)
+				_, err := pmdk.FormatPool(clk, pool, pmdk.DefaultBuckets)
 				return err
 			})
 		}
@@ -400,7 +377,7 @@ func (st *shared) openPools(clk *sim.Clock, n *node.Node, path string) error {
 		}
 	case fresh:
 		if st.pools[0], err = pmdk.Create(clk, maps[0], &po); err == nil {
-			htID, err = formatPool(clk, st.pools[0])
+			htID, err = pmdk.FormatPool(clk, st.pools[0], pmdk.DefaultBuckets)
 		}
 	default:
 		st.pools[0], err = pmdk.Open(clk, maps[0])
@@ -442,6 +419,13 @@ func (p *PMEM) Munmap() error {
 	// still parked in limbo stay there — recoverable garbage, the same
 	// contract as a crash between an unlink and its free (view.go).
 	p.st.viewsInvalid.Store(true)
+	// A traced group's tracer stops being the devices' event sink, unless a
+	// later traced group has already replaced it; its spans stay readable.
+	if tr := p.st.ins.tracer; tr != nil && p.comm.Rank() == 0 {
+		for i := 0; i < p.node.Pools(); i++ {
+			p.node.DeviceAt(i).ClearEventSink(tr)
+		}
+	}
 	return derr
 }
 
@@ -493,107 +477,46 @@ func (p *PMEM) chargeStoreBytes(pi int, n int64, passes float64) {
 	p.st.pools[pi].Mapping().ChargeWrite(clk, n)
 }
 
-// moveDir is the direction of a charged move: it selects the device latency,
-// the per-core codec rate, and which of a device's bandwidth ports is crossed.
-type moveDir uint8
-
-const (
-	moveStore moveDir = iota // serialize into mapped PMEM
-	moveLoad                 // deserialize out of it
-)
-
 // poolBytes is the bytes one job moved into or out of one member pool.
 type poolBytes struct {
 	pool  int
 	bytes int64
 }
 
-// chargeMove accounts one wave of the copy engines: `workers` concurrent
+// chargeMove accounts one wave of the copy engines — `workers` concurrent
 // streams moved the listed bytes between DRAM and mapped PMEM in a single
-// (de)serialization pass — the heart of the paper's claim, instead of a DRAM
-// pass followed by a device pass. A serial store or load is the one-entry,
-// one-worker case.
-//
-// The CPU side scales with the worker count (discounted by the
-// oversubscription of ranks*workers total threads) and the device side by the
-// port's GroupShare: several concurrent streams lift the single-thread PMEM
-// cap until the rank's slice of the device bandwidth is saturated, the
-// behaviour measured by "Persistent Memory I/O Primitives". Each device of a
-// multi-pool node has its own pair of ports (one DIMM set per pool), so the
-// bytes tally per pool, the worker pool splits across those stripes in
-// proportion to their bytes, and virtual time advances by the SLOWEST stripe —
-// not the sum — which is exactly the aggregate-bandwidth win of a sharded
-// namespace (and why Advance-per-pool would model it away).
-//
-// Codec passes beyond the first (e.g. BP4's min/max characterization) only
-// re-read the data in DRAM; they never touch the device, so their cost is
-// CPU/DRAM-bound and charged separately. They and the MAP_SYNC per-line
-// penalty are charged once over the total, split across all workers.
-func (p *PMEM) chargeMove(dir moveDir, moved []poolBytes, passes float64, workers int) {
+// (de)serialization pass — as one sim DAX move: the bytes tally per member
+// pool into one stripe on that device's port, at the direction's codec rate.
+// A serial store or load is the one-entry, one-worker case.
+func (p *PMEM) chargeMove(dir sim.Dir, moved []poolBytes, passes float64, workers int) {
 	m := p.node.Machine
 	cfg := m.Config()
-	clk := p.comm.Clock()
-	lat, bps := cfg.PMEMWriteLatency, cfg.SerializeBPS
-	if dir == moveLoad {
-		lat, bps = cfg.PMEMReadLatency, cfg.DeserializeBPS
+	bps, port := cfg.SerializeBPS, (*pmem.Device).WritePort
+	if dir == sim.Load {
+		bps, port = cfg.DeserializeBPS, (*pmem.Device).ReadPort
 	}
-	over := m.Oversub(p.comm.Size() * workers)
-	stripe := func(pi int) (n int64) {
+	var buf [8]sim.Stripe
+	stripes := buf[:0]
+	for pi, pool := range p.st.pools {
+		var n int64
 		for _, mv := range moved {
 			if mv.pool == pi {
 				n += mv.bytes
 			}
 		}
-		return n
-	}
-	var total int64
-	stripes := 0
-	for pi := range p.st.pools {
-		if n := stripe(pi); n > 0 {
-			total += n
-			stripes++
+		if n > 0 {
+			stripes = append(stripes, sim.Stripe{Port: port(pool.Mapping().Device()), Bytes: n})
 		}
 	}
-	clk.Advance(lat)
-	var slowest time.Duration
-	for pi := range p.st.pools {
-		n := stripe(pi)
-		if n <= 0 {
-			continue
-		}
-		dev := p.st.pools[pi].Mapping().Device()
-		port := dev.WritePort()
-		if dir == moveLoad {
-			port = dev.ReadPort()
-		}
-		// A stripe carrying n of total bytes gets its share of the workers, at
-		// least one; a lone stripe gets them all.
-		w := workers
-		if stripes > 1 {
-			w = max(1, int(float64(workers)*float64(n)/float64(total)))
-		}
-		slowest = max(slowest, sim.MoveCostParallel(n, bps, over, w, port))
-	}
-	clk.Advance(slowest)
-	if passes > 1 {
-		extra := int64(float64(total) * (passes - 1))
-		clk.Advance(sim.MoveCostParallel(extra, bps, over, workers, m.DRAM))
-	}
-	if p.st.opt.MapSync {
-		lines := (total + sim.CachelineSize - 1) / sim.CachelineSize
-		perWorker := (lines + int64(workers) - 1) / int64(workers)
-		clk.Advance(time.Duration(perWorker) * cfg.MapSyncLine)
-	}
+	m.ChargeMove(p.comm.Clock(), dir, stripes, bps, p.comm.Size(), workers, passes, p.st.opt.MapSync)
 }
 
 // chargeReadLatency accounts a read that touches a handful of bytes or none:
 // opening a zero-copy view (the application's in-place traversal is the read,
 // and it happens outside the library at DRAM load granularity — precisely the
 // copy elimination the view exists to model) or reading one block's
-// characteristics header. One device read latency; no bytes are streamed.
-func (p *PMEM) chargeReadLatency() {
-	p.comm.Clock().Advance(p.node.Machine.Config().PMEMReadLatency)
-}
+// characteristics header.
+func (p *PMEM) chargeReadLatency() { p.node.Machine.ChargeReadLatency(p.comm.Clock()) }
 
 // Alloc declares the final global dimensions of array id (Figure 2's
 // pmem.alloc<T>): it stores dims under id+"#dims". Ranks may all call it;

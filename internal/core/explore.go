@@ -119,19 +119,6 @@ func (r *ExploreReport) Unexplored() []string {
 	return out
 }
 
-// PersistPointNames returns the sorted names of the injectable persist points
-// the workload reached — the stable identity the golden-file coverage test
-// asserts is non-shrinking.
-func (r *ExploreReport) PersistPointNames() []string {
-	var out []string
-	for _, pc := range r.Points {
-		if !pc.Fence && pc.Hits > 0 {
-			out = append(out, pc.Name)
-		}
-	}
-	return out
-}
-
 // Format renders the coverage map.
 func (r *ExploreReport) Format() string {
 	var b strings.Builder

@@ -215,9 +215,14 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 		devSum(func(c pmem.Counters) int64 { return c.Fences }))
 	reg.CounterFunc("pmemcpy_device_persisted_bytes_total", "bytes covered by persists",
 		devSum(func(c pmem.Counters) int64 { return c.PersistedBytes }))
-	reg.CounterFunc("pmemcpy_device_read_bytes_total", "bytes charged through the device read port",
+	// The engines charge payload moves as sim DAX moves of their own, around the
+	// device wrappers that count, so these two see metadata and kernel-path
+	// traffic only (DESIGN §5).
+	reg.CounterFunc("pmemcpy_device_read_bytes_total",
+		"metadata and kernel-path bytes charged through the device read port; engine payload bytes are pmemcpy_op_bytes_total (DESIGN §5)",
 		devSum(func(c pmem.Counters) int64 { return c.ReadBytes }))
-	reg.CounterFunc("pmemcpy_device_written_bytes_total", "bytes charged through the device write port",
+	reg.CounterFunc("pmemcpy_device_written_bytes_total",
+		"metadata and kernel-path bytes charged through the device write port; engine payload bytes are pmemcpy_op_bytes_total (DESIGN §5)",
 		devSum(func(c pmem.Counters) int64 { return c.WrittenBytes }))
 	// Injection counters live in the fault domain the member devices share,
 	// so device 0 already reports the namespace's totals.
@@ -280,11 +285,11 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 	if st.opt.Tracing {
 		// The tracer becomes the device's event sink, so every persist/fence
 		// is attributed to the op active on the issuing rank's clock. The sink
-		// stays installed until another tracing handle group replaces it;
-		// events outside any op are counted, not recorded. Every device of a
-		// multi-pool node feeds the same tracer: the pools share one fault
-		// domain and one persist-ordinal space, so their events interleave
-		// into one coherent span stream.
+		// stays installed until Munmap removes it or another tracing handle
+		// group replaces it; events outside any op are counted, not recorded.
+		// Every device of a multi-pool node feeds the same tracer: the pools
+		// share one fault domain and one persist-ordinal space, so their
+		// events interleave into one coherent span stream.
 		in.tracer = obs.NewTracer(0)
 		for i := 0; i < n.Pools(); i++ {
 			n.DeviceAt(i).SetEventSink(in.tracer)
@@ -346,12 +351,6 @@ func (p *PMEM) beginOp(op int, id string) opDone {
 func (p *PMEM) Metrics() obs.Snapshot {
 	return p.st.ins.reg.Snapshot()
 }
-
-// MetricsEnabled reports whether histogram recording is on for this handle.
-func (p *PMEM) MetricsEnabled() bool { return p.st.ins.enabled }
-
-// TracingEnabled reports whether span tracing is on for this handle.
-func (p *PMEM) TracingEnabled() bool { return p.st.ins.tracer != nil }
 
 // TraceSpans returns the completed op spans recorded so far (nil when the
 // handle was not mapped WithTracing). Dump them with obs.WriteTraceJSON or

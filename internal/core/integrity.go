@@ -11,6 +11,7 @@ import (
 
 	"pmemcpy/internal/fsck"
 	"pmemcpy/internal/pmdk"
+	"pmemcpy/internal/sim"
 )
 
 // Integrity layer: detect and contain corruption instead of returning garbage.
@@ -225,7 +226,7 @@ func (p *PMEM) Scrub(ctx context.Context) (ScrubReport, error) {
 	}
 	clk := p.comm.Clock()
 	start := clk.Now()
-	pace := &scrubPacer{ctx: ctx, start: int64(start)}
+	pace := &scrubPacer{ctx: ctx, start: start}
 	keys, err := p.Keys()
 	if err != nil {
 		return rep, err
@@ -284,8 +285,8 @@ func (p *PMEM) scrubVar(id string, rep *ScrubReport, pace *scrubPacer) ([]blockR
 // cancellation and the progress against the rate limit.
 type scrubPacer struct {
 	ctx   context.Context
-	start int64 // virtual ns at pass start
-	bytes int64 // bytes verified so far
+	start time.Duration // virtual time at pass start
+	bytes int64         // bytes verified so far
 }
 
 // chargeScrub accounts one scrubbed block: the device read cost of streaming
@@ -293,17 +294,10 @@ type scrubPacer struct {
 // enough extra virtual time to hold the pass at or under scrubRate bytes per
 // virtual second.
 func (p *PMEM) chargeScrub(pi int, n int64, pace *scrubPacer) {
-	p.chargeMove(moveLoad, []poolBytes{{pi, n}}, 1, 1)
-	rate := p.st.opt.ScrubRate
-	if rate <= 0 {
-		return
-	}
-	clk := p.comm.Clock()
-	pace.bytes += n
-	target := time.Duration(float64(pace.bytes) / float64(rate) * float64(time.Second))
-	since := time.Duration(int64(clk.Now()) - pace.start)
-	if target > since {
-		clk.Advance(target - since)
+	p.chargeMove(sim.Load, []poolBytes{{pi, n}}, 1, 1)
+	if rate := p.st.opt.ScrubRate; rate > 0 {
+		pace.bytes += n
+		p.node.Machine.ChargeScrubPace(p.comm.Clock(), pace.start, pace.bytes, rate)
 	}
 }
 

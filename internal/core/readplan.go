@@ -6,6 +6,7 @@ import (
 	"pmemcpy/internal/checksum"
 	"pmemcpy/internal/nd"
 	"pmemcpy/internal/serial"
+	"pmemcpy/internal/sim"
 )
 
 // Unified read-path planner and engine — the read-side mirror of the commit
@@ -225,7 +226,7 @@ func (l poolLayout) stored(p *PMEM, u readUnit) ([]byte, error) {
 // chargeUnit is the pool layout's: the unit's bytes streamed out of its
 // pool's mapping by one goroutine.
 func (l poolLayout) chargeUnit(p *PMEM, u readUnit, decPasses float64) {
-	p.chargeMove(moveLoad, []poolBytes{{int(u.src.pool), u.bytes}}, decPasses, 1)
+	p.chargeMove(sim.Load, []poolBytes{{int(u.src.pool), u.bytes}}, decPasses, 1)
 }
 
 // wholeBlocks returns one whole-block unit per block record.
@@ -465,7 +466,7 @@ func (e readEngine) chargeWave(wave []readUnit, decPasses float64, workers int) 
 	for i := range wave {
 		moved = append(moved, poolBytes{int(wave[i].src.pool), wave[i].bytes})
 	}
-	p.chargeMove(moveLoad, moved, decPasses, workers)
+	p.chargeMove(sim.Load, moved, decPasses, workers)
 }
 
 // place decodes one unit's stored block (zero-copy for the default codec: the

@@ -6,6 +6,7 @@ import (
 
 	"pmemcpy/internal/bytesview"
 	"pmemcpy/internal/serial"
+	"pmemcpy/internal/sim"
 )
 
 // Statistics queries over stored arrays. This is what BP4's "lightweight
@@ -121,7 +122,7 @@ func (p *PMEM) blockStats(b blockRec, src []byte, dtype serial.DType) (BlockStat
 	if err != nil {
 		return bs, err
 	}
-	p.chargeMove(moveLoad, []poolBytes{{int(b.pool), int64(len(d.Payload))}}, 1, 1)
+	p.chargeMove(sim.Load, []poolBytes{{int(b.pool), int64(len(d.Payload))}}, 1, 1)
 	bs.Min, bs.Max, bs.HasStats = scanMinMax(dtype, d.Payload)
 	return bs, nil
 }

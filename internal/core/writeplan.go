@@ -5,6 +5,7 @@ import (
 	"pmemcpy/internal/pmdk"
 	"pmemcpy/internal/pmem"
 	"pmemcpy/internal/serial"
+	"pmemcpy/internal/sim"
 )
 
 // Unified write-path planner and commit engine.
@@ -291,7 +292,7 @@ func (e commitEngine) wave(plan *writePlan, jobs []fillJob) error {
 			p.chargeStoreBytes(m.pool, m.bytes, plan.encPasses)
 		}
 	} else {
-		p.chargeMove(moveStore, moved, plan.encPasses, len(jobs))
+		p.chargeMove(sim.Store, moved, plan.encPasses, len(jobs))
 	}
 	clk := p.comm.Clock()
 	for i := range jobs {

@@ -40,7 +40,7 @@ func BenchmarkBarrier(b *testing.B) {
 func BenchmarkAllgather(b *testing.B) {
 	payload := make([]byte, 1024)
 	benchWorld(b, 16, func(c *Comm) error {
-		_, err := c.Allgather(payload)
+		_, err := c.AllgatherVol(payload, -1)
 		return err
 	})
 }
@@ -55,7 +55,7 @@ func BenchmarkAlltoall(b *testing.B) {
 	}
 	b.SetBytes(int64(n * 64 << 10))
 	benchWorld(b, n, func(c *Comm) error {
-		_, err := c.Alltoall(parts)
+		_, err := c.AlltoallVol(parts, -1)
 		return err
 	})
 }

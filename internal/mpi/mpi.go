@@ -180,7 +180,7 @@ func (c *Comm) Barrier() error {
 	if err != nil {
 		return err
 	}
-	c.clk.Advance(c.w.machine.Config().BarrierCost)
+	c.w.machine.ChargeBarrier(c.clk)
 	return nil
 }
 
@@ -197,13 +197,6 @@ func (c *Comm) mailbox(src, dst int) chan message {
 	return ch
 }
 
-// transferCost is the time for one rank to move n bytes through the
-// shared-memory interconnect.
-func (c *Comm) transferCost(n int64) time.Duration {
-	cfg := c.w.machine.Config()
-	return cfg.NetLatency + c.w.machine.Net.Cost(n)
-}
-
 // Send delivers a copy of data to rank dst with the given tag. The copy is
 // charged to the sender (sender-driven shared-memory transfer).
 func (c *Comm) Send(dst int, tag int, data []byte) error {
@@ -218,7 +211,7 @@ func (c *Comm) Send(dst int, tag int, data []byte) error {
 	}
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	c.clk.Advance(c.transferCost(int64(len(data))))
+	c.w.machine.ChargeTransfer(c.clk, int64(len(data)))
 	c.mailbox(c.rank, dst) <- message{data: buf, tag: tag, at: c.clk.Now()}
 	return nil
 }
@@ -258,7 +251,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	}
 	out := make([]byte, len(src))
 	copy(out, src)
-	c.clk.Advance(c.transferCost(int64(len(src))))
+	c.w.machine.ChargeTransfer(c.clk, int64(len(src)))
 	return out, nil
 }
 
@@ -280,19 +273,14 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 		copy(out[i], b)
 		total += int64(len(b))
 	}
-	c.clk.Advance(c.transferCost(total))
+	c.w.machine.ChargeTransfer(c.clk, total)
 	return out, nil
 }
 
-// Allgather collects every rank's data at every rank.
-func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	return c.AllgatherVol(data, -1)
-}
-
-// AllgatherVol is Allgather with an explicit charged volume: vol < 0 charges
-// the actual received bytes; otherwise vol bytes are charged. Callers moving
+// AllgatherVol collects every rank's data at every rank. vol < 0 charges the
+// actual received bytes; otherwise vol bytes are charged: callers moving
 // framing metadata whose size does not scale with the workload (range lists
-// in collective I/O) pass the analytic payload volume instead, keeping the
+// in collective I/O) pass the analytic payload volume, keeping the
 // virtual-time model faithful under profile scaling.
 func (c *Comm) AllgatherVol(data []byte, vol int64) ([][]byte, error) {
 	slots, err := c.exchange(data)
@@ -310,7 +298,7 @@ func (c *Comm) AllgatherVol(data []byte, vol int64) ([][]byte, error) {
 	if vol >= 0 {
 		total = vol
 	}
-	c.clk.Advance(c.transferCost(total))
+	c.w.machine.ChargeTransfer(c.clk, total)
 	return out, nil
 }
 
@@ -324,7 +312,7 @@ func (c *Comm) AllgatherU64(v uint64) ([]uint64, error) {
 	for i, s := range slots {
 		out[i], _ = s.(uint64)
 	}
-	c.clk.Advance(c.w.machine.Config().NetLatency)
+	c.w.machine.ChargeNetLatency(c.clk)
 	return out, nil
 }
 
@@ -346,20 +334,15 @@ func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
 	mine := all[c.rank]
 	out := make([]byte, len(mine))
 	copy(out, mine)
-	c.clk.Advance(c.transferCost(int64(len(mine))))
+	c.w.machine.ChargeTransfer(c.clk, int64(len(mine)))
 	return out, nil
 }
 
-// Alltoall delivers parts[j] from each rank to rank j; the result at rank j
+// AlltoallVol delivers parts[j] from each rank to rank j; the result at rank j
 // holds one slice per source rank. This is the rearrangement primitive
-// two-phase collective I/O is built on.
-func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
-	return c.AlltoallVol(parts, -1)
-}
-
-// AlltoallVol is Alltoall with an explicit charged volume: vol < 0 charges
-// max(sent, received) actual bytes; otherwise vol bytes are charged (see
-// AllgatherVol for when callers override the volume).
+// two-phase collective I/O is built on. vol < 0 charges max(sent, received)
+// actual bytes; otherwise vol bytes are charged (see AllgatherVol for when
+// callers override the volume).
 func (c *Comm) AlltoallVol(parts [][]byte, vol int64) ([][]byte, error) {
 	if len(parts) != c.w.size {
 		return nil, fmt.Errorf("mpi: Alltoall needs %d parts, got %d", c.w.size, len(parts))
@@ -389,7 +372,7 @@ func (c *Comm) AlltoallVol(parts [][]byte, vol int64) ([][]byte, error) {
 			vol = recvd
 		}
 	}
-	c.clk.Advance(c.transferCost(vol))
+	c.w.machine.ChargeTransfer(c.clk, vol)
 	return out, nil
 }
 
@@ -406,7 +389,7 @@ func (c *Comm) ShareLocal(root int, v any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.clk.Advance(c.w.machine.Config().NetLatency)
+	c.w.machine.ChargeNetLatency(c.clk)
 	return slots[root], nil
 }
 
@@ -419,39 +402,6 @@ const (
 	OpMax
 	OpMin
 )
-
-func reduceF64(vals []float64, op Op) float64 {
-	acc := vals[0]
-	for _, v := range vals[1:] {
-		switch op {
-		case OpSum:
-			acc += v
-		case OpMax:
-			if v > acc {
-				acc = v
-			}
-		case OpMin:
-			if v < acc {
-				acc = v
-			}
-		}
-	}
-	return acc
-}
-
-// AllreduceF64 reduces v across ranks and returns the result everywhere.
-func (c *Comm) AllreduceF64(v float64, op Op) (float64, error) {
-	slots, err := c.exchange(v)
-	if err != nil {
-		return 0, err
-	}
-	vals := make([]float64, len(slots))
-	for i, s := range slots {
-		vals[i], _ = s.(float64)
-	}
-	c.clk.Advance(c.w.machine.Config().NetLatency * time.Duration(log2ceil(c.w.size)))
-	return reduceF64(vals, op), nil
-}
 
 // AllreduceU64 reduces an integer across ranks.
 func (c *Comm) AllreduceU64(v uint64, op Op) (uint64, error) {
@@ -479,7 +429,7 @@ func (c *Comm) AllreduceU64(v uint64, op Op) (uint64, error) {
 			}
 		}
 	}
-	c.clk.Advance(c.w.machine.Config().NetLatency * time.Duration(log2ceil(c.w.size)))
+	c.w.machine.ChargeLogTree(c.clk, c.w.size)
 	return acc, nil
 }
 
@@ -496,15 +446,4 @@ func (c *Comm) ExscanU64(v uint64) (uint64, error) {
 		sum += vals[i]
 	}
 	return sum, nil
-}
-
-func log2ceil(n int) int {
-	k := 0
-	for v := 1; v < n; v <<= 1 {
-		k++
-	}
-	if k == 0 {
-		return 1
-	}
-	return k
 }

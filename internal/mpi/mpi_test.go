@@ -232,7 +232,7 @@ func TestGather(t *testing.T) {
 
 func TestAllgather(t *testing.T) {
 	_, err := Run(testMachine(), 4, func(c *Comm) error {
-		got, err := c.Allgather([]byte(fmt.Sprintf("r%d", c.Rank())))
+		got, err := c.AllgatherVol([]byte(fmt.Sprintf("r%d", c.Rank())), -1)
 		if err != nil {
 			return err
 		}
@@ -303,7 +303,7 @@ func TestAlltoallExchangesCorrectly(t *testing.T) {
 		for dst := 0; dst < n; dst++ {
 			parts[dst] = []byte(fmt.Sprintf("%d->%d", c.Rank(), dst))
 		}
-		got, err := c.Alltoall(parts)
+		got, err := c.AlltoallVol(parts, -1)
 		if err != nil {
 			return err
 		}
@@ -322,19 +322,19 @@ func TestAlltoallExchangesCorrectly(t *testing.T) {
 
 func TestAllreduce(t *testing.T) {
 	_, err := Run(testMachine(), 6, func(c *Comm) error {
-		sum, err := c.AllreduceF64(float64(c.Rank()+1), OpSum)
+		sum, err := c.AllreduceU64(uint64(c.Rank()+1), OpSum)
 		if err != nil {
 			return err
 		}
 		if sum != 21 {
-			return fmt.Errorf("sum = %g, want 21", sum)
+			return fmt.Errorf("sum = %d, want 21", sum)
 		}
-		mx, err := c.AllreduceF64(float64(c.Rank()), OpMax)
+		mx, err := c.AllreduceU64(uint64(c.Rank()), OpMax)
 		if err != nil {
 			return err
 		}
 		if mx != 5 {
-			return fmt.Errorf("max = %g, want 5", mx)
+			return fmt.Errorf("max = %d, want 5", mx)
 		}
 		mn, err := c.AllreduceU64(uint64(c.Rank()+3), OpMin)
 		if err != nil {
@@ -397,10 +397,10 @@ func TestCollectiveDeterminism(t *testing.T) {
 				return err
 			}
 			data := bytes.Repeat([]byte{byte(c.Rank())}, 1000)
-			if _, err := c.Allgather(data); err != nil {
+			if _, err := c.AllgatherVol(data, -1); err != nil {
 				return err
 			}
-			_, err := c.AllreduceF64(1, OpSum)
+			_, err := c.AllreduceU64(1, OpSum)
 			return err
 		})
 		if err != nil {

@@ -228,12 +228,6 @@ func (f *File) chargePack(n int64) {
 	m.ChargePasses(f.comm.Clock(), n, 1, m.Config().PackBPS, f.comm.Size())
 }
 
-// WriteAtAll performs a two-phase collective write: this rank contributes p
-// at absolute offset off; all ranks must call it together.
-func (f *File) WriteAtAll(p []byte, off int64) error {
-	return f.WriteRangesAll([]Range{{Off: off, Data: p}})
-}
-
 // WriteRangesAll performs a two-phase collective write of a noncontiguous
 // set of ranges (the MPI filetype / NetCDF hyperslab case). All ranks must
 // call it together; a rank with nothing to write passes an empty slice.
@@ -312,16 +306,10 @@ func (f *File) WriteRangesAll(ranges []Range) error {
 	return f.comm.Barrier()
 }
 
-// ReadAtAll performs a two-phase collective read into p from absolute offset
-// off: aggregators read their file domains contiguously and scatter the
-// pieces back to the requesting ranks.
-func (f *File) ReadAtAll(p []byte, off int64) error {
-	return f.ReadRangesAll([]Range{{Off: off, Data: p}})
-}
-
 // ReadRangesAll performs a two-phase collective read of a noncontiguous set
-// of ranges; each Range's Data buffer is filled in place. All ranks must
-// call it together.
+// of ranges: aggregators read their file domains contiguously and scatter the
+// pieces back to the requesting ranks, filling each Range's Data buffer in
+// place. All ranks must call it together.
 func (f *File) ReadRangesAll(ranges []Range) error {
 	reqLists, err := f.gatherRangeLists(ranges)
 	if err != nil {

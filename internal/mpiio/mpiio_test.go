@@ -40,7 +40,7 @@ func TestCollectiveWriteThenIndependentRead(t *testing.T) {
 		buf := make([]byte, per)
 		fillPattern(buf, c.Rank(), 0)
 		off := int64(c.Rank()) * per
-		if err := f.WriteAtAll(buf, off); err != nil {
+		if err := f.WriteRangesAll([]Range{{Off: off, Data: buf}}); err != nil {
 			return err
 		}
 		if err := f.Sync(); err != nil {
@@ -77,12 +77,12 @@ func TestCollectiveReadMatchesWrite(t *testing.T) {
 		buf := make([]byte, per)
 		fillPattern(buf, c.Rank(), 7)
 		off := int64(c.Rank()) * per
-		if err := f.WriteAtAll(buf, off); err != nil {
+		if err := f.WriteRangesAll([]Range{{Off: off, Data: buf}}); err != nil {
 			return err
 		}
 		// Symmetric collective read-back.
 		got := make([]byte, per)
-		if err := f.ReadAtAll(got, off); err != nil {
+		if err := f.ReadRangesAll([]Range{{Off: off, Data: got}}); err != nil {
 			return err
 		}
 		if !bytes.Equal(got, buf) {
@@ -107,12 +107,12 @@ func TestCollectiveShuffledRead(t *testing.T) {
 		}
 		buf := make([]byte, per)
 		fillPattern(buf, c.Rank(), 0)
-		if err := f.WriteAtAll(buf, int64(c.Rank())*per); err != nil {
+		if err := f.WriteRangesAll([]Range{{Off: int64(c.Rank()) * per, Data: buf}}); err != nil {
 			return err
 		}
 		src := (c.Rank() + 2) % n
 		got := make([]byte, per)
-		if err := f.ReadAtAll(got, int64(src)*per); err != nil {
+		if err := f.ReadRangesAll([]Range{{Off: int64(src) * per, Data: got}}); err != nil {
 			return err
 		}
 		want := make([]byte, per)
@@ -144,7 +144,7 @@ func TestUnevenSizesAndRanges(t *testing.T) {
 		}
 		buf := make([]byte, sizes[c.Rank()])
 		fillPattern(buf, c.Rank(), 1)
-		if err := f.WriteAtAll(buf, offs[c.Rank()]); err != nil {
+		if err := f.WriteRangesAll([]Range{{Off: offs[c.Rank()], Data: buf}}); err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
@@ -180,7 +180,7 @@ func TestZeroLengthContribution(t *testing.T) {
 			buf = []byte("only rank one writes")
 			off = 64
 		}
-		if err := f.WriteAtAll(buf, off); err != nil {
+		if err := f.WriteRangesAll([]Range{{Off: off, Data: buf}}); err != nil {
 			return err
 		}
 		got := make([]byte, 20)
@@ -262,7 +262,7 @@ func TestCollectiveCostsExceedIndependent(t *testing.T) {
 			buf := make([]byte, per)
 			off := int64(c.Rank()) * per
 			if collective {
-				if err := f.WriteAtAll(buf, off); err != nil {
+				if err := f.WriteRangesAll([]Range{{Off: off, Data: buf}}); err != nil {
 					return err
 				}
 			} else {

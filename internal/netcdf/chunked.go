@@ -64,7 +64,7 @@ func (w *chunkedWriter) DefineVar(v pio.Var) error {
 	if err := w.LogWriter.DefineVar(v); err != nil {
 		return err
 	}
-	w.Comm.Clock().Advance(w.Comm.Machine().Config().MetaOp)
+	w.Comm.Machine().ChargeMetaOp(w.Comm.Clock())
 	return nil
 }
 

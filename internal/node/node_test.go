@@ -99,7 +99,7 @@ func TestCrashAllRollsBackEveryMember(t *testing.T) {
 		}
 	}
 	// One fault domain: failing member 0 fails the whole namespace.
-	n.Device.FailAfterPersists(0)
+	n.Device.ArmCrashAtOp(0, 0)
 	if err := n.DeviceAt(pools-1).Persist(&clk, sim.CachelineSize, sim.CachelineSize, pt); err == nil {
 		t.Fatal("persist on the last member succeeded after member 0's fault domain failed")
 	}

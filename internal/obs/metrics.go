@@ -53,17 +53,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Gauge is an atomic instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
 // HistogramBuckets is the number of power-of-two buckets a histogram carries:
 // bucket i counts observations v with 2^(i-1) <= v < 2^i (bucket 0 holds
 // v <= 0). 64 buckets cover every int64, so no observation is ever clipped.
@@ -122,7 +111,6 @@ type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindHistogram
 	kindCounterFunc
 	kindGaugeFunc
@@ -135,7 +123,6 @@ type metric struct {
 	help   string
 	labels []Label
 	ctr    *Counter
-	gauge  *Gauge
 	hist   *Histogram
 	fn     func() int64
 }
@@ -180,12 +167,6 @@ func (r *Registry) register(m *metric) *metric {
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	m := r.register(&metric{kind: kindCounter, name: name, help: help, labels: labels, ctr: new(Counter)})
 	return m.ctr
-}
-
-// Gauge registers (or returns the existing) gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	m := r.register(&metric{kind: kindGauge, name: name, help: help, labels: labels, gauge: new(Gauge)})
-	return m.gauge
 }
 
 // Histogram registers (or returns the existing) histogram series.
@@ -251,9 +232,6 @@ func (r *Registry) Snapshot() Snapshot {
 		case kindCounterFunc:
 			mv.Kind = "counter"
 			mv.Value = m.fn()
-		case kindGauge:
-			mv.Kind = "gauge"
-			mv.Value = m.gauge.Load()
 		case kindGaugeFunc:
 			mv.Kind = "gauge"
 			mv.Value = m.fn()

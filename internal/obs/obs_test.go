@@ -78,7 +78,7 @@ func TestRegistryDedup(t *testing.T) {
 
 func TestSnapshotStableOrderAndJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("zeta", "").Set(9)
+	r.GaugeFunc("zeta", "", func() int64 { return 9 })
 	r.Counter("alpha", "", Label{"op", "b"}).Add(2)
 	r.Counter("alpha", "", Label{"op", "a"}).Inc()
 	r.GaugeFunc("mid", "", func() int64 { return 7 })
@@ -113,7 +113,11 @@ func TestWriteProm(t *testing.T) {
 	h.Observe(1)
 	h.Observe(3)
 	h.Observe(3)
-	out := r.Snapshot().PromString(Label{"phase", "write"})
+	var b strings.Builder
+	if err := r.Snapshot().WriteProm(&b, Label{"phase", "write"}); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
 	wantLines := []string{
 		"# HELP pm_latency_ns op latency",
 		"# TYPE pm_latency_ns histogram",

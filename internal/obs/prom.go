@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // WriteProm renders the snapshot in the Prometheus text exposition format
@@ -65,11 +64,4 @@ func (s Snapshot) WriteProm(w io.Writer, extra ...Label) error {
 		}
 	}
 	return nil
-}
-
-// PromString renders the snapshot to a string (test convenience).
-func (s Snapshot) PromString(extra ...Label) string {
-	var b strings.Builder
-	s.WriteProm(&b, extra...)
-	return b.String()
 }

@@ -95,7 +95,7 @@ func (w *regionWriter) DefineVar(v pio.Var) error {
 	}
 	size := int64(nd.Size(v.GlobalDims)) * int64(v.ElemSize())
 	w.nextOff += (size + regionAlign - 1) &^ (regionAlign - 1)
-	w.comm.Clock().Advance(w.comm.Machine().Config().MetaOp)
+	w.comm.Machine().ChargeMetaOp(w.comm.Clock())
 	return nil
 }
 
@@ -161,7 +161,7 @@ func (w *regionWriter) Write(name string, offs, counts []uint64, data []byte) er
 	// the I/O path" once the device is PMEM-fast.
 	m := w.comm.Machine()
 	m.ChargePasses(w.comm.Clock(), int64(len(data)), 2, m.Config().PackBPS, w.comm.Size())
-	w.comm.Clock().Advance(m.Config().MetaOp)
+	m.ChargeMetaOp(w.comm.Clock())
 	rs, err := ranges(v, offs, counts, data)
 	if err != nil {
 		return err

@@ -297,7 +297,7 @@ func TestAllocDataSurvivesReopen(t *testing.T) {
 		id, err = p.Alloc(tx, 256)
 		return err
 	})
-	if err := p.StoreBytes(clk, id, []byte("durable payload"), true); err != nil {
+	if err := p.StoreBytesAt(clk, id, []byte("durable payload"), true, ptTest); err != nil {
 		t.Fatal(err)
 	}
 	// Publish the PMID in the root so reopen can find it.

@@ -88,7 +88,7 @@ func TestVerifyDetectsBadBrk(t *testing.T) {
 	// Scribble the brk word past the heap end.
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(p.heapEnd+4096))
-	if err := p.StoreBytes(clk, PMID(p.allocOff), b[:], true); err != nil {
+	if err := p.StoreBytesAt(clk, PMID(p.allocOff), b[:], true, ptTest); err != nil {
 		t.Fatal(err)
 	}
 	if vs := p.Verify(clk); !hasViolation(vs, "alloc.brk") {
@@ -116,7 +116,7 @@ func TestVerifyDetectsFreeListCycle(t *testing.T) {
 	}
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(id))
-	if err := p.StoreBytes(clk, id, b[:], true); err != nil {
+	if err := p.StoreBytesAt(clk, id, b[:], true, ptTest); err != nil {
 		t.Fatal(err)
 	}
 	if vs := p.Verify(clk); !hasViolation(vs, "alloc.freelist") {
@@ -145,7 +145,7 @@ func TestVerifyDetectsFreeStateCorruption(t *testing.T) {
 	// between the free-list link and the state write would.
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], stateAlloc)
-	if err := p.StoreBytes(clk, id-8, b[:], true); err != nil {
+	if err := p.StoreBytesAt(clk, id-8, b[:], true, ptTest); err != nil {
 		t.Fatal(err)
 	}
 	if vs := p.Verify(clk); !hasViolation(vs, "alloc.freestate") {
@@ -169,7 +169,7 @@ func tornEntry(t *testing.T, p *Pool, h *Hashtable) string {
 		}
 		var bad [8]byte
 		binary.LittleEndian.PutUint64(bad[:], 1<<40) // absurd klen
-		if err := p.StoreBytes(clk, PMID(cur)+entryKlen, bad[:], true); err != nil {
+		if err := p.StoreBytesAt(clk, PMID(cur)+entryKlen, bad[:], true, ptTest); err != nil {
 			t.Fatal(err)
 		}
 		return fmt.Sprintf("bucket %d entry %d", b, cur)
@@ -201,7 +201,7 @@ func TestVerifyDetectsHashMismatch(t *testing.T) {
 		}
 		var bad [8]byte
 		binary.LittleEndian.PutUint64(bad[:], 0xDEAD)
-		if err := p.StoreBytes(clk, PMID(cur)+entryHash, bad[:], true); err != nil {
+		if err := p.StoreBytesAt(clk, PMID(cur)+entryHash, bad[:], true, ptTest); err != nil {
 			t.Fatal(err)
 		}
 		break
@@ -224,7 +224,7 @@ func TestVerifyDetectsOversizedVlen(t *testing.T) {
 		}
 		var bad [8]byte
 		binary.LittleEndian.PutUint64(bad[:], 1<<30)
-		if err := p.StoreBytes(clk, PMID(cur)+entryVlen, bad[:], true); err != nil {
+		if err := p.StoreBytesAt(clk, PMID(cur)+entryVlen, bad[:], true, ptTest); err != nil {
 			t.Fatal(err)
 		}
 		break

@@ -37,14 +37,14 @@ func TestCrashMidTransactionRollsBack(t *testing.T) {
 	dev, mp, p := crashRig(t, 8<<20)
 	clk := new(sim.Clock)
 	root, _ := p.Root()
-	if err := p.StoreBytes(clk, root, []byte("AAAAAAAA"), true); err != nil {
+	if err := p.StoreBytesAt(clk, root, []byte("AAAAAAAA"), true, ptTest); err != nil {
 		t.Fatal(err)
 	}
 	tx, err := p.Begin(clk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.WriteBytes(root, []byte("BBBBBBBB")); err != nil {
+	if err := tx.WriteU64(root, u64("BBBBBBBB")); err != nil {
 		t.Fatal(err)
 	}
 	// No commit: crash. Keep-all is the adversarial case here — the mutation
@@ -72,14 +72,14 @@ func TestCrashAfterCommitKeepsMutation(t *testing.T) {
 	dev, mp, p := crashRig(t, 8<<20)
 	clk := new(sim.Clock)
 	root, _ := p.Root()
-	if err := p.StoreBytes(clk, root, []byte("AAAAAAAA"), true); err != nil {
+	if err := p.StoreBytesAt(clk, root, []byte("AAAAAAAA"), true, ptTest); err != nil {
 		t.Fatal(err)
 	}
 	tx, err := p.Begin(clk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.WriteBytes(root, []byte("CCCCCCCC")); err != nil {
+	if err := tx.WriteU64(root, u64("CCCCCCCC")); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -151,7 +151,7 @@ func TestCrashSweepHashtablePut(t *testing.T) {
 		for k := int64(0); ; k++ {
 			dev, mp, ht, htID := setupCrashTable(t)
 			clk := new(sim.Clock)
-			dev.FailAfterPersists(k)
+			dev.ArmCrashAtOp(k, 0)
 
 			err1 := ht.Put(clk, []byte("victim"), []byte("new-victim"))
 			var err2 error
@@ -231,12 +231,12 @@ func TestCrashSweepAllocatorConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 		sentinel := []byte("sentinel-payload-1234567890")
-		if err := p.StoreBytes(clk, keeper, sentinel, true); err != nil {
+		if err := p.StoreBytesAt(clk, keeper, sentinel, true, ptTest); err != nil {
 			t.Fatal(err)
 		}
 
 		// Injected phase: alloc, free, alloc.
-		dev.FailAfterPersists(k)
+		dev.ArmCrashAtOp(k, 0)
 		completed := func() bool {
 			tx, err := p.Begin(clk)
 			if err != nil {
@@ -321,19 +321,19 @@ func TestCrashDuringRecovery(t *testing.T) {
 		dev, mp, p := crashRig(t, 8<<20)
 		clk := new(sim.Clock)
 		root, _ := p.Root()
-		if err := p.StoreBytes(clk, root, []byte("XXXXXXXX"), true); err != nil {
+		if err := p.StoreBytesAt(clk, root, []byte("XXXXXXXX"), true, ptTest); err != nil {
 			t.Fatal(err)
 		}
 		tx, err := p.Begin(clk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.WriteBytes(root, []byte("YYYYYYYY")); err != nil {
+		if err := tx.WriteU64(root, u64("YYYYYYYY")); err != nil {
 			t.Fatal(err)
 		}
 		// Crash without commit, then crash again during recovery.
 		dev.Crash(pmem.CrashKeepAll, nil)
-		dev.FailAfterPersists(k)
+		dev.ArmCrashAtOp(k, 0)
 		_, err = Open(clk, mp)
 		recovered := err == nil
 		if err != nil && !errors.Is(err, pmem.ErrFailed) {
@@ -364,7 +364,7 @@ func TestCrashDuringRecovery(t *testing.T) {
 func TestFailAfterPersistsSurfacesErrFailed(t *testing.T) {
 	dev, _, p := crashRig(t, 8<<20)
 	clk := new(sim.Clock)
-	dev.FailAfterPersists(0)
+	dev.ArmCrashAtOp(0, 0)
 	_, err := p.Begin(clk)
 	if !errors.Is(err, pmem.ErrFailed) {
 		t.Fatalf("err = %v, want ErrFailed (Begin persists the lane active flag)", err)
@@ -377,7 +377,7 @@ func TestFailAfterPersistsSurfacesErrFailed(t *testing.T) {
 func TestRecoveredPoolPassesSmokeWorkload(t *testing.T) {
 	dev, mp, ht, htID := setupCrashTable(t)
 	clk := new(sim.Clock)
-	dev.FailAfterPersists(7)
+	dev.ArmCrashAtOp(7, 0)
 	_ = ht.Put(clk, []byte("victim"), []byte("new-victim"))
 	dev.Crash(pmem.CrashRandom, rand.New(rand.NewSource(5)))
 	p2, err := Open(clk, mp)
@@ -429,7 +429,7 @@ func TestCrashMatrixBatchedAlloc(t *testing.T) {
 				clk := new(sim.Clock)
 				root, _ := p.Root()
 
-				dev.FailAfterPersists(k)
+				dev.ArmCrashAtOp(k, 0)
 				completed := func() bool {
 					tx, err := p.Begin(clk)
 					if err != nil {

@@ -71,17 +71,37 @@ func CreateHashtable(tx *Tx, nbuckets uint64) (PMID, error) {
 	hdr := make([]byte, htHeaderSize)
 	binary.LittleEndian.PutUint64(hdr[0:], htMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], nbuckets)
-	if err := tx.p.StoreBytes(tx.clk, id, hdr, false); err != nil {
+	if err := tx.p.StoreBytesAt(tx.clk, id, hdr, false, ptHTFormat); err != nil {
 		return Null, err
 	}
 	zero := make([]byte, nbuckets*8)
-	if err := tx.p.StoreBytes(tx.clk, id+htHeaderSize, zero, false); err != nil {
+	if err := tx.p.StoreBytesAt(tx.clk, id+htHeaderSize, zero, false, ptHTFormat); err != nil {
 		return Null, err
 	}
 	if err := tx.p.m.Persist(tx.clk, int64(id), size, ptHTFormat); err != nil {
 		return Null, err
 	}
 	return id, nil
+}
+
+// FormatPool is the pool-format bootstrap of a freshly created pool: in one
+// transaction of its own it creates the pool's hashtable and publishes the
+// table's PMID in the pool root, where a reopen finds it.
+func FormatPool(clk *sim.Clock, p *Pool, nbuckets uint64) (PMID, error) {
+	tx, err := p.Begin(clk)
+	if err != nil {
+		return Null, err
+	}
+	id, err := CreateHashtable(tx, nbuckets)
+	if err == nil {
+		root, _ := p.Root()
+		err = tx.WriteU64(root, uint64(id))
+	}
+	if err != nil {
+		tx.Abort() // err is the one to report; a failed rollback is recovery's at the next Open
+		return Null, err
+	}
+	return id, tx.Commit()
 }
 
 // OpenHashtable attaches to an existing hashtable at id.
@@ -179,7 +199,7 @@ func (h *Hashtable) Put(clk *sim.Clock, key, value []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("pmdk: empty hashtable key")
 	}
-	clk.Advance(h.p.m.Device().Machine().Config().MetaOp)
+	h.p.m.Device().Machine().ChargeMetaOp(clk)
 	bucket := h.bucketOff(HashKey(key))
 	lock := h.p.Lock(bucket)
 	lock.Lock()
@@ -269,7 +289,7 @@ func (h *Hashtable) Get(clk *sim.Clock, key []byte) ([]byte, bool, error) {
 // GetRef returns the PMID and length of key's value block without copying,
 // the zero-copy lookup path pMEMCPY's load uses.
 func (h *Hashtable) GetRef(clk *sim.Clock, key []byte) (PMID, int64, bool, error) {
-	clk.Advance(h.p.m.Device().Machine().Config().MetaOp)
+	h.p.m.Device().Machine().ChargeMetaOp(clk)
 	bucket := h.bucketOff(HashKey(key))
 	lock := h.p.Lock(bucket)
 	lock.RLock()
@@ -292,7 +312,7 @@ func (h *Hashtable) GetRef(clk *sim.Clock, key []byte) (PMID, int64, bool, error
 
 // Delete removes key. It reports whether the key existed.
 func (h *Hashtable) Delete(clk *sim.Clock, key []byte) (bool, error) {
-	clk.Advance(h.p.m.Device().Machine().Config().MetaOp)
+	h.p.m.Device().Machine().ChargeMetaOp(clk)
 	bucket := h.bucketOff(HashKey(key))
 	lock := h.p.Lock(bucket)
 	lock.Lock()
@@ -394,6 +414,3 @@ func (h *Hashtable) Len(clk *sim.Clock) (int, error) {
 	err := h.Range(clk, func([]byte, PMID, int64) bool { n++; return true })
 	return n, err
 }
-
-// Buckets returns the table's bucket count.
-func (h *Hashtable) Buckets() uint64 { return h.nbuckets }

@@ -57,10 +57,3 @@ func (l *Limbo) Reclaimable(minOpen uint64, haveOpen bool) []PMID {
 	l.entries = keep
 	return out
 }
-
-// Pending returns the number of blocks currently parked.
-func (l *Limbo) Pending() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
-}

@@ -12,9 +12,6 @@ var (
 	ptPoolHeader = pmem.RegisterPoint("pmdk.pool.header")
 	ptPoolFormat = pmem.RegisterPoint("pmdk.pool.format")
 
-	// Ordered-publish StoreBytes without a more specific caller-side point.
-	ptStoreBytes = pmem.RegisterPoint("pmdk.store.bytes")
-
 	// Allocator: un-logged brk advance and clean-abort extent return.
 	ptAllocBrk         = pmem.RegisterPoint("pmdk.alloc.brk")
 	ptAllocExtentBlock = pmem.RegisterPoint("pmdk.alloc.extent.block")

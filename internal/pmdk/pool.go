@@ -404,16 +404,10 @@ func (p *Pool) ReadU64(clk *sim.Clock, off PMID) (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-// StoreBytes writes b at off outside any transaction, charging the write and
-// optionally persisting. Callers use it for bulk payloads whose atomicity is
-// guaranteed by ordering (write payload, persist, then publish the pointer
-// transactionally). The persist is tagged with the generic pmdk.store.bytes
-// point; callers on an instrumented protocol path use StoreBytesAt.
-func (p *Pool) StoreBytes(clk *sim.Clock, off PMID, b []byte, persist bool) error {
-	return p.StoreBytesAt(clk, off, b, persist, ptStoreBytes)
-}
-
-// StoreBytesAt is StoreBytes with an explicit persist point.
+// StoreBytesAt writes b at off outside any transaction, charging the write and
+// optionally persisting under the caller's persist point. Callers use it for
+// bulk payloads whose atomicity is guaranteed by ordering (write payload,
+// persist, then publish the pointer transactionally).
 func (p *Pool) StoreBytesAt(clk *sim.Clock, off PMID, b []byte, persist bool, pt pmem.PointID) error {
 	if err := p.checkRange(int64(off), int64(len(b))); err != nil {
 		return err

@@ -2,12 +2,20 @@ package pmdk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"pmemcpy/internal/pmem"
 	"pmemcpy/internal/sim"
 )
+
+// ptTest tags persists issued directly by this package's tests.
+var ptTest = pmem.RegisterPoint("pmdk.test")
+
+// u64 is the little-endian word an 8-byte string occupies in the pool, for
+// transactional writes of recognizable content.
+func u64(s string) uint64 { return binary.LittleEndian.Uint64([]byte(s)) }
 
 // newTestPool creates a device+mapping+pool for tests and returns them with
 // a clock. Size defaults to 4 MB.
@@ -38,7 +46,7 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 		t.Fatalf("Root() = (%d, %d)", root, size)
 	}
 	// Write something recognizable into the root, durably.
-	if err := p.StoreBytes(clk, root, []byte("root payload"), true); err != nil {
+	if err := p.StoreBytesAt(clk, root, []byte("root payload"), true, ptTest); err != nil {
 		t.Fatal(err)
 	}
 	p2, err := Open(clk, mp)
@@ -143,14 +151,14 @@ func TestTxCommitMakesWritesVisible(t *testing.T) {
 func TestTxAbortRollsBack(t *testing.T) {
 	p, _, clk := newTestPool(t, 0)
 	root, _ := p.Root()
-	if err := p.StoreBytes(clk, root, []byte("original"), true); err != nil {
+	if err := p.StoreBytesAt(clk, root, []byte("original"), true, ptTest); err != nil {
 		t.Fatal(err)
 	}
 	tx, err := p.Begin(clk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.WriteBytes(root, []byte("mutated!")); err != nil {
+	if err := tx.WriteU64(root, u64("mutated!")); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Abort(); err != nil {
@@ -171,7 +179,7 @@ func TestTxAbortRollsBack(t *testing.T) {
 func TestTxAbortReversesMultipleWritesInOrder(t *testing.T) {
 	p, _, clk := newTestPool(t, 0)
 	root, _ := p.Root()
-	if err := p.StoreBytes(clk, root, []byte{1}, true); err != nil {
+	if err := p.StoreBytesAt(clk, root, []byte{1}, true, ptTest); err != nil {
 		t.Fatal(err)
 	}
 	tx, err := p.Begin(clk)
@@ -180,10 +188,10 @@ func TestTxAbortReversesMultipleWritesInOrder(t *testing.T) {
 	}
 	// Two logged writes to the same byte: rollback must land on the value
 	// before the first write.
-	if err := tx.WriteBytes(root, []byte{2}); err != nil {
+	if err := tx.WriteU64(root, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.WriteBytes(root, []byte{3}); err != nil {
+	if err := tx.WriteU64(root, 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Abort(); err != nil {
@@ -295,7 +303,7 @@ func TestStoreBytesAndReadBytes(t *testing.T) {
 	p, _, clk := newTestPool(t, 0)
 	root, _ := p.Root()
 	payload := bytes.Repeat([]byte{0x5A}, 1000)
-	if err := p.StoreBytes(clk, root, payload, true); err != nil {
+	if err := p.StoreBytesAt(clk, root, payload, true, ptTest); err != nil {
 		t.Fatal(err)
 	}
 	got, err := p.ReadBytes(clk, root, 1000)
@@ -303,7 +311,7 @@ func TestStoreBytesAndReadBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
-		t.Fatal("StoreBytes/ReadBytes mismatch")
+		t.Fatal("StoreBytesAt/ReadBytes mismatch")
 	}
 }
 

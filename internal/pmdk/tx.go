@@ -243,20 +243,6 @@ func (tx *Tx) WriteU64(off PMID, v uint64) error {
 	return nil
 }
 
-// WriteBytes logs and writes a byte range inside the transaction.
-func (tx *Tx) WriteBytes(off PMID, data []byte) error {
-	if err := tx.Add(off, int64(len(data))); err != nil {
-		return err
-	}
-	b, err := tx.p.m.Slice(int64(off), int64(len(data)))
-	if err != nil {
-		return err
-	}
-	copy(b, data)
-	tx.p.m.ChargeWrite(tx.clk, int64(len(data)))
-	return nil
-}
-
 // Commit persists every mutated range and retires the transaction.
 func (tx *Tx) Commit() error {
 	if tx.done {

@@ -24,7 +24,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pmemcpy/internal/sim"
 )
@@ -33,7 +32,7 @@ import (
 var ErrOutOfRange = errors.New("pmem: access out of device range")
 
 // ErrFailed is returned by every operation after an injected failure fired;
-// see FailAfterPersists. It models the device becoming unreachable at the
+// see ArmCrashAtOp. It models the device becoming unreachable at the
 // instant of a power failure, forcing the software stack to unwind exactly
 // where the crash hit.
 var ErrFailed = errors.New("pmem: device failed (injected fault)")
@@ -67,12 +66,11 @@ type Device struct {
 	sink atomic.Pointer[sinkHolder]
 }
 
-// faultState bundles the failure flag, the persist budget, and the injector of
-// one fault domain (by default: one device; for multi-pool nodes: all pools).
+// faultState bundles the failure flag and the injector of one fault domain
+// (by default: one device; for multi-pool nodes: all pools).
 type faultState struct {
-	failed        atomic.Bool
-	persistBudget atomic.Int64 // noFailInjection = disabled
-	inj           injector
+	failed atomic.Bool
+	inj    injector
 }
 
 // Counters is a snapshot of the device's always-on operation counters. They
@@ -119,16 +117,16 @@ type EventSink interface {
 // (the disabled fast path is a single pointer load).
 type sinkHolder struct{ s EventSink }
 
-// SetEventSink installs (or, with nil, removes) the device's event sink.
-func (d *Device) SetEventSink(s EventSink) {
-	if s == nil {
-		d.sink.Store(nil)
-		return
-	}
-	d.sink.Store(&sinkHolder{s: s})
-}
+// SetEventSink installs s as the device's event sink, replacing any other.
+func (d *Device) SetEventSink(s EventSink) { d.sink.Store(&sinkHolder{s: s}) }
 
-const noFailInjection = int64(-1)
+// ClearEventSink removes s if it is still the installed sink; a sink another
+// owner has installed since is left alone.
+func (d *Device) ClearEventSink(s EventSink) {
+	if h := d.sink.Load(); h != nil && h.s == s {
+		d.sink.CompareAndSwap(h, nil)
+	}
+}
 
 // Option configures a Device.
 type Option func(*Device)
@@ -169,25 +167,11 @@ func New(m *sim.Machine, size int64, opts ...Option) *Device {
 		writePort: m.PMEMWrite,
 		fault:     new(faultState),
 	}
-	d.fault.persistBudget.Store(noFailInjection)
 	d.fault.inj.crashOp = -1
 	for _, o := range opts {
 		o(d)
 	}
 	return d
-}
-
-// FailAfterPersists arms failure injection: the device completes n more
-// Persist operations, then every subsequent operation fails with ErrFailed
-// (the power is gone). n < 0 disarms injection. Arming also clears a
-// previously fired failure, so a test can re-arm after Crash.
-func (d *Device) FailAfterPersists(n int64) {
-	if n < 0 {
-		d.fault.persistBudget.Store(noFailInjection)
-	} else {
-		d.fault.persistBudget.Store(n)
-	}
-	d.fault.failed.Store(false)
 }
 
 // Failed reports whether injected failure has fired.
@@ -212,9 +196,6 @@ func (d *Device) ReadPort() *sim.Pool { return d.readPort }
 // WritePort returns the bandwidth pool this device's writes are charged
 // against.
 func (d *Device) WritePort() *sim.Pool { return d.writePort }
-
-// Tracking reports whether crash tracking is enabled.
-func (d *Device) Tracking() bool { return d.tracking }
 
 func (d *Device) check(off, n int64) error {
 	if err := d.checkAlive(); err != nil {
@@ -246,12 +227,6 @@ func lineRange(off, n int64) (int64, int64) {
 	return off / sim.CachelineSize, (off + n + sim.CachelineSize - 1) / sim.CachelineSize
 }
 
-// Lines returns the number of cachelines covering an n-byte access at off.
-func Lines(off, n int64) int64 {
-	lo, hi := lineRange(off, n)
-	return hi - lo
-}
-
 // CaptureRange records pre-images of every cacheline in [off, off+n) that is
 // not already dirty. It is a no-op when crash tracking is disabled.
 func (d *Device) CaptureRange(off, n int64) error {
@@ -281,8 +256,8 @@ func (d *Device) CaptureRange(off, n int64) error {
 }
 
 // ChargeRead charges clk for loading n bytes from the device through the DAX
-// path: the device read latency once, plus n bytes at the caller's share of
-// the device read port. When mapSync is true the per-cacheline page-fault
+// path — sim's DAX move out of this device's read port, one stream, no codec —
+// and counts them. When mapSync is true the per-cacheline page-fault
 // synchronization penalty of a MAP_SYNC mapping is added — the paper's
 // PMCPY-B reads perform no better than ADIOS for exactly this reason.
 func (d *Device) ChargeRead(clk *sim.Clock, n int64, mapSync bool) {
@@ -290,30 +265,19 @@ func (d *Device) ChargeRead(clk *sim.Clock, n int64, mapSync bool) {
 		return
 	}
 	d.ctr.readBytes.Add(n)
-	cfg := d.machine.Config()
-	clk.Advance(cfg.PMEMReadLatency)
-	clk.Advance(d.readPort.Cost(n))
-	if mapSync {
-		lines := (n + sim.CachelineSize - 1) / sim.CachelineSize
-		clk.Advance(time.Duration(lines) * cfg.MapSyncLine)
-	}
+	// One stripe, not CPU-limited, one rank's one worker, one pass.
+	d.machine.ChargeMove(clk, sim.Load, []sim.Stripe{{Port: d.readPort, Bytes: n}}, 0, 1, 1, 1, mapSync)
 }
 
-// ChargeWrite charges clk for storing n bytes through the DAX path. When
-// mapSync is true the per-cacheline write-through penalty of a MAP_SYNC
-// mapping is added, which is the paper's PMCPY-B configuration.
+// ChargeWrite charges clk for storing n bytes through the DAX path, and counts
+// them. When mapSync is true the per-cacheline write-through penalty of a
+// MAP_SYNC mapping is added, which is the paper's PMCPY-B configuration.
 func (d *Device) ChargeWrite(clk *sim.Clock, n int64, mapSync bool) {
 	if n <= 0 {
 		return
 	}
 	d.ctr.writtenBytes.Add(n)
-	cfg := d.machine.Config()
-	clk.Advance(cfg.PMEMWriteLatency)
-	clk.Advance(d.writePort.Cost(n))
-	if mapSync {
-		lines := (n + sim.CachelineSize - 1) / sim.CachelineSize
-		clk.Advance(time.Duration(lines) * cfg.MapSyncLine)
-	}
+	d.machine.ChargeMove(clk, sim.Store, []sim.Stripe{{Port: d.writePort, Bytes: n}}, 0, 1, 1, 1, mapSync)
 }
 
 // ReadAt implements the kernel read path: it copies device bytes into p and
@@ -354,20 +318,12 @@ func (d *Device) Persist(clk *sim.Clock, off, n int64, pt PointID) error {
 	if err := d.check(off, n); err != nil {
 		return err
 	}
-	if b := d.fault.persistBudget.Load(); b != noFailInjection {
-		if b <= 0 {
-			d.fault.failed.Store(true)
-			return ErrFailed
-		}
-		d.fault.persistBudget.Add(-1)
-	}
 	if d.fault.inj.active.Load() {
 		if err := d.injectPersist(clk, off, n, pt); err != nil {
 			return err
 		}
 	}
-	cfg := d.machine.Config()
-	clk.Advance(cfg.PMEMWriteLatency)
+	d.machine.ChargePersist(clk)
 	d.ctr.persists.Add(1)
 	d.ctr.persistedBytes.Add(n)
 	if h := d.sink.Load(); h != nil {
@@ -397,7 +353,7 @@ func (d *Device) Fence(clk *sim.Clock, pt PointID) {
 		}
 		in.mu.Unlock()
 	}
-	clk.Advance(d.machine.Config().PMEMWriteLatency)
+	d.machine.ChargeFence(clk)
 	d.ctr.fences.Add(1)
 	if h := d.sink.Load(); h != nil {
 		h.s.DeviceEvent(clk, TraceEvent{Kind: EventFence, Point: pt, Op: -1})
@@ -456,15 +412,5 @@ func (d *Device) Crash(mode CrashMode, rng *rand.Rand) {
 	d.preimage = make(map[int64][]byte)
 	// Power is restored after the crash: disarm injection so recovery code
 	// can run against the surviving state.
-	d.fault.persistBudget.Store(noFailInjection)
-	in := &d.fault.inj
-	in.mu.Lock()
-	in.crashOp = -1
-	in.tearSeed = 0
-	in.transient = nil
-	in.tracing = false
-	in.trace = nil
-	in.recompute()
-	in.mu.Unlock()
-	d.fault.failed.Store(false)
+	d.DisarmInjection()
 }

@@ -182,8 +182,8 @@ func TestLines(t *testing.T) {
 		{10, 128, 3},
 	}
 	for _, tt := range tests {
-		if got := Lines(tt.off, tt.n); got != tt.want {
-			t.Errorf("Lines(%d,%d) = %d, want %d", tt.off, tt.n, got, tt.want)
+		if lo, hi := lineRange(tt.off, tt.n); hi-lo != tt.want {
+			t.Errorf("lineRange(%d,%d) covers %d lines, want %d", tt.off, tt.n, hi-lo, tt.want)
 		}
 	}
 }

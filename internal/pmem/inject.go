@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pmemcpy/internal/sim"
 )
@@ -87,13 +86,6 @@ func PointName(id PointID) string {
 
 // String implements fmt.Stringer.
 func (id PointID) String() string { return PointName(id) }
-
-// RegisteredPoints returns all registered point names in registration order.
-func RegisteredPoints() []string {
-	pointRegistry.RLock()
-	defer pointRegistry.RUnlock()
-	return append([]string(nil), pointRegistry.names...)
-}
 
 // EventKind distinguishes trace events.
 type EventKind uint8
@@ -271,9 +263,7 @@ func (d *Device) injectPersist(clk *sim.Clock, off, n int64, pt PointID) error {
 				off, off+n, PointName(pt), persistMaxRetries, ErrMedia)
 		}
 		in.retries.Add(1)
-		// Exponential backoff before re-issuing the flush, charged to the
-		// caller's virtual clock: 2x, 4x, 8x the write latency.
-		clk.Advance(d.machine.Config().PMEMWriteLatency * time.Duration(int64(1)<<attempt))
+		d.machine.ChargeRetry(clk, attempt)
 	}
 	return nil
 }

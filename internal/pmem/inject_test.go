@@ -300,19 +300,6 @@ func TestDisarmInjection(t *testing.T) {
 	}
 }
 
-func TestLegacyFailAfterPersistsStillWorks(t *testing.T) {
-	d := New(testMachine(), 4096, WithCrashTracking())
-	var clk sim.Clock
-	d.FailAfterPersists(1)
-	write(t, d, &clk, 0, []byte{1})
-	if err := d.Persist(&clk, 0, 1, ptTest); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Persist(&clk, 0, 1, ptTest); !errors.Is(err, ErrFailed) {
-		t.Fatalf("second persist = %v, want ErrFailed", err)
-	}
-}
-
 func TestTornCrashRandomSeedVariation(t *testing.T) {
 	// Different tear seeds should (generically) keep different line subsets.
 	outcomes := make(map[string]bool)

@@ -39,10 +39,6 @@ func (m *Mapping) Base() int64 { return m.base }
 // MapSync reports whether the mapping was established with MAP_SYNC.
 func (m *Mapping) MapSync() bool { return m.mapSync }
 
-// SetMapSync changes the MAP_SYNC mode of the mapping (the experiment
-// harness flips it between the PMCPY-A and PMCPY-B configurations).
-func (m *Mapping) SetMapSync(on bool) { m.mapSync = on }
-
 func (m *Mapping) rel(off, n int64) error {
 	if off < 0 || n < 0 || off+n > m.length {
 		return fmt.Errorf("%w: mapping [%d,%d) of %d", ErrOutOfRange, off, off+n, m.length)

@@ -86,12 +86,8 @@ func New(dev *pmem.Device) *FS {
 // Device returns the backing device.
 func (fs *FS) Device() *pmem.Device { return fs.dev }
 
-func (fs *FS) cfg() sim.Config { return fs.dev.Machine().Config() }
-
 // chargeSyscall accounts one kernel crossing.
-func (fs *FS) chargeSyscall(clk *sim.Clock) {
-	clk.Advance(fs.cfg().Syscall)
-}
+func (fs *FS) chargeSyscall(clk *sim.Clock) { fs.dev.Machine().ChargeSyscall(clk) }
 
 // allocExtent reserves n device bytes (cacheline-aligned).
 func (fs *FS) allocExtent(n int64) (extent, error) {

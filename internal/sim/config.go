@@ -232,15 +232,3 @@ func (m *Machine) NewPMEMPorts(name string) (read, write *Pool) {
 	m.extraMu.Unlock()
 	return read, write
 }
-
-// Oversub returns the CPU oversubscription factor for n ranks.
-func (m *Machine) Oversub(n int) float64 { return m.cfg.Oversub(n) }
-
-// ChargePasses advances clk by the cost of streaming n bytes through the CPU
-// the given number of times — an encode, a pack, a verification sweep — at
-// perCoreBPS per core, with ranks ranks computing at once, bounded by the
-// DRAM pool. It is the one DRAM-pass charge every library above the device
-// uses.
-func (m *Machine) ChargePasses(clk *Clock, n int64, passes, perCoreBPS float64, ranks int) {
-	clk.Advance(MoveCost(int64(float64(n)*passes), perCoreBPS, m.Oversub(ranks), m.DRAM))
-}

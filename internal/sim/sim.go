@@ -1,6 +1,7 @@
 // Package sim provides the virtual-time performance model that underpins the
-// pMEMCPY reproduction: per-rank clocks, shared-resource bandwidth pools, and
-// a single Config struct holding every tunable constant of the machine model.
+// pMEMCPY reproduction: per-rank clocks, shared-resource bandwidth pools, a
+// single Config struct holding every tunable constant of the machine model,
+// and (charge.go) every formula that turns work into virtual time.
 //
 // Every data movement in the repository is a real Go copy; sim only accounts
 // for how long that movement would have taken on the paper's testbed (a
@@ -55,25 +56,16 @@ func (c *Clock) SyncTo(t time.Duration) {
 	}
 }
 
-// Reset sets the clock back to time zero.
-func (c *Clock) Reset() {
-	c.ns.Store(0)
-}
-
 // Pool models a shared bandwidth resource (PMEM read/write ports, the DRAM
 // memory system, the shared-memory interconnect). The effective bandwidth
-// seen by one rank is the pool's total divided by the number of concurrently
-// active users.
-//
-// For deterministic bulk-synchronous experiments the harness presets the
-// divisor with SetConcurrency; otherwise the live Acquire/Release count is
-// used.
+// seen by one rank is the pool's total divided by the number of ranks the
+// harness declared concurrently active (SetConcurrency) — a preset, not a live
+// count, so costs are deterministic regardless of goroutine scheduling.
 type Pool struct {
 	name    string
 	bps     float64
 	perUser float64 // 0 = uncapped
 	preset  atomic.Int64
-	active  atomic.Int64
 }
 
 // NewPool returns a pool named name with total bandwidth bps bytes/second.
@@ -96,52 +88,14 @@ func NewPoolCapped(name string, bps, perUser float64) *Pool {
 	return p
 }
 
-// PerUser returns the per-user bandwidth cap (0 = uncapped).
-func (p *Pool) PerUser() float64 { return p.perUser }
+// SetConcurrency presets the sharing divisor to n users; below one the pool
+// is undivided.
+func (p *Pool) SetConcurrency(n int) { p.preset.Store(int64(n)) }
 
-// Name returns the pool's name.
-func (p *Pool) Name() string { return p.name }
-
-// Total returns the pool's total bandwidth in bytes/second.
-func (p *Pool) Total() float64 { return p.bps }
-
-// SetConcurrency presets the sharing divisor to n. A value of zero restores
-// live Acquire/Release accounting.
-func (p *Pool) SetConcurrency(n int) {
-	if n < 0 {
-		n = 0
-	}
-	p.preset.Store(int64(n))
-}
-
-// Acquire registers the caller as an active user of the pool.
-func (p *Pool) Acquire() { p.active.Add(1) }
-
-// Release deregisters the caller.
-func (p *Pool) Release() { p.active.Add(-1) }
-
-// Share returns the bandwidth currently available to a single user: the
-// pool's total divided by the active user count, further limited by the
-// per-user cap when one is set.
-func (p *Pool) Share() float64 {
-	n := p.preset.Load()
-	if n == 0 {
-		n = p.active.Load()
-	}
-	if n < 1 {
-		n = 1
-	}
-	s := p.bps / float64(n)
-	if p.perUser > 0 && p.perUser < s {
-		return p.perUser
-	}
-	return s
-}
-
-// Cost returns the virtual time needed to move n bytes at the pool's current
-// per-user share.
+// Cost returns the virtual time one single-stream user needs to move n bytes
+// through the pool.
 func (p *Pool) Cost(n int64) time.Duration {
-	return BytesAt(n, p.Share())
+	return BytesAt(n, p.GroupShare(1))
 }
 
 // GroupShare returns the bandwidth available to one user driving k concurrent
@@ -151,19 +105,9 @@ func (p *Pool) Cost(n int64) time.Duration {
 // threads sized to the DIMM count can ("Persistent Memory I/O Primitives",
 // van Renen et al.).
 func (p *Pool) GroupShare(k int) float64 {
-	if k < 1 {
-		k = 1
-	}
-	n := p.preset.Load()
-	if n == 0 {
-		n = p.active.Load()
-	}
-	if n < 1 {
-		n = 1
-	}
-	s := p.bps / float64(n)
+	s := p.bps / float64(max(p.preset.Load(), 1))
 	if p.perUser > 0 {
-		if c := p.perUser * float64(k); c < s {
+		if c := p.perUser * float64(max(k, 1)); c < s {
 			return c
 		}
 	}
@@ -176,62 +120,4 @@ func BytesAt(n int64, bps float64) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(n) / bps * float64(time.Second))
-}
-
-// MoveCost models a single-pass data movement of n bytes that is limited both
-// by a per-core processing rate (scaled down by the CPU oversubscription
-// factor oversub >= 1) and by the shares of every pool the movement crosses.
-// The slowest constraint wins: the effective bandwidth is the minimum of the
-// per-core rate and all pool shares.
-//
-// perCoreBPS <= 0 means the movement is not CPU-limited.
-func MoveCost(n int64, perCoreBPS, oversub float64, pools ...*Pool) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	if oversub < 1 {
-		oversub = 1
-	}
-	eff := 0.0
-	if perCoreBPS > 0 {
-		eff = perCoreBPS / oversub
-	}
-	for _, p := range pools {
-		s := p.Share()
-		if eff == 0 || s < eff {
-			eff = s
-		}
-	}
-	return BytesAt(n, eff)
-}
-
-// MoveCostParallel models a data movement of n bytes executed by `workers`
-// concurrent streams within one rank. CPU throughput scales with the worker
-// count (each worker is a core running the copy loop, discounted by the
-// oversubscription factor computed for rank*worker total threads), and each
-// pool contributes its GroupShare: the rank's slice of the device, with the
-// per-stream cap lifted by the worker count. The slowest constraint wins.
-//
-// With workers == 1 this reduces exactly to MoveCost.
-func MoveCostParallel(n int64, perCoreBPS, oversub float64, workers int, pools ...*Pool) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if oversub < 1 {
-		oversub = 1
-	}
-	eff := 0.0
-	if perCoreBPS > 0 {
-		eff = float64(workers) * perCoreBPS / oversub
-	}
-	for _, p := range pools {
-		s := p.GroupShare(workers)
-		if eff == 0 || s < eff {
-			eff = s
-		}
-	}
-	return BytesAt(n, eff)
 }

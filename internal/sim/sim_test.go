@@ -47,15 +47,6 @@ func TestClockSyncTo(t *testing.T) {
 	}
 }
 
-func TestClockReset(t *testing.T) {
-	var c Clock
-	c.Advance(time.Minute)
-	c.Reset()
-	if got := c.Now(); got != 0 {
-		t.Fatalf("Reset left clock at %v", got)
-	}
-}
-
 func TestClockConcurrentAdvance(t *testing.T) {
 	var c Clock
 	const workers, per = 8, 1000
@@ -77,33 +68,41 @@ func TestClockConcurrentAdvance(t *testing.T) {
 
 func TestPoolShare(t *testing.T) {
 	p := NewPool("test", 8*GB)
-	if got := p.Share(); got != 8*GB {
-		t.Fatalf("idle Share() = %g, want %g", got, 8*GB)
+	if got := p.GroupShare(1); got != 8*GB {
+		t.Fatalf("undivided share = %g, want %g", got, 8*GB)
 	}
-	p.Acquire()
-	p.Acquire()
-	if got := p.Share(); got != 4*GB {
-		t.Fatalf("2-user Share() = %g, want %g", got, 4*GB)
+	p.SetConcurrency(2)
+	if got := p.GroupShare(1); got != 4*GB {
+		t.Fatalf("2-user share = %g, want %g", got, 4*GB)
 	}
-	p.Release()
-	if got := p.Share(); got != 8*GB {
-		t.Fatalf("1-user Share() = %g, want %g", got, 8*GB)
+	p.SetConcurrency(1)
+	if got := p.GroupShare(1); got != 8*GB {
+		t.Fatalf("1-user share = %g, want %g", got, 8*GB)
 	}
-	p.Release()
 }
 
 func TestPoolPresetConcurrencyWins(t *testing.T) {
 	p := NewPool("test", 24*GB)
-	p.Acquire() // live count 1
 	p.SetConcurrency(24)
-	if got := p.Share(); got != GB {
-		t.Fatalf("preset Share() = %g, want %g", got, GB)
+	if got := p.GroupShare(1); got != GB {
+		t.Fatalf("preset share = %g, want %g", got, GB)
 	}
-	p.SetConcurrency(0) // back to live accounting
-	if got := p.Share(); got != 24*GB {
-		t.Fatalf("live Share() = %g, want %g", got, 24*GB)
+	p.SetConcurrency(0) // back to the undivided pool
+	if got := p.GroupShare(1); got != 24*GB {
+		t.Fatalf("undivided share = %g, want %g", got, 24*GB)
 	}
-	p.Release()
+}
+
+// TestPoolGroupShareLiftsCap: k streams of one user lift the per-stream cap
+// k-fold, up to the user's slice of the pool and no further.
+func TestPoolGroupShareLiftsCap(t *testing.T) {
+	p := NewPoolCapped("pmem-write", 8*GB, 0.5*GB)
+	p.SetConcurrency(4) // 2 GB/s slice
+	for k, want := range map[int]float64{0: 0.5 * GB, 1: 0.5 * GB, 2: GB, 4: 2 * GB, 16: 2 * GB} {
+		if got := p.GroupShare(k); got != want {
+			t.Errorf("GroupShare(%d) = %g, want %g", k, got, want)
+		}
+	}
 }
 
 func TestPoolCost(t *testing.T) {
@@ -152,23 +151,28 @@ func TestMoveCostMinimumWins(t *testing.T) {
 	slow := NewPool("slow", 2*GB)
 	fast.SetConcurrency(1)
 	slow.SetConcurrency(1)
-	// Per-core 10 GB/s, pools 100 and 2 GB/s: slow pool limits.
-	got := MoveCost(2_000_000_000, 10*GB, 1, fast, slow)
+	// Per-core 10 GB/s, pool 2 GB/s: the pool limits.
+	got := moveCost(2_000_000_000, 10*GB, 1, 1, slow)
 	if want := time.Second; got != want {
-		t.Fatalf("MoveCost = %v, want %v", got, want)
+		t.Fatalf("moveCost = %v, want %v", got, want)
 	}
-	// Per-core 1 GB/s limits when pools are fast.
-	got = MoveCost(1_000_000_000, GB, 1, fast)
+	// Per-core 1 GB/s limits when the pool is fast.
+	got = moveCost(1_000_000_000, GB, 1, 1, fast)
 	if want := time.Second; got != want {
-		t.Fatalf("MoveCost = %v, want %v", got, want)
+		t.Fatalf("moveCost = %v, want %v", got, want)
+	}
+	// Four workers lift the CPU limit fourfold.
+	got = moveCost(4_000_000_000, GB, 1, 4, fast)
+	if want := time.Second; got != want {
+		t.Fatalf("4-worker moveCost = %v, want %v", got, want)
 	}
 }
 
 func TestMoveCostOversubscription(t *testing.T) {
 	pool := NewPool("p", 1000*GB)
 	pool.SetConcurrency(1)
-	base := MoveCost(1_000_000_000, GB, 1, pool)
-	doubled := MoveCost(1_000_000_000, GB, 2, pool)
+	base := moveCost(1_000_000_000, GB, 1, 1, pool)
+	doubled := moveCost(1_000_000_000, GB, 2, 1, pool)
 	if doubled != 2*base {
 		t.Fatalf("oversub 2 cost = %v, want %v", doubled, 2*base)
 	}
@@ -177,8 +181,8 @@ func TestMoveCostOversubscription(t *testing.T) {
 func TestMoveCostNoCPULimit(t *testing.T) {
 	pool := NewPool("p", GB)
 	pool.SetConcurrency(1)
-	if got, want := MoveCost(1_000_000_000, 0, 1, pool), time.Second; got != want {
-		t.Fatalf("MoveCost without CPU limit = %v, want %v", got, want)
+	if got, want := moveCost(1_000_000_000, 0, 1, 1, pool), time.Second; got != want {
+		t.Fatalf("moveCost without CPU limit = %v, want %v", got, want)
 	}
 }
 
@@ -286,14 +290,14 @@ func TestConfigScalePanicsOnNonPositive(t *testing.T) {
 func TestNewMachinePoolsMatchConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewMachine(cfg)
-	if m.PMEMWrite.Total() != cfg.PMEMWriteBandwidth {
-		t.Errorf("PMEMWrite pool = %g, want %g", m.PMEMWrite.Total(), cfg.PMEMWriteBandwidth)
+	if m.PMEMWrite.bps != cfg.PMEMWriteBandwidth {
+		t.Errorf("PMEMWrite pool = %g, want %g", m.PMEMWrite.bps, cfg.PMEMWriteBandwidth)
 	}
-	if m.PMEMRead.Total() != cfg.PMEMReadBandwidth {
-		t.Errorf("PMEMRead pool = %g, want %g", m.PMEMRead.Total(), cfg.PMEMReadBandwidth)
+	if m.PMEMRead.bps != cfg.PMEMReadBandwidth {
+		t.Errorf("PMEMRead pool = %g, want %g", m.PMEMRead.bps, cfg.PMEMReadBandwidth)
 	}
-	if m.DRAM.Total() != cfg.DRAMBandwidth {
-		t.Errorf("DRAM pool = %g, want %g", m.DRAM.Total(), cfg.DRAMBandwidth)
+	if m.DRAM.bps != cfg.DRAMBandwidth {
+		t.Errorf("DRAM pool = %g, want %g", m.DRAM.bps, cfg.DRAMBandwidth)
 	}
 	if m.Config().Cores != cfg.Cores {
 		t.Errorf("Config().Cores = %d, want %d", m.Config().Cores, cfg.Cores)
@@ -305,14 +309,14 @@ func TestMachineSetConcurrency(t *testing.T) {
 	m.SetConcurrency(8)
 	// At 8 ranks the raw share (1 GB/s) exceeds the per-rank cap, so the
 	// cap governs.
-	if got, want := m.PMEMWrite.Share(), DefaultConfig().PMEMPerRankWriteBW; got != want {
+	if got, want := m.PMEMWrite.GroupShare(1), DefaultConfig().PMEMPerRankWriteBW; got != want {
 		t.Fatalf("PMEMWrite share at 8 ranks = %g, want %g", got, want)
 	}
-	if got, want := m.DRAM.Share(), 50*GB/8; got != want {
+	if got, want := m.DRAM.GroupShare(1), 50*GB/8; got != want {
 		t.Fatalf("DRAM share at 8 ranks = %g, want %g", got, want)
 	}
 	m.SetConcurrency(24)
-	if got, want := m.PMEMWrite.Share(), 8*GB/24; got != want {
+	if got, want := m.PMEMWrite.GroupShare(1), 8*GB/24; got != want {
 		t.Fatalf("PMEMWrite share at 24 ranks = %g, want %g", got, want)
 	}
 }

@@ -91,9 +91,6 @@ func nearCube(n uint64) []uint64 {
 	return dims
 }
 
-// Grid returns the processor grid.
-func (s *Spec) Grid() []uint64 { return s.grid }
-
 // GlobalDims returns the global extents of each variable.
 func (s *Spec) GlobalDims() []uint64 { return s.global }
 
@@ -101,13 +98,11 @@ func (s *Spec) GlobalDims() []uint64 { return s.global }
 // variable.
 func (s *Spec) BlockElems() uint64 { return nd.Size(s.block) }
 
-// BytesPerRank returns the bytes one rank moves across all variables.
-func (s *Spec) BytesPerRank() int64 {
-	return int64(s.BlockElems()) * 8 * int64(len(s.Vars))
+// TotalBytes returns the exact workload size (after rounding to the grid):
+// every rank moves one block of every variable.
+func (s *Spec) TotalBytes() int64 {
+	return int64(s.BlockElems()) * 8 * int64(len(s.Vars)) * int64(s.Ranks)
 }
-
-// TotalBytes returns the exact workload size (after rounding to the grid).
-func (s *Spec) TotalBytes() int64 { return s.BytesPerRank() * int64(s.Ranks) }
 
 // Block returns the offsets and counts of rank's block (identical for every
 // variable; the decomposition is the paper's equal split).

@@ -18,7 +18,7 @@ func TestNewSpecBasics(t *testing.T) {
 	if len(s.Vars) != 10 {
 		t.Fatalf("vars = %d", len(s.Vars))
 	}
-	grid := s.Grid()
+	grid := s.grid
 	prod := uint64(1)
 	for _, g := range grid {
 		prod *= g

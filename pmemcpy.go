@@ -258,7 +258,7 @@ type DeepReport = fsck.DeepReport
 
 // MetricsSnapshot is a point-in-time view of a handle's observability
 // metrics, returned by PMEM.Metrics. Snapshots render as Prometheus-style
-// exposition text (WriteProm/PromString) or are walked directly.
+// exposition text (WriteProm) or are walked directly.
 type MetricsSnapshot = obs.Snapshot
 
 // Metric is one instrument's value within a MetricsSnapshot.
