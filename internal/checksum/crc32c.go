@@ -19,9 +19,10 @@
 // Combine exists for the one case a running sum cannot cover — several workers
 // writing disjoint ranges of one block concurrently: each sums the range it
 // copied, and the coordinator joins the partial CRCs into the block's CRC
-// without a second pass over the data. It costs a GF(2) matrix exponentiation
-// per call, so it joins only what ran concurrently, never what one goroutine
-// wrote in sequence.
+// without a second pass over the data. The encode sweep (internal/serial) is
+// its other caller: bp4's header is complete only after its payload, so the
+// header's CRC and the payload's are joined the same way. A call is a few
+// 32-step GF(2) multiplications — well under a microsecond at any length.
 package checksum
 
 import "hash/crc32"
@@ -90,60 +91,49 @@ func sumGeneric(crc uint32, p []byte) uint32 {
 	return ^crc
 }
 
+// pow2[k] is x^(2^k) mod P in the CRC's own reflected bit order (bit 31 is
+// x^0); pow2[j+3] advances a CRC through 2^j zero bytes. A positive int64
+// length has at most 63 bits, so 66 entries cover every len2 without leaning
+// on the period of x (2^31-1 for Castagnoli, not the 2^32-1 zlib's 32-entry
+// wrap-around table assumes for the IEEE polynomial).
+var pow2 [66]uint32
+
+func init() {
+	p := uint32(1) << 30 // x^1
+	for k := range pow2 {
+		pow2[k] = p
+		p = mulmod(p, p)
+	}
+}
+
+// mulmod returns a·b mod P over GF(2), both in reflected bit order: for each
+// term of a from x^0 up, add b, then multiply b by x.
+func mulmod(a, b uint32) uint32 {
+	var p uint32
+	for ; a != 0; a <<= 1 {
+		if a&(1<<31) != 0 {
+			p ^= b
+		}
+		b = b>>1 ^ Poly&-(b&1)
+	}
+	return p
+}
+
 // Combine returns the CRC32C of the concatenation of two byte ranges given
 // only their individual CRCs and the length of the second: the zlib
-// crc32_combine construction, advancing crc1 through len2 zero bytes with
-// GF(2) matrix exponentiation (O(log len2) 32x32 matrix products) and adding
-// crc2. Combine(Sum(a), Sum(b), int64(len(b))) == Sum(append(a, b...)).
+// crc32_combine construction in its polynomial form — crc1·x^(8·len2) mod P,
+// the power by square-and-multiply over pow2 (one mulmod per set bit of
+// len2), plus crc2. Combine(Sum(a), Sum(b), int64(len(b))) ==
+// Sum(append(a, b...)).
 func Combine(crc1, crc2 uint32, len2 int64) uint32 {
 	if len2 <= 0 {
 		return crc1
 	}
-	var even, odd [32]uint32
-	// odd is the operator for one zero bit: shift down, feeding the popped
-	// bit back through the polynomial.
-	odd[0] = Poly
-	for i := 1; i < 32; i++ {
-		odd[i] = 1 << (i - 1)
-	}
-	gf2Square(&even, &odd) // even = operator for 2 zero bits
-	gf2Square(&odd, &even) // odd  = operator for 4 zero bits
-	for {
-		gf2Square(&even, &odd) // even = odd squared (zero-byte count doubles)
+	p := uint32(1) << 31 // x^0
+	for k := 3; len2 != 0; k, len2 = k+1, len2>>1 {
 		if len2&1 != 0 {
-			crc1 = gf2Times(&even, crc1)
-		}
-		len2 >>= 1
-		if len2 == 0 {
-			break
-		}
-		gf2Square(&odd, &even)
-		if len2&1 != 0 {
-			crc1 = gf2Times(&odd, crc1)
-		}
-		len2 >>= 1
-		if len2 == 0 {
-			break
+			p = mulmod(pow2[k], p)
 		}
 	}
-	return crc1 ^ crc2
-}
-
-// gf2Times multiplies the GF(2) matrix by the vector vec.
-func gf2Times(mat *[32]uint32, vec uint32) uint32 {
-	var sum uint32
-	for i := 0; vec != 0; i++ {
-		if vec&1 != 0 {
-			sum ^= mat[i]
-		}
-		vec >>= 1
-	}
-	return sum
-}
-
-// gf2Square sets dst to the square of the GF(2) matrix src.
-func gf2Square(dst, src *[32]uint32) {
-	for i := range dst {
-		dst[i] = gf2Times(src, src[i])
-	}
+	return mulmod(p, crc1) ^ crc2
 }

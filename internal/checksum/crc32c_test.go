@@ -1,6 +1,7 @@
 package checksum
 
 import (
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -102,3 +103,54 @@ func BenchmarkSum64K(b *testing.B) {
 		Sum(p)
 	}
 }
+
+// TestCombineLongLengths covers lengths no buffer can hold: advancing through
+// a+b zero bytes must equal advancing through a, then b, and a length past
+// 2^31 — where a table of x^(2^k) that wrapped at 32 entries would go wrong
+// for this polynomial — must equal the same distance walked in 1 MB steps.
+func TestCombineLongLengths(t *testing.T) {
+	const crc = uint32(0xdeadbeef)
+	step := crc
+	for i := 0; i < 1<<13; i++ {
+		step = Combine(step, 0, 1<<20)
+	}
+	if got := Combine(crc, 0, 1<<33); got != step {
+		t.Fatalf("Combine over 2^33 = %#x, 8192 steps of 2^20 = %#x", got, step)
+	}
+	for _, n := range []int64{1<<40 + 12345, 1<<62 + 1<<31 + 7} {
+		a, b := n/3, n-n/3
+		if got, want := Combine(crc, 0x1234, n), Combine(Combine(crc, 0, a), 0x1234, b); got != want {
+			t.Fatalf("Combine over %d = %#x, over %d then %d = %#x", n, got, a, b, want)
+		}
+	}
+}
+
+// FuzzCombine holds Combine to its definition: the CRC of a concatenation,
+// from the parts' CRCs, wherever the split falls and whatever CRC the first
+// part continues from.
+func FuzzCombine(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint32(0))
+	f.Add([]byte("hello, persistent world"), uint16(7), uint32(0xdeadbeef))
+	f.Add(make([]byte, 5000), uint16(4096), uint32(1))
+	f.Fuzz(func(t *testing.T, p []byte, cut uint16, seed uint32) {
+		k := int(cut) % (len(p) + 1)
+		a, b := p[:k], p[k:]
+		if got, want := Combine(Update(seed, a), Sum(b), int64(len(b))), Update(seed, p); got != want {
+			t.Fatalf("Combine split %d/%d from %#x = %#x, want %#x", k, len(p), seed, got, want)
+		}
+	})
+}
+
+func BenchmarkCombine(b *testing.B) {
+	for _, n := range []int64{512 << 10, 4 << 20, 4<<20 - 1} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			crc := uint32(0xdeadbeef)
+			for i := 0; i < b.N; i++ {
+				crc = Combine(crc, 0x1234, n)
+			}
+			sink = crc
+		})
+	}
+}
+
+var sink uint32

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"pmemcpy/internal/bytesview"
 	"pmemcpy/internal/serial"
 	"pmemcpy/internal/sim"
 )
@@ -123,52 +122,6 @@ func (p *PMEM) blockStats(b blockRec, src []byte, dtype serial.DType) (BlockStat
 		return bs, err
 	}
 	p.chargeMove(sim.Load, []poolBytes{{int(b.pool), int64(len(d.Payload))}}, 1, 1)
-	bs.Min, bs.Max, bs.HasStats = scanMinMax(dtype, d.Payload)
+	bs.Min, bs.Max, bs.HasStats = serial.MinMax(dtype, d.Payload)
 	return bs, nil
-}
-
-// scanMinMax computes the range of a payload by element type.
-func scanMinMax(dt serial.DType, payload []byte) (float64, float64, bool) {
-	if len(payload) == 0 {
-		return 0, 0, false
-	}
-	switch dt {
-	case serial.Float64:
-		return rangeOf(bytesview.OfCopy[float64](payload))
-	case serial.Float32:
-		return rangeOf(bytesview.OfCopy[float32](payload))
-	case serial.Int64:
-		return rangeOf(bytesview.OfCopy[int64](payload))
-	case serial.Int32:
-		return rangeOf(bytesview.OfCopy[int32](payload))
-	case serial.Int16:
-		return rangeOf(bytesview.OfCopy[int16](payload))
-	case serial.Int8:
-		return rangeOf(bytesview.OfCopy[int8](payload))
-	case serial.Uint64:
-		return rangeOf(bytesview.OfCopy[uint64](payload))
-	case serial.Uint32:
-		return rangeOf(bytesview.OfCopy[uint32](payload))
-	case serial.Uint16:
-		return rangeOf(bytesview.OfCopy[uint16](payload))
-	case serial.Uint8:
-		return rangeOf(bytesview.OfCopy[uint8](payload))
-	}
-	return 0, 0, false
-}
-
-func rangeOf[T bytesview.Element](vals []T) (float64, float64, bool) {
-	if len(vals) == 0 {
-		return 0, 0, false
-	}
-	mn, mx := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return float64(mn), float64(mx), true
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -87,6 +88,46 @@ func TestMinMaxFallbackScanForStatlessCodec(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestRangeQueriesSeePastNaN: a NaN is not a value, wherever it sits. A block
+// that merely starts with one used to store (or scan to) NaN/NaN, which MinMax
+// ignored and FindBlocks could never match — a block holding a hit, skipped.
+// Both sources of a block's range are covered: bp4's stored characteristics
+// and the payload scan under a codec that stores none.
+func TestRangeQueriesSeePastNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, codec := range []string{"bp4", "raw"} {
+		single(t, &core.Options{Codec: codec}, func(p *core.PMEM) error {
+			if err := p.Alloc("A", serial.Float64, []uint64{12}); err != nil {
+				return err
+			}
+			for b, vals := range [][]float64{{nan, 5, 7, 6}, {nan, nan, nan, nan}, {100, nan, 101, 102}} {
+				if err := p.StoreBlock("A", []uint64{uint64(b) * 4}, []uint64{4}, bytesview.Bytes(vals)); err != nil {
+					return err
+				}
+			}
+			hits, err := p.FindBlocks("A", 4, 6)
+			if err != nil {
+				return err
+			}
+			if len(hits) != 1 || hits[0].Offs[0] != 0 || hits[0].Min != 5 || hits[0].Max != 7 {
+				t.Errorf("%s: FindBlocks(4, 6) = %+v, want the block at 0 with range (5,7)", codec, hits)
+			}
+			// The block with no values at all matches no range.
+			if all, err := p.FindBlocks("A", math.Inf(-1), math.Inf(1)); err != nil || len(all) != 2 {
+				t.Errorf("%s: FindBlocks(-Inf, +Inf) = %d blocks (err %v), want 2", codec, len(all), err)
+			}
+			mn, mx, err := p.MinMax("A")
+			if err != nil {
+				return err
+			}
+			if mn != 5 || mx != 102 {
+				t.Errorf("%s: MinMax = (%g, %g), want (5, 102)", codec, mn, mx)
+			}
+			return nil
+		})
+	}
 }
 
 func TestFindBlocksSkipsOutOfRange(t *testing.T) {

@@ -20,8 +20,8 @@ import (
 //	   unpublished allocations — recoverable garbage, never torn metadata);
 //	2. fill, one wave at a time: capture each unit of the wave, run its jobs —
 //	   each serializes DIRECTLY into the mapped PMEM block, the single pass
-//	   that defines pMEMCPY, and checksums what it wrote with a running
-//	   checksum.Update while the bytes are hot — fold the job CRCs into the
+//	   that defines pMEMCPY, the codec's sweep (serial.Codec.EncodeSum) copying,
+//	   characterizing and checksumming tile by tile — fold the job CRCs into the
 //	   unit's, charge the analytic copy cost once, then persist each unit with
 //	   one barrier carrying its registered persist point;
 //	3. publish each id's new metadata with ONE atomic update per id.
@@ -308,8 +308,8 @@ func (e commitEngine) wave(plan *writePlan, jobs []fillJob) error {
 }
 
 // encode is the only code a fill worker runs: write the job's fragments into
-// its range through the codec, checksumming each while its bytes are still
-// hot in cache.
+// its range through the codec, whose one sweep over each payload also carries
+// the job's running CRC — there is no checksum pass here.
 func (e commitEngine) encode(j *fillJob) error {
 	var off int64
 	if j.tagged {
@@ -319,11 +319,11 @@ func (e commitEngine) encode(j *fillJob) error {
 	}
 	for fi := range j.frags {
 		frag := &j.frags[fi]
-		wrote, err := e.p.codec.EncodeTo(j.dst[off:off+frag.encLen], frag.datum)
+		wrote, crc, err := e.p.codec.EncodeSum(j.dst[off:off+frag.encLen], frag.datum, j.crc)
 		if err != nil {
 			return err
 		}
-		j.crc = checksum.Update(j.crc, j.dst[off:off+int64(wrote)])
+		j.crc = crc
 		off += int64(wrote)
 	}
 	j.wrote = off

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"pmemcpy/internal/bytesview"
 )
 
 // bp4Codec is the default, self-describing format modelled on the ADIOS BP4
@@ -48,19 +46,20 @@ func (c bp4Codec) EncodedSize(d *Datum) int {
 }
 
 func (c bp4Codec) EncodeTo(dst []byte, d *Datum) (int, error) {
-	if err := d.Validate(); err != nil {
-		return 0, err
-	}
-	need := c.EncodedSize(d)
-	if len(dst) < need {
-		return 0, fmt.Errorf("%w: need %d, have %d", ErrShortBuffer, need, len(dst))
-	}
-	stats := d.Type.Fixed()
+	return dropSum(encode(c, dst, d, 0, false))
+}
+
+func (c bp4Codec) EncodeSum(dst []byte, d *Datum, crc uint32) (int, uint32, error) {
+	return encode(c, dst, d, crc, true)
+}
+
+// header leaves the characteristics slot of a fixed-type datum to the sweep.
+func (bp4Codec) header(dst []byte, d *Datum) (int, []byte) {
 	off := copy(dst, bp4Magic[:])
 	dst[off] = byte(d.Type)
 	dst[off+1] = byte(len(d.Dims))
 	var flags uint16
-	if stats {
+	if d.Type.Fixed() {
 		flags |= bp4FlagStats
 	}
 	binary.LittleEndian.PutUint16(dst[off+2:], flags)
@@ -71,14 +70,10 @@ func (c bp4Codec) EncodeTo(dst []byte, d *Datum) (int, error) {
 	}
 	binary.LittleEndian.PutUint64(dst[off:], uint64(len(d.Payload)))
 	off += 8
-	if stats {
-		mn, mx := characterize(d)
-		binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(mn))
-		binary.LittleEndian.PutUint64(dst[off+8:], math.Float64bits(mx))
-		off += 16
+	if !d.Type.Fixed() {
+		return off, nil
 	}
-	off += copy(dst[off:], d.Payload)
-	return off, nil
+	return off + 16, dst[off : off+16]
 }
 
 func (c bp4Codec) Decode(src []byte, _ *Datum) (*Datum, error) {
@@ -111,14 +106,7 @@ func (c bp4Codec) Decode(src []byte, _ *Datum) (*Datum, error) {
 	if flags&bp4FlagStats != 0 {
 		off += 16
 	}
-	if uint64(len(src)-off) < paylen {
-		return nil, ErrTruncated
-	}
-	d.Payload = src[off : off+int(paylen) : off+int(paylen)]
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return d.withPayload(src, off, paylen)
 }
 
 // Stats decodes only the min/max characteristics of a BP4 block, or ok=false
@@ -142,48 +130,4 @@ func (bp4Codec) Stats(src []byte) (mn, mx float64, ok bool, err error) {
 	mn = math.Float64frombits(binary.LittleEndian.Uint64(src[off:]))
 	mx = math.Float64frombits(binary.LittleEndian.Uint64(src[off+8:]))
 	return mn, mx, true, nil
-}
-
-// characterize computes min/max of a fixed-type payload as float64, the BP
-// "data characterization" pass.
-func characterize(d *Datum) (float64, float64) {
-	if len(d.Payload) == 0 {
-		return 0, 0
-	}
-	switch d.Type {
-	case Int8:
-		return minMax(bytesview.OfCopy[int8](d.Payload))
-	case Uint8:
-		return minMax(bytesview.OfCopy[uint8](d.Payload))
-	case Int16:
-		return minMax(bytesview.OfCopy[int16](d.Payload))
-	case Uint16:
-		return minMax(bytesview.OfCopy[uint16](d.Payload))
-	case Int32:
-		return minMax(bytesview.OfCopy[int32](d.Payload))
-	case Uint32:
-		return minMax(bytesview.OfCopy[uint32](d.Payload))
-	case Int64:
-		return minMax(bytesview.OfCopy[int64](d.Payload))
-	case Uint64:
-		return minMax(bytesview.OfCopy[uint64](d.Payload))
-	case Float32:
-		return minMax(bytesview.OfCopy[float32](d.Payload))
-	case Float64:
-		return minMax(bytesview.OfCopy[float64](d.Payload))
-	}
-	return 0, 0
-}
-
-func minMax[T bytesview.Element](s []T) (float64, float64) {
-	mn, mx := s[0], s[0]
-	for _, v := range s[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return float64(mn), float64(mx)
 }

@@ -41,13 +41,14 @@ func varintLen(v uint64) int {
 }
 
 func (c cbinCodec) EncodeTo(dst []byte, d *Datum) (int, error) {
-	if err := d.Validate(); err != nil {
-		return 0, err
-	}
-	need := c.EncodedSize(d)
-	if len(dst) < need {
-		return 0, fmt.Errorf("%w: need %d, have %d", ErrShortBuffer, need, len(dst))
-	}
+	return dropSum(encode(c, dst, d, 0, false))
+}
+
+func (c cbinCodec) EncodeSum(dst []byte, d *Datum, crc uint32) (int, uint32, error) {
+	return encode(c, dst, d, crc, true)
+}
+
+func (cbinCodec) header(dst []byte, d *Datum) (int, []byte) {
 	dst[0], dst[1], dst[2] = cbinMagic0, cbinMagic1, byte(d.Type)
 	off := 3
 	off += binary.PutUvarint(dst[off:], uint64(len(d.Dims)))
@@ -55,7 +56,6 @@ func (c cbinCodec) EncodeTo(dst []byte, d *Datum) (int, error) {
 		off += binary.PutUvarint(dst[off:], v)
 	}
 	off += binary.PutUvarint(dst[off:], uint64(len(d.Payload)))
-	off += copy(dst[off:], d.Payload)
 	return off, nil
 }
 
@@ -92,12 +92,5 @@ func (cbinCodec) Decode(src []byte, _ *Datum) (*Datum, error) {
 		return nil, ErrTruncated
 	}
 	off += n
-	if uint64(len(src)-off) < paylen {
-		return nil, ErrTruncated
-	}
-	d.Payload = src[off : off+int(paylen) : off+int(paylen)]
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return d.withPayload(src, off, paylen)
 }

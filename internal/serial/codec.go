@@ -23,8 +23,18 @@ type Codec interface {
 
 	// EncodeTo serializes d into dst, which must be at least EncodedSize(d)
 	// bytes, and returns the number of bytes written. dst may be mapped
-	// device memory: codecs write it exactly once, front to back.
+	// device memory: the payload moves into it in one sweep (sweep.go),
+	// front to back, and every byte is written exactly once — bp4 alone goes
+	// back, to fill the 16-byte characteristics slot of its header once the
+	// sweep over a payload larger than one tile has folded them.
 	EncodeTo(dst []byte, d *Datum) (int, error)
+
+	// EncodeSum is EncodeTo with the block checksum taken in the same sweep:
+	// crc is the running CRC32C of whatever precedes the encoding in its
+	// block (0 at the block's start), and the CRC returned has advanced over
+	// the bytes written, so a tag byte, an encoding and the fragments of a
+	// coalesced block keep one running sum.
+	EncodeSum(dst []byte, d *Datum, crc uint32) (n int, sum uint32, err error)
 
 	// Decode parses an encoded datum from src. Self-describing codecs
 	// ignore hint; raw requires hint.Type (and hint.Dims for arrays). The

@@ -35,13 +35,14 @@ func (flatCodec) EncodedSize(d *Datum) int {
 }
 
 func (c flatCodec) EncodeTo(dst []byte, d *Datum) (int, error) {
-	if err := d.Validate(); err != nil {
-		return 0, err
-	}
-	need := c.EncodedSize(d)
-	if len(dst) < need {
-		return 0, fmt.Errorf("%w: need %d, have %d", ErrShortBuffer, need, len(dst))
-	}
+	return dropSum(encode(c, dst, d, 0, false))
+}
+
+func (c flatCodec) EncodeSum(dst []byte, d *Datum, crc uint32) (int, uint32, error) {
+	return encode(c, dst, d, crc, true)
+}
+
+func (flatCodec) header(dst []byte, d *Datum) (int, []byte) {
 	binary.LittleEndian.PutUint32(dst[0:], flatMagic)
 	dst[4] = byte(d.Type)
 	dst[5] = byte(len(d.Dims))
@@ -52,11 +53,7 @@ func (c flatCodec) EncodeTo(dst []byte, d *Datum) (int, error) {
 		binary.LittleEndian.PutUint64(dst[off:], v)
 		off += 8
 	}
-	n := copy(dst[off:], d.Payload)
-	for i := off + n; i < need; i++ {
-		dst[i] = 0
-	}
-	return need, nil
+	return off, nil
 }
 
 func (flatCodec) Decode(src []byte, _ *Datum) (*Datum, error) {
@@ -82,12 +79,5 @@ func (flatCodec) Decode(src []byte, _ *Datum) (*Datum, error) {
 			d.Dims[i] = binary.LittleEndian.Uint64(src[16+8*i:])
 		}
 	}
-	if uint64(len(src)-hdr) < paylen {
-		return nil, ErrTruncated
-	}
-	d.Payload = src[hdr : hdr+int(paylen) : hdr+int(paylen)]
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return d.withPayload(src, hdr, paylen)
 }

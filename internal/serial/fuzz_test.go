@@ -51,10 +51,11 @@ func FuzzCodecDecode(f *testing.F) {
 }
 
 func FuzzCodecRoundTrip(f *testing.F) {
-	f.Add([]byte{}, byte(Uint8))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, byte(Float64))
-	f.Add(bytes.Repeat([]byte{0xAB}, 96), byte(Int32))
-	f.Fuzz(func(t *testing.T, payload []byte, typeByte byte) {
+	f.Add([]byte{}, byte(Uint8), uint32(0), false)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, byte(Float64), uint32(0), false)
+	f.Add(bytes.Repeat([]byte{0xAB}, 96), byte(Int32), uint32(0xdeadbeef), true)
+	f.Add(bytes.Repeat([]byte{0, 0, 0xC0, 0x7F}, sweepTile/2+3), byte(Float32), uint32(1), true) // NaNs, past one tile
+	f.Fuzz(func(t *testing.T, payload []byte, typeByte byte, crcIn uint32, misalign bool) {
 		dt := DType(typeByte)
 		if !dt.Fixed() {
 			dt = Uint8
@@ -63,7 +64,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		// valid by construction.
 		esize := dt.Size()
 		n := len(payload) / esize
-		d := &Datum{Type: dt, Dims: []uint64{uint64(n)}, Payload: payload[:n*esize]}
+		payload = payload[:n*esize]
+		dstOff := 0
+		if misalign {
+			payload, dstOff = append(make([]byte, 1, 1+len(payload)), payload...)[1:], 3
+		}
+		d := &Datum{Type: dt, Dims: []uint64{uint64(n)}, Payload: payload}
 		if err := d.Validate(); err != nil {
 			t.Fatalf("constructed datum invalid: %v", err)
 		}
@@ -72,12 +78,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			buf := make([]byte, c.EncodedSize(d))
-			if wrote, err := c.EncodeTo(buf, d); err != nil {
-				t.Fatalf("%s: encode: %v", name, err)
-			} else if wrote != len(buf) {
-				t.Fatalf("%s: wrote %d, EncodedSize %d", name, wrote, len(buf))
+			// The one-sweep encode against the three-pass reference.
+			if err := checkSweep(c, d, crcIn, dstOff); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
+			buf, _ := refEncode(name, d, 0)
 			hint := &Datum{Type: d.Type, Dims: d.Dims}
 			got, err := c.Decode(buf, hint)
 			if err != nil {

@@ -18,15 +18,15 @@ func (rawCodec) IdentityEncode() bool            { return true }
 
 func (rawCodec) EncodedSize(d *Datum) int { return len(d.Payload) }
 
-func (rawCodec) EncodeTo(dst []byte, d *Datum) (int, error) {
-	if err := d.Validate(); err != nil {
-		return 0, err
-	}
-	if len(dst) < len(d.Payload) {
-		return 0, fmt.Errorf("%w: need %d, have %d", ErrShortBuffer, len(d.Payload), len(dst))
-	}
-	return copy(dst, d.Payload), nil
+func (c rawCodec) EncodeTo(dst []byte, d *Datum) (int, error) {
+	return dropSum(encode(c, dst, d, 0, false))
 }
+
+func (c rawCodec) EncodeSum(dst []byte, d *Datum, crc uint32) (int, uint32, error) {
+	return encode(c, dst, d, crc, true)
+}
+
+func (rawCodec) header([]byte, *Datum) (int, []byte) { return 0, nil }
 
 func (rawCodec) Decode(src []byte, hint *Datum) (*Datum, error) {
 	if hint == nil || !hint.Type.Valid() {

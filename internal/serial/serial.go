@@ -148,6 +148,19 @@ func (d *Datum) Validate() error {
 	return nil
 }
 
+// withPayload finishes a self-describing decode: d's payload is the paylen
+// bytes of src at off, aliased, and the datum they complete must validate.
+func (d *Datum) withPayload(src []byte, off int, paylen uint64) (*Datum, error) {
+	if uint64(len(src)-off) < paylen {
+		return nil, ErrTruncated
+	}
+	d.Payload = src[off : off+int(paylen) : off+int(paylen)]
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 // Clone returns a deep copy of d whose payload no longer aliases the source.
 func (d *Datum) Clone() *Datum {
 	c := &Datum{Type: d.Type}
