@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"pmemcpy"
 )
@@ -547,5 +548,67 @@ func TestDeleteAbsent(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHandleUsableAfterMediaErrorAtAnyPersist is the "usable handle after any
+// returned error" contract at its sharpest: an overwriting Store is failed at
+// each of its persists in turn — log entries, payload, commit flushes, the
+// flush that commits — and every time the error wraps ErrMedia, the id reads
+// its old value, and the same handle goes on to store, overwrite and unmap.
+// A transaction that kept its lane or its arena lock after a failed commit
+// shows here as a hang.
+func TestHandleUsableAfterMediaErrorAtAnyPersist(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		for k := int64(0); ; k++ {
+			n := pmemcpy.NewNode(pmemcpy.DefaultConfig(), 64<<20)
+			failed := false
+			_, err := pmemcpy.Run(n, 1, func(c *pmemcpy.Comm) error {
+				p, err := pmemcpy.Mmap(c, n, "/media.pool")
+				if err != nil {
+					return err
+				}
+				if err := pmemcpy.Store(p, "scalar", int64(1)); err != nil {
+					return err
+				}
+				n.Device.InjectTransient(k, 4)
+				err = pmemcpy.Store(p, "scalar", int64(2))
+				n.Device.DisarmInjection()
+				if failed = err != nil; failed {
+					if !errors.Is(err, pmemcpy.ErrMedia) {
+						return fmt.Errorf("error %q does not wrap ErrMedia", err)
+					}
+					if v, err := pmemcpy.Load[int64](p, "scalar"); err != nil || v != 1 {
+						return fmt.Errorf("after the failed Store, Load = (%d, %v), want the old value", v, err)
+					}
+				}
+				for i := 0; i < 40; i++ {
+					if err := pmemcpy.Store(p, fmt.Sprintf("after-%d", i%8), int64(i)); err != nil {
+						return fmt.Errorf("follow-up Store %d: %v", i, err)
+					}
+				}
+				return p.Munmap()
+			})
+			if err != nil {
+				done <- fmt.Errorf("persist %d: %v", k, err)
+				return
+			}
+			if !failed { // k is past the Store's last persist
+				if k < 10 {
+					err = fmt.Errorf("the Store finished in %d persists; the sweep missed its commits", k)
+				}
+				done <- err
+				return
+			}
+		}
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("a Store after an injected media error hangs: the failed one stranded a lane or an arena lock")
 	}
 }

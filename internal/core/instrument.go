@@ -260,6 +260,13 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 			poolSum(func(s pmdk.Stats) int64 { return s.Aborts }))
 		reg.CounterFunc("pmemcpy_alloc_arena_steals_total", "allocations served by a non-home arena",
 			poolSum(func(s pmdk.Stats) int64 { return s.ArenaSteals }))
+		// Entries per transaction is undo_entries / alloc_transactions.
+		reg.CounterFunc("pmemcpy_tx_undo_entries_total", "undo-log entries persisted (one barrier each)",
+			poolSum(func(s pmdk.Stats) int64 { return s.UndoEntries }))
+		reg.CounterFunc("pmemcpy_tx_undo_bytes_total", "lane bytes written as undo entries (headers and padding included)",
+			poolSum(func(s pmdk.Stats) int64 { return s.UndoBytes }))
+		reg.CounterFunc("pmemcpy_tx_undo_covered_total", "undo-log Adds skipped because their transaction had already pre-imaged the range",
+			poolSum(func(s pmdk.Stats) int64 { return s.UndoCovered }))
 	}
 
 	reg.CounterFunc("pmemcpy_cache_hits_total", "block-index cache hits",

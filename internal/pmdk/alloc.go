@@ -291,10 +291,7 @@ func (p *Pool) Free(tx *Tx, id PMID) error {
 		return err
 	}
 	tx.markArenaDirty(a)
-	if err := tx.WriteU64(id-8, stateFree); err != nil {
-		return err
-	}
-	if err := tx.WriteU64(id, head); err != nil {
+	if err := tx.WriteU64s(id-8, stateFree, head); err != nil { // state|next
 		return err
 	}
 	if err := tx.WriteU64(listOff, uint64(id)); err != nil {
@@ -390,17 +387,18 @@ func (p *Pool) popFree(tx *Tx, a *arena, listOff, id PMID) (PMID, error) {
 		return Null, err
 	}
 	tx.markArenaDirty(a)
-	// Pre-image the block's first payload word: it holds the free-list next
-	// pointer, and the caller will overwrite it with payload bytes outside
-	// the transaction. Without this entry, rolling back the pop would
-	// restore the list head to a block whose next pointer is garbage.
-	if err := tx.Add(id, 8); err != nil {
-		return Null, err
-	}
-	if err := tx.WriteU64(listOff, next); err != nil {
+	// Pre-image state|next as one range. The block's first payload word holds
+	// the free-list next pointer, and the caller will overwrite it with
+	// payload bytes outside the transaction: without its pre-image, rolling
+	// back the pop would restore the list head to a block whose next pointer
+	// is garbage.
+	if err := tx.Add(id-8, 16); err != nil {
 		return Null, err
 	}
 	if err := tx.WriteU64(id-8, stateAlloc); err != nil {
+		return Null, err
+	}
+	if err := tx.WriteU64(listOff, next); err != nil {
 		return Null, err
 	}
 	a.freeHint.Add(-1)
@@ -416,46 +414,30 @@ func (p *Pool) takeHuge(tx *Tx, a *arena, prev, id PMID, size, want int64) (PMID
 		return Null, err
 	}
 	tx.markArenaDirty(a)
-	// Pre-image the next pointer in the block's first payload word before
-	// the caller's payload writes clobber it (see popFree).
-	if err := tx.Add(id, 8); err != nil {
+	// Pre-image size|state|next as one range: the next pointer in the block's
+	// first payload word must survive the caller's payload writes (see
+	// popFree).
+	if err := tx.Add(id-blockHeaderSize, blockHeaderSize+8); err != nil {
 		return Null, err
 	}
-	remainder := size - want
-	if remainder >= minBlock {
+	if size-want >= minBlock {
 		// Split: the tail becomes a new free block linked in place of id.
-		tailHdr := id - blockHeaderSize + PMID(want)
-		if err := tx.WriteU64(tailHdr, uint64(remainder)); err != nil {
+		tail := id + PMID(want)
+		if err := tx.WriteU64s(tail-blockHeaderSize, uint64(size-want), stateFree, next); err != nil {
 			return Null, err
 		}
-		if err := tx.WriteU64(tailHdr+8, stateFree); err != nil {
-			return Null, err
-		}
-		if err := tx.WriteU64(tailHdr+blockHeaderSize, next); err != nil {
-			return Null, err
-		}
-		if err := tx.WriteU64(prev, uint64(tailHdr+blockHeaderSize)); err != nil {
-			return Null, err
-		}
-		if err := tx.WriteU64(id-blockHeaderSize, uint64(want)); err != nil {
-			return Null, err
-		}
+		next, size = uint64(tail), want
 	} else {
-		// No split: the list loses a block.
-		if err := tx.WriteU64(prev, next); err != nil {
-			return Null, err
-		}
-		a.freeHint.Add(-1)
+		a.freeHint.Add(-1) // no split: the list loses a block
 	}
-	if err := tx.WriteU64(id-8, stateAlloc); err != nil {
+	if err := tx.WriteU64(prev, next); err != nil {
+		return Null, err
+	}
+	if err := tx.WriteU64s(id-blockHeaderSize, uint64(size), stateAlloc); err != nil {
 		return Null, err
 	}
 	p.stats.allocs.Add(1)
-	if remainder >= minBlock {
-		p.stats.allocBytes.Add(want)
-	} else {
-		p.stats.allocBytes.Add(size)
-	}
+	p.stats.allocBytes.Add(size)
 	return id, nil
 }
 
@@ -477,10 +459,7 @@ func (p *Pool) carve(tx *Tx, a *arena, blockSize int64) (PMID, error) {
 		}
 		tx.extents = append(tx.extents, reservedExtent{a: a, start: start, limit: limit})
 		tx.markArenaDirty(a)
-		if err := tx.WriteU64(PMID(start), uint64(blockSize)); err != nil {
-			return Null, err
-		}
-		if err := tx.WriteU64(PMID(start+8), stateAlloc); err != nil {
+		if err := tx.WriteU64s(PMID(start), uint64(blockSize), stateAlloc); err != nil {
 			return Null, err
 		}
 		p.stats.allocs.Add(1)
@@ -510,19 +489,15 @@ func (p *Pool) carve(tx *Tx, a *arena, blockSize int64) (PMID, error) {
 				return Null, err
 			}
 		}
-		if err := tx.WriteU64(a.limitOff(), uint64(newLimit)); err != nil {
-			return Null, err
-		}
-		bump = start
+		bump, limit = start, newLimit
 	}
 	tx.markArenaDirty(a)
-	if err := tx.WriteU64(a.bumpOff(), uint64(bump+blockSize)); err != nil {
+	// bump|limit are logged as one range even when only the bump moves, so
+	// every carve of a transaction is covered by its first one's pre-image.
+	if err := tx.WriteU64s(a.bumpOff(), uint64(bump+blockSize), uint64(limit)); err != nil {
 		return Null, err
 	}
-	if err := tx.WriteU64(PMID(bump), uint64(blockSize)); err != nil {
-		return Null, err
-	}
-	if err := tx.WriteU64(PMID(bump+8), stateAlloc); err != nil {
+	if err := tx.WriteU64s(PMID(bump), uint64(blockSize), stateAlloc); err != nil {
 		return Null, err
 	}
 	p.stats.allocs.Add(1)
@@ -575,13 +550,7 @@ func (p *Pool) pushFreeBlock(tx *Tx, a *arena, id PMID, size int64) error {
 	if err != nil {
 		return err
 	}
-	if err := tx.WriteU64(id-blockHeaderSize, uint64(size)); err != nil {
-		return err
-	}
-	if err := tx.WriteU64(id-8, stateFree); err != nil {
-		return err
-	}
-	if err := tx.WriteU64(id, head); err != nil {
+	if err := tx.WriteU64s(id-blockHeaderSize, uint64(size), stateFree, head); err != nil {
 		return err
 	}
 	if err := tx.WriteU64(a.hugeOff(), uint64(id)); err != nil {

@@ -3,10 +3,35 @@ package pmdk
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"pmemcpy/internal/pmem"
 	"pmemcpy/internal/sim"
 )
+
+// virtMeter puts a benchmark's other time domain next to its wall ns/op: the
+// virtual time the cost model charged and the persist barriers the device
+// counted between start and stop, reported per iteration.
+type virtMeter struct {
+	clk      *sim.Clock
+	dev      *pmem.Device
+	t0, ns   time.Duration
+	p0, pers int64
+}
+
+func meter(p *Pool, clk *sim.Clock) *virtMeter { return &virtMeter{clk: clk, dev: p.m.Device()} }
+
+func (m *virtMeter) start() { m.t0, m.p0 = m.clk.Now(), m.dev.Counters().Persists }
+
+func (m *virtMeter) stop() {
+	m.ns += m.clk.Now() - m.t0
+	m.pers += m.dev.Counters().Persists - m.p0
+}
+
+func (m *virtMeter) report(b *testing.B) {
+	b.ReportMetric(float64(m.ns)/float64(b.N), "virt-ns/op")
+	b.ReportMetric(float64(m.pers)/float64(b.N), "persists/op")
+}
 
 func benchPool(b *testing.B, size int64) (*Pool, *sim.Clock) {
 	b.Helper()
@@ -30,7 +55,9 @@ func benchPool(b *testing.B, size int64) (*Pool, *sim.Clock) {
 func BenchmarkTxCommit(b *testing.B) {
 	p, clk := benchPool(b, 64<<20)
 	root, _ := p.Root()
+	m := meter(p, clk)
 	b.ResetTimer()
+	m.start()
 	for i := 0; i < b.N; i++ {
 		tx, err := p.Begin(clk)
 		if err != nil {
@@ -43,6 +70,8 @@ func BenchmarkTxCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	m.stop()
+	m.report(b)
 }
 
 // BenchmarkAllocFree measures allocator throughput with immediate reuse.
@@ -50,7 +79,9 @@ func BenchmarkAllocFree(b *testing.B) {
 	for _, size := range []int64{64, 1024, 64 << 10} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
 			p, clk := benchPool(b, 256<<20)
+			m := meter(p, clk)
 			b.ResetTimer()
+			m.start()
 			for i := 0; i < b.N; i++ {
 				tx, err := p.Begin(clk)
 				if err != nil {
@@ -67,6 +98,8 @@ func BenchmarkAllocFree(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			m.stop()
+			m.report(b)
 		})
 	}
 }
@@ -90,13 +123,17 @@ func BenchmarkHashtablePut(b *testing.B) {
 		b.Fatal(err)
 	}
 	val := make([]byte, 64)
+	m := meter(p, clk)
 	b.ResetTimer()
+	m.start()
 	for i := 0; i < b.N; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i))
 		if err := ht.Put(clk, key, val); err != nil {
 			b.Fatal(err)
 		}
 	}
+	m.stop()
+	m.report(b)
 }
 
 // BenchmarkHashtableGet measures lookup throughput.
@@ -143,6 +180,7 @@ func BenchmarkRecovery(b *testing.B) {
 		b.Fatal(err)
 	}
 	clk := new(sim.Clock)
+	vm := &virtMeter{clk: clk, dev: dev}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -160,8 +198,11 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 		dev.Crash(pmem.CrashKeepAll, nil)
 		b.StartTimer()
+		vm.start()
 		if _, err := Open(clk, mp); err != nil {
 			b.Fatal(err)
 		}
+		vm.stop()
 	}
+	vm.report(b)
 }

@@ -49,22 +49,16 @@ func (p *Pool) Verify(clk *sim.Clock) []Violation {
 	}
 
 	// Every lane idle: a pool that finished Open has rolled back or retired
-	// every transaction; a nonzero lane here means recovery was skipped or
-	// itself crashed.
+	// every transaction, so no lane's first entry validates; one that does
+	// means recovery was skipped or itself crashed.
 	for lane := 0; lane < p.lanes; lane++ {
-		base := p.laneOff + int64(lane)*p.laneSize
-		hdr, err := p.m.Slice(base, 16)
+		lb, err := p.m.Slice(p.laneBase(lane), p.laneSize)
 		if err != nil {
 			return violatef(vs, "pool.io", "reading lane %d: %v", lane, err)
 		}
-		p.m.ChargeRead(clk, 16)
-		active := binary.LittleEndian.Uint64(hdr[laneActive:])
-		nent := binary.LittleEndian.Uint64(hdr[laneNEntries:])
-		if active > 1 {
-			vs = violatef(vs, "lane.active", "lane %d active word is %#x", lane, active)
-		}
-		if active == 1 {
-			vs = violatef(vs, "lane.idle", "lane %d still active with %d undo entries", lane, nent)
+		p.m.ChargeRead(clk, laneEntries+entryHdr)
+		if off, n, ok := p.logEntry(lane, lb, laneEntries); ok {
+			vs = violatef(vs, "lane.idle", "lane %d holds a live undo log (first entry pre-images [%d,%d))", lane, off, off+n)
 		}
 	}
 

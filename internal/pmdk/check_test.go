@@ -70,6 +70,14 @@ func TestVerifyDetectsActiveLane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Begin touches no persistent state; a lane is live from its first entry.
+	if vs := p.Verify(clk); len(vs) != 0 {
+		t.Fatalf("transaction without a logged range reported: %v", vs)
+	}
+	root, _ := p.Root()
+	if err := tx.WriteU64(root, 7); err != nil {
+		t.Fatal(err)
+	}
 	vs := p.Verify(clk)
 	if !hasViolation(vs, "lane.idle") {
 		t.Fatalf("open transaction not reported, got %v", vs)

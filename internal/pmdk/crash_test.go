@@ -365,12 +365,27 @@ func TestFailAfterPersistsSurfacesErrFailed(t *testing.T) {
 	dev, _, p := crashRig(t, 8<<20)
 	clk := new(sim.Clock)
 	dev.ArmCrashAtOp(0, 0)
-	_, err := p.Begin(clk)
-	if !errors.Is(err, pmem.ErrFailed) {
-		t.Fatalf("err = %v, want ErrFailed (Begin persists the lane active flag)", err)
+	tx, err := p.Begin(clk)
+	if err != nil || dev.Failed() {
+		t.Fatalf("Begin: err = %v, failed = %v; it must not touch the device", err, dev.Failed())
+	}
+	root, _ := p.Root()
+	if err := tx.WriteU64(root, 1); !errors.Is(err, pmem.ErrFailed) {
+		t.Fatalf("err = %v, want ErrFailed (the first Add persists its entry)", err)
 	}
 	if !dev.Failed() {
 		t.Fatal("device not marked failed")
+	}
+	// On a dead device Abort undoes nothing in software and still releases
+	// the lane: every one of the pool's lanes can go through it.
+	if err := tx.Abort(); !errors.Is(err, pmem.ErrFailed) {
+		t.Fatalf("Abort on a dead device: %v, want ErrFailed", err)
+	}
+	for i := 0; i < 2*p.lanes; i++ {
+		tx, _ := p.Begin(clk)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

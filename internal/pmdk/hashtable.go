@@ -230,10 +230,7 @@ func (h *Hashtable) Put(clk *sim.Clock, key, value []byte) error {
 		if err != nil {
 			return abort(err)
 		}
-		if err := tx.WriteU64(e+entryVal, uint64(vid)); err != nil {
-			return abort(err)
-		}
-		if err := tx.WriteU64(e+entryVlen, uint64(len(value))); err != nil {
+		if err := tx.WriteU64s(e+entryVlen, uint64(len(value)), uint64(vid)); err != nil { // vlen|value
 			return abort(err)
 		}
 		if oldVal != 0 {

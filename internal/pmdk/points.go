@@ -2,7 +2,7 @@ package pmdk
 
 import "pmemcpy/internal/pmem"
 
-// Named persist points of the pmdk layer. Every flush, drain, and atomic
+// Named persist points of the pmdk layer. Every flush and atomic
 // publish below carries one of these IDs, so the fault-injection engine can
 // report coverage by protocol step rather than by raw byte offset. The names
 // are the stable contract: the explorer's golden file and the coverage maps
@@ -17,21 +17,14 @@ var (
 	ptAllocExtentBlock = pmem.RegisterPoint("pmdk.alloc.extent.block")
 	ptAllocExtentHead  = pmem.RegisterPoint("pmdk.alloc.extent.head")
 
-	// Undo-log transaction protocol (see the lane layout comment in tx.go).
-	ptTxBegin       = pmem.RegisterPoint("pmdk.tx.begin")
-	ptTxBeginDrain  = pmem.RegisterPoint("pmdk.tx.begin.drain")
-	ptTxLogEntry    = pmem.RegisterPoint("pmdk.tx.log.entry")
-	ptTxLogDrain    = pmem.RegisterPoint("pmdk.tx.log.drain")
-	ptTxLogCount    = pmem.RegisterPoint("pmdk.tx.log.count")
-	ptTxCommitData  = pmem.RegisterPoint("pmdk.tx.commit.data")
-	ptTxCommitDrain = pmem.RegisterPoint("pmdk.tx.commit.drain")
-	ptTxLaneCount   = pmem.RegisterPoint("pmdk.tx.lane.count")
-	ptTxLaneClose   = pmem.RegisterPoint("pmdk.tx.lane.close")
-	ptTxLaneDrain   = pmem.RegisterPoint("pmdk.tx.lane.drain")
+	// Undo-log transaction protocol (see the lane layout comment in tx.go):
+	// the entry, the mutated ranges at commit, the generation bump.
+	ptTxLogEntry   = pmem.RegisterPoint("pmdk.tx.log.entry")
+	ptTxCommitData = pmem.RegisterPoint("pmdk.tx.commit.data")
+	ptTxLaneClose  = pmem.RegisterPoint("pmdk.tx.lane.close")
 
-	// Recovery / rollback.
+	// Recovery / rollback: each pre-image applied, then the generation bump.
 	ptRecUndo      = pmem.RegisterPoint("pmdk.rec.undo")
-	ptRecDrain     = pmem.RegisterPoint("pmdk.rec.drain")
 	ptRecLaneClear = pmem.RegisterPoint("pmdk.rec.lane.clear")
 
 	// Hashtable formatting and object publication.

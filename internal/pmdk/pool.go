@@ -9,8 +9,12 @@
 // memory while maintaining crash-consistency guarantees: every metadata
 // mutation happens inside an undo-log transaction whose pre-images are
 // persisted before the mutation, so recovery after a crash at any point
-// restores a consistent state. The crash tests in this package drive that
-// guarantee against the device's cacheline-granular crash simulator.
+// restores a consistent state. The log is self-validating — an entry carries
+// a CRC seeded with its lane's generation — so logging a range costs one
+// persist barrier and a commit retires the whole log with one 8-byte store;
+// tx.go has the format and the protocol. The crash tests in this package
+// drive that guarantee against the device's cacheline-granular crash
+// simulator.
 //
 // The allocator is striped into independent arenas (one lock, one bump
 // extent, and one set of free lists each) so transactions on different
@@ -50,7 +54,7 @@ var (
 
 const (
 	poolMagic   = "PMDKPOOL"
-	poolVersion = 2
+	poolVersion = 3 // 3: generation-stamped, self-validating lane log (tx.go)
 	headerSize  = 256
 
 	// Header field offsets.
@@ -105,6 +109,10 @@ type Pool struct {
 	allocOff int64
 
 	laneFree chan int // DRAM pool of available lane indices
+	// laneGen mirrors each lane's generation word, as the little-endian bytes
+	// an undo entry's CRC is seeded with (see tx.go). A lane's mirror belongs
+	// to the transaction holding the lane.
+	laneGen [][8]byte
 
 	// arenas stripes the allocator: each arena owns a mutex, a 64-byte
 	// persistent metadata block, and a contiguous slice of the heap to carve
@@ -165,6 +173,9 @@ type Stats struct {
 	ExtentBytes  int64 // total bytes reserved off the brk
 	AllocBytes   int64 // total block bytes handed out (headers included)
 	FreeBytes    int64 // total block bytes returned via Free
+	UndoEntries  int64 // undo-log entries persisted
+	UndoBytes    int64 // lane bytes those entries occupy (headers and padding included)
+	UndoCovered  int64 // Adds skipped: the range was already pre-imaged by its transaction
 }
 
 // statsCounters are the live atomics behind Stats; they are DRAM-only and
@@ -181,6 +192,9 @@ type statsCounters struct {
 	extentBytes  atomic.Int64
 	allocBytes   atomic.Int64
 	freeBytes    atomic.Int64
+	undoEntries  atomic.Int64
+	undoBytes    atomic.Int64
+	undoCovered  atomic.Int64
 }
 
 // headerChecksum guards the pool header with the same CRC32C the data path
@@ -331,6 +345,7 @@ func newPoolStruct(m *pmem.Mapping, rootOff, rootSize, heapOff, heapEnd, laneOff
 		laneSize: laneSize,
 		allocOff: allocOff,
 		laneFree: make(chan int, lanes),
+		laneGen:  make([][8]byte, lanes),
 	}
 	for i := 0; i < lanes; i++ {
 		p.laneFree <- i
@@ -377,12 +392,15 @@ func (p *Pool) Stats() Stats {
 		ExtentBytes:  p.stats.extentBytes.Load(),
 		AllocBytes:   p.stats.allocBytes.Load(),
 		FreeBytes:    p.stats.freeBytes.Load(),
+		UndoEntries:  p.stats.undoEntries.Load(),
+		UndoBytes:    p.stats.undoBytes.Load(),
+		UndoCovered:  p.stats.undoCovered.Load(),
 	}
 }
 
 // checkRange validates a pool-relative range.
 func (p *Pool) checkRange(off, n int64) error {
-	if off < 0 || n < 0 || off+n > p.m.Len() {
+	if off < 0 || n < 0 || n > p.m.Len() || off > p.m.Len()-n {
 		return fmt.Errorf("%w: [%d,%d) of %d", ErrBadPointer, off, off+n, p.m.Len())
 	}
 	return nil

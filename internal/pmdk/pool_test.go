@@ -186,12 +186,17 @@ func TestTxAbortReversesMultipleWritesInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two logged writes to the same byte: rollback must land on the value
-	// before the first write.
+	// Logged writes to the same byte: rollback must land on the value before
+	// the first write. The second is covered by the first's pre-image; the
+	// third is a wider range, so it is logged — with the mutated word as its
+	// pre-image — and only reverse order ends on the original.
 	if err := tx.WriteU64(root, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.WriteU64(root, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.WriteU64s(root, 4, 5); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Abort(); err != nil {
@@ -233,12 +238,12 @@ func TestTxLogFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tx.Abort()
-	root, size := p.Root()
-	// Each Add consumes 16+len; the lane is 16 KB, the root 4 KB: a handful
-	// of adds of the full root overflow it.
+	// Each Add consumes 16+len of a 16 KB lane: a handful of 4 KB adds
+	// overflow it. The ranges are disjoint — an Add inside a range this
+	// transaction has already logged consumes nothing.
 	var lastErr error
 	for i := 0; i < 32; i++ {
-		if lastErr = tx.Add(root, size); lastErr != nil {
+		if lastErr = tx.Add(PMID(p.heapOff)+PMID(i*4096), 4096); lastErr != nil {
 			break
 		}
 	}

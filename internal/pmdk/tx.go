@@ -2,31 +2,45 @@ package pmdk
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
+	"pmemcpy/internal/checksum"
 	"pmemcpy/internal/pmem"
 	"pmemcpy/internal/sim"
 )
 
 // Lane log layout (per lane):
 //
-//	0:  active   uint64 (1 while a transaction is open)
-//	8:  nentries uint64 (committed undo entries)
-//	16: entries  {off uint64, len uint64, preimage [len]byte (8-padded)}...
+//	0:  gen      uint64 (the lane's generation)
+//	8:  reserved uint64
+//	16: entries  {off uint64, len uint32, crc uint32, preimage [len]byte (8-padded)}...
 //
-// Crash-consistency protocol:
-//  1. Begin: active=1, persist, fence.
-//  2. Add: write the pre-image entry, persist it, fence, then bump nentries
-//     (single atomic 8-byte store) and persist. Only after that may the
-//     caller mutate the covered range. A crash between any two steps leaves
-//     either a complete, counted entry or an uncounted (ignored) one.
-//  3. Commit: persist every mutated range, fence, then active=0, persist.
-//  4. Recovery: for every lane with active=1, apply the nentries pre-images
-//     in reverse order, persist them, then clear the lane.
+// An entry is valid iff len > 0, it fits in the lane, [off, off+len) lies in
+// the pool, and crc is the CRC32C of the lane's current 64-bit generation ‖
+// off ‖ len ‖ preimage. The log is the maximal run of valid entries from
+// offset 16: no count, no active flag. A torn entry fails its CRC; an entry
+// of an earlier transaction was summed under an earlier generation, so
+// bumping the generation retires a whole log in one atomic store. (The
+// generation enters the sum at full width: a slot deep in a lane can go
+// unwritten for more than 2^32 transactions.)
+//
+// Crash-consistency protocol — one barrier per pre-image (Device.Persist is
+// CLWB+SFENCE, so no bare fence follows any persist here):
+//  1. Begin takes a lane and touches no persistent state.
+//  2. Add writes the pre-image entry and persists it. Only after that may the
+//     caller mutate the range. A range this transaction has already pre-imaged
+//     is skipped: the first pre-image is the one a rollback must end on.
+//  3. Commit persists every mutated range, then stores gen+1 and persists it.
+//  4. Recovery and Abort scan the valid run, apply its pre-images in reverse,
+//     persisting each, then store gen+1 and persist it.
+//
+// The generations are mirrored in DRAM (Pool.laneGen), and the mirror is the
+// authority while the pool is open: it moves only after the new generation
+// is durable, and entries are summed against it.
 const (
-	laneActive   = 0
-	laneNEntries = 8
-	laneEntries  = 16
+	laneEntries = 16
+	entryHdr    = 16
 )
 
 // Tx is an undo-log transaction. A Tx is owned by a single goroutine; the
@@ -37,9 +51,14 @@ type Tx struct {
 	lane int
 	base int64 // pool offset of this lane's log
 
-	used   int64 // bytes of entry area consumed
-	ranges []txRange
+	// used is the entry area written so far. An entry counts from the moment
+	// its bytes are in the lane, whether or not its persist succeeded: it
+	// validates all the same, so a lane with used > 0 must be retired (gen+1)
+	// before another transaction may have it.
+	used   int64
+	ranges []txRange // the pre-imaged ranges, in log order
 	done   bool
+	regen  bool // Commit's generation store failed; see rollback
 
 	// held lists the arena locks this transaction owns, in acquisition
 	// order. held[0] is the home arena (taken blocking at the first
@@ -53,6 +72,11 @@ type Tx struct {
 	// The brk advance is not undo-logged, so a clean Abort must hand the
 	// space back explicitly (see returnExtents); Commit just drops the list.
 	extents []reservedExtent
+
+	// Inline backing for ranges and held: a store's two transactions log
+	// 2-5 ranges each under one arena lock, so neither list reaches the heap.
+	rangeBuf [8]txRange
+	heldBuf  [2]heldArena
 }
 
 type reservedExtent struct {
@@ -121,60 +145,68 @@ func (tx *Tx) releaseArenaIfClean(a *arena) {
 	}
 }
 
-// unlockArenas releases every held arena lock at commit/abort.
-func (tx *Tx) unlockArenas() {
-	for i := range tx.held {
-		tx.held[i].ar.mu.Unlock()
-	}
-	tx.held = nil
-}
-
 type txRange struct{ off, n int64 }
 
-// Begin opens a transaction, blocking until a lane is free.
+// Begin opens a transaction, blocking until a lane is free. It touches no
+// persistent state — the first device access of a transaction is its first
+// Add — and cannot fail; the error result is what its callers are written to.
 func (p *Pool) Begin(clk *sim.Clock) (*Tx, error) {
 	lane := <-p.laneFree
-	tx := &Tx{p: p, clk: clk, lane: lane, base: p.laneOff + int64(lane)*p.laneSize}
-	if err := tx.setU64(laneActive, 1, ptTxBegin); err != nil {
-		// The store itself landed even though its persist failed; scrub the
-		// word back to idle (best-effort — irrelevant on a dead device) so a
-		// transient media error does not leak an active lane to the free pool.
-		_ = tx.setU64(laneActive, 0, ptTxBegin)
-		p.laneFree <- lane
-		return nil, err
-	}
-	p.m.Fence(clk, ptTxBeginDrain)
+	tx := &Tx{p: p, clk: clk, lane: lane, base: p.laneBase(lane)}
+	tx.ranges, tx.held = tx.rangeBuf[:0], tx.heldBuf[:0]
 	p.stats.transactions.Add(1)
 	return tx, nil
 }
 
-// setU64 writes a lane-header field durably, persisting at the caller's
-// protocol point.
-func (tx *Tx) setU64(field int64, v uint64, pt pmem.PointID) error {
-	off := tx.base + field
-	if err := tx.p.m.Capture(off, 8); err != nil {
-		return err
-	}
-	b, err := tx.p.m.Slice(off, 8)
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(b, v)
-	tx.p.m.ChargeWrite(tx.clk, 8)
-	return tx.p.m.Persist(tx.clk, off, 8, pt)
+func (p *Pool) laneBase(lane int) int64 { return p.laneOff + int64(lane)*p.laneSize }
+
+// entryCRC sums the entry eb, as it sits in the lane with an n-byte pre-image,
+// under the lane's generation. It reads only bytes already in the mapping or
+// in the Pool: a header assembled on the stack would escape into the hash
+// call, one heap allocation per logged range.
+func (p *Pool) entryCRC(lane int, eb []byte, n int64) uint32 {
+	c := checksum.Update(0, p.laneGen[lane][:])
+	c = checksum.Update(c, eb[:12])
+	return checksum.Update(c, eb[entryHdr:entryHdr+n])
 }
 
-func (tx *Tx) readU64(field int64) (uint64, error) {
-	b, err := tx.p.m.Slice(tx.base+field, 8)
-	if err != nil {
-		return 0, err
+// logEntry decodes the entry at position pos of a lane's bytes lb and reports
+// whether it is valid (see the layout comment).
+func (p *Pool) logEntry(lane int, lb []byte, pos int64) (off, n int64, ok bool) {
+	if pos+entryHdr > int64(len(lb)) {
+		return 0, 0, false
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	off = int64(binary.LittleEndian.Uint64(lb[pos:]))
+	n = int64(binary.LittleEndian.Uint32(lb[pos+8:]))
+	if n == 0 || pos+entryHdr+align8(n) > int64(len(lb)) || p.checkRange(off, n) != nil {
+		return 0, 0, false
+	}
+	eb := lb[pos : pos+entryHdr+n]
+	return off, n, p.entryCRC(lane, eb, n) == binary.LittleEndian.Uint32(eb[12:])
+}
+
+// storeGen writes generation g into the lane's header and persists it.
+func (p *Pool) storeGen(clk *sim.Clock, lane int, g uint64, pt pmem.PointID) error {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], g)
+	return p.StoreBytesAt(clk, PMID(p.laneBase(lane)), b[:], true, pt)
+}
+
+// retireLane stores gen+1 — one atomic 8-byte store, one persist — after
+// which no entry in the lane validates. The mirror follows the media.
+func (p *Pool) retireLane(clk *sim.Clock, lane int, pt pmem.PointID) error {
+	g := binary.LittleEndian.Uint64(p.laneGen[lane][:]) + 1
+	if err := p.storeGen(clk, lane, g, pt); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(p.laneGen[lane][:], g)
+	return nil
 }
 
 // Add logs the pre-image of [off, off+n) so the range can be rolled back if
 // the transaction aborts or the machine crashes before Commit. It must be
-// called before the range is mutated.
+// called before the range is mutated. A range lying inside one this
+// transaction has already logged costs nothing: the earlier pre-image wins.
 func (tx *Tx) Add(off PMID, n int64) error {
 	if tx.done {
 		return fmt.Errorf("pmdk: Add on finished transaction")
@@ -182,47 +214,46 @@ func (tx *Tx) Add(off PMID, n int64) error {
 	if err := tx.p.checkRange(int64(off), n); err != nil {
 		return err
 	}
-	entrySize := 16 + align8(n)
+	if n == 0 {
+		return nil
+	}
+	for _, r := range tx.ranges {
+		if r.off <= int64(off) && int64(off)+n <= r.off+r.n {
+			tx.p.stats.undoCovered.Add(1)
+			return nil
+		}
+	}
+	entrySize := entryHdr + align8(n)
 	if laneEntries+tx.used+entrySize > tx.p.laneSize {
 		return fmt.Errorf("%w: need %d more bytes in lane of %d",
 			ErrTxLogFull, entrySize, tx.p.laneSize)
 	}
 	eoff := tx.base + laneEntries + tx.used
-
-	// Write the entry: header then pre-image payload.
-	if err := tx.p.m.Capture(eoff, entrySize); err != nil {
+	m := tx.p.m
+	if err := m.Capture(eoff, entrySize); err != nil {
 		return err
 	}
-	eb, err := tx.p.m.Slice(eoff, entrySize)
+	eb, err := m.Slice(eoff, entrySize)
+	if err != nil {
+		return err
+	}
+	src, err := m.Slice(int64(off), n)
 	if err != nil {
 		return err
 	}
 	binary.LittleEndian.PutUint64(eb[0:], uint64(off))
-	binary.LittleEndian.PutUint64(eb[8:], uint64(n))
-	src, err := tx.p.m.Slice(int64(off), n)
-	if err != nil {
-		return err
-	}
-	copy(eb[16:], src)
-	tx.p.m.ChargeRead(tx.clk, n)
-	tx.p.m.ChargeWrite(tx.clk, entrySize)
-	if err := tx.p.m.Persist(tx.clk, eoff, entrySize, ptTxLogEntry); err != nil {
-		return err
-	}
-	tx.p.m.Fence(tx.clk, ptTxLogDrain)
-
-	// Count it (atomic 8-byte store), then allow the mutation.
-	nent, err := tx.readU64(laneNEntries)
-	if err != nil {
-		return err
-	}
-	if err := tx.setU64(laneNEntries, nent+1, ptTxLogCount); err != nil {
-		return err
-	}
+	binary.LittleEndian.PutUint32(eb[8:], uint32(n))
+	copy(eb[entryHdr:], src)
+	binary.LittleEndian.PutUint32(eb[12:], tx.p.entryCRC(tx.lane, eb, n))
 	tx.used += entrySize
+	m.ChargeRead(tx.clk, n)
+	m.ChargeWrite(tx.clk, entrySize)
+	if err := m.Persist(tx.clk, eoff, entrySize, ptTxLogEntry); err != nil {
+		return err
+	}
 	// Capture the to-be-mutated range so the crash simulator can exercise
 	// partial persistence of the mutation itself.
-	if err := tx.p.m.Capture(int64(off), n); err != nil {
+	if err := m.Capture(int64(off), n); err != nil {
 		return err
 	}
 	tx.ranges = append(tx.ranges, txRange{int64(off), n})
@@ -230,112 +261,134 @@ func (tx *Tx) Add(off PMID, n int64) error {
 }
 
 // WriteU64 logs and writes a u64 field inside the transaction.
-func (tx *Tx) WriteU64(off PMID, v uint64) error {
-	if err := tx.Add(off, 8); err != nil {
+func (tx *Tx) WriteU64(off PMID, v uint64) error { return tx.WriteU64s(off, v) }
+
+// WriteU64s logs and writes adjacent u64 fields as one range: one pre-image
+// and one commit flush for words that always change together (a block
+// header's size|state, a free block's state|next).
+func (tx *Tx) WriteU64s(off PMID, vs ...uint64) error {
+	n := int64(8 * len(vs))
+	if err := tx.Add(off, n); err != nil {
 		return err
 	}
-	b, err := tx.p.m.Slice(int64(off), 8)
+	b, err := tx.p.m.Slice(int64(off), n)
 	if err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(b, v)
-	tx.p.m.ChargeWrite(tx.clk, 8)
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], v)
+	}
+	tx.p.m.ChargeWrite(tx.clk, n)
 	return nil
 }
 
-// Commit persists every mutated range and retires the transaction.
+// Commit persists every mutated range and retires the transaction. A Commit
+// that returns an error has rolled the transaction back exactly as Abort
+// does: either way the lane and every arena lock are released.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return fmt.Errorf("pmdk: double Commit/Abort")
 	}
+	err := tx.persistRanges()
+	if err == nil && tx.used > 0 {
+		err = tx.p.retireLane(tx.clk, tx.lane, ptTxLaneClose)
+		tx.regen = err != nil
+	}
+	if err == nil {
+		tx.finish(true)
+		return nil
+	}
+	if aerr := tx.Abort(); aerr != nil && !errors.Is(aerr, pmem.ErrFailed) {
+		return fmt.Errorf("%w (rollback failed: %v)", err, aerr)
+	}
+	return err
+}
+
+func (tx *Tx) persistRanges() error {
 	for _, r := range tx.ranges {
 		if err := tx.p.m.Persist(tx.clk, r.off, r.n, ptTxCommitData); err != nil {
 			return err
 		}
 	}
-	tx.p.m.Fence(tx.clk, ptTxCommitDrain)
-	if err := tx.finishLane(); err != nil {
-		tx.unlockArenas()
-		return err
-	}
-	tx.done = true
-	tx.unlockArenas()
-	tx.p.laneFree <- tx.lane
 	return nil
 }
 
 // Abort rolls the transaction back by applying its pre-images in reverse.
+// The transaction is finished whatever Abort returns. On a dead device
+// (pmem.ErrFailed) nothing is undone in software — the power cut decides what
+// survived and the next Open recovers — and only the DRAM side is released.
+// If the rollback fails on a live device the lane still holds a live log, so
+// it is withheld from reuse and left to the next Open.
 func (tx *Tx) Abort() error {
 	if tx.done {
 		return fmt.Errorf("pmdk: double Commit/Abort")
 	}
-	if err := tx.p.rollbackLane(tx.clk, tx.lane); err != nil {
-		tx.unlockArenas()
-		return err
+	err := tx.rollback()
+	if err == nil {
+		tx.p.stats.aborts.Add(1)
+	}
+	tx.finish(err == nil || errors.Is(err, pmem.ErrFailed))
+	return err
+}
+
+func (tx *Tx) rollback() error {
+	if tx.used > 0 {
+		if tx.regen {
+			// Commit's gen+1 may or may not have reached the media. The old
+			// generation goes back first: a half-applied rollback must never
+			// meet a bumped generation on media, which would disown its log.
+			g := binary.LittleEndian.Uint64(tx.p.laneGen[tx.lane][:])
+			if err := tx.p.storeGen(tx.clk, tx.lane, g, ptTxLaneClose); err != nil {
+				return err
+			}
+		}
+		if err := tx.p.rollbackLane(tx.clk, tx.lane); err != nil {
+			return err
+		}
 	}
 	// The rollback reset arena bump/limit words to their previous extents;
 	// push any extents this transaction reserved onto free lists so clean
 	// aborts do not leak heap (their arenas are still locked here).
-	if err := tx.returnExtents(); err != nil {
-		tx.unlockArenas()
-		return err
-	}
+	return tx.returnExtents()
+}
+
+// finish ends the transaction in DRAM: every arena lock is dropped and, when
+// its log is retired (or the device is dead), the lane goes back to the pool.
+func (tx *Tx) finish(recycle bool) {
 	tx.done = true
-	tx.unlockArenas()
-	tx.p.stats.aborts.Add(1)
-	tx.p.laneFree <- tx.lane
-	return nil
+	tx.p.stats.undoEntries.Add(int64(len(tx.ranges)))
+	tx.p.stats.undoBytes.Add(tx.used)
+	for i := range tx.held {
+		tx.held[i].ar.mu.Unlock()
+	}
+	tx.held = nil
+	if recycle {
+		tx.p.laneFree <- tx.lane
+	}
 }
 
-// finishLane marks the lane idle: nentries=0 then active=0, both persisted.
-func (tx *Tx) finishLane() error {
-	if err := tx.setU64(laneNEntries, 0, ptTxLaneCount); err != nil {
-		return err
-	}
-	if err := tx.setU64(laneActive, 0, ptTxLaneClose); err != nil {
-		return err
-	}
-	tx.p.m.Fence(tx.clk, ptTxLaneDrain)
-	return nil
-}
-
-// rollbackLane applies a lane's undo entries in reverse and clears the lane.
-// It is used both by Abort and by Open-time recovery.
+// rollbackLane applies a lane's undo entries in reverse and retires the
+// lane. It is used both by Abort and by Open-time recovery. Nothing here is
+// sized by lane content: the run is walked entry by validated entry.
 func (p *Pool) rollbackLane(clk *sim.Clock, lane int) error {
-	base := p.laneOff + int64(lane)*p.laneSize
-	hdr, err := p.m.Slice(base, 16)
+	lb, err := p.m.Slice(p.laneBase(lane), p.laneSize)
 	if err != nil {
 		return err
 	}
-	p.m.ChargeRead(clk, 16)
-	nent := binary.LittleEndian.Uint64(hdr[laneNEntries:])
-
-	// Walk forward collecting entry offsets, then apply in reverse.
-	type entry struct{ eoff, off, n int64 }
-	entries := make([]entry, 0, nent)
-	pos := base + laneEntries
-	for i := uint64(0); i < nent; i++ {
-		eb, err := p.m.Slice(pos, 16)
-		if err != nil {
-			return fmt.Errorf("%w: truncated undo log in lane %d", ErrCorrupt, lane)
+	type entry struct{ pos, off, n int64 }
+	var buf [8]entry
+	entries := buf[:0]
+	for pos := int64(laneEntries); ; {
+		off, n, ok := p.logEntry(lane, lb, pos)
+		if !ok {
+			break
 		}
-		off := int64(binary.LittleEndian.Uint64(eb[0:]))
-		n := int64(binary.LittleEndian.Uint64(eb[8:]))
-		if p.checkRange(off, n) != nil {
-			return fmt.Errorf("%w: undo entry [%d,%d) out of pool", ErrCorrupt, off, off+n)
-		}
+		p.m.ChargeRead(clk, entryHdr+n)
 		entries = append(entries, entry{pos, off, n})
-		pos += 16 + align8(n)
-		if pos > base+p.laneSize {
-			return fmt.Errorf("%w: undo log overflow in lane %d", ErrCorrupt, lane)
-		}
+		pos += entryHdr + align8(n)
 	}
 	for i := len(entries) - 1; i >= 0; i-- {
 		e := entries[i]
-		img, err := p.m.Slice(e.eoff+16, e.n)
-		if err != nil {
-			return err
-		}
 		if err := p.m.Capture(e.off, e.n); err != nil {
 			return err
 		}
@@ -343,36 +396,27 @@ func (p *Pool) rollbackLane(clk *sim.Clock, lane int) error {
 		if err != nil {
 			return err
 		}
-		copy(dst, img)
-		p.m.ChargeRead(clk, e.n)
+		copy(dst, lb[e.pos+entryHdr:][:e.n])
 		p.m.ChargeWrite(clk, e.n)
 		if err := p.m.Persist(clk, e.off, e.n, ptRecUndo); err != nil {
 			return err
 		}
 	}
-	p.m.Fence(clk, ptRecDrain)
-
-	// Clear the lane.
-	if err := p.m.Capture(base, 16); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(hdr[laneNEntries:], 0)
-	binary.LittleEndian.PutUint64(hdr[laneActive:], 0)
-	p.m.ChargeWrite(clk, 16)
-	return p.m.Persist(clk, base, 16, ptRecLaneClear)
+	return p.retireLane(clk, lane, ptRecLaneClear)
 }
 
-// recover scans all lanes at Open time and rolls back any transaction that
-// was active when the crash happened.
+// recover scans all lanes at Open time, loads their generations, and rolls
+// back any lane whose first entry validates: a transaction that was active
+// when the crash happened.
 func (p *Pool) recover(clk *sim.Clock) error {
 	for lane := 0; lane < p.lanes; lane++ {
-		base := p.laneOff + int64(lane)*p.laneSize
-		hdr, err := p.m.Slice(base, 8)
+		lb, err := p.m.Slice(p.laneBase(lane), p.laneSize)
 		if err != nil {
 			return err
 		}
-		p.m.ChargeRead(clk, 8)
-		if binary.LittleEndian.Uint64(hdr) == 0 {
+		p.m.ChargeRead(clk, laneEntries+entryHdr)
+		copy(p.laneGen[lane][:], lb)
+		if _, _, ok := p.logEntry(lane, lb, laneEntries); !ok {
 			continue
 		}
 		if err := p.rollbackLane(clk, lane); err != nil {
