@@ -14,6 +14,7 @@ func (pool) Begin(clk int) int                { return 0 }
 func (pool) Alloc(tx, n int) int              { return 0 }
 func (pool) Free(tx, id int) error            { return nil }
 func (pool) Slice(off, n int) ([]byte, error) { return nil, nil }
+func (pool) Update(clk int, key []byte) int   { return 0 }
 
 // Alloc with three arguments is the public dims declaration, not the pool API.
 func Alloc(id string, dtype int, dims []int) {}
@@ -28,6 +29,7 @@ func planner(p pool, xs []int) {
 	_ = p.Alloc(tx, 8)   // want tx
 	_ = p.Free(tx, 1)    // want tx
 	_, _ = p.Slice(0, 8) // want slice
+	_ = p.Update(0, nil) // want tx
 
 	// Not the pool API: wrong arity, a bare call, a package function.
 	Alloc("x", 0, nil)

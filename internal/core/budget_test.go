@@ -22,7 +22,7 @@ import (
 // dims record (Alloc), a scalar insert and overwrite, a string, a 4 MB block
 // store, an append to a list already holding 8 blocks, a delete, and one
 // 32-submission async batch under the raw codec. It is the table DESIGN §15
-// cites: a change that means to spend fewer barriers (ROADMAP item 2b)
+// cites: a change that means to spend fewer barriers (ROADMAP item 2)
 // regenerates it with -update and explains each row that moved; any other
 // change must not move it.
 func TestPersistBudgetPinned(t *testing.T) {

@@ -1,5 +1,7 @@
 package core
 
+import "pmemcpy/internal/pmdk"
+
 // OptionsArg surfaces the unexported whole-struct option adapter to the
 // external test package: many tests resolve a complete Options value up
 // front, and converting each to a chain of With* calls would only obscure
@@ -17,4 +19,12 @@ func OptionsArg(o *Options) MmapOption {
 // records mean identical CRCs, block layout, and pool placement.
 func (p *PMEM) RawValue(id string) ([]byte, bool, error) {
 	return p.getValue(id)
+}
+
+// BlockAllocated reports whether the allocator holds the block at id of
+// member pool as allocated — the overwrite crash tests ask it of the block a
+// record names and of the block it stopped naming.
+func (p *PMEM) BlockAllocated(pool int, id int64) bool {
+	_, err := p.poolOf(uint8(pool)).UsableSize(p.comm.Clock(), pmdk.PMID(id))
+	return err == nil
 }

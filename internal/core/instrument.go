@@ -118,6 +118,11 @@ type instruments struct {
 	viewFallback  *obs.Counter
 	viewDeferred  *obs.Counter
 	viewReclaimed *obs.Counter
+
+	// What a whole-value publish reclaimed (writeplan.go): the block the old
+	// record pointed at, freed in the publishing transaction or parked.
+	supersededBlocks *obs.Counter
+	supersededBytes  *obs.Counter
 }
 
 // newInstruments builds the registry for one handle group over its finished
@@ -198,6 +203,11 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 	in.viewReclaimed = reg.Counter("pmemcpy_view_reclaimed_total",
 		"limbo blocks freed after their lease epoch drained")
 
+	in.supersededBlocks = reg.Counter("pmemcpy_superseded_blocks_total",
+		"blocks a whole-value overwrite reclaimed with its publish (freed in the transaction, or parked under a view lease)")
+	in.supersededBytes = reg.Counter("pmemcpy_superseded_bytes_total",
+		"encoded payload bytes of the blocks whole-value overwrites reclaimed")
+
 	// The device and allocator bridge series sum over every member of the
 	// namespace, as Stats() does. (A hierarchy handle has the one device and
 	// no pool.)
@@ -267,6 +277,13 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 			poolSum(func(s pmdk.Stats) int64 { return s.UndoBytes }))
 		reg.CounterFunc("pmemcpy_tx_undo_covered_total", "undo-log Adds skipped because their transaction had already pre-imaged the range",
 			poolSum(func(s pmdk.Stats) int64 { return s.UndoCovered }))
+		// Which form each metadata publish took (pmdk.Update.Commit).
+		reg.CounterFunc("pmemcpy_ht_updates_in_place_total", "records of unchanged length rewritten in place under one undo entry",
+			poolSum(func(s pmdk.Stats) int64 { return s.HTInPlace }))
+		reg.CounterFunc("pmemcpy_ht_updates_relinked_total", "records moved to a new value block (allocate, swing vlen|value, free old)",
+			poolSum(func(s pmdk.Stats) int64 { return s.HTRelinked }))
+		reg.CounterFunc("pmemcpy_ht_updates_inserted_total", "records published under a new key",
+			poolSum(func(s pmdk.Stats) int64 { return s.HTInserted }))
 	}
 
 	reg.CounterFunc("pmemcpy_cache_hits_total", "block-index cache hits",

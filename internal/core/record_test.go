@@ -23,6 +23,9 @@ import (
 // files. A fixed script publishes one of each and the records are compared,
 // in hex, with testdata/record_bytes.golden. A format change regenerates the
 // golden with -update in the same diff; a refactor of the codecs must not.
+// (The 8-byte PMID fields also record where the allocator placed each block:
+// the golden was regenerated once, when a transaction's home arena became its
+// rank's, with every byte outside those fields unchanged.)
 func TestRecordBytesPinned(t *testing.T) {
 	var got strings.Builder
 	for _, pools := range []int{1, 4} {

@@ -21,9 +21,10 @@ import (
 //
 //   - Opening a view takes a lease stamped with the current epoch, under the
 //     id's read lock — so it is ordered against any concurrent republish.
-//   - Delete and Compact, the two operations that free payload blocks, defer
-//     their frees onto per-pool limbo lists (pmdk.Limbo) whenever any lease is
-//     open, stamp the parked blocks with the current epoch, and bump it.
+//   - Delete, Compact and a whole-value overwrite, the operations that free
+//     payload blocks, defer their frees onto per-pool limbo lists (pmdk.Limbo)
+//     whenever any lease is open, stamp the parked blocks with the current
+//     epoch, and bump it.
 //   - A parked block is returned to the allocator only when every lease opened
 //     at or before its defer epoch has closed. Views taken before a republish
 //     therefore keep reading the old blocks; views taken after plan against
@@ -136,11 +137,11 @@ func minOpenEpoch(leases map[uint64]int) (uint64, bool) {
 	return mn, have
 }
 
-// deferOrFreeBlocks is the free path Delete and Compact use for payload
-// blocks: with no leases open it frees immediately (the pre-existing
-// behaviour, bit-identical persist sequence); with any lease open it parks
-// the blocks on their pools' limbo lists under the current epoch and bumps
-// the epoch, so leases opened later never pin them. Callers hold the id's
+// deferOrFreeBlocks is the free path Delete, Compact and (with a lease open) a
+// superseding publish use for payload blocks: with no leases open it frees
+// immediately (the pre-existing behaviour, bit-identical persist sequence);
+// with any lease open it parks the blocks on their pools' limbo lists under
+// the current epoch and bumps the epoch, so leases opened later never pin them. Callers hold the id's
 // write lock, which excludes new views of THIS id; views of other ids only
 // make the check conservative (defer instead of free), never unsafe.
 //

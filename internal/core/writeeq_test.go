@@ -116,8 +116,9 @@ func eqRecords(t *testing.T, codec string, pools int, mode string) map[string]st
 		}
 
 		// The script: two block variables (one with overlapping appends), two
-		// whole values, and a fan of small variables that spreads over every
-		// member pool on a sharded namespace.
+		// whole values — each then overwritten by a whole value, one of another
+		// length, one of the same — and a fan of small variables that spreads
+		// over every member pool on a sharded namespace.
 		if err := p.Alloc("X", serial.Float64, []uint64{8, 16}); err != nil {
 			return err
 		}
@@ -140,6 +141,15 @@ func eqRecords(t *testing.T, codec string, pools int, mode string) map[string]st
 		}
 		if err := storeDatum("D", &serial.Datum{Type: serial.Float64, Dims: []uint64{128}, Payload: eqPattern(128*8, 7)}); err != nil {
 			return err
+		}
+		if err := storeDatum("S", &serial.Datum{Type: serial.Bytes, Payload: []byte("one read-modify-write per publish, whatever the planner")}); err != nil {
+			return err
+		}
+		if err := storeDatum("D", &serial.Datum{Type: serial.Float64, Dims: []uint64{128}, Payload: eqPattern(128*8, 8)}); err != nil {
+			return err
+		}
+		if got := p.Metrics().Get("pmemcpy_superseded_blocks_total"); got != 2 {
+			return fmt.Errorf("two whole-value overwrites superseded %d blocks", got)
 		}
 		for k := 0; k < 8; k++ {
 			id := fmt.Sprintf("var%d", k)
@@ -215,13 +225,26 @@ func TestWritePathEquivalence(t *testing.T) {
 		}
 	}
 	t.Run("raw/chunked", func(t *testing.T) {
-		// A 300 KB whole value: one job at Parallelism 1, four concurrent
-		// byte-range jobs joined with checksum.Combine at 4.
+		// A 300 KB whole value, stored over a 200 KB one: one job at
+		// Parallelism 1, four concurrent byte-range jobs joined with
+		// checksum.Combine at 4. Either way the overwrite frees the block it
+		// shadows, so the two stores place their blocks identically.
 		d := &serial.Datum{Type: serial.Float64, Dims: []uint64{300 << 7}, Payload: eqPattern(300<<10, 5)}
 		var recs []map[string]string
 		for _, workers := range []int{1, 4} {
-			recs = append(recs, eqRun(t, &core.Options{Codec: "raw", Parallelism: workers},
-				func(p *core.PMEM) error { return p.StoreDatum("V", d) }))
+			recs = append(recs, eqRun(t, &core.Options{Codec: "raw", Parallelism: workers}, func(p *core.PMEM) error {
+				if err := p.StoreDatum("V", &serial.Datum{Type: serial.Bytes, Payload: eqPattern(200<<10, 4)}); err != nil {
+					return err
+				}
+				if err := p.StoreDatum("V", d); err != nil {
+					return err
+				}
+				if st, err := p.Stats(); err != nil || p.Metrics().Get("pmemcpy_superseded_bytes_total") != 200<<10+1 || st.Frees == 0 {
+					return fmt.Errorf("the chunked overwrite superseded %d bytes (frees %d, %v)",
+						p.Metrics().Get("pmemcpy_superseded_bytes_total"), st.Frees, err)
+				}
+				return nil
+			}))
 		}
 		stored := append([]byte{byte(serial.Float64)}, d.Payload...)
 		sameRecord(t, "V", checksum.Sum(stored), recs...)

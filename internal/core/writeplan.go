@@ -17,14 +17,17 @@ import (
 //	1. allocate every destination block, one transaction per touched member
 //	   pool, pools visited in ascending order (deterministic persist order
 //	   for the crash explorer; a crash between pool transactions leaves only
-//	   unpublished allocations — recoverable garbage, never torn metadata);
+//	   unpublished allocations — leaked until ROADMAP item 2a's reachability
+//	   pass, never torn metadata);
 //	2. fill, one wave at a time: capture each unit of the wave, run its jobs —
 //	   each serializes DIRECTLY into the mapped PMEM block, the single pass
 //	   that defines pMEMCPY, the codec's sweep (serial.Codec.EncodeSum) copying,
 //	   characterizing and checksumming tile by tile — fold the job CRCs into the
 //	   unit's, charge the analytic copy cost once, then persist each unit with
 //	   one barrier carrying its registered persist point;
-//	3. publish each id's new metadata with ONE atomic update per id.
+//	3. publish each id's new metadata with ONE atomic update per id — one
+//	   hashtable read-modify-write, in which a whole value also frees the
+//	   block it shadows (publishGroup).
 //
 // A serial or async plan is one wave per unit, each a single job on the
 // caller's goroutine; a concurrent plan (storeBlock's shards, storeDatum's
@@ -160,8 +163,9 @@ func (l poolLayout) commit(p *PMEM, plan writePlan) error { return p.engine().ru
 // run executes a plan: alloc, fill+persist, publish. On a nil error every
 // group's metadata is published and every unit is durable. An alloc or fill
 // failure fails the whole plan — nothing is published yet — and leaves the
-// allocated blocks unpublished: like every post-commit failure they are
-// garbage a Compact can reclaim, never dangling pointers.
+// allocated blocks unpublished: never dangling pointers, but leaked — Compact
+// only sees published blocks, and nothing else reclaims them until the
+// reachability pass of ROADMAP item 2a.
 func (e commitEngine) run(plan *writePlan) error {
 	if err := e.alloc(plan); err != nil {
 		return plan.failWith(err)
@@ -338,28 +342,11 @@ func (e commitEngine) encode(j *fillJob) error {
 func (e commitEngine) publish(plan *writePlan) error {
 	p := e.p
 	var firstErr error
-	// The namespace is called concretely, not through the layout value, so a
-	// value ref's 21-byte record stays in this frame.
-	ns, clk := poolLayout{p.st}, p.comm.Clock()
 	for gi := range plan.groups {
 		g := &plan.groups[gi]
 		lock := p.varLock(g.id)
 		lock.Lock()
-		var err error
-		switch g.publish {
-		case publishValueRef:
-			rec := g.units[0].rec(g.dtype)
-			err = ns.put(clk, g.id, "", encodeValueRef(&rec))
-		default:
-			var blocks []blockRec
-			blocks, _, err = p.loadBlockList(g.id)
-			if err == nil {
-				for i := range g.units {
-					blocks = append(blocks, g.units[i].rec(g.dtype))
-				}
-				err = ns.put(clk, g.id, "", blockList.encode(blocks))
-			}
-		}
+		err := e.publishGroup(g)
 		if err == nil {
 			p.invalidateCache(g.id)
 		}
@@ -380,6 +367,65 @@ func (e commitEngine) publish(plan *writePlan) error {
 		}
 	}
 	return firstErr
+}
+
+// publishGroup publishes one group's record as ONE hashtable read-modify-write
+// (pmdk.Update): lock the bucket, walk the chain once, decode the record being
+// replaced from the cursor, commit the new one. The caller holds the id's lock.
+//
+// A whole value supersedes the whole value it replaces: the old block is freed
+// in the publishing transaction, so the undo log makes record and allocator
+// move together — before the generation bump recovery restores the old record
+// and the old block's header; after it the record is new and the block free.
+// With a view lease open the block is parked on the limbo after the commit
+// instead, as Delete does. A block list is appended to and never pruned
+// (ROADMAP item 1: blocked on bench/ckpt.go's cumulative MinMax model).
+func (e commitEngine) publishGroup(g *planGroup) error {
+	p := e.p
+	// The hashtable is called concretely, not through the layout value, and
+	// the cursor keeps no key, so the key bytes and a value ref's 21-byte
+	// record stay in this frame.
+	home, key := p.homeIdx(g.id), []byte(g.id)
+	u, err := p.st.hts[home].Update(p.comm.Clock(), key)
+	if err != nil {
+		return err
+	}
+	raw := u.Old()
+	if g.publish == publishBlockList {
+		var blocks []blockRec
+		if raw != nil {
+			if blocks, err = blockList.decode(raw); err != nil {
+				u.Abort() // err is the one to report; a failed rollback is recovery's at the next Open
+				return err
+			}
+		}
+		for i := range g.units {
+			blocks = append(blocks, g.units[i].rec(g.dtype))
+		}
+		return u.Commit(key, blockList.encode(blocks))
+	}
+	var one [1]blockRec
+	old, kind, _ := decodeRecord(raw, uint8(home), one[:0])
+	parked := p.st.viewActive.Load() != 0
+	if kind != recValueRef {
+		old = nil // an array's blocks are not a whole value's to free
+	} else if !parked {
+		if err := u.Free(old[0].data); err != nil {
+			u.Abort() // as above
+			return err
+		}
+	}
+	rec := g.units[0].rec(g.dtype)
+	if err := u.Commit(key, encodeValueRef(&rec)); err != nil || old == nil {
+		return err
+	}
+	p.st.ins.supersededBlocks.Inc()
+	p.st.ins.supersededBytes.Add(old[0].encLen)
+	if parked {
+		return p.deferOrFreeBlocks(old)
+	}
+	p.unquarantine(old)
+	return nil
 }
 
 // republishLocked rewrites id's block list in place (compact, and any future

@@ -87,7 +87,7 @@ func Run(machine *sim.Machine, n int, fn func(c *Comm) error) ([]time.Duration, 
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			c := &Comm{w: w, rank: rank, clk: new(sim.Clock)}
+			c := &Comm{w: w, rank: rank, clk: &sim.Clock{Rank: rank}}
 			if err := fn(c); err != nil {
 				errs[rank] = err
 				w.abort()

@@ -39,11 +39,12 @@ import (
 // is pre-imaged by at most one active transaction, otherwise recovery order
 // is ambiguous):
 //
-//   - A transaction's first Alloc/Free picks a home arena round-robin, takes
-//     its lock, and keeps it until commit/abort. Every later Alloc/Free in
-//     the same transaction uses the same home arena, so a transaction
-//     normally holds exactly one arena lock and there is no lock ordering to
-//     violate.
+//   - A transaction's first Alloc/Free takes its home arena — the caller's
+//     rank modulo the arena count (sim.Clock.Rank), never arrival order, so a
+//     rank's transactions all meet in one arena — and keeps its lock until
+//     commit/abort. Every later Alloc/Free in the same transaction uses the
+//     same home arena, so a transaction normally holds exactly one arena lock
+//     and there is no lock ordering to violate.
 //   - If the home arena is exhausted, Alloc falls back to stealing from other
 //     arenas with TryLock only — a transaction never blocks on a second
 //     arena while holding one, which rules out deadlock outright. A stolen

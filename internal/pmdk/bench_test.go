@@ -104,36 +104,50 @@ func BenchmarkAllocFree(b *testing.B) {
 	}
 }
 
-// BenchmarkHashtablePut measures insert throughput into a shared table.
+// BenchmarkHashtablePut measures the three forms a Put's commit takes, each in
+// both time domains: insert (a new key per iteration), overwrite-same-len
+// (1024 keys rewritten in place), and overwrite-grow (the same keys, each Put
+// changing the value's length, so every one allocates, relinks and frees).
 func BenchmarkHashtablePut(b *testing.B) {
-	p, clk := benchPool(b, 512<<20)
-	tx, err := p.Begin(clk)
-	if err != nil {
-		b.Fatal(err)
+	const keys = 1024
+	for _, rung := range []struct {
+		name string
+		key  func(i int) int
+		vlen func(i int) int
+	}{
+		{"insert", func(i int) int { return keys + i }, func(int) int { return 64 }},
+		{"overwrite-same-len", func(i int) int { return i % keys }, func(int) int { return 64 }},
+		{"overwrite-grow", func(i int) int { return i % keys }, func(i int) int { return 32 + 64*(i/keys%2) }},
+	} {
+		b.Run(rung.name, func(b *testing.B) {
+			p, clk := benchPool(b, 512<<20)
+			id, err := FormatPool(clk, p, 1<<12)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ht, err := OpenHashtable(clk, p, id)
+			if err != nil {
+				b.Fatal(err)
+			}
+			val := make([]byte, 128)
+			for i := 0; i < keys; i++ {
+				if err := ht.Put(clk, []byte(fmt.Sprintf("key-%d", i)), val[:64]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			m := meter(p, clk)
+			b.ResetTimer()
+			m.start()
+			for i := 0; i < b.N; i++ {
+				key := []byte(fmt.Sprintf("key-%d", rung.key(i)))
+				if err := ht.Put(clk, key, val[:rung.vlen(i)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			m.stop()
+			m.report(b)
+		})
 	}
-	id, err := CreateHashtable(tx, 1<<12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		b.Fatal(err)
-	}
-	ht, err := OpenHashtable(clk, p, id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	val := make([]byte, 64)
-	m := meter(p, clk)
-	b.ResetTimer()
-	m.start()
-	for i := 0; i < b.N; i++ {
-		key := []byte(fmt.Sprintf("key-%d", i))
-		if err := ht.Put(clk, key, val); err != nil {
-			b.Fatal(err)
-		}
-	}
-	m.stop()
-	m.report(b)
 }
 
 // BenchmarkHashtableGet measures lookup throughput.

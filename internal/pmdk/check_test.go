@@ -298,8 +298,10 @@ func TestMediaErrorAbortsTransactionCleanly(t *testing.T) {
 	}
 
 	// Same again but mid-transaction (past Begin), so the undo log has
-	// entries and the abort path actually rolls back.
-	mp.Device().InjectTransient(3, 5)
+	// entries and the abort path actually rolls back: "mid" is as long as
+	// "new", so this Put is one pre-image (persist 0), then the in-place
+	// rewrite's commit flush (persist 1).
+	mp.Device().InjectTransient(1, 5)
 	if err := h.Put(clk, []byte("k"), []byte("mid")); !errors.Is(err, pmem.ErrMedia) {
 		t.Fatalf("mid-tx Put under media error = %v, want ErrMedia", err)
 	}

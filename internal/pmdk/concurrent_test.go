@@ -33,7 +33,7 @@ func TestConcurrentArenaAlloc(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			clk := new(sim.Clock)
+			clk := &sim.Clock{Rank: w} // one arena per worker, as ranks get
 			rng := rand.New(rand.NewSource(int64(w) * 1337))
 			for r := 0; r < rounds; r++ {
 				tx, err := p.Begin(clk)
@@ -149,7 +149,7 @@ func TestReopenAfterConcurrentTraffic(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			clk := new(sim.Clock)
+			clk := &sim.Clock{Rank: w} // one arena per worker, as ranks get
 			for r := 0; r < 20; r++ {
 				tx, err := p.Begin(clk)
 				if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"sync"
 
 	"pmemcpy/internal/sim"
 )
@@ -14,11 +15,14 @@ import (
 // hashtable with chaining. This utilizes the high parallelism and random
 // access characteristics of PMEM."
 //
-// Keys and values are byte strings. Values always live in their own
-// allocator block; replacing a value allocates the new block first and then
-// swaps the entry's value pointer inside a transaction, so updates are
-// atomic under crash. Buckets are protected by per-bucket persistent locks,
-// so ranks operating on different keys proceed in parallel.
+// Keys and values are byte strings. A value lives in its own allocator block.
+// Every mutation of a key is one Update — bucket lock, one transaction, one
+// chain walk — and its Commit takes one of three forms: a new key links a
+// freshly built entry; a value of the old length is rewritten in place under
+// one undo entry; any other value goes to a new block the entry's vlen|value
+// then swing to, the old block freed in the same transaction. All three are
+// old-or-new under crash. Buckets are protected by per-bucket persistent
+// locks, so ranks operating on different keys proceed in parallel.
 //
 // Layout of the table header block (PMID t):
 //
@@ -193,83 +197,161 @@ func (h *Hashtable) newValueBlock(clk *sim.Clock, tx *Tx, value []byte) (PMID, e
 	return vid, nil
 }
 
-// Put inserts or replaces key's value. The mutation is crash-atomic: either
-// the old value or the new value is visible after recovery, never a mix.
-func (h *Hashtable) Put(clk *sim.Clock, key, value []byte) error {
+// Update is an open read-modify-write of one key: the bucket is write-locked,
+// a transaction is open, and the chain has been walked once. The holder reads
+// the old value, may add Frees of blocks the old value owned to the same
+// transaction, and ends it with exactly one Commit or Abort. It is a value,
+// not a callback, so opening one costs the per-op path nothing on the Go heap
+// beyond its Tx; it does not keep the key (Commit takes it again), so a
+// caller's []byte(id) stays on its stack.
+type Update struct {
+	h     *Hashtable
+	tx    *Tx
+	lock  *sync.RWMutex
+	entry PMID   // the key's entry; Null when absent
+	link  PMID   // the slot that points at entry, or that a new entry links into
+	val   PMID   // the entry's value block
+	old   []byte // the old value, mapped
+}
+
+// Update opens a read-modify-write of key.
+func (h *Hashtable) Update(clk *sim.Clock, key []byte) (Update, error) {
 	if len(key) == 0 {
-		return fmt.Errorf("pmdk: empty hashtable key")
+		return Update{}, fmt.Errorf("pmdk: empty hashtable key")
 	}
 	h.p.m.Device().Machine().ChargeMetaOp(clk)
-	bucket := h.bucketOff(HashKey(key))
-	lock := h.p.Lock(bucket)
+	lock := h.p.Lock(h.bucketOff(HashKey(key)))
 	lock.Lock()
-	defer lock.Unlock()
-
 	tx, err := h.p.Begin(clk)
 	if err != nil {
-		return err
+		lock.Unlock()
+		return Update{}, err
 	}
-	abort := func(err error) error {
-		if aerr := tx.Abort(); aerr != nil {
-			return fmt.Errorf("%w (abort failed: %v)", err, aerr)
+	u := Update{h: h, tx: tx, lock: lock}
+	if u.entry, u.link, err = h.findLocked(clk, key); err == nil && u.entry != Null {
+		// vlen|value share a cacheline: one access reads both.
+		var ref []byte
+		if ref, err = h.p.Slice(u.entry+entryVlen, 16); err == nil {
+			h.p.m.ChargeRead(clk, 16)
+			u.val = PMID(binary.LittleEndian.Uint64(ref[8:]))
+			u.old, err = h.p.Slice(u.val, int64(binary.LittleEndian.Uint64(ref)))
 		}
-		return err
 	}
-
-	e, link, err := h.findLocked(clk, key)
 	if err != nil {
-		return abort(err)
+		return Update{}, u.finish(err)
+	}
+	return u, nil
+}
+
+// Old returns the key's current value — mapped bytes, valid until Commit or
+// Abort — or nil when the key is absent. Each call charges the read.
+func (u *Update) Old() []byte {
+	u.h.p.m.ChargeRead(u.tx.clk, int64(len(u.old)))
+	return u.old
+}
+
+// Free returns block id to the allocator in the update's transaction: it is
+// free exactly when the new value is published. A block the new value
+// supersedes goes here. On error the caller aborts.
+func (u *Update) Free(id PMID) error { return u.h.p.Free(u.tx, id) }
+
+// Abort rolls the update back and releases the bucket.
+func (u *Update) Abort() error {
+	defer u.lock.Unlock()
+	return u.tx.Abort()
+}
+
+// finish ends the update and releases the bucket: a commit, or — on err's
+// behalf, returning it — a rollback.
+func (u *Update) finish(err error) error {
+	if err == nil {
+		defer u.lock.Unlock()
+		return u.tx.Commit()
+	}
+	if aerr := u.Abort(); aerr != nil {
+		return fmt.Errorf("%w (abort failed: %v)", err, aerr)
+	}
+	return err
+}
+
+// Commit publishes value under key — the key Update was opened with — and
+// commits the transaction, any Frees included. The mutation is crash-atomic:
+// after recovery the key holds the old value or the new one, never a mix. One
+// of three things happens:
+//
+//   - the key is absent: the entry and its value block are built unpublished,
+//     then linked with one logged pointer write;
+//   - value is as long as the old one and its pre-image fits a quarter of the
+//     lane (and what this transaction has left of it): the value block is
+//     pre-imaged and overwritten in place — one undo entry, no allocator
+//     traffic. Deciding by size up front keeps ErrTxLogFull off this path;
+//   - otherwise a new value block is allocated and filled, vlen|value swing to
+//     it under one undo entry, and the old block is freed.
+//
+// On error the update has been rolled back.
+func (u *Update) Commit(key, value []byte) error {
+	return u.finish(u.publish(key, value))
+}
+
+func (u *Update) publish(key, value []byte) error {
+	h, tx, clk := u.h, u.tx, u.tx.clk
+	n := int64(len(value))
+	if u.entry != Null && n == int64(len(u.old)) && n <= min(h.p.laneSize/4, tx.room()) {
+		h.p.stats.htInPlace.Add(1)
+		return tx.Write(u.val, value)
 	}
 	vid, err := h.newValueBlock(clk, tx, value)
 	if err != nil {
-		return abort(err)
+		return err
 	}
-	if e != Null {
-		// Replace: swap the value pointer and size, then free the old block.
-		oldVal, err := h.p.ReadU64(clk, e+entryVal)
-		if err != nil {
-			return abort(err)
+	if u.entry != Null {
+		h.p.stats.htRelinked.Add(1)
+		err := tx.WriteU64s(u.entry+entryVlen, uint64(n), uint64(vid)) // vlen|value
+		if err == nil && u.val != Null {
+			err = h.p.Free(tx, u.val)
 		}
-		if err := tx.WriteU64s(e+entryVlen, uint64(len(value)), uint64(vid)); err != nil { // vlen|value
-			return abort(err)
-		}
-		if oldVal != 0 {
-			if err := h.p.Free(tx, PMID(oldVal)); err != nil {
-				return abort(err)
-			}
-		}
-		return tx.Commit()
+		return err
 	}
-
-	// Insert: build the entry unpublished, then link it with one logged
-	// pointer write.
-	head, err := h.p.ReadU64(clk, link)
+	h.p.stats.htInserted.Add(1)
+	head, err := h.p.ReadU64(clk, u.link)
 	if err != nil {
-		return abort(err)
+		return err
 	}
 	eid, err := h.p.Alloc(tx, int64(entryKeyStart+len(key)))
 	if err != nil {
-		return abort(err)
+		return err
 	}
 	ebuf := make([]byte, entryKeyStart+len(key))
 	binary.LittleEndian.PutUint64(ebuf[entryNext:], head)
 	binary.LittleEndian.PutUint64(ebuf[entryHash:], HashKey(key))
 	binary.LittleEndian.PutUint64(ebuf[entryKlen:], uint64(len(key)))
-	binary.LittleEndian.PutUint64(ebuf[entryVlen:], uint64(len(value)))
+	binary.LittleEndian.PutUint64(ebuf[entryVlen:], uint64(n))
 	binary.LittleEndian.PutUint64(ebuf[entryVal:], uint64(vid))
 	copy(ebuf[entryKeyStart:], key)
 	if err := h.p.StoreBytesAt(clk, eid, ebuf, true, ptHTEntry); err != nil {
-		return abort(err)
+		return err
 	}
-	if err := tx.WriteU64(link, uint64(eid)); err != nil {
-		return abort(err)
-	}
-	return tx.Commit()
+	return tx.WriteU64(u.link, uint64(eid))
 }
 
-// Get returns a copy of key's value, or ok=false if absent.
+// Put inserts or replaces key's value: an Update that ignores the old one.
+func (h *Hashtable) Put(clk *sim.Clock, key, value []byte) error {
+	u, err := h.Update(clk, key)
+	if err != nil {
+		return err
+	}
+	return u.Commit(key, value)
+}
+
+// Get returns a copy of key's value, or ok=false if absent. The copy is made
+// under the bucket's read lock: a concurrent Put of the same key rewrites the
+// value block in place or frees it for reuse, and a reader that holds no
+// other lock over the key must never see half of either.
 func (h *Hashtable) Get(clk *sim.Clock, key []byte) ([]byte, bool, error) {
-	id, n, ok, err := h.GetRef(clk, key)
+	lock := h.p.Lock(h.bucketOff(HashKey(key)))
+	lock.RLock()
+	defer lock.RUnlock()
+	id, n, ok, err := h.getRefLocked(clk, key)
 	if err != nil || !ok {
 		return nil, ok, err
 	}
@@ -286,12 +368,15 @@ func (h *Hashtable) Get(clk *sim.Clock, key []byte) ([]byte, bool, error) {
 // GetRef returns the PMID and length of key's value block without copying,
 // the zero-copy lookup path pMEMCPY's load uses.
 func (h *Hashtable) GetRef(clk *sim.Clock, key []byte) (PMID, int64, bool, error) {
-	h.p.m.Device().Machine().ChargeMetaOp(clk)
-	bucket := h.bucketOff(HashKey(key))
-	lock := h.p.Lock(bucket)
+	lock := h.p.Lock(h.bucketOff(HashKey(key)))
 	lock.RLock()
 	defer lock.RUnlock()
+	return h.getRefLocked(clk, key)
+}
 
+// getRefLocked is GetRef under the bucket lock the caller holds.
+func (h *Hashtable) getRefLocked(clk *sim.Clock, key []byte) (PMID, int64, bool, error) {
+	h.p.m.Device().Machine().ChargeMetaOp(clk)
 	e, _, err := h.findLocked(clk, key)
 	if err != nil || e == Null {
 		return Null, 0, false, err
@@ -309,49 +394,24 @@ func (h *Hashtable) GetRef(clk *sim.Clock, key []byte) (PMID, int64, bool, error
 
 // Delete removes key. It reports whether the key existed.
 func (h *Hashtable) Delete(clk *sim.Clock, key []byte) (bool, error) {
-	h.p.m.Device().Machine().ChargeMetaOp(clk)
-	bucket := h.bucketOff(HashKey(key))
-	lock := h.p.Lock(bucket)
-	lock.Lock()
-	defer lock.Unlock()
-
-	tx, err := h.p.Begin(clk)
+	u, err := h.Update(clk, key)
 	if err != nil {
 		return false, err
 	}
-	abort := func(err error) (bool, error) {
-		if aerr := tx.Abort(); aerr != nil {
-			return false, fmt.Errorf("%w (abort failed: %v)", err, aerr)
-		}
-		return false, err
+	if u.entry == Null {
+		return false, u.finish(nil)
 	}
-	e, link, err := h.findLocked(clk, key)
-	if err != nil {
-		return abort(err)
+	next, err := h.p.ReadU64(clk, u.entry+entryNext)
+	if err == nil {
+		err = u.tx.WriteU64(u.link, next)
 	}
-	if e == Null {
-		return false, tx.Commit()
+	if err == nil && u.val != Null {
+		err = h.p.Free(u.tx, u.val)
 	}
-	next, err := h.p.ReadU64(clk, e+entryNext)
-	if err != nil {
-		return abort(err)
+	if err == nil {
+		err = h.p.Free(u.tx, u.entry)
 	}
-	vid, err := h.p.ReadU64(clk, e+entryVal)
-	if err != nil {
-		return abort(err)
-	}
-	if err := tx.WriteU64(link, next); err != nil {
-		return abort(err)
-	}
-	if vid != 0 {
-		if err := h.p.Free(tx, PMID(vid)); err != nil {
-			return abort(err)
-		}
-	}
-	if err := h.p.Free(tx, e); err != nil {
-		return abort(err)
-	}
-	return true, tx.Commit()
+	return err == nil, u.finish(err)
 }
 
 // Range calls fn for every entry until fn returns false. The key slice is

@@ -319,7 +319,7 @@ func TestHashtableConcurrentDisjointKeys(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			clk := new(sim.Clock)
+			clk := &sim.Clock{Rank: w} // one arena per worker, as ranks get
 			for i := 0; i < perWorker; i++ {
 				k := []byte(fmt.Sprintf("w%d-k%d", w, i))
 				v := []byte(fmt.Sprintf("w%d-v%d", w, i))

@@ -116,11 +116,11 @@ type Pool struct {
 
 	// arenas stripes the allocator: each arena owns a mutex, a 64-byte
 	// persistent metadata block, and a contiguous slice of the heap to carve
-	// from. A transaction's first Alloc/Free picks a home arena (round-robin)
-	// and holds its lock until commit/abort, so allocator pre-images in
-	// different lanes never overlap in time; see alloc.go for the protocol.
-	arenas  []arena
-	arenaRR atomic.Uint64
+	// from. A transaction's first Alloc/Free takes its home arena (the
+	// caller's rank modulo the arena count) and holds its lock until
+	// commit/abort, so allocator pre-images in different lanes never overlap
+	// in time; see alloc.go for the protocol.
+	arenas []arena
 	// brkMu guards the shared extent brk at allocOff. It is a leaf lock:
 	// taken only inside extent reservation, never while acquiring any other
 	// lock, so holding an arena lock across it cannot deadlock.
@@ -176,6 +176,11 @@ type Stats struct {
 	UndoEntries  int64 // undo-log entries persisted
 	UndoBytes    int64 // lane bytes those entries occupy (headers and padding included)
 	UndoCovered  int64 // Adds skipped: the range was already pre-imaged by its transaction
+	// Hashtable updates by the form Update.Commit took (attempts: one that was
+	// rolled back is also counted in Aborts).
+	HTInPlace  int64 // same-length value rewritten in place under one undo entry
+	HTRelinked int64 // new value block allocated, vlen|value swung, old block freed
+	HTInserted int64 // new key: entry built and linked
 }
 
 // statsCounters are the live atomics behind Stats; they are DRAM-only and
@@ -195,6 +200,9 @@ type statsCounters struct {
 	undoEntries  atomic.Int64
 	undoBytes    atomic.Int64
 	undoCovered  atomic.Int64
+	htInPlace    atomic.Int64
+	htRelinked   atomic.Int64
+	htInserted   atomic.Int64
 }
 
 // headerChecksum guards the pool header with the same CRC32C the data path
@@ -395,6 +403,9 @@ func (p *Pool) Stats() Stats {
 		UndoEntries:  p.stats.undoEntries.Load(),
 		UndoBytes:    p.stats.undoBytes.Load(),
 		UndoCovered:  p.stats.undoCovered.Load(),
+		HTInPlace:    p.stats.htInPlace.Load(),
+		HTRelinked:   p.stats.htRelinked.Load(),
+		HTInserted:   p.stats.htInserted.Load(),
 	}
 }
 

@@ -89,15 +89,16 @@ type heldArena struct {
 	dirty bool
 }
 
-// homeArena returns the transaction's home arena, picking one round-robin
-// and taking its lock (blocking) on first use. Blocking is safe here because
-// the transaction holds no other arena lock yet.
+// homeArena returns the transaction's home arena — the caller's rank modulo
+// the arena count, so every transaction of a rank meets in one arena and what
+// one frees the next reuses without stealing — taking its lock (blocking) on
+// first use. Blocking is safe here because the transaction holds no other
+// arena lock yet.
 func (tx *Tx) homeArena() *arena {
 	if len(tx.held) > 0 {
 		return tx.held[0].ar
 	}
-	i := int(tx.p.arenaRR.Add(1)-1) % len(tx.p.arenas)
-	a := &tx.p.arenas[i]
+	a := &tx.p.arenas[tx.clk.Rank%len(tx.p.arenas)]
 	a.mu.Lock()
 	tx.held = append(tx.held, heldArena{ar: a})
 	return a
@@ -260,6 +261,27 @@ func (tx *Tx) Add(off PMID, n int64) error {
 	return nil
 }
 
+// logged pre-images [off, off+n) and returns the mapped range, charged as
+// written, for the caller to overwrite.
+func (tx *Tx) logged(off PMID, n int64) ([]byte, error) {
+	if err := tx.Add(off, n); err != nil {
+		return nil, err
+	}
+	tx.p.m.ChargeWrite(tx.clk, n)
+	return tx.p.m.Slice(int64(off), n)
+}
+
+// Write logs [off, off+len(b)) and overwrites it with b inside the
+// transaction.
+func (tx *Tx) Write(off PMID, b []byte) error {
+	dst, err := tx.logged(off, int64(len(b)))
+	copy(dst, b)
+	return err
+}
+
+// room is the largest pre-image the lane can still take in one entry.
+func (tx *Tx) room() int64 { return (tx.p.laneSize - laneEntries - tx.used - entryHdr) &^ 7 }
+
 // WriteU64 logs and writes a u64 field inside the transaction.
 func (tx *Tx) WriteU64(off PMID, v uint64) error { return tx.WriteU64s(off, v) }
 
@@ -267,18 +289,13 @@ func (tx *Tx) WriteU64(off PMID, v uint64) error { return tx.WriteU64s(off, v) }
 // and one commit flush for words that always change together (a block
 // header's size|state, a free block's state|next).
 func (tx *Tx) WriteU64s(off PMID, vs ...uint64) error {
-	n := int64(8 * len(vs))
-	if err := tx.Add(off, n); err != nil {
-		return err
-	}
-	b, err := tx.p.m.Slice(int64(off), n)
+	b, err := tx.logged(off, int64(8*len(vs)))
 	if err != nil {
 		return err
 	}
 	for i, v := range vs {
 		binary.LittleEndian.PutUint64(b[8*i:], v)
 	}
-	tx.p.m.ChargeWrite(tx.clk, n)
 	return nil
 }
 

@@ -21,18 +21,31 @@ import (
 // fuzz target over the lane area.
 
 // TestCommitFailureRollsBackAndReleases fails every persist of an overwriting
-// Put in turn with an uncorrectable media error. Whichever one it is — an
-// entry, the value block, a commit flush, the generation bump — the Put
-// returns ErrMedia having rolled back: structures clean, the old value
-// readable, and no lane or arena lock stranded, so later Puts go through.
+// Put in turn with an uncorrectable media error — once for a value of the old
+// length (rewritten in place) and once for a longer one (relinked to a new
+// block). Whichever persist it is — an entry, the value block, a commit
+// flush, the generation bump — the Put returns ErrMedia having rolled back:
+// structures clean, the old value readable, and no lane or arena lock
+// stranded, so later Puts go through.
 func TestCommitFailureRollsBackAndReleases(t *testing.T) {
 	failed := map[pmem.PointID]bool{}
+	for _, val := range []string{"new-victim", "new-victim-grown"} {
+		sweepFailedPut(t, val, failed)
+	}
+	for _, pt := range []pmem.PointID{ptTxLogEntry, ptHTValue, ptTxCommitData, ptTxLaneClose} {
+		if !failed[pt] {
+			t.Errorf("the sweep never failed a persist at %v", pt)
+		}
+	}
+}
+
+func sweepFailedPut(t *testing.T, val string, failed map[pmem.PointID]bool) {
 	for k := int64(0); ; k++ {
 		dev, _, ht, _ := setupCrashTable(t)
 		clk := new(sim.Clock)
 		dev.StartTrace()
 		dev.InjectTransient(k, 5)
-		err := ht.Put(clk, []byte("victim"), []byte("new-victim"))
+		err := ht.Put(clk, []byte("victim"), []byte(val))
 		trace := persistsOf(dev.StopTrace())
 		dev.DisarmInjection()
 		if err == nil {
@@ -75,11 +88,6 @@ func TestCommitFailureRollsBackAndReleases(t *testing.T) {
 			}
 		case <-time.After(20 * time.Second):
 			t.Fatalf("k=%d (%v): follow-up Puts hang: the failed Put stranded a lane or an arena lock", k, trace[k].Point)
-		}
-	}
-	for _, pt := range []pmem.PointID{ptTxLogEntry, ptHTValue, ptTxCommitData, ptTxLaneClose} {
-		if !failed[pt] {
-			t.Errorf("the sweep never failed a persist at %v", pt)
 		}
 	}
 }

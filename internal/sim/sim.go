@@ -26,6 +26,12 @@ import (
 // during collective synchronization.
 type Clock struct {
 	ns atomic.Int64
+
+	// Rank is the rank that owns the clock, stamped by whoever hands a rank its
+	// clock (mpi.Run) before the clock is shared. Choices that must be a
+	// function of the caller rather than of arrival order — a transaction's
+	// home arena — key on it; the zero-value clock is rank 0's.
+	Rank int
 }
 
 // Now returns the current virtual time.

@@ -304,3 +304,27 @@ func TestMinMaxAndFindBlocksPublicAPI(t *testing.T) {
 		return nil
 	})
 }
+
+// TestScalarOverwriteHeapBudget pins the Go-heap cost of the per-op path the
+// smallkv workload measures: an overwriting Store of a scalar is 9 allocations
+// — what it was before the publish became one hashtable update that also frees
+// the block it shadows. The update cursor is a value and keeps no key, so it
+// adds nothing; a callback-style update would make its captures escape.
+func TestScalarOverwriteHeapBudget(t *testing.T) {
+	single(t, func(p *pmemcpy.PMEM) error {
+		if err := pmemcpy.Store(p, "step", int64(0)); err != nil {
+			return err
+		}
+		v := int64(0)
+		got := testing.AllocsPerRun(200, func() {
+			v++
+			if err := pmemcpy.Store(p, "step", v); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 9 {
+			return fmt.Errorf("an overwriting Store of a scalar = %v allocations, want at most 9", got)
+		}
+		return nil
+	})
+}
