@@ -7,10 +7,11 @@
 // structural checker (internal/fsck) — allocator, lane, and hashtable
 // invariants.
 //
-// With -fsck it instead acts as a plain filesystem-checker: build a pool,
-// verify its structural invariants, and report the first violated one
-// (nonzero exit) if the pool is corrupt. -corrupt deliberately tears a
-// metadata record first, to demonstrate — and regression-test — detection.
+// With -fsck it instead acts as a plain filesystem-checker: build a namespace
+// of -pools member pools the way the library does, verify its structural
+// invariants, and report the first violated one (nonzero exit) if it is
+// corrupt. -corrupt deliberately tears a metadata record first, to
+// demonstrate — and regression-test — detection.
 //
 // With -deep it runs the content-level companion of the structural check: it
 // builds a full pMEMCPY store and recomputes every published block's CRC32C
@@ -28,8 +29,8 @@
 //	pmemfsck -v              # report every crash point's outcome
 //	pmemfsck -fsck           # structural check of a clean pool
 //	pmemfsck -fsck -corrupt  # ...of a pool with a torn metadata record
-//	pmemfsck -fsck -pools 4  # ...of a 4-member pool set (cross-pool commit)
-//	pmemfsck -fsck -pools 4 -corrupt  # ...with one member's header smashed
+//	pmemfsck -fsck -pools 4  # ...of a 4-member pool set
+//	pmemfsck -fsck -pools 4 -corrupt  # ...with a record torn on one member
 //	pmemfsck -deep           # checksum every stored block of a full store
 //	pmemfsck -deep -corrupt  # ...after silently damaging stored bytes
 package main
@@ -62,7 +63,7 @@ func run(args []string, w io.Writer) int {
 		check   = fs.Bool("fsck", false, "structural check mode: build a pool and verify its invariants")
 		deep    = fs.Bool("deep", false, "content check mode: build a store and verify every block checksum")
 		corrupt = fs.Bool("corrupt", false, "with -fsck/-deep: damage the pool before checking")
-		pools   = fs.Int("pools", 1, "with -fsck: check a pool set with this many members")
+		pools   = fs.Int("pools", 1, "with -fsck: check a namespace of this many member pools")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -72,10 +73,7 @@ func run(args []string, w io.Writer) int {
 		return runDeep(w, *corrupt)
 	}
 	if *check {
-		if *pools > 1 {
-			return runFsckSet(w, *pools, *corrupt)
-		}
-		return runFsck(w, *corrupt)
+		return runFsck(w, *pools, *corrupt)
 	}
 
 	modes := map[string][]pmem.CrashMode{
@@ -104,116 +102,62 @@ func run(args []string, w io.Writer) int {
 	return 0
 }
 
-// buildPool formats a small pool with a published hashtable of a few keys,
-// the way core.Mmap lays a store out.
-func buildPool() (*pmem.Mapping, *pmdk.Hashtable, *sim.Clock, error) {
-	machine := sim.NewMachine(sim.DefaultConfig())
-	machine.SetConcurrency(1)
-	dev := pmem.New(machine, 4<<20)
-	mp, err := pmem.NewMapping(dev, 0, 4<<20, false)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	clk := new(sim.Clock)
-	pool, err := pmdk.Create(clk, mp, nil)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	htID, err := pmdk.FormatPool(clk, pool, 64)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ht, err := pmdk.OpenHashtable(clk, pool, htID)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for i := 0; i < 8; i++ {
-		if err := ht.Put(clk, []byte(fmt.Sprintf("var-%d", i)), []byte("payload")); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	return mp, ht, clk, nil
-}
-
-// runFsck builds a pool (optionally tearing one metadata record) and runs the
-// structural checker, reporting the first violated invariant.
-func runFsck(w io.Writer, corrupt bool) int {
-	mp, ht, clk, err := buildPool()
-	if err != nil {
-		fmt.Fprintf(w, "pmemfsck: building pool: %v\n", err)
-		return 2
-	}
-	if corrupt {
-		// Tear one key's metadata: scribble the state word of its value
-		// block's header, as a torn cacheline across the header boundary
-		// would.
-		vid, _, ok, err := ht.GetRef(clk, []byte("var-3"))
-		if err != nil || !ok {
-			fmt.Fprintf(w, "pmemfsck: locating record to corrupt: %v\n", err)
-			return 2
-		}
-		s, err := mp.Slice(int64(vid)-8, 8)
-		if err != nil {
-			fmt.Fprintf(w, "pmemfsck: %v\n", err)
-			return 2
-		}
-		binary.LittleEndian.PutUint64(s, 0x7042)
-		fmt.Fprintf(w, "tore metadata record of \"var-3\"\n")
-	}
-	rep, err := fsck.Check(clk, mp)
-	if err != nil {
+// runFsck builds a published npools-member namespace through the pmdk create
+// core.Mmap uses, stores a few keys in it (var-i on member i mod npools),
+// optionally tears one metadata record, and runs the set checker, reporting
+// the first violated invariant.
+func runFsck(w io.Writer, npools int, corrupt bool) int {
+	fail := func(err error) int {
 		fmt.Fprintf(w, "pmemfsck: %v\n", err)
 		return 2
 	}
-	fmt.Fprintf(w, "%s\n", rep.Summary())
-	if !rep.OK() {
-		fmt.Fprintf(w, "first violated invariant: %s\n", rep.First())
-		return 1
+	if npools < 1 {
+		return fail(fmt.Errorf("-pools %d: need at least one", npools))
 	}
-	return 0
-}
-
-// runFsckSet builds a published npools-member pool set (the cross-pool commit
-// protocol core.Mmap uses for a sharded namespace) and runs the set checker:
-// the publish record gates everything, and every member must carry a valid,
-// matching descriptor. With -corrupt one member's pool header is smashed —
-// under a published set that is a genuine violation, not a crash artifact.
-func runFsckSet(w io.Writer, npools int, corrupt bool) int {
 	machine := sim.NewMachine(sim.DefaultConfig())
 	machine.SetConcurrency(1)
 	clk := new(sim.Clock)
 	maps := make([]*pmem.Mapping, npools)
 	for i := range maps {
-		dev := pmem.New(machine, 4<<20)
-		mp, err := pmem.NewMapping(dev, 0, 4<<20, false)
-		if err != nil {
-			fmt.Fprintf(w, "pmemfsck: member %d: %v\n", i, err)
-			return 2
+		var err error
+		if maps[i], err = pmem.NewMapping(pmem.New(machine, 4<<20), 0, 4<<20, false); err != nil {
+			return fail(fmt.Errorf("member %d: %w", i, err))
 		}
-		maps[i] = mp
 	}
-	_, err := pmdk.CreateSet(clk, 0x70736574, maps, nil, func(_ int, p *pmdk.Pool) error {
-		_, err := pmdk.FormatPool(clk, p, 64)
-		return err
-	})
+	pools, err := pmdk.CreateSet(clk, 0x70736574, maps, nil)
 	if err != nil {
-		fmt.Fprintf(w, "pmemfsck: creating set: %v\n", err)
-		return 2
+		return fail(fmt.Errorf("creating set: %w", err))
+	}
+	hts := make([]*pmdk.Hashtable, npools)
+	for i, pool := range pools {
+		if hts[i], err = pool.RootHashtable(clk); err != nil {
+			return fail(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if err := hts[i%npools].Put(clk, []byte(fmt.Sprintf("var-%d", i)), []byte("payload")); err != nil {
+			return fail(err)
+		}
 	}
 	if corrupt {
-		victim := npools - 1
-		s, err := maps[victim].Slice(0, 8)
-		if err != nil {
-			fmt.Fprintf(w, "pmemfsck: %v\n", err)
-			return 2
+		// Tear one key's metadata: scribble the state word of its value
+		// block's header, as a torn cacheline across the header boundary
+		// would. Under a published set that is a genuine violation.
+		victim := 3 % npools
+		vid, _, ok, err := hts[victim].GetRef(clk, []byte("var-3"))
+		if err != nil || !ok {
+			return fail(fmt.Errorf("locating record to corrupt: %v", err))
 		}
-		s[0] ^= 0xff
-		fmt.Fprintf(w, "smashed pool header of set member %d\n", victim)
+		s, err := maps[victim].Slice(int64(vid)-8, 8)
+		if err != nil {
+			return fail(err)
+		}
+		binary.LittleEndian.PutUint64(s, 0x7042)
+		fmt.Fprintf(w, "tore metadata record of \"var-3\" on set member %d\n", victim)
 	}
 	rep, err := fsck.CheckSet(clk, maps)
 	if err != nil {
-		fmt.Fprintf(w, "pmemfsck: %v\n", err)
-		return 2
+		return fail(err)
 	}
 	fmt.Fprintf(w, "%s\n", rep.Summary())
 	if !rep.OK() {

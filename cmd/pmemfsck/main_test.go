@@ -5,50 +5,31 @@ import (
 	"testing"
 )
 
-func TestFsckCleanPoolExitsZero(t *testing.T) {
+// fsckCase runs -fsck with args and holds the exit code and the whole report
+// (the namespace is built single-threaded, so offsets are stable too) to
+// testdata/<name>.
+func fsckCase(t *testing.T, name string, wantCode int, args ...string) {
+	t.Helper()
 	var out strings.Builder
-	if code := run([]string{"-fsck"}, &out); code != 0 {
-		t.Fatalf("exit %d on a clean pool, output:\n%s", code, out.String())
+	if code := run(append([]string{"-fsck"}, args...), &out); code != wantCode {
+		t.Fatalf("exit %d (want %d), output:\n%s", code, wantCode, out.String())
 	}
-	if !strings.Contains(out.String(), "pool clean") {
-		t.Fatalf("output missing clean summary:\n%s", out.String())
-	}
+	golden(t, name, out.String())
 }
+
+func TestFsckCleanPoolExitsZero(t *testing.T) { fsckCase(t, "fsck_clean_1.golden", 0) }
 
 // TestFsckTornMetadataRecord is the regression for the corrupt-pool path: a
 // deliberately torn metadata record must produce a nonzero exit and name the
-// first violated invariant.
-func TestFsckTornMetadataRecord(t *testing.T) {
-	var out strings.Builder
-	if code := run([]string{"-fsck", "-corrupt"}, &out); code != 1 {
-		t.Fatalf("exit %d on a corrupt pool (want 1), output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "first violated invariant: ht.value") {
-		t.Fatalf("output does not name the violated invariant:\n%s", out.String())
-	}
-}
+// first violated invariant (ht.value).
+func TestFsckTornMetadataRecord(t *testing.T) { fsckCase(t, "fsck_torn_1.golden", 1, "-corrupt") }
 
-func TestFsckCleanSetExitsZero(t *testing.T) {
-	var out strings.Builder
-	if code := run([]string{"-fsck", "-pools", "4"}, &out); code != 0 {
-		t.Fatalf("exit %d on a clean set, output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "set clean: 4 pools") {
-		t.Fatalf("output missing clean set summary:\n%s", out.String())
-	}
-}
+func TestFsckCleanSetExitsZero(t *testing.T) { fsckCase(t, "fsck_clean_4.golden", 0, "-pools", "4") }
 
-// TestFsckSmashedSetMember is the regression for the multi-pool corrupt path:
-// an invalid member under a published set must be reported as a set.member
-// violation with a nonzero exit.
+// TestFsckSmashedSetMember is the same regression on a 4-member set: the
+// record torn on member 3 is found under the published set.
 func TestFsckSmashedSetMember(t *testing.T) {
-	var out strings.Builder
-	if code := run([]string{"-fsck", "-pools", "4", "-corrupt"}, &out); code != 1 {
-		t.Fatalf("exit %d on a corrupt set (want 1), output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "first violated invariant: set.member") {
-		t.Fatalf("output does not name the violated set invariant:\n%s", out.String())
-	}
+	fsckCase(t, "fsck_torn_4.golden", 1, "-pools", "4", "-corrupt")
 }
 
 func TestUnknownModeExitsTwo(t *testing.T) {

@@ -82,7 +82,7 @@ type Options struct {
 	Metrics bool
 	// MetricsSampling records every k-th op in the latency histograms
 	// (0 or 1 = every op). Counters are never sampled. No row sweeps it yet:
-	// it is the knob ROADMAP item 6d's small-op E14 row is to be met with.
+	// it is the knob ROADMAP item 7d's small-op E14 row is to be met with.
 	MetricsSampling int
 	// Tracing enables span-style op tracing: every API call becomes a span
 	// and the persist/fence points it triggers nest under it. Retrieve with
@@ -115,9 +115,8 @@ type Options struct {
 	// devices). Ids are placed on a home pool by a deterministic hash and
 	// large parallel stores stripe their shards round-robin across all
 	// pools, so aggregate bandwidth scales with the pool count. Creation is
-	// crash-consistent under a cross-pool prepare/publish commit
-	// (pmdk.CreateSet). Hashtable layout only. 0 or 1 = single pool. Swept by
-	// E17.
+	// crash-consistent under pmdk's prepare/publish commit (pmdk.CreateSet),
+	// whatever the count. Hashtable layout only. 0 = 1. Swept by E17.
 	Pools int
 }
 
@@ -312,36 +311,27 @@ func openShared(c *mpi.Comm, n *node.Node, path string, o Options) (*shared, err
 func setID(path string) uint64 { return fnv1a(path) }
 
 // openPools maps the namespace's pool file on each member device and opens
-// the pools and their hashtables, formatting them when the file is new. One
-// member is a bare pmdk pool; several are a pmdk.PoolSet created under its
-// crash-consistent prepare/publish protocol, and a reopen that finds the set
-// unpublished — creation crashed before the commit point — re-formats from
-// scratch: the namespace never existed, so no data can be lost.
+// the member pools and their hashtables. Every namespace is a pmdk pool set,
+// the single pool its 1-member case: a set whose publish record is absent —
+// the files are new, or creation crashed before its commit point — is created
+// under pmdk's prepare/publish protocol; the namespace never existed, so no
+// data can be lost. A damaged record is an error, never a reason to format.
 func (st *shared) openPools(clk *sim.Clock, n *node.Node, path string) error {
 	o := &st.opt
 	if o.Pools > 1 && n.Pools() != o.Pools {
 		return fmt.Errorf("core: WithPools(%d) needs a node built with %d PMEM devices, have %d",
 			o.Pools, o.Pools, n.Pools())
 	}
-	// Arenas are pinned rather than left to GOMAXPROCS so virtual-time
-	// results are host-independent: at least 8 (one per DIMM of the modelled
-	// node, the count needed to saturate PMEM), more if the copy engine runs
-	// more workers than that.
-	po := pmdk.DefaultOptions()
-	po.Arenas = max(8, o.Parallelism)
-
-	_, statErr := n.FS.Stat(clk, path)
-	fresh := statErr != nil
 	maps := make([]*pmem.Mapping, o.Pools)
 	for i := range maps {
-		var f *posixfs.File
-		var err error
-		if fresh {
-			if f, err = n.FSAt(i).Create(clk, path); err == nil {
-				err = f.Truncate(clk, o.PoolSize)
-			}
-		} else {
-			f, err = n.FSAt(i).Open(clk, path)
+		fs := n.FSAt(i)
+		f, err := fs.Open(clk, path)
+		if errors.Is(err, posixfs.ErrNotExist) {
+			f, err = fs.Create(clk, path)
+		}
+		// An empty file is one just created, here or before a crash.
+		if err == nil && f.Size() == 0 {
+			err = f.Truncate(clk, o.PoolSize)
 		}
 		if err != nil {
 			return err
@@ -351,51 +341,22 @@ func (st *shared) openPools(clk *sim.Clock, n *node.Node, path string) error {
 		}
 	}
 
-	// A single pool formatted just now hands its table id over (htID); every
-	// other member's is read from its pool root below. That includes fresh set
-	// members: CreateSet runs pmdk.FormatPool inside its prepare phase, before the
-	// set publishes, and the set is then opened the way a reopen finds it.
-	var htID pmdk.PMID
-	var err error
-	switch {
-	case o.Pools > 1:
-		var set *pmdk.PoolSet
-		if !fresh {
-			set, err = pmdk.OpenSet(clk, maps)
-		}
-		if fresh || errors.Is(err, pmdk.ErrSetUnpublished) {
-			set, err = pmdk.CreateSet(clk, setID(path), maps, &po, func(_ int, pool *pmdk.Pool) error {
-				_, err := pmdk.FormatPool(clk, pool, pmdk.DefaultBuckets)
-				return err
-			})
-		}
-		if err != nil {
-			return err
-		}
-		for i := range st.pools {
-			st.pools[i] = set.Pool(i)
-		}
-	case fresh:
-		if st.pools[0], err = pmdk.Create(clk, maps[0], &po); err == nil {
-			htID, err = pmdk.FormatPool(clk, st.pools[0], pmdk.DefaultBuckets)
-		}
-	default:
-		st.pools[0], err = pmdk.Open(clk, maps[0])
+	pools, err := pmdk.OpenSet(clk, maps)
+	if errors.Is(err, pmdk.ErrSetUnpublished) {
+		// Arenas are pinned rather than left to GOMAXPROCS so virtual-time
+		// results are host-independent: at least 8 (one per DIMM of the
+		// modelled node, the count needed to saturate PMEM), more if the copy
+		// engine runs more workers than that.
+		po := pmdk.DefaultOptions()
+		po.Arenas = max(8, o.Parallelism)
+		pools, err = pmdk.CreateSet(clk, setID(path), maps, &po)
 	}
 	if err != nil {
 		return err
 	}
-	for i, pool := range st.pools {
-		id := htID
-		if id == 0 {
-			root, _ := pool.Root()
-			v, err := pool.ReadU64(clk, root)
-			if err != nil {
-				return err
-			}
-			id = pmdk.PMID(v)
-		}
-		if st.hts[i], err = pmdk.OpenHashtable(clk, pool, id); err != nil {
+	for i, pool := range pools {
+		st.pools[i] = pool
+		if st.hts[i], err = pool.RootHashtable(clk); err != nil {
 			return fmt.Errorf("core: pool %d hashtable: %w", i, err)
 		}
 	}

@@ -168,13 +168,13 @@ func (s *Script) mmapOpts(extra ...MmapOption) []MmapOption {
 	return append(opts, extra...)
 }
 
-// newNode builds the deterministic simulation node every pass runs on. When
-// the script's Options ask for a sharded namespace, the node carries one
-// device per member pool; they share one fault domain, so persist ordinals,
-// tracing, and armed crashes span every pool in one coherent sequence.
+// newNode builds the deterministic simulation node every pass runs on: one
+// device per member pool of the script's namespace. They share one fault
+// domain, so persist ordinals, tracing, and armed crashes span every pool in
+// one coherent sequence.
 func (s *Script) newNode() *node.Node {
 	opts := []node.Option{node.WithDeviceOptions(pmem.WithCrashTracking())}
-	if s.Options != nil && s.Options.Pools > 1 {
+	if s.Options != nil {
 		opts = append(opts, node.WithPMEMPools(s.Options.Pools))
 	}
 	n := node.New(sim.DefaultConfig(), s.DevSize, opts...)
@@ -182,48 +182,37 @@ func (s *Script) newNode() *node.Node {
 	return n
 }
 
-// checkStructure runs the structural checker on raw mappings of the pool
-// file(s), exactly as the pmemfsck CLI would: the single-pool fsck.Check for
-// one pool, the set-aware fsck.CheckSet (publish record, member descriptors,
-// then every member pool) for a sharded namespace.
-func (s *Script) checkStructure(n *node.Node) error {
+// rawMaps maps the pool file at path on every device of n, with no pool
+// opened on top — what the pmemfsck CLI starts from.
+func rawMaps(n *node.Node, path string) ([]*pmem.Mapping, error) {
 	clk := new(sim.Clock)
-	if s.Options == nil || s.Options.Pools <= 1 {
-		f, err := n.FS.Open(clk, s.Path)
-		if err != nil {
-			return fmt.Errorf("reopening pool file: %w", err)
-		}
-		m, err := f.Mmap(clk, false)
-		if err != nil {
-			return err
-		}
-		rep, err := fsck.Check(clk, m)
-		if err != nil {
-			return fmt.Errorf("fsck: %w", err)
-		}
-		if !rep.OK() {
-			return fmt.Errorf("fsck: %s", rep.Summary())
-		}
-		return nil
-	}
 	maps := make([]*pmem.Mapping, n.Pools())
-	for i := 0; i < n.Pools(); i++ {
-		f, err := n.FSAt(i).Open(clk, s.Path)
+	for i := range maps {
+		f, err := n.FSAt(i).Open(clk, path)
 		if err != nil {
-			return fmt.Errorf("reopening pool file %d: %w", i, err)
+			return nil, fmt.Errorf("reopening pool file %d: %w", i, err)
 		}
-		m, err := f.Mmap(clk, false)
-		if err != nil {
-			return err
+		if maps[i], err = f.Mmap(clk, false); err != nil {
+			return nil, err
 		}
-		maps[i] = m
 	}
-	rep, err := fsck.CheckSet(clk, maps)
+	return maps, nil
+}
+
+// checkStructure runs the structural checker on raw mappings of the pool
+// file(s), exactly as the pmemfsck CLI would: fsck.CheckSet's publish record,
+// member descriptors, then every member pool.
+func (s *Script) checkStructure(n *node.Node) error {
+	maps, err := rawMaps(n, s.Path)
 	if err != nil {
-		return fmt.Errorf("fsck set: %w", err)
+		return err
+	}
+	rep, err := fsck.CheckSet(new(sim.Clock), maps)
+	if err != nil {
+		return fmt.Errorf("fsck: %w", err)
 	}
 	if !rep.OK() {
-		return fmt.Errorf("fsck set: %s", rep.Summary())
+		return fmt.Errorf("fsck: %s", rep.Summary())
 	}
 	return nil
 }

@@ -28,3 +28,7 @@ func (p *PMEM) BlockAllocated(pool int, id int64) bool {
 	_, err := p.poolOf(uint8(pool)).UsableSize(p.comm.Clock(), pmdk.PMID(id))
 	return err == nil
 }
+
+// RawMaps surfaces the explorer's raw per-device mappings of a namespace's
+// pool file, for tests that damage or fsck the bytes directly.
+var RawMaps = rawMaps

@@ -9,6 +9,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,10 +17,12 @@ import (
 	"sync"
 	"testing"
 
+	"pmemcpy/internal/checksum"
 	"pmemcpy/internal/core"
 	"pmemcpy/internal/fsck"
 	"pmemcpy/internal/mpi"
 	"pmemcpy/internal/node"
+	"pmemcpy/internal/pmdk"
 	"pmemcpy/internal/pmem"
 	"pmemcpy/internal/serial"
 	"pmemcpy/internal/sim"
@@ -475,43 +478,62 @@ func TestExploreMultiPoolStriped(t *testing.T) {
 	runExplore(t, exploreMultiPoolScript(), core.ExploreOptions{Tear: true})
 }
 
-// TestExploreMultiPoolSetCommit is the directed exploration of the cross-pool
-// commit itself. Set creation runs inside Mmap (not inside a Script's Run),
-// so this test traces the whole open path and then replays it once per
-// persist ordinal, killing exactly that persist, power-cycling every device,
-// and requiring the reopened namespace to be empty, fully usable across all
-// member pools, and structurally clean under fsck.CheckSet. Because every
-// ordinal in the prepare/publish window is enumerated, nothing is unexplored
-// by construction; the round-trip readback makes a silent escape loud.
+// setMaps maps the namespace's pool file on every device of n, raw, the way
+// the pmemfsck CLI would.
+func setMaps(t *testing.T, n *node.Node, path string) []*pmem.Mapping {
+	t.Helper()
+	maps, err := core.RawMaps(n, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return maps
+}
+
+// TestExploreMultiPoolSetCommit is the directed exploration of namespace
+// creation, for the single pool and a 4-member set alike. Creation runs
+// inside Mmap (not inside a Script's Run), so this test traces the whole open
+// path and then replays it once per persist ordinal, killing exactly that
+// persist, power-cycling every device, and requiring the reopened namespace to
+// be empty, fully usable across all member pools, and structurally clean and
+// published under fsck.CheckSet. Because every ordinal in the prepare/publish
+// window is enumerated, nothing is unexplored by construction; the round-trip
+// readback makes a silent escape loud.
 func TestExploreMultiPoolSetCommit(t *testing.T) {
+	for _, pools := range []int{1, 4} {
+		t.Run(fmt.Sprintf("pools=%d", pools), func(t *testing.T) { exploreSetCommit(t, pools) })
+	}
+}
+
+func exploreSetCommit(t *testing.T, pools int) {
 	const (
-		pools   = 4
 		devSize = 16 << 20
 		path    = "/set.pool"
 	)
 	opts := func() *core.Options { return &core.Options{Pools: pools} }
+	openClose := func(n *node.Node) error {
+		_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+			p, err := core.Mmap(c, n, path, core.OptionsArg(opts()))
+			if err != nil {
+				return err
+			}
+			return p.Munmap()
+		})
+		return err
+	}
 
 	// Trace pass: record every persist of create-open-close.
 	tn := multiNode(pools, devSize, 1)
 	tn.Device.StartTrace()
-	_, err := mpi.Run(tn.Machine, 1, func(c *mpi.Comm) error {
-		p, err := core.Mmap(c, tn, path, core.OptionsArg(opts()))
-		if err != nil {
-			return err
-		}
-		return p.Munmap()
-	})
-	if err != nil {
+	if err := openClose(tn); err != nil {
 		t.Fatal(err)
 	}
 	events := tn.Device.StopTrace()
 
 	// Anti-vacuity: the trace must show the protocol — one member descriptor
-	// persist per pool, then exactly one publish persist, strictly ordered
-	// after every member persist.
+	// persist per pool but member 0, then exactly one publish persist, the
+	// last persist of the whole creation.
 	var ops []int64
 	var memberHits, publishHits int
-	lastMemberOp, publishOp := int64(-1), int64(-1)
 	for _, ev := range events {
 		if ev.Kind != pmem.EventPersist {
 			continue
@@ -520,24 +542,18 @@ func TestExploreMultiPoolSetCommit(t *testing.T) {
 		switch pmem.PointName(ev.Point) {
 		case "pmdk.set.member":
 			memberHits++
-			lastMemberOp = ev.Op
 		case "pmdk.set.publish":
 			publishHits++
-			publishOp = ev.Op
 		}
 	}
-	if memberHits != pools || publishHits != 1 {
+	if memberHits != pools-1 || publishHits != 1 {
 		t.Fatalf("trace: %d member persists and %d publish persists, want %d and 1",
-			memberHits, publishHits, pools)
+			memberHits, publishHits, pools-1)
 	}
-	if publishOp <= lastMemberOp {
-		t.Fatalf("publish persist at op %d not ordered after last member persist at op %d",
-			publishOp, lastMemberOp)
+	if last := events[len(events)-1]; pmem.PointName(last.Point) != "pmdk.set.publish" {
+		t.Fatalf("creation's last event is %s, want the publish persist", pmem.PointName(last.Point))
 	}
-	if len(ops) == 0 {
-		t.Fatal("trace recorded no persists")
-	}
-	t.Logf("open path: %d persists, members at ..%d, publish at %d", len(ops), lastMemberOp, publishOp)
+	t.Logf("open path: %d persists, publish at %d", len(ops), ops[len(ops)-1])
 
 	// Replay: one simulation per (ordinal, adversary-variant). tearSeed != 0
 	// additionally tears the killed persist itself.
@@ -547,30 +563,22 @@ func TestExploreMultiPoolSetCommit(t *testing.T) {
 		tearSeed uint64
 	}{
 		{"loseall", pmem.CrashLoseAll, 0},
+		{"keepall", pmem.CrashKeepAll, 0},
 		{"torn", pmem.CrashLoseAll, 0x9e3779b97f4a7c15},
 		{"random", pmem.CrashRandom, 0},
 	}
-	sims := 0
 	for _, k := range ops {
 		for _, v := range variants {
-			sims++
 			n := multiNode(pools, devSize, 1)
 			n.Device.ArmCrashAtOp(k, v.tearSeed)
-			_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
-				p, merr := core.Mmap(c, n, path, core.OptionsArg(opts()))
-				if merr != nil {
-					return merr
-				}
-				return p.Munmap()
-			})
-			if !errors.Is(err, pmem.ErrFailed) {
+			if err := openClose(n); !errors.Is(err, pmem.ErrFailed) {
 				t.Fatalf("op %d/%s: open with armed crash = %v, want injected device failure", k, v.name, err)
 			}
 			n.CrashAll(v.mode, rand.New(rand.NewSource(k+1)))
 
 			// Recovery: the reopened namespace must be empty (it either never
 			// published, or published with nothing stored) and fully usable.
-			_, err = mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+			_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
 				p, merr := core.Mmap(c, n, path, core.OptionsArg(opts()))
 				if merr != nil {
 					return fmt.Errorf("reopen after crash: %w", merr)
@@ -603,20 +611,7 @@ func TestExploreMultiPoolSetCommit(t *testing.T) {
 			}
 
 			// Structural check over every member mapping.
-			clk := new(sim.Clock)
-			maps := make([]*pmem.Mapping, pools)
-			for i := 0; i < pools; i++ {
-				f, ferr := n.FSAt(i).Open(clk, path)
-				if ferr != nil {
-					t.Fatalf("op %d/%s: member %d file: %v", k, v.name, i, ferr)
-				}
-				m, merr := f.Mmap(clk, false)
-				if merr != nil {
-					t.Fatalf("op %d/%s: member %d mmap: %v", k, v.name, i, merr)
-				}
-				maps[i] = m
-			}
-			rep, cerr := fsck.CheckSet(clk, maps)
+			rep, cerr := fsck.CheckSet(new(sim.Clock), setMaps(t, n, path))
 			if cerr != nil {
 				t.Fatalf("op %d/%s: fsck set: %v", k, v.name, cerr)
 			}
@@ -626,10 +621,134 @@ func TestExploreMultiPoolSetCommit(t *testing.T) {
 			}
 		}
 	}
-	if want := len(ops) * len(variants); sims != want {
-		t.Fatalf("ran %d crash simulations, want %d (every ordinal, every variant)", sims, want)
+	t.Logf("namespace commit: %d crash simulations over %d persist ordinals, all recovered",
+		len(ops)*len(variants), len(ops))
+}
+
+// TestNamespaceDamageRefused flips one bit in each record the open path
+// gates on, in a populated namespace: Mmap must refuse with the pmdk error
+// class (never re-format: every member's bytes are as the flip left them),
+// fsck.CheckSet must report a violation rather than "unpublished, OK", and
+// with the flip undone every key and value is still there. The last row is a
+// format-3 pool — valid header of the previous version, no descriptor slot —
+// which is refused the same way.
+func TestNamespaceDamageRefused(t *testing.T) {
+	// Pool header offsets (internal/pmdk/pool.go, poolset.go).
+	const (
+		hdrVersion  = 8
+		hdrRootOff  = 24
+		hdrChecksum = 88
+		hdrSetDesc  = 192
+		path        = "/damage.pool"
+	)
+	for _, pools := range []int{1, 4} {
+		t.Run(fmt.Sprintf("pools=%d", pools), func(t *testing.T) {
+			n := multiNode(pools, 8<<20, 1)
+			value := func(i int) []byte { return []byte(strings.Repeat(fmt.Sprintf("v%d", i), 9)) }
+			open := func(fn func(p *core.PMEM) error) error {
+				_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+					p, err := core.Mmap(c, n, path, core.OptionsArg(&core.Options{Pools: pools}))
+					if err != nil {
+						return err
+					}
+					if err := fn(p); err != nil {
+						return err
+					}
+					return p.Munmap()
+				})
+				return err
+			}
+			err := open(func(p *core.PMEM) error {
+				for i := 0; i < 8; i++ {
+					if err := p.StoreDatum(fmt.Sprintf("k%d", i), &serial.Datum{Type: serial.Bytes, Payload: value(i)}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			intact := func() error {
+				return open(func(p *core.PMEM) error {
+					keys, err := p.Keys()
+					if err != nil || len(keys) != 8 {
+						return fmt.Errorf("keys = %v, %v; want the 8 stored", keys, err)
+					}
+					for i := 0; i < 8; i++ {
+						d, err := p.LoadDatum(fmt.Sprintf("k%d", i))
+						if err != nil || !bytes.Equal(d.Payload, value(i)) {
+							return fmt.Errorf("k%d = %v, %v", i, d, err)
+						}
+					}
+					return nil
+				})
+			}
+			maps := setMaps(t, n, path)
+			header := func(member int) []byte {
+				h, err := maps[member].Slice(0, 256)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return h
+			}
+
+			rows := []struct {
+				name      string
+				member    int
+				damage    func(h []byte)
+				want      error
+				invariant string
+			}{
+				{"publish record", 0, func(h []byte) { h[hdrSetDesc+9] ^= 0x10 }, pmdk.ErrCorrupt, "set.publish"},
+				{"pool 0 header", 0, func(h []byte) { h[hdrRootOff] ^= 0x08 }, pmdk.ErrCorrupt, "pool.open"},
+				{"pool 0 version", 0, func(h []byte) { h[hdrVersion] ^= 0x02 }, pmdk.ErrBadPool, "pool.open"},
+				{"member descriptor", pools - 1, func(h []byte) { h[hdrSetDesc+16] ^= 0x01 }, pmdk.ErrCorrupt, "set.member"},
+				{"member of another set", pools - 1, func(h []byte) {
+					d := h[hdrSetDesc:]
+					d[8] ^= 0x01 // the set id, behind a recomputed descriptor checksum
+					binary.LittleEndian.PutUint64(d[24:], uint64(checksum.Sum(d[:24])))
+				}, pmdk.ErrCorrupt, "set.member"},
+				{"format 3", 0, func(h []byte) {
+					h[hdrVersion] = 3
+					binary.LittleEndian.PutUint64(h[hdrChecksum:], uint64(checksum.Sum(h[:hdrChecksum])))
+					clear(h[hdrSetDesc:])
+				}, pmdk.ErrBadPool, "set.publish"},
+			}
+			for _, r := range rows {
+				if r.invariant == "set.member" && r.member == 0 {
+					continue // a 1-member set has no descriptor but the publish record
+				}
+				h := header(r.member)
+				saved := bytes.Clone(h)
+				r.damage(h)
+				var before [][]byte
+				for _, m := range maps {
+					b, _ := m.Slice(0, m.Len())
+					before = append(before, bytes.Clone(b))
+				}
+				if err := open(func(*core.PMEM) error { return nil }); !errors.Is(err, r.want) {
+					t.Fatalf("%s: Mmap = %v, want %v", r.name, err, r.want)
+				}
+				for i, m := range maps {
+					if b, _ := m.Slice(0, m.Len()); !bytes.Equal(b, before[i]) {
+						t.Fatalf("%s: the refused Mmap wrote to member %d", r.name, i)
+					}
+				}
+				rep, err := fsck.CheckSet(new(sim.Clock), maps)
+				if err != nil {
+					t.Fatalf("%s: fsck: %v", r.name, err)
+				}
+				if v := rep.First(); v == nil || v.Invariant != r.invariant {
+					t.Fatalf("%s: fsck reports %q (%v), want a %s violation", r.name, rep.Summary(), v, r.invariant)
+				}
+				copy(h, saved)
+				if err := intact(); err != nil {
+					t.Fatalf("%s: after undoing the damage: %v", r.name, err)
+				}
+			}
+		})
 	}
-	t.Logf("cross-pool commit: %d crash simulations over %d persist ordinals, all recovered", sims, len(ops))
 }
 
 // TestConcurrentMultiPoolStress is the -race gate for the sharded namespace:

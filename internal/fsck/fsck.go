@@ -6,6 +6,7 @@
 package fsck
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -141,7 +142,7 @@ func Check(clk *sim.Clock, m *pmem.Mapping) (*Report, error) {
 	return rep, nil
 }
 
-// SetReport is the result of one CheckSet run over a multi-pool namespace.
+// SetReport is the result of one CheckSet run over a namespace.
 type SetReport struct {
 	// Published reports whether the set's publish record (pool 0) is durable.
 	Published bool
@@ -182,70 +183,59 @@ func (r *SetReport) First() *pmdk.Violation {
 
 // Summary returns a one-line human-readable result.
 func (r *SetReport) Summary() string {
-	if !r.Published {
-		if r.OK() {
-			return fmt.Sprintf("set unpublished (creation never committed); %d member pool(s) ignored", len(r.Pools))
-		}
-		return fmt.Sprintf("set unpublished with %d violation(s); first: %s", len(r.Violations), r.First())
-	}
-	if r.OK() {
-		keys := 0
+	if !r.OK() {
+		n := len(r.Violations)
 		for _, p := range r.Pools {
-			keys += p.Keys
+			n += len(p.Violations)
 		}
-		return fmt.Sprintf("set clean: %d pools, %d keys", len(r.Pools), keys)
+		return fmt.Sprintf("%d invariant(s) violated across set; first: %s", n, r.First())
 	}
-	n := len(r.Violations)
+	if !r.Published {
+		return "set unpublished (creation never committed)"
+	}
+	keys := 0
 	for _, p := range r.Pools {
-		n += len(p.Violations)
+		keys += p.Keys
 	}
-	return fmt.Sprintf("%d invariant(s) violated across set; first: %s", n, r.First())
+	return fmt.Sprintf("set clean: %d pools, %d keys", len(r.Pools), keys)
 }
 
-// CheckSet verifies a multi-pool namespace: the cross-pool commit protocol's
+// CheckSet verifies a namespace of any member count: the commit protocol's
 // membership invariants first, then each member pool structurally. The
-// asymmetry mirrors the protocol's recovery rule — before the publish record
-// is durable the namespace legitimately does not exist, so missing or torn
-// members are not violations; after it, every member descriptor was persisted
-// before the publish and anything invalid is corruption.
+// asymmetry mirrors the protocol's recovery rule — while the publish record is
+// absent the namespace legitimately does not exist, so missing or torn members
+// are not violations; once it is there, every member descriptor was persisted
+// before it and anything invalid is corruption, a damaged record included.
 func CheckSet(clk *sim.Clock, maps []*pmem.Mapping) (*SetReport, error) {
 	rep := &SetReport{}
 	if len(maps) == 0 {
 		return rep, fmt.Errorf("fsck: CheckSet needs at least one mapping")
 	}
-	d0, ok, err := pmdk.ReadSetDesc(clk, maps[0])
-	if err != nil {
-		return rep, err
-	}
-	if !ok || !d0.Published {
+	d0, err := pmdk.ReadSetDesc(clk, maps[0])
+	if errors.Is(err, pmdk.ErrSetUnpublished) {
 		// Creation never reached the commit point: a consistent (empty)
 		// namespace regardless of how far the member pools got.
 		return rep, nil
 	}
-	rep.Published = true
-	if d0.Index != 0 || d0.Count != len(maps) {
-		rep.Violations = append(rep.Violations, pmdk.Violation{
-			Invariant: "set.publish",
-			Detail: fmt.Sprintf("publish record claims index %d of %d members, checked with %d",
-				d0.Index, d0.Count, len(maps)),
-		})
+	if err != nil {
+		rep.Violations = append(rep.Violations, pmdk.Violation{Invariant: "set.publish", Detail: err.Error()})
+		return rep, nil
 	}
+	rep.Published = true
 	for i, m := range maps {
-		d, ok, err := pmdk.ReadSetDesc(clk, m)
-		if err != nil {
-			return rep, err
+		invariant, d := "set.publish", d0
+		if i > 0 {
+			invariant = "set.member"
+			d, err = pmdk.ReadSetDesc(clk, m)
 		}
-		switch {
-		case !ok:
+		want := pmdk.SetDesc{SetID: d0.SetID, Index: i, Count: len(maps)}
+		if err == nil && d != want {
+			err = fmt.Errorf("descriptor %+v, want %+v", d, want)
+		}
+		if err != nil {
 			rep.Violations = append(rep.Violations, pmdk.Violation{
-				Invariant: "set.member",
-				Detail:    fmt.Sprintf("member %d has no valid descriptor under a published set", i),
-			})
-		case d.SetID != d0.SetID || d.Index != i || d.Count != len(maps):
-			rep.Violations = append(rep.Violations, pmdk.Violation{
-				Invariant: "set.member",
-				Detail: fmt.Sprintf("member %d descriptor mismatch: set %#x idx %d count %d (want set %#x idx %d count %d)",
-					i, d.SetID, d.Index, d.Count, d0.SetID, i, len(maps)),
+				Invariant: invariant,
+				Detail:    fmt.Sprintf("member %d under a published set: %v", i, err),
 			})
 		}
 		pr, err := Check(clk, m)

@@ -108,6 +108,16 @@ func FormatPool(clk *sim.Clock, p *Pool, nbuckets uint64) (PMID, error) {
 	return id, tx.Commit()
 }
 
+// RootHashtable attaches to the hashtable FormatPool published in the pool
+// root.
+func (p *Pool) RootHashtable(clk *sim.Clock) (*Hashtable, error) {
+	id, err := p.ReadU64(clk, PMID(p.rootOff))
+	if err != nil {
+		return nil, err
+	}
+	return OpenHashtable(clk, p, PMID(id))
+}
+
 // OpenHashtable attaches to an existing hashtable at id.
 func OpenHashtable(clk *sim.Clock, p *Pool, id PMID) (*Hashtable, error) {
 	magic, err := p.ReadU64(clk, id)

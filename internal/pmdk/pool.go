@@ -54,7 +54,7 @@ var (
 
 const (
 	poolMagic   = "PMDKPOOL"
-	poolVersion = 3 // 3: generation-stamped, self-validating lane log (tx.go)
+	poolVersion = 4 // 4: set descriptor in the header's last cacheline (poolset.go)
 	headerSize  = 256
 
 	// Header field offsets.
@@ -73,6 +73,9 @@ const (
 	hdrArenas   = 80
 	hdrChecksum = 88
 	hdrCksumEnd = 88 // checksum covers [0, hdrCksumEnd)
+	// The header's last cacheline is the set descriptor slot (poolset.go):
+	// zeroed here, written once when the namespace is created.
+	hdrSetDesc = headerSize - sim.CachelineSize
 )
 
 // Options configures pool creation.

@@ -1,26 +1,30 @@
 package pmdk
 
-// PoolSet: a namespace striped over N independent pools, created and reopened
-// under a crash-consistent cross-pool commit.
+// A namespace is a pool set: one or more member pools created and reopened
+// under one crash-consistent commit. The single pool is the 1-member case.
 //
 // The creation protocol is prepare/publish:
 //
-//  1. prepare — every pool is formatted (Create) and then stamped with a
-//     member descriptor in the tail of its root object: the set id, its index,
-//     and the member count, CRC-guarded and individually persisted
+//  1. prepare — every member is formatted (Create), given its hashtable
+//     (FormatPool), and, except member 0, stamped with a member descriptor —
+//     the set id, its index and the member count, CRC-guarded and persisted
 //     (pmdk.set.member);
-//  2. publish — after every member descriptor is durable, pool 0's descriptor
-//     alone is rewritten with the published flag set and persisted
-//     (pmdk.set.publish). This single ordered record is the set's commit
-//     point.
+//  2. publish — after every member is durable, member 0's descriptor is
+//     written and persisted (pmdk.set.publish). This single ordered record is
+//     the namespace's commit point.
 //
-// A reader (OpenSet, or fsck.CheckSet) therefore never observes a torn
-// namespace: until the publish record is durable the set "does not exist" —
-// OpenSet reports ErrSetUnpublished and the creator re-formats from scratch —
-// and once it is durable, every member descriptor is already durable too (the
-// publish persist is ordered after the member persists), so any invalid
-// member found under a published set is genuine corruption, not a crash
-// artifact.
+// The descriptor slot is the last cacheline of the pool header, outside the
+// header checksum: a reader finds it without trusting any other byte, and the
+// device tears at cacheline granularity, so a slot is written atomically.
+// Member 0's slot therefore has exactly three readings:
+//
+//   - all-zero: the namespace was never published (ErrSetUnpublished) — no
+//     store ever succeeded in it, and the creator re-formats from scratch;
+//   - a valid descriptor: published — every member's descriptor was persisted
+//     before it, so a member that now fails to validate is corruption;
+//   - anything else: ErrCorrupt.
+//
+// A damaged or old-format namespace is thus refused, never re-formatted.
 
 import (
 	"encoding/binary"
@@ -32,12 +36,12 @@ import (
 	"pmemcpy/internal/sim"
 )
 
-// ErrSetUnpublished reports that a pool set's publish record is absent or
-// torn: creation crashed between formatting the member pools and publishing
-// the set. The namespace never existed; the caller re-creates it.
-var ErrSetUnpublished = errors.New("pmdk: pool set was never published (crash during creation)")
+// ErrSetUnpublished reports that a namespace's publish record is absent:
+// the member files are new, or creation crashed before its commit point. The
+// namespace never existed; the caller creates it.
+var ErrSetUnpublished = errors.New("pmdk: pool set was never published")
 
-// Cross-pool commit persist points.
+// Namespace commit persist points.
 var (
 	ptSetMember  = pmem.RegisterPoint("pmdk.set.member")
 	ptSetPublish = pmem.RegisterPoint("pmdk.set.publish")
@@ -45,212 +49,122 @@ var (
 
 const (
 	setDescMagic = "PMSETDSC"
-	setDescSize  = 40
-	// Member descriptor layout (relative to the descriptor base, which is the
-	// last setDescSize bytes of the root object):
+	setDescSize  = 32
+	// Member descriptor layout, relative to hdrSetDesc:
 	descMagic = 0  // u64: setDescMagic
 	descSetID = 8  // u64: creation-time set identifier
 	descIndex = 16 // u32: this pool's index
 	descCount = 20 // u32: member count
-	descFlags = 24 // u64: bit 0 = published (meaningful on pool 0 only)
-	descCksum = 32 // u64: CRC32C over [0, descCksum), widened
-
-	setPublishedFlag = uint64(1)
+	descCksum = 24 // u64: CRC32C over [0, descCksum), widened
 )
 
 // SetDesc is the decoded member descriptor of one pool.
 type SetDesc struct {
-	SetID     uint64
-	Index     int
-	Count     int
-	Published bool
-}
-
-// PoolSet is an open multi-pool namespace.
-type PoolSet struct {
-	setID uint64
-	pools []*Pool
-}
-
-// Len returns the number of member pools.
-func (s *PoolSet) Len() int { return len(s.pools) }
-
-// Pool returns the i-th member pool.
-func (s *PoolSet) Pool(i int) *Pool { return s.pools[i] }
-
-// SetID returns the creation-time set identifier.
-func (s *PoolSet) SetID() uint64 { return s.setID }
-
-// descOff returns the pool-relative offset of the member descriptor, or an
-// error when the root object is too small to host one behind the caller's
-// root fields.
-func (p *Pool) descOff() (int64, error) {
-	if p.rootSize < 8+setDescSize {
-		return 0, fmt.Errorf("pmdk: root object of %d bytes too small for a set descriptor", p.rootSize)
-	}
-	return p.rootOff + p.rootSize - setDescSize, nil
+	SetID uint64
+	Index int
+	Count int
 }
 
 // writeSetDesc encodes and persists the pool's member descriptor.
-func (p *Pool) writeSetDesc(clk *sim.Clock, setID uint64, index, count int, flags uint64, pt pmem.PointID) error {
-	off, err := p.descOff()
-	if err != nil {
-		return err
-	}
-	var d [setDescSize]byte
-	copy(d[descMagic:], setDescMagic)
-	binary.LittleEndian.PutUint64(d[descSetID:], setID)
-	binary.LittleEndian.PutUint32(d[descIndex:], uint32(index))
-	binary.LittleEndian.PutUint32(d[descCount:], uint32(count))
-	binary.LittleEndian.PutUint64(d[descFlags:], flags)
-	binary.LittleEndian.PutUint64(d[descCksum:], uint64(checksum.Sum(d[:descCksum])))
-	return p.StoreBytesAt(clk, PMID(off), d[:], true, pt)
+func (p *Pool) writeSetDesc(clk *sim.Clock, d SetDesc, pt pmem.PointID) error {
+	var raw [setDescSize]byte
+	copy(raw[descMagic:], setDescMagic)
+	binary.LittleEndian.PutUint64(raw[descSetID:], d.SetID)
+	binary.LittleEndian.PutUint32(raw[descIndex:], uint32(d.Index))
+	binary.LittleEndian.PutUint32(raw[descCount:], uint32(d.Count))
+	binary.LittleEndian.PutUint64(raw[descCksum:], uint64(checksum.Sum(raw[:descCksum])))
+	return p.StoreBytesAt(clk, hdrSetDesc, raw[:], true, pt)
 }
 
-// readSetDesc decodes the pool's member descriptor. ok is false when the
-// descriptor slot holds no valid (magic- and CRC-checked) descriptor.
-func (p *Pool) readSetDesc(clk *sim.Clock) (SetDesc, bool, error) {
-	off, err := p.descOff()
-	if err != nil {
-		return SetDesc{}, false, err
-	}
-	raw, err := p.ReadBytes(clk, PMID(off), setDescSize)
-	if err != nil {
-		return SetDesc{}, false, err
-	}
-	if string(raw[descMagic:descMagic+8]) != setDescMagic {
-		return SetDesc{}, false, nil
-	}
-	if binary.LittleEndian.Uint64(raw[descCksum:]) != uint64(checksum.Sum(raw[:descCksum])) {
-		return SetDesc{}, false, nil
-	}
-	return SetDesc{
-		SetID:     binary.LittleEndian.Uint64(raw[descSetID:]),
-		Index:     int(binary.LittleEndian.Uint32(raw[descIndex:])),
-		Count:     int(binary.LittleEndian.Uint32(raw[descCount:])),
-		Published: binary.LittleEndian.Uint64(raw[descFlags:])&setPublishedFlag != 0,
-	}, true, nil
-}
-
-// ReadSetDesc decodes the member descriptor of the pool living in m without
-// opening it (no recovery runs). ok is false when the mapping holds no valid
-// pool header or no valid descriptor — the states a crash during set creation
-// legitimately leaves behind.
-func ReadSetDesc(clk *sim.Clock, m *pmem.Mapping) (SetDesc, bool, error) {
+// ReadSetDesc decodes the descriptor slot of the member living in m without
+// opening it (no recovery runs). An all-zero slot is ErrSetUnpublished —
+// unless the header in front of it is a valid one of another format version,
+// which is ErrBadPool: that pool holds data this code cannot read and must not
+// re-format. Any other slot that is not a valid descriptor is ErrCorrupt.
+func ReadSetDesc(clk *sim.Clock, m *pmem.Mapping) (SetDesc, error) {
 	hdr, err := m.Slice(0, headerSize)
 	if err != nil {
-		return SetDesc{}, false, err
-	}
-	m.ChargeRead(clk, headerSize)
-	if string(hdr[hdrMagic:hdrMagic+8]) != poolMagic ||
-		binary.LittleEndian.Uint32(hdr[hdrVersion:]) != poolVersion ||
-		binary.LittleEndian.Uint64(hdr[hdrChecksum:]) != headerChecksum(hdr) {
-		return SetDesc{}, false, nil
-	}
-	rootOff := int64(binary.LittleEndian.Uint64(hdr[hdrRootOff:]))
-	rootSize := int64(binary.LittleEndian.Uint64(hdr[hdrRootSize:]))
-	if rootSize < 8+setDescSize || rootOff+rootSize > m.Len() {
-		return SetDesc{}, false, nil
-	}
-	off := rootOff + rootSize - setDescSize
-	raw, err := m.Slice(off, setDescSize)
-	if err != nil {
-		return SetDesc{}, false, err
+		return SetDesc{}, err
 	}
 	m.ChargeRead(clk, setDescSize)
+	raw := hdr[hdrSetDesc : hdrSetDesc+setDescSize]
+	if [setDescSize]byte(raw) == [setDescSize]byte{} {
+		if v := binary.LittleEndian.Uint32(hdr[hdrVersion:]); v != poolVersion &&
+			string(hdr[hdrMagic:hdrMagic+8]) == poolMagic &&
+			binary.LittleEndian.Uint64(hdr[hdrChecksum:]) == headerChecksum(hdr) {
+			return SetDesc{}, fmt.Errorf("%w: version %d", ErrBadPool, v)
+		}
+		return SetDesc{}, ErrSetUnpublished
+	}
 	if string(raw[descMagic:descMagic+8]) != setDescMagic ||
 		binary.LittleEndian.Uint64(raw[descCksum:]) != uint64(checksum.Sum(raw[:descCksum])) {
-		return SetDesc{}, false, nil
+		return SetDesc{}, fmt.Errorf("%w: set descriptor fails its magic or checksum", ErrCorrupt)
 	}
 	return SetDesc{
-		SetID:     binary.LittleEndian.Uint64(raw[descSetID:]),
-		Index:     int(binary.LittleEndian.Uint32(raw[descIndex:])),
-		Count:     int(binary.LittleEndian.Uint32(raw[descCount:])),
-		Published: binary.LittleEndian.Uint64(raw[descFlags:])&setPublishedFlag != 0,
-	}, true, nil
+		SetID: binary.LittleEndian.Uint64(raw[descSetID:]),
+		Index: int(binary.LittleEndian.Uint32(raw[descIndex:])),
+		Count: int(binary.LittleEndian.Uint32(raw[descCount:])),
+	}, nil
 }
 
-// CreateSet formats len(maps) pools as one namespace under the prepare/publish
-// protocol and returns the published set. setID is a caller-chosen identifier
-// (core derives it from the namespace path) that binds the members together;
-// OpenSet rejects mixed sets. Any previous content of the mappings is
-// destroyed.
-//
-// init, when non-nil, runs on each member after its format and before the set
-// publishes — the caller's per-pool bootstrap (core creates each pool's
-// hashtable here). Because the publish record is written last, a crash inside
-// init leaves the set unpublished and the whole creation is simply redone.
-func CreateSet(clk *sim.Clock, setID uint64, maps []*pmem.Mapping, opts *Options, init func(i int, p *Pool) error) (*PoolSet, error) {
+// CreateSet formats len(maps) pools, each with its hashtable, as one namespace
+// under the prepare/publish protocol and returns the published members. setID
+// is a caller-chosen identifier (core derives it from the namespace path) that
+// binds the members together; OpenSet rejects mixed sets. Any previous content
+// of the mappings is destroyed.
+func CreateSet(clk *sim.Clock, setID uint64, maps []*pmem.Mapping, opts *Options) ([]*Pool, error) {
 	if len(maps) == 0 {
 		return nil, fmt.Errorf("pmdk: CreateSet needs at least one mapping")
 	}
-	s := &PoolSet{setID: setID, pools: make([]*Pool, len(maps))}
-	// Prepare: format every member, run the caller's bootstrap, and persist
-	// the member descriptor (unpublished).
+	pools := make([]*Pool, len(maps))
 	for i, m := range maps {
 		p, err := Create(clk, m, opts)
+		if err == nil {
+			_, err = FormatPool(clk, p, DefaultBuckets)
+		}
+		if err == nil && i > 0 {
+			err = p.writeSetDesc(clk, SetDesc{setID, i, len(maps)}, ptSetMember)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("pmdk: set member %d: %w", i, err)
 		}
-		if init != nil {
-			if err := init(i, p); err != nil {
-				return nil, fmt.Errorf("pmdk: set member %d init: %w", i, err)
-			}
-		}
-		if err := p.writeSetDesc(clk, setID, i, len(maps), 0, ptSetMember); err != nil {
-			return nil, fmt.Errorf("pmdk: set member %d descriptor: %w", i, err)
-		}
-		s.pools[i] = p
+		pools[i] = p
 	}
-	// Publish: the single ordered commit record in pool 0. Every member
-	// descriptor above was individually persisted (CLWB+SFENCE), so this
-	// persist is ordered after all of them.
-	if err := s.pools[0].writeSetDesc(clk, setID, 0, len(maps), setPublishedFlag, ptSetPublish); err != nil {
+	// Publish: member 0's slot stayed all-zero through the loop above (Create
+	// rewrites it with zeros), and every persist above is complete, so this
+	// one is ordered after all of them.
+	if err := pools[0].writeSetDesc(clk, SetDesc{setID, 0, len(maps)}, ptSetPublish); err != nil {
 		return nil, fmt.Errorf("pmdk: set publish: %w", err)
 	}
-	return s, nil
+	return pools, nil
 }
 
-// OpenSet validates and opens an existing pool set. A missing or torn publish
-// record yields ErrSetUnpublished (the creation crashed; the caller
-// re-creates the set). Under a valid publish record every member must open
-// cleanly and carry a matching descriptor; anything else is corruption.
-func OpenSet(clk *sim.Clock, maps []*pmem.Mapping) (*PoolSet, error) {
+// OpenSet validates and opens an existing namespace. An absent publish record
+// yields ErrSetUnpublished (the caller creates the set). Under a valid one
+// every member must carry its matching descriptor and open cleanly; anything
+// else is corruption.
+func OpenSet(clk *sim.Clock, maps []*pmem.Mapping) ([]*Pool, error) {
 	if len(maps) == 0 {
 		return nil, fmt.Errorf("pmdk: OpenSet needs at least one mapping")
 	}
-	// The publish record gates everything: read it raw first, so a pool 0
-	// left half-formatted by a creation crash reports "unpublished" rather
-	// than a spurious corruption error.
-	d0, ok, err := ReadSetDesc(clk, maps[0])
+	d0, err := ReadSetDesc(clk, maps[0])
 	if err != nil {
 		return nil, err
 	}
-	if !ok || !d0.Published {
-		return nil, ErrSetUnpublished
-	}
-	if d0.Index != 0 || d0.Count != len(maps) {
-		return nil, fmt.Errorf("%w: publish record claims index %d of %d members, opened with %d",
-			ErrCorrupt, d0.Index, d0.Count, len(maps))
-	}
-	s := &PoolSet{setID: d0.SetID, pools: make([]*Pool, len(maps))}
+	pools := make([]*Pool, len(maps))
 	for i, m := range maps {
-		p, err := Open(clk, m)
-		if err != nil {
+		d := d0
+		if i > 0 {
+			if d, err = ReadSetDesc(clk, m); err != nil {
+				return nil, fmt.Errorf("%w: set member %d under a published set: %v", ErrCorrupt, i, err)
+			}
+		}
+		if want := (SetDesc{d0.SetID, i, len(maps)}); d != want {
+			return nil, fmt.Errorf("%w: set member %d descriptor %+v, want %+v", ErrCorrupt, i, d, want)
+		}
+		if pools[i], err = Open(clk, m); err != nil {
 			return nil, fmt.Errorf("pmdk: set member %d: %w", i, err)
 		}
-		d, ok, err := p.readSetDesc(clk)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("%w: set member %d has no descriptor under a published set", ErrCorrupt, i)
-		}
-		if d.SetID != d0.SetID || d.Index != i || d.Count != len(maps) {
-			return nil, fmt.Errorf("%w: set member %d descriptor mismatch (set %#x idx %d count %d, want set %#x idx %d count %d)",
-				ErrCorrupt, i, d.SetID, d.Index, d.Count, d0.SetID, i, len(maps))
-		}
-		s.pools[i] = p
 	}
-	return s, nil
+	return pools, nil
 }

@@ -1,55 +1,81 @@
 package pmdk
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"pmemcpy/internal/checksum"
 )
 
+// validDesc is member 1 of 4 of set 7, as writeSetDesc lays it out.
+func validDesc() []byte {
+	d := make([]byte, setDescSize)
+	copy(d[descMagic:], setDescMagic)
+	binary.LittleEndian.PutUint64(d[descSetID:], 7)
+	binary.LittleEndian.PutUint32(d[descIndex:], 1)
+	binary.LittleEndian.PutUint32(d[descCount:], 4)
+	binary.LittleEndian.PutUint64(d[descCksum:], uint64(checksum.Sum(d[:descCksum])))
+	return d
+}
+
 // FuzzReadSetDesc pins ReadSetDesc's contract on a damaged member pool: it
 // runs before recovery, on whatever a crash or a bad device left in the
-// mapping, so arbitrary header and descriptor bytes must never panic or slice
-// outside the mapping — they decode, report "no descriptor", or error.
+// mapping, so arbitrary header and slot bytes must never panic, and the slot
+// reads exactly three ways — all-zero is "never published" (or ErrBadPool
+// behind a valid header of another version) and nothing else is; a descriptor
+// decodes only past its magic and checksum; everything else is ErrCorrupt.
 //
-// The input patches the pool header, then (fix bit 0) plants the fuzzed root
-// extent behind a recomputed header checksum and (fix bit 1) a fuzzed
-// descriptor behind a recomputed descriptor checksum, so the mutator reaches
-// past both gates instead of dying at them.
+// The input patches the pool header (fixHdr recomputes its checksum) and
+// plants slot in the descriptor slot (fixDesc recomputes the descriptor
+// checksum), so the mutator reaches past both gates instead of dying at them.
 func FuzzReadSetDesc(f *testing.F) {
-	f.Add([]byte{}, uint64(0), uint64(0), []byte{}, uint8(0))           // the pristine member
-	f.Add([]byte("NOTAPOOL"), uint64(0), uint64(0), []byte{}, uint8(0)) // bad magic
-	f.Add([]byte{}, uint64(1<<63), uint64(4096), []byte{}, uint8(1))    // root far outside the mapping
-	f.Add([]byte{}, uint64(256), ^uint64(0), []byte{}, uint8(1))        // negative root size
-	f.Add([]byte{}, uint64(256), uint64(47), []byte{}, uint8(1))        // root too small for a descriptor
-	f.Add([]byte{}, uint64(4096), uint64(4096), []byte("PMSETDSC\x07\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x04\x00\x00\x00\x01"), uint8(3))
-	f.Fuzz(func(t *testing.T, hdrPatch []byte, rootOff, rootSize uint64, desc []byte, fix uint8) {
-		p, m, clk := newTestPool(t, 1<<20)
-		if err := p.writeSetDesc(clk, 7, 1, 4, 0, ptSetMember); err != nil {
-			t.Fatal(err)
-		}
+	bitOff := validDesc()
+	bitOff[descIndex] ^= 1
+	v3 := make([]byte, hdrVersion+4)
+	copy(v3, poolMagic)
+	binary.LittleEndian.PutUint32(v3[hdrVersion:], 3)
+	f.Add([]byte{}, make([]byte, setDescSize), false, false) // all-zero: never published
+	f.Add([]byte{}, validDesc(), false, false)               // valid
+	f.Add([]byte{}, bitOff, false, false)                    // one bit off: corrupt
+	f.Add([]byte{}, bitOff, false, true)                     // ...re-summed: member 0 of 4
+	f.Add([]byte("NOTAPOOL"), make([]byte, setDescSize), false, false)
+	f.Add(v3, make([]byte, setDescSize), true, false) // empty slot behind a format-3 header
+	f.Add(v3, validDesc(), true, false)
+	f.Fuzz(func(t *testing.T, hdrPatch, slot []byte, fixHdr, fixDesc bool) {
+		_, m, clk := newTestPool(t, 1<<20)
 		hdr, err := m.Slice(0, headerSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		copy(hdr, hdrPatch)
-		if fix&1 != 0 {
-			binary.LittleEndian.PutUint64(hdr[hdrRootOff:], rootOff)
-			binary.LittleEndian.PutUint64(hdr[hdrRootSize:], rootSize)
+		copy(hdr[:hdrSetDesc], hdrPatch)
+		if fixHdr {
 			binary.LittleEndian.PutUint64(hdr[hdrChecksum:], headerChecksum(hdr))
 		}
-		if off := int64(rootOff + rootSize - setDescSize); fix&2 != 0 && off >= headerSize && off+setDescSize <= m.Len() {
-			slot, _ := m.Slice(off, setDescSize)
-			copy(slot, desc)
-			binary.LittleEndian.PutUint64(slot[descCksum:], uint64(checksum.Sum(slot[:descCksum])))
+		raw := hdr[hdrSetDesc : hdrSetDesc+setDescSize]
+		copy(raw, slot)
+		if fixDesc {
+			binary.LittleEndian.PutUint64(raw[descCksum:], uint64(checksum.Sum(raw[:descCksum])))
 		}
+		empty := bytes.Equal(raw, make([]byte, setDescSize))
 
-		d, ok, err := ReadSetDesc(clk, m)
-		if ok && err != nil {
-			t.Fatalf("ReadSetDesc = (%+v, ok, %v): a decoded descriptor with an error", d, err)
-		}
-		if ok && (d.Index < 0 || d.Count < 0) {
-			t.Fatalf("ReadSetDesc decoded a negative member index or count: %+v", d)
+		d, err := ReadSetDesc(clk, m)
+		switch {
+		case err == nil:
+			if empty || d.Index < 0 || d.Count < 0 {
+				t.Fatalf("ReadSetDesc decoded %+v from slot % x", d, raw)
+			}
+		case errors.Is(err, ErrSetUnpublished), errors.Is(err, ErrBadPool):
+			if !empty {
+				t.Fatalf("ReadSetDesc = %v on the non-zero slot % x", err, raw)
+			}
+		case errors.Is(err, ErrCorrupt):
+			if empty {
+				t.Fatalf("ReadSetDesc = %v on an all-zero slot", err)
+			}
+		default:
+			t.Fatalf("ReadSetDesc = %v: not one of the three readings", err)
 		}
 	})
 }

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -397,7 +398,14 @@ func (d *Device) Crash(mode CrashMode, rng *rand.Rand) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for l, img := range d.preimage {
+	// Dirty lines are visited in ascending order, so which of them CrashRandom
+	// keeps is a function of the seed, not of map iteration order.
+	lines := make([]int64, 0, len(d.preimage))
+	for l := range d.preimage {
+		lines = append(lines, l)
+	}
+	slices.Sort(lines)
+	for _, l := range lines {
 		keep := false
 		switch mode {
 		case CrashKeepAll:
@@ -406,7 +414,7 @@ func (d *Device) Crash(mode CrashMode, rng *rand.Rand) {
 			keep = rng.Intn(2) == 0
 		}
 		if !keep {
-			copy(d.data[l*sim.CachelineSize:], img)
+			copy(d.data[l*sim.CachelineSize:], d.preimage[l])
 		}
 	}
 	d.preimage = make(map[int64][]byte)

@@ -283,6 +283,34 @@ func TestCrashRandomGranularityIsCacheline(t *testing.T) {
 	}
 }
 
+// TestCrashRandomSameSeed holds CrashRandom to its seed: the same dirty set
+// crashed under the same seed leaves the same bytes, so a failed crash
+// simulation replays stand-alone.
+func TestCrashRandomSameSeed(t *testing.T) {
+	crash := func() []byte {
+		d := New(testMachine(), 1<<16, WithCrashTracking())
+		var clk sim.Clock
+		if _, err := d.WriteAt(&clk, bytes.Repeat([]byte{0xBB}, 1<<16), 0); err != nil {
+			t.Fatal(err)
+		}
+		d.Crash(CrashRandom, rand.New(rand.NewSource(42)))
+		got := make([]byte, 1<<16)
+		if _, err := d.ReadAt(&clk, got, 0); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	first := crash()
+	if !bytes.Contains(first, []byte{0xBB}) || !bytes.Contains(first, []byte{0}) {
+		t.Fatal("the random adversary kept or lost every one of 1024 lines")
+	}
+	for i := 0; i < 5; i++ {
+		if !bytes.Equal(crash(), first) {
+			t.Fatalf("replay %d under the same seed left different bytes", i)
+		}
+	}
+}
+
 func TestCrashPanicsWithoutTracking(t *testing.T) {
 	d := New(testMachine(), 4096)
 	defer func() {

@@ -93,9 +93,7 @@ func NewNode(cfg Config, devSize int64, opts ...NodeOption) *Node {
 	if o.crashTracking {
 		nopts = append(nopts, node.WithDeviceOptions(pmem.WithCrashTracking()))
 	}
-	if o.pools > 1 {
-		nopts = append(nopts, node.WithPMEMPools(o.pools))
-	}
+	nopts = append(nopts, node.WithPMEMPools(o.pools))
 	return node.New(cfg, devSize, nopts...)
 }
 
