@@ -44,9 +44,9 @@ leasecheck: commitvet
 # (writeplan.go), mapped pool bytes are dereferenced (pool.Slice) only there
 # and in the read engine (readplan.go), goroutines start only in the wave
 # runner (wave.go), and persisted bytes are encoded or decoded
-# (encoding/binary, internal/wire) and the layout constants named only in the
-# metadata module (meta.go); every other non-test internal/core file must plan
-# over them. The charge rule holds the cost model in one package: no non-test
+# (encoding/binary, internal/wire) and the inline tag and the layout constants
+# named only in the metadata module (meta.go); every other non-test
+# internal/core file must plan over them. The charge rule holds the cost model in one package: no non-test
 # file outside internal/sim advances a clock. The lease rule is leasecheck's.
 commitvet:
 	$(GO) run ./cmd/commitvet ./...
@@ -73,7 +73,7 @@ loc:
 # module's total non-test code lines exceed the ceiling, which records the
 # figure of the last change that lowered it. A change that must grow the code
 # raises the ceiling in the same diff, where a reviewer sees it.
-LOC_CEILING ?= 14963
+LOC_CEILING ?= 15065
 loccheck:
 	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
 		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \
@@ -101,12 +101,13 @@ figcheck:
 # scrubber, the corruption differential (flavor C: ErrCorrupt or model bytes,
 # never wrong values), the pmemfsck -deep golden/exit-code tests, the
 # namespace damage table (a flipped bit in a record the open path trusts is
-# refused, never re-formatted), and the Compact-vs-gather and Compact-vs-MinMax
+# refused, never re-formatted), a flipped bit in an inline value followed
+# through every CRC consumer, and the Compact-vs-gather and Compact-vs-MinMax
 # race gates — the concurrency-sensitive ones under -race.
 integrity:
 	$(GO) test ./internal/checksum/
 	$(GO) test -run 'TestDeep' ./cmd/pmemfsck/
-	$(GO) test -race -timeout 20m -run 'TestVerify|TestScrub|TestQuarantine|TestParallelStoreCRC|TestDifferentialCorruption|TestConcurrentCompactVsParallelGather|TestConcurrentCompactVsMinMax|TestConcurrentMultiPoolStress|TestConcurrentViewStress|TestNamespaceDamageRefused' ./internal/core/
+	$(GO) test -race -timeout 20m -run 'TestVerify|TestScrub|TestQuarantine|TestInlineValueCorruption|TestParallelStoreCRC|TestDifferentialCorruption|TestConcurrentCompactVsParallelGather|TestConcurrentCompactVsMinMax|TestConcurrentMultiPoolStress|TestConcurrentViewStress|TestNamespaceDamageRefused' ./internal/core/
 
 # Async pipeline suite: the submission-queue unit tests and the -race queue
 # stress (TestAsyncQueueStress) in internal/core, the async crash-point

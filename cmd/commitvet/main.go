@@ -23,7 +23,9 @@
 //
 // Rule "record" — the metadata module (meta.go): a selector on the
 // encoding/binary or internal/wire packages (binary.LittleEndian, wire.Cursor)
-// anywhere else would be a second place that knows a persisted byte.
+// anywhere else would be a second place that knows a persisted byte. So would
+// a mention of inlineTag: the inline record form is sealed and decoded there,
+// and the engines see it only as a record kind and a block reference.
 //
 // Rule "layout" — the same module: the identifiers LayoutHierarchy and
 // LayoutHashtable. The module declares them, compares them once, and hands
@@ -143,6 +145,9 @@ var rules = []rule{
 				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] && (x.Name == "binary" || x.Name == "wire") {
 					return x.Name + "." + sel.Sel.Name + " outside the metadata module — give the record form a field in meta.go"
 				}
+			}
+			if id, ok := n.(*ast.Ident); ok && id.Name == "inlineTag" {
+				return "inlineTag outside the metadata module — ask decodeRecord for the record's kind"
 			}
 			return ""
 		},

@@ -11,8 +11,10 @@ const (
 	LayoutHierarchy
 )
 
+const inlineTag = 0xA8
+
 func newLayout(l Layout, raw []byte) uint32 {
-	if l == LayoutHierarchy {
+	if l == LayoutHierarchy || raw[0] == inlineTag {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(raw)

@@ -62,6 +62,7 @@ func charges(clk clock) {
 // A planner neither decodes persisted bytes nor asks which layout it runs on.
 func layoutBlind(l Layout, raw []byte) Layout {
 	_ = binary.LittleEndian.Uint32(raw) // want record
+	_ = raw[0] == inlineTag             // want record
 	if l == LayoutHierarchy {           // want layout
 		return l
 	}

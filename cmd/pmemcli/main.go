@@ -76,8 +76,9 @@ func main() {
 
 	// Populate: a small 3-D decomposition plus scalars, in parallel. With
 	// -async the rectangle writes queue through the submission pipeline and
-	// Munmap drains them; the counters printed afterwards show the batching.
-	var asyncSnap pmemcpy.MetricsSnapshot
+	// Munmap drains them; the counters printed afterwards show the batching
+	// and which form each metadata publish took.
+	var snap pmemcpy.MetricsSnapshot
 	_, err := pmemcpy.Run(n, *ranks, func(c *pmemcpy.Comm) error {
 		p, err := pmemcpy.Mmap(c, n, "/demo.pool", opts...)
 		if err != nil {
@@ -106,9 +107,9 @@ func main() {
 			if err := p.Flush(context.Background()); err != nil {
 				return err
 			}
-			if c.Rank() == 0 {
-				asyncSnap = p.Metrics()
-			}
+		}
+		if c.Rank() == 0 {
+			snap = p.Metrics()
 		}
 		return p.Munmap()
 	})
@@ -118,11 +119,17 @@ func main() {
 	if *async {
 		fmt.Printf("ASYNC PIPELINE (window=%d): submitted=%d batches=%d publishes=%d coalesced=%d backpressure=%d\n\n",
 			*window,
-			asyncSnap.Get("pmemcpy_async_submitted_total"),
-			asyncSnap.Get("pmemcpy_async_batches_total"),
-			asyncSnap.Get("pmemcpy_async_publishes_total"),
-			asyncSnap.Get("pmemcpy_async_coalesced_total"),
-			asyncSnap.Get("pmemcpy_async_backpressure_total"))
+			snap.Get("pmemcpy_async_submitted_total"),
+			snap.Get("pmemcpy_async_batches_total"),
+			snap.Get("pmemcpy_async_publishes_total"),
+			snap.Get("pmemcpy_async_coalesced_total"),
+			snap.Get("pmemcpy_async_backpressure_total"))
+	}
+
+	if layout == pmemcpy.LayoutHashtable {
+		fmt.Printf("PUBLISH FORMS (rank 0's view at its Munmap): values-inline=%d ht-inserted=%d ht-in-place=%d ht-relinked=%d\n\n",
+			snap.Get("pmemcpy_values_inline_total"), snap.Get("pmemcpy_ht_updates_inserted_total"),
+			snap.Get("pmemcpy_ht_updates_in_place_total"), snap.Get("pmemcpy_ht_updates_relinked_total"))
 	}
 
 	// Inspect, single rank.

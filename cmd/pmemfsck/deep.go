@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"pmemcpy"
 	"pmemcpy/internal/workload"
@@ -27,6 +28,10 @@ func buildStore(n *pmemcpy.Node) error {
 				return err
 			}
 			if err := pmemcpy.StoreString(p, "sim/label", "deep-check dataset"); err != nil {
+				return err
+			}
+			// Too long to live in its record: a whole value in a block of its own.
+			if err := pmemcpy.StoreString(p, "sim/notes", strings.Repeat("deep-check dataset; ", 10)); err != nil {
 				return err
 			}
 		}
@@ -61,15 +66,18 @@ func runDeep(w io.Writer, corrupt bool) int {
 			return err
 		}
 		if corrupt {
-			// An array block: flip one bit mid-payload. A whole value:
-			// invert its first 8 bytes. Neither touches the recorded CRC.
+			// An array block: flip one bit mid-payload. A whole value in each
+			// form — inline in its record, and in a block of its own: invert
+			// its first 8 bytes. None touches the recorded CRC.
 			if _, _, err := p.InjectCorruption("rect1", 0, 100, 1, 0x01); err != nil {
 				return fmt.Errorf("injecting: %w", err)
 			}
-			if _, _, err := p.InjectCorruption("sim/label", -1, 0, 8, 0xff); err != nil {
-				return fmt.Errorf("injecting: %w", err)
+			for _, id := range []string{"sim/label", "sim/notes"} {
+				if _, _, err := p.InjectCorruption(id, -1, 0, 8, 0xff); err != nil {
+					return fmt.Errorf("injecting: %w", err)
+				}
 			}
-			fmt.Fprintf(w, "damaged stored bytes of \"rect1\" and \"sim/label\" (checksums untouched)\n")
+			fmt.Fprintf(w, "damaged stored bytes of \"rect1\", \"sim/label\" and \"sim/notes\" (checksums untouched)\n")
 		}
 		rep, err = p.DeepCheck()
 		if err != nil {

@@ -61,7 +61,8 @@ func TestDeepCorruptStoreExitsTwo(t *testing.T) {
 	s := out.String()
 	for _, want := range []string{
 		`corrupt: id "rect1" block 0 at offset `,
-		`corrupt: id "sim/label" value at offset `,
+		`corrupt: id "sim/label" value at offset `, // inline: the offset lies in the record's value block
+		`corrupt: id "sim/notes" value at offset `, // a block behind a value ref
 	} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("output missing %q:\n%s", want, s)

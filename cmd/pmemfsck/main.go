@@ -18,9 +18,10 @@
 // against the medium (core.DeepCheck). A clean store exits 0 with a stable
 // summary line; detected corruption exits 2 and lists every damaged block's
 // id, block index, pool offset, and length. -corrupt deliberately damages
-// stored bytes first (an array block and a scalar's value block) without
-// touching the recorded checksums — silent media corruption — to demonstrate
-// and regression-test detection.
+// stored bytes first (an array block, a whole value that lives inline in its
+// metadata record, and one in a block of its own) without touching the
+// recorded checksums — silent media corruption — to demonstrate and
+// regression-test detection.
 //
 // Examples:
 //

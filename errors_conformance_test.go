@@ -8,12 +8,16 @@ package pmemcpy_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"pmemcpy"
+	"pmemcpy/internal/checksum"
+	"pmemcpy/internal/pmdk"
 )
 
 func TestErrorConformance(t *testing.T) {
@@ -489,6 +493,39 @@ func TestErrorConformance(t *testing.T) {
 			},
 			want: pmemcpy.ErrNotFound,
 		},
+		{
+			// A namespace whose header no longer sums: the pool layer's
+			// corruption class surfaces as the public one.
+			name: "Mmap damaged pool header",
+			fn: func(p *pmemcpy.PMEM, n *pmemcpy.Node) error {
+				return remapDamaged(p, n, func(hdr []byte) { hdr[24] ^= 0x08 })
+			},
+			want: pmemcpy.ErrCorrupt,
+		},
+		{
+			// A pool of the previous format version (whole values behind value
+			// refs only) is intact, just not readable: no public sentinel
+			// matches, and the text says which version was found and which is
+			// read.
+			name: "Mmap format-4 pool",
+			fn: func(p *pmemcpy.PMEM, n *pmemcpy.Node) error {
+				err := remapDamaged(p, n, func(hdr []byte) {
+					hdr[8] = 4
+					binary.LittleEndian.PutUint64(hdr[88:], uint64(checksum.Sum(hdr[:88])))
+				})
+				for _, pub := range []error{pmemcpy.ErrCorrupt, pmemcpy.ErrNotFound, pmemcpy.ErrTypeMismatch,
+					pmemcpy.ErrOutOfBounds, pmemcpy.ErrMedia, pmemcpy.ErrStaleView} {
+					if errors.Is(err, pub) {
+						return fmt.Errorf("error %q wraps the public %v", err, pub)
+					}
+				}
+				if err != nil && !strings.Contains(err.Error(), "format version 4, this build reads only version 5") {
+					return fmt.Errorf("error %q does not name both versions", err)
+				}
+				return err
+			},
+			want: pmdk.ErrBadPool,
+		},
 	}
 
 	for _, tc := range cases {
@@ -517,6 +554,34 @@ func TestErrorConformance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// remapDamaged stores a value, unmaps p, applies damage to the 256-byte header
+// of the namespace's pool file (offsets: internal/pmdk/pool.go) and returns
+// what a second Mmap of it says.
+func remapDamaged(p *pmemcpy.PMEM, n *pmemcpy.Node, damage func(hdr []byte)) error {
+	if err := pmemcpy.Store(p, "x", int64(1)); err != nil {
+		return fmt.Errorf("setup: %v", err)
+	}
+	if err := p.Munmap(); err != nil {
+		return fmt.Errorf("setup: %v", err)
+	}
+	clk := p.Comm().Clock()
+	f, err := n.FS.Open(clk, "/conf.pool")
+	if err != nil {
+		return fmt.Errorf("setup: %v", err)
+	}
+	m, err := f.Mmap(clk, false)
+	if err != nil {
+		return fmt.Errorf("setup: %v", err)
+	}
+	hdr, err := m.Slice(0, 256)
+	if err != nil {
+		return fmt.Errorf("setup: %v", err)
+	}
+	damage(hdr)
+	_, err = pmemcpy.Mmap(p.Comm(), n, "/conf.pool")
+	return err
 }
 
 // TestDeleteAbsent pins that deleting an absent id reports existed=false
@@ -552,56 +617,85 @@ func TestDeleteAbsent(t *testing.T) {
 }
 
 // TestHandleUsableAfterMediaErrorAtAnyPersist is the "usable handle after any
-// returned error" contract at its sharpest: an overwriting Store is failed at
+// returned error" contract at its sharpest: an overwriting store is failed at
 // each of its persists in turn — log entries, payload, commit flushes, the
 // flush that commits — and every time the error wraps ErrMedia, the id reads
 // its old value, and the same handle goes on to store, overwrite and unmap.
-// A transaction that kept its lane or its arena lock after a failed commit
-// shows here as a hang.
+// Both whole-value forms are swept: a scalar, which lives in its record and is
+// overwritten in place (one transaction, three persists), and a 200-character
+// string, which lives in a block of its own (two transactions and a payload
+// flush). A transaction that kept its lane or its arena lock after a failed
+// commit shows here as a hang.
 func TestHandleUsableAfterMediaErrorAtAnyPersist(t *testing.T) {
+	long := func(v int) string { return strings.Repeat(string(rune('a'+v)), 200) }
+	forms := []struct {
+		name     string
+		persists int64 // the fewest the overwrite can take
+		store    func(p *pmemcpy.PMEM, v int) error
+		holds    func(p *pmemcpy.PMEM, v int) error
+	}{
+		{"inline", 3,
+			func(p *pmemcpy.PMEM, v int) error { return pmemcpy.Store(p, "v", int64(v)) },
+			func(p *pmemcpy.PMEM, v int) error {
+				if got, err := pmemcpy.Load[int64](p, "v"); err != nil || got != int64(v) {
+					return fmt.Errorf("Load = (%d, %v)", got, err)
+				}
+				return nil
+			}},
+		{"value ref", 10,
+			func(p *pmemcpy.PMEM, v int) error { return pmemcpy.StoreString(p, "v", long(v)) },
+			func(p *pmemcpy.PMEM, v int) error {
+				if got, err := pmemcpy.LoadString(p, "v"); err != nil || got != long(v) {
+					return fmt.Errorf("LoadString = (%.8q..., %v)", got, err)
+				}
+				return nil
+			}},
+	}
 	done := make(chan error, 1)
 	go func() {
-		for k := int64(0); ; k++ {
-			n := pmemcpy.NewNode(pmemcpy.DefaultConfig(), 64<<20)
-			failed := false
-			_, err := pmemcpy.Run(n, 1, func(c *pmemcpy.Comm) error {
-				p, err := pmemcpy.Mmap(c, n, "/media.pool")
+		for _, f := range forms {
+			for k := int64(0); ; k++ {
+				n := pmemcpy.NewNode(pmemcpy.DefaultConfig(), 64<<20)
+				failed := false
+				_, err := pmemcpy.Run(n, 1, func(c *pmemcpy.Comm) error {
+					p, err := pmemcpy.Mmap(c, n, "/media.pool")
+					if err != nil {
+						return err
+					}
+					if err := f.store(p, 1); err != nil {
+						return err
+					}
+					n.Device.InjectTransient(k, 4)
+					err = f.store(p, 2)
+					n.Device.DisarmInjection()
+					if failed = err != nil; failed {
+						if !errors.Is(err, pmemcpy.ErrMedia) {
+							return fmt.Errorf("error %q does not wrap ErrMedia", err)
+						}
+						if err := f.holds(p, 1); err != nil {
+							return fmt.Errorf("after the failed store, %v, want the old value", err)
+						}
+					}
+					for i := 0; i < 40; i++ {
+						if err := pmemcpy.Store(p, fmt.Sprintf("after-%d", i%8), int64(i)); err != nil {
+							return fmt.Errorf("follow-up Store %d: %v", i, err)
+						}
+					}
+					return p.Munmap()
+				})
+				if err == nil && !failed && k < f.persists { // k is past the store's last persist
+					err = fmt.Errorf("the store finished in %d persists; the sweep missed its commits", k)
+				}
 				if err != nil {
-					return err
+					done <- fmt.Errorf("%s, persist %d: %v", f.name, k, err)
+					return
 				}
-				if err := pmemcpy.Store(p, "scalar", int64(1)); err != nil {
-					return err
+				if !failed {
+					break
 				}
-				n.Device.InjectTransient(k, 4)
-				err = pmemcpy.Store(p, "scalar", int64(2))
-				n.Device.DisarmInjection()
-				if failed = err != nil; failed {
-					if !errors.Is(err, pmemcpy.ErrMedia) {
-						return fmt.Errorf("error %q does not wrap ErrMedia", err)
-					}
-					if v, err := pmemcpy.Load[int64](p, "scalar"); err != nil || v != 1 {
-						return fmt.Errorf("after the failed Store, Load = (%d, %v), want the old value", v, err)
-					}
-				}
-				for i := 0; i < 40; i++ {
-					if err := pmemcpy.Store(p, fmt.Sprintf("after-%d", i%8), int64(i)); err != nil {
-						return fmt.Errorf("follow-up Store %d: %v", i, err)
-					}
-				}
-				return p.Munmap()
-			})
-			if err != nil {
-				done <- fmt.Errorf("persist %d: %v", k, err)
-				return
-			}
-			if !failed { // k is past the Store's last persist
-				if k < 10 {
-					err = fmt.Errorf("the Store finished in %d persists; the sweep missed its commits", k)
-				}
-				done <- err
-				return
 			}
 		}
+		done <- nil
 	}()
 	select {
 	case err := <-done:

@@ -133,6 +133,11 @@ type PMEM struct {
 	// per-rank like clocks; the pool and metadata they commit into are
 	// shared.
 	async *asyncEngine
+	// inl is where the commit engine builds an inline record (writeplan.go):
+	// the handle's, like its clock, because a local array handed to the codec
+	// interface would move to the heap on every publish. Allocated by the
+	// first small store: a handle that only moves arrays never pays for it.
+	inl *[inlinePrefix + inlineMax]byte
 }
 
 // shared is the node-wide state every rank's handle points at.
@@ -315,7 +320,11 @@ func setID(path string) uint64 { return fnv1a(path) }
 // the single pool its 1-member case: a set whose publish record is absent —
 // the files are new, or creation crashed before its commit point — is created
 // under pmdk's prepare/publish protocol; the namespace never existed, so no
-// data can be lost. A damaged record is an error, never a reason to format.
+// data can be lost. A damaged record is an error, never a reason to format: a
+// header, descriptor or table that fails its checksum or magic
+// (pmdk.ErrCorrupt) is reported as ErrCorrupt — stored bytes that are not what
+// was published — with the pmdk error still in the chain. A pool of another
+// format version (pmdk.ErrBadPool) is intact, just not this build's to read.
 func (st *shared) openPools(clk *sim.Clock, n *node.Node, path string) error {
 	o := &st.opt
 	if o.Pools > 1 && n.Pools() != o.Pools {
@@ -351,16 +360,16 @@ func (st *shared) openPools(clk *sim.Clock, n *node.Node, path string) error {
 		po.Arenas = max(8, o.Parallelism)
 		pools, err = pmdk.CreateSet(clk, setID(path), maps, &po)
 	}
-	if err != nil {
-		return err
-	}
-	for i, pool := range pools {
-		st.pools[i] = pool
-		if st.hts[i], err = pool.RootHashtable(clk); err != nil {
-			return fmt.Errorf("core: pool %d hashtable: %w", i, err)
+	for i := 0; err == nil && i < len(pools); i++ {
+		st.pools[i] = pools[i]
+		if st.hts[i], err = pools[i].RootHashtable(clk); err != nil {
+			err = fmt.Errorf("core: pool %d hashtable: %w", i, err)
 		}
 	}
-	return nil
+	if errors.Is(err, pmdk.ErrCorrupt) {
+		err = fmt.Errorf("core: namespace %q: %w: %w", path, ErrCorrupt, err)
+	}
+	return err
 }
 
 // Munmap closes the handle collectively. The rank's submission queue drains
@@ -432,10 +441,20 @@ func (p *PMEM) poolOf(pi uint8) *pmdk.Pool { return p.st.pools[pi] }
 // double movement the paper's design eliminates, and chargeMove's single pass
 // replaces on the default direct path.
 func (p *PMEM) chargeStoreBytes(pi int, n int64, passes float64) {
-	m := p.node.Machine
-	clk := p.comm.Clock()
-	m.ChargePasses(clk, n, passes, m.Config().SerializeBPS, p.comm.Size())
-	p.st.pools[pi].Mapping().ChargeWrite(clk, n)
+	p.chargeCodec(sim.Store, n, passes)
+	p.st.pools[pi].Mapping().ChargeWrite(p.comm.Clock(), n)
+}
+
+// chargeCodec accounts n bytes streamed through the codec with no device on
+// the path — encode passes (Store) into a DRAM buffer, decode passes (Load)
+// over bytes another charge already brought in.
+func (p *PMEM) chargeCodec(dir sim.Dir, n int64, passes float64) {
+	cfg := p.node.Machine.Config()
+	bps := cfg.SerializeBPS
+	if dir == sim.Load {
+		bps = cfg.DeserializeBPS
+	}
+	p.node.Machine.ChargePasses(p.comm.Clock(), n, passes, bps, p.comm.Size())
 }
 
 // poolBytes is the bytes one job moved into or out of one member pool.

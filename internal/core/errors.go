@@ -31,7 +31,8 @@ var (
 	// verified read, the scrubber, or a deep check found the medium returned
 	// different bytes than were published — or that the block being read was
 	// previously quarantined by the scrubber. The wrapping error identifies
-	// the id, block, and pool offset.
+	// the id, block, and pool offset. Mmap returns it for a namespace whose
+	// pool header, set descriptor or hashtable header fails its checksum.
 	ErrCorrupt = errors.New("data corruption detected")
 	// ErrStaleView reports an access through a zero-copy view whose lease is
 	// no longer valid: the view was closed, or the handle group it was taken

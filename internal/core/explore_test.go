@@ -46,11 +46,15 @@ func loadUniformF64(p *core.PMEM, id string, elems int) (float64, error) {
 }
 
 // exploreSerialScript is the canonical serial workload: block overwrite,
-// datum republish, delete, and compaction — every serial mutation the store
-// offers, in one deterministic sequence. Verify accepts exactly the states a
+// datum republish (an inline value, and one too large to inline: the payload
+// flush of core.commit.datum), delete, and compaction — every serial mutation
+// the store offers, in one deterministic sequence. Verify accepts exactly the states a
 // prefix-atomic execution can recover to.
 func exploreSerialScript() core.Script {
 	const elems = 96
+	large := func(b byte) *serial.Datum {
+		return &serial.Datum{Type: serial.Bytes, Payload: bytes.Repeat([]byte{b}, 300)}
+	}
 	return core.Script{
 		Name:    "serial",
 		DevSize: 8 << 20,
@@ -68,6 +72,9 @@ func exploreSerialScript() core.Script {
 			}
 			if err := p.StoreDatum("D",
 				&serial.Datum{Type: serial.Bytes, Payload: []byte("old-datum")}); err != nil {
+				return err
+			}
+			if err := p.StoreDatum("L", large('o')); err != nil {
 				return err
 			}
 			if err := p.Alloc("G", serial.Float64, []uint64{8}); err != nil {
@@ -93,8 +100,10 @@ func exploreSerialScript() core.Script {
 			if _, err := p.Delete("G"); err != nil {
 				return err
 			}
-			_, err := p.Compact(context.Background(), "A")
-			return err
+			if _, err := p.Compact(context.Background(), "A"); err != nil {
+				return err
+			}
+			return p.StoreDatum("L", large('n'))
 		},
 		Verify: func(p *core.PMEM) error {
 			dt, dims, err := p.LoadDims("A")
@@ -152,6 +161,13 @@ func exploreSerialScript() core.Script {
 			if gDeleted && !ePresent {
 				return fmt.Errorf("G deleted but E absent")
 			}
+			l, err := p.LoadDatum("L")
+			if err != nil {
+				return fmt.Errorf("datum L: %w", err)
+			}
+			if !bytes.Equal(l.Payload, large('o').Payload) && (!bytes.Equal(l.Payload, large('n').Payload) || !gDeleted) {
+				return fmt.Errorf("L = %q... (G deleted=%v), want old, or new after the delete", l.Payload[:8], gDeleted)
+			}
 			// MinMax ranges over live AND shadowed blocks, so it widens to
 			// {1,2} once the overwrite commits — but it must always contain
 			// the visible data and never a value that was never stored.
@@ -192,6 +208,9 @@ func exploreSerialScript() core.Script {
 			}
 			if e, err := p.LoadDatum("E"); err != nil || !bytes.Equal(e.Payload, []byte("fresh-key")) {
 				return fmt.Errorf("E after complete run: %v, %v", e, err)
+			}
+			if l, err := p.LoadDatum("L"); err != nil || !bytes.Equal(l.Payload, large('n').Payload) {
+				return fmt.Errorf("L after complete run: %v", err)
 			}
 			return nil
 		},

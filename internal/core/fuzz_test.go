@@ -8,8 +8,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"pmemcpy/internal/checksum"
+	"pmemcpy/internal/mpi"
+	"pmemcpy/internal/node"
 	"pmemcpy/internal/serial"
+	"pmemcpy/internal/sim"
 )
 
 // The metadata record codecs parse bytes read back from the pool or a
@@ -20,7 +25,7 @@ import (
 
 // The record forms checkDecode drives, selected by form % nForms.
 const (
-	formTagged     = iota // block list | value ref | raw, through the tag dispatch
+	formTagged     = iota // block list | value ref | inline value | raw, through the tag dispatch
 	formDims              // id+"#dims"
 	formQuarantine        // the quarantine list
 	formFrame             // a hierarchy block frame header
@@ -42,13 +47,27 @@ func checkDecode(t *testing.T, form uint8, raw []byte) {
 	}
 	switch form % nForms {
 	case formTagged:
-		blocks, kind, err := decodeRecord(raw, 0, nil)
+		at := poolPMID{pool: 2, id: 4096}
+		blocks, kind, err := decodeRecord(raw, at, nil)
 		switch {
 		case err != nil:
+			if len(blocks) != 0 {
+				t.Fatalf("undecodable %v still yields blocks %+v", kind, blocks)
+			}
 		case kind == recBlockList:
 			roundTrip(blockList, blocks)
 		case kind == recValueRef && !bytes.Equal(encodeValueRef(&blocks[0]), raw):
 			t.Fatalf("value ref round trip mismatch for %x", raw)
+		case kind == recInline:
+			// The reference points into the record itself; the CRC is carried,
+			// not checked — that is the read engine's verify step.
+			b := blocks[0]
+			back := append([]byte(nil), raw...)
+			sealInline(back, b.crc)
+			if !bytes.Equal(back, raw) || b.addr() != (poolPMID{at.pool, at.id + inlinePrefix}) ||
+				b.encLen != int64(len(raw)-inlinePrefix) || b.encLen > inlineMax {
+				t.Fatalf("inline value %x decodes to %+v", raw, b)
+			}
 		}
 	case formDims:
 		r, err := decodeDims(raw)
@@ -94,6 +113,15 @@ func FuzzDecodeRecord(f *testing.F) {
 		for form := uint8(0); form < nForms; form++ {
 			f.Add(form, raw)
 		}
+	}
+	// The inline form beyond the golden's two: a CRC its bytes do not sum to
+	// (decoding carries the CRC; verifying is the read engine's), truncated
+	// inside the prefix and right behind it, and one byte past inlineMax.
+	whole := append(make([]byte, inlinePrefix), byte(serial.Int64), 1, 2, 3)
+	sealInline(whole, checksum.Sum(whole[inlinePrefix:])^1)
+	for _, raw := range [][]byte{whole, whole[:3], whole[:inlinePrefix],
+		append(whole, make([]byte, inlineMax)...)[:inlinePrefix+inlineMax+1]} {
+		f.Add(uint8(formTagged), raw)
 	}
 	f.Fuzz(checkDecode)
 }
@@ -161,4 +189,50 @@ func FuzzDecodeValueRef(f *testing.F) {
 	f.Add([]byte{valueRefTag, 1, 2})
 	f.Add([]byte{blockList.tag})
 	f.Fuzz(func(t *testing.T, raw []byte) { checkDecode(t, formTagged, raw) })
+}
+
+// TestReadUnitSizePinned holds the read engine's per-block working set to its
+// size: every load copies its units by value across the layout interface and
+// into the scatter's jobs, so a field added to readUnit or blockRec — an
+// inline value needed none: its reference points into its record — is paid on
+// every block of every load (ckpt-restart's load_heap_b_per_op moved 7.8 % for
+// 24 bytes).
+func TestReadUnitSizePinned(t *testing.T) {
+	if got := unsafe.Sizeof(readUnit{}); got != 136 {
+		t.Errorf("readUnit is %d bytes, pinned at 136 (blockRec %d of them)", got, unsafe.Sizeof(blockRec{}))
+	}
+}
+
+// TestVerifyStoreInlineRule plants the two records store.inline exists for —
+// an inline tag over more than inlineMax bytes, and one over none — and a
+// well-formed one, which must pass.
+func TestVerifyStoreInlineRule(t *testing.T) {
+	n := node.New(sim.DefaultConfig(), 8<<20)
+	n.Machine.SetConcurrency(1)
+	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+		p, err := Mmap(c, n, "/rule.pool")
+		if err != nil {
+			return err
+		}
+		good := append(make([]byte, inlinePrefix), byte(serial.Int64), 1, 2, 3, 4, 5, 6, 7, 8)
+		sealInline(good, checksum.Sum(good[inlinePrefix:]))
+		for id, rec := range map[string][]byte{
+			"good": good, "oversize": append(good, make([]byte, inlineMax)...), "empty": good[:inlinePrefix],
+		} {
+			if err := p.putValue(id, rec); err != nil {
+				return err
+			}
+		}
+		vs := p.VerifyStore()
+		if len(vs) != 2 || !strings.HasPrefix(vs[0], `store.inline: "empty"`) || !strings.HasPrefix(vs[1], `store.inline: "oversize"`) {
+			t.Errorf("VerifyStore = %q, want one store.inline violation each for empty and oversize", vs)
+		}
+		if _, err := p.LoadDatum("oversize"); err == nil {
+			t.Error("an oversize inline record loaded")
+		}
+		return p.Munmap()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

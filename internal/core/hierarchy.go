@@ -150,7 +150,6 @@ func (h *hierStore) keys(clk *sim.Clock) ([]string, error) {
 // charged as staged, then written and synced under the variable's lock.
 func (h *hierStore) commit(p *PMEM, plan writePlan) error {
 	clk := p.comm.Clock()
-	m := p.node.Machine
 	for g, u := range plan.units {
 		d := u.frags[0].datum // no pool: never chunked, sharded or coalesced
 		framed := g.publish == publishBlockList
@@ -169,7 +168,7 @@ func (h *hierStore) commit(p *PMEM, plan writePlan) error {
 		} else {
 			enc[0] = byte(g.dtype)
 		}
-		m.ChargePasses(clk, int64(len(enc)), plan.encPasses, m.Config().SerializeBPS, p.comm.Size())
+		p.chargeCodec(sim.Store, int64(len(enc)), plan.encPasses)
 		lock := p.varLock(g.id)
 		lock.Lock()
 		err = h.writeFile(clk, g.id, enc, framed)
@@ -277,6 +276,5 @@ func (h *hierStore) stored(p *PMEM, u readUnit) ([]byte, error) {
 // chargeUnit accounts the staged decode of one record; the FS model already
 // charged for its bytes.
 func (h *hierStore) chargeUnit(p *PMEM, u readUnit, decPasses float64) {
-	m := p.node.Machine
-	m.ChargePasses(p.comm.Clock(), u.src.encLen, decPasses, m.Config().DeserializeBPS, p.comm.Size())
+	p.chargeCodec(sim.Load, u.src.encLen, decPasses)
 }

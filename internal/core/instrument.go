@@ -123,6 +123,8 @@ type instruments struct {
 	// record pointed at, freed in the publishing transaction or parked.
 	supersededBlocks *obs.Counter
 	supersededBytes  *obs.Counter
+	// Whole values published in their record, with no block (writeplan.go).
+	inlineValues *obs.Counter
 }
 
 // newInstruments builds the registry for one handle group over its finished
@@ -207,6 +209,8 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 		"blocks a whole-value overwrite reclaimed with its publish (freed in the transaction, or parked under a view lease)")
 	in.supersededBytes = reg.Counter("pmemcpy_superseded_bytes_total",
 		"encoded payload bytes of the blocks whole-value overwrites reclaimed")
+	in.inlineValues = reg.Counter("pmemcpy_values_inline_total",
+		"whole values published inline in their metadata record (no data block)")
 
 	// The device and allocator bridge series sum over every member of the
 	// namespace, as Stats() does. (A hierarchy handle has the one device and

@@ -18,8 +18,8 @@ import (
 //
 // Every stored block carries a CRC32C (internal/checksum) computed during the
 // serialize-into-PMEM copy and published atomically with the block's metadata
-// — the value-ref record for whole values, the block-list record for array
-// blocks. Three consumers recompute it, all as read plans whose quarantine
+// — the value-ref or inline record for whole values, the block-list record
+// for array blocks. Three consumers recompute it, all as read plans whose quarantine
 // gate and CRC compare run in the one read engine (readplan.go):
 //
 //   - verified reads (WithVerifyReads): LoadDatum/LoadBlock check the CRC of
@@ -343,7 +343,7 @@ func (p *PMEM) deepCheckVar(id string, rep *fsck.DeepReport) error {
 	rep.Bytes += pl.covered
 	for i, b := range pl.bad {
 		at := pl.badAt[i]
-		if pl.kind == recValueRef {
+		if pl.kind.whole() {
 			at = -1 // a whole value's single block
 		}
 		rep.Corrupt = append(rep.Corrupt, fsck.Corruption{ID: id, Block: at, Offset: int64(b.data), Len: b.encLen})

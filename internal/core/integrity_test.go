@@ -69,21 +69,132 @@ func TestVerifyFullLoadBlockSurfacesErrCorrupt(t *testing.T) {
 	})
 }
 
+// TestVerifyFullLoadDatumSurfacesErrCorrupt flips one stored bit of a whole
+// value in each form — two elements live in the record, 64 in a block of their
+// own — and requires the verified load to refuse both.
 func TestVerifyFullLoadDatumSurfacesErrCorrupt(t *testing.T) {
 	verifySingle(t, core.VerifyFull, func(p *core.PMEM) error {
-		v := []float64{3.14159, 2.71828}
-		if err := p.StoreDatum("pi", &serial.Datum{Type: serial.Float64, Dims: []uint64{2}, Payload: bytesview.Bytes(v)}); err != nil {
+		for id, elems := range map[string]int{"inline": 2, "value ref": 64} {
+			v := make([]float64, elems)
+			v[0], v[1] = 3.14159, 2.71828
+			if err := p.StoreDatum(id, &serial.Datum{Type: serial.Float64, Dims: []uint64{uint64(elems)}, Payload: bytesview.Bytes(v)}); err != nil {
+				return err
+			}
+			if _, err := p.LoadDatum(id); err != nil {
+				return err
+			}
+			if _, _, err := p.InjectCorruption(id, -1, 3, 1, 0x80); err != nil {
+				return err
+			}
+			_, err := p.LoadDatum(id)
+			if !errors.Is(err, core.ErrCorrupt) {
+				t.Errorf("corrupted LoadDatum of the %s under VerifyFull = %v, want ErrCorrupt", id, err)
+			}
+		}
+		if got := p.Metrics().Get("pmemcpy_values_inline_total"); got != 1 {
+			t.Errorf("%d values were published inline, want the 2-element one", got)
+		}
+		return nil
+	})
+}
+
+// TestInlineValueCorruptionLifecycle follows one flipped bit in an inline
+// value's bytes — which sit in the metadata record's own value block —
+// through every consumer of the published CRC: a verified load and VerifyVar
+// refuse it, DeepCheck reports it as the id's whole value at the damaged
+// offset, Scrub quarantines it, the quarantine outlives a reopen and fails an
+// unverified load fast — and each way the bytes can be replaced (an overwrite
+// in place, an overwrite of another length, a delete) takes them off the list.
+func TestInlineValueCorruptionLifecycle(t *testing.T) {
+	n := newNode()
+	open := func(mode core.VerifyMode, fn func(p *core.PMEM) error) {
+		t.Helper()
+		_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+			p, err := core.Mmap(c, n, "/inline.pool", core.WithVerifyReads(mode))
+			if err != nil {
+				return err
+			}
+			if err := fn(p); err != nil {
+				return err
+			}
+			return p.Munmap()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := []string{"in-place", "relinked", "deleted"}
+	scalar := func(v int64) *serial.Datum {
+		return &serial.Datum{Type: serial.Int64, Payload: bytesview.Bytes([]int64{v})}
+	}
+	open(core.VerifyFull, func(p *core.PMEM) error {
+		damaged := map[string]int64{}
+		for _, id := range ids {
+			if err := p.StoreDatum(id, scalar(1)); err != nil {
+				return err
+			}
+			at, _, err := p.InjectCorruption(id, -1, 9, 1, 0x01)
+			if err != nil {
+				return err
+			}
+			damaged[id] = at - 9
+			if _, err := p.LoadDatum(id); !errors.Is(err, core.ErrCorrupt) {
+				t.Errorf("%s: verified load = %v, want ErrCorrupt", id, err)
+			}
+			if err := p.VerifyVar(id); !errors.Is(err, core.ErrCorrupt) {
+				t.Errorf("%s: VerifyVar = %v, want ErrCorrupt", id, err)
+			}
+		}
+		deep, err := p.DeepCheck()
+		if err != nil {
 			return err
 		}
-		if _, err := p.LoadDatum("pi"); err != nil {
+		if len(deep.Corrupt) != len(ids) {
+			t.Fatalf("DeepCheck = %s, want the %d inline values", deep.Summary(), len(ids))
+		}
+		for _, c := range deep.Corrupt {
+			if c.Block != -1 || c.Offset != damaged[c.ID] {
+				t.Errorf("DeepCheck reports %s; want a whole value at offset %d", c, damaged[c.ID])
+			}
+		}
+		if vs := p.VerifyStore(); len(vs) != 0 {
+			t.Errorf("damaged value bytes are not a metadata violation: %v", vs)
+		}
+		rep, err := p.Scrub(context.Background())
+		if err != nil || rep.Corruptions != len(ids) || rep.Quarantined != len(ids) {
+			t.Errorf("Scrub = %+v, %v; want %d corrupt and quarantined", rep, err, len(ids))
+		}
+		return nil
+	})
+	open(core.VerifyOff, func(p *core.PMEM) error {
+		if got := len(p.Quarantined()); got != len(ids) {
+			t.Fatalf("%d blocks quarantined after the reopen, want %d", got, len(ids))
+		}
+		for _, id := range ids {
+			if _, err := p.LoadDatum(id); !errors.Is(err, core.ErrCorrupt) {
+				t.Errorf("%s: unverified load of a quarantined value = %v, want ErrCorrupt", id, err)
+			}
+		}
+		if err := p.StoreDatum("in-place", scalar(2)); err != nil {
 			return err
 		}
-		if _, _, err := p.InjectCorruption("pi", -1, 3, 1, 0x80); err != nil {
+		if err := p.StoreDatum("relinked", &serial.Datum{Type: serial.Bytes, Payload: []byte("another length")}); err != nil {
 			return err
 		}
-		_, err := p.LoadDatum("pi")
-		if !errors.Is(err, core.ErrCorrupt) {
-			t.Errorf("corrupted LoadDatum under VerifyFull = %v, want ErrCorrupt", err)
+		if _, err := p.Delete("deleted"); err != nil {
+			return err
+		}
+		if q := p.Quarantined(); len(q) != 0 {
+			t.Errorf("still quarantined after every value was replaced: %v", q)
+		}
+		if d, err := p.LoadDatum("in-place"); err != nil || !reflect.DeepEqual(d.Payload, scalar(2).Payload) {
+			t.Errorf("in-place after the overwrite = %v, %v", d, err)
+		}
+		if d, err := p.LoadDatum("relinked"); err != nil || string(d.Payload) != "another length" {
+			t.Errorf("relinked after the overwrite = %v, %v", d, err)
+		}
+		if deep, err := p.DeepCheck(); err != nil || !deep.OK() {
+			t.Errorf("DeepCheck after the overwrites = %v, %v", deep, err)
 		}
 		return nil
 	})

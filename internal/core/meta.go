@@ -147,11 +147,24 @@ const (
 // The record forms. A list is tag | u32 count | entries; its pooled variant
 // (tag+1) gives every entry a pool byte and is written exactly when an entry
 // lives outside pool 0, so single-pool stores keep producing the legacy bytes.
-// A whole value is never pooled: it lives in its id's home pool.
+// A whole value is never pooled: it lives in its id's home pool — in a block
+// of its own behind a value ref, or, when it is small, in the record itself.
 const (
 	valueRefTag    = 0xA7
 	valueRefFields = refData | refLen | refCRC
 	valueRefLen    = 1 + 8 + 8 + 4
+	// The inline form, inlineTag | crc32c u32 | block bytes, holds exactly the
+	// bytes a whole value's block would (the 1-byte dtype tag, then the codec's
+	// encoding) behind the CRC32C of those bytes. A reader's block reference
+	// points into the record's own value block, at inlinePrefix.
+	inlineTag    = 0xA8
+	inlinePrefix = 1 + 4
+	// inlineMax is the largest block a whole value is published inline at: the
+	// record then fills a 128-byte class block's 112 payload bytes — bp4's
+	// float64 scalar (41 B) and 64-char string (89 B) both fit. Chosen from the
+	// measured table in DESIGN §17; far below a quarter of a lane, so a
+	// same-length overwrite always takes pmdk's in-place form.
+	inlineMax = 112 - inlinePrefix
 	// frameFields is the header in front of every block in a hierarchy
 	// variable's file; the payload follows it.
 	frameFields = refShape | refLen
@@ -292,24 +305,37 @@ func encodeValueRef(b *blockRec) []byte {
 	return valueRefFields.append(append(make([]byte, 0, valueRefLen), valueRefTag), b)
 }
 
-// recordKind classifies a metadata record by what storage it owns.
+// sealInline finishes an inline record whose block bytes, summing to crc,
+// already sit at rec[inlinePrefix:]: it writes the prefix in front of them.
+func sealInline(rec []byte, crc uint32) {
+	wire.AppendUint(append(rec[:0], inlineTag), uint64(crc), 4)
+}
+
+// recordKind classifies a metadata record by what storage it references.
 type recordKind uint8
 
 const (
 	recRaw       recordKind = iota // raw metadata (dims, quarantine list): owns nothing
 	recBlockList                   // an array's block list
-	recValueRef                    // a whole value's pointer record
+	recValueRef                    // a whole value's pointer record: owns the block it names
+	recInline                      // a whole value in its record: its block is the record's own bytes
 )
 
 func (k recordKind) String() string {
-	return [...]string{"raw record", "block list", "value ref"}[k]
+	return [...]string{"raw record", "block list", "value ref", "inline value"}[k]
 }
 
-// decodeRecord decodes the payload blocks a metadata record owns: a block
-// list's blocks, a value ref's single block (in home, its id's home pool), or
-// nothing for raw metadata. It is the one place record tags are dispatched.
-// buf is optional scratch so a value ref resolves without a heap allocation.
-func decodeRecord(raw []byte, home uint8, buf []blockRec) ([]blockRec, recordKind, error) {
+// whole reports whether the record holds a whole value (a datum).
+func (k recordKind) whole() bool { return k == recValueRef || k == recInline }
+
+// decodeRecord decodes the payload blocks a metadata record references: a
+// block list's blocks, a value ref's single block (in the id's home pool,
+// at.pool), an inline value's — the bytes behind the prefix of the record's own
+// value block, at.id, which the allocator frees with the record and no caller
+// may — or nothing for raw metadata. It is the one place record tags are
+// dispatched. buf is optional scratch so a whole value resolves without a heap
+// allocation.
+func decodeRecord(raw []byte, at poolPMID, buf []blockRec) ([]blockRec, recordKind, error) {
 	switch {
 	case len(raw) == 0:
 	case raw[0] == blockList.tag || raw[0] == blockList.tag+1:
@@ -318,8 +344,16 @@ func decodeRecord(raw []byte, home uint8, buf []blockRec) ([]blockRec, recordKin
 	case raw[0] == valueRefTag && len(raw) == valueRefLen:
 		c := wire.Cursor{Raw: raw[1:]}
 		b, _ := valueRefFields.read(&c)
-		b.pool = home
+		b.pool = at.pool
 		return append(buf[:0], b), recValueRef, nil
+	case raw[0] == inlineTag:
+		n := len(raw) - inlinePrefix
+		if n < 1 || n > inlineMax {
+			return nil, recInline, fmt.Errorf("core: inline value of %d bytes (1..%d)", n, inlineMax)
+		}
+		c := wire.Cursor{Raw: raw[1:]}
+		return append(buf[:0], blockRec{pool: at.pool, crc: uint32(c.Uint(4)),
+			data: at.id + inlinePrefix, encLen: int64(n)}), recInline, nil
 	}
 	return nil, recRaw, nil
 }
@@ -537,7 +571,7 @@ func (l poolLayout) keys(clk *sim.Clock) (out []string, err error) {
 // request or statistics plan's off the DRAM index.
 func (l poolLayout) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 	if pl.consume == consumeClone || pl.consume == consumeCRC {
-		raw, ok, err := l.get(p.comm.Clock(), pl.id, "")
+		raw, at, ok, err := p.record(pl.id)
 		if err != nil {
 			return r, err
 		}
@@ -545,12 +579,12 @@ func (l poolLayout) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 			return r, fmt.Errorf("core: id %q: %w", pl.id, ErrNotFound)
 		}
 		var one [1]blockRec
-		blocks, kind, err := decodeRecord(raw, uint8(l.st.homeIdx(pl.id)), one[:0])
+		blocks, kind, err := decodeRecord(raw, at, one[:0])
 		if err != nil {
 			return r, err
 		}
 		switch r.kind = kind; {
-		case kind == recValueRef:
+		case kind.whole():
 			r.one[0], r.single = readUnit{src: blocks[0], bytes: blocks[0].encLen}, true
 		case pl.consume == consumeClone:
 			// The id exists but holds something else (a block list, raw

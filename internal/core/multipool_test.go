@@ -629,9 +629,11 @@ func exploreSetCommit(t *testing.T, pools int) {
 // gates on, in a populated namespace: Mmap must refuse with the pmdk error
 // class (never re-format: every member's bytes are as the flip left them),
 // fsck.CheckSet must report a violation rather than "unpublished, OK", and
-// with the flip undone every key and value is still there. The last row is a
-// format-3 pool — valid header of the previous version, no descriptor slot —
-// which is refused the same way.
+// with the flip undone every key and value is still there. A failed checksum
+// also matches the public ErrCorrupt; a foreign version matches no public
+// sentinel and its text names both versions. The last rows are old-format
+// pools — a format-3 one (valid header, no descriptor slot) and a published
+// format-4 one (whole values behind value refs only) — refused the same way.
 func TestNamespaceDamageRefused(t *testing.T) {
 	// Pool header offsets (internal/pmdk/pool.go, poolset.go).
 	const (
@@ -714,6 +716,10 @@ func TestNamespaceDamageRefused(t *testing.T) {
 					binary.LittleEndian.PutUint64(h[hdrChecksum:], uint64(checksum.Sum(h[:hdrChecksum])))
 					clear(h[hdrSetDesc:])
 				}, pmdk.ErrBadPool, "set.publish"},
+				{"format 4", 0, func(h []byte) {
+					h[hdrVersion] = 4
+					binary.LittleEndian.PutUint64(h[hdrChecksum:], uint64(checksum.Sum(h[:hdrChecksum])))
+				}, pmdk.ErrBadPool, "pool.open"},
 			}
 			for _, r := range rows {
 				if r.invariant == "set.member" && r.member == 0 {
@@ -727,8 +733,12 @@ func TestNamespaceDamageRefused(t *testing.T) {
 					b, _ := m.Slice(0, m.Len())
 					before = append(before, bytes.Clone(b))
 				}
-				if err := open(func(*core.PMEM) error { return nil }); !errors.Is(err, r.want) {
-					t.Fatalf("%s: Mmap = %v, want %v", r.name, err, r.want)
+				err := open(func(*core.PMEM) error { return nil })
+				if !errors.Is(err, r.want) || errors.Is(err, core.ErrCorrupt) != (r.want == pmdk.ErrCorrupt) {
+					t.Fatalf("%s: Mmap = %v, want %v (and the public ErrCorrupt exactly for a failed checksum)", r.name, err, r.want)
+				}
+				if r.want == pmdk.ErrBadPool && !strings.Contains(err.Error(), "version 5") {
+					t.Fatalf("%s: Mmap = %v, want the text to name the version found and version 5", r.name, err)
 				}
 				for i, m := range maps {
 					if b, _ := m.Slice(0, m.Len()); !bytes.Equal(b, before[i]) {

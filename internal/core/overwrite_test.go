@@ -32,28 +32,37 @@ func stringDatum(s string) *serial.Datum {
 	return &serial.Datum{Type: serial.Bytes, Payload: []byte(s)}
 }
 
-// refBlock returns the PMID a value-ref record names (tag | pmid u64 | …).
-func refBlock(p *core.PMEM, id string) (int64, error) {
+// namedBlock returns the PMID the whole-value record of id names: a value
+// ref's block (tag | pmid u64 | …), or 0 for an inline value, whose bytes live
+// in the record, and for an absent id — neither names a block.
+func namedBlock(p *core.PMEM, id string) (int64, error) {
 	raw, ok, err := p.RawValue(id)
-	if err != nil || !ok || len(raw) != 21 {
-		return 0, fmt.Errorf("record of %q: %d bytes, ok=%v, err=%v", id, len(raw), ok, err)
+	switch {
+	case err != nil:
+		return 0, err
+	case !ok || raw[0] == 0xA8:
+		return 0, nil
+	case raw[0] == 0xA7 && len(raw) == 21:
+		return int64(binary.LittleEndian.Uint64(raw[1:])), nil
 	}
-	return int64(binary.LittleEndian.Uint64(raw[1:])), nil
+	return 0, fmt.Errorf("record of %q: % x is no whole value", id, raw)
 }
 
-// exploreOverwriteScript overwrites a scalar three times, a string twice (into
-// another size class and back), then a whole array. Run notes which step is in
+// owStep is one step of an overwrite script: store val under id, or — nil —
+// delete id. The id "A" is the script's array instead: the step overwrites it.
+type owStep struct {
+	id  string
+	val *serial.Datum
+}
+
+// valueScript stores first, then runs steps. Run notes which step is in
 // flight and which block that step's record named going in, so Verify can hold
-// the recovered allocator to the recovered record: the block the record names
-// is allocated, and the block it stopped naming is free exactly when the
-// record is the new one.
-func exploreOverwriteScript() core.Script {
+// the recovered allocator to the recovered record: every id reads as the value
+// before or after the step in flight (never a mix, and absent only where a
+// delete says so), the block a value ref names is allocated, and the block it
+// stopped naming is free exactly when the record is new.
+func valueScript(name string, first map[string]*serial.Datum, steps []owStep) core.Script {
 	const elems = 32
-	values := map[string][]*serial.Datum{
-		"s":    {scalarDatum(1), scalarDatum(2), scalarDatum(3), scalarDatum(4)},
-		"name": {stringDatum("old-name"), stringDatum(strings.Repeat("a much longer name ", 6)), stringDatum("short")},
-	}
-	steps := []string{"s", "s", "s", "name", "name", "A"}
 	var (
 		inflight int   // index into steps; len(steps) once Run completed
 		oldBlk   int64 // the block the in-flight step's record named before it
@@ -64,34 +73,39 @@ func exploreOverwriteScript() core.Script {
 		}
 		return p.StoreBlock("A", []uint64{0}, []uint64{elems}, uniformF64(elems, v))
 	}
+	same := func(d, want *serial.Datum) bool {
+		return (d == nil) == (want == nil) && (d == nil || bytes.Equal(d.Payload, want.Payload))
+	}
 	return core.Script{
-		Name:    "overwrite",
+		Name:    name,
 		DevSize: 8 << 20,
 		Setup: func(p *core.PMEM) error {
 			inflight = 0
-			for id, vs := range values {
-				if err := p.StoreDatum(id, vs[0]); err != nil {
+			for id, v := range first {
+				if err := p.StoreDatum(id, v); err != nil {
 					return err
 				}
 			}
 			return storeA(p, 1)
 		},
 		Run: func(p *core.PMEM) error {
-			done := map[string]int{}
-			for i, id := range steps {
+			for i, st := range steps {
 				inflight = i
-				if id == "A" {
-					if err := storeA(p, 2); err != nil {
+				var err error
+				switch {
+				case st.id == "A":
+					err = storeA(p, 2)
+				default:
+					if oldBlk, err = namedBlock(p, st.id); err != nil {
 						return err
 					}
-					continue
+					if st.val == nil {
+						_, err = p.Delete(st.id)
+					} else {
+						err = p.StoreDatum(st.id, st.val)
+					}
 				}
-				var err error
-				if oldBlk, err = refBlock(p, id); err != nil {
-					return err
-				}
-				done[id]++
-				if err := p.StoreDatum(id, values[id][done[id]]); err != nil {
+				if err != nil {
 					return err
 				}
 			}
@@ -99,44 +113,54 @@ func exploreOverwriteScript() core.Script {
 			return nil
 		},
 		Verify: func(p *core.PMEM) error {
-			for id, vs := range values {
-				done, pending := 0, false
-				for i, sid := range steps {
-					if sid == id && i < inflight {
-						done++
+			aNew := false
+			for id, old := range first {
+				var next *serial.Datum
+				pending := false
+				for i, st := range steps[:min(inflight+1, len(steps))] {
+					if st.id != id {
+						continue
 					}
-					pending = pending || (sid == id && i == inflight)
+					if pending = i == inflight; pending {
+						next = st.val
+					} else {
+						old = st.val
+					}
 				}
 				d, err := p.LoadDatum(id)
-				if err != nil {
+				if err != nil && !errors.Is(err, core.ErrNotFound) {
 					return fmt.Errorf("%s: %w", id, err)
 				}
-				isNew := pending && bytes.Equal(d.Payload, vs[done+1].Payload)
-				if !isNew && !bytes.Equal(d.Payload, vs[done].Payload) {
-					return fmt.Errorf("%s = %q with %d overwrites done (pending=%v): neither old nor new", id, d.Payload, done, pending)
+				isNew := pending && same(d, next)
+				if !isNew && !same(d, old) {
+					return fmt.Errorf("%s = %v with step %d in flight (pending=%v): neither old nor new", id, d, inflight, pending)
 				}
-				blk, err := refBlock(p, id)
+				blk, err := namedBlock(p, id)
 				if err != nil {
 					return err
 				}
-				if !p.BlockAllocated(0, blk) {
+				if blk != 0 && !p.BlockAllocated(0, blk) {
 					return fmt.Errorf("%s names block %d, which is not allocated", id, blk)
 				}
 				if !pending {
 					continue
 				}
-				if (blk != oldBlk) != isNew {
+				// Inline over inline names no block before or after.
+				if (blk != 0 || oldBlk != 0) && (blk != oldBlk) != isNew {
 					return fmt.Errorf("%s reads new=%v but its record names block %d (was %d)", id, isNew, blk, oldBlk)
 				}
-				if free := !p.BlockAllocated(0, oldBlk); free != isNew {
+				if free := !p.BlockAllocated(0, oldBlk); oldBlk != 0 && free != isNew {
 					return fmt.Errorf("%s reads new=%v but the block it named, %d, is free=%v", id, isNew, oldBlk, free)
 				}
+			}
+			for i, st := range steps {
+				aNew = aNew || (st.id == "A" && i < inflight)
 			}
 			a, err := loadUniformF64(p, "A", elems)
 			if err != nil {
 				return err
 			}
-			if a != 2 && (a != 1 || inflight > 5) {
+			if a != 2 && (a != 1 || aNew) {
 				return fmt.Errorf("A = all %g with step %d in flight", a, inflight)
 			}
 			return nil
@@ -144,16 +168,64 @@ func exploreOverwriteScript() core.Script {
 	}
 }
 
-// TestExploreOverwrite crashes the overwrite script at EVERY persist point
-// under lose-all, keep-all, eight random cache-loss draws and a torn store;
-// the explorer adds fsck (Pool.Verify + Hashtable.Verify), the CRC deep check
-// and VerifyStore to the script's own checks.
-func TestExploreOverwrite(t *testing.T) {
+// blobDatum is a whole value too large to be inlined under any codec.
+func blobDatum(v byte) *serial.Datum {
+	return &serial.Datum{Type: serial.Bytes, Payload: bytes.Repeat([]byte{v}, 200)}
+}
+
+// exploreOverwriteScript overwrites whole values too large to live in their
+// records, so every step moves a block: a 200-byte blob three times (a new
+// block of the old one's class; the 21-byte value ref rewritten in place), a
+// string twice (into another size class and back), then a stored array.
+func exploreOverwriteScript() core.Script {
+	long := func(s string, n int) *serial.Datum { return stringDatum(strings.Repeat(s, n)) }
+	return valueScript("overwrite",
+		map[string]*serial.Datum{"s": blobDatum(1), "name": long("an old name, ", 10)},
+		[]owStep{{"s", blobDatum(2)}, {"s", blobDatum(3)}, {"s", blobDatum(4)},
+			{"name", long("a much longer name ", 30)}, {"name", long("a shorter one ", 9)}, {"A", nil}})
+}
+
+// exploreInlineScript is every transition of the inline form: a scalar three
+// times (rewritten in place), a string to another length and back (the record
+// relinked), a string grown past inlineMax (inline to value ref) and shrunk
+// again (value ref to inline: the block freed in the publishing transaction),
+// a scalar deleted and re-inserted.
+func exploreInlineScript() core.Script {
+	big := stringDatum(strings.Repeat("past the inline limit ", 8))
+	return valueScript("inline",
+		map[string]*serial.Datum{"s": scalarDatum(1), "name": stringDatum("old-name"), "grow": stringDatum("small"), "gone": scalarDatum(7)},
+		[]owStep{{"s", scalarDatum(2)}, {"s", scalarDatum(3)}, {"s", scalarDatum(4)},
+			{"name", stringDatum("a longer name, still inline")}, {"name", stringDatum("old-name")},
+			{"grow", big}, {"grow", stringDatum("small again")},
+			{"gone", nil}, {"gone", scalarDatum(8)}})
+}
+
+// exploreModes is lose-all, keep-all and eight random cache-loss draws; with
+// the torn store the explorer adds, 11 adversaries at every persist point.
+func exploreModes() []pmem.CrashMode {
 	modes := []pmem.CrashMode{pmem.CrashLoseAll, pmem.CrashKeepAll}
 	for i := 0; i < 8; i++ {
 		modes = append(modes, pmem.CrashRandom)
 	}
-	rep := runExplore(t, exploreOverwriteScript(), core.ExploreOptions{Modes: modes, Tear: true})
+	return modes
+}
+
+// TestExploreOverwrite crashes the overwrite script at EVERY persist point
+// under the 11 adversaries; the explorer adds fsck (Pool.Verify +
+// Hashtable.Verify), the CRC deep check and VerifyStore to the script's own
+// checks.
+func TestExploreOverwrite(t *testing.T) {
+	rep := runExplore(t, exploreOverwriteScript(), core.ExploreOptions{Modes: exploreModes(), Tear: true})
+	if rep.Detected != 0 {
+		t.Errorf("%d simulations recovered to detected corruption", rep.Detected)
+	}
+}
+
+// TestExploreInline does the same to the inline script. An in-place overwrite
+// is three persists — undo entry, record, lane close — and a torn or lost
+// record line must roll back to the old bytes and CRC, never mix with the new.
+func TestExploreInline(t *testing.T) {
+	rep := runExplore(t, exploreInlineScript(), core.ExploreOptions{Modes: exploreModes(), Tear: true})
 	if rep.Detected != 0 {
 		t.Errorf("%d simulations recovered to detected corruption", rep.Detected)
 	}
@@ -181,17 +253,23 @@ func overwriteRig(t *testing.T, devSize int64, fn func(n *node.Node, p *core.PME
 }
 
 // TestOverwriteMediaErrorSweep fails every persist of an overwriting store in
-// turn with an uncorrectable media error, until one goes through: a scalar
-// (new block of the old one's class, record rewritten in place) and a string
-// that changes size class. Each failure wraps ErrMedia and leaves the old
-// value published over an allocated block; the handle goes on working.
+// turn with an uncorrectable media error, until one goes through — for each
+// pair of record forms: a scalar over a scalar (inline, rewritten in place:
+// three persists), a string grown past inlineMax (inline to value ref), shrunk
+// back (value ref to inline), and a large value over a large value in another
+// size class. Each failure wraps ErrMedia and leaves the old value published —
+// over an allocated block when it names one; the handle goes on working.
 func TestOverwriteMediaErrorSweep(t *testing.T) {
+	long := stringDatum(strings.Repeat("new and longer ", 8))
 	for _, tc := range []struct {
 		name     string
 		old, new *serial.Datum
+		persists int64 // the fewest the overwrite can take
 	}{
-		{"scalar", scalarDatum(1), scalarDatum(2)},
-		{"string", stringDatum("old"), stringDatum(strings.Repeat("new and longer ", 8))},
+		{"scalar", scalarDatum(1), scalarDatum(2), 3},
+		{"string", stringDatum("old"), long, 10},
+		{"shrink", long, stringDatum("old"), 10},
+		{"large", blobDatum(1), long, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for k := int64(0); ; k++ {
@@ -200,7 +278,7 @@ func TestOverwriteMediaErrorSweep(t *testing.T) {
 					if err := p.StoreDatum("v", tc.old); err != nil {
 						return err
 					}
-					oldBlk, err := refBlock(p, "v")
+					oldBlk, err := namedBlock(p, "v")
 					if err != nil {
 						return err
 					}
@@ -212,12 +290,12 @@ func TestOverwriteMediaErrorSweep(t *testing.T) {
 						if !errors.Is(err, core.ErrMedia) {
 							return fmt.Errorf("persist %d: error %q does not wrap ErrMedia", k, err)
 						}
-						if blk, _ := refBlock(p, "v"); blk != oldBlk || !p.BlockAllocated(0, oldBlk) {
+						if blk, _ := namedBlock(p, "v"); blk != oldBlk || (oldBlk != 0 && !p.BlockAllocated(0, oldBlk)) {
 							return fmt.Errorf("persist %d: after the failed store the record names %d (was %d), allocated=%v",
 								k, blk, oldBlk, p.BlockAllocated(0, oldBlk))
 						}
 						want = tc.old
-					} else if p.BlockAllocated(0, oldBlk) {
+					} else if oldBlk != 0 && p.BlockAllocated(0, oldBlk) {
 						return fmt.Errorf("the overwrite went through but the block it shadows, %d, is still allocated", oldBlk)
 					}
 					if d, err := p.LoadDatum("v"); err != nil || !bytes.Equal(d.Payload, want.Payload) {
@@ -234,7 +312,7 @@ func TestOverwriteMediaErrorSweep(t *testing.T) {
 					return nil
 				})
 				if !failed {
-					if k < 10 {
+					if k < tc.persists {
 						t.Errorf("the overwrite finished in %d persists; the sweep missed its commits", k)
 					}
 					break
@@ -323,7 +401,9 @@ func TestOverwriteExhaustionKeepsOldValue(t *testing.T) {
 // the shadowed blocks are parked on the limbo, counted in
 // pmemcpy_view_deferred_frees_total, and freed when the view closes — and the
 // view's bytes stay what they were, even when the array under it is itself
-// overwritten.
+// overwritten. Four overwrites shadow a block (value ref over value ref twice,
+// into another size class, and an inline value over a value ref); an inline
+// value over an inline one owns nothing to park.
 func TestViewHeldAcrossOverwrite(t *testing.T) {
 	const elems = 1024
 	overwriteRig(t, 16<<20, func(_ *node.Node, p *core.PMEM) error {
@@ -333,13 +413,15 @@ func TestViewHeldAcrossOverwrite(t *testing.T) {
 		if err := p.StoreBlock("A", []uint64{0}, []uint64{elems}, uniformF64(elems, 1)); err != nil {
 			return err
 		}
-		if err := p.StoreDatum("s", scalarDatum(1)); err != nil {
-			return err
+		for id, d := range map[string]*serial.Datum{
+			"s": blobDatum(1), "name": stringDatum(strings.Repeat("old ", 40)),
+			"shrink": blobDatum(1), "tiny": scalarDatum(1),
+		} {
+			if err := p.StoreDatum(id, d); err != nil {
+				return err
+			}
 		}
-		if err := p.StoreDatum("name", stringDatum("old")); err != nil {
-			return err
-		}
-		sBlk, err := refBlock(p, "s")
+		sBlk, err := namedBlock(p, "s")
 		if err != nil {
 			return err
 		}
@@ -355,9 +437,11 @@ func TestViewHeldAcrossOverwrite(t *testing.T) {
 			return err
 		}
 		for _, err := range []error{
-			p.StoreDatum("s", scalarDatum(2)),
-			p.StoreDatum("s", scalarDatum(3)),
-			p.StoreDatum("name", stringDatum(strings.Repeat("longer ", 20))),
+			p.StoreDatum("tiny", scalarDatum(2)),
+			p.StoreDatum("s", blobDatum(2)),
+			p.StoreDatum("s", blobDatum(3)),
+			p.StoreDatum("name", stringDatum(strings.Repeat("longer ", 80))),
+			p.StoreDatum("shrink", scalarDatum(3)),
 		} {
 			if err != nil {
 				return err
@@ -369,9 +453,9 @@ func TestViewHeldAcrossOverwrite(t *testing.T) {
 		}
 		m := p.Metrics()
 		_, limbo, _ := p.ViewStats()
-		if held.Frees != before.Frees || limbo != 3 || m.Get("pmemcpy_view_deferred_frees_total") != 3 ||
-			m.Get("pmemcpy_superseded_blocks_total") != 3 || !p.BlockAllocated(0, sBlk) {
-			return fmt.Errorf("with the view open: frees +%d, limbo %d, deferred %d, superseded %d, first shadowed block allocated=%v; want +0, 3, 3, 3, true",
+		if held.Frees != before.Frees+1 || limbo != 4 || m.Get("pmemcpy_view_deferred_frees_total") != 4 ||
+			m.Get("pmemcpy_superseded_blocks_total") != 4 || !p.BlockAllocated(0, sBlk) {
+			return fmt.Errorf("with the view open: frees +%d, limbo %d, deferred %d, superseded %d, first shadowed block allocated=%v; want +1 (the record block the shrink relinked), 4, 4, 4, true",
 				held.Frees-before.Frees, limbo, m.Get("pmemcpy_view_deferred_frees_total"),
 				m.Get("pmemcpy_superseded_blocks_total"), p.BlockAllocated(0, sBlk))
 		}
@@ -400,22 +484,26 @@ func TestViewHeldAcrossOverwrite(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if _, limbo, _ := p.ViewStats(); limbo != 0 || closed.Frees-held.Frees != 3 || p.BlockAllocated(0, sBlk) {
-			return fmt.Errorf("after Close: limbo %d, frees +%d, first shadowed block allocated=%v; want 0, +3, false",
+		if _, limbo, _ := p.ViewStats(); limbo != 0 || closed.Frees-held.Frees != 4 || p.BlockAllocated(0, sBlk) {
+			return fmt.Errorf("after Close: limbo %d, frees +%d, first shadowed block allocated=%v; want 0, +4, false",
 				limbo, closed.Frees-held.Frees, p.BlockAllocated(0, sBlk))
 		}
-		if d, err := p.LoadDatum("s"); err != nil || !bytes.Equal(d.Payload, scalarDatum(3).Payload) {
-			return fmt.Errorf("s after the view closed: %v, %v", d, err)
+		for id, want := range map[string]*serial.Datum{"s": blobDatum(3), "shrink": scalarDatum(3), "tiny": scalarDatum(2)} {
+			if d, err := p.LoadDatum(id); err != nil || !bytes.Equal(d.Payload, want.Payload) {
+				return fmt.Errorf("%s after the view closed: %v, %v", id, d, err)
+			}
 		}
 		return nil
 	}, core.WithCodec("raw"))
 }
 
-// TestOverwriteSteadyStateLeakFree overwrites 64 scalar and 64 string ids on
-// one handle 10 000 times. Once every id has been overwritten once (each
+// TestOverwriteSteadyStateLeakFree overwrites 64 scalar, 64 string and 64
+// "flip" ids on one handle 10 000 times; a flip id alternates between a value
+// that lives in its record and one that needs a block, half of them each way in
+// every pass. Once every id has been overwritten in both directions (each
 // overwrite allocates its new block before the publish frees the old one, so
-// the first overwrite pass may still carve), the heap does not grow by a byte
-// and the number of live allocator blocks never moves.
+// the first passes may still carve), the heap does not grow by a byte and the
+// number of live allocator blocks never moves.
 func TestOverwriteSteadyStateLeakFree(t *testing.T) {
 	overwriteRig(t, 64<<20, func(_ *node.Node, p *core.PMEM) error {
 		pass := func(n int) error {
@@ -427,10 +515,17 @@ func TestOverwriteSteadyStateLeakFree(t *testing.T) {
 				if err := p.StoreDatum(fmt.Sprintf("string-%d", i), stringDatum(s)); err != nil {
 					return err
 				}
+				flip := scalarDatum(int64(n))
+				if (n+i)%2 == 0 {
+					flip = blobDatum(byte(n))
+				}
+				if err := p.StoreDatum(fmt.Sprintf("flip-%d", i), flip); err != nil {
+					return err
+				}
 			}
 			return nil
 		}
-		for n := 0; n < 2; n++ {
+		for n := 0; n < 3; n++ {
 			if err := pass(n); err != nil {
 				return err
 			}
@@ -439,7 +534,7 @@ func TestOverwriteSteadyStateLeakFree(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for n := 2; n < 2+10000/128+1; n++ {
+		for n := 3; n < 3+10000/192+1; n++ {
 			if err := pass(n); err != nil {
 				return err
 			}

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -260,8 +261,9 @@ func TestReadPathEquivalence(t *testing.T) {
 }
 
 // failKind is one consume step of the read engine as the API reaches it.
-// read performs it on the array "A" or the whole value "S" and reports
-// whether any byte (or object) reached the caller.
+// read performs it on the array "A" or a whole value — "S", which lives in its
+// record, or "L", which lives in a block — and reports whether any byte (or
+// object) reached the caller.
 type failKind struct {
 	name string
 	read func(p *core.PMEM) (delivered bool, err error)
@@ -293,8 +295,12 @@ var failKinds = []failKind{
 		}
 		return v != nil, err
 	}},
-	{"clone/LoadDatum", func(p *core.PMEM) (bool, error) {
+	{"clone/LoadDatum/inline", func(p *core.PMEM) (bool, error) {
 		d, err := p.LoadDatum("S")
+		return d != nil, err
+	}},
+	{"clone/LoadDatum/value ref", func(p *core.PMEM) (bool, error) {
+		d, err := p.LoadDatum("L")
 		return d != nil, err
 	}},
 	{"stats/MinMax", func(p *core.PMEM) (bool, error) {
@@ -307,8 +313,8 @@ var failKinds = []failKind{
 }
 
 // failOpen runs fn on the failure-contract store, creating and populating it
-// on first use: the targets "A" and "S", and an untouched pair "G"/"GS" that
-// proves the handle usable after every failure.
+// on first use: the targets "A", "S" and "L", and an untouched pair "G"/"GS"
+// that proves the handle usable after every failure.
 func failOpen(t *testing.T, n *node.Node, codec string, verify core.VerifyMode, fn func(p *core.PMEM) error) {
 	t.Helper()
 	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
@@ -326,6 +332,9 @@ func failOpen(t *testing.T, n *node.Node, codec string, verify core.VerifyMode, 
 				if err := p.StoreString(id, "one read engine"); err != nil {
 					return err
 				}
+			}
+			if err := p.StoreString("L", strings.Repeat("too long to live in a record ", 8)); err != nil {
+				return err
 			}
 		}
 		if err := fn(p); err != nil {
@@ -398,16 +407,18 @@ func TestReadFailureContract(t *testing.T) {
 				if _, _, err := p.InjectCorruption("A", 0, 100, 1, 0x10); err != nil {
 					return err
 				}
-				if _, _, err := p.InjectCorruption("S", -1, 3, 1, 0x10); err != nil {
-					return err
+				for _, id := range []string{"S", "L"} {
+					if _, _, err := p.InjectCorruption(id, -1, 3, 1, 0x10); err != nil {
+						return err
+					}
 				}
 				if err := expectCorrupt("crc mismatch")(p); err != nil {
 					return err
 				}
-				// Quarantine both blocks for the next stage.
+				// Quarantine all three blocks for the next stage.
 				rep, err := p.Scrub(context.Background())
-				if err == nil && rep.Quarantined != 2 {
-					err = fmt.Errorf("scrub quarantined %d blocks, want 2", rep.Quarantined)
+				if err == nil && rep.Quarantined != 3 {
+					err = fmt.Errorf("scrub quarantined %d blocks, want 3", rep.Quarantined)
 				}
 				return err
 			})

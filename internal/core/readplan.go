@@ -223,6 +223,24 @@ func (l poolLayout) stored(p *PMEM, u readUnit) ([]byte, error) {
 	return p.poolOf(u.src.pool).Slice(u.src.data, u.src.encLen)
 }
 
+// record returns the metadata record published under id (pool layout only) as
+// it sits in its home pool's mapping — no copy, so a whole-value load puts no
+// record on the Go heap — and the value block holding it, charged as the one
+// device read a record costs. The caller holds id's lock: every writer of the
+// record (publish, republish, Delete) holds its write side, so the bytes stay
+// put until the caller lets go.
+func (p *PMEM) record(id string) (raw []byte, at poolPMID, ok bool, err error) {
+	home, clk := p.homeIdx(id), p.comm.Clock()
+	blk, n, ok, err := p.st.hts[home].GetRef(clk, []byte(id))
+	if err != nil || !ok {
+		return nil, at, ok, err
+	}
+	pool := p.st.pools[home]
+	pool.Mapping().ChargeRead(clk, n)
+	raw, err = pool.Slice(blk, n)
+	return raw, poolPMID{pool: uint8(home), id: blk}, err == nil, err
+}
+
 // chargeUnit is the pool layout's: the unit's bytes streamed out of its
 // pool's mapping by one goroutine.
 func (l poolLayout) chargeUnit(p *PMEM, u readUnit, decPasses float64) {
@@ -341,7 +359,12 @@ func (e readEngine) consume(pl *readPlan, units []readUnit, verified bool) error
 		if len(src) < 1 {
 			return fmt.Errorf("core: empty value for %q", pl.id)
 		}
-		p.st.lay.chargeUnit(p, units[0], decPasses)
+		if pl.kind == recInline {
+			// The bytes arrived with the record: only the decode pass is left.
+			p.chargeCodec(sim.Load, units[0].bytes, decPasses)
+		} else {
+			p.st.lay.chargeUnit(p, units[0], decPasses)
+		}
 		// The 1-byte type prefix lets non-self-describing codecs decode.
 		d, err := p.codec.Decode(src[1:], &serial.Datum{Type: serial.DType(src[0])})
 		if err != nil {
@@ -607,7 +630,8 @@ func (p *PMEM) readParallelEligible(total int64) bool {
 // block's recorded CRC, virtual clock, or persist tracking — exactly what a
 // failing cell or a misdirected write looks like to software. block selects
 // which block of an array's block list to damage; block < 0 targets a whole
-// value's single block (scalars, strings, whole-slice stores). off is reduced
+// value's single block (scalars, strings, whole-slice stores) — the block a
+// value ref names, or an inline value's bytes in its record. off is reduced
 // modulo the block's encoded length, so generators can aim anywhere without
 // knowing block sizes; n <= 0 damages from off to the end of the block. It
 // returns the pool offset of the first damaged byte and how many bytes were
@@ -631,18 +655,18 @@ func (p *PMEM) InjectCorruption(id string, block int, off, n int64, mask byte) (
 	lock := p.varLock(id)
 	lock.Lock()
 	defer lock.Unlock()
-	raw, ok, err := p.getValue(id)
+	raw, at, ok, err := p.record(id)
 	if err != nil {
 		return 0, 0, err
 	}
 	if !ok {
 		return 0, 0, fmt.Errorf("core: id %q: %w", id, ErrNotFound)
 	}
-	blocks, kind, err := decodeRecord(raw, uint8(p.homeIdx(id)), nil)
+	blocks, kind, err := decodeRecord(raw, at, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	if kind == recValueRef && block < 0 {
+	if kind.whole() && block < 0 {
 		block = 0
 	} else if kind != recBlockList || block < 0 || block >= len(blocks) {
 		return 0, 0, fmt.Errorf("core: id %q (%v, %d blocks) has no block %d", id, kind, len(blocks), block)

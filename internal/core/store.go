@@ -26,15 +26,16 @@ func (p *PMEM) deleteValue(id string) (bool, error) {
 	defer p.invalidateCache(id)
 	// Where records reference pool blocks, read what this one owns — a block
 	// list's blocks, a value ref's block, or nothing for raw metadata records
-	// (e.g. "#dims") — before unlinking it.
+	// (e.g. "#dims") — before unlinking it. An inline value's bytes go with
+	// the record: they only leave the quarantine.
 	var one [1]blockRec
-	owned := one[:0]
+	owned, kind := one[:0], recRaw
 	if p.st.lay.caps().pool {
-		raw, ok, err := p.getValue(id)
+		raw, at, ok, err := p.record(id)
 		if err != nil || !ok {
 			return false, err
 		}
-		if owned, _, err = decodeRecord(raw, uint8(p.homeIdx(id)), owned); err != nil {
+		if owned, kind, err = decodeRecord(raw, at, owned); err != nil {
 			return false, err
 		}
 	}
@@ -45,7 +46,9 @@ func (p *PMEM) deleteValue(id string) (bool, error) {
 	if err != nil || !existed {
 		return existed, err
 	}
-	if len(owned) > 0 {
+	if kind == recInline {
+		p.unquarantine(owned)
+	} else if len(owned) > 0 {
 		// Striped blocks free in their owning pools — or, with zero-copy view
 		// leases open, park on the limbo lists until the lease epoch drains
 		// (view.go). Either way the persist sequence stays deterministic for

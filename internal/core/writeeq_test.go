@@ -115,10 +115,11 @@ func eqRecords(t *testing.T, codec string, pools int, mode string) map[string]st
 			return p.StoreDatum(id, d)
 		}
 
-		// The script: two block variables (one with overlapping appends), two
-		// whole values — each then overwritten by a whole value, one of another
-		// length, one of the same — and a fan of small variables that spreads
-		// over every member pool on a sharded namespace.
+		// The script: two block variables (one with overlapping appends), four
+		// whole values — each then overwritten by a whole value: inline over
+		// inline (another length), value ref over value ref (the same length),
+		// value ref over inline and inline over value ref — and a fan of small
+		// variables that spreads over every member pool on a sharded namespace.
 		if err := p.Alloc("X", serial.Float64, []uint64{8, 16}); err != nil {
 			return err
 		}
@@ -148,8 +149,18 @@ func eqRecords(t *testing.T, codec string, pools int, mode string) map[string]st
 		if err := storeDatum("D", &serial.Datum{Type: serial.Float64, Dims: []uint64{128}, Payload: eqPattern(128*8, 8)}); err != nil {
 			return err
 		}
-		if got := p.Metrics().Get("pmemcpy_superseded_blocks_total"); got != 2 {
-			return fmt.Errorf("two whole-value overwrites superseded %d blocks", got)
+		small, large := &serial.Datum{Type: serial.Int64, Payload: eqPattern(8, 9)}, &serial.Datum{Type: serial.Bytes, Payload: eqPattern(300, 9)}
+		for _, st := range []struct {
+			id string
+			d  *serial.Datum
+		}{{"T", small}, {"U", large}, {"T", large}, {"U", small}} {
+			if err := storeDatum(st.id, st.d); err != nil {
+				return err
+			}
+		}
+		if m := p.Metrics(); m.Get("pmemcpy_superseded_blocks_total") != 2 || m.Get("pmemcpy_values_inline_total") != 4 {
+			return fmt.Errorf("four whole-value overwrites superseded %d blocks (want D's and U's) and published %d values inline (want S twice, T, U)",
+				m.Get("pmemcpy_superseded_blocks_total"), m.Get("pmemcpy_values_inline_total"))
 		}
 		for k := 0; k < 8; k++ {
 			id := fmt.Sprintf("var%d", k)

@@ -29,6 +29,11 @@ import (
 //	   hashtable read-modify-write, in which a whole value also frees the
 //	   block it shadows (publishGroup).
 //
+// A whole value of at most inlineMax bytes has no block: steps 1 and 2 skip it
+// and step 3 encodes it into the record it publishes (planGroup.inline), so
+// the store is that one transaction — and, over a value of the same length,
+// one undo entry. The decision is the engine's, so every planner inherits it.
+//
 // A serial or async plan is one wave per unit, each a single job on the
 // caller's goroutine; a concurrent plan (storeBlock's shards, storeDatum's
 // chunks) is one wave of all its fragments on the wave runner's pool
@@ -79,9 +84,9 @@ type publishKind uint8
 
 const (
 	// publishValueRef publishes the group's single unit as a (pmid, len, crc)
-	// pointer record — the whole-value form. Its block is framed by a 1-byte
-	// dtype tag before the encoded payload, which non-self-describing codecs
-	// need to decode a whole value.
+	// pointer record — the whole-value form — or, when it is small, inline. Its
+	// block is framed by a 1-byte dtype tag before the encoded payload, which
+	// non-self-describing codecs need to decode a whole value.
 	publishValueRef publishKind = iota
 	// publishBlockList appends every unit to the id's block list with one
 	// metadata update — all-or-nothing, never a torn list.
@@ -95,6 +100,12 @@ type planGroup struct {
 	dtype   serial.DType
 	publish publishKind
 	units   []writeUnit
+}
+
+// inline reports whether the group's whole value is small enough to live in
+// its metadata record instead of a block of its own.
+func (g *planGroup) inline() bool {
+	return g.publish == publishValueRef && g.units[0].encLen <= inlineMax
 }
 
 // writePlan is a fully planned write: what to allocate where, how wide to
@@ -176,17 +187,17 @@ func (e commitEngine) run(plan *writePlan) error {
 	return e.publish(plan)
 }
 
-// alloc allocates every unit's block: ONE transaction per touched member
-// pool, pools in ascending order. Amortizing tx begin/commit across a plan's
-// units is the first of the three costs group commit and parallel stores
-// batch over per-op writes.
+// alloc allocates every unit's block (an inline value has none): ONE
+// transaction per touched member pool, pools in ascending order. Amortizing tx
+// begin/commit across a plan's units is the first of the three costs group
+// commit and parallel stores batch over per-op writes.
 func (e commitEngine) alloc(plan *writePlan) error {
 	p := e.p
 	clk := p.comm.Clock()
 	for pi := 0; pi < len(p.st.pools); pi++ {
 		var tx *pmdk.Tx
-		for _, u := range plan.units {
-			if int(u.pool) != pi {
+		for g, u := range plan.units {
+			if int(u.pool) != pi || g.inline() {
 				continue
 			}
 			if tx == nil {
@@ -231,8 +242,14 @@ type fillJob struct {
 // over all its fragments, or — in a concurrent plan — one per fragment.
 func (e commitEngine) fill(plan *writePlan) error {
 	p := e.p
-	jobs := make([]fillJob, 0, max(1, plan.workers))
+	var jobs []fillJob
 	for g, u := range plan.units {
+		if g.inline() {
+			continue
+		}
+		if jobs == nil {
+			jobs = make([]fillJob, 0, max(1, plan.workers))
+		}
 		pool := p.poolOf(u.pool)
 		dst, err := pool.Slice(u.blk, u.encLen)
 		if err != nil {
@@ -346,7 +363,7 @@ func (e commitEngine) publish(plan *writePlan) error {
 		g := &plan.groups[gi]
 		lock := p.varLock(g.id)
 		lock.Lock()
-		err := e.publishGroup(g)
+		err := e.publishGroup(g, plan.encPasses)
 		if err == nil {
 			p.invalidateCache(g.id)
 		}
@@ -378,13 +395,16 @@ func (e commitEngine) publish(plan *writePlan) error {
 // move together — before the generation bump recovery restores the old record
 // and the old block's header; after it the record is new and the block free.
 // With a view lease open the block is parked on the limbo after the commit
-// instead, as Delete does. A block list is appended to and never pruned
-// (ROADMAP item 1: blocked on bench/ckpt.go's cumulative MinMax model).
-func (e commitEngine) publishGroup(g *planGroup) error {
+// instead, as Delete does. An inline value owns no block — replacing one frees
+// nothing, and the hashtable moves the record's own — and an inline value of
+// the old one's length is pmdk's in-place form: one undo entry, one
+// transaction, no allocator traffic. A block list is appended to and never
+// pruned (ROADMAP item 1: blocked on bench/ckpt.go's cumulative MinMax model).
+func (e commitEngine) publishGroup(g *planGroup, encPasses float64) error {
 	p := e.p
 	// The hashtable is called concretely, not through the layout value, and
 	// the cursor keeps no key, so the key bytes and a value ref's 21-byte
-	// record stay in this frame.
+	// record stay in this frame (an inline record is built in the handle's).
 	home, key := p.homeIdx(g.id), []byte(g.id)
 	u, err := p.st.hts[home].Update(p.comm.Clock(), key)
 	if err != nil {
@@ -405,19 +425,36 @@ func (e commitEngine) publishGroup(g *planGroup) error {
 		return u.Commit(key, blockList.encode(blocks))
 	}
 	var one [1]blockRec
-	old, kind, _ := decodeRecord(raw, uint8(home), one[:0])
+	old, kind, _ := decodeRecord(raw, poolPMID{uint8(home), u.OldID()}, one[:0])
 	parked := p.st.viewActive.Load() != 0
-	if kind != recValueRef {
-		old = nil // an array's blocks are not a whole value's to free
-	} else if !parked {
-		if err := u.Free(old[0].data); err != nil {
-			u.Abort() // as above
-			return err
-		}
+	if kind == recValueRef && !parked { // an array's blocks are not a whole value's to free
+		err = u.Free(old[0].data)
 	}
-	rec := g.units[0].rec(g.dtype)
-	if err := u.Commit(key, encodeValueRef(&rec)); err != nil || old == nil {
+	var rec []byte
+	switch ref := g.units[0].rec(g.dtype); {
+	case err != nil:
+	case g.inline():
+		rec, err = e.inlineRecord(g, encPasses)
+	default:
+		rec = encodeValueRef(&ref)
+	}
+	if err != nil {
+		u.Abort() // as above
 		return err
+	}
+	if err := u.Commit(key, rec); err != nil {
+		return err
+	}
+	if g.inline() {
+		p.st.ins.inlineValues.Inc()
+	}
+	if kind == recInline {
+		// The bytes a quarantine entry named are rewritten, or back with the
+		// allocator.
+		p.unquarantine(old)
+	}
+	if kind != recValueRef {
+		return nil
 	}
 	p.st.ins.supersededBlocks.Inc()
 	p.st.ins.supersededBytes.Add(old[0].encLen)
@@ -426,6 +463,26 @@ func (e commitEngine) publishGroup(g *planGroup) error {
 	}
 	p.unquarantine(old)
 	return nil
+}
+
+// inlineRecord encodes the group's whole value into the handle's scratch as
+// its inline record — the fill a unit with a block gets from wave, minus the
+// block: one job on the caller's goroutine, the same sweep and running CRC,
+// the encode pass charged here and the bytes' way to the device by the
+// transaction that writes them.
+func (e commitEngine) inlineRecord(g *planGroup, encPasses float64) ([]byte, error) {
+	if e.p.inl == nil {
+		e.p.inl = new([inlinePrefix + inlineMax]byte)
+	}
+	u, buf := &g.units[0], e.p.inl[:]
+	j := fillJob{dst: buf[inlinePrefix : inlinePrefix+u.encLen], frags: u.frags, tagged: true, dtype: g.dtype}
+	if err := e.encode(&j); err != nil {
+		return nil, err
+	}
+	u.wrote, u.crc = j.wrote, j.crc
+	e.p.chargeCodec(sim.Store, j.wrote, encPasses)
+	sealInline(buf, j.crc)
+	return buf[:inlinePrefix+j.wrote], nil
 }
 
 // republishLocked rewrites id's block list in place (compact, and any future

@@ -55,10 +55,11 @@ func (r *Report) Summary() string {
 type Corruption struct {
 	// ID is the variable owning the block.
 	ID string
-	// Block is the index within the id's block list, or -1 for a whole-value
-	// pointer record (StoreDatum payloads).
+	// Block is the index within the id's block list, or -1 for a whole value
+	// (StoreDatum payloads), in a block of its own or inline in its record.
 	Block int
-	// Offset is the pool offset of the block's payload.
+	// Offset is the pool offset of the block's payload — for an inline value,
+	// of its bytes inside the metadata record's value block.
 	Offset int64
 	// Len is the encoded length covered by the CRC.
 	Len int64

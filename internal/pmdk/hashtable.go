@@ -207,6 +207,17 @@ func (h *Hashtable) newValueBlock(clk *sim.Clock, tx *Tx, value []byte) (PMID, e
 	return vid, nil
 }
 
+// valueRef reads entry e's vlen|value. The two words share a cacheline, so one
+// 16-byte access — one device latency — reads both.
+func (h *Hashtable) valueRef(clk *sim.Clock, e PMID) (val PMID, vlen int64, err error) {
+	ref, err := h.p.Slice(e+entryVlen, 16)
+	if err != nil {
+		return Null, 0, err
+	}
+	h.p.m.ChargeRead(clk, 16)
+	return PMID(binary.LittleEndian.Uint64(ref[8:])), int64(binary.LittleEndian.Uint64(ref)), nil
+}
+
 // Update is an open read-modify-write of one key: the bucket is write-locked,
 // a transaction is open, and the chain has been walked once. The holder reads
 // the old value, may add Frees of blocks the old value owned to the same
@@ -239,12 +250,9 @@ func (h *Hashtable) Update(clk *sim.Clock, key []byte) (Update, error) {
 	}
 	u := Update{h: h, tx: tx, lock: lock}
 	if u.entry, u.link, err = h.findLocked(clk, key); err == nil && u.entry != Null {
-		// vlen|value share a cacheline: one access reads both.
-		var ref []byte
-		if ref, err = h.p.Slice(u.entry+entryVlen, 16); err == nil {
-			h.p.m.ChargeRead(clk, 16)
-			u.val = PMID(binary.LittleEndian.Uint64(ref[8:]))
-			u.old, err = h.p.Slice(u.val, int64(binary.LittleEndian.Uint64(ref)))
+		var n int64
+		if u.val, n, err = h.valueRef(clk, u.entry); err == nil {
+			u.old, err = h.p.Slice(u.val, n)
 		}
 	}
 	if err != nil {
@@ -259,6 +267,10 @@ func (u *Update) Old() []byte {
 	u.h.p.m.ChargeRead(u.tx.clk, int64(len(u.old)))
 	return u.old
 }
+
+// OldID returns the value block Old's bytes live in (Null when the key is
+// absent): where an in-place Commit will write.
+func (u *Update) OldID() PMID { return u.val }
 
 // Free returns block id to the allocator in the update's transaction: it is
 // free exactly when the new value is published. A block the new value
@@ -375,8 +387,11 @@ func (h *Hashtable) Get(clk *sim.Clock, key []byte) ([]byte, bool, error) {
 	return v, true, nil
 }
 
-// GetRef returns the PMID and length of key's value block without copying,
-// the zero-copy lookup path pMEMCPY's load uses.
+// GetRef returns the PMID and length of key's value block without copying or
+// charging the value's bytes. The bucket lock is released on return: the caller
+// must hold a lock of its own that excludes every Put and Delete of key for as
+// long as it dereferences the block (core's whole-value load does, under the
+// id's read lock, since the inline record form).
 func (h *Hashtable) GetRef(clk *sim.Clock, key []byte) (PMID, int64, bool, error) {
 	lock := h.p.Lock(h.bucketOff(HashKey(key)))
 	lock.RLock()
@@ -391,15 +406,8 @@ func (h *Hashtable) getRefLocked(clk *sim.Clock, key []byte) (PMID, int64, bool,
 	if err != nil || e == Null {
 		return Null, 0, false, err
 	}
-	vlen, err := h.p.ReadU64(clk, e+entryVlen)
-	if err != nil {
-		return Null, 0, false, err
-	}
-	vid, err := h.p.ReadU64(clk, e+entryVal)
-	if err != nil {
-		return Null, 0, false, err
-	}
-	return PMID(vid), int64(vlen), true, nil
+	vid, vlen, err := h.valueRef(clk, e)
+	return vid, vlen, err == nil, err
 }
 
 // Delete removes key. It reports whether the key existed.
@@ -450,17 +458,12 @@ func (h *Hashtable) Range(clk *sim.Clock, fn func(key []byte, val PMID, vlen int
 				return err
 			}
 			h.p.m.ChargeRead(clk, int64(klen))
-			vlen, err := h.p.ReadU64(clk, e+entryVlen)
+			vid, vlen, err := h.valueRef(clk, e)
 			if err != nil {
 				lock.RUnlock()
 				return err
 			}
-			vid, err := h.p.ReadU64(clk, e+entryVal)
-			if err != nil {
-				lock.RUnlock()
-				return err
-			}
-			if !fn(kb, PMID(vid), int64(vlen)) {
+			if !fn(kb, vid, vlen) {
 				lock.RUnlock()
 				return nil
 			}

@@ -54,7 +54,7 @@ var (
 
 const (
 	poolMagic   = "PMDKPOOL"
-	poolVersion = 4 // 4: set descriptor in the header's last cacheline (poolset.go)
+	poolVersion = 5 // 5: small whole values live inline in their metadata record (core/meta.go)
 	headerSize  = 256
 
 	// Header field offsets.
@@ -208,6 +208,12 @@ type statsCounters struct {
 	htInserted   atomic.Int64
 }
 
+// errVersion reports a pool of another format version: not corruption, but
+// data this build neither reads nor re-formats.
+func errVersion(found uint32) error {
+	return fmt.Errorf("%w: format version %d, this build reads only version %d", ErrBadPool, found, poolVersion)
+}
+
 // headerChecksum guards the pool header with the same CRC32C the data path
 // uses for block checksums; the 32-bit sum is stored widened in the 64-bit
 // header slot so the layout is unchanged.
@@ -311,7 +317,7 @@ func Open(clk *sim.Clock, m *pmem.Mapping) (*Pool, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadPool)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[hdrVersion:]); v != poolVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadPool, v)
+		return nil, errVersion(v)
 	}
 	if got, want := binary.LittleEndian.Uint64(hdr[hdrChecksum:]), headerChecksum(hdr); got != want {
 		return nil, fmt.Errorf("%w: header checksum %#x != %#x", ErrCorrupt, got, want)

@@ -92,7 +92,7 @@ func ReadSetDesc(clk *sim.Clock, m *pmem.Mapping) (SetDesc, error) {
 		if v := binary.LittleEndian.Uint32(hdr[hdrVersion:]); v != poolVersion &&
 			string(hdr[hdrMagic:hdrMagic+8]) == poolMagic &&
 			binary.LittleEndian.Uint64(hdr[hdrChecksum:]) == headerChecksum(hdr) {
-			return SetDesc{}, fmt.Errorf("%w: version %d", ErrBadPool, v)
+			return SetDesc{}, errVersion(v)
 		}
 		return SetDesc{}, ErrSetUnpublished
 	}

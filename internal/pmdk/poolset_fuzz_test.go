@@ -33,9 +33,13 @@ func validDesc() []byte {
 func FuzzReadSetDesc(f *testing.F) {
 	bitOff := validDesc()
 	bitOff[descIndex] ^= 1
-	v3 := make([]byte, hdrVersion+4)
-	copy(v3, poolMagic)
-	binary.LittleEndian.PutUint32(v3[hdrVersion:], 3)
+	oldFormat := func(v uint32) []byte {
+		h := make([]byte, hdrVersion+4)
+		copy(h, poolMagic)
+		binary.LittleEndian.PutUint32(h[hdrVersion:], v)
+		return h
+	}
+	v3, v4 := oldFormat(3), oldFormat(4)
 	f.Add([]byte{}, make([]byte, setDescSize), false, false) // all-zero: never published
 	f.Add([]byte{}, validDesc(), false, false)               // valid
 	f.Add([]byte{}, bitOff, false, false)                    // one bit off: corrupt
@@ -43,6 +47,8 @@ func FuzzReadSetDesc(f *testing.F) {
 	f.Add([]byte("NOTAPOOL"), make([]byte, setDescSize), false, false)
 	f.Add(v3, make([]byte, setDescSize), true, false) // empty slot behind a format-3 header
 	f.Add(v3, validDesc(), true, false)
+	f.Add(v4, make([]byte, setDescSize), true, false) // ...and a format-4 one: ErrBadPool, not "create"
+	f.Add(v4, validDesc(), true, false)               // a published format-4 member: the slot decodes, Open refuses
 	f.Fuzz(func(t *testing.T, hdrPatch, slot []byte, fixHdr, fixDesc bool) {
 		_, m, clk := newTestPool(t, 1<<20)
 		hdr, err := m.Slice(0, headerSize)

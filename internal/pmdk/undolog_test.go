@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -337,8 +338,10 @@ func TestOpenRefusesV2Pool(t *testing.T) {
 	// log this reader no longer understands.
 	binary.LittleEndian.PutUint32(hdr[hdrVersion:], 2)
 	binary.LittleEndian.PutUint64(hdr[hdrChecksum:], headerChecksum(hdr))
-	if _, err := Open(clk, mp); !errors.Is(err, ErrBadPool) {
-		t.Fatalf("Open(v2 pool) = %v, want ErrBadPool", err)
+	_, err = Open(clk, mp)
+	if !errors.Is(err, ErrBadPool) || errors.Is(err, ErrCorrupt) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("format version 2, this build reads only version %d", poolVersion)) {
+		t.Fatalf("Open(v2 pool) = %v, want ErrBadPool naming both versions", err)
 	}
 }
 

@@ -174,7 +174,10 @@ var (
 	// verified read, the scrubber, or a deep check found the medium returned
 	// different bytes than were persisted — or that the block being read was
 	// quarantined by the scrubber. The error text identifies the id, block,
-	// and pool offset.
+	// and pool offset. Mmap returns it for a damaged namespace: a pool
+	// header, set descriptor or hashtable header that fails its checksum. (A
+	// pool written by another format version is not corrupt: that error
+	// matches no sentinel and names the version found and the one read.)
 	ErrCorrupt = core.ErrCorrupt
 	// ErrStaleView reports an access through a zero-copy view whose lease is
 	// no longer valid: the view was closed, or the handle group it was taken

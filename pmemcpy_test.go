@@ -306,10 +306,11 @@ func TestMinMaxAndFindBlocksPublicAPI(t *testing.T) {
 }
 
 // TestScalarOverwriteHeapBudget pins the Go-heap cost of the per-op path the
-// smallkv workload measures: an overwriting Store of a scalar is 9 allocations
-// — what it was before the publish became one hashtable update that also frees
-// the block it shadows. The update cursor is a value and keeps no key, so it
-// adds nothing; a callback-style update would make its captures escape.
+// smallkv workload measures: an overwriting Store of a scalar is 7 allocations.
+// It was 9 while the value lived in a block of its own — the block's
+// transaction and the fill's job list are the two that went. The update cursor
+// is a value and keeps no key, so it adds nothing; a callback-style update
+// would make its captures escape. The inline record is built in the handle.
 func TestScalarOverwriteHeapBudget(t *testing.T) {
 	single(t, func(p *pmemcpy.PMEM) error {
 		if err := pmemcpy.Store(p, "step", int64(0)); err != nil {
@@ -322,8 +323,30 @@ func TestScalarOverwriteHeapBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if got > 9 {
-			return fmt.Errorf("an overwriting Store of a scalar = %v allocations, want at most 9", got)
+		if got > 7 {
+			return fmt.Errorf("an overwriting Store of a scalar = %v allocations, want at most 7", got)
+		}
+		return nil
+	})
+}
+
+// TestScalarLoadHeapBudget is the read side: a Load of a scalar is 5
+// allocations, one fewer than when the 21-byte value ref was copied out of the
+// hashtable first. The inline record is decoded where it sits, under the id's
+// read lock; copying it through Hashtable.Get would be the sixth again, and
+// 46 to 112 bytes instead of 21.
+func TestScalarLoadHeapBudget(t *testing.T) {
+	single(t, func(p *pmemcpy.PMEM) error {
+		if err := pmemcpy.Store(p, "step", int64(42)); err != nil {
+			return err
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if v, err := pmemcpy.Load[int64](p, "step"); err != nil || v != 42 {
+				t.Fatal(v, err)
+			}
+		})
+		if got > 5 {
+			return fmt.Errorf("a Load of a scalar = %v allocations, want at most 5", got)
 		}
 		return nil
 	})
