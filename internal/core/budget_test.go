@@ -16,30 +16,33 @@ import (
 	"pmemcpy/internal/sim"
 )
 
-// TestPersistBudgetPinned holds the persist-barrier cost of each protocol step
-// — persists and fences, read from the devices' always-on counters — against
-// testdata/persist_budget.golden, on a one-pool and a four-pool namespace: a
-// dims record (Alloc), a scalar insert and overwrite, a string, a 4 MB block
-// store, an append to a list already holding 8 blocks, a delete, and one
-// 32-submission async batch under the raw codec. It is the table DESIGN §15
-// cites: a change that means to spend fewer barriers (ROADMAP item 2)
-// regenerates it with -update and explains each row that moved; any other
-// change must not move it.
+// TestPersistBudgetPinned holds the device-access cost of each protocol step —
+// persists, fences and charged read accesses, from the devices' always-on
+// counters — against testdata/persist_budget.golden, on a one-pool and a
+// four-pool namespace: a dims record (Alloc), a scalar insert and overwrite, a
+// string, the loads of both, a 4 MB block store and its load with the
+// block-index cache cold and warm, an append to a list already holding 8
+// blocks, a delete, and one 32-submission async batch under the raw codec. It
+// is the table DESIGN §15 cites: a change that means to spend fewer barriers or
+// fewer read latencies (ROADMAP item 2) regenerates it with -update and
+// explains each row that moved; any other change must not move it.
 func TestPersistBudgetPinned(t *testing.T) {
 	var got strings.Builder
 	for _, pools := range []int{1, 4} {
 		n := node.New(sim.DefaultConfig(), 128<<20, node.WithPMEMPools(pools))
 		n.Machine.SetConcurrency(1)
-		var last [2]int64
+		var last [3]int64
 		step := func(name string, err error) error {
-			var now [2]int64
+			var now [3]int64
 			for i := 0; i < n.Pools(); i++ {
 				c := n.DeviceAt(i).Counters()
 				now[0] += c.Persists
 				now[1] += c.Fences
+				now[2] += c.Reads
 			}
 			if name != "" {
-				fmt.Fprintf(&got, "%s pools=%d persists=%d fences=%d\n", name, pools, now[0]-last[0], now[1]-last[1])
+				fmt.Fprintf(&got, "%s pools=%d persists=%d fences=%d reads=%d\n", name, pools,
+					now[0]-last[0], now[1]-last[1], now[2]-last[2])
 			}
 			last = now
 			return err
@@ -60,8 +63,23 @@ func TestPersistBudgetPinned(t *testing.T) {
 			if err := step("string", p.StoreString("name", "pMEMCPY")); err != nil {
 				return err
 			}
+			_, err := p.LoadDatum("step")
+			if err := step("scalar-load", err); err != nil {
+				return err
+			}
+			_, err = p.LoadString("name")
+			if err := step("string-load", err); err != nil {
+				return err
+			}
 			if err := step("block-4MB", p.StoreBlock("field", []uint64{0}, []uint64{1 << 19}, block)); err != nil {
 				return err
+			}
+			// The store invalidated the id's cached block index: the first load
+			// decodes the list from PMEM, the second finds it in DRAM.
+			for _, name := range []string{"block-load-cold", "block-load-cached"} {
+				if err := step(name, p.LoadBlock("field", []uint64{0}, []uint64{1 << 19}, block)); err != nil {
+					return err
+				}
 			}
 			for i := uint64(1); i < 8; i++ {
 				if err := p.StoreBlock("field", []uint64{i << 10}, []uint64{1 << 10}, block[:8<<10]); err != nil {
@@ -72,7 +90,7 @@ func TestPersistBudgetPinned(t *testing.T) {
 			if err := step("append-to-8-blocks", p.StoreBlock("field", []uint64{8 << 10}, []uint64{1 << 10}, block[:8<<10])); err != nil {
 				return err
 			}
-			_, err := p.Delete("step")
+			_, err = p.Delete("step")
 			return step("delete", err)
 		}
 		async := func(p *core.PMEM) error {

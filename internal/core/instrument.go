@@ -232,6 +232,9 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 	// The engines charge payload moves as sim DAX moves of their own, around the
 	// device wrappers that count, so these two see metadata and kernel-path
 	// traffic only (DESIGN §5).
+	reg.CounterFunc("pmemcpy_device_reads_total",
+		"charged device read accesses — one read latency each, whatever their length: Persists' twin on the read side",
+		devSum(func(c pmem.Counters) int64 { return c.Reads }))
 	reg.CounterFunc("pmemcpy_device_read_bytes_total",
 		"metadata and kernel-path bytes charged through the device read port; engine payload bytes are pmemcpy_op_bytes_total (DESIGN §5)",
 		devSum(func(c pmem.Counters) int64 { return c.ReadBytes }))

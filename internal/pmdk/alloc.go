@@ -82,8 +82,7 @@ const (
 	stateFree  = 0xF4EEB10C00000001
 )
 
-func (a *arena) bumpOff() PMID  { return PMID(a.metaOff) }
-func (a *arena) limitOff() PMID { return PMID(a.metaOff + 8) }
+func (a *arena) bumpOff() PMID { return PMID(a.metaOff) } // bump|limit: read and written as one 16-byte run
 func (a *arena) classOff(c int) PMID {
 	return PMID(a.metaOff + 16 + 8*int64(c))
 }
@@ -156,21 +155,31 @@ func hugeBlockSize(n int64) int64 {
 	return alignUp(n+blockHeaderSize, sim.CachelineSize)
 }
 
-// blockHeader reads a block header given its payload PMID. Blocks may live
-// anywhere in the heap regardless of which arena's list tracks them.
-func (p *Pool) blockHeader(clk *sim.Clock, id PMID) (size int64, state uint64, err error) {
+// maxBlocks bounds every walk of a persistent list — a free list, a bucket
+// chain: the heap cannot hold more blocks than this, so a walk that takes more
+// steps is on a cycle and ends in ErrCorrupt instead of holding its lock
+// forever.
+func (p *Pool) maxBlocks() int64 { return (p.heapEnd-p.heapOff)/minBlock + 1 }
+
+// blockWords reads the first n words of the block whose payload is id, from
+// its header on, as one access: size|state (2), and for a block on a free
+// list size|state|next (3) — the next pointer is the first payload word.
+// Blocks may live anywhere in the heap regardless of which arena's list
+// tracks them.
+func (p *Pool) blockWords(clk *sim.Clock, id PMID, n int) ([]byte, error) {
 	if id < PMID(p.heapOff)+blockHeaderSize || int64(id) >= p.heapEnd {
-		return 0, 0, fmt.Errorf("%w: %d outside heap", ErrBadPointer, id)
+		return nil, fmt.Errorf("%w: %d outside heap", ErrBadPointer, id)
 	}
-	s, err := p.ReadU64(clk, id-blockHeaderSize)
+	return p.read(clk, id-blockHeaderSize, int64(8*n))
+}
+
+// blockHeader reads a block's size|state given its payload PMID.
+func (p *Pool) blockHeader(clk *sim.Clock, id PMID) (size int64, state uint64, err error) {
+	b, err := p.blockWords(clk, id, 2)
 	if err != nil {
 		return 0, 0, err
 	}
-	st, err := p.ReadU64(clk, id-8)
-	if err != nil {
-		return 0, 0, err
-	}
-	return int64(s), st, nil
+	return int64(word(b, 0)), word(b, 1), nil
 }
 
 // Alloc allocates a payload of n bytes inside tx and returns its PMID. The
@@ -341,33 +350,34 @@ func (p *Pool) reuseIn(tx *Tx, a *arena, n int64) (PMID, bool, error) {
 		// reusing them before the heap grows).
 		want = blockSizeOf(c)
 	}
-	// First-fit scan of the arena's huge free list.
+	// First-fit scan of the arena's huge free list: one access per block
+	// visited (size|state|next).
 	prev := a.hugeOff()
 	cur, err := p.ReadU64(clk, prev)
 	if err != nil {
 		return Null, false, err
 	}
-	for cur != 0 {
+	for steps := int64(0); cur != 0; steps++ {
+		if steps >= p.maxBlocks() {
+			return Null, false, fmt.Errorf("%w: huge free list at %d does not terminate (cycle?)", ErrCorrupt, a.hugeOff())
+		}
 		id := PMID(cur)
-		size, state, err := p.blockHeader(clk, id)
+		b, err := p.blockWords(clk, id, 3)
 		if err != nil {
 			return Null, false, err
 		}
+		size, state, next := int64(word(b, 0)), word(b, 1), word(b, 2)
 		if state != stateFree {
 			return Null, false, fmt.Errorf("%w: huge free list entry %d in state %#x", ErrCorrupt, id, state)
 		}
 		if size >= want {
-			got, err := p.takeHuge(tx, a, prev, id, size, want)
+			got, err := p.takeHuge(tx, a, prev, id, size, want, next)
 			if err != nil {
 				return Null, false, err
 			}
 			return got, true, nil
 		}
-		prev = id // next pointer lives in the first payload word
-		cur, err = p.ReadU64(clk, id)
-		if err != nil {
-			return Null, false, err
-		}
+		prev, cur = id, next // the next pointer lives in the first payload word
 	}
 	return Null, false, nil
 }
@@ -407,13 +417,10 @@ func (p *Pool) popFree(tx *Tx, a *arena, listOff, id PMID) (PMID, error) {
 	return id, nil
 }
 
-// takeHuge unlinks a huge free block, splitting off the tail if it is large
-// enough to hold another block.
-func (p *Pool) takeHuge(tx *Tx, a *arena, prev, id PMID, size, want int64) (PMID, error) {
-	next, err := p.ReadU64(tx.clk, id)
-	if err != nil {
-		return Null, err
-	}
+// takeHuge unlinks a huge free block — size and next are what the walk that
+// found it read — splitting off the tail if it is large enough to hold another
+// block.
+func (p *Pool) takeHuge(tx *Tx, a *arena, prev, id PMID, size, want int64, next uint64) (PMID, error) {
 	tx.markArenaDirty(a)
 	// Pre-image size|state|next as one range: the next pointer in the block's
 	// first payload word must survive the caller's payload writes (see
@@ -467,15 +474,11 @@ func (p *Pool) carve(tx *Tx, a *arena, blockSize int64) (PMID, error) {
 		p.stats.allocBytes.Add(blockSize)
 		return PMID(start + blockHeaderSize), nil
 	}
-	bumpRaw, err := p.ReadU64(clk, a.bumpOff())
+	bl, err := p.read(clk, a.bumpOff(), 16) // bump|limit, as they are written
 	if err != nil {
 		return Null, err
 	}
-	limRaw, err := p.ReadU64(clk, a.limitOff())
-	if err != nil {
-		return Null, err
-	}
-	bump, limit := int64(bumpRaw), int64(limRaw)
+	bump, limit := int64(word(bl, 0)), int64(word(bl, 1))
 	if limit-bump < blockSize {
 		start, newLimit, err := p.reserveExtent(clk, blockSize, false)
 		if err != nil {
@@ -563,10 +566,8 @@ func (p *Pool) pushFreeBlock(tx *Tx, a *arena, id PMID, size int64) error {
 
 // rebuildFreeHints walks every arena's free lists at Open time to seed the
 // DRAM free-count hints (they do not survive restart). The walk is bounded
-// by the heap's maximum possible block count so a corrupt cyclic list cannot
-// hang Open.
+// by maxBlocks so a corrupt cyclic list cannot hang Open.
 func (p *Pool) rebuildFreeHints(clk *sim.Clock) error {
-	maxBlocks := (p.heapEnd-p.heapOff)/minBlock + 1
 	for i := range p.arenas {
 		a := &p.arenas[i]
 		var count int64
@@ -582,7 +583,7 @@ func (p *Pool) rebuildFreeHints(clk *sim.Clock) error {
 			}
 			for cur != 0 {
 				count++
-				if count > maxBlocks {
+				if count > p.maxBlocks() {
 					return fmt.Errorf("%w: free list at %d does not terminate", ErrCorrupt, listOff)
 				}
 				next, err := p.ReadU64(clk, PMID(cur))

@@ -10,27 +10,30 @@ import (
 )
 
 // virtMeter puts a benchmark's other time domain next to its wall ns/op: the
-// virtual time the cost model charged and the persist barriers the device
-// counted between start and stop, reported per iteration.
+// virtual time the cost model charged and the persist barriers and read
+// accesses the device counted between start and stop, reported per iteration.
 type virtMeter struct {
-	clk      *sim.Clock
-	dev      *pmem.Device
-	t0, ns   time.Duration
-	p0, pers int64
+	clk    *sim.Clock
+	dev    *pmem.Device
+	t0, ns time.Duration
+	c0, c  pmem.Counters
 }
 
 func meter(p *Pool, clk *sim.Clock) *virtMeter { return &virtMeter{clk: clk, dev: p.m.Device()} }
 
-func (m *virtMeter) start() { m.t0, m.p0 = m.clk.Now(), m.dev.Counters().Persists }
+func (m *virtMeter) start() { m.t0, m.c0 = m.clk.Now(), m.dev.Counters() }
 
 func (m *virtMeter) stop() {
 	m.ns += m.clk.Now() - m.t0
-	m.pers += m.dev.Counters().Persists - m.p0
+	now := m.dev.Counters()
+	m.c.Persists += now.Persists - m.c0.Persists
+	m.c.Reads += now.Reads - m.c0.Reads
 }
 
 func (m *virtMeter) report(b *testing.B) {
 	b.ReportMetric(float64(m.ns)/float64(b.N), "virt-ns/op")
-	b.ReportMetric(float64(m.pers)/float64(b.N), "persists/op")
+	b.ReportMetric(float64(m.c.Persists)/float64(b.N), "persists/op")
+	b.ReportMetric(float64(m.c.Reads)/float64(b.N), "reads/op")
 }
 
 func benchPool(b *testing.B, size int64) (*Pool, *sim.Clock) {
@@ -150,35 +153,46 @@ func BenchmarkHashtablePut(b *testing.B) {
 	}
 }
 
-// BenchmarkHashtableGet measures lookup throughput.
+// BenchmarkHashtableGet measures a lookup in both time domains at chains of
+// exactly 1, 5 and 20 entries (a 1-bucket table holding that many keys): hit
+// cycles through the keys, so it visits (chain+1)/2 entries on average, and
+// miss walks the whole chain.
 func BenchmarkHashtableGet(b *testing.B) {
-	p, clk := benchPool(b, 256<<20)
-	tx, err := p.Begin(clk)
-	if err != nil {
-		b.Fatal(err)
-	}
-	id, err := CreateHashtable(tx, 1<<10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		b.Fatal(err)
-	}
-	ht, err := OpenHashtable(clk, p, id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const keys = 1000
-	for i := 0; i < keys; i++ {
-		if err := ht.Put(clk, []byte(fmt.Sprintf("key-%d", i)), []byte("value")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, ok, err := ht.Get(clk, []byte(fmt.Sprintf("key-%d", i%keys)))
-		if err != nil || !ok {
-			b.Fatalf("Get: ok=%v err=%v", ok, err)
+	for _, chain := range []int{1, 5, 20} {
+		for _, kind := range []string{"hit", "miss"} {
+			hit := kind == "hit"
+			b.Run(fmt.Sprintf("chain=%d/%s", chain, kind), func(b *testing.B) {
+				p, clk := benchPool(b, 64<<20)
+				id, err := FormatPool(clk, p, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ht, err := OpenHashtable(clk, p, id)
+				if err != nil {
+					b.Fatal(err)
+				}
+				keys := make([][]byte, chain)
+				for i := range keys {
+					keys[i] = []byte(fmt.Sprintf("key-%d", i))
+					if err := ht.Put(clk, keys[i], []byte("value")); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if !hit {
+					keys = [][]byte{[]byte("absent")}
+				}
+				m := meter(p, clk)
+				b.ResetTimer()
+				m.start()
+				for i := 0; i < b.N; i++ {
+					_, ok, err := ht.Get(clk, keys[i%len(keys)])
+					if err != nil || ok != hit {
+						b.Fatalf("Get: ok=%v err=%v", ok, err)
+					}
+				}
+				m.stop()
+				m.report(b)
+			})
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package pmdk
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"pmemcpy/internal/sim"
@@ -63,18 +62,13 @@ func (p *Pool) Verify(clk *sim.Clock) []Violation {
 	}
 
 	// Arena metadata and free lists.
-	maxBlocks := (p.heapEnd-p.heapOff)/minBlock + 1
 	for i := range p.arenas {
 		a := &p.arenas[i]
-		bumpRaw, err := p.ReadU64(clk, a.bumpOff())
+		bl, err := p.read(clk, a.bumpOff(), 16)
 		if err != nil {
-			return violatef(vs, "pool.io", "reading arena %d bump: %v", i, err)
+			return violatef(vs, "pool.io", "reading arena %d bump|limit: %v", i, err)
 		}
-		limitRaw, err := p.ReadU64(clk, a.limitOff())
-		if err != nil {
-			return violatef(vs, "pool.io", "reading arena %d limit: %v", i, err)
-		}
-		bump, limit := int64(bumpRaw), int64(limitRaw)
+		bump, limit := int64(word(bl, 0)), int64(word(bl, 1))
 		switch {
 		case bump == 0 && limit == 0:
 			// No extent reserved yet.
@@ -97,7 +91,7 @@ func (p *Pool) Verify(clk *sim.Clock) []Violation {
 			}
 			var steps int64
 			for cur != 0 {
-				if steps++; steps > maxBlocks {
+				if steps++; steps > p.maxBlocks() {
 					vs = violatef(vs, "alloc.freelist",
 						"arena %d list %d does not terminate (cycle?)", i, li)
 					break
@@ -108,12 +102,13 @@ func (p *Pool) Verify(clk *sim.Clock) []Violation {
 						"arena %d list %d holds bad pointer %d", i, li, id)
 					break
 				}
-				size, state, err := p.blockHeader(clk, id)
+				b, err := p.blockWords(clk, id, 3) // size|state|next
 				if err != nil {
 					vs = violatef(vs, "alloc.freelist",
 						"arena %d list %d block %d: unreadable header: %v", i, li, id, err)
 					break
 				}
+				size, state := int64(word(b, 0)), word(b, 1)
 				if state != stateFree {
 					vs = violatef(vs, "alloc.freestate",
 						"free block %d has state %#x, want free", id, state)
@@ -128,11 +123,7 @@ func (p *Pool) Verify(clk *sim.Clock) []Violation {
 						"free block %d size %d overflows heap end %d", id, size, p.heapEnd)
 					break
 				}
-				next, err := p.ReadU64(clk, id)
-				if err != nil {
-					return violatef(vs, "pool.io", "reading free block %d next: %v", id, err)
-				}
-				cur = next
+				cur = word(b, 2)
 			}
 		}
 	}
@@ -147,22 +138,17 @@ func (h *Hashtable) Verify(clk *sim.Clock) []Violation {
 	var vs []Violation
 	p := h.p
 
-	magic, err := p.ReadU64(clk, h.head)
+	magic, nb, err := readTableHeader(clk, p, h.head)
 	if err != nil {
 		return violatef(vs, "ht.io", "reading header: %v", err)
 	}
 	if magic != htMagic {
 		return violatef(vs, "ht.header", "magic %#x, want %#x", magic, uint64(htMagic))
 	}
-	nb, err := p.ReadU64(clk, h.head+8)
-	if err != nil {
-		return violatef(vs, "ht.io", "reading bucket count: %v", err)
-	}
 	if nb == 0 || nb&(nb-1) != 0 || nb != h.nbuckets {
 		return violatef(vs, "ht.header", "bucket count %d (opened with %d)", nb, h.nbuckets)
 	}
 
-	maxEntries := uint64((p.heapEnd-p.heapOff)/minBlock + 1)
 	seen := make(map[string]PMID)
 	for b := uint64(0); b < nb; b++ {
 		bucket := h.head + htHeaderSize + PMID(8*b)
@@ -170,9 +156,9 @@ func (h *Hashtable) Verify(clk *sim.Clock) []Violation {
 		if err != nil {
 			return violatef(vs, "ht.io", "reading bucket %d: %v", b, err)
 		}
-		var steps uint64
+		var steps int64
 		for cur != 0 {
-			if steps++; steps > maxEntries {
+			if steps++; steps > p.maxBlocks() {
 				vs = violatef(vs, "ht.chain", "bucket %d chain does not terminate (cycle?)", b)
 				break
 			}
@@ -186,23 +172,20 @@ func (h *Hashtable) Verify(clk *sim.Clock) []Violation {
 				vs = violatef(vs, "ht.entry", "entry %d block too small (%d bytes)", e, usable)
 				break
 			}
-			hdr, err := p.ReadBytes(clk, e, entryKeyStart)
+			// Header and key in one access; a klen the block cannot hold stops
+			// the access at the header.
+			hd, key, err := h.readEntry(clk, e, func(hd entryHeader) bool {
+				return hd.klen != 0 && hd.klen <= uint64(usable-entryKeyStart)
+			})
 			if err != nil {
 				return violatef(vs, "ht.io", "reading entry %d: %v", e, err)
 			}
-			hash := binary.LittleEndian.Uint64(hdr[entryHash:])
-			klen := binary.LittleEndian.Uint64(hdr[entryKlen:])
-			vlen := binary.LittleEndian.Uint64(hdr[entryVlen:])
-			vid := binary.LittleEndian.Uint64(hdr[entryVal:])
-			if klen == 0 || int64(klen) > usable-entryKeyStart {
+			if key == nil {
 				vs = violatef(vs, "ht.entry", "entry %d klen %d exceeds block payload %d",
-					e, klen, usable-entryKeyStart)
+					e, hd.klen, usable-entryKeyStart)
 				break
 			}
-			key, err := p.ReadBytes(clk, e+entryKeyStart, int64(klen))
-			if err != nil {
-				return violatef(vs, "ht.io", "reading entry %d key: %v", e, err)
-			}
+			hash, vlen, vid := hd.hash, uint64(hd.vlen), uint64(hd.val)
 			if got := HashKey(key); got != hash {
 				vs = violatef(vs, "ht.hash", "entry %d (key %q) stores hash %#x, want %#x",
 					e, key, hash, got)
@@ -229,8 +212,7 @@ func (h *Hashtable) Verify(clk *sim.Clock) []Violation {
 						e, key, vlen, vUsable)
 				}
 			}
-			next := binary.LittleEndian.Uint64(hdr[entryNext:])
-			cur = next
+			cur = uint64(hd.next)
 		}
 	}
 	return vs

@@ -24,6 +24,12 @@ import (
 // old-or-new under crash. Buckets are protected by per-bucket persistent
 // locks, so ranks operating on different keys proceed in parallel.
 //
+// A header is one access. Every walk — lookup, update, Range, Verify — reads
+// each entry it visits once (readEntry): the 40-byte header below, and with it
+// the key when the walk wants it, since the key is contiguous with the header.
+// What the walk read of the entry it stopped on travels with it (probe); no
+// caller goes back to the entry for vlen|value or next.
+//
 // Layout of the table header block (PMID t):
 //
 //	0:  magic    uint64
@@ -118,18 +124,23 @@ func (p *Pool) RootHashtable(clk *sim.Clock) (*Hashtable, error) {
 	return OpenHashtable(clk, p, PMID(id))
 }
 
+// readTableHeader reads the table header's magic|nbuckets as one access.
+func readTableHeader(clk *sim.Clock, p *Pool, id PMID) (magic, nbuckets uint64, err error) {
+	b, err := p.read(clk, id, htHeaderSize)
+	if err != nil {
+		return 0, 0, err
+	}
+	return word(b, 0), word(b, 1), nil
+}
+
 // OpenHashtable attaches to an existing hashtable at id.
 func OpenHashtable(clk *sim.Clock, p *Pool, id PMID) (*Hashtable, error) {
-	magic, err := p.ReadU64(clk, id)
+	magic, nb, err := readTableHeader(clk, p, id)
 	if err != nil {
 		return nil, err
 	}
 	if magic != htMagic {
 		return nil, fmt.Errorf("%w: hashtable magic %#x", ErrCorrupt, magic)
-	}
-	nb, err := p.ReadU64(clk, id+8)
-	if err != nil {
-		return nil, err
 	}
 	if nb == 0 || nb&(nb-1) != 0 {
 		return nil, fmt.Errorf("%w: hashtable bucket count %d", ErrCorrupt, nb)
@@ -148,45 +159,83 @@ func (h *Hashtable) bucketOff(hash uint64) PMID {
 	return h.head + htHeaderSize + PMID((hash&(h.nbuckets-1))*8)
 }
 
-// findLocked walks the chain of key's bucket and returns the entry PMID and
-// its predecessor link offset (the bucket slot or the previous entry's next
-// field). The caller must hold the bucket lock.
-func (h *Hashtable) findLocked(clk *sim.Clock, key []byte) (entry, prevLink PMID, err error) {
+// entryHeader is an entry's 40-byte header, decoded.
+type entryHeader struct {
+	next, val  PMID
+	hash, klen uint64
+	vlen       int64
+}
+
+// readEntry reads entry e as one access: its header and, when withKey says so
+// of the decoded header, the klen key bytes that follow it — one ChargeRead of
+// 40 or 40+klen. key is the mapped bytes, nil when the access stopped at the
+// header.
+func (h *Hashtable) readEntry(clk *sim.Clock, e PMID, withKey func(entryHeader) bool) (hd entryHeader, key []byte, err error) {
+	b, err := h.p.Slice(e, entryKeyStart) // decoded to size the access; charged once, below
+	if err != nil {
+		return hd, nil, err
+	}
+	hd = entryHeader{
+		next: PMID(word(b, entryNext/8)), val: PMID(word(b, entryVal/8)),
+		hash: word(b, entryHash/8), klen: word(b, entryKlen/8),
+		vlen: int64(word(b, entryVlen/8)),
+	}
+	n, want := int64(entryKeyStart), withKey(hd)
+	if want {
+		// Clamped so a damaged klen fails the range check below, never wraps.
+		n += int64(min(hd.klen, uint64(h.p.m.Len())))
+	}
+	if b, err = h.p.read(clk, e, n); err != nil {
+		return hd, nil, err
+	}
+	if want {
+		key = b[entryKeyStart:]
+	}
+	return hd, key, nil
+}
+
+// anyKey is the withKey of a walk that enumerates: every entry's key is read.
+func anyKey(entryHeader) bool { return true }
+
+// probe is where a walk of key's chain ended and what it read there.
+type probe struct {
+	entry PMID  // the key's entry; Null when absent
+	link  PMID  // the slot that points at entry; when absent, the chain's tail slot (it holds 0)
+	next  PMID  // entry's successor: what link takes when entry is unlinked
+	val   PMID  // entry's value block
+	vlen  int64 // and the value's length
+}
+
+// findLocked walks the chain of key's bucket, one access per entry visited.
+// The caller must hold the bucket lock.
+func (h *Hashtable) findLocked(clk *sim.Clock, key []byte) (probe, error) {
 	hash := HashKey(key)
 	link := h.bucketOff(hash)
 	cur, err := h.p.ReadU64(clk, link)
 	if err != nil {
-		return Null, Null, err
+		return probe{}, err
 	}
-	for cur != 0 {
+	for steps := int64(0); cur != 0; steps++ {
+		if steps >= h.p.maxBlocks() {
+			return probe{}, h.errCycle(hash & (h.nbuckets - 1))
+		}
 		e := PMID(cur)
-		eh, err := h.p.ReadU64(clk, e+entryHash)
+		hd, kb, err := h.readEntry(clk, e, func(hd entryHeader) bool {
+			return hd.hash == hash && hd.klen == uint64(len(key))
+		})
 		if err != nil {
-			return Null, Null, err
+			return probe{}, err
 		}
-		if eh == hash {
-			klen, err := h.p.ReadU64(clk, e+entryKlen)
-			if err != nil {
-				return Null, Null, err
-			}
-			if klen == uint64(len(key)) {
-				kb, err := h.p.Slice(e+entryKeyStart, int64(klen))
-				if err != nil {
-					return Null, Null, err
-				}
-				h.p.m.ChargeRead(clk, int64(klen))
-				if bytes.Equal(kb, key) {
-					return e, link, nil
-				}
-			}
+		if kb != nil && bytes.Equal(kb, key) {
+			return probe{entry: e, link: link, next: hd.next, val: hd.val, vlen: hd.vlen}, nil
 		}
-		link = e + entryNext
-		cur, err = h.p.ReadU64(clk, link)
-		if err != nil {
-			return Null, Null, err
-		}
+		link, cur = e+entryNext, uint64(hd.next)
 	}
-	return Null, link, nil
+	return probe{link: link}, nil
+}
+
+func (h *Hashtable) errCycle(bucket uint64) error {
+	return fmt.Errorf("%w: hashtable bucket %d chain does not terminate (cycle?)", ErrCorrupt, bucket)
 }
 
 // newValueBlock allocates a block, fills it with value, and persists it.
@@ -207,17 +256,6 @@ func (h *Hashtable) newValueBlock(clk *sim.Clock, tx *Tx, value []byte) (PMID, e
 	return vid, nil
 }
 
-// valueRef reads entry e's vlen|value. The two words share a cacheline, so one
-// 16-byte access — one device latency — reads both.
-func (h *Hashtable) valueRef(clk *sim.Clock, e PMID) (val PMID, vlen int64, err error) {
-	ref, err := h.p.Slice(e+entryVlen, 16)
-	if err != nil {
-		return Null, 0, err
-	}
-	h.p.m.ChargeRead(clk, 16)
-	return PMID(binary.LittleEndian.Uint64(ref[8:])), int64(binary.LittleEndian.Uint64(ref)), nil
-}
-
 // Update is an open read-modify-write of one key: the bucket is write-locked,
 // a transaction is open, and the chain has been walked once. The holder reads
 // the old value, may add Frees of blocks the old value owned to the same
@@ -229,9 +267,7 @@ type Update struct {
 	h     *Hashtable
 	tx    *Tx
 	lock  *sync.RWMutex
-	entry PMID   // the key's entry; Null when absent
-	link  PMID   // the slot that points at entry, or that a new entry links into
-	val   PMID   // the entry's value block
+	probe        // where the walk ended: entry is Null when the key is absent
 	old   []byte // the old value, mapped
 }
 
@@ -249,11 +285,8 @@ func (h *Hashtable) Update(clk *sim.Clock, key []byte) (Update, error) {
 		return Update{}, err
 	}
 	u := Update{h: h, tx: tx, lock: lock}
-	if u.entry, u.link, err = h.findLocked(clk, key); err == nil && u.entry != Null {
-		var n int64
-		if u.val, n, err = h.valueRef(clk, u.entry); err == nil {
-			u.old, err = h.p.Slice(u.val, n)
-		}
+	if u.probe, err = h.findLocked(clk, key); err == nil && u.entry != Null {
+		u.old, err = h.p.Slice(u.val, u.vlen)
 	}
 	if err != nil {
 		return Update{}, u.finish(err)
@@ -335,16 +368,12 @@ func (u *Update) publish(key, value []byte) error {
 		return err
 	}
 	h.p.stats.htInserted.Add(1)
-	head, err := h.p.ReadU64(clk, u.link)
-	if err != nil {
-		return err
-	}
 	eid, err := h.p.Alloc(tx, int64(entryKeyStart+len(key)))
 	if err != nil {
 		return err
 	}
 	ebuf := make([]byte, entryKeyStart+len(key))
-	binary.LittleEndian.PutUint64(ebuf[entryNext:], head)
+	// entryNext stays 0: the walk ended on u.link, the chain's tail.
 	binary.LittleEndian.PutUint64(ebuf[entryHash:], HashKey(key))
 	binary.LittleEndian.PutUint64(ebuf[entryKlen:], uint64(len(key)))
 	binary.LittleEndian.PutUint64(ebuf[entryVlen:], uint64(n))
@@ -402,12 +431,11 @@ func (h *Hashtable) GetRef(clk *sim.Clock, key []byte) (PMID, int64, bool, error
 // getRefLocked is GetRef under the bucket lock the caller holds.
 func (h *Hashtable) getRefLocked(clk *sim.Clock, key []byte) (PMID, int64, bool, error) {
 	h.p.m.Device().Machine().ChargeMetaOp(clk)
-	e, _, err := h.findLocked(clk, key)
-	if err != nil || e == Null {
+	pr, err := h.findLocked(clk, key)
+	if err != nil || pr.entry == Null {
 		return Null, 0, false, err
 	}
-	vid, vlen, err := h.valueRef(clk, e)
-	return vid, vlen, err == nil, err
+	return pr.val, pr.vlen, true, nil
 }
 
 // Delete removes key. It reports whether the key existed.
@@ -419,10 +447,7 @@ func (h *Hashtable) Delete(clk *sim.Clock, key []byte) (bool, error) {
 	if u.entry == Null {
 		return false, u.finish(nil)
 	}
-	next, err := h.p.ReadU64(clk, u.entry+entryNext)
-	if err == nil {
-		err = u.tx.WriteU64(u.link, next)
-	}
+	err = u.tx.WriteU64(u.link, uint64(u.next))
 	if err == nil && u.val != Null {
 		err = h.p.Free(u.tx, u.val)
 	}
@@ -437,45 +462,38 @@ func (h *Hashtable) Delete(clk *sim.Clock, key []byte) (bool, error) {
 // Range sees a consistent view of each chain but not of the whole table.
 func (h *Hashtable) Range(clk *sim.Clock, fn func(key []byte, val PMID, vlen int64) bool) error {
 	for b := uint64(0); b < h.nbuckets; b++ {
-		off := h.head + htHeaderSize + PMID(b*8)
-		lock := h.p.Lock(off)
-		lock.RLock()
-		cur, err := h.p.ReadU64(clk, off)
-		if err != nil {
-			lock.RUnlock()
+		if more, err := h.rangeBucket(clk, b, fn); err != nil || !more {
 			return err
 		}
-		for cur != 0 {
-			e := PMID(cur)
-			klen, err := h.p.ReadU64(clk, e+entryKlen)
-			if err != nil {
-				lock.RUnlock()
-				return err
-			}
-			kb, err := h.p.Slice(e+entryKeyStart, int64(klen))
-			if err != nil {
-				lock.RUnlock()
-				return err
-			}
-			h.p.m.ChargeRead(clk, int64(klen))
-			vid, vlen, err := h.valueRef(clk, e)
-			if err != nil {
-				lock.RUnlock()
-				return err
-			}
-			if !fn(kb, vid, vlen) {
-				lock.RUnlock()
-				return nil
-			}
-			cur, err = h.p.ReadU64(clk, e+entryNext)
-			if err != nil {
-				lock.RUnlock()
-				return err
-			}
-		}
-		lock.RUnlock()
 	}
 	return nil
+}
+
+// rangeBucket is Range over bucket b's chain under its read lock, one access
+// per entry (header and key); more is false once fn has asked to stop.
+func (h *Hashtable) rangeBucket(clk *sim.Clock, b uint64, fn func(key []byte, val PMID, vlen int64) bool) (more bool, err error) {
+	off := h.head + htHeaderSize + PMID(b*8)
+	lock := h.p.Lock(off)
+	lock.RLock()
+	defer lock.RUnlock()
+	cur, err := h.p.ReadU64(clk, off)
+	if err != nil {
+		return false, err
+	}
+	for steps := int64(0); cur != 0; steps++ {
+		if steps >= h.p.maxBlocks() {
+			return false, h.errCycle(b)
+		}
+		hd, key, err := h.readEntry(clk, PMID(cur), anyKey)
+		if err != nil {
+			return false, err
+		}
+		if !fn(key, hd.val, hd.vlen) {
+			return false, nil
+		}
+		cur = uint64(hd.next)
+	}
+	return true, nil
 }
 
 // Len counts the entries by walking every chain.

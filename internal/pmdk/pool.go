@@ -431,15 +431,34 @@ func (p *Pool) Slice(off PMID, n int64) ([]byte, error) {
 	return p.m.Slice(int64(off), n)
 }
 
-// ReadU64 loads a u64 field. Field loads charge one device read latency (a
-// pointer-chase style access).
+// read is the pool's one read primitive, the twin of Tx.WriteU64s: the n
+// contiguous bytes at off — a word, a run of adjacent header words, a header
+// and the bytes behind it — are ONE device access, one Mapping.Slice and one
+// ChargeRead of the whole length (the read latency once, the bytes at
+// bandwidth). PMEM is priced per access, not per field, so words that sit
+// next to each other are read together through here, never one ReadU64 each.
+// The bytes returned are the mapped ones, not a copy.
+func (p *Pool) read(clk *sim.Clock, off PMID, n int64) ([]byte, error) {
+	b, err := p.m.Slice(int64(off), n)
+	if err != nil {
+		return nil, err
+	}
+	p.m.ChargeRead(clk, n)
+	return b, nil
+}
+
+// word decodes the i-th u64 of a run read returned.
+func word(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
+
+// ReadU64 loads a u64 field that stands alone — a bucket slot, a list head,
+// the brk: one pointer-chase access, one device read latency. A field with
+// neighbours the caller also wants is read with them (read), not here.
 func (p *Pool) ReadU64(clk *sim.Clock, off PMID) (uint64, error) {
-	b, err := p.m.Slice(int64(off), 8)
+	b, err := p.read(clk, off, 8)
 	if err != nil {
 		return 0, err
 	}
-	p.m.ChargeRead(clk, 8)
-	return binary.LittleEndian.Uint64(b), nil
+	return word(b, 0), nil
 }
 
 // StoreBytesAt writes b at off outside any transaction, charging the write and
@@ -467,13 +486,12 @@ func (p *Pool) StoreBytesAt(clk *sim.Clock, off PMID, b []byte, persist bool, pt
 
 // ReadBytes copies n bytes at off into a fresh buffer, charging the read.
 func (p *Pool) ReadBytes(clk *sim.Clock, off PMID, n int64) ([]byte, error) {
-	src, err := p.m.Slice(int64(off), n)
+	src, err := p.read(clk, off, n)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]byte, n)
 	copy(out, src)
-	p.m.ChargeRead(clk, n)
 	return out, nil
 }
 

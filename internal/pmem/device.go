@@ -82,6 +82,7 @@ type Counters struct {
 	Persists       int64 // successful Persist calls
 	Fences         int64 // Fence calls
 	PersistedBytes int64 // bytes covered by successful persists
+	Reads          int64 // charged read accesses (ChargeRead calls): one device read latency each
 	ReadBytes      int64 // bytes charged through ChargeRead (DAX + kernel path)
 	WrittenBytes   int64 // bytes charged through ChargeWrite (DAX + kernel path)
 }
@@ -90,6 +91,7 @@ type counters struct {
 	persists       atomic.Int64
 	fences         atomic.Int64
 	persistedBytes atomic.Int64
+	reads          atomic.Int64
 	readBytes      atomic.Int64
 	writtenBytes   atomic.Int64
 }
@@ -100,6 +102,7 @@ func (d *Device) Counters() Counters {
 		Persists:       d.ctr.persists.Load(),
 		Fences:         d.ctr.fences.Load(),
 		PersistedBytes: d.ctr.persistedBytes.Load(),
+		Reads:          d.ctr.reads.Load(),
 		ReadBytes:      d.ctr.readBytes.Load(),
 		WrittenBytes:   d.ctr.writtenBytes.Load(),
 	}
@@ -258,13 +261,14 @@ func (d *Device) CaptureRange(off, n int64) error {
 
 // ChargeRead charges clk for loading n bytes from the device through the DAX
 // path — sim's DAX move out of this device's read port, one stream, no codec —
-// and counts them. When mapSync is true the per-cacheline page-fault
+// and counts the access (Reads: one read latency, whatever n) and its bytes. When mapSync is true the per-cacheline page-fault
 // synchronization penalty of a MAP_SYNC mapping is added — the paper's
 // PMCPY-B reads perform no better than ADIOS for exactly this reason.
 func (d *Device) ChargeRead(clk *sim.Clock, n int64, mapSync bool) {
 	if n <= 0 {
 		return
 	}
+	d.ctr.reads.Add(1)
 	d.ctr.readBytes.Add(n)
 	// One stripe, not CPU-limited, one rank's one worker, one pass.
 	d.machine.ChargeMove(clk, sim.Load, []sim.Stripe{{Port: d.readPort, Bytes: n}}, 0, 1, 1, 1, mapSync)
