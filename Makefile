@@ -73,7 +73,7 @@ loc:
 # module's total non-test code lines exceed the ceiling, which records the
 # figure of the last change that lowered it. A change that must grow the code
 # raises the ceiling in the same diff, where a reviewer sees it.
-LOC_CEILING ?= 15046
+LOC_CEILING ?= 15045
 loccheck:
 	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
 		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \
@@ -167,7 +167,7 @@ faults:
 
 # Observability suite: the obs unit tests (bucketing, registry dedup, prom
 # exposition, tracer nesting, concurrent increments) under -race, plus the
-# golden metrics snapshot, sampling, trace-attribution, and errors.Is
+# golden metrics snapshot, always-on counters, trace-attribution, and errors.Is
 # conformance tests.
 obs:
 	$(GO) test -race ./internal/obs/

@@ -7,9 +7,11 @@
 // transactions over data blocks — pool.Begin(clk), pool.Alloc(tx, size),
 // pool.Free(tx, id) — may be taken ONLY by the commit engine, so the
 // alloc-in-tx ordering, persist points, and crash-consistency windows stay
-// auditable in one place. So may the hashtable's update cursor —
-// table.Update(clk, key), which returns holding a bucket lock and an open
-// transaction.
+// auditable in one place. So may the hashtable's record mutations — the
+// update cursor table.Update(clk, key), which returns holding a bucket lock
+// and an open transaction, and table.Put(clk, key, value) and
+// table.Delete(clk, key), each a whole one — so every record change frees the
+// blocks it stops naming by the one rule the engine keeps.
 //
 // Rule "slice" — the unified read engine (readplan.go): mapped pool bytes —
 // pool.Slice(off, n) — may be dereferenced ONLY by the two engines, so the
@@ -39,8 +41,9 @@
 // for.
 //
 // The call rules match a method call with the rule's name and exact argument
-// count — Begin and Advance with one argument, Alloc/Free/Slice/Update with
-// two (the public three-argument PMEM.Alloc dims declaration does not match) —
+// count — Begin and Advance with one argument, Alloc/Free/Slice/Update/Delete
+// with two, Put with three (the public three-argument PMEM.Alloc dims
+// declaration does not match, nor the one-argument PMEM.Delete) —
 // whose receiver is not an imported package (sort.Slice is not the pool API).
 //
 // Rule "lease" applies to every file, tests included: a view returned by
@@ -118,7 +121,7 @@ var rules = []rule{
 	{
 		name:   "tx",
 		covers: coreExcept("writeplan.go"),
-		check: methodCalls("pool", map[string]int{"Begin": 1, "Alloc": 2, "Free": 2, "Update": 2},
+		check: methodCalls("pool", map[string]int{"Begin": 1, "Alloc": 2, "Free": 2, "Update": 2, "Put": 3, "Delete": 2},
 			"outside the commit engine — route this write through writeplan.go"),
 	},
 	{

@@ -256,7 +256,6 @@ func runStats(args []string) {
 		codec    = fs.String("codec", "", "serializer: bp4 (default), flat, cbin, raw")
 		ranks    = fs.Int("ranks", 4, "parallel ranks populating the store")
 		parallel = fs.Int("parallel", 0, "per-rank copy workers for large stores (<=1: serial)")
-		sampling = fs.Int("sampling", 1, "record every k-th histogram observation (<=1: all)")
 		tracePth = fs.String("trace", "", "write the operation trace as JSON to this file")
 		chromePt = fs.String("chrome", "", "write the operation trace in chrome://tracing format to this file")
 	)
@@ -269,7 +268,6 @@ func runStats(args []string) {
 		pmemcpy.WithCodec(*codec),
 		pmemcpy.WithParallelism(*parallel),
 		pmemcpy.WithMetrics(),
-		pmemcpy.WithMetricsSampling(*sampling),
 		pmemcpy.WithTracing(),
 	}
 

@@ -364,7 +364,7 @@ func (e *asyncEngine) commitBatch(ops []pendingOp) error {
 		}
 	}
 	p.st.asyncDepth.Add(-int64(len(ops)))
-	if in.enabled && in.sample() {
+	if in.enabled {
 		in.asyncBatchLat.Observe(int64(p.comm.Clock().Now()) - start)
 	}
 	return fatal

@@ -22,7 +22,8 @@ import (
 // four-pool namespace: a dims record (Alloc), a scalar insert and overwrite, a
 // string, the loads of both, a 4 MB block store and its load with the
 // block-index cache cold and warm, an append to a list already holding 8
-// blocks, a delete, and one 32-submission async batch under the raw codec. It
+// blocks, a delete, one 32-submission async batch under the raw codec, and a
+// delete of the 9-block array. It
 // is the table DESIGN §15 cites: a change that means to spend fewer barriers or
 // fewer read latencies (ROADMAP item 2) regenerates it with -update and
 // explains each row that moved; any other change must not move it.
@@ -103,12 +104,20 @@ func TestPersistBudgetPinned(t *testing.T) {
 			}
 			return step("async-batch-32", p.Flush(context.Background()))
 		}
+		// The array goes last, after the batch has allocated over what the
+		// sync steps left.
+		deleteArray := func(p *core.PMEM) error {
+			step("", nil)
+			_, err := p.Delete("field")
+			return step("delete-array", err)
+		}
 		for _, run := range []struct {
 			fn   func(*core.PMEM) error
 			opts []core.MmapOption
 		}{
 			{sync, []core.MmapOption{core.WithPools(pools)}},
 			{async, []core.MmapOption{core.WithPools(pools), core.WithAsync(), core.WithCodec("raw")}},
+			{deleteArray, []core.MmapOption{core.WithPools(pools)}},
 		} {
 			_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
 				p, err := core.Mmap(c, n, "/budget.pool", run.opts...)

@@ -16,10 +16,10 @@ import (
 // return; the invariant is verified by the tests, which compare full-array
 // contents before and after.
 //
-// ctx cancellation (mirroring Scrub) is honoured before the analysis and
-// before the free phase; once the pruned list is published the pass runs to
-// completion, so cancellation never leaks more than one transaction's worth
-// of work and never dangles pointers.
+// The pass is one record change (writeplan.go): the list is read from the
+// change's cursor, and the pruned list commits with the shadowed blocks
+// dropped in the same transaction. ctx cancellation is honoured before the
+// analysis and before the commit; either way nothing has changed.
 func (p *PMEM) Compact(ctx context.Context, id string) (int, error) {
 	p.asyncBarrier()
 	done := p.beginOp(opCompact, id)
@@ -39,52 +39,36 @@ func (p *PMEM) compact(ctx context.Context, id string) (int, error) {
 	lock.Lock()
 	defer lock.Unlock()
 
-	blocks, ok, err := p.loadBlockList(id)
+	e := p.engine()
+	t, owned, err := e.open(id, nil)
 	if err != nil {
 		return 0, err
 	}
-	if !ok {
-		return 0, fmt.Errorf("core: %q has no stored blocks: %w", id, ErrNotFound)
+	blocks, err := t.list(owned)
+	if err == nil && !t.found {
+		err = fmt.Errorf("core: %q has no stored blocks: %w", id, ErrNotFound)
+	}
+	if err != nil {
+		return 0, t.u.Finish(err)
 	}
 
 	// A block i is dead if some newer block j > i contains its region.
-	dead := make([]bool, len(blocks))
-	for i := range blocks {
-		for j := i + 1; j < len(blocks); j++ {
-			if contains(blocks[j].offs, blocks[j].counts, blocks[i].offs, blocks[i].counts) {
-				dead[i] = true
-				break
-			}
-		}
-	}
-	var live []blockRec
-	var victims []blockRec
+	var live, victims []blockRec
 	for i, b := range blocks {
-		if dead[i] {
+		dead := false
+		for j := i + 1; j < len(blocks) && !dead; j++ {
+			dead = contains(blocks[j].offs, blocks[j].counts, b.offs, b.counts)
+		}
+		if dead {
 			victims = append(victims, b)
 		} else {
 			live = append(live, b)
 		}
 	}
-	if len(victims) == 0 {
-		return 0, nil
+	if err := ctx.Err(); err != nil || len(victims) == 0 {
+		return 0, t.u.Finish(err)
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-
-	// Publish the pruned list first, then free the storage: a crash between
-	// the two leaks blocks (recoverable garbage) but never dangles pointers.
-	// The commit engine's republish drops the DRAM index before the blocks
-	// are freed so no reader can plan a gather against a PMID that a
-	// concurrent reuse may repurpose.
-	if err := p.engine().republishLocked(id, live); err != nil {
-		return 0, err
-	}
-	// With zero-copy view leases open the victims park on the limbo lists
-	// instead of freeing (view.go): a view planned against the old block list
-	// keeps reading its blocks until the lease epoch drains.
-	if err := p.deferOrFreeBlocks(victims); err != nil {
+	if err := e.close(&t, blockList.encode(live), victims); err != nil {
 		return 0, err
 	}
 	return len(victims), nil

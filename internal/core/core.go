@@ -80,10 +80,6 @@ type Options struct {
 	// way — virtual-time results are identical with metrics on or off.
 	// E14's hist variant.
 	Metrics bool
-	// MetricsSampling records every k-th op in the latency histograms
-	// (0 or 1 = every op). Counters are never sampled. No row sweeps it yet:
-	// it is the knob ROADMAP item 7d's small-op E14 row is to be met with.
-	MetricsSampling int
 	// Tracing enables span-style op tracing: every API call becomes a span
 	// and the persist/fence points it triggers nest under it. Retrieve with
 	// PMEM.TraceSpans. E14's trace variant.
@@ -526,12 +522,7 @@ func (p *PMEM) alloc(id string, dtype serial.DType, gdims []uint64) error {
 		}
 		return nil
 	}
-	rec := encodeDims(dimsRecord{dtype: dtype, dims: gdims})
-	if err := p.st.lay.put(p.comm.Clock(), id, DimsSuffix, rec); err != nil {
-		return err
-	}
-	p.invalidateCache(id)
-	return nil
+	return p.st.lay.put(p, id, DimsSuffix, encodeDims(dimsRecord{dtype: dtype, dims: gdims}))
 }
 
 // LoadDims returns the global dimensions and element type declared for id.

@@ -32,3 +32,22 @@ func (p *PMEM) BlockAllocated(pool int, id int64) bool {
 // RawMaps surfaces the explorer's raw per-device mappings of a namespace's
 // pool file, for tests that damage or fsck the bytes directly.
 var RawMaps = rawMaps
+
+// NamedBlocks returns the (pool, PMID) of every block id's record names: a
+// block list's blocks or a value ref's block — none for an inline value, raw
+// metadata or an absent id. The record-change tests hold the allocator to it.
+func (p *PMEM) NamedBlocks(id string) ([][2]int64, error) {
+	raw, at, ok, err := p.record(id)
+	if err != nil || !ok {
+		return nil, err
+	}
+	blocks, kind, err := decodeRecord(raw, at, nil)
+	if err != nil || kind == recInline {
+		return nil, err
+	}
+	out := make([][2]int64, len(blocks))
+	for i, b := range blocks {
+		out[i] = [2]int64{int64(b.pool), int64(b.data)}
+	}
+	return out, nil
+}

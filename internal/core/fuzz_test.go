@@ -219,7 +219,7 @@ func TestVerifyStoreInlineRule(t *testing.T) {
 		for id, rec := range map[string][]byte{
 			"good": good, "oversize": append(good, make([]byte, inlineMax)...), "empty": good[:inlinePrefix],
 		} {
-			if err := p.putValue(id, rec); err != nil {
+			if err := p.st.lay.put(p, id, "", rec); err != nil {
 				return err
 			}
 		}

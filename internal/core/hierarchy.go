@@ -59,8 +59,8 @@ func (h *hierStore) filePath(clk *sim.Clock, id string, mkdirs bool) (string, er
 }
 
 // put writes a whole small file.
-func (h *hierStore) put(clk *sim.Clock, id, suffix string, value []byte) error {
-	return h.writeFile(clk, id+suffix, value, false)
+func (h *hierStore) put(p *PMEM, id, suffix string, value []byte) error {
+	return h.writeFile(p.comm.Clock(), id+suffix, value, false)
 }
 
 // writeFile replaces id's file with rec, or appends rec to it, and syncs.
@@ -103,15 +103,16 @@ func (h *hierStore) get(clk *sim.Clock, id, suffix string) ([]byte, bool, error)
 	return buf, true, nil
 }
 
-func (h *hierStore) del(clk *sim.Clock, id string) (bool, error) {
-	p, err := h.filePath(clk, id, false)
+func (h *hierStore) del(p *PMEM, id string) (bool, error) {
+	clk := p.comm.Clock()
+	fp, err := h.filePath(clk, id, false)
 	if err != nil {
 		return false, err
 	}
-	if _, err := h.node.FS.Stat(clk, p); err != nil {
+	if _, err := h.node.FS.Stat(clk, fp); err != nil {
 		return false, nil
 	}
-	return true, h.node.FS.Remove(clk, p)
+	return true, h.node.FS.Remove(clk, fp)
 }
 
 func (h *hierStore) keys(clk *sim.Clock) ([]string, error) {

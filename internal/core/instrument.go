@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"pmemcpy/internal/node"
 	"pmemcpy/internal/obs"
 	"pmemcpy/internal/pmdk"
@@ -15,7 +13,7 @@ import (
 //   - op counters (count, error count, bytes) per API operation and path
 //     (serial vs parallel): plain atomics, always on;
 //   - op latency and shard/queue histograms in virtual ns: recorded only when
-//     Options.Metrics is set, downsampled by Options.MetricsSampling;
+//     Options.Metrics is set;
 //   - bridge series (CounterFunc/GaugeFunc) reading counters that already
 //     live elsewhere — the pmem device, the pmdk allocator, the block-index
 //     cache — at snapshot time, so nothing is double-counted.
@@ -76,9 +74,6 @@ type instruments struct {
 	enabled bool // histograms on (Options.Metrics)
 	tracer  *obs.Tracer
 
-	sampling  int64 // observe every k-th op latency (<=1: every op)
-	sampleCtr atomic.Int64
-
 	ops [nOps][nPaths]*opInstr
 
 	// Parallel-engine shape histograms (imbalance is read off the shard-bytes
@@ -100,8 +95,7 @@ type instruments struct {
 
 	// Async pipeline series (async.go). Counters are always on — the
 	// coalescing ratio E16 gates on is submitted/publishes — while the shape
-	// histograms follow the Options.Metrics switch and the batch-latency
-	// histogram (which reads the clock) is additionally sampled.
+	// and batch-latency histograms follow the Options.Metrics switch.
 	asyncSubmitted    *obs.Counter
 	asyncBatches      *obs.Counter
 	asyncPublishes    *obs.Counter
@@ -131,9 +125,8 @@ type instruments struct {
 // shared state, and — when the group traces — the tracer.
 func newInstruments(st *shared, n *node.Node) *instruments {
 	in := &instruments{
-		reg:      obs.NewRegistry(),
-		enabled:  st.opt.Metrics,
-		sampling: int64(st.opt.MetricsSampling),
+		reg:     obs.NewRegistry(),
+		enabled: st.opt.Metrics,
 	}
 	reg := in.reg
 	for op := 0; op < nOps; op++ {
@@ -329,14 +322,6 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 	return in
 }
 
-// sample reports whether this op's latency should be observed.
-func (in *instruments) sample() bool {
-	if in.sampling <= 1 {
-		return true
-	}
-	return in.sampleCtr.Add(1)%in.sampling == 0
-}
-
 // opDone finishes an instrumented op: parallel selects the path label, bytes
 // is the payload moved (0 when not meaningful), err the op's result.
 type opDone func(parallel bool, bytes int64, err error)
@@ -368,7 +353,7 @@ func (p *PMEM) beginOp(op int, id string) opDone {
 		if err != nil {
 			oi.errs.Inc()
 		}
-		if in.enabled && in.sample() {
+		if in.enabled {
 			oi.lat.Observe(int64(clk.Now()) - start)
 		}
 	}

@@ -64,9 +64,11 @@ const quarantineKey = "#quarantine"
 type layout interface {
 	// get, put and del address one record of the namespace by key and
 	// companion suffix ("" or DimsSuffix); keys lists every key, unsorted.
+	// put and del change the record on p's behalf — on the pool layout, as one
+	// commit-engine record change that takes the blocks it owned with it.
 	get(clk *sim.Clock, id, suffix string) ([]byte, bool, error)
-	put(clk *sim.Clock, id, suffix string, rec []byte) error
-	del(clk *sim.Clock, id string) (bool, error)
+	put(p *PMEM, id, suffix string, rec []byte) error
+	del(p *PMEM, id string) (bool, error)
 	keys(clk *sim.Clock) ([]string, error)
 
 	// commit makes a write plan durable and publishes it; the planner reads
@@ -443,13 +445,9 @@ func (st *shared) homeIdx(id string) int {
 	return int(fnv1a(key) % uint64(n))
 }
 
-// getValue and putValue are the handle-side shorthands for one record.
+// getValue is the handle-side shorthand for one record.
 func (p *PMEM) getValue(id string) ([]byte, bool, error) {
 	return p.st.lay.get(p.comm.Clock(), id, "")
-}
-
-func (p *PMEM) putValue(id string, rec []byte) error {
-	return p.st.lay.put(p.comm.Clock(), id, "", rec)
 }
 
 // loadDims reads and decodes id's dims companion.
@@ -464,24 +462,14 @@ func (p *PMEM) loadDims(id string) (dimsRecord, error) {
 	return decodeDims(raw)
 }
 
-// loadBlockList reads and decodes the block list stored under id.
-func (p *PMEM) loadBlockList(id string) ([]blockRec, bool, error) {
-	raw, ok, err := p.getValue(id)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	blocks, err := blockList.decode(raw)
-	return blocks, err == nil, err
-}
-
 // publishQuarantine persists the store-wide quarantine list under its
 // reserved key; an empty list deletes the key.
 func (p *PMEM) publishQuarantine(refs []blockRec) error {
 	if len(refs) == 0 {
-		_, err := p.st.lay.del(p.comm.Clock(), quarantineKey)
+		_, err := p.st.lay.del(p, quarantineKey)
 		return err
 	}
-	return p.putValue(quarantineKey, quarList.encode(refs))
+	return p.st.lay.put(p, quarantineKey, "", quarList.encode(refs))
 }
 
 // loadQuarantine populates the DRAM mirror of the persistent quarantine list
@@ -517,7 +505,11 @@ func (p *PMEM) blockIndex(id string) (*cacheEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	blocks, hasBlocks, err := p.loadBlockList(id)
+	raw, hasBlocks, err := p.getValue(id)
+	var blocks []blockRec
+	if err == nil && hasBlocks {
+		blocks, err = blockList.decode(raw)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -544,15 +536,6 @@ func (l poolLayout) caps() layoutCaps { return layoutCaps{crc: true, alias: true
 func (l poolLayout) get(clk *sim.Clock, id, suffix string) ([]byte, bool, error) {
 	key := id + suffix
 	return l.st.hts[l.st.homeIdx(key)].Get(clk, []byte(key))
-}
-
-func (l poolLayout) put(clk *sim.Clock, id, suffix string, rec []byte) error {
-	key := id + suffix
-	return l.st.hts[l.st.homeIdx(key)].Put(clk, []byte(key), rec)
-}
-
-func (l poolLayout) del(clk *sim.Clock, id string) (bool, error) {
-	return l.st.hts[l.st.homeIdx(id)].Delete(clk, []byte(id))
 }
 
 // keys merges every member pool's shard of the namespace; ids are unique

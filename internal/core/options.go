@@ -74,13 +74,6 @@ func WithMetrics() MmapOption {
 	return mmapOptionFunc(func(o *Options) { o.Metrics = true })
 }
 
-// WithMetricsSampling records histogram observations for every k-th
-// operation only, bounding the per-op cost of WithMetrics on hot paths.
-// k <= 1 records every operation.
-func WithMetricsSampling(k int) MmapOption {
-	return mmapOptionFunc(func(o *Options) { o.MetricsSampling = k })
-}
-
 // WithTracing enables span-style operation tracing: every API call opens a
 // span, and the device's persist/fence trace points nest under the call that
 // triggered them. Spans are read back with TraceSpans.

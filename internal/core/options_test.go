@@ -31,7 +31,6 @@ var withOptions = map[string]any{
 	"WithParallelism":         core.WithParallelism,
 	"WithReadParallelism":     core.WithReadParallelism,
 	"WithMetrics":             core.WithMetrics,
-	"WithMetricsSampling":     core.WithMetricsSampling,
 	"WithTracing":             core.WithTracing,
 	"WithVerifyReads":         core.WithVerifyReads,
 	"WithScrubber":            core.WithScrubber,

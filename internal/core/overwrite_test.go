@@ -8,10 +8,12 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,6 +21,7 @@ import (
 	"pmemcpy/internal/core"
 	"pmemcpy/internal/mpi"
 	"pmemcpy/internal/node"
+	"pmemcpy/internal/pmdk"
 	"pmemcpy/internal/pmem"
 	"pmemcpy/internal/serial"
 	"pmemcpy/internal/sim"
@@ -48,24 +51,40 @@ func namedBlock(p *core.PMEM, id string) (int64, error) {
 	return 0, fmt.Errorf("record of %q: % x is no whole value", id, raw)
 }
 
-// owStep is one step of an overwrite script: store val under id, or — nil —
-// delete id. The id "A" is the script's array instead: the step overwrites it.
+// owStep is one step of a record-change script: store val under id or — nil —
+// delete id, or compact id's block list. The id "A" is the script's one-block
+// array instead: the step overwrites it.
 type owStep struct {
-	id  string
-	val *serial.Datum
+	id      string
+	val     *serial.Datum
+	compact bool
 }
 
-// valueScript stores first, then runs steps. Run notes which step is in
-// flight and which block that step's record named going in, so Verify can hold
-// the recovered allocator to the recovered record: every id reads as the value
-// before or after the step in flight (never a mix, and absent only where a
-// delete says so), the block a value ref names is allocated, and the block it
-// stopped naming is free exactly when the record is new.
-func valueScript(name string, first map[string]*serial.Datum, steps []owStep) core.Script {
-	const elems = 32
+// arrayState is what an array of a record-change script holds: its block
+// list (every element 1), a whole value stored over it, or — neither — no
+// record at all.
+type arrayState struct {
+	list  bool
+	datum *serial.Datum
+}
+
+// valueScript stores first — whole values, and each of arrays as a
+// 16-element array of four blocks, every element 1, two of the blocks shadowed
+// by the whole-extent block stored after them — then runs steps. Run notes
+// which step is in flight and which blocks that step's record named going in,
+// so Verify can hold the recovered allocator to the recovered record: every id
+// reads as it did before or after the step in flight (never a mix, and absent
+// only where a delete says so), every block a record names is allocated, and
+// each block the in-flight step's record named going in and names no longer is
+// free — no crash point leaks one. On a namespace of several pools the last
+// check covers the id's home pool: a sharded store's stripes elsewhere are
+// freed after the commit, a window the reachability pass of ROADMAP item 2a is
+// to close (every store here is serial, so every block is the home pool's).
+func valueScript(name string, first map[string]*serial.Datum, arrays []string, steps []owStep) core.Script {
+	const elems, arrElems = 32, 16
 	var (
-		inflight int   // index into steps; len(steps) once Run completed
-		oldBlk   int64 // the block the in-flight step's record named before it
+		inflight int        // index into steps; len(steps) once Run completed
+		pre      [][2]int64 // the blocks the in-flight step's record named before it
 	)
 	storeA := func(p *core.PMEM, v float64) error {
 		if err := p.Alloc("A", serial.Float64, []uint64{elems}); err != nil {
@@ -73,8 +92,32 @@ func valueScript(name string, first map[string]*serial.Datum, steps []owStep) co
 		}
 		return p.StoreBlock("A", []uint64{0}, []uint64{elems}, uniformF64(elems, v))
 	}
+	storeArray := func(p *core.PMEM, id string) error {
+		if err := p.Alloc(id, serial.Float64, []uint64{arrElems}); err != nil {
+			return err
+		}
+		for _, r := range [][2]uint64{{0, 8}, {8, 8}, {0, arrElems}, {4, 4}} {
+			if err := p.StoreBlock(id, r[:1], r[1:], uniformF64(int(r[1]), 1)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	same := func(d, want *serial.Datum) bool {
 		return (d == nil) == (want == nil) && (d == nil || bytes.Equal(d.Payload, want.Payload))
+	}
+	// holds reports whether array id holds st, or why it cannot tell.
+	holds := func(p *core.PMEM, id string, st arrayState) (bool, error) {
+		switch {
+		case st.list:
+			v, err := loadUniformF64(p, id, arrElems)
+			return err == nil && v == 1, err
+		case st.datum == nil:
+			_, ok, err := p.RawValue(id)
+			return !ok, err
+		}
+		d, err := p.LoadDatum(id)
+		return err == nil && same(d, st.datum), err
 	}
 	return core.Script{
 		Name:    name,
@@ -86,24 +129,29 @@ func valueScript(name string, first map[string]*serial.Datum, steps []owStep) co
 					return err
 				}
 			}
+			for _, id := range arrays {
+				if err := storeArray(p, id); err != nil {
+					return err
+				}
+			}
 			return storeA(p, 1)
 		},
 		Run: func(p *core.PMEM) error {
 			for i, st := range steps {
 				inflight = i
 				var err error
+				if pre, err = p.NamedBlocks(st.id); err != nil {
+					return err
+				}
 				switch {
 				case st.id == "A":
 					err = storeA(p, 2)
+				case st.compact:
+					_, err = p.Compact(context.Background(), st.id)
+				case st.val == nil:
+					_, err = p.Delete(st.id)
 				default:
-					if oldBlk, err = namedBlock(p, st.id); err != nil {
-						return err
-					}
-					if st.val == nil {
-						_, err = p.Delete(st.id)
-					} else {
-						err = p.StoreDatum(st.id, st.val)
-					}
+					err = p.StoreDatum(st.id, st.val)
 				}
 				if err != nil {
 					return err
@@ -113,46 +161,56 @@ func valueScript(name string, first map[string]*serial.Datum, steps []owStep) co
 			return nil
 		},
 		Verify: func(p *core.PMEM) error {
-			aNew := false
+			// oldNew folds the steps up to the one in flight over id: what it
+			// held before that step, and whether that step is id's.
+			oldNew := func(id string, apply func(st owStep, pending bool)) {
+				for i, st := range steps[:min(inflight+1, len(steps))] {
+					if st.id == id {
+						apply(st, i == inflight)
+					}
+				}
+			}
 			for id, old := range first {
 				var next *serial.Datum
 				pending := false
-				for i, st := range steps[:min(inflight+1, len(steps))] {
-					if st.id != id {
-						continue
-					}
-					if pending = i == inflight; pending {
+				oldNew(id, func(st owStep, p bool) {
+					if pending = p; p {
 						next = st.val
 					} else {
 						old = st.val
 					}
-				}
+				})
 				d, err := p.LoadDatum(id)
 				if err != nil && !errors.Is(err, core.ErrNotFound) {
 					return fmt.Errorf("%s: %w", id, err)
 				}
-				isNew := pending && same(d, next)
-				if !isNew && !same(d, old) {
+				if !(pending && same(d, next)) && !same(d, old) {
 					return fmt.Errorf("%s = %v with step %d in flight (pending=%v): neither old nor new", id, d, inflight, pending)
 				}
-				blk, err := namedBlock(p, id)
-				if err != nil {
-					return err
+			}
+			for _, id := range arrays {
+				old, next := arrayState{list: true}, arrayState{}
+				pending := false
+				oldNew(id, func(st owStep, p bool) {
+					s := arrayState{list: st.compact, datum: st.val}
+					if pending = p; p {
+						next = s
+					} else {
+						old = s
+					}
+				})
+				isOld, err := holds(p, id, old)
+				if !isOld && pending {
+					var isNew bool
+					if isNew, err = holds(p, id, next); isNew {
+						continue
+					}
 				}
-				if blk != 0 && !p.BlockAllocated(0, blk) {
-					return fmt.Errorf("%s names block %d, which is not allocated", id, blk)
-				}
-				if !pending {
-					continue
-				}
-				// Inline over inline names no block before or after.
-				if (blk != 0 || oldBlk != 0) && (blk != oldBlk) != isNew {
-					return fmt.Errorf("%s reads new=%v but its record names block %d (was %d)", id, isNew, blk, oldBlk)
-				}
-				if free := !p.BlockAllocated(0, oldBlk); oldBlk != 0 && free != isNew {
-					return fmt.Errorf("%s reads new=%v but the block it named, %d, is free=%v", id, isNew, oldBlk, free)
+				if !isOld {
+					return fmt.Errorf("array %s is neither %+v nor %+v with step %d in flight: %w", id, old, next, inflight, err)
 				}
 			}
+			aNew := false
 			for i, st := range steps {
 				aNew = aNew || (st.id == "A" && i < inflight)
 			}
@@ -162,6 +220,35 @@ func valueScript(name string, first map[string]*serial.Datum, steps []owStep) co
 			}
 			if a != 2 && (a != 1 || aNew) {
 				return fmt.Errorf("A = all %g with step %d in flight", a, inflight)
+			}
+			// The allocator agrees with the records.
+			ids := append([]string{"A"}, arrays...)
+			for id := range first {
+				ids = append(ids, id)
+			}
+			for _, id := range ids {
+				named, err := p.NamedBlocks(id)
+				if err != nil {
+					return err
+				}
+				for _, b := range named {
+					if !p.BlockAllocated(int(b[0]), b[1]) {
+						return fmt.Errorf("%s names block %v, which is not allocated", id, b)
+					}
+				}
+			}
+			if inflight == len(steps) {
+				return nil
+			}
+			id := steps[inflight].id
+			named, err := p.NamedBlocks(id)
+			if err != nil {
+				return err
+			}
+			for _, b := range pre {
+				if int(b[0]) == p.HomePool(id) && !slices.Contains(named, b) && p.BlockAllocated(int(b[0]), b[1]) {
+					return fmt.Errorf("%s no longer names block %v but it is still allocated (step %d in flight): leaked", id, b, inflight)
+				}
 			}
 			return nil
 		},
@@ -180,9 +267,9 @@ func blobDatum(v byte) *serial.Datum {
 func exploreOverwriteScript() core.Script {
 	long := func(s string, n int) *serial.Datum { return stringDatum(strings.Repeat(s, n)) }
 	return valueScript("overwrite",
-		map[string]*serial.Datum{"s": blobDatum(1), "name": long("an old name, ", 10)},
-		[]owStep{{"s", blobDatum(2)}, {"s", blobDatum(3)}, {"s", blobDatum(4)},
-			{"name", long("a much longer name ", 30)}, {"name", long("a shorter one ", 9)}, {"A", nil}})
+		map[string]*serial.Datum{"s": blobDatum(1), "name": long("an old name, ", 10)}, nil,
+		[]owStep{{id: "s", val: blobDatum(2)}, {id: "s", val: blobDatum(3)}, {id: "s", val: blobDatum(4)},
+			{id: "name", val: long("a much longer name ", 30)}, {id: "name", val: long("a shorter one ", 9)}, {id: "A"}})
 }
 
 // exploreInlineScript is every transition of the inline form: a scalar three
@@ -193,11 +280,22 @@ func exploreOverwriteScript() core.Script {
 func exploreInlineScript() core.Script {
 	big := stringDatum(strings.Repeat("past the inline limit ", 8))
 	return valueScript("inline",
-		map[string]*serial.Datum{"s": scalarDatum(1), "name": stringDatum("old-name"), "grow": stringDatum("small"), "gone": scalarDatum(7)},
-		[]owStep{{"s", scalarDatum(2)}, {"s", scalarDatum(3)}, {"s", scalarDatum(4)},
-			{"name", stringDatum("a longer name, still inline")}, {"name", stringDatum("old-name")},
-			{"grow", big}, {"grow", stringDatum("small again")},
-			{"gone", nil}, {"gone", scalarDatum(8)}})
+		map[string]*serial.Datum{"s": scalarDatum(1), "name": stringDatum("old-name"), "grow": stringDatum("small"), "gone": scalarDatum(7)}, nil,
+		[]owStep{{id: "s", val: scalarDatum(2)}, {id: "s", val: scalarDatum(3)}, {id: "s", val: scalarDatum(4)},
+			{id: "name", val: stringDatum("a longer name, still inline")}, {id: "name", val: stringDatum("old-name")},
+			{id: "grow", val: big}, {id: "grow", val: stringDatum("small again")},
+			{id: "gone"}, {id: "gone", val: scalarDatum(8)}})
+}
+
+// exploreRecordChangeScript is every record change that drops blocks: a
+// four-block array deleted, one compacted (two of its blocks shadowed), a
+// whole value stored over a third, and a value ref deleted.
+func exploreRecordChangeScript(pools int) core.Script {
+	s := valueScript(fmt.Sprintf("record-change/pools=%d", pools),
+		map[string]*serial.Datum{"v": blobDatum(1)}, []string{"D", "C", "W"},
+		[]owStep{{id: "D"}, {id: "C", compact: true}, {id: "W", val: scalarDatum(5)}, {id: "v"}})
+	s.Options = &core.Options{Pools: pools}
+	return s
 }
 
 // exploreModes is lose-all, keep-all and eight random cache-loss draws; with
@@ -218,6 +316,20 @@ func TestExploreOverwrite(t *testing.T) {
 	rep := runExplore(t, exploreOverwriteScript(), core.ExploreOptions{Modes: exploreModes(), Tear: true})
 	if rep.Detected != 0 {
 		t.Errorf("%d simulations recovered to detected corruption", rep.Detected)
+	}
+}
+
+// TestExploreRecordChange crashes the record-change script at every persist
+// point under the 11 adversaries, on one pool and on four: every point
+// recovers to the old or the new record with no block leaked.
+func TestExploreRecordChange(t *testing.T) {
+	for _, pools := range []int{1, 4} {
+		t.Run(fmt.Sprintf("pools=%d", pools), func(t *testing.T) {
+			rep := runExplore(t, exploreRecordChangeScript(pools), core.ExploreOptions{Modes: exploreModes(), Tear: true})
+			if rep.Detected != 0 {
+				t.Errorf("%d simulations recovered to detected corruption", rep.Detected)
+			}
+		})
 	}
 }
 
@@ -597,5 +709,142 @@ func TestOverwriteScriptIsDeterministic(t *testing.T) {
 	}
 	if s1 != 0 || s2 != 0 {
 		t.Errorf("arena steals = %d, %d; want 0", s1, s2)
+	}
+}
+
+// TestWholeValueOverArrayFreesItsBlocks: a whole value stored over an array
+// takes the array's block list with it. Every block the list named is free
+// afterwards, on one pool and on four; with a view lease open they park until
+// the lease closes, the view reading the old bytes meanwhile. The array's
+// "#dims" companion is a record of its own and is untouched.
+func TestWholeValueOverArrayFreesItsBlocks(t *testing.T) {
+	for _, pools := range []int{1, 4} {
+		for _, lease := range []bool{false, true} {
+			t.Run(fmt.Sprintf("pools=%d/lease=%v", pools, lease), func(t *testing.T) {
+				n := node.New(sim.DefaultConfig(), 16<<20, node.WithPMEMPools(pools))
+				n.Machine.SetConcurrency(1)
+				_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+					p, err := core.Mmap(c, n, "/over.pool", core.WithPools(pools), core.WithCodec("raw"))
+					if err != nil {
+						return err
+					}
+					if err := p.Alloc("A", serial.Float64, []uint64{12}); err != nil {
+						return err
+					}
+					for i := uint64(0); i < 3; i++ {
+						if err := p.StoreBlock("A", []uint64{4 * i}, []uint64{4}, uniformF64(4, float64(i+1))); err != nil {
+							return err
+						}
+					}
+					dims, _, err := p.RawValue("A" + core.DimsSuffix)
+					if err != nil {
+						return err
+					}
+					list, err := p.NamedBlocks("A")
+					if err != nil || len(list) != 3 {
+						return fmt.Errorf("the array names %v (%v), want 3 blocks", list, err)
+					}
+					var view *core.BlockView
+					if lease {
+						if view, err = p.LoadBlockView("A", []uint64{0}, []uint64{4}); err != nil {
+							return err
+						}
+						if !view.ZeroCopy() {
+							return fmt.Errorf("the view of A's first block is a copy, not a lease")
+						}
+					}
+					if err := p.StoreDatum("A", scalarDatum(9)); err != nil {
+						return err
+					}
+					if d, err := p.LoadDatum("A"); err != nil || !bytes.Equal(d.Payload, scalarDatum(9).Payload) {
+						return fmt.Errorf("LoadDatum(A) = (%v, %v)", d, err)
+					}
+					allocated := func() (n int) {
+						for _, b := range list {
+							if p.BlockAllocated(int(b[0]), b[1]) {
+								n++
+							}
+						}
+						return n
+					}
+					if view != nil {
+						if got := allocated(); got != 3 {
+							return fmt.Errorf("%d of the list's blocks allocated under the lease, want 3 (parked)", got)
+						}
+						if _, parked, _ := p.ViewStats(); parked != 3 {
+							return fmt.Errorf("%d blocks parked, want 3", parked)
+						}
+						if b, err := view.Bytes(); err != nil || !bytes.Equal(b, uniformF64(4, 1)) {
+							return fmt.Errorf("the view no longer reads the old block: %v", err)
+						}
+						if err := view.Close(); err != nil {
+							return err
+						}
+					}
+					if got := allocated(); got != 0 {
+						return fmt.Errorf("%d of the list's blocks %v still allocated, want 0", got, list)
+					}
+					if after, _, err := p.RawValue("A" + core.DimsSuffix); err != nil || !bytes.Equal(after, dims) {
+						return fmt.Errorf("the dims record moved: % x -> % x (%v)", dims, after, err)
+					}
+					if vs := p.VerifyStore(); len(vs) != 0 {
+						return fmt.Errorf("store violations: %v", vs)
+					}
+					return p.Munmap()
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestDeleteOverflowingOneLaneKeepsTheRecord: a Delete frees what its record
+// names in the unlinking transaction, so a block list too long for one lane's
+// undo log is refused whole — ErrTxLogFull, the record and every block it
+// names intact and allocated — never unlinked with its blocks leaked.
+func TestDeleteOverflowingOneLaneKeepsTheRecord(t *testing.T) {
+	const elems = 600 // one 1-element block each: 32 undo bytes apiece to free, past a 16 KB lane
+	n := node.New(sim.DefaultConfig(), 16<<20)
+	n.Machine.SetConcurrency(1)
+	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+		p, err := core.Mmap(c, n, "/lane.pool", core.WithCodec("raw"))
+		if err != nil {
+			return err
+		}
+		if err := p.Alloc("L", serial.Float64, []uint64{elems}); err != nil {
+			return err
+		}
+		for i := uint64(0); i < elems; i++ {
+			if err := p.StoreBlock("L", []uint64{i}, []uint64{1}, uniformF64(1, 3)); err != nil {
+				return err
+			}
+		}
+		list, err := p.NamedBlocks("L")
+		if err != nil || len(list) != elems {
+			return fmt.Errorf("L names %d blocks (%v), want %d", len(list), err, elems)
+		}
+		if _, err := p.Delete("L"); !errors.Is(err, pmdk.ErrTxLogFull) {
+			return fmt.Errorf("Delete of a %d-block list = %v, want ErrTxLogFull", elems, err)
+		}
+		if again, err := p.NamedBlocks("L"); err != nil || !slices.Equal(again, list) {
+			return fmt.Errorf("L's record moved under the refused Delete (%v)", err)
+		}
+		for _, b := range list {
+			if !p.BlockAllocated(int(b[0]), b[1]) {
+				return fmt.Errorf("L names block %v, which is free", b)
+			}
+		}
+		if v, err := loadUniformF64(p, "L", elems); err != nil || v != 3 {
+			return fmt.Errorf("L after the refused Delete = (%g, %v)", v, err)
+		}
+		if vs := p.VerifyStore(); len(vs) != 0 {
+			return fmt.Errorf("store violations: %v", vs)
+		}
+		return p.Munmap()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

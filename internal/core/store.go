@@ -13,53 +13,12 @@ import (
 func (p *PMEM) Delete(id string) (bool, error) {
 	p.asyncBarrier()
 	done := p.beginOp(opDelete, id)
-	existed, err := p.deleteValue(id)
-	done(false, 0, err)
-	return existed, err
-}
-
-func (p *PMEM) deleteValue(id string) (bool, error) {
-	clk := p.comm.Clock()
 	lock := p.varLock(id)
 	lock.Lock()
-	defer lock.Unlock()
-	defer p.invalidateCache(id)
-	// Where records reference pool blocks, read what this one owns — a block
-	// list's blocks, a value ref's block, or nothing for raw metadata records
-	// (e.g. "#dims") — before unlinking it. An inline value's bytes go with
-	// the record: they only leave the quarantine.
-	var one [1]blockRec
-	owned, kind := one[:0], recRaw
-	if p.st.lay.caps().pool {
-		raw, at, ok, err := p.record(id)
-		if err != nil || !ok {
-			return false, err
-		}
-		if owned, kind, err = decodeRecord(raw, at, owned); err != nil {
-			return false, err
-		}
-	}
-	// Unlink the metadata entry first, then free the storage it owned: a
-	// crash between the two leaks blocks (recoverable garbage), while the
-	// reverse order would leave the entry dangling at freed storage.
-	existed, err := p.st.lay.del(clk, id)
-	if err != nil || !existed {
-		return existed, err
-	}
-	if kind == recInline {
-		p.unquarantine(owned)
-	} else if len(owned) > 0 {
-		// Striped blocks free in their owning pools — or, with zero-copy view
-		// leases open, park on the limbo lists until the lease epoch drains
-		// (view.go). Either way the persist sequence stays deterministic for
-		// the crash explorer: frees run one transaction per touched pool in
-		// ascending pool order, and with no leases open the path is
-		// bit-identical to the pre-view behaviour.
-		if err := p.deferOrFreeBlocks(owned); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
+	existed, err := p.st.lay.del(p, id)
+	lock.Unlock()
+	done(false, 0, err)
+	return existed, err
 }
 
 // Keys lists every stored id (including "#dims" companions) in sorted order,

@@ -21,10 +21,10 @@ import (
 //
 //   - Opening a view takes a lease stamped with the current epoch, under the
 //     id's read lock — so it is ordered against any concurrent republish.
-//   - Delete, Compact and a whole-value overwrite, the operations that free
-//     payload blocks, defer their frees onto per-pool limbo lists (pmdk.Limbo)
-//     whenever any lease is open, stamp the parked blocks with the current
-//     epoch, and bump it.
+//   - A record change that drops payload blocks — Delete, Compact, a whole
+//     value over a value ref or a block list — parks them on per-pool limbo
+//     lists (pmdk.Limbo) instead of freeing them whenever any lease is open,
+//     stamps the parked blocks with the current epoch, and bumps it.
 //   - A parked block is returned to the allocator only when every lease opened
 //     at or before its defer epoch has closed. Views taken before a republish
 //     therefore keep reading the old blocks; views taken after plan against
@@ -137,37 +137,29 @@ func minOpenEpoch(leases map[uint64]int) (uint64, bool) {
 	return mn, have
 }
 
-// deferOrFreeBlocks is the free path Delete, Compact and (with a lease open) a
-// superseding publish use for payload blocks: with no leases open it frees
-// immediately (the pre-existing behaviour, bit-identical persist sequence);
-// with any lease open it parks the blocks on their pools' limbo lists under
-// the current epoch and bumps the epoch, so leases opened later never pin them. Callers hold the id's
-// write lock, which excludes new views of THIS id; views of other ids only
-// make the check conservative (defer instead of free), never unsafe.
+// park is where a record change's dropped blocks go while any view lease is
+// open (writeplan.go close decides): onto their pools' limbo lists under the
+// current epoch, which it then bumps, so leases opened later never pin them.
+// The record change held the id's write lock, which excludes new views of
+// THIS id; views of other ids only make the decision conservative (park
+// instead of free), never unsafe.
 //
-// Either way the blocks leave the quarantine: their PMIDs will eventually be
+// The blocks leave the quarantine here: their PMIDs will eventually be
 // reallocated to healthy data, and a parked block is unreachable from
 // metadata already.
-func (p *PMEM) deferOrFreeBlocks(owned []blockRec) error {
+func (p *PMEM) park(blocks []blockRec) error {
 	st := p.st
-	if st.viewActive.Load() == 0 {
-		if err := p.engine().freeBlocks(owned); err != nil {
-			return err
-		}
-		p.unquarantine(owned)
-		return nil
-	}
 	st.viewMu.Lock()
 	e := st.viewEpoch
 	st.viewEpoch++
-	for _, b := range owned {
+	for _, b := range blocks {
 		st.limbos[b.pool].Defer(e, b.data)
 	}
-	st.limboLen.Add(int64(len(owned)))
+	st.limboLen.Add(int64(len(blocks)))
 	st.viewMu.Unlock()
-	st.ins.viewDeferred.Add(int64(len(owned)))
-	p.unquarantine(owned)
-	// The last lease may have closed between the check above and the park:
+	st.ins.viewDeferred.Add(int64(len(blocks)))
+	p.unquarantine(blocks)
+	// The last lease may have closed between the decision and the park:
 	// sweep once so the blocks cannot strand until the next view closes.
 	return p.reclaimLimbo()
 }
@@ -175,8 +167,7 @@ func (p *PMEM) deferOrFreeBlocks(owned []blockRec) error {
 // reclaimLimbo frees every parked block whose defer epoch has drained (no
 // open lease at or before it). The free itself runs outside viewMu — it
 // takes pool transactions — and in ascending pool order via the commit
-// engine's freeBlocks, so
-// the persist sequence stays deterministic.
+// engine's freeBlocks, so the persist sequence stays deterministic.
 func (p *PMEM) reclaimLimbo() error {
 	st := p.st
 	if st.limboLen.Load() == 0 {

@@ -14,10 +14,12 @@ package core_test
 // value or Future), and the handle keeps working.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"pmemcpy/internal/checksum"
@@ -291,22 +293,44 @@ func TestWritePathEquivalence(t *testing.T) {
 	})
 }
 
+// abortOpts is a planner's configuration in the abort-semantics rows.
+func abortOpts(mode string) *core.Options {
+	opts := &core.Options{Codec: "raw"}
+	switch mode {
+	case "parallel":
+		opts.Parallelism = 4
+	case "async":
+		opts.Async = true
+		opts.CoalesceWindow = 1
+	}
+	return opts
+}
+
+// abortStore stores data over the whole of array id on the mode's own
+// channel: the call's return, or the Future's.
+func abortStore(p *core.PMEM, mode, id string, counts []uint64, data []byte) error {
+	offs := make([]uint64, len(counts))
+	if mode != "async" {
+		return p.StoreBlock(id, offs, counts, data)
+	}
+	ctx := context.Background()
+	fut := p.StoreBlockAsync(id, offs, counts, data)
+	_ = p.Flush(ctx)
+	return fut.Wait(ctx)
+}
+
 // TestCommitAbortSemantics pins the engine's shared failure contract across
 // the serial, parallel, and async planners: an allocation that cannot fit
 // aborts the pool transaction (exactly one allocator abort), publishes
 // nothing, surfaces the error on the path's own channel, and leaves the
-// handle usable.
+// handle usable. The media rows fail the payload persist instead, after the
+// plan's blocks were allocated: the engine gives them back before failing, so
+// the allocator's live count and bytes end where they started.
 func TestCommitAbortSemantics(t *testing.T) {
 	for _, mode := range eqModes {
+		t.Run("media/"+mode, func(t *testing.T) { mediaAbortRow(t, mode) })
 		t.Run(mode, func(t *testing.T) {
-			opts := &core.Options{Codec: "raw"}
-			switch mode {
-			case "parallel":
-				opts.Parallelism = 4
-			case "async":
-				opts.Async = true
-				opts.CoalesceWindow = 1
-			}
+			opts := abortOpts(mode)
 			// A 4 MB device yields a 3 MB pool; the 8 MB store below cannot
 			// allocate (on the parallel path, not even shard by shard).
 			n := node.New(sim.DefaultConfig(), 4<<20)
@@ -316,7 +340,6 @@ func TestCommitAbortSemantics(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				ctx := context.Background()
 				const rows = 1024
 				if err := p.Alloc("big", serial.Float64, []uint64{rows, 1024}); err != nil {
 					return err
@@ -326,14 +349,7 @@ func TestCommitAbortSemantics(t *testing.T) {
 					return err
 				}
 				huge := make([]byte, rows*1024*8)
-				var storeErr error
-				if mode == "async" {
-					fut := p.StoreBlockAsync("big", []uint64{0, 0}, []uint64{rows, 1024}, huge)
-					_ = p.Flush(ctx)
-					storeErr = fut.Wait(ctx)
-				} else {
-					storeErr = p.StoreBlock("big", []uint64{0, 0}, []uint64{rows, 1024}, huge)
-				}
+				storeErr := abortStore(p, mode, "big", []uint64{rows, 1024}, huge)
 				if storeErr == nil {
 					return fmt.Errorf("oversized store succeeded, want allocation failure")
 				}
@@ -371,5 +387,73 @@ func TestCommitAbortSemantics(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// mediaAbortRow fails each persist of a 512 KB store in turn with an
+// uncorrectable media error until the failure lands on the payload's own
+// persist (a core.commit.* point; the parallel planner shards the store), and
+// holds that failure to the contract.
+func mediaAbortRow(t *testing.T, mode string) {
+	const rows, cols = 1024, 64
+	data := eqPattern(rows*cols*8, 5)
+	for k := int64(0); ; k++ {
+		var storeErr error
+		n := node.New(sim.DefaultConfig(), 16<<20)
+		n.Machine.SetConcurrency(1)
+		_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+			p, err := core.Mmap(c, n, "/media.pool", core.OptionsArg(abortOpts(mode)))
+			if err != nil {
+				return err
+			}
+			if err := p.Alloc("big", serial.Float64, []uint64{rows, cols}); err != nil {
+				return err
+			}
+			before, err := p.Stats()
+			if err != nil {
+				return err
+			}
+			live := p.Metrics().Get("pmemcpy_alloc_live_bytes")
+			n.Device.InjectTransient(k, 5)
+			storeErr = abortStore(p, mode, "big", []uint64{rows, cols}, data)
+			n.Device.DisarmInjection()
+			if storeErr == nil || !strings.Contains(storeErr.Error(), "core.commit.") {
+				return p.Munmap()
+			}
+			if !errors.Is(storeErr, core.ErrMedia) {
+				return fmt.Errorf("payload persist failure %q does not wrap ErrMedia", storeErr)
+			}
+			after, err := p.Stats()
+			if err != nil {
+				return err
+			}
+			if got, want := after.Allocs-after.Frees, before.Allocs-before.Frees; got != want {
+				return fmt.Errorf("allocs-frees = %d after the failed store, %d before it", got, want)
+			}
+			if got := p.Metrics().Get("pmemcpy_alloc_live_bytes"); got != live {
+				return fmt.Errorf("live bytes = %d after the failed store, %d before it", got, live)
+			}
+			err = p.LoadBlock("big", []uint64{0, 0}, []uint64{1, 1}, make([]byte, 8))
+			if !errors.Is(err, core.ErrNotFound) {
+				return fmt.Errorf("LoadBlock after the failed store = %v, want ErrNotFound", err)
+			}
+			if err := abortStore(p, mode, "big", []uint64{rows, cols}, data); err != nil {
+				return fmt.Errorf("store after the failed one: %w", err)
+			}
+			got := make([]byte, len(data))
+			if err := p.LoadBlock("big", []uint64{0, 0}, []uint64{rows, cols}, got); err != nil || !bytes.Equal(got, data) {
+				return fmt.Errorf("load after the failed store: equal=%v err=%v", bytes.Equal(got, data), err)
+			}
+			return p.Munmap()
+		})
+		if err != nil {
+			t.Fatalf("persist %d: %v", k, err)
+		}
+		if storeErr == nil {
+			t.Fatalf("the store finished in %d persists without one failing at a payload point", k)
+		}
+		if strings.Contains(storeErr.Error(), "core.commit.") {
+			return
+		}
 	}
 }

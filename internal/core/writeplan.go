@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+
 	"pmemcpy/internal/checksum"
 	"pmemcpy/internal/pmdk"
 	"pmemcpy/internal/pmem"
@@ -11,8 +14,8 @@ import (
 // Unified write-path planner and commit engine.
 //
 // Every store request of the hashtable layout — a serial datum or block, a
-// sharded parallel store, an async group-commit run, a compact or scrub
-// republish — reduces to the same commit sequence:
+// sharded parallel store, an async group-commit run — reduces to the same
+// commit sequence:
 //
 //	1. allocate every destination block, one transaction per touched member
 //	   pool, pools visited in ascending order (deterministic persist order
@@ -26,8 +29,14 @@ import (
 //	   unit's, charge the analytic copy cost once, then persist each unit with
 //	   one barrier carrying its registered persist point;
 //	3. publish each id's new metadata with ONE atomic update per id — one
-//	   hashtable read-modify-write, in which a whole value also frees the
-//	   block it shadows (publishGroup).
+//	   record change (open, close below), in which a whole value also frees
+//	   the blocks the record it replaces named (publishGroup).
+//
+// A record change is the one way the pool layout's records change: a publish,
+// Delete, Compact, Alloc's dims record and the quarantine list each open one
+// hashtable read-modify-write and close it with the new record (or none) and
+// the blocks it stops naming, which the same transaction frees in the home
+// pool (close).
 //
 // A whole value of at most inlineMax bytes has no block: steps 1 and 2 skip it
 // and step 3 encodes it into the record it publishes (planGroup.inline), so
@@ -173,51 +182,67 @@ func (l poolLayout) commit(p *PMEM, plan writePlan) error { return p.engine().ru
 
 // run executes a plan: alloc, fill+persist, publish. On a nil error every
 // group's metadata is published and every unit is durable. An alloc or fill
-// failure fails the whole plan — nothing is published yet — and leaves the
-// allocated blocks unpublished: never dangling pointers, but leaked — Compact
-// only sees published blocks, and nothing else reclaims them until the
-// reachability pass of ROADMAP item 2a.
+// failure fails the whole plan before anything is published, and the blocks
+// it took go back to the allocator (freeBlocks) — unless the device is dead
+// (pmem.ErrFailed): then nothing more can be written, and the blocks stay
+// unpublished allocations, leaked until the reachability pass of ROADMAP item
+// 2a.
 func (e commitEngine) run(plan *writePlan) error {
-	if err := e.alloc(plan); err != nil {
-		return plan.failWith(err)
+	err := e.alloc(plan)
+	if err == nil {
+		if err = e.fill(plan); err == nil {
+			return e.publish(plan)
+		}
 	}
-	if err := e.fill(plan); err != nil {
-		return plan.failWith(err)
+	if !errors.Is(err, pmem.ErrFailed) {
+		var blks []blockRec
+		for _, u := range plan.units {
+			if u.blk != pmdk.Null {
+				blks = append(blks, blockRec{pool: u.pool, data: u.blk})
+			}
+		}
+		if ferr := e.freeBlocks(blks); ferr != nil {
+			err = fmt.Errorf("%w (returning its blocks: %v)", err, ferr)
+		}
 	}
-	return e.publish(plan)
+	return plan.failWith(err)
 }
 
 // alloc allocates every unit's block (an inline value has none): ONE
 // transaction per touched member pool, pools in ascending order. Amortizing tx
 // begin/commit across a plan's units is the first of the three costs group
-// commit and parallel stores batch over per-op writes.
+// commit and parallel stores batch over per-op writes. A pool whose
+// transaction fails leaves its units without a block: it rolled back.
 func (e commitEngine) alloc(plan *writePlan) error {
 	p := e.p
 	clk := p.comm.Clock()
 	for pi := 0; pi < len(p.st.pools); pi++ {
 		var tx *pmdk.Tx
+		var err error
 		for g, u := range plan.units {
 			if int(u.pool) != pi || g.inline() {
 				continue
 			}
 			if tx == nil {
-				var err error
-				tx, err = p.st.pools[pi].Begin(clk)
-				if err != nil {
-					return err
+				if tx, err = p.st.pools[pi].Begin(clk); err != nil {
+					break
 				}
 			}
-			blk, err := p.st.pools[pi].Alloc(tx, u.encLen)
-			if err != nil {
+			if u.blk, err = p.st.pools[pi].Alloc(tx, u.encLen); err != nil {
 				tx.Abort()
-				return err
+				break
 			}
-			u.blk = blk
 		}
-		if tx != nil {
-			if err := tx.Commit(); err != nil {
-				return err
+		if err == nil && tx != nil {
+			err = tx.Commit()
+		}
+		if err != nil {
+			for _, u := range plan.units {
+				if int(u.pool) == pi {
+					u.blk = pmdk.Null
+				}
 			}
+			return err
 		}
 	}
 	return nil
@@ -364,9 +389,6 @@ func (e commitEngine) publish(plan *writePlan) error {
 		lock := p.varLock(g.id)
 		lock.Lock()
 		err := e.publishGroup(g, plan.encPasses)
-		if err == nil {
-			p.invalidateCache(g.id)
-		}
 		lock.Unlock()
 		if plan.published != nil {
 			plan.published(g, err)
@@ -386,82 +408,52 @@ func (e commitEngine) publish(plan *writePlan) error {
 	return firstErr
 }
 
-// publishGroup publishes one group's record as ONE hashtable read-modify-write
-// (pmdk.Update): lock the bucket, walk the chain once, decode the record being
-// replaced from the cursor, commit the new one. The caller holds the id's lock.
-//
-// A whole value supersedes the whole value it replaces: the old block is freed
-// in the publishing transaction, so the undo log makes record and allocator
-// move together — before the generation bump recovery restores the old record
-// and the old block's header; after it the record is new and the block free.
-// With a view lease open the block is parked on the limbo after the commit
-// instead, as Delete does. An inline value owns no block — replacing one frees
-// nothing, and the hashtable moves the record's own — and an inline value of
-// the old one's length is pmdk's in-place form: one undo entry, one
-// transaction, no allocator traffic. A block list is appended to and never
-// pruned (ROADMAP item 1: blocked on bench/ckpt.go's cumulative MinMax model).
+// publishGroup publishes one group's record as ONE record change (open,
+// close): a block list gains the group's units; a whole value replaces the
+// record, and close drops the blocks the old one owned — a value ref's block,
+// or every block of the block list it replaces. An inline value owns no block:
+// replacing one frees nothing but the record's own bytes, which the hashtable
+// moves, and an inline value of the old one's length is pmdk's in-place form —
+// one undo entry, one transaction, no allocator traffic. A block list is
+// appended to and never pruned (ROADMAP item 1: blocked on bench/ckpt.go's
+// cumulative MinMax model). The caller holds the id's lock.
 func (e commitEngine) publishGroup(g *planGroup, encPasses float64) error {
-	p := e.p
-	// The hashtable is called concretely, not through the layout value, and
-	// the cursor keeps no key, so the key bytes and a value ref's 21-byte
-	// record stay in this frame (an inline record is built in the handle's).
-	home, key := p.homeIdx(g.id), []byte(g.id)
-	u, err := p.st.hts[home].Update(p.comm.Clock(), key)
+	// A value ref's old block and 21-byte record stay in this frame (an
+	// inline record is built in the handle's).
+	var one [1]blockRec
+	t, drop, err := e.open(g.id, one[:0])
 	if err != nil {
 		return err
 	}
-	raw := u.Old()
-	if g.publish == publishBlockList {
-		var blocks []blockRec
-		if raw != nil {
-			if blocks, err = blockList.decode(raw); err != nil {
-				u.Abort() // err is the one to report; a failed rollback is recovery's at the next Open
-				return err
-			}
-		}
-		for i := range g.units {
-			blocks = append(blocks, g.units[i].rec(g.dtype))
-		}
-		return u.Commit(key, blockList.encode(blocks))
-	}
-	var one [1]blockRec
-	old, kind, _ := decodeRecord(raw, poolPMID{uint8(home), u.OldID()}, one[:0])
-	parked := p.st.viewActive.Load() != 0
-	if kind == recValueRef && !parked { // an array's blocks are not a whole value's to free
-		err = u.Free(old[0].data)
-	}
 	var rec []byte
 	switch ref := g.units[0].rec(g.dtype); {
-	case err != nil:
+	case g.publish == publishBlockList:
+		var blocks []blockRec
+		if blocks, err = t.list(drop); err == nil {
+			for i := range g.units {
+				blocks = append(blocks, g.units[i].rec(g.dtype))
+			}
+			rec, drop = blockList.encode(blocks), nil
+		}
 	case g.inline():
 		rec, err = e.inlineRecord(g, encPasses)
 	default:
 		rec = encodeValueRef(&ref)
 	}
 	if err != nil {
-		u.Abort() // as above
+		return t.u.Finish(err)
+	}
+	if err := e.close(&t, rec, drop); err != nil {
 		return err
 	}
-	if err := u.Commit(key, rec); err != nil {
-		return err
-	}
+	in := e.p.st.ins
 	if g.inline() {
-		p.st.ins.inlineValues.Inc()
+		in.inlineValues.Inc()
 	}
-	if kind == recInline {
-		// The bytes a quarantine entry named are rewritten, or back with the
-		// allocator.
-		p.unquarantine(old)
+	in.supersededBlocks.Add(int64(len(drop)))
+	for i := range drop {
+		in.supersededBytes.Add(drop[i].encLen)
 	}
-	if kind != recValueRef {
-		return nil
-	}
-	p.st.ins.supersededBlocks.Inc()
-	p.st.ins.supersededBytes.Add(old[0].encLen)
-	if parked {
-		return p.deferOrFreeBlocks(old)
-	}
-	p.unquarantine(old)
 	return nil
 }
 
@@ -485,21 +477,147 @@ func (e commitEngine) inlineRecord(g *planGroup, encPasses float64) ([]byte, err
 	return buf[:inlinePrefix+j.wrote], nil
 }
 
-// republishLocked rewrites id's block list in place (compact, and any future
-// in-place metadata rewrite). The caller holds the id's write lock; the DRAM
-// index drops with the publish so no reader plans a gather against a PMID
-// the allocator may repurpose.
-func (e commitEngine) republishLocked(id string, blocks []blockRec) error {
-	if err := e.p.putValue(id, blockList.encode(blocks)); err != nil {
+// --- record changes ---
+
+// recordTx is one open record change of the pool layout: the key's bucket
+// locked, a transaction open, the chain walked once, and the record being
+// replaced decoded from the cursor — mapped, not copied. The caller holds the
+// id's lock; close, or t.u.Finish, ends it.
+//
+// It holds nothing of its caller's frame: escape analysis does not tell a
+// struct's fields apart, and the cursor's methods leak their receiver, so a
+// key or decode scratch kept here would cost the per-op path a heap object
+// each. open hands the decoded blocks back beside it instead.
+type recordTx struct {
+	u     pmdk.Update
+	id    string
+	home  int
+	kind  recordKind
+	inl   blockRec // an inline old record's own bytes
+	found bool     // the key holds a record
+	bad   error    // why the old record's references do not decode
+}
+
+// open opens a record change of id and returns the blocks the record being
+// replaced owns (decodeRecord, into the optional scratch buf): a block list's
+// blocks or a value ref's block. An inline value's bytes go with the record
+// itself, raw metadata owns nothing, and neither does a record whose
+// references do not decode.
+func (e commitEngine) open(id string, buf []blockRec) (recordTx, []blockRec, error) {
+	p := e.p
+	home := p.homeIdx(id)
+	u, err := p.st.hts[home].Update(p.comm.Clock(), []byte(id))
+	if err != nil {
+		return recordTx{}, nil, err
+	}
+	owned, kind, bad := decodeRecord(u.Old(), poolPMID{uint8(home), u.OldID()}, buf)
+	t := recordTx{u: u, id: id, home: home, kind: kind, found: u.OldID() != pmdk.Null, bad: bad}
+	switch {
+	case bad != nil:
+		owned = nil
+	case kind == recInline:
+		t.inl, owned = owned[0], nil
+	}
+	return t, owned, nil
+}
+
+// list returns owned, what open returned, as the old record's block list —
+// none when the key is absent — or why it is not one.
+func (t *recordTx) list(owned []blockRec) ([]blockRec, error) {
+	switch {
+	case t.bad != nil:
+		return nil, t.bad
+	case t.found && t.kind != recBlockList:
+		return nil, fmt.Errorf("core: %q holds a %v, not a block list", t.id, t.kind)
+	}
+	return owned, nil
+}
+
+// close ends a record change: it stages rec as the key's record — nil unlinks
+// the key, unless its record's references do not decode: its blocks could
+// never be given back — drops the blocks the record stops naming, and commits.
+// This is the one rule every record change of the pool layout follows:
+//
+//   - a dropped block in the key's home pool is freed in the same transaction,
+//     after the stage (a block freed first could be the very one the stage
+//     allocates, its bytes then overwritten outside the undo log): the log
+//     moves record and allocator together — before the commit recovery
+//     restores the old record and the blocks it names, after it the record is
+//     new and the blocks are free;
+//   - with a view lease open every dropped block is parked on the limbo
+//     instead (view.go), so a view planned against the old record keeps
+//     reading its blocks;
+//   - a dropped block in another member pool — a sharded store's stripe — is
+//     freed after the commit, one transaction per pool (freeBlocks): a crash
+//     between the two leaks it until the reachability pass of ROADMAP item 2a,
+//     never dangles a pointer.
+//
+// The DRAM index drops with the change, and every dropped block — and an
+// inline record's own bytes, rewritten or freed with the record — leaves the
+// quarantine.
+func (e commitEngine) close(t *recordTx, rec []byte, drop []blockRec) error {
+	p := e.p
+	var err error
+	switch {
+	case rec != nil:
+		err = t.u.Set([]byte(t.id), rec)
+	case t.bad != nil:
+		err = t.bad
+	default:
+		err = t.u.Unlink()
+	}
+	parked := p.st.viewActive.Load() != 0
+	var elsewhere []blockRec
+	for i := 0; err == nil && !parked && i < len(drop); i++ {
+		if int(drop[i].pool) == t.home {
+			err = t.u.Free(drop[i].data)
+		} else {
+			elsewhere = append(elsewhere, drop[i])
+		}
+	}
+	err = t.u.Finish(err)
+	p.invalidateCache(t.id)
+	if err != nil {
 		return err
 	}
-	e.p.invalidateCache(id)
+	if t.kind == recInline && t.bad == nil {
+		inl := [1]blockRec{t.inl}
+		p.unquarantine(inl[:])
+	}
+	if parked && len(drop) > 0 {
+		return p.park(drop)
+	}
+	if err := e.freeBlocks(elsewhere); err != nil {
+		return err
+	}
+	p.unquarantine(drop)
 	return nil
 }
 
+// put and del are the pool layout's: one record change each, which drops
+// every block the old record owned (a dims or quarantine record owns none).
+func (l poolLayout) put(p *PMEM, id, suffix string, rec []byte) error {
+	_, err := p.engine().change(id+suffix, rec)
+	return err
+}
+
+func (l poolLayout) del(p *PMEM, id string) (bool, error) { return p.engine().change(id, nil) }
+
+// change replaces key's record with rec (nil unlinks it) and reports whether
+// the key held one.
+func (e commitEngine) change(key string, rec []byte) (bool, error) {
+	var one [1]blockRec
+	t, owned, err := e.open(key, one[:0])
+	if err == nil {
+		err = e.close(&t, rec, owned)
+	}
+	return t.found && err == nil, err
+}
+
 // freeBlocks frees a set of (pool, PMID) blocks, one transaction per touched
-// pool in ascending pool order — the single free loop under Delete, Compact,
-// the view layer's limbo reclaim, and every abort path.
+// pool in ascending pool order — the free loop behind a record change's
+// blocks outside its home pool, the view layer's limbo reclaim, and a failed
+// plan's release.
 func (e commitEngine) freeBlocks(blks []blockRec) error {
 	p := e.p
 	clk := p.comm.Clock()

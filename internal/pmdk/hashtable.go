@@ -17,7 +17,8 @@ import (
 //
 // Keys and values are byte strings. A value lives in its own allocator block.
 // Every mutation of a key is one Update — bucket lock, one transaction, one
-// chain walk — and its Commit takes one of three forms: a new key links a
+// chain walk — ended by one Finish: Put is Update + Commit, Delete is Update +
+// Delete. A new value takes one of three forms: a new key links a
 // freshly built entry; a value of the old length is rewritten in place under
 // one undo entry; any other value goes to a new block the entry's vlen|value
 // then swing to, the old block freed in the same transaction. All three are
@@ -258,11 +259,12 @@ func (h *Hashtable) newValueBlock(clk *sim.Clock, tx *Tx, value []byte) (PMID, e
 
 // Update is an open read-modify-write of one key: the bucket is write-locked,
 // a transaction is open, and the chain has been walked once. The holder reads
-// the old value, may add Frees of blocks the old value owned to the same
-// transaction, and ends it with exactly one Commit or Abort. It is a value,
-// not a callback, so opening one costs the per-op path nothing on the Go heap
-// beyond its Tx; it does not keep the key (Commit takes it again), so a
-// caller's []byte(id) stays on its stack.
+// the old value, stages the new one (Set) or the key's removal (Unlink), may
+// add Frees of blocks the old value owned to the same transaction, and ends it
+// with exactly one Finish (or Abort). Commit and Delete are a stage and its
+// Finish in one call. It is a value, not a callback, so opening one costs the
+// per-op path nothing on the Go heap beyond its Tx; it does not keep the key
+// (Set takes it again), so a caller's []byte(id) stays on its stack.
 type Update struct {
 	h     *Hashtable
 	tx    *Tx
@@ -289,25 +291,28 @@ func (h *Hashtable) Update(clk *sim.Clock, key []byte) (Update, error) {
 		u.old, err = h.p.Slice(u.val, u.vlen)
 	}
 	if err != nil {
-		return Update{}, u.finish(err)
+		return Update{}, u.Finish(err)
 	}
 	return u, nil
 }
 
-// Old returns the key's current value — mapped bytes, valid until Commit or
+// Old returns the key's current value — mapped bytes, valid until Finish or
 // Abort — or nil when the key is absent. Each call charges the read.
 func (u *Update) Old() []byte {
 	u.h.p.m.ChargeRead(u.tx.clk, int64(len(u.old)))
 	return u.old
 }
 
-// OldID returns the value block Old's bytes live in (Null when the key is
-// absent): where an in-place Commit will write.
+// OldID returns the value block Old's bytes live in: where an in-place Set
+// will write. It is Null exactly when the key is absent — an empty value still
+// has a block.
 func (u *Update) OldID() PMID { return u.val }
 
 // Free returns block id to the allocator in the update's transaction: it is
 // free exactly when the new value is published. A block the new value
-// supersedes goes here. On error the caller aborts.
+// supersedes goes here, after Set — a block freed before it could be the one
+// Set allocates, its bytes overwritten outside the undo log. On error the
+// caller aborts.
 func (u *Update) Free(id PMID) error { return u.h.p.Free(u.tx, id) }
 
 // Abort rolls the update back and releases the bucket.
@@ -316,9 +321,10 @@ func (u *Update) Abort() error {
 	return u.tx.Abort()
 }
 
-// finish ends the update and releases the bucket: a commit, or — on err's
-// behalf, returning it — a rollback.
-func (u *Update) finish(err error) error {
+// Finish ends the update and releases the bucket: when err is nil it commits
+// what was staged, Frees included; otherwise it rolls back and returns err.
+// Finish(nil) on an update that staged nothing writes nothing.
+func (u *Update) Finish(err error) error {
 	if err == nil {
 		defer u.lock.Unlock()
 		return u.tx.Commit()
@@ -330,9 +336,15 @@ func (u *Update) finish(err error) error {
 }
 
 // Commit publishes value under key — the key Update was opened with — and
-// commits the transaction, any Frees included. The mutation is crash-atomic:
-// after recovery the key holds the old value or the new one, never a mix. One
-// of three things happens:
+// commits the transaction, any Frees included: Set, then Finish. On error the
+// update has been rolled back.
+func (u *Update) Commit(key, value []byte) error {
+	return u.Finish(u.Set(key, value))
+}
+
+// Set stages value under key in the update's transaction. The mutation is
+// crash-atomic: after recovery the key holds the old value or the new one,
+// never a mix. One of three things happens:
 //
 //   - the key is absent: the entry and its value block are built unpublished,
 //     then linked with one logged pointer write;
@@ -343,12 +355,8 @@ func (u *Update) finish(err error) error {
 //   - otherwise a new value block is allocated and filled, vlen|value swing to
 //     it under one undo entry, and the old block is freed.
 //
-// On error the update has been rolled back.
-func (u *Update) Commit(key, value []byte) error {
-	return u.finish(u.publish(key, value))
-}
-
-func (u *Update) publish(key, value []byte) error {
+// On error the holder ends the update with Finish(err).
+func (u *Update) Set(key, value []byte) error {
 	h, tx, clk := u.h, u.tx, u.tx.clk
 	n := int64(len(value))
 	if u.entry != Null && n == int64(len(u.old)) && n <= min(h.p.laneSize/4, tx.room()) {
@@ -384,6 +392,26 @@ func (u *Update) publish(key, value []byte) error {
 	}
 	return tx.WriteU64(u.link, uint64(eid))
 }
+
+// Unlink stages the key's removal: its predecessor's link takes the entry's
+// successor, and the entry and value blocks are freed. An absent key stages
+// nothing. On error the holder ends the update with Finish(err).
+func (u *Update) Unlink() error {
+	if u.entry == Null {
+		return nil
+	}
+	err := u.tx.WriteU64(u.link, uint64(u.next))
+	if err == nil && u.val != Null {
+		err = u.Free(u.val)
+	}
+	if err == nil {
+		err = u.Free(u.entry)
+	}
+	return err
+}
+
+// Delete removes the key and commits: Unlink, then Finish.
+func (u *Update) Delete() error { return u.Finish(u.Unlink()) }
 
 // Put inserts or replaces key's value: an Update that ignores the old one.
 func (h *Hashtable) Put(clk *sim.Clock, key, value []byte) error {
@@ -444,17 +472,8 @@ func (h *Hashtable) Delete(clk *sim.Clock, key []byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if u.entry == Null {
-		return false, u.finish(nil)
-	}
-	err = u.tx.WriteU64(u.link, uint64(u.next))
-	if err == nil && u.val != Null {
-		err = h.p.Free(u.tx, u.val)
-	}
-	if err == nil {
-		err = h.p.Free(u.tx, u.entry)
-	}
-	return err == nil, u.finish(err)
+	existed, err := u.entry != Null, u.Delete()
+	return existed && err == nil, err
 }
 
 // Range calls fn for every entry until fn returns false. The key slice is

@@ -213,9 +213,6 @@ var (
 	// WithMetrics enables latency/shape histograms on the handle (operation,
 	// device, allocator and cache counters are always on; see PMEM.Metrics).
 	WithMetrics = core.WithMetrics
-	// WithMetricsSampling records every k-th histogram observation (<=1: all),
-	// bounding WithMetrics' per-op cost on hot paths.
-	WithMetricsSampling = core.WithMetricsSampling
 	// WithTracing enables span-style operation tracing: persist/fence trace
 	// points nest under the API call that triggered them (see PMEM.TraceSpans).
 	WithTracing = core.WithTracing
