@@ -389,11 +389,12 @@ func (e *asyncEngine) commitStores(stores []pendingOp) error {
 	groups := make(map[string]int) // id -> index in order
 	for i := range stores {
 		op := &stores[i]
-		d, err := p.blockDatum(op.id, op.offs, op.counts, op.data)
+		dv, err := p.blockDatum(op.id, op.offs, op.counts, op.data)
 		if err != nil {
 			op.fut.complete(0, err)
 			continue
 		}
+		d := &dv
 		frag := writeFrag{fut: op.fut, datum: d, encLen: int64(p.codec.EncodedSize(d))}
 		gi, ok := groups[op.id]
 		if !ok {

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -97,12 +98,12 @@ func sortByStart(blocks []blockRec) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ba, bb := blocks[idx[a]], blocks[idx[b]]
+	slices.SortStableFunc(idx, func(a, b int) int {
+		ba, bb := &blocks[a], &blocks[b]
 		if len(ba.offs) == 0 || len(bb.offs) == 0 {
-			return false
+			return 0
 		}
-		return ba.offs[0] < bb.offs[0]
+		return cmp.Compare(ba.offs[0], bb.offs[0])
 	})
 	return idx
 }
@@ -118,6 +119,9 @@ func (e *cacheEntry) withStats(stats []BlockStats) *cacheEntry {
 // copyStats deep-copies cached BlockStats so callers cannot mutate the
 // shared cache entry through the returned slices.
 func copyStats(stats []BlockStats) []BlockStats {
+	if stats == nil {
+		return nil
+	}
 	out := make([]BlockStats, len(stats))
 	for i, s := range stats {
 		out[i] = s

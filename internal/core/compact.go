@@ -22,9 +22,9 @@ import (
 // analysis and before the commit; either way nothing has changed.
 func (p *PMEM) Compact(ctx context.Context, id string) (int, error) {
 	p.asyncBarrier()
-	done := p.beginOp(opCompact, id)
+	op := p.beginOp(opCompact, id)
 	freed, err := p.compact(ctx, id)
-	done(false, 0, err)
+	op.done(false, 0, err)
 	return freed, err
 }
 

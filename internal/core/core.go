@@ -134,6 +134,11 @@ type PMEM struct {
 	// interface would move to the heap on every publish. Allocated by the
 	// first small store: a handle that only moves arrays never pays for it.
 	inl *[inlinePrefix + inlineMax]byte
+	// gs is the read engine's scratch (readplan.go), the handle's for the same
+	// reason and allocated by its first read.
+	gs *gatherScratch
+	// ws is the commit engine's one-unit plan (store.go), for the same reason.
+	ws *writeScratch
 }
 
 // shared is the node-wide state every rank's handle points at.
@@ -499,9 +504,9 @@ func (p *PMEM) chargeReadLatency() { p.node.Machine.ChargeReadLatency(p.comm.Clo
 // the first definition wins and later identical definitions are no-ops.
 func (p *PMEM) Alloc(id string, dtype serial.DType, gdims []uint64) error {
 	p.asyncBarrier()
-	done := p.beginOp(opAlloc, id)
+	op := p.beginOp(opAlloc, id)
 	err := p.alloc(id, dtype, gdims)
-	done(false, 0, err)
+	op.done(false, 0, err)
 	return err
 }
 
@@ -512,9 +517,13 @@ func (p *PMEM) alloc(id string, dtype serial.DType, gdims []uint64) error {
 	lock := p.varLock(id)
 	lock.Lock()
 	defer lock.Unlock()
-	if existing, err := p.loadDims(id); err == nil {
+	// A fresh id is the common case: probe for the record, build no error.
+	var buf [serial.MaxDims]uint64
+	if existing, ok, err := p.dims(id, buf[:0]); err == nil && ok {
 		if !slices.Equal(existing.dims, gdims) {
-			return fmt.Errorf("core: Alloc(%q) conflicts with existing dims %v: %w", id, existing.dims, ErrTypeMismatch)
+			// A clone to format: buf itself handed to Errorf would move to the
+			// heap on every Alloc.
+			return fmt.Errorf("core: Alloc(%q) conflicts with existing dims %v: %w", id, slices.Clone(existing.dims), ErrTypeMismatch)
 		}
 		if existing.dtype != dtype {
 			return fmt.Errorf("core: Alloc(%q) conflicts with existing type %v: %w",
@@ -527,7 +536,7 @@ func (p *PMEM) alloc(id string, dtype serial.DType, gdims []uint64) error {
 
 // LoadDims returns the global dimensions and element type declared for id.
 func (p *PMEM) LoadDims(id string) (serial.DType, []uint64, error) {
-	rec, err := p.loadDims(id)
+	rec, err := p.loadDims(id, nil)
 	if err != nil {
 		return serial.Invalid, nil, err
 	}

@@ -18,7 +18,7 @@ func OptionsArg(o *Options) MmapOption {
 // equivalence suite compares these bytes across store modes: identical
 // records mean identical CRCs, block layout, and pool placement.
 func (p *PMEM) RawValue(id string) ([]byte, bool, error) {
-	return p.getValue(id)
+	return p.st.lay.get(p.comm.Clock(), id, "")
 }
 
 // BlockAllocated reports whether the allocator holds the block at id of

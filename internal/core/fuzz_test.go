@@ -70,7 +70,7 @@ func checkDecode(t *testing.T, form uint8, raw []byte) {
 			}
 		}
 	case formDims:
-		r, err := decodeDims(raw)
+		r, err := decodeDims(raw, nil)
 		if err != nil {
 			return
 		}

@@ -217,7 +217,7 @@ func (h *hierStore) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 		}
 		return r, err
 	}
-	rec, err := p.loadDims(pl.id)
+	rec, err := p.heldDims(pl.id, nil)
 	if err != nil {
 		return r, err
 	}

@@ -5,6 +5,7 @@ import (
 	"pmemcpy/internal/obs"
 	"pmemcpy/internal/pmdk"
 	"pmemcpy/internal/pmem"
+	"pmemcpy/internal/sim"
 )
 
 // Observability wiring. Every handle group (one Mmap collective) owns an
@@ -322,40 +323,49 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 	return in
 }
 
-// opDone finishes an instrumented op: parallel selects the path label, bytes
-// is the payload moved (0 when not meaningful), err the op's result.
-type opDone func(parallel bool, bytes int64, err error)
+// opSpan is one instrumented API call in flight on the calling rank: what
+// beginOp started and done finishes. It is a value, not a closure, so
+// instrumenting an op puts nothing on the Go heap.
+type opSpan struct {
+	in    *instruments
+	clk   *sim.Clock
+	op    int
+	start int64
+}
 
 // beginOp opens instrumentation for one API call on the calling rank. The
-// cheap path (metrics and tracing off) is two branch checks plus the atomic
-// counter adds in the returned closure.
-func (p *PMEM) beginOp(op int, id string) opDone {
-	in := p.st.ins
-	clk := p.comm.Clock()
-	var start int64
-	if in.enabled {
-		start = int64(clk.Now())
+// cheap path (metrics and tracing off) is two branch checks here plus the
+// atomic counter adds in done.
+func (p *PMEM) beginOp(op int, id string) opSpan {
+	s := opSpan{in: p.st.ins, clk: p.comm.Clock(), op: op}
+	if s.in.enabled {
+		s.start = int64(s.clk.Now())
 	}
+	if s.in.tracer != nil {
+		s.in.tracer.StartOp(s.clk, opNames[op], id, p.comm.Rank())
+	}
+	return s
+}
+
+// done finishes the op: parallel selects the path label, bytes is the payload
+// moved (0 when not meaningful), err the op's result.
+func (s opSpan) done(parallel bool, bytes int64, err error) {
+	in := s.in
 	if in.tracer != nil {
-		in.tracer.StartOp(clk, opNames[op], id, p.comm.Rank())
+		in.tracer.EndOp(s.clk, err)
 	}
-	return func(parallel bool, bytes int64, err error) {
-		if in.tracer != nil {
-			in.tracer.EndOp(clk, err)
-		}
-		pa := pathSerial
-		if parallel {
-			pa = pathParallel
-		}
-		oi := in.ops[op][pa]
-		oi.count.Inc()
-		oi.bytes.Add(bytes)
-		if err != nil {
-			oi.errs.Inc()
-		}
-		if in.enabled {
-			oi.lat.Observe(int64(clk.Now()) - start)
-		}
+	pa := pathSerial
+	if parallel {
+		pa = pathParallel
+	}
+	oi := in.ops[s.op][pa]
+	oi.count.Inc()
+	oi.bytes.Add(bytes)
+	if err != nil {
+		oi.errs.Inc()
+	}
+	if in.enabled {
+		oi.lat.Observe(int64(s.clk.Now()) - s.start)
 	}
 }
 

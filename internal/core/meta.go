@@ -226,9 +226,10 @@ func (f refFields) append(buf []byte, b *blockRec) []byte {
 	return buf
 }
 
-// read decodes one reference. Only an impossible rank is an error here; a
-// short buffer leaves c.Bad for the caller to check once per record.
-func (f refFields) read(c *wire.Cursor) (b blockRec, err error) {
+// read decodes one reference, carving its offs and counts from the end of
+// *arena. Only an impossible rank is an error here; a short buffer leaves
+// c.Bad for the caller to check once per record.
+func (f refFields) read(c *wire.Cursor, arena *[]uint64) (b blockRec, err error) {
 	rank := 0
 	if f&refShape != 0 {
 		b.dtype, rank = serial.DType(c.Uint(1)), int(c.Uint(1))
@@ -240,7 +241,10 @@ func (f refFields) read(c *wire.Cursor) (b blockRec, err error) {
 		b.pool = uint8(c.Uint(1))
 	}
 	if f&refShape != 0 {
-		b.offs, b.counts = c.Dims(rank), c.Dims(rank)
+		n := len(*arena)
+		*arena = c.AppendDims(*arena, 2*rank)
+		a := (*arena)[n:]
+		b.offs, b.counts = a[:rank:rank], a[rank:2*rank:2*rank]
 	}
 	if f&refData != 0 {
 		b.data = pmdk.PMID(c.Uint(8))
@@ -288,9 +292,16 @@ func (l listForm) decode(raw []byte) ([]blockRec, error) {
 	if c.Bad || n > uint64(len(c.Raw)/f.size(0)) {
 		return nil, fmt.Errorf("core: %s truncated", l.what)
 	}
+	// Every reference's extents come from one array, sized by the first
+	// reference's rank — an array's blocks share its rank. A list costs two
+	// allocations, whatever its length.
 	out := make([]blockRec, 0, n)
+	var arena []uint64
+	if f&refShape != 0 && n > 0 && len(c.Raw) > 1 {
+		arena = make([]uint64, 0, 2*int(n)*int(c.Raw[1]))
+	}
 	for ; n > 0; n-- {
-		b, err := f.read(&c)
+		b, err := f.read(&c, &arena)
 		if err != nil {
 			return nil, err
 		}
@@ -345,7 +356,7 @@ func decodeRecord(raw []byte, at poolPMID, buf []blockRec) ([]blockRec, recordKi
 		return blocks, recBlockList, err
 	case raw[0] == valueRefTag && len(raw) == valueRefLen:
 		c := wire.Cursor{Raw: raw[1:]}
-		b, _ := valueRefFields.read(&c)
+		b, _ := valueRefFields.read(&c, nil)
 		b.pool = at.pool
 		return append(buf[:0], b), recValueRef, nil
 	case raw[0] == inlineTag:
@@ -374,10 +385,15 @@ func encodeDims(r dimsRecord) []byte {
 	return buf
 }
 
-func decodeDims(raw []byte) (dimsRecord, error) {
+// decodeDims decodes a dims record into buf's array when it is large enough.
+func decodeDims(raw []byte, buf []uint64) (dimsRecord, error) {
 	c := wire.Cursor{Raw: raw}
 	r := dimsRecord{dtype: serial.DType(c.Uint(1))}
-	r.dims = c.Dims(int(c.Uint(1)))
+	rank := int(c.Uint(1))
+	if cap(buf) < rank {
+		buf = make([]uint64, 0, rank)
+	}
+	r.dims = c.AppendDims(buf[:0], rank)
 	if c.Bad {
 		return dimsRecord{}, fmt.Errorf("core: dims record truncated")
 	}
@@ -393,7 +409,8 @@ func frameLen(head []byte) int { return frameFields.size(int(head[1])) }
 // anything is sized by it.
 func decodeFrame(hdr []byte, room int64) (blockRec, error) {
 	c := wire.Cursor{Raw: hdr}
-	b, err := frameFields.read(&c)
+	var arena []uint64
+	b, err := frameFields.read(&c, &arena)
 	switch {
 	case err != nil:
 	case c.Bad:
@@ -445,21 +462,40 @@ func (st *shared) homeIdx(id string) int {
 	return int(fnv1a(key) % uint64(n))
 }
 
-// getValue is the handle-side shorthand for one record.
-func (p *PMEM) getValue(id string) ([]byte, bool, error) {
-	return p.st.lay.get(p.comm.Clock(), id, "")
+// dims reads id's dims companion and decodes it into buf's array when that is
+// large enough; ok is false when id has none. On the pool layout the record
+// is read where it sits, as a whole value's is (record): the caller holds
+// id's lock, which every writer of the record holds too.
+func (p *PMEM) dims(id string, buf []uint64) (rec dimsRecord, ok bool, err error) {
+	var raw []byte
+	if p.st.lay.caps().pool {
+		raw, _, ok, err = p.record(id + DimsSuffix)
+	} else {
+		raw, ok, err = p.st.lay.get(p.comm.Clock(), id, DimsSuffix)
+	}
+	if err != nil || !ok {
+		return rec, ok, err
+	}
+	rec, err = decodeDims(raw, buf)
+	return rec, true, err
 }
 
-// loadDims reads and decodes id's dims companion.
-func (p *PMEM) loadDims(id string) (dimsRecord, error) {
-	raw, ok, err := p.st.lay.get(p.comm.Clock(), id, DimsSuffix)
-	if err != nil {
-		return dimsRecord{}, err
+// heldDims is dims with a missing record reported as ErrNotFound.
+func (p *PMEM) heldDims(id string, buf []uint64) (dimsRecord, error) {
+	rec, ok, err := p.dims(id, buf)
+	if err == nil && !ok {
+		err = fmt.Errorf("core: %q has no dims (Alloc not called): %w", id, ErrNotFound)
 	}
-	if !ok {
-		return dimsRecord{}, fmt.Errorf("core: %q has no dims (Alloc not called): %w", id, ErrNotFound)
-	}
-	return decodeDims(raw)
+	return rec, err
+}
+
+// loadDims is heldDims for a caller that does not hold id's lock: it takes the
+// read side around the read.
+func (p *PMEM) loadDims(id string, buf []uint64) (dimsRecord, error) {
+	lock := p.varLock(id)
+	lock.RLock()
+	defer lock.RUnlock()
+	return p.heldDims(id, buf)
 }
 
 // publishQuarantine persists the store-wide quarantine list under its
@@ -497,15 +533,19 @@ func (st *shared) loadQuarantine(clk *sim.Clock) error {
 // write side, so no republish can slip between the reads below and the
 // install. It must not be re-acquired here: a recursive RLock can deadlock
 // against a queued writer.
+//
+// Both records are decoded where they sit, so an entry costs a fixed number of
+// allocations — itself, its dims, the block records, one array for all their
+// extents, and byStart — however many blocks it indexes.
 func (p *PMEM) blockIndex(id string) (*cacheEntry, error) {
 	if e, ok := p.st.cache.lookup(id); ok {
 		return e, nil
 	}
-	rec, err := p.loadDims(id)
+	rec, err := p.heldDims(id, nil)
 	if err != nil {
 		return nil, err
 	}
-	raw, hasBlocks, err := p.getValue(id)
+	raw, _, hasBlocks, err := p.record(id)
 	var blocks []blockRec
 	if err == nil && hasBlocks {
 		blocks, err = blockList.decode(raw)
@@ -574,7 +614,7 @@ func (l poolLayout) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 			// metadata): a kind mismatch, not a missing id.
 			return r, fmt.Errorf("core: id %q does not hold a datum: %w", pl.id, ErrTypeMismatch)
 		default:
-			r.units = wholeBlocks(blocks)
+			r.units = p.gather().whole(blocks)
 		}
 		return r, nil
 	}
@@ -586,7 +626,7 @@ func (l poolLayout) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 			return r, fmt.Errorf("core: %q has no stored blocks: %w", pl.id, ErrNotFound)
 		}
 		if r.stats = r.entry.stats; r.stats == nil {
-			r.units = wholeBlocks(r.entry.blocks)
+			r.units = p.gather().whole(r.entry.blocks)
 		}
 		r.done = r.stats != nil
 		return r, nil
@@ -597,6 +637,6 @@ func (l poolLayout) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 	if !r.entry.hasBlocks {
 		return r, fmt.Errorf("core: id %q has no stored blocks: %w", pl.id, ErrNotFound)
 	}
-	r.units = planGather(r.entry, pl.offs, pl.counts, r.esize)
+	r.units = p.gather().plan(r.entry, pl.offs, pl.counts, r.esize)
 	return r, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pmemcpy/internal/checksum"
 	"pmemcpy/internal/nd"
@@ -63,6 +64,68 @@ type readUnit struct {
 	file           *varFile
 }
 
+// gatherScratch is the read engine's working set: the handle's own, like its
+// clock and its inline-record buffer (writeplan.go), allocated by its first
+// read and reused by every plan after it. Its slices only grow, so once they
+// have reached a plan's size, planning, intersecting and decoding that plan
+// allocate nothing — whatever number of blocks it touches. It is never the
+// handle group's: several ranks run plans at once, each on its own handle.
+//
+// A plan's units and their intersections live here from resolve to the end
+// of consume, so nothing the engine hands back may point into it: every
+// result is copied out (clone, string, the caller's buffer, a view's fresh
+// fallback buffer) or points into the pool or the DRAM index.
+type gatherScratch struct {
+	hits  []int
+	units []readUnit
+	jobs  []readUnit // the scatter's copy of a plan's units, split for its wave
+	// dims is the arena every unit's isOffs and isCnts are carved from, with
+	// full slice expressions: a carved range is never appended to, and a
+	// split carves new ranges rather than writing the old ones.
+	dims []uint64
+	// dec is one decode target per worker of the widest wave so far: the
+	// scatter's workers each decode into their own, and the serial consume
+	// steps (clone, statistics) into dec[0].
+	dec []decodeSlot
+}
+
+// decodeSlot is a codec.DecodeTo target: a datum and the MaxDims extents its
+// Dims use.
+type decodeSlot struct {
+	d    serial.Datum
+	dims [serial.MaxDims]uint64
+}
+
+// hint resets the slot to the hint of its next decode: the stored type and
+// dims, copied in — a decode writes its Dims.
+func (s *decodeSlot) hint(t serial.DType, dims []uint64) *serial.Datum {
+	s.d = serial.Datum{Type: t, Dims: append(s.dims[:0], dims...)}
+	return &s.d
+}
+
+// gather returns the handle's read scratch, allocating it on first use.
+func (p *PMEM) gather() *gatherScratch {
+	if p.gs == nil {
+		p.gs = new(gatherScratch)
+	}
+	return p.gs
+}
+
+// slots returns decode targets for n workers.
+func (g *gatherScratch) slots(n int) []decodeSlot {
+	if len(g.dec) < n {
+		g.dec = make([]decodeSlot, n)
+	}
+	return g.dec[:n]
+}
+
+// carve copies v into the arena and returns the copy.
+func (g *gatherScratch) carve(v []uint64) []uint64 {
+	n := len(g.dims)
+	g.dims = append(g.dims, v...)
+	return g.dims[n:len(g.dims):len(g.dims)]
+}
+
 // quarPolicy is what the gate does with a quarantined unit.
 type quarPolicy uint8
 
@@ -106,8 +169,8 @@ func (k consumeKind) ofRequest() bool { return k == consumeScatter || k == consu
 // readPlan is one planned read: the planner's inputs and the engine's results.
 // The zero policies are a load's — quarantined blocks fail, the handle's
 // verify mode decides. Plans live on the planner's stack; the engine retains
-// nothing of one, and its working set (the resolved units) is a local of run,
-// so a load adds no heap object for being planned.
+// nothing of one, and its working set (the resolved units) is the handle's
+// gather scratch, so a load adds no heap object for being planned.
 type readPlan struct {
 	id         string
 	consume    consumeKind
@@ -116,8 +179,11 @@ type readPlan struct {
 
 	// Scatter/alias: the requested region and the scatter destination (nil on
 	// view plans — the engine allocates one only when the alias degrades).
+	// Clone: dst, when set, takes the value's payload — its first len(dst)
+	// bytes — instead of a private datum, and asString a string instead.
 	offs, counts []uint64
 	dst          []byte
+	asString     bool
 
 	// Scrub: the pass's cancellation and paced charge, both applied between
 	// blocks. Nil on every other plan.
@@ -131,7 +197,10 @@ type readPlan struct {
 	parallel bool          // the worker pool ran the scatter
 	bad      []blockRec    // verifyReport: units that failed their CRC ...
 	badAt    []int         // ... and their positions in the plan
-	datum    *serial.Datum // consumeClone
+	datum    *serial.Datum // consumeClone, unless dst or asString is set
+	str      string        // consumeClone with asString, of a string value
+	dtype    serial.DType  // consumeClone: the value's type ...
+	n        int           // ... and its payload bytes
 	view     *BlockView    // consumeAlias
 }
 
@@ -247,12 +316,13 @@ func (l poolLayout) chargeUnit(p *PMEM, u readUnit, decPasses float64) {
 	p.chargeMove(sim.Load, []poolBytes{{int(u.src.pool), u.bytes}}, decPasses, 1)
 }
 
-// wholeBlocks returns one whole-block unit per block record.
-func wholeBlocks(blocks []blockRec) []readUnit {
-	units := make([]readUnit, len(blocks))
-	for i, b := range blocks {
-		units[i] = readUnit{src: b, bytes: b.encLen}
+// whole returns one whole-block unit per block record.
+func (g *gatherScratch) whole(blocks []blockRec) []readUnit {
+	units := g.units[:0]
+	for _, b := range blocks {
+		units = append(units, readUnit{src: b, bytes: b.encLen})
 	}
+	g.units = units
 	return units
 }
 
@@ -366,11 +436,22 @@ func (e readEngine) consume(pl *readPlan, units []readUnit, verified bool) error
 			p.st.lay.chargeUnit(p, units[0], decPasses)
 		}
 		// The 1-byte type prefix lets non-self-describing codecs decode.
-		d, err := p.codec.Decode(src[1:], &serial.Datum{Type: serial.DType(src[0])})
-		if err != nil {
+		d := p.gather().slots(1)[0].hint(serial.DType(src[0]), nil)
+		if err := p.codec.DecodeTo(src[1:], d); err != nil {
 			return err
 		}
-		pl.datum = d.Clone() // the caller's datum must not alias the pool
+		// What the caller gets must alias neither the pool nor the scratch.
+		pl.dtype, pl.n = d.Type, len(d.Payload)
+		switch {
+		case pl.dst != nil:
+			copy(pl.dst, d.Payload)
+		case pl.asString:
+			if d.Type == serial.String {
+				pl.str = string(d.Payload)
+			}
+		default:
+			pl.datum = d.Clone()
+		}
 		return nil
 	case consumeStats:
 		pl.stats = make([]BlockStats, len(units))
@@ -431,13 +512,15 @@ func (e readEngine) aliasRange(pl *readPlan, units []readUnit, verified bool) ([
 	return src[start : start+pl.need : start+pl.need], true
 }
 
-// gather is what a scatter wave's jobs share: the engine and the request,
-// by value, so the plan itself stays on its planner's stack.
+// gather is what a scatter wave's jobs share: the engine, the request and a
+// decode slot per worker, by value, so the plan itself stays on its
+// planner's stack.
 type gather struct {
 	e            readEngine
 	dst          []byte
 	offs, counts []uint64
 	esize        int
+	slots        []decodeSlot
 }
 
 // scatter decodes every unit and places its intersection into pl.dst, wave by
@@ -451,7 +534,9 @@ func (e readEngine) scatter(pl *readPlan, units []readUnit, decPasses float64) e
 	if pl.parallel {
 		workers = p.st.opt.ReadParallelism
 	}
-	jobs := splitUnits(units, workers)
+	gs := p.gather()
+	jobs := gs.split(append(gs.jobs[:0], units...), workers)
+	gs.jobs = jobs
 	workers = min(workers, len(jobs))
 	if pl.parallel {
 		step = len(jobs)
@@ -464,7 +549,7 @@ func (e readEngine) scatter(pl *readPlan, units []readUnit, decPasses float64) e
 			}
 		}
 	}
-	g := gather{e: e, dst: pl.dst, offs: pl.offs, counts: pl.counts, esize: pl.esize}
+	g := gather{e: e, dst: pl.dst, offs: pl.offs, counts: pl.counts, esize: pl.esize, slots: gs.slots(workers)}
 	for lo := 0; lo < len(jobs); lo += step {
 		wave := jobs[lo : lo+step]
 		if err := runWave(workers, g, wave, gather.place); err != nil {
@@ -493,28 +578,29 @@ func (e readEngine) chargeWave(wave []readUnit, decPasses float64, workers int) 
 }
 
 // place decodes one unit's stored block (zero-copy for the default codec: the
-// payload aliases mapped PMEM) and scatters its intersection into the
-// request's destination. It is the only code a scatter worker runs: no clock
-// (the hierarchy layout's file read, serial by construction, aside), no
-// allocator, no device bookkeeping.
-func (g gather) place(u *readUnit) error {
+// payload aliases mapped PMEM) into worker w's decode slot and scatters its
+// intersection into the request's destination. It is the only code a scatter
+// worker runs: no clock (the hierarchy layout's file read, serial by
+// construction, aside), no allocator, no device bookkeeping; the units it
+// reads, the scratch included, are read-only for the wave.
+func (g gather) place(w int, u *readUnit) error {
 	src, err := g.e.stored(u)
 	if err != nil {
 		return err
 	}
-	d, err := g.e.p.codec.Decode(src, &serial.Datum{Type: u.src.dtype, Dims: u.src.counts})
-	if err != nil {
+	d := g.slots[w].hint(u.src.dtype, u.src.counts)
+	if err := g.e.p.codec.DecodeTo(src, d); err != nil {
 		return err
 	}
 	return nd.PlaceIntersection(g.dst, g.offs, g.counts, d.Payload, u.src.offs, u.src.counts,
 		u.isOffs, u.isCnts, g.esize)
 }
 
-// planGather intersects the request (offs, counts) with the stored blocks,
-// walking the start-sorted extent index and emitting units in publish order.
-// Their bytes may sum past the request size when stored blocks overlap.
-func planGather(e *cacheEntry, offs, counts []uint64, esize int) []readUnit {
-	var hits []int
+// plan intersects the request (offs, counts) with the stored blocks, walking
+// the start-sorted extent index and emitting units in publish order. Their
+// bytes may sum past the request size when stored blocks overlap.
+func (g *gatherScratch) plan(e *cacheEntry, offs, counts []uint64, esize int) []readUnit {
+	hits := g.hits[:0]
 	if len(offs) > 0 {
 		lo, hi := offs[0], offs[0]+counts[0]
 		for _, bi := range e.byStart {
@@ -533,32 +619,33 @@ func planGather(e *cacheEntry, offs, counts []uint64, esize int) []readUnit {
 			hits = append(hits, bi)
 		}
 		// Publish order decides shadowing, so restore it.
-		sortInts(hits)
+		slices.Sort(hits)
 	} else {
 		for i := range e.blocks {
 			hits = append(hits, i)
 		}
 	}
-	var units []readUnit
+	g.hits = hits
+	// Every hit's intersection fits the arena as sized here.
+	rank := len(offs)
+	if need := 2 * rank * len(hits); cap(g.dims) < need {
+		g.dims = make([]uint64, 0, need)
+	}
+	units, arena := g.units[:0], g.dims[:0]
 	for _, bi := range hits {
-		b := e.blocks[bi]
-		isOffs, isCnts, ok := nd.Intersect(offs, counts, b.offs, b.counts)
-		if !ok {
+		b := &e.blocks[bi]
+		at := len(arena)
+		arena = arena[:at+2*rank]
+		isOffs, isCnts := arena[at:at+rank:at+rank], arena[at+rank:at+2*rank:at+2*rank]
+		if !nd.IntersectInto(isOffs, isCnts, offs, counts, b.offs, b.counts) {
+			arena = arena[:at]
 			continue
 		}
 		n := int64(nd.Size(isCnts)) * int64(esize)
-		units = append(units, readUnit{src: b, isOffs: isOffs, isCnts: isCnts, bytes: n})
+		units = append(units, readUnit{src: *b, isOffs: isOffs, isCnts: isCnts, bytes: n})
 	}
+	g.units, g.dims = units, arena
 	return units
-}
-
-func sortInts(v []int) {
-	// Insertion sort: hit lists are short and nearly sorted already.
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 // unitsOverlap reports whether any two units' regions intersect, in which
@@ -566,8 +653,7 @@ func sortInts(v []int) {
 func unitsOverlap(units []readUnit) bool {
 	for i := 0; i < len(units); i++ {
 		for j := i + 1; j < len(units); j++ {
-			if _, _, ok := nd.Intersect(units[i].isOffs, units[i].isCnts,
-				units[j].isOffs, units[j].isCnts); ok {
+			if nd.Overlaps(units[i].isOffs, units[i].isCnts, units[j].isOffs, units[j].isCnts) {
 				return true
 			}
 		}
@@ -575,13 +661,13 @@ func unitsOverlap(units []readUnit) bool {
 	return false
 }
 
-// splitUnits returns a copy of plan — the scatter's own, so the plan's units
-// stay in run's frame — with large units cut along dim 0 of their
-// intersection until there are at least want of them, so even a single huge
-// stored block fans out over the worker pool. Sub-units of one block never
-// overlap, preserving the planner's no-overlap guarantee.
-func splitUnits(plan []readUnit, want int) []readUnit {
-	units := append(make([]readUnit, 0, max(len(plan), want)), plan...)
+// split cuts large units along dim 0 of their intersection, in the scratch,
+// until there are at least want of them, so even a single huge stored block
+// fans out over the worker pool. Sub-units of one block never overlap,
+// preserving the planner's no-overlap guarantee. units is the scatter's copy
+// of the plan's (the wave's workers hold it, and a record plan's single unit
+// lives on its planner's stack), which it extends in place.
+func (g *gatherScratch) split(units []readUnit, want int) []readUnit {
 	for len(units) < want {
 		// Split the largest splittable unit in two.
 		best := -1
@@ -600,11 +686,9 @@ func splitUnits(plan []readUnit, want int) []readUnit {
 		rows := u.isCnts[0]
 		half := rows / 2
 		rowBytes := u.bytes / int64(rows)
-		lo, hi := u, u
-		lo.isOffs = append([]uint64(nil), u.isOffs...)
-		lo.isCnts = append([]uint64(nil), u.isCnts...)
-		hi.isOffs = append([]uint64(nil), u.isOffs...)
-		hi.isCnts = append([]uint64(nil), u.isCnts...)
+		lo, hi := u, u // lo keeps u's offsets: carved ranges are never written
+		lo.isCnts = g.carve(u.isCnts)
+		hi.isOffs, hi.isCnts = g.carve(u.isOffs), g.carve(u.isCnts)
 		lo.isCnts[0] = half
 		lo.bytes = rowBytes * int64(half)
 		hi.isOffs[0] += half

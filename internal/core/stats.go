@@ -42,7 +42,7 @@ type BlockStats struct {
 // the BP4 codec only block headers are read; other codecs fall back to
 // scanning the data.
 func (p *PMEM) MinMax(id string) (mn, mx float64, err error) {
-	blocks, err := p.BlockStatsOf(id)
+	blocks, err := p.statsOf(id)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -65,7 +65,7 @@ func (p *PMEM) MinMax(id string) (mn, mx float64, err error) {
 // [lo, hi] — the block-skipping primitive of range queries: blocks whose
 // characteristics exclude the range are skipped without reading their data.
 func (p *PMEM) FindBlocks(id string, lo, hi float64) ([]BlockStats, error) {
-	blocks, err := p.BlockStatsOf(id)
+	blocks, err := p.statsOf(id)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +75,7 @@ func (p *PMEM) FindBlocks(id string, lo, hi float64) ([]BlockStats, error) {
 			out = append(out, b)
 		}
 	}
-	return out, nil
+	return copyStats(out), nil
 }
 
 // BlockStatsOf returns per-block statistics for id. Blocks encoded with a
@@ -91,25 +91,32 @@ func (p *PMEM) FindBlocks(id string, lo, hi float64) ([]BlockStats, error) {
 // trusted. Otherwise a damaged characteristics header would silently skew
 // MinMax while every data read stays verified.
 func (p *PMEM) BlockStatsOf(id string) ([]BlockStats, error) {
+	blocks, err := p.statsOf(id)
+	if err != nil {
+		return nil, err
+	}
+	return copyStats(blocks), nil
+}
+
+// statsOf is BlockStatsOf without the copy: the memoized slice of the DRAM
+// index, which the caller reads and never hands out — the exported queries
+// return deep copies, so a caller may mutate what it got freely.
+func (p *PMEM) statsOf(id string) ([]BlockStats, error) {
 	p.asyncBarrier()
 	pl := readPlan{id: id, consume: consumeStats}
 	if err := p.reader().run(&pl); err != nil {
 		return nil, err
 	}
-	// The cache keeps pl.stats; the caller may mutate its deep copy freely.
-	return copyStats(pl.stats), nil
+	return pl.stats, nil
 }
 
 // blockStats is the read engine's statistics consume step for one verified
 // unit: the value range from the block's characteristics header when the
 // codec carries one (a handful of bytes, one device latency), else from a
-// decode and scan of the payload (a full read pass).
+// decode and scan of the payload (a full read pass). Its Offs and Counts are
+// the DRAM index's own, as immutable as the entry the statistics join.
 func (p *PMEM) blockStats(b blockRec, src []byte, dtype serial.DType) (BlockStats, error) {
-	bs := BlockStats{
-		Offs:   append([]uint64(nil), b.offs...),
-		Counts: append([]uint64(nil), b.counts...),
-		Pool:   int(b.pool),
-	}
+	bs := BlockStats{Offs: b.offs, Counts: b.counts, Pool: int(b.pool)}
 	if sr, ok := p.codec.(statsReader); ok {
 		if mn, mx, okStats, err := sr.Stats(src); err == nil && okStats {
 			p.chargeReadLatency()
@@ -117,8 +124,8 @@ func (p *PMEM) blockStats(b blockRec, src []byte, dtype serial.DType) (BlockStat
 			return bs, nil
 		}
 	}
-	d, err := p.codec.Decode(src, &serial.Datum{Type: b.dtype, Dims: b.counts})
-	if err != nil {
+	d := p.gather().slots(1)[0].hint(b.dtype, b.counts)
+	if err := p.codec.DecodeTo(src, d); err != nil {
 		return bs, err
 	}
 	p.chargeMove(sim.Load, []poolBytes{{int(b.pool), int64(len(d.Payload))}}, 1, 1)

@@ -12,12 +12,12 @@ import (
 // if desired). It reports whether the id existed.
 func (p *PMEM) Delete(id string) (bool, error) {
 	p.asyncBarrier()
-	done := p.beginOp(opDelete, id)
+	op := p.beginOp(opDelete, id)
 	lock := p.varLock(id)
 	lock.Lock()
 	existed, err := p.st.lay.del(p, id)
 	lock.Unlock()
-	done(false, 0, err)
+	op.done(false, 0, err)
 	return existed, err
 }
 
@@ -40,9 +40,9 @@ func (p *PMEM) Keys() ([]string, error) {
 // id. The value is serialized with the handle's codec directly into PMEM.
 func (p *PMEM) StoreDatum(id string, d *serial.Datum) error {
 	p.asyncBarrier()
-	done := p.beginOp(opStoreDatum, id)
+	op := p.beginOp(opStoreDatum, id)
 	bytes, parallel, err := p.storeDatum(id, d)
-	done(parallel, bytes, err)
+	op.done(parallel, bytes, err)
 	return err
 }
 
@@ -55,8 +55,14 @@ func (p *PMEM) storeDatum(id string, d *serial.Datum) (int64, bool, error) {
 
 // commitDatum stores a validated datum — the step StoreDatum and the async
 // pipeline share, so an argument error never enters a commit. It reports the
-// bytes written and whether the fill ran on the worker pool.
-func (p *PMEM) commitDatum(id string, d *serial.Datum) (int64, bool, error) {
+// bytes written and whether the fill ran on the worker pool. The plan holds
+// the handle's copy of the datum, so the caller's stays where it is — on its
+// stack, for Store and StoreString.
+func (p *PMEM) commitDatum(id string, value *serial.Datum) (int64, bool, error) {
+	w := p.wscratch()
+	defer w.reset()
+	w.datum = *value
+	d := &w.datum
 	encPasses, _ := p.codec.CostProfile()
 	need := int64(p.codec.EncodedSize(d)) + 1
 	// Plan: serialize directly into one block (framed by the 1-byte type tag a
@@ -64,12 +70,11 @@ func (p *PMEM) commitDatum(id string, d *serial.Datum) (int64, bool, error) {
 	// values live in the id's home pool — the same pool as their pointer record
 	// — so a value ref needs no pool field. The layout's commit runs the
 	// alloc/fill/persist/publish sequence.
-	u := writeUnit{
+	u := w.one(id, d.Type, publishValueRef, writeUnit{
 		pool:   uint8(p.homeIdx(id)),
-		frags:  []writeFrag{{datum: d, encLen: need - 1}},
 		encLen: need,
 		point:  ptDatumPayload,
-	}
+	}, need-1)
 	// A large value under an identity-encoding codec (raw) is a plain payload
 	// copy, so disjoint byte ranges of it can be written concurrently: the one
 	// fragment becomes one per worker and the fill one concurrent wave.
@@ -77,37 +82,81 @@ func (p *PMEM) commitDatum(id string, d *serial.Datum) (int64, bool, error) {
 		u.frags, u.point = chunkFrags(d.Payload, p.st.opt.Parallelism), ptDatumChunk
 	}
 	workers := len(u.frags)
-	plan := writePlan{
-		workers:   workers,
-		encPasses: encPasses,
-		groups:    []planGroup{{id: id, dtype: d.Type, publish: publishValueRef, units: []writeUnit{u}}},
-	}
-	if err := p.st.lay.commit(p, plan); err != nil {
+	if err := p.st.lay.commit(p, writePlan{workers: workers, encPasses: encPasses, groups: w.group[:]}); err != nil {
 		return 0, false, err
 	}
 	if workers > 1 {
 		p.st.parallelStores.Add(1)
 		p.st.parallelBlocks.Add(int64(workers))
 	}
-	return plan.groups[0].units[0].wrote, workers > 1, nil
+	return u.wrote, workers > 1, nil
 }
+
+// writeScratch is where a one-unit plan — a whole value, or a block stored
+// on the serial path — is built: the handle's, like its inline-record buffer,
+// because a plan crosses the layout interface by value and everything it
+// points at would otherwise move to the heap — the datum and three
+// one-element slices (frags, units, groups) per store. It is allocated by the
+// first such store and reset after each, so it keeps no caller's payload
+// alive.
+type writeScratch struct {
+	datum serial.Datum
+	frag  [1]writeFrag
+	unit  [1]writeUnit
+	group [1]planGroup
+}
+
+// wscratch returns the handle's write scratch, allocating it on first use.
+func (p *PMEM) wscratch() *writeScratch {
+	if p.ws == nil {
+		p.ws = new(writeScratch)
+	}
+	return p.ws
+}
+
+// one makes u, encoding the scratch datum as its one fragment of encLen
+// bytes, the plan's one unit of id's one group, and returns it.
+func (w *writeScratch) one(id string, dtype serial.DType, publish publishKind, u writeUnit, encLen int64) *writeUnit {
+	w.frag[0] = writeFrag{datum: &w.datum, encLen: encLen}
+	u.frags = w.frag[:]
+	w.unit[0] = u
+	w.group[0] = planGroup{id: id, dtype: dtype, publish: publish, units: w.unit[:]}
+	return &w.unit[0]
+}
+
+func (w *writeScratch) reset() { *w = writeScratch{} }
 
 // LoadDatum loads a datum stored with StoreDatum, deserializing directly
 // from PMEM. The returned payload is a private copy.
 func (p *PMEM) LoadDatum(id string) (*serial.Datum, error) {
-	p.asyncBarrier()
-	done := p.beginOp(opLoadDatum, id)
-	d, bytes, err := p.loadDatum(id)
-	done(false, bytes, err)
-	return d, err
+	pl := readPlan{id: id, consume: consumeClone}
+	if err := p.loadWhole(&pl); err != nil {
+		return nil, err
+	}
+	return pl.datum, nil
 }
 
-func (p *PMEM) loadDatum(id string) (*serial.Datum, int64, error) {
-	pl := readPlan{id: id, consume: consumeClone}
-	if err := p.reader().run(&pl); err != nil {
-		return nil, 0, err
+// LoadInto is LoadDatum into the caller's buffer: it copies the payload of
+// the whole value stored under id into dst — its first len(dst) bytes, when
+// the payload is longer — and returns the value's element type and payload
+// length. Nothing is allocated for the value.
+func (p *PMEM) LoadInto(id string, dst []byte) (serial.DType, int, error) {
+	pl := readPlan{id: id, consume: consumeClone, dst: dst}
+	err := p.loadWhole(&pl)
+	return pl.dtype, pl.n, err
+}
+
+// loadWhole runs a whole-value read plan as one load_datum op.
+func (p *PMEM) loadWhole(pl *readPlan) error {
+	p.asyncBarrier()
+	op := p.beginOp(opLoadDatum, pl.id)
+	err := p.reader().run(pl)
+	bytes := pl.covered
+	if err != nil {
+		bytes = 0
 	}
-	return pl.datum, pl.covered, nil
+	op.done(false, bytes, err)
+	return err
 }
 
 // --- block (subarray) store/load: the parallel write path of Figure 3 ---
@@ -118,44 +167,42 @@ func (p *PMEM) loadDatum(id string) (*serial.Datum, int64, error) {
 // row-major bytes.
 func (p *PMEM) StoreBlock(id string, offs, counts []uint64, data []byte) error {
 	p.asyncBarrier()
-	done := p.beginOp(opStoreBlock, id)
+	op := p.beginOp(opStoreBlock, id)
 	bytes, parallel, err := p.storeBlock(id, offs, counts, data)
-	done(parallel, bytes, err)
+	op.done(parallel, bytes, err)
 	return err
 }
 
 func (p *PMEM) storeBlock(id string, offs, counts []uint64, data []byte) (int64, bool, error) {
-	d, err := p.blockDatum(id, offs, counts, data)
-	if err != nil {
+	w := p.wscratch()
+	defer w.reset()
+	var err error
+	if w.datum, err = p.blockDatum(id, offs, counts, data); err != nil {
 		return 0, false, err
 	}
+	d := &w.datum
 	// Plan: one block-list append. A serial store is one block in the id's
 	// home pool — serial stores never stripe, so block and metadata co-locate;
 	// a large one is cut into per-worker shards striped across the pools
 	// (parallel.go). The layout's commit serializes the units — on the pool
 	// layout DIRECTLY into the mapped PMEM blocks, the single pass that defines
-	// pMEMCPY — persists, and publishes.
+	// pMEMCPY — persists, and publishes. The caller's offs and counts outlive
+	// the commit, which only encodes them into the record.
 	encPasses, _ := p.codec.CostProfile()
-	var units []writeUnit
 	if encSize := int64(p.codec.EncodedSize(d)); p.parallelEligible(counts, encSize) {
-		units = p.shardUnits(id, d, offs, counts)
+		w.group[0] = planGroup{id: id, dtype: d.Type, publish: publishBlockList, units: p.shardUnits(id, d, offs, counts)}
 	} else {
-		units = []writeUnit{{
+		w.one(id, d.Type, publishBlockList, writeUnit{
 			pool:   uint8(p.homeIdx(id)),
-			offs:   append([]uint64(nil), offs...),
-			counts: append([]uint64(nil), counts...),
-			frags:  []writeFrag{{datum: d, encLen: encSize}},
+			offs:   offs,
+			counts: counts,
 			encLen: encSize,
 			point:  ptBlockPayload,
-		}}
+		}, encSize)
 	}
+	units := w.group[0].units
 	shards := len(units)
-	plan := writePlan{
-		groups:    []planGroup{{id: id, dtype: d.Type, publish: publishBlockList, units: units}},
-		workers:   shards,
-		encPasses: encPasses,
-	}
-	if err := p.st.lay.commit(p, plan); err != nil {
+	if err := p.st.lay.commit(p, writePlan{groups: w.group[:], workers: shards, encPasses: encPasses}); err != nil {
 		return 0, false, err
 	}
 	var total int64
@@ -173,19 +220,20 @@ func (p *PMEM) storeBlock(id string, offs, counts []uint64, data []byte) (int64,
 // exactly one set of checks, so the wrapped sentinels match: the id's declared
 // dims exist, the region lies inside them, and data covers it. It returns the
 // datum the codec will encode.
-func (p *PMEM) blockDatum(id string, offs, counts []uint64, data []byte) (*serial.Datum, error) {
-	rec, err := p.loadDims(id)
+func (p *PMEM) blockDatum(id string, offs, counts []uint64, data []byte) (serial.Datum, error) {
+	var buf [serial.MaxDims]uint64
+	rec, err := p.loadDims(id, buf[:0])
 	if err != nil {
-		return nil, err
+		return serial.Datum{}, err
 	}
 	if err := nd.CheckBlock(rec.dims, offs, counts); err != nil {
-		return nil, err
+		return serial.Datum{}, err
 	}
 	need := int64(nd.Size(counts)) * int64(rec.dtype.Size())
 	if int64(len(data)) < need {
-		return nil, fmt.Errorf("core: data %d bytes, block needs %d: %w", len(data), need, ErrOutOfBounds)
+		return serial.Datum{}, fmt.Errorf("core: data %d bytes, block needs %d: %w", len(data), need, ErrOutOfBounds)
 	}
-	return &serial.Datum{Type: rec.dtype, Dims: counts, Payload: data[:need]}, nil
+	return serial.Datum{Type: rec.dtype, Dims: counts, Payload: data[:need]}, nil
 }
 
 // LoadBlock fills dst with the block (offs, counts) of array id, gathering
@@ -196,9 +244,9 @@ func (p *PMEM) blockDatum(id string, offs, counts []uint64, data []byte) (*seria
 // read engine's worker pool (readplan.go).
 func (p *PMEM) LoadBlock(id string, offs, counts []uint64, dst []byte) error {
 	p.asyncBarrier()
-	done := p.beginOp(opLoadBlock, id)
+	op := p.beginOp(opLoadBlock, id)
 	bytes, parallel, err := p.loadBlock(id, offs, counts, dst)
-	done(parallel, bytes, err)
+	op.done(parallel, bytes, err)
 	return err
 }
 

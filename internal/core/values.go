@@ -16,16 +16,17 @@ func (p *PMEM) StoreString(id, s string) error {
 	return p.StoreDatum(id, &serial.Datum{Type: serial.String, Payload: []byte(s)})
 }
 
-// LoadString reads back a string stored with StoreString.
+// LoadString reads back a string stored with StoreString. The string is the
+// one object it allocates.
 func (p *PMEM) LoadString(id string) (string, error) {
-	d, err := p.LoadDatum(id)
-	if err != nil {
+	pl := readPlan{id: id, consume: consumeClone, asString: true}
+	if err := p.loadWhole(&pl); err != nil {
 		return "", err
 	}
-	if d.Type != serial.String {
-		return "", fmt.Errorf("core: id %q holds %v, not a string: %w", id, d.Type, ErrTypeMismatch)
+	if pl.dtype != serial.String {
+		return "", fmt.Errorf("core: id %q holds %v, not a string: %w", id, pl.dtype, ErrTypeMismatch)
 	}
-	return string(d.Payload), nil
+	return pl.str, nil
 }
 
 // StoreStruct persists a structured value — a Go struct with arbitrary

@@ -46,7 +46,7 @@ func (p *PMEM) verifyRecord(key string, violatef func(format string, args ...any
 		return
 	}
 	if strings.HasSuffix(key, DimsSuffix) {
-		rec, err := decodeDims(raw)
+		rec, err := decodeDims(raw, nil)
 		if err != nil {
 			violatef("store.dims: %q: %v", key, err)
 			return
@@ -66,7 +66,7 @@ func (p *PMEM) verifyRecord(key string, violatef func(format string, args ...any
 	case err != nil:
 		violatef("store.record: %q: undecodable %v: %v", key, kind, err)
 	case kind == recBlockList:
-		rec, err := p.loadDims(key)
+		rec, err := p.heldDims(key, nil)
 		if err != nil {
 			violatef("store.blocklist: %q has blocks but no dims record: %v", key, err)
 			return

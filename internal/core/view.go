@@ -205,9 +205,9 @@ func (p *PMEM) ViewStats() (active, limbo, leaked int64) {
 // valid until then.
 func (p *PMEM) LoadBlockView(id string, offs, counts []uint64) (*BlockView, error) {
 	p.asyncBarrier()
-	done := p.beginOp(opLoadView, id)
+	op := p.beginOp(opLoadView, id)
 	v, bytes, parallel, err := p.loadBlockView(id, offs, counts)
-	done(parallel, bytes, err)
+	op.done(parallel, bytes, err)
 	return v, err
 }
 

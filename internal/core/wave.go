@@ -19,11 +19,13 @@ import (
 // simulator's persist order do not depend on goroutine scheduling.
 //
 // An inline wave stops at its first error; a pooled wave runs every job and
-// reports the lowest failing index.
-func runWave[C, J any](workers int, ctx C, jobs []J, run func(C, *J) error) error {
+// reports the lowest failing index. run is told which worker runs the job —
+// 0 inline, 0 to min(workers, len(jobs))-1 on the pool — so a job can use
+// scratch of its worker's own.
+func runWave[C, J any](workers int, ctx C, jobs []J, run func(C, int, *J) error) error {
 	if workers <= 1 || len(jobs) <= 1 {
 		for i := range jobs {
-			if err := run(ctx, &jobs[i]); err != nil {
+			if err := run(ctx, 0, &jobs[i]); err != nil {
 				return err
 			}
 		}
@@ -32,12 +34,12 @@ func runWave[C, J any](workers int, ctx C, jobs []J, run func(C, *J) error) erro
 	errs := make([]error, len(jobs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := min(workers, len(jobs)); w > 0; w-- {
+	for w := range min(workers, len(jobs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
-				errs[i] = run(ctx, &jobs[i])
+				errs[i] = run(ctx, w, &jobs[i])
 			}
 		}()
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pmemcpy/internal/checksum"
 	"pmemcpy/internal/pmdk"
@@ -214,29 +215,8 @@ func (e commitEngine) run(plan *writePlan) error {
 // commit and parallel stores batch over per-op writes. A pool whose
 // transaction fails leaves its units without a block: it rolled back.
 func (e commitEngine) alloc(plan *writePlan) error {
-	p := e.p
-	clk := p.comm.Clock()
-	for pi := 0; pi < len(p.st.pools); pi++ {
-		var tx *pmdk.Tx
-		var err error
-		for g, u := range plan.units {
-			if int(u.pool) != pi || g.inline() {
-				continue
-			}
-			if tx == nil {
-				if tx, err = p.st.pools[pi].Begin(clk); err != nil {
-					break
-				}
-			}
-			if u.blk, err = p.st.pools[pi].Alloc(tx, u.encLen); err != nil {
-				tx.Abort()
-				break
-			}
-		}
-		if err == nil && tx != nil {
-			err = tx.Commit()
-		}
-		if err != nil {
+	for pi := range e.p.st.pools {
+		if err := e.allocIn(plan, pi); err != nil {
 			for _, u := range plan.units {
 				if int(u.pool) == pi {
 					u.blk = pmdk.Null
@@ -246,6 +226,35 @@ func (e commitEngine) alloc(plan *writePlan) error {
 		}
 	}
 	return nil
+}
+
+// allocIn is alloc's transaction in pool pi, when the plan has blocks there.
+// The transaction is begun outside any loop, so its handle stays in this
+// frame.
+func (e commitEngine) allocIn(plan *writePlan, pi int) error {
+	pool, n := e.p.st.pools[pi], 0
+	for g, u := range plan.units {
+		if int(u.pool) == pi && !g.inline() {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	tx, err := pool.Begin(e.p.comm.Clock())
+	if err != nil {
+		return err
+	}
+	for g, u := range plan.units {
+		if int(u.pool) != pi || g.inline() {
+			continue
+		}
+		if u.blk, err = pool.Alloc(tx, u.encLen); err != nil {
+			tx.Abort()
+			return err
+		}
+	}
+	return tx.Commit()
 }
 
 // fillJob is one goroutine's share of a wave: a run of one unit's fragments
@@ -356,7 +365,7 @@ func (e commitEngine) wave(plan *writePlan, jobs []fillJob) error {
 // encode is the only code a fill worker runs: write the job's fragments into
 // its range through the codec, whose one sweep over each payload also carries
 // the job's running CRC — there is no checksum pass here.
-func (e commitEngine) encode(j *fillJob) error {
+func (e commitEngine) encode(_ int, j *fillJob) error {
 	var off int64
 	if j.tagged {
 		j.dst[0] = byte(j.dtype)
@@ -468,7 +477,7 @@ func (e commitEngine) inlineRecord(g *planGroup, encPasses float64) ([]byte, err
 	}
 	u, buf := &g.units[0], e.p.inl[:]
 	j := fillJob{dst: buf[inlinePrefix : inlinePrefix+u.encLen], frags: u.frags, tagged: true, dtype: g.dtype}
-	if err := e.encode(&j); err != nil {
+	if err := e.encode(0, &j); err != nil {
 		return nil, err
 	}
 	u.wrote, u.crc = j.wrote, j.crc
@@ -619,31 +628,32 @@ func (e commitEngine) change(key string, rec []byte) (bool, error) {
 // blocks outside its home pool, the view layer's limbo reclaim, and a failed
 // plan's release.
 func (e commitEngine) freeBlocks(blks []blockRec) error {
-	p := e.p
-	clk := p.comm.Clock()
-	for pi := 0; pi < len(p.st.pools); pi++ {
-		var tx *pmdk.Tx
-		for _, b := range blks {
-			if int(b.pool) != pi {
-				continue
-			}
-			if tx == nil {
-				var err error
-				tx, err = p.st.pools[pi].Begin(clk)
-				if err != nil {
-					return err
-				}
-			}
-			if err := p.st.pools[pi].Free(tx, b.data); err != nil {
-				tx.Abort()
-				return err
-			}
-		}
-		if tx != nil {
-			if err := tx.Commit(); err != nil {
-				return err
-			}
+	for pi := range e.p.st.pools {
+		if err := e.freeIn(blks, pi); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// freeIn is freeBlocks' transaction in pool pi, when blks has blocks there.
+func (e commitEngine) freeIn(blks []blockRec, pi int) error {
+	if !slices.ContainsFunc(blks, func(b blockRec) bool { return int(b.pool) == pi }) {
+		return nil
+	}
+	pool := e.p.st.pools[pi]
+	tx, err := pool.Begin(e.p.comm.Clock())
+	if err != nil {
+		return err
+	}
+	for _, b := range blks {
+		if int(b.pool) != pi {
+			continue
+		}
+		if err := pool.Free(tx, b.data); err != nil {
+			tx.Abort()
+			return err
+		}
+	}
+	return tx.Commit()
 }

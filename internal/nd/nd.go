@@ -145,20 +145,43 @@ func CopyOut(global []byte, dims []uint64, offs, counts []uint64, local []byte, 
 // Intersect computes the overlap of two blocks in the same index space.
 // ok is false when they are disjoint.
 func Intersect(offsA, cntsA, offsB, cntsB []uint64) (offs, counts []uint64, ok bool) {
-	if len(offsA) != len(offsB) || len(cntsA) != len(offsA) || len(cntsB) != len(offsB) {
+	offs, counts = make([]uint64, len(offsA)), make([]uint64, len(offsA))
+	if !IntersectInto(offs, counts, offsA, cntsA, offsB, cntsB) {
 		return nil, nil, false
 	}
-	offs = make([]uint64, len(offsA))
-	counts = make([]uint64, len(offsA))
+	return offs, counts, true
+}
+
+// Overlaps reports whether two blocks of the same index space intersect:
+// Intersect's ok, with nothing computed and nothing allocated.
+func Overlaps(offsA, cntsA, offsB, cntsB []uint64) bool {
+	if len(offsA) != len(offsB) || len(cntsA) != len(offsA) || len(cntsB) != len(offsB) {
+		return false
+	}
+	for i := range offsA {
+		if min64(offsA[i]+cntsA[i], offsB[i]+cntsB[i]) <= max64(offsA[i], offsB[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// IntersectInto is Intersect into caller-owned offs and counts, each at least
+// as long as the blocks' rank. It reports whether the blocks overlap; when
+// they do not, what it left in offs and counts is meaningless.
+func IntersectInto(offs, counts, offsA, cntsA, offsB, cntsB []uint64) bool {
+	if len(offsA) != len(offsB) || len(cntsA) != len(offsA) || len(cntsB) != len(offsB) {
+		return false
+	}
 	for i := range offsA {
 		lo := max64(offsA[i], offsB[i])
 		hi := min64(offsA[i]+cntsA[i], offsB[i]+cntsB[i])
 		if hi <= lo {
-			return nil, nil, false
+			return false
 		}
 		offs[i], counts[i] = lo, hi-lo
 	}
-	return offs, counts, true
+	return true
 }
 
 // Sub translates absolute block coordinates (offs) into coordinates relative

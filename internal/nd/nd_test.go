@@ -170,6 +170,27 @@ func TestIntersect(t *testing.T) {
 	if _, _, ok := Intersect([]uint64{0}, []uint64{2}, []uint64{0, 0}, []uint64{2, 2}); ok {
 		t.Fatal("rank mismatch intersected")
 	}
+	// Overlaps is Intersect's ok, and IntersectInto its result in the
+	// caller's buffers, with nothing allocated: every pair of 1-D extents
+	// over [0, 6), the empty ones included.
+	var is [2]uint64
+	for a := uint64(0); a < 36; a++ {
+		for b := uint64(0); b < 36; b++ {
+			oa, ca, ob, cb := []uint64{a / 6}, []uint64{a % 6}, []uint64{b / 6}, []uint64{b % 6}
+			offs, counts, ok := Intersect(oa, ca, ob, cb)
+			if Overlaps(oa, ca, ob, cb) != ok {
+				t.Fatalf("Overlaps(%v+%v, %v+%v) != %v", oa, ca, ob, cb, ok)
+			}
+			if got := IntersectInto(is[:1], is[1:], oa, ca, ob, cb); got != ok || ok && (is[0] != offs[0] || is[1] != counts[0]) {
+				t.Fatalf("IntersectInto(%v+%v, %v+%v) = %v %v, Intersect %v %v %v", oa, ca, ob, cb, got, is, offs, counts, ok)
+			}
+		}
+	}
+	a, c := []uint64{0, 0}, []uint64{4, 4}
+	var isOffs, isCnts [2]uint64
+	if n := testing.AllocsPerRun(10, func() { IntersectInto(isOffs[:], isCnts[:], a, c, a, c) }); n != 0 {
+		t.Errorf("IntersectInto = %v allocations, want 0", n)
+	}
 }
 
 func TestSub(t *testing.T) {

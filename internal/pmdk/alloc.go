@@ -193,6 +193,14 @@ func (p *Pool) blockHeader(clk *sim.Clock, id PMID) (size int64, state uint64, e
 // only — a transaction never blocks on a second arena lock while holding
 // one, which rules out deadlock outright.
 func (p *Pool) Alloc(tx *Tx, n int64) (PMID, error) {
+	t, err := tx.live("Alloc")
+	if err != nil {
+		return Null, err
+	}
+	return p.alloc(t, n)
+}
+
+func (p *Pool) alloc(tx *txn, n int64) (PMID, error) {
 	if n <= 0 {
 		return Null, fmt.Errorf("pmdk: Alloc size must be positive, got %d", n)
 	}
@@ -228,7 +236,7 @@ func (p *Pool) Alloc(tx *Tx, n int64) (PMID, error) {
 		if a == home {
 			continue
 		}
-		id, ok, err2 := p.foreignArena(tx, a, n, func(tx *Tx, a *arena, n int64) (PMID, bool, error) {
+		id, ok, err2 := p.foreignArena(tx, a, n, func(tx *txn, a *arena, n int64) (PMID, bool, error) {
 			id, err := p.carveIn(tx, a, n)
 			if err == nil {
 				return id, true, nil
@@ -251,8 +259,8 @@ func (p *Pool) Alloc(tx *Tx, n int64) (PMID, error) {
 // foreignArena runs try against an arena the transaction does not own as its
 // home, acquiring the lock with TryLock when needed and releasing it again
 // if the attempt made no logged mutation there.
-func (p *Pool) foreignArena(tx *Tx, a *arena, n int64,
-	try func(*Tx, *arena, int64) (PMID, bool, error)) (PMID, bool, error) {
+func (p *Pool) foreignArena(tx *txn, a *arena, n int64,
+	try func(*txn, *arena, int64) (PMID, bool, error)) (PMID, bool, error) {
 	held := tx.holdsArena(a)
 	if !held {
 		if !a.mu.TryLock() {
@@ -278,6 +286,14 @@ func (p *Pool) foreignArena(tx *Tx, a *arena, n int64,
 // pushed onto the transaction's home arena's free list regardless of where it
 // was carved.
 func (p *Pool) Free(tx *Tx, id PMID) error {
+	t, err := tx.live("Free")
+	if err != nil {
+		return err
+	}
+	return p.free(t, id)
+}
+
+func (p *Pool) free(tx *txn, id PMID) error {
 	a := tx.homeArena()
 	size, state, err := p.blockHeader(tx.clk, id)
 	if err != nil {
@@ -328,7 +344,7 @@ func (p *Pool) UsableSize(clk *sim.Clock, id PMID) (int64, error) {
 // reuseIn tries to satisfy an allocation from the free lists of one arena
 // whose lock tx holds. ok=false means no fit; the arena's metadata is not
 // mutated in that case.
-func (p *Pool) reuseIn(tx *Tx, a *arena, n int64) (PMID, bool, error) {
+func (p *Pool) reuseIn(tx *txn, a *arena, n int64) (PMID, bool, error) {
 	clk := tx.clk
 	want := hugeBlockSize(n)
 	if c := classFor(n); c >= 0 {
@@ -384,7 +400,7 @@ func (p *Pool) reuseIn(tx *Tx, a *arena, n int64) (PMID, bool, error) {
 
 // carveIn takes a fresh block for an n-byte payload from one arena whose
 // lock tx holds.
-func (p *Pool) carveIn(tx *Tx, a *arena, n int64) (PMID, error) {
+func (p *Pool) carveIn(tx *txn, a *arena, n int64) (PMID, error) {
 	if c := classFor(n); c >= 0 {
 		return p.carve(tx, a, blockSizeOf(c))
 	}
@@ -392,7 +408,7 @@ func (p *Pool) carveIn(tx *Tx, a *arena, n int64) (PMID, error) {
 }
 
 // popFree removes the head block of a free list and marks it allocated.
-func (p *Pool) popFree(tx *Tx, a *arena, listOff, id PMID) (PMID, error) {
+func (p *Pool) popFree(tx *txn, a *arena, listOff, id PMID) (PMID, error) {
 	next, err := p.ReadU64(tx.clk, id)
 	if err != nil {
 		return Null, err
@@ -420,7 +436,7 @@ func (p *Pool) popFree(tx *Tx, a *arena, listOff, id PMID) (PMID, error) {
 // takeHuge unlinks a huge free block — size and next are what the walk that
 // found it read — splitting off the tail if it is large enough to hold another
 // block.
-func (p *Pool) takeHuge(tx *Tx, a *arena, prev, id PMID, size, want int64, next uint64) (PMID, error) {
+func (p *Pool) takeHuge(tx *txn, a *arena, prev, id PMID, size, want int64, next uint64) (PMID, error) {
 	tx.markArenaDirty(a)
 	// Pre-image size|state|next as one range: the next pointer in the block's
 	// first payload word must survive the caller's payload writes (see
@@ -458,7 +474,7 @@ func (p *Pool) takeHuge(tx *Tx, a *arena, prev, id PMID, size, want int64, next 
 // fraction of the heap). The arena's bump/limit updates are undo-logged as
 // usual; only the brk advance inside reserveExtent is not (see the package
 // comment).
-func (p *Pool) carve(tx *Tx, a *arena, blockSize int64) (PMID, error) {
+func (p *Pool) carve(tx *txn, a *arena, blockSize int64) (PMID, error) {
 	clk := tx.clk
 	if blockSize > maxClassBlock {
 		start, limit, err := p.reserveExtent(clk, blockSize, true)
@@ -517,7 +533,7 @@ func (p *Pool) carve(tx *Tx, a *arena, blockSize int64) (PMID, error) {
 // transaction: a crash mid-push leaks the extent, which is exactly the crash
 // behavior of the un-logged brk advance itself. The arenas involved are
 // still locked by the aborting transaction (reserving marked them dirty).
-func (tx *Tx) returnExtents() error {
+func (tx *txn) returnExtents() error {
 	p := tx.p
 	for _, e := range tx.extents {
 		size := e.limit - e.start
@@ -549,7 +565,7 @@ func (tx *Tx) returnExtents() error {
 // pushFreeBlock formats [id-blockHeaderSize, id-blockHeaderSize+size) as a
 // free block and pushes it onto the arena's huge free list (which accepts any
 // size >= minBlock; first-fit skips entries that are too small).
-func (p *Pool) pushFreeBlock(tx *Tx, a *arena, id PMID, size int64) error {
+func (p *Pool) pushFreeBlock(tx *txn, a *arena, id PMID, size int64) error {
 	head, err := p.ReadU64(tx.clk, a.hugeOff())
 	if err != nil {
 		return err

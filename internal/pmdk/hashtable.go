@@ -72,8 +72,12 @@ func CreateHashtable(tx *Tx, nbuckets uint64) (PMID, error) {
 	if nbuckets == 0 || nbuckets&(nbuckets-1) != 0 {
 		return Null, fmt.Errorf("pmdk: nbuckets must be a power of two, got %d", nbuckets)
 	}
+	t, err := tx.live("CreateHashtable")
+	if err != nil {
+		return Null, err
+	}
 	size := int64(htHeaderSize) + int64(nbuckets)*8
-	id, err := tx.p.Alloc(tx, size)
+	id, err := t.p.alloc(t, size)
 	if err != nil {
 		return Null, err
 	}
@@ -82,14 +86,14 @@ func CreateHashtable(tx *Tx, nbuckets uint64) (PMID, error) {
 	hdr := make([]byte, htHeaderSize)
 	binary.LittleEndian.PutUint64(hdr[0:], htMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], nbuckets)
-	if err := tx.p.StoreBytesAt(tx.clk, id, hdr, false, ptHTFormat); err != nil {
+	if err := t.p.StoreBytesAt(t.clk, id, hdr, false, ptHTFormat); err != nil {
 		return Null, err
 	}
 	zero := make([]byte, nbuckets*8)
-	if err := tx.p.StoreBytesAt(tx.clk, id+htHeaderSize, zero, false, ptHTFormat); err != nil {
+	if err := t.p.StoreBytesAt(t.clk, id+htHeaderSize, zero, false, ptHTFormat); err != nil {
 		return Null, err
 	}
-	if err := tx.p.m.Persist(tx.clk, int64(id), size, ptHTFormat); err != nil {
+	if err := t.p.m.Persist(t.clk, int64(id), size, ptHTFormat); err != nil {
 		return Null, err
 	}
 	return id, nil
@@ -240,12 +244,12 @@ func (h *Hashtable) errCycle(bucket uint64) error {
 }
 
 // newValueBlock allocates a block, fills it with value, and persists it.
-func (h *Hashtable) newValueBlock(clk *sim.Clock, tx *Tx, value []byte) (PMID, error) {
+func (h *Hashtable) newValueBlock(clk *sim.Clock, tx *txn, value []byte) (PMID, error) {
 	n := int64(len(value))
 	if n == 0 {
 		n = 8 // allocator minimum payload; vlen records the true size
 	}
-	vid, err := h.p.Alloc(tx, n)
+	vid, err := h.p.alloc(tx, n)
 	if err != nil {
 		return Null, err
 	}
@@ -263,11 +267,12 @@ func (h *Hashtable) newValueBlock(clk *sim.Clock, tx *Tx, value []byte) (PMID, e
 // add Frees of blocks the old value owned to the same transaction, and ends it
 // with exactly one Finish (or Abort). Commit and Delete are a stage and its
 // Finish in one call. It is a value, not a callback, so opening one costs the
-// per-op path nothing on the Go heap beyond its Tx; it does not keep the key
-// (Set takes it again), so a caller's []byte(id) stays on its stack.
+// per-op path nothing on the Go heap: it holds its transaction's Tx handle by
+// value, and it does not keep the key (Set takes it again), so a caller's
+// []byte(id) stays on its stack.
 type Update struct {
 	h     *Hashtable
-	tx    *Tx
+	tx    Tx
 	lock  *sync.RWMutex
 	probe        // where the walk ended: entry is Null when the key is absent
 	old   []byte // the old value, mapped
@@ -281,12 +286,8 @@ func (h *Hashtable) Update(clk *sim.Clock, key []byte) (Update, error) {
 	h.p.m.Device().Machine().ChargeMetaOp(clk)
 	lock := h.p.Lock(h.bucketOff(HashKey(key)))
 	lock.Lock()
-	tx, err := h.p.Begin(clk)
-	if err != nil {
-		lock.Unlock()
-		return Update{}, err
-	}
-	u := Update{h: h, tx: tx, lock: lock}
+	u := Update{h: h, tx: h.p.begin(clk), lock: lock}
+	var err error
 	if u.probe, err = h.findLocked(clk, key); err == nil && u.entry != Null {
 		u.old, err = h.p.Slice(u.val, u.vlen)
 	}
@@ -299,7 +300,7 @@ func (h *Hashtable) Update(clk *sim.Clock, key []byte) (Update, error) {
 // Old returns the key's current value — mapped bytes, valid until Finish or
 // Abort — or nil when the key is absent. Each call charges the read.
 func (u *Update) Old() []byte {
-	u.h.p.m.ChargeRead(u.tx.clk, int64(len(u.old)))
+	u.h.p.m.ChargeRead(u.tx.t.clk, int64(len(u.old)))
 	return u.old
 }
 
@@ -313,7 +314,7 @@ func (u *Update) OldID() PMID { return u.val }
 // supersedes goes here, after Set — a block freed before it could be the one
 // Set allocates, its bytes overwritten outside the undo log. On error the
 // caller aborts.
-func (u *Update) Free(id PMID) error { return u.h.p.Free(u.tx, id) }
+func (u *Update) Free(id PMID) error { return u.h.p.Free(&u.tx, id) }
 
 // Abort rolls the update back and releases the bucket.
 func (u *Update) Abort() error {
@@ -357,13 +358,17 @@ func (u *Update) Commit(key, value []byte) error {
 //
 // On error the holder ends the update with Finish(err).
 func (u *Update) Set(key, value []byte) error {
-	h, tx, clk := u.h, u.tx, u.tx.clk
+	h, tx, clk := u.h, &u.tx, u.tx.t.clk
+	t, err := tx.live("Set")
+	if err != nil {
+		return err
+	}
 	n := int64(len(value))
-	if u.entry != Null && n == int64(len(u.old)) && n <= min(h.p.laneSize/4, tx.room()) {
+	if u.entry != Null && n == int64(len(u.old)) && n <= min(h.p.laneSize/4, t.room()) {
 		h.p.stats.htInPlace.Add(1)
 		return tx.Write(u.val, value)
 	}
-	vid, err := h.newValueBlock(clk, tx, value)
+	vid, err := h.newValueBlock(clk, t, value)
 	if err != nil {
 		return err
 	}
@@ -371,12 +376,12 @@ func (u *Update) Set(key, value []byte) error {
 		h.p.stats.htRelinked.Add(1)
 		err := tx.WriteU64s(u.entry+entryVlen, uint64(n), uint64(vid)) // vlen|value
 		if err == nil && u.val != Null {
-			err = h.p.Free(tx, u.val)
+			err = h.p.free(t, u.val)
 		}
 		return err
 	}
 	h.p.stats.htInserted.Add(1)
-	eid, err := h.p.Alloc(tx, int64(entryKeyStart+len(key)))
+	eid, err := h.p.alloc(t, int64(entryKeyStart+len(key)))
 	if err != nil {
 		return err
 	}

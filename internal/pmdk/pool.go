@@ -116,6 +116,10 @@ type Pool struct {
 	// an undo entry's CRC is seeded with (see tx.go). A lane's mirror belongs
 	// to the transaction holding the lane.
 	laneGen [][8]byte
+	// txFree holds transaction states no lane is running (tx.go): Begin takes
+	// one, or makes one when none is free, so a pool holds as many as it ever
+	// ran at once — one per rank, in practice — not one per lane.
+	txFree chan *txn
 
 	// arenas stripes the allocator: each arena owns a mutex, a 64-byte
 	// persistent metadata block, and a contiguous slice of the heap to carve
@@ -363,6 +367,7 @@ func newPoolStruct(m *pmem.Mapping, rootOff, rootSize, heapOff, heapEnd, laneOff
 		allocOff: allocOff,
 		laneFree: make(chan int, lanes),
 		laneGen:  make([][8]byte, lanes),
+		txFree:   make(chan *txn, lanes),
 	}
 	for i := 0; i < lanes; i++ {
 		p.laneFree <- i

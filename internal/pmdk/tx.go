@@ -43,13 +43,89 @@ const (
 	entryHdr    = 16
 )
 
-// Tx is an undo-log transaction. A Tx is owned by a single goroutine; the
-// data it protects is additionally guarded by the caller's persistent locks.
+// Tx is an undo-log transaction: a handle on the state of a running
+// transaction. A Tx is owned by a single goroutine; the data it protects is
+// additionally guarded by the caller's persistent locks.
+//
+// The transaction's state is the pool's, recycled from one transaction to the
+// next (Pool.txFree), so Begin puts nothing on the heap for it, and the
+// handle — a pointer and a sequence number — stays on its holder's stack. The
+// number is the state's at Begin; finishing the transaction moves it on, so a
+// handle used after Commit or Abort fails, and never reaches the next
+// transaction the state runs.
 type Tx struct {
+	t   *txn
+	seq uint64
+}
+
+// live returns the transaction tx is a handle on, or why it has none: the
+// transaction finished (what named the attempt).
+func (tx *Tx) live(what string) (*txn, error) {
+	if tx.seq != tx.t.seq {
+		return nil, fmt.Errorf("pmdk: %s on finished transaction", what)
+	}
+	return tx.t, nil
+}
+
+// Add logs the pre-image of [off, off+n); see txn.Add.
+func (tx *Tx) Add(off PMID, n int64) error {
+	t, err := tx.live("Add")
+	if err != nil {
+		return err
+	}
+	return t.Add(off, n)
+}
+
+// Write logs [off, off+len(b)) and overwrites it with b inside the
+// transaction.
+func (tx *Tx) Write(off PMID, b []byte) error {
+	t, err := tx.live("Write")
+	if err != nil {
+		return err
+	}
+	return t.Write(off, b)
+}
+
+// WriteU64 logs and writes a u64 field inside the transaction.
+func (tx *Tx) WriteU64(off PMID, v uint64) error { return tx.WriteU64s(off, v) }
+
+// WriteU64s logs and writes adjacent u64 fields as one range; see
+// txn.WriteU64s.
+func (tx *Tx) WriteU64s(off PMID, vs ...uint64) error {
+	t, err := tx.live("Write")
+	if err != nil {
+		return err
+	}
+	return t.WriteU64s(off, vs...)
+}
+
+// Commit persists every mutated range and retires the transaction; see
+// txn.Commit.
+func (tx *Tx) Commit() error {
+	t, err := tx.live("Commit")
+	if err != nil {
+		return fmt.Errorf("pmdk: double Commit/Abort")
+	}
+	return t.Commit()
+}
+
+// Abort rolls the transaction back; see txn.Abort.
+func (tx *Tx) Abort() error {
+	t, err := tx.live("Abort")
+	if err != nil {
+		return fmt.Errorf("pmdk: double Commit/Abort")
+	}
+	return t.Abort()
+}
+
+// txn is the state of one running transaction, reset by every Begin that
+// takes it.
+type txn struct {
 	p    *Pool
 	clk  *sim.Clock
 	lane int
-	base int64 // pool offset of this lane's log
+	base int64  // pool offset of this lane's log
+	seq  uint64 // transactions this state has run: a Tx of another is stale
 
 	// used is the entry area written so far. An entry counts from the moment
 	// its bytes are in the lane, whether or not its persist succeeded: it
@@ -57,8 +133,7 @@ type Tx struct {
 	// before another transaction may have it.
 	used   int64
 	ranges []txRange // the pre-imaged ranges, in log order
-	done   bool
-	regen  bool // Commit's generation store failed; see rollback
+	regen  bool      // Commit's generation store failed; see rollback
 
 	// held lists the arena locks this transaction owns, in acquisition
 	// order. held[0] is the home arena (taken blocking at the first
@@ -94,7 +169,7 @@ type heldArena struct {
 // one frees the next reuses without stealing — taking its lock (blocking) on
 // first use. Blocking is safe here because the transaction holds no other
 // arena lock yet.
-func (tx *Tx) homeArena() *arena {
+func (tx *txn) homeArena() *arena {
 	if len(tx.held) > 0 {
 		return tx.held[0].ar
 	}
@@ -105,7 +180,7 @@ func (tx *Tx) homeArena() *arena {
 }
 
 // holdsArena reports whether tx owns a's lock.
-func (tx *Tx) holdsArena(a *arena) bool {
+func (tx *txn) holdsArena(a *arena) bool {
 	for i := range tx.held {
 		if tx.held[i].ar == a {
 			return true
@@ -115,13 +190,13 @@ func (tx *Tx) holdsArena(a *arena) bool {
 }
 
 // holdArena records an arena lock acquired by the caller (via TryLock).
-func (tx *Tx) holdArena(a *arena) {
+func (tx *txn) holdArena(a *arena) {
 	tx.held = append(tx.held, heldArena{ar: a})
 }
 
 // markArenaDirty flags a as mutated by this transaction; its lock is then
 // pinned until commit/abort.
-func (tx *Tx) markArenaDirty(a *arena) {
+func (tx *txn) markArenaDirty(a *arena) {
 	for i := range tx.held {
 		if tx.held[i].ar == a {
 			tx.held[i].dirty = true
@@ -133,7 +208,7 @@ func (tx *Tx) markArenaDirty(a *arena) {
 // releaseArenaIfClean unlocks a stolen arena the transaction never mutated.
 // The home arena (held[0]) is always kept so repeated Alloc/Free calls stay
 // on one stripe.
-func (tx *Tx) releaseArenaIfClean(a *arena) {
+func (tx *txn) releaseArenaIfClean(a *arena) {
 	for i := 1; i < len(tx.held); i++ {
 		if tx.held[i].ar == a {
 			if tx.held[i].dirty {
@@ -152,11 +227,27 @@ type txRange struct{ off, n int64 }
 // persistent state — the first device access of a transaction is its first
 // Add — and cannot fail; the error result is what its callers are written to.
 func (p *Pool) Begin(clk *sim.Clock) (*Tx, error) {
+	tx := p.begin(clk)
+	return &tx, nil
+}
+
+// begin takes a free lane and a free transaction state and starts a
+// transaction. It is kept out of line so that Begin inlines into its caller,
+// whose stack then holds the handle Begin returns a pointer to.
+//
+//go:noinline
+func (p *Pool) begin(clk *sim.Clock) Tx {
 	lane := <-p.laneFree
-	tx := &Tx{p: p, clk: clk, lane: lane, base: p.laneBase(lane)}
-	tx.ranges, tx.held = tx.rangeBuf[:0], tx.heldBuf[:0]
+	var t *txn
+	select {
+	case t = <-p.txFree:
+	default:
+		t = new(txn)
+	}
+	*t = txn{p: p, clk: clk, lane: lane, base: p.laneBase(lane), seq: t.seq}
+	t.ranges, t.held = t.rangeBuf[:0], t.heldBuf[:0]
 	p.stats.transactions.Add(1)
-	return tx, nil
+	return Tx{t: t, seq: t.seq}
 }
 
 func (p *Pool) laneBase(lane int) int64 { return p.laneOff + int64(lane)*p.laneSize }
@@ -208,10 +299,7 @@ func (p *Pool) retireLane(clk *sim.Clock, lane int, pt pmem.PointID) error {
 // the transaction aborts or the machine crashes before Commit. It must be
 // called before the range is mutated. A range lying inside one this
 // transaction has already logged costs nothing: the earlier pre-image wins.
-func (tx *Tx) Add(off PMID, n int64) error {
-	if tx.done {
-		return fmt.Errorf("pmdk: Add on finished transaction")
-	}
+func (tx *txn) Add(off PMID, n int64) error {
 	if err := tx.p.checkRange(int64(off), n); err != nil {
 		return err
 	}
@@ -263,7 +351,7 @@ func (tx *Tx) Add(off PMID, n int64) error {
 
 // logged pre-images [off, off+n) and returns the mapped range, charged as
 // written, for the caller to overwrite.
-func (tx *Tx) logged(off PMID, n int64) ([]byte, error) {
+func (tx *txn) logged(off PMID, n int64) ([]byte, error) {
 	if err := tx.Add(off, n); err != nil {
 		return nil, err
 	}
@@ -273,22 +361,22 @@ func (tx *Tx) logged(off PMID, n int64) ([]byte, error) {
 
 // Write logs [off, off+len(b)) and overwrites it with b inside the
 // transaction.
-func (tx *Tx) Write(off PMID, b []byte) error {
+func (tx *txn) Write(off PMID, b []byte) error {
 	dst, err := tx.logged(off, int64(len(b)))
 	copy(dst, b)
 	return err
 }
 
 // room is the largest pre-image the lane can still take in one entry.
-func (tx *Tx) room() int64 { return (tx.p.laneSize - laneEntries - tx.used - entryHdr) &^ 7 }
+func (tx *txn) room() int64 { return (tx.p.laneSize - laneEntries - tx.used - entryHdr) &^ 7 }
 
 // WriteU64 logs and writes a u64 field inside the transaction.
-func (tx *Tx) WriteU64(off PMID, v uint64) error { return tx.WriteU64s(off, v) }
+func (tx *txn) WriteU64(off PMID, v uint64) error { return tx.WriteU64s(off, v) }
 
 // WriteU64s logs and writes adjacent u64 fields as one range: one pre-image
 // and one commit flush for words that always change together (a block
 // header's size|state, a free block's state|next).
-func (tx *Tx) WriteU64s(off PMID, vs ...uint64) error {
+func (tx *txn) WriteU64s(off PMID, vs ...uint64) error {
 	b, err := tx.logged(off, int64(8*len(vs)))
 	if err != nil {
 		return err
@@ -302,10 +390,7 @@ func (tx *Tx) WriteU64s(off PMID, vs ...uint64) error {
 // Commit persists every mutated range and retires the transaction. A Commit
 // that returns an error has rolled the transaction back exactly as Abort
 // does: either way the lane and every arena lock are released.
-func (tx *Tx) Commit() error {
-	if tx.done {
-		return fmt.Errorf("pmdk: double Commit/Abort")
-	}
+func (tx *txn) Commit() error {
 	err := tx.persistRanges()
 	if err == nil && tx.used > 0 {
 		err = tx.p.retireLane(tx.clk, tx.lane, ptTxLaneClose)
@@ -321,7 +406,7 @@ func (tx *Tx) Commit() error {
 	return err
 }
 
-func (tx *Tx) persistRanges() error {
+func (tx *txn) persistRanges() error {
 	for _, r := range tx.ranges {
 		if err := tx.p.m.Persist(tx.clk, r.off, r.n, ptTxCommitData); err != nil {
 			return err
@@ -336,10 +421,7 @@ func (tx *Tx) persistRanges() error {
 // survived and the next Open recovers — and only the DRAM side is released.
 // If the rollback fails on a live device the lane still holds a live log, so
 // it is withheld from reuse and left to the next Open.
-func (tx *Tx) Abort() error {
-	if tx.done {
-		return fmt.Errorf("pmdk: double Commit/Abort")
-	}
+func (tx *txn) Abort() error {
 	err := tx.rollback()
 	if err == nil {
 		tx.p.stats.aborts.Add(1)
@@ -348,7 +430,7 @@ func (tx *Tx) Abort() error {
 	return err
 }
 
-func (tx *Tx) rollback() error {
+func (tx *txn) rollback() error {
 	if tx.used > 0 {
 		if tx.regen {
 			// Commit's gen+1 may or may not have reached the media. The old
@@ -371,8 +453,8 @@ func (tx *Tx) rollback() error {
 
 // finish ends the transaction in DRAM: every arena lock is dropped and, when
 // its log is retired (or the device is dead), the lane goes back to the pool.
-func (tx *Tx) finish(recycle bool) {
-	tx.done = true
+func (tx *txn) finish(recycle bool) {
+	tx.seq++ // every handle on this transaction is stale from here on
 	tx.p.stats.undoEntries.Add(int64(len(tx.ranges)))
 	tx.p.stats.undoBytes.Add(tx.used)
 	for i := range tx.held {
@@ -381,6 +463,11 @@ func (tx *Tx) finish(recycle bool) {
 	tx.held = nil
 	if recycle {
 		tx.p.laneFree <- tx.lane
+	}
+	// At most one state per lane is ever out, so the list has room.
+	select {
+	case tx.p.txFree <- tx:
+	default:
 	}
 }
 

@@ -230,7 +230,7 @@ func TestCrashTornEntries(t *testing.T) {
 			if err := tx.Add(off, n); err != nil {
 				return err
 			}
-			if err := p.StoreBytesAt(tx.clk, off, bytes.Repeat([]byte{b}, int(n)), false, ptTest); err != nil {
+			if err := p.StoreBytesAt(tx.t.clk, off, bytes.Repeat([]byte{b}, int(n)), false, ptTest); err != nil {
 				return err
 			}
 		}
@@ -345,8 +345,9 @@ func TestOpenRefusesV2Pool(t *testing.T) {
 	}
 }
 
-// TestTxHeapBudget pins the transaction's allocations: a Tx carries its range
-// and arena lists inline, and an entry's CRC is summed in place.
+// TestTxHeapBudget pins the transaction's allocations: Begin hands out a
+// handle on its lane's transaction, which carries its range and arena lists
+// inline, and an entry's CRC is summed in place.
 func TestTxHeapBudget(t *testing.T) {
 	p, _, clk := newTestPool(t, 0)
 	root, _ := p.Root()
@@ -361,8 +362,8 @@ func TestTxHeapBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if cycle != 1 {
-		t.Errorf("Begin + 3 WriteU64 + Commit = %v allocations, want 1 (the Tx)", cycle)
+	if cycle != 0 {
+		t.Errorf("Begin + 3 WriteU64 + Commit = %v allocations, want 0", cycle)
 	}
 	tx, _ := p.Begin(clk)
 	defer tx.Abort()
@@ -375,6 +376,50 @@ func TestTxHeapBudget(t *testing.T) {
 	})
 	if add != 0 {
 		t.Errorf("Add = %v allocations, want 0", add)
+	}
+}
+
+// TestFinishedTxIsStale: a handle used after Commit or Abort fails, and never
+// reaches a later transaction — not of its lane, and not of the state it was
+// a handle on, which the next Begin takes up again.
+func TestFinishedTxIsStale(t *testing.T) {
+	p, _, clk := newTestPool(t, 0)
+	root, _ := p.Root()
+	for _, end := range []string{"Commit", "Abort"} {
+		old, _ := p.Begin(clk)
+		if end == "Commit" {
+			if err := old.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := old.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		// Every lane busy with a later transaction, the old one's among them.
+		var live []*Tx
+		for range p.lanes {
+			tx, _ := p.Begin(clk)
+			live = append(live, tx)
+		}
+		if err := old.WriteU64(root, 7); err == nil {
+			t.Errorf("WriteU64 after %s succeeded", end)
+		}
+		if _, err := p.Alloc(old, 64); err == nil {
+			t.Errorf("Alloc after %s succeeded", end)
+		}
+		if err := old.Commit(); err == nil {
+			t.Errorf("Commit after %s succeeded", end)
+		}
+		if err := old.Abort(); err == nil {
+			t.Errorf("Abort after %s succeeded", end)
+		}
+		for _, tx := range live {
+			if tx.t.used != 0 || len(tx.t.held) != 0 {
+				t.Errorf("a stale handle acted on a live transaction of lane %d", tx.t.lane)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

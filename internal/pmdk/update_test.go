@@ -199,8 +199,8 @@ func TestInPlaceNeverFillsTheLane(t *testing.T) {
 	}
 }
 
-// TestUpdateHeapBudget: the cursor is a value and keeps no key, so an update
-// costs the Go heap its Tx and nothing else.
+// TestUpdateHeapBudget: the cursor is a value, keeps no key, and holds a
+// handle on its lane's transaction, so an update costs the Go heap nothing.
 func TestUpdateHeapBudget(t *testing.T) {
 	ht, _, clk := newTestTable(t, 16)
 	id, val := "some-variable-id", make([]byte, 21)
@@ -220,8 +220,8 @@ func TestUpdateHeapBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got != 1 || oldLen == 0 {
-		t.Errorf("Update + Old + Commit in place = %v allocations, want 1 (the Tx)", got)
+	if got != 0 || oldLen == 0 {
+		t.Errorf("Update + Old + Commit in place = %v allocations, want 0", got)
 	}
 }
 
@@ -364,7 +364,7 @@ func TestHomeArenaFollowsRank(t *testing.T) {
 	for _, rank := range []int{5, 0, 3, 5, 1, 0} {
 		clk := &sim.Clock{Rank: rank}
 		tx, _ := p.Begin(clk)
-		if got, want := tx.homeArena(), &p.arenas[rank%4]; got != want {
+		if got, want := tx.t.homeArena(), &p.arenas[rank%4]; got != want {
 			t.Errorf("rank %d: home arena at %d, want arena %d", rank, got.metaOff, rank%4)
 		}
 		tx.Abort()

@@ -76,37 +76,37 @@ func (bp4Codec) header(dst []byte, d *Datum) (int, []byte) {
 	return off + 16, dst[off : off+16]
 }
 
-func (c bp4Codec) Decode(src []byte, _ *Datum) (*Datum, error) {
+func (c bp4Codec) Decode(src []byte, hint *Datum) (*Datum, error) { return decodeNew(c, src, hint) }
+
+func (c bp4Codec) DecodeTo(src []byte, d *Datum) error {
 	if len(src) < 16 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if !bytes.Equal(src[:4], bp4Magic[:]) {
-		return nil, fmt.Errorf("%w: %x", ErrBadMagic, src[:4])
+		return fmt.Errorf("%w: %x", ErrBadMagic, src[:4])
 	}
-	d := &Datum{Type: DType(src[4])}
 	ndims := int(src[5])
 	flags := binary.LittleEndian.Uint16(src[6:8])
 	if ndims > MaxDims {
-		return nil, fmt.Errorf("%w: rank %d", ErrBadDatum, ndims)
+		return fmt.Errorf("%w: rank %d", ErrBadDatum, ndims)
 	}
 	hdr := c.headerSize(ndims, flags&bp4FlagStats != 0)
 	if len(src) < hdr {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
+	d.Type = DType(src[4])
+	d.resizeDims(ndims)
 	off := 8
-	if ndims > 0 {
-		d.Dims = make([]uint64, ndims)
-		for i := range d.Dims {
-			d.Dims[i] = binary.LittleEndian.Uint64(src[off:])
-			off += 8
-		}
+	for i := range d.Dims {
+		d.Dims[i] = binary.LittleEndian.Uint64(src[off:])
+		off += 8
 	}
 	paylen := binary.LittleEndian.Uint64(src[off:])
 	off += 8
 	if flags&bp4FlagStats != 0 {
 		off += 16
 	}
-	return d.withPayload(src, off, paylen)
+	return d.setPayload(src, off, paylen)
 }
 
 // Stats decodes only the min/max characteristics of a BP4 block, or ok=false

@@ -59,38 +59,38 @@ func (cbinCodec) header(dst []byte, d *Datum) (int, []byte) {
 	return off, nil
 }
 
-func (cbinCodec) Decode(src []byte, _ *Datum) (*Datum, error) {
+func (c cbinCodec) Decode(src []byte, hint *Datum) (*Datum, error) { return decodeNew(c, src, hint) }
+
+func (cbinCodec) DecodeTo(src []byte, d *Datum) error {
 	if len(src) < 3 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if src[0] != cbinMagic0 || src[1] != cbinMagic1 {
-		return nil, fmt.Errorf("%w: %x", ErrBadMagic, src[:2])
+		return fmt.Errorf("%w: %x", ErrBadMagic, src[:2])
 	}
-	d := &Datum{Type: DType(src[2])}
 	off := 3
 	rank, n := binary.Uvarint(src[off:])
 	if n <= 0 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	off += n
 	if rank > MaxDims {
-		return nil, fmt.Errorf("%w: rank %d", ErrBadDatum, rank)
+		return fmt.Errorf("%w: rank %d", ErrBadDatum, rank)
 	}
-	if rank > 0 {
-		d.Dims = make([]uint64, rank)
-		for i := range d.Dims {
-			v, n := binary.Uvarint(src[off:])
-			if n <= 0 {
-				return nil, ErrTruncated
-			}
-			d.Dims[i] = v
-			off += n
+	d.Type = DType(src[2])
+	d.resizeDims(int(rank))
+	for i := range d.Dims {
+		v, n := binary.Uvarint(src[off:])
+		if n <= 0 {
+			return ErrTruncated
 		}
+		d.Dims[i] = v
+		off += n
 	}
 	paylen, n := binary.Uvarint(src[off:])
 	if n <= 0 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	off += n
-	return d.withPayload(src, off, paylen)
+	return d.setPayload(src, off, paylen)
 }

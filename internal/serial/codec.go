@@ -42,6 +42,13 @@ type Codec interface {
 	// decoding from mapped PMEM performs no copy.
 	Decode(src []byte, hint *Datum) (*Datum, error)
 
+	// DecodeTo is Decode into a caller-owned datum: d carries the hint on
+	// entry and the decoded datum on return. Its Dims reuse d.Dims' array when
+	// the capacity suffices (MaxDims always does) and are nil for a scalar, so
+	// a decode into a datum the caller keeps allocates nothing. The payload
+	// aliases src as Decode's does. On error d's contents are unspecified.
+	DecodeTo(src []byte, d *Datum) error
+
 	// CostProfile returns the number of passes over the payload that
 	// encoding and decoding perform, used by the virtual-time model: a
 	// characterizing format like BP4 reads the data an extra time to

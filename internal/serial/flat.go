@@ -56,28 +56,28 @@ func (flatCodec) header(dst []byte, d *Datum) (int, []byte) {
 	return off, nil
 }
 
-func (flatCodec) Decode(src []byte, _ *Datum) (*Datum, error) {
+func (c flatCodec) Decode(src []byte, hint *Datum) (*Datum, error) { return decodeNew(c, src, hint) }
+
+func (flatCodec) DecodeTo(src []byte, d *Datum) error {
 	if len(src) < 16 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if binary.LittleEndian.Uint32(src[0:]) != flatMagic {
-		return nil, fmt.Errorf("%w: %x", ErrBadMagic, src[:4])
+		return fmt.Errorf("%w: %x", ErrBadMagic, src[:4])
 	}
-	d := &Datum{Type: DType(src[4])}
 	ndims := int(src[5])
 	if ndims > MaxDims {
-		return nil, fmt.Errorf("%w: rank %d", ErrBadDatum, ndims)
+		return fmt.Errorf("%w: rank %d", ErrBadDatum, ndims)
 	}
 	paylen := binary.LittleEndian.Uint64(src[8:])
 	hdr := flatHeaderSize(ndims)
 	if len(src) < hdr {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	if ndims > 0 {
-		d.Dims = make([]uint64, ndims)
-		for i := range d.Dims {
-			d.Dims[i] = binary.LittleEndian.Uint64(src[16+8*i:])
-		}
+	d.Type = DType(src[4])
+	d.resizeDims(ndims)
+	for i := range d.Dims {
+		d.Dims[i] = binary.LittleEndian.Uint64(src[16+8*i:])
 	}
-	return d.withPayload(src, hdr, paylen)
+	return d.setPayload(src, hdr, paylen)
 }

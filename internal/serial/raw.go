@@ -28,23 +28,21 @@ func (c rawCodec) EncodeSum(dst []byte, d *Datum, crc uint32) (int, uint32, erro
 
 func (rawCodec) header([]byte, *Datum) (int, []byte) { return 0, nil }
 
-func (rawCodec) Decode(src []byte, hint *Datum) (*Datum, error) {
-	if hint == nil || !hint.Type.Valid() {
-		return nil, fmt.Errorf("%w: raw codec requires a type hint", ErrBadDatum)
+func (c rawCodec) Decode(src []byte, hint *Datum) (*Datum, error) { return decodeNew(c, src, hint) }
+
+// DecodeTo takes type and dims from the hint d carries: the payload is all
+// there is.
+func (rawCodec) DecodeTo(src []byte, d *Datum) error {
+	if !d.Type.Valid() {
+		return fmt.Errorf("%w: raw codec requires a type hint", ErrBadDatum)
 	}
-	d := &Datum{Type: hint.Type, Payload: src}
-	if hint.Dims != nil {
-		d.Dims = append([]uint64(nil), hint.Dims...)
-	}
+	d.Payload = src
 	if d.Type.Fixed() {
 		want := d.Elems() * uint64(d.Type.Size())
 		if uint64(len(src)) < want {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		d.Payload = src[:want:want]
 	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return d.Validate()
 }

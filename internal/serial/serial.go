@@ -148,17 +148,40 @@ func (d *Datum) Validate() error {
 	return nil
 }
 
-// withPayload finishes a self-describing decode: d's payload is the paylen
-// bytes of src at off, aliased, and the datum they complete must validate.
-func (d *Datum) withPayload(src []byte, off int, paylen uint64) (*Datum, error) {
-	if uint64(len(src)-off) < paylen {
-		return nil, ErrTruncated
+// decodeNew is every codec's Decode: DecodeTo into a fresh datum that starts
+// from a copy of the hint.
+func decodeNew(c Codec, src []byte, hint *Datum) (*Datum, error) {
+	d := &Datum{}
+	if hint != nil {
+		d.Type, d.Dims = hint.Type, append([]uint64(nil), hint.Dims...)
 	}
-	d.Payload = src[off : off+int(paylen) : off+int(paylen)]
-	if err := d.Validate(); err != nil {
+	if err := c.DecodeTo(src, d); err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// resizeDims makes d.Dims n extents long for a self-describing decoder to
+// fill, reusing its array when it is large enough; a scalar's are nil.
+func (d *Datum) resizeDims(n int) {
+	switch {
+	case n == 0:
+		d.Dims = nil
+	case cap(d.Dims) >= n:
+		d.Dims = d.Dims[:n]
+	default:
+		d.Dims = make([]uint64, n)
+	}
+}
+
+// setPayload finishes a self-describing decode: d's payload is the paylen
+// bytes of src at off, aliased, and the datum they complete must validate.
+func (d *Datum) setPayload(src []byte, off int, paylen uint64) error {
+	if uint64(len(src)-off) < paylen {
+		return ErrTruncated
+	}
+	d.Payload = src[off : off+int(paylen) : off+int(paylen)]
+	return d.Validate()
 }
 
 // Clone returns a deep copy of d whose payload no longer aliases the source.

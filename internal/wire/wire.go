@@ -42,10 +42,13 @@ func (c *Cursor) Uint(width int) uint64 {
 }
 
 // Dims reads n 8-byte extents.
-func (c *Cursor) Dims(n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = c.Uint(8)
+func (c *Cursor) Dims(n int) []uint64 { return c.AppendDims(make([]uint64, 0, n), n) }
+
+// AppendDims reads n 8-byte extents onto dst: a decoder that carves many
+// records' extents from one array pays one allocation, not one per record.
+func (c *Cursor) AppendDims(dst []uint64, n int) []uint64 {
+	for ; n > 0; n-- {
+		dst = append(dst, c.Uint(8))
 	}
-	return out
+	return dst
 }

@@ -334,19 +334,20 @@ func Store[T Scalar](p *PMEM, id string, v T) error {
 // Load reads back a scalar stored with Store (pmem.load<T>(id)).
 func Load[T Scalar](p *PMEM, id string) (T, error) {
 	var zero T
-	d, err := p.LoadDatum(id)
+	var v [1]T
+	dst := bytesview.Bytes(v[:])
+	got, n, err := p.LoadInto(id, dst)
 	if err != nil {
 		return zero, err
 	}
 	want := dtypeOf[T]()
-	if d.Type != want && d.Type.Size() != want.Size() {
-		return zero, fmt.Errorf("pmemcpy: id %q holds %v, requested %v: %w", id, d.Type, want, ErrTypeMismatch)
+	if got != want && got.Size() != want.Size() {
+		return zero, fmt.Errorf("pmemcpy: id %q holds %v, requested %v: %w", id, got, want, ErrTypeMismatch)
 	}
-	vals := bytesview.OfCopy[T](d.Payload)
-	if len(vals) == 0 {
+	if n < len(dst) {
 		return zero, fmt.Errorf("pmemcpy: id %q holds no elements: %w", id, ErrNotFound)
 	}
-	return vals[0], nil
+	return v[0], nil
 }
 
 // StoreString persists a string under id (equivalent to p.StoreString).
