@@ -73,7 +73,7 @@ loc:
 # module's total non-test code lines exceed the ceiling, which records the
 # figure of the last change that lowered it. A change that must grow the code
 # raises the ceiling in the same diff, where a reviewer sees it.
-LOC_CEILING ?= 15263
+LOC_CEILING ?= 15187
 loccheck:
 	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
 		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \
@@ -103,11 +103,12 @@ figcheck:
 # namespace damage table (a flipped bit in a record the open path trusts is
 # refused, never re-formatted), a flipped bit in an inline value followed
 # through every CRC consumer, and the Compact-vs-gather and Compact-vs-MinMax
-# race gates — the concurrency-sensitive ones under -race — and the bounded
-# walks: a cyclic bucket chain or free list is ErrCorrupt, never a hung handle.
+# race gates — the concurrency-sensitive ones under -race — the bounded
+# walks: a cyclic bucket chain or free list is ErrCorrupt, never a hung handle,
+# and writers on buckets sharing one lock stripe beside a looping Range.
 integrity:
 	$(GO) test ./internal/checksum/
-	$(GO) test -race -run 'TestChainCycleIsErrCorrupt|TestVerify' ./internal/pmdk/
+	$(GO) test -race -run 'TestChainCycleIsErrCorrupt|TestVerify|TestStripeSharingBuckets' ./internal/pmdk/
 	$(GO) test -run 'TestDeep' ./cmd/pmemfsck/
 	$(GO) test -race -timeout 20m -run 'TestVerify|TestScrub|TestQuarantine|TestInlineValueCorruption|TestParallelStoreCRC|TestDifferentialCorruption|TestConcurrentCompactVsParallelGather|TestConcurrentCompactVsMinMax|TestConcurrentMultiPoolStress|TestConcurrentViewStress|TestNamespaceDamageRefused' ./internal/core/
 
@@ -122,11 +123,11 @@ async:
 # allocs holds the per-op Go-heap budgets: the smallkv op kinds (the scalar
 # Store and Load tests and TestSmallOpHeapBudget — a LoadSub's count equal at
 # 1 and 4 stored blocks, warm and cold), a transaction and a hashtable update
-# at 0. Uncached
+# at 0, and a pool reopen (Open + RootHashtable) at no more than 8. Uncached
 # (-count=1): an allocation count is a property of the build, not the input.
 allocs:
 	$(GO) test -count=1 -run 'TestScalarOverwriteHeapBudget|TestScalarLoadHeapBudget|TestSmallOpHeapBudget' .
-	$(GO) test -count=1 -run 'TestTxHeapBudget|TestUpdateHeapBudget' ./internal/pmdk/
+	$(GO) test -count=1 -run 'TestTxHeapBudget|TestUpdateHeapBudget|TestPoolOpenHeapBudget' ./internal/pmdk/
 
 # Coverage gate over the storage engine (internal/core), the allocator /
 # pool-set layer (internal/pmdk), and the zero-copy reinterpretation helpers

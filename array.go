@@ -10,8 +10,8 @@ import (
 // so call sites stop repeating (p, id) pairs and type parameters:
 //
 //	a, _ := pmemcpy.CreateArray[float64](pm, "T", 1024, 1024)
-//	a.Store(block, offs, counts)
-//	a.Load(dst, offs, counts)
+//	a.StoreSub(block, offs, counts)
+//	a.LoadSub(dst, offs, counts)
 //
 // The free functions (Alloc, StoreSub, LoadSub, ...) remain the primary
 // paper-shaped API; Array[T] is sugar over exactly the same operations and
@@ -78,16 +78,6 @@ func (a Array[T]) StoreSubAsync(data []T, offs, counts []uint64) *Future {
 // completes, observing every earlier same-id submission on this handle.
 func (a Array[T]) LoadSubAsync(dst []T, offs, counts []uint64) *Future {
 	return LoadSubAsync(a.p, a.id, dst, offs, counts)
-}
-
-// Store is an alias for StoreSub, kept for existing call sites.
-func (a Array[T]) Store(data []T, offs, counts []uint64) error {
-	return a.StoreSub(data, offs, counts)
-}
-
-// Load is an alias for LoadSub, kept for existing call sites.
-func (a Array[T]) Load(dst []T, offs, counts []uint64) error {
-	return a.LoadSub(dst, offs, counts)
 }
 
 // Delete removes the array: its dims record and every stored block. It

@@ -134,11 +134,11 @@ func ExampleCreateArray() {
 			return err
 		}
 		row := []float64{18.5, 19, 21.25, 20}
-		if err := temp.Store(row, []uint64{2, 0}, []uint64{1, 4}); err != nil {
+		if err := temp.StoreSub(row, []uint64{2, 0}, []uint64{1, 4}); err != nil {
 			return err
 		}
 		got := make([]float64, 2)
-		if err := temp.Load(got, []uint64{2, 1}, []uint64{1, 2}); err != nil {
+		if err := temp.LoadSub(got, []uint64{2, 1}, []uint64{1, 2}); err != nil {
 			return err
 		}
 		_, mx, err := temp.MinMax()

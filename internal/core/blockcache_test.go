@@ -163,6 +163,49 @@ func TestBlockCacheInvalidationOnCompactAndDelete(t *testing.T) {
 	})
 }
 
+// TestBlockCacheDimsIDNeverReadsBaseIndex guards the shared slot: "x#dims"
+// shares x's lock, and so x's variable, but must never be served x's DRAM
+// index — warmed by a load and by statistics, before and after an overwrite —
+// by any request or statistics read: each is ErrNotFound, as with no index.
+func TestBlockCacheDimsIDNeverReadsBaseIndex(t *testing.T) {
+	single(t, nil, func(p *core.PMEM) error {
+		if err := p.Alloc("x", serial.Float64, []uint64{64}); err != nil {
+			return err
+		}
+		offs, counts := []uint64{0}, []uint64{64}
+		dst := make([]float64, 64)
+		for round, val := range []float64{1, 2} {
+			if err := fillBlock(p, "x", 0, 64, val); err != nil {
+				return err
+			}
+			if err := p.LoadBlock("x", offs, counts, bytesview.Bytes(dst)); err != nil {
+				return err
+			}
+			if _, err := p.BlockStatsOf("x"); err != nil {
+				return err
+			}
+			id := "x" + core.DimsSuffix
+			view, err := p.LoadBlockView(id, offs, counts)
+			if view != nil {
+				view.Close()
+			}
+			_, statsErr := p.BlockStatsOf(id)
+			_, _, minMaxErr := p.MinMax(id)
+			for name, err := range map[string]error{
+				"LoadBlock":     p.LoadBlock(id, offs, counts, bytesview.Bytes(dst)),
+				"LoadBlockView": err,
+				"BlockStatsOf":  statsErr,
+				"MinMax":        minMaxErr,
+			} {
+				if !errors.Is(err, core.ErrNotFound) {
+					t.Errorf("round %d: %s(%q) = %v, want ErrNotFound", round, name, id, err)
+				}
+			}
+		}
+		return nil
+	})
+}
+
 // TestBlockCacheFreshAfterCrashRecovery exercises the recovery contract: a
 // crash kills the open handle (and its DRAM index with it); the re-Mmap'd
 // handle starts a cold cache and must serve the recovered — not the cached —

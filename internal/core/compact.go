@@ -35,9 +35,9 @@ func (p *PMEM) compact(ctx context.Context, id string) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	lock := p.varLock(id)
-	lock.Lock()
-	defer lock.Unlock()
+	v := p.variable(id)
+	v.Lock()
+	defer v.Unlock()
 
 	e := p.engine()
 	t, owned, err := e.open(id, nil)

@@ -154,17 +154,13 @@ type shared struct {
 	// the hierarchy layout, which has one device and no pool).
 	pools []*pmdk.Pool
 	hts   []*pmdk.Hashtable
-	// varLocks maps a variable's placement key -> *sync.RWMutex: one lock
-	// covers the variable's record, its "#dims" companion and its DRAM index
-	// entry. Writers hold the write side across their metadata republish and
-	// the invalidation that follows; every read plan holds the read side from
-	// its metadata lookup through the last byte it touches, index hits
-	// included.
-	varLocks sync.Map
-
-	// cache is the DRAM block-index cache (blockcache.go), shared by every
-	// rank of the handle group like the pool itself.
-	cache *blockCache
+	// vars maps a variable's placement key -> *variable (meta.go): its one
+	// lock and the DRAM block index that lock guards, shared by every rank of
+	// the handle group like the pool itself.
+	vars sync.Map
+	// The block-index counters: index lookups served from DRAM, lookups that
+	// built the index, and writer-side drops.
+	cacheHits, cacheMisses, cacheInvalidations atomic.Int64
 
 	// ins is the observability state (instrument.go), shared like the pool.
 	ins *instruments
@@ -187,16 +183,16 @@ type shared struct {
 	parallelReads    atomic.Int64 // loads that took the parallel gather path
 	parallelReadJobs atomic.Int64 // gather jobs those loads executed
 
-	// Zero-copy view lease state (view.go). viewMu guards the epoch counter
-	// and the per-epoch open-lease counts; limbos holds one deferred-free
-	// arena per member pool (index-aligned with pools). viewActive shadows
-	// the total open-lease count and limboLen the total parked-block count so
-	// the no-views fast paths are single atomic loads. viewsInvalid is set by
-	// Munmap and fails every outstanding view fast with ErrStaleView.
+	// Zero-copy view lease state (view.go). viewMu guards the epoch counter,
+	// the per-epoch open-lease counts and limbo, the blocks parked while a
+	// lease was open, of every member pool. viewActive shadows the total
+	// open-lease count and limboLen len(limbo) so the no-views fast paths are
+	// single atomic loads. viewsInvalid is set by Munmap and fails every
+	// outstanding view fast with ErrStaleView.
 	viewMu       sync.Mutex
 	viewEpoch    uint64
 	viewLeases   map[uint64]int
-	limbos       []*pmdk.Limbo
+	limbo        []parked
 	viewActive   atomic.Int64
 	limboLen     atomic.Int64
 	viewLeaked   atomic.Int64
@@ -286,13 +282,8 @@ func openShared(c *mpi.Comm, n *node.Node, path string, o Options) (*shared, err
 		opt:        o,
 		pools:      make([]*pmdk.Pool, o.Pools),
 		hts:        make([]*pmdk.Hashtable, o.Pools),
-		limbos:     make([]*pmdk.Limbo, o.Pools),
-		cache:      newBlockCache(),
 		quar:       make(map[poolPMID]struct{}),
 		viewLeases: make(map[uint64]int),
-	}
-	for i := range st.limbos {
-		st.limbos[i] = &pmdk.Limbo{}
 	}
 	var err error
 	if st.lay, err = newLayout(clk, st, n, path); err != nil {
@@ -409,20 +400,6 @@ func (p *PMEM) MapSync() bool { return p.st.opt.MapSync }
 // CodecName returns the active serializer's name.
 func (p *PMEM) CodecName() string { return p.codec.Name() }
 
-// varLock returns the lock of the variable id belongs to: the id itself and
-// its "#dims" companion share one.
-func (p *PMEM) varLock(id string) *sync.RWMutex {
-	id = placementKey(id)
-	// Load first: LoadOrStore's candidate mutex and boxed key are two heap
-	// objects per call, and every read plan — memoized statistics hits
-	// included — takes this lock.
-	if l, ok := p.st.varLocks.Load(id); ok {
-		return l.(*sync.RWMutex)
-	}
-	l, _ := p.st.varLocks.LoadOrStore(id, new(sync.RWMutex))
-	return l.(*sync.RWMutex)
-}
-
 // Pools returns the number of member pools backing this handle (1 for the
 // classic single-pool store and the hierarchy layout).
 func (p *PMEM) Pools() int { return len(p.st.pools) }
@@ -514,9 +491,9 @@ func (p *PMEM) alloc(id string, dtype serial.DType, gdims []uint64) error {
 	if len(gdims) == 0 || len(gdims) > serial.MaxDims {
 		return fmt.Errorf("core: Alloc(%q) with rank %d: %w", id, len(gdims), ErrOutOfBounds)
 	}
-	lock := p.varLock(id)
-	lock.Lock()
-	defer lock.Unlock()
+	v := p.variable(id)
+	v.Lock()
+	defer v.Unlock()
 	// A fresh id is the common case: probe for the record, build no error.
 	var buf [serial.MaxDims]uint64
 	if existing, ok, err := p.dims(id, buf[:0]); err == nil && ok {

@@ -170,10 +170,10 @@ func (h *hierStore) commit(p *PMEM, plan writePlan) error {
 			enc[0] = byte(g.dtype)
 		}
 		p.chargeCodec(sim.Store, int64(len(enc)), plan.encPasses)
-		lock := p.varLock(g.id)
-		lock.Lock()
+		v := p.variable(g.id)
+		v.Lock()
 		err = h.writeFile(clk, g.id, enc, framed)
-		lock.Unlock()
+		v.Unlock()
 		if err != nil {
 			return err
 		}

@@ -288,11 +288,11 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 	}
 
 	reg.CounterFunc("pmemcpy_cache_hits_total", "block-index cache hits",
-		st.cache.hits.Load)
+		st.cacheHits.Load)
 	reg.CounterFunc("pmemcpy_cache_misses_total", "block-index cache misses",
-		st.cache.misses.Load)
+		st.cacheMisses.Load)
 	reg.CounterFunc("pmemcpy_cache_invalidations_total", "block-index cache invalidations",
-		st.cache.invalidations.Load)
+		st.cacheInvalidations.Load)
 	reg.GaugeFunc("pmemcpy_quarantined_blocks", "blocks currently on the quarantine list",
 		st.quarLen.Load)
 	reg.GaugeFunc("pmemcpy_view_active_leases", "zero-copy view leases currently open",

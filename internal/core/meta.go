@@ -1,8 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"pmemcpy/internal/node"
 	"pmemcpy/internal/pmdk"
@@ -492,9 +496,9 @@ func (p *PMEM) heldDims(id string, buf []uint64) (dimsRecord, error) {
 // loadDims is heldDims for a caller that does not hold id's lock: it takes the
 // read side around the read.
 func (p *PMEM) loadDims(id string, buf []uint64) (dimsRecord, error) {
-	lock := p.varLock(id)
-	lock.RLock()
-	defer lock.RUnlock()
+	v := p.variable(id)
+	v.RLock()
+	defer v.RUnlock()
 	return p.heldDims(id, buf)
 }
 
@@ -523,24 +527,114 @@ func (st *shared) loadQuarantine(clk *sim.Clock) error {
 	return err
 }
 
+// --- the DRAM index ---
+
+// variable is one variable's DRAM state beside the one lock that guards it.
+// The id and its "#dims" companion share it (placementKey). Persistent
+// metadata — the dims record and the block list — lives in the PMEM
+// hashtable; idx mirrors both, so a repeat LoadSub, MinMax or BlockStatsOf
+// re-reads and re-decodes neither (Blizzard, Fernando et al.: a persistent
+// structure's fast path wants a DRAM index kept coherent under the
+// structure's own lock).
+//
+// Coherence: every writer of either record republishes and then drops idx
+// under the write side; the read engine loads, builds and installs idx — and
+// memoizes statistics into it — under the read side, which it holds from its
+// metadata lookup through the last byte it touches. No republish can fall
+// between a reader's metadata reads and its install, so an installed index is
+// never stale and needs no version. An index is immutable once installed; a
+// refinement (lazily computed statistics) installs a new one.
+//
+// What is never indexed: the hierarchy layout (metadata are files, reads go
+// through the FS model), raw metadata values (scalars, strings, structs),
+// negative lookups, and "#dims" ids, which share their base's lock but never
+// read or install its index. Crash recovery needs no protocol: handles open at
+// crash time are dead by contract, and a re-Mmap starts with no variables.
+type variable struct {
+	sync.RWMutex
+	idx atomic.Pointer[cacheEntry]
+}
+
+// variable returns the variable id belongs to.
+func (p *PMEM) variable(id string) *variable {
+	id = placementKey(id)
+	// Load first: LoadOrStore's candidate and boxed key are two heap objects
+	// per call, and every read plan — memoized statistics hits included —
+	// takes this lock.
+	if v, ok := p.st.vars.Load(id); ok {
+		return v.(*variable)
+	}
+	v, _ := p.st.vars.LoadOrStore(id, new(variable))
+	return v.(*variable)
+}
+
+// install makes e the index id's reads see — unless id is a "#dims" id.
+func (v *variable) install(id string, e *cacheEntry) {
+	if id == placementKey(id) {
+		v.idx.Store(e)
+	}
+}
+
+// cacheEntry is one variable's DRAM index: decoded dims, the decoded block
+// list in publish order (later blocks shadow earlier ones), a start-sorted
+// extent index over it, and lazily attached per-block statistics.
+type cacheEntry struct {
+	dims      dimsRecord
+	blocks    []blockRec
+	hasBlocks bool
+	// byStart holds indices into blocks sorted by dim-0 start offset, the
+	// sorted extent index the gather planner searches instead of scanning
+	// the whole list.
+	byStart []int
+	// stats is BlockStatsOf's result, nil until computed; stats[i]
+	// describes blocks[i].
+	stats []BlockStats
+}
+
+// sortByStart builds the sorted extent index: block indices ordered by dim-0
+// start offset (ties by list order, keeping the sort stable w.r.t. publish
+// order).
+func sortByStart(blocks []blockRec) []int {
+	idx := make([]int, len(blocks))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(a, b int) int {
+		ba, bb := &blocks[a], &blocks[b]
+		if len(ba.offs) == 0 || len(bb.offs) == 0 {
+			return 0
+		}
+		return cmp.Compare(ba.offs[0], bb.offs[0])
+	})
+	return idx
+}
+
+// withStats returns a copy of e with stats attached (entries are immutable,
+// so refinement installs a fresh entry).
+func (e *cacheEntry) withStats(stats []BlockStats) *cacheEntry {
+	c := *e
+	c.stats = stats
+	return &c
+}
+
 // blockIndex returns id's DRAM index, building it from the dims record and
 // the block list on a miss (same metadata charges as an uncached read); a hit
 // touches neither the device nor the clock.
 //
-// The caller holds id's read lock — the read engine is the only caller and
-// holds it across resolve AND execution — which is what makes the install
-// safe: every writer of either record invalidates under the same lock's
-// write side, so no republish can slip between the reads below and the
-// install. It must not be re-acquired here: a recursive RLock can deadlock
-// against a queued writer.
+// The caller holds v, id's variable, read-locked — the read engine is the only
+// caller and holds it across resolve AND execution — which is what makes the
+// install safe. It must not be re-acquired here: a recursive RLock can
+// deadlock against a queued writer.
 //
 // Both records are decoded where they sit, so an entry costs a fixed number of
 // allocations — itself, its dims, the block records, one array for all their
 // extents, and byStart — however many blocks it indexes.
-func (p *PMEM) blockIndex(id string) (*cacheEntry, error) {
-	if e, ok := p.st.cache.lookup(id); ok {
+func (p *PMEM) blockIndex(v *variable, id string) (*cacheEntry, error) {
+	if e := v.idx.Load(); e != nil && id == placementKey(id) {
+		p.st.cacheHits.Add(1)
 		return e, nil
 	}
+	p.st.cacheMisses.Add(1)
 	rec, err := p.heldDims(id, nil)
 	if err != nil {
 		return nil, err
@@ -554,14 +648,15 @@ func (p *PMEM) blockIndex(id string) (*cacheEntry, error) {
 		return nil, err
 	}
 	e := &cacheEntry{dims: rec, blocks: blocks, hasBlocks: hasBlocks, byStart: sortByStart(blocks)}
-	p.st.cache.install(id, e)
+	v.install(id, e)
 	return e, nil
 }
 
-// invalidateCache drops the DRAM index of the variable behind key. Writers
-// call it under the variable's lock, after republishing either record.
-func (p *PMEM) invalidateCache(key string) {
-	p.st.cache.invalidate(placementKey(key))
+// invalidate drops the DRAM index of the variable behind key. Writers call it
+// under the variable's write lock, after republishing either record.
+func (p *PMEM) invalidate(key string) {
+	p.variable(key).idx.Store(nil)
+	p.st.cacheInvalidations.Add(1)
 }
 
 // --- the pool layout ---
@@ -618,7 +713,7 @@ func (l poolLayout) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 		}
 		return r, nil
 	}
-	if r.entry, err = p.blockIndex(pl.id); err != nil {
+	if r.entry, err = p.blockIndex(pl.v, pl.id); err != nil {
 		return r, err
 	}
 	if pl.consume == consumeStats {

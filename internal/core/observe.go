@@ -46,11 +46,10 @@ func (p *PMEM) Stats() (StoreStats, error) {
 		ReadParallelism:  p.st.opt.ReadParallelism,
 		ParallelReads:    p.st.parallelReads.Load(),
 		ParallelReadJobs: p.st.parallelReadJobs.Load(),
-	}
-	if c := p.st.cache; c != nil {
-		st.CacheHits = c.hits.Load()
-		st.CacheMisses = c.misses.Load()
-		st.CacheInvalidations = c.invalidations.Load()
+
+		CacheHits:          p.st.cacheHits.Load(),
+		CacheMisses:        p.st.cacheMisses.Load(),
+		CacheInvalidations: p.st.cacheInvalidations.Load(),
 	}
 	if !p.st.lay.caps().pool {
 		return st, nil

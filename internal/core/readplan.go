@@ -189,6 +189,10 @@ type readPlan struct {
 	// blocks. Nil on every other plan.
 	sweep *scrubPacer
 
+	// v is the id's variable, read-locked by run: its DRAM index is the one
+	// the plan resolves against and memoizes into.
+	v *variable
+
 	resolution
 	covered int64 // sum of the (post-gate) units' bytes
 
@@ -247,9 +251,9 @@ func (p *PMEM) reader() readEngine { return readEngine{p: p} }
 // run executes a plan in the canonical order.
 func (e readEngine) run(pl *readPlan) error {
 	p := e.p
-	lock := p.varLock(pl.id)
-	lock.RLock()
-	defer lock.RUnlock()
+	pl.v = p.variable(pl.id)
+	pl.v.RLock()
+	defer pl.v.RUnlock()
 	lay := p.st.lay
 	var err error
 	pl.resolution, err = lay.resolve(p, *pl)
@@ -465,7 +469,7 @@ func (e readEngine) consume(pl *readPlan, units []readUnit, verified bool) error
 			}
 		}
 		// Memoized inside the plan's lock hold: no republish can intervene.
-		p.st.cache.install(pl.id, pl.entry.withStats(pl.stats))
+		pl.v.install(pl.id, pl.entry.withStats(pl.stats))
 		return nil
 	default: // consumeCRC: the verify stage did everything
 		return nil
@@ -736,9 +740,9 @@ func (p *PMEM) InjectCorruption(id string, block int, off, n int64, mask byte) (
 	if off < 0 {
 		return 0, 0, fmt.Errorf("core: negative offset %d", off)
 	}
-	lock := p.varLock(id)
-	lock.Lock()
-	defer lock.Unlock()
+	v := p.variable(id)
+	v.Lock()
+	defer v.Unlock()
 	raw, at, ok, err := p.record(id)
 	if err != nil {
 		return 0, 0, err

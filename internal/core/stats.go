@@ -110,6 +110,21 @@ func (p *PMEM) statsOf(id string) ([]BlockStats, error) {
 	return pl.stats, nil
 }
 
+// copyStats deep-copies memoized BlockStats so callers cannot mutate the
+// DRAM index through the returned slices.
+func copyStats(stats []BlockStats) []BlockStats {
+	if stats == nil {
+		return nil
+	}
+	out := make([]BlockStats, len(stats))
+	for i, s := range stats {
+		out[i] = s
+		out[i].Offs = append([]uint64(nil), s.Offs...)
+		out[i].Counts = append([]uint64(nil), s.Counts...)
+	}
+	return out
+}
+
 // blockStats is the read engine's statistics consume step for one verified
 // unit: the value range from the block's characteristics header when the
 // codec carries one (a handful of bytes, one device latency), else from a

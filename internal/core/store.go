@@ -13,10 +13,10 @@ import (
 func (p *PMEM) Delete(id string) (bool, error) {
 	p.asyncBarrier()
 	op := p.beginOp(opDelete, id)
-	lock := p.varLock(id)
-	lock.Lock()
+	v := p.variable(id)
+	v.Lock()
 	existed, err := p.st.lay.del(p, id)
-	lock.Unlock()
+	v.Unlock()
 	op.done(false, 0, err)
 	return existed, err
 }

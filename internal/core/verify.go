@@ -37,9 +37,9 @@ func (p *PMEM) VerifyStore() []string {
 // lock: the record is read where it sits.
 func (p *PMEM) verifyRecord(key string, violatef func(format string, args ...any)) {
 	clk := p.comm.Clock()
-	lock := p.varLock(key)
-	lock.RLock()
-	defer lock.RUnlock()
+	v := p.variable(key)
+	v.RLock()
+	defer v.RUnlock()
 	raw, at, ok, err := p.record(key)
 	if err != nil || !ok {
 		violatef("store.value: reading %q: ok=%v err=%v", key, ok, err)

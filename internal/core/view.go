@@ -22,9 +22,10 @@ import (
 //   - Opening a view takes a lease stamped with the current epoch, under the
 //     id's read lock — so it is ordered against any concurrent republish.
 //   - A record change that drops payload blocks — Delete, Compact, a whole
-//     value over a value ref or a block list — parks them on per-pool limbo
-//     lists (pmdk.Limbo) instead of freeing them whenever any lease is open,
-//     stamps the parked blocks with the current epoch, and bumps it.
+//     value over a value ref or a block list — parks them on the limbo, one
+//     list of every member pool's blocks under the lease lock, instead of
+//     freeing them whenever any lease is open, stamps the parked blocks with
+//     the current epoch, and bumps it.
 //   - A parked block is returned to the allocator only when every lease opened
 //     at or before its defer epoch has closed. Views taken before a republish
 //     therefore keep reading the old blocks; views taken after plan against
@@ -137,9 +138,16 @@ func minOpenEpoch(leases map[uint64]int) (uint64, bool) {
 	return mn, have
 }
 
+// parked is a block in limbo: a record change dropped it while a lease was
+// open, under the epoch it was parked in.
+type parked struct {
+	epoch uint64
+	blockRec
+}
+
 // park is where a record change's dropped blocks go while any view lease is
-// open (writeplan.go close decides): onto their pools' limbo lists under the
-// current epoch, which it then bumps, so leases opened later never pin them.
+// open (writeplan.go close decides): onto the limbo under the current epoch,
+// which it then bumps, so leases opened later never pin them.
 // The record change held the id's write lock, which excludes new views of
 // THIS id; views of other ids only make the decision conservative (park
 // instead of free), never unsafe.
@@ -153,7 +161,7 @@ func (p *PMEM) park(blocks []blockRec) error {
 	e := st.viewEpoch
 	st.viewEpoch++
 	for _, b := range blocks {
-		st.limbos[b.pool].Defer(e, b.data)
+		st.limbo = append(st.limbo, parked{e, blockRec{pool: b.pool, data: b.data}})
 	}
 	st.limboLen.Add(int64(len(blocks)))
 	st.viewMu.Unlock()
@@ -164,10 +172,12 @@ func (p *PMEM) park(blocks []blockRec) error {
 	return p.reclaimLimbo()
 }
 
-// reclaimLimbo frees every parked block whose defer epoch has drained (no
-// open lease at or before it). The free itself runs outside viewMu — it
-// takes pool transactions — and in ascending pool order via the commit
-// engine's freeBlocks, so the persist sequence stays deterministic.
+// reclaimLimbo frees every parked block whose epoch has drained (no open
+// lease at or before it), in park order. The free itself runs outside viewMu
+// — it takes pool transactions — and in ascending pool order via the commit
+// engine's freeBlocks, so the persist sequence stays deterministic. A crash
+// with a populated limbo leaks its blocks as recoverable garbage, exactly like
+// a crash between a record change and its free on the non-deferred path.
 func (p *PMEM) reclaimLimbo() error {
 	st := p.st
 	if st.limboLen.Load() == 0 {
@@ -176,11 +186,15 @@ func (p *PMEM) reclaimLimbo() error {
 	st.viewMu.Lock()
 	mn, have := minOpenEpoch(st.viewLeases)
 	var frees []blockRec
-	for pi := range st.limbos {
-		for _, id := range st.limbos[pi].Reclaimable(mn, have) {
-			frees = append(frees, blockRec{pool: uint8(pi), data: id})
+	keep := st.limbo[:0]
+	for _, b := range st.limbo {
+		if have && b.epoch >= mn {
+			keep = append(keep, b)
+		} else {
+			frees = append(frees, b.blockRec)
 		}
 	}
+	st.limbo = keep
 	st.limboLen.Add(-int64(len(frees)))
 	st.viewMu.Unlock()
 	if len(frees) == 0 {

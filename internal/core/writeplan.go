@@ -395,10 +395,10 @@ func (e commitEngine) publish(plan *writePlan) error {
 	var firstErr error
 	for gi := range plan.groups {
 		g := &plan.groups[gi]
-		lock := p.varLock(g.id)
-		lock.Lock()
+		v := p.variable(g.id)
+		v.Lock()
 		err := e.publishGroup(g, plan.encPasses)
-		lock.Unlock()
+		v.Unlock()
 		if plan.published != nil {
 			plan.published(g, err)
 		}
@@ -585,7 +585,7 @@ func (e commitEngine) close(t *recordTx, rec []byte, drop []blockRec) error {
 		}
 	}
 	err = t.u.Finish(err)
-	p.invalidateCache(t.id)
+	p.invalidate(t.id)
 	if err != nil {
 		return err
 	}

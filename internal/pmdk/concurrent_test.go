@@ -1,8 +1,11 @@
 package pmdk
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -137,6 +140,150 @@ func TestConcurrentArenaAlloc(t *testing.T) {
 	}
 	t.Logf("survivors=%d allocs=%d frees=%d txs=%d aborts=%d steals=%d heap=%d",
 		len(spans), st.Allocs, st.Frees, st.Transactions, st.Aborts, st.ArenaSteals, used)
+}
+
+// TestStripeSharingBuckets runs writers on distinct buckets that share one
+// lock stripe, with a Range looping beside them: four goroutines
+// Put/Update+Commit/Delete/Get their own keys — each owns one bucket, and all
+// four buckets are congruent mod 64 — while a fifth enumerates the table. The
+// table must end equal to the writers' DRAM models and both checkers clean.
+// Its teeth are -race and the deadlock a stripe held twice would be.
+func TestStripeSharingBuckets(t *testing.T) {
+	const (
+		workers = 4
+		perKey  = 4
+		rounds  = 150
+	)
+	ht, p, _ := newTestTable(t, 256)
+	// Worker w's keys all hash to bucket 5+64w.
+	keys := make([][]string, workers)
+	for i := 0; ; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		b := HashKey([]byte(k)) & (ht.nbuckets - 1)
+		if w := int(b / 64); b%64 == 5 && len(keys[w]) < perKey {
+			keys[w] = append(keys[w], k)
+		}
+		full := true
+		for w := range keys {
+			full = full && len(keys[w]) == perKey
+		}
+		if full {
+			break
+		}
+	}
+	stripe := p.Lock(ht.bucketOff(HashKey([]byte(keys[0][0]))))
+	for w := 1; w < workers; w++ {
+		off := ht.bucketOff(HashKey([]byte(keys[w][0])))
+		if off == ht.bucketOff(HashKey([]byte(keys[0][0]))) || p.Lock(off) != stripe {
+			t.Fatalf("worker %d's bucket does not share worker 0's stripe", w)
+		}
+	}
+
+	models := make([]map[string]string, workers)
+	errs := make([]error, workers+1)
+	var writers, ranger sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		models[w] = map[string]string{}
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			clk := &sim.Clock{Rank: w}
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			model := models[w]
+			for r := 0; r < rounds && errs[w] == nil; r++ {
+				k := keys[w][rng.Intn(perKey)]
+				v := fmt.Sprintf("%s=%d:%s", k, r, strings.Repeat("x", rng.Intn(3)*8))
+				switch rng.Intn(4) {
+				case 0:
+					if errs[w] = ht.Put(clk, []byte(k), []byte(v)); errs[w] == nil {
+						model[k] = v
+					}
+				case 1:
+					u, err := ht.Update(clk, []byte(k))
+					if err != nil {
+						errs[w] = err
+						break
+					}
+					if old, want := string(u.Old()), model[k]; old != want {
+						u.Abort()
+						errs[w] = fmt.Errorf("Update(%q).Old() = %q, model %q", k, old, want)
+						break
+					}
+					if errs[w] = u.Commit([]byte(k), []byte(v)); errs[w] == nil {
+						model[k] = v
+					}
+				case 2:
+					existed, err := ht.Delete(clk, []byte(k))
+					if _, want := model[k]; err == nil && existed != want {
+						err = fmt.Errorf("Delete(%q) existed = %v, model %v", k, existed, want)
+					}
+					errs[w] = err
+					delete(model, k)
+				default:
+					got, ok, err := ht.Get(clk, []byte(k))
+					if want, wok := model[k]; err == nil && (ok != wok || string(got) != want) {
+						err = fmt.Errorf("Get(%q) = %q, %v; model %q, %v", k, got, ok, want, wok)
+					}
+					errs[w] = err
+				}
+			}
+		}(w)
+	}
+	ranger.Add(1)
+	go func() {
+		defer ranger.Done()
+		clk := &sim.Clock{Rank: workers}
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := ht.Range(clk, func([]byte, PMID, int64) bool { return true }); err != nil {
+				errs[workers] = err
+				return
+			}
+		}
+	}()
+	writers.Wait()
+	close(done)
+	ranger.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", w, err)
+		}
+	}
+
+	clk := new(sim.Clock)
+	want := map[string]string{}
+	for _, m := range models {
+		for k, v := range m {
+			want[k] = v
+		}
+	}
+	got := map[string]string{}
+	err := ht.Range(clk, func(key []byte, val PMID, vlen int64) bool {
+		b, err := p.Slice(val, vlen)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		got[string(key)] = string(b)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("table = %v, model %v", got, want)
+	}
+	if vs := ht.Verify(clk); len(vs) != 0 {
+		t.Errorf("Hashtable.Verify: %v", vs)
+	}
+	if vs := p.Verify(clk); len(vs) != 0 {
+		t.Errorf("Pool.Verify: %v", vs)
+	}
 }
 
 // TestReopenAfterConcurrentTraffic runs a burst of concurrent transactions,

@@ -136,9 +136,9 @@ type Pool struct {
 	// derived from the heap size; see newPoolStruct).
 	extent int64
 
-	// DRAM lock table: persistent locks are re-initialized at open, exactly
-	// like PMDK's PMEMmutex semantics.
-	lockShards [lockShards]lockShard
+	// locks are the pool's persistent locks (Lock), in DRAM and so
+	// re-initialized at open, exactly like PMDK's PMEMmutex semantics.
+	locks [lockStripes]sync.RWMutex
 
 	stats statsCounters
 }
@@ -161,12 +161,8 @@ type arena struct {
 	freeHint atomic.Int64
 }
 
-const lockShards = 64
-
-type lockShard struct {
-	mu    sync.Mutex
-	locks map[PMID]*sync.RWMutex
-}
+// lockStripes is the number of persistent locks a pool has.
+const lockStripes = 64
 
 // Stats reports DRAM-side counters for observability and tests.
 type Stats struct {
@@ -372,9 +368,6 @@ func newPoolStruct(m *pmem.Mapping, rootOff, rootSize, heapOff, heapEnd, laneOff
 	for i := 0; i < lanes; i++ {
 		p.laneFree <- i
 	}
-	for i := range p.lockShards {
-		p.lockShards[i].locks = make(map[PMID]*sync.RWMutex)
-	}
 	p.arenas = make([]arena, arenas)
 	for i := range p.arenas {
 		p.arenas[i].metaOff = allocOff + brkMetaSize + int64(i)*allocMetaSize
@@ -500,19 +493,17 @@ func (p *Pool) ReadBytes(clk *sim.Clock, off PMID, n int64) ([]byte, error) {
 	return out, nil
 }
 
-// Lock returns the persistent lock associated with a persistent object.
-// Locks live in DRAM and are re-created on demand after every Open, the same
-// semantics PMDK gives PMEMmutex (lock state does not survive restart).
+// Lock returns the persistent lock associated with a persistent object: one
+// of a fixed stripe of lockStripes, chosen by the object's 8-byte word, so 64
+// consecutive words — a hashtable's bucket slots — get distinct stripes.
+// Locks live in DRAM and start unlocked after every Open, the same semantics
+// PMDK gives PMEMmutex (lock state does not survive restart).
+//
+// Distinct objects can share a stripe, so no goroutine may hold two Pool
+// locks: a second one could be the first, or another holder's first
+// (DESIGN.md §7).
 func (p *Pool) Lock(id PMID) *sync.RWMutex {
-	sh := &p.lockShards[uint64(id)%lockShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	l, ok := sh.locks[id]
-	if !ok {
-		l = new(sync.RWMutex)
-		sh.locks[id] = l
-	}
-	return l
+	return &p.locks[(uint64(id)>>3)%lockStripes]
 }
 
 func align8(v int64) int64 { return (v + 7) &^ 7 }

@@ -320,6 +320,29 @@ func TestStoreBytesAndReadBytes(t *testing.T) {
 	}
 }
 
+// TestPoolOpenHeapBudget holds a reopen's Go-heap cost to a handful of objects
+// whatever the bucket count: the pool, its lane and transaction pools, its
+// arenas and the hashtable handle. Persistent locks are a fixed array inside
+// the pool, not objects made at open.
+func TestPoolOpenHeapBudget(t *testing.T) {
+	p, mp, clk := newTestPool(t, 16<<20)
+	if _, err := FormatPool(clk, p, DefaultBuckets); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		p2, err := Open(clk, mp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p2.RootHashtable(clk); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 8 {
+		t.Errorf("Open + RootHashtable = %v allocations, want <= 8", got)
+	}
+}
+
 func TestLockIsStablePerPMID(t *testing.T) {
 	p, _, _ := newTestPool(t, 0)
 	a := p.Lock(PMID(123))

@@ -23,7 +23,7 @@ func TestArrayRoundTrip(t *testing.T) {
 		for i := range data {
 			data[i] = float64(i)
 		}
-		if err := a.Store(data, []uint64{0, 0}, []uint64{8, 8}); err != nil {
+		if err := a.StoreSub(data, []uint64{0, 0}, []uint64{8, 8}); err != nil {
 			return err
 		}
 		dims, err := a.Dims()
@@ -32,7 +32,7 @@ func TestArrayRoundTrip(t *testing.T) {
 		}
 		// A 2x2 corner through the typed handle.
 		got := make([]float64, 4)
-		if err := a.Load(got, []uint64{6, 6}, []uint64{2, 2}); err != nil {
+		if err := a.LoadSub(got, []uint64{6, 6}, []uint64{2, 2}); err != nil {
 			return err
 		}
 		want := []float64{54, 55, 62, 63}
@@ -194,7 +194,7 @@ func TestViewLifecycle(t *testing.T) {
 		for i := range data {
 			data[i] = float64(i)
 		}
-		if err := a.Store(data, []uint64{0}, []uint64{256}); err != nil {
+		if err := a.StoreSub(data, []uint64{0}, []uint64{256}); err != nil {
 			return err
 		}
 
@@ -240,7 +240,7 @@ func TestViewLifecycle(t *testing.T) {
 		for i := range ints {
 			ints[i] = int32(i * 3)
 		}
-		if err := b.Store(ints, []uint64{0}, []uint64{64}); err != nil {
+		if err := b.StoreSub(ints, []uint64{0}, []uint64{64}); err != nil {
 			return err
 		}
 		sub, err := b.View([]uint64{16}, []uint64{8})
