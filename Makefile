@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 vet verify race faults obs obsdeps integrity async allocs cover apicheck leasecheck commitvet loc loccheck figcheck bench-check bench-async bench-views fuzz bench clean
+.PHONY: all build test tier1 vet verify portable race faults obs obsdeps integrity async allocs cover apicheck leasecheck commitvet loc loccheck figcheck bench-check bench-async bench-views fuzz bench clean
 
 all: tier1
 
@@ -22,8 +22,15 @@ tier1: build vet test
 # verify is the pre-merge checklist: the tier-1 gate, the race detector, the
 # fault-injection suite, the observability gates, the integrity battery, the
 # heap budgets, and the API-surface / lease-misuse lints, the code-size
-# ratchet, and the bit-exact figure rows.
-verify: tier1 race faults obs obsdeps integrity async allocs cover apicheck leasecheck commitvet loccheck figcheck
+# ratchet, the bit-exact figure rows, and the non-amd64 build.
+verify: tier1 race faults obs obsdeps integrity async allocs cover apicheck leasecheck commitvet loccheck figcheck portable
+
+# portable runs what amd64 builds leave out: the Go float64 fold
+# (internal/serial/fold_other.go) under the sweep's tests and bytesview's
+# alignment rule, natively as 386 code, and go vet over the arm64 build.
+portable:
+	GOARCH=386 $(GO) test ./internal/serial ./internal/bytesview
+	GOARCH=arm64 $(GO) vet ./internal/serial
 
 # apicheck pins the public v2 API surface: every exported declaration in
 # package pmemcpy against testdata/api_golden.txt. An intended surface change
@@ -73,7 +80,7 @@ loc:
 # module's total non-test code lines exceed the ceiling, which records the
 # figure of the last change that lowered it. A change that must grow the code
 # raises the ceiling in the same diff, where a reviewer sees it.
-LOC_CEILING ?= 15187
+LOC_CEILING ?= 15226
 loccheck:
 	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
 		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \
@@ -215,6 +222,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzLaneRecovery -fuzztime=$(FUZZTIME) ./internal/pmdk/
 	$(GO) test -run=NONE -fuzz=FuzzCodecDecode -fuzztime=$(FUZZTIME) ./internal/serial/
 	$(GO) test -run=NONE -fuzz=FuzzCodecRoundTrip -fuzztime=$(FUZZTIME) ./internal/serial/
+	$(GO) test -run=NONE -fuzz=FuzzFold -fuzztime=$(FUZZTIME) ./internal/serial/
 	$(GO) test -run=NONE -fuzz=FuzzCombine -fuzztime=$(FUZZTIME) ./internal/checksum/
 
 bench:

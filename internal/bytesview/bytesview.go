@@ -43,12 +43,14 @@ func Bytes[T Element](s []T) []byte {
 }
 
 // Aligned reports whether b's base address is suitably aligned to be viewed
-// as a slice of T.
+// as a slice of T: Go's alignment for T, which is not always its size (an
+// int64 needs only 4 bytes on 386).
 func Aligned[T Element](b []byte) bool {
 	if len(b) == 0 {
 		return true
 	}
-	return uintptr(unsafe.Pointer(&b[0]))%uintptr(Size[T]()) == 0
+	var z T
+	return uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(z) == 0
 }
 
 // OfCopy reinterprets b as a slice of T like Of, but falls back to copying
@@ -95,9 +97,8 @@ func Of[T Element](b []byte) []T {
 	if len(b)%es != 0 {
 		panic("bytesview: byte length not a multiple of element size")
 	}
-	p := unsafe.Pointer(&b[0])
-	if uintptr(p)%uintptr(es) != 0 {
+	if !Aligned[T](b) {
 		panic("bytesview: misaligned byte slice")
 	}
-	return unsafe.Slice((*T)(p), len(b)/es)
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/es)
 }

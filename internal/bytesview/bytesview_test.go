@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNativeIsLittleEndian(t *testing.T) {
@@ -170,5 +171,27 @@ func TestOfCopyAliasesWhenAligned(t *testing.T) {
 	view[0] = 7
 	if vals[0] != 7 {
 		t.Fatal("OfCopy copied despite alignment")
+	}
+}
+
+// TestOfTakesGoAlignment: a view is judged by Go's alignment for the element,
+// not by its size. A [N]uint64 is only as aligned as uint64 is — 4 bytes on
+// 386 — and its bytes must view as []int64 wherever Go placed it. Behind a
+// uint32 the array sits at offset 4 on 386 and the two elements are 36 bytes
+// apart, so one of the two arrays is not 8-byte aligned there.
+func TestOfTakesGoAlignment(t *testing.T) {
+	var held [2]struct {
+		pad   uint32
+		words [4]uint64
+	}
+	for i := range held {
+		w := &held[i].words
+		b := Bytes(w[:])
+		if s := Of[int64](b); len(s) != 4 || unsafe.Pointer(&s[0]) != unsafe.Pointer(&w[0]) {
+			t.Fatalf("array %d: Of = %v, want a 4-element view aliasing it", i, s)
+		}
+		if s, ok := TryOf[int64](b); !ok || len(s) != 4 {
+			t.Fatalf("array %d: TryOf = (%v, %v), want a 4-element view", i, s, ok)
+		}
 	}
 }

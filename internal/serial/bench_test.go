@@ -114,6 +114,41 @@ func BenchmarkEncodeSizesSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkFold is the fold's own rung: one hot 16 KB tile of random float64
+// values, folded by foldTile (go) and by folders[Float64] (kernel: the SSE2
+// kernel on amd64, the same Go fold elsewhere), reported in ns per element.
+// zero-last is the same tile with its last element 0, the kernel's worst
+// case: a minimum of zero sends it scanning for the tile's first zero.
+func BenchmarkFold(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, sweepTile/8)
+	for i := range vals {
+		vals[i] = rng.Float64()
+	}
+	zeroLast := append([]float64(nil), vals...)
+	zeroLast[len(zeroLast)-1] = 0
+	for _, row := range []struct {
+		name string
+		fold func(a, b []byte) (float64, float64)
+		vals []float64
+	}{
+		{"go", foldTile[float64], vals},
+		{"kernel", folders[Float64], vals},
+		{"go/zero-last", foldTile[float64], zeroLast},
+		{"kernel/zero-last", folders[Float64], zeroLast},
+	} {
+		tile := bytesview.Bytes(row.vals)
+		b.Run(row.name, func(b *testing.B) {
+			b.SetBytes(sweepTile)
+			for b.Loop() {
+				mn, _ := row.fold(tile, nil)
+				sink = uint32(mn)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(row.vals)), "ns/elem")
+		})
+	}
+}
+
 // sweepAt is the payload sweep with its two design choices as parameters —
 // tile size, and whether the tile is copied before or after it is folded — so
 // BenchmarkStoreSweep can put the shipped pair beside the alternatives.

@@ -16,24 +16,28 @@ import (
 // destination tile. One pass from memory instead of three.
 //
 // sweepTile is picked from BenchmarkStoreSweep (bench_test.go): 4 MB float64
-// payloads rotating over 64 MB of buffers, written behind a 40-byte header, on
-// the 2-vCPU Xeon @ 2.10 GHz builder host (260 MB shared L3, so rows drift
+// payloads rotating over 64 MB of buffers, written behind a 40-byte header,
+// with the float64 fold on the SSE2 kernel (fold_amd64.s), on a 2-vCPU Xeon
+// @ 2.0 GHz (48 KB L1d and 2 MB L2 per core, 105 MB shared L3, so rows drift
 // with the neighbours; median of 5, ms per payload):
 //
-//	memcpy                0.64
-//	three-pass            3.22   characterize, copy, checksum.Sum
-//	fold-first/tile=16K   2.42   the fold's narrow loads take the misses
-//	sweep/tile=4K         1.65
-//	sweep/tile=8K         1.41
-//	sweep/tile=16K        1.44   <- shipped
-//	sweep/tile=32K        1.34
-//	sweep/tile=64K        1.52
-//	sweep/tile=128K       1.51
-//	sweep/tile=256K       1.50
+//	memcpy                0.78
+//	three-pass            1.69   characterize, copy, checksum.Sum
+//	fold-first/tile=16K   1.40   the fold's loads take the misses
+//	sweep/tile=4K         1.22
+//	sweep/tile=8K         1.25
+//	sweep/tile=16K        1.28   <- shipped
+//	sweep/tile=32K        1.31
+//	sweep/tile=64K        1.33
+//	sweep/tile=128K       1.16
+//	sweep/tile=256K       1.18
+//	EncodeTo/bp4          1.27   the shipped sweep, CRC off
+//	EncodeSum/bp4         1.26
 //
-// 8 K to 32 K are one plateau (they swapped places between runs; 16 K was
-// best or second in each); below it the per-tile calls show, above it source
-// plus destination tile outgrow L1 and then L2. A constant, not an option.
+// With the kernel the sweep rows lie within their run-to-run spread: 128 K was
+// fastest in two runs and 256 K in three, neither in four of five, so the
+// tile stays 16 K (with the Go fold, on the same host, 16 K won three of
+// five). A constant, not an option.
 const sweepTile = 16 << 10
 
 // sweep copies src into dst tile by tile and returns the running CRC: crc
@@ -151,13 +155,15 @@ func (r *valueRange) add(mn, mx float64) {
 
 // folders[dt] returns the value range of one tile of dt elements, at most
 // sweepTile bytes; NaN, NaN if it holds no values. a and b hold the same bytes
-// (the source and destination of the copy; b may be nil): the elements are
-// read from whichever is aligned for dt.
+// (the source and destination of the copy; b may be nil): foldTile reads the
+// elements from whichever is aligned for dt. Float64 — the one type the
+// workloads store — is foldFloat64Tile: on amd64 an SSE2 kernel that reads a
+// in place and returns foldTile's bits (fold_amd64.go), elsewhere foldTile.
 var folders = [...]func(a, b []byte) (mn, mx float64){
 	Int8: foldTile[int8], Uint8: foldTile[uint8],
 	Int16: foldTile[int16], Uint16: foldTile[uint16],
 	Int32: foldTile[int32], Uint32: foldTile[uint32], Float32: foldTile[float32],
-	Int64: foldTile[int64], Uint64: foldTile[uint64], Float64: foldTile[float64],
+	Int64: foldTile[int64], Uint64: foldTile[uint64], Float64: foldFloat64Tile,
 }
 
 func foldTile[T bytesview.Element](a, b []byte) (float64, float64) {

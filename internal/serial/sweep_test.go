@@ -153,19 +153,47 @@ var floatPatterns = []struct {
 			}
 		}
 	}},
-	{"nan-first", func(p []byte, es int) { putNaN(p, es, 0) }},
-	{"nan-mid", func(p []byte, es int) { putNaN(p, es, len(p)/es/2) }},
+	{"nan-first", func(p []byte, es int) { putFloat(p, es, 0, math.NaN()) }},
+	{"nan-mid", func(p []byte, es int) { putFloat(p, es, len(p)/es/2, math.NaN()) }},
+	{"inf", func(p []byte, es int) {
+		for i := 2; i < len(p)/es; i += 11 {
+			putFloat(p, es, i, math.Inf(1-2*(i%2)))
+		}
+	}},
+	// Non-negative values with zeros of both signs every third element —
+	// every lane of the vector fold sees some — so the minimum is a tie
+	// between signed zeros and the earliest one must win.
+	{"zero-min", func(p []byte, es int) {
+		for i := range len(p) / es {
+			p[i*es+es-1] &^= 0x80
+			if i%3 == 1 {
+				zero := 0.0
+				if p[i*es]&1 == 1 { // a random byte of the element picks the sign
+					zero = math.Copysign(0, -1)
+				}
+				putFloat(p, es, i, zero)
+			}
+		}
+	}},
+	{"all-nan", func(p []byte, es int) {
+		for i := range len(p) / es {
+			putFloat(p, es, i, math.NaN())
+		}
+	}},
+	// The last element: past the vector kernel's 8-element steps whenever the
+	// tile's length is not a multiple of 8 elements.
+	{"nan-tail", func(p []byte, es int) { putFloat(p, es, len(p)/es-1, math.NaN()) }},
 }
 
-// putNaN makes element i of a float32/float64 payload a NaN.
-func putNaN(p []byte, es, i int) {
-	if i*es >= len(p) {
+// putFloat sets element i of a float32/float64 payload to v.
+func putFloat(p []byte, es, i int, v float64) {
+	if i < 0 || i*es >= len(p) {
 		return
 	}
 	if es == 4 {
-		binary.LittleEndian.PutUint32(p[i*4:], math.Float32bits(float32(math.NaN())))
+		binary.LittleEndian.PutUint32(p[i*4:], math.Float32bits(float32(v)))
 	} else {
-		binary.LittleEndian.PutUint64(p[i*8:], math.Float64bits(math.NaN()))
+		binary.LittleEndian.PutUint64(p[i*8:], math.Float64bits(v))
 	}
 }
 
@@ -178,7 +206,7 @@ func TestSweepMatchesThreePasses(t *testing.T) {
 		t.Run(dt.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(19))
 			es := dt.Size()
-			sizes := []int{0, es, sweepTile - es, sweepTile, sweepTile + es, 3*sweepTile + 5*es, 4 << 20}
+			sizes := []int{0, es, 7 * es, 8 * es, 9 * es, 63 * es, 65 * es, sweepTile - es, sweepTile, sweepTile + es, 3*sweepTile + 5*es, 4 << 20}
 			if testing.Short() {
 				sizes = sizes[:len(sizes)-1]
 			}
