@@ -80,7 +80,7 @@ loc:
 # module's total non-test code lines exceed the ceiling, which records the
 # figure of the last change that lowered it. A change that must grow the code
 # raises the ceiling in the same diff, where a reviewer sees it.
-LOC_CEILING ?= 15226
+LOC_CEILING ?= 15220
 loccheck:
 	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
 		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \
@@ -109,22 +109,24 @@ figcheck:
 # never wrong values), the pmemfsck -deep golden/exit-code tests, the
 # namespace damage table (a flipped bit in a record the open path trusts is
 # refused, never re-formatted), a flipped bit in an inline value followed
-# through every CRC consumer, and the Compact-vs-gather and Compact-vs-MinMax
-# race gates — the concurrency-sensitive ones under -race — the bounded
-# walks: a cyclic bucket chain or free list is ErrCorrupt, never a hung handle,
-# and writers on buckets sharing one lock stripe beside a looping Range.
+# through every CRC consumer, a damaged block an overwrite drops (the store
+# succeeds, only MinMax's range is lost), and the overwrite-vs-gather and
+# overwrite-vs-MinMax race gates — the concurrency-sensitive ones under
+# -race — the bounded walks: a cyclic bucket chain or free list is
+# ErrCorrupt, never a hung handle, and writers on buckets sharing one lock
+# stripe beside a looping Range.
 integrity:
 	$(GO) test ./internal/checksum/
 	$(GO) test -race -run 'TestChainCycleIsErrCorrupt|TestVerify|TestStripeSharingBuckets' ./internal/pmdk/
 	$(GO) test -run 'TestDeep' ./cmd/pmemfsck/
-	$(GO) test -race -timeout 20m -run 'TestVerify|TestScrub|TestQuarantine|TestInlineValueCorruption|TestParallelStoreCRC|TestDifferentialCorruption|TestConcurrentCompactVsParallelGather|TestConcurrentCompactVsMinMax|TestConcurrentMultiPoolStress|TestConcurrentViewStress|TestNamespaceDamageRefused' ./internal/core/
+	$(GO) test -race -timeout 20m -run 'TestVerify|TestScrub|TestQuarantine|TestInlineValueCorruption|TestParallelStoreCRC|TestDifferentialCorruption|TestDroppedBlockDamage|TestConcurrentOverwriteVsParallelGather|TestConcurrentOverwriteVsMinMax|TestConcurrentMultiPoolStress|TestConcurrentViewStress|TestNamespaceDamageRefused' ./internal/core/
 
 # Async pipeline suite: the submission-queue unit tests and the -race queue
 # stress (TestAsyncQueueStress) in internal/core, the async crash-point
 # explorations and async-vs-sync differential flavors, and the async rows of
 # the public errors.Is conformance table.
 async:
-	$(GO) test -race -timeout 20m -run 'TestAsync|TestExploreAsync|TestCrashAsync|TestDifferentialAsync|TestCompactCancelled' ./internal/core/
+	$(GO) test -race -timeout 20m -run 'TestAsync|TestExploreAsync|TestCrashAsync|TestDifferentialAsync' ./internal/core/
 	$(GO) test -run 'TestErrorConformance' .
 
 # allocs holds the per-op Go-heap budgets: the smallkv op kinds (the scalar

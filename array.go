@@ -1,9 +1,6 @@
 package pmemcpy
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // Typed array handles: the v2 ergonomic surface over the free functions.
 // An Array[T] binds a PMEM handle to one array id and its element type once,
@@ -111,12 +108,6 @@ func (a Array[T]) FindBlocks(lo, hi float64) ([]BlockStats, error) {
 // All reads the whole array and its dimensions (LoadSlice).
 func (a Array[T]) All() ([]T, []uint64, error) {
 	return LoadSlice[T](a.p, a.id)
-}
-
-// Compact reclaims storage shadowed by overwrites of this array. ctx
-// cancellation stops the pass between its phases.
-func (a Array[T]) Compact(ctx context.Context) (int, error) {
-	return a.p.Compact(ctx, a.id)
 }
 
 // Verify checks every stored block of this array against its recorded

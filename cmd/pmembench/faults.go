@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -70,10 +69,7 @@ func runFaults() int {
 				if err := p.StoreBlock("G", []uint64{0}, []uint64{8}, fill(8, 7)); err != nil {
 					return err
 				}
-				if _, err := p.Delete("G"); err != nil {
-					return err
-				}
-				_, err := p.Compact(context.Background(), "A")
+				_, err := p.Delete("G")
 				return err
 			},
 			Verify: func(p *core.PMEM) error {

@@ -77,7 +77,21 @@ func runDeep(w io.Writer, corrupt bool) int {
 					return fmt.Errorf("injecting: %w", err)
 				}
 			}
-			fmt.Fprintf(w, "damaged stored bytes of \"rect1\", \"sim/label\" and \"sim/notes\" (checksums untouched)\n")
+			// A damaged block header, then a store over the whole array: the
+			// store drops both its blocks, and the damaged one's value range
+			// is lost with it.
+			if _, _, err := p.InjectCorruption("rect2", 0, 0, 8, 0xff); err != nil {
+				return fmt.Errorf("injecting: %w", err)
+			}
+			var all []float64
+			for r := 0; r < deepRanks; r++ {
+				_, data, _, _ := workload.DemoBlock(2, r)
+				all = append(all, data...)
+			}
+			if err := pmemcpy.StoreSub(p, "rect2", all, []uint64{0}, []uint64{uint64(len(all))}); err != nil {
+				return fmt.Errorf("overwriting: %w", err)
+			}
+			fmt.Fprintf(w, "damaged stored bytes of \"rect1\", \"rect2\", \"sim/label\" and \"sim/notes\" (checksums untouched), then overwrote \"rect2\"\n")
 		}
 		rep, err = p.DeepCheck()
 		if err != nil {
@@ -94,6 +108,9 @@ func runDeep(w io.Writer, corrupt bool) int {
 	if !rep.OK() {
 		for _, c := range rep.Corrupt {
 			fmt.Fprintf(w, "corrupt: %s\n", c)
+		}
+		for _, id := range rep.Unranged {
+			fmt.Fprintf(w, "unranged: id %q lost a dropped block's value range\n", id)
 		}
 		return 2
 	}

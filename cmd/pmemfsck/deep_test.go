@@ -52,7 +52,8 @@ func TestDeepCleanStoreExitsZero(t *testing.T) {
 
 // TestDeepCorruptStoreExitsTwo is the regression for silent-corruption
 // detection: damaged stored bytes with untouched checksums must exit 2 and
-// name every damaged block's id, block index, pool offset, and length.
+// name every damaged block's id, block index, pool offset, and length — and
+// the array whose overwrite dropped a damaged block, losing its value range.
 func TestDeepCorruptStoreExitsTwo(t *testing.T) {
 	var out strings.Builder
 	if code := run([]string{"-deep", "-corrupt"}, &out); code != 2 {
@@ -63,6 +64,7 @@ func TestDeepCorruptStoreExitsTwo(t *testing.T) {
 		`corrupt: id "rect1" block 0 at offset `,
 		`corrupt: id "sim/label" value at offset `, // inline: the offset lies in the record's value block
 		`corrupt: id "sim/notes" value at offset `, // a block behind a value ref
+		`unranged: id "rect2"`,                     // an overwrite dropped its damaged block
 	} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("output missing %q:\n%s", want, s)

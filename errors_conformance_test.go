@@ -85,14 +85,6 @@ func TestErrorConformance(t *testing.T) {
 			want: pmemcpy.ErrNotFound,
 		},
 		{
-			name: "Compact missing id",
-			fn: func(p *pmemcpy.PMEM, _ *pmemcpy.Node) error {
-				_, err := pmemcpy.Compact(context.Background(), p, "missing")
-				return err
-			},
-			want: pmemcpy.ErrNotFound,
-		},
-		{
 			name: "hierarchy Load missing id",
 			opts: []pmemcpy.MmapOption{pmemcpy.WithLayout(pmemcpy.LayoutHierarchy)},
 			fn: func(p *pmemcpy.PMEM, _ *pmemcpy.Node) error {
@@ -503,7 +495,7 @@ func TestErrorConformance(t *testing.T) {
 			want: pmemcpy.ErrCorrupt,
 		},
 		{
-			// A pool of the previous format version (whole values behind value
+			// A pool of an earlier format version (4: whole values behind value
 			// refs only) is intact, just not readable: no public sentinel
 			// matches, and the text says which version was found and which is
 			// read.
@@ -519,7 +511,7 @@ func TestErrorConformance(t *testing.T) {
 						return fmt.Errorf("error %q wraps the public %v", err, pub)
 					}
 				}
-				if err != nil && !strings.Contains(err.Error(), "format version 4, this build reads only version 5") {
+				if err != nil && !strings.Contains(err.Error(), "format version 4, this build reads only version 6") {
 					return fmt.Errorf("error %q does not name both versions", err)
 				}
 				return err

@@ -149,14 +149,15 @@ func exploreAsyncMergeScript() core.Script {
 			if a != 2 {
 				return fmt.Errorf("A = all %g after complete run, want 2", a)
 			}
-			// Coalescing must have merged the four fragments into one block:
-			// baseline + one merged block, not baseline + four.
+			// Coalescing must have merged the four fragments into one block,
+			// which contains the baseline and drops it: one block listed, not
+			// the baseline and four quarters.
 			blocks, err := p.BlockStatsOf("A")
 			if err != nil {
 				return err
 			}
-			if len(blocks) != 2 {
-				return fmt.Errorf("A has %d blocks, want 2 (coalescing did not merge)", len(blocks))
+			if len(blocks) != 1 {
+				return fmt.Errorf("A has %d blocks, want 1 (coalescing did not merge)", len(blocks))
 			}
 			return nil
 		},

@@ -152,9 +152,8 @@ func TestDifferentialAsyncVsSync(t *testing.T) {
 // TestDifferentialAsyncCoalescing (flavor D, raw codec): with the identity
 // codec adjacent submissions merge, so the async backend publishes genuinely
 // different block structure than the oracle — loads must still agree
-// byte-for-byte everywhere. MinMax is compared until Compact runs on an id
-// (the par flag): from there the merged and unmerged lists legitimately keep
-// different shadowed blocks.
+// byte-for-byte everywhere, and MinMax too: it is the running range of every
+// value stored, whichever blocks the merged and unmerged lists keep.
 func TestDifferentialAsyncCoalescing(t *testing.T) {
 	shapes := map[string][]uint64{
 		"u": {256},
@@ -162,8 +161,7 @@ func TestDifferentialAsyncCoalescing(t *testing.T) {
 	}
 	backends := []diffBackend{
 		{name: "async-raw", path: "/ar.pool",
-			opts: &core.Options{PoolSize: 16 << 20, Async: true, CoalesceWindow: 8, Codec: "raw"},
-			par:  true},
+			opts: &core.Options{PoolSize: 16 << 20, Async: true, CoalesceWindow: 8, Codec: "raw"}},
 		{name: "sync-raw", path: "/sr.pool",
 			opts: &core.Options{PoolSize: 16 << 20, Codec: "raw"}},
 	}

@@ -520,31 +520,3 @@ func TestAsyncQueueStress(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestCompactCancelled pins the context plumbing on Compact: an
-// already-cancelled context stops the pass before any analysis.
-func TestCompactCancelled(t *testing.T) {
-	runAsync(t, func(p *core.PMEM) error {
-		if err := p.Alloc("A", serial.Uint8, []uint64{64}); err != nil {
-			return err
-		}
-		for i := 0; i < 3; i++ {
-			if err := p.StoreBlock("A", []uint64{0}, []uint64{64}, seqBytes(64, i)); err != nil {
-				return err
-			}
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := p.Compact(ctx, "A"); !errors.Is(err, context.Canceled) {
-			return fmt.Errorf("Compact(cancelled) = %v, want context.Canceled", err)
-		}
-		freed, err := p.Compact(context.Background(), "A")
-		if err != nil {
-			return err
-		}
-		if freed == 0 {
-			return fmt.Errorf("Compact freed nothing after shadowing stores")
-		}
-		return nil
-	})
-}

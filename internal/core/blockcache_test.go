@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -108,11 +107,11 @@ func TestBlockCacheInvalidationOnOverwrite(t *testing.T) {
 	})
 }
 
-// TestBlockCacheInvalidationOnCompactAndDelete checks the two reclamation
-// mutations: Compact republishes the pruned list (reads stay identical) and
-// Delete drops the blocks entirely (reads turn into ErrNotFound) — both must
-// invalidate a hot index.
-func TestBlockCacheInvalidationOnCompactAndDelete(t *testing.T) {
+// TestBlockCacheInvalidationOnOverwriteAndDelete checks the two reclamation
+// mutations: an overwrite republishes the list with the block it shadows
+// dropped (reads see the new block) and Delete drops the blocks entirely
+// (reads turn into ErrNotFound) — both must invalidate a hot index.
+func TestBlockCacheInvalidationOnOverwriteAndDelete(t *testing.T) {
 	single(t, nil, func(p *core.PMEM) error {
 		if err := p.Alloc("A", serial.Float64, []uint64{256}); err != nil {
 			return err
@@ -120,31 +119,27 @@ func TestBlockCacheInvalidationOnCompactAndDelete(t *testing.T) {
 		if err := fillBlock(p, "A", 0, 256, 1); err != nil {
 			return err
 		}
-		if err := fillBlock(p, "A", 0, 256, 2); err != nil { // shadows fully
-			return err
-		}
 		dst := make([]float64, 256)
 		if err := p.LoadBlock("A", []uint64{0}, []uint64{256}, bytesview.Bytes(dst)); err != nil {
 			return err // index now hot
 		}
 		st, _ := p.Stats()
-		invBefore := st.CacheInvalidations
-		freed, err := p.Compact(context.Background(), "A")
-		if err != nil {
+		invBefore, freesBefore := st.CacheInvalidations, st.Frees
+		if err := fillBlock(p, "A", 0, 256, 2); err != nil { // shadows fully
 			return err
 		}
-		if freed != 1 {
-			t.Errorf("Compact freed %d blocks, want 1", freed)
-		}
 		st, _ = p.Stats()
+		if st.Frees <= freesBefore {
+			t.Errorf("the overwrite freed nothing: %d -> %d", freesBefore, st.Frees)
+		}
 		if st.CacheInvalidations <= invBefore {
-			t.Errorf("Compact did not invalidate: %d -> %d", invBefore, st.CacheInvalidations)
+			t.Errorf("the overwrite did not invalidate: %d -> %d", invBefore, st.CacheInvalidations)
 		}
 		if err := p.LoadBlock("A", []uint64{0}, []uint64{256}, bytesview.Bytes(dst)); err != nil {
 			return err
 		}
 		if dst[0] != 2 || dst[255] != 2 {
-			t.Errorf("post-Compact read: [0]=%v [255]=%v, want 2", dst[0], dst[255])
+			t.Errorf("post-overwrite read: [0]=%v [255]=%v, want 2", dst[0], dst[255])
 		}
 
 		invBefore = st.CacheInvalidations
@@ -155,7 +150,7 @@ func TestBlockCacheInvalidationOnCompactAndDelete(t *testing.T) {
 		if st.CacheInvalidations <= invBefore {
 			t.Errorf("Delete did not invalidate: %d -> %d", invBefore, st.CacheInvalidations)
 		}
-		err = p.LoadBlock("A", []uint64{0}, []uint64{256}, bytesview.Bytes(dst))
+		err := p.LoadBlock("A", []uint64{0}, []uint64{256}, bytesview.Bytes(dst))
 		if !errors.Is(err, core.ErrNotFound) {
 			t.Errorf("post-Delete read: err = %v, want ErrNotFound", err)
 		}

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -141,19 +140,19 @@ func TestConcurrentStoreLoadDeleteModel(t *testing.T) {
 	}
 }
 
-// TestConcurrentCompactVsParallelGather is the regression gate for the
-// Compact-vs-gather race: loadBlock must hold the id's read lock across
-// planning AND execution, because Compact publishes its pruned block list
-// first and then frees the dropped blocks — a gather still copying out of a
+// TestConcurrentOverwriteVsParallelGather is the regression gate for the
+// overwrite-vs-gather race: loadBlock must hold the id's read lock across
+// planning AND execution, because an overwrite publishes its pruned block
+// list and frees the blocks it dropped — a gather still copying out of a
 // planned block after releasing the lock would read storage the allocator may
-// already have handed to a concurrent store. Rank 0 alternates full-extent
-// stores (generation g writes float64(g) everywhere) with Compact, so the
-// previous generation's block is freed on every iteration; reader ranks
-// hammer parallel full-extent gathers under full verification. Every load
-// must return one uniform generation — a mixed or garbage element is a torn
-// gather. Run under -race (make integrity) this also fails at the first
-// unsynchronized touch of freed storage.
-func TestConcurrentCompactVsParallelGather(t *testing.T) {
+// already have handed to a concurrent store. Rank 0 stores full extents
+// (generation g writes float64(g) everywhere), so the previous generation's
+// block is freed on every iteration; reader ranks hammer parallel full-extent
+// gathers under full verification. Every load must return one uniform
+// generation — a mixed or garbage element is a torn gather. Run under -race
+// (make integrity) this also fails at the first unsynchronized touch of freed
+// storage.
+func TestConcurrentOverwriteVsParallelGather(t *testing.T) {
 	const (
 		ranks = 4
 		elems = 1 << 16 // 512 KB: above the parallel gather threshold
@@ -191,9 +190,6 @@ func TestConcurrentCompactVsParallelGather(t *testing.T) {
 				if err := p.StoreBlock("grid", full, cnt, bytesview.Bytes(vals)); err != nil {
 					return err
 				}
-				if _, err := p.Compact(context.Background(), "grid"); err != nil {
-					return err
-				}
 			}
 		} else {
 			dst := make([]byte, elems*8)
@@ -224,24 +220,25 @@ func TestConcurrentCompactVsParallelGather(t *testing.T) {
 	}
 }
 
-// TestConcurrentCompactVsMinMax is the regression gate for the
-// Compact-vs-statistics race: BlockStatsOf used to look the block index up,
+// TestConcurrentOverwriteVsMinMax is the regression gate for the
+// overwrite-vs-statistics race: BlockStatsOf used to look the block index up,
 // drop every lock, and then slice and scan block bytes, so a concurrent
-// Compact could free — and a concurrent store reuse — the storage MinMax was
-// scanning; with verification off that is a silently wrong range. Statistics
-// are now a read plan like any load, holding the id's read lock from the index
-// lookup through the last byte scanned. The raw codec carries no block
-// characteristics, so every statistics miss streams whole blocks. Rank 0
-// overwrites the array with generation g (uniform values), compacts the
-// previous generation away, and re-stores a scratch variable of the same size
+// overwrite could free — and a concurrent store reuse — the storage MinMax
+// was scanning; with verification off that is a silently wrong range.
+// Statistics are now a read plan like any load, holding the id's read lock
+// from the index lookup through the last byte scanned. The raw codec carries
+// no block characteristics, so every statistics miss streams whole blocks —
+// and every overwrite scans the block it drops into the list's trailer. Rank 0
+// overwrites the array with generation g (uniform values), which drops the
+// previous generation, and re-stores a scratch variable of the same size
 // (negative values) so the allocator hands the freed block straight back out;
 // reader ranks hammer MinMax. Against the DRAM model — generation g is
-// uniformly float64(g), and MinMax ranges over every stored block, so between
-// a store and its Compact the shadowed generation g-1 still counts — every
-// answer must be [g, g] or [g-1, g] for a generation g that was current at
-// some point during the call. Run under -race (make integrity) the detector
-// must stay silent too.
-func TestConcurrentCompactVsMinMax(t *testing.T) {
+// uniformly float64(g) over the zeros the array was created with, and MinMax
+// is the running range of every block stored — every answer must be [0, g]
+// for a generation g that was current at some point during the call: a
+// negative minimum is a scan of reused storage. Run under -race (make
+// integrity) the detector must stay silent too.
+func TestConcurrentOverwriteVsMinMax(t *testing.T) {
 	const (
 		ranks = 4
 		elems = 1 << 16 // 512 KB per generation: a scan long enough to overlap a free
@@ -298,9 +295,6 @@ func TestConcurrentCompactVsMinMax(t *testing.T) {
 					if id == "grid" {
 						published.Store(g)
 					}
-					if _, rerr = p.Compact(context.Background(), id); rerr != nil {
-						break
-					}
 				}
 			}
 			done.Store(true)
@@ -312,8 +306,8 @@ func TestConcurrentCompactVsMinMax(t *testing.T) {
 				switch {
 				case err != nil:
 					rerr = fmt.Errorf("rank %d query %d: %w", c.Rank(), q, err)
-				case (mn != mx && mn != mx-1) || mx != math.Trunc(mx) || int64(mx) < lo || int64(mx) > hi:
-					rerr = fmt.Errorf("rank %d query %d: MinMax = [%v, %v], model says [g-1|g, g] for a g in [%d, %d]",
+				case mn != 0 || mx != math.Trunc(mx) || int64(mx) < lo || int64(mx) > hi:
+					rerr = fmt.Errorf("rank %d query %d: MinMax = [%v, %v], model says [0, g] for a g in [%d, %d]",
 						c.Rank(), q, mn, mx, lo, hi)
 				}
 			}

@@ -2,10 +2,11 @@ package core_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ import (
 // diffOp is one generated operation. Payload values are embedded at
 // generation time so a shrunken subsequence replays the same data.
 type diffOp struct {
-	kind    string // alloc | store | datum | delete | compact | corrupt
+	kind    string // alloc | store | datum | delete | corrupt
 	id      string
 	dims    []uint64  // alloc
 	offs    []uint64  // store
@@ -73,27 +74,23 @@ func fmtOps(ops []diffOp) string {
 
 // --- DRAM reference model ---
 
-// modelBlock mirrors one published block record: its region and the range of
-// the values stored with it (the characteristics MinMax aggregates, which
-// cover shadowed blocks too).
+// modelBlock mirrors one published block record: its region.
 type modelBlock struct {
 	offs, counts []uint64
-	mn, mx       float64
 }
 
 type modelArr struct {
 	dims []uint64
 	data []float64 // visible (latest-wins) contents
 	// blocks mirrors the publish-ordered block list of the serial whole-block
-	// backend.
+	// backend: a store drops every listed block its region contains.
 	blocks []modelBlock
+	// mn, mx are the running range MinMax answers: every value stored since
+	// the last delete, whichever blocks are still listed.
+	mn, mx float64
 	// valid: the array has full coverage (a full-extent store since the last
 	// delete), so loads are defined.
 	valid bool
-	// compacted: Compact ran on this id; sharded backends may keep different
-	// shadowed blocks than the whole-block model from here on, so MinMax is
-	// no longer compared for them.
-	compacted bool
 	// dirty: silent corruption was injected into one of this id's stored
 	// blocks. Reads may legitimately surface ErrCorrupt (the damage was
 	// gathered and caught) or succeed with model-matching bytes (the damage
@@ -189,8 +186,6 @@ func (m *diffModel) applicable(op diffOp) bool {
 		return a == nil
 	case "store":
 		return a != nil && (a.valid || fullExtent(a.dims, op.offs, op.counts))
-	case "compact":
-		return a != nil && a.valid
 	case "delete":
 		if a != nil {
 			return a.valid
@@ -218,20 +213,14 @@ func (m *diffModel) apply(op diffOp) {
 		forRuns(a.dims, op.offs, op.counts, func(di, ri, run int) {
 			copy(a.data[di:di+run], op.vals[ri:ri+run])
 		})
-		mn, mx := op.vals[0], op.vals[0]
-		for _, v := range op.vals[1:] {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
+		if len(a.blocks) == 0 {
+			a.mn, a.mx = math.Inf(1), math.Inf(-1)
 		}
-		a.blocks = append(a.blocks, modelBlock{
-			offs:   append([]uint64(nil), op.offs...),
-			counts: append([]uint64(nil), op.counts...),
-			mn:     mn, mx: mx,
-		})
+		for _, v := range op.vals {
+			a.mn, a.mx = min(a.mn, v), max(a.mx, v)
+		}
+		nb := modelBlock{offs: append([]uint64(nil), op.offs...), counts: append([]uint64(nil), op.counts...)}
+		a.blocks = append(slices.DeleteFunc(a.blocks, func(b modelBlock) bool { return nb.contains(b) }), nb)
 		if fullExtent(a.dims, op.offs, op.counts) {
 			a.valid = true
 		}
@@ -239,37 +228,10 @@ func (m *diffModel) apply(op diffOp) {
 		if a := m.arrs[op.id]; a != nil {
 			a.blocks = nil
 			a.valid = false
-			a.compacted = false
 			a.dirty = false
 		} else {
 			delete(m.datums, op.id)
 		}
-	case "compact":
-		a := m.arrs[op.id]
-		// Same conservative containment rule as core.Compact: block i is dead
-		// iff a single newer block j fully contains its region.
-		var live []modelBlock
-		for i, b := range a.blocks {
-			dead := false
-			for j := i + 1; j < len(a.blocks); j++ {
-				c := a.blocks[j]
-				dead = len(c.offs) == len(b.offs)
-				for d := range c.offs {
-					if b.offs[d] < c.offs[d] || b.offs[d]+b.counts[d] > c.offs[d]+c.counts[d] {
-						dead = false
-						break
-					}
-				}
-				if dead {
-					break
-				}
-			}
-			if !dead {
-				live = append(live, b)
-			}
-		}
-		a.blocks = live
-		a.compacted = true
 	case "datum":
 		m.datums[op.id] = append([]byte(nil), op.payload...)
 	case "corrupt":
@@ -277,19 +239,15 @@ func (m *diffModel) apply(op diffOp) {
 	}
 }
 
-// minmax aggregates block characteristics exactly as core.MinMax does —
-// shadowed blocks included.
-func (a *modelArr) minmax() (float64, float64) {
-	mn, mx := a.blocks[0].mn, a.blocks[0].mx
-	for _, b := range a.blocks[1:] {
-		if b.mn < mn {
-			mn = b.mn
-		}
-		if b.mx > mx {
-			mx = b.mx
+// contains reports whether b's region lies inside a's: the one rule by which
+// a store drops a listed block.
+func (a modelBlock) contains(b modelBlock) bool {
+	for d := range a.offs {
+		if b.offs[d] < a.offs[d] || b.offs[d]+b.counts[d] > a.offs[d]+a.counts[d] {
+			return false
 		}
 	}
-	return mn, mx
+	return true
 }
 
 // --- backends and driver ---
@@ -298,8 +256,7 @@ type diffBackend struct {
 	name string
 	path string
 	opts *core.Options
-	hier bool // hierarchy layout: no Compact, no MinMax
-	par  bool // sharded copy engine: MinMax diverges from the model after Compact
+	hier bool // hierarchy layout: no corruption injection
 }
 
 func applyDiffOp(p *core.PMEM, op diffOp, hier bool) error {
@@ -312,12 +269,6 @@ func applyDiffOp(p *core.PMEM, op diffOp, hier bool) error {
 		return p.StoreDatum(op.id, &serial.Datum{Type: serial.Bytes, Payload: op.payload})
 	case "delete":
 		_, err := p.Delete(op.id)
-		return err
-	case "compact":
-		if hier {
-			return nil // semantically a no-op for reads; layout doesn't support it
-		}
-		_, err := p.Compact(context.Background(), op.id)
 		return err
 	case "corrupt":
 		if hier {
@@ -366,10 +317,11 @@ func runDiff(ops []diffOp, backends []diffBackend, devSize int64, nodePools int)
 				continue
 			}
 			if op.kind == "corrupt" {
-				// Resolve the generated aim to a live block index. The model's
-				// block list mirrors the serial whole-block backends, so the
-				// reduced index is valid on every backend (shrinking changes
-				// the live count, so this must happen at replay time).
+				// Resolve the generated aim to a listed block's index. The
+				// model's block list mirrors the serial whole-block backends,
+				// pruned as they prune, so the reduced index is valid on every
+				// backend (shrinking changes the listed count, so this must
+				// happen at replay time).
 				op.block %= len(m.arrs[op.id].blocks)
 			}
 			m.apply(op)
@@ -447,19 +399,16 @@ func compareState(m *diffModel, backends []diffBackend, handles []*core.PMEM, op
 					return fmt.Sprintf("%s: load %s offs=%v counts=%v differs from model", b.name, id, r[0], r[1]), nil
 				}
 			}
-			if !b.hier && !(b.par && a.compacted) {
-				mn, mx, err := p.MinMax(id)
-				if a.dirty && errors.Is(err, core.ErrCorrupt) {
-					continue // statistics are verified too: damage caught
-				}
-				if err != nil {
-					return fmt.Sprintf("%s: minmax of %s: %v", b.name, id, err), nil
-				}
-				wmn, wmx := a.minmax()
-				if mn != wmn || mx != wmx {
-					return fmt.Sprintf("%s: MinMax(%s) = [%g, %g], model [%g, %g]",
-						b.name, id, mn, mx, wmn, wmx), nil
-				}
+			mn, mx, err := p.MinMax(id)
+			if a.dirty && errors.Is(err, core.ErrCorrupt) {
+				continue // statistics are verified too: damage caught
+			}
+			if err != nil {
+				return fmt.Sprintf("%s: minmax of %s: %v", b.name, id, err), nil
+			}
+			if mn != a.mn || mx != a.mx {
+				return fmt.Sprintf("%s: MinMax(%s) = [%g, %g], model [%g, %g]",
+					b.name, id, mn, mx, a.mn, a.mx), nil
 			}
 		}
 	}
@@ -521,7 +470,7 @@ func genDiffOps(rng *rand.Rand, n int, shapes map[string][]uint64, datumIDs []st
 			cs = append(cs, cand{"store", id, true})
 			if a.valid {
 				cs = append(cs, cand{"store", id, false}, cand{"store", id, false},
-					cand{"compact", id, false}, cand{"delete", id, false})
+					cand{"delete", id, false})
 				if corrupt {
 					cs = append(cs, cand{"corrupt", id, false}, cand{"corrupt", id, false})
 				}
@@ -646,7 +595,7 @@ func runDifferentialPools(t *testing.T, seed int64, nOps int, shapes map[string]
 
 // TestDifferentialHashtableVsHierarchy (flavor A): the hashtable layout, the
 // hierarchy (posixfs-style) layout, and the DRAM model must agree on every
-// observable under random serial op sequences including Compact and Delete.
+// observable under random serial op sequences including overwrites and Delete.
 func TestDifferentialHashtableVsHierarchy(t *testing.T) {
 	shapes := map[string][]uint64{
 		"u": {48},
@@ -666,10 +615,9 @@ func TestDifferentialHashtableVsHierarchy(t *testing.T) {
 
 // TestDifferentialParallelVsSerial (flavor B): the 4-worker sharded write
 // engine and parallel gather engine must be observationally identical to the
-// serial path on payloads straddling the parallel threshold. MinMax is
-// compared against the model only until Compact runs on an id: the sharded
-// block list legitimately keeps different shadowed blocks than the
-// whole-block model from then on.
+// serial path on payloads straddling the parallel threshold — MinMax too,
+// though a sharded store's list keeps blocks that only the union of its
+// shards shadows.
 func TestDifferentialParallelVsSerial(t *testing.T) {
 	shapes := map[string][]uint64{
 		"u": {32768},    // 256 KB full store: exactly the parallel threshold
@@ -677,7 +625,7 @@ func TestDifferentialParallelVsSerial(t *testing.T) {
 	}
 	backends := []diffBackend{
 		{name: "parallel", path: "/par.pool",
-			opts: &core.Options{PoolSize: 20 << 20, Parallelism: 4, ReadParallelism: 4}, par: true},
+			opts: &core.Options{PoolSize: 20 << 20, Parallelism: 4, ReadParallelism: 4}},
 		{name: "serial", path: "/ser.pool",
 			opts: &core.Options{PoolSize: 20 << 20, Parallelism: 1}},
 	}
@@ -719,7 +667,7 @@ func TestDifferentialCorruption(t *testing.T) {
 // backend striping large stores across member pools with the 4-worker copy
 // engines, one routing every id to its home pool serially — must be
 // observationally identical to the classic single-pool store and the DRAM
-// model under random op sequences including Compact, Delete, and datum
+// model under random op sequences including overwrites, Delete, and datum
 // churn. Placement is invisible to every observable; a divergence shrinks to
 // a minimal sequence like every other flavor.
 func TestDifferentialMultiPool(t *testing.T) {
@@ -730,7 +678,7 @@ func TestDifferentialMultiPool(t *testing.T) {
 	}
 	backends := []diffBackend{
 		{name: "multipool", path: "/mp.pool",
-			opts: &core.Options{PoolSize: 12 << 20, Pools: 4, Parallelism: 4, ReadParallelism: 4}, par: true},
+			opts: &core.Options{PoolSize: 12 << 20, Pools: 4, Parallelism: 4, ReadParallelism: 4}},
 		{name: "multipool-serial", path: "/mps.pool",
 			opts: &core.Options{PoolSize: 12 << 20, Pools: 4}},
 		{name: "singlepool", path: "/sp.pool",
@@ -768,7 +716,7 @@ func TestDifferentialMultiPoolCorruption(t *testing.T) {
 }
 
 // TestShrinkOps pins the shrinker itself: an artificial predicate that fails
-// whenever the sequence contains both a delete of "u" and a compact of "u"
+// whenever the sequence contains both a delete of "u" and a store of "v"
 // must shrink any failing sequence down to exactly those two ops.
 func TestShrinkOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -776,22 +724,22 @@ func TestShrinkOps(t *testing.T) {
 	var ops []diffOp
 	for {
 		ops = genDiffOps(rng, 40, shapes, []string{"s1"}, 1<<10, false)
-		hasDel, hasCmp := false, false
+		hasDel, hasStore := false, false
 		for _, o := range ops {
 			hasDel = hasDel || (o.kind == "delete" && o.id == "u")
-			hasCmp = hasCmp || (o.kind == "compact" && o.id == "u")
+			hasStore = hasStore || (o.kind == "store" && o.id == "v")
 		}
-		if hasDel && hasCmp {
+		if hasDel && hasStore {
 			break
 		}
 	}
 	failing := func(cand []diffOp) bool {
-		hasDel, hasCmp := false, false
+		hasDel, hasStore := false, false
 		for _, o := range cand {
 			hasDel = hasDel || (o.kind == "delete" && o.id == "u")
-			hasCmp = hasCmp || (o.kind == "compact" && o.id == "u")
+			hasStore = hasStore || (o.kind == "store" && o.id == "v")
 		}
-		return hasDel && hasCmp
+		return hasDel && hasStore
 	}
 	min := shrinkOps(ops, failing)
 	if len(min) != 2 || !failing(min) {

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -45,10 +44,10 @@ func loadUniformF64(p *core.PMEM, id string, elems int) (float64, error) {
 	return vals[0], nil
 }
 
-// exploreSerialScript is the canonical serial workload: block overwrite,
-// datum republish (an inline value, and one too large to inline: the payload
-// flush of core.commit.datum), delete, and compaction — every serial mutation
-// the store offers, in one deterministic sequence. Verify accepts exactly the states a
+// exploreSerialScript is the canonical serial workload: a block overwrite that
+// drops the blocks it contains, datum republish (an inline value, and one too
+// large to inline: the payload flush of core.commit.datum), and delete — every
+// serial mutation the store offers, in one deterministic sequence. Verify accepts exactly the states a
 // prefix-atomic execution can recover to.
 func exploreSerialScript() core.Script {
 	const elems = 96
@@ -98,9 +97,6 @@ func exploreSerialScript() core.Script {
 				return err
 			}
 			if _, err := p.Delete("G"); err != nil {
-				return err
-			}
-			if _, err := p.Compact(context.Background(), "A"); err != nil {
 				return err
 			}
 			return p.StoreDatum("L", large('n'))
@@ -168,15 +164,15 @@ func exploreSerialScript() core.Script {
 			if !bytes.Equal(l.Payload, large('o').Payload) && (!bytes.Equal(l.Payload, large('n').Payload) || !gDeleted) {
 				return fmt.Errorf("L = %q... (G deleted=%v), want old, or new after the delete", l.Payload[:8], gDeleted)
 			}
-			// MinMax ranges over live AND shadowed blocks, so it widens to
-			// {1,2} once the overwrite commits — but it must always contain
-			// the visible data and never a value that was never stored.
+			// MinMax is the running range: the overwrite drops the halves it
+			// contains and keeps their range, so it widens to [1, 2] exactly
+			// when the overwrite commits.
 			mn, mx, err := p.MinMax("A")
 			if err != nil {
 				return fmt.Errorf("minmax of A: %w", err)
 			}
-			if mn > a || mx < a || mn < 1 || mx > 2 {
-				return fmt.Errorf("MinMax(A) = [%g, %g] with A = all %g", mn, mx, a)
+			if mn != 1 || mx != a {
+				return fmt.Errorf("MinMax(A) = [%g, %g] with A = all %g, want [1, %g]", mn, mx, a, a)
 			}
 			return nil
 		},
@@ -188,13 +184,13 @@ func exploreSerialScript() core.Script {
 			if a != 2 {
 				return fmt.Errorf("A = all %g after complete run, want 2", a)
 			}
-			// Compact must have pruned the two shadowed halves.
+			// The overwrite must have dropped the two halves it contains.
 			blocks, err := p.BlockStatsOf("A")
 			if err != nil {
 				return err
 			}
 			if len(blocks) != 1 {
-				return fmt.Errorf("A has %d blocks after Compact, want 1", len(blocks))
+				return fmt.Errorf("A lists %d blocks after the overwrite, want 1", len(blocks))
 			}
 			if _, err := loadUniformF64(p, "G", 8); !errors.Is(err, core.ErrNotFound) {
 				return fmt.Errorf("G after Delete: %v, want ErrNotFound", err)
@@ -468,11 +464,13 @@ func TestExploreCacheCoherence(t *testing.T) {
 				return err
 			}
 			if a == 2 {
-				// New data committed on media. A stale served index would
-				// still show the warmed single all-1s block: one block with
-				// max 1.
-				if len(blocks) < 2 {
-					return fmt.Errorf("overwrite visible but block list has %d block(s): stale index", len(blocks))
+				// New data committed on media: the overwrite dropped the
+				// all-1s block, so the list is one block long either way. A
+				// stale served index would still list the warmed all-1s
+				// block; the fresh one lists the all-2s block that replaced
+				// it.
+				if newest := blocks[len(blocks)-1]; newest.Min != 2 || newest.Max != 2 {
+					return fmt.Errorf("overwrite visible but the newest listed block holds [%g, %g]: stale index", newest.Min, newest.Max)
 				}
 				if mx != 2 {
 					return fmt.Errorf("A = all 2 but MinMax = [%g, %g]: stale statistics", mn, mx)
@@ -574,8 +572,11 @@ func TestBlockcacheFreshAfterCrash(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if len(blocks) < 2 {
-			return fmt.Errorf("block list has %d block(s): served from a stale index", len(blocks))
+		// The list is one block long before and after the overwrite, which
+		// dropped the all-1s block: only the newest block's identity — the
+		// all-2s block — tells a fresh index from the dead handle's.
+		if newest := blocks[len(blocks)-1]; newest.Min != 2 || newest.Max != 2 {
+			return fmt.Errorf("newest listed block holds [%g, %g]: served from a stale index", newest.Min, newest.Max)
 		}
 		if _, mx, err := p.MinMax("A"); err != nil || mx != 2 {
 			return fmt.Errorf("MinMax max = %g (%v): stale statistics survived the crash", mx, err)

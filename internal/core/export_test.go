@@ -41,7 +41,7 @@ func (p *PMEM) NamedBlocks(id string) ([][2]int64, error) {
 	if err != nil || !ok {
 		return nil, err
 	}
-	blocks, kind, err := decodeRecord(raw, at, nil)
+	blocks, kind, _, err := decodeRecord(raw, at, nil)
 	if err != nil || kind == recInline {
 		return nil, err
 	}

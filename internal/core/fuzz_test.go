@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -33,29 +34,30 @@ const (
 )
 
 // checkDecode runs one form's decoder over raw. Whatever decodes must be
-// expressible: re-encoding and re-decoding yields the same record (trailing
-// junk in raw is ignored).
+// expressible: re-encoding and re-decoding yields the same record, a list's
+// trailer included, bit for bit (trailing junk behind a dims record or a frame
+// header is ignored; behind a list's entries only a trailer decodes).
 func checkDecode(t *testing.T, form uint8, raw []byte) {
-	roundTrip := func(l listForm, refs []blockRec) {
-		back, err := l.decode(l.encode(refs))
+	roundTrip := func(l listForm, refs []blockRec, tr trailer) {
+		back, btr, err := l.decode(l.encode(refs, tr))
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded %s failed: %v", l.what, err)
 		}
-		if !reflect.DeepEqual(normalizeRecs(back), normalizeRecs(refs)) {
-			t.Fatalf("%s round trip mismatch:\n got %+v\nwant %+v", l.what, back, refs)
+		if !reflect.DeepEqual(normalizeRecs(back), normalizeRecs(refs)) || !sameTrailer(btr, tr) {
+			t.Fatalf("%s round trip mismatch:\n got %+v %+v\nwant %+v %+v", l.what, back, btr, refs, tr)
 		}
 	}
 	switch form % nForms {
 	case formTagged:
 		at := poolPMID{pool: 2, id: 4096}
-		blocks, kind, err := decodeRecord(raw, at, nil)
+		blocks, kind, tr, err := decodeRecord(raw, at, nil)
 		switch {
 		case err != nil:
 			if len(blocks) != 0 {
 				t.Fatalf("undecodable %v still yields blocks %+v", kind, blocks)
 			}
 		case kind == recBlockList:
-			roundTrip(blockList, blocks)
+			roundTrip(blockList, blocks, tr)
 		case kind == recValueRef && !bytes.Equal(encodeValueRef(&blocks[0]), raw):
 			t.Fatalf("value ref round trip mismatch for %x", raw)
 		case kind == recInline:
@@ -78,8 +80,8 @@ func checkDecode(t *testing.T, form uint8, raw []byte) {
 			t.Fatalf("dims round trip mismatch: %x from %x", enc, raw)
 		}
 	case formQuarantine:
-		if refs, err := quarList.decode(raw); err == nil {
-			roundTrip(quarList, refs)
+		if refs, tr, err := quarList.decode(raw); err == nil {
+			roundTrip(quarList, refs, tr)
 		}
 	case formFrame:
 		b, err := decodeFrame(raw, int64(len(raw)))
@@ -126,8 +128,54 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Fuzz(checkDecode)
 }
 
+// sameTrailer compares two trailers bit for bit, so NaN equals NaN.
+func sameTrailer(a, b trailer) bool {
+	return a.ok == b.ok && math.Float64bits(a.min) == math.Float64bits(b.min) &&
+		math.Float64bits(a.max) == math.Float64bits(b.max)
+}
+
+// trailerSeeds are a one-block list behind each kind of trailer a block list
+// can carry — a range, the poisoned NaN one, an infinite one — and behind one
+// or 17 bytes, which no list can.
+func trailerSeeds() [][]byte {
+	one := []blockRec{{dtype: serial.Float64, offs: []uint64{0}, counts: []uint64{8}, data: 4096, encLen: 64}}
+	nan, inf := math.NaN(), math.Inf(1)
+	var seeds [][]byte
+	for _, tr := range []trailer{{-3, 7, true}, {nan, nan, true}, {-inf, inf, true}, {inf, -inf, true}} {
+		seeds = append(seeds, blockList.encode(one, tr))
+	}
+	list := blockList.encode(one, trailer{})
+	return append(seeds, append(list, make([]byte, trailerLen-1)...), append(seeds[0], 0))
+}
+
+// TestBlockListTrailer pins what may follow a block list's entries: nothing
+// (the list keeps its bytes), or a 16-byte trailer, decoded bit for bit —
+// NaN and the infinities included. Any other count is ErrCorrupt.
+func TestBlockListTrailer(t *testing.T) {
+	seeds := trailerSeeds()
+	for i, raw := range seeds {
+		refs, tr, err := blockList.decode(raw)
+		switch {
+		case i >= len(seeds)-2:
+			if !errors.Is(err, ErrCorrupt) || refs != nil {
+				t.Errorf("list with %d trailing bytes decoded (%v)", len(raw)-len(seeds[0])+trailerLen, err)
+			}
+		case err != nil || len(refs) != 1 || !tr.ok:
+			t.Errorf("seed %d: %+v %+v %v", i, refs, tr, err)
+		case !bytes.Equal(blockList.encode(refs, tr), raw):
+			t.Errorf("seed %d re-encodes to other bytes", i)
+		}
+	}
+	if raw := blockList.encode(nil, trailer{}); len(raw) != 5 {
+		t.Errorf("a list without trailer is %d bytes, want 5", len(raw))
+	}
+}
+
 func FuzzDecodeBlockList(f *testing.F) {
-	f.Add(blockList.encode(nil))
+	for _, raw := range trailerSeeds() {
+		f.Add(raw)
+	}
+	f.Add(blockList.encode(nil, trailer{}))
 	f.Add(blockList.encode([]blockRec{{
 		dtype:  serial.Float64,
 		offs:   []uint64{0, 128},
@@ -140,7 +188,7 @@ func FuzzDecodeBlockList(f *testing.F) {
 		counts: []uint64{2},
 		data:   8192,
 		encLen: 8,
-	}}))
+	}}, trailer{}))
 	// Pooled form: any nonzero pool index flips the encoder to the pooled
 	// tag, which carries a member index per record.
 	f.Add(blockList.encode([]blockRec{{
@@ -156,7 +204,7 @@ func FuzzDecodeBlockList(f *testing.F) {
 		counts: []uint64{64},
 		data:   8192,
 		encLen: 512,
-	}}))
+	}}, trailer{}))
 	// A count field the buffer cannot possibly hold: must error out instead
 	// of sizing a four-billion-record allocation.
 	f.Add([]byte{blockList.tag, 0xff, 0xff, 0xff, 0xff})

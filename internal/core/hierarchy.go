@@ -195,14 +195,12 @@ func (h *hierStore) open(clk *sim.Clock, id string) (*varFile, error) {
 	return (*varFile)(f), nil
 }
 
-// resolve scans a request plan's units out of the variable's file. A value is
-// its file, not a reference to a block: a whole-value load reads the file as
-// one record, and a CRC plan finds nothing to sweep.
+// resolve scans a request or statistics plan's units out of the variable's
+// file. A value is its file, not a reference to a block: a whole-value load
+// reads the file as one record, and a CRC plan finds nothing to sweep.
 func (h *hierStore) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 	clk := p.comm.Clock()
 	switch pl.consume {
-	case consumeStats:
-		return r, fmt.Errorf("core: block statistics require the hashtable layout")
 	case consumeCRC:
 		_, ok, err := h.get(clk, pl.id, "")
 		if err == nil && !ok {
@@ -221,8 +219,10 @@ func (h *hierStore) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 	if err != nil {
 		return r, err
 	}
-	if err := r.bound(&pl, rec); err != nil {
-		return r, err
+	if pl.consume != consumeStats {
+		if err := r.bound(&pl, rec); err != nil {
+			return r, err
+		}
 	}
 	if r.file, err = h.open(clk, pl.id); err == nil {
 		r.units, err = h.scan(clk, r.file, &pl, r.esize)
@@ -231,7 +231,8 @@ func (h *hierStore) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 }
 
 // scan walks the frames of a variable's file and returns every block
-// intersecting the request as a read unit, in append (= publish) order;
+// intersecting the request — every block, for a statistics plan — as a read
+// unit, in append (= publish) order;
 // src.data is the payload's offset in f. Each frame costs two reads: its first
 // two bytes size the rest of its header.
 func (h *hierStore) scan(clk *sim.Clock, vf *varFile, pl *readPlan, esize int) ([]readUnit, error) {
@@ -257,7 +258,9 @@ func (h *hierStore) scan(clk *sim.Clock, vf *varFile, pl *readPlan, esize int) (
 		}
 		b.data = pmdk.PMID(pos)
 		pos += b.encLen
-		if isOffs, isCnts, ok := nd.Intersect(pl.offs, pl.counts, b.offs, b.counts); ok {
+		if pl.consume == consumeStats {
+			units = append(units, readUnit{src: b, bytes: b.encLen, file: vf})
+		} else if isOffs, isCnts, ok := nd.Intersect(pl.offs, pl.counts, b.offs, b.counts); ok {
 			units = append(units, readUnit{src: b, isOffs: isOffs, isCnts: isCnts,
 				bytes: int64(nd.Size(isCnts)) * int64(esize), file: vf})
 		}

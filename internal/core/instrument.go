@@ -31,7 +31,6 @@ import (
 const (
 	opAlloc = iota
 	opDelete
-	opCompact
 	opStoreDatum
 	opLoadDatum
 	opStoreBlock
@@ -43,7 +42,6 @@ const (
 var opNames = [nOps]string{
 	opAlloc:      "alloc",
 	opDelete:     "delete",
-	opCompact:    "compact",
 	opStoreDatum: "store_datum",
 	opLoadDatum:  "load_datum",
 	opStoreBlock: "store_block",
@@ -200,9 +198,9 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 		"limbo blocks freed after their lease epoch drained")
 
 	in.supersededBlocks = reg.Counter("pmemcpy_superseded_blocks_total",
-		"blocks a whole-value overwrite reclaimed with its publish (freed in the transaction, or parked under a view lease)")
+		"blocks an overwrite reclaimed with its publish: a replaced record's, or listed blocks a new block contains (freed in the transaction, or parked under a view lease)")
 	in.supersededBytes = reg.Counter("pmemcpy_superseded_bytes_total",
-		"encoded payload bytes of the blocks whole-value overwrites reclaimed")
+		"encoded payload bytes of the blocks overwrites reclaimed")
 	in.inlineValues = reg.Counter("pmemcpy_values_inline_total",
 		"whole values published inline in their metadata record (no data block)")
 

@@ -41,8 +41,8 @@ import (
 // Quarantine: blocks that fail a scrub are recorded in a persistent
 // quarantine list under the reserved "#quarantine" metadata key, so reads
 // fail fast with ErrCorrupt — across crashes and reopens — instead of
-// re-reading bad media. Delete and Compact drop freed PMIDs from the list,
-// since the allocator may hand the same storage to a healthy new block.
+// re-reading bad media. Every record change drops the PMIDs it frees from the
+// list, since the allocator may hand the same storage to a healthy new block.
 
 // VerifyMode selects how aggressively reads check block CRCs.
 type VerifyMode int
@@ -305,7 +305,8 @@ func (p *PMEM) chargeScrub(pi int, n int64, pace *scrubPacer) {
 
 // DeepCheck exhaustively verifies every published block's CRC32C, regardless
 // of the handle's verify mode, and reports (but does not quarantine) every
-// mismatch with its id, block index, pool offset, and length. It is the
+// mismatch with its id, block index, pool offset, and length — and every
+// array whose block list lost a dropped block's value range. It is the
 // content-level companion of the structural fsck: pmemfsck -deep runs both,
 // and the crash-point explorer uses it to prove torn writes cannot escape
 // detection. DeepCheck charges no virtual time — it is a diagnostic, and
@@ -341,6 +342,9 @@ func (p *PMEM) deepCheckVar(id string, rep *fsck.DeepReport) error {
 	}
 	rep.Blocks += pl.blocks
 	rep.Bytes += pl.covered
+	if pl.dropped.poisoned() {
+		rep.Unranged = append(rep.Unranged, id)
+	}
 	for i, b := range pl.bad {
 		at := pl.badAt[i]
 		if pl.kind.whole() {

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -92,7 +91,7 @@ type layout interface {
 type layoutCaps struct {
 	crc   bool // records publish a CRC32C per block: reads can verify, Scrub and DeepCheck have work
 	alias bool // stored bytes are mapped memory a view can alias
-	pool  bool // blocks live in pmdk pools: transactions, wide waves, the async pipeline, Compact
+	pool  bool // blocks live in pmdk pools: transactions, wide waves, the async pipeline
 }
 
 // newLayout builds the handle group's layout from its resolved options — the
@@ -150,9 +149,10 @@ const (
 	refCRC                         // u32 CRC32C
 )
 
-// The record forms. A list is tag | u32 count | entries; its pooled variant
-// (tag+1) gives every entry a pool byte and is written exactly when an entry
-// lives outside pool 0, so single-pool stores keep producing the legacy bytes.
+// The record forms. A list is tag | u32 count | entries [| trailer]; its
+// pooled variant (tag+1) gives every entry a pool byte and is written exactly
+// when an entry lives outside pool 0, so single-pool stores keep producing the
+// legacy bytes. Only a block list that has dropped blocks writes the trailer.
 // A whole value is never pooled: it lives in its id's home pool — in a block
 // of its own behind a value ref, or, when it is small, in the record itself.
 const (
@@ -186,6 +186,36 @@ var (
 	blockList = listForm{0xB1, refShape | refData | refLen | refCRC, "block list"}
 	quarList  = listForm{0xC3, refData, "quarantine list"}
 )
+
+// trailer is what a block list carries behind its entries once an overwrite
+// has dropped blocks from it (publishGroup): f64 min | f64 max, the value
+// range of every block it dropped, so MinMax keeps meaning the range of every
+// value stored under the id since its record was created. A list that never
+// dropped a block carries none and keeps the bytes it always had. NaN|NaN
+// marks a range that lost a block it could not read.
+type trailer struct {
+	min, max float64
+	ok       bool // the list carries one
+}
+
+const trailerLen = 16
+
+// fold widens the range by [mn, mx] exactly as MinMax folds a listed block's
+// statistics; a NaN range stays NaN.
+func (tr *trailer) fold(mn, mx float64) {
+	if !tr.ok {
+		*tr = trailer{min: math.Inf(1), max: math.Inf(-1), ok: true}
+	}
+	if mn < tr.min {
+		tr.min = mn
+	}
+	if mx > tr.max {
+		tr.max = mx
+	}
+}
+
+// poisoned reports whether the range lost a block it could not read.
+func (tr trailer) poisoned() bool { return tr.ok && math.IsNaN(tr.min) }
 
 // size is the encoded size of one reference of the given rank: the fixed
 // width of each field carried, in bit order, plus the shape's two extents.
@@ -262,7 +292,7 @@ func (f refFields) read(c *wire.Cursor, arena *[]uint64) (b blockRec, err error)
 	return b, nil
 }
 
-func (l listForm) encode(refs []blockRec) []byte {
+func (l listForm) encode(refs []blockRec, tr trailer) []byte {
 	tag, f := l.tag, l.fields
 	for i := range refs {
 		if refs[i].pool != 0 {
@@ -274,19 +304,28 @@ func (l listForm) encode(refs []blockRec) []byte {
 	for i := range refs {
 		size += f.size(len(refs[i].offs))
 	}
+	if tr.ok {
+		size += trailerLen
+	}
 	buf := wire.AppendUint(append(make([]byte, 0, size), tag), uint64(len(refs)), 4)
 	for i := range refs {
 		buf = f.append(buf, &refs[i])
 	}
+	if tr.ok {
+		buf = wire.AppendUint(wire.AppendUint(buf, math.Float64bits(tr.min), 8), math.Float64bits(tr.max), 8)
+	}
 	return buf
 }
 
-func (l listForm) decode(raw []byte) ([]blockRec, error) {
+// decode decodes a list and its trailer: exactly 0 or trailerLen bytes follow
+// the entries.
+func (l listForm) decode(raw []byte) ([]blockRec, trailer, error) {
+	var tr trailer
 	c := wire.Cursor{Raw: raw}
 	f := l.fields
 	switch tag := byte(c.Uint(1)); {
 	case c.Bad || (tag != l.tag && tag != l.tag+1):
-		return nil, fmt.Errorf("core: not a %s", l.what)
+		return nil, tr, fmt.Errorf("core: not a %s", l.what)
 	case tag == l.tag+1:
 		f |= refPool
 	}
@@ -294,7 +333,7 @@ func (l listForm) decode(raw []byte) ([]blockRec, error) {
 	// keeps an attacker-controlled count from sizing the allocation below.
 	n := c.Uint(4)
 	if c.Bad || n > uint64(len(c.Raw)/f.size(0)) {
-		return nil, fmt.Errorf("core: %s truncated", l.what)
+		return nil, tr, fmt.Errorf("core: %s truncated", l.what)
 	}
 	// Every reference's extents come from one array, sized by the first
 	// reference's rank — an array's blocks share its rank. A list costs two
@@ -307,14 +346,21 @@ func (l listForm) decode(raw []byte) ([]blockRec, error) {
 	for ; n > 0; n-- {
 		b, err := f.read(&c, &arena)
 		if err != nil {
-			return nil, err
+			return nil, tr, err
 		}
 		if c.Bad {
-			return nil, fmt.Errorf("core: %s truncated", l.what)
+			return nil, tr, fmt.Errorf("core: %s truncated", l.what)
 		}
 		out = append(out, b)
 	}
-	return out, nil
+	switch len(c.Raw) {
+	case 0:
+	case trailerLen:
+		tr = trailer{min: math.Float64frombits(c.Uint(8)), max: math.Float64frombits(c.Uint(8)), ok: true}
+	default:
+		return nil, tr, fmt.Errorf("core: %s with %d trailing bytes: %w", l.what, len(c.Raw), ErrCorrupt)
+	}
+	return out, tr, nil
 }
 
 // encodeValueRef renders a whole value's pointer record.
@@ -346,33 +392,33 @@ func (k recordKind) String() string {
 func (k recordKind) whole() bool { return k == recValueRef || k == recInline }
 
 // decodeRecord decodes the payload blocks a metadata record references: a
-// block list's blocks, a value ref's single block (in the id's home pool,
-// at.pool), an inline value's — the bytes behind the prefix of the record's own
-// value block, at.id, which the allocator frees with the record and no caller
-// may — or nothing for raw metadata. It is the one place record tags are
-// dispatched. buf is optional scratch so a whole value resolves without a heap
-// allocation.
-func decodeRecord(raw []byte, at poolPMID, buf []blockRec) ([]blockRec, recordKind, error) {
+// block list's blocks (and its trailer), a value ref's single block (in the
+// id's home pool, at.pool), an inline value's — the bytes behind the prefix of
+// the record's own value block, at.id, which the allocator frees with the
+// record and no caller may — or nothing for raw metadata. It is the one place
+// record tags are dispatched. buf is optional scratch so a whole value
+// resolves without a heap allocation.
+func decodeRecord(raw []byte, at poolPMID, buf []blockRec) ([]blockRec, recordKind, trailer, error) {
 	switch {
 	case len(raw) == 0:
 	case raw[0] == blockList.tag || raw[0] == blockList.tag+1:
-		blocks, err := blockList.decode(raw)
-		return blocks, recBlockList, err
+		blocks, tr, err := blockList.decode(raw)
+		return blocks, recBlockList, tr, err
 	case raw[0] == valueRefTag && len(raw) == valueRefLen:
 		c := wire.Cursor{Raw: raw[1:]}
 		b, _ := valueRefFields.read(&c, nil)
 		b.pool = at.pool
-		return append(buf[:0], b), recValueRef, nil
+		return append(buf[:0], b), recValueRef, trailer{}, nil
 	case raw[0] == inlineTag:
 		n := len(raw) - inlinePrefix
 		if n < 1 || n > inlineMax {
-			return nil, recInline, fmt.Errorf("core: inline value of %d bytes (1..%d)", n, inlineMax)
+			return nil, recInline, trailer{}, fmt.Errorf("core: inline value of %d bytes (1..%d)", n, inlineMax)
 		}
 		c := wire.Cursor{Raw: raw[1:]}
 		return append(buf[:0], blockRec{pool: at.pool, crc: uint32(c.Uint(4)),
-			data: at.id + inlinePrefix, encLen: int64(n)}), recInline, nil
+			data: at.id + inlinePrefix, encLen: int64(n)}), recInline, trailer{}, nil
 	}
-	return nil, recRaw, nil
+	return nil, recRaw, trailer{}, nil
 }
 
 // dimsRecord is the id+"#dims" entry: u8 dtype | u8 rank | dims u64[rank].
@@ -509,7 +555,7 @@ func (p *PMEM) publishQuarantine(refs []blockRec) error {
 		_, err := p.st.lay.del(p, quarantineKey)
 		return err
 	}
-	return p.st.lay.put(p, quarantineKey, "", quarList.encode(refs))
+	return p.st.lay.put(p, quarantineKey, "", quarList.encode(refs, trailer{}))
 }
 
 // loadQuarantine populates the DRAM mirror of the persistent quarantine list
@@ -519,7 +565,7 @@ func (st *shared) loadQuarantine(clk *sim.Clock) error {
 	if err != nil || !ok {
 		return err
 	}
-	refs, err := quarList.decode(raw)
+	refs, _, err := quarList.decode(raw)
 	for i := range refs {
 		st.quar[refs[i].addr()] = struct{}{}
 	}
@@ -576,37 +622,16 @@ func (v *variable) install(id string, e *cacheEntry) {
 }
 
 // cacheEntry is one variable's DRAM index: decoded dims, the decoded block
-// list in publish order (later blocks shadow earlier ones), a start-sorted
-// extent index over it, and lazily attached per-block statistics.
+// list in publish order (later blocks shadow earlier ones) and its trailer,
+// and lazily attached per-block statistics.
 type cacheEntry struct {
 	dims      dimsRecord
 	blocks    []blockRec
+	dropped   trailer
 	hasBlocks bool
-	// byStart holds indices into blocks sorted by dim-0 start offset, the
-	// sorted extent index the gather planner searches instead of scanning
-	// the whole list.
-	byStart []int
 	// stats is BlockStatsOf's result, nil until computed; stats[i]
 	// describes blocks[i].
 	stats []BlockStats
-}
-
-// sortByStart builds the sorted extent index: block indices ordered by dim-0
-// start offset (ties by list order, keeping the sort stable w.r.t. publish
-// order).
-func sortByStart(blocks []blockRec) []int {
-	idx := make([]int, len(blocks))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		ba, bb := &blocks[a], &blocks[b]
-		if len(ba.offs) == 0 || len(bb.offs) == 0 {
-			return 0
-		}
-		return cmp.Compare(ba.offs[0], bb.offs[0])
-	})
-	return idx
 }
 
 // withStats returns a copy of e with stats attached (entries are immutable,
@@ -627,8 +652,8 @@ func (e *cacheEntry) withStats(stats []BlockStats) *cacheEntry {
 // deadlock against a queued writer.
 //
 // Both records are decoded where they sit, so an entry costs a fixed number of
-// allocations — itself, its dims, the block records, one array for all their
-// extents, and byStart — however many blocks it indexes.
+// allocations — itself, its dims, the block records and one array for all
+// their extents — however many blocks it indexes.
 func (p *PMEM) blockIndex(v *variable, id string) (*cacheEntry, error) {
 	if e := v.idx.Load(); e != nil && id == placementKey(id) {
 		p.st.cacheHits.Add(1)
@@ -641,13 +666,14 @@ func (p *PMEM) blockIndex(v *variable, id string) (*cacheEntry, error) {
 	}
 	raw, _, hasBlocks, err := p.record(id)
 	var blocks []blockRec
+	var dropped trailer
 	if err == nil && hasBlocks {
-		blocks, err = blockList.decode(raw)
+		blocks, dropped, err = blockList.decode(raw)
 	}
 	if err != nil {
 		return nil, err
 	}
-	e := &cacheEntry{dims: rec, blocks: blocks, hasBlocks: hasBlocks, byStart: sortByStart(blocks)}
+	e := &cacheEntry{dims: rec, blocks: blocks, dropped: dropped, hasBlocks: hasBlocks}
 	v.install(id, e)
 	return e, nil
 }
@@ -697,11 +723,11 @@ func (l poolLayout) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 			return r, fmt.Errorf("core: id %q: %w", pl.id, ErrNotFound)
 		}
 		var one [1]blockRec
-		blocks, kind, err := decodeRecord(raw, at, one[:0])
+		blocks, kind, dropped, err := decodeRecord(raw, at, one[:0])
 		if err != nil {
 			return r, err
 		}
-		switch r.kind = kind; {
+		switch r.kind, r.dropped = kind, dropped; {
 		case kind.whole():
 			r.one[0], r.single = readUnit{src: blocks[0], bytes: blocks[0].encLen}, true
 		case pl.consume == consumeClone:
@@ -717,6 +743,7 @@ func (l poolLayout) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 		return r, err
 	}
 	if pl.consume == consumeStats {
+		r.dropped = r.entry.dropped
 		if !r.entry.hasBlocks {
 			return r, fmt.Errorf("core: %q has no stored blocks: %w", pl.id, ErrNotFound)
 		}

@@ -716,8 +716,8 @@ func TestNamespaceDamageRefused(t *testing.T) {
 					binary.LittleEndian.PutUint64(h[hdrChecksum:], uint64(checksum.Sum(h[:hdrChecksum])))
 					clear(h[hdrSetDesc:])
 				}, pmdk.ErrBadPool, "set.publish"},
-				{"format 4", 0, func(h []byte) {
-					h[hdrVersion] = 4
+				{"format 5", 0, func(h []byte) {
+					h[hdrVersion] = 5
 					binary.LittleEndian.PutUint64(h[hdrChecksum:], uint64(checksum.Sum(h[:hdrChecksum])))
 				}, pmdk.ErrBadPool, "pool.open"},
 			}
@@ -737,8 +737,8 @@ func TestNamespaceDamageRefused(t *testing.T) {
 				if !errors.Is(err, r.want) || errors.Is(err, core.ErrCorrupt) != (r.want == pmdk.ErrCorrupt) {
 					t.Fatalf("%s: Mmap = %v, want %v (and the public ErrCorrupt exactly for a failed checksum)", r.name, err, r.want)
 				}
-				if r.want == pmdk.ErrBadPool && !strings.Contains(err.Error(), "version 5") {
-					t.Fatalf("%s: Mmap = %v, want the text to name the version found and version 5", r.name, err)
+				if r.want == pmdk.ErrBadPool && !strings.Contains(err.Error(), "version 6") {
+					t.Fatalf("%s: Mmap = %v, want the text to name the version found and version 6", r.name, err)
 				}
 				for i, m := range maps {
 					if b, _ := m.Slice(0, m.Len()); !bytes.Equal(b, before[i]) {
@@ -763,7 +763,7 @@ func TestNamespaceDamageRefused(t *testing.T) {
 
 // TestConcurrentMultiPoolStress is the -race gate for the sharded namespace:
 // several ranks hammer one 4-pool handle with stores, model-checked loads,
-// deletes, compactions, and scrub passes. Per-variable model mutexes held
+// deletes, overwrites, and scrub passes. Per-variable model mutexes held
 // across the PMEM op and the model update make the model a linearization
 // witness; payloads straddle the parallel threshold so striped stores and
 // gathers run concurrently on every member pool.
@@ -788,8 +788,8 @@ func TestConcurrentMultiPoolStress(t *testing.T) {
 			return err
 		}
 		rng := rand.New(rand.NewSource(int64(c.Rank()*104729 + 5)))
-		// Each rank owns one striped array it overwrites and compacts, so
-		// block-list republish + cross-pool frees race the datum traffic.
+		// Each rank owns one striped array it overwrites, so block-list
+		// republish + cross-pool frees race the datum traffic.
 		const arrElems = 1 << 15 // 256 KB of f64: striped over all pools
 		arr := fmt.Sprintf("stress/arr%d", c.Rank())
 		gen := 1.0
@@ -854,14 +854,11 @@ func TestConcurrentMultiPoolStress(t *testing.T) {
 				if err != nil {
 					return fmt.Errorf("rank %d delete %s: %w", c.Rank(), id, err)
 				}
-			case 6: // overwrite + compact the rank's own striped array
+			case 6: // overwrite the rank's own striped array
 				gen++
 				if err := p.StoreBlock(arr, []uint64{0}, []uint64{arrElems},
 					uniformF64(arrElems, gen)); err != nil {
 					return fmt.Errorf("rank %d store %s: %w", c.Rank(), arr, err)
-				}
-				if _, err := p.Compact(context.Background(), arr); err != nil {
-					return fmt.Errorf("rank %d compact %s: %w", c.Rank(), arr, err)
 				}
 				if v, err := loadUniformF64(p, arr, arrElems); err != nil || v != gen {
 					return fmt.Errorf("rank %d: %s = %g, %v, want %g", c.Rank(), arr, v, err, gen)

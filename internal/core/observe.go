@@ -27,7 +27,7 @@ type StoreStats struct {
 	ParallelReads, ParallelReadJobs int64
 	// DRAM block-index cache counters: CacheHits/CacheMisses count index
 	// lookups served from / built into DRAM; CacheInvalidations counts
-	// writer-side drops (StoreBlock, Delete, Compact, Alloc republish).
+	// writer-side drops (StoreBlock, Delete, Alloc republish).
 	CacheHits, CacheMisses, CacheInvalidations int64
 }
 

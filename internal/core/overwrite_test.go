@@ -52,12 +52,13 @@ func namedBlock(p *core.PMEM, id string) (int64, error) {
 }
 
 // owStep is one step of a record-change script: store val under id or — nil —
-// delete id, or compact id's block list. The id "A" is the script's one-block
-// array instead: the step overwrites it.
+// delete id, or store id's whole extent again (full), which drops every block
+// its list names. The id "A" is the script's one-block array instead: the step
+// overwrites it.
 type owStep struct {
-	id      string
-	val     *serial.Datum
-	compact bool
+	id   string
+	val  *serial.Datum
+	full bool
 }
 
 // arrayState is what an array of a record-change script holds: its block
@@ -69,12 +70,13 @@ type arrayState struct {
 }
 
 // valueScript stores first — whole values, and each of arrays as a
-// 16-element array of four blocks, every element 1, two of the blocks shadowed
-// by the whole-extent block stored after them — then runs steps. Run notes
+// 16-element array stored in four blocks, every element 1, the whole-extent
+// third dropping the two before it — then runs steps. Run notes
 // which step is in flight and which blocks that step's record named going in,
 // so Verify can hold the recovered allocator to the recovered record: every id
 // reads as it did before or after the step in flight (never a mix, and absent
-// only where a delete says so), every block a record names is allocated, and
+// only where a delete says so), every block a record names is allocated and
+// named once, and
 // each block the in-flight step's record named going in and names no longer is
 // free — no crash point leaks one. On a namespace of several pools the last
 // check covers the id's home pool: a sharded store's stripes elsewhere are
@@ -146,8 +148,8 @@ func valueScript(name string, first map[string]*serial.Datum, arrays []string, s
 				switch {
 				case st.id == "A":
 					err = storeA(p, 2)
-				case st.compact:
-					_, err = p.Compact(context.Background(), st.id)
+				case st.full:
+					err = p.StoreBlock(st.id, []uint64{0}, []uint64{arrElems}, uniformF64(arrElems, 1))
 				case st.val == nil:
 					_, err = p.Delete(st.id)
 				default:
@@ -192,7 +194,7 @@ func valueScript(name string, first map[string]*serial.Datum, arrays []string, s
 				old, next := arrayState{list: true}, arrayState{}
 				pending := false
 				oldNew(id, func(st owStep, p bool) {
-					s := arrayState{list: st.compact, datum: st.val}
+					s := arrayState{list: st.full, datum: st.val}
 					if pending = p; p {
 						next = s
 					} else {
@@ -222,20 +224,8 @@ func valueScript(name string, first map[string]*serial.Datum, arrays []string, s
 				return fmt.Errorf("A = all %g with step %d in flight", a, inflight)
 			}
 			// The allocator agrees with the records.
-			ids := append([]string{"A"}, arrays...)
-			for id := range first {
-				ids = append(ids, id)
-			}
-			for _, id := range ids {
-				named, err := p.NamedBlocks(id)
-				if err != nil {
-					return err
-				}
-				for _, b := range named {
-					if !p.BlockAllocated(int(b[0]), b[1]) {
-						return fmt.Errorf("%s names block %v, which is not allocated", id, b)
-					}
-				}
+			if err := ownedOnce(p); err != nil {
+				return err
 			}
 			if inflight == len(steps) {
 				return nil
@@ -287,13 +277,13 @@ func exploreInlineScript() core.Script {
 			{id: "gone"}, {id: "gone", val: scalarDatum(8)}})
 }
 
-// exploreRecordChangeScript is every record change that drops blocks: a
-// four-block array deleted, one compacted (two of its blocks shadowed), a
-// whole value stored over a third, and a value ref deleted.
+// exploreRecordChangeScript is every record change that drops blocks: an
+// array's block list deleted, one overwritten whole (both its blocks
+// dropped), a whole value stored over a third, and a value ref deleted.
 func exploreRecordChangeScript(pools int) core.Script {
 	s := valueScript(fmt.Sprintf("record-change/pools=%d", pools),
 		map[string]*serial.Datum{"v": blobDatum(1)}, []string{"D", "C", "W"},
-		[]owStep{{id: "D"}, {id: "C", compact: true}, {id: "W", val: scalarDatum(5)}, {id: "v"}})
+		[]owStep{{id: "D"}, {id: "C", full: true}, {id: "W", val: scalarDatum(5)}, {id: "v"}})
 	s.Options = &core.Options{Pools: pools}
 	return s
 }
@@ -513,7 +503,7 @@ func TestOverwriteExhaustionKeepsOldValue(t *testing.T) {
 // the shadowed blocks are parked on the limbo, counted in
 // pmemcpy_view_deferred_frees_total, and freed when the view closes — and the
 // view's bytes stay what they were, even when the array under it is itself
-// overwritten. Four overwrites shadow a block (value ref over value ref twice,
+// overwritten and its aliased block dropped. Four overwrites shadow a block (value ref over value ref twice,
 // into another size class, and an inline value over a value ref); an inline
 // value over an inline one owns nothing to park.
 func TestViewHeldAcrossOverwrite(t *testing.T) {
@@ -571,13 +561,16 @@ func TestViewHeldAcrossOverwrite(t *testing.T) {
 				held.Frees-before.Frees, limbo, m.Get("pmemcpy_view_deferred_frees_total"),
 				m.Get("pmemcpy_superseded_blocks_total"), p.BlockAllocated(0, sBlk))
 		}
-		// The array under the view is itself overwritten: its block list only
-		// grows, so the aliased block stays published.
+		// The array under the view is itself overwritten: the store drops the
+		// aliased block, which parks beside the others.
 		if err := p.StoreBlock("A", []uint64{0}, []uint64{elems}, uniformF64(elems, 2)); err != nil {
 			return err
 		}
 		if held, err = p.Stats(); err != nil {
 			return err
+		}
+		if _, limbo, _ := p.ViewStats(); limbo != 5 {
+			return fmt.Errorf("the overwrite of A under the view left limbo at %d, want 5", limbo)
 		}
 		data, err := v.Bytes()
 		if err != nil {
@@ -596,8 +589,8 @@ func TestViewHeldAcrossOverwrite(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if _, limbo, _ := p.ViewStats(); limbo != 0 || closed.Frees-held.Frees != 4 || p.BlockAllocated(0, sBlk) {
-			return fmt.Errorf("after Close: limbo %d, frees +%d, first shadowed block allocated=%v; want 0, +4, false",
+		if _, limbo, _ := p.ViewStats(); limbo != 0 || closed.Frees-held.Frees != 5 || p.BlockAllocated(0, sBlk) {
+			return fmt.Errorf("after Close: limbo %d, frees +%d, first shadowed block allocated=%v; want 0, +5, false",
 				limbo, closed.Frees-held.Frees, p.BlockAllocated(0, sBlk))
 		}
 		for id, want := range map[string]*serial.Datum{"s": blobDatum(3), "shrink": scalarDatum(3), "tiny": scalarDatum(2)} {
@@ -803,7 +796,9 @@ func TestWholeValueOverArrayFreesItsBlocks(t *testing.T) {
 // TestDeleteOverflowingOneLaneKeepsTheRecord: a Delete frees what its record
 // names in the unlinking transaction, so a block list too long for one lane's
 // undo log is refused whole — ErrTxLogFull, the record and every block it
-// names intact and allocated — never unlinked with its blocks leaked.
+// names intact and allocated — never unlinked with its blocks leaked. An
+// overwrite never meets that limit: it drops what the lane can log and leaves
+// the rest listed for the next one.
 func TestDeleteOverflowingOneLaneKeepsTheRecord(t *testing.T) {
 	const elems = 600 // one 1-element block each: 32 undo bytes apiece to free, past a 16 KB lane
 	n := node.New(sim.DefaultConfig(), 16<<20)
@@ -842,9 +837,150 @@ func TestDeleteOverflowingOneLaneKeepsTheRecord(t *testing.T) {
 		if vs := p.VerifyStore(); len(vs) != 0 {
 			return fmt.Errorf("store violations: %v", vs)
 		}
+		// A store over the whole extent contains every listed block, but
+		// drops only as many as its lane can log: it succeeds, and the rest
+		// drain over the stores after it, until the Delete fits.
+		for v, n := 4.0, len(list); n > 1; v++ {
+			if err := p.StoreBlock("L", []uint64{0}, []uint64{elems}, uniformF64(elems, v)); err != nil {
+				return fmt.Errorf("full-extent store over %d listed blocks: %w", n, err)
+			}
+			again, err := p.NamedBlocks("L")
+			switch {
+			case err != nil:
+				return err
+			case v == 4 && len(again) == 1:
+				return fmt.Errorf("one store dropped all %d blocks: no lane cap", n)
+			case len(again) >= n+1:
+				return fmt.Errorf("a store over %d listed blocks dropped none", n)
+			}
+			n = len(again)
+		}
+		if vs := p.VerifyStore(); len(vs) != 0 {
+			return fmt.Errorf("store violations after the drain: %v", vs)
+		}
+		if mn, mx, err := p.MinMax("L"); err != nil || mn != 3 {
+			return fmt.Errorf("MinMax(L) after the drain = [%g, %g], %v; want the 3s kept", mn, mx, err)
+		}
+		if _, err := p.Delete("L"); err != nil {
+			return fmt.Errorf("Delete of the drained list: %w", err)
+		}
 		return p.Munmap()
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ownedOnce holds the allocator to the block lists: every block a record of
+// the store names is allocated, and no block is named twice — not by two ids,
+// not twice in one list.
+func ownedOnce(p *core.PMEM) error {
+	keys, err := p.Keys()
+	if err != nil {
+		return err
+	}
+	owner := map[[2]int64]string{}
+	for _, id := range keys {
+		named, err := p.NamedBlocks(id)
+		if err != nil {
+			return err
+		}
+		for _, b := range named {
+			if prev, ok := owner[b]; ok {
+				return fmt.Errorf("block %v is named by %q and %q", b, prev, id)
+			}
+			owner[b] = id
+			if !p.BlockAllocated(int(b[0]), b[1]) {
+				return fmt.Errorf("%s names block %v, which is not allocated", id, b)
+			}
+		}
+	}
+	return nil
+}
+
+// listOverwriteScript overwrites a block-list id whose list already dropped a
+// block — the record carries a trailer going in — on one write path: Setup
+// stores the whole extent as 1, then as 3; Run stores it as 5, dropping the
+// 3s (every unit of a sharded store drops the old unit it contains; the
+// coalesced quarters merge into one block that contains the old one). A
+// crash anywhere recovers to 3s with MinMax [1, 3] or to 5s with [1, 5], no
+// block named twice or named and free; the explorer adds VerifyStore.
+func listOverwriteScript(name string, elems int, opts *core.Options, run func(p *core.PMEM) error) core.Script {
+	store := func(p *core.PMEM, v float64) error {
+		return p.StoreBlock("A", []uint64{0}, []uint64{uint64(elems)}, uniformF64(elems, v))
+	}
+	return core.Script{
+		Name:    name,
+		DevSize: 8 << 20,
+		Options: opts,
+		Setup: func(p *core.PMEM) error {
+			if err := p.Alloc("A", serial.Float64, []uint64{uint64(elems)}); err != nil {
+				return err
+			}
+			if err := store(p, 1); err != nil {
+				return err
+			}
+			if err := p.Alloc("B", serial.Float64, []uint64{16}); err != nil {
+				return err
+			}
+			if err := p.StoreBlock("B", []uint64{0}, []uint64{16}, uniformF64(16, 7)); err != nil {
+				return err
+			}
+			return store(p, 3)
+		},
+		Run: func(p *core.PMEM) error {
+			if run != nil {
+				return run(p)
+			}
+			return store(p, 5)
+		},
+		Verify: func(p *core.PMEM) error {
+			a, err := loadUniformF64(p, "A", elems)
+			if err != nil {
+				return err
+			}
+			if a != 3 && a != 5 {
+				return fmt.Errorf("A = all %g, want 3 or 5", a)
+			}
+			if mn, mx, err := p.MinMax("A"); err != nil || mn != 1 || mx != a {
+				return fmt.Errorf("MinMax(A) = [%g, %g], %v with A = all %g, want [1, %g]", mn, mx, err, a, a)
+			}
+			return ownedOnce(p)
+		},
+		VerifyDone: func(p *core.PMEM) error {
+			bs, err := p.BlockStatsOf("A")
+			if err != nil {
+				return err
+			}
+			for _, b := range bs {
+				if b.Min != 5 {
+					return fmt.Errorf("A still lists a block of %g after the overwrite", b.Min)
+				}
+			}
+			return nil
+		},
+	}
+}
+
+// TestExploreListOverwrite crashes a block-list overwrite at every persist
+// point on the serial path, the sharded path over four member pools (the
+// dropped stripes outside the home pool are freed after the commit), and the
+// async path whose coalesced quarters merge into one block.
+func TestExploreListOverwrite(t *testing.T) {
+	const q = 16
+	for _, s := range []core.Script{
+		listOverwriteScript("list-overwrite/serial", 64, nil, nil),
+		listOverwriteScript("list-overwrite/sharded", 32768, &core.Options{Pools: 4, Parallelism: 4, Codec: "raw"}, nil),
+		listOverwriteScript("list-overwrite/async", 4*q, &core.Options{Async: true, CoalesceWindow: 8, Codec: "raw"},
+			func(p *core.PMEM) error {
+				for i := uint64(0); i < 4; i++ {
+					p.StoreBlockAsync("A", []uint64{i * q}, []uint64{q}, uniformF64(q, 5))
+				}
+				return p.Flush(context.Background())
+			}),
+	} {
+		t.Run(s.Name, func(t *testing.T) {
+			runExplore(t, s, core.ExploreOptions{Tear: true})
+		})
 	}
 }

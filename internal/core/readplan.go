@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"pmemcpy/internal/checksum"
 	"pmemcpy/internal/nd"
@@ -18,7 +17,7 @@ import (
 // explicit verify — reduces to the same sequence:
 //
 //	1. lock     the id's read lock, held from the metadata lookup through the
-//	            last byte touched, so no concurrent Compact/Delete can free
+//	            last byte touched, so no concurrent overwrite or Delete can free
 //	            what the plan reads;
 //	2. resolve  which stored blocks the plan touches, asked of the layout
 //	            (meta.go): the blocks intersecting a request, every indexed
@@ -76,7 +75,6 @@ type readUnit struct {
 // result is copied out (clone, string, the caller's buffer, a view's fresh
 // fallback buffer) or points into the pool or the DRAM index.
 type gatherScratch struct {
-	hits  []int
 	units []readUnit
 	jobs  []readUnit // the scatter's copy of a plan's units, split for its wave
 	// dims is the arena every unit's isOffs and isCnts are carved from, with
@@ -217,12 +215,13 @@ type resolution struct {
 	single bool
 	done   bool // nothing to execute: a memoized statistics hit, a value that references no blocks
 
-	kind  recordKind  // record plans: what the record turned out to be
-	entry *cacheEntry // request/stats plans: the index the plan ran against
-	file  *varFile    // the variable's open file, closed by run
-	esize int
-	need  int64        // request bytes
-	stats []BlockStats // consumeStats (the memoized slice on an index hit: copy before returning)
+	kind    recordKind  // record plans: what the record turned out to be
+	dropped trailer     // record and stats plans: the block list's trailer
+	entry   *cacheEntry // request/stats plans: the index the plan ran against
+	file    *varFile    // the variable's open file, closed by run
+	esize   int
+	need    int64        // request bytes
+	stats   []BlockStats // consumeStats (the memoized slice on an index hit: copy before returning)
 }
 
 // bound checks a request plan against the variable's declared dims and sizes
@@ -464,12 +463,14 @@ func (e readEngine) consume(pl *readPlan, units []readUnit, verified bool) error
 			if err != nil {
 				return err
 			}
-			if pl.stats[i], err = p.blockStats(units[i].src, src, pl.entry.dims.dtype); err != nil {
+			if pl.stats[i], err = p.blockStats(units[i].src, src); err != nil {
 				return err
 			}
 		}
 		// Memoized inside the plan's lock hold: no republish can intervene.
-		pl.v.install(pl.id, pl.entry.withStats(pl.stats))
+		if pl.entry != nil {
+			pl.v.install(pl.id, pl.entry.withStats(pl.stats))
+		}
 		return nil
 	default: // consumeCRC: the verify stage did everything
 		return nil
@@ -600,44 +601,24 @@ func (g gather) place(w int, u *readUnit) error {
 		u.isOffs, u.isCnts, g.esize)
 }
 
-// plan intersects the request (offs, counts) with the stored blocks, walking
-// the start-sorted extent index and emitting units in publish order. Their
-// bytes may sum past the request size when stored blocks overlap.
+// plan intersects the request (offs, counts) with every listed block — a list
+// names only blocks a read can see (publishGroup) — emitting units in publish
+// order. Their bytes may sum past the request size when stored blocks overlap.
 func (g *gatherScratch) plan(e *cacheEntry, offs, counts []uint64, esize int) []readUnit {
-	hits := g.hits[:0]
-	if len(offs) > 0 {
-		lo, hi := offs[0], offs[0]+counts[0]
-		for _, bi := range e.byStart {
-			b := e.blocks[bi]
-			if len(b.offs) == 0 {
-				continue
-			}
-			if b.offs[0] >= hi {
-				// Sorted by start: every later block begins at or past the
-				// request's end in dim 0 and cannot intersect.
-				break
-			}
-			if b.offs[0]+b.counts[0] <= lo {
-				continue
-			}
-			hits = append(hits, bi)
-		}
-		// Publish order decides shadowing, so restore it.
-		slices.Sort(hits)
-	} else {
-		for i := range e.blocks {
-			hits = append(hits, i)
-		}
-	}
-	g.hits = hits
-	// Every hit's intersection fits the arena as sized here.
+	// Every block's intersection fits the arena as sized here.
 	rank := len(offs)
-	if need := 2 * rank * len(hits); cap(g.dims) < need {
+	if need := 2 * rank * len(e.blocks); cap(g.dims) < need {
 		g.dims = make([]uint64, 0, need)
 	}
 	units, arena := g.units[:0], g.dims[:0]
-	for _, bi := range hits {
+	for bi := range e.blocks {
 		b := &e.blocks[bi]
+		// A long list of disjoint blocks mostly misses the request in dim 0:
+		// that test is cheap, the full intersection is not.
+		if rank > 0 && len(b.offs) == rank &&
+			(b.offs[0] >= offs[0]+counts[0] || b.offs[0]+b.counts[0] <= offs[0]) {
+			continue
+		}
 		at := len(arena)
 		arena = arena[:at+2*rank]
 		isOffs, isCnts := arena[at:at+rank:at+rank], arena[at+rank:at+2*rank:at+2*rank]
@@ -750,7 +731,7 @@ func (p *PMEM) InjectCorruption(id string, block int, off, n int64, mask byte) (
 	if !ok {
 		return 0, 0, fmt.Errorf("core: id %q: %w", id, ErrNotFound)
 	}
-	blocks, kind, err := decodeRecord(raw, at, nil)
+	blocks, kind, _, err := decodeRecord(raw, at, nil)
 	if err != nil {
 		return 0, 0, err
 	}

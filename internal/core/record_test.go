@@ -18,8 +18,8 @@ import (
 )
 
 // TestRecordBytesPinned pins every on-media metadata record form byte for
-// byte: dims, value ref, plain and pooled block list, plain and pooled
-// quarantine list, and the hierarchy layout's framed block and whole-value
+// byte: dims, value ref, plain and pooled block list, a block list with the
+// trailer of a dropped block, plain and pooled quarantine list, and the hierarchy layout's framed block and whole-value
 // files. A fixed script publishes one of each and the records are compared,
 // in hex, with testdata/record_bytes.golden. A format change regenerates the
 // golden with -update in the same diff; a refactor of the codecs must not.
@@ -47,6 +47,15 @@ func TestRecordBytesPinned(t *testing.T) {
 			}
 			if rep, err := p.Scrub(context.Background()); err != nil || rep.Quarantined != 1 {
 				return fmt.Errorf("scrub: %+v, %v", rep, err)
+			}
+			// An overwrite that drops a block: the list's trailer.
+			if err := p.Alloc("C", serial.Float64, []uint64{4}); err != nil {
+				return err
+			}
+			for _, v := range []float64{-1.5, 2.5} {
+				if err := p.StoreBlock("C", []uint64{0}, []uint64{4}, uniformF64(4, v)); err != nil {
+					return err
+				}
 			}
 			return nil
 		})

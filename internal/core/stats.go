@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"pmemcpy/internal/serial"
 	"pmemcpy/internal/sim"
@@ -38,34 +37,34 @@ type BlockStats struct {
 	Pool int
 }
 
-// MinMax returns the value range of array id across all stored blocks. With
-// the BP4 codec only block headers are read; other codecs fall back to
-// scanning the data.
+// MinMax returns the value range of array id: of every block stored since
+// its record was created — a whole-value store or a Delete starts it afresh.
+// It folds the range an overwrite kept of the blocks it dropped (the block
+// list's trailer) with the listed blocks' statistics. With the BP4 codec only
+// block headers are read; other codecs fall back to scanning the data. A
+// dropped block that could not be read leaves the range unknown: ErrCorrupt.
 func (p *PMEM) MinMax(id string) (mn, mx float64, err error) {
-	blocks, err := p.statsOf(id)
+	blocks, r, err := p.statsOf(id)
 	if err != nil {
 		return 0, 0, err
 	}
 	if len(blocks) == 0 {
 		return 0, 0, fmt.Errorf("core: %q has no stored blocks: %w", id, ErrNotFound)
 	}
-	mn, mx = math.Inf(1), math.Inf(-1)
-	for _, b := range blocks {
-		if b.Min < mn {
-			mn = b.Min
-		}
-		if b.Max > mx {
-			mx = b.Max
-		}
+	if r.poisoned() {
+		return 0, 0, fmt.Errorf("core: %q dropped a block whose range could not be read: %w", id, ErrCorrupt)
 	}
-	return mn, mx, nil
+	for _, b := range blocks {
+		r.fold(b.Min, b.Max)
+	}
+	return r.min, r.max, nil
 }
 
 // FindBlocks returns the blocks of id whose value range intersects
 // [lo, hi] — the block-skipping primitive of range queries: blocks whose
 // characteristics exclude the range are skipped without reading their data.
 func (p *PMEM) FindBlocks(id string, lo, hi float64) ([]BlockStats, error) {
-	blocks, err := p.statsOf(id)
+	blocks, _, err := p.statsOf(id)
 	if err != nil {
 		return nil, err
 	}
@@ -91,23 +90,24 @@ func (p *PMEM) FindBlocks(id string, lo, hi float64) ([]BlockStats, error) {
 // trusted. Otherwise a damaged characteristics header would silently skew
 // MinMax while every data read stays verified.
 func (p *PMEM) BlockStatsOf(id string) ([]BlockStats, error) {
-	blocks, err := p.statsOf(id)
+	blocks, _, err := p.statsOf(id)
 	if err != nil {
 		return nil, err
 	}
 	return copyStats(blocks), nil
 }
 
-// statsOf is BlockStatsOf without the copy: the memoized slice of the DRAM
-// index, which the caller reads and never hands out — the exported queries
-// return deep copies, so a caller may mutate what it got freely.
-func (p *PMEM) statsOf(id string) ([]BlockStats, error) {
+// statsOf is BlockStatsOf without the copy — the memoized slice of the DRAM
+// index, which the caller reads and never hands out: the exported queries
+// return deep copies, so a caller may mutate what it got freely — and the
+// block list's trailer.
+func (p *PMEM) statsOf(id string) ([]BlockStats, trailer, error) {
 	p.asyncBarrier()
 	pl := readPlan{id: id, consume: consumeStats}
 	if err := p.reader().run(&pl); err != nil {
-		return nil, err
+		return nil, trailer{}, err
 	}
-	return pl.stats, nil
+	return pl.stats, pl.dropped, nil
 }
 
 // copyStats deep-copies memoized BlockStats so callers cannot mutate the
@@ -125,12 +125,14 @@ func copyStats(stats []BlockStats) []BlockStats {
 	return out
 }
 
-// blockStats is the read engine's statistics consume step for one verified
-// unit: the value range from the block's characteristics header when the
-// codec carries one (a handful of bytes, one device latency), else from a
-// decode and scan of the payload (a full read pass). Its Offs and Counts are
-// the DRAM index's own, as immutable as the entry the statistics join.
-func (p *PMEM) blockStats(b blockRec, src []byte, dtype serial.DType) (BlockStats, error) {
+// blockStats is the value range of one verified block: from its
+// characteristics header when the codec carries one (a handful of bytes, one
+// device latency), else from a decode and scan of the payload (a full read
+// pass). The read engine's statistics consume step asks it of every listed
+// block — its Offs and Counts are then the DRAM index's own, as immutable as
+// the entry the statistics join — and an overwrite of every block it drops
+// (writeplan.go).
+func (p *PMEM) blockStats(b blockRec, src []byte) (BlockStats, error) {
 	bs := BlockStats{Offs: b.offs, Counts: b.counts, Pool: int(b.pool)}
 	if sr, ok := p.codec.(statsReader); ok {
 		if mn, mx, okStats, err := sr.Stats(src); err == nil && okStats {
@@ -144,6 +146,6 @@ func (p *PMEM) blockStats(b blockRec, src []byte, dtype serial.DType) (BlockStat
 		return bs, err
 	}
 	p.chargeMove(sim.Load, []poolBytes{{int(b.pool), int64(len(d.Payload))}}, 1, 1)
-	bs.Min, bs.Max, bs.HasStats = serial.MinMax(dtype, d.Payload)
+	bs.Min, bs.Max, bs.HasStats = serial.MinMax(b.dtype, d.Payload)
 	return bs, nil
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -214,13 +215,23 @@ func TestStatsErrors(t *testing.T) {
 		}
 		return nil
 	})
-	// Hierarchy layout rejects stats queries.
+	// The hierarchy layout serves statistics from its frames, every one of
+	// which it keeps: one per store, the running range across them.
 	single(t, &core.Options{Layout: core.LayoutHierarchy}, func(p *core.PMEM) error {
+		if _, _, err := p.MinMax("h"); !errors.Is(err, core.ErrNotFound) {
+			t.Errorf("hierarchy MinMax(missing) = %v, want ErrNotFound", err)
+		}
 		if err := storeRangedHier(p); err != nil {
 			return err
 		}
-		if _, err := p.BlockStatsOf("h"); err == nil {
-			t.Error("BlockStatsOf on hierarchy layout succeeded")
+		if err := p.StoreBlock("h", []uint64{0}, []uint64{2}, bytesview.Bytes([]float64{-1, 5})); err != nil {
+			return err
+		}
+		if bs, err := p.BlockStatsOf("h"); err != nil || len(bs) != 2 {
+			t.Errorf("hierarchy BlockStatsOf = %d blocks, %v; want 2", len(bs), err)
+		}
+		if mn, mx, err := p.MinMax("h"); err != nil || mn != -1 || mx != 5 {
+			t.Errorf("hierarchy MinMax = [%g, %g], %v; want [-1, 5]", mn, mx, err)
 		}
 		return nil
 	})

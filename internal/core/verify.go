@@ -56,7 +56,7 @@ func (p *PMEM) verifyRecord(key string, violatef func(format string, args ...any
 		}
 		return
 	}
-	blocks, kind, err := decodeRecord(raw, at, nil)
+	blocks, kind, dropped, err := decodeRecord(raw, at, nil)
 	switch {
 	case kind == recInline:
 		if usable, uerr := p.poolOf(at.pool).UsableSize(clk, at.id); err != nil || uerr != nil || int64(len(raw)) > usable {
@@ -66,6 +66,9 @@ func (p *PMEM) verifyRecord(key string, violatef func(format string, args ...any
 	case err != nil:
 		violatef("store.record: %q: undecodable %v: %v", key, kind, err)
 	case kind == recBlockList:
+		if dropped.poisoned() {
+			violatef("store.range: %q dropped a block whose range could not be read: MinMax is ErrCorrupt until a whole store or Delete", key)
+		}
 		rec, err := p.heldDims(key, nil)
 		if err != nil {
 			violatef("store.blocklist: %q has blocks but no dims record: %v", key, err)

@@ -21,8 +21,9 @@ import (
 //
 //   - Opening a view takes a lease stamped with the current epoch, under the
 //     id's read lock — so it is ordered against any concurrent republish.
-//   - A record change that drops payload blocks — Delete, Compact, a whole
-//     value over a value ref or a block list — parks them on the limbo, one
+//   - A record change that drops payload blocks — Delete, an overwrite that
+//     contains listed blocks, a whole value over a value ref or a block
+//     list — parks them on the limbo, one
 //     list of every member pool's blocks under the lease lock, instead of
 //     freeing them whenever any lease is open, stamps the parked blocks with
 //     the current epoch, and bumps it.

@@ -262,17 +262,13 @@ func TestViewRepublishIsolation(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		// Republish the full extent, then compact: the old block is fully
-		// shadowed and compaction wants to free it — with the lease open it
-		// parks instead.
+		// Republish the full extent: the old block is contained and the
+		// store drops it — with the lease open it parks instead of freeing.
 		if err := p.StoreBlock("A", []uint64{0}, []uint64{elems}, uniformF64(elems, 2)); err != nil {
 			return err
 		}
-		if _, err := p.Compact(context.Background(), "A"); err != nil {
-			return err
-		}
 		if _, limbo, _ := p.ViewStats(); limbo == 0 {
-			return fmt.Errorf("compact with lease open parked nothing")
+			return fmt.Errorf("overwrite with lease open parked nothing")
 		}
 		raw, err := old.Bytes()
 		if err != nil {
@@ -442,7 +438,7 @@ func TestViewLeakDetector(t *testing.T) {
 }
 
 // TestConcurrentViewStress is the -race gate for the lease layer: ranks race
-// zero-copy views against stores, deletes, compactions, and scrub passes on
+// zero-copy views against overwrites, deletes, and scrub passes on
 // shared variables. Every view must read internally consistent data (a
 // uniform block — never a torn mix of generations), and limbo must drain once
 // all leases close.
@@ -470,7 +466,7 @@ func TestConcurrentViewStress(t *testing.T) {
 			v := rng.Intn(3)
 			id := varName(v)
 			switch rng.Intn(10) {
-			case 0, 1, 2: // store a new generation
+			case 0, 1, 2, 3: // store a new generation, dropping the old one
 				genMu.Lock()
 				g := gen[id] + 1
 				if err := p.Alloc(id, serial.Float64, []uint64{elems}); err != nil {
@@ -483,7 +479,7 @@ func TestConcurrentViewStress(t *testing.T) {
 				}
 				gen[id] = g
 				genMu.Unlock()
-			case 3: // delete
+			case 4: // delete
 				genMu.Lock()
 				if _, err := p.Delete(id); err != nil {
 					genMu.Unlock()
@@ -495,10 +491,6 @@ func TestConcurrentViewStress(t *testing.T) {
 				}
 				gen[id] = 0
 				genMu.Unlock()
-			case 4: // compact
-				if _, err := p.Compact(context.Background(), id); err != nil && !errors.Is(err, core.ErrNotFound) {
-					return fmt.Errorf("rank %d compact %s: %w", c.Rank(), id, err)
-				}
 			case 5: // scrub: nothing is corrupt, nothing may quarantine
 				rep, err := p.Scrub(context.Background())
 				if err != nil {
@@ -582,9 +574,6 @@ func TestExploreViewLeases(t *testing.T) {
 			}
 			defer v.Close()
 			if err := p.StoreBlock("A", []uint64{0}, []uint64{elems}, uniformF64(elems, 2)); err != nil {
-				return err
-			}
-			if _, err := p.Compact(context.Background(), "A"); err != nil {
 				return err
 			}
 			raw, err := v.Bytes()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"pmemcpy/internal/checksum"
@@ -30,11 +31,12 @@ import (
 //	   unit's, charge the analytic copy cost once, then persist each unit with
 //	   one barrier carrying its registered persist point;
 //	3. publish each id's new metadata with ONE atomic update per id — one
-//	   record change (open, close below), in which a whole value also frees
-//	   the blocks the record it replaces named (publishGroup).
+//	   record change (open, close below), which also frees the blocks the
+//	   record stops naming: every block of the record a whole value replaces,
+//	   every listed block a block list's new units contain (publishGroup).
 //
 // A record change is the one way the pool layout's records change: a publish,
-// Delete, Compact, Alloc's dims record and the quarantine list each open one
+// Delete, Alloc's dims record and the quarantine list each open one
 // hashtable read-modify-write and close it with the new record (or none) and
 // the blocks it stops naming, which the same transaction frees in the home
 // pool (close).
@@ -418,14 +420,16 @@ func (e commitEngine) publish(plan *writePlan) error {
 }
 
 // publishGroup publishes one group's record as ONE record change (open,
-// close): a block list gains the group's units; a whole value replaces the
-// record, and close drops the blocks the old one owned — a value ref's block,
-// or every block of the block list it replaces. An inline value owns no block:
-// replacing one frees nothing but the record's own bytes, which the hashtable
-// moves, and an inline value of the old one's length is pmdk's in-place form —
-// one undo entry, one transaction, no allocator traffic. A block list is
-// appended to and never pruned (ROADMAP item 1: blocked on bench/ckpt.go's
-// cumulative MinMax model). The caller holds the id's lock.
+// close), and close drops the blocks the record stops naming. A whole value
+// replaces the record: it drops a value ref's block, or every block of the
+// block list it replaces. An inline value owns no block: replacing one frees
+// nothing but the record's own bytes, which the hashtable moves, and an inline
+// value of the old one's length is pmdk's in-place form — one undo entry, one
+// transaction, no allocator traffic. A block list gains the group's units and
+// drops every block one of them contains (prune), as many as the
+// transaction's lane can log; the list's trailer keeps the dropped blocks'
+// value range (fold), so MinMax does not depend on which blocks are listed.
+// The caller holds the id's lock.
 func (e commitEngine) publishGroup(g *planGroup, encPasses float64) error {
 	// A value ref's old block and 21-byte record stay in this frame (an
 	// inline record is built in the handle's).
@@ -442,7 +446,11 @@ func (e commitEngine) publishGroup(g *planGroup, encPasses float64) error {
 			for i := range g.units {
 				blocks = append(blocks, g.units[i].rec(g.dtype))
 			}
-			rec, drop = blockList.encode(blocks), nil
+			blocks, drop = prune(blocks, len(g.units), t.u.Frees())
+			for i := range drop {
+				e.fold(&t.dropped, &drop[i])
+			}
+			rec = blockList.encode(blocks, t.dropped)
 		}
 	case g.inline():
 		rec, err = e.inlineRecord(g, encPasses)
@@ -464,6 +472,65 @@ func (e commitEngine) publishGroup(g *planGroup, encPasses float64) error {
 		in.supersededBytes.Add(drop[i].encLen)
 	}
 	return nil
+}
+
+// prune takes off a block list what no read can see any more: every block
+// fully contained in one of the last fresh blocks — the group's new units —
+// newer than itself, an earlier unit of the same group included. A block
+// shadowed only by the union of several stays listed. It drops at most limit
+// blocks, oldest first; the rest wait for a later overwrite. It returns the
+// kept blocks, in publish order, and the dropped ones, both in blocks' array:
+// a drop is swapped behind the kept blocks, and no later containment test
+// reads a slot a swap has touched.
+func prune(blocks []blockRec, fresh, limit int) (kept, dropped []blockRec) {
+	k, n := 0, len(blocks)
+	for i := range blocks {
+		dead := false
+		for j := max(i+1, n-fresh); j < n && !dead && i-k < limit; j++ {
+			dead = contains(&blocks[j], &blocks[i])
+		}
+		if !dead {
+			blocks[k], blocks[i] = blocks[i], blocks[k]
+			k++
+		}
+	}
+	return blocks[:k], blocks[k:]
+}
+
+// contains reports whether block a's region fully contains block b's.
+func contains(a, b *blockRec) bool {
+	if len(a.offs) != len(b.offs) {
+		return false
+	}
+	for d := range a.offs {
+		if b.offs[d] < a.offs[d] || b.offs[d]+b.counts[d] > a.offs[d]+a.counts[d] {
+			return false
+		}
+	}
+	return true
+}
+
+// fold widens tr by the value range of b, a block the publish drops, read as
+// MinMax read it while it was listed (blockStats): one header read under bp4,
+// one scan for a codec without statistics. A block that cannot be read so —
+// quarantined, failing its CRC under VerifyFull, or not decoding — leaves the
+// range unknown (NaN) rather than failing the store; MinMax reports
+// ErrCorrupt until a whole-value store or a Delete resets the record.
+func (e commitEngine) fold(tr *trailer, b *blockRec) {
+	p := e.p
+	src, err := p.poolOf(b.pool).Slice(b.data, b.encLen)
+	if err == nil && (p.isQuarantined(b.pool, b.data) ||
+		p.st.opt.VerifyReads == VerifyFull && checksum.Sum(src) != b.crc) {
+		err = ErrCorrupt
+	}
+	var bs BlockStats
+	if err == nil && !tr.poisoned() {
+		bs, err = p.blockStats(*b, src)
+	}
+	if err != nil {
+		*tr = trailer{min: math.NaN(), max: math.NaN(), ok: true}
+	}
+	tr.fold(bs.Min, bs.Max)
 }
 
 // inlineRecord encodes the group's whole value into the handle's scratch as
@@ -498,13 +565,14 @@ func (e commitEngine) inlineRecord(g *planGroup, encPasses float64) ([]byte, err
 // key or decode scratch kept here would cost the per-op path a heap object
 // each. open hands the decoded blocks back beside it instead.
 type recordTx struct {
-	u     pmdk.Update
-	id    string
-	home  int
-	kind  recordKind
-	inl   blockRec // an inline old record's own bytes
-	found bool     // the key holds a record
-	bad   error    // why the old record's references do not decode
+	u       pmdk.Update
+	id      string
+	home    int
+	kind    recordKind
+	inl     blockRec // an inline old record's own bytes
+	dropped trailer  // a block list's: the range of the blocks it dropped
+	found   bool     // the key holds a record
+	bad     error    // why the old record's references do not decode
 }
 
 // open opens a record change of id and returns the blocks the record being
@@ -519,8 +587,8 @@ func (e commitEngine) open(id string, buf []blockRec) (recordTx, []blockRec, err
 	if err != nil {
 		return recordTx{}, nil, err
 	}
-	owned, kind, bad := decodeRecord(u.Old(), poolPMID{uint8(home), u.OldID()}, buf)
-	t := recordTx{u: u, id: id, home: home, kind: kind, found: u.OldID() != pmdk.Null, bad: bad}
+	owned, kind, dropped, bad := decodeRecord(u.Old(), poolPMID{uint8(home), u.OldID()}, buf)
+	t := recordTx{u: u, id: id, home: home, kind: kind, dropped: dropped, found: u.OldID() != pmdk.Null, bad: bad}
 	switch {
 	case bad != nil:
 		owned = nil

@@ -84,15 +84,23 @@ type DeepReport struct {
 	// Corrupt lists every block whose recomputed CRC differed, in the
 	// deterministic sweep order (ids sorted, blocks in publish order).
 	Corrupt []Corruption
+	// Unranged lists every array, in sweep order, whose block list lost the
+	// value range of a block an overwrite dropped (a NaN trailer): its MinMax
+	// is ErrCorrupt until the array is stored whole or deleted.
+	Unranged []string
 }
 
-// OK reports whether every CRC matched.
-func (r *DeepReport) OK() bool { return len(r.Corrupt) == 0 }
+// OK reports whether every CRC matched and every dropped range is known.
+func (r *DeepReport) OK() bool { return len(r.Corrupt) == 0 && len(r.Unranged) == 0 }
 
 // Summary returns a one-line human-readable result.
 func (r *DeepReport) Summary() string {
-	if r.OK() {
+	switch {
+	case r.OK():
 		return fmt.Sprintf("deep check clean: %d blocks, %d bytes verified", r.Blocks, r.Bytes)
+	case len(r.Corrupt) == 0:
+		return fmt.Sprintf("%d blocks verified; %d array(s) lost a dropped block's range; first: %q",
+			r.Blocks, len(r.Unranged), r.Unranged[0])
 	}
 	return fmt.Sprintf("%d corrupt block(s) of %d checked; first: %s",
 		len(r.Corrupt), r.Blocks, r.Corrupt[0])

@@ -3,6 +3,7 @@ package fsck
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
 	"pmemcpy/internal/pmdk"
@@ -131,5 +132,23 @@ func TestCheckBarePool(t *testing.T) {
 	}
 	if !rep.OK() || rep.HasTable {
 		t.Fatalf("bare pool: report = %s", rep.Summary())
+	}
+}
+
+// TestDeepReportUnranged: an array whose block list lost a dropped block's
+// value range is a finding of its own — the report is not OK, and the
+// summary names it when no block is corrupt.
+func TestDeepReportUnranged(t *testing.T) {
+	rep := &DeepReport{Blocks: 3, Bytes: 96}
+	if !rep.OK() || !strings.HasPrefix(rep.Summary(), "deep check clean") {
+		t.Fatalf("clean report: OK=%v %q", rep.OK(), rep.Summary())
+	}
+	rep.Unranged = []string{"grid"}
+	if rep.OK() || !strings.Contains(rep.Summary(), `"grid"`) {
+		t.Errorf("unranged report: OK=%v %q", rep.OK(), rep.Summary())
+	}
+	rep.Corrupt = []Corruption{{ID: "grid", Block: 0, Offset: 4096, Len: 32}}
+	if rep.OK() || !strings.HasPrefix(rep.Summary(), "1 corrupt block(s) of 3 checked") {
+		t.Errorf("corrupt report: OK=%v %q", rep.OK(), rep.Summary())
 	}
 }

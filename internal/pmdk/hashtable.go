@@ -316,6 +316,20 @@ func (u *Update) OldID() PMID { return u.val }
 // caller aborts.
 func (u *Update) Free(id PMID) error { return u.h.p.Free(&u.tx, id) }
 
+// freeUndo is the most undo-log bytes a Free takes: a block's state|next and
+// its free list's head.
+const freeUndo = 2*entryHdr + 16 + 8
+
+// Frees bounds how many blocks the update can Free besides one Set: what its
+// lane has left once the costliest Set is logged — an in-place pre-image of up
+// to a quarter of the lane, over 1 KB, where a relinking Set's two
+// allocations, link and Free take a few hundred bytes — in Frees of freeUndo
+// bytes each. A caller that drops at most this many never meets ErrTxLogFull.
+func (u *Update) Frees() int {
+	t := u.tx.t
+	return int(max(0, t.p.laneSize-laneEntries-t.used-entryHdr-t.p.laneSize/4) / freeUndo)
+}
+
 // Abort rolls the update back and releases the bucket.
 func (u *Update) Abort() error {
 	defer u.lock.Unlock()

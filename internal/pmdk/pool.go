@@ -54,7 +54,7 @@ var (
 
 const (
 	poolMagic   = "PMDKPOOL"
-	poolVersion = 5 // 5: small whole values live inline in their metadata record (core/meta.go)
+	poolVersion = 6 // 6: a block list keeps the value range of the blocks it dropped (core/meta.go)
 	headerSize  = 256
 
 	// Header field offsets.

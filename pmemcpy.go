@@ -33,7 +33,6 @@
 package pmemcpy
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -468,21 +467,14 @@ func Restore(p *PMEM, pfs *PFS, prefix string) (int64, error) {
 	return burstbuffer.Restore(p, pfs, prefix)
 }
 
-// Compact reclaims pool storage shadowed by overwrites of array id (stores
-// append blocks; compaction frees blocks fully contained in newer ones). It
-// returns the number of blocks freed and never changes what reads observe.
-// ctx cancellation (mirroring Scrub) stops the pass between its phases.
-func Compact(ctx context.Context, p *PMEM, id string) (int, error) {
-	return p.Compact(ctx, id)
-}
-
 // BlockStats describes one stored block's shape and value range.
 type BlockStats = core.BlockStats
 
-// MinMax returns the value range of array id. Under the default BP4
-// serializer this reads only per-block characteristics (a few header bytes
-// per block), the "lightweight data characterization" the paper credits the
-// BP format with; stat-less codecs fall back to scanning.
+// MinMax returns the value range of array id: of every block stored since
+// the id was last written whole or deleted. Under the default BP4 serializer
+// this reads only per-block characteristics (a few header bytes per listed
+// block), the "lightweight data characterization" the paper credits the BP
+// format with; stat-less codecs fall back to scanning.
 func MinMax(p *PMEM, id string) (mn, mx float64, err error) {
 	return p.MinMax(id)
 }

@@ -512,14 +512,16 @@ func TestSmallOpHeapBudget(t *testing.T) {
 		if err := pmemcpy.StoreString(p, "s", str); err != nil {
 			return err
 		}
-		// "a1" holds one block, "a4" four; each StoreSub row overwrites a
-		// third array so the other two keep their lengths.
-		for id, n := range map[string]int{"a1": 1, "a4": 4, "w": 1} {
+		// "a1" holds one block, "a4" four quarters — a block contains none of
+		// its siblings, so all four stay listed; each StoreSub row overwrites
+		// a third array so the other two keep their lengths.
+		for id, n := range map[string]uint64{"a1": 1, "a4": 4, "w": 1} {
 			if err := pmemcpy.Alloc[float64](p, id, elems); err != nil {
 				return err
 			}
-			for i := 0; i < n; i++ {
-				if err := pmemcpy.StoreSub(p, id, arr, off, cnt); err != nil {
+			for i := uint64(0); i < n; i++ {
+				q := elems / n
+				if err := pmemcpy.StoreSub(p, id, arr[:q], []uint64{i * q}, []uint64{q}); err != nil {
 					return err
 				}
 			}
