@@ -165,8 +165,7 @@ func main() {
 				}
 				if layout == pmemcpy.LayoutHashtable {
 					// First MinMax per id builds the DRAM block index (a
-					// cache miss); the hit counter below shows repeats are
-					// served from DRAM.
+					// cache miss); repeats hit it (the counters below).
 					if mn, mx, merr := p.MinMax(k); merr == nil {
 						detail += fmt.Sprintf(" range=[%g, %g]", mn, mx)
 					}
@@ -183,7 +182,8 @@ func main() {
 
 		if layout == pmemcpy.LayoutHashtable {
 			// Repeat the range queries: every id's index is now resident, so
-			// these are pure DRAM cache hits (visible in READ ENGINE below).
+			// these hit it (BLOCK-INDEX CACHE below) and read no record, only
+			// each block's statistics header.
 			for _, k := range keys {
 				if strings.HasSuffix(k, pmemcpy.DimsSuffix) {
 					continue
@@ -198,14 +198,16 @@ func main() {
 		if err != nil {
 			return err
 		}
+		m := p.Metrics()
 		fmt.Printf("\nPOOL STATS: pools=%d keys=%d heap-used=%d B allocs=%d frees=%d txs=%d aborts=%d recovered=%d\n",
-			p.Pools(), st.Keys, st.HeapUsed, st.Allocs, st.Frees, st.Transactions, st.Aborts, st.Recovered)
-		fmt.Printf("CONCURRENCY: arenas=%d arena-steals=%d parallelism=%d parallel-stores=%d parallel-blocks=%d\n",
-			st.Arenas, st.ArenaSteals, st.Parallelism, st.ParallelStores, st.ParallelBlocks)
-		fmt.Printf("READ ENGINE: read-parallelism=%d parallel-reads=%d parallel-read-jobs=%d\n",
-			st.ReadParallelism, st.ParallelReads, st.ParallelReadJobs)
+			p.Pools(), st.Keys, st.HeapUsed, m.Get("pmemcpy_alloc_allocs_total"), m.Get("pmemcpy_alloc_frees_total"),
+			m.Get("pmemcpy_alloc_transactions_total"), m.Get("pmemcpy_alloc_aborts_total"),
+			m.Get("pmemcpy_alloc_recovered_total"))
+		fmt.Printf("CONCURRENCY: arena-steals=%d parallel-ops=%d\n",
+			m.Get("pmemcpy_alloc_arena_steals_total"), parallelOps(m))
 		fmt.Printf("BLOCK-INDEX CACHE: hits=%d misses=%d invalidations=%d\n",
-			st.CacheHits, st.CacheMisses, st.CacheInvalidations)
+			m.Get("pmemcpy_cache_hits_total"), m.Get("pmemcpy_cache_misses_total"),
+			m.Get("pmemcpy_cache_invalidations_total"))
 
 		if *dump != "" {
 			vals := make([]float64, 8)
@@ -244,6 +246,16 @@ func printTree(n *pmemcpy.Node, dir string, depth int) {
 }
 
 func newClock() *sim.Clock { return new(sim.Clock) }
+
+// parallelOps sums the operations that took the parallel path.
+func parallelOps(s pmemcpy.MetricsSnapshot) (n int64) {
+	for _, m := range s.Metrics {
+		if m.Name == "pmemcpy_op_total" && m.Labels[1].Value == "parallel" {
+			n += m.Value
+		}
+	}
+	return n
+}
 
 // runStats is the "pmemcli stats" subcommand: it populates the demo store
 // with full instrumentation enabled and prints the observability snapshot as

@@ -14,6 +14,13 @@ import (
 	"pmemcpy/internal/sim"
 )
 
+// The block index's series.
+const (
+	cacheHits          = "pmemcpy_cache_hits_total"
+	cacheMisses        = "pmemcpy_cache_misses_total"
+	cacheInvalidations = "pmemcpy_cache_invalidations_total"
+)
+
 func fillBlock(p *core.PMEM, id string, off, cnt uint64, val float64) error {
 	vals := make([]float64, cnt)
 	for i := range vals {
@@ -40,11 +47,10 @@ func TestBlockCacheHitMiss(t *testing.T) {
 		if err := read(); err != nil {
 			return err
 		}
-		st, _ := p.Stats()
-		if st.CacheMisses == 0 {
+		if p.Metrics().Get(cacheMisses) == 0 {
 			t.Errorf("first read: misses = 0, want > 0")
 		}
-		hitsBefore := st.CacheHits
+		hitsBefore := p.Metrics().Get(cacheHits)
 		for i := 0; i < 3; i++ {
 			if err := read(); err != nil {
 				return err
@@ -53,17 +59,15 @@ func TestBlockCacheHitMiss(t *testing.T) {
 				return err
 			}
 		}
-		st, _ = p.Stats()
-		if st.CacheHits < hitsBefore+6 {
-			t.Errorf("repeat reads: hits = %d, want >= %d", st.CacheHits, hitsBefore+6)
+		if hits := p.Metrics().Get(cacheHits); hits < hitsBefore+6 {
+			t.Errorf("repeat reads: hits = %d, want >= %d", hits, hitsBefore+6)
 		}
-		missesBefore := st.CacheMisses
+		missesBefore := p.Metrics().Get(cacheMisses)
 		if err := read(); err != nil {
 			return err
 		}
-		st, _ = p.Stats()
-		if st.CacheMisses != missesBefore {
-			t.Errorf("hot read missed: misses %d -> %d", missesBefore, st.CacheMisses)
+		if misses := p.Metrics().Get(cacheMisses); misses != missesBefore {
+			t.Errorf("hot read missed: misses %d -> %d", missesBefore, misses)
 		}
 		return nil
 	})
@@ -83,15 +87,13 @@ func TestBlockCacheInvalidationOnOverwrite(t *testing.T) {
 		if _, mx, err := p.MinMax("A"); err != nil || mx != 1 {
 			t.Fatalf("baseline MinMax: mx=%v err=%v", mx, err)
 		}
-		st, _ := p.Stats()
-		invBefore := st.CacheInvalidations
+		invBefore := p.Metrics().Get(cacheInvalidations)
 
 		if err := fillBlock(p, "A", 64, 64, 9); err != nil {
 			return err
 		}
-		st, _ = p.Stats()
-		if st.CacheInvalidations <= invBefore {
-			t.Errorf("overwrite did not invalidate: %d -> %d", invBefore, st.CacheInvalidations)
+		if inv := p.Metrics().Get(cacheInvalidations); inv <= invBefore {
+			t.Errorf("overwrite did not invalidate: %d -> %d", invBefore, inv)
 		}
 		if _, mx, err := p.MinMax("A"); err != nil || mx != 9 {
 			t.Errorf("post-overwrite MinMax: mx=%v err=%v, want 9 (stale cache?)", mx, err)
@@ -123,17 +125,17 @@ func TestBlockCacheInvalidationOnOverwriteAndDelete(t *testing.T) {
 		if err := p.LoadBlock("A", []uint64{0}, []uint64{256}, bytesview.Bytes(dst)); err != nil {
 			return err // index now hot
 		}
-		st, _ := p.Stats()
-		invBefore, freesBefore := st.CacheInvalidations, st.Frees
+		m := p.Metrics()
+		invBefore, freesBefore := m.Get(cacheInvalidations), m.Get("pmemcpy_alloc_frees_total")
 		if err := fillBlock(p, "A", 0, 256, 2); err != nil { // shadows fully
 			return err
 		}
-		st, _ = p.Stats()
-		if st.Frees <= freesBefore {
-			t.Errorf("the overwrite freed nothing: %d -> %d", freesBefore, st.Frees)
+		m = p.Metrics()
+		if frees := m.Get("pmemcpy_alloc_frees_total"); frees <= freesBefore {
+			t.Errorf("the overwrite freed nothing: %d -> %d", freesBefore, frees)
 		}
-		if st.CacheInvalidations <= invBefore {
-			t.Errorf("the overwrite did not invalidate: %d -> %d", invBefore, st.CacheInvalidations)
+		if inv := m.Get(cacheInvalidations); inv <= invBefore {
+			t.Errorf("the overwrite did not invalidate: %d -> %d", invBefore, inv)
 		}
 		if err := p.LoadBlock("A", []uint64{0}, []uint64{256}, bytesview.Bytes(dst)); err != nil {
 			return err
@@ -142,13 +144,12 @@ func TestBlockCacheInvalidationOnOverwriteAndDelete(t *testing.T) {
 			t.Errorf("post-overwrite read: [0]=%v [255]=%v, want 2", dst[0], dst[255])
 		}
 
-		invBefore = st.CacheInvalidations
+		invBefore = m.Get(cacheInvalidations)
 		if _, err := p.Delete("A"); err != nil {
 			return err
 		}
-		st, _ = p.Stats()
-		if st.CacheInvalidations <= invBefore {
-			t.Errorf("Delete did not invalidate: %d -> %d", invBefore, st.CacheInvalidations)
+		if inv := p.Metrics().Get(cacheInvalidations); inv <= invBefore {
+			t.Errorf("Delete did not invalidate: %d -> %d", invBefore, inv)
 		}
 		err := p.LoadBlock("A", []uint64{0}, []uint64{256}, bytesview.Bytes(dst))
 		if !errors.Is(err, core.ErrNotFound) {
@@ -249,9 +250,8 @@ func TestBlockCacheFreshAfterCrashRecovery(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		st, _ := p.Stats()
-		if st.CacheHits != 0 || st.CacheMisses != 0 {
-			t.Errorf("recovered handle cache not cold: hits=%d misses=%d", st.CacheHits, st.CacheMisses)
+		if m := p.Metrics(); m.Get(cacheHits) != 0 || m.Get(cacheMisses) != 0 {
+			t.Errorf("recovered handle cache not cold: hits=%d misses=%d", m.Get(cacheHits), m.Get(cacheMisses))
 		}
 		dst := make([]float64, elems)
 		if err := p.LoadBlock("A", []uint64{0}, []uint64{elems}, bytesview.Bytes(dst)); err != nil {

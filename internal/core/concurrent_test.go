@@ -128,9 +128,6 @@ func TestConcurrentStoreLoadDeleteModel(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if st.Parallelism != 4 {
-				return fmt.Errorf("stats parallelism = %d, want 4", st.Parallelism)
-			}
 			t.Logf("stats: %+v", st)
 		}
 		return p.Munmap()

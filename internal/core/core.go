@@ -158,9 +158,6 @@ type shared struct {
 	// lock and the DRAM block index that lock guards, shared by every rank of
 	// the handle group like the pool itself.
 	vars sync.Map
-	// The block-index counters: index lookups served from DRAM, lookups that
-	// built the index, and writer-side drops.
-	cacheHits, cacheMisses, cacheInvalidations atomic.Int64
 
 	// ins is the observability state (instrument.go), shared like the pool.
 	ins *instruments
@@ -177,12 +174,6 @@ type shared struct {
 	// for the queue-depth gauge.
 	asyncDepth atomic.Int64
 
-	// Copy-engine counters, surfaced through StoreStats.
-	parallelStores   atomic.Int64 // stores that took the parallel path
-	parallelBlocks   atomic.Int64 // shard blocks written by the parallel path
-	parallelReads    atomic.Int64 // loads that took the parallel gather path
-	parallelReadJobs atomic.Int64 // gather jobs those loads executed
-
 	// Zero-copy view lease state (view.go). viewMu guards the epoch counter,
 	// the per-epoch open-lease counts and limbo, the blocks parked while a
 	// lease was open, of every member pool. viewActive shadows the total
@@ -195,7 +186,6 @@ type shared struct {
 	limbo        []parked
 	viewActive   atomic.Int64
 	limboLen     atomic.Int64
-	viewLeaked   atomic.Int64
 	viewsInvalid atomic.Bool
 }
 
@@ -289,7 +279,7 @@ func openShared(c *mpi.Comm, n *node.Node, path string, o Options) (*shared, err
 	if st.lay, err = newLayout(clk, st, n, path); err != nil {
 		return nil, err
 	}
-	if st.lay.caps().pool {
+	if st.lay.pooled() {
 		// Repopulate the quarantine fail-fast mirror from the persistent
 		// list, so a reopen after a crash keeps refusing reads of known-bad
 		// blocks.
@@ -298,7 +288,7 @@ func openShared(c *mpi.Comm, n *node.Node, path string, o Options) (*shared, err
 		}
 	}
 	// The pipeline commits through pool transactions.
-	st.opt.Async = o.Async && st.lay.caps().pool
+	st.opt.Async = o.Async && st.lay.pooled()
 	st.ins = newInstruments(st, n)
 	return st, nil
 }

@@ -125,11 +125,7 @@ func TestCrashMatrixParallelStore(t *testing.T) {
 			if err := inner(p); err != nil {
 				return err
 			}
-			st, err := p.Stats()
-			if err != nil {
-				return err
-			}
-			if st.ParallelStores == 0 {
+			if parallelOps(p, "store_") == 0 {
 				return fmt.Errorf("store took the serial path despite Parallelism=4")
 			}
 			return nil

@@ -16,10 +16,10 @@ import (
 
 // Crash-point explorer. Hand-picked kill points sample a handful of persist
 // orderings; the explorer enumerates all of them. It first records the exact
-// persist/fence trace of a scripted workload, then for every persist
-// operation in the trace runs an independent crash simulation: rebuild the
-// store, replay the script, kill the device at exactly that persist (clean or
-// torn, under each configured cache-loss adversary), simulate power loss,
+// persist trace of a scripted workload, then for every persist operation in
+// the trace runs an independent crash simulation: rebuild the store, replay
+// the script, kill the device at exactly that persist (clean or torn, under
+// each configured cache-loss adversary), simulate power loss,
 // and verify the reopened pool — pmemfsck structural invariants, core
 // metadata invariants, and the script's own data verification. The result is
 // a coverage map keyed by persist-point name with zero unexplored points, the
@@ -75,8 +75,6 @@ type ExploreOptions struct {
 type PointCoverage struct {
 	// Name is the registered persist-point name.
 	Name string
-	// Fence marks a drain-only point (traced but not crash-injectable).
-	Fence bool
 	// Hits is how many trace events carried this point.
 	Hits int64
 	// Crashes is how many crash simulations were run at this point.
@@ -112,7 +110,7 @@ type ExploreReport struct {
 func (r *ExploreReport) Unexplored() []string {
 	var out []string
 	for _, pc := range r.Points {
-		if !pc.Fence && pc.Hits > 0 && pc.Crashes == 0 {
+		if pc.Hits > 0 && pc.Crashes == 0 {
 			out = append(out, pc.Name)
 		}
 	}
@@ -131,11 +129,7 @@ func (r *ExploreReport) Format() string {
 		}
 	}
 	for _, pc := range r.Points {
-		kind := "persist"
-		if pc.Fence {
-			kind = "fence  "
-		}
-		fmt.Fprintf(&b, "  %-*s  %s  hits=%-4d crashes=%d\n", w, pc.Name, kind, pc.Hits, pc.Crashes)
+		fmt.Fprintf(&b, "  %-*s  hits=%-4d crashes=%d\n", w, pc.Name, pc.Hits, pc.Crashes)
 	}
 	if un := r.Unexplored(); len(un) > 0 {
 		fmt.Fprintf(&b, "  UNEXPLORED: %s\n", strings.Join(un, ", "))
@@ -218,7 +212,7 @@ func (s *Script) checkStructure(n *node.Node) error {
 }
 
 // TraceScript runs the script once with tracing enabled (no faults) and
-// returns the persist/fence trace of its Run phase. Also used stand-alone by
+// returns the persist trace of its Run phase. Also used stand-alone by
 // the golden coverage test, which needs the reached points but not the full
 // (much more expensive) exploration.
 func TraceScript(s Script) ([]pmem.TraceEvent, error) {
@@ -380,21 +374,17 @@ func Explore(s Script, o ExploreOptions) (*ExploreReport, error) {
 	}
 
 	tally := make(map[pmem.PointID]*PointCoverage)
-	cover := func(pt pmem.PointID, fence bool) *PointCoverage {
+	cover := func(pt pmem.PointID) *PointCoverage {
 		pc := tally[pt]
 		if pc == nil {
-			pc = &PointCoverage{Name: pmem.PointName(pt), Fence: fence}
+			pc = &PointCoverage{Name: pmem.PointName(pt)}
 			tally[pt] = pc
 		}
 		return pc
 	}
-	rep := &ExploreReport{Script: s.Name}
+	rep := &ExploreReport{Script: s.Name, Ops: int64(len(events))}
 	for _, ev := range events {
-		pc := cover(ev.Point, ev.Kind == pmem.EventFence)
-		pc.Hits++
-		if ev.Kind == pmem.EventPersist {
-			rep.Ops++
-		}
+		cover(ev.Point).Hits++
 	}
 
 	type variant struct {
@@ -413,9 +403,6 @@ func Explore(s Script, o ExploreOptions) (*ExploreReport, error) {
 	rng := rand.New(rand.NewSource(seed))
 	logf("exploring %q: %d persist ops x %d variants", s.Name, rep.Ops, len(variants))
 	for _, ev := range events {
-		if ev.Kind != pmem.EventPersist {
-			continue
-		}
 		for _, v := range variants {
 			var tearSeed uint64
 			if v.tear {
@@ -436,7 +423,7 @@ func Explore(s Script, o ExploreOptions) (*ExploreReport, error) {
 			}
 			rep.CrashSims++
 		}
-		cover(ev.Point, false).Crashes += int64(len(variants))
+		cover(ev.Point).Crashes += int64(len(variants))
 	}
 
 	for _, pc := range tally {

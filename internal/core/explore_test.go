@@ -294,11 +294,7 @@ func exploreParallelScript() core.Script {
 			if len(b.Payload) == 0 || b.Payload[0] != 'y' {
 				return fmt.Errorf("B not republished after complete run")
 			}
-			st, err := p.Stats()
-			if err != nil {
-				return err
-			}
-			if st.ParallelStores == 0 {
+			if parallelOps(p, "store_") == 0 {
 				return fmt.Errorf("store took the serial path despite Parallelism=4")
 			}
 			return nil
@@ -349,9 +345,7 @@ func TestExploreParallelScript(t *testing.T) {
 func persistPointNames(events []pmem.TraceEvent) []string {
 	seen := make(map[string]bool)
 	for _, ev := range events {
-		if ev.Kind == pmem.EventPersist {
-			seen[pmem.PointName(ev.Point)] = true
-		}
+		seen[pmem.PointName(ev.Point)] = true
 	}
 	out := make([]string, 0, len(seen))
 	for n := range seen {
@@ -521,10 +515,8 @@ func TestBlockcacheFreshAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	lastOp := int64(-1)
-	for _, ev := range events {
-		if ev.Kind == pmem.EventPersist {
-			lastOp = ev.Op
-		}
+	if len(events) > 0 {
+		lastOp = events[len(events)-1].Op
 	}
 	if lastOp < 0 {
 		t.Fatal("trace recorded no persists")

@@ -51,3 +51,13 @@ func (p *PMEM) NamedBlocks(id string) ([][2]int64, error) {
 	}
 	return out, nil
 }
+
+// PoolStats returns each member pool's allocator counters, for tests that
+// hold the Metrics() bridge series to their sum.
+func (p *PMEM) PoolStats() []pmdk.Stats {
+	out := make([]pmdk.Stats, len(p.st.pools))
+	for i, pool := range p.st.pools {
+		out[i] = pool.Stats()
+	}
+	return out
+}

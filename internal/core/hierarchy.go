@@ -30,7 +30,7 @@ type hierStore struct {
 	root string
 }
 
-func (h *hierStore) caps() layoutCaps { return layoutCaps{} }
+func (h *hierStore) pooled() bool { return false }
 
 // varFile is a variable's open file: what a resolved read plan's units point
 // into until the read engine closes it.

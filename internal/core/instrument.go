@@ -15,9 +15,14 @@ import (
 //     (serial vs parallel): plain atomics, always on;
 //   - op latency and shard/queue histograms in virtual ns: recorded only when
 //     Options.Metrics is set;
-//   - bridge series (CounterFunc/GaugeFunc) reading counters that already
-//     live elsewhere — the pmem device, the pmdk allocator, the block-index
-//     cache — at snapshot time, so nothing is double-counted.
+//   - bridge series (CounterFunc/GaugeFunc) reading counters that live in
+//     another package — the pmem device, the pmdk allocator — or state the
+//     engines keep for themselves — quarantine, lease and queue gauges — at
+//     snapshot time, so nothing is double-counted.
+//
+// The registry is the one home of every core counter and Metrics() the one
+// way to read it: a counter core keeps for no other reason is an obs.Counter
+// here, never an atomic beside the registry.
 //
 // None of it touches the virtual clock: observing a store can never change
 // its modelled latency, so virtual-time results are bit-identical with
@@ -76,7 +81,8 @@ type instruments struct {
 	ops [nOps][nPaths]*opInstr
 
 	// Parallel-engine shape histograms (imbalance is read off the shard-bytes
-	// spread; queue depth is the gather plan's job count per parallel load).
+	// spread; queue depth is the gather plan's job count per parallel load):
+	// their counts are the shards written and the gather jobs run.
 	shardBytes     *obs.Histogram
 	gatherJobBytes *obs.Histogram
 	gatherDepth    *obs.Histogram
@@ -106,11 +112,18 @@ type instruments struct {
 
 	// Zero-copy view series (view.go). The zero_copy/fallback pair makes the
 	// aliasing ratio observable (E18 reports it); deferred/reclaimed count
-	// blocks through the limbo lists.
+	// blocks through the limbo lists; leaked counts views collected unclosed.
 	viewZero      *obs.Counter
 	viewFallback  *obs.Counter
 	viewDeferred  *obs.Counter
 	viewReclaimed *obs.Counter
+	viewLeaked    *obs.Counter
+
+	// The DRAM block index (meta.go): lookups served from DRAM, lookups that
+	// built it, and writer-side drops.
+	cacheHits          *obs.Counter
+	cacheMisses        *obs.Counter
+	cacheInvalidations *obs.Counter
 
 	// What a whole-value publish reclaimed (writeplan.go): the block the old
 	// record pointed at, freed in the publishing transaction or parked.
@@ -196,6 +209,12 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 		"blocks parked on the limbo lists because view leases were open")
 	in.viewReclaimed = reg.Counter("pmemcpy_view_reclaimed_total",
 		"limbo blocks freed after their lease epoch drained")
+	in.viewLeaked = reg.Counter("pmemcpy_view_leaked_total",
+		"views garbage-collected without Close (their leases pin limbo forever)")
+
+	in.cacheHits = reg.Counter("pmemcpy_cache_hits_total", "block-index cache hits")
+	in.cacheMisses = reg.Counter("pmemcpy_cache_misses_total", "block-index cache misses")
+	in.cacheInvalidations = reg.Counter("pmemcpy_cache_invalidations_total", "block-index cache invalidations")
 
 	in.supersededBlocks = reg.Counter("pmemcpy_superseded_blocks_total",
 		"blocks an overwrite reclaimed with its publish: a replaced record's, or listed blocks a new block contains (freed in the transaction, or parked under a view lease)")
@@ -205,8 +224,7 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 		"whole values published inline in their metadata record (no data block)")
 
 	// The device and allocator bridge series sum over every member of the
-	// namespace, as Stats() does. (A hierarchy handle has the one device and
-	// no pool.)
+	// namespace. (A hierarchy handle has the one device and no pool.)
 	devSum := func(f func(pmem.Counters) int64) func() int64 {
 		return func() (total int64) {
 			for i := range st.pools {
@@ -217,8 +235,6 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 	}
 	reg.CounterFunc("pmemcpy_device_persists_total", "successful device persists",
 		devSum(func(c pmem.Counters) int64 { return c.Persists }))
-	reg.CounterFunc("pmemcpy_device_fences_total", "device fences",
-		devSum(func(c pmem.Counters) int64 { return c.Fences }))
 	reg.CounterFunc("pmemcpy_device_persisted_bytes_total", "bytes covered by persists",
 		devSum(func(c pmem.Counters) int64 { return c.PersistedBytes }))
 	// The engines charge payload moves as sim DAX moves of their own, around the
@@ -240,7 +256,7 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 	reg.CounterFunc("pmemcpy_device_media_failures_total", "persists escalated to ErrMedia",
 		n.Device.MediaFailures)
 
-	if st.lay.caps().pool {
+	if st.lay.pooled() {
 		poolSum := func(f func(pmdk.Stats) int64) func() int64 {
 			return func() (total int64) {
 				for _, pool := range st.pools {
@@ -267,6 +283,8 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 			poolSum(func(s pmdk.Stats) int64 { return s.Transactions }))
 		reg.CounterFunc("pmemcpy_alloc_aborts_total", "aborted transactions",
 			poolSum(func(s pmdk.Stats) int64 { return s.Aborts }))
+		reg.CounterFunc("pmemcpy_alloc_recovered_total", "transactions rolled back by recovery at pool open",
+			poolSum(func(s pmdk.Stats) int64 { return s.Recovered }))
 		reg.CounterFunc("pmemcpy_alloc_arena_steals_total", "allocations served by a non-home arena",
 			poolSum(func(s pmdk.Stats) int64 { return s.ArenaSteals }))
 		// Entries per transaction is undo_entries / alloc_transactions.
@@ -285,20 +303,12 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 			poolSum(func(s pmdk.Stats) int64 { return s.HTInserted }))
 	}
 
-	reg.CounterFunc("pmemcpy_cache_hits_total", "block-index cache hits",
-		st.cacheHits.Load)
-	reg.CounterFunc("pmemcpy_cache_misses_total", "block-index cache misses",
-		st.cacheMisses.Load)
-	reg.CounterFunc("pmemcpy_cache_invalidations_total", "block-index cache invalidations",
-		st.cacheInvalidations.Load)
 	reg.GaugeFunc("pmemcpy_quarantined_blocks", "blocks currently on the quarantine list",
 		st.quarLen.Load)
 	reg.GaugeFunc("pmemcpy_view_active_leases", "zero-copy view leases currently open",
 		st.viewActive.Load)
 	reg.GaugeFunc("pmemcpy_view_limbo_blocks", "blocks parked on the deferred-free limbo lists",
 		st.limboLen.Load)
-	reg.CounterFunc("pmemcpy_view_leaked_total", "views garbage-collected without Close (their leases pin limbo forever)",
-		st.viewLeaked.Load)
 	if st.opt.Async {
 		// The gauge aggregates every rank's queue.
 		reg.GaugeFunc("pmemcpy_async_queue_depth", "ops queued on the async submission queues",
@@ -306,8 +316,8 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 	}
 
 	if st.opt.Tracing {
-		// The tracer becomes the device's event sink, so every persist/fence
-		// is attributed to the op active on the issuing rank's clock. The sink
+		// The tracer becomes the device's event sink, so every persist is
+		// attributed to the op active on the issuing rank's clock. The sink
 		// stays installed until Munmap removes it or another tracing handle
 		// group replaces it; events outside any op are counted, not recorded.
 		// Every device of a multi-pool node feeds the same tracer: the pools

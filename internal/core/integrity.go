@@ -221,7 +221,7 @@ func (r ScrubReport) String() string {
 // calls.
 func (p *PMEM) Scrub(ctx context.Context) (ScrubReport, error) {
 	var rep ScrubReport
-	if !p.st.lay.caps().crc {
+	if !p.st.lay.pooled() {
 		return rep, fmt.Errorf("core: Scrub requires the hashtable layout")
 	}
 	clk := p.comm.Clock()
@@ -314,7 +314,7 @@ func (p *PMEM) chargeScrub(pi int, n int64, pace *scrubPacer) {
 // added sweep.
 func (p *PMEM) DeepCheck() (*fsck.DeepReport, error) {
 	rep := &fsck.DeepReport{}
-	if !p.st.lay.caps().crc {
+	if !p.st.lay.pooled() {
 		return rep, nil
 	}
 	keys, err := p.Keys()

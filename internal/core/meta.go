@@ -84,14 +84,12 @@ type layout interface {
 	stored(p *PMEM, u readUnit) ([]byte, error)
 	chargeUnit(p *PMEM, u readUnit, decPasses float64)
 
-	caps() layoutCaps
-}
-
-// layoutCaps are the facts about a layout the engines branch on.
-type layoutCaps struct {
-	crc   bool // records publish a CRC32C per block: reads can verify, Scrub and DeepCheck have work
-	alias bool // stored bytes are mapped memory a view can alias
-	pool  bool // blocks live in pmdk pools: transactions, wide waves, the async pipeline
+	// pooled is the one fact about a layout the engines branch on: blocks
+	// live in pmdk pools. Only then do records publish a CRC32C per block
+	// (reads can verify, Scrub and DeepCheck have work), are stored bytes
+	// mapped memory a view can alias, and are there transactions, wide waves
+	// and the async pipeline.
+	pooled() bool
 }
 
 // newLayout builds the handle group's layout from its resolved options — the
@@ -518,7 +516,7 @@ func (st *shared) homeIdx(id string) int {
 // id's lock, which every writer of the record holds too.
 func (p *PMEM) dims(id string, buf []uint64) (rec dimsRecord, ok bool, err error) {
 	var raw []byte
-	if p.st.lay.caps().pool {
+	if p.st.lay.pooled() {
 		raw, _, ok, err = p.record(id + DimsSuffix)
 	} else {
 		raw, ok, err = p.st.lay.get(p.comm.Clock(), id, DimsSuffix)
@@ -581,15 +579,16 @@ func (st *shared) loadQuarantine(clk *sim.Clock) error {
 // hashtable; idx mirrors both, so a repeat LoadSub, MinMax or BlockStatsOf
 // re-reads and re-decodes neither (Blizzard, Fernando et al.: a persistent
 // structure's fast path wants a DRAM index kept coherent under the
-// structure's own lock).
+// structure's own lock). Measured with the index off, a miss on every plan
+// costs `load_virt_us_per_op` +12 % on smallkv, +31 % on ckpt-restart and
+// +221 % on stream-raw (DESIGN §8), so it stays.
 //
 // Coherence: every writer of either record republishes and then drops idx
-// under the write side; the read engine loads, builds and installs idx — and
-// memoizes statistics into it — under the read side, which it holds from its
-// metadata lookup through the last byte it touches. No republish can fall
-// between a reader's metadata reads and its install, so an installed index is
-// never stale and needs no version. An index is immutable once installed; a
-// refinement (lazily computed statistics) installs a new one.
+// under the write side; the read engine loads, builds and installs idx under
+// the read side, which it holds from its metadata lookup through the last
+// byte it touches. No republish can fall between a reader's metadata reads
+// and its install, so an installed index is never stale and needs no version.
+// An index is immutable once installed.
 //
 // What is never indexed: the hierarchy layout (metadata are files, reads go
 // through the FS model), raw metadata values (scalars, strings, structs),
@@ -605,8 +604,7 @@ type variable struct {
 func (p *PMEM) variable(id string) *variable {
 	id = placementKey(id)
 	// Load first: LoadOrStore's candidate and boxed key are two heap objects
-	// per call, and every read plan — memoized statistics hits included —
-	// takes this lock.
+	// per call, and every read plan takes this lock.
 	if v, ok := p.st.vars.Load(id); ok {
 		return v.(*variable)
 	}
@@ -621,25 +619,14 @@ func (v *variable) install(id string, e *cacheEntry) {
 	}
 }
 
-// cacheEntry is one variable's DRAM index: decoded dims, the decoded block
-// list in publish order (later blocks shadow earlier ones) and its trailer,
-// and lazily attached per-block statistics.
+// cacheEntry is one variable's DRAM index: decoded dims, and the decoded
+// block list in publish order (later blocks shadow earlier ones) and its
+// trailer.
 type cacheEntry struct {
 	dims      dimsRecord
 	blocks    []blockRec
 	dropped   trailer
 	hasBlocks bool
-	// stats is BlockStatsOf's result, nil until computed; stats[i]
-	// describes blocks[i].
-	stats []BlockStats
-}
-
-// withStats returns a copy of e with stats attached (entries are immutable,
-// so refinement installs a fresh entry).
-func (e *cacheEntry) withStats(stats []BlockStats) *cacheEntry {
-	c := *e
-	c.stats = stats
-	return &c
 }
 
 // blockIndex returns id's DRAM index, building it from the dims record and
@@ -656,10 +643,10 @@ func (e *cacheEntry) withStats(stats []BlockStats) *cacheEntry {
 // their extents — however many blocks it indexes.
 func (p *PMEM) blockIndex(v *variable, id string) (*cacheEntry, error) {
 	if e := v.idx.Load(); e != nil && id == placementKey(id) {
-		p.st.cacheHits.Add(1)
+		p.st.ins.cacheHits.Inc()
 		return e, nil
 	}
-	p.st.cacheMisses.Add(1)
+	p.st.ins.cacheMisses.Inc()
 	rec, err := p.heldDims(id, nil)
 	if err != nil {
 		return nil, err
@@ -682,7 +669,7 @@ func (p *PMEM) blockIndex(v *variable, id string) (*cacheEntry, error) {
 // under the variable's write lock, after republishing either record.
 func (p *PMEM) invalidate(key string) {
 	p.variable(key).idx.Store(nil)
-	p.st.cacheInvalidations.Add(1)
+	p.st.ins.cacheInvalidations.Inc()
 }
 
 // --- the pool layout ---
@@ -692,7 +679,7 @@ func (p *PMEM) invalidate(key string) {
 // allocations dereferenced through the mapping.
 type poolLayout struct{ st *shared }
 
-func (l poolLayout) caps() layoutCaps { return layoutCaps{crc: true, alias: true, pool: true} }
+func (l poolLayout) pooled() bool { return true }
 
 func (l poolLayout) get(clk *sim.Clock, id, suffix string) ([]byte, bool, error) {
 	key := id + suffix
@@ -739,26 +726,24 @@ func (l poolLayout) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 		}
 		return r, nil
 	}
-	if r.entry, err = p.blockIndex(pl.v, pl.id); err != nil {
+	e, err := p.blockIndex(pl.v, pl.id)
+	if err != nil {
 		return r, err
 	}
 	if pl.consume == consumeStats {
-		r.dropped = r.entry.dropped
-		if !r.entry.hasBlocks {
+		r.dropped = e.dropped
+		if !e.hasBlocks {
 			return r, fmt.Errorf("core: %q has no stored blocks: %w", pl.id, ErrNotFound)
 		}
-		if r.stats = r.entry.stats; r.stats == nil {
-			r.units = p.gather().whole(r.entry.blocks)
-		}
-		r.done = r.stats != nil
+		r.units = p.gather().whole(e.blocks)
 		return r, nil
 	}
-	if err := r.bound(&pl, r.entry.dims); err != nil {
+	if err := r.bound(&pl, e.dims); err != nil {
 		return r, err
 	}
-	if !r.entry.hasBlocks {
+	if !e.hasBlocks {
 		return r, fmt.Errorf("core: id %q has no stored blocks: %w", pl.id, ErrNotFound)
 	}
-	r.units = p.gather().plan(r.entry, pl.offs, pl.counts, r.esize)
+	r.units = p.gather().plan(e, pl.offs, pl.counts, r.esize)
 	return r, nil
 }

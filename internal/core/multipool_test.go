@@ -157,7 +157,7 @@ func TestMultiPoolRoundTrip(t *testing.T) {
 }
 
 // TestMultiPoolMetricsSumMembers pins the Metrics() bridge on a sharded
-// namespace: the allocator series equal what Stats() sums over the members,
+// namespace: the allocator series equal the sum over the member pools,
 // and the device series count every member's persists, not only member 0's.
 func TestMultiPoolMetricsSumMembers(t *testing.T) {
 	const elems = 1 << 16 // 512 KB of f64: striped over all four pools
@@ -176,21 +176,30 @@ func TestMultiPoolMetricsSumMembers(t *testing.T) {
 		if _, err := p.Delete("grid"); err != nil {
 			return err
 		}
-		st, err := p.Stats()
-		if err != nil {
-			return err
+		var sum pmdk.Stats
+		for _, ps := range p.PoolStats() {
+			sum.Allocs += ps.Allocs
+			sum.Frees += ps.Frees
+			sum.Transactions += ps.Transactions
+			sum.Aborts += ps.Aborts
+			sum.Recovered += ps.Recovered
+			sum.ArenaSteals += ps.ArenaSteals
 		}
 		snap := p.Metrics()
 		for name, want := range map[string]int64{
-			"pmemcpy_alloc_allocs_total":       st.Allocs,
-			"pmemcpy_alloc_frees_total":        st.Frees,
-			"pmemcpy_alloc_transactions_total": st.Transactions,
-			"pmemcpy_alloc_aborts_total":       st.Aborts,
-			"pmemcpy_alloc_arena_steals_total": st.ArenaSteals,
+			"pmemcpy_alloc_allocs_total":       sum.Allocs,
+			"pmemcpy_alloc_frees_total":        sum.Frees,
+			"pmemcpy_alloc_transactions_total": sum.Transactions,
+			"pmemcpy_alloc_aborts_total":       sum.Aborts,
+			"pmemcpy_alloc_recovered_total":    sum.Recovered,
+			"pmemcpy_alloc_arena_steals_total": sum.ArenaSteals,
 		} {
 			if got := snap.Get(name); got != want {
-				t.Errorf("%s = %d, Stats() sums %d over the members", name, got, want)
+				t.Errorf("%s = %d, the members sum to %d", name, got, want)
 			}
+		}
+		if sum.Allocs <= p.PoolStats()[0].Allocs {
+			t.Errorf("only member 0 allocated (%d of %d): the store did not stripe", p.PoolStats()[0].Allocs, sum.Allocs)
 		}
 		var persists int64
 		for i := 0; i < n.Pools(); i++ {
@@ -255,12 +264,8 @@ func TestMultiPoolReopen(t *testing.T) {
 		if v, err := loadUniformF64(p, "A", elems); err != nil || v != 3 {
 			return fmt.Errorf("A after reopen = %g, %v", v, err)
 		}
-		st, err := p.Stats()
-		if err != nil {
-			return err
-		}
-		if st.Arenas < 4 {
-			return fmt.Errorf("stats report %d arenas, want at least one per pool", st.Arenas)
+		if got := p.Pools(); got != 4 {
+			return fmt.Errorf("reopen mapped %d member pools, want 4", got)
 		}
 		return p.Munmap()
 	})
@@ -459,11 +464,7 @@ func exploreMultiPoolScript() core.Script {
 			if len(pools) != 4 {
 				return fmt.Errorf("A's blocks touch %d pools, want 4", len(pools))
 			}
-			st, err := p.Stats()
-			if err != nil {
-				return err
-			}
-			if st.ParallelStores == 0 {
+			if parallelOps(p, "store_") == 0 {
 				return fmt.Errorf("store took the serial path despite Parallelism=4")
 			}
 			return nil
@@ -535,9 +536,6 @@ func exploreSetCommit(t *testing.T, pools int) {
 	var ops []int64
 	var memberHits, publishHits int
 	for _, ev := range events {
-		if ev.Kind != pmem.EventPersist {
-			continue
-		}
 		ops = append(ops, ev.Op)
 		switch pmem.PointName(ev.Point) {
 		case "pmdk.set.member":

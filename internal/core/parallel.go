@@ -73,7 +73,7 @@ func splitShards(d *serial.Datum, offs, counts []uint64, want int) []shard {
 func (p *PMEM) wideStore(n int64) bool {
 	return p.st.opt.Parallelism > 1 &&
 		!p.st.opt.StagedSerialization && // staging ablation models the serial related work
-		p.st.lay.caps().pool &&
+		p.st.lay.pooled() &&
 		n >= parallelMinBytes
 }
 

@@ -57,21 +57,14 @@ func TestOverwriteFreesShadowedBlocks(t *testing.T) {
 			return err
 		}
 		for round := 1; round <= 4; round++ {
-			st0, err := p.Stats()
-			if err != nil {
-				return err
-			}
+			frees0 := p.Metrics().Get("pmemcpy_alloc_frees_total")
 			if err := storeAll(p, "A", float64(round), []uint64{0}, dims); err != nil {
-				return err
-			}
-			st1, err := p.Stats()
-			if err != nil {
 				return err
 			}
 			if n := listed(t, p, "A"); n != 1 {
 				t.Errorf("round %d: A lists %d blocks, want 1", round, n)
 			}
-			if round > 1 && st1.Frees == st0.Frees {
+			if round > 1 && p.Metrics().Get("pmemcpy_alloc_frees_total") == frees0 {
 				t.Errorf("round %d: the overwrite freed nothing", round)
 			}
 		}
@@ -156,6 +149,7 @@ func TestOverwriteReclaimsPoolSpace(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		frees0 := p.Metrics().Get("pmemcpy_alloc_frees_total")
 		for round := 0; round < 6; round++ {
 			if err := storeAll(p, "C", float64(round+10), []uint64{0}, dims); err != nil {
 				return err
@@ -165,8 +159,8 @@ func TestOverwriteReclaimsPoolSpace(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if st1.Frees < st0.Frees+6 {
-			t.Errorf("Frees grew %d -> %d over 6 overwrites", st0.Frees, st1.Frees)
+		if frees1 := p.Metrics().Get("pmemcpy_alloc_frees_total"); frees1 < frees0+6 {
+			t.Errorf("Frees grew %d -> %d over 6 overwrites", frees0, frees1)
 		}
 		if st1.HeapUsed > st0.HeapUsed+(1<<16) {
 			t.Errorf("heap kept growing over overwrites: %d -> %d", st0.HeapUsed, st1.HeapUsed)

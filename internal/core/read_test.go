@@ -92,15 +92,12 @@ func TestLoadBlockParallelMatchesSerial(t *testing.T) {
 					}
 				}
 			}
-			st, err := p.Stats()
-			if err != nil {
-				return err
-			}
-			if rpar > 1 && st.ParallelReads == 0 {
+			reads := parallelOps(p, "load_")
+			if rpar > 1 && reads == 0 {
 				return fmt.Errorf("rpar=%d: no reads took the parallel path", rpar)
 			}
-			if rpar == 1 && st.ParallelReads != 0 {
-				return fmt.Errorf("rpar=1: %d reads took the parallel path", st.ParallelReads)
+			if rpar == 1 && reads != 0 {
+				return fmt.Errorf("rpar=1: %d reads took the parallel path", reads)
 			}
 			return nil
 		})
@@ -139,12 +136,8 @@ func TestLoadBlockOverlapFallsBackSerial(t *testing.T) {
 				return fmt.Errorf("dst[%d] = %v, want %v", i, v, want[i])
 			}
 		}
-		st, err := p.Stats()
-		if err != nil {
-			return err
-		}
-		if st.ParallelReads != 0 {
-			return fmt.Errorf("overlapping plan took the parallel path %d times", st.ParallelReads)
+		if reads := parallelOps(p, "load_"); reads != 0 {
+			return fmt.Errorf("overlapping plan took the parallel path %d times", reads)
 		}
 		return nil
 	})

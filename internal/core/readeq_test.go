@@ -167,11 +167,7 @@ func reqRun(t *testing.T, n *node.Node, layout core.Layout, codec string, pools 
 			}
 		}
 		verified = p.Metrics().Get("pmemcpy_verified_blocks_total")
-		st, err := p.Stats()
-		if err != nil {
-			return err
-		}
-		parallelReads = st.ParallelReads
+		parallelReads = parallelOps(p, "load_")
 		return p.Munmap()
 	})
 	if err != nil {

@@ -188,7 +188,7 @@ type readPlan struct {
 	sweep *scrubPacer
 
 	// v is the id's variable, read-locked by run: its DRAM index is the one
-	// the plan resolves against and memoizes into.
+	// the plan resolves against.
 	v *variable
 
 	resolution
@@ -213,15 +213,14 @@ type resolution struct {
 	units  []readUnit
 	one    [1]readUnit
 	single bool
-	done   bool // nothing to execute: a memoized statistics hit, a value that references no blocks
+	done   bool // nothing to execute: a value that references no blocks
 
-	kind    recordKind  // record plans: what the record turned out to be
-	dropped trailer     // record and stats plans: the block list's trailer
-	entry   *cacheEntry // request/stats plans: the index the plan ran against
-	file    *varFile    // the variable's open file, closed by run
+	kind    recordKind // record plans: what the record turned out to be
+	dropped trailer    // record and stats plans: the block list's trailer
+	file    *varFile   // the variable's open file, closed by run
 	esize   int
 	need    int64        // request bytes
-	stats   []BlockStats // consumeStats (the memoized slice on an index hit: copy before returning)
+	stats   []BlockStats // consumeStats (Offs and Counts alias the index: copy before returning)
 }
 
 // bound checks a request plan against the variable's declared dims and sizes
@@ -271,9 +270,10 @@ func (e readEngine) run(pl *readPlan) error {
 		return fmt.Errorf("core: request on %q only covered %d of %d bytes: %w",
 			pl.id, pl.covered, pl.need, ErrNotFound)
 	}
-	// The op's one verification decision. Without published CRCs there is
-	// nothing to verify against, and the op draws no sampling tick.
-	verify := lay.caps().crc && (pl.verify != verifyByMode || p.shouldVerify())
+	// The op's one verification decision. Only pool blocks publish CRCs;
+	// without them there is nothing to verify against, and the op draws no
+	// sampling tick.
+	verify := lay.pooled() && (pl.verify != verifyByMode || p.shouldVerify())
 	if units, err = e.gate(pl, units); err != nil {
 		return err
 	}
@@ -467,10 +467,6 @@ func (e readEngine) consume(pl *readPlan, units []readUnit, verified bool) error
 				return err
 			}
 		}
-		// Memoized inside the plan's lock hold: no republish can intervene.
-		if pl.entry != nil {
-			pl.v.install(pl.id, pl.entry.withStats(pl.stats))
-		}
 		return nil
 	default: // consumeCRC: the verify stage did everything
 		return nil
@@ -484,7 +480,7 @@ func (e readEngine) consume(pl *readPlan, units []readUnit, verified bool) error
 // and the load not selected for CRC verification. (A quarantined block never
 // gets here: the gate failed the plan.)
 func (e readEngine) aliasRange(pl *readPlan, units []readUnit, verified bool) ([]byte, bool) {
-	if verified || len(units) != 1 || units[0].bytes != pl.need || !e.p.st.lay.caps().alias {
+	if verified || len(units) != 1 || units[0].bytes != pl.need || !e.p.st.lay.pooled() {
 		return nil, false
 	}
 	ie, ok := e.p.codec.(serial.IdentityEncoder)
@@ -545,8 +541,6 @@ func (e readEngine) scatter(pl *readPlan, units []readUnit, decPasses float64) e
 	workers = min(workers, len(jobs))
 	if pl.parallel {
 		step = len(jobs)
-		p.st.parallelReads.Add(1)
-		p.st.parallelReadJobs.Add(int64(len(jobs)))
 		if in := p.st.ins; in.enabled {
 			in.gatherDepth.Observe(int64(len(jobs)))
 			for i := range jobs {
@@ -690,7 +684,7 @@ func (g *gatherScratch) split(units []readUnit, want int) []readUnit {
 func (p *PMEM) readParallelEligible(total int64) bool {
 	return p.st.opt.ReadParallelism > 1 &&
 		!p.st.opt.StagedSerialization && // staging ablation models the serial related work
-		p.st.lay.caps().pool &&
+		p.st.lay.pooled() &&
 		total >= parallelMinBytes
 }
 
@@ -712,7 +706,7 @@ func (p *PMEM) readParallelEligible(total int64) bool {
 // the id's write lock so the damage is ordered against every reader of the
 // block. It lives here because this file is where pool bytes are sliced.
 func (p *PMEM) InjectCorruption(id string, block int, off, n int64, mask byte) (int64, int64, error) {
-	if !p.st.lay.caps().pool {
+	if !p.st.lay.pooled() {
 		return 0, 0, fmt.Errorf("core: InjectCorruption requires the hashtable layout")
 	}
 	if mask == 0 {
@@ -752,7 +746,7 @@ func (p *PMEM) InjectCorruption(id string, block int, off, n int64, mask byte) (
 	for i := off; i < off+n; i++ {
 		src[i] ^= mask
 	}
-	// The block index caches decoded characteristics, not payload bytes, so
-	// no invalidation is needed: readers will stream the damaged bytes.
+	// The block index holds decoded records, not payload bytes, so no
+	// invalidation is needed: readers will stream the damaged bytes.
 	return int64(b.data) + off, n, nil
 }

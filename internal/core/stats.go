@@ -79,9 +79,8 @@ func (p *PMEM) FindBlocks(id string, lo, hi float64) ([]BlockStats, error) {
 
 // BlockStatsOf returns per-block statistics for id. Blocks encoded with a
 // statistics-carrying codec are summarized from their headers (Skipped);
-// others are scanned. The result is memoized in the DRAM block-index cache,
-// so repeat MinMax/FindBlocks calls touch neither the device nor the clock
-// until a mutation of id invalidates the entry.
+// others are scanned. Every call reads the blocks again: the DRAM block index
+// spares it the record reads, not the header reads.
 //
 // Statistics are decoded from stored bytes, so they are a read plan like any
 // load (readplan.go): the id's read lock is held from the index lookup through
@@ -97,10 +96,10 @@ func (p *PMEM) BlockStatsOf(id string) ([]BlockStats, error) {
 	return copyStats(blocks), nil
 }
 
-// statsOf is BlockStatsOf without the copy — the memoized slice of the DRAM
-// index, which the caller reads and never hands out: the exported queries
-// return deep copies, so a caller may mutate what it got freely — and the
-// block list's trailer.
+// statsOf is BlockStatsOf without the copy — its Offs and Counts alias the
+// DRAM index, so the caller reads them and never hands them out: the exported
+// queries return deep copies, so a caller may mutate what it got freely — and
+// the block list's trailer.
 func (p *PMEM) statsOf(id string) ([]BlockStats, trailer, error) {
 	p.asyncBarrier()
 	pl := readPlan{id: id, consume: consumeStats}
@@ -110,8 +109,8 @@ func (p *PMEM) statsOf(id string) ([]BlockStats, trailer, error) {
 	return pl.stats, pl.dropped, nil
 }
 
-// copyStats deep-copies memoized BlockStats so callers cannot mutate the
-// DRAM index through the returned slices.
+// copyStats deep-copies BlockStats so callers cannot mutate the DRAM index
+// through the returned Offs and Counts.
 func copyStats(stats []BlockStats) []BlockStats {
 	if stats == nil {
 		return nil

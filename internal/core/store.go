@@ -85,10 +85,6 @@ func (p *PMEM) commitDatum(id string, value *serial.Datum) (int64, bool, error) 
 	if err := p.st.lay.commit(p, writePlan{workers: workers, encPasses: encPasses, groups: w.group[:]}); err != nil {
 		return 0, false, err
 	}
-	if workers > 1 {
-		p.st.parallelStores.Add(1)
-		p.st.parallelBlocks.Add(int64(workers))
-	}
 	return u.wrote, workers > 1, nil
 }
 
@@ -208,10 +204,6 @@ func (p *PMEM) storeBlock(id string, offs, counts []uint64, data []byte) (int64,
 	var total int64
 	for i := range units {
 		total += units[i].wrote
-	}
-	if shards > 1 {
-		p.st.parallelStores.Add(1)
-		p.st.parallelBlocks.Add(int64(shards))
 	}
 	return total, shards > 1, nil
 }

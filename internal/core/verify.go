@@ -16,7 +16,7 @@ import (
 // message per violated invariant (nil when clean). Hierarchy-layout stores are
 // backed by the filesystem model and have no pool to verify.
 func (p *PMEM) VerifyStore() []string {
-	if !p.st.lay.caps().pool {
+	if !p.st.lay.pooled() {
 		return nil
 	}
 	var vs []string

@@ -205,12 +205,6 @@ func (p *PMEM) reclaimLimbo() error {
 	return p.engine().freeBlocks(frees)
 }
 
-// ViewStats reports the lease layer's live state: open leases, blocks parked
-// in limbo, and views that were garbage-collected without Close.
-func (p *PMEM) ViewStats() (active, limbo, leaked int64) {
-	return p.st.viewActive.Load(), p.st.limboLen.Load(), p.st.viewLeaked.Load()
-}
-
 // LoadBlockView returns a leased, read-only view of the block (offs, counts)
 // of array id. When the request is served entirely by one stored block under
 // an identity codec (and the load is not selected for CRC verification), the
@@ -249,10 +243,10 @@ func (p *PMEM) loadBlockView(id string, offs, counts []uint64) (*BlockView, int6
 func (p *PMEM) newView(id string, data []byte, leased bool, epoch uint64) *BlockView {
 	v := &BlockView{p: p, id: id, data: data, epoch: epoch, leased: leased}
 	if leased {
-		st := p.st
+		leaked := p.st.ins.viewLeaked
 		runtime.SetFinalizer(v, func(fv *BlockView) {
 			if !fv.closed.Load() {
-				st.viewLeaked.Add(1)
+				leaked.Inc()
 			}
 		})
 	}

@@ -17,6 +17,13 @@ import (
 	"pmemcpy/internal/serial"
 )
 
+// viewState reads the lease layer's live state off the registry: open leases,
+// blocks parked in limbo, and views garbage-collected without Close.
+func viewState(p *core.PMEM) (active, limbo, leaked int64) {
+	m := p.Metrics()
+	return m.Get("pmemcpy_view_active_leases"), m.Get("pmemcpy_view_limbo_blocks"), m.Get("pmemcpy_view_leaked_total")
+}
+
 // viewSingle runs fn as a 1-rank job with a fresh store and does NOT Munmap,
 // so stale-view tests control the handle teardown themselves.
 func viewSingle(t *testing.T, opts *core.Options, fn func(p *core.PMEM) error) {
@@ -96,9 +103,8 @@ func TestViewZeroCopy(t *testing.T) {
 		if fb := p.Metrics().Get("pmemcpy_view_fallback_total"); fb != 0 {
 			return fmt.Errorf("fallback counter = %d, want 0", fb)
 		}
-		active, limbo, leaked := p.ViewStats()
-		if active != 0 || limbo != 0 || leaked != 0 {
-			return fmt.Errorf("ViewStats = (%d, %d, %d), want all zero", active, limbo, leaked)
+		if active, limbo, leaked := viewState(p); active != 0 || limbo != 0 || leaked != 0 {
+			return fmt.Errorf("view state = (%d, %d, %d), want all zero", active, limbo, leaked)
 		}
 		return p.Munmap()
 	})
@@ -187,11 +193,6 @@ func TestViewDeferredFreeReclaim(t *testing.T) {
 		if !v.ZeroCopy() {
 			return fmt.Errorf("view not zero-copy; test needs an aliasing lease")
 		}
-		st0, err := p.Stats()
-		if err != nil {
-			return err
-		}
-
 		if _, err := p.Delete("A"); err != nil {
 			return err
 		}
@@ -207,13 +208,10 @@ func TestViewDeferredFreeReclaim(t *testing.T) {
 		}
 		// ...but the payload block is parked, not freed, and the view still
 		// reads the pre-delete data.
-		if _, limbo, _ := p.ViewStats(); limbo != 1 {
+		if _, limbo, _ := viewState(p); limbo != 1 {
 			return fmt.Errorf("limbo = %d after delete-with-lease, want 1", limbo)
 		}
-		st1, err := p.Stats()
-		if err != nil {
-			return err
-		}
+		frees1 := p.Metrics().Get("pmemcpy_alloc_frees_total")
 		raw, err := v.Bytes()
 		if err != nil {
 			return fmt.Errorf("view read after delete: %w", err)
@@ -226,14 +224,10 @@ func TestViewDeferredFreeReclaim(t *testing.T) {
 		if err := v.Close(); err != nil {
 			return err
 		}
-		if _, limbo, _ := p.ViewStats(); limbo != 0 {
+		if _, limbo, _ := viewState(p); limbo != 0 {
 			return fmt.Errorf("limbo = %d after close, want 0", limbo)
 		}
-		st2, err := p.Stats()
-		if err != nil {
-			return err
-		}
-		if d := st2.Frees - st1.Frees; d != 1 {
+		if d := p.Metrics().Get("pmemcpy_alloc_frees_total") - frees1; d != 1 {
 			return fmt.Errorf("close freed %d blocks, want exactly the parked one", d)
 		}
 		if rc := p.Metrics().Get("pmemcpy_view_reclaimed_total"); rc != 1 {
@@ -242,7 +236,6 @@ func TestViewDeferredFreeReclaim(t *testing.T) {
 		if df := p.Metrics().Get("pmemcpy_view_deferred_frees_total"); df != 1 {
 			return fmt.Errorf("deferred counter = %d, want 1", df)
 		}
-		_ = st0
 		return p.Munmap()
 	})
 }
@@ -267,7 +260,7 @@ func TestViewRepublishIsolation(t *testing.T) {
 		if err := p.StoreBlock("A", []uint64{0}, []uint64{elems}, uniformF64(elems, 2)); err != nil {
 			return err
 		}
-		if _, limbo, _ := p.ViewStats(); limbo == 0 {
+		if _, limbo, _ := viewState(p); limbo == 0 {
 			return fmt.Errorf("overwrite with lease open parked nothing")
 		}
 		raw, err := old.Bytes()
@@ -292,13 +285,13 @@ func TestViewRepublishIsolation(t *testing.T) {
 			return err
 		}
 		// The old lease still pins the parked block.
-		if _, limbo, _ := p.ViewStats(); limbo == 0 {
+		if _, limbo, _ := viewState(p); limbo == 0 {
 			return fmt.Errorf("limbo drained while the older lease was still open")
 		}
 		if err := old.Close(); err != nil {
 			return err
 		}
-		if _, limbo, _ := p.ViewStats(); limbo != 0 {
+		if _, limbo, _ := viewState(p); limbo != 0 {
 			return fmt.Errorf("limbo not drained after last lease closed")
 		}
 		return p.Munmap()
@@ -418,11 +411,11 @@ func TestViewLeakDetector(t *testing.T) {
 		}
 		for i := 0; i < 100; i++ {
 			runtime.GC()
-			if _, _, leaked := p.ViewStats(); leaked >= 1 {
+			if _, _, leaked := viewState(p); leaked >= 1 {
 				break
 			}
 		}
-		_, _, leaked := p.ViewStats()
+		_, _, leaked := viewState(p)
 		if leaked != 1 {
 			return fmt.Errorf("leaked counter = %d after GC, want 1", leaked)
 		}
@@ -430,7 +423,7 @@ func TestViewLeakDetector(t *testing.T) {
 		if _, err := p.Delete("A"); err != nil {
 			return err
 		}
-		if _, limbo, _ := p.ViewStats(); limbo != 1 {
+		if _, limbo, _ := viewState(p); limbo != 1 {
 			return fmt.Errorf("limbo = %d with leaked lease, want 1 (pinned)", limbo)
 		}
 		return p.Munmap()
@@ -529,9 +522,9 @@ func TestConcurrentViewStress(t *testing.T) {
 			return err
 		}
 		if c.Rank() == 0 {
-			active, limbo, leaked := p.ViewStats()
+			active, limbo, leaked := viewState(p)
 			if active != 0 || leaked != 0 {
-				return fmt.Errorf("final ViewStats: active=%d leaked=%d, want 0/0", active, leaked)
+				return fmt.Errorf("final view state: active=%d leaked=%d, want 0/0", active, leaked)
 			}
 			if limbo != 0 {
 				return fmt.Errorf("final limbo = %d, want 0 (all leases closed)", limbo)

@@ -252,9 +252,9 @@ func TestWritePathEquivalence(t *testing.T) {
 				if err := p.StoreDatum("V", d); err != nil {
 					return err
 				}
-				if st, err := p.Stats(); err != nil || p.Metrics().Get("pmemcpy_superseded_bytes_total") != 200<<10+1 || st.Frees == 0 {
-					return fmt.Errorf("the chunked overwrite superseded %d bytes (frees %d, %v)",
-						p.Metrics().Get("pmemcpy_superseded_bytes_total"), st.Frees, err)
+				if m := p.Metrics(); m.Get("pmemcpy_superseded_bytes_total") != 200<<10+1 || m.Get("pmemcpy_alloc_frees_total") == 0 {
+					return fmt.Errorf("the chunked overwrite superseded %d bytes (frees %d)",
+						m.Get("pmemcpy_superseded_bytes_total"), m.Get("pmemcpy_alloc_frees_total"))
 				}
 				return nil
 			}))
@@ -344,20 +344,13 @@ func TestCommitAbortSemantics(t *testing.T) {
 				if err := p.Alloc("big", serial.Float64, []uint64{rows, 1024}); err != nil {
 					return err
 				}
-				before, err := p.Stats()
-				if err != nil {
-					return err
-				}
+				before := p.Metrics().Get("pmemcpy_alloc_aborts_total")
 				huge := make([]byte, rows*1024*8)
 				storeErr := abortStore(p, mode, "big", []uint64{rows, 1024}, huge)
 				if storeErr == nil {
 					return fmt.Errorf("oversized store succeeded, want allocation failure")
 				}
-				after, err := p.Stats()
-				if err != nil {
-					return err
-				}
-				if got := after.Aborts - before.Aborts; got != 1 {
+				if got := p.Metrics().Get("pmemcpy_alloc_aborts_total") - before; got != 1 {
 					return fmt.Errorf("allocator aborts grew by %d, want exactly 1", got)
 				}
 				// Nothing published: the variable has dims but no blocks.
@@ -409,10 +402,7 @@ func mediaAbortRow(t *testing.T, mode string) {
 			if err := p.Alloc("big", serial.Float64, []uint64{rows, cols}); err != nil {
 				return err
 			}
-			before, err := p.Stats()
-			if err != nil {
-				return err
-			}
+			blocks := liveBlocks(p)
 			live := p.Metrics().Get("pmemcpy_alloc_live_bytes")
 			n.Device.InjectTransient(k, 5)
 			storeErr = abortStore(p, mode, "big", []uint64{rows, cols}, data)
@@ -423,11 +413,7 @@ func mediaAbortRow(t *testing.T, mode string) {
 			if !errors.Is(storeErr, core.ErrMedia) {
 				return fmt.Errorf("payload persist failure %q does not wrap ErrMedia", storeErr)
 			}
-			after, err := p.Stats()
-			if err != nil {
-				return err
-			}
-			if got, want := after.Allocs-after.Frees, before.Allocs-before.Frees; got != want {
+			if got, want := liveBlocks(p), blocks; got != want {
 				return fmt.Errorf("allocs-frees = %d after the failed store, %d before it", got, want)
 			}
 			if got := p.Metrics().Get("pmemcpy_alloc_live_bytes"); got != live {

@@ -183,13 +183,13 @@ func TestTracerNesting(t *testing.T) {
 	// issues another after the child closes. A second rank's op interleaves.
 	tr.StartOp(clk, "store_datum", "x", 0)
 	clk.Advance(10 * time.Nanosecond)
-	tr.DeviceEvent(clk, pmem.TraceEvent{Kind: pmem.EventPersist, Point: pt, Off: 64, Bytes: 256})
+	tr.DeviceEvent(clk, pmem.TraceEvent{Point: pt, Off: 64, Bytes: 256})
 	tr.StartOp(other, "load_datum", "y", 1)
 	tr.StartOp(clk, "store_block", "x", 0)
 	clk.Advance(5 * time.Nanosecond)
-	tr.DeviceEvent(clk, pmem.TraceEvent{Kind: pmem.EventFence, Point: pt})
+	tr.DeviceEvent(clk, pmem.TraceEvent{Point: pt, Off: 512, Bytes: 8})
 	tr.EndOp(clk, nil)
-	tr.DeviceEvent(clk, pmem.TraceEvent{Kind: pmem.EventPersist, Point: pt, Off: 0, Bytes: 64})
+	tr.DeviceEvent(clk, pmem.TraceEvent{Point: pt, Off: 0, Bytes: 64})
 	tr.EndOp(clk, errors.New("boom"))
 	tr.EndOp(other, nil)
 
@@ -204,11 +204,11 @@ func TestTracerNesting(t *testing.T) {
 	if len(root.Children) != 1 || root.Children[0].Op != "store_block" {
 		t.Fatalf("root children = %+v, want one store_block", root.Children)
 	}
-	// The fence landed inside the nested span, the two persists on the outer.
-	if got := root.Children[0].Points; len(got) != 1 || got[0].Kind != "fence" {
-		t.Errorf("child points = %+v, want one fence", got)
+	// One persist landed inside the nested span, the other two on the outer.
+	if got := root.Children[0].Points; len(got) != 1 || got[0].Off != 512 || got[0].Bytes != 8 {
+		t.Errorf("child points = %+v, want the one at 512", got)
 	}
-	if len(root.Points) != 2 || root.Points[0].Kind != "persist" || root.Points[1].AtNS != 15 {
+	if len(root.Points) != 2 || root.Points[0].Off != 64 || root.Points[1].AtNS != 15 {
 		t.Errorf("root points = %+v, want two persists", root.Points)
 	}
 	if root.Points[0].Point != "obs.test.point" {
@@ -222,7 +222,7 @@ func TestTracerNesting(t *testing.T) {
 	}
 
 	// An event with no active span is counted as an orphan, not recorded.
-	tr.DeviceEvent(clk, pmem.TraceEvent{Kind: pmem.EventPersist, Point: pt})
+	tr.DeviceEvent(clk, pmem.TraceEvent{Point: pt})
 	if tr.OrphanPoints() != 1 {
 		t.Errorf("orphan points = %d, want 1", tr.OrphanPoints())
 	}
@@ -248,7 +248,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	clk := new(sim.Clock)
 	tr.StartOp(clk, "store_datum", "x", 3)
 	clk.Advance(2 * time.Microsecond)
-	tr.DeviceEvent(clk, pmem.TraceEvent{Kind: pmem.EventPersist, Point: 0, Off: 128, Bytes: 64})
+	tr.DeviceEvent(clk, pmem.TraceEvent{Point: 0, Off: 128, Bytes: 64})
 	tr.EndOp(clk, nil)
 
 	var b strings.Builder

@@ -12,25 +12,23 @@ import (
 )
 
 // Span-style op tracing. A Span covers one library API call (StoreBlock,
-// LoadDatum, Compact, ...) in virtual time; the persist and fence events the
-// call triggers — the PR 3 persist-point TraceEvent stream — nest under it as
+// LoadDatum, Delete, ...) in virtual time; the persist events the call
+// triggers — the device's persist-point TraceEvent stream — nest under it as
 // PointEvents, so a trace answers "which flush belongs to which store".
 //
 // Attribution works without goroutine-local state because of the engines'
-// determinism rule: every Persist and Fence is issued by the coordinator
-// goroutine of exactly one rank, and every rank owns one virtual clock. The
-// tracer therefore keys its active-span table by *sim.Clock — the clock an
-// event is charged to identifies the op that caused it. Worker goroutines
-// never persist, so concurrent ranks interleave safely and shard copies
-// still attribute to their coordinator's span.
+// determinism rule: every Persist is issued by the coordinator goroutine of
+// exactly one rank, and every rank owns one virtual clock. The tracer
+// therefore keys its active-span table by *sim.Clock — the clock an event is
+// charged to identifies the op that caused it. Worker goroutines never
+// persist, so concurrent ranks interleave safely and shard copies still
+// attribute to their coordinator's span.
 
-// PointEvent is one persist or fence nested inside a span.
+// PointEvent is one persist nested inside a span.
 type PointEvent struct {
 	// Point is the registered persist-point name ("pmdk.tx.commit", ...).
 	Point string `json:"point"`
-	// Kind is "persist" or "fence".
-	Kind string `json:"kind"`
-	// Off and Bytes describe the flushed range (persists only).
+	// Off and Bytes describe the flushed range.
 	Off   int64 `json:"off,omitempty"`
 	Bytes int64 `json:"bytes,omitempty"`
 	// AtNS is the virtual time the event completed at.
@@ -50,7 +48,7 @@ type Span struct {
 	EndNS   int64 `json:"end_ns"`
 	// Err is the op's error text when it failed.
 	Err string `json:"err,omitempty"`
-	// Points are the persist/fence events the op triggered, in order.
+	// Points are the persist events the op triggered, in order.
 	Points []PointEvent `json:"points,omitempty"`
 	// Children are nested API calls (a wrapper op that calls another op).
 	Children []*Span `json:"children,omitempty"`
@@ -123,7 +121,7 @@ func (t *Tracer) EndOp(clk *sim.Clock, err error) {
 	parent.Children = append(parent.Children, sp)
 }
 
-// DeviceEvent feeds one persist/fence into the active span of the rank
+// DeviceEvent feeds one persist into the active span of the rank
 // owning clk. It satisfies the pmem.EventSink contract.
 func (t *Tracer) DeviceEvent(clk *sim.Clock, ev pmem.TraceEvent) {
 	at := int64(clk.Now())
@@ -137,7 +135,6 @@ func (t *Tracer) DeviceEvent(clk *sim.Clock, ev pmem.TraceEvent) {
 	sp := stack[len(stack)-1]
 	sp.Points = append(sp.Points, PointEvent{
 		Point: pmem.PointName(ev.Point),
-		Kind:  ev.Kind.String(),
 		Off:   ev.Off,
 		Bytes: ev.Bytes,
 		AtNS:  at,
@@ -215,7 +212,7 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 		})
 		for _, pt := range sp.Points {
 			events = append(events, chromeEvent{
-				Name: pt.Point, Cat: pt.Kind, Phase: "i",
+				Name: pt.Point, Cat: "persist", Phase: "i",
 				TS: float64(pt.AtNS) / 1e3, PID: 0, TID: sp.Rank, Scope: "t",
 				Args: map[string]any{"bytes": pt.Bytes, "off": fmt.Sprintf("%#x", pt.Off)},
 			})

@@ -47,7 +47,7 @@ func sweepFailedPut(t *testing.T, val string, failed map[pmem.PointID]bool) {
 		dev.StartTrace()
 		dev.InjectTransient(k, 5)
 		err := ht.Put(clk, []byte("victim"), []byte(val))
-		trace := persistsOf(dev.StopTrace())
+		trace := dev.StopTrace()
 		dev.DisarmInjection()
 		if err == nil {
 			break // k is past the Put's last persist
@@ -103,7 +103,7 @@ func TestCrashInsideFailedCommitRollback(t *testing.T) {
 	if err := ht.Put(new(sim.Clock), []byte("victim"), []byte("new-victim")); err != nil {
 		t.Fatal(err)
 	}
-	bump := int64(len(persistsOf(dev.StopTrace())) - 1)
+	bump := int64(len(dev.StopTrace()) - 1)
 	for _, mode := range []pmem.CrashMode{pmem.CrashLoseAll, pmem.CrashKeepAll} {
 		for j := int64(1); ; j++ {
 			dev, mp, ht, htID := setupCrashTable(t)
@@ -135,16 +135,6 @@ func TestCrashInsideFailedCommitRollback(t *testing.T) {
 			}
 		}
 	}
-}
-
-func persistsOf(trace []pmem.TraceEvent) []pmem.TraceEvent {
-	var out []pmem.TraceEvent
-	for _, ev := range trace {
-		if ev.Kind == pmem.EventPersist {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // TestStaleEntriesNeverReplay leaves a committed 10-entry log in every lane,

@@ -17,7 +17,7 @@ var update = flag.Bool("update", false, "rewrite testdata goldens with the obser
 // TestChargeNanosPinned holds every virtual-time charge the device issues to
 // the exact nanosecond against testdata/charge_ns.golden: the DAX move in both
 // directions over {8 B, 4 KB, 1 MB, nothing} x {MAP_SYNC off, on} x {1, 24
-// ranks sharing the ports}, one persist, one fence, and the retry back-off of
+// ranks sharing the ports}, one persist, and the retry back-off of
 // 1-4 consecutive transient media errors (the fourth escalates to ErrMedia
 // before the persist itself is charged). The figures are the cost model's, so
 // a change that only moves where the arithmetic lives must not move them.
@@ -38,12 +38,11 @@ func TestChargeNanosPinned(t *testing.T) {
 		}
 	}
 	d := New(testMachine(), 4096)
-	var p, f sim.Clock
+	var p sim.Clock
 	if err := d.Persist(&p, 0, 256, ptTest); err != nil {
 		t.Fatal(err)
 	}
-	d.Fence(&f, ptTest)
-	fmt.Fprintf(&got, "persist %d\nfence %d\n", int64(p.Now()), int64(f.Now()))
+	fmt.Fprintf(&got, "persist %d\n", int64(p.Now()))
 	for failures := 1; failures <= 4; failures++ {
 		var clk sim.Clock
 		d.InjectTransient(0, failures)

@@ -75,12 +75,12 @@ type faultState struct {
 }
 
 // Counters is a snapshot of the device's always-on operation counters. They
-// are plain atomics updated on every charge/persist/fence, so reading them
+// are plain atomics updated on every charge and persist, so reading them
 // never perturbs virtual time and keeping them costs one uncontended atomic
 // add per operation whether or not observability is enabled.
 type Counters struct {
 	Persists       int64 // successful Persist calls
-	Fences         int64 // Fence calls
+	Fences         int64 // always 0: every barrier is a persist (DESIGN §9); kept because the benchmark reads it
 	PersistedBytes int64 // bytes covered by successful persists
 	Reads          int64 // charged read accesses (ChargeRead calls): one device read latency each
 	ReadBytes      int64 // bytes charged through ChargeRead (DAX + kernel path)
@@ -89,7 +89,6 @@ type Counters struct {
 
 type counters struct {
 	persists       atomic.Int64
-	fences         atomic.Int64
 	persistedBytes atomic.Int64
 	reads          atomic.Int64
 	readBytes      atomic.Int64
@@ -100,7 +99,6 @@ type counters struct {
 func (d *Device) Counters() Counters {
 	return Counters{
 		Persists:       d.ctr.persists.Load(),
-		Fences:         d.ctr.fences.Load(),
 		PersistedBytes: d.ctr.persistedBytes.Load(),
 		Reads:          d.ctr.reads.Load(),
 		ReadBytes:      d.ctr.readBytes.Load(),
@@ -108,7 +106,7 @@ func (d *Device) Counters() Counters {
 	}
 }
 
-// EventSink receives every successful persist and fence the device executes,
+// EventSink receives every successful persist the device executes,
 // tagged with the virtual clock it was charged to. The obs tracer implements
 // it to attribute persist points to the API op active on that clock. Sink
 // methods run on the caller's goroutine with no device locks held; they must
@@ -332,7 +330,7 @@ func (d *Device) Persist(clk *sim.Clock, off, n int64, pt PointID) error {
 	d.ctr.persists.Add(1)
 	d.ctr.persistedBytes.Add(n)
 	if h := d.sink.Load(); h != nil {
-		h.s.DeviceEvent(clk, TraceEvent{Kind: EventPersist, Point: pt, Op: -1, Off: off, Bytes: n})
+		h.s.DeviceEvent(clk, TraceEvent{Point: pt, Op: -1, Off: off, Bytes: n})
 	}
 	if !d.tracking || n == 0 {
 		return nil
@@ -344,25 +342,6 @@ func (d *Device) Persist(clk *sim.Clock, off, n int64, pt PointID) error {
 		delete(d.preimage, l)
 	}
 	return nil
-}
-
-// Fence charges a store fence without persisting any particular range. Fences
-// carry a point ID and appear in traces, but are not injectable: a crash at a
-// fence is state-equivalent to a crash at the next persist.
-func (d *Device) Fence(clk *sim.Clock, pt PointID) {
-	if d.fault.inj.active.Load() {
-		in := &d.fault.inj
-		in.mu.Lock()
-		if in.tracing {
-			in.trace = append(in.trace, TraceEvent{Kind: EventFence, Point: pt, Op: -1})
-		}
-		in.mu.Unlock()
-	}
-	d.machine.ChargeFence(clk)
-	d.ctr.fences.Add(1)
-	if h := d.sink.Load(); h != nil {
-		h.s.DeviceEvent(clk, TraceEvent{Kind: EventFence, Point: pt, Op: -1})
-	}
 }
 
 // DirtyLines returns the number of cachelines with unpersisted writes. It is

@@ -1,6 +1,6 @@
 package pmem
 
-// Deterministic fault injection. Every Persist and Fence in the stack names a
+// Deterministic fault injection. Every Persist in the stack names a
 // registered persist point, so a failure site is identified by a stable name
 // ("pmdk.tx.commit.data") rather than a brittle global counter. On top of the
 // named points the device offers three injection primitives, all driven by
@@ -13,14 +13,11 @@ package pmem
 //     which exercise the device's bounded retry/backoff path — recoverable
 //     below persistMaxRetries, a hard ErrMedia beyond it;
 //   - a trace recorder (StartTrace/StopTrace) that captures the exact
-//     sequence of persist/fence events a workload executes, which is what
-//     the crash-point explorer in internal/core enumerates.
+//     sequence of persist events a workload executes, which is what the
+//     crash-point explorer in internal/core enumerates.
 //
-// Injection ordinals count persist operations only. Fences are traced but not
-// injectable: Fence cannot report an error (the SFENCE analogue has no
-// failure path in the programming model), and a crash at a fence is
-// state-equivalent to a crash at the next persist — the fence neither flushes
-// lines nor drops pre-images.
+// Injection ordinals count persist operations. The library issues no bare
+// fence: every barrier is a persist's CLWB+SFENCE (DESIGN §9).
 
 import (
 	"errors"
@@ -87,40 +84,22 @@ func PointName(id PointID) string {
 // String implements fmt.Stringer.
 func (id PointID) String() string { return PointName(id) }
 
-// EventKind distinguishes trace events.
-type EventKind uint8
-
-const (
-	// EventPersist is a CLWB+SFENCE of a byte range (injectable).
-	EventPersist EventKind = iota
-	// EventFence is a bare SFENCE (traced, not injectable).
-	EventFence
-)
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	if k == EventFence {
-		return "fence"
-	}
-	return "persist"
-}
-
-// TraceEvent is one recorded persist or fence.
+// TraceEvent is one recorded persist: a CLWB+SFENCE of a byte range.
 type TraceEvent struct {
-	Kind  EventKind
 	Point PointID
-	// Op is the persist-op ordinal (0-based, counted from StartTrace) for
-	// EventPersist events and -1 for fences. ArmCrashAtOp(ev.Op, ...) on a
-	// fresh device replaying the same workload crashes exactly at this event.
+	// Op is the persist-op ordinal (0-based, counted from StartTrace) in a
+	// recorded trace, and -1 in an event handed to an EventSink.
+	// ArmCrashAtOp(ev.Op, ...) on a fresh device replaying the same workload
+	// crashes exactly at this event.
 	Op    int64
 	Off   int64
 	Bytes int64
 }
 
 // injector holds the device's fault-injection state. The zero value is
-// disarmed. The active flag is the fast-path gate: persists and fences touch
-// the mutex only while some injection mode is engaged, so experiment and
-// benchmark runs pay one atomic load per persist.
+// disarmed. The active flag is the fast-path gate: persists touch the mutex
+// only while some injection mode is engaged, so experiment and benchmark runs
+// pay one atomic load per persist.
 type injector struct {
 	active atomic.Bool
 
@@ -191,7 +170,7 @@ func (d *Device) DisarmInjection() {
 	d.fault.failed.Store(false)
 }
 
-// StartTrace begins recording persist/fence events. Persist-op ordinals in
+// StartTrace begins recording persist events. Persist-op ordinals in
 // the resulting trace are counted from this call, matching what a subsequent
 // ArmCrashAtOp on a freshly set-up device would see.
 func (d *Device) StartTrace() {
@@ -234,9 +213,7 @@ func (d *Device) injectPersist(clk *sim.Clock, off, n int64, pt PointID) error {
 	op := in.ops
 	in.ops++
 	if in.tracing {
-		in.trace = append(in.trace, TraceEvent{
-			Kind: EventPersist, Point: pt, Op: op, Off: off, Bytes: n,
-		})
+		in.trace = append(in.trace, TraceEvent{Point: pt, Op: op, Off: off, Bytes: n})
 	}
 	crash := in.crashOp >= 0 && op == in.crashOp
 	tearSeed := in.tearSeed

@@ -184,7 +184,7 @@ func TestTransientExhaustionIsMediaError(t *testing.T) {
 	}
 }
 
-func TestTraceRecordsPersistsAndFences(t *testing.T) {
+func TestTraceRecordsPersists(t *testing.T) {
 	d := New(testMachine(), 4096)
 	var clk sim.Clock
 	ptA := RegisterPoint("pmem.test.a")
@@ -197,18 +197,16 @@ func TestTraceRecordsPersistsAndFences(t *testing.T) {
 	if err := d.Persist(&clk, 0, 1, ptA); err != nil {
 		t.Fatal(err)
 	}
-	d.Fence(&clk, ptB)
 	if err := d.Persist(&clk, 64, 128, ptB); err != nil {
 		t.Fatal(err)
 	}
 	ev := d.StopTrace()
-	if len(ev) != 3 {
-		t.Fatalf("trace has %d events, want 3: %+v", len(ev), ev)
+	if len(ev) != 2 {
+		t.Fatalf("trace has %d events, want 2: %+v", len(ev), ev)
 	}
 	want := []TraceEvent{
-		{Kind: EventPersist, Point: ptA, Op: 0, Off: 0, Bytes: 1},
-		{Kind: EventFence, Point: ptB, Op: -1},
-		{Kind: EventPersist, Point: ptB, Op: 1, Off: 64, Bytes: 128},
+		{Point: ptA, Op: 0, Off: 0, Bytes: 1},
+		{Point: ptB, Op: 1, Off: 64, Bytes: 128},
 	}
 	for i := range want {
 		if ev[i] != want[i] {

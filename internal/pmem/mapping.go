@@ -78,6 +78,3 @@ func (m *Mapping) Persist(clk *sim.Clock, off, n int64, pt PointID) error {
 	}
 	return m.dev.Persist(clk, m.base+off, n, pt)
 }
-
-// Fence charges a store fence, tagged with the caller's persist point.
-func (m *Mapping) Fence(clk *sim.Clock, pt PointID) { m.dev.Fence(clk, pt) }

@@ -104,9 +104,6 @@ func (m *Machine) ChargeReadLatency(clk *Clock) { clk.Advance(m.cfg.PMEMReadLate
 // latency, whatever the range (the bytes were paid for when they moved).
 func (m *Machine) ChargePersist(clk *Clock) { clk.Advance(m.cfg.PMEMWriteLatency) }
 
-// ChargeFence charges one bare SFENCE: one device write latency.
-func (m *Machine) ChargeFence(clk *Clock) { clk.Advance(m.cfg.PMEMWriteLatency) }
-
 // ChargeRetry charges the exponential back-off before re-issuing a flush that
 // hit a transient media error: 2x, 4x, 8x the write latency for attempt 1, 2, 3.
 func (m *Machine) ChargeRetry(clk *Clock, attempt int) {
