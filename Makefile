@@ -62,9 +62,11 @@ commitvet:
 # loc prints, per package and in total, the non-test Go lines of the module
 # and how many of them are code (not blank, not comment) — the paper's
 # Section 3 lines-of-code metric turned on ourselves, so a subtractive change
-# is a command, not a claim.
+# is a command, not a claim. The assembly files of this build get a row of
+# their own below the Go total: their lines are shown, not gated.
 loc:
-	@$(GO) list -f '{{$$p := .}}{{range .GoFiles}}{{$$p.ImportPath}} {{$$p.Dir}}/{{.}}{{"\n"}}{{end}}' ./... | awk ' \
+	@$(GO) list -f '{{$$p := .}}{{range .GoFiles}}{{$$p.ImportPath}} {{$$p.Dir}}/{{.}}{{"\n"}}{{end}}{{range .SFiles}}{{$$p.ImportPath}} {{$$p.Dir}}/{{.}} asm{{"\n"}}{{end}}' ./... | awk ' \
+		NF == 3 { while ((getline line < $$2) > 0) ta++; close($$2); next } \
 		NF == 2 { pkg = $$1; f = $$2; inblk = 0; \
 			while ((getline line < f) > 0) { \
 				lines[pkg]++; tl++; sub(/^[ \t]+/, "", line); \
@@ -75,13 +77,14 @@ loc:
 			close(f) } \
 		END { printf "%8s %8s  %s\n", "lines", "code", "package (non-test .go)"; \
 			for (p in lines) printf "%8d %8d  %s\n", lines[p], code[p], p | "sort -k3"; \
-			close("sort -k3"); printf "%8d %8d  total\n", tl, tc }'
+			close("sort -k3"); printf "%8d %8d  total\n", tl, tc; \
+			printf "%8d %8s  assembly (.s lines, not in the gate)\n", ta, "-" }'
 
 # loccheck makes subtraction a ratchet: it prints `make loc` and fails when the
 # module's total non-test code lines exceed the ceiling, which records the
 # figure of the last change that lowered it. A change that must grow the code
 # raises the ceiling in the same diff, where a reviewer sees it.
-LOC_CEILING ?= 15118
+LOC_CEILING ?= 15201
 loccheck:
 	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
 		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \
@@ -115,9 +118,11 @@ figcheck:
 # overwrite-vs-MinMax race gates — the concurrency-sensitive ones under
 # -race — the bounded walks: a cyclic bucket chain or free list is
 # ErrCorrupt, never a hung handle, and writers on buckets sharing one lock
-# stripe beside a looping Range.
+# stripe beside a looping Range — and no stale byte: two ranks racing to
+# first-touch one unwritten device granule both keep their writes.
 integrity:
 	$(GO) test ./internal/checksum/
+	$(GO) test -race -count=10 -run 'TestFirstTouchRace' ./internal/pmem/
 	$(GO) test -race -run 'TestChainCycleIsErrCorrupt|TestVerify|TestStripeSharingBuckets' ./internal/pmdk/
 	$(GO) test -run 'TestDeep' ./cmd/pmemfsck/
 	$(GO) test -race -timeout 20m -run 'TestVerify|TestScrub|TestQuarantine|TestInlineValueCorruption|TestParallelStoreCRC|TestDifferentialCorruption|TestDroppedBlockDamage|TestConcurrentOverwriteVsParallelGather|TestConcurrentOverwriteVsMinMax|TestConcurrentMultiPoolStress|TestConcurrentViewStress|TestNamespaceDamageRefused' ./internal/core/

@@ -14,10 +14,11 @@
 // blocks it stops naming by the one rule the engine keeps.
 //
 // Rule "slice" — the unified read engine (readplan.go): mapped pool bytes —
-// pool.Slice(off, n) — may be dereferenced ONLY by the two engines, so the
-// lock → quarantine gate → CRC verify → charge → consume order of every read
-// (and the capture → fill → persist order of every write) cannot be
-// re-implemented, or forgotten, at a call site.
+// pool.Slice(off, n), or mapping.Overwrite(off, n) for a write — may be
+// dereferenced ONLY by the two engines, so the lock → quarantine gate → CRC
+// verify → charge → consume order of every read (and the take → fill →
+// persist order of every write) cannot be re-implemented, or forgotten, at a
+// call site.
 //
 // Rule "go" — the wave runner (wave.go): a go statement anywhere else would
 // be a second place where workers, their join, and the rule that only the
@@ -41,10 +42,11 @@
 // for.
 //
 // The call rules match a method call with the rule's name and exact argument
-// count — Begin and Advance with one argument, Alloc/Free/Slice/Update/Delete
-// with two, Put with three (the public three-argument PMEM.Alloc dims
-// declaration does not match, nor the one-argument PMEM.Delete) —
-// whose receiver is not an imported package (sort.Slice is not the pool API).
+// count — Begin and Advance with one argument,
+// Alloc/Free/Slice/Overwrite/Update/Delete with two, Put with three (the
+// public three-argument PMEM.Alloc dims declaration does not match, nor the
+// one-argument PMEM.Delete) — whose receiver is not an imported package
+// (sort.Slice is not the pool API).
 //
 // Rule "lease" applies to every file, tests included: a view returned by
 // LoadView, LoadBlockView, or Array.View holds a lease that pins deferred
@@ -127,7 +129,7 @@ var rules = []rule{
 	{
 		name:   "slice",
 		covers: coreExcept("writeplan.go", "readplan.go"),
-		check: methodCalls("pool", map[string]int{"Slice": 2},
+		check: methodCalls("pool", map[string]int{"Slice": 2, "Overwrite": 2},
 			"outside the read/commit engines — plan this read over readplan.go"),
 	},
 	{

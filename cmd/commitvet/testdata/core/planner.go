@@ -10,13 +10,14 @@ import (
 
 type pool struct{}
 
-func (pool) Begin(clk int) int                  { return 0 }
-func (pool) Alloc(tx, n int) int                { return 0 }
-func (pool) Free(tx, id int) error              { return nil }
-func (pool) Slice(off, n int) ([]byte, error)   { return nil, nil }
-func (pool) Update(clk int, key []byte) int     { return 0 }
-func (pool) Put(clk int, key, val []byte) error { return nil }
-func (pool) Delete(clk int, key []byte) bool    { return false }
+func (pool) Begin(clk int) int                    { return 0 }
+func (pool) Alloc(tx, n int) int                  { return 0 }
+func (pool) Free(tx, id int) error                { return nil }
+func (pool) Slice(off, n int) ([]byte, error)     { return nil, nil }
+func (pool) Overwrite(off, n int) ([]byte, error) { return nil, nil }
+func (pool) Update(clk int, key []byte) int       { return 0 }
+func (pool) Put(clk int, key, val []byte) error   { return nil }
+func (pool) Delete(clk int, key []byte) bool      { return false }
 
 // Alloc with three arguments is the public dims declaration, not the pool API.
 func Alloc(id string, dtype int, dims []int) {}
@@ -27,13 +28,14 @@ func (pool) LoadView(id string) (*view, error) { return nil, nil }
 func (*view) Close()                           {}
 
 func planner(p pool, xs []int) {
-	tx := p.Begin(0)       // want tx
-	_ = p.Alloc(tx, 8)     // want tx
-	_ = p.Free(tx, 1)      // want tx
-	_, _ = p.Slice(0, 8)   // want slice
-	_ = p.Update(0, nil)   // want tx
-	_ = p.Put(0, nil, nil) // want tx
-	_ = p.Delete(0, nil)   // want tx
+	tx := p.Begin(0)         // want tx
+	_ = p.Alloc(tx, 8)       // want tx
+	_ = p.Free(tx, 1)        // want tx
+	_, _ = p.Slice(0, 8)     // want slice
+	_, _ = p.Overwrite(0, 8) // want slice
+	_ = p.Update(0, nil)     // want tx
+	_ = p.Put(0, nil, nil)   // want tx
+	_ = p.Delete(0, nil)     // want tx
 
 	// Not the pool API: wrong arity, a bare call, a package function.
 	Alloc("x", 0, nil)

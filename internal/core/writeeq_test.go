@@ -324,8 +324,9 @@ func abortStore(p *core.PMEM, mode, id string, counts []uint64, data []byte) err
 // aborts the pool transaction (exactly one allocator abort), publishes
 // nothing, surfaces the error on the path's own channel, and leaves the
 // handle usable. The media rows fail the payload persist instead, after the
-// plan's blocks were allocated: the engine gives them back before failing, so
-// the allocator's live count and bytes end where they started.
+// plan's blocks were allocated: the engine discards them and gives them back
+// before failing, so the allocator's live count and bytes end where they
+// started and the payload no longer reads back.
 func TestCommitAbortSemantics(t *testing.T) {
 	for _, mode := range eqModes {
 		t.Run("media/"+mode, func(t *testing.T) { mediaAbortRow(t, mode) })
@@ -418,6 +419,12 @@ func mediaAbortRow(t *testing.T, mode string) {
 			}
 			if got := p.Metrics().Get("pmemcpy_alloc_live_bytes"); got != live {
 				return fmt.Errorf("live bytes = %d after the failed store, %d before it", got, live)
+			}
+			// The fill took its granules without zeroing them, so the blocks
+			// went back to unwritten before they were freed: nothing of the
+			// payload reads back from the device.
+			if dev, err := n.Device.Slice(0, n.Device.Size()); err != nil || bytes.Contains(dev, data[64:320]) {
+				return fmt.Errorf("the failed store's payload still reads back from the device (err %v)", err)
 			}
 			err = p.LoadBlock("big", []uint64{0, 0}, []uint64{1, 1}, make([]byte, 8))
 			if !errors.Is(err, core.ErrNotFound) {

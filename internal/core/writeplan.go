@@ -24,7 +24,8 @@ import (
 //	   for the crash explorer; a crash between pool transactions leaves only
 //	   unpublished allocations — leaked until ROADMAP item 2a's reachability
 //	   pass, never torn metadata);
-//	2. fill, one wave at a time: capture each unit of the wave, run its jobs —
+//	2. fill, one wave at a time: take each unit's block with write intent
+//	   (Mapping.Overwrite, which captures its pre-image), run its jobs —
 //	   each serializes DIRECTLY into the mapped PMEM block, the single pass
 //	   that defines pMEMCPY, the codec's sweep (serial.Codec.EncodeSum) copying,
 //	   characterizing and checksumming tile by tile — fold the job CRCs into the
@@ -186,10 +187,11 @@ func (l poolLayout) commit(p *PMEM, plan writePlan) error { return p.engine().ru
 // run executes a plan: alloc, fill+persist, publish. On a nil error every
 // group's metadata is published and every unit is durable. An alloc or fill
 // failure fails the whole plan before anything is published, and the blocks
-// it took go back to the allocator (freeBlocks) — unless the device is dead
-// (pmem.ErrFailed): then nothing more can be written, and the blocks stay
-// unpublished allocations, leaked until the reachability pass of ROADMAP item
-// 2a.
+// it took go back to the allocator (freeBlocks), each discarded first: a fill
+// took its granules without zeroing them, so one it did not finish must not
+// leave their old bytes readable. A dead device (pmem.ErrFailed) is the
+// exception: nothing more can be written, and the blocks stay unpublished
+// allocations, leaked until the reachability pass of ROADMAP item 2a.
 func (e commitEngine) run(plan *writePlan) error {
 	err := e.alloc(plan)
 	if err == nil {
@@ -199,12 +201,14 @@ func (e commitEngine) run(plan *writePlan) error {
 	}
 	if !errors.Is(err, pmem.ErrFailed) {
 		var blks []blockRec
+		var derr error
 		for _, u := range plan.units {
 			if u.blk != pmdk.Null {
+				derr = errors.Join(derr, e.p.poolOf(u.pool).Mapping().Discard(int64(u.blk), u.encLen))
 				blks = append(blks, blockRec{pool: u.pool, data: u.blk})
 			}
 		}
-		if ferr := e.freeBlocks(blks); ferr != nil {
+		if ferr := errors.Join(derr, e.freeBlocks(blks)); ferr != nil {
 			err = fmt.Errorf("%w (returning its blocks: %v)", err, ferr)
 		}
 	}
@@ -273,9 +277,10 @@ type fillJob struct {
 	crc   uint32
 }
 
-// fill serializes every unit into its mapped block, wave by wave. Capturing a
-// unit (the crash simulator's pre-image) opens it and queues its jobs: one
-// over all its fragments, or — in a concurrent plan — one per fragment.
+// fill serializes every unit into its mapped block, wave by wave. Taking a
+// unit's block with write intent (Mapping.Overwrite, which also records the
+// crash simulator's pre-image) opens it and queues its jobs: one over all its
+// fragments, or — in a concurrent plan — one per fragment.
 func (e commitEngine) fill(plan *writePlan) error {
 	p := e.p
 	var jobs []fillJob
@@ -286,12 +291,10 @@ func (e commitEngine) fill(plan *writePlan) error {
 		if jobs == nil {
 			jobs = make([]fillJob, 0, max(1, plan.workers))
 		}
-		pool := p.poolOf(u.pool)
-		dst, err := pool.Slice(u.blk, u.encLen)
+		// The block is taken with write intent: encode stores every byte
+		// of it, so its whole granules are never zeroed first.
+		dst, err := p.poolOf(u.pool).Mapping().Overwrite(int64(u.blk), u.encLen)
 		if err != nil {
-			return err
-		}
-		if err := pool.Mapping().Capture(int64(u.blk), u.encLen); err != nil {
 			return err
 		}
 		whole := fillJob{u: u, dst: dst, frags: u.frags, tagged: g.publish == publishValueRef, dtype: g.dtype}
@@ -383,6 +386,9 @@ func (e commitEngine) encode(_ int, j *fillJob) error {
 		j.crc = crc
 		off += int64(wrote)
 	}
+	// The block was taken on the promise that every byte is stored: a codec
+	// that wrote less than it planned leaves its tail zeroed, not stale.
+	clear(j.dst[off:])
 	j.wrote = off
 	return nil
 }

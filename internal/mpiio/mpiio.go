@@ -183,8 +183,8 @@ func (f *File) domains(reqLists [][]request) []request {
 }
 
 func intersect(a, b request) request {
-	lo := max64(a.off, b.off)
-	hi := min64(a.off+a.n, b.off+b.n)
+	lo := max(a.off, b.off)
+	hi := min(a.off+a.n, b.off+b.n)
 	if hi <= lo {
 		return request{}
 	}
@@ -447,18 +447,4 @@ func mergeRuns(rs []request) []request {
 		out = append(out, r)
 	}
 	return out
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -159,7 +159,7 @@ func Overlaps(offsA, cntsA, offsB, cntsB []uint64) bool {
 		return false
 	}
 	for i := range offsA {
-		if min64(offsA[i]+cntsA[i], offsB[i]+cntsB[i]) <= max64(offsA[i], offsB[i]) {
+		if min(offsA[i]+cntsA[i], offsB[i]+cntsB[i]) <= max(offsA[i], offsB[i]) {
 			return false
 		}
 	}
@@ -174,8 +174,8 @@ func IntersectInto(offs, counts, offsA, cntsA, offsB, cntsB []uint64) bool {
 		return false
 	}
 	for i := range offsA {
-		lo := max64(offsA[i], offsB[i])
-		hi := min64(offsA[i]+cntsA[i], offsB[i]+cntsB[i])
+		lo := max(offsA[i], offsB[i])
+		hi := min(offsA[i]+cntsA[i], offsB[i]+cntsB[i])
 		if hi <= lo {
 			return false
 		}
@@ -307,18 +307,4 @@ func Decompose(n int, rank int) []uint64 {
 		}
 	}
 	return grid
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

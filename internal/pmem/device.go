@@ -41,10 +41,21 @@ var ErrFailed = errors.New("pmem: device failed (injected fault)")
 // Device is an emulated PMEM device. All methods are safe for concurrent use
 // by multiple ranks as long as the ranks access disjoint byte ranges, which is
 // the discipline every client in this repository follows (overlapping
-// metadata is protected by locks in the pmdk layer).
+// metadata is protected by locks in the pmdk layer). Ranges may share a
+// granule: its first touch is serialized (unwritten.go), and only Overwrite
+// and Discard require the whole granules they change to be the caller's.
 type Device struct {
 	machine *sim.Machine
 	data    []byte
+
+	// The unwritten-extent state (unwritten.go): bit g of fresh is set while
+	// granule g has not been touched since it was discarded, and its bytes
+	// read as zeros only because the first touch zeroes them. unwritten
+	// counts the set bits — the one load the fast path takes. Every change to
+	// either is made under zmu.
+	zmu       sync.Mutex
+	fresh     []atomic.Uint64
+	unwritten atomic.Int64
 
 	// readPort and writePort are the bandwidth pools this device's traffic is
 	// charged against. They default to the machine's built-in PMEM ports; a
@@ -85,6 +96,7 @@ type Counters struct {
 	Reads          int64 // charged read accesses (ChargeRead calls): one device read latency each
 	ReadBytes      int64 // bytes charged through ChargeRead (DAX + kernel path)
 	WrittenBytes   int64 // bytes charged through ChargeWrite (DAX + kernel path)
+	ZeroedBytes    int64 // bytes zeroed at a granule's first touch or at a Discard's edges (never charged)
 }
 
 type counters struct {
@@ -93,6 +105,7 @@ type counters struct {
 	reads          atomic.Int64
 	readBytes      atomic.Int64
 	writtenBytes   atomic.Int64
+	zeroedBytes    atomic.Int64
 }
 
 // Counters returns the current device counter values.
@@ -103,6 +116,7 @@ func (d *Device) Counters() Counters {
 		Reads:          d.ctr.reads.Load(),
 		ReadBytes:      d.ctr.readBytes.Load(),
 		WrittenBytes:   d.ctr.writtenBytes.Load(),
+		ZeroedBytes:    d.ctr.zeroedBytes.Load(),
 	}
 }
 
@@ -164,6 +178,7 @@ func New(m *sim.Machine, size int64, opts ...Option) *Device {
 	d := &Device{
 		machine:   m,
 		data:      make([]byte, size),
+		fresh:     make([]atomic.Uint64, (size+GranuleSize*64-1)/(GranuleSize*64)),
 		preimage:  make(map[int64][]byte),
 		readPort:  m.PMEMRead,
 		writePort: m.PMEMWrite,
@@ -212,11 +227,13 @@ func (d *Device) check(off, n int64) error {
 // Slice returns the live device bytes in [off, off+n). This is the DAX
 // mapping: no copy happens and no cost is charged. Writers must bracket their
 // stores with CaptureRange (before) and Persist (after) for crash tracking,
-// and charge the movement with ChargeWrite.
+// and charge the movement with ChargeWrite. Like every access, it zeroes the
+// unwritten granules it overlaps first.
 func (d *Device) Slice(off, n int64) ([]byte, error) {
 	if err := d.check(off, n); err != nil {
 		return nil, err
 	}
+	d.touch(off, n)
 	return d.data[off : off+n : off+n], nil
 }
 
@@ -230,7 +247,9 @@ func lineRange(off, n int64) (int64, int64) {
 }
 
 // CaptureRange records pre-images of every cacheline in [off, off+n) that is
-// not already dirty. It is a no-op when crash tracking is disabled.
+// not already dirty. It is a no-op when crash tracking is disabled. The
+// pre-image of an unwritten granule is zeros: the range is touched before it
+// is copied.
 func (d *Device) CaptureRange(off, n int64) error {
 	if err := d.check(off, n); err != nil {
 		return err
@@ -238,6 +257,7 @@ func (d *Device) CaptureRange(off, n int64) error {
 	if !d.tracking || n == 0 {
 		return nil
 	}
+	d.touch(off, n)
 	lo, hi := lineRange(off, n)
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -290,6 +310,7 @@ func (d *Device) ReadAt(clk *sim.Clock, p []byte, off int64) (int, error) {
 	if err := d.check(off, int64(len(p))); err != nil {
 		return 0, err
 	}
+	d.touch(off, int64(len(p)))
 	n := copy(p, d.data[off:])
 	d.ChargeRead(clk, int64(n), false)
 	return n, nil
@@ -302,6 +323,7 @@ func (d *Device) WriteAt(clk *sim.Clock, p []byte, off int64) (int, error) {
 	if err := d.check(off, int64(len(p))); err != nil {
 		return 0, err
 	}
+	d.touch(off, int64(len(p)))
 	if err := d.CaptureRange(off, int64(len(p))); err != nil {
 		return 0, err
 	}

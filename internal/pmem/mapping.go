@@ -55,6 +55,24 @@ func (m *Mapping) Slice(off, n int64) ([]byte, error) {
 	return m.dev.Slice(m.base+off, n)
 }
 
+// Overwrite returns the mapped bytes at [off, off+n) for a writer that stores
+// every one of them; see Device.Overwrite. It stands for the Slice and
+// Capture pair.
+func (m *Mapping) Overwrite(off, n int64) ([]byte, error) {
+	if err := m.rel(off, n); err != nil {
+		return nil, err
+	}
+	return m.dev.Overwrite(m.base+off, n)
+}
+
+// Discard makes [off, off+n) read as zeros again; see Device.Discard.
+func (m *Mapping) Discard(off, n int64) error {
+	if err := m.rel(off, n); err != nil {
+		return err
+	}
+	return m.dev.Discard(m.base+off, n)
+}
+
 // Capture records crash pre-images for [off, off+n); see Device.CaptureRange.
 func (m *Mapping) Capture(off, n int64) error {
 	if err := m.rel(off, n); err != nil {

@@ -409,7 +409,7 @@ func (f *File) ensureLocked(size int64) error {
 }
 
 // Truncate sets the file size, allocating backing space as needed. Newly
-// exposed bytes are zeroed (POSIX semantics).
+// exposed bytes are unwritten extents and read as zeros (POSIX semantics).
 func (f *File) Truncate(clk *sim.Clock, size int64) error {
 	if f.closed {
 		return ErrClosed
@@ -422,7 +422,7 @@ func (f *File) Truncate(clk *sim.Clock, size int64) error {
 		return err
 	}
 	if size > old {
-		if err := f.zeroRangeLocked(clk, old, size-old); err != nil {
+		if err := f.zeroRangeLocked(old, size-old); err != nil {
 			return err
 		}
 	}
@@ -430,22 +430,16 @@ func (f *File) Truncate(clk *sim.Clock, size int64) error {
 	return nil
 }
 
-// zeroRangeLocked zeroes [off, off+n) of the file. Holes behave like
-// unwritten extents on a real filesystem: the bytes read back as zero but no
-// media traffic is charged — the FS only marks the blocks unwritten. (The
-// physical memset is needed because recycled extents may hold stale bytes.)
-// Explicit fill-value writes, e.g. NetCDF fill mode, go through WriteAt and
-// are charged like any other data.
-func (f *File) zeroRangeLocked(_ *sim.Clock, off, n int64) error {
-	return f.mapRange(off, n, func(devOff, length, fileOff int64) error {
-		s, err := f.fs.dev.Slice(devOff, length)
-		if err != nil {
-			return err
-		}
-		for i := range s {
-			s[i] = 0
-		}
-		return nil
+// zeroRangeLocked makes [off, off+n) of the file read as zeros, the way a
+// real filesystem exposes a hole or a newly sized file: as unwritten extents.
+// The device discards the range's whole granules and zeroes them at their
+// first touch, so only the partial granules at the range's edges are cleared
+// here, and no media traffic is charged. Recycled extents may hold stale
+// bytes; no access can see them. Explicit fill-value writes, e.g. NetCDF fill
+// mode, go through WriteAt and are charged like any other data.
+func (f *File) zeroRangeLocked(off, n int64) error {
+	return f.mapRange(off, n, func(devOff, length, _ int64) error {
+		return f.fs.dev.Discard(devOff, length)
 	})
 }
 
@@ -461,7 +455,7 @@ func (f *File) mapRange(off, n int64, fn func(devOff int64, length int64, fileOf
 		extEnd := pos + e.n
 		if fileOff < extEnd {
 			inExt := fileOff - pos
-			length := min64(remaining, e.n-inExt)
+			length := min(remaining, e.n-inExt)
 			if err := fn(e.off+inExt, length, fileOff); err != nil {
 				return err
 			}
@@ -501,9 +495,9 @@ func (f *File) WriteAt(clk *sim.Clock, p []byte, off int64) (int, error) {
 	if err := f.ensureLocked(end); err != nil {
 		return 0, err
 	}
-	// Writing beyond EOF leaves a hole; zero it first for POSIX semantics.
+	// Writing beyond EOF leaves a hole, which reads as zeros.
 	if off > f.node.size {
-		if err := f.zeroRangeLocked(clk, f.node.size, off-f.node.size); err != nil {
+		if err := f.zeroRangeLocked(f.node.size, off-f.node.size); err != nil {
 			return 0, err
 		}
 	}
@@ -534,7 +528,7 @@ func (f *File) ReadAt(clk *sim.Clock, p []byte, off int64) (int, error) {
 	if off >= f.node.size {
 		return 0, nil
 	}
-	n := min64(int64(len(p)), f.node.size-off)
+	n := min(int64(len(p)), f.node.size-off)
 	err := f.mapRange(off, n, func(devOff, length, fileOff int64) error {
 		dst := p[fileOff-off : fileOff-off+length]
 		_, err := f.fs.dev.ReadAt(clk, dst, devOff)
@@ -581,11 +575,4 @@ func (f *File) Mmap(clk *sim.Clock, mapSync bool) (*pmem.Mapping, error) {
 		return nil, fmt.Errorf("posixfs: size %d exceeds extent %d", f.node.size, e.n)
 	}
 	return pmem.NewMapping(f.fs.dev, e.off, f.node.size, mapSync)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -504,3 +504,70 @@ func TestManyFilesConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledExtentReadsZeros poisons a file's extent, removes the file and
+// sizes a new one over the recycled extent. Each way to read the new file —
+// its DAX mapping, the kernel read path, and a mapping read after a partial
+// kernel write into an unwritten granule — must see zeros, never the old
+// file's bytes. No eager memclr stands behind this: Truncate zeroes at most
+// the partial granule at its edge, and the device zeroes the rest at first
+// touch.
+func TestRecycledExtentReadsZeros(t *testing.T) {
+	const size = 4*pmem.GranuleSize + 4096
+	for _, how := range []string{"Mmap", "ReadAt", "WriteAt+Mmap"} {
+		t.Run(how, func(t *testing.T) {
+			fs, clk := newTestFS(t, 1<<20)
+			old, err := fs.Create(clk, "/old")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := old.WriteAt(clk, bytes.Repeat([]byte{0xA5}, size), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Remove(clk, "/old"); err != nil {
+				t.Fatal(err)
+			}
+			zeroed := fs.Device().Counters().ZeroedBytes
+			f, err := fs.Create(clk, "/new")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Truncate(clk, size); err != nil {
+				t.Fatal(err)
+			}
+			if got := fs.Device().Counters().ZeroedBytes - zeroed; got >= pmem.GranuleSize {
+				t.Fatalf("Truncate zeroed %d bytes; only the partial edge granule should be", got)
+			}
+			got := make([]byte, size)
+			switch how {
+			case "ReadAt":
+				if _, err := f.ReadAt(clk, got, 0); err != nil {
+					t.Fatal(err)
+				}
+			case "WriteAt+Mmap":
+				if _, err := f.WriteAt(clk, []byte("mid"), pmem.GranuleSize+100); err != nil {
+					t.Fatal(err)
+				}
+				fallthrough
+			case "Mmap":
+				m, err := f.Mmap(clk, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := m.Slice(0, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				copy(got, s)
+			}
+			if how == "WriteAt+Mmap" {
+				if string(got[pmem.GranuleSize+100:pmem.GranuleSize+103]) != "mid" {
+					t.Fatal("the partial write was lost")
+				}
+			}
+			if i := bytes.IndexByte(got, 0xA5); i >= 0 {
+				t.Fatalf("byte %d of the new file is the removed file's", i)
+			}
+		})
+	}
+}

@@ -162,7 +162,7 @@ func (s *Spec) ReadBlock(pattern Pattern, readRanks, rank int) (offs, counts []u
 			// Uneven split: the first rem coordinates get one extra element.
 			base := s.global[d] / grid[d]
 			rem := s.global[d] % grid[d]
-			offs[d] = coord[d]*base + min64u(coord[d], rem)
+			offs[d] = coord[d]*base + min(coord[d], rem)
 			counts[d] = base
 			if coord[d] < rem {
 				counts[d]++
@@ -249,13 +249,6 @@ func (s *Spec) VerifyBlock(c *mpi.Comm, m *sim.Machine, varIdx int, offs, counts
 	}
 	m.ChargePasses(c.Clock(), int64(n*8), 1, m.Config().TouchBPS, readers)
 	return nil
-}
-
-func min64u(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Fill writes rank's block of variable varIdx into buf (len >= BlockElems)
