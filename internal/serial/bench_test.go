@@ -178,9 +178,12 @@ func sweepAt(dst, src []byte, tile int, foldFirst bool) (float64, float64, uint3
 // are mutually misaligned as they are in a pool. memcpy is the floor;
 // three-pass is the encode this package used to do (characterize, copy, then
 // checksum the destination); the sweep rows vary the tile; fold-first shows
-// why the copy goes first; EncodeSum/bp4 is the shipped path itself and
-// EncodeTo/bp4 the same with the CRC step off (the encode/copy ratio bp4's
-// CostProfile models).
+// why the copy goes first. At 256 KiB and 2 MiB (a prefix of each payload)
+// the line kernel runs with ordinary (lines/cached) and non-temporal
+// (lines/stream) stores beside the tile loop (tiles) and memcpy; sweep picks
+// the store kind by streamMin. EncodeSum/bp4 is the shipped path itself — at
+// 4 MB the streaming line kernel — and EncodeTo/bp4 the tile loop with the
+// CRC step off (the encode/copy ratio bp4's CostProfile models).
 func BenchmarkStoreSweep(b *testing.B) {
 	const payload, bufs = 4 << 20, 8
 	bp4 := Default()
@@ -196,38 +199,57 @@ func BenchmarkStoreSweep(b *testing.B) {
 		dst[i] = make([]byte, bp4.EncodedSize(src[i]))
 	}
 	hdr := len(dst[0]) - payload
-	row := func(name string, f func(dst []byte, d *Datum) uint32) {
+	row := func(name string, n int, f func(dst []byte, d *Datum) uint32) {
 		b.Run(name, func(b *testing.B) {
-			b.SetBytes(payload)
+			b.SetBytes(int64(n))
 			for i := 0; i < b.N; i++ {
 				sink = f(dst[i%bufs], src[i%bufs])
 			}
 		})
 	}
-	row("memcpy", func(dst []byte, d *Datum) uint32 { return uint32(copy(dst[hdr:], d.Payload)) })
-	row("three-pass", func(dst []byte, d *Datum) uint32 {
+	row("memcpy", payload, func(dst []byte, d *Datum) uint32 { return uint32(copy(dst[hdr:], d.Payload)) })
+	row("three-pass", payload, func(dst []byte, d *Datum) uint32 {
 		mn, mx, _ := MinMax(Float64, d.Payload)
 		copy(dst[hdr:], d.Payload)
 		return checksum.Sum(dst) ^ uint32(mn+mx)
 	})
 	for _, kb := range []int{4, 8, 16, 32, 64, 128, 256} {
-		row(fmt.Sprintf("sweep/tile=%dK", kb), func(dst []byte, d *Datum) uint32 {
+		row(fmt.Sprintf("sweep/tile=%dK", kb), payload, func(dst []byte, d *Datum) uint32 {
 			_, _, crc := sweepAt(dst[hdr:], d.Payload, kb<<10, false)
 			return crc
 		})
 	}
-	row(fmt.Sprintf("fold-first/tile=%dK", sweepTile>>10), func(dst []byte, d *Datum) uint32 {
+	row(fmt.Sprintf("fold-first/tile=%dK", sweepTile>>10), payload, func(dst []byte, d *Datum) uint32 {
 		_, _, crc := sweepAt(dst[hdr:], d.Payload, sweepTile, true)
 		return crc
 	})
-	row("EncodeSum/bp4", func(dst []byte, d *Datum) uint32 {
+	for _, n := range []int{256 << 10, 2 << 20} {
+		row(fmt.Sprintf("memcpy/%dK", n>>10), n, func(dst []byte, d *Datum) uint32 {
+			return uint32(copy(dst[hdr:], d.Payload[:n]))
+		})
+		for _, stream := range []bool{false, true} {
+			kind := "cached"
+			if stream {
+				kind = "stream"
+			}
+			row(fmt.Sprintf("lines/%s/%dK", kind, n>>10), n, func(dst []byte, d *Datum) uint32 {
+				r := noRange
+				return sweepFloat64(dst[hdr:], d.Payload[:n], &r, 0, stream)
+			})
+		}
+		row(fmt.Sprintf("tiles/%dK", n>>10), n, func(dst []byte, d *Datum) uint32 {
+			r := noRange
+			return sweepTiles(dst[hdr:], d.Payload[:n], Float64, &r, 0, true)
+		})
+	}
+	row("EncodeSum/bp4", payload, func(dst []byte, d *Datum) uint32 {
 		_, crc, err := bp4.EncodeSum(dst, d, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return crc
 	})
-	row("EncodeTo/bp4", func(dst []byte, d *Datum) uint32 {
+	row("EncodeTo/bp4", payload, func(dst []byte, d *Datum) uint32 {
 		n, err := bp4.EncodeTo(dst, d)
 		if err != nil {
 			b.Fatal(err)

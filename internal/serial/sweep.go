@@ -10,40 +10,71 @@ import (
 )
 
 // The payload sweep. All four codecs are "header + verbatim payload", so the
-// bytes of a stored block move in exactly one loop: per tile, copy first (the
-// wide loads of memmove take the cache misses), then fold min/max over the
-// now-hot source tile, then advance the running CRC32C over the now-hot
-// destination tile. One pass from memory instead of three.
+// bytes of a stored block move in exactly one pass from memory instead of
+// three. A float64 payload with its fold and CRC on goes through the line
+// kernel of sweepFloat64 (fold_amd64.go): each 64-byte line loaded once and
+// stored, folded and summed from those registers. Everything else goes
+// through the tile loop: per tile, copy first (the wide loads of memmove take
+// the cache misses), then fold min/max over the now-hot source tile, then
+// advance the running CRC32C over the now-hot destination tile.
 //
 // sweepTile is picked from BenchmarkStoreSweep (bench_test.go): 4 MB float64
-// payloads rotating over 64 MB of buffers, written behind a 40-byte header,
-// with the float64 fold on the SSE2 kernel (fold_amd64.s), on a 2-vCPU Xeon
-// @ 2.0 GHz (48 KB L1d and 2 MB L2 per core, 105 MB shared L3, so rows drift
-// with the neighbours; median of 5, ms per payload):
+// payloads rotating over 64 MB of buffers, written behind a 40-byte header.
+// One run of -benchtime 300x -count 5 with nproc = 2 (a 2-vCPU Xeon, model
+// 207: 48 KB L1d and 2 MB L2 per core, 300 MB shared L3, so rows drift with
+// the neighbours); median of 5, ms per payload:
 //
-//	memcpy                0.78
-//	three-pass            1.69   characterize, copy, checksum.Sum
-//	fold-first/tile=16K   1.40   the fold's loads take the misses
-//	sweep/tile=4K         1.22
-//	sweep/tile=8K         1.25
-//	sweep/tile=16K        1.28   <- shipped
-//	sweep/tile=32K        1.31
-//	sweep/tile=64K        1.33
-//	sweep/tile=128K       1.16
-//	sweep/tile=256K       1.18
-//	EncodeTo/bp4          1.27   the shipped sweep, CRC off
-//	EncodeSum/bp4         1.26
+//	memcpy                0.88
+//	three-pass            2.37   characterize, copy, checksum.Sum
+//	fold-first/tile=16K   1.66   the fold's loads take the misses
+//	sweep/tile=4K         1.47
+//	sweep/tile=8K         1.40
+//	sweep/tile=16K        1.39   <- shipped
+//	sweep/tile=32K        1.35
+//	sweep/tile=64K        1.41
+//	sweep/tile=128K       1.46
+//	sweep/tile=256K       1.38
+//	memcpy/256K           0.029  a 256 KiB prefix of each payload
+//	lines/cached/256K     0.028  the line kernel, ordinary stores
+//	lines/stream/256K     0.023  the line kernel, non-temporal stores
+//	tiles/256K            0.051  the tile loop
+//	memcpy/2048K          0.31
+//	lines/cached/2048K    0.25
+//	lines/stream/2048K    0.22
+//	tiles/2048K           0.51
+//	EncodeTo/bp4          1.23   the tile loop, CRC off
+//	EncodeSum/bp4         0.51   the line kernel, streaming
 //
-// With the kernel the sweep rows lie within their run-to-run spread: 128 K was
-// fastest in two runs and 256 K in three, neither in four of five, so the
-// tile stays 16 K (with the Go fold, on the same host, 16 K won three of
-// five). A constant, not an option.
+// The tile rows lie within their run-to-run spread (64 K read 1.28–1.47), so
+// the tile stays 16 K; it now serves every payload but bp4's float64 ones
+// with the CRC on. The 256 KiB and 2 MiB rows stay in L3 here, so they show
+// the kernel against the tile loop, not what streaming saves: that is
+// measured end to end (streamMin). A constant, not an option.
 const sweepTile = 16 << 10
 
-// sweep copies src into dst tile by tile and returns the running CRC: crc
-// advanced over the bytes written when sum is set, crc untouched otherwise.
-// A non-nil r accumulates the payload's value range as elements of dt.
+// streamMin is the payload from which sweep stores a float64 body past the
+// cache. Measured end to end (EXPERIMENTS "The fused sweep rung"), each side
+// of it wins on a workload: ordinary stores for every payload made domain3d's
+// 4 MB stores 36 % slower, and streaming every payload made ckpt-restart's
+// 500 KiB blocks, read back soon after, load 29 % slower. 1 MiB is also where
+// Go's own memmove turns to non-temporal stores. A constant, not an option.
+const streamMin = 1 << 20
+
+// sweep copies src into dst and returns the running CRC: crc advanced over
+// the bytes written when sum is set, crc untouched otherwise. A non-nil r
+// accumulates the payload's value range as elements of dt. A float64 payload
+// with both on takes sweepFloat64 (on amd64 one load per line); everything
+// else the tile loop.
 func sweep(dst, src []byte, dt DType, r *valueRange, crc uint32, sum bool) uint32 {
+	if r != nil && dt == Float64 && sum {
+		return sweepFloat64(dst, src, r, crc, len(src) >= streamMin)
+	}
+	return sweepTiles(dst, src, dt, r, crc, sum)
+}
+
+// sweepTiles is the tile loop: sweep for every payload the line kernel does
+// not take, its head and tail, and the oracle it is held to.
+func sweepTiles(dst, src []byte, dt DType, r *valueRange, crc uint32, sum bool) uint32 {
 	for len(src) > 0 {
 		n := min(len(src), sweepTile)
 		copy(dst[:n], src[:n])

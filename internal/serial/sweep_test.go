@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"pmemcpy/internal/bytesview"
 	"pmemcpy/internal/checksum"
@@ -237,6 +238,103 @@ func TestSweepMatchesThreePasses(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkKernel holds sweep's float64 path — on amd64 the line kernel between
+// two stretches of tile loop — to the tile loop alone: the same bytes stored,
+// the same running CRC from crcIn and the same fold bits. dstOff places the
+// destination dstOff bytes past a 64-byte boundary.
+func checkKernel(src []byte, dstOff int, crcIn uint32) error {
+	buf := make([]byte, 64+dstOff+len(src))
+	base := int(-uintptr(unsafe.Pointer(unsafe.SliceData(buf))) & 63)
+	dst := buf[base+dstOff:]
+	want := make([]byte, len(src))
+	r, wr := noRange, noRange
+	crc := sweep(dst, src, Float64, &r, crcIn, true)
+	wcrc := sweepTiles(want, src, Float64, &wr, crcIn, true)
+	switch {
+	case !bytes.Equal(dst[:len(src)], want):
+		return fmt.Errorf("stored bytes differ from the tile loop's")
+	case crc != wcrc:
+		return fmt.Errorf("CRC = %#x, tile loop %#x", crc, wcrc)
+	case !sameFold(r.mn, r.mx, wr.mn, wr.mx):
+		return fmt.Errorf("fold = (%v %#x, %v %#x), tile loop (%v %#x, %v %#x)",
+			r.mn, math.Float64bits(r.mn), r.mx, math.Float64bits(r.mx),
+			wr.mn, math.Float64bits(wr.mn), wr.mx, math.Float64bits(wr.mx))
+	}
+	return nil
+}
+
+// TestSweepKernelMatchesTileLoop is the line kernel's contract, beside the
+// sweep's: at every destination offset from a 64-byte boundary (a head of
+// whole elements runs the kernel, any other the tile loop), source offsets
+// 0–7, sizes around whole three-line steps, around the 1 MiB streaming
+// threshold and over several kernel calls, every fold pattern and two
+// incoming CRCs, sweep's float64 path stores, sums and folds exactly what the
+// tile loop does.
+func TestSweepKernelMatchesTileLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	const step = 3 * 64
+	type span struct {
+		sizes    []int
+		dst, src []int
+		patterns int // how many of floatPatterns
+	}
+	all := func(n int) []int {
+		s := make([]int, n)
+		for i := range s {
+			s[i] = i
+		}
+		return s
+	}
+	spans := []span{
+		{[]int{step - 8, step, step + 8, 2*step - 8, 2*step + 8, 5 * step, 5*step + 8, 5*step + 64 + 8}, all(64), all(8), len(floatPatterns)},
+		{[]int{3*sweepTile + 5*8}, all(64), []int{0, 3}, 2},
+		{[]int{streamMin - 8, streamMin, streamMin + 8}, []int{0, 3, 8, 40, 56}, []int{0, 5}, len(floatPatterns)},
+		// Several kernel calls of three 256 KiB strands each, then a short
+		// one: a 4 MiB block, and two whole calls and a few lines more.
+		{[]int{4 << 20, 6*256<<10 + 5*step + 8}, []int{0, 8, 40}, []int{0, 5}, len(floatPatterns)},
+	}
+	if testing.Short() {
+		spans[2].dst, spans[2].patterns = []int{0, 40}, 2
+		spans[3].dst, spans[3].patterns = []int{0}, 2
+	}
+	for _, sp := range spans {
+		for _, size := range sp.sizes {
+			payload := make([]byte, 8+size)
+			for _, pat := range floatPatterns[:sp.patterns] {
+				for _, srcOff := range sp.src {
+					src := payload[srcOff : srcOff+size]
+					rng.Read(src)
+					pat.apply(src, 8)
+					for _, dstOff := range sp.dst {
+						for _, crcIn := range []uint32{0, 0xdeadbeef} {
+							if err := checkKernel(src, dstOff, crcIn); err != nil {
+								t.Fatalf("%d bytes, %s, source offset %d, destination offset %d, crc in %#x: %v",
+									size, pat.name, srcOff, dstOff, crcIn, err)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzSweep is TestSweepKernelMatchesTileLoop over arbitrary bytes, offsets
+// and incoming CRC; the payload is data repeated rep times, so that inputs
+// the fuzzer keeps short still span several three-line steps.
+func FuzzSweep(f *testing.F) {
+	f.Add(bytesview.Bytes([]float64{math.Copysign(0, -1), 1, 0, math.NaN(), -2, 0, 3, math.Inf(1), 5}), uint8(8), uint8(0), uint8(40), uint32(0))
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f}, 25), uint8(1), uint8(3), uint8(16), uint32(0xdeadbeef))
+	f.Fuzz(func(t *testing.T, data []byte, rep, srcOff, dstOff uint8, crcIn uint32) {
+		p := bytes.Repeat(data, 1+int(rep)%64)
+		p = p[min(int(srcOff%8), len(p)):]
+		p = p[:len(p)&^7]
+		if err := checkKernel(p, int(dstOff%64), crcIn); err != nil {
+			t.Fatalf("%d bytes, destination offset %d: %v", len(p), dstOff%64, err)
+		}
+	})
 }
 
 func encodeStats(t *testing.T, d *Datum) (float64, float64) {
