@@ -21,7 +21,8 @@ func TestFsckCleanPoolExitsZero(t *testing.T) { fsckCase(t, "fsck_clean_1.golden
 
 // TestFsckTornMetadataRecord is the regression for the corrupt-pool path: a
 // deliberately torn metadata record must produce a nonzero exit and name the
-// first violated invariant (ht.value).
+// first violated invariant (pool.open: the heap walk at open refuses the torn
+// block header).
 func TestFsckTornMetadataRecord(t *testing.T) { fsckCase(t, "fsck_torn_1.golden", 1, "-corrupt") }
 
 func TestFsckCleanSetExitsZero(t *testing.T) { fsckCase(t, "fsck_clean_4.golden", 0, "-pools", "4") }

@@ -784,7 +784,7 @@ func TestWholeValueOverArrayFreesItsBlocks(t *testing.T) {
 // overwrite never meets that limit: it drops what the lane can log and leaves
 // the rest listed for the next one.
 func TestDeleteOverflowingOneLaneKeepsTheRecord(t *testing.T) {
-	const elems = 600 // one 1-element block each: 32 undo bytes apiece to free, past a 16 KB lane
+	const elems = 800 // one 1-element block each: 24 undo bytes apiece to free, past a 16 KB lane
 	n := node.New(sim.DefaultConfig(), 16<<20)
 	n.Machine.SetConcurrency(1)
 	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {

@@ -75,7 +75,8 @@ func TestCheckTornMetadataRecord(t *testing.T) {
 	m, h, clk := buildPool(t)
 	// Tear the metadata record of one key: scribble the state word of its
 	// value block's header, as a torn cacheline across the header boundary
-	// would. The checker must flag it and name the invariant.
+	// would. The heap walk at open trusts no header, so the pool is refused
+	// as corrupt: the checker must flag it and name the header.
 	vid, _, ok, err := h.GetRef(clk, []byte("var-3"))
 	if err != nil || !ok {
 		t.Fatalf("GetRef: %v ok=%v", err, ok)
@@ -93,8 +94,9 @@ func TestCheckTornMetadataRecord(t *testing.T) {
 	if rep.OK() {
 		t.Fatal("torn metadata record not detected")
 	}
-	if first := rep.First(); first == nil || first.Invariant != "ht.value" {
-		t.Fatalf("First() = %v, want an ht.value violation", rep.First())
+	if first := rep.First(); first == nil || first.Invariant != "pool.open" ||
+		!strings.Contains(first.Detail, fmt.Sprintf("block header at %d", vid-16)) {
+		t.Fatalf("First() = %v, want a pool.open violation naming the header at %d", rep.First(), vid-16)
 	}
 }
 

@@ -4,36 +4,42 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pmemcpy/internal/sim"
 )
 
-// Persistent allocator: segregated free lists for small blocks plus a
-// first-fit list for huge blocks, carving fresh space from a bump pointer.
-// All metadata mutations happen inside the caller's transaction, so a crash
-// at any point either completes or fully undoes an Alloc/Free — the property
-// the crash tests verify.
+// Persistent allocator: the heap is its block headers. What the media holds is
+// the shared brk word, each arena's bump|limit and one 16-byte header {size
+// uint64 (total block size including the header), state uint64} before every
+// block; the PMID handed to clients is the payload offset. Every byte of
+// [heapOff, brk) lies in exactly one of two places: a block whose header reads
+// alloc or free, or one arena's current [bump, limit). The free lists — LIFO
+// per size class, first-fit for huge blocks — are DRAM state under each
+// arena's mutex, rebuilt at Open by one walk of the headers (walkHeap), the
+// same walk Verify reports from. Alloc and Free log the headers they change
+// in the caller's transaction; the lists follow the transaction (heapOp): a
+// block taken off a list goes back on abort, and a freed block joins a list
+// only at commit, so a crash or an abort leaves headers and lists agreeing.
 //
 // The allocator is striped into arenas. Arenas carve fresh blocks from
 // private extents reserved off a shared monotonic brk (first word at
 // Pool.allocOff), so the heap is never statically partitioned: one arena can
 // host a block nearly as large as the whole heap, and space an arena never
-// touches is never stranded. Each arena owns one mutex and one 128-byte
-// metadata block; the metadata blocks are laid out contiguously after the
-// brk word, one per arena:
+// touches is never stranded. Each arena owns one mutex and one 64-byte
+// metadata block, laid out contiguously after the brk word:
 //
-//	0:  bump      uint64  next unused offset inside the current extent
-//	8:  limit     uint64  end of the current extent (bump == limit: empty)
-//	16: classHead [nSizeClasses]uint64  free-list heads (PMIDs)
-//	64: hugeHead  uint64  free list of huge blocks
+//	0:  bump   uint64  next unused offset inside the current extent
+//	8:  limit  uint64  end of the current extent (bump == limit: empty)
 //
 // The brk itself is advanced with a plain persisted write, not an undo-logged
 // one: extents may be reserved by concurrent transactions, and pre-imaging
 // the shared word in more than one live undo log would make recovery order
-// ambiguous. The cost of that choice is bounded and benign — a crash between
-// the brk advance and the reserving transaction's commit leaks the extent
-// (the same failure class as an allocated-but-unpublished payload block),
-// but the brk can never double-grant space.
+// ambiguous. An extent is formatted as one free block, persisted, before the
+// brk grants it, and the reserving transaction's first write into it
+// pre-images that header. So a reservation that crashes or aborts leaves a
+// free block the walk finds — never a hole — and the brk can never
+// double-grant space.
 //
 // Locking protocol (the undo-log invariant is that a shared persistent word
 // is pre-imaged by at most one active transaction, otherwise recovery order
@@ -51,14 +57,9 @@ import (
 //     arena the transaction did not end up mutating is released immediately;
 //     a mutated one stays held until commit/abort like the home arena.
 //   - Free always pushes onto the transaction's home arena's free list.
-//     Blocks are self-describing (16-byte header), so free lists may hold
-//     blocks from any arena's region; memory migrates between arenas under
-//     free-heavy workloads instead of requiring cross-arena locking.
-//
-// Every block is preceded by a 16-byte header {size uint64 (total block
-// size including the header), state uint64}. The PMID handed to clients is
-// the payload offset. Free blocks store the next free PMID in their first
-// payload word.
+//     Blocks are self-describing, so free lists may hold blocks from any
+//     arena's region; memory migrates between arenas under free-heavy
+//     workloads instead of requiring cross-arena locking.
 const (
 	nSizeClasses  = 6 // block sizes 64, 128, 256, 512, 1024, 2048
 	minBlock      = 64
@@ -67,9 +68,9 @@ const (
 	// brkMetaSize holds the shared extent brk, padded to one cacheline.
 	brkMetaSize = 64
 
-	// allocMetaSize is the per-arena metadata block: bump + limit + class
-	// heads + huge head, padded to two cachelines so arenas never share one.
-	allocMetaSize = 128
+	// allocMetaSize is the per-arena metadata block: bump + limit, padded to
+	// one cacheline so arenas never share one.
+	allocMetaSize = 64
 
 	// Extent sizing bounds for the lazily reserved per-arena bump extents
 	// (the actual default scales with the heap; see newPoolStruct).
@@ -83,10 +84,83 @@ const (
 )
 
 func (a *arena) bumpOff() PMID { return PMID(a.metaOff) } // bump|limit: read and written as one 16-byte run
-func (a *arena) classOff(c int) PMID {
-	return PMID(a.metaOff + 16 + 8*int64(c))
+
+// freeBlock is a huge free-list entry: the size rides along so first-fit
+// never reads a header.
+type freeBlock struct {
+	id   PMID
+	size int64
 }
-func (a *arena) hugeOff() PMID { return PMID(a.metaOff + 16 + 8*nSizeClasses) }
+
+// push puts free block id on a's lists, onto its class list when size is a
+// class size and huge is false, else onto the huge list. a.mu is held.
+func (a *arena) push(id PMID, size int64, huge bool) {
+	if c := sizeClass(size); c >= 0 && !huge {
+		a.class[c] = append(a.class[c], id)
+	} else {
+		a.huge = append(a.huge, freeBlock{id, size})
+	}
+	a.free.Add(1)
+}
+
+// heapOp is one change a transaction made to the DRAM free lists (or, for
+// opFree, will make at commit), kept so that abort can undo it.
+type heapOp struct {
+	a    *arena
+	id   PMID
+	size int64
+	i    int32 // the class list (opPop) or the huge-list index (opTake, opSplit)
+	kind uint8
+}
+
+const (
+	opPop     = iota // id came off class list i
+	opTake           // huge[i] = {id, size} was removed
+	opSplit          // huge[i] was {id, size}; it now holds the split-off tail
+	opRetire         // an extent's unused tail {id, size} was pushed onto huge
+	opReserve        // the extent {id, size} was reserved: on abort it is a free block
+	opFree           // id was freed: it joins a's lists at commit
+)
+
+// commitHeap puts the blocks the transaction freed on their lists. The arenas
+// are still locked (Free took the home arena).
+func (tx *txn) commitHeap() {
+	for _, op := range tx.ops {
+		if op.kind == opFree {
+			op.a.push(op.id, op.size, false)
+		}
+	}
+}
+
+// undoHeap returns the DRAM free lists to what they were before the
+// transaction, after its undo log has been rolled back: the changes are undone
+// in reverse, so each finds its list as it left it, and then every extent the
+// transaction reserved goes onto its arena's huge list — the rollback restored
+// the free header the extent was formatted with. Frees are dropped: an
+// aborted Free is never reused.
+func (tx *txn) undoHeap() {
+	for i := len(tx.ops) - 1; i >= 0; i-- {
+		op, a := &tx.ops[i], tx.ops[i].a
+		switch op.kind {
+		case opPop:
+			a.class[op.i] = append(a.class[op.i], op.id)
+			a.free.Add(1)
+		case opTake:
+			a.huge = slices.Insert(a.huge, int(op.i), freeBlock{op.id, op.size})
+			a.free.Add(1)
+		case opSplit:
+			a.huge[op.i] = freeBlock{op.id, op.size}
+		case opRetire:
+			a.huge = a.huge[:len(a.huge)-1]
+			a.free.Add(-1)
+		}
+	}
+	for _, op := range tx.ops {
+		if op.kind == opReserve {
+			op.a.push(op.id, op.size, true)
+		}
+	}
+}
 
 // initBrk seeds the shared extent brk on a freshly formatted pool (arena
 // metadata is already zeroed: bump == limit == 0 means "no extent yet").
@@ -97,12 +171,14 @@ func (p *Pool) initBrk(clk *sim.Clock) error {
 }
 
 // reserveExtent claims a fresh [start, limit) slice of the heap off the
-// shared brk. With exact set the extent is sized to the request (huge blocks
-// get dedicated extents, so bump carving never strands a tail comparable to
-// the block itself); otherwise the default extent size is used. See the
-// package comment for why the brk write is persisted but not undo-logged
-// (monotonic, leak-only crash behavior).
-func (p *Pool) reserveExtent(clk *sim.Clock, want int64, exact bool) (start, limit int64, err error) {
+// shared brk for arena a. With exact set the extent is sized to the request
+// (huge blocks get dedicated extents, so bump carving never strands a tail
+// comparable to the block itself); otherwise the default extent size is used.
+// Every extent is a whole number of cachelines. It is formatted as one free
+// block and persisted before the brk advance grants it (see the package
+// comment).
+func (p *Pool) reserveExtent(tx *txn, a *arena, want int64, exact bool) (start, limit int64, err error) {
+	clk := tx.clk
 	p.brkMu.Lock()
 	defer p.brkMu.Unlock()
 	raw, err := p.ReadU64(clk, PMID(p.allocOff))
@@ -115,17 +191,23 @@ func (p *Pool) reserveExtent(clk *sim.Clock, want int64, exact bool) (start, lim
 		ext = alignUp(want, sim.CachelineSize)
 	}
 	if brk+ext > p.heapEnd {
-		ext = p.heapEnd - brk
+		ext = (p.heapEnd - brk) &^ (sim.CachelineSize - 1)
 	}
 	if ext < want {
 		return 0, 0, fmt.Errorf("%w: heap exhausted (%d of %d used, need %d)",
 			ErrNoSpace, brk-p.heapOff, p.heapEnd-p.heapOff, want)
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(brk+ext))
-	if err := p.StoreBytesAt(clk, PMID(p.allocOff), b[:], true, ptAllocBrk); err != nil {
+	var b [blockHeaderSize]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(ext))
+	binary.LittleEndian.PutUint64(b[8:], stateFree)
+	if err := p.StoreBytesAt(clk, PMID(brk), b[:], true, ptAllocExtentFormat); err != nil {
 		return 0, 0, err
 	}
+	binary.LittleEndian.PutUint64(b[:], uint64(brk+ext))
+	if err := p.StoreBytesAt(clk, PMID(p.allocOff), b[:8], true, ptAllocBrk); err != nil {
+		return 0, 0, err
+	}
+	tx.ops = append(tx.ops, heapOp{a: a, kind: opReserve, id: PMID(brk + blockHeaderSize), size: ext})
 	p.stats.extents.Add(1)
 	p.stats.extentBytes.Add(ext)
 	return brk, brk + ext, nil
@@ -145,6 +227,16 @@ func classFor(n int64) int {
 	return -1
 }
 
+// sizeClass returns the class whose blocks are exactly size bytes, or -1.
+func sizeClass(size int64) int {
+	for c := 0; c < nSizeClasses; c++ {
+		if blockSizeOf(c) == size {
+			return c
+		}
+	}
+	return -1
+}
+
 // blockSizeOf returns the total block size for class c.
 func blockSizeOf(c int) int64 { return minBlock << c }
 
@@ -155,43 +247,121 @@ func hugeBlockSize(n int64) int64 {
 	return alignUp(n+blockHeaderSize, sim.CachelineSize)
 }
 
-// maxBlocks bounds every walk of a persistent list — a free list, a bucket
-// chain: the heap cannot hold more blocks than this, so a walk that takes more
-// steps is on a cycle and ends in ErrCorrupt instead of holding its lock
-// forever.
+// maxBlocks bounds every walk of a persistent list — a bucket chain: the heap
+// cannot hold more blocks than this, so a walk that takes more steps is on a
+// cycle and ends in ErrCorrupt instead of holding its lock forever.
 func (p *Pool) maxBlocks() int64 { return (p.heapEnd-p.heapOff)/minBlock + 1 }
 
-// blockWords reads the first n words of the block whose payload is id, from
-// its header on, as one access: size|state (2), and for a block on a free
-// list size|state|next (3) — the next pointer is the first payload word.
-// Blocks may live anywhere in the heap regardless of which arena's list
+// blockHeader reads a block's size|state, as one access, given its payload
+// PMID. Blocks may live anywhere in the heap regardless of which arena's list
 // tracks them.
-func (p *Pool) blockWords(clk *sim.Clock, id PMID, n int) ([]byte, error) {
-	if id < PMID(p.heapOff)+blockHeaderSize || int64(id) >= p.heapEnd {
-		return nil, fmt.Errorf("%w: %d outside heap", ErrBadPointer, id)
-	}
-	return p.read(clk, id-blockHeaderSize, int64(8*n))
-}
-
-// blockHeader reads a block's size|state given its payload PMID.
 func (p *Pool) blockHeader(clk *sim.Clock, id PMID) (size int64, state uint64, err error) {
-	b, err := p.blockWords(clk, id, 2)
+	if id < PMID(p.heapOff)+blockHeaderSize || int64(id) >= p.heapEnd {
+		return 0, 0, fmt.Errorf("%w: %d outside heap", ErrBadPointer, id)
+	}
+	b, err := p.read(clk, id-blockHeaderSize, blockHeaderSize)
 	if err != nil {
 		return 0, 0, err
 	}
 	return int64(word(b, 0)), word(b, 1), nil
 }
 
+// corruptHeap is what a heap walk stops on: ErrCorrupt, with the invariant
+// Verify reports it under.
+type corruptHeap struct{ inv, detail string }
+
+func (e *corruptHeap) Error() string { return ErrCorrupt.Error() + ": " + e.detail }
+func (e *corruptHeap) Unwrap() error { return ErrCorrupt }
+
+// walkHeap visits every block of [heapOff, brk) in address order, skipping
+// each arena's current [bump, limit). The brk and every arena's bump|limit
+// are one access, each header another. It trusts nothing: a brk outside the
+// heap (alloc.brk), an extent outside [heapOff, brk) (alloc.arena), or a
+// header whose size is not a positive multiple of minBlock, runs past the brk
+// or into an extent, or whose state is neither alloc nor free (alloc.heap)
+// ends the walk in a *corruptHeap; a failed read ends it in that error.
+func (p *Pool) walkHeap(clk *sim.Clock, visit func(id PMID, size int64, free bool)) error {
+	meta, err := p.read(clk, PMID(p.allocOff), brkMetaSize+int64(len(p.arenas))*allocMetaSize)
+	if err != nil {
+		return err
+	}
+	brk := int64(word(meta, 0))
+	if brk < p.heapOff || brk > p.heapEnd || (brk-p.heapOff)%minBlock != 0 {
+		return &corruptHeap{"alloc.brk", fmt.Sprintf("brk %d outside heap [%d,%d)", brk, p.heapOff, p.heapEnd)}
+	}
+	extent := func(i int) (bump, limit int64) {
+		w := (brkMetaSize + i*allocMetaSize) / 8
+		return int64(word(meta, w)), int64(word(meta, w+1))
+	}
+	for i := range p.arenas {
+		if bump, limit := extent(i); bump != limit && (bump > limit || bump < p.heapOff || limit > brk) {
+			return &corruptHeap{"alloc.arena", fmt.Sprintf("arena %d extent [%d,%d) outside reserved heap [%d,%d)",
+				i, bump, limit, p.heapOff, brk)}
+		}
+	}
+	// next returns the first non-empty extent at or after off, or [brk, brk).
+	next := func(off int64) (start, end int64) {
+		start, end = brk, brk
+		for i := range p.arenas {
+			if bump, limit := extent(i); bump < limit && bump >= off && bump < start {
+				start, end = bump, limit
+			}
+		}
+		return start, end
+	}
+	es, ee := next(p.heapOff)
+	for off := p.heapOff; off < brk; {
+		if off == es {
+			off = ee
+			es, ee = next(off)
+			continue
+		}
+		b, err := p.read(clk, PMID(off), blockHeaderSize)
+		if err != nil {
+			return err
+		}
+		size, state := int64(word(b, 0)), word(b, 1)
+		if size <= 0 || size%minBlock != 0 || size > es-off || (state != stateAlloc && state != stateFree) {
+			return &corruptHeap{"alloc.heap", fmt.Sprintf("block header at %d reads size %d, state %#x (next extent or brk at %d)",
+				off, size, state, es)}
+		}
+		visit(PMID(off+blockHeaderSize), size, state == stateFree)
+		off += size
+	}
+	return nil
+}
+
+// rebuildLists fills the DRAM free lists at Open from one walk of the heap.
+// Every free block goes to arena 0 — rank 0's home; other ranks reach them
+// through the steal path — on its class list when its size is a class size,
+// else on the huge list, and each list is ordered so that the lowest address
+// is popped (or, on the huge list, tried) first.
+func (p *Pool) rebuildLists(clk *sim.Clock) error {
+	a := &p.arenas[0]
+	if err := p.walkHeap(clk, func(id PMID, size int64, free bool) {
+		if free {
+			a.push(id, size, false)
+		}
+	}); err != nil {
+		return err
+	}
+	for c := range a.class {
+		slices.Reverse(a.class[c])
+	}
+	slices.Reverse(a.huge)
+	return nil
+}
+
 // Alloc allocates a payload of n bytes inside tx and returns its PMID. The
 // payload contents are undefined (PMDK semantics; callers zero or overwrite).
 //
 // Placement policy: reuse a free block from the home arena, else from any
-// other arena whose free-count hint is positive (freed blocks migrate
-// between arenas, so reuse must look everywhere before growing the heap),
-// else carve fresh space from the home arena's bump region, else carve from
-// whichever other arena has room. Every foreign-arena step uses TryLock
-// only — a transaction never blocks on a second arena lock while holding
-// one, which rules out deadlock outright.
+// other arena whose free count is positive (freed blocks migrate between
+// arenas, so reuse must look everywhere before growing the heap), else carve
+// fresh space from the home arena's bump region, else carve from whichever
+// other arena has room. Every foreign-arena step uses TryLock only — a
+// transaction never blocks on a second arena lock while holding one, which
+// rules out deadlock outright.
 func (p *Pool) Alloc(tx *Tx, n int64) (PMID, error) {
 	t, err := tx.live("Alloc")
 	if err != nil {
@@ -214,7 +384,7 @@ func (p *Pool) alloc(tx *txn, n int64) (PMID, error) {
 	}
 	for i := range p.arenas {
 		a := &p.arenas[i]
-		if a == home || a.freeHint.Load() <= 0 {
+		if a == home || a.free.Load() <= 0 {
 			continue
 		}
 		id, ok, err := p.foreignArena(tx, a, n, p.reuseIn)
@@ -282,9 +452,9 @@ func (p *Pool) foreignArena(tx *txn, a *arena, n int64,
 	return Null, false, nil
 }
 
-// Free returns the block holding id to the allocator inside tx. The block is
-// pushed onto the transaction's home arena's free list regardless of where it
-// was carved.
+// Free returns the block holding id to the allocator inside tx: its header
+// reads free once tx commits, and then it joins the transaction's home
+// arena's free list regardless of where it was carved.
 func (p *Pool) Free(tx *Tx, id PMID) error {
 	t, err := tx.live("Free")
 	if err != nil {
@@ -302,28 +472,11 @@ func (p *Pool) free(tx *txn, id PMID) error {
 	if state != stateAlloc {
 		return fmt.Errorf("%w: Free of %d in state %#x (double free?)", ErrBadPointer, id, state)
 	}
-	var listOff PMID
-	if size <= maxClassBlock && size >= minBlock && size&(size-1) == 0 {
-		c := 0
-		for blockSizeOf(c) != size {
-			c++
-		}
-		listOff = a.classOff(c)
-	} else {
-		listOff = a.hugeOff()
-	}
-	head, err := p.ReadU64(tx.clk, listOff)
-	if err != nil {
-		return err
-	}
 	tx.markArenaDirty(a)
-	if err := tx.WriteU64s(id-8, stateFree, head); err != nil { // state|next
+	if err := tx.WriteU64(id-8, stateFree); err != nil {
 		return err
 	}
-	if err := tx.WriteU64(listOff, uint64(id)); err != nil {
-		return err
-	}
-	a.freeHint.Add(1)
+	tx.ops = append(tx.ops, heapOp{a: a, kind: opFree, id: id, size: size})
 	p.stats.frees.Add(1)
 	p.stats.freeBytes.Add(size)
 	return nil
@@ -342,21 +495,20 @@ func (p *Pool) UsableSize(clk *sim.Clock, id PMID) (int64, error) {
 }
 
 // reuseIn tries to satisfy an allocation from the free lists of one arena
-// whose lock tx holds. ok=false means no fit; the arena's metadata is not
-// mutated in that case.
+// whose lock tx holds. ok=false means no fit; nothing is mutated in that case.
 func (p *Pool) reuseIn(tx *txn, a *arena, n int64) (PMID, bool, error) {
-	clk := tx.clk
 	want := hugeBlockSize(n)
 	if c := classFor(n); c >= 0 {
-		head, err := p.ReadU64(clk, a.classOff(c))
-		if err != nil {
-			return Null, false, err
-		}
-		if head != 0 {
-			id, err := p.popFree(tx, a, a.classOff(c), PMID(head))
-			if err != nil {
+		if l := a.class[c]; len(l) > 0 {
+			id := l[len(l)-1]
+			tx.markArenaDirty(a)
+			if err := tx.WriteU64(id-8, stateAlloc); err != nil {
 				return Null, false, err
 			}
+			a.class[c] = l[:len(l)-1]
+			a.free.Add(-1)
+			tx.ops = append(tx.ops, heapOp{a: a, kind: opPop, i: int32(c), id: id})
+			p.stats.allocs.Add(1)
 			p.stats.allocBytes.Add(blockSizeOf(c))
 			return id, true, nil
 		}
@@ -366,34 +518,12 @@ func (p *Pool) reuseIn(tx *txn, a *arena, n int64) (PMID, bool, error) {
 		// reusing them before the heap grows).
 		want = blockSizeOf(c)
 	}
-	// First-fit scan of the arena's huge free list: one access per block
-	// visited (size|state|next).
-	prev := a.hugeOff()
-	cur, err := p.ReadU64(clk, prev)
-	if err != nil {
-		return Null, false, err
-	}
-	for steps := int64(0); cur != 0; steps++ {
-		if steps >= p.maxBlocks() {
-			return Null, false, fmt.Errorf("%w: huge free list at %d does not terminate (cycle?)", ErrCorrupt, a.hugeOff())
+	// First fit, most recently pushed first.
+	for i := len(a.huge) - 1; i >= 0; i-- {
+		if a.huge[i].size >= want {
+			id, err := p.takeHuge(tx, a, i, want)
+			return id, err == nil, err
 		}
-		id := PMID(cur)
-		b, err := p.blockWords(clk, id, 3)
-		if err != nil {
-			return Null, false, err
-		}
-		size, state, next := int64(word(b, 0)), word(b, 1), word(b, 2)
-		if state != stateFree {
-			return Null, false, fmt.Errorf("%w: huge free list entry %d in state %#x", ErrCorrupt, id, state)
-		}
-		if size >= want {
-			got, err := p.takeHuge(tx, a, prev, id, size, want, next)
-			if err != nil {
-				return Null, false, err
-			}
-			return got, true, nil
-		}
-		prev, cur = id, next // the next pointer lives in the first payload word
 	}
 	return Null, false, nil
 }
@@ -407,107 +537,77 @@ func (p *Pool) carveIn(tx *txn, a *arena, n int64) (PMID, error) {
 	return p.carve(tx, a, hugeBlockSize(n))
 }
 
-// popFree removes the head block of a free list and marks it allocated.
-func (p *Pool) popFree(tx *txn, a *arena, listOff, id PMID) (PMID, error) {
-	next, err := p.ReadU64(tx.clk, id)
-	if err != nil {
-		return Null, err
-	}
+// takeHuge takes a.huge[i] for a block of want bytes, splitting off the tail
+// as a free block in its place if it is large enough to hold another block.
+func (p *Pool) takeHuge(tx *txn, a *arena, i int, want int64) (PMID, error) {
+	fb := a.huge[i]
 	tx.markArenaDirty(a)
-	// Pre-image state|next as one range. The block's first payload word holds
-	// the free-list next pointer, and the caller will overwrite it with
-	// payload bytes outside the transaction: without its pre-image, rolling
-	// back the pop would restore the list head to a block whose next pointer
-	// is garbage.
-	if err := tx.Add(id-8, 16); err != nil {
-		return Null, err
-	}
-	if err := tx.WriteU64(id-8, stateAlloc); err != nil {
-		return Null, err
-	}
-	if err := tx.WriteU64(listOff, next); err != nil {
-		return Null, err
-	}
-	a.freeHint.Add(-1)
-	p.stats.allocs.Add(1)
-	return id, nil
-}
-
-// takeHuge unlinks a huge free block — size and next are what the walk that
-// found it read — splitting off the tail if it is large enough to hold another
-// block.
-func (p *Pool) takeHuge(tx *txn, a *arena, prev, id PMID, size, want int64, next uint64) (PMID, error) {
-	tx.markArenaDirty(a)
-	// Pre-image size|state|next as one range: the next pointer in the block's
-	// first payload word must survive the caller's payload writes (see
-	// popFree).
-	if err := tx.Add(id-blockHeaderSize, blockHeaderSize+8); err != nil {
-		return Null, err
-	}
-	if size-want >= minBlock {
-		// Split: the tail becomes a new free block linked in place of id.
-		tail := id + PMID(want)
-		if err := tx.WriteU64s(tail-blockHeaderSize, uint64(size-want), stateFree, next); err != nil {
+	if fb.size-want < minBlock {
+		if err := tx.WriteU64(fb.id-8, stateAlloc); err != nil {
 			return Null, err
 		}
-		next, size = uint64(tail), want
+		a.huge = slices.Delete(a.huge, i, i+1)
+		a.free.Add(-1)
+		tx.ops = append(tx.ops, heapOp{a: a, kind: opTake, i: int32(i), id: fb.id, size: fb.size})
+		want = fb.size
 	} else {
-		a.freeHint.Add(-1) // no split: the list loses a block
-	}
-	if err := tx.WriteU64(prev, next); err != nil {
-		return Null, err
-	}
-	if err := tx.WriteU64s(id-blockHeaderSize, uint64(size), stateAlloc); err != nil {
-		return Null, err
+		tail := fb.id + PMID(want)
+		if err := tx.WriteU64s(tail-blockHeaderSize, uint64(fb.size-want), stateFree); err != nil {
+			return Null, err
+		}
+		if err := tx.WriteU64s(fb.id-blockHeaderSize, uint64(want), stateAlloc); err != nil {
+			return Null, err
+		}
+		a.huge[i] = freeBlock{tail, fb.size - want}
+		tx.ops = append(tx.ops, heapOp{a: a, kind: opSplit, i: int32(i), id: fb.id, size: fb.size})
 	}
 	p.stats.allocs.Add(1)
-	p.stats.allocBytes.Add(size)
-	return id, nil
+	p.stats.allocBytes.Add(want)
+	return fb.id, nil
 }
 
 // carve takes a fresh block of blockSize bytes from the arena's current bump
 // extent, reserving a new extent off the shared brk when the current one is
-// too small. Huge blocks bypass the bump extent entirely and get a dedicated
-// exact-size extent — mixing them into shared extents would strand tails
-// comparable to the blocks themselves (the sharded copy engine allocates
-// streams of same-sized huge shards, so that waste compounds to a fixed
-// fraction of the heap). The arena's bump/limit updates are undo-logged as
-// usual; only the brk advance inside reserveExtent is not (see the package
+// too small. Huge blocks bypass the bump extent entirely and take a dedicated
+// exact-size extent whole — mixing them into shared extents would strand
+// tails comparable to the blocks themselves (the sharded copy engine
+// allocates streams of same-sized huge shards, so that waste compounds to a
+// fixed fraction of the heap). The arena's bump/limit updates are undo-logged
+// as usual; only the brk advance inside reserveExtent is not (see the package
 // comment).
 func (p *Pool) carve(tx *txn, a *arena, blockSize int64) (PMID, error) {
-	clk := tx.clk
 	if blockSize > maxClassBlock {
-		start, limit, err := p.reserveExtent(clk, blockSize, true)
+		start, limit, err := p.reserveExtent(tx, a, blockSize, true)
 		if err != nil {
 			return Null, err
 		}
-		tx.extents = append(tx.extents, reservedExtent{a: a, start: start, limit: limit})
 		tx.markArenaDirty(a)
-		if err := tx.WriteU64s(PMID(start), uint64(blockSize), stateAlloc); err != nil {
+		if err := tx.WriteU64s(PMID(start), uint64(limit-start), stateAlloc); err != nil {
 			return Null, err
 		}
 		p.stats.allocs.Add(1)
-		p.stats.allocBytes.Add(blockSize)
+		p.stats.allocBytes.Add(limit - start)
 		return PMID(start + blockHeaderSize), nil
 	}
-	bl, err := p.read(clk, a.bumpOff(), 16) // bump|limit, as they are written
+	bl, err := p.read(tx.clk, a.bumpOff(), 16) // bump|limit, as they are written
 	if err != nil {
 		return Null, err
 	}
 	bump, limit := int64(word(bl, 0)), int64(word(bl, 1))
 	if limit-bump < blockSize {
-		start, newLimit, err := p.reserveExtent(clk, blockSize, false)
+		start, newLimit, err := p.reserveExtent(tx, a, blockSize, false)
 		if err != nil {
 			return Null, err
 		}
-		tx.extents = append(tx.extents, reservedExtent{a: a, start: start, limit: newLimit})
 		tx.markArenaDirty(a)
-		// Retire the old extent's unused tail onto the huge free list so
-		// switching extents strands at most one header's worth of space.
-		if tail := limit - bump; tail >= minBlock {
-			if err := p.pushFreeBlock(tx, a, PMID(bump+blockHeaderSize), tail); err != nil {
+		// Retire the old extent's unused tail (a whole number of minBlocks)
+		// onto the huge free list, so switching extents strands nothing.
+		if tail := limit - bump; tail > 0 {
+			if err := tx.WriteU64s(PMID(bump), uint64(tail), stateFree); err != nil {
 				return Null, err
 			}
+			a.push(PMID(bump+blockHeaderSize), tail, true)
+			tx.ops = append(tx.ops, heapOp{a: a, kind: opRetire})
 		}
 		bump, limit = start, newLimit
 	}
@@ -525,98 +625,9 @@ func (p *Pool) carve(tx *txn, a *arena, blockSize int64) (PMID, error) {
 	return PMID(bump + blockHeaderSize), nil
 }
 
-// returnExtents pushes extents reserved by an aborted transaction onto their
-// arena's huge free list. Rolling back the undo log restored each arena's
-// bump/limit to the pre-transaction extent, which would otherwise orphan the
-// reservations on every clean abort. The push uses the ordered-publish
-// pattern (format the block, persist, then flip the list head) instead of a
-// transaction: a crash mid-push leaks the extent, which is exactly the crash
-// behavior of the un-logged brk advance itself. The arenas involved are
-// still locked by the aborting transaction (reserving marked them dirty).
-func (tx *txn) returnExtents() error {
-	p := tx.p
-	for _, e := range tx.extents {
-		size := e.limit - e.start
-		if size < minBlock {
-			continue
-		}
-		head, err := p.ReadU64(tx.clk, e.a.hugeOff())
-		if err != nil {
-			return err
-		}
-		var blk [24]byte
-		binary.LittleEndian.PutUint64(blk[0:], uint64(size))
-		binary.LittleEndian.PutUint64(blk[8:], stateFree)
-		binary.LittleEndian.PutUint64(blk[16:], head)
-		if err := p.StoreBytesAt(tx.clk, PMID(e.start), blk[:], true, ptAllocExtentBlock); err != nil {
-			return err
-		}
-		var hw [8]byte
-		binary.LittleEndian.PutUint64(hw[:], uint64(e.start+blockHeaderSize))
-		if err := p.StoreBytesAt(tx.clk, e.a.hugeOff(), hw[:], true, ptAllocExtentHead); err != nil {
-			return err
-		}
-		e.a.freeHint.Add(1)
-	}
-	tx.extents = nil
-	return nil
-}
-
-// pushFreeBlock formats [id-blockHeaderSize, id-blockHeaderSize+size) as a
-// free block and pushes it onto the arena's huge free list (which accepts any
-// size >= minBlock; first-fit skips entries that are too small).
-func (p *Pool) pushFreeBlock(tx *txn, a *arena, id PMID, size int64) error {
-	head, err := p.ReadU64(tx.clk, a.hugeOff())
-	if err != nil {
-		return err
-	}
-	if err := tx.WriteU64s(id-blockHeaderSize, uint64(size), stateFree, head); err != nil {
-		return err
-	}
-	if err := tx.WriteU64(a.hugeOff(), uint64(id)); err != nil {
-		return err
-	}
-	a.freeHint.Add(1)
-	return nil
-}
-
-// rebuildFreeHints walks every arena's free lists at Open time to seed the
-// DRAM free-count hints (they do not survive restart). The walk is bounded
-// by maxBlocks so a corrupt cyclic list cannot hang Open.
-func (p *Pool) rebuildFreeHints(clk *sim.Clock) error {
-	for i := range p.arenas {
-		a := &p.arenas[i]
-		var count int64
-		heads := make([]PMID, 0, nSizeClasses+1)
-		for c := 0; c < nSizeClasses; c++ {
-			heads = append(heads, a.classOff(c))
-		}
-		heads = append(heads, a.hugeOff())
-		for _, listOff := range heads {
-			cur, err := p.ReadU64(clk, listOff)
-			if err != nil {
-				return err
-			}
-			for cur != 0 {
-				count++
-				if count > p.maxBlocks() {
-					return fmt.Errorf("%w: free list at %d does not terminate", ErrCorrupt, listOff)
-				}
-				next, err := p.ReadU64(clk, PMID(cur))
-				if err != nil {
-					return err
-				}
-				cur = next
-			}
-		}
-		a.freeHint.Store(count)
-	}
-	return nil
-}
-
 // HeapUsed returns the number of brk-reserved heap bytes (an upper bound on
-// live data: it includes arenas' unfilled extent tails and extents leaked by
-// a crash mid-reservation, but freed blocks are reused before the brk grows).
+// live data: it includes arenas' unfilled extent tails, but freed blocks are
+// reused before the brk grows).
 func (p *Pool) HeapUsed(clk *sim.Clock) (int64, error) {
 	raw, err := p.ReadU64(clk, PMID(p.allocOff))
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"pmemcpy/internal/pmem"
 	"pmemcpy/internal/sim"
 )
 
@@ -233,6 +234,77 @@ func TestAbortedAllocRollsBackBump(t *testing.T) {
 	}
 	if after[1] != after[0] {
 		t.Fatalf("heap grew from %d to %d across repeated aborted allocs", after[0], after[1])
+	}
+}
+
+// TestAbortedPopStaysReusable: a block popped in a transaction that aborts is
+// back on its list and counted there, so another rank's Alloc still finds it
+// through the steal scan instead of growing the heap.
+func TestAbortedPopStaysReusable(t *testing.T) {
+	m := sim.NewMachine(sim.DefaultConfig())
+	m.SetConcurrency(1)
+	mp, err := pmem.NewMapping(pmem.New(m, 4<<20), 0, 4<<20, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := DefaultOptions()
+	o.Arenas = 2
+	r0, r1 := &sim.Clock{Rank: 0}, &sim.Clock{Rank: 1}
+	p, err := Create(r0, mp, &o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 4
+	freed := make(map[PMID]bool)
+	var ids []PMID
+	tx, _ := p.Begin(r0)
+	for range k {
+		id, err := p.Alloc(tx, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx, _ = p.Begin(r0)
+	for _, id := range ids {
+		if err := p.Free(tx, id); err != nil {
+			t.Fatal(err)
+		}
+		freed[id] = true
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for range k {
+		tx, _ := p.Begin(r0)
+		if id, err := p.Alloc(tx, 100); err != nil || !freed[id] {
+			t.Fatalf("rank 0 reuse = %d, %v; want one of its freed blocks", id, err)
+		}
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap, _ := p.HeapUsed(r1)
+	steals := p.Stats().ArenaSteals
+	tx, _ = p.Begin(r1)
+	id, err := p.Alloc(tx, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if !freed[id] {
+		t.Errorf("rank 1 got %d, want one of the %d blocks rank 0 freed", id, k)
+	}
+	if got := p.Stats().ArenaSteals - steals; got != 1 {
+		t.Errorf("ArenaSteals moved by %d, want 1", got)
+	}
+	if now, _ := p.HeapUsed(r1); now != heap {
+		t.Errorf("HeapUsed %d -> %d: the heap grew past free blocks", heap, now)
 	}
 }
 

@@ -107,6 +107,54 @@ func BenchmarkAllocFree(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolOpen is the open rung: a reopen of a pool holding n live
+// blocks, every other one then freed, in both time domains — virt-ns/op is
+// what recovery and the rebuild of the free lists charge — with allocs/op.
+func BenchmarkPoolOpen(b *testing.B) {
+	for _, n := range []int{1 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("blocks=%d", n), func(b *testing.B) {
+			p, clk := benchPool(b, 64<<20)
+			const batch = 256 // blocks per transaction, well inside a lane
+			ids := make([]PMID, 0, n)
+			for len(ids) < n {
+				tx, _ := p.Begin(clk)
+				for i := 0; i < batch && len(ids) < n; i++ {
+					id, err := p.Alloc(tx, 100)
+					if err != nil {
+						b.Fatal(err)
+					}
+					ids = append(ids, id)
+				}
+				if err := tx.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < n; i += 2 * batch {
+				tx, _ := p.Begin(clk)
+				for j := i; j < min(i+2*batch, n); j += 2 {
+					if err := p.Free(tx, ids[j]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			m := meter(p, clk)
+			b.ReportAllocs()
+			b.ResetTimer()
+			m.start()
+			for range b.N {
+				if _, err := Open(clk, p.m); err != nil {
+					b.Fatal(err)
+				}
+			}
+			m.stop()
+			m.report(b)
+		})
+	}
+}
+
 // BenchmarkHashtablePut measures the three forms a Put's commit takes, each in
 // both time domains: insert (a new key per iteration), overwrite-same-len
 // (1024 keys rewritten in place), and overwrite-grow (the same keys, each Put

@@ -1,6 +1,7 @@
 package pmdk
 
 import (
+	"errors"
 	"fmt"
 
 	"pmemcpy/internal/sim"
@@ -16,7 +17,7 @@ import (
 // Violation is one violated invariant.
 type Violation struct {
 	// Invariant is a stable dotted name of the violated invariant, e.g.
-	// "alloc.freelist" or "ht.entry".
+	// "alloc.heap" or "ht.entry".
 	Invariant string
 	// Detail is a human-readable description with offsets and values.
 	Detail string
@@ -30,22 +31,13 @@ func violatef(vs []Violation, inv, format string, args ...any) []Violation {
 }
 
 // Verify checks the pool's structural invariants: idle lanes (recovery has
-// run at Open), sane brk and arena metadata, and terminating free lists of
-// correctly-stated blocks. It is read-only and returns one Violation per
-// violated invariant.
+// run at Open), then one walk of the heap — the walk Open rebuilds the free
+// lists from — which must find a sane brk and sane arena extents, a valid
+// header on every block, and as many free blocks as the free lists hold. It
+// is read-only and returns one Violation per violated invariant; the walk
+// reports the first thing it cannot trust.
 func (p *Pool) Verify(clk *sim.Clock) []Violation {
 	var vs []Violation
-
-	// Shared extent brk within the heap.
-	raw, err := p.ReadU64(clk, PMID(p.allocOff))
-	if err != nil {
-		return violatef(vs, "pool.io", "reading brk: %v", err)
-	}
-	brk := int64(raw)
-	if brk < p.heapOff || brk > p.heapEnd {
-		vs = violatef(vs, "alloc.brk", "brk %d outside heap [%d,%d)", brk, p.heapOff, p.heapEnd)
-		brk = p.heapEnd // keep later bounds checks meaningful
-	}
 
 	// Every lane idle: a pool that finished Open has rolled back or retired
 	// every transaction, so no lane's first entry validates; one that does
@@ -61,71 +53,24 @@ func (p *Pool) Verify(clk *sim.Clock) []Violation {
 		}
 	}
 
-	// Arena metadata and free lists.
+	var free, listed int64
+	err := p.walkHeap(clk, func(_ PMID, _ int64, f bool) {
+		if f {
+			free++
+		}
+	})
+	var ch *corruptHeap
+	switch {
+	case errors.As(err, &ch):
+		return violatef(vs, ch.inv, "%s", ch.detail)
+	case err != nil:
+		return violatef(vs, "pool.io", "walking the heap: %v", err)
+	}
 	for i := range p.arenas {
-		a := &p.arenas[i]
-		bl, err := p.read(clk, a.bumpOff(), 16)
-		if err != nil {
-			return violatef(vs, "pool.io", "reading arena %d bump|limit: %v", i, err)
-		}
-		bump, limit := int64(word(bl, 0)), int64(word(bl, 1))
-		switch {
-		case bump == 0 && limit == 0:
-			// No extent reserved yet.
-		case bump > limit:
-			vs = violatef(vs, "alloc.arena", "arena %d bump %d > limit %d", i, bump, limit)
-		case bump < p.heapOff || limit > brk:
-			vs = violatef(vs, "alloc.arena",
-				"arena %d extent [%d,%d) outside reserved heap [%d,%d)", i, bump, limit, p.heapOff, brk)
-		}
-
-		lists := make([]PMID, 0, nSizeClasses+1)
-		for c := 0; c < nSizeClasses; c++ {
-			lists = append(lists, a.classOff(c))
-		}
-		lists = append(lists, a.hugeOff())
-		for li, listOff := range lists {
-			cur, err := p.ReadU64(clk, listOff)
-			if err != nil {
-				return violatef(vs, "pool.io", "reading arena %d list %d head: %v", i, li, err)
-			}
-			var steps int64
-			for cur != 0 {
-				if steps++; steps > p.maxBlocks() {
-					vs = violatef(vs, "alloc.freelist",
-						"arena %d list %d does not terminate (cycle?)", i, li)
-					break
-				}
-				id := PMID(cur)
-				if int64(id) < p.heapOff+blockHeaderSize || int64(id) >= p.heapEnd || id%8 != 0 {
-					vs = violatef(vs, "alloc.freelist",
-						"arena %d list %d holds bad pointer %d", i, li, id)
-					break
-				}
-				b, err := p.blockWords(clk, id, 3) // size|state|next
-				if err != nil {
-					vs = violatef(vs, "alloc.freelist",
-						"arena %d list %d block %d: unreadable header: %v", i, li, id, err)
-					break
-				}
-				size, state := int64(word(b, 0)), word(b, 1)
-				if state != stateFree {
-					vs = violatef(vs, "alloc.freestate",
-						"free block %d has state %#x, want free", id, state)
-					break
-				}
-				if li < nSizeClasses && size != blockSizeOf(li) {
-					vs = violatef(vs, "alloc.freesize",
-						"class-%d free block %d has size %d, want %d", li, id, size, blockSizeOf(li))
-				}
-				if int64(id)-blockHeaderSize+size > p.heapEnd || size < blockHeaderSize+8 {
-					vs = violatef(vs, "alloc.freesize",
-						"free block %d size %d overflows heap end %d", id, size, p.heapEnd)
-					break
-				}
-				cur = word(b, 2)
-			}
-		}
+		listed += p.arenas[i].free.Load()
+	}
+	if free != listed {
+		vs = violatef(vs, "alloc.freestate", "the heap holds %d free blocks, the free lists %d", free, listed)
 	}
 	return vs
 }

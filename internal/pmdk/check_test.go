@@ -104,31 +104,70 @@ func TestVerifyDetectsBadBrk(t *testing.T) {
 	}
 }
 
-func TestVerifyDetectsFreeListCycle(t *testing.T) {
-	p, _ := buildCheckedTable(t)
-	clk := newClock()
-	// Allocate and free one block, then point its next pointer at itself.
-	tx, err := p.Begin(clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := p.Alloc(tx, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Free(tx, id); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(id))
-	if err := p.StoreBytesAt(clk, id, b[:], true, ptTest); err != nil {
-		t.Fatal(err)
-	}
-	if vs := p.Verify(clk); !hasViolation(vs, "alloc.freelist") {
-		t.Fatalf("free-list cycle not reported, got %v", vs)
+// TestHostileHeaderEndsOpen: the heap walk Open rebuilds the free lists from
+// trusts no header. One bad header — a size of 0, a size running past the
+// brk, a state that is neither alloc nor free — ends Open promptly in
+// ErrCorrupt, and Verify reports alloc.heap at it. A media error meeting Open
+// ends it in ErrMedia: this device fails persists, never reads, so the row
+// fails recovery's rollback, and the next Open succeeds.
+func TestHostileHeaderEndsOpen(t *testing.T) {
+	for _, row := range []string{"size-0", "size-past-brk", "bad-state", "media-error"} {
+		t.Run(row, func(t *testing.T) {
+			p, mp, clk := newTestPool(t, 1<<20)
+			var ids [4]PMID
+			withTx(t, p, func(tx *Tx) (err error) {
+				for i := range ids {
+					if ids[i], err = p.Alloc(tx, 100<<i); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			withTx(t, p, func(tx *Tx) error { return p.Free(tx, ids[1]) })
+			victim := ids[2] - blockHeaderSize
+			brk, err := p.ReadU64(clk, PMID(p.allocOff))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ErrCorrupt
+			switch row {
+			case "size-0":
+				poke(t, p, victim, 0)
+			case "size-past-brk":
+				poke(t, p, victim, brk-uint64(victim)+minBlock)
+			case "bad-state":
+				poke(t, p, victim+8, 0xBAD)
+			case "media-error":
+				// A live lane for recovery to roll back, and its first persist
+				// failing past the retry budget.
+				tx, err := p.Begin(clk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.WriteU64(ids[0], 1); err != nil {
+					t.Fatal(err)
+				}
+				mp.Device().InjectTransient(0, 5)
+				want = pmem.ErrMedia
+			}
+			err = within(t, "Open", func() error { _, err := Open(clk, mp); return err })
+			if !errors.Is(err, want) {
+				t.Fatalf("Open over a %s header: %v, want %v", row, err, want)
+			}
+			if row == "media-error" {
+				p2, err := Open(clk, mp)
+				if err != nil {
+					t.Fatalf("Open after the media error passed: %v", err)
+				}
+				if vs := p2.Verify(clk); len(vs) != 0 {
+					t.Fatalf("recovered pool has violations: %v", vs)
+				}
+				return
+			}
+			if vs := p.Verify(clk); !hasViolation(vs, "alloc.heap") {
+				t.Fatalf("Verify over a %s header = %v, want alloc.heap", row, vs)
+			}
+		})
 	}
 }
 
@@ -149,8 +188,8 @@ func TestVerifyDetectsFreeStateCorruption(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Flip the freed block's state word back to allocated, as a torn crash
-	// between the free-list link and the state write would.
+	// Flip the freed block's state word back to allocated behind the free
+	// list's back: the heap then holds one free block fewer than the lists.
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], stateAlloc)
 	if err := p.StoreBytesAt(clk, id-8, b[:], true, ptTest); err != nil {

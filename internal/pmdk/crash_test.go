@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pmemcpy/internal/pmem"
@@ -206,108 +207,241 @@ func TestCrashSweepHashtablePut(t *testing.T) {
 }
 
 // TestCrashSweepAllocatorConsistency verifies that after a crash at any
-// persist point during alloc/free traffic, recovery leaves the allocator
-// usable: new allocations still succeed and never overlap blocks that were
-// committed before the crash.
+// persist point during allocator traffic, recovery leaves the allocator
+// usable and the heap conserved. The traffic is alloc/free/alloc in one
+// transaction, a transaction that reserves a fresh class extent and retires
+// the old one's tail, one that takes an exact huge extent, and one that does
+// both and aborts. After every recovery the pool verifies clean, every byte
+// up to the brk is a block or an arena's extent (no leaked extent), a reopen
+// rebuilds the same free blocks, and new allocations succeed without
+// overlapping a block committed before the crash.
 func TestCrashSweepAllocatorConsistency(t *testing.T) {
-	for k := int64(0); ; k++ {
-		dev, mp, p := crashRig(t, 16<<20)
-		clk := new(sim.Clock)
-
-		// Committed baseline allocation holding a sentinel payload.
-		var keeper PMID
+	// fillExtent leaves the home arena's current extent with a tail of at
+	// least one and fewer than 32 minimum blocks, so the next 2 KB block
+	// reserves a new extent and retires the tail.
+	fillExtent := func(p *Pool, clk *sim.Clock) error {
 		tx, err := p.Begin(clk)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if keeper, err = p.Alloc(tx, 500); err != nil {
-			t.Fatal(err)
-		}
-		root, _ := p.Root()
-		if err := tx.WriteU64(root, uint64(keeper)); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		sentinel := []byte("sentinel-payload-1234567890")
-		if err := p.StoreBytesAt(clk, keeper, sentinel, true, ptTest); err != nil {
-			t.Fatal(err)
-		}
-
-		// Injected phase: alloc, free, alloc.
-		dev.ArmCrashAtOp(k, 0)
-		completed := func() bool {
-			tx, err := p.Begin(clk)
+		for {
+			b, err := p.read(clk, p.arenas[0].bumpOff(), 16)
 			if err != nil {
-				return false
+				return err
 			}
-			a, err := p.Alloc(tx, 3000)
-			if err != nil {
-				tx.Abort()
-				return false
+			rem := int64(word(b, 1)) - int64(word(b, 0))
+			n := int64(maxClassBlock - blockHeaderSize)
+			if rem < maxClassBlock+minBlock {
+				if rem < maxClassBlock {
+					return tx.Commit()
+				}
+				n = minBlock - blockHeaderSize
 			}
-			if err := p.Free(tx, a); err != nil {
-				tx.Abort()
-				return false
+			if _, err := p.Alloc(tx, n); err != nil {
+				return err
 			}
-			if _, err := p.Alloc(tx, 100); err != nil {
-				tx.Abort()
-				return false
-			}
-			return tx.Commit() == nil
-		}()
-
-		dev.Crash(pmem.CrashRandom, rand.New(rand.NewSource(k)))
-		p2, err := Open(clk, mp)
-		if err != nil {
-			t.Fatalf("k=%d: recovery failed: %v", k, err)
-		}
-		// Sentinel must be intact and findable through the root.
-		root2, _ := p2.Root()
-		id, err := p2.ReadU64(clk, root2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := p2.ReadBytes(clk, PMID(id), int64(len(sentinel)))
-		if err != nil {
-			t.Fatalf("k=%d: sentinel read: %v", k, err)
-		}
-		if string(got) != string(sentinel) {
-			t.Fatalf("k=%d: sentinel corrupted: %q", k, got)
-		}
-		// Allocator must still work and respect the sentinel block.
-		tx2, err := p2.Begin(clk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nb, err := p2.Alloc(tx2, 500)
-		if err != nil {
-			t.Fatalf("k=%d: post-recovery alloc: %v", k, err)
-		}
-		us, err := p2.UsableSize(clk, nb)
-		if err != nil || us < 500 {
-			t.Fatalf("k=%d: post-recovery usable size %d err %v", k, us, err)
-		}
-		keeperEnd := int64(id) + 500
-		if int64(nb) < keeperEnd && keeperEnd > int64(nb) && int64(nb)+us > int64(id) && int64(id) < int64(nb)+us {
-			// Ranges overlap only if both conditions hold both ways; compute
-			// properly below.
-		}
-		if overlaps(int64(id), 500, int64(nb), us) {
-			t.Fatalf("k=%d: post-recovery alloc [%d,%d) overlaps sentinel [%d,%d)",
-				k, nb, int64(nb)+us, id, int64(id)+500)
-		}
-		if err := tx2.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if completed {
-			break
-		}
-		if k > 2000 {
-			t.Fatal("crash sweep did not terminate; workload never completes")
 		}
 	}
+	cases := []struct {
+		name  string
+		setup func(*Pool, *sim.Clock) error
+		sizes []int64 // allocated in one transaction, the 2nd freed when free
+		free  bool
+		abort bool
+	}{
+		{name: "alloc-free-alloc", sizes: []int64{3000, 100}, free: true},
+		{name: "class-extent", setup: fillExtent, sizes: []int64{maxClassBlock - blockHeaderSize}},
+		{name: "huge-extent", sizes: []int64{100_000}},
+		{name: "both-abort", setup: fillExtent, sizes: []int64{maxClassBlock - blockHeaderSize, 100_000}, abort: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for k := int64(0); ; k++ {
+				if crashSweepAllocator(t, k, c.setup, c.sizes, c.free, c.abort) {
+					break
+				}
+				if k > 2000 {
+					t.Fatal("crash sweep did not terminate; workload never completes")
+				}
+			}
+		})
+	}
+}
+
+// crashSweepAllocator runs one point of TestCrashSweepAllocatorConsistency:
+// the workload with the device killed at its k-th persist, a crash, recovery
+// and the checks. It reports whether the workload ran to its end.
+func crashSweepAllocator(t *testing.T, k int64, setup func(*Pool, *sim.Clock) error, sizes []int64, free, abort bool) bool {
+	t.Helper()
+	dev, mp, p := crashRig(t, 16<<20)
+	clk := new(sim.Clock)
+
+	// Committed baseline allocation holding a sentinel payload.
+	var keeper PMID
+	tx, err := p.Begin(clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keeper, err = p.Alloc(tx, 500); err != nil {
+		t.Fatal(err)
+	}
+	root, _ := p.Root()
+	if err := tx.WriteU64(root, uint64(keeper)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	sentinel := []byte("sentinel-payload-1234567890")
+	if err := p.StoreBytesAt(clk, keeper, sentinel, true, ptTest); err != nil {
+		t.Fatal(err)
+	}
+	if setup != nil {
+		if err := setup(p, clk); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dev.ArmCrashAtOp(k, 0)
+	completed := func() bool {
+		tx, err := p.Begin(clk)
+		if err != nil {
+			return false
+		}
+		for i, n := range sizes {
+			id, err := p.Alloc(tx, n)
+			if err == nil && free && i == 0 {
+				err = p.Free(tx, id)
+			}
+			if err != nil {
+				tx.Abort()
+				return false
+			}
+		}
+		if abort {
+			return tx.Abort() == nil
+		}
+		return tx.Commit() == nil
+	}()
+
+	dev.Crash(pmem.CrashRandom, rand.New(rand.NewSource(k)))
+	p2, err := Open(clk, mp)
+	if err != nil {
+		t.Fatalf("k=%d: recovery failed: %v", k, err)
+	}
+	if vs := p2.Verify(clk); len(vs) != 0 {
+		t.Fatalf("k=%d: recovered pool has violations: %v", k, vs)
+	}
+	census := heapCensus(t, k, p2)
+	p3, err := Open(clk, mp)
+	if err != nil {
+		t.Fatalf("k=%d: reopen: %v", k, err)
+	}
+	for _, q := range []*Pool{p2, p3} {
+		if got := listedFree(q); !slices.Equal(got, census) {
+			t.Fatalf("k=%d: free lists hold %v, the heap %v", k, got, census)
+		}
+	}
+	// Sentinel must be intact and findable through the root.
+	root2, _ := p2.Root()
+	id, err := p2.ReadU64(clk, root2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p2.ReadBytes(clk, PMID(id), int64(len(sentinel)))
+	if err != nil {
+		t.Fatalf("k=%d: sentinel read: %v", k, err)
+	}
+	if string(got) != string(sentinel) {
+		t.Fatalf("k=%d: sentinel corrupted: %q", k, got)
+	}
+	// Allocator must still work and respect the sentinel block.
+	tx2, err := p2.Begin(clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, err := p2.Alloc(tx2, 500)
+	if err != nil {
+		t.Fatalf("k=%d: post-recovery alloc: %v", k, err)
+	}
+	us, err := p2.UsableSize(clk, nb)
+	if err != nil || us < 500 {
+		t.Fatalf("k=%d: post-recovery usable size %d err %v", k, us, err)
+	}
+	if overlaps(int64(id), 500, int64(nb), us) {
+		t.Fatalf("k=%d: post-recovery alloc [%d,%d) overlaps sentinel [%d,%d)",
+			k, nb, int64(nb)+us, id, int64(id)+500)
+	}
+	if err := tx2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return completed
+}
+
+// heapCensus walks the heap by its headers, independently of the walk Open
+// runs, and checks conservation: brk − heapOff is the allocated blocks plus
+// the free blocks plus every arena's [bump, limit), so no extent leaked. It
+// returns the free blocks in address order.
+func heapCensus(t *testing.T, k int64, p *Pool) []freeBlock {
+	t.Helper()
+	clk := new(sim.Clock)
+	brk, err := p.HeapUsed(clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	brk += p.heapOff
+	extents := make(map[int64]int64)
+	var inExtents, alloc, free int64
+	for i := range p.arenas {
+		b, err := p.read(clk, p.arenas[i].bumpOff(), 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bump, limit := int64(word(b, 0)), int64(word(b, 1)); bump < limit {
+			extents[bump] = limit
+			inExtents += limit - bump
+		}
+	}
+	var frees []freeBlock
+	for off := p.heapOff; off < brk; {
+		if end, ok := extents[off]; ok {
+			off = end
+			continue
+		}
+		size, state, err := p.blockHeader(clk, PMID(off+blockHeaderSize))
+		if err != nil || size < minBlock || off+size > brk || (state != stateAlloc && state != stateFree) {
+			t.Fatalf("k=%d: heap not conserved: the header at %d reads size %d, state %#x (brk %d, %v)",
+				k, off, size, state, brk, err)
+		}
+		if state == stateFree {
+			free += size
+			frees = append(frees, freeBlock{PMID(off + blockHeaderSize), size})
+		} else {
+			alloc += size
+		}
+		off += size
+	}
+	if brk-p.heapOff != alloc+free+inExtents {
+		t.Fatalf("k=%d: brk-heapOff %d != allocated %d + free %d + extents %d",
+			k, brk-p.heapOff, alloc, free, inExtents)
+	}
+	return frees
+}
+
+// listedFree returns what every arena's free lists hold, in address order.
+func listedFree(p *Pool) []freeBlock {
+	var out []freeBlock
+	for i := range p.arenas {
+		a := &p.arenas[i]
+		for c, l := range a.class {
+			for _, id := range l {
+				out = append(out, freeBlock{id, blockSizeOf(c)})
+			}
+		}
+		out = append(out, a.huge...)
+	}
+	slices.SortFunc(out, func(x, y freeBlock) int { return int(x.id - y.id) })
+	return out
 }
 
 func overlaps(aOff, aLen, bOff, bLen int64) bool {

@@ -310,15 +310,13 @@ func (u *Update) Old() []byte {
 func (u *Update) OldID() PMID { return u.val }
 
 // Free returns block id to the allocator in the update's transaction: it is
-// free exactly when the new value is published. A block the new value
-// supersedes goes here, after Set — a block freed before it could be the one
-// Set allocates, its bytes overwritten outside the undo log. On error the
-// caller aborts.
+// free exactly when the new value is published, and reusable only after. On
+// error the caller aborts.
 func (u *Update) Free(id PMID) error { return u.h.p.Free(&u.tx, id) }
 
-// freeUndo is the most undo-log bytes a Free takes: a block's state|next and
-// its free list's head.
-const freeUndo = 2*entryHdr + 16 + 8
+// freeUndo is the undo-log bytes a Free takes: one entry, a block's state
+// word.
+const freeUndo = entryHdr + 8
 
 // Frees bounds how many blocks the update can Free besides one Set: what its
 // lane has left once the costliest Set is logged — an in-place pre-image of up

@@ -12,10 +12,10 @@ var (
 	ptPoolHeader = pmem.RegisterPoint("pmdk.pool.header")
 	ptPoolFormat = pmem.RegisterPoint("pmdk.pool.format")
 
-	// Allocator: un-logged brk advance and clean-abort extent return.
-	ptAllocBrk         = pmem.RegisterPoint("pmdk.alloc.brk")
-	ptAllocExtentBlock = pmem.RegisterPoint("pmdk.alloc.extent.block")
-	ptAllocExtentHead  = pmem.RegisterPoint("pmdk.alloc.extent.head")
+	// Allocator: an extent formatted as one free block, then the un-logged
+	// brk advance that grants it.
+	ptAllocExtentFormat = pmem.RegisterPoint("pmdk.alloc.extent.format")
+	ptAllocBrk          = pmem.RegisterPoint("pmdk.alloc.brk")
 
 	// Undo-log transaction protocol (see the lane layout comment in tx.go):
 	// the entry, the mutated ranges at commit, the generation bump.

@@ -17,10 +17,11 @@
 // simulator.
 //
 // The allocator is striped into independent arenas (one lock, one bump
-// extent, and one set of free lists each) so transactions on different
+// extent, and one set of DRAM free lists each) so transactions on different
 // goroutines allocate without contending on a single mutex; arenas grow by
 // reserving extents from a shared brk, so no static heap partition limits
-// block sizes. See alloc.go for the locking protocol.
+// block sizes. On media the heap is its block headers: Open rebuilds the free
+// lists with one walk of them. See alloc.go for the protocol.
 package pmdk
 
 import (
@@ -54,7 +55,7 @@ var (
 
 const (
 	poolMagic   = "PMDKPOOL"
-	poolVersion = 6 // 6: a block list keeps the value range of the blocks it dropped (core/meta.go)
+	poolVersion = 7 // 7: free lists are DRAM state rebuilt from the block headers; arena metadata is bump|limit (alloc.go)
 	headerSize  = 256
 
 	// Header field offsets.
@@ -122,9 +123,9 @@ type Pool struct {
 	txFree chan *txn
 
 	// arenas stripes the allocator: each arena owns a mutex, a 64-byte
-	// persistent metadata block, and a contiguous slice of the heap to carve
-	// from. A transaction's first Alloc/Free takes its home arena (the
-	// caller's rank modulo the arena count) and holds its lock until
+	// persistent bump|limit block, its current extent to carve from, and its
+	// DRAM free lists. A transaction's first Alloc/Free takes its home arena
+	// (the caller's rank modulo the arena count) and holds its lock until
 	// commit/abort, so allocator pre-images in different lanes never overlap
 	// in time; see alloc.go for the protocol.
 	arenas []arena
@@ -143,22 +144,23 @@ type Pool struct {
 	stats statsCounters
 }
 
-// arena is one allocator stripe. The mutex guards the persistent metadata at
-// metaOff (extent bump/limit, free-list heads) and nothing else: block
-// contents are protected by the owning transaction's locks. Arenas carve
-// from private extents reserved off the pool's shared brk, so the heap is
-// not statically partitioned and one arena can still host a block nearly as
-// large as the whole heap. Free lists are not address-partitioned either:
-// blocks carry self-describing headers, so an arena's list may hold blocks
-// carved anywhere.
+// arena is one allocator stripe. The mutex guards the persistent bump|limit
+// at metaOff and the DRAM free lists, and nothing else: block contents are
+// protected by the owning transaction's locks. Arenas carve from private
+// extents reserved off the pool's shared brk, so the heap is not statically
+// partitioned and one arena can still host a block nearly as large as the
+// whole heap. Free lists are not address-partitioned either: blocks carry
+// self-describing headers, so an arena's list may hold blocks carved
+// anywhere. The lists are made on first push.
 type arena struct {
 	mu      sync.Mutex
 	metaOff int64
-	// freeHint approximates the number of blocks on this arena's free lists
-	// (DRAM-only, rebuilt at Open). Allocations scan a foreign arena for
-	// reusable blocks only when its hint is positive, so the fresh-write
-	// path never pays cross-arena traffic.
-	freeHint atomic.Int64
+	class   [nSizeClasses][]PMID // LIFO: the last entry is popped first
+	huge    []freeBlock          // first fit from the last entry down
+	// free counts the blocks on the lists, exactly. Allocations scan a
+	// foreign arena for reusable blocks only when it is positive, so the
+	// fresh-write path never pays cross-arena traffic.
+	free atomic.Int64
 }
 
 // lockStripes is the number of persistent locks a pool has.
@@ -306,7 +308,9 @@ func Create(clk *sim.Clock, m *pmem.Mapping, opts *Options) (*Pool, error) {
 }
 
 // Open validates an existing pool in m, runs lane recovery (rolling back any
-// transaction that was active at crash time), and returns the pool.
+// transaction that was active at crash time), rebuilds the free lists from
+// one walk of the block headers, and returns the pool. A header the walk
+// cannot trust fails it with ErrCorrupt.
 func Open(clk *sim.Clock, m *pmem.Mapping) (*Pool, error) {
 	hdr, err := m.Slice(0, headerSize)
 	if err != nil {
@@ -343,7 +347,7 @@ func Open(clk *sim.Clock, m *pmem.Mapping) (*Pool, error) {
 	if err := p.recover(clk); err != nil {
 		return nil, err
 	}
-	if err := p.rebuildFreeHints(clk); err != nil {
+	if err := p.rebuildLists(clk); err != nil {
 		return nil, err
 	}
 	return p, nil

@@ -66,12 +66,11 @@ func TestProbeAccessesPerEntry(t *testing.T) {
 	const (
 		klen, vlen = 5, 8 // "key-i", "8 bytes."
 		// What a mutation's nested calls read, none of it the walk's. The first
-		// carve of a transaction reads class head, huge head, bump|limit and
-		// pre-images bump|limit and size|state; the second finds bump|limit
-		// covered. A Free reads size|state and the list head and pre-images
-		// state|next and the head; the second Free onto that list finds the head
-		// covered. Linking or unlinking pre-images one word.
-		carve1, carve2, free1, free2, link = 3 + 2, 3 + 1, 2 + 2, 2 + 1, 1
+		// carve of a transaction reads bump|limit and pre-images bump|limit and
+		// size|state; the second finds bump|limit covered. A Free reads
+		// size|state and pre-images the state word. The free lists are DRAM.
+		// Linking or unlinking pre-images one word.
+		carve1, carve2, free1, free2, link = 1 + 2, 1 + 1, 1 + 1, 1 + 1, 1
 	)
 	for L := 1; L <= 8; L++ {
 		ht, p, clk := chainTable(t, L)
@@ -231,10 +230,10 @@ func within(t *testing.T, what string, fn func() error) error {
 	}
 }
 
-// TestChainCycleIsErrCorrupt: a chain or a free list that loops back on itself
-// ends every walk in ErrCorrupt after at most maxBlocks steps — the bound
-// Verify already stops at — with the bucket, the transaction and the lane
-// released, where it used to spin under the bucket lock forever.
+// TestChainCycleIsErrCorrupt: a chain that loops back on itself ends every
+// walk in ErrCorrupt after at most maxBlocks steps — the bound Verify already
+// stops at — with the bucket, the transaction and the lane released, where it
+// used to spin under the bucket lock forever.
 func TestChainCycleIsErrCorrupt(t *testing.T) {
 	for _, shape := range []string{"self-loop", "2-cycle"} {
 		t.Run(shape, func(t *testing.T) {
@@ -308,36 +307,6 @@ func TestChainCycleIsErrCorrupt(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("huge-free-list", func(t *testing.T) {
-		p, _, clk := newTestPool(t, 1<<20)
-		var id PMID
-		withTx(t, p, func(tx *Tx) (err error) {
-			if id, err = p.Alloc(tx, 4096); err != nil {
-				return err
-			}
-			return p.Free(tx, id)
-		})
-		poke(t, p, id, uint64(id)) // a free block's next is its first payload word
-		for i := 0; i < 2; i++ {
-			tx, err := p.Begin(clk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Larger than the looping block, so first-fit walks past it.
-			err = within(t, "Alloc", func() error { _, err := p.Alloc(tx, 8192); return err })
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Alloc #%d over a self-linked huge free block: %v, want ErrCorrupt", i+1, err)
-			}
-			if err := tx.Abort(); err != nil {
-				t.Fatalf("Abort after the failed Alloc: %v", err)
-			}
-		}
-		vs := p.Verify(clk)
-		if !hasViolation(vs, "alloc.freelist") || hasViolation(vs, "lane.idle") {
-			t.Fatalf("Verify = %v, want alloc.freelist and every lane idle", vs)
-		}
-	})
 }
 
 // mustKeyOf returns a copy of entry e's key.

@@ -143,20 +143,16 @@ type txn struct {
 	// while this one is active.
 	held []heldArena
 
-	// extents records brk reservations made on this transaction's behalf.
-	// The brk advance is not undo-logged, so a clean Abort must hand the
-	// space back explicitly (see returnExtents); Commit just drops the list.
-	extents []reservedExtent
+	// ops records what the transaction did to the DRAM free lists, in order:
+	// Abort undoes it (undoHeap), Commit puts the freed blocks on their lists
+	// (commitHeap).
+	ops []heapOp
 
-	// Inline backing for ranges and held: a store's two transactions log
-	// 2-5 ranges each under one arena lock, so neither list reaches the heap.
+	// Inline backing for ranges, held and ops: a store's two transactions log
+	// 2-5 ranges each under one arena lock, so no list reaches the heap.
 	rangeBuf [8]txRange
 	heldBuf  [2]heldArena
-}
-
-type reservedExtent struct {
-	a            *arena
-	start, limit int64
+	opBuf    [8]heapOp
 }
 
 type heldArena struct {
@@ -245,7 +241,7 @@ func (p *Pool) begin(clk *sim.Clock) Tx {
 		t = new(txn)
 	}
 	*t = txn{p: p, clk: clk, lane: lane, base: p.laneBase(lane), seq: t.seq}
-	t.ranges, t.held = t.rangeBuf[:0], t.heldBuf[:0]
+	t.ranges, t.held, t.ops = t.rangeBuf[:0], t.heldBuf[:0], t.opBuf[:0]
 	p.stats.transactions.Add(1)
 	return Tx{t: t, seq: t.seq}
 }
@@ -397,6 +393,7 @@ func (tx *txn) Commit() error {
 		tx.regen = err != nil
 	}
 	if err == nil {
+		tx.commitHeap()
 		tx.finish(true)
 		return nil
 	}
@@ -445,10 +442,10 @@ func (tx *txn) rollback() error {
 			return err
 		}
 	}
-	// The rollback reset arena bump/limit words to their previous extents;
-	// push any extents this transaction reserved onto free lists so clean
-	// aborts do not leak heap (their arenas are still locked here).
-	return tx.returnExtents()
+	// The headers and bump|limit words are as they were; the free lists
+	// follow (their arenas are still locked here).
+	tx.undoHeap()
+	return nil
 }
 
 // finish ends the transaction in DRAM: every arena lock is dropped and, when

@@ -165,19 +165,22 @@ func TestInPlaceNeverFillsTheLane(t *testing.T) {
 		}
 	}
 
-	// 100 Frees ahead of the Commit leave the lane less than the 1000-byte
-	// pre-image needs: the Commit relinks instead of overflowing.
+	// 150 Frees (one 24-byte entry each) ahead of the Commit leave the lane
+	// less than the 1000-byte pre-image needs: the Commit relinks instead of
+	// overflowing.
 	var blks []PMID
-	withTx(t, p, func(tx *Tx) error {
-		for i := 0; i < 100; i++ {
-			id, err := p.Alloc(tx, 32)
-			if err != nil {
-				return err
+	for range 2 {
+		withTx(t, p, func(tx *Tx) error {
+			for i := 0; i < 75; i++ {
+				id, err := p.Alloc(tx, 32)
+				if err != nil {
+					return err
+				}
+				blks = append(blks, id)
 			}
-			blks = append(blks, id)
-		}
-		return nil
-	})
+			return nil
+		})
+	}
 	u, err := ht.Update(clk, []byte("k1000"))
 	if err != nil {
 		t.Fatal(err)
@@ -189,10 +192,10 @@ func TestInPlaceNeverFillsTheLane(t *testing.T) {
 	}
 	before := p.Stats()
 	if err := u.Commit([]byte("k1000"), bytes.Repeat([]byte{'z'}, 1000)); err != nil {
-		t.Fatalf("Commit behind 100 Frees: %v", err)
+		t.Fatalf("Commit behind 150 Frees: %v", err)
 	}
 	if s := p.Stats(); s.HTRelinked-before.HTRelinked != 1 || s.HTInPlace != before.HTInPlace {
-		t.Errorf("Commit behind 100 Frees did not relink")
+		t.Errorf("Commit behind 150 Frees did not relink")
 	}
 	if vs := append(p.Verify(clk), ht.Verify(clk)...); len(vs) != 0 {
 		t.Fatalf("violations: %v", vs)
