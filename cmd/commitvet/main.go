@@ -8,8 +8,9 @@
 // pool.Free(tx, id) — may be taken ONLY by the commit engine, so the
 // alloc-in-tx ordering, persist points, and crash-consistency windows stay
 // auditable in one place. So may the hashtable's record mutations — the
-// update cursor table.Update(clk, key), which returns holding a bucket lock
-// and an open transaction, and table.Put(clk, key, value) and
+// update cursor table.Update(clk, key) and its hinted form
+// table.UpdateAt(clk, key, at), which return holding a bucket lock and an
+// open transaction, and table.Put(clk, key, value) and
 // table.Delete(clk, key), each a whole one — so every record change frees the
 // blocks it stops naming by the one rule the engine keeps.
 //
@@ -43,10 +44,10 @@
 //
 // The call rules match a method call with the rule's name and exact argument
 // count — Begin and Advance with one argument,
-// Alloc/Free/Slice/Overwrite/Update/Delete with two, Put with three (the
-// public three-argument PMEM.Alloc dims declaration does not match, nor the
-// one-argument PMEM.Delete) — whose receiver is not an imported package
-// (sort.Slice is not the pool API).
+// Alloc/Free/Slice/Overwrite/Update/Delete with two, UpdateAt and Put with
+// three (the public three-argument PMEM.Alloc dims declaration does not
+// match, nor the one-argument PMEM.Delete) — whose receiver is not an
+// imported package (sort.Slice is not the pool API).
 //
 // Rule "lease" applies to every file, tests included: a view returned by
 // LoadView, LoadBlockView, or Array.View holds a lease that pins deferred
@@ -123,7 +124,7 @@ var rules = []rule{
 	{
 		name:   "tx",
 		covers: coreExcept("writeplan.go"),
-		check: methodCalls("pool", map[string]int{"Begin": 1, "Alloc": 2, "Free": 2, "Update": 2, "Put": 3, "Delete": 2},
+		check: methodCalls("pool", map[string]int{"Begin": 1, "Alloc": 2, "Free": 2, "Update": 2, "UpdateAt": 3, "Put": 3, "Delete": 2},
 			"outside the commit engine — route this write through writeplan.go"),
 	},
 	{

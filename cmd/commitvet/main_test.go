@@ -61,8 +61,8 @@ func TestRulesOnFixture(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	if len(want) != 19 {
-		t.Errorf("fixture marks %d findings, expected 19 (17 planner + 1 readplan + 1 test file)", len(want))
+	if len(want) != 20 {
+		t.Errorf("fixture marks %d findings, expected 20 (18 planner + 1 readplan + 1 test file)", len(want))
 	}
 }
 

@@ -155,9 +155,11 @@ type shared struct {
 	pools []*pmdk.Pool
 	hts   []*pmdk.Hashtable
 	// vars maps a variable's placement key -> *variable (meta.go): its one
-	// lock and the DRAM block index that lock guards, shared by every rank of
-	// the handle group like the pool itself.
-	vars sync.Map
+	// lock and the DRAM state that lock guards (block index, entry hints),
+	// shared by every rank of the handle group like the pool itself. A
+	// variable is never removed, so varMu is taken for writing once per id.
+	varMu sync.RWMutex
+	vars  map[string]*variable
 
 	// ins is the observability state (instrument.go), shared like the pool.
 	ins *instruments
@@ -272,6 +274,7 @@ func openShared(c *mpi.Comm, n *node.Node, path string, o Options) (*shared, err
 		opt:        o,
 		pools:      make([]*pmdk.Pool, o.Pools),
 		hts:        make([]*pmdk.Hashtable, o.Pools),
+		vars:       make(map[string]*variable),
 		quar:       make(map[poolPMID]struct{}),
 		viewLeases: make(map[uint64]int),
 	}
@@ -295,7 +298,7 @@ func openShared(c *mpi.Comm, n *node.Node, path string, o Options) (*shared, err
 
 // setID derives the cross-pool commit identifier from the namespace path, so
 // every rank and every reopen binds the same member pools together.
-func setID(path string) uint64 { return fnv1a(path) }
+func setID(path string) uint64 { return pmdk.HashKey(path) }
 
 // openPools maps the namespace's pool file on each member device and opens
 // the member pools and their hashtables. Every namespace is a pmdk pool set,
@@ -486,7 +489,7 @@ func (p *PMEM) alloc(id string, dtype serial.DType, gdims []uint64) error {
 	defer v.Unlock()
 	// A fresh id is the common case: probe for the record, build no error.
 	var buf [serial.MaxDims]uint64
-	if existing, ok, err := p.dims(id, buf[:0]); err == nil && ok {
+	if existing, ok, err := p.dims(v, id, buf[:0]); err == nil && ok {
 		if !slices.Equal(existing.dims, gdims) {
 			// A clone to format: buf itself handed to Errorf would move to the
 			// heap on every Alloc.

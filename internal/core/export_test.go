@@ -37,7 +37,10 @@ var RawMaps = rawMaps
 // block list's blocks or a value ref's block — none for an inline value, raw
 // metadata or an absent id. The record-change tests hold the allocator to it.
 func (p *PMEM) NamedBlocks(id string) ([][2]int64, error) {
-	raw, at, ok, err := p.record(id)
+	v := p.variable(id)
+	v.RLock()
+	defer v.RUnlock()
+	raw, at, ok, err := p.record(v, id)
 	if err != nil || !ok {
 		return nil, err
 	}
@@ -60,4 +63,18 @@ func (p *PMEM) PoolStats() []pmdk.Stats {
 		out[i] = pool.Stats()
 	}
 	return out
+}
+
+// EntryHint returns the hashtable entry key's variable holds as key's hint
+// (key is an id or its "#dims" companion) and the entry an unhinted lookup of
+// key finds, each 0 when there is none.
+func (p *PMEM) EntryHint(key string) (hint, walk int64, err error) {
+	v := p.variable(key)
+	v.RLock()
+	defer v.RUnlock()
+	if h := v.hint(key); h != nil {
+		hint = int64(h.Load())
+	}
+	_, _, e, err := p.st.hts[p.homeIdx(key)].GetRefAt(p.comm.Clock(), []byte(key), pmdk.Null)
+	return hint, int64(e), err
 }

@@ -215,7 +215,7 @@ func (h *hierStore) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 		}
 		return r, err
 	}
-	rec, err := p.heldDims(pl.id, nil)
+	rec, err := p.heldDims(pl.v, pl.id, nil)
 	if err != nil {
 		return r, err
 	}

@@ -474,16 +474,6 @@ func decodeFrame(hdr []byte, room int64) (blockRec, error) {
 
 // --- namespace ---
 
-// fnv1a is the 64-bit FNV-1a hash behind every placement decision.
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // placementKey reduces an id to its placement key: the "#dims" companion
 // follows its base variable, so a variable's records co-locate, share one
 // lock, and share one DRAM index entry.
@@ -496,7 +486,8 @@ func placementKey(id string) string {
 
 // homeIdx returns the id's home pool index: the member pool holding its
 // metadata entry and its serially stored data blocks. Deterministic FNV-1a
-// striping, so every rank and every reopen computes the same placement;
+// striping (pmdk.HashKey, the tables' own hash), so every rank and every
+// reopen computes the same placement;
 // reserved '#'-prefixed keys (the quarantine list) pin to pool 0.
 func (st *shared) homeIdx(id string) int {
 	n := len(st.pools)
@@ -507,17 +498,17 @@ func (st *shared) homeIdx(id string) int {
 	if len(key) > 0 && key[0] == '#' {
 		return 0
 	}
-	return int(fnv1a(key) % uint64(n))
+	return int(pmdk.HashKey(key) % uint64(n))
 }
 
 // dims reads id's dims companion and decodes it into buf's array when that is
 // large enough; ok is false when id has none. On the pool layout the record
-// is read where it sits, as a whole value's is (record): the caller holds
+// is read where it sits, as a whole value's is (record): the caller holds v,
 // id's lock, which every writer of the record holds too.
-func (p *PMEM) dims(id string, buf []uint64) (rec dimsRecord, ok bool, err error) {
+func (p *PMEM) dims(v *variable, id string, buf []uint64) (rec dimsRecord, ok bool, err error) {
 	var raw []byte
 	if p.st.lay.pooled() {
-		raw, _, ok, err = p.record(id + DimsSuffix)
+		raw, _, ok, err = p.record(v, id+DimsSuffix)
 	} else {
 		raw, ok, err = p.st.lay.get(p.comm.Clock(), id, DimsSuffix)
 	}
@@ -529,8 +520,8 @@ func (p *PMEM) dims(id string, buf []uint64) (rec dimsRecord, ok bool, err error
 }
 
 // heldDims is dims with a missing record reported as ErrNotFound.
-func (p *PMEM) heldDims(id string, buf []uint64) (dimsRecord, error) {
-	rec, ok, err := p.dims(id, buf)
+func (p *PMEM) heldDims(v *variable, id string, buf []uint64) (dimsRecord, error) {
+	rec, ok, err := p.dims(v, id, buf)
 	if err == nil && !ok {
 		err = fmt.Errorf("core: %q has no dims (Alloc not called): %w", id, ErrNotFound)
 	}
@@ -543,7 +534,7 @@ func (p *PMEM) loadDims(id string, buf []uint64) (dimsRecord, error) {
 	v := p.variable(id)
 	v.RLock()
 	defer v.RUnlock()
-	return p.heldDims(id, buf)
+	return p.heldDims(v, id, buf)
 }
 
 // publishQuarantine persists the store-wide quarantine list under its
@@ -595,21 +586,68 @@ func (st *shared) loadQuarantine(clk *sim.Clock) error {
 // negative lookups, and "#dims" ids, which share their base's lock but never
 // read or install its index. Crash recovery needs no protocol: handles open at
 // crash time are dead by contract, and a re-Mmap starts with no variables.
+//
+// The variable is also the namespace's key-to-entry index: at holds the
+// hashtable entry (pmdk.PMID) the id's record and its "#dims" record were last
+// found in, 0 when unknown, and every lookup and record change of either
+// passes it to pmdk as a hint (GetRefAt, UpdateAt) — one entry read instead
+// of a bucket-chain walk. Coherence is the lock's again: a reader stores what
+// it found under the read side (every reader finds the same entry), and a
+// record change stores the entry it committed, or 0 after any error, under
+// the write side. pmdk checks a hint before it trusts it, so a wrong one
+// costs the walk, never a wrong record. Reserved '#' keys (the quarantine
+// list) are never hinted: their writers hold no variable lock.
 type variable struct {
 	sync.RWMutex
 	idx atomic.Pointer[cacheEntry]
+	at  [2]atomic.Uint64
 }
 
 // variable returns the variable id belongs to.
 func (p *PMEM) variable(id string) *variable {
 	id = placementKey(id)
-	// Load first: LoadOrStore's candidate and boxed key are two heap objects
-	// per call, and every read plan takes this lock.
-	if v, ok := p.st.vars.Load(id); ok {
-		return v.(*variable)
+	st := p.st
+	st.varMu.RLock()
+	v := st.vars[id]
+	st.varMu.RUnlock()
+	if v != nil {
+		return v
 	}
-	v, _ := p.st.vars.LoadOrStore(id, new(variable))
-	return v.(*variable)
+	st.varMu.Lock()
+	defer st.varMu.Unlock()
+	if v = st.vars[id]; v == nil {
+		v = new(variable)
+		st.vars[id] = v
+	}
+	return v
+}
+
+// hint returns the slot holding where key's record was last found — key is
+// v's id or its "#dims" companion — or nil for a reserved '#' key.
+func (v *variable) hint(key string) *atomic.Uint64 {
+	switch {
+	case len(key) > 0 && key[0] == '#':
+		return nil
+	case key != placementKey(key):
+		return &v.at[1]
+	}
+	return &v.at[0]
+}
+
+// last is key's hint: the entry its record was last found in, or Null.
+func (v *variable) last(key string) pmdk.PMID {
+	if h := v.hint(key); h != nil {
+		return pmdk.PMID(h.Load())
+	}
+	return pmdk.Null
+}
+
+// found leaves e, the entry key's record was just found or committed in
+// (Null: absent, or unknown after an error), as key's hint.
+func (v *variable) found(key string, e pmdk.PMID) {
+	if h := v.hint(key); h != nil && h.Load() != uint64(e) {
+		h.Store(uint64(e))
+	}
 }
 
 // install makes e the index id's reads see — unless id is a "#dims" id.
@@ -647,11 +685,11 @@ func (p *PMEM) blockIndex(v *variable, id string) (*cacheEntry, error) {
 		return e, nil
 	}
 	p.st.ins.cacheMisses.Inc()
-	rec, err := p.heldDims(id, nil)
+	rec, err := p.heldDims(v, id, nil)
 	if err != nil {
 		return nil, err
 	}
-	raw, _, hasBlocks, err := p.record(id)
+	raw, _, hasBlocks, err := p.record(v, id)
 	var blocks []blockRec
 	var dropped trailer
 	if err == nil && hasBlocks {
@@ -665,10 +703,10 @@ func (p *PMEM) blockIndex(v *variable, id string) (*cacheEntry, error) {
 	return e, nil
 }
 
-// invalidate drops the DRAM index of the variable behind key. Writers call it
-// under the variable's write lock, after republishing either record.
-func (p *PMEM) invalidate(key string) {
-	p.variable(key).idx.Store(nil)
+// invalidate drops v's DRAM index. Writers call it under v's write lock,
+// after republishing either record.
+func (p *PMEM) invalidate(v *variable) {
+	v.idx.Store(nil)
 	p.st.ins.cacheInvalidations.Inc()
 }
 
@@ -702,7 +740,7 @@ func (l poolLayout) keys(clk *sim.Clock) (out []string, err error) {
 // request or statistics plan's off the DRAM index.
 func (l poolLayout) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 	if pl.consume == consumeClone || pl.consume == consumeCRC {
-		raw, at, ok, err := p.record(pl.id)
+		raw, at, ok, err := p.record(pl.v, pl.id)
 		if err != nil {
 			return r, err
 		}

@@ -5,6 +5,7 @@ import (
 
 	"pmemcpy/internal/checksum"
 	"pmemcpy/internal/nd"
+	"pmemcpy/internal/pmdk"
 	"pmemcpy/internal/serial"
 	"pmemcpy/internal/sim"
 )
@@ -298,14 +299,16 @@ func (l poolLayout) stored(p *PMEM, u readUnit) ([]byte, error) {
 // record returns the metadata record published under id (pool layout only) as
 // it sits in its home pool's mapping — no copy, so a whole-value load puts no
 // record on the Go heap — and the value block holding it, charged as the one
-// device read a record costs. The caller holds id's lock: every writer of the
-// record (publish, republish, Delete) holds its write side, so the bytes stay
-// put until the caller lets go.
-func (p *PMEM) record(id string) (raw []byte, at poolPMID, ok bool, err error) {
+// device read a record costs. The caller holds v, id's lock: every writer of
+// the record (publish, republish, Delete) holds its write side, so the bytes
+// stay put until the caller lets go. The lookup starts from v's hint and
+// leaves there the entry it found.
+func (p *PMEM) record(v *variable, id string) (raw []byte, at poolPMID, ok bool, err error) {
 	home, clk := p.homeIdx(id), p.comm.Clock()
-	blk, n, ok, err := p.st.hts[home].GetRef(clk, []byte(id))
-	if err != nil || !ok {
-		return nil, at, ok, err
+	blk, n, entry, err := p.st.hts[home].GetRefAt(clk, []byte(id), v.last(id))
+	v.found(id, entry)
+	if err != nil || entry == pmdk.Null {
+		return nil, at, false, err
 	}
 	pool := p.st.pools[home]
 	pool.Mapping().ChargeRead(clk, n)
@@ -718,7 +721,7 @@ func (p *PMEM) InjectCorruption(id string, block int, off, n int64, mask byte) (
 	v := p.variable(id)
 	v.Lock()
 	defer v.Unlock()
-	raw, at, ok, err := p.record(id)
+	raw, at, ok, err := p.record(v, id)
 	if err != nil {
 		return 0, 0, err
 	}

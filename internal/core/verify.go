@@ -40,7 +40,7 @@ func (p *PMEM) verifyRecord(key string, violatef func(format string, args ...any
 	v := p.variable(key)
 	v.RLock()
 	defer v.RUnlock()
-	raw, at, ok, err := p.record(key)
+	raw, at, ok, err := p.record(v, key)
 	if err != nil || !ok {
 		violatef("store.value: reading %q: ok=%v err=%v", key, ok, err)
 		return
@@ -69,7 +69,7 @@ func (p *PMEM) verifyRecord(key string, violatef func(format string, args ...any
 		if dropped.poisoned() {
 			violatef("store.range: %q dropped a block whose range could not be read: MinMax is ErrCorrupt until a whole store or Delete", key)
 		}
-		rec, err := p.heldDims(key, nil)
+		rec, err := p.heldDims(v, key, nil)
 		if err != nil {
 			violatef("store.blocklist: %q has blocks but no dims record: %v", key, err)
 			return

@@ -405,7 +405,7 @@ func (e commitEngine) publish(plan *writePlan) error {
 		g := &plan.groups[gi]
 		v := p.variable(g.id)
 		v.Lock()
-		err := e.publishGroup(g, plan.encPasses)
+		err := e.publishGroup(v, g, plan.encPasses)
 		v.Unlock()
 		if plan.published != nil {
 			plan.published(g, err)
@@ -435,12 +435,12 @@ func (e commitEngine) publish(plan *writePlan) error {
 // drops every block one of them contains (prune), as many as the
 // transaction's lane can log; the list's trailer keeps the dropped blocks'
 // value range (fold), so MinMax does not depend on which blocks are listed.
-// The caller holds the id's lock.
-func (e commitEngine) publishGroup(g *planGroup, encPasses float64) error {
+// The caller holds v, the id's lock.
+func (e commitEngine) publishGroup(v *variable, g *planGroup, encPasses float64) error {
 	// A value ref's old block and 21-byte record stay in this frame (an
 	// inline record is built in the handle's).
 	var one [1]blockRec
-	t, drop, err := e.open(g.id, one[:0])
+	t, drop, err := e.open(v, g.id, one[:0])
 	if err != nil {
 		return err
 	}
@@ -562,9 +562,9 @@ func (e commitEngine) inlineRecord(g *planGroup, encPasses float64) ([]byte, err
 // --- record changes ---
 
 // recordTx is one open record change of the pool layout: the key's bucket
-// locked, a transaction open, the chain walked once, and the record being
-// replaced decoded from the cursor — mapped, not copied. The caller holds the
-// id's lock; close, or t.u.Finish, ends it.
+// locked, a transaction open, the key looked up once (from v's hint), and the
+// record being replaced decoded from the cursor — mapped, not copied. The
+// caller holds v, the id's lock; close, or t.u.Finish, ends it.
 //
 // It holds nothing of its caller's frame: escape analysis does not tell a
 // struct's fields apart, and the cursor's methods leak their receiver, so a
@@ -572,6 +572,7 @@ func (e commitEngine) inlineRecord(g *planGroup, encPasses float64) ([]byte, err
 // each. open hands the decoded blocks back beside it instead.
 type recordTx struct {
 	u       pmdk.Update
+	v       *variable
 	id      string
 	home    int
 	kind    recordKind
@@ -586,15 +587,15 @@ type recordTx struct {
 // blocks or a value ref's block. An inline value's bytes go with the record
 // itself, raw metadata owns nothing, and neither does a record whose
 // references do not decode.
-func (e commitEngine) open(id string, buf []blockRec) (recordTx, []blockRec, error) {
+func (e commitEngine) open(v *variable, id string, buf []blockRec) (recordTx, []blockRec, error) {
 	p := e.p
 	home := p.homeIdx(id)
-	u, err := p.st.hts[home].Update(p.comm.Clock(), []byte(id))
+	u, err := p.st.hts[home].UpdateAt(p.comm.Clock(), []byte(id), v.last(id))
 	if err != nil {
 		return recordTx{}, nil, err
 	}
 	owned, kind, dropped, bad := decodeRecord(u.Old(), poolPMID{uint8(home), u.OldID()}, buf)
-	t := recordTx{u: u, id: id, home: home, kind: kind, dropped: dropped, found: u.OldID() != pmdk.Null, bad: bad}
+	t := recordTx{u: u, v: v, id: id, home: home, kind: kind, dropped: dropped, found: u.OldID() != pmdk.Null, bad: bad}
 	switch {
 	case bad != nil:
 		owned = nil
@@ -635,7 +636,8 @@ func (t *recordTx) list(owned []blockRec) ([]blockRec, error) {
 //     between the two leaks it until the reachability pass of ROADMAP item 2a,
 //     never dangles a pointer.
 //
-// The DRAM index drops with the change, and every dropped block — and an
+// The DRAM index drops with the change, the key's hint becomes the entry
+// the change committed (0 after any error), and every dropped block — and an
 // inline record's own bytes, rewritten or freed with the record — leaves the
 // quarantine.
 func (e commitEngine) close(t *recordTx, rec []byte, drop []blockRec) error {
@@ -659,10 +661,12 @@ func (e commitEngine) close(t *recordTx, rec []byte, drop []blockRec) error {
 		}
 	}
 	err = t.u.Finish(err)
-	p.invalidate(t.id)
+	p.invalidate(t.v)
 	if err != nil {
+		t.v.found(t.id, pmdk.Null)
 		return err
 	}
+	t.v.found(t.id, t.u.Entry())
 	if t.kind == recInline && t.bad == nil {
 		inl := [1]blockRec{t.inl}
 		p.unquarantine(inl[:])
@@ -687,10 +691,10 @@ func (l poolLayout) put(p *PMEM, id, suffix string, rec []byte) error {
 func (l poolLayout) del(p *PMEM, id string) (bool, error) { return p.engine().change(id, nil) }
 
 // change replaces key's record with rec (nil unlinks it) and reports whether
-// the key held one.
+// the key held one. The caller holds key's variable lock, or key is reserved.
 func (e commitEngine) change(key string, rec []byte) (bool, error) {
 	var one [1]blockRec
-	t, owned, err := e.open(key, one[:0])
+	t, owned, err := e.open(e.p.variable(key), key, one[:0])
 	if err == nil {
 		err = e.close(&t, rec, owned)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"pmemcpy/internal/sim"
@@ -17,7 +16,7 @@ import (
 //
 // Keys and values are byte strings. A value lives in its own allocator block.
 // Every mutation of a key is one Update — bucket lock, one transaction, one
-// chain walk — ended by one Finish: Put is Update + Commit, Delete is Update +
+// lookup — ended by one Finish: Put is Update + Commit, Delete is Update +
 // Delete. A new value takes one of three forms: a new key links a
 // freshly built entry; a value of the old length is rewritten in place under
 // one undo entry; any other value goes to a new block the entry's vlen|value
@@ -29,7 +28,11 @@ import (
 // each entry it visits once (readEntry): the 40-byte header below, and with it
 // the key when the walk wants it, since the key is contiguous with the header.
 // What the walk read of the entry it stopped on travels with it (probe); no
-// caller goes back to the entry for vlen|value or next.
+// caller goes back to the entry for vlen|value or next. A caller that knows
+// where a key's entry was last found passes it as a hint (UpdateAt,
+// GetRefAt): an entry that still holds the key is one access instead of the
+// walk, and any other hint is walked past, so the chains a hint skips are
+// exactly the chains a walk would read.
 //
 // Layout of the table header block (PMID t):
 //
@@ -153,11 +156,16 @@ func OpenHashtable(clk *sim.Clock, p *Pool, id PMID) (*Hashtable, error) {
 	return &Hashtable{p: p, head: id, nbuckets: nb}, nil
 }
 
-// HashKey returns the FNV-1a hash the table uses; exported for tools.
-func HashKey(key []byte) uint64 {
-	f := fnv.New64a()
-	f.Write(key)
-	return f.Sum64()
+// HashKey returns the 64-bit FNV-1a hash of key: the table's bucket and
+// stored hash, and core's pool placement. A key is hashed once per call
+// into the table and the hash is handed down.
+func HashKey[K ~string | ~[]byte](key K) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 func (h *Hashtable) bucketOff(hash uint64) PMID {
@@ -180,11 +188,7 @@ func (h *Hashtable) readEntry(clk *sim.Clock, e PMID, withKey func(entryHeader) 
 	if err != nil {
 		return hd, nil, err
 	}
-	hd = entryHeader{
-		next: PMID(word(b, entryNext/8)), val: PMID(word(b, entryVal/8)),
-		hash: word(b, entryHash/8), klen: word(b, entryKlen/8),
-		vlen: int64(word(b, entryVlen/8)),
-	}
+	hd = decodeEntry(b)
 	n, want := int64(entryKeyStart), withKey(hd)
 	if want {
 		// Clamped so a damaged klen fails the range check below, never wraps.
@@ -199,22 +203,68 @@ func (h *Hashtable) readEntry(clk *sim.Clock, e PMID, withKey func(entryHeader) 
 	return hd, key, nil
 }
 
-// anyKey is the withKey of a walk that enumerates: every entry's key is read.
-func anyKey(entryHeader) bool { return true }
+// decodeEntry decodes the 40-byte entry header at the start of b.
+func decodeEntry(b []byte) entryHeader {
+	return entryHeader{
+		next: PMID(word(b, entryNext/8)), val: PMID(word(b, entryVal/8)),
+		hash: word(b, entryHash/8), klen: word(b, entryKlen/8),
+		vlen: int64(word(b, entryVlen/8)),
+	}
+}
 
-// probe is where a walk of key's chain ended and what it read there.
+// anyKey is the withKey of a walk that enumerates: every entry's key is read;
+// noKey is a walk's that follows links only.
+func anyKey(entryHeader) bool { return true }
+func noKey(entryHeader) bool  { return false }
+
+// probe is where a lookup of key ended and what it read there.
 type probe struct {
 	entry PMID  // the key's entry; Null when absent
-	link  PMID  // the slot that points at entry; when absent, the chain's tail slot (it holds 0)
+	link  PMID  // the slot that points at entry (when absent, the tail slot, holding 0); Null when a hint found entry
 	next  PMID  // entry's successor: what link takes when entry is unlinked
 	val   PMID  // entry's value block
 	vlen  int64 // and the value's length
 }
 
+// probeLocked finds key, whose hash is hash: at the entry the hint at names
+// when that entry holds the key (one access), else by walking its chain. The
+// caller must hold the bucket lock.
+func (h *Hashtable) probeLocked(clk *sim.Clock, key []byte, hash uint64, at PMID) (probe, error) {
+	if at != Null {
+		if pr, ok := h.hinted(clk, key, hash, at); ok {
+			return pr, nil
+		}
+	}
+	return h.findLocked(clk, key, hash)
+}
+
+// hinted reads the entry a hint names as ONE access — the allocator's block
+// header in front of it, the entry header and, when hash and klen match, the
+// key — and returns its probe when the block is allocated and the entry holds
+// key: the same compare a walk makes, plus the state word, so a hint to a
+// freed entry is never taken. ok is false for every other hint (another key's
+// entry, a freed block, a read the pool's range refuses): the caller walks.
+func (h *Hashtable) hinted(clk *sim.Clock, key []byte, hash uint64, at PMID) (probe, bool) {
+	const lead = blockHeaderSize + entryKeyStart
+	b, err := h.p.Slice(at-blockHeaderSize, lead) // decoded to size the access; charged once, below
+	if err != nil {
+		return probe{}, false
+	}
+	hd := decodeEntry(b[blockHeaderSize:])
+	match := word(b, 1) == stateAlloc && hd.hash == hash && hd.klen == uint64(len(key))
+	n := int64(lead)
+	if match {
+		n += int64(len(key))
+	}
+	if b, err = h.p.read(clk, at-blockHeaderSize, n); err != nil || !match || !bytes.Equal(b[lead:], key) {
+		return probe{}, false
+	}
+	return probe{entry: at, next: hd.next, val: hd.val, vlen: hd.vlen}, true
+}
+
 // findLocked walks the chain of key's bucket, one access per entry visited.
 // The caller must hold the bucket lock.
-func (h *Hashtable) findLocked(clk *sim.Clock, key []byte) (probe, error) {
-	hash := HashKey(key)
+func (h *Hashtable) findLocked(clk *sim.Clock, key []byte, hash uint64) (probe, error) {
 	link := h.bucketOff(hash)
 	cur, err := h.p.ReadU64(clk, link)
 	if err != nil {
@@ -262,33 +312,43 @@ func (h *Hashtable) newValueBlock(clk *sim.Clock, tx *txn, value []byte) (PMID, 
 }
 
 // Update is an open read-modify-write of one key: the bucket is write-locked,
-// a transaction is open, and the chain has been walked once. The holder reads
+// a transaction is open, and the key has been looked up once. The holder reads
 // the old value, stages the new one (Set) or the key's removal (Unlink), may
 // add Frees of blocks the old value owned to the same transaction, and ends it
 // with exactly one Finish (or Abort). Commit and Delete are a stage and its
 // Finish in one call. It is a value, not a callback, so opening one costs the
 // per-op path nothing on the Go heap: it holds its transaction's Tx handle by
-// value, and it does not keep the key (Set takes it again), so a caller's
-// []byte(id) stays on its stack.
+// value, and it does not keep the key (Set takes it again; the key's hash,
+// computed once, rides along), so a caller's []byte(id) stays on its stack.
 type Update struct {
 	h     *Hashtable
 	tx    Tx
 	lock  *sync.RWMutex
-	probe        // where the walk ended: entry is Null when the key is absent
+	hash  uint64 // the key's
+	probe        // where the lookup ended: entry is Null when the key is absent
 	old   []byte // the old value, mapped
 }
 
 // Update opens a read-modify-write of key.
 func (h *Hashtable) Update(clk *sim.Clock, key []byte) (Update, error) {
+	return h.UpdateAt(clk, key, Null)
+}
+
+// UpdateAt is Update with a hint: at is where key's entry was last found
+// (Entry, GetRefAt), or Null. A hint whose entry holds the key saves the chain
+// walk; any other falls back to it, so a stale hint costs time, never a wrong
+// answer.
+func (h *Hashtable) UpdateAt(clk *sim.Clock, key []byte, at PMID) (Update, error) {
 	if len(key) == 0 {
 		return Update{}, fmt.Errorf("pmdk: empty hashtable key")
 	}
 	h.p.m.Device().Machine().ChargeMetaOp(clk)
-	lock := h.p.Lock(h.bucketOff(HashKey(key)))
+	hash := HashKey(key)
+	lock := h.p.Lock(h.bucketOff(hash))
 	lock.Lock()
-	u := Update{h: h, tx: h.p.begin(clk), lock: lock}
+	u := Update{h: h, tx: h.p.begin(clk), lock: lock, hash: hash}
 	var err error
-	if u.probe, err = h.findLocked(clk, key); err == nil && u.entry != Null {
+	if u.probe, err = h.probeLocked(clk, key, hash, at); err == nil && u.entry != Null {
 		u.old, err = h.p.Slice(u.val, u.vlen)
 	}
 	if err != nil {
@@ -296,6 +356,11 @@ func (h *Hashtable) Update(clk *sim.Clock, key []byte) (Update, error) {
 	}
 	return u, nil
 }
+
+// Entry is the key's entry: the one the lookup found (Null when absent), the
+// one a successful Set published the value in, Null after a successful
+// Unlink. After a committed Finish it is the hint UpdateAt and GetRefAt take.
+func (u *Update) Entry() PMID { return u.entry }
 
 // Old returns the key's current value — mapped bytes, valid until Finish or
 // Abort — or nil when the key is absent. Each call charges the read.
@@ -398,8 +463,9 @@ func (u *Update) Set(key, value []byte) error {
 		return err
 	}
 	ebuf := make([]byte, entryKeyStart+len(key))
-	// entryNext stays 0: the walk ended on u.link, the chain's tail.
-	binary.LittleEndian.PutUint64(ebuf[entryHash:], HashKey(key))
+	// entryNext stays 0: an absent key was walked for, so u.link is the
+	// chain's tail.
+	binary.LittleEndian.PutUint64(ebuf[entryHash:], u.hash)
 	binary.LittleEndian.PutUint64(ebuf[entryKlen:], uint64(len(key)))
 	binary.LittleEndian.PutUint64(ebuf[entryVlen:], uint64(n))
 	binary.LittleEndian.PutUint64(ebuf[entryVal:], uint64(vid))
@@ -407,24 +473,58 @@ func (u *Update) Set(key, value []byte) error {
 	if err := h.p.StoreBytesAt(clk, eid, ebuf, true, ptHTEntry); err != nil {
 		return err
 	}
-	return tx.WriteU64(u.link, uint64(eid))
+	if err := tx.WriteU64(u.link, uint64(eid)); err != nil {
+		return err
+	}
+	u.entry = eid
+	return nil
 }
 
 // Unlink stages the key's removal: its predecessor's link takes the entry's
 // successor, and the entry and value blocks are freed. An absent key stages
-// nothing. On error the holder ends the update with Finish(err).
+// nothing. An entry found by its hint has no link yet: the chain is walked
+// for it, one header access per predecessor. On error the holder ends the
+// update with Finish(err).
 func (u *Update) Unlink() error {
 	if u.entry == Null {
 		return nil
 	}
-	err := u.tx.WriteU64(u.link, uint64(u.next))
+	var err error
+	if u.link == Null {
+		u.link, err = u.h.linkTo(u.tx.t.clk, u.hash, u.entry)
+	}
+	if err == nil {
+		err = u.tx.WriteU64(u.link, uint64(u.next))
+	}
 	if err == nil && u.val != Null {
 		err = u.Free(u.val)
 	}
 	if err == nil {
 		err = u.Free(u.entry)
 	}
+	if err == nil {
+		u.entry = Null
+	}
 	return err
+}
+
+// linkTo walks the chain of bucket hash to entry e and returns the slot that
+// points at it. The caller holds the bucket lock.
+func (h *Hashtable) linkTo(clk *sim.Clock, hash uint64, e PMID) (PMID, error) {
+	link := h.bucketOff(hash)
+	cur, err := h.p.ReadU64(clk, link)
+	for steps := int64(0); err == nil && PMID(cur) != e; steps++ {
+		if cur == 0 {
+			return Null, fmt.Errorf("%w: entry %d is not in its bucket's chain", ErrCorrupt, e)
+		}
+		if steps >= h.p.maxBlocks() {
+			return Null, h.errCycle(hash & (h.nbuckets - 1))
+		}
+		var hd entryHeader
+		hd, _, err = h.readEntry(clk, PMID(cur), noKey)
+		link, cur = PMID(cur)+entryNext, uint64(hd.next)
+	}
+	return link, err
 }
 
 // Delete removes the key and commits: Unlink, then Finish.
@@ -444,17 +544,18 @@ func (h *Hashtable) Put(clk *sim.Clock, key, value []byte) error {
 // value block in place or frees it for reuse, and a reader that holds no
 // other lock over the key must never see half of either.
 func (h *Hashtable) Get(clk *sim.Clock, key []byte) ([]byte, bool, error) {
-	lock := h.p.Lock(h.bucketOff(HashKey(key)))
+	hash := HashKey(key)
+	lock := h.p.Lock(h.bucketOff(hash))
 	lock.RLock()
 	defer lock.RUnlock()
-	id, n, ok, err := h.getRefLocked(clk, key)
-	if err != nil || !ok {
-		return nil, ok, err
+	pr, err := h.getRefLocked(clk, key, hash, Null)
+	if err != nil || pr.entry == Null {
+		return nil, false, err
 	}
-	if n == 0 {
+	if pr.vlen == 0 {
 		return []byte{}, true, nil
 	}
-	v, err := h.p.ReadBytes(clk, id, n)
+	v, err := h.p.ReadBytes(clk, pr.val, pr.vlen)
 	if err != nil {
 		return nil, false, err
 	}
@@ -467,20 +568,25 @@ func (h *Hashtable) Get(clk *sim.Clock, key []byte) ([]byte, bool, error) {
 // long as it dereferences the block (core's whole-value load does, under the
 // id's read lock, since the inline record form).
 func (h *Hashtable) GetRef(clk *sim.Clock, key []byte) (PMID, int64, bool, error) {
-	lock := h.p.Lock(h.bucketOff(HashKey(key)))
-	lock.RLock()
-	defer lock.RUnlock()
-	return h.getRefLocked(clk, key)
+	val, vlen, entry, err := h.GetRefAt(clk, key, Null)
+	return val, vlen, entry != Null, err
 }
 
-// getRefLocked is GetRef under the bucket lock the caller holds.
-func (h *Hashtable) getRefLocked(clk *sim.Clock, key []byte) (PMID, int64, bool, error) {
+// GetRefAt is GetRef with a hint, as UpdateAt takes one, that also returns
+// where it found the key: entry is Null exactly when the key is absent.
+func (h *Hashtable) GetRefAt(clk *sim.Clock, key []byte, at PMID) (val PMID, vlen int64, entry PMID, err error) {
+	hash := HashKey(key)
+	lock := h.p.Lock(h.bucketOff(hash))
+	lock.RLock()
+	defer lock.RUnlock()
+	pr, err := h.getRefLocked(clk, key, hash, at)
+	return pr.val, pr.vlen, pr.entry, err
+}
+
+// getRefLocked is GetRefAt under the bucket lock the caller holds.
+func (h *Hashtable) getRefLocked(clk *sim.Clock, key []byte, hash uint64, at PMID) (probe, error) {
 	h.p.m.Device().Machine().ChargeMetaOp(clk)
-	pr, err := h.findLocked(clk, key)
-	if err != nil || pr.entry == Null {
-		return Null, 0, false, err
-	}
-	return pr.val, pr.vlen, true, nil
+	return h.probeLocked(clk, key, hash, at)
 }
 
 // Delete removes key. It reports whether the key existed.
@@ -489,7 +595,8 @@ func (h *Hashtable) Delete(clk *sim.Clock, key []byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	existed, err := u.entry != Null, u.Delete()
+	existed := u.entry != Null
+	err = u.Delete()
 	return existed && err == nil, err
 }
 

@@ -189,6 +189,107 @@ func TestProbeAccessesPerEntry(t *testing.T) {
 	probeKeyPastPoolEnd(t)
 }
 
+// TestProbeHintedAccesses holds the hinted lookups (GetRefAt, UpdateAt) to
+// their access table on an L=8 chain. A hint naming the key's entry is ONE
+// access at every position k — block header, entry header and key, 16+40+klen
+// bytes — and returns that entry. A hint naming another key's entry or a freed
+// block (one that still holds the key it was deleted under) costs that one
+// access and then the walk; a hint past the pool end costs the walk alone; each
+// gives the walk's answer. An Unlink from a hinted probe walks the chain for
+// its link — the bucket slot and k-1 predecessor headers — so a hinted Delete
+// reads what an unhinted one does.
+func TestProbeHintedAccesses(t *testing.T) {
+	const (
+		L, klen, vlen      = 8, 5, 8 // "key-i", "8 bytes."
+		link, free1, free2 = 1, 1 + 1, 1 + 1
+	)
+	ht, p, clk := chainTable(t, L)
+	dev := p.m.Device()
+	metaOp := dev.Machine().Config().MetaOp
+	measure := func(what string, fn func(), reads int64) {
+		t.Helper()
+		r0 := dev.Counters().Reads
+		fn()
+		if got := dev.Counters().Reads - r0; got != reads {
+			t.Errorf("%s: %d read accesses, want %d", what, got, reads)
+		}
+	}
+	// getAt runs GetRefAt and checks its answer: entry want, or absent.
+	getAt := func(what string, key []byte, at, want PMID, reads int64) {
+		t.Helper()
+		measure(what, func() {
+			val, n, e, err := ht.GetRefAt(clk, key, at)
+			if err != nil || e != want || (want != Null && (val == Null || n != vlen)) {
+				t.Fatalf("%s: GetRefAt = %d, %d, entry %d, %v; want entry %d", what, val, n, e, err, want)
+			}
+		}, reads)
+	}
+	es := chainEntries(t, ht, 0)
+	for k := 1; k <= L; k++ {
+		key, e, other := chainKey(k-1), es[k-1], es[L-k]
+		t0 := clk.Now()
+		getAt(fmt.Sprintf("hit k=%d", k), key, e, e, 1)
+		var c sim.Clock
+		p.m.ChargeRead(&c, blockHeaderSize+entryKeyStart+klen)
+		if got := clk.Now() - t0; got != metaOp+c.Now() {
+			t.Errorf("hit k=%d: %v virtual, want %v", k, got, metaOp+c.Now())
+		}
+		measure(fmt.Sprintf("UpdateAt k=%d", k), func() {
+			u, err := ht.UpdateAt(clk, key, e)
+			if err != nil || u.Entry() != e {
+				t.Fatalf("UpdateAt k=%d: entry %d, %v; want %d", k, u.Entry(), err, e)
+			}
+			if err := u.Abort(); err != nil {
+				t.Fatal(err)
+			}
+		}, 1)
+		if other != e {
+			getAt(fmt.Sprintf("foreign hint k=%d", k), key, other, e, 1+int64(k+1))
+		}
+		getAt(fmt.Sprintf("hint past the pool end k=%d", k), key, PMID(p.m.Len()), e, int64(k+1))
+	}
+
+	// A deleted key's entry block is free but still holds the key.
+	gone := []byte("gone!")
+	if err := ht.Put(clk, gone, []byte("8 bytes.")); err != nil {
+		t.Fatal(err)
+	}
+	ge := chainEntries(t, ht, 0)[L]
+	if ok, err := ht.Delete(clk, gone); err != nil || !ok {
+		t.Fatalf("Delete(gone) = %v, %v", ok, err)
+	}
+	getAt("freed-block hint", gone, ge, Null, 1+int64(1+L))
+	measure("UpdateAt freed-block hint", func() {
+		u, err := ht.UpdateAt(clk, gone, ge)
+		if err != nil || u.Entry() != Null {
+			t.Fatalf("UpdateAt of a deleted key from its freed entry: entry %d, %v", u.Entry(), err)
+		}
+		if err := u.Abort(); err != nil {
+			t.Fatal(err)
+		}
+	}, 1+int64(1+L))
+
+	// Unlink from a hinted probe, last position first.
+	for k := L; k >= 1; k-- {
+		key, e := chainKey(k-1), es[k-1]
+		measure(fmt.Sprintf("hinted Delete k=%d", k), func() {
+			u, err := ht.UpdateAt(clk, key, e)
+			if err == nil {
+				err = u.Delete()
+			}
+			if err != nil || u.Entry() != Null {
+				t.Fatalf("hinted Delete k=%d: entry %d after, %v", k, u.Entry(), err)
+			}
+		}, 1+int64(k)+link+free1+free2)
+	}
+	if n, err := ht.Len(clk); err != nil || n != 0 {
+		t.Fatalf("Len after deleting every key = %d, %v", n, err)
+	}
+	if vs := append(p.Verify(clk), ht.Verify(clk)...); len(vs) != 0 {
+		t.Fatalf("violations: %v", vs)
+	}
+}
+
 // probeKeyPastPoolEnd: an entry whose hash and klen match a probe key that
 // cannot fit between the entry and the end of the pool fails the walk with the
 // mapping's range error — the header-and-key access is bounds-checked as one.

@@ -203,28 +203,41 @@ func TestInPlaceNeverFillsTheLane(t *testing.T) {
 }
 
 // TestUpdateHeapBudget: the cursor is a value, keeps no key, and holds a
-// handle on its lane's transaction, so an update costs the Go heap nothing.
+// handle on its lane's transaction, so an update costs the Go heap nothing —
+// walked for (Update) or found from its hint (UpdateAt).
 func TestUpdateHeapBudget(t *testing.T) {
 	ht, _, clk := newTestTable(t, 16)
 	id, val := "some-variable-id", make([]byte, 21)
 	if err := ht.Put(clk, []byte(id), val); err != nil {
 		t.Fatal(err)
 	}
-	var oldLen int
-	got := testing.AllocsPerRun(100, func() {
-		key := []byte(id)
-		u, err := ht.Update(clk, key)
-		if err != nil {
-			t.Fatal(err)
+	_, _, at, err := ht.GetRefAt(clk, []byte(id), Null)
+	if err != nil || at == Null {
+		t.Fatal(at, err)
+	}
+	for _, hinted := range []bool{false, true} {
+		var oldLen int
+		got := testing.AllocsPerRun(100, func() {
+			key := []byte(id)
+			var u Update
+			var err error
+			if hinted {
+				u, err = ht.UpdateAt(clk, key, at)
+			} else {
+				u, err = ht.Update(clk, key)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			oldLen += len(u.Old())
+			val[0]++
+			if err := u.Commit(key, val); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 || oldLen == 0 {
+			t.Errorf("Update (hinted %v) + Old + Commit in place = %v allocations, want 0", hinted, got)
 		}
-		oldLen += len(u.Old())
-		val[0]++
-		if err := u.Commit(key, val); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got != 0 || oldLen == 0 {
-		t.Errorf("Update + Old + Commit in place = %v allocations, want 0", got)
 	}
 }
 
