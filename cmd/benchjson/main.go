@@ -5,19 +5,21 @@
 //	go run ./cmd/benchjson -pr N -dir ../other    # another checkout; the file is written there
 //	go run ./cmd/benchjson -diff BENCH_M.json BENCH_N.json   # make bench-diff A=M B=N
 //
-// Recording runs `bash bench/run.sh --workload <w> --seed <s> --seconds <t>
+// Recording runs `bash bench/run.sh --workload <w> --seed 7 --seconds 20
 // --trace 0` in the checkout for each workload BENCHMARK.json names, one run
 // each, and keeps what the run's last line reports (the end-to-end cells,
 // correctness and failed ops). Beside them go the checkout's non-test code
 // lines (`make -s loc`), the persist and read columns of
 // internal/core/testdata/persist_budget.golden, the host as the benchmark
-// stamped it (bench/out/result-<w>.json) and the commit: git HEAD, with dirty
-// set when the tree had uncommitted changes.
+// stamped it (bench/out/result-<w>.json) and the commit, git HEAD. A checkout
+// with uncommitted changes to tracked files is refused, before the runs and
+// again before the write, so every file names the commit it measured.
 //
 // The diff prints every end-to-end cell of the two files with its relative
 // change and bound, and exits 1 when a cell got worse by more than its bound or
-// a workload failed more of its operations. One run per cell is a trajectory,
-// not a verdict: a claim is settled by paired rounds.
+// a workload failed more of its operations. Files recorded with another seed
+// or run length are refused. One run per cell is a trajectory, not a verdict:
+// a claim is settled by paired rounds.
 package main
 
 import (
@@ -35,6 +37,10 @@ import (
 	"strconv"
 	"strings"
 )
+
+// The run every BENCH file records: ROADMAP's trajectory settings, and the
+// contract (read from the working directory) that names workloads and bounds.
+const seed, seconds, contractPath = 7, 20, "BENCHMARK.json"
 
 // contract is the part of BENCHMARK.json the tool reads.
 type contract struct {
@@ -78,7 +84,6 @@ type budgetRow struct {
 type benchFile struct {
 	PR            int                  `json:"pr"`
 	Commit        string               `json:"commit"`
-	Dirty         bool                 `json:"dirty"`
 	Host          json.RawMessage      `json:"host"`
 	Seed          uint64               `json:"seed"`
 	Seconds       float64              `json:"seconds"`
@@ -89,15 +94,12 @@ type benchFile struct {
 
 func main() {
 	var (
-		pr       = flag.Int("pr", 0, "record BENCH_<pr>.json")
-		dir      = flag.String("dir", ".", "checkout to benchmark (with -pr); the file is written there")
-		seed     = flag.Uint64("seed", 7, "benchmark seed")
-		seconds  = flag.Float64("seconds", 20, "measurement seconds per workload")
-		diff     = flag.Bool("diff", false, "compare the two BENCH files named as arguments")
-		contract = flag.String("contract", "BENCHMARK.json", "the benchmark contract: workloads, cells and bounds")
+		pr   = flag.Int("pr", 0, "record BENCH_<pr>.json")
+		dir  = flag.String("dir", ".", "checkout to benchmark (with -pr); the file is written there")
+		diff = flag.Bool("diff", false, "compare the two BENCH files named as arguments")
 	)
 	flag.Parse()
-	c, err := readContract(*contract)
+	c, err := readContract(contractPath)
 	switch {
 	case err != nil:
 	case *diff && flag.NArg() == 2:
@@ -106,7 +108,7 @@ func main() {
 			os.Exit(1)
 		}
 	case !*diff && *pr > 0 && flag.NArg() == 0:
-		err = record(c, *pr, *dir, *seed, *seconds)
+		err = record(c, *pr, *dir)
 	default:
 		err = errors.New("usage: benchjson -pr N [-dir D] | benchjson -diff A.json B.json")
 	}
@@ -124,11 +126,14 @@ func readContract(path string) (c contract, err error) {
 	return c, err
 }
 
-func record(c contract, pr int, dir string, seed uint64, seconds float64) error {
+func record(c contract, pr int, dir string) error {
+	if _, err := commit(dir); err != nil {
+		return err
+	}
 	f := benchFile{PR: pr, Seed: seed, Seconds: seconds, Workloads: map[string]workload{}}
 	for _, w := range c.Workloads {
 		cmd := exec.Command("bash", "bench/run.sh", "--workload", w.Name,
-			"--seed", strconv.FormatUint(seed, 10), "--seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "--trace", "0")
+			"--seed", strconv.Itoa(seed), "--seconds", strconv.Itoa(seconds), "--trace", "0")
 		cmd.Dir, cmd.Stderr = dir, os.Stderr
 		out, err := cmd.Output()
 		if err != nil {
@@ -161,8 +166,9 @@ func record(c contract, pr int, dir string, seed uint64, seconds float64) error 
 	if f.PersistBudget, err = persistBudget(filepath.Join(dir, "internal", "core", "testdata", "persist_budget.golden")); err != nil {
 		return err
 	}
-	f.Commit = git(dir, "rev-parse", "--short", "HEAD")
-	f.Dirty = git(dir, "status", "--porcelain", "--untracked-files=no") != ""
+	if f.Commit, err = commit(dir); err != nil {
+		return err
+	}
 	b, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
@@ -170,6 +176,15 @@ func record(c contract, pr int, dir string, seed uint64, seconds float64) error 
 	path := filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", pr))
 	fmt.Fprintln(os.Stderr, "benchjson: wrote", path)
 	return os.WriteFile(path, append(b, '\n'), 0o644)
+}
+
+// commit returns the checkout's HEAD, and refuses a checkout whose tracked
+// files differ from it.
+func commit(dir string) (string, error) {
+	if st := git(dir, "status", "--porcelain", "--untracked-files=no"); st != "" {
+		return "", fmt.Errorf("%s has uncommitted changes; commit them first, so the file names the commit it measured:\n%s", dir, st)
+	}
+	return git(dir, "rev-parse", "--short", "HEAD"), nil
 }
 
 // git returns the trimmed output of a git command in dir, "" on failure.
@@ -253,6 +268,9 @@ func diffFiles(c contract, pa, pb string) (worse bool, err error) {
 	b, err := readBench(pb)
 	if err != nil {
 		return false, err
+	}
+	if a.Seed != b.Seed || a.Seconds != b.Seconds {
+		return false, fmt.Errorf("%s (seed %d, %g s) and %s (seed %d, %g s) are different runs", pa, a.Seed, a.Seconds, pb, b.Seed, b.Seconds)
 	}
 	fmt.Printf("%s (PR %d, %s) -> %s (PR %d, %s)\n", pa, a.PR, a.Commit, pb, b.PR, b.Commit)
 	fmt.Printf("%-14s %-22s %14s %14s %9s %7s\n", "workload", "cell", "A", "B", "worse by", "bound")

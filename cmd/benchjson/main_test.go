@@ -9,7 +9,7 @@ import (
 
 // TestDiffHoldsBounds: a cell that got worse by more than its bound fails the
 // diff, in either direction of "better", and a change within the bound or an
-// improvement does not.
+// improvement does not; files recorded with another seed are refused.
 func TestDiffHoldsBounds(t *testing.T) {
 	c, err := readContract(filepath.Join("..", "..", "BENCHMARK.json"))
 	if err != nil || len(c.Workloads) == 0 {
@@ -20,7 +20,7 @@ func TestDiffHoldsBounds(t *testing.T) {
 		{Name: "hit_ratio", Better: "higher", Bound: 0.02},
 	}
 	write := func(name string, load, hit float64) string {
-		f := benchFile{Workloads: map[string]workload{}}
+		f := benchFile{Seed: seed, Seconds: seconds, Workloads: map[string]workload{}}
 		for _, w := range c.Workloads {
 			f.Workloads[w.Name] = workload{Correct: true, Attempted: 100,
 				Metrics: map[string]float64{"load_us_per_op": load, "hit_ratio": hit}}
@@ -47,6 +47,15 @@ func TestDiffHoldsBounds(t *testing.T) {
 		if err != nil || worse != tc.worse {
 			t.Errorf("%s: worse = %v, %v; want %v", tc.name, worse, err, tc.worse)
 		}
+	}
+	// A file recorded with another seed is not a trajectory point of the same run.
+	b, _ := json.Marshal(benchFile{Seed: seed + 1, Seconds: seconds})
+	other := filepath.Join(t.TempDir(), "other.json")
+	if err := os.WriteFile(other, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := diffFiles(c, base, other); err == nil {
+		t.Error("diffFiles compared files recorded with different seeds")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,12 +59,14 @@ func collidingIDs(key string, n int) []string {
 // an insert, an in-place overwrite, a relinking overwrite, a Delete and a
 // re-insert of the same id, an overwrite failed at each of its persists in
 // turn by an injected transient (the last failure is on the commit), and an
-// insert aborted by pool exhaustion, last. The id sits fourth in its bucket's
-// chain, behind three ids of the same bucket. After every case the id loads
-// as the model says, and its hint is exactly the entry an unhinted walk finds
-// after a committed change, that entry or 0 after a failed one. The
-// quarantine list's reserved key is never hinted: its writers hold no
-// variable lock.
+// insert aborted by pool exhaustion, last. An array's "#dims" hint is held to
+// the same rule through an Alloc and a block store, a re-Alloc, a Delete of
+// the id and its dims record, and an Alloc with other dims. The id sits
+// fourth in its bucket's chain, behind three ids of the same bucket. After
+// every case the id loads as the model says, and its hint is exactly the
+// entry an unhinted walk finds after a committed change, that entry or 0
+// after a failed one. The quarantine list's reserved key is never hinted: its
+// writers hold no variable lock.
 func TestEntryHintCoherence(t *testing.T) {
 	const id = "x"
 	long := stringDatum(strings.Repeat("relinked ", 16)) // past inlineMax: a value ref
@@ -111,6 +114,58 @@ func TestEntryHintCoherence(t *testing.T) {
 			}
 			if err := check(c.name, false); err != nil {
 				return err
+			}
+		}
+
+		// An array's dims record takes the second hint slot. After an Alloc
+		// and a block store, a re-Alloc with other dims and a Delete, the
+		// array loads as stored and both its hints are the walk's answers.
+		const arr = "arr"
+		for _, c := range []struct {
+			name string
+			op   func() error
+			dims []uint64 // LoadDims' answer after the op; nil once deleted
+		}{
+			{"Alloc + StoreBlock", func() error {
+				if err := p.Alloc(arr, serial.Float64, []uint64{8}); err != nil {
+					return err
+				}
+				return p.StoreBlock(arr, []uint64{0}, []uint64{8}, uniformF64(8, 1))
+			}, []uint64{8}},
+			{"re-Alloc", func() error { return p.Alloc(arr, serial.Float64, []uint64{8}) }, []uint64{8}},
+			{"Delete of both records", func() error {
+				if _, err := p.Delete(arr); err != nil {
+					return err
+				}
+				_, err := p.Delete(arr + core.DimsSuffix)
+				return err
+			}, nil},
+			{"Alloc with other dims + StoreBlock", func() error {
+				if err := p.Alloc(arr, serial.Float64, []uint64{16}); err != nil {
+					return err
+				}
+				return p.StoreBlock(arr, []uint64{0}, []uint64{8}, uniformF64(8, 1))
+			}, []uint64{16}},
+		} {
+			if err := c.op(); err != nil {
+				return fmt.Errorf("array %s: %w", c.name, err)
+			}
+			_, dims, err := p.LoadDims(arr)
+			if c.dims == nil && !errors.Is(err, core.ErrNotFound) || c.dims != nil && (err != nil || !slices.Equal(dims, c.dims)) {
+				return fmt.Errorf("array %s: LoadDims = %v, %v; want %v", c.name, dims, err, c.dims)
+			}
+			if c.dims != nil {
+				if v, err := loadUniformF64(p, arr, 8); err != nil || v != 1 {
+					return fmt.Errorf("array %s: first 8 elements = %v, %v; want 1", c.name, v, err)
+				}
+			}
+			for _, key := range []string{arr, arr + core.DimsSuffix} {
+				if err := hintAgrees(p, key, true); err != nil {
+					return fmt.Errorf("array %s: %w", c.name, err)
+				}
+			}
+			if hint, _, _ := p.EntryHint(arr + core.DimsSuffix); (hint != 0) != (c.dims != nil) {
+				return fmt.Errorf("array %s: dims hint %d, want one exactly while the array exists", c.name, hint)
 			}
 		}
 

@@ -212,10 +212,8 @@ func decodeEntry(b []byte) entryHeader {
 	}
 }
 
-// anyKey is the withKey of a walk that enumerates: every entry's key is read;
-// noKey is a walk's that follows links only.
+// anyKey is the withKey of a walk that enumerates: every entry's key is read.
 func anyKey(entryHeader) bool { return true }
-func noKey(entryHeader) bool  { return false }
 
 // probe is where a lookup of key ended and what it read there.
 type probe struct {
@@ -235,7 +233,7 @@ func (h *Hashtable) probeLocked(clk *sim.Clock, key []byte, hash uint64, at PMID
 			return pr, nil
 		}
 	}
-	return h.findLocked(clk, key, hash)
+	return h.findLocked(clk, key, hash, Null)
 }
 
 // hinted reads the entry a hint names as ONE access — the allocator's block
@@ -262,9 +260,11 @@ func (h *Hashtable) hinted(clk *sim.Clock, key []byte, hash uint64, at PMID) (pr
 	return probe{entry: at, next: hd.next, val: hd.val, vlen: hd.vlen}, true
 }
 
-// findLocked walks the chain of key's bucket, one access per entry visited.
-// The caller must hold the bucket lock.
-func (h *Hashtable) findLocked(clk *sim.Clock, key []byte, hash uint64) (probe, error) {
+// findLocked walks the chain of bucket hash, one access per entry visited, to
+// the entry that holds key or, when stop is not Null, to entry stop: that one
+// is not read, only the link that points at it returned (Unlink's walk, with
+// a nil key, which no entry holds). The caller must hold the bucket lock.
+func (h *Hashtable) findLocked(clk *sim.Clock, key []byte, hash uint64, stop PMID) (probe, error) {
 	link := h.bucketOff(hash)
 	cur, err := h.p.ReadU64(clk, link)
 	if err != nil {
@@ -275,8 +275,11 @@ func (h *Hashtable) findLocked(clk *sim.Clock, key []byte, hash uint64) (probe, 
 			return probe{}, h.errCycle(hash & (h.nbuckets - 1))
 		}
 		e := PMID(cur)
+		if e == stop {
+			return probe{entry: e, link: link}, nil
+		}
 		hd, kb, err := h.readEntry(clk, e, func(hd entryHeader) bool {
-			return hd.hash == hash && hd.klen == uint64(len(key))
+			return key != nil && hd.hash == hash && hd.klen == uint64(len(key))
 		})
 		if err != nil {
 			return probe{}, err
@@ -491,7 +494,11 @@ func (u *Update) Unlink() error {
 	}
 	var err error
 	if u.link == Null {
-		u.link, err = u.h.linkTo(u.tx.t.clk, u.hash, u.entry)
+		var pr probe
+		if pr, err = u.h.findLocked(u.tx.t.clk, nil, u.hash, u.entry); err == nil && pr.entry != u.entry {
+			err = fmt.Errorf("%w: entry %d is not in its bucket's chain", ErrCorrupt, u.entry)
+		}
+		u.link = pr.link
 	}
 	if err == nil {
 		err = u.tx.WriteU64(u.link, uint64(u.next))
@@ -506,25 +513,6 @@ func (u *Update) Unlink() error {
 		u.entry = Null
 	}
 	return err
-}
-
-// linkTo walks the chain of bucket hash to entry e and returns the slot that
-// points at it. The caller holds the bucket lock.
-func (h *Hashtable) linkTo(clk *sim.Clock, hash uint64, e PMID) (PMID, error) {
-	link := h.bucketOff(hash)
-	cur, err := h.p.ReadU64(clk, link)
-	for steps := int64(0); err == nil && PMID(cur) != e; steps++ {
-		if cur == 0 {
-			return Null, fmt.Errorf("%w: entry %d is not in its bucket's chain", ErrCorrupt, e)
-		}
-		if steps >= h.p.maxBlocks() {
-			return Null, h.errCycle(hash & (h.nbuckets - 1))
-		}
-		var hd entryHeader
-		hd, _, err = h.readEntry(clk, PMID(cur), noKey)
-		link, cur = PMID(cur)+entryNext, uint64(hd.next)
-	}
-	return link, err
 }
 
 // Delete removes the key and commits: Unlink, then Finish.
