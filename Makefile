@@ -28,11 +28,12 @@ verify: tier1 race faults obs obsdeps integrity async allocs cover apicheck leas
 
 # portable runs what amd64 builds leave out: the Go float64 fold and the tile
 # loop as the only sweep (internal/serial/fold_other.go) under the sweep's
-# tests and bytesview's alignment rule, natively as 386 code, and go vet over
-# the arm64 build.
+# tests, and copy as bytesview.Copy's only path (copy_other.go) under the
+# streaming copy's tests and bytesview's alignment rule, natively as 386
+# code, and go vet over the arm64 build.
 portable:
 	GOARCH=386 $(GO) test ./internal/serial ./internal/bytesview
-	GOARCH=arm64 $(GO) vet ./internal/serial
+	GOARCH=arm64 $(GO) vet ./internal/serial ./internal/bytesview
 
 # apicheck pins the public v2 API surface: every exported declaration in
 # package pmemcpy against testdata/api_golden.txt. An intended surface change
@@ -85,7 +86,7 @@ loc:
 # module's total non-test code lines exceed the ceiling, which records the
 # figure of the last change that lowered it. A change that must grow the code
 # raises the ceiling in the same diff, where a reviewer sees it.
-LOC_CEILING ?= 15540
+LOC_CEILING ?= 15574
 loccheck:
 	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
 		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \
@@ -123,11 +124,13 @@ figcheck:
 # conserved, and writers on buckets sharing one lock stripe beside a
 # looping Range — and no stale byte: two ranks racing to
 # first-touch one unwritten device granule both keep their writes. The
-# sweep's line kernel is held to the tile loop under -race, which runs its
-# race annotations (the assembly itself is not instrumented).
+# sweep's line kernel is held to the tile loop, and the load's streaming copy
+# to copy, under -race, which runs their race annotations (the assembly itself
+# is not instrumented).
 integrity:
 	$(GO) test ./internal/checksum/
 	$(GO) test -race -run 'TestSweepKernelMatchesTileLoop' ./internal/serial/
+	$(GO) test -race -run 'TestStreamCopy|TestPlaceLargeRunAtUnalignedDestination' ./internal/bytesview/ ./internal/nd/
 	$(GO) test -race -count=10 -run 'TestFirstTouchRace' ./internal/pmem/
 	$(GO) test -race -run 'TestChainCycleIsErrCorrupt|TestHostileHeaderEndsOpen|TestCrashSweepAllocatorConsistency|TestVerify|TestStripeSharingBuckets' ./internal/pmdk/
 	$(GO) test -run 'TestDeep' ./cmd/pmemfsck/
@@ -265,6 +268,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCodecRoundTrip -fuzztime=$(FUZZTIME) ./internal/serial/
 	$(GO) test -run=NONE -fuzz=FuzzFold -fuzztime=$(FUZZTIME) ./internal/serial/
 	$(GO) test -run=NONE -fuzz=FuzzSweep -fuzztime=$(FUZZTIME) ./internal/serial/
+	$(GO) test -run=NONE -fuzz=FuzzStreamCopy -fuzztime=$(FUZZTIME) ./internal/bytesview/
 	$(GO) test -run=NONE -fuzz=FuzzCombine -fuzztime=$(FUZZTIME) ./internal/checksum/
 
 bench:

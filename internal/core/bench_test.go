@@ -10,7 +10,9 @@ import (
 	"pmemcpy/internal/bytesview"
 	"pmemcpy/internal/core"
 	"pmemcpy/internal/mpi"
+	"pmemcpy/internal/node"
 	"pmemcpy/internal/serial"
+	"pmemcpy/internal/sim"
 )
 
 // benchStore measures single-rank StoreBlock wall throughput (real encode +
@@ -56,36 +58,60 @@ func BenchmarkStoreBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadBlock measures the symmetric load path.
+// BenchmarkLoadBlock measures the symmetric load path. 128KB loads one warm
+// block again and again. 4MB/cold is the load copy rung: 16 stored 4 MiB
+// blocks (64 MiB) loaded in rotation, each load one block whose bytes have
+// left the cache since it was last read — domain3d's load shape, one run past
+// bytesview.StreamMin that takes the streaming copy. 4MB/cold/verify-full is
+// the same under VerifyFull: the CRC pass over every block before its copy,
+// the second pass over the bytes that DESIGN §16's verify-all-then-consume
+// costs.
+//
+//	go test -run '^$' -bench LoadBlock -benchtime 200x ./internal/core/
 func BenchmarkLoadBlock(b *testing.B) {
-	n := newNode()
-	const elems = 128 << 10 / 8
-	vals := make([]float64, elems)
-	b.SetBytes(elems * 8)
-	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
-		p, err := core.Mmap(c, n, "/benchr.pool", nil)
-		if err != nil {
-			return err
+	loadRow(b, "128KB", 128<<10, 1, core.VerifyOff)
+	loadRow(b, "4MB/cold", 4<<20, 16, core.VerifyOff)
+	loadRow(b, "4MB/cold/verify-full", 4<<20, 16, core.VerifyFull)
+}
+
+// loadRow stores blocks blocks of size bytes each and loads them in rotation.
+func loadRow(b *testing.B, name string, size, blocks int, verify core.VerifyMode) {
+	b.Run(name, func(b *testing.B) {
+		n := node.New(sim.DefaultConfig(), int64(2*size*blocks+(32<<20)))
+		n.Machine.SetConcurrency(1)
+		elems := uint64(size / 8)
+		vals := make([]float64, elems)
+		for i := range vals {
+			vals[i] = float64(i)
 		}
-		if err := p.Alloc("v", serial.Float64, []uint64{elems}); err != nil {
-			return err
-		}
-		if err := p.StoreBlock("v", []uint64{0}, []uint64{elems}, bytesview.Bytes(vals)); err != nil {
-			return err
-		}
-		dst := make([]byte, elems*8)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := p.LoadBlock("v", []uint64{0}, []uint64{elems}, dst); err != nil {
+		b.SetBytes(int64(size))
+		_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+			p, err := core.Mmap(c, n, "/benchr.pool", core.WithVerifyReads(verify))
+			if err != nil {
 				return err
 			}
+			if err := p.Alloc("v", serial.Float64, []uint64{elems * uint64(blocks)}); err != nil {
+				return err
+			}
+			for i := range blocks {
+				if err := p.StoreBlock("v", []uint64{elems * uint64(i)}, []uint64{elems}, bytesview.Bytes(vals)); err != nil {
+					return err
+				}
+			}
+			dst := make([]byte, size)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.LoadBlock("v", []uint64{elems * uint64(i%blocks)}, []uint64{elems}, dst); err != nil {
+					return err
+				}
+			}
+			b.StopTimer()
+			return p.Munmap()
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.StopTimer()
-		return p.Munmap()
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
 }
 
 // BenchmarkScalarStoreLoad measures the small-value KV path.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"pmemcpy/internal/bytesview"
 	"pmemcpy/internal/checksum"
 	"pmemcpy/internal/nd"
 	"pmemcpy/internal/pmdk"
@@ -450,7 +451,7 @@ func (e readEngine) consume(pl *readPlan, units []readUnit, verified bool) error
 		pl.dtype, pl.n = d.Type, len(d.Payload)
 		switch {
 		case pl.dst != nil:
-			copy(pl.dst, d.Payload)
+			bytesview.Copy(pl.dst, d.Payload)
 		case pl.asString:
 			if d.Type == serial.String {
 				pl.str = string(d.Payload)

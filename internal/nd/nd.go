@@ -8,6 +8,8 @@ package nd
 import (
 	"errors"
 	"fmt"
+
+	"pmemcpy/internal/bytesview"
 )
 
 // ErrOutOfBounds is the sentinel wrapped by every block-selection validation
@@ -204,6 +206,7 @@ func Sub(offs, base []uint64) []uint64 {
 // spans fully in BOTH layouts fold into one contiguous run, the remaining
 // outer dimensions advance an odometer that steps both byte offsets by their
 // layout's strides, and every run is bounds-checked against both buffers.
+// A run is moved by bytesview.Copy, which streams it from StreamMin on.
 // (CopyOut into a temporary followed by CopyIn computes the same result in
 // two passes; the tests keep that composition as the oracle.)
 func PlaceIntersection(dst []byte, dOffs, dCnts []uint64, src []byte, sOffs, sCnts,
@@ -259,7 +262,7 @@ func PlaceIntersection(dst []byte, dOffs, dCnts []uint64, src []byte, sOffs, sCn
 		if dOff < 0 || dOff+run > int64(len(dst)) {
 			return fmt.Errorf("nd: run [%d,%d) exceeds dst buffer %d: %w", dOff, dOff+run, len(dst), ErrOutOfBounds)
 		}
-		copy(dst[dOff:dOff+run], src[sOff:sOff+run])
+		bytesview.Copy(dst[dOff:dOff+run], src[sOff:sOff+run])
 		// Odometer increment over the outer dims, carrying both offsets.
 		i := outer - 1
 		for ; i >= 0; i-- {

@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"pmemcpy/internal/bytesview"
 )
 
 // placeOracle is PlaceIntersection as two passes over a temporary: gather the
@@ -155,5 +158,35 @@ func TestPlaceIntersectionDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("PlaceIntersection allocated %.0f times per call, want 0", allocs)
+	}
+}
+
+// A run of at least bytesview.StreamMin takes the streaming copy, whose
+// non-temporal stores fault on a destination that is not 16-byte aligned
+// unless the head before the first 64-byte boundary is copied apart. Place
+// two full 1 MiB rows of a 4-row block into destinations at byte offsets that
+// are 8-byte aligned only and odd, and hold the result to the oracle.
+func TestPlaceLargeRunAtUnalignedDestination(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range []struct{ esize, off int }{{8, 8}, {8, 24}, {1, 3}} {
+		row := uint64(bytesview.StreamMin / c.esize)
+		cnts := []uint64{4, row}
+		offs := []uint64{0, 0}
+		isOffs, isCnts := []uint64{1, 0}, []uint64{2, row}
+		src := make([]byte, Size(cnts)*uint64(c.esize))
+		rng.Read(src)
+		buf := make([]byte, len(src)+64+c.off)
+		base := int(-uintptr(unsafe.Pointer(unsafe.SliceData(buf)))&63) + c.off
+		got := buf[base : base+len(src)]
+		want := make([]byte, len(src))
+		if err := PlaceIntersection(got, offs, cnts, src, offs, cnts, isOffs, isCnts, c.esize); err != nil {
+			t.Fatal(err)
+		}
+		if err := placeOracle(want, offs, cnts, src, offs, cnts, isOffs, isCnts, c.esize); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("esize %d at destination offset %d: the 2 MiB run differs from the oracle", c.esize, c.off)
+		}
 	}
 }

@@ -29,13 +29,13 @@ func cpuid1ECX() uint32
 // amd64 baseline is SSE2; without them every sweep takes the tile loop.
 var lineKernel = cpuid1ECX()&(1<<19|1<<20) == 1<<19|1<<20
 
-// strandMax bounds one sweepLines call to three strands of at most 256 KiB.
-// Go does not preempt assembly, so a goroutine inside the kernel holds up a
-// stop-the-world and the scheduler until it returns; and a fold that ends at
-// ±0 rescans the source of its call, which is still in cache at that size
-// (the stored copy may have been streamed past it). Each call costs two
-// Combines, about 0.1 µs each, against the ~80 µs it takes to move 768 KiB.
-const strandMax = 256 << 10
+// strandMax bounds one sweepLines call to three strands of at most 256 KiB:
+// bytesview.StrandMax, the bound of every line kernel, since Go does not
+// preempt assembly. At that size a fold that ends at ±0 rescans the source of
+// its call while it is still in cache (the stored copy may have been streamed
+// past it). Each call costs two Combines, about 0.1 µs each, against the
+// ~80 µs it takes to move 768 KiB.
+const strandMax = bytesview.StrandMax
 
 // sweepFloat64 is sweep for a float64 payload with both the fold and the CRC
 // on (bp4's EncodeSum). The body from the first 64-byte-aligned destination
@@ -56,7 +56,7 @@ func sweepFloat64(dst, src []byte, r *valueRange, crc uint32, stream bool) uint3
 	for len(src) >= 3*64 {
 		l := min(len(src)/(3*64)*64, strandMax)
 		body, from := dst[:3*l], src[:3*l]
-		raceLines(body, from)
+		bytesview.RaceLines(body, from)
 		a, b, c, mn, mx := sweepLines(body, from, l, crc, stream)
 		r.add(kernelRange(from, mn, mx))
 		crc = checksum.Combine(checksum.Combine(a, b, int64(l)), c, int64(l))

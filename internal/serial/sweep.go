@@ -53,12 +53,13 @@ import (
 const sweepTile = 16 << 10
 
 // streamMin is the payload from which sweep stores a float64 body past the
-// cache. Measured end to end (EXPERIMENTS "The fused sweep rung"), each side
-// of it wins on a workload: ordinary stores for every payload made domain3d's
-// 4 MB stores 36 % slower, and streaming every payload made ckpt-restart's
-// 500 KiB blocks, read back soon after, load 29 % slower. 1 MiB is also where
-// Go's own memmove turns to non-temporal stores. A constant, not an option.
-const streamMin = 1 << 20
+// cache: bytesview.StreamMin, the one threshold, from which a load's copy to
+// the caller streams too. Measured end to end (EXPERIMENTS "The fused sweep
+// rung"), each side of it wins on a workload: ordinary stores for every
+// payload made domain3d's 4 MB stores 36 % slower, and streaming every
+// payload made ckpt-restart's 500 KiB blocks, read back soon after, load 29 %
+// slower. 1 MiB is also where Go's own memmove turns to non-temporal stores.
+const streamMin = bytesview.StreamMin
 
 // sweep copies src into dst and returns the running CRC: crc advanced over
 // the bytes written when sum is set, crc untouched otherwise. A non-nil r

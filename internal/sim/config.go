@@ -149,8 +149,10 @@ func (c Config) Scale(k float64) Config {
 }
 
 // Oversub returns the CPU oversubscription factor for n concurrently
-// computing ranks: 1 while n <= Cores, then n/Cores.
-func (c Config) Oversub(n int) float64 {
+// computing ranks: 1 while n <= Cores, then n/Cores. A pointer receiver,
+// because every ChargeMove asks it and a value receiver copies the whole
+// Config each time.
+func (c *Config) Oversub(n int) float64 {
 	if n <= c.Cores {
 		return 1
 	}
