@@ -91,7 +91,7 @@ func run(args []string, w io.Writer) int {
 	total, failures := 0, 0
 	for _, m := range modes {
 		points, bad := sweep(w, m, *seed, *verbose)
-		fmt.Fprintf(w, "mode %-8v: %3d crash points checked, %d violations\n", modeName(m), points, bad)
+		fmt.Fprintf(w, "mode %-8v: %3d crash points checked, %d violations\n", m, points, bad)
 		total += points
 		failures += bad
 	}
@@ -166,17 +166,6 @@ func runFsck(w io.Writer, npools int, corrupt bool) int {
 		return 1
 	}
 	return 0
-}
-
-func modeName(m pmem.CrashMode) string {
-	switch m {
-	case pmem.CrashLoseAll:
-		return "loseall"
-	case pmem.CrashKeepAll:
-		return "keepall"
-	default:
-		return "random"
-	}
 }
 
 // sweep runs the update+insert workload, crashing after the k-th persist for

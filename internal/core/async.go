@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -382,26 +383,38 @@ func (e *asyncEngine) commitStores(stores []pendingOp) error {
 	ie, ok := p.codec.(serial.IdentityEncoder)
 	identity := ok && ie.IdentityEncode()
 
-	// 1. Validate each submission (the synchronous path's own step; a failure
-	// completes only that submission's Future) and group by id in
-	// first-appearance order, coalescing adjacent runs as they arrive.
+	// 1. Read each id's dims once, validate each submission against them (the
+	// synchronous path's own checks; a failure completes only that
+	// submission's Future) and group by id in first-appearance order,
+	// coalescing adjacent runs as they arrive. An id whose dims cannot be
+	// read has no group, and each of its submissions tries again. The
+	// batch's datums share one array.
 	var order []planGroup
+	var dims []dimsRecord          // order's dims
 	groups := make(map[string]int) // id -> index in order
+	datums := make([]serial.Datum, len(stores))
 	for i := range stores {
 		op := &stores[i]
-		dv, err := p.blockDatum(op.id, op.offs, op.counts, op.data)
+		gi, ok := groups[op.id]
+		if !ok {
+			v, rec, err := p.lockedDims(op.id, nil)
+			if err != nil {
+				op.fut.complete(0, err)
+				continue
+			}
+			gi = len(order)
+			groups[op.id] = gi
+			order = append(order, planGroup{id: op.id, v: v, dtype: rec.dtype, publish: publishBlockList})
+			dims = append(dims, rec)
+		}
+		dv, err := dims[gi].datum(op.offs, op.counts, op.data)
 		if err != nil {
 			op.fut.complete(0, err)
 			continue
 		}
-		d := &dv
+		datums[i] = dv
+		d := &datums[i]
 		frag := writeFrag{fut: op.fut, datum: d, encLen: int64(p.codec.EncodedSize(d))}
-		gi, ok := groups[op.id]
-		if !ok {
-			gi = len(order)
-			groups[op.id] = gi
-			order = append(order, planGroup{id: op.id, dtype: d.Type, publish: publishBlockList})
-		}
 		g := &order[gi]
 		// Coalesce: merge into the id's last unit when the codec's encoding
 		// is a plain payload copy and this fragment extends the unit's region
@@ -425,7 +438,8 @@ func (e *asyncEngine) commitStores(stores []pendingOp) error {
 			pool:   uint8(p.homeIdx(op.id)),
 		})
 	}
-	if len(order) == 0 {
+	// An id none of whose submissions validated has no group.
+	if order = slices.DeleteFunc(order, func(g planGroup) bool { return len(g.units) == 0 }); len(order) == 0 {
 		return nil
 	}
 	// Persist points resolve once coalescing settles: merged units carry the

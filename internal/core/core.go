@@ -506,7 +506,7 @@ func (p *PMEM) alloc(id string, dtype serial.DType, gdims []uint64) error {
 
 // LoadDims returns the global dimensions and element type declared for id.
 func (p *PMEM) LoadDims(id string) (serial.DType, []uint64, error) {
-	rec, err := p.loadDims(id, nil)
+	_, rec, err := p.lockedDims(id, nil)
 	if err != nil {
 		return serial.Invalid, nil, err
 	}

@@ -394,7 +394,7 @@ func Explore(s Script, o ExploreOptions) (*ExploreReport, error) {
 	}
 	variants := make([]variant, 0, len(modes)+1)
 	for _, m := range modes {
-		variants = append(variants, variant{modeName(m), m, false})
+		variants = append(variants, variant{m.String(), m, false})
 	}
 	if o.Tear {
 		variants = append(variants, variant{"torn", pmem.CrashLoseAll, true})
@@ -432,16 +432,4 @@ func Explore(s Script, o ExploreOptions) (*ExploreReport, error) {
 	sort.Slice(rep.Points, func(i, j int) bool { return rep.Points[i].Name < rep.Points[j].Name })
 	logf("explored %q: %d sims, %d failures", s.Name, rep.CrashSims, len(rep.Failures))
 	return rep, nil
-}
-
-func modeName(m pmem.CrashMode) string {
-	switch m {
-	case pmem.CrashLoseAll:
-		return "loseall"
-	case pmem.CrashKeepAll:
-		return "keepall"
-	case pmem.CrashRandom:
-		return "random"
-	}
-	return fmt.Sprintf("mode(%d)", int(m))
 }

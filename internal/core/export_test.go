@@ -1,6 +1,11 @@
 package core
 
-import "pmemcpy/internal/pmdk"
+import (
+	"fmt"
+	"slices"
+
+	"pmemcpy/internal/pmdk"
+)
 
 // OptionsArg surfaces the unexported whole-struct option adapter to the
 // external test package: many tests resolve a complete Options value up
@@ -77,4 +82,27 @@ func (p *PMEM) EntryHint(key string) (hint, walk int64, err error) {
 	}
 	_, _, e, err := p.st.hts[p.homeIdx(key)].GetRefAt(p.comm.Clock(), []byte(key), pmdk.Null)
 	return hint, int64(e), err
+}
+
+// DimsSlot holds the dims slot of id's variable to a fresh decode of id's
+// "#dims" record: it reports whether the slot is full, and an error when a
+// full slot is not exactly the record.
+func (p *PMEM) DimsSlot(id string) (bool, error) {
+	v := p.variable(id)
+	v.RLock()
+	defer v.RUnlock()
+	slot, full := v.dims.get(nil)
+	if !full {
+		return false, nil
+	}
+	raw, _, ok, err := p.record(v, id+DimsSuffix)
+	var rec dimsRecord
+	if ok && err == nil {
+		rec, err = decodeDims(raw, nil)
+	}
+	if !ok || err != nil || rec.dtype != slot.dtype || !slices.Equal(rec.dims, slot.dims) {
+		return true, fmt.Errorf("%q: the dims slot holds %v %v, the record %v %v (found %v, %v)",
+			id, slot.dtype, slot.dims, rec.dtype, rec.dims, ok, err)
+	}
+	return true, nil
 }

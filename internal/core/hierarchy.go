@@ -170,10 +170,9 @@ func (h *hierStore) commit(p *PMEM, plan writePlan) error {
 			enc[0] = byte(g.dtype)
 		}
 		p.chargeCodec(sim.Store, int64(len(enc)), plan.encPasses)
-		v := p.variable(g.id)
-		v.Lock()
+		g.v.Lock()
 		err = h.writeFile(clk, g.id, enc, framed)
-		v.Unlock()
+		g.v.Unlock()
 		if err != nil {
 			return err
 		}
@@ -198,7 +197,7 @@ func (h *hierStore) open(clk *sim.Clock, id string) (*varFile, error) {
 // resolve scans a request or statistics plan's units out of the variable's
 // file. A value is its file, not a reference to a block: a whole-value load
 // reads the file as one record, and a CRC plan finds nothing to sweep.
-func (h *hierStore) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
+func (h *hierStore) resolve(p *PMEM, pl *readPlan) (err error) {
 	clk := p.comm.Clock()
 	switch pl.consume {
 	case consumeCRC:
@@ -206,28 +205,28 @@ func (h *hierStore) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
 		if err == nil && !ok {
 			err = fmt.Errorf("core: id %q: %w", pl.id, ErrNotFound)
 		}
-		r.done = true
-		return r, err
+		pl.done = true
+		return err
 	case consumeClone:
-		if r.file, err = h.open(clk, pl.id); err == nil {
-			n := (*posixfs.File)(r.file).Size()
-			r.one[0], r.single = readUnit{src: blockRec{encLen: n}, bytes: n, file: r.file}, true
+		if pl.file, err = h.open(clk, pl.id); err == nil {
+			n := (*posixfs.File)(pl.file).Size()
+			pl.one[0], pl.single = readUnit{src: blockRec{encLen: n}, bytes: n, file: pl.file}, true
 		}
-		return r, err
+		return err
 	}
 	rec, err := p.heldDims(pl.v, pl.id, nil)
 	if err != nil {
-		return r, err
+		return err
 	}
 	if pl.consume != consumeStats {
-		if err := r.bound(&pl, rec); err != nil {
-			return r, err
+		if err := pl.bound(rec); err != nil {
+			return err
 		}
 	}
-	if r.file, err = h.open(clk, pl.id); err == nil {
-		r.units, err = h.scan(clk, r.file, &pl, r.esize)
+	if pl.file, err = h.open(clk, pl.id); err == nil {
+		pl.units, err = h.scan(clk, pl.file, pl, pl.esize)
 	}
-	return r, err
+	return err
 }
 
 // scan walks the frames of a variable's file and returns every block

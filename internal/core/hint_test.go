@@ -60,9 +60,11 @@ func collidingIDs(key string, n int) []string {
 // re-insert of the same id, an overwrite failed at each of its persists in
 // turn by an injected transient (the last failure is on the commit), and an
 // insert aborted by pool exhaustion, last. An array's "#dims" hint is held to
-// the same rule through an Alloc and a block store, a re-Alloc, a Delete of
-// the id and its dims record, and an Alloc with other dims. The id sits
-// fourth in its bucket's chain, behind three ids of the same bucket. After
+// the same rule through an Alloc and a block store, a re-Alloc, a conflicting
+// re-Alloc, a Delete of the id and its dims record, an Alloc with other dims
+// and dtype, and a failed Delete of the dims record, and the variable's dims
+// slot to a fresh decode of the record. The id sits fourth in its bucket's
+// chain, behind three ids of the same bucket. After
 // every case the id loads as the model says, and its hint is exactly the
 // entry an unhinted walk finds after a committed change, that entry or 0
 // after a failed one. The quarantine list's reserved key is never hinted: its
@@ -117,42 +119,70 @@ func TestEntryHintCoherence(t *testing.T) {
 			}
 		}
 
-		// An array's dims record takes the second hint slot. After an Alloc
-		// and a block store, a re-Alloc with other dims and a Delete, the
-		// array loads as stored and both its hints are the walk's answers.
+		// An array's dims record takes the second hint slot, and its decoded
+		// dims the variable's slot. After an Alloc and a block store, a
+		// re-Alloc, a conflicting re-Alloc, a Delete, an Alloc with other dims
+		// and dtype, and a failed Delete of the dims record, the array loads as
+		// stored, both its hints are the walk's answers, and the dims slot is
+		// empty or a fresh decode of the record — before LoadDims reads it, and
+		// full after. Every op but the one after the Delete finds the slot
+		// full: the previous row's reads filled it.
 		const arr = "arr"
 		for _, c := range []struct {
-			name string
-			op   func() error
-			dims []uint64 // LoadDims' answer after the op; nil once deleted
+			name   string
+			op     func() error
+			dtype  serial.DType
+			dims   []uint64 // LoadDims' answer after the op; nil once deleted
+			failed bool     // the op's change failed: hints may be 0
 		}{
 			{"Alloc + StoreBlock", func() error {
 				if err := p.Alloc(arr, serial.Float64, []uint64{8}); err != nil {
 					return err
 				}
 				return p.StoreBlock(arr, []uint64{0}, []uint64{8}, uniformF64(8, 1))
-			}, []uint64{8}},
-			{"re-Alloc", func() error { return p.Alloc(arr, serial.Float64, []uint64{8}) }, []uint64{8}},
+			}, serial.Float64, []uint64{8}, false},
+			{"re-Alloc", func() error { return p.Alloc(arr, serial.Float64, []uint64{8}) }, serial.Float64, []uint64{8}, false},
+			{"conflicting re-Alloc", func() error {
+				if err := p.Alloc(arr, serial.Float64, []uint64{32}); !errors.Is(err, core.ErrTypeMismatch) {
+					return fmt.Errorf("Alloc with other dims = %v, want ErrTypeMismatch", err)
+				}
+				return nil
+			}, serial.Float64, []uint64{8}, false},
 			{"Delete of both records", func() error {
 				if _, err := p.Delete(arr); err != nil {
 					return err
 				}
 				_, err := p.Delete(arr + core.DimsSuffix)
 				return err
-			}, nil},
-			{"Alloc with other dims + StoreBlock", func() error {
-				if err := p.Alloc(arr, serial.Float64, []uint64{16}); err != nil {
+			}, 0, nil, false},
+			{"Alloc with other dims and dtype + StoreBlock", func() error {
+				if err := p.Alloc(arr, serial.Int64, []uint64{16}); err != nil {
 					return err
 				}
 				return p.StoreBlock(arr, []uint64{0}, []uint64{8}, uniformF64(8, 1))
-			}, []uint64{16}},
+			}, serial.Int64, []uint64{16}, false},
+			{"failed Delete of the dims record", func() error {
+				n.Device.InjectTransient(0, 5)
+				_, err := p.Delete(arr + core.DimsSuffix)
+				n.Device.DisarmInjection()
+				if !errors.Is(err, core.ErrMedia) {
+					return fmt.Errorf("Delete failed at its first persist = %v, want ErrMedia", err)
+				}
+				return nil
+			}, serial.Int64, []uint64{16}, true},
 		} {
 			if err := c.op(); err != nil {
 				return fmt.Errorf("array %s: %w", c.name, err)
 			}
-			_, dims, err := p.LoadDims(arr)
-			if c.dims == nil && !errors.Is(err, core.ErrNotFound) || c.dims != nil && (err != nil || !slices.Equal(dims, c.dims)) {
-				return fmt.Errorf("array %s: LoadDims = %v, %v; want %v", c.name, dims, err, c.dims)
+			if _, err := p.DimsSlot(arr); err != nil {
+				return fmt.Errorf("array %s: %w", c.name, err)
+			}
+			dtype, dims, err := p.LoadDims(arr)
+			if c.dims == nil && !errors.Is(err, core.ErrNotFound) || c.dims != nil && (err != nil || dtype != c.dtype || !slices.Equal(dims, c.dims)) {
+				return fmt.Errorf("array %s: LoadDims = %v %v, %v; want %v %v", c.name, dtype, dims, err, c.dtype, c.dims)
+			}
+			if full, err := p.DimsSlot(arr); err != nil || full != (c.dims != nil) {
+				return fmt.Errorf("array %s: after LoadDims the dims slot is full=%v, %v; want full exactly while the array exists", c.name, full, err)
 			}
 			if c.dims != nil {
 				if v, err := loadUniformF64(p, arr, 8); err != nil || v != 1 {
@@ -160,11 +190,11 @@ func TestEntryHintCoherence(t *testing.T) {
 				}
 			}
 			for _, key := range []string{arr, arr + core.DimsSuffix} {
-				if err := hintAgrees(p, key, true); err != nil {
+				if err := hintAgrees(p, key, !c.failed); err != nil {
 					return fmt.Errorf("array %s: %w", c.name, err)
 				}
 			}
-			if hint, _, _ := p.EntryHint(arr + core.DimsSuffix); (hint != 0) != (c.dims != nil) {
+			if hint, _, _ := p.EntryHint(arr + core.DimsSuffix); !c.failed && (hint != 0) != (c.dims != nil) {
 				return fmt.Errorf("array %s: dims hint %d, want one exactly while the array exists", c.name, hint)
 			}
 		}
@@ -278,6 +308,73 @@ func TestEntryHintRace(t *testing.T) {
 				if err := hintAgrees(p, idOf(i), false); err != nil {
 					return err
 				}
+			}
+		}
+		return p.Munmap()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDimsSlotRace re-declares an array's dims round after round — rank 0
+// deletes the dims record and declares float64 [8] or int64 [16], leaving the
+// slot empty — and then has both ranks read the dims, and store and load
+// blocks, at once, so the two race to fill the slot. LoadDims must only ever
+// answer one of the two declarations, never a mix, and at the end the slot is
+// a fresh decode of the record. Under -race (make race) it also checks every
+// fill and clear the run makes for unsynchronized accesses.
+func TestDimsSlotRace(t *testing.T) {
+	const (
+		ranks  = 2
+		rounds = 60
+		reads  = 4
+		id     = "arr"
+	)
+	n := node.New(sim.DefaultConfig(), 64<<20)
+	n.Machine.SetConcurrency(ranks)
+	_, err := mpi.Run(n.Machine, ranks, func(c *mpi.Comm) error {
+		p, err := core.Mmap(c, n, "/slot.pool")
+		if err != nil {
+			return err
+		}
+		buf := make([]byte, 64)
+		for round := 0; round < rounds; round++ {
+			if c.Rank() == 0 {
+				dtype, dims := serial.Float64, []uint64{8}
+				if round%2 == 1 {
+					dtype, dims = serial.Int64, []uint64{16}
+				}
+				if _, err := p.Delete(id + core.DimsSuffix); err != nil {
+					return err
+				}
+				if err := p.Alloc(id, dtype, dims); err != nil {
+					return fmt.Errorf("round %d Alloc: %w", round, err)
+				}
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			for r := 0; r < reads; r++ {
+				dtype, dims, err := p.LoadDims(id)
+				if err != nil || !(dtype == serial.Float64 && slices.Equal(dims, []uint64{8}) ||
+					dtype == serial.Int64 && slices.Equal(dims, []uint64{16})) {
+					return fmt.Errorf("round %d rank %d: LoadDims = %v %v, %v: no declaration made that", round, c.Rank(), dtype, dims, err)
+				}
+				if err := p.StoreBlock(id, []uint64{0}, []uint64{8}, buf); err != nil {
+					return fmt.Errorf("round %d rank %d StoreBlock: %w", round, c.Rank(), err)
+				}
+				if err := p.LoadBlock(id, []uint64{0}, []uint64{8}, buf); err != nil {
+					return fmt.Errorf("round %d rank %d LoadBlock: %w", round, c.Rank(), err)
+				}
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+		}
+		if c.Rank() == 0 {
+			if full, err := p.DimsSlot(id); err != nil || !full {
+				return fmt.Errorf("after the rounds the dims slot is full=%v, %v; want a full slot that is the record", full, err)
 			}
 		}
 		return p.Munmap()

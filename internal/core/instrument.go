@@ -265,42 +265,33 @@ func newInstruments(st *shared, n *node.Node) *instruments {
 				return total
 			}
 		}
-		reg.CounterFunc("pmemcpy_alloc_allocs_total", "allocator blocks handed out",
-			poolSum(func(s pmdk.Stats) int64 { return s.Allocs }))
-		reg.CounterFunc("pmemcpy_alloc_frees_total", "allocator blocks returned",
-			poolSum(func(s pmdk.Stats) int64 { return s.Frees }))
-		reg.CounterFunc("pmemcpy_alloc_alloc_bytes_total", "block bytes handed out (headers included)",
-			poolSum(func(s pmdk.Stats) int64 { return s.AllocBytes }))
-		reg.CounterFunc("pmemcpy_alloc_free_bytes_total", "block bytes returned via Free",
-			poolSum(func(s pmdk.Stats) int64 { return s.FreeBytes }))
-		reg.CounterFunc("pmemcpy_alloc_extents_total", "extents reserved off the shared brk",
-			poolSum(func(s pmdk.Stats) int64 { return s.Extents }))
-		reg.CounterFunc("pmemcpy_alloc_extent_bytes_total", "heap bytes reserved off the brk",
-			poolSum(func(s pmdk.Stats) int64 { return s.ExtentBytes }))
+		for _, c := range []struct {
+			name, help string
+			f          func(pmdk.Stats) int64
+		}{
+			{"pmemcpy_alloc_allocs_total", "allocator blocks handed out", func(s pmdk.Stats) int64 { return s.Allocs }},
+			{"pmemcpy_alloc_frees_total", "allocator blocks returned", func(s pmdk.Stats) int64 { return s.Frees }},
+			{"pmemcpy_alloc_alloc_bytes_total", "block bytes handed out (headers included)", func(s pmdk.Stats) int64 { return s.AllocBytes }},
+			{"pmemcpy_alloc_free_bytes_total", "block bytes returned via Free", func(s pmdk.Stats) int64 { return s.FreeBytes }},
+			{"pmemcpy_alloc_extents_total", "extents reserved off the shared brk", func(s pmdk.Stats) int64 { return s.Extents }},
+			{"pmemcpy_alloc_extent_bytes_total", "heap bytes reserved off the brk", func(s pmdk.Stats) int64 { return s.ExtentBytes }},
+			{"pmemcpy_alloc_transactions_total", "committed transactions", func(s pmdk.Stats) int64 { return s.Transactions }},
+			{"pmemcpy_alloc_aborts_total", "aborted transactions", func(s pmdk.Stats) int64 { return s.Aborts }},
+			{"pmemcpy_alloc_recovered_total", "transactions rolled back by recovery at pool open", func(s pmdk.Stats) int64 { return s.Recovered }},
+			{"pmemcpy_alloc_arena_steals_total", "allocations served by a non-home arena", func(s pmdk.Stats) int64 { return s.ArenaSteals }},
+			// Entries per transaction is undo_entries / alloc_transactions.
+			{"pmemcpy_tx_undo_entries_total", "undo-log entries persisted (one barrier each)", func(s pmdk.Stats) int64 { return s.UndoEntries }},
+			{"pmemcpy_tx_undo_bytes_total", "lane bytes written as undo entries (headers and padding included)", func(s pmdk.Stats) int64 { return s.UndoBytes }},
+			{"pmemcpy_tx_undo_covered_total", "undo-log Adds skipped because their transaction had already pre-imaged the range", func(s pmdk.Stats) int64 { return s.UndoCovered }},
+			// Which form each metadata publish took (pmdk.Update.Commit).
+			{"pmemcpy_ht_updates_in_place_total", "records of unchanged length rewritten in place under one undo entry", func(s pmdk.Stats) int64 { return s.HTInPlace }},
+			{"pmemcpy_ht_updates_relinked_total", "records moved to a new value block (allocate, swing vlen|value, free old)", func(s pmdk.Stats) int64 { return s.HTRelinked }},
+			{"pmemcpy_ht_updates_inserted_total", "records published under a new key", func(s pmdk.Stats) int64 { return s.HTInserted }},
+		} {
+			reg.CounterFunc(c.name, c.help, poolSum(c.f))
+		}
 		reg.GaugeFunc("pmemcpy_alloc_live_bytes", "allocated minus freed block bytes (fragmentation = 1 - live/extent)",
 			poolSum(func(s pmdk.Stats) int64 { return s.AllocBytes - s.FreeBytes }))
-		reg.CounterFunc("pmemcpy_alloc_transactions_total", "committed transactions",
-			poolSum(func(s pmdk.Stats) int64 { return s.Transactions }))
-		reg.CounterFunc("pmemcpy_alloc_aborts_total", "aborted transactions",
-			poolSum(func(s pmdk.Stats) int64 { return s.Aborts }))
-		reg.CounterFunc("pmemcpy_alloc_recovered_total", "transactions rolled back by recovery at pool open",
-			poolSum(func(s pmdk.Stats) int64 { return s.Recovered }))
-		reg.CounterFunc("pmemcpy_alloc_arena_steals_total", "allocations served by a non-home arena",
-			poolSum(func(s pmdk.Stats) int64 { return s.ArenaSteals }))
-		// Entries per transaction is undo_entries / alloc_transactions.
-		reg.CounterFunc("pmemcpy_tx_undo_entries_total", "undo-log entries persisted (one barrier each)",
-			poolSum(func(s pmdk.Stats) int64 { return s.UndoEntries }))
-		reg.CounterFunc("pmemcpy_tx_undo_bytes_total", "lane bytes written as undo entries (headers and padding included)",
-			poolSum(func(s pmdk.Stats) int64 { return s.UndoBytes }))
-		reg.CounterFunc("pmemcpy_tx_undo_covered_total", "undo-log Adds skipped because their transaction had already pre-imaged the range",
-			poolSum(func(s pmdk.Stats) int64 { return s.UndoCovered }))
-		// Which form each metadata publish took (pmdk.Update.Commit).
-		reg.CounterFunc("pmemcpy_ht_updates_in_place_total", "records of unchanged length rewritten in place under one undo entry",
-			poolSum(func(s pmdk.Stats) int64 { return s.HTInPlace }))
-		reg.CounterFunc("pmemcpy_ht_updates_relinked_total", "records moved to a new value block (allocate, swing vlen|value, free old)",
-			poolSum(func(s pmdk.Stats) int64 { return s.HTRelinked }))
-		reg.CounterFunc("pmemcpy_ht_updates_inserted_total", "records published under a new key",
-			poolSum(func(s pmdk.Stats) int64 { return s.HTInserted }))
 	}
 
 	reg.GaugeFunc("pmemcpy_quarantined_blocks", "blocks currently on the quarantine list",

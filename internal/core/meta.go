@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pmemcpy/internal/nd"
 	"pmemcpy/internal/node"
 	"pmemcpy/internal/pmdk"
 	"pmemcpy/internal/serial"
@@ -61,9 +62,10 @@ const quarantineKey = "#quarantine"
 // (hierarchy.go) implement it.
 //
 // Arguments of an interface call escape to the heap, so the methods on the
-// per-op path take and return values — a plan by value, a unit's block record
-// — never a pointer into the caller's frame: planning an op through the
-// layout allocates nothing.
+// per-op path take and return values — a unit's block record — never a
+// pointer into the caller's frame: planning an op through the layout
+// allocates nothing. A read plan is resolved by pointer, so that is not an
+// interface method: shared.resolve calls the concrete layout's.
 type layout interface {
 	// get, put and del address one record of the namespace by key and
 	// companion suffix ("" or DimsSuffix); keys lists every key, unsorted.
@@ -77,10 +79,9 @@ type layout interface {
 	// commit makes a write plan durable and publishes it; the planner reads
 	// the outcome off the plan's groups.
 	commit(p *PMEM, plan writePlan) error
-	// resolve finds the stored blocks a read plan touches, under the id's
-	// read lock. stored returns one such block's bytes, and chargeUnit
-	// accounts one unit consumed on the caller's goroutine.
-	resolve(p *PMEM, pl readPlan) (resolution, error)
+	// stored returns the bytes of one stored block a resolved read plan
+	// touches (shared.resolve), and chargeUnit accounts one unit consumed on
+	// the caller's goroutine.
 	stored(p *PMEM, u readUnit) ([]byte, error)
 	chargeUnit(p *PMEM, u readUnit, decPasses float64)
 
@@ -102,6 +103,17 @@ func newLayout(clk *sim.Clock, st *shared, n *node.Node, path string) (layout, e
 		return &hierStore{node: n, root: path}, n.FS.MkdirAll(clk, path)
 	}
 	return poolLayout{st}, st.openPools(clk, n, path)
+}
+
+// resolve finds the stored blocks a read plan touches, under the id's read
+// lock, and leaves them in the plan. Each layout has its own; it is called on
+// the concrete layout, not through the interface, so that the plan stays on
+// its planner's stack.
+func (st *shared) resolve(p *PMEM, pl *readPlan) error {
+	if h, ok := st.lay.(*hierStore); ok {
+		return h.resolve(p, pl)
+	}
+	return poolLayout{st}.resolve(p, pl)
 }
 
 // --- record codec ---
@@ -501,11 +513,20 @@ func (st *shared) homeIdx(id string) int {
 	return int(pmdk.HashKey(key) % uint64(n))
 }
 
-// dims reads id's dims companion and decodes it into buf's array when that is
-// large enough; ok is false when id has none. On the pool layout the record
-// is read where it sits, as a whole value's is (record): the caller holds v,
-// id's lock, which every writer of the record holds too.
+// dims returns id's dims record, decoded into buf's array when that is large
+// enough; ok is false when id has none. The caller holds v, id's lock, which
+// every writer of the record holds too. v's slot answers when it holds the
+// record — a hit touches neither the device nor the clock — and a miss reads
+// the record, on the pool layout where it sits, as a whole value's is
+// (record), and fills the slot.
 func (p *PMEM) dims(v *variable, id string, buf []uint64) (rec dimsRecord, ok bool, err error) {
+	var slot *dimsSlot // the slot serving id, if one does
+	if p.st.lay.pooled() && !(len(id) > 0 && id[0] == '#') && id == placementKey(id) {
+		slot = &v.dims
+	}
+	if rec, ok = slot.get(buf); ok {
+		return rec, true, nil
+	}
 	var raw []byte
 	if p.st.lay.pooled() {
 		raw, _, ok, err = p.record(v, id+DimsSuffix)
@@ -515,7 +536,9 @@ func (p *PMEM) dims(v *variable, id string, buf []uint64) (rec dimsRecord, ok bo
 	if err != nil || !ok {
 		return rec, ok, err
 	}
-	rec, err = decodeDims(raw, buf)
+	if rec, err = decodeDims(raw, buf); err == nil {
+		slot.fill(rec)
+	}
 	return rec, true, err
 }
 
@@ -528,13 +551,27 @@ func (p *PMEM) heldDims(v *variable, id string, buf []uint64) (dimsRecord, error
 	return rec, err
 }
 
-// loadDims is heldDims for a caller that does not hold id's lock: it takes the
-// read side around the read.
-func (p *PMEM) loadDims(id string, buf []uint64) (dimsRecord, error) {
+// lockedDims is heldDims for a caller that does not hold id's lock: it takes
+// the read side around the read, and returns id's variable beside the record.
+func (p *PMEM) lockedDims(id string, buf []uint64) (*variable, dimsRecord, error) {
 	v := p.variable(id)
 	v.RLock()
 	defer v.RUnlock()
-	return p.heldDims(v, id, buf)
+	rec, err := p.heldDims(v, id, buf)
+	return v, rec, err
+}
+
+// datum checks a block store's region against the dims — it lies inside
+// them, and data covers it — and returns the datum the codec will encode.
+func (r dimsRecord) datum(offs, counts []uint64, data []byte) (serial.Datum, error) {
+	if err := nd.CheckBlock(r.dims, offs, counts); err != nil {
+		return serial.Datum{}, err
+	}
+	need := int64(nd.Size(counts)) * int64(r.dtype.Size())
+	if int64(len(data)) < need {
+		return serial.Datum{}, fmt.Errorf("core: data %d bytes, block needs %d: %w", len(data), need, ErrOutOfBounds)
+	}
+	return serial.Datum{Type: r.dtype, Dims: counts, Payload: data[:need]}, nil
 }
 
 // publishQuarantine persists the store-wide quarantine list under its
@@ -597,10 +634,50 @@ func (st *shared) loadQuarantine(clk *sim.Clock) error {
 // the write side. pmdk checks a hint before it trusts it, so a wrong one
 // costs the walk, never a wrong record. Reserved '#' keys (the quarantine
 // list) are never hinted: their writers hold no variable lock.
+//
+// dims holds the decoded dims record, the one per-op read idx does not answer.
 type variable struct {
 	sync.RWMutex
-	idx atomic.Pointer[cacheEntry]
-	at  [2]atomic.Uint64
+	idx  atomic.Pointer[cacheEntry]
+	at   [2]atomic.Uint64
+	dims dimsSlot
+}
+
+// dimsSlot holds a variable's decoded dims record inline, so a variable stays
+// one allocation. state moves empty → filling → full: the first dims read that
+// finds the slot empty fills it (a reader racing it decodes for itself), and
+// every change of the record, or failed change, empties it under the
+// variable's write lock (close). A full slot is therefore the record. It
+// serves the pool layout's id only: never a reserved '#' key, a "#dims" id
+// (which shares its base's variable), or the hierarchy layout, whose records
+// are files.
+type dimsSlot struct {
+	state atomic.Uint32
+	dtype serial.DType
+	rank  uint8
+	dims  [serial.MaxDims]uint64
+}
+
+const (
+	slotEmpty uint32 = iota
+	slotFilling
+	slotFull
+)
+
+// get copies a full slot's record into buf's array when that is large enough.
+func (s *dimsSlot) get(buf []uint64) (dimsRecord, bool) {
+	if s == nil || s.state.Load() != slotFull {
+		return dimsRecord{}, false
+	}
+	return dimsRecord{dtype: s.dtype, dims: append(buf[:0], s.dims[:s.rank]...)}, true
+}
+
+// fill leaves rec in an empty slot.
+func (s *dimsSlot) fill(rec dimsRecord) {
+	if s != nil && len(rec.dims) <= serial.MaxDims && s.state.CompareAndSwap(slotEmpty, slotFilling) {
+		s.dtype, s.rank = rec.dtype, uint8(copy(s.dims[:], rec.dims))
+		s.state.Store(slotFull)
+	}
 }
 
 // variable returns the variable id belongs to.
@@ -650,57 +727,60 @@ func (v *variable) found(key string, e pmdk.PMID) {
 	}
 }
 
-// install makes e the index id's reads see — unless id is a "#dims" id.
-func (v *variable) install(id string, e *cacheEntry) {
-	if id == placementKey(id) {
-		v.idx.Store(e)
-	}
-}
-
-// cacheEntry is one variable's DRAM index: decoded dims, and the decoded
-// block list in publish order (later blocks shadow earlier ones) and its
-// trailer.
+// cacheEntry is one variable's DRAM index: the decoded block list in publish
+// order (later blocks shadow earlier ones) and its trailer. ascending records
+// that the blocks are disjoint and ascending along dim 0 in publish order, so
+// no block shadows another and a request's blocks are found by binary search
+// (gatherScratch.plan).
 type cacheEntry struct {
-	dims      dimsRecord
 	blocks    []blockRec
 	dropped   trailer
 	hasBlocks bool
+	ascending bool
 }
 
-// blockIndex returns id's DRAM index, building it from the dims record and
-// the block list on a miss (same metadata charges as an uncached read); a hit
-// touches neither the device nor the clock.
+// blockIndex returns id's DRAM index, building it from the block list on a
+// miss (same metadata charge as an uncached read); a hit touches neither the
+// device nor the clock. The dims record lives in v's slot, not here.
 //
 // The caller holds v, id's variable, read-locked — the read engine is the only
 // caller and holds it across resolve AND execution — which is what makes the
 // install safe. It must not be re-acquired here: a recursive RLock can
 // deadlock against a queued writer.
 //
-// Both records are decoded where they sit, so an entry costs a fixed number of
-// allocations — itself, its dims, the block records and one array for all
-// their extents — however many blocks it indexes.
+// The list is decoded where it sits, so an entry costs a fixed number of
+// allocations — itself, the block records and one array for all their
+// extents — however many blocks it indexes.
 func (p *PMEM) blockIndex(v *variable, id string) (*cacheEntry, error) {
 	if e := v.idx.Load(); e != nil && id == placementKey(id) {
 		p.st.ins.cacheHits.Inc()
 		return e, nil
 	}
 	p.st.ins.cacheMisses.Inc()
-	rec, err := p.heldDims(v, id, nil)
-	if err != nil {
-		return nil, err
-	}
 	raw, _, hasBlocks, err := p.record(v, id)
-	var blocks []blockRec
-	var dropped trailer
+	e := &cacheEntry{hasBlocks: hasBlocks}
 	if err == nil && hasBlocks {
-		blocks, dropped, err = blockList.decode(raw)
+		e.blocks, e.dropped, err = blockList.decode(raw)
 	}
 	if err != nil {
 		return nil, err
 	}
-	e := &cacheEntry{dims: rec, blocks: blocks, dropped: dropped, hasBlocks: hasBlocks}
-	v.install(id, e)
+	e.ascending = ascending(e.blocks)
+	if id == placementKey(id) { // a "#dims" id never installs its base's index
+		v.idx.Store(e)
+	}
 	return e, nil
+}
+
+// ascending reports whether every block lies wholly after its predecessor
+// along dim 0.
+func ascending(blocks []blockRec) bool {
+	for i := range blocks {
+		if len(blocks[i].offs) == 0 || i > 0 && blocks[i].offs[0] < blocks[i-1].offs[0]+blocks[i-1].counts[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // invalidate drops v's DRAM index. Writers call it under v's write lock,
@@ -737,51 +817,57 @@ func (l poolLayout) keys(clk *sim.Clock) (out []string, err error) {
 }
 
 // resolve reads a record plan's units off the id's metadata record and a
-// request or statistics plan's off the DRAM index.
-func (l poolLayout) resolve(p *PMEM, pl readPlan) (r resolution, err error) {
+// request or statistics plan's off the DRAM index: the dims from the
+// variable's slot, the blocks from its cacheEntry.
+func (l poolLayout) resolve(p *PMEM, pl *readPlan) error {
 	if pl.consume == consumeClone || pl.consume == consumeCRC {
 		raw, at, ok, err := p.record(pl.v, pl.id)
 		if err != nil {
-			return r, err
+			return err
 		}
 		if !ok {
-			return r, fmt.Errorf("core: id %q: %w", pl.id, ErrNotFound)
+			return fmt.Errorf("core: id %q: %w", pl.id, ErrNotFound)
 		}
 		var one [1]blockRec
 		blocks, kind, dropped, err := decodeRecord(raw, at, one[:0])
 		if err != nil {
-			return r, err
+			return err
 		}
-		switch r.kind, r.dropped = kind, dropped; {
+		switch pl.kind, pl.dropped = kind, dropped; {
 		case kind.whole():
-			r.one[0], r.single = readUnit{src: blocks[0], bytes: blocks[0].encLen}, true
+			pl.one[0], pl.single = readUnit{src: blocks[0], bytes: blocks[0].encLen}, true
 		case pl.consume == consumeClone:
 			// The id exists but holds something else (a block list, raw
 			// metadata): a kind mismatch, not a missing id.
-			return r, fmt.Errorf("core: id %q does not hold a datum: %w", pl.id, ErrTypeMismatch)
+			return fmt.Errorf("core: id %q does not hold a datum: %w", pl.id, ErrTypeMismatch)
 		default:
-			r.units = p.gather().whole(blocks)
+			pl.units = p.gather().whole(blocks)
 		}
-		return r, nil
+		return nil
+	}
+	var buf [serial.MaxDims]uint64
+	rec, err := p.heldDims(pl.v, pl.id, buf[:0])
+	if err != nil {
+		return err
 	}
 	e, err := p.blockIndex(pl.v, pl.id)
 	if err != nil {
-		return r, err
+		return err
 	}
 	if pl.consume == consumeStats {
-		r.dropped = e.dropped
+		pl.dropped = e.dropped
 		if !e.hasBlocks {
-			return r, fmt.Errorf("core: %q has no stored blocks: %w", pl.id, ErrNotFound)
+			return fmt.Errorf("core: %q has no stored blocks: %w", pl.id, ErrNotFound)
 		}
-		r.units = p.gather().whole(e.blocks)
-		return r, nil
+		pl.units = p.gather().whole(e.blocks)
+		return nil
 	}
-	if err := r.bound(&pl, e.dims); err != nil {
-		return r, err
+	if err := pl.bound(rec); err != nil {
+		return err
 	}
 	if !e.hasBlocks {
-		return r, fmt.Errorf("core: id %q has no stored blocks: %w", pl.id, ErrNotFound)
+		return fmt.Errorf("core: id %q has no stored blocks: %w", pl.id, ErrNotFound)
 	}
-	r.units = p.gather().plan(e, pl.offs, pl.counts, r.esize)
-	return r, nil
+	pl.units = p.gather().plan(e, pl.offs, pl.counts, pl.esize)
+	return nil
 }

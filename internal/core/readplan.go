@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"pmemcpy/internal/bytesview"
 	"pmemcpy/internal/checksum"
@@ -193,8 +194,19 @@ type readPlan struct {
 	// the plan resolves against.
 	v *variable
 
-	resolution
-	covered int64 // sum of the (post-gate) units' bytes
+	// What the layout resolves the plan to (resolve). The units are a slice
+	// or — every whole-value load — the single unit in one, so that load still
+	// adds no heap object for being planned.
+	units   []readUnit
+	one     [1]readUnit
+	single  bool
+	done    bool       // nothing to execute: a value that references no blocks
+	kind    recordKind // record plans: what the record turned out to be
+	dropped trailer    // record and stats plans: the block list's trailer
+	file    *varFile   // the variable's open file, closed by run
+	esize   int        // request plans: the element size ...
+	need    int64      // ... and the request's bytes
+	covered int64      // sum of the (post-gate) units' bytes
 
 	// Results.
 	blocks   int64         // units that passed the gate (a reporting sweep: that it finished)
@@ -206,35 +218,19 @@ type readPlan struct {
 	dtype    serial.DType  // consumeClone: the value's type ...
 	n        int           // ... and its payload bytes
 	view     *BlockView    // consumeAlias
-}
-
-// resolution is what the layout resolves a plan to, returned by value (see
-// layout). The units are a slice or — every whole-value load — the single
-// unit in one, so that load still adds no heap object for being planned.
-type resolution struct {
-	units  []readUnit
-	one    [1]readUnit
-	single bool
-	done   bool // nothing to execute: a value that references no blocks
-
-	kind    recordKind // record plans: what the record turned out to be
-	dropped trailer    // record and stats plans: the block list's trailer
-	file    *varFile   // the variable's open file, closed by run
-	esize   int
-	need    int64        // request bytes
-	stats   []BlockStats // consumeStats (Offs and Counts alias the index: copy before returning)
+	stats    []BlockStats  // consumeStats (Offs and Counts alias the index: copy before returning)
 }
 
 // bound checks a request plan against the variable's declared dims and sizes
 // it.
-func (r *resolution) bound(pl *readPlan, rec dimsRecord) error {
+func (pl *readPlan) bound(rec dimsRecord) error {
 	if err := nd.CheckBlock(rec.dims, pl.offs, pl.counts); err != nil {
 		return err
 	}
-	r.esize = rec.dtype.Size()
-	r.need = int64(nd.Size(pl.counts)) * int64(r.esize)
-	if pl.consume == consumeScatter && int64(len(pl.dst)) < r.need {
-		return fmt.Errorf("core: dst %d bytes, block needs %d: %w", len(pl.dst), r.need, ErrOutOfBounds)
+	pl.esize = rec.dtype.Size()
+	pl.need = int64(nd.Size(pl.counts)) * int64(pl.esize)
+	if pl.consume == consumeScatter && int64(len(pl.dst)) < pl.need {
+		return fmt.Errorf("core: dst %d bytes, block needs %d: %w", len(pl.dst), pl.need, ErrOutOfBounds)
 	}
 	return nil
 }
@@ -255,8 +251,7 @@ func (e readEngine) run(pl *readPlan) error {
 	pl.v.RLock()
 	defer pl.v.RUnlock()
 	lay := p.st.lay
-	var err error
-	pl.resolution, err = lay.resolve(p, *pl)
+	err := p.st.resolve(p, pl)
 	defer pl.file.close()
 	if pl.done || err != nil {
 		return err
@@ -599,18 +594,32 @@ func (g gather) place(w int, u *readUnit) error {
 		u.isOffs, u.isCnts, g.esize)
 }
 
-// plan intersects the request (offs, counts) with every listed block — a list
+// plan intersects the request (offs, counts) with the listed blocks — a list
 // names only blocks a read can see (publishGroup) — emitting units in publish
 // order. Their bytes may sum past the request size when stored blocks overlap.
+// On an ascending list (cacheEntry) the blocks a request can meet are one run,
+// found with two binary searches on dim 0, and the walk over that run emits
+// what the walk over the whole list would; any other list is walked whole.
 func (g *gatherScratch) plan(e *cacheEntry, offs, counts []uint64, esize int) []readUnit {
+	blocks := e.blocks
+	if e.ascending && len(offs) > 0 {
+		lo, hi := offs[0], offs[0]+counts[0]
+		blocks = blocks[sort.Search(len(blocks), func(i int) bool { return blocks[i].offs[0]+blocks[i].counts[0] > lo }):]
+		blocks = blocks[:sort.Search(len(blocks), func(i int) bool { return blocks[i].offs[0] >= hi })]
+	}
+	return g.walk(blocks, offs, counts, esize)
+}
+
+// walk intersects the request with every block of blocks, in order.
+func (g *gatherScratch) walk(blocks []blockRec, offs, counts []uint64, esize int) []readUnit {
 	// Every block's intersection fits the arena as sized here.
 	rank := len(offs)
-	if need := 2 * rank * len(e.blocks); cap(g.dims) < need {
+	if need := 2 * rank * len(blocks); cap(g.dims) < need {
 		g.dims = make([]uint64, 0, need)
 	}
 	units, arena := g.units[:0], g.dims[:0]
-	for bi := range e.blocks {
-		b := &e.blocks[bi]
+	for bi := range blocks {
+		b := &blocks[bi]
 		// A long list of disjoint blocks mostly misses the request in dim 0:
 		// that test is cheap, the full intersection is not.
 		if rank > 0 && len(b.offs) == rank &&

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
-	"pmemcpy/internal/nd"
 	"pmemcpy/internal/serial"
 )
 
@@ -70,7 +68,7 @@ func (p *PMEM) commitDatum(id string, value *serial.Datum) (int64, bool, error) 
 	// values live in the id's home pool — the same pool as their pointer record
 	// — so a value ref needs no pool field. The layout's commit runs the
 	// alloc/fill/persist/publish sequence.
-	u := w.one(id, d.Type, publishValueRef, writeUnit{
+	u := w.one(p.variable(id), id, d.Type, publishValueRef, writeUnit{
 		pool:   uint8(p.homeIdx(id)),
 		encLen: need,
 		point:  ptDatumPayload,
@@ -112,11 +110,11 @@ func (p *PMEM) wscratch() *writeScratch {
 
 // one makes u, encoding the scratch datum as its one fragment of encLen
 // bytes, the plan's one unit of id's one group, and returns it.
-func (w *writeScratch) one(id string, dtype serial.DType, publish publishKind, u writeUnit, encLen int64) *writeUnit {
+func (w *writeScratch) one(v *variable, id string, dtype serial.DType, publish publishKind, u writeUnit, encLen int64) *writeUnit {
 	w.frag[0] = writeFrag{datum: &w.datum, encLen: encLen}
 	u.frags = w.frag[:]
 	w.unit[0] = u
-	w.group[0] = planGroup{id: id, dtype: dtype, publish: publish, units: w.unit[:]}
+	w.group[0] = planGroup{id: id, v: v, dtype: dtype, publish: publish, units: w.unit[:]}
 	return &w.unit[0]
 }
 
@@ -172,8 +170,14 @@ func (p *PMEM) StoreBlock(id string, offs, counts []uint64, data []byte) error {
 func (p *PMEM) storeBlock(id string, offs, counts []uint64, data []byte) (int64, bool, error) {
 	w := p.wscratch()
 	defer w.reset()
-	var err error
-	if w.datum, err = p.blockDatum(id, offs, counts, data); err != nil {
+	// Validate: the id's declared dims exist, the region lies inside them,
+	// and data covers it — the checks an async batch makes (commitStores).
+	var buf [serial.MaxDims]uint64
+	v, rec, err := p.lockedDims(id, buf[:0])
+	if err == nil {
+		w.datum, err = rec.datum(offs, counts, data)
+	}
+	if err != nil {
 		return 0, false, err
 	}
 	d := &w.datum
@@ -186,9 +190,9 @@ func (p *PMEM) storeBlock(id string, offs, counts []uint64, data []byte) (int64,
 	// the commit, which only encodes them into the record.
 	encPasses, _ := p.codec.CostProfile()
 	if encSize := int64(p.codec.EncodedSize(d)); p.parallelEligible(counts, encSize) {
-		w.group[0] = planGroup{id: id, dtype: d.Type, publish: publishBlockList, units: p.shardUnits(id, d, offs, counts)}
+		w.group[0] = planGroup{id: id, v: v, dtype: d.Type, publish: publishBlockList, units: p.shardUnits(id, d, offs, counts)}
 	} else {
-		w.one(id, d.Type, publishBlockList, writeUnit{
+		w.one(v, id, d.Type, publishBlockList, writeUnit{
 			pool:   uint8(p.homeIdx(id)),
 			offs:   offs,
 			counts: counts,
@@ -206,26 +210,6 @@ func (p *PMEM) storeBlock(id string, offs, counts []uint64, data []byte) (int64,
 		total += units[i].wrote
 	}
 	return total, shards > 1, nil
-}
-
-// blockDatum is the validation step under every block store, sync or async —
-// exactly one set of checks, so the wrapped sentinels match: the id's declared
-// dims exist, the region lies inside them, and data covers it. It returns the
-// datum the codec will encode.
-func (p *PMEM) blockDatum(id string, offs, counts []uint64, data []byte) (serial.Datum, error) {
-	var buf [serial.MaxDims]uint64
-	rec, err := p.loadDims(id, buf[:0])
-	if err != nil {
-		return serial.Datum{}, err
-	}
-	if err := nd.CheckBlock(rec.dims, offs, counts); err != nil {
-		return serial.Datum{}, err
-	}
-	need := int64(nd.Size(counts)) * int64(rec.dtype.Size())
-	if int64(len(data)) < need {
-		return serial.Datum{}, fmt.Errorf("core: data %d bytes, block needs %d: %w", len(data), need, ErrOutOfBounds)
-	}
-	return serial.Datum{Type: rec.dtype, Dims: counts, Payload: data[:need]}, nil
 }
 
 // LoadBlock fills dst with the block (offs, counts) of array id, gathering

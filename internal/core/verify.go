@@ -69,9 +69,14 @@ func (p *PMEM) verifyRecord(key string, violatef func(format string, args ...any
 		if dropped.poisoned() {
 			violatef("store.range: %q dropped a block whose range could not be read: MinMax is ErrCorrupt until a whole store or Delete", key)
 		}
-		rec, err := p.heldDims(v, key, nil)
-		if err != nil {
-			violatef("store.blocklist: %q has blocks but no dims record: %v", key, err)
+		// The dims record is decoded off the media, not taken from the slot.
+		raw, _, ok, err := p.record(v, key+DimsSuffix)
+		var rec dimsRecord
+		if ok && err == nil {
+			rec, err = decodeDims(raw, nil)
+		}
+		if !ok || err != nil {
+			violatef("store.blocklist: %q has blocks but no dims record: ok=%v err=%v", key, ok, err)
 			return
 		}
 		for i, b := range blocks {

@@ -107,9 +107,11 @@ const (
 )
 
 // planGroup is one id's ordered run of units within a plan. Each group
-// publishes with a single atomic metadata update.
+// publishes with a single atomic metadata update, under v, the id's variable,
+// which its planner looked up.
 type planGroup struct {
 	id      string
+	v       *variable
 	dtype   serial.DType
 	publish publishKind
 	units   []writeUnit
@@ -399,14 +401,12 @@ func (e commitEngine) encode(_ int, j *fillJob) error {
 // (their payloads persisted but the metadata path is failing); per-op
 // conditions fail only their own group.
 func (e commitEngine) publish(plan *writePlan) error {
-	p := e.p
 	var firstErr error
 	for gi := range plan.groups {
 		g := &plan.groups[gi]
-		v := p.variable(g.id)
-		v.Lock()
-		err := e.publishGroup(v, g, plan.encPasses)
-		v.Unlock()
+		g.v.Lock()
+		err := e.publishGroup(g, plan.encPasses)
+		g.v.Unlock()
 		if plan.published != nil {
 			plan.published(g, err)
 		}
@@ -435,12 +435,12 @@ func (e commitEngine) publish(plan *writePlan) error {
 // drops every block one of them contains (prune), as many as the
 // transaction's lane can log; the list's trailer keeps the dropped blocks'
 // value range (fold), so MinMax does not depend on which blocks are listed.
-// The caller holds v, the id's lock.
-func (e commitEngine) publishGroup(v *variable, g *planGroup, encPasses float64) error {
+// The caller holds g.v, the id's lock.
+func (e commitEngine) publishGroup(g *planGroup, encPasses float64) error {
 	// A value ref's old block and 21-byte record stay in this frame (an
 	// inline record is built in the handle's).
 	var one [1]blockRec
-	t, drop, err := e.open(v, g.id, one[:0])
+	t, drop, err := e.open(g.v, g.id, one[:0])
 	if err != nil {
 		return err
 	}
@@ -636,10 +636,11 @@ func (t *recordTx) list(owned []blockRec) ([]blockRec, error) {
 //     between the two leaks it until the reachability pass of ROADMAP item 2a,
 //     never dangles a pointer.
 //
-// The DRAM index drops with the change, the key's hint becomes the entry
-// the change committed (0 after any error), and every dropped block — and an
-// inline record's own bytes, rewritten or freed with the record — leaves the
-// quarantine.
+// The DRAM index drops with the change, and so does the dims slot with a
+// change of the "#dims" record, failed or not; the key's hint becomes the
+// entry the change committed (0 after any error), and every dropped block —
+// and an inline record's own bytes, rewritten or freed with the record —
+// leaves the quarantine.
 func (e commitEngine) close(t *recordTx, rec []byte, drop []blockRec) error {
 	p := e.p
 	var err error
@@ -662,6 +663,9 @@ func (e commitEngine) close(t *recordTx, rec []byte, drop []blockRec) error {
 	}
 	err = t.u.Finish(err)
 	p.invalidate(t.v)
+	if t.id != placementKey(t.id) {
+		t.v.dims.state.Store(slotEmpty)
+	}
 	if err != nil {
 		t.v.found(t.id, pmdk.Null)
 		return err

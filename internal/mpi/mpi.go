@@ -258,23 +258,11 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 // Gather collects every rank's data at root (rank order). Non-root ranks
 // receive nil.
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
-	slots, err := c.exchange(data)
-	if err != nil {
-		return nil, err
+	if c.rank == root {
+		return c.AllgatherVol(data, -1)
 	}
-	if c.rank != root {
-		return nil, nil
-	}
-	out := make([][]byte, c.w.size)
-	var total int64
-	for i, s := range slots {
-		b, _ := s.([]byte)
-		out[i] = make([]byte, len(b))
-		copy(out[i], b)
-		total += int64(len(b))
-	}
-	c.w.machine.ChargeTransfer(c.clk, total)
-	return out, nil
+	_, err := c.exchange(data)
+	return nil, err
 }
 
 // AllgatherVol collects every rank's data at every rank. vol < 0 charges the

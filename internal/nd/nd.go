@@ -98,19 +98,23 @@ func Runs(dims, offs, counts []uint64, esize int, fn func(globalOff, blockOff, n
 			return err
 		}
 		blockOff += runBytes
-		// Odometer increment over the outer dims.
-		i := runDims - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < counts[i] {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
+		if Next(idx, counts[:runDims]) {
 			return nil
 		}
 	}
+}
+
+// Next advances idx, an element's coordinates in a block of the given counts,
+// to the next element in row-major order, and reports whether it wrapped past
+// the last one.
+func Next(idx, counts []uint64) bool {
+	for d := len(idx) - 1; d >= 0; d-- {
+		if idx[d]++; idx[d] < counts[d] {
+			return false
+		}
+		idx[d] = 0
+	}
+	return true
 }
 
 // CopyIn scatters a block's bytes (local, the block's own row-major

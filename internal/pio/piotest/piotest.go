@@ -39,13 +39,7 @@ func pattern(varIdx int, gdims, offs, counts []uint64) []float64 {
 			g += (offs[d] + idx[d]) * strides[d]
 		}
 		out[i] = float64(varIdx)*1e9 + float64(g)
-		for d := len(idx) - 1; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < counts[d] {
-				break
-			}
-			idx[d] = 0
-		}
+		nd.Next(idx, counts)
 	}
 	return out
 }

@@ -390,6 +390,19 @@ const (
 	CrashRandom
 )
 
+// String names the mode as the crash tools report it.
+func (m CrashMode) String() string {
+	switch m {
+	case CrashLoseAll:
+		return "loseall"
+	case CrashKeepAll:
+		return "keepall"
+	case CrashRandom:
+		return "random"
+	}
+	return fmt.Sprintf("mode(%d)", int(m))
+}
+
 // Crash simulates a power failure: depending on mode, unpersisted cachelines
 // are rolled back to their pre-images. rng is only used by CrashRandom and
 // may be nil otherwise. After Crash the device content is what recovery code

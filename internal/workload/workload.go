@@ -239,13 +239,7 @@ func (s *Spec) VerifyBlock(c *mpi.Comm, m *sim.Machine, varIdx int, offs, counts
 			return fmt.Errorf("workload: rect%d block %v+%v element %d = %g, want %g",
 				varIdx, offs, counts, i, got, want)
 		}
-		for d := 2; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < counts[d] {
-				break
-			}
-			idx[d] = 0
-		}
+		nd.Next(idx, counts)
 	}
 	m.ChargePasses(c.Clock(), int64(n*8), 1, m.Config().TouchBPS, readers)
 	return nil
@@ -263,45 +257,18 @@ func (s *Spec) Fill(c *mpi.Comm, m *sim.Machine, varIdx, rank int, buf []float64
 	for i := range out {
 		g := (offs[0]+idx[0])*strides[0] + (offs[1]+idx[1])*strides[1] + (offs[2]+idx[2])*strides[2]
 		out[i] = element(varIdx, g)
-		for d := 2; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < counts[d] {
-				break
-			}
-			idx[d] = 0
-		}
+		nd.Next(idx, counts)
 	}
 	m.ChargePasses(c.Clock(), int64(n*8), 1, m.Config().TouchBPS, s.Ranks)
 	return out
 }
 
 // Verify checks that buf holds rank's block of variable varIdx and charges
-// the verification pass.
+// the verification pass, as VerifyBlock does for rank's block with the whole
+// job reading.
 func (s *Spec) Verify(c *mpi.Comm, m *sim.Machine, varIdx, rank int, buf []byte) error {
 	offs, counts := s.Block(rank)
-	n := nd.Size(counts)
-	if uint64(len(buf)) < n*8 {
-		return fmt.Errorf("workload: verify buffer %d bytes, block needs %d", len(buf), n*8)
-	}
-	vals := bytesview.OfCopy[float64](buf[:n*8])
-	strides := nd.Strides(s.global)
-	idx := make([]uint64, 3)
-	for i, got := range vals {
-		g := (offs[0]+idx[0])*strides[0] + (offs[1]+idx[1])*strides[1] + (offs[2]+idx[2])*strides[2]
-		if want := element(varIdx, g); got != want {
-			return fmt.Errorf("workload: rect%d rank %d element %d = %g, want %g",
-				varIdx, rank, i, got, want)
-		}
-		for d := 2; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < counts[d] {
-				break
-			}
-			idx[d] = 0
-		}
-	}
-	m.ChargePasses(c.Clock(), int64(n*8), 1, m.Config().TouchBPS, s.Ranks)
-	return nil
+	return s.VerifyBlock(c, m, varIdx, offs, counts, buf, s.Ranks)
 }
 
 // DemoVars and DemoElems shape the demo dataset the inspection tools (pmemcli,
