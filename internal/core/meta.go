@@ -604,12 +604,12 @@ func (st *shared) loadQuarantine(clk *sim.Clock) error {
 // variable is one variable's DRAM state beside the one lock that guards it.
 // The id and its "#dims" companion share it (placementKey). Persistent
 // metadata — the dims record and the block list — lives in the PMEM
-// hashtable; idx mirrors both, so a repeat LoadSub, MinMax or BlockStatsOf
-// re-reads and re-decodes neither (Blizzard, Fernando et al.: a persistent
-// structure's fast path wants a DRAM index kept coherent under the
-// structure's own lock). Measured with the index off, a miss on every plan
-// costs `load_virt_us_per_op` +12 % on smallkv, +31 % on ckpt-restart and
-// +221 % on stream-raw (DESIGN §8), so it stays.
+// hashtable; dims (dimsSlot) mirrors the one and idx the other, so a repeat
+// LoadSub, MinMax or BlockStatsOf re-reads and re-decodes neither (Blizzard,
+// Fernando et al.: a persistent structure's fast path wants a DRAM index kept
+// coherent under the structure's own lock). Measured with the index off, a
+// miss on every plan costs `load_virt_us_per_op` +12 % on smallkv, +31 % on
+// ckpt-restart and +221 % on stream-raw (DESIGN §8), so it stays.
 //
 // Coherence: every writer of either record republishes and then drops idx
 // under the write side; the read engine loads, builds and installs idx under
@@ -634,8 +634,6 @@ func (st *shared) loadQuarantine(clk *sim.Clock) error {
 // the write side. pmdk checks a hint before it trusts it, so a wrong one
 // costs the walk, never a wrong record. Reserved '#' keys (the quarantine
 // list) are never hinted: their writers hold no variable lock.
-//
-// dims holds the decoded dims record, the one per-op read idx does not answer.
 type variable struct {
 	sync.RWMutex
 	idx  atomic.Pointer[cacheEntry]

@@ -109,7 +109,8 @@ func Runs(dims, offs, counts []uint64, esize int, fn func(globalOff, blockOff, n
 // the last one.
 func Next(idx, counts []uint64) bool {
 	for d := len(idx) - 1; d >= 0; d-- {
-		if idx[d]++; idx[d] < counts[d] {
+		idx[d]++
+		if idx[d] < counts[d] {
 			return false
 		}
 		idx[d] = 0
