@@ -27,15 +27,25 @@ type Array[T Scalar] struct {
 // dims record and ErrTypeMismatch if it was declared with a different
 // element size.
 func OpenArray[T Scalar](p *PMEM, id string) (Array[T], error) {
-	dt, _, err := p.LoadDims(id)
-	if err != nil {
+	if err := checkDType[T](p, id); err != nil {
 		return Array[T]{}, err
 	}
+	return Array[T]{p: p, id: id}, nil
+}
+
+// checkDType returns ErrNotFound if id has no dims record and ErrTypeMismatch
+// if it was declared with an element size other than T's. It reads only the
+// element type, and allocates nothing when it passes.
+func checkDType[T Scalar](p *PMEM, id string) error {
+	dt, err := p.LoadDType(id)
+	if err != nil {
+		return err
+	}
 	if want := dtypeOf[T](); dt != want && dt.Size() != want.Size() {
-		return Array[T]{}, fmt.Errorf("pmemcpy: array %q holds %v, requested %v: %w",
+		return fmt.Errorf("pmemcpy: array %q holds %v, requested %v: %w",
 			id, dt, want, ErrTypeMismatch)
 	}
-	return Array[T]{p: p, id: id}, nil
+	return nil
 }
 
 // CreateArray declares array id with the given global dimensions (Alloc) and

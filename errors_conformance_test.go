@@ -511,7 +511,7 @@ func TestErrorConformance(t *testing.T) {
 						return fmt.Errorf("error %q wraps the public %v", err, pub)
 					}
 				}
-				if err != nil && !strings.Contains(err.Error(), "format version 4, this build reads only version 7") {
+				if err != nil && !strings.Contains(err.Error(), "format version 4, this build reads only version 8") {
 					return fmt.Errorf("error %q does not name both versions", err)
 				}
 				return err

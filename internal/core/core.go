@@ -512,3 +512,14 @@ func (p *PMEM) LoadDims(id string) (serial.DType, []uint64, error) {
 	}
 	return rec.dtype, rec.dims, nil
 }
+
+// LoadDType returns the element type declared for id: LoadDims for a caller
+// that wants no dims, which are decoded into a stack buffer and dropped.
+func (p *PMEM) LoadDType(id string) (serial.DType, error) {
+	var buf [serial.MaxDims]uint64
+	_, rec, err := p.lockedDims(id, buf[:0])
+	if err != nil {
+		return serial.Invalid, err
+	}
+	return rec.dtype, nil
+}

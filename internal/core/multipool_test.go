@@ -735,8 +735,8 @@ func TestNamespaceDamageRefused(t *testing.T) {
 				if !errors.Is(err, r.want) || errors.Is(err, core.ErrCorrupt) != (r.want == pmdk.ErrCorrupt) {
 					t.Fatalf("%s: Mmap = %v, want %v (and the public ErrCorrupt exactly for a failed checksum)", r.name, err, r.want)
 				}
-				if r.want == pmdk.ErrBadPool && !strings.Contains(err.Error(), "version 7") {
-					t.Fatalf("%s: Mmap = %v, want the text to name the version found and version 7", r.name, err)
+				if r.want == pmdk.ErrBadPool && !strings.Contains(err.Error(), "version 8") {
+					t.Fatalf("%s: Mmap = %v, want the text to name the version found and version 8", r.name, err)
 				}
 				for i, m := range maps {
 					if b, _ := m.Slice(0, m.Len()); !bytes.Equal(b, before[i]) {

@@ -6,8 +6,8 @@ package core
 type StoreStats struct {
 	// Keys is the number of metadata entries (including "#dims" companions).
 	Keys int
-	// HeapUsed is the number of bump-allocated pool bytes (hashtable layout
-	// only; freed blocks are reusable but still counted).
+	// HeapUsed is the number of pool heap bytes reserved off the brk
+	// (hashtable layout only; freed blocks are reusable but still counted).
 	HeapUsed int64
 }
 

@@ -10,27 +10,24 @@ import (
 )
 
 // Persistent allocator: the heap is its block headers. What the media holds is
-// the shared brk word, each arena's bump|limit and one 16-byte header {size
-// uint64 (total block size including the header), state uint64} before every
-// block; the PMID handed to clients is the payload offset. Every byte of
-// [heapOff, brk) lies in exactly one of two places: a block whose header reads
-// alloc or free, or one arena's current [bump, limit). The free lists — LIFO
-// per size class, first-fit for huge blocks — are DRAM state under each
-// arena's mutex, rebuilt at Open by one walk of the headers (walkHeap), the
-// same walk Verify reports from. Alloc and Free log the headers they change
-// in the caller's transaction; the lists follow the transaction (heapOp): a
-// block taken off a list goes back on abort, and a freed block joins a list
-// only at commit, so a crash or an abort leaves headers and lists agreeing.
+// the shared brk word and one 16-byte header {size uint64 (total block size
+// including the header), state uint64} before every block; the PMID handed to
+// clients is the payload offset. Every byte of [heapOff, brk) is exactly one
+// block, whose header reads alloc or free. The free lists — LIFO per size
+// class, first-fit for huge blocks — are DRAM state under each arena's mutex,
+// rebuilt at Open by one walk of the headers (walkHeap), the same walk Verify
+// reports from. Alloc and Free log the headers they change in the caller's
+// transaction; the lists follow the transaction (heapOp): a block taken off a
+// list goes back on abort, and a freed block joins a list only at commit, so a
+// crash or an abort leaves headers and lists agreeing.
 //
-// The allocator is striped into arenas. Arenas carve fresh blocks from
-// private extents reserved off a shared monotonic brk (first word at
-// Pool.allocOff), so the heap is never statically partitioned: one arena can
-// host a block nearly as large as the whole heap, and space an arena never
-// touches is never stranded. Each arena owns one mutex and one 64-byte
-// metadata block, laid out contiguously after the brk word:
-//
-//	0:  bump   uint64  next unused offset inside the current extent
-//	8:  limit  uint64  end of the current extent (bump == limit: empty)
+// The allocator is striped into arenas. Each arena splits class blocks off its
+// current extent (arena.cur), a free block no list holds, reserved off a
+// shared monotonic brk (the word at Pool.allocOff), so the heap is never
+// statically partitioned: one arena can host a block nearly as large as the
+// whole heap, and space an arena never touches is never stranded. The current
+// extent is DRAM state: after a restart it is a free block like any other, and
+// the walk puts it on a list.
 //
 // The brk itself is advanced with a plain persisted write, not an undo-logged
 // one: extents may be reserved by concurrent transactions, and pre-imaging
@@ -68,11 +65,7 @@ const (
 	// brkMetaSize holds the shared extent brk, padded to one cacheline.
 	brkMetaSize = 64
 
-	// allocMetaSize is the per-arena metadata block: bump + limit, padded to
-	// one cacheline so arenas never share one.
-	allocMetaSize = 64
-
-	// Extent sizing bounds for the lazily reserved per-arena bump extents
+	// Extent sizing bounds for the lazily reserved per-arena class extents
 	// (the actual default scales with the heap; see newPoolStruct).
 	minExtent = 4 << 10
 	maxExtent = 1 << 20
@@ -83,10 +76,8 @@ const (
 	stateFree  = 0xF4EEB10C00000001
 )
 
-func (a *arena) bumpOff() PMID { return PMID(a.metaOff) } // bump|limit: read and written as one 16-byte run
-
-// freeBlock is a huge free-list entry: the size rides along so first-fit
-// never reads a header.
+// freeBlock is a huge free-list entry, or an arena's current extent: the size
+// rides along so first-fit never reads a header. A zero size is no block.
 type freeBlock struct {
 	id   PMID
 	size int64
@@ -103,8 +94,9 @@ func (a *arena) push(id PMID, size int64, huge bool) {
 	a.free.Add(1)
 }
 
-// heapOp is one change a transaction made to the DRAM free lists (or, for
-// opFree, will make at commit), kept so that abort can undo it.
+// heapOp is one change a transaction made to the DRAM free lists or an
+// arena's current extent (or, for opFree, will make at commit), kept so that
+// abort can undo it.
 type heapOp struct {
 	a    *arena
 	id   PMID
@@ -117,7 +109,7 @@ const (
 	opPop     = iota // id came off class list i
 	opTake           // huge[i] = {id, size} was removed
 	opSplit          // huge[i] was {id, size}; it now holds the split-off tail
-	opRetire         // an extent's unused tail {id, size} was pushed onto huge
+	opCur            // a.cur was {id, size}; with i == 1 it was pushed onto huge
 	opReserve        // the extent {id, size} was reserved: on abort it is a free block
 	opFree           // id was freed: it joins a's lists at commit
 )
@@ -150,9 +142,12 @@ func (tx *txn) undoHeap() {
 			a.free.Add(1)
 		case opSplit:
 			a.huge[op.i] = freeBlock{op.id, op.size}
-		case opRetire:
-			a.huge = a.huge[:len(a.huge)-1]
-			a.free.Add(-1)
+		case opCur:
+			if op.i == 1 {
+				a.huge = a.huge[:len(a.huge)-1]
+				a.free.Add(-1)
+			}
+			a.cur = freeBlock{op.id, op.size}
 		}
 	}
 	for _, op := range tx.ops {
@@ -162,28 +157,27 @@ func (tx *txn) undoHeap() {
 	}
 }
 
-// initBrk seeds the shared extent brk on a freshly formatted pool (arena
-// metadata is already zeroed: bump == limit == 0 means "no extent yet").
+// initBrk seeds the shared extent brk on a freshly formatted pool.
 func (p *Pool) initBrk(clk *sim.Clock) error {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(p.heapOff))
 	return p.StoreBytesAt(clk, PMID(p.allocOff), b[:], true, ptAllocBrk)
 }
 
-// reserveExtent claims a fresh [start, limit) slice of the heap off the
-// shared brk for arena a. With exact set the extent is sized to the request
-// (huge blocks get dedicated extents, so bump carving never strands a tail
-// comparable to the block itself); otherwise the default extent size is used.
-// Every extent is a whole number of cachelines. It is formatted as one free
-// block and persisted before the brk advance grants it (see the package
-// comment).
-func (p *Pool) reserveExtent(tx *txn, a *arena, want int64, exact bool) (start, limit int64, err error) {
+// reserveExtent claims a fresh extent of the heap off the shared brk for
+// arena a and returns it as the free block it is formatted as. With exact set
+// the extent is sized to the request (huge blocks get dedicated extents, so
+// class carving never strands a tail comparable to the block itself);
+// otherwise the default extent size is used. Every extent is a whole number
+// of cachelines. It is formatted as one free block and persisted before the
+// brk advance grants it (see the package comment).
+func (p *Pool) reserveExtent(tx *txn, a *arena, want int64, exact bool) (freeBlock, error) {
 	clk := tx.clk
 	p.brkMu.Lock()
 	defer p.brkMu.Unlock()
 	raw, err := p.ReadU64(clk, PMID(p.allocOff))
 	if err != nil {
-		return 0, 0, err
+		return freeBlock{}, err
 	}
 	brk := int64(raw)
 	ext := p.extent
@@ -194,23 +188,24 @@ func (p *Pool) reserveExtent(tx *txn, a *arena, want int64, exact bool) (start, 
 		ext = (p.heapEnd - brk) &^ (sim.CachelineSize - 1)
 	}
 	if ext < want {
-		return 0, 0, fmt.Errorf("%w: heap exhausted (%d of %d used, need %d)",
+		return freeBlock{}, fmt.Errorf("%w: heap exhausted (%d of %d used, need %d)",
 			ErrNoSpace, brk-p.heapOff, p.heapEnd-p.heapOff, want)
 	}
 	var b [blockHeaderSize]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(ext))
 	binary.LittleEndian.PutUint64(b[8:], stateFree)
 	if err := p.StoreBytesAt(clk, PMID(brk), b[:], true, ptAllocExtentFormat); err != nil {
-		return 0, 0, err
+		return freeBlock{}, err
 	}
 	binary.LittleEndian.PutUint64(b[:], uint64(brk+ext))
 	if err := p.StoreBytesAt(clk, PMID(p.allocOff), b[:8], true, ptAllocBrk); err != nil {
-		return 0, 0, err
+		return freeBlock{}, err
 	}
-	tx.ops = append(tx.ops, heapOp{a: a, kind: opReserve, id: PMID(brk + blockHeaderSize), size: ext})
+	fb := freeBlock{PMID(brk + blockHeaderSize), ext}
+	tx.ops = append(tx.ops, heapOp{a: a, kind: opReserve, id: fb.id, size: fb.size})
 	p.stats.extents.Add(1)
 	p.stats.extentBytes.Add(ext)
-	return brk, brk + ext, nil
+	return fb, nil
 }
 
 // classFor returns the size-class index whose block fits a payload of n
@@ -273,57 +268,30 @@ type corruptHeap struct{ inv, detail string }
 func (e *corruptHeap) Error() string { return ErrCorrupt.Error() + ": " + e.detail }
 func (e *corruptHeap) Unwrap() error { return ErrCorrupt }
 
-// walkHeap visits every block of [heapOff, brk) in address order, skipping
-// each arena's current [bump, limit). The brk and every arena's bump|limit
-// are one access, each header another. It trusts nothing: a brk outside the
-// heap (alloc.brk), an extent outside [heapOff, brk) (alloc.arena), or a
-// header whose size is not a positive multiple of minBlock, runs past the brk
-// or into an extent, or whose state is neither alloc nor free (alloc.heap)
-// ends the walk in a *corruptHeap; a failed read ends it in that error.
+// walkHeap visits every block of [heapOff, brk) in address order: the brk is
+// one access, each header another. It trusts nothing: a brk outside the heap
+// (alloc.brk), or a header whose size is not a positive multiple of minBlock
+// or runs past the brk, or whose state is neither alloc nor free
+// (alloc.heap), ends the walk in a *corruptHeap; a failed read ends it in that
+// error.
 func (p *Pool) walkHeap(clk *sim.Clock, visit func(id PMID, size int64, free bool)) error {
-	meta, err := p.read(clk, PMID(p.allocOff), brkMetaSize+int64(len(p.arenas))*allocMetaSize)
+	raw, err := p.ReadU64(clk, PMID(p.allocOff))
 	if err != nil {
 		return err
 	}
-	brk := int64(word(meta, 0))
+	brk := int64(raw)
 	if brk < p.heapOff || brk > p.heapEnd || (brk-p.heapOff)%minBlock != 0 {
 		return &corruptHeap{"alloc.brk", fmt.Sprintf("brk %d outside heap [%d,%d)", brk, p.heapOff, p.heapEnd)}
 	}
-	extent := func(i int) (bump, limit int64) {
-		w := (brkMetaSize + i*allocMetaSize) / 8
-		return int64(word(meta, w)), int64(word(meta, w+1))
-	}
-	for i := range p.arenas {
-		if bump, limit := extent(i); bump != limit && (bump > limit || bump < p.heapOff || limit > brk) {
-			return &corruptHeap{"alloc.arena", fmt.Sprintf("arena %d extent [%d,%d) outside reserved heap [%d,%d)",
-				i, bump, limit, p.heapOff, brk)}
-		}
-	}
-	// next returns the first non-empty extent at or after off, or [brk, brk).
-	next := func(off int64) (start, end int64) {
-		start, end = brk, brk
-		for i := range p.arenas {
-			if bump, limit := extent(i); bump < limit && bump >= off && bump < start {
-				start, end = bump, limit
-			}
-		}
-		return start, end
-	}
-	es, ee := next(p.heapOff)
 	for off := p.heapOff; off < brk; {
-		if off == es {
-			off = ee
-			es, ee = next(off)
-			continue
-		}
 		b, err := p.read(clk, PMID(off), blockHeaderSize)
 		if err != nil {
 			return err
 		}
 		size, state := int64(word(b, 0)), word(b, 1)
-		if size <= 0 || size%minBlock != 0 || size > es-off || (state != stateAlloc && state != stateFree) {
-			return &corruptHeap{"alloc.heap", fmt.Sprintf("block header at %d reads size %d, state %#x (next extent or brk at %d)",
-				off, size, state, es)}
+		if size <= 0 || size%minBlock != 0 || size > brk-off || (state != stateAlloc && state != stateFree) {
+			return &corruptHeap{"alloc.heap", fmt.Sprintf("block header at %d reads size %d, state %#x (brk at %d)",
+				off, size, state, brk)}
 		}
 		visit(PMID(off+blockHeaderSize), size, state == stateFree)
 		off += size
@@ -358,7 +326,7 @@ func (p *Pool) rebuildLists(clk *sim.Clock) error {
 // Placement policy: reuse a free block from the home arena, else from any
 // other arena whose free count is positive (freed blocks migrate between
 // arenas, so reuse must look everywhere before growing the heap), else carve
-// fresh space from the home arena's bump region, else carve from whichever
+// fresh space from the home arena's current extent, else carve from whichever
 // other arena has room. Every foreign-arena step uses TryLock only — a
 // transaction never blocks on a second arena lock while holding one, which
 // rules out deadlock outright.
@@ -537,97 +505,100 @@ func (p *Pool) carveIn(tx *txn, a *arena, n int64) (PMID, error) {
 	return p.carve(tx, a, hugeBlockSize(n))
 }
 
-// takeHuge takes a.huge[i] for a block of want bytes, splitting off the tail
-// as a free block in its place if it is large enough to hold another block.
+// takeHuge takes a.huge[i] for a block of want bytes, leaving the split-off
+// tail in its place when there is one.
 func (p *Pool) takeHuge(tx *txn, a *arena, i int, want int64) (PMID, error) {
 	fb := a.huge[i]
-	tx.markArenaDirty(a)
-	if fb.size-want < minBlock {
-		if err := tx.WriteU64(fb.id-8, stateAlloc); err != nil {
-			return Null, err
-		}
-		a.huge = slices.Delete(a.huge, i, i+1)
-		a.free.Add(-1)
-		tx.ops = append(tx.ops, heapOp{a: a, kind: opTake, i: int32(i), id: fb.id, size: fb.size})
-		want = fb.size
-	} else {
-		tail := fb.id + PMID(want)
-		if err := tx.WriteU64s(tail-blockHeaderSize, uint64(fb.size-want), stateFree); err != nil {
-			return Null, err
-		}
-		if err := tx.WriteU64s(fb.id-blockHeaderSize, uint64(want), stateAlloc); err != nil {
-			return Null, err
-		}
-		a.huge[i] = freeBlock{tail, fb.size - want}
-		tx.ops = append(tx.ops, heapOp{a: a, kind: opSplit, i: int32(i), id: fb.id, size: fb.size})
-	}
-	p.stats.allocs.Add(1)
-	p.stats.allocBytes.Add(want)
-	return fb.id, nil
-}
-
-// carve takes a fresh block of blockSize bytes from the arena's current bump
-// extent, reserving a new extent off the shared brk when the current one is
-// too small. Huge blocks bypass the bump extent entirely and take a dedicated
-// exact-size extent whole — mixing them into shared extents would strand
-// tails comparable to the blocks themselves (the sharded copy engine
-// allocates streams of same-sized huge shards, so that waste compounds to a
-// fixed fraction of the heap). The arena's bump/limit updates are undo-logged
-// as usual; only the brk advance inside reserveExtent is not (see the package
-// comment).
-func (p *Pool) carve(tx *txn, a *arena, blockSize int64) (PMID, error) {
-	if blockSize > maxClassBlock {
-		start, limit, err := p.reserveExtent(tx, a, blockSize, true)
-		if err != nil {
-			return Null, err
-		}
-		tx.markArenaDirty(a)
-		if err := tx.WriteU64s(PMID(start), uint64(limit-start), stateAlloc); err != nil {
-			return Null, err
-		}
-		p.stats.allocs.Add(1)
-		p.stats.allocBytes.Add(limit - start)
-		return PMID(start + blockHeaderSize), nil
-	}
-	bl, err := p.read(tx.clk, a.bumpOff(), 16) // bump|limit, as they are written
+	tail, err := p.split(tx, a, fb, want)
 	if err != nil {
 		return Null, err
 	}
-	bump, limit := int64(word(bl, 0)), int64(word(bl, 1))
-	if limit-bump < blockSize {
-		start, newLimit, err := p.reserveExtent(tx, a, blockSize, false)
+	if tail.size == 0 {
+		a.huge = slices.Delete(a.huge, i, i+1)
+		a.free.Add(-1)
+		tx.ops = append(tx.ops, heapOp{a: a, kind: opTake, i: int32(i), id: fb.id, size: fb.size})
+	} else {
+		a.huge[i] = tail
+		tx.ops = append(tx.ops, heapOp{a: a, kind: opSplit, i: int32(i), id: fb.id, size: fb.size})
+	}
+	return fb.id, nil
+}
+
+// split allocates a block of want bytes at the head of free block fb and
+// returns the free tail, which is empty when fewer than minBlock bytes would
+// be left and fb is taken whole. It logs the tail's and the block's
+// size|state, or only the state word when there is no tail; the caller files
+// the tail.
+func (p *Pool) split(tx *txn, a *arena, fb freeBlock, want int64) (freeBlock, error) {
+	tx.markArenaDirty(a)
+	var tail freeBlock
+	if fb.size-want < minBlock {
+		if err := tx.WriteU64(fb.id-8, stateAlloc); err != nil {
+			return freeBlock{}, err
+		}
+		want = fb.size
+	} else {
+		tail = freeBlock{fb.id + PMID(want), fb.size - want}
+		if err := tx.WriteU64s(tail.id-blockHeaderSize, uint64(tail.size), stateFree); err != nil {
+			return freeBlock{}, err
+		}
+		if err := tx.WriteU64s(fb.id-blockHeaderSize, uint64(want), stateAlloc); err != nil {
+			return freeBlock{}, err
+		}
+	}
+	p.stats.allocs.Add(1)
+	p.stats.allocBytes.Add(want)
+	return tail, nil
+}
+
+// carve takes a fresh block of blockSize bytes by splitting the arena's
+// current extent, reserving a new extent off the shared brk when the current
+// one is too small; the old one goes onto the huge list with no write, since
+// its header already reads free. Huge blocks bypass the current extent and
+// take a dedicated exact-size extent whole — mixing them into shared extents
+// would strand tails comparable to the blocks themselves (the sharded copy
+// engine allocates streams of same-sized huge shards, so that waste compounds
+// to a fixed fraction of the heap).
+func (p *Pool) carve(tx *txn, a *arena, blockSize int64) (PMID, error) {
+	if blockSize > maxClassBlock {
+		fb, err := p.reserveExtent(tx, a, blockSize, true)
 		if err != nil {
 			return Null, err
 		}
 		tx.markArenaDirty(a)
-		// Retire the old extent's unused tail (a whole number of minBlocks)
-		// onto the huge free list, so switching extents strands nothing.
-		if tail := limit - bump; tail > 0 {
-			if err := tx.WriteU64s(PMID(bump), uint64(tail), stateFree); err != nil {
-				return Null, err
-			}
-			a.push(PMID(bump+blockHeaderSize), tail, true)
-			tx.ops = append(tx.ops, heapOp{a: a, kind: opRetire})
+		if err := tx.WriteU64s(fb.id-blockHeaderSize, uint64(fb.size), stateAlloc); err != nil {
+			return Null, err
 		}
-		bump, limit = start, newLimit
+		p.stats.allocs.Add(1)
+		p.stats.allocBytes.Add(fb.size)
+		return fb.id, nil
 	}
-	tx.markArenaDirty(a)
-	// bump|limit are logged as one range even when only the bump moves, so
-	// every carve of a transaction is covered by its first one's pre-image.
-	if err := tx.WriteU64s(a.bumpOff(), uint64(bump+blockSize), uint64(limit)); err != nil {
+	op := heapOp{a: a, kind: opCur, id: a.cur.id, size: a.cur.size}
+	if a.cur.size < blockSize {
+		fb, err := p.reserveExtent(tx, a, blockSize, false)
+		if err != nil {
+			return Null, err
+		}
+		tx.markArenaDirty(a)
+		if a.cur.size > 0 {
+			a.push(a.cur.id, a.cur.size, true)
+			op.i = 1
+		}
+		a.cur = fb
+	}
+	tx.ops = append(tx.ops, op)
+	id := a.cur.id
+	tail, err := p.split(tx, a, a.cur, blockSize)
+	if err != nil {
 		return Null, err
 	}
-	if err := tx.WriteU64s(PMID(bump), uint64(blockSize), stateAlloc); err != nil {
-		return Null, err
-	}
-	p.stats.allocs.Add(1)
-	p.stats.allocBytes.Add(blockSize)
-	return PMID(bump + blockHeaderSize), nil
+	a.cur = tail
+	return id, nil
 }
 
 // HeapUsed returns the number of brk-reserved heap bytes (an upper bound on
-// live data: it includes arenas' unfilled extent tails, but freed blocks are
-// reused before the brk grows).
+// live data: it includes the unsplit rest of arenas' current extents, but
+// freed blocks are reused before the brk grows).
 func (p *Pool) HeapUsed(clk *sim.Clock) (int64, error) {
 	raw, err := p.ReadU64(clk, PMID(p.allocOff))
 	if err != nil {

@@ -3,6 +3,7 @@ package pmdk
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -210,9 +211,9 @@ func TestHeapExhaustion(t *testing.T) {
 
 func TestAbortedAllocRollsBackBump(t *testing.T) {
 	// An aborted Alloc must not consume heap: the rollback restores the
-	// arena's bump/limit, and the abort path returns the reserved extent to
-	// a free list, so repeating the cycle reuses the same space instead of
-	// advancing the brk every time.
+	// headers, the abort path restores the arena's current extent and returns
+	// the reserved extent to a free list, so repeating the cycle reuses the
+	// same space instead of advancing the brk every time.
 	p, _, clk := newTestPool(t, 0)
 	var after [2]int64
 	for round := 0; round < 2; round++ {
@@ -234,6 +235,54 @@ func TestAbortedAllocRollsBackBump(t *testing.T) {
 	}
 	if after[1] != after[0] {
 		t.Fatalf("heap grew from %d to %d across repeated aborted allocs", after[0], after[1])
+	}
+}
+
+// TestRetireLogsNothing: an exhausted current extent joins the huge list as it
+// is — its header already reads free — so the carve that retires it logs only
+// the new extent's split, the tail's and the block's size|state, and an abort
+// puts it back as the current extent.
+func TestRetireLogsNothing(t *testing.T) {
+	for _, commit := range []bool{false, true} {
+		p, _, clk := newTestPool(t, 0)
+		withTx(t, p, func(tx *Tx) error { _, err := p.Alloc(tx, 100); return err })
+		if err := fillExtent(p, clk); err != nil {
+			t.Fatal(err)
+		}
+		a := &p.arenas[0]
+		old := a.cur
+		if old.size == 0 || old.size >= maxClassBlock {
+			t.Fatalf("fillExtent left a current extent of %d bytes", old.size)
+		}
+		before := p.Stats().UndoEntries
+		tx, err := p.Begin(clk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Alloc(tx, maxClassBlock-blockHeaderSize); err != nil {
+			t.Fatal(err)
+		}
+		if !commit {
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			if a.cur != old || slices.Contains(a.huge, old) {
+				t.Fatalf("after an abort the current extent is %+v (huge %v), want %+v off the lists", a.cur, a.huge, old)
+			}
+			continue
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Stats().UndoEntries - before; got != 2 {
+			t.Errorf("a carve that retires its extent logged %d undo entries, want 2", got)
+		}
+		if !slices.Contains(a.huge, old) {
+			t.Errorf("retired extent %+v not on the huge list %v", old, a.huge)
+		}
+		if size, state, err := p.blockHeader(clk, old.id); err != nil || size != old.size || state != stateFree {
+			t.Errorf("retired extent header reads size %d, state %#x (%v), want %d free", size, state, err, old.size)
+		}
 	}
 }
 

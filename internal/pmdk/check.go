@@ -32,9 +32,9 @@ func violatef(vs []Violation, inv, format string, args ...any) []Violation {
 
 // Verify checks the pool's structural invariants: idle lanes (recovery has
 // run at Open), then one walk of the heap — the walk Open rebuilds the free
-// lists from — which must find a sane brk and sane arena extents, a valid
-// header on every block, and as many free blocks as the free lists hold. It
-// is read-only and returns one Violation per violated invariant; the walk
+// lists from — which must find a sane brk, a valid header on every block, and
+// as many free blocks as the free lists and the arenas' current extents hold.
+// It is read-only and returns one Violation per violated invariant; the walk
 // reports the first thing it cannot trust.
 func (p *Pool) Verify(clk *sim.Clock) []Violation {
 	var vs []Violation
@@ -67,7 +67,12 @@ func (p *Pool) Verify(clk *sim.Clock) []Violation {
 		return violatef(vs, "pool.io", "walking the heap: %v", err)
 	}
 	for i := range p.arenas {
-		listed += p.arenas[i].free.Load()
+		a := &p.arenas[i]
+		a.mu.Lock()
+		if listed += a.free.Load(); a.cur.size > 0 {
+			listed++
+		}
+		a.mu.Unlock()
 	}
 	if free != listed {
 		vs = violatef(vs, "alloc.freestate", "the heap holds %d free blocks, the free lists %d", free, listed)

@@ -106,12 +106,13 @@ func TestVerifyDetectsBadBrk(t *testing.T) {
 
 // TestHostileHeaderEndsOpen: the heap walk Open rebuilds the free lists from
 // trusts no header. One bad header — a size of 0, a size running past the
-// brk, a state that is neither alloc nor free — ends Open promptly in
-// ErrCorrupt, and Verify reports alloc.heap at it. A media error meeting Open
-// ends it in ErrMedia: this device fails persists, never reads, so the row
-// fails recovery's rollback, and the next Open succeeds.
+// brk, a state that is neither alloc nor free, a smashed header of the tail
+// of an arena's current extent, which is a free block like any other — ends
+// Open promptly in ErrCorrupt, and Verify reports alloc.heap at it. A media
+// error meeting Open ends it in ErrMedia: this device fails persists, never
+// reads, so the row fails recovery's rollback, and the next Open succeeds.
 func TestHostileHeaderEndsOpen(t *testing.T) {
-	for _, row := range []string{"size-0", "size-past-brk", "bad-state", "media-error"} {
+	for _, row := range []string{"size-0", "size-past-brk", "bad-state", "extent-tail", "media-error"} {
 		t.Run(row, func(t *testing.T) {
 			p, mp, clk := newTestPool(t, 1<<20)
 			var ids [4]PMID
@@ -137,6 +138,8 @@ func TestHostileHeaderEndsOpen(t *testing.T) {
 				poke(t, p, victim, brk-uint64(victim)+minBlock)
 			case "bad-state":
 				poke(t, p, victim+8, 0xBAD)
+			case "extent-tail":
+				poke(t, p, p.arenas[0].cur.id-blockHeaderSize, 0)
 			case "media-error":
 				// A live lane for recovery to roll back, and its first persist
 				// failing past the retry budget.
@@ -168,6 +171,19 @@ func TestHostileHeaderEndsOpen(t *testing.T) {
 				t.Fatalf("Verify over a %s header = %v, want alloc.heap", row, vs)
 			}
 		})
+	}
+}
+
+// TestVerifyCountsCurrentExtent: an arena's half-used current extent is a free
+// block on media that no list holds, and Verify counts it as held.
+func TestVerifyCountsCurrentExtent(t *testing.T) {
+	p, _, clk := newTestPool(t, 0)
+	withTx(t, p, func(tx *Tx) error { _, err := p.Alloc(tx, 100); return err })
+	if cur := p.arenas[0].cur; cur.size == 0 || cur.size >= p.extent {
+		t.Fatalf("current extent %+v is not half used (extent %d)", cur, p.extent)
+	}
+	if vs := p.Verify(clk); len(vs) != 0 {
+		t.Fatalf("pool with a half-used current extent has violations: %v", vs)
 	}
 }
 

@@ -206,42 +206,39 @@ func TestCrashSweepHashtablePut(t *testing.T) {
 	}
 }
 
+// fillExtent leaves arena 0's current extent with a tail of at least one and
+// fewer than 32 minimum blocks, so the next 2 KB block it carves reserves a
+// new extent and retires the tail.
+func fillExtent(p *Pool, clk *sim.Clock) error {
+	tx, err := p.Begin(clk)
+	if err != nil {
+		return err
+	}
+	for {
+		rem := p.arenas[0].cur.size
+		n := int64(maxClassBlock - blockHeaderSize)
+		if rem < maxClassBlock+minBlock {
+			if rem < maxClassBlock {
+				return tx.Commit()
+			}
+			n = minBlock - blockHeaderSize
+		}
+		if _, err := p.Alloc(tx, n); err != nil {
+			return err
+		}
+	}
+}
+
 // TestCrashSweepAllocatorConsistency verifies that after a crash at any
 // persist point during allocator traffic, recovery leaves the allocator
 // usable and the heap conserved. The traffic is alloc/free/alloc in one
 // transaction, a transaction that reserves a fresh class extent and retires
 // the old one's tail, one that takes an exact huge extent, and one that does
 // both and aborts. After every recovery the pool verifies clean, every byte
-// up to the brk is a block or an arena's extent (no leaked extent), a reopen
+// up to the brk is exactly one block (no leaked extent), a reopen
 // rebuilds the same free blocks, and new allocations succeed without
 // overlapping a block committed before the crash.
 func TestCrashSweepAllocatorConsistency(t *testing.T) {
-	// fillExtent leaves the home arena's current extent with a tail of at
-	// least one and fewer than 32 minimum blocks, so the next 2 KB block
-	// reserves a new extent and retires the tail.
-	fillExtent := func(p *Pool, clk *sim.Clock) error {
-		tx, err := p.Begin(clk)
-		if err != nil {
-			return err
-		}
-		for {
-			b, err := p.read(clk, p.arenas[0].bumpOff(), 16)
-			if err != nil {
-				return err
-			}
-			rem := int64(word(b, 1)) - int64(word(b, 0))
-			n := int64(maxClassBlock - blockHeaderSize)
-			if rem < maxClassBlock+minBlock {
-				if rem < maxClassBlock {
-					return tx.Commit()
-				}
-				n = minBlock - blockHeaderSize
-			}
-			if _, err := p.Alloc(tx, n); err != nil {
-				return err
-			}
-		}
-	}
 	cases := []struct {
 		name  string
 		setup func(*Pool, *sim.Clock) error
@@ -379,9 +376,9 @@ func crashSweepAllocator(t *testing.T, k int64, setup func(*Pool, *sim.Clock) er
 }
 
 // heapCensus walks the heap by its headers, independently of the walk Open
-// runs, and checks conservation: brk − heapOff is the allocated blocks plus
-// the free blocks plus every arena's [bump, limit), so no extent leaked. It
-// returns the free blocks in address order.
+// runs, and checks conservation: every byte of [heapOff, brk) is exactly one
+// block, allocated or free, so no extent leaked. It returns the free blocks in
+// address order.
 func heapCensus(t *testing.T, k int64, p *Pool) []freeBlock {
 	t.Helper()
 	clk := new(sim.Clock)
@@ -390,24 +387,9 @@ func heapCensus(t *testing.T, k int64, p *Pool) []freeBlock {
 		t.Fatal(err)
 	}
 	brk += p.heapOff
-	extents := make(map[int64]int64)
-	var inExtents, alloc, free int64
-	for i := range p.arenas {
-		b, err := p.read(clk, p.arenas[i].bumpOff(), 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bump, limit := int64(word(b, 0)), int64(word(b, 1)); bump < limit {
-			extents[bump] = limit
-			inExtents += limit - bump
-		}
-	}
+	var alloc, free int64
 	var frees []freeBlock
 	for off := p.heapOff; off < brk; {
-		if end, ok := extents[off]; ok {
-			off = end
-			continue
-		}
 		size, state, err := p.blockHeader(clk, PMID(off+blockHeaderSize))
 		if err != nil || size < minBlock || off+size > brk || (state != stateAlloc && state != stateFree) {
 			t.Fatalf("k=%d: heap not conserved: the header at %d reads size %d, state %#x (brk %d, %v)",
@@ -421,9 +403,8 @@ func heapCensus(t *testing.T, k int64, p *Pool) []freeBlock {
 		}
 		off += size
 	}
-	if brk-p.heapOff != alloc+free+inExtents {
-		t.Fatalf("k=%d: brk-heapOff %d != allocated %d + free %d + extents %d",
-			k, brk-p.heapOff, alloc, free, inExtents)
+	if brk-p.heapOff != alloc+free {
+		t.Fatalf("k=%d: brk-heapOff %d != allocated %d + free %d", k, brk-p.heapOff, alloc, free)
 	}
 	return frees
 }

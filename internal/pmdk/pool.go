@@ -16,7 +16,7 @@
 // drive that guarantee against the device's cacheline-granular crash
 // simulator.
 //
-// The allocator is striped into independent arenas (one lock, one bump
+// The allocator is striped into independent arenas (one lock, one current
 // extent, and one set of DRAM free lists each) so transactions on different
 // goroutines allocate without contending on a single mutex; arenas grow by
 // reserving extents from a shared brk, so no static heap partition limits
@@ -55,7 +55,7 @@ var (
 
 const (
 	poolMagic   = "PMDKPOOL"
-	poolVersion = 7 // 7: free lists are DRAM state rebuilt from the block headers; arena metadata is bump|limit (alloc.go)
+	poolVersion = 8 // 8: the heap is its block headers alone; an arena's current extent is a free block (alloc.go)
 	headerSize  = 256
 
 	// Header field offsets.
@@ -122,12 +122,11 @@ type Pool struct {
 	// ran at once — one per rank, in practice — not one per lane.
 	txFree chan *txn
 
-	// arenas stripes the allocator: each arena owns a mutex, a 64-byte
-	// persistent bump|limit block, its current extent to carve from, and its
-	// DRAM free lists. A transaction's first Alloc/Free takes its home arena
-	// (the caller's rank modulo the arena count) and holds its lock until
-	// commit/abort, so allocator pre-images in different lanes never overlap
-	// in time; see alloc.go for the protocol.
+	// arenas stripes the allocator: each arena owns a mutex, its current
+	// extent to carve from, and its DRAM free lists. A transaction's first
+	// Alloc/Free takes its home arena (the caller's rank modulo the arena
+	// count) and holds its lock until commit/abort, so allocator pre-images in
+	// different lanes never overlap in time; see alloc.go for the protocol.
 	arenas []arena
 	// brkMu guards the shared extent brk at allocOff. It is a leaf lock:
 	// taken only inside extent reservation, never while acquiring any other
@@ -144,19 +143,21 @@ type Pool struct {
 	stats statsCounters
 }
 
-// arena is one allocator stripe. The mutex guards the persistent bump|limit
-// at metaOff and the DRAM free lists, and nothing else: block contents are
-// protected by the owning transaction's locks. Arenas carve from private
-// extents reserved off the pool's shared brk, so the heap is not statically
-// partitioned and one arena can still host a block nearly as large as the
-// whole heap. Free lists are not address-partitioned either: blocks carry
-// self-describing headers, so an arena's list may hold blocks carved
-// anywhere. The lists are made on first push.
+// arena is one allocator stripe. The mutex guards the current extent and the
+// DRAM free lists, and nothing else: block contents are protected by the
+// owning transaction's locks. Arenas carve from private extents reserved off
+// the pool's shared brk, so the heap is not statically partitioned and one
+// arena can still host a block nearly as large as the whole heap. Free lists
+// are not address-partitioned either: blocks carry self-describing headers,
+// so an arena's list may hold blocks carved anywhere. The lists are made on
+// first push.
 type arena struct {
-	mu      sync.Mutex
-	metaOff int64
-	class   [nSizeClasses][]PMID // LIFO: the last entry is popped first
-	huge    []freeBlock          // first fit from the last entry down
+	mu sync.Mutex
+	// cur is the free block class blocks are split off, held by no list: an
+	// extent reserved off the brk, or what is left of one (size 0: none).
+	cur   freeBlock
+	class [nSizeClasses][]PMID // LIFO: the last entry is popped first
+	huge  []freeBlock          // first fit from the last entry down
 	// free counts the blocks on the lists, exactly. Allocations scan a
 	// foreign arena for reusable blocks only when it is positive, so the
 	// fresh-write path never pays cross-arena traffic.
@@ -242,7 +243,7 @@ func Create(clk *sim.Clock, m *pmem.Mapping, opts *Options) (*Pool, error) {
 		o.Arenas = o.Lanes
 	}
 	allocOff := int64(headerSize)
-	laneOff := align8(allocOff + brkMetaSize + int64(o.Arenas)*allocMetaSize)
+	laneOff := allocOff + brkMetaSize
 	rootOff := align8(laneOff + int64(o.Lanes)*o.LaneLogSize)
 	heapOff := alignUp(rootOff+o.RootSize, 64)
 	// The heap needs room for at least one minimum block.
@@ -278,7 +279,7 @@ func Create(clk *sim.Clock, m *pmem.Mapping, opts *Options) (*Pool, error) {
 		return nil, err
 	}
 
-	// Zero allocator metadata, lane logs and root object.
+	// Zero the brk word, lane logs and root object.
 	zeroTo := heapOff
 	if err := m.Capture(allocOff, zeroTo-allocOff); err != nil {
 		return nil, err
@@ -299,8 +300,8 @@ func Create(clk *sim.Clock, m *pmem.Mapping, opts *Options) (*Pool, error) {
 	}
 
 	p := newPoolStruct(m, rootOff, o.RootSize, heapOff, m.Len(), laneOff, o.Lanes, o.LaneLogSize, allocOff, o.Arenas)
-	// Seed the shared extent brk; arena extents start empty (bump = limit = 0
-	// from the zeroing above) and are reserved lazily on first carve.
+	// Seed the shared extent brk; arenas reserve their extents lazily on
+	// first carve.
 	if err := p.initBrk(clk); err != nil {
 		return nil, err
 	}
@@ -373,9 +374,6 @@ func newPoolStruct(m *pmem.Mapping, rootOff, rootSize, heapOff, heapEnd, laneOff
 		p.laneFree <- i
 	}
 	p.arenas = make([]arena, arenas)
-	for i := range p.arenas {
-		p.arenas[i].metaOff = allocOff + brkMetaSize + int64(i)*allocMetaSize
-	}
 	// Default extent size scales with the heap so small pools are not eaten
 	// by per-arena slack; huge blocks always get exact-size extents.
 	p.extent = (heapEnd - heapOff) / int64(arenas*16)

@@ -59,18 +59,19 @@ func poke(t *testing.T, p *Pool, off PMID, v uint64) {
 // chain length a Get hit is k+2 accesses (bucket slot, k entries, the value),
 // a miss 1+L, an Update of a present key k+1 (+1 for Old), an insert L+1 and a
 // Delete k+1, next to what the allocator and the undo log read on their
-// behalf: a bump carve 3 and a Free 2 of their own, and one pre-image read per
+// behalf: a carve 2 and a Free 2 of their own, and one pre-image read per
 // undo entry. Virtual time is held to the nanosecond against the same accesses
 // charged one by one to a scratch clock.
 func TestProbeAccessesPerEntry(t *testing.T) {
 	const (
 		klen, vlen = 5, 8 // "key-i", "8 bytes."
 		// What a mutation's nested calls read, none of it the walk's. The first
-		// carve of a transaction reads bump|limit and pre-images bump|limit and
-		// size|state; the second finds bump|limit covered. A Free reads
-		// size|state and pre-images the state word. The free lists are DRAM.
-		// Linking or unlinking pre-images one word.
-		carve1, carve2, free1, free2, link = 1 + 2, 1 + 1, 1 + 1, 1 + 1, 1
+		// carve of a transaction splits the arena's current extent, a DRAM
+		// value, and pre-images the tail's and the block's size|state; the
+		// second finds its block's header covered by the first one's tail. A
+		// Free reads size|state and pre-images the state word. The free lists
+		// are DRAM. Linking or unlinking pre-images one word.
+		carve1, carve2, free1, free2, link = 2, 1, 1 + 1, 1 + 1, 1
 	)
 	for L := 1; L <= 8; L++ {
 		ht, p, clk := chainTable(t, L)

@@ -138,14 +138,14 @@ type txn struct {
 	// held lists the arena locks this transaction owns, in acquisition
 	// order. held[0] is the home arena (taken blocking at the first
 	// Alloc/Free); later entries were stolen with TryLock. dirty marks
-	// arenas whose metadata this transaction has pre-imaged: those must stay
-	// locked until commit/abort so no other transaction logs the same words
-	// while this one is active.
+	// arenas whose lists or current extent this transaction has changed:
+	// those must stay locked until commit/abort so no other transaction logs
+	// the same headers while this one is active.
 	held []heldArena
 
-	// ops records what the transaction did to the DRAM free lists, in order:
-	// Abort undoes it (undoHeap), Commit puts the freed blocks on their lists
-	// (commitHeap).
+	// ops records what the transaction did to the DRAM free lists and current
+	// extents, in order: Abort undoes it (undoHeap), Commit puts the freed
+	// blocks on their lists (commitHeap).
 	ops []heapOp
 
 	// Inline backing for ranges, held and ops: a store's two transactions log
@@ -442,7 +442,7 @@ func (tx *txn) rollback() error {
 			return err
 		}
 	}
-	// The headers and bump|limit words are as they were; the free lists
+	// The headers are as they were; the free lists and current extents
 	// follow (their arenas are still locked here).
 	tx.undoHeap()
 	return nil

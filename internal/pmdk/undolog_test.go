@@ -319,19 +319,22 @@ func TestCrashNFoldRecovery(t *testing.T) {
 }
 
 func TestOpenRefusesV2Pool(t *testing.T) {
-	_, mp, clk := newTestPool(t, 0)
-	hdr, err := mp.Slice(0, headerSize)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A version-2 pool, header checksum and all: its lanes hold the counted
-	// log this reader no longer understands.
-	binary.LittleEndian.PutUint32(hdr[hdrVersion:], 2)
-	binary.LittleEndian.PutUint64(hdr[hdrChecksum:], headerChecksum(hdr))
-	_, err = Open(clk, mp)
-	if !errors.Is(err, ErrBadPool) || errors.Is(err, ErrCorrupt) ||
-		!strings.Contains(err.Error(), fmt.Sprintf("format version 2, this build reads only version %d", poolVersion)) {
-		t.Fatalf("Open(v2 pool) = %v, want ErrBadPool naming both versions", err)
+	// log this reader no longer understands. A version-7 pool's arena extents
+	// are unformatted space this reader's heap walk would stop on.
+	for _, v := range []uint32{2, 7} {
+		_, mp, clk := newTestPool(t, 0)
+		hdr, err := mp.Slice(0, headerSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(hdr[hdrVersion:], v)
+		binary.LittleEndian.PutUint64(hdr[hdrChecksum:], headerChecksum(hdr))
+		_, err = Open(clk, mp)
+		if !errors.Is(err, ErrBadPool) || errors.Is(err, ErrCorrupt) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("format version %d, this build reads only version %d", v, poolVersion)) {
+			t.Fatalf("Open(v%d pool) = %v, want ErrBadPool naming both versions", v, err)
+		}
 	}
 }
 

@@ -381,7 +381,7 @@ func TestHomeArenaFollowsRank(t *testing.T) {
 		clk := &sim.Clock{Rank: rank}
 		tx, _ := p.Begin(clk)
 		if got, want := tx.t.homeArena(), &p.arenas[rank%4]; got != want {
-			t.Errorf("rank %d: home arena at %d, want arena %d", rank, got.metaOff, rank%4)
+			t.Errorf("rank %d: home arena is not arena %d", rank, rank%4)
 		}
 		tx.Abort()
 	}

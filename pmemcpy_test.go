@@ -500,6 +500,29 @@ func TestScalarLoadHeapBudget(t *testing.T) {
 	})
 }
 
+// TestTypeCheckHeapBudget: the element-type check OpenArray and LoadView run
+// before anything else reads the declared type alone, decoded into a stack
+// buffer, so a passing check allocates nothing.
+func TestTypeCheckHeapBudget(t *testing.T) {
+	single(t, func(p *pmemcpy.PMEM) error {
+		if err := pmemcpy.Alloc[float64](p, "a", 4, 8); err != nil {
+			return err
+		}
+		if _, err := pmemcpy.OpenArray[int32](p, "a"); !errors.Is(err, pmemcpy.ErrTypeMismatch) {
+			return fmt.Errorf("OpenArray[int32] over a float64 array: %v, want ErrTypeMismatch", err)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := pmemcpy.OpenArray[float64](p, "a"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			return fmt.Errorf("OpenArray's type check = %v allocations, want 0", got)
+		}
+		return nil
+	})
+}
+
 // TestSmallOpHeapBudget pins the Go-heap cost of the other op kinds the
 // smallkv workload issues, on its shapes: a 64-byte string and a 32-element
 // array stored and loaded as one whole extent. The scalar Store and Load have

@@ -1,8 +1,6 @@
 package pmemcpy
 
 import (
-	"fmt"
-
 	"pmemcpy/internal/bytesview"
 	"pmemcpy/internal/core"
 )
@@ -62,13 +60,8 @@ func (v *View[T]) Close() error { return v.bv.Close() }
 // matters; the pmemcpy_view_zero_copy_total / pmemcpy_view_fallback_total
 // counters report the ratio per handle).
 func LoadView[T Scalar](p *PMEM, id string, offs, counts []uint64) (*View[T], error) {
-	dt, _, err := p.LoadDims(id)
-	if err != nil {
+	if err := checkDType[T](p, id); err != nil {
 		return nil, err
-	}
-	if want := dtypeOf[T](); dt != want && dt.Size() != want.Size() {
-		return nil, fmt.Errorf("pmemcpy: array %q holds %v, requested %v: %w",
-			id, dt, want, ErrTypeMismatch)
 	}
 	bv, err := p.LoadBlockView(id, offs, counts)
 	if err != nil {
