@@ -50,7 +50,7 @@
 // imported package (sort.Slice is not the pool API).
 //
 // Rule "lease" applies to every file, tests included: a view returned by
-// LoadView, LoadBlockView, or Array.View holds a lease that pins deferred
+// LoadView, LoadBlockView(As), or Array.View holds a lease that pins deferred
 // block frees until Close, so a call whose result is discarded — a bare, go
 // or defer statement, or the view assigned to the blank identifier — leaks
 // the lease for the life of the process (the runtime finalizer only counts
@@ -187,9 +187,10 @@ var rules = []rule{
 // name of the called function or method, after stripping any generic
 // instantiation and selector base.
 var viewFuncs = map[string]bool{
-	"LoadView":      true,
-	"LoadBlockView": true,
-	"View":          true,
+	"LoadView":        true,
+	"LoadBlockView":   true,
+	"LoadBlockViewAs": true,
+	"View":            true,
 }
 
 // leakedLease flags a statement that discards a view-producing call's view.

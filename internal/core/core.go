@@ -507,10 +507,7 @@ func (p *PMEM) alloc(id string, dtype serial.DType, gdims []uint64) error {
 // LoadDims returns the global dimensions and element type declared for id.
 func (p *PMEM) LoadDims(id string) (serial.DType, []uint64, error) {
 	_, rec, err := p.lockedDims(id, nil)
-	if err != nil {
-		return serial.Invalid, nil, err
-	}
-	return rec.dtype, rec.dims, nil
+	return rec.dtype, rec.dims, err
 }
 
 // LoadDType returns the element type declared for id: LoadDims for a caller
@@ -518,8 +515,5 @@ func (p *PMEM) LoadDims(id string) (serial.DType, []uint64, error) {
 func (p *PMEM) LoadDType(id string) (serial.DType, error) {
 	var buf [serial.MaxDims]uint64
 	_, rec, err := p.lockedDims(id, buf[:0])
-	if err != nil {
-		return serial.Invalid, err
-	}
-	return rec.dtype, nil
+	return rec.dtype, err
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 
 	"pmemcpy/internal/pmdk"
@@ -70,39 +71,54 @@ func (p *PMEM) PoolStats() []pmdk.Stats {
 	return out
 }
 
-// EntryHint returns the hashtable entry key's variable holds as key's hint
-// (key is an id or its "#dims" companion) and the entry an unhinted lookup of
-// key finds, each 0 when there is none.
-func (p *PMEM) EntryHint(key string) (hint, walk int64, err error) {
-	v := p.variable(key)
-	v.RLock()
-	defer v.RUnlock()
-	if h := v.hint(key); h != nil {
-		hint = int64(h.Load())
-	}
-	_, _, e, err := p.st.hts[p.homeIdx(key)].GetRefAt(p.comm.Clock(), []byte(key), pmdk.Null)
-	return hint, int64(e), err
-}
+// The fields of a variable's DRAM state, as VariableAgrees reports them.
+const (
+	KnownEntry     = knownAt
+	KnownDimsEntry = knownDimsAt
+	KnownDims      = knownDims
+	KnownIndex     = knownIndex
+)
 
-// DimsSlot holds the dims slot of id's variable to a fresh decode of id's
-// "#dims" record: it reports whether the slot is full, and an error when a
-// full slot is not exactly the record.
-func (p *PMEM) DimsSlot(id string) (bool, error) {
+// VariableAgrees holds every field id's variable knows to the media — each
+// entry to an unhinted walk, the dims to a fresh decode of the "#dims" record,
+// the index to a fresh decode of the block list — and returns the Known* bits
+// of the fields it knows, with an error naming the first that disagrees.
+func (p *PMEM) VariableAgrees(id string) (uint32, error) {
+	id = placementKey(id)
 	v := p.variable(id)
 	v.RLock()
 	defer v.RUnlock()
-	slot, full := v.dims.get(nil)
-	if !full {
-		return false, nil
+	known, clk := v.known.Load(), p.comm.Clock()
+	for i, key := range []string{id, id + DimsSuffix} {
+		if known&(knownAt<<i) == 0 {
+			continue
+		}
+		_, _, walk, err := p.st.hts[p.homeIdx(key)].GetRefAt(clk, []byte(key), pmdk.Null)
+		if err != nil || walk != v.at[i] {
+			return known, fmt.Errorf("%q: the variable holds entry %d, the walk finds %d (%v)", key, v.at[i], walk, err)
+		}
 	}
-	raw, _, ok, err := p.record(v, id+DimsSuffix)
-	var rec dimsRecord
-	if ok && err == nil {
-		rec, err = decodeDims(raw, nil)
+	if known&knownDims != 0 {
+		raw, ok, err := p.st.lay.get(clk, id, DimsSuffix)
+		var rec dimsRecord
+		if ok && err == nil {
+			rec, err = decodeDims(raw, nil)
+		}
+		if !ok || err != nil || rec.dtype != v.dtype || !slices.Equal(rec.dims, v.dims[:v.rank]) {
+			return known, fmt.Errorf("%q: the variable holds dims %v %v, the record %v %v (found %v, %v)",
+				id, v.dtype, v.dims[:v.rank], rec.dtype, rec.dims, ok, err)
+		}
 	}
-	if !ok || err != nil || rec.dtype != slot.dtype || !slices.Equal(rec.dims, slot.dims) {
-		return true, fmt.Errorf("%q: the dims slot holds %v %v, the record %v %v (found %v, %v)",
-			id, slot.dtype, slot.dims, rec.dtype, rec.dims, ok, err)
+	if known&knownIndex != 0 {
+		raw, ok, err := p.st.lay.get(clk, id, "")
+		fresh := blockIndex{hasBlocks: ok}
+		if ok && err == nil {
+			fresh.blocks, fresh.dropped, err = blockList.decode(raw)
+		}
+		fresh.ascending = ascending(fresh.blocks)
+		if err != nil || !reflect.DeepEqual(fresh, v.index) {
+			return known, fmt.Errorf("%q: the variable holds index %+v, the block list decodes to %+v (%v)", id, v.index, fresh, err)
+		}
 	}
-	return true, nil
+	return known, nil
 }

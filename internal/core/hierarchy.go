@@ -214,7 +214,7 @@ func (h *hierStore) resolve(p *PMEM, pl *readPlan) (err error) {
 		}
 		return err
 	}
-	rec, err := p.heldDims(pl.v, pl.id, nil)
+	rec, err := p.heldDims(pl.v, pl.id, pl.as, nil)
 	if err != nil {
 		return err
 	}

@@ -17,15 +17,15 @@ import (
 	"pmemcpy/internal/sim"
 )
 
-// hintAgrees checks key's entry hint against an unhinted walk: the hint is
-// the walk's answer, or 0 when exact is false.
-func hintAgrees(p *core.PMEM, key string, exact bool) error {
-	hint, walk, err := p.EntryHint(key)
+// agrees holds id's variable to the media (VariableAgrees) and, when want is
+// set, to knowing at least the fields of want.
+func agrees(p *core.PMEM, id string, want uint32) error {
+	known, err := p.VariableAgrees(id)
 	switch {
 	case err != nil:
 		return err
-	case hint != walk && (exact || hint != 0):
-		return fmt.Errorf("%q: hint %d, the walk finds %d", key, hint, walk)
+	case known&want != want:
+		return fmt.Errorf("%q: the variable knows fields %04b, want at least %04b", id, known, want)
 	}
 	return nil
 }
@@ -54,21 +54,20 @@ func collidingIDs(key string, n int) []string {
 	return out
 }
 
-// TestEntryHintCoherence holds the entry hint each id's variable keeps
-// (meta.go) to the chain it stands for, through every kind of record change:
+// TestEntryHintCoherence holds the DRAM state each id's variable keeps
+// (meta.go) to the media (VariableAgrees: entries to the chain they stand
+// for, dims and index to fresh decodes) through every kind of record change:
 // an insert, an in-place overwrite, a relinking overwrite, a Delete and a
 // re-insert of the same id, an overwrite failed at each of its persists in
 // turn by an injected transient (the last failure is on the commit), and an
-// insert aborted by pool exhaustion, last. An array's "#dims" hint is held to
-// the same rule through an Alloc and a block store, a re-Alloc, a conflicting
+// insert aborted by pool exhaustion, last. An array's variable is held to the
+// same rule through an Alloc and a block store, a re-Alloc, a conflicting
 // re-Alloc, a Delete of the id and its dims record, an Alloc with other dims
-// and dtype, and a failed Delete of the dims record, and the variable's dims
-// slot to a fresh decode of the record. The id sits fourth in its bucket's
-// chain, behind three ids of the same bucket. After
-// every case the id loads as the model says, and its hint is exactly the
-// entry an unhinted walk finds after a committed change, that entry or 0
-// after a failed one. The quarantine list's reserved key is never hinted: its
-// writers hold no variable lock.
+// and dtype, and a failed Delete of the dims record. The id sits fourth in its
+// bucket's chain, behind three ids of the same bucket. After every case the
+// id loads as the model says, every field its variable knows is the media's,
+// and after a committed change it knows the id's entry. The quarantine list's
+// reserved key has no fields: its writers hold no variable lock.
 func TestEntryHintCoherence(t *testing.T) {
 	const id = "x"
 	long := stringDatum(strings.Repeat("relinked ", 16)) // past inlineMax: a value ref
@@ -92,7 +91,11 @@ func TestEntryHintCoherence(t *testing.T) {
 			if err := loadsAs(p, id, model); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
-			if err := hintAgrees(p, id, !failed); err != nil {
+			want := core.KnownEntry
+			if failed {
+				want = 0
+			}
+			if err := agrees(p, id, want); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
 			return nil
@@ -119,21 +122,22 @@ func TestEntryHintCoherence(t *testing.T) {
 			}
 		}
 
-		// An array's dims record takes the second hint slot, and its decoded
-		// dims the variable's slot. After an Alloc and a block store, a
+		// An array's dims record takes the variable's second entry, and its
+		// decoded dims the variable's dims. After an Alloc and a block store, a
 		// re-Alloc, a conflicting re-Alloc, a Delete, an Alloc with other dims
 		// and dtype, and a failed Delete of the dims record, the array loads as
-		// stored, both its hints are the walk's answers, and the dims slot is
-		// empty or a fresh decode of the record — before LoadDims reads it, and
-		// full after. Every op but the one after the Delete finds the slot
-		// full: the previous row's reads filled it.
+		// stored, the variable knows both entries and they are the walk's
+		// answers, and its dims are unknown or a fresh decode of the record —
+		// before LoadDims reads them, and known after. Every op but the one
+		// after the Delete finds the dims known: the previous row's reads
+		// installed them.
 		const arr = "arr"
 		for _, c := range []struct {
 			name   string
 			op     func() error
 			dtype  serial.DType
 			dims   []uint64 // LoadDims' answer after the op; nil once deleted
-			failed bool     // the op's change failed: hints may be 0
+			failed bool     // the op's change failed: entries may be unknown
 		}{
 			{"Alloc + StoreBlock", func() error {
 				if err := p.Alloc(arr, serial.Float64, []uint64{8}); err != nil {
@@ -174,28 +178,32 @@ func TestEntryHintCoherence(t *testing.T) {
 			if err := c.op(); err != nil {
 				return fmt.Errorf("array %s: %w", c.name, err)
 			}
-			if _, err := p.DimsSlot(arr); err != nil {
+			if err := agrees(p, arr, 0); err != nil {
 				return fmt.Errorf("array %s: %w", c.name, err)
 			}
 			dtype, dims, err := p.LoadDims(arr)
 			if c.dims == nil && !errors.Is(err, core.ErrNotFound) || c.dims != nil && (err != nil || dtype != c.dtype || !slices.Equal(dims, c.dims)) {
 				return fmt.Errorf("array %s: LoadDims = %v %v, %v; want %v %v", c.name, dtype, dims, err, c.dtype, c.dims)
 			}
-			if full, err := p.DimsSlot(arr); err != nil || full != (c.dims != nil) {
-				return fmt.Errorf("array %s: after LoadDims the dims slot is full=%v, %v; want full exactly while the array exists", c.name, full, err)
+			if known, err := p.VariableAgrees(arr); err != nil || (known&core.KnownDims != 0) != (c.dims != nil) {
+				return fmt.Errorf("array %s: after LoadDims the variable knows fields %04b, %v; want the dims known exactly while the array exists", c.name, known, err)
 			}
 			if c.dims != nil {
 				if v, err := loadUniformF64(p, arr, 8); err != nil || v != 1 {
 					return fmt.Errorf("array %s: first 8 elements = %v, %v; want 1", c.name, v, err)
 				}
 			}
-			for _, key := range []string{arr, arr + core.DimsSuffix} {
-				if err := hintAgrees(p, key, !c.failed); err != nil {
-					return fmt.Errorf("array %s: %w", c.name, err)
-				}
+			want := core.KnownEntry | core.KnownDimsEntry
+			if c.failed {
+				want = 0
 			}
-			if hint, _, _ := p.EntryHint(arr + core.DimsSuffix); !c.failed && (hint != 0) != (c.dims != nil) {
-				return fmt.Errorf("array %s: dims hint %d, want one exactly while the array exists", c.name, hint)
+			if err := agrees(p, arr, want); err != nil {
+				return fmt.Errorf("array %s: %w", c.name, err)
+			}
+			// The known dims entry is the walk's answer, so it names an
+			// entry exactly while the dims record exists.
+			if _, present, err := p.RawValue(arr + core.DimsSuffix); !c.failed && (err != nil || present != (c.dims != nil)) {
+				return fmt.Errorf("array %s: the dims record is present=%v, %v; want it exactly while the array exists", c.name, present, err)
 			}
 		}
 
@@ -220,7 +228,7 @@ func TestEntryHintCoherence(t *testing.T) {
 		}
 
 		// Quarantine a block and read the list through its record: the walk
-		// finds the reserved key, and it holds no hint.
+		// finds the reserved key, and its variable knows nothing.
 		if err := p.StoreDatum("victim", long); err != nil {
 			return err
 		}
@@ -231,8 +239,9 @@ func TestEntryHintCoherence(t *testing.T) {
 			return fmt.Errorf("Scrub = %v, %v; want one block quarantined", rep, err)
 		}
 		p.VerifyStore()
-		if hint, walk, err := p.EntryHint("#quarantine"); err != nil || hint != 0 || walk == 0 {
-			return fmt.Errorf("#quarantine: hint %d, walk %d, %v; want no hint on a present key", hint, walk, err)
+		known, err := p.VariableAgrees("#quarantine")
+		if _, present, rerr := p.RawValue("#quarantine"); err != nil || known != 0 || rerr != nil || !present {
+			return fmt.Errorf("#quarantine: fields %04b, %v; present %v, %v; want no field of a present key", known, err, present, rerr)
 		}
 		// Delete the id and fill the pool: the re-insert's record change
 		// cannot allocate and aborts.
@@ -261,8 +270,8 @@ func TestEntryHintCoherence(t *testing.T) {
 // overlapping ids, with values of many lengths so overwrites go in place,
 // relink and move between the inline and value-ref forms. Every load must
 // return a value some rank stored under that id, and at the end every id's
-// hint is the walk's answer or 0. Under -race (make race) it also holds the
-// hint's stores under the read lock to being race-free.
+// variable agrees with the media (VariableAgrees). Under -race (make race) it
+// also holds the entry installs under the read lock to being race-free.
 func TestEntryHintRace(t *testing.T) {
 	const (
 		ranks = 2
@@ -305,7 +314,7 @@ func TestEntryHintRace(t *testing.T) {
 		}
 		if c.Rank() == 0 {
 			for i := 0; i < nids; i++ {
-				if err := hintAgrees(p, idOf(i), false); err != nil {
+				if err := agrees(p, idOf(i), 0); err != nil {
 					return err
 				}
 			}
@@ -318,16 +327,20 @@ func TestEntryHintRace(t *testing.T) {
 }
 
 // TestDimsSlotRace re-declares an array's dims round after round — rank 0
-// deletes the dims record and declares float64 [8] or int64 [16], leaving the
-// slot empty — and then has both ranks read the dims, and store and load
-// blocks, at once, so the two race to fill the slot. LoadDims must only ever
-// answer one of the two declarations, never a mix, and at the end the slot is
-// a fresh decode of the record. Under -race (make race) it also checks every
-// fill and clear the run makes for unsynchronized accesses.
+// deletes the dims record and declares float64 [8] or int64 [16], so the
+// variable forgets its dims and its index — and then has both ranks read the
+// dims, load a block, take the range and store the block, at once: each
+// round's first LoadDims races the other rank to install the dims, and each
+// LoadBlock and MinMax to install the index the re-declaration or a store
+// made the variable forget. LoadDims must only ever
+// answer one of the two declarations, never a mix, the range is the stored
+// zeros', and at the end the variable knows its dims and index and agrees
+// with the media (VariableAgrees). Under -race (make race) it also checks
+// every install and clear the run makes for unsynchronized accesses.
 func TestDimsSlotRace(t *testing.T) {
 	const (
 		ranks  = 2
-		rounds = 60
+		rounds = 300
 		reads  = 4
 		id     = "arr"
 	)
@@ -339,6 +352,14 @@ func TestDimsSlotRace(t *testing.T) {
 			return err
 		}
 		buf := make([]byte, 64)
+		if c.Rank() == 0 {
+			if err := p.Alloc(id, serial.Float64, []uint64{8}); err != nil {
+				return err
+			}
+			if err := p.StoreBlock(id, []uint64{0}, []uint64{8}, buf); err != nil {
+				return err
+			}
+		}
 		for round := 0; round < rounds; round++ {
 			if c.Rank() == 0 {
 				dtype, dims := serial.Float64, []uint64{8}
@@ -361,11 +382,14 @@ func TestDimsSlotRace(t *testing.T) {
 					dtype == serial.Int64 && slices.Equal(dims, []uint64{16})) {
 					return fmt.Errorf("round %d rank %d: LoadDims = %v %v, %v: no declaration made that", round, c.Rank(), dtype, dims, err)
 				}
-				if err := p.StoreBlock(id, []uint64{0}, []uint64{8}, buf); err != nil {
-					return fmt.Errorf("round %d rank %d StoreBlock: %w", round, c.Rank(), err)
-				}
 				if err := p.LoadBlock(id, []uint64{0}, []uint64{8}, buf); err != nil {
 					return fmt.Errorf("round %d rank %d LoadBlock: %w", round, c.Rank(), err)
+				}
+				if mn, mx, err := p.MinMax(id); err != nil || mn != 0 || mx != 0 {
+					return fmt.Errorf("round %d rank %d MinMax = %v, %v, %v; want the stored zeros", round, c.Rank(), mn, mx, err)
+				}
+				if err := p.StoreBlock(id, []uint64{0}, []uint64{8}, buf); err != nil {
+					return fmt.Errorf("round %d rank %d StoreBlock: %w", round, c.Rank(), err)
 				}
 			}
 			if err := c.Barrier(); err != nil {
@@ -373,8 +397,11 @@ func TestDimsSlotRace(t *testing.T) {
 			}
 		}
 		if c.Rank() == 0 {
-			if full, err := p.DimsSlot(id); err != nil || !full {
-				return fmt.Errorf("after the rounds the dims slot is full=%v, %v; want a full slot that is the record", full, err)
+			if err := p.LoadBlock(id, []uint64{0}, []uint64{8}, buf); err != nil {
+				return err
+			}
+			if err := agrees(p, id, core.KnownDims|core.KnownIndex); err != nil {
+				return fmt.Errorf("after the rounds: %w", err)
 			}
 		}
 		return p.Munmap()

@@ -488,7 +488,7 @@ func decodeFrame(hdr []byte, room int64) (blockRec, error) {
 
 // placementKey reduces an id to its placement key: the "#dims" companion
 // follows its base variable, so a variable's records co-locate, share one
-// lock, and share one DRAM index entry.
+// lock, and share one variable's DRAM state.
 func placementKey(id string) string {
 	if n := len(id) - len(DimsSuffix); n > 0 && id[n:] == DimsSuffix {
 		id = id[:n]
@@ -515,38 +515,41 @@ func (st *shared) homeIdx(id string) int {
 
 // dims returns id's dims record, decoded into buf's array when that is large
 // enough; ok is false when id has none. The caller holds v, id's lock, which
-// every writer of the record holds too. v's slot answers when it holds the
-// record — a hit touches neither the device nor the clock — and a miss reads
-// the record, on the pool layout where it sits, as a whole value's is
-// (record), and fills the slot.
+// every writer of the record holds too. v's dims answer when v knows them — a
+// hit touches neither the device nor the clock — and a miss reads the record,
+// on the pool layout where it sits, as a whole value's is (record), and
+// installs what it decoded.
 func (p *PMEM) dims(v *variable, id string, buf []uint64) (rec dimsRecord, ok bool, err error) {
-	var slot *dimsSlot // the slot serving id, if one does
-	if p.st.lay.pooled() && !(len(id) > 0 && id[0] == '#') && id == placementKey(id) {
-		slot = &v.dims
-	}
-	if rec, ok = slot.get(buf); ok {
-		return rec, true, nil
+	key := id + DimsSuffix
+	f := p.fields(key) & knownDims
+	if f != 0 && v.has(f) {
+		return dimsRecord{dtype: v.dtype, dims: append(buf[:0], v.dims[:v.rank]...)}, true, nil
 	}
 	var raw []byte
 	if p.st.lay.pooled() {
-		raw, _, ok, err = p.record(v, id+DimsSuffix)
+		raw, _, ok, err = p.record(v, key)
 	} else {
 		raw, ok, err = p.st.lay.get(p.comm.Clock(), id, DimsSuffix)
 	}
 	if err != nil || !ok {
 		return rec, ok, err
 	}
-	if rec, err = decodeDims(raw, buf); err == nil {
-		slot.fill(rec)
+	if rec, err = decodeDims(raw, buf); err == nil && len(rec.dims) <= serial.MaxDims {
+		v.install(f, func() { v.dtype, v.rank = rec.dtype, uint8(copy(v.dims[:], rec.dims)) })
 	}
 	return rec, true, err
 }
 
-// heldDims is dims with a missing record reported as ErrNotFound.
-func (p *PMEM) heldDims(v *variable, id string, buf []uint64) (dimsRecord, error) {
+// heldDims is dims with a missing record reported as ErrNotFound and, when as
+// names an element type (a typed view's plan), a declared type of another size
+// as ErrTypeMismatch.
+func (p *PMEM) heldDims(v *variable, id string, as serial.DType, buf []uint64) (dimsRecord, error) {
 	rec, ok, err := p.dims(v, id, buf)
-	if err == nil && !ok {
+	switch {
+	case err == nil && !ok:
 		err = fmt.Errorf("core: %q has no dims (Alloc not called): %w", id, ErrNotFound)
+	case err == nil && as != serial.Invalid && rec.dtype != as && rec.dtype.Size() != as.Size():
+		err = fmt.Errorf("core: array %q holds %v, requested %v: %w", id, rec.dtype, as, ErrTypeMismatch)
 	}
 	return rec, err
 }
@@ -557,7 +560,7 @@ func (p *PMEM) lockedDims(id string, buf []uint64) (*variable, dimsRecord, error
 	v := p.variable(id)
 	v.RLock()
 	defer v.RUnlock()
-	rec, err := p.heldDims(v, id, buf)
+	rec, err := p.heldDims(v, id, serial.Invalid, buf)
 	return v, rec, err
 }
 
@@ -604,78 +607,116 @@ func (st *shared) loadQuarantine(clk *sim.Clock) error {
 // variable is one variable's DRAM state beside the one lock that guards it.
 // The id and its "#dims" companion share it (placementKey). Persistent
 // metadata — the dims record and the block list — lives in the PMEM
-// hashtable; dims (dimsSlot) mirrors the one and idx the other, so a repeat
-// LoadSub, MinMax or BlockStatsOf re-reads and re-decodes neither (Blizzard,
-// Fernando et al.: a persistent structure's fast path wants a DRAM index kept
-// coherent under the structure's own lock). Measured with the index off, a
-// miss on every plan costs `load_virt_us_per_op` +12 % on smallkv, +31 % on
-// ckpt-restart and +221 % on stream-raw (DESIGN §8), so it stays.
+// hashtable; the variable keeps both records' hashtable entries, the decoded
+// dims and the decoded block list (the index), so a repeat lookup walks no
+// bucket chain and a repeat LoadSub, MinMax or BlockStatsOf re-reads and
+// re-decodes neither record (Blizzard, Fernando et al.: a persistent
+// structure's fast path wants a DRAM index kept coherent under the
+// structure's own lock). Measured with the index off, a miss on every plan
+// costs `load_virt_us_per_op` +12 % on smallkv, +31 % on ckpt-restart and
+// +221 % on stream-raw (DESIGN §8), so it stays.
 //
-// Coherence: every writer of either record republishes and then drops idx
-// under the write side; the read engine loads, builds and installs idx under
-// the read side, which it holds from its metadata lookup through the last
-// byte it touches. No republish can fall between a reader's metadata reads
-// and its install, so an installed index is never stale and needs no version.
-// An index is immutable once installed.
+// One rule keeps every field coherent. A field is valid while its bit is set
+// in known; which fields a key may touch is fields' answer alone.
+//   - The write side sets or clears fields directly: commitEngine.close, under
+//     the write lock, records the entry the change committed (or forgets it
+//     after an error), forgets the index on every change and the dims on a
+//     change of the "#dims" record (settle).
+//   - A reader that finds a field unknown reads the media itself, charged as
+//     any read, and installs what it read under install's mutex, unless a
+//     racing reader got there first; a loser keeps its own decode. Readers
+//     hold the read side from their lookup through the last byte they touch,
+//     so no change can fall between a reader's media reads and its install,
+//     and an installed field is never stale.
 //
-// What is never indexed: the hierarchy layout (metadata are files, reads go
-// through the FS model), raw metadata values (scalars, strings, structs),
-// negative lookups, and "#dims" ids, which share their base's lock but never
-// read or install its index. Crash recovery needs no protocol: handles open at
-// crash time are dead by contract, and a re-Mmap starts with no variables.
-//
-// The variable is also the namespace's key-to-entry index: at holds the
-// hashtable entry (pmdk.PMID) the id's record and its "#dims" record were last
-// found in, 0 when unknown, and every lookup and record change of either
-// passes it to pmdk as a hint (GetRefAt, UpdateAt) — one entry read instead
-// of a bucket-chain walk. Coherence is the lock's again: a reader stores what
-// it found under the read side (every reader finds the same entry), and a
-// record change stores the entry it committed, or 0 after any error, under
-// the write side. pmdk checks a hint before it trusts it, so a wrong one
-// costs the walk, never a wrong record. Reserved '#' keys (the quarantine
-// list) are never hinted: their writers hold no variable lock.
+// Installed fields are immutable until the write side clears them. Crash
+// recovery needs no protocol: handles open at crash time are dead by
+// contract, and a re-Mmap starts with no variables.
 type variable struct {
 	sync.RWMutex
-	idx  atomic.Pointer[cacheEntry]
-	at   [2]atomic.Uint64
-	dims dimsSlot
-}
+	known atomic.Uint32 // which fields below are valid: known* bits
+	fill  sync.Mutex    // serializes readers' installs
 
-// dimsSlot holds a variable's decoded dims record inline, so a variable stays
-// one allocation. state moves empty → filling → full: the first dims read that
-// finds the slot empty fills it (a reader racing it decodes for itself), and
-// every change of the record, or failed change, empties it under the
-// variable's write lock (close). A full slot is therefore the record. It
-// serves the pool layout's id only: never a reserved '#' key, a "#dims" id
-// (which shares its base's variable), or the hierarchy layout, whose records
-// are files.
-type dimsSlot struct {
-	state atomic.Uint32
-	dtype serial.DType
+	at    [2]pmdk.PMID // knownAt, knownDimsAt: the id's and its "#dims" record's hashtable entries
+	dtype serial.DType // knownDims: the "#dims" record, decoded
 	rank  uint8
 	dims  [serial.MaxDims]uint64
+	index blockIndex // knownIndex: the id's block list, decoded
 }
 
+// The bits of variable.known. An entry's bit is 1 << its slot in at.
 const (
-	slotEmpty uint32 = iota
-	slotFilling
-	slotFull
+	knownAt     uint32 = 1 << iota // at[0]
+	knownDimsAt                    // at[1]
+	knownDims                      // dtype, rank, dims
+	knownIndex                     // index
+
+	knownEntries = knownAt | knownDimsAt
 )
 
-// get copies a full slot's record into buf's array when that is large enough.
-func (s *dimsSlot) get(buf []uint64) (dimsRecord, bool) {
-	if s == nil || s.state.Load() != slotFull {
-		return dimsRecord{}, false
+// fields returns the bits of the state key's variable keeps for key's record:
+// a read of key may use or install only these, and a change of key forgets
+// them. An id's record feeds its entry and the block index, a "#dims"
+// record its entry and the dims; a reserved '#' key (the quarantine list,
+// whose writers hold no variable lock), a "#dims" id's own "#dims" key and
+// every key of the hierarchy layout (its records are files its writers change
+// without close) feed none.
+func (p *PMEM) fields(key string) uint32 {
+	switch base := placementKey(key); {
+	case !p.st.lay.pooled() || len(key) > 0 && key[0] == '#': // none
+	case base == key:
+		return knownAt | knownIndex
+	case base == placementKey(base):
+		return knownDimsAt | knownDims
 	}
-	return dimsRecord{dtype: s.dtype, dims: append(buf[:0], s.dims[:s.rank]...)}, true
+	return 0
 }
 
-// fill leaves rec in an empty slot.
-func (s *dimsSlot) fill(rec dimsRecord) {
-	if s != nil && len(rec.dims) <= serial.MaxDims && s.state.CompareAndSwap(slotEmpty, slotFilling) {
-		s.dtype, s.rank = rec.dtype, uint8(copy(s.dims[:], rec.dims))
-		s.state.Store(slotFull)
+// has reports whether the fields of bits are valid.
+func (v *variable) has(bits uint32) bool { return v.known.Load()&bits == bits }
+
+// entry returns the entry of the record whose fields are f when v knows it,
+// else Null: the hint record and open hand pmdk (GetRefAt, UpdateAt) — one
+// entry read instead of a bucket-chain walk. pmdk checks a hint before it
+// trusts it, so a wrong one costs the walk, never a wrong record.
+func (v *variable) entry(f uint32) pmdk.PMID {
+	if bit := f & knownEntries; bit != 0 && v.has(bit) {
+		return v.at[bit>>1]
 	}
+	return pmdk.Null
+}
+
+// install runs set, which fills bit's fields with what a reader read off the
+// media, and marks them valid, unless they are already (a racing reader won);
+// bit 0 installs nothing. The caller holds v's lock, either side.
+func (v *variable) install(bit uint32, set func()) {
+	if bit != 0 && !v.has(bit) {
+		v.fill.Lock()
+		if !v.has(bit) {
+			set()
+			v.known.Or(bit)
+		}
+		v.fill.Unlock()
+	}
+}
+
+// settle ends a change of a record whose fields are f (fields), under v's
+// write lock: v forgets the index and f, and knows the record's entry again
+// when the change committed it. It reports whether a known index was
+// dropped. Only a dropped index is zeroed, to release its blocks: zeroing an
+// unknown one would cost every store a write to a cache line it otherwise
+// leaves alone (smallkv stores ran about 8 % slower with it on a 2-vCPU
+// host).
+func (v *variable) settle(f uint32, entry pmdk.PMID, committed bool) bool {
+	dropped := v.known.And(^(f|knownIndex))&knownIndex != 0
+	if dropped {
+		v.index = blockIndex{}
+	}
+	if bit := f & knownEntries; committed && bit != 0 {
+		v.at[bit>>1] = entry
+		v.known.Or(bit)
+	}
+	return dropped
 }
 
 // variable returns the variable id belongs to.
@@ -697,76 +738,45 @@ func (p *PMEM) variable(id string) *variable {
 	return v
 }
 
-// hint returns the slot holding where key's record was last found — key is
-// v's id or its "#dims" companion — or nil for a reserved '#' key.
-func (v *variable) hint(key string) *atomic.Uint64 {
-	switch {
-	case len(key) > 0 && key[0] == '#':
-		return nil
-	case key != placementKey(key):
-		return &v.at[1]
-	}
-	return &v.at[0]
-}
-
-// last is key's hint: the entry its record was last found in, or Null.
-func (v *variable) last(key string) pmdk.PMID {
-	if h := v.hint(key); h != nil {
-		return pmdk.PMID(h.Load())
-	}
-	return pmdk.Null
-}
-
-// found leaves e, the entry key's record was just found or committed in
-// (Null: absent, or unknown after an error), as key's hint.
-func (v *variable) found(key string, e pmdk.PMID) {
-	if h := v.hint(key); h != nil && h.Load() != uint64(e) {
-		h.Store(uint64(e))
-	}
-}
-
-// cacheEntry is one variable's DRAM index: the decoded block list in publish
-// order (later blocks shadow earlier ones) and its trailer. ascending records
-// that the blocks are disjoint and ascending along dim 0 in publish order, so
-// no block shadows another and a request's blocks are found by binary search
+// blockIndex is one variable's decoded block list in publish order (later
+// blocks shadow earlier ones) and its trailer. ascending records that the
+// blocks are disjoint and ascending along dim 0 in publish order, so no block
+// shadows another and a request's blocks are found by binary search
 // (gatherScratch.plan).
-type cacheEntry struct {
+type blockIndex struct {
 	blocks    []blockRec
 	dropped   trailer
 	hasBlocks bool
 	ascending bool
 }
 
-// blockIndex returns id's DRAM index, building it from the block list on a
-// miss (same metadata charge as an uncached read); a hit touches neither the
-// device nor the clock. The dims record lives in v's slot, not here.
+// index returns id's block index: v's on a hit, which touches neither the
+// device nor the clock, else built from the block list (same metadata charge
+// as an uncached read) and installed. The dims record lives in v's dims, not
+// here. The caller holds v, id's variable, read-locked — the read engine is
+// the only caller and holds it across resolve AND execution. It must not be
+// re-acquired here: a recursive RLock can deadlock against a queued writer.
 //
-// The caller holds v, id's variable, read-locked — the read engine is the only
-// caller and holds it across resolve AND execution — which is what makes the
-// install safe. It must not be re-acquired here: a recursive RLock can
-// deadlock against a queued writer.
-//
-// The list is decoded where it sits, so an entry costs a fixed number of
-// allocations — itself, the block records and one array for all their
-// extents — however many blocks it indexes.
-func (p *PMEM) blockIndex(v *variable, id string) (*cacheEntry, error) {
-	if e := v.idx.Load(); e != nil && id == placementKey(id) {
+// The list is decoded where it sits, so a build costs a fixed number of
+// allocations — the block records and one array for all their extents —
+// however many blocks it indexes.
+func (p *PMEM) index(v *variable, id string) (blockIndex, error) {
+	f := p.fields(id) & knownIndex
+	if f != 0 && v.has(f) {
 		p.st.ins.cacheHits.Inc()
-		return e, nil
+		return v.index, nil
 	}
 	p.st.ins.cacheMisses.Inc()
 	raw, _, hasBlocks, err := p.record(v, id)
-	e := &cacheEntry{hasBlocks: hasBlocks}
+	e := blockIndex{hasBlocks: hasBlocks}
 	if err == nil && hasBlocks {
 		e.blocks, e.dropped, err = blockList.decode(raw)
 	}
 	if err != nil {
-		return nil, err
+		return blockIndex{}, err
 	}
 	e.ascending = ascending(e.blocks)
-	if id == placementKey(id) { // a "#dims" id never installs its base's index
-		v.idx.Store(e)
-	}
+	v.install(f, func() { v.index = e })
 	return e, nil
 }
 
@@ -779,13 +789,6 @@ func ascending(blocks []blockRec) bool {
 		}
 	}
 	return true
-}
-
-// invalidate drops v's DRAM index. Writers call it under v's write lock,
-// after republishing either record.
-func (p *PMEM) invalidate(v *variable) {
-	v.idx.Store(nil)
-	p.st.ins.cacheInvalidations.Inc()
 }
 
 // --- the pool layout ---
@@ -815,8 +818,8 @@ func (l poolLayout) keys(clk *sim.Clock) (out []string, err error) {
 }
 
 // resolve reads a record plan's units off the id's metadata record and a
-// request or statistics plan's off the DRAM index: the dims from the
-// variable's slot, the blocks from its cacheEntry.
+// request or statistics plan's off the DRAM index: the dims and the blocks
+// its variable keeps.
 func (l poolLayout) resolve(p *PMEM, pl *readPlan) error {
 	if pl.consume == consumeClone || pl.consume == consumeCRC {
 		raw, at, ok, err := p.record(pl.v, pl.id)
@@ -844,28 +847,26 @@ func (l poolLayout) resolve(p *PMEM, pl *readPlan) error {
 		return nil
 	}
 	var buf [serial.MaxDims]uint64
-	rec, err := p.heldDims(pl.v, pl.id, buf[:0])
+	rec, err := p.heldDims(pl.v, pl.id, pl.as, buf[:0])
 	if err != nil {
 		return err
 	}
-	e, err := p.blockIndex(pl.v, pl.id)
+	e, err := p.index(pl.v, pl.id)
 	if err != nil {
 		return err
 	}
-	if pl.consume == consumeStats {
-		pl.dropped = e.dropped
-		if !e.hasBlocks {
-			return fmt.Errorf("core: %q has no stored blocks: %w", pl.id, ErrNotFound)
+	if pl.consume != consumeStats {
+		if err := pl.bound(rec); err != nil {
+			return err
 		}
-		pl.units = p.gather().whole(e.blocks)
-		return nil
 	}
-	if err := pl.bound(rec); err != nil {
-		return err
-	}
-	if !e.hasBlocks {
+	switch {
+	case !e.hasBlocks:
 		return fmt.Errorf("core: id %q has no stored blocks: %w", pl.id, ErrNotFound)
+	case pl.consume == consumeStats:
+		pl.dropped, pl.units = e.dropped, p.gather().whole(e.blocks)
+	default:
+		pl.units = p.gather().plan(&e, pl.offs, pl.counts, pl.esize)
 	}
-	pl.units = p.gather().plan(e, pl.offs, pl.counts, pl.esize)
 	return nil
 }

@@ -25,7 +25,7 @@ func TestPlanSearchMatchesWalk(t *testing.T) {
 		if got, want := ascending(blocks), kind == "gapped" || kind == "touching"; got != want {
 			t.Fatalf("%s rank %d: ascending = %v, want %v", kind, rank, got, want)
 		}
-		e := &cacheEntry{blocks: blocks, hasBlocks: true, ascending: ascending(blocks)}
+		e := &blockIndex{blocks: blocks, hasBlocks: true, ascending: ascending(blocks)}
 		for name, req := range planRequests(rng, blocks, rank) {
 			var gs, gw gatherScratch
 			got := gs.plan(e, req[0], req[1], 8)

@@ -186,6 +186,11 @@ type readPlan struct {
 	dst          []byte
 	asString     bool
 
+	// as is the element type a typed view reads the request as (Invalid:
+	// any): resolve holds the declared type to it (heldDims) before any byte
+	// of the variable is read, any lease taken or the bounds checked.
+	as serial.DType
+
 	// Scrub: the pass's cancellation and paced charge, both applied between
 	// blocks. Nil on every other plan.
 	sweep *scrubPacer
@@ -297,12 +302,15 @@ func (l poolLayout) stored(p *PMEM, u readUnit) ([]byte, error) {
 // record on the Go heap — and the value block holding it, charged as the one
 // device read a record costs. The caller holds v, id's lock: every writer of
 // the record (publish, republish, Delete) holds its write side, so the bytes
-// stay put until the caller lets go. The lookup starts from v's hint and
-// leaves there the entry it found.
+// stay put until the caller lets go. The lookup starts from the entry v
+// knows, and installs the entry it found when v knew none.
 func (p *PMEM) record(v *variable, id string) (raw []byte, at poolPMID, ok bool, err error) {
 	home, clk := p.homeIdx(id), p.comm.Clock()
-	blk, n, entry, err := p.st.hts[home].GetRefAt(clk, []byte(id), v.last(id))
-	v.found(id, entry)
+	f := p.fields(id) & knownEntries
+	blk, n, entry, err := p.st.hts[home].GetRefAt(clk, []byte(id), v.entry(f))
+	if err == nil {
+		v.install(f, func() { v.at[f>>1] = entry })
+	}
 	if err != nil || entry == pmdk.Null {
 		return nil, at, false, err
 	}
@@ -597,10 +605,10 @@ func (g gather) place(w int, u *readUnit) error {
 // plan intersects the request (offs, counts) with the listed blocks — a list
 // names only blocks a read can see (publishGroup) — emitting units in publish
 // order. Their bytes may sum past the request size when stored blocks overlap.
-// On an ascending list (cacheEntry) the blocks a request can meet are one run,
+// On an ascending list (blockIndex) the blocks a request can meet are one run,
 // found with two binary searches on dim 0, and the walk over that run emits
 // what the walk over the whole list would; any other list is walked whole.
-func (g *gatherScratch) plan(e *cacheEntry, offs, counts []uint64, esize int) []readUnit {
+func (g *gatherScratch) plan(e *blockIndex, offs, counts []uint64, esize int) []readUnit {
 	blocks := e.blocks
 	if e.ascending && len(offs) > 0 {
 		lo, hi := offs[0], offs[0]+counts[0]

@@ -69,7 +69,7 @@ func (p *PMEM) verifyRecord(key string, violatef func(format string, args ...any
 		if dropped.poisoned() {
 			violatef("store.range: %q dropped a block whose range could not be read: MinMax is ErrCorrupt until a whole store or Delete", key)
 		}
-		// The dims record is decoded off the media, not taken from the slot.
+		// The dims record is decoded off the media, not taken from the variable.
 		raw, _, ok, err := p.record(v, key+DimsSuffix)
 		var rec dimsRecord
 		if ok && err == nil {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
+
+	"pmemcpy/internal/serial"
 )
 
 // Zero-copy leased read views. Every Load* path in the library used to copy
@@ -213,14 +215,22 @@ func (p *PMEM) reclaimLimbo() error {
 // planner and owns a private buffer. Close the view when done; the bytes are
 // valid until then.
 func (p *PMEM) LoadBlockView(id string, offs, counts []uint64) (*BlockView, error) {
+	return p.LoadBlockViewAs(id, serial.Invalid, offs, counts)
+}
+
+// LoadBlockViewAs is LoadBlockView for a caller that reads the elements as
+// dtype: an array declared with a type of another element size is
+// ErrTypeMismatch, checked against the dims the view's plan resolves before
+// any byte is read or any lease taken. serial.Invalid checks nothing.
+func (p *PMEM) LoadBlockViewAs(id string, dtype serial.DType, offs, counts []uint64) (*BlockView, error) {
 	p.asyncBarrier()
 	op := p.beginOp(opLoadView, id)
-	v, bytes, parallel, err := p.loadBlockView(id, offs, counts)
+	v, bytes, parallel, err := p.loadBlockView(id, dtype, offs, counts)
 	op.done(parallel, bytes, err)
 	return v, err
 }
 
-func (p *PMEM) loadBlockView(id string, offs, counts []uint64) (*BlockView, int64, bool, error) {
+func (p *PMEM) loadBlockView(id string, dtype serial.DType, offs, counts []uint64) (*BlockView, int64, bool, error) {
 	if p.st.viewsInvalid.Load() {
 		return nil, 0, false, fmt.Errorf("core: handle unmapped: %w", ErrStaleView)
 	}
@@ -228,7 +238,7 @@ func (p *PMEM) loadBlockView(id string, offs, counts []uint64) (*BlockView, int6
 	// degrades to the copying scatter when it cannot, under one lock hold and
 	// one verification decision (readplan.go). A layout with nothing mapped to
 	// alias always serves the fallback copy.
-	pl := readPlan{id: id, offs: offs, counts: counts, consume: consumeAlias}
+	pl := readPlan{id: id, offs: offs, counts: counts, consume: consumeAlias, as: dtype}
 	if err := p.reader().run(&pl); err != nil {
 		return nil, 0, false, err
 	}

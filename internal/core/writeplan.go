@@ -562,9 +562,9 @@ func (e commitEngine) inlineRecord(g *planGroup, encPasses float64) ([]byte, err
 // --- record changes ---
 
 // recordTx is one open record change of the pool layout: the key's bucket
-// locked, a transaction open, the key looked up once (from v's hint), and the
-// record being replaced decoded from the cursor — mapped, not copied. The
-// caller holds v, the id's lock; close, or t.u.Finish, ends it.
+// locked, a transaction open, the key looked up once (from the entry v
+// knows), and the record being replaced decoded from the cursor — mapped, not
+// copied. The caller holds v, the id's lock; close, or t.u.Finish, ends it.
 //
 // It holds nothing of its caller's frame: escape analysis does not tell a
 // struct's fields apart, and the cursor's methods leak their receiver, so a
@@ -590,7 +590,7 @@ type recordTx struct {
 func (e commitEngine) open(v *variable, id string, buf []blockRec) (recordTx, []blockRec, error) {
 	p := e.p
 	home := p.homeIdx(id)
-	u, err := p.st.hts[home].UpdateAt(p.comm.Clock(), []byte(id), v.last(id))
+	u, err := p.st.hts[home].UpdateAt(p.comm.Clock(), []byte(id), v.entry(p.fields(id)))
 	if err != nil {
 		return recordTx{}, nil, err
 	}
@@ -636,9 +636,9 @@ func (t *recordTx) list(owned []blockRec) ([]blockRec, error) {
 //     between the two leaks it until the reachability pass of ROADMAP item 2a,
 //     never dangles a pointer.
 //
-// The DRAM index drops with the change, and so does the dims slot with a
-// change of the "#dims" record, failed or not; the key's hint becomes the
-// entry the change committed (0 after any error), and every dropped block —
+// The key's variable settles, failed or not: it forgets its index, and its
+// dims with a change of the "#dims" record, and knows the entry the change
+// committed (none after any error); and every dropped block —
 // and an inline record's own bytes, rewritten or freed with the record —
 // leaves the quarantine.
 func (e commitEngine) close(t *recordTx, rec []byte, drop []blockRec) error {
@@ -662,15 +662,12 @@ func (e commitEngine) close(t *recordTx, rec []byte, drop []blockRec) error {
 		}
 	}
 	err = t.u.Finish(err)
-	p.invalidate(t.v)
-	if t.id != placementKey(t.id) {
-		t.v.dims.state.Store(slotEmpty)
+	if f := p.fields(t.id); f != 0 && t.v.settle(f, t.u.Entry(), err == nil) {
+		p.st.ins.cacheInvalidations.Inc()
 	}
 	if err != nil {
-		t.v.found(t.id, pmdk.Null)
 		return err
 	}
-	t.v.found(t.id, t.u.Entry())
 	if t.kind == recInline && t.bad == nil {
 		inl := [1]blockRec{t.inl}
 		p.unquarantine(inl[:])

@@ -60,10 +60,7 @@ func (v *View[T]) Close() error { return v.bv.Close() }
 // matters; the pmemcpy_view_zero_copy_total / pmemcpy_view_fallback_total
 // counters report the ratio per handle).
 func LoadView[T Scalar](p *PMEM, id string, offs, counts []uint64) (*View[T], error) {
-	if err := checkDType[T](p, id); err != nil {
-		return nil, err
-	}
-	bv, err := p.LoadBlockView(id, offs, counts)
+	bv, err := p.LoadBlockViewAs(id, dtypeOf[T](), offs, counts)
 	if err != nil {
 		return nil, err
 	}
