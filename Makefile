@@ -86,7 +86,7 @@ loc:
 # module's total non-test code lines exceed the ceiling, which records the
 # figure of the last change that lowered it. A change that must grow the code
 # raises the ceiling in the same diff, where a reviewer sees it.
-LOC_CEILING ?= 15554
+LOC_CEILING ?= 15512
 loccheck:
 	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
 		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \
@@ -148,11 +148,12 @@ async:
 # Store and Load tests and TestSmallOpHeapBudget — a LoadSub's count equal at
 # 1 and 4 stored blocks, warm (0) and cold (at most 7)), OpenArray's type
 # check (TestTypeCheckHeapBudget, 0), a transaction and a hashtable update
-# (walked for, or found from its hint: UpdateAt) at 0, and a pool reopen (Open + RootHashtable) at no more than 8. Uncached
+# (walked for, or found from its hint: UpdateAt) at 0, a reservation and its
+# cancel (a class pop, a huge-list split) at 0, and a pool reopen (Open + RootHashtable) at no more than 8. Uncached
 # (-count=1): an allocation count is a property of the build, not the input.
 allocs:
 	$(GO) test -count=1 -run 'TestScalarOverwriteHeapBudget|TestScalarLoadHeapBudget|TestSmallOpHeapBudget|TestTypeCheckHeapBudget' .
-	$(GO) test -count=1 -run 'TestTxHeapBudget|TestUpdateHeapBudget|TestPoolOpenHeapBudget' ./internal/pmdk/
+	$(GO) test -count=1 -run 'TestTxHeapBudget|TestUpdateHeapBudget|TestPoolOpenHeapBudget|TestReserveHeapBudget' ./internal/pmdk/
 
 # Coverage gate over the storage engine (internal/core), the allocator /
 # pool-set layer (internal/pmdk), and the zero-copy reinterpretation helpers

@@ -5,9 +5,10 @@
 //
 // Rule "tx" — the unified write-path commit engine (writeplan.go): pool
 // transactions over data blocks — pool.Begin(clk), pool.Alloc(tx, size),
-// pool.Free(tx, id) — may be taken ONLY by the commit engine, so the
-// alloc-in-tx ordering, persist points, and crash-consistency windows stay
-// auditable in one place. So may the hashtable's record mutations — the
+// pool.Free(tx, id) — and the allocator's reservations — pool.Reserve(clk,
+// size), pool.Cancel(clk, id), pool.Claim(tx, id) — may be taken ONLY by the
+// commit engine, so the reserve → fill → claim-in-publish ordering, persist
+// points, and crash-consistency windows stay auditable in one place. So may the hashtable's record mutations — the
 // update cursor table.Update(clk, key) and its hinted form
 // table.UpdateAt(clk, key, at), which return holding a bucket lock and an
 // open transaction, and table.Put(clk, key, value) and
@@ -44,7 +45,8 @@
 //
 // The call rules match a method call with the rule's name and exact argument
 // count — Begin and Advance with one argument,
-// Alloc/Free/Slice/Overwrite/Update/Delete with two, UpdateAt and Put with
+// Alloc/Free/Reserve/Cancel/Claim/Slice/Overwrite/Update/Delete with two,
+// UpdateAt and Put with
 // three (the public three-argument PMEM.Alloc dims declaration does not
 // match, nor the one-argument PMEM.Delete) — whose receiver is not an
 // imported package (sort.Slice is not the pool API).
@@ -124,7 +126,7 @@ var rules = []rule{
 	{
 		name:   "tx",
 		covers: coreExcept("writeplan.go"),
-		check: methodCalls("pool", map[string]int{"Begin": 1, "Alloc": 2, "Free": 2, "Update": 2, "UpdateAt": 3, "Put": 3, "Delete": 2},
+		check: methodCalls("pool", map[string]int{"Begin": 1, "Alloc": 2, "Free": 2, "Reserve": 2, "Cancel": 2, "Claim": 2, "Update": 2, "UpdateAt": 3, "Put": 3, "Delete": 2},
 			"outside the commit engine — route this write through writeplan.go"),
 	},
 	{

@@ -13,6 +13,9 @@ type pool struct{}
 func (pool) Begin(clk int) int                        { return 0 }
 func (pool) Alloc(tx, n int) int                      { return 0 }
 func (pool) Free(tx, id int) error                    { return nil }
+func (pool) Reserve(clk, n int) int                   { return 0 }
+func (pool) Cancel(clk, id int) error                 { return nil }
+func (pool) Claim(tx, id int) error                   { return nil }
 func (pool) Slice(off, n int) ([]byte, error)         { return nil, nil }
 func (pool) Overwrite(off, n int) ([]byte, error)     { return nil, nil }
 func (pool) Update(clk int, key []byte) int           { return 0 }
@@ -32,6 +35,9 @@ func planner(p pool, xs []int) {
 	tx := p.Begin(0)          // want tx
 	_ = p.Alloc(tx, 8)        // want tx
 	_ = p.Free(tx, 1)         // want tx
+	blk := p.Reserve(0, 8)    // want tx
+	_ = p.Claim(tx, blk)      // want tx
+	_ = p.Cancel(0, blk)      // want tx
 	_, _ = p.Slice(0, 8)      // want slice
 	_, _ = p.Overwrite(0, 8)  // want slice
 	_ = p.Update(0, nil)      // want tx

@@ -61,6 +61,20 @@ func (p *PMEM) NamedBlocks(id string) ([][2]int64, error) {
 	return out, nil
 }
 
+// AllocatedBlocks counts the allocated blocks of every member pool by a walk
+// of their block headers (pmdk.Pool.Census).
+func (p *PMEM) AllocatedBlocks() (int64, error) {
+	var n int64
+	for _, pool := range p.st.pools {
+		a, _, err := pool.Census(p.comm.Clock())
+		if err != nil {
+			return 0, err
+		}
+		n += a
+	}
+	return n, nil
+}
+
 // PoolStats returns each member pool's allocator counters, for tests that
 // hold the Metrics() bridge series to their sum.
 func (p *PMEM) PoolStats() []pmdk.Stats {

@@ -80,8 +80,7 @@ type arrayState struct {
 // each block the in-flight step's record named going in and names no longer is
 // free — no crash point leaks one. On a namespace of several pools the last
 // check covers the id's home pool: a sharded store's stripes elsewhere are
-// freed after the commit, a window the reachability pass of ROADMAP item 2a is
-// to close (every store here is serial, so every block is the home pool's).
+// freed after the commit, a window the mark of ROADMAP item 15 is to close (every store here is serial, so every block is the home pool's).
 func valueScript(name string, first map[string]*serial.Datum, arrays []string, steps []owStep) core.Script {
 	const elems, arrElems = 32, 16
 	var (
@@ -425,9 +424,9 @@ func TestOverwriteMediaErrorSweep(t *testing.T) {
 }
 
 // TestOverwriteExhaustionKeepsOldValue is the abort contract on allocator
-// exhaustion mid-overwrite: an overwrite that cannot allocate aborts (one
-// allocator abort), reclaims nothing, and leaves the old value published and
-// readable. Then the other half of the same fact: in a pool filled to the
+// exhaustion mid-overwrite: an overwrite that cannot reserve its block fails
+// before any pool transaction (none runs, none aborts), reclaims nothing, and
+// leaves the old value published and readable. Then the other half of the same fact: in a pool filled to the
 // brim, overwrites of an existing value keep succeeding once there is room for
 // ONE new block, because each frees the block it shadows.
 func TestOverwriteExhaustionKeepsOldValue(t *testing.T) {
@@ -451,10 +450,11 @@ func TestOverwriteExhaustionKeepsOldValue(t *testing.T) {
 			return fmt.Errorf("an 8 MB overwrite fit a 4 MB device")
 		}
 		after := p.Metrics()
-		aborts := after.Get("pmemcpy_alloc_aborts_total") - before.Get("pmemcpy_alloc_aborts_total")
-		frees := after.Get("pmemcpy_alloc_frees_total") - before.Get("pmemcpy_alloc_frees_total")
-		if aborts != 1 || frees != 0 {
-			return fmt.Errorf("failed overwrite: aborts +%d, frees +%d; want +1, +0", aborts, frees)
+		delta := func(name string) int64 { return after.Get(name) - before.Get(name) }
+		txs, aborts, frees := delta("pmemcpy_alloc_transactions_total"), delta("pmemcpy_alloc_aborts_total"),
+			delta("pmemcpy_alloc_frees_total")
+		if txs != 0 || aborts != 0 || frees != 0 {
+			return fmt.Errorf("failed overwrite: transactions +%d, aborts +%d, frees +%d; want none", txs, aborts, frees)
 		}
 		if got := p.Metrics().Get("pmemcpy_superseded_blocks_total"); got != 0 {
 			return fmt.Errorf("failed overwrite reclaimed %d blocks", got)

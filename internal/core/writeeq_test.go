@@ -321,12 +321,13 @@ func abortStore(p *core.PMEM, mode, id string, counts []uint64, data []byte) err
 
 // TestCommitAbortSemantics pins the engine's shared failure contract across
 // the serial, parallel, and async planners: an allocation that cannot fit
-// aborts the pool transaction (exactly one allocator abort), publishes
-// nothing, surfaces the error on the path's own channel, and leaves the
-// handle usable. The media rows fail the payload persist instead, after the
-// plan's blocks were allocated: the engine discards them and gives them back
-// before failing, so the allocator's live count and bytes end where they
-// started and the payload no longer reads back.
+// fails its reservation before any pool transaction (none runs, none aborts;
+// the shards reserved before it are cancelled), publishes nothing, surfaces
+// the error on the path's own channel, and leaves the handle usable. The
+// media rows fail the payload persist instead, after the plan's blocks were
+// reserved: the engine discards them and cancels them before failing, so the
+// allocator's live count and bytes end where they started and the payload no
+// longer reads back.
 func TestCommitAbortSemantics(t *testing.T) {
 	for _, mode := range eqModes {
 		t.Run("media/"+mode, func(t *testing.T) { mediaAbortRow(t, mode) })
@@ -345,14 +346,16 @@ func TestCommitAbortSemantics(t *testing.T) {
 				if err := p.Alloc("big", serial.Float64, []uint64{rows, 1024}); err != nil {
 					return err
 				}
-				before := p.Metrics().Get("pmemcpy_alloc_aborts_total")
+				before := p.Metrics()
 				huge := make([]byte, rows*1024*8)
 				storeErr := abortStore(p, mode, "big", []uint64{rows, 1024}, huge)
 				if storeErr == nil {
 					return fmt.Errorf("oversized store succeeded, want allocation failure")
 				}
-				if got := p.Metrics().Get("pmemcpy_alloc_aborts_total") - before; got != 1 {
-					return fmt.Errorf("allocator aborts grew by %d, want exactly 1", got)
+				for _, name := range []string{"pmemcpy_alloc_transactions_total", "pmemcpy_alloc_aborts_total"} {
+					if got := p.Metrics().Get(name) - before.Get(name); got != 0 {
+						return fmt.Errorf("%s grew by %d, want 0", name, got)
+					}
 				}
 				// Nothing published: the variable has dims but no blocks.
 				dst := make([]byte, 8)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -19,11 +20,9 @@ import (
 // sharded parallel store, an async group-commit run — reduces to the same
 // commit sequence:
 //
-//	1. allocate every destination block, one transaction per touched member
-//	   pool, pools visited in ascending order (deterministic persist order
-//	   for the crash explorer; a crash between pool transactions leaves only
-//	   unpublished allocations — leaked until ROADMAP item 2a's reachability
-//	   pass, never torn metadata);
+//	1. reserve every destination block (pmdk.Pool.Reserve), with no
+//	   transaction: a reserved block reads free on media, so a crash before
+//	   the publish leaves nothing allocated;
 //	2. fill, one wave at a time: take each unit's block with write intent
 //	   (Mapping.Overwrite, which captures its pre-image), run its jobs —
 //	   each serializes DIRECTLY into the mapped PMEM block, the single pass
@@ -32,15 +31,23 @@ import (
 //	   unit's, charge the analytic copy cost once, then persist each unit with
 //	   one barrier carrying its registered persist point;
 //	3. publish each id's new metadata with ONE atomic update per id — one
-//	   record change (open, close below), which also frees the blocks the
-//	   record stops naming: every block of the record a whole value replaces,
-//	   every listed block a block list's new units contain (publishGroup).
+//	   record change (open, close below), which claims the id's blocks in its
+//	   home pool and frees the blocks the record stops naming: every block of
+//	   the record a whole value replaces, every listed block a block list's
+//	   new units contain (publishGroup). A block in another member pool — a
+//	   sharded store's stripe — is claimed before the publish, one transaction
+//	   per pool (claimForeign).
 //
 // A record change is the one way the pool layout's records change: a publish,
 // Delete, Alloc's dims record and the quarantine list each open one
 // hashtable read-modify-write and close it with the new record (or none) and
 // the blocks it stops naming, which the same transaction frees in the home
 // pool (close).
+//
+// So a store on one pool is one transaction. A failure before a group's
+// publish commits gives back every block the group holds (release): a
+// reservation is cancelled, a stripe claimed in another pool is freed, a
+// block claimed in the aborted record change goes back with the abort.
 //
 // A whole value of at most inlineMax bytes has no block: steps 1 and 2 skip it
 // and step 3 encodes it into the record it publishes (planGroup.inline), so
@@ -83,9 +90,25 @@ type writeUnit struct {
 
 	// Filled by the engine.
 	blk   pmdk.PMID
-	wrote int64 // bytes written, type prefix included
+	held  holding // what the plan holds blk as
+	wrote int64   // bytes written, type prefix included
 	crc   uint32
 }
+
+// holding is what a plan holds a unit's block as: what a failure owes the
+// allocator for it (release).
+type holding uint8
+
+const (
+	// heldNone: no block, or one a transaction owns (its abort puts the block
+	// back on a free list) or a published record names.
+	heldNone holding = iota
+	// heldReserved: reserved and not claimed; Cancel gives it back.
+	heldReserved
+	// heldClaimed: claimed by a committed transaction of another pool than
+	// the id's home, before the publish; Free gives it back.
+	heldClaimed
+)
 
 // rec is the unit's published block reference.
 func (u *writeUnit) rec(dtype serial.DType) blockRec {
@@ -186,83 +209,101 @@ func (p *PMEM) engine() commitEngine { return commitEngine{p: p} }
 // commit is the pool layout's: the commit engine runs the plan.
 func (l poolLayout) commit(p *PMEM, plan writePlan) error { return p.engine().run(&plan) }
 
-// run executes a plan: alloc, fill+persist, publish. On a nil error every
-// group's metadata is published and every unit is durable. An alloc or fill
-// failure fails the whole plan before anything is published, and the blocks
-// it took go back to the allocator (freeBlocks), each discarded first: a fill
-// took its granules without zeroing them, so one it did not finish must not
-// leave their old bytes readable. A dead device (pmem.ErrFailed) is the
-// exception: nothing more can be written, and the blocks stay unpublished
-// allocations, leaked until the reachability pass of ROADMAP item 2a.
+// run executes a plan: reserve, fill+persist, claim the blocks outside each
+// id's home pool, publish. On a nil error every group's metadata is published
+// and every unit is durable. A failure before the publish fails the whole
+// plan, and every block goes back (release).
 func (e commitEngine) run(plan *writePlan) error {
-	err := e.alloc(plan)
+	err := e.reserve(plan)
 	if err == nil {
-		if err = e.fill(plan); err == nil {
-			return e.publish(plan)
-		}
+		err = e.fill(plan)
 	}
-	if !errors.Is(err, pmem.ErrFailed) {
-		var blks []blockRec
-		var derr error
-		for _, u := range plan.units {
-			if u.blk != pmdk.Null {
-				derr = errors.Join(derr, e.p.poolOf(u.pool).Mapping().Discard(int64(u.blk), u.encLen))
-				blks = append(blks, blockRec{pool: u.pool, data: u.blk})
-			}
-		}
-		if ferr := errors.Join(derr, e.freeBlocks(blks)); ferr != nil {
-			err = fmt.Errorf("%w (returning its blocks: %v)", err, ferr)
-		}
+	if err == nil {
+		err = e.claimForeign(plan)
 	}
-	return plan.failWith(err)
+	if err != nil {
+		return plan.failWith(e.release(plan.groups, err))
+	}
+	return e.publish(plan)
 }
 
-// alloc allocates every unit's block (an inline value has none): ONE
-// transaction per touched member pool, pools in ascending order. Amortizing tx
-// begin/commit across a plan's units is the first of the three costs group
-// commit and parallel stores batch over per-op writes. A pool whose
-// transaction fails leaves its units without a block: it rolled back.
-func (e commitEngine) alloc(plan *writePlan) error {
-	for pi := range e.p.st.pools {
-		if err := e.allocIn(plan, pi); err != nil {
-			for _, u := range plan.units {
-				if int(u.pool) == pi {
-					u.blk = pmdk.Null
+// reserve reserves every unit's block (an inline value has none).
+func (e commitEngine) reserve(plan *writePlan) error {
+	clk := e.p.comm.Clock()
+	for g, u := range plan.units {
+		if g.inline() {
+			continue
+		}
+		blk, err := e.p.poolOf(u.pool).Reserve(clk, u.encLen)
+		if err != nil {
+			return err
+		}
+		u.blk, u.held = blk, heldReserved
+	}
+	return nil
+}
+
+// claimForeign claims every unit outside its id's home pool: one transaction
+// per touched pool, pools in ascending order (inPool). A crash after one
+// commits and before the record's does leaks its blocks — the one leak window
+// a store has.
+func (e commitEngine) claimForeign(plan *writePlan) error {
+	foreign := func(g *planGroup, u *writeUnit) bool {
+		return u.held == heldReserved && int(u.pool) != e.p.homeIdx(g.id)
+	}
+	var blks []blockRec
+	for g, u := range plan.units {
+		if foreign(g, u) {
+			blks = append(blks, blockRec{pool: u.pool, data: u.blk})
+		}
+	}
+	for pi := 0; len(blks) > 0 && pi < len(e.p.st.pools); pi++ {
+		err := e.inPool(blks, pi, true)
+		for g, u := range plan.units {
+			if int(u.pool) == pi && foreign(g, u) {
+				u.held = heldClaimed
+				if err != nil {
+					u.held = heldNone // the abort put it back
 				}
 			}
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// allocIn is alloc's transaction in pool pi, when the plan has blocks there.
-// The transaction is begun outside any loop, so its handle stays in this
-// frame.
-func (e commitEngine) allocIn(plan *writePlan, pi int) error {
-	pool, n := e.p.st.pools[pi], 0
-	for g, u := range plan.units {
-		if int(u.pool) == pi && !g.inline() {
-			n++
+// release gives back what a plan holds of the blocks of groups that will not
+// publish, and returns cause, naming what could not be given back. A
+// reservation is discarded — a fill took its granules without zeroing them,
+// so one it did not finish must not leave their old bytes readable — and
+// cancelled; a block claimed in another pool is freed (freeBlocks). A dead
+// device (pmem.ErrFailed) is left as it is: nothing more can be written, a
+// reservation reads free at the next Open, and a claimed block leaks.
+func (e commitEngine) release(groups []planGroup, cause error) error {
+	if errors.Is(cause, pmem.ErrFailed) {
+		return cause
+	}
+	clk := e.p.comm.Clock()
+	var blks []blockRec
+	var err error
+	for gi := range groups {
+		for i := range groups[gi].units {
+			u := &groups[gi].units[i]
+			switch pool := e.p.poolOf(u.pool); u.held {
+			case heldReserved:
+				err = errors.Join(err, pool.Mapping().Discard(int64(u.blk), u.encLen), pool.Cancel(clk, u.blk))
+			case heldClaimed:
+				blks = append(blks, blockRec{pool: u.pool, data: u.blk})
+			}
+			u.held = heldNone
 		}
 	}
-	if n == 0 {
-		return nil
+	if err = errors.Join(err, e.freeBlocks(blks)); err != nil {
+		return fmt.Errorf("%w (returning its blocks: %v)", cause, err)
 	}
-	tx, err := pool.Begin(e.p.comm.Clock())
-	if err != nil {
-		return err
-	}
-	for g, u := range plan.units {
-		if int(u.pool) != pi || g.inline() {
-			continue
-		}
-		if u.blk, err = pool.Alloc(tx, u.encLen); err != nil {
-			tx.Abort()
-			return err
-		}
-	}
-	return tx.Commit()
+	return cause
 }
 
 // fillJob is one goroutine's share of a wave: a run of one unit's fragments
@@ -396,10 +437,11 @@ func (e commitEngine) encode(_ int, j *fillJob) error {
 }
 
 // publish writes each group's metadata — ONE atomic update per id, in group
-// order — and drives the plan's completion callbacks. A publish error on an
-// async plan poisons the remaining groups when the plan deems it fatal
-// (their payloads persisted but the metadata path is failing); per-op
-// conditions fail only their own group.
+// order — and drives the plan's completion callbacks. A group whose publish
+// fails gives its blocks back (release). A publish error on an async plan
+// poisons the remaining groups when the plan deems it fatal (their payloads
+// persisted but the metadata path is failing): they give theirs back too.
+// Per-op conditions fail only their own group.
 func (e commitEngine) publish(plan *writePlan) error {
 	var firstErr error
 	for gi := range plan.groups {
@@ -407,26 +449,32 @@ func (e commitEngine) publish(plan *writePlan) error {
 		g.v.Lock()
 		err := e.publishGroup(g, plan.encPasses)
 		g.v.Unlock()
+		fatal := err != nil && (plan.fatal == nil || plan.fatal(err))
+		if err != nil {
+			failed := plan.groups[gi : gi+1]
+			if fatal {
+				failed = plan.groups[gi:]
+			}
+			err = e.release(failed, err)
+			firstErr = cmp.Or(firstErr, err)
+		}
 		if plan.published != nil {
 			plan.published(g, err)
 		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+		if fatal {
+			for g2 := gi + 1; g2 < len(plan.groups) && plan.published != nil; g2++ {
+				plan.published(&plan.groups[g2], err)
 			}
-			if plan.fatal == nil || plan.fatal(err) {
-				for g2 := gi + 1; g2 < len(plan.groups) && plan.published != nil; g2++ {
-					plan.published(&plan.groups[g2], err)
-				}
-				return firstErr
-			}
+			return firstErr
 		}
 	}
 	return firstErr
 }
 
 // publishGroup publishes one group's record as ONE record change (open,
-// close), and close drops the blocks the record stops naming. A whole value
+// close): it claims the group's blocks in the id's home pool — each of its
+// units still reserved, before prune reads how many Frees the lane has left —
+// and close drops the blocks the record stops naming. A whole value
 // replaces the record: it drops a value ref's block, or every block of the
 // block list it replaces. An inline value owns no block: replacing one frees
 // nothing but the record's own bytes, which the hashtable moves, and an inline
@@ -444,8 +492,17 @@ func (e commitEngine) publishGroup(g *planGroup, encPasses float64) error {
 	if err != nil {
 		return err
 	}
+	for i := range g.units {
+		if u := &g.units[i]; u.held == heldReserved {
+			// A failed Claim hands its block over all the same: the abort
+			// puts every claimed block back.
+			err = cmp.Or(err, t.u.Claim(u.blk))
+			u.held = heldNone
+		}
+	}
 	var rec []byte
 	switch ref := g.units[0].rec(g.dtype); {
+	case err != nil:
 	case g.publish == publishBlockList:
 		var blocks []blockRec
 		if blocks, err = t.list(drop); err == nil {
@@ -633,8 +690,8 @@ func (t *recordTx) list(owned []blockRec) ([]blockRec, error) {
 //     reading its blocks;
 //   - a dropped block in another member pool — a sharded store's stripe — is
 //     freed after the commit, one transaction per pool (freeBlocks): a crash
-//     between the two leaks it until the reachability pass of ROADMAP item 2a,
-//     never dangles a pointer.
+//     between the two leaks it until the mark of ROADMAP item 15, never
+//     dangles a pointer.
 //
 // The key's variable settles, failed or not: it forgets its index, and its
 // dims with a change of the "#dims" record, and knows the entry the change
@@ -705,18 +762,21 @@ func (e commitEngine) change(key string, rec []byte) (bool, error) {
 // freeBlocks frees a set of (pool, PMID) blocks, one transaction per touched
 // pool in ascending pool order — the free loop behind a record change's
 // blocks outside its home pool, the view layer's limbo reclaim, and a failed
-// plan's release.
+// plan's claimed stripes.
 func (e commitEngine) freeBlocks(blks []blockRec) error {
-	for pi := range e.p.st.pools {
-		if err := e.freeIn(blks, pi); err != nil {
+	for pi := 0; len(blks) > 0 && pi < len(e.p.st.pools); pi++ {
+		if err := e.inPool(blks, pi, false); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// freeIn is freeBlocks' transaction in pool pi, when blks has blocks there.
-func (e commitEngine) freeIn(blks []blockRec, pi int) error {
+// inPool frees (or, with claim set, claims) every block of blks in pool pi,
+// in one transaction, committed only when every call succeeded. A failed
+// Claim hands its block to the transaction all the same, so every block is
+// claimed and the abort puts every one back.
+func (e commitEngine) inPool(blks []blockRec, pi int, claim bool) error {
 	if !slices.ContainsFunc(blks, func(b blockRec) bool { return int(b.pool) == pi }) {
 		return nil
 	}
@@ -725,14 +785,18 @@ func (e commitEngine) freeIn(blks []blockRec, pi int) error {
 	if err != nil {
 		return err
 	}
-	for _, b := range blks {
-		if int(b.pool) != pi {
-			continue
+	for i := 0; i < len(blks) && (claim || err == nil); i++ {
+		switch b := blks[i]; {
+		case int(b.pool) != pi:
+		case claim:
+			err = cmp.Or(err, pool.Claim(tx, b.data))
+		default:
+			err = pool.Free(tx, b.data)
 		}
-		if err := pool.Free(tx, b.data); err != nil {
-			tx.Abort()
-			return err
-		}
+	}
+	if err != nil {
+		tx.Abort()
+		return err
 	}
 	return tx.Commit()
 }

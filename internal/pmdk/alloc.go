@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"pmemcpy/internal/pmem"
 	"pmemcpy/internal/sim"
 )
 
@@ -16,10 +17,29 @@ import (
 // block, whose header reads alloc or free. The free lists — LIFO per size
 // class, first-fit for huge blocks — are DRAM state under each arena's mutex,
 // rebuilt at Open by one walk of the headers (walkHeap), the same walk Verify
-// reports from. Alloc and Free log the headers they change in the caller's
-// transaction; the lists follow the transaction (heapOp): a block taken off a
-// list goes back on abort, and a freed block joins a list only at commit, so a
-// crash or an abort leaves headers and lists agreeing.
+// reports from.
+//
+// An allocation is a reservation and a claim (libpmemobj's reserve/publish):
+//
+//   - Reserve takes a block off the DRAM lists with no transaction. A popped
+//     block's header already reads free; a split writes both halves' headers
+//     as free, unlogged, each persisted — the tail first, then the head — so a
+//     crash between them leaves one larger free block, never an overlap. A
+//     reserved block is on no list and reads free on media: a crash before
+//     its claim leaves a free block the walk finds.
+//   - Claim logs the block's state word to alloc in the caller's transaction.
+//     An abort restores free and the block goes back on a list; a commit
+//     makes it allocated. Cancel puts a reservation back unclaimed.
+//   - Alloc is a Reserve and its Claim, with one saving: its split's head
+//     header is not persisted but logged by the claiming transaction before
+//     the arena lock is dropped, so recovery or an abort restores it as a free
+//     block of its new size before anyone else can have the tail.
+//   - Free flips the state word to free in the caller's transaction; the
+//     block joins a list only at commit.
+//
+// So no persistent word is ever pre-imaged by two live transactions: a block
+// is on a list, reserved by one caller, or claimed or freed by one
+// transaction, never two of these.
 //
 // The allocator is striped into arenas. Each arena splits class blocks off its
 // current extent (arena.cur), a free block no list holds, reserved off a
@@ -27,36 +47,19 @@ import (
 // statically partitioned: one arena can host a block nearly as large as the
 // whole heap, and space an arena never touches is never stranded. The current
 // extent is DRAM state: after a restart it is a free block like any other, and
-// the walk puts it on a list.
+// the walk puts it on a list. The brk is advanced with a plain persisted
+// write: an extent is formatted as one free block, persisted, before the brk
+// grants it, so a crash leaves a free block the walk finds — never a hole —
+// and the brk can never double-grant space.
 //
-// The brk itself is advanced with a plain persisted write, not an undo-logged
-// one: extents may be reserved by concurrent transactions, and pre-imaging
-// the shared word in more than one live undo log would make recovery order
-// ambiguous. An extent is formatted as one free block, persisted, before the
-// brk grants it, and the reserving transaction's first write into it
-// pre-images that header. So a reservation that crashes or aborts leaves a
-// free block the walk finds — never a hole — and the brk can never
-// double-grant space.
-//
-// Locking protocol (the undo-log invariant is that a shared persistent word
-// is pre-imaged by at most one active transaction, otherwise recovery order
-// is ambiguous):
-//
-//   - A transaction's first Alloc/Free takes its home arena — the caller's
-//     rank modulo the arena count (sim.Clock.Rank), never arrival order, so a
-//     rank's transactions all meet in one arena — and keeps its lock until
-//     commit/abort. Every later Alloc/Free in the same transaction uses the
-//     same home arena, so a transaction normally holds exactly one arena lock
-//     and there is no lock ordering to violate.
-//   - If the home arena is exhausted, Alloc falls back to stealing from other
-//     arenas with TryLock only — a transaction never blocks on a second
-//     arena while holding one, which rules out deadlock outright. A stolen
-//     arena the transaction did not end up mutating is released immediately;
-//     a mutated one stays held until commit/abort like the home arena.
-//   - Free always pushes onto the transaction's home arena's free list.
-//     Blocks are self-describing, so free lists may hold blocks from any
-//     arena's region; memory migrates between arenas under free-heavy
-//     workloads instead of requiring cross-arena locking.
+// Locking: an arena's mutex is held for one list operation only — a
+// reservation's pop, split or carve, a Cancel's push, or a commit's or abort's
+// pushes — and brkMu, taken inside a carve, is a leaf. A caller's home arena
+// is its rank modulo the arena count (sim.Clock.Rank), so a rank's
+// allocations and frees meet in one arena. A reservation that finds no fit at
+// home reuses from the other arenas, in ascending order, before it carves; a
+// freed or cancelled block joins the home arena's lists, wherever it was
+// carved, so memory migrates between arenas with no cross-arena locking.
 const (
 	nSizeClasses  = 6 // block sizes 64, 128, 256, 512, 1024, 2048
 	minBlock      = 64
@@ -94,66 +97,50 @@ func (a *arena) push(id PMID, size int64, huge bool) {
 	a.free.Add(1)
 }
 
-// heapOp is one change a transaction made to the DRAM free lists or an
-// arena's current extent (or, for opFree, will make at commit), kept so that
-// abort can undo it.
+// heapOp is a block a transaction claimed (undone at abort: the block goes
+// back on a list) or freed (it joins a list at commit).
 type heapOp struct {
-	a    *arena
-	id   PMID
-	size int64
-	i    int32 // the class list (opPop) or the huge-list index (opTake, opSplit)
-	kind uint8
+	id    PMID
+	size  int64
+	freed bool
 }
 
-const (
-	opPop     = iota // id came off class list i
-	opTake           // huge[i] = {id, size} was removed
-	opSplit          // huge[i] was {id, size}; it now holds the split-off tail
-	opCur            // a.cur was {id, size}; with i == 1 it was pushed onto huge
-	opReserve        // the extent {id, size} was reserved: on abort it is a free block
-	opFree           // id was freed: it joins a's lists at commit
-)
+// home returns the caller's home arena: its rank modulo the arena count, so
+// every transaction of a rank meets in one arena and what one frees the next
+// reuses without stealing.
+func (p *Pool) home(clk *sim.Clock) *arena { return &p.arenas[clk.Rank%len(p.arenas)] }
 
-// commitHeap puts the blocks the transaction freed on their lists. The arenas
-// are still locked (Free took the home arena).
-func (tx *txn) commitHeap() {
-	for _, op := range tx.ops {
-		if op.kind == opFree {
-			op.a.push(op.id, op.size, false)
+// settleHeap settles what a finished transaction did to the heap: at commit
+// it counts its claims and frees and puts the blocks it freed on its home
+// arena's lists; after a rollback (committed false) it puts the blocks it
+// claimed, whose headers read free again, back there, last first. The arena
+// lock is taken for the pushes only.
+func (tx *txn) settleHeap(committed bool) {
+	var a *arena
+	for i, n := 0, len(tx.ops); i < n; i++ {
+		op := tx.ops[i]
+		if !committed {
+			op = tx.ops[n-1-i]
 		}
+		switch {
+		case committed && op.freed:
+			tx.p.stats.frees.Add(1)
+			tx.p.stats.freeBytes.Add(op.size)
+		case committed:
+			tx.p.stats.allocs.Add(1)
+			tx.p.stats.allocBytes.Add(op.size)
+		}
+		if op.freed != committed {
+			continue
+		}
+		if a == nil {
+			a = tx.p.home(tx.clk)
+			a.mu.Lock()
+		}
+		a.push(op.id, op.size, false)
 	}
-}
-
-// undoHeap returns the DRAM free lists to what they were before the
-// transaction, after its undo log has been rolled back: the changes are undone
-// in reverse, so each finds its list as it left it, and then every extent the
-// transaction reserved goes onto its arena's huge list — the rollback restored
-// the free header the extent was formatted with. Frees are dropped: an
-// aborted Free is never reused.
-func (tx *txn) undoHeap() {
-	for i := len(tx.ops) - 1; i >= 0; i-- {
-		op, a := &tx.ops[i], tx.ops[i].a
-		switch op.kind {
-		case opPop:
-			a.class[op.i] = append(a.class[op.i], op.id)
-			a.free.Add(1)
-		case opTake:
-			a.huge = slices.Insert(a.huge, int(op.i), freeBlock{op.id, op.size})
-			a.free.Add(1)
-		case opSplit:
-			a.huge[op.i] = freeBlock{op.id, op.size}
-		case opCur:
-			if op.i == 1 {
-				a.huge = a.huge[:len(a.huge)-1]
-				a.free.Add(-1)
-			}
-			a.cur = freeBlock{op.id, op.size}
-		}
-	}
-	for _, op := range tx.ops {
-		if op.kind == opReserve {
-			op.a.push(op.id, op.size, true)
-		}
+	if a != nil {
+		a.mu.Unlock()
 	}
 }
 
@@ -164,15 +151,14 @@ func (p *Pool) initBrk(clk *sim.Clock) error {
 	return p.StoreBytesAt(clk, PMID(p.allocOff), b[:], true, ptAllocBrk)
 }
 
-// reserveExtent claims a fresh extent of the heap off the shared brk for
-// arena a and returns it as the free block it is formatted as. With exact set
+// reserveExtent claims a fresh extent of the heap off the shared brk and
+// returns it as the free block it is formatted as. With exact set
 // the extent is sized to the request (huge blocks get dedicated extents, so
 // class carving never strands a tail comparable to the block itself);
 // otherwise the default extent size is used. Every extent is a whole number
 // of cachelines. It is formatted as one free block and persisted before the
 // brk advance grants it (see the package comment).
-func (p *Pool) reserveExtent(tx *txn, a *arena, want int64, exact bool) (freeBlock, error) {
-	clk := tx.clk
+func (p *Pool) reserveExtent(clk *sim.Clock, want int64, exact bool) (freeBlock, error) {
 	p.brkMu.Lock()
 	defer p.brkMu.Unlock()
 	raw, err := p.ReadU64(clk, PMID(p.allocOff))
@@ -191,18 +177,15 @@ func (p *Pool) reserveExtent(tx *txn, a *arena, want int64, exact bool) (freeBlo
 		return freeBlock{}, fmt.Errorf("%w: heap exhausted (%d of %d used, need %d)",
 			ErrNoSpace, brk-p.heapOff, p.heapEnd-p.heapOff, want)
 	}
-	var b [blockHeaderSize]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(ext))
-	binary.LittleEndian.PutUint64(b[8:], stateFree)
-	if err := p.StoreBytesAt(clk, PMID(brk), b[:], true, ptAllocExtentFormat); err != nil {
-		return freeBlock{}, err
-	}
-	binary.LittleEndian.PutUint64(b[:], uint64(brk+ext))
-	if err := p.StoreBytesAt(clk, PMID(p.allocOff), b[:8], true, ptAllocBrk); err != nil {
-		return freeBlock{}, err
-	}
 	fb := freeBlock{PMID(brk + blockHeaderSize), ext}
-	tx.ops = append(tx.ops, heapOp{a: a, kind: opReserve, id: fb.id, size: fb.size})
+	if err := p.formatFree(clk, fb, ptAllocExtentFormat, true); err != nil {
+		return freeBlock{}, err
+	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(brk+ext))
+	if err := p.StoreBytesAt(clk, PMID(p.allocOff), b[:], true, ptAllocBrk); err != nil {
+		return freeBlock{}, err
+	}
 	p.stats.extents.Add(1)
 	p.stats.extentBytes.Add(ext)
 	return fb, nil
@@ -320,16 +303,10 @@ func (p *Pool) rebuildLists(clk *sim.Clock) error {
 	return nil
 }
 
-// Alloc allocates a payload of n bytes inside tx and returns its PMID. The
-// payload contents are undefined (PMDK semantics; callers zero or overwrite).
-//
-// Placement policy: reuse a free block from the home arena, else from any
-// other arena whose free count is positive (freed blocks migrate between
-// arenas, so reuse must look everywhere before growing the heap), else carve
-// fresh space from the home arena's current extent, else carve from whichever
-// other arena has room. Every foreign-arena step uses TryLock only — a
-// transaction never blocks on a second arena lock while holding one, which
-// rules out deadlock outright.
+// Alloc allocates a payload of n bytes inside tx and returns its PMID: a
+// Reserve and its Claim. The payload contents are undefined (PMDK semantics;
+// callers zero or overwrite). A split's head header is not persisted: the
+// claim's pre-image of it is logged first (split), under the same arena lock.
 func (p *Pool) Alloc(tx *Tx, n int64) (PMID, error) {
 	t, err := tx.live("Alloc")
 	if err != nil {
@@ -339,90 +316,114 @@ func (p *Pool) Alloc(tx *Tx, n int64) (PMID, error) {
 }
 
 func (p *Pool) alloc(tx *txn, n int64) (PMID, error) {
+	id, err := p.reserve(tx.clk, n, tx)
+	if err == nil {
+		err = p.claim(tx, id)
+	}
+	return id, err
+}
+
+// Reserve takes a block for an n-byte payload off the DRAM lists, with no
+// transaction, and returns its PMID. The block reads free on media until a
+// transaction claims it (Claim); Cancel gives it back unclaimed.
+//
+// Placement: a free block from the home arena, else from any other arena
+// whose free count is positive (freed blocks migrate between arenas, so reuse
+// looks everywhere before the heap grows), else a fresh block carved from the
+// home arena's current extent, else from whichever other arena has room.
+// Each step holds one arena's lock, for that step only.
+func (p *Pool) Reserve(clk *sim.Clock, n int64) (PMID, error) { return p.reserve(clk, n, nil) }
+
+// reserve is Reserve for a block that tx, when not nil, claims next.
+func (p *Pool) reserve(clk *sim.Clock, n int64, tx *txn) (PMID, error) {
 	if n <= 0 {
 		return Null, fmt.Errorf("pmdk: Alloc size must be positive, got %d", n)
 	}
-	home := tx.homeArena()
-	id, ok, err := p.reuseIn(tx, home, n)
-	if err != nil {
-		return Null, err
+	home := p.home(clk)
+	want, c := hugeBlockSize(n), classFor(n)
+	if c >= 0 {
+		want = blockSizeOf(c)
 	}
-	if ok {
-		return id, nil
-	}
-	for i := range p.arenas {
-		a := &p.arenas[i]
-		if a == home || a.free.Load() <= 0 {
-			continue
-		}
-		id, ok, err := p.foreignArena(tx, a, n, p.reuseIn)
-		if err != nil {
-			return Null, err
-		}
-		if ok {
-			return id, nil
+	id, err := p.reuseIn(clk, home, c, want, tx)
+	for i := 0; i < len(p.arenas) && id == Null && err == nil; i++ {
+		if a := &p.arenas[i]; a != home && a.free.Load() > 0 {
+			if id, err = p.reuseIn(clk, a, c, want, tx); id != Null {
+				p.stats.arenaSteals.Add(1)
+			}
 		}
 	}
-	id, err = p.carveIn(tx, home, n)
-	if err == nil || !errors.Is(err, ErrNoSpace) {
+	if id != Null || err != nil {
 		return id, err
 	}
-	// Home arena exhausted: carve from any other arena we can lock without
-	// blocking.
+	if id, err = p.carve(clk, home, want, tx); !errors.Is(err, ErrNoSpace) {
+		return id, err
+	}
+	// Home arena exhausted: carve from any other arena's current extent.
 	for i := range p.arenas {
-		a := &p.arenas[i]
-		if a == home {
-			continue
-		}
-		id, ok, err2 := p.foreignArena(tx, a, n, func(tx *txn, a *arena, n int64) (PMID, bool, error) {
-			id, err := p.carveIn(tx, a, n)
-			if err == nil {
-				return id, true, nil
+		if a := &p.arenas[i]; a != home {
+			id, err2 := p.carve(clk, a, want, tx)
+			if err2 == nil {
+				p.stats.arenaSteals.Add(1)
 			}
-			if errors.Is(err, ErrNoSpace) {
-				return Null, false, nil
+			if !errors.Is(err2, ErrNoSpace) {
+				return id, err2
 			}
-			return Null, false, err
-		})
-		if err2 != nil {
-			return Null, err2
-		}
-		if ok {
-			return id, nil
 		}
 	}
 	return Null, err
 }
 
-// foreignArena runs try against an arena the transaction does not own as its
-// home, acquiring the lock with TryLock when needed and releasing it again
-// if the attempt made no logged mutation there.
-func (p *Pool) foreignArena(tx *txn, a *arena, n int64,
-	try func(*txn, *arena, int64) (PMID, bool, error)) (PMID, bool, error) {
-	held := tx.holdsArena(a)
-	if !held {
-		if !a.mu.TryLock() {
-			return Null, false, nil
-		}
-		tx.holdArena(a)
-	}
-	id, ok, err := try(tx, a, n)
+// Cancel puts a block Reserve returned, and no transaction claimed, back on
+// the caller's home arena's lists.
+func (p *Pool) Cancel(clk *sim.Clock, id PMID) error {
+	size, state, err := p.blockHeader(clk, id)
 	if err != nil {
-		return Null, false, err
+		return err
 	}
-	if ok {
-		p.stats.arenaSteals.Add(1)
-		return id, true, nil
+	if state != stateFree {
+		return fmt.Errorf("%w: Cancel of %d in state %#x (claimed?)", ErrBadPointer, id, state)
 	}
-	if !held {
-		tx.releaseArenaIfClean(a)
+	a := p.home(clk)
+	a.mu.Lock()
+	a.push(id, size, false)
+	a.mu.Unlock()
+	return nil
+}
+
+// Claim allocates a block Reserve returned inside tx: its state word is
+// logged and set to alloc. From Claim on the block is the transaction's:
+// allocated once tx commits, back on a list if it aborts — also when Claim
+// fails, since the caller then aborts tx. Only a block that does not read free
+// (not a reservation) is refused with ErrBadPointer, and stays the caller's.
+func (p *Pool) Claim(tx *Tx, id PMID) error {
+	t, err := tx.live("Claim")
+	if err != nil {
+		return err
 	}
-	return Null, false, nil
+	return p.claim(t, id)
+}
+
+func (p *Pool) claim(tx *txn, id PMID) error {
+	if id < PMID(p.heapOff)+blockHeaderSize || int64(id) >= p.heapEnd {
+		return fmt.Errorf("%w: %d outside heap", ErrBadPointer, id)
+	}
+	// The header {size, state} is one access, charged by the pre-image that
+	// logs it: the state word's below, or the whole header's (Alloc's split).
+	h, err := p.m.Slice(int64(id)-blockHeaderSize, blockHeaderSize)
+	if err != nil {
+		return err
+	}
+	size, state := int64(word(h, 0)), word(h, 1)
+	if state != stateFree {
+		return fmt.Errorf("%w: Claim of %d in state %#x (not reserved)", ErrBadPointer, id, state)
+	}
+	tx.ops = append(tx.ops, heapOp{id: id, size: size})
+	return tx.WriteU64(id-8, stateAlloc)
 }
 
 // Free returns the block holding id to the allocator inside tx: its header
-// reads free once tx commits, and then it joins the transaction's home
-// arena's free list regardless of where it was carved.
+// reads free once tx commits, and then it joins the committing rank's home
+// arena's lists regardless of where it was carved.
 func (p *Pool) Free(tx *Tx, id PMID) error {
 	t, err := tx.live("Free")
 	if err != nil {
@@ -432,7 +433,6 @@ func (p *Pool) Free(tx *Tx, id PMID) error {
 }
 
 func (p *Pool) free(tx *txn, id PMID) error {
-	a := tx.homeArena()
 	size, state, err := p.blockHeader(tx.clk, id)
 	if err != nil {
 		return err
@@ -440,13 +440,10 @@ func (p *Pool) free(tx *txn, id PMID) error {
 	if state != stateAlloc {
 		return fmt.Errorf("%w: Free of %d in state %#x (double free?)", ErrBadPointer, id, state)
 	}
-	tx.markArenaDirty(a)
 	if err := tx.WriteU64(id-8, stateFree); err != nil {
 		return err
 	}
-	tx.ops = append(tx.ops, heapOp{a: a, kind: opFree, id: id, size: size})
-	p.stats.frees.Add(1)
-	p.stats.freeBytes.Add(size)
+	tx.ops = append(tx.ops, heapOp{id: id, size: size, freed: true})
 	return nil
 }
 
@@ -462,137 +459,116 @@ func (p *Pool) UsableSize(clk *sim.Clock, id PMID) (int64, error) {
 	return size - blockHeaderSize, nil
 }
 
-// reuseIn tries to satisfy an allocation from the free lists of one arena
-// whose lock tx holds. ok=false means no fit; nothing is mutated in that case.
-func (p *Pool) reuseIn(tx *txn, a *arena, n int64) (PMID, bool, error) {
-	want := hugeBlockSize(n)
-	if c := classFor(n); c >= 0 {
+// reuseIn takes a free block of want bytes — class c's, or huge when c < 0 —
+// off arena a's lists: the class list's last block, else the first fit on the
+// huge list, split when it is larger. It returns Null when nothing fits.
+func (p *Pool) reuseIn(clk *sim.Clock, a *arena, c int, want int64, tx *txn) (PMID, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if c >= 0 {
 		if l := a.class[c]; len(l) > 0 {
-			id := l[len(l)-1]
-			tx.markArenaDirty(a)
-			if err := tx.WriteU64(id-8, stateAlloc); err != nil {
-				return Null, false, err
-			}
 			a.class[c] = l[:len(l)-1]
 			a.free.Add(-1)
-			tx.ops = append(tx.ops, heapOp{a: a, kind: opPop, i: int32(c), id: id})
-			p.stats.allocs.Add(1)
-			p.stats.allocBytes.Add(blockSizeOf(c))
-			return id, true, nil
+			return l[len(l)-1], nil
 		}
-		// Class list empty: fall through to the huge list and split a
-		// class-sized block off a larger free one (retired extent tails and
-		// returned extents land there, so this is what keeps small allocs
-		// reusing them before the heap grows).
-		want = blockSizeOf(c)
+		// Class list empty: split a class-sized block off a larger free one
+		// (retired extent tails and returned extents land there, so this is
+		// what keeps small allocs reusing them before the heap grows).
 	}
 	// First fit, most recently pushed first.
 	for i := len(a.huge) - 1; i >= 0; i-- {
-		if a.huge[i].size >= want {
-			id, err := p.takeHuge(tx, a, i, want)
-			return id, err == nil, err
+		if fb := a.huge[i]; fb.size >= want {
+			tail, err := p.split(clk, a, fb, want, tx)
+			switch {
+			case tail.size > 0:
+				a.huge[i] = tail
+			case err == nil:
+				a.huge = slices.Delete(a.huge, i, i+1)
+				a.free.Add(-1)
+			}
+			if err != nil {
+				return Null, err
+			}
+			return fb.id, nil
 		}
 	}
-	return Null, false, nil
+	return Null, nil
 }
 
-// carveIn takes a fresh block for an n-byte payload from one arena whose
-// lock tx holds.
-func (p *Pool) carveIn(tx *txn, a *arena, n int64) (PMID, error) {
-	if c := classFor(n); c >= 0 {
-		return p.carve(tx, a, blockSizeOf(c))
+// split cuts a block of want bytes off the head of free block fb, one of a's,
+// and returns the free tail, which is empty when fb is exactly want bytes
+// (every block size is a multiple of minBlock) and is taken whole. The two
+// headers are written as free, unlogged: the tail's first, persisted, so a
+// crash before the head's persist leaves fb one free block, never two that
+// overlap. The head's is persisted too — or, when tx will claim the head,
+// logged by tx instead: recovery or an abort then restores the head as a free
+// block of want bytes, and the claim's state word is covered by the entry.
+// Either way it is durable before the tail can be anyone else's. Once the
+// tail's store is done the heap holds two blocks: if the head's then fails,
+// the head goes on a's lists and the tail is returned with the error.
+func (p *Pool) split(clk *sim.Clock, a *arena, fb freeBlock, want int64, tx *txn) (freeBlock, error) {
+	if fb.size == want {
+		return freeBlock{}, nil
 	}
-	return p.carve(tx, a, hugeBlockSize(n))
-}
-
-// takeHuge takes a.huge[i] for a block of want bytes, leaving the split-off
-// tail in its place when there is one.
-func (p *Pool) takeHuge(tx *txn, a *arena, i int, want int64) (PMID, error) {
-	fb := a.huge[i]
-	tail, err := p.split(tx, a, fb, want)
+	tail, head := freeBlock{fb.id + PMID(want), fb.size - want}, freeBlock{fb.id, want}
+	if err := p.formatFree(clk, tail, ptAllocSplit, true); err != nil {
+		return freeBlock{}, err
+	}
+	err := p.formatFree(clk, head, ptAllocSplit, tx == nil)
+	if err == nil && tx != nil {
+		if err = tx.Add(head.id-blockHeaderSize, blockHeaderSize); err != nil {
+			err = errors.Join(err, p.formatFree(clk, head, ptAllocSplit, true))
+		}
+	}
 	if err != nil {
-		return Null, err
+		a.push(head.id, head.size, false)
+		return tail, err
 	}
-	if tail.size == 0 {
-		a.huge = slices.Delete(a.huge, i, i+1)
-		a.free.Add(-1)
-		tx.ops = append(tx.ops, heapOp{a: a, kind: opTake, i: int32(i), id: fb.id, size: fb.size})
-	} else {
-		a.huge[i] = tail
-		tx.ops = append(tx.ops, heapOp{a: a, kind: opSplit, i: int32(i), id: fb.id, size: fb.size})
-	}
-	return fb.id, nil
-}
-
-// split allocates a block of want bytes at the head of free block fb and
-// returns the free tail, which is empty when fewer than minBlock bytes would
-// be left and fb is taken whole. It logs the tail's and the block's
-// size|state, or only the state word when there is no tail; the caller files
-// the tail.
-func (p *Pool) split(tx *txn, a *arena, fb freeBlock, want int64) (freeBlock, error) {
-	tx.markArenaDirty(a)
-	var tail freeBlock
-	if fb.size-want < minBlock {
-		if err := tx.WriteU64(fb.id-8, stateAlloc); err != nil {
-			return freeBlock{}, err
-		}
-		want = fb.size
-	} else {
-		tail = freeBlock{fb.id + PMID(want), fb.size - want}
-		if err := tx.WriteU64s(tail.id-blockHeaderSize, uint64(tail.size), stateFree); err != nil {
-			return freeBlock{}, err
-		}
-		if err := tx.WriteU64s(fb.id-blockHeaderSize, uint64(want), stateAlloc); err != nil {
-			return freeBlock{}, err
-		}
-	}
-	p.stats.allocs.Add(1)
-	p.stats.allocBytes.Add(want)
 	return tail, nil
 }
 
-// carve takes a fresh block of blockSize bytes by splitting the arena's
-// current extent, reserving a new extent off the shared brk when the current
-// one is too small; the old one goes onto the huge list with no write, since
-// its header already reads free. Huge blocks bypass the current extent and
-// take a dedicated exact-size extent whole — mixing them into shared extents
-// would strand tails comparable to the blocks themselves (the sharded copy
-// engine allocates streams of same-sized huge shards, so that waste compounds
-// to a fixed fraction of the heap).
-func (p *Pool) carve(tx *txn, a *arena, blockSize int64) (PMID, error) {
-	if blockSize > maxClassBlock {
-		fb, err := p.reserveExtent(tx, a, blockSize, true)
-		if err != nil {
-			return Null, err
-		}
-		tx.markArenaDirty(a)
-		if err := tx.WriteU64s(fb.id-blockHeaderSize, uint64(fb.size), stateAlloc); err != nil {
-			return Null, err
-		}
-		p.stats.allocs.Add(1)
-		p.stats.allocBytes.Add(fb.size)
-		return fb.id, nil
+// formatFree writes fb's header as a free block of its size, and persists it
+// when persist is set.
+func (p *Pool) formatFree(clk *sim.Clock, fb freeBlock, pt pmem.PointID, persist bool) error {
+	var b [blockHeaderSize]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(fb.size))
+	binary.LittleEndian.PutUint64(b[8:], stateFree)
+	return p.StoreBytesAt(clk, fb.id-blockHeaderSize, b[:], persist, pt)
+}
+
+// carve takes a fresh block of want bytes from arena a: class blocks are split
+// off its current extent, after reserving a new extent off the shared brk
+// when the current one is too small (the old one goes onto the huge list with
+// no write, since its header already reads free). Huge blocks bypass the
+// current extent and take a dedicated exact-size extent whole — mixing them
+// into shared extents would strand tails comparable to the blocks themselves
+// (the sharded copy engine allocates streams of same-sized huge shards, so
+// that waste compounds to a fixed fraction of the heap).
+func (p *Pool) carve(clk *sim.Clock, a *arena, want int64, tx *txn) (PMID, error) {
+	if want > maxClassBlock {
+		fb, err := p.reserveExtent(clk, want, true)
+		return fb.id, err
 	}
-	op := heapOp{a: a, kind: opCur, id: a.cur.id, size: a.cur.size}
-	if a.cur.size < blockSize {
-		fb, err := p.reserveExtent(tx, a, blockSize, false)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.cur.size < want {
+		fb, err := p.reserveExtent(clk, want, false)
 		if err != nil {
 			return Null, err
 		}
-		tx.markArenaDirty(a)
 		if a.cur.size > 0 {
 			a.push(a.cur.id, a.cur.size, true)
-			op.i = 1
 		}
 		a.cur = fb
 	}
-	tx.ops = append(tx.ops, op)
 	id := a.cur.id
-	tail, err := p.split(tx, a, a.cur, blockSize)
+	tail, err := p.split(clk, a, a.cur, want, tx)
+	if tail.size > 0 || err == nil {
+		a.cur = tail
+	}
 	if err != nil {
 		return Null, err
 	}
-	a.cur = tail
 	return id, nil
 }
 

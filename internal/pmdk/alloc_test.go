@@ -210,10 +210,9 @@ func TestHeapExhaustion(t *testing.T) {
 }
 
 func TestAbortedAllocRollsBackBump(t *testing.T) {
-	// An aborted Alloc must not consume heap: the rollback restores the
-	// headers, the abort path restores the arena's current extent and returns
-	// the reserved extent to a free list, so repeating the cycle reuses the
-	// same space instead of advancing the brk every time.
+	// An aborted Alloc must not consume heap: the abort puts its block back
+	// on a free list, so repeating the cycle reuses it instead of advancing
+	// the brk every time.
 	p, _, clk := newTestPool(t, 0)
 	var after [2]int64
 	for round := 0; round < 2; round++ {
@@ -239,9 +238,11 @@ func TestAbortedAllocRollsBackBump(t *testing.T) {
 }
 
 // TestRetireLogsNothing: an exhausted current extent joins the huge list as it
-// is — its header already reads free — so the carve that retires it logs only
-// the new extent's split, the tail's and the block's size|state, and an abort
-// puts it back as the current extent.
+// is — its header already reads free — and the carve that retires it persists
+// the new extent's tail header unlogged, so its transaction logs one undo
+// entry, the block's header with the claim's state word inside it. An abort
+// gives back the block, not the extent: the retired extent stays on the huge
+// list, the new one's tail stays current, and the block joins its class list.
 func TestRetireLogsNothing(t *testing.T) {
 	for _, commit := range []bool{false, true} {
 		p, _, clk := newTestPool(t, 0)
@@ -259,29 +260,32 @@ func TestRetireLogsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Alloc(tx, maxClassBlock-blockHeaderSize); err != nil {
+		id, err := p.Alloc(tx, maxClassBlock-blockHeaderSize)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !commit {
-			if err := tx.Abort(); err != nil {
-				t.Fatal(err)
-			}
-			if a.cur != old || slices.Contains(a.huge, old) {
-				t.Fatalf("after an abort the current extent is %+v (huge %v), want %+v off the lists", a.cur, a.huge, old)
-			}
-			continue
+		if commit {
+			err = tx.Commit()
+		} else {
+			err = tx.Abort()
 		}
-		if err := tx.Commit(); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.Stats().UndoEntries - before; got != 2 {
-			t.Errorf("a carve that retires its extent logged %d undo entries, want 2", got)
+		if got := p.Stats().UndoEntries - before; got != 1 {
+			t.Errorf("a carve that retires its extent logged %d undo entries, want 1", got)
 		}
 		if !slices.Contains(a.huge, old) {
 			t.Errorf("retired extent %+v not on the huge list %v", old, a.huge)
 		}
 		if size, state, err := p.blockHeader(clk, old.id); err != nil || size != old.size || state != stateFree {
 			t.Errorf("retired extent header reads size %d, state %#x (%v), want %d free", size, state, err, old.size)
+		}
+		if a.cur.id != id+maxClassBlock {
+			t.Errorf("current extent %+v, want the new extent's tail after block %d", a.cur, id)
+		}
+		if l := a.class[nSizeClasses-1]; !commit && (len(l) == 0 || l[len(l)-1] != id) {
+			t.Errorf("after an abort block %d is not on its class list %v", id, l)
 		}
 	}
 }
@@ -354,6 +358,60 @@ func TestAbortedPopStaysReusable(t *testing.T) {
 	}
 	if now, _ := p.HeapUsed(r1); now != heap {
 		t.Errorf("HeapUsed %d -> %d: the heap grew past free blocks", heap, now)
+	}
+}
+
+// TestReserveHeapBudget: a reservation and its Cancel put nothing on the Go
+// heap — a class block popped off its list and pushed back, and a block split
+// off a huge free block (two header stores) and pushed onto another arena's
+// huge list, whose backing array is made big enough up front so that only
+// Reserve and Cancel are measured.
+func TestReserveHeapBudget(t *testing.T) {
+	m := sim.NewMachine(sim.DefaultConfig())
+	m.SetConcurrency(1)
+	mp, err := pmem.NewMapping(pmem.New(m, 16<<20), 0, 16<<20, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := DefaultOptions()
+	o.Arenas = 2
+	r0, r1 := &sim.Clock{Rank: 0}, &sim.Clock{Rank: 1}
+	p, err := Create(r0, mp, &o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var class, huge PMID
+	withTx(t, p, func(tx *Tx) (err error) {
+		if class, err = p.Alloc(tx, 100); err == nil {
+			huge, err = p.Alloc(tx, 8<<20)
+		}
+		return err
+	})
+	withTx(t, p, func(tx *Tx) error { return errors.Join(p.Free(tx, class), p.Free(tx, huge)) })
+	p.arenas[1].huge = make([]freeBlock, 0, 256)
+	for _, c := range []struct {
+		name   string
+		n      int64
+		cancel *sim.Clock
+	}{{"class", 100, r0}, {"split", 10_000, r1}} {
+		extents := p.Stats().Extents
+		if got := testing.AllocsPerRun(100, func() {
+			id, err := p.Reserve(r0, c.n)
+			if err == nil {
+				err = p.Cancel(c.cancel, id)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s: Reserve+Cancel = %v allocs, want 0", c.name, got)
+		}
+		if p.Stats().Extents != extents {
+			t.Errorf("%s: the reservations carved fresh extents", c.name)
+		}
+	}
+	if n := len(p.arenas[1].huge); n != 101 {
+		t.Errorf("arena 1 holds %d split-off blocks, want 101", n)
 	}
 }
 

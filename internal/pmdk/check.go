@@ -33,7 +33,9 @@ func violatef(vs []Violation, inv, format string, args ...any) []Violation {
 // Verify checks the pool's structural invariants: idle lanes (recovery has
 // run at Open), then one walk of the heap — the walk Open rebuilds the free
 // lists from — which must find a sane brk, a valid header on every block, and
-// as many free blocks as the free lists and the arenas' current extents hold.
+// as many free blocks as the free lists and the arenas' current extents hold
+// (so it is run on a quiescent pool: a reservation in flight reads free on
+// media and is on no list).
 // It is read-only and returns one Violation per violated invariant; the walk
 // reports the first thing it cannot trust.
 func (p *Pool) Verify(clk *sim.Clock) []Violation {
@@ -53,12 +55,8 @@ func (p *Pool) Verify(clk *sim.Clock) []Violation {
 		}
 	}
 
-	var free, listed int64
-	err := p.walkHeap(clk, func(_ PMID, _ int64, f bool) {
-		if f {
-			free++
-		}
-	})
+	var listed int64
+	_, free, err := p.Census(clk)
 	var ch *corruptHeap
 	switch {
 	case errors.As(err, &ch):
@@ -166,4 +164,17 @@ func (h *Hashtable) Verify(clk *sim.Clock) []Violation {
 		}
 	}
 	return vs
+}
+
+// Census counts the heap's allocated and free blocks by one walk of their
+// headers, the walk Open rebuilds the free lists from.
+func (p *Pool) Census(clk *sim.Clock) (alloc, free int64, err error) {
+	err = p.walkHeap(clk, func(_ PMID, _ int64, f bool) {
+		if f {
+			free++
+		} else {
+			alloc++
+		}
+	})
+	return alloc, free, err
 }

@@ -13,11 +13,12 @@ import (
 )
 
 // TestConcurrentArenaAlloc hammers the striped allocator from many
-// goroutines doing mixed Alloc/Free/Commit/Abort traffic, then audits the
-// surviving blocks: every committed block must be marked allocated, lie
-// inside the heap, and overlap no other live block. Run under -race this
-// also pins the locking protocol (home arena + TryLock steals + leaf brk
-// mutex) as data-race free.
+// goroutines doing mixed Alloc, Reserve+Claim, Reserve+Cancel, Free,
+// Commit and Abort traffic, then audits the surviving blocks: every committed
+// block must be marked allocated, lie inside the heap, and overlap no other
+// live block, and the heap's free blocks must be the lists'. Run under -race
+// this also pins the locking protocol (one arena lock per list operation,
+// blocking steals, leaf brk mutex) as data-race free.
 func TestConcurrentArenaAlloc(t *testing.T) {
 	const (
 		workers = 8
@@ -52,13 +53,29 @@ func TestConcurrentArenaAlloc(t *testing.T) {
 					// larger than the default extent to force reservation.
 					n := int64(1) << (6 + rng.Intn(10)) // 64 B .. 32 KB
 					n += rng.Int63n(100)
-					id, err := p.Alloc(tx, n)
+					var id PMID
+					if rng.Intn(2) == 0 {
+						id, err = p.Alloc(tx, n)
+					} else if id, err = p.Reserve(clk, n); err == nil {
+						err = p.Claim(tx, id)
+					}
 					if err != nil {
 						errs[w] = err
 						ok = false
 						break
 					}
 					fresh = append(fresh, block{id, n})
+				}
+				// A reservation given back unclaimed sometimes.
+				if ok && rng.Intn(3) == 0 {
+					id, err := p.Reserve(clk, 64+rng.Int63n(4000))
+					if err == nil {
+						err = p.Cancel(clk, id)
+					}
+					if err != nil {
+						errs[w] = err
+						ok = false
+					}
 				}
 				// Free one of this worker's own committed blocks sometimes.
 				if ok && len(live[w]) > 0 && rng.Intn(2) == 0 {
@@ -127,6 +144,9 @@ func TestConcurrentArenaAlloc(t *testing.T) {
 		}
 	}
 
+	if vs := p.Verify(clk); len(vs) != 0 {
+		t.Fatalf("violations after the traffic: %v", vs)
+	}
 	st := p.Stats()
 	if st.Allocs == 0 || st.Transactions == 0 {
 		t.Fatalf("stats not counting: %+v", st)

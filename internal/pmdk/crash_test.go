@@ -233,8 +233,9 @@ func fillExtent(p *Pool, clk *sim.Clock) error {
 // persist point during allocator traffic, recovery leaves the allocator
 // usable and the heap conserved. The traffic is alloc/free/alloc in one
 // transaction, a transaction that reserves a fresh class extent and retires
-// the old one's tail, one that takes an exact huge extent, and one that does
-// both and aborts. After every recovery the pool verifies clean, every byte
+// the old one's tail, one that takes an exact huge extent, one that does
+// both and aborts, and the same three blocks reserved outside a transaction —
+// each split's two headers persisted — and then claimed in one. After every recovery the pool verifies clean, every byte
 // up to the brk is exactly one block (no leaked extent), a reopen
 // rebuilds the same free blocks, and new allocations succeed without
 // overlapping a block committed before the crash.
@@ -245,16 +246,20 @@ func TestCrashSweepAllocatorConsistency(t *testing.T) {
 		sizes []int64 // allocated in one transaction, the 2nd freed when free
 		free  bool
 		abort bool
+		// reserve: Reserve every block first, then Claim them in the
+		// transaction.
+		reserve bool
 	}{
 		{name: "alloc-free-alloc", sizes: []int64{3000, 100}, free: true},
 		{name: "class-extent", setup: fillExtent, sizes: []int64{maxClassBlock - blockHeaderSize}},
 		{name: "huge-extent", sizes: []int64{100_000}},
 		{name: "both-abort", setup: fillExtent, sizes: []int64{maxClassBlock - blockHeaderSize, 100_000}, abort: true},
+		{name: "reserve-claim", setup: fillExtent, sizes: []int64{maxClassBlock - blockHeaderSize, 100_000, 100}, reserve: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			for k := int64(0); ; k++ {
-				if crashSweepAllocator(t, k, c.setup, c.sizes, c.free, c.abort) {
+				if crashSweepAllocator(t, k, c.setup, c.sizes, c.free, c.abort, c.reserve) {
 					break
 				}
 				if k > 2000 {
@@ -268,7 +273,7 @@ func TestCrashSweepAllocatorConsistency(t *testing.T) {
 // crashSweepAllocator runs one point of TestCrashSweepAllocatorConsistency:
 // the workload with the device killed at its k-th persist, a crash, recovery
 // and the checks. It reports whether the workload ran to its end.
-func crashSweepAllocator(t *testing.T, k int64, setup func(*Pool, *sim.Clock) error, sizes []int64, free, abort bool) bool {
+func crashSweepAllocator(t *testing.T, k int64, setup func(*Pool, *sim.Clock) error, sizes []int64, free, abort, reserve bool) bool {
 	t.Helper()
 	dev, mp, p := crashRig(t, 16<<20)
 	clk := new(sim.Clock)
@@ -301,12 +306,28 @@ func crashSweepAllocator(t *testing.T, k int64, setup func(*Pool, *sim.Clock) er
 
 	dev.ArmCrashAtOp(k, 0)
 	completed := func() bool {
+		var reserved []PMID
+		for _, n := range sizes {
+			if !reserve {
+				break
+			}
+			id, err := p.Reserve(clk, n)
+			if err != nil {
+				return false
+			}
+			reserved = append(reserved, id)
+		}
 		tx, err := p.Begin(clk)
 		if err != nil {
 			return false
 		}
 		for i, n := range sizes {
-			id, err := p.Alloc(tx, n)
+			var id PMID
+			if reserve {
+				id, err = reserved[i], p.Claim(tx, reserved[i])
+			} else {
+				id, err = p.Alloc(tx, n)
+			}
 			if err == nil && free && i == 0 {
 				err = p.Free(tx, id)
 			}

@@ -377,6 +377,12 @@ func (u *Update) Old() []byte {
 // has a block.
 func (u *Update) OldID() PMID { return u.val }
 
+// Claim allocates block id, which the holder reserved (Pool.Reserve), in the
+// update's transaction: it is allocated exactly when the new value is
+// published, and back on a free list if the update rolls back — on error
+// too: the holder then ends the update with Finish(err).
+func (u *Update) Claim(id PMID) error { return u.h.p.Claim(&u.tx, id) }
+
 // Free returns block id to the allocator in the update's transaction: it is
 // free exactly when the new value is published, and reusable only after. On
 // error the caller aborts.

@@ -13,9 +13,11 @@ var (
 	ptPoolFormat = pmem.RegisterPoint("pmdk.pool.format")
 
 	// Allocator: an extent formatted as one free block, then the un-logged
-	// brk advance that grants it.
+	// brk advance that grants it; a reservation's split, the tail's free
+	// header and then the head's.
 	ptAllocExtentFormat = pmem.RegisterPoint("pmdk.alloc.extent.format")
 	ptAllocBrk          = pmem.RegisterPoint("pmdk.alloc.brk")
+	ptAllocSplit        = pmem.RegisterPoint("pmdk.alloc.split")
 
 	// Undo-log transaction protocol (see the lane layout comment in tx.go):
 	// the entry, the mutated ranges at commit, the generation bump.

@@ -123,14 +123,13 @@ type Pool struct {
 	txFree chan *txn
 
 	// arenas stripes the allocator: each arena owns a mutex, its current
-	// extent to carve from, and its DRAM free lists. A transaction's first
-	// Alloc/Free takes its home arena (the caller's rank modulo the arena
-	// count) and holds its lock until commit/abort, so allocator pre-images in
-	// different lanes never overlap in time; see alloc.go for the protocol.
+	// extent to carve from, and its DRAM free lists. A caller's home arena is
+	// its rank modulo the arena count; a lock is held for one list operation
+	// only. See alloc.go for the protocol.
 	arenas []arena
 	// brkMu guards the shared extent brk at allocOff. It is a leaf lock:
 	// taken only inside extent reservation, never while acquiring any other
-	// lock, so holding an arena lock across it cannot deadlock.
+	// lock, so a carve holding an arena lock across it cannot deadlock.
 	brkMu sync.Mutex
 	// extent is the default extent reservation size (DRAM-only policy knob,
 	// derived from the heap size; see newPoolStruct).
@@ -144,8 +143,8 @@ type Pool struct {
 }
 
 // arena is one allocator stripe. The mutex guards the current extent and the
-// DRAM free lists, and nothing else: block contents are protected by the
-// owning transaction's locks. Arenas carve from private extents reserved off
+// DRAM free lists, and nothing else: block contents are protected by whoever
+// reserved the block, or by its transaction's locks. Arenas carve from private extents reserved off
 // the pool's shared brk, so the heap is not statically partitioned and one
 // arena can still host a block nearly as large as the whole heap. Free lists
 // are not address-partitioned either: blocks carry self-describing headers,
@@ -169,16 +168,16 @@ const lockStripes = 64
 
 // Stats reports DRAM-side counters for observability and tests.
 type Stats struct {
-	Allocs       int64
-	Frees        int64
+	Allocs       int64 // blocks allocated by committed transactions (Claim, Alloc)
+	Frees        int64 // blocks freed by committed transactions
 	Transactions int64
 	Aborts       int64
 	Recovered    int64 // transactions rolled back during Open
-	ArenaSteals  int64 // allocations that fell back to a non-home arena
+	ArenaSteals  int64 // reservations that fell back to a non-home arena
 	Extents      int64 // extents reserved off the shared brk
 	ExtentBytes  int64 // total bytes reserved off the brk
-	AllocBytes   int64 // total block bytes handed out (headers included)
-	FreeBytes    int64 // total block bytes returned via Free
+	AllocBytes   int64 // total bytes of those allocated blocks (headers included)
+	FreeBytes    int64 // total bytes of those freed blocks
 	UndoEntries  int64 // undo-log entries persisted
 	UndoBytes    int64 // lane bytes those entries occupy (headers and padding included)
 	UndoCovered  int64 // Adds skipped: the range was already pre-imaged by its transaction
@@ -238,8 +237,8 @@ func Create(clk *sim.Clock, m *pmem.Mapping, opts *Options) (*Pool, error) {
 		return nil, fmt.Errorf("pmdk: invalid options %+v", o)
 	}
 	if o.Arenas > o.Lanes {
-		// At most Lanes transactions exist at once, so extra arenas could
-		// never be locked concurrently; clamping keeps regions usefully big.
+		// At most Lanes transactions exist at once, so extra arenas would
+		// mostly hold idle extents; clamping keeps regions usefully big.
 		o.Arenas = o.Lanes
 	}
 	allocOff := int64(headerSize)

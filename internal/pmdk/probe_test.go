@@ -59,19 +59,18 @@ func poke(t *testing.T, p *Pool, off PMID, v uint64) {
 // chain length a Get hit is k+2 accesses (bucket slot, k entries, the value),
 // a miss 1+L, an Update of a present key k+1 (+1 for Old), an insert L+1 and a
 // Delete k+1, next to what the allocator and the undo log read on their
-// behalf: a carve 2 and a Free 2 of their own, and one pre-image read per
+// behalf: a carve 1 and a Free 2 of their own, and one pre-image read per
 // undo entry. Virtual time is held to the nanosecond against the same accesses
 // charged one by one to a scratch clock.
 func TestProbeAccessesPerEntry(t *testing.T) {
 	const (
 		klen, vlen = 5, 8 // "key-i", "8 bytes."
-		// What a mutation's nested calls read, none of it the walk's. The first
-		// carve of a transaction splits the arena's current extent, a DRAM
-		// value, and pre-images the tail's and the block's size|state; the
-		// second finds its block's header covered by the first one's tail. A
+		// What a mutation's nested calls read, none of it the walk's. A carve
+		// splits the arena's current extent, a DRAM value, with two unlogged
+		// header stores, and its claim pre-images the block's state word. A
 		// Free reads size|state and pre-images the state word. The free lists
 		// are DRAM. Linking or unlinking pre-images one word.
-		carve1, carve2, free1, free2, link = 2, 1, 1 + 1, 1 + 1, 1
+		carve, free, link = 1, 1 + 1, 1
 	)
 	for L := 1; L <= 8; L++ {
 		ht, p, clk := chainTable(t, L)
@@ -163,7 +162,7 @@ func TestProbeAccessesPerEntry(t *testing.T) {
 			if err := ht.Put(clk, []byte("fresh"), []byte("8 bytes.")); err != nil {
 				t.Fatal(err)
 			}
-		}, int64(1+L)+carve1+carve2+link, -1)
+		}, int64(1+L)+2*carve+link, -1)
 		if es := chainEntries(t, ht, 0); len(es) != L+1 {
 			t.Fatalf("L=%d: chain holds %d entries after the insert", L, len(es))
 		}
@@ -178,7 +177,7 @@ func TestProbeAccessesPerEntry(t *testing.T) {
 				if ok, err := ht.Delete(clk, key); err != nil || !ok {
 					t.Fatalf("Delete(%s) = %v, %v", key, ok, err)
 				}
-			}, int64(1+k)+link+free1+free2, -1)
+			}, int64(1+k)+link+2*free, -1)
 		}
 		if n, err := ht.Len(clk); err != nil || n != 0 {
 			t.Fatalf("L=%d: Len after deleting every key = %d, %v", L, n, err)

@@ -135,86 +135,16 @@ type txn struct {
 	ranges []txRange // the pre-imaged ranges, in log order
 	regen  bool      // Commit's generation store failed; see rollback
 
-	// held lists the arena locks this transaction owns, in acquisition
-	// order. held[0] is the home arena (taken blocking at the first
-	// Alloc/Free); later entries were stolen with TryLock. dirty marks
-	// arenas whose lists or current extent this transaction has changed:
-	// those must stay locked until commit/abort so no other transaction logs
-	// the same headers while this one is active.
-	held []heldArena
-
-	// ops records what the transaction did to the DRAM free lists and current
-	// extents, in order: Abort undoes it (undoHeap), Commit puts the freed
-	// blocks on their lists (commitHeap).
+	// ops lists the blocks the transaction claimed and freed, in order: a
+	// commit puts the freed ones on a list, an abort the claimed ones
+	// (settleHeap).
 	ops []heapOp
 
-	// Inline backing for ranges, held and ops: a store's two transactions log
-	// 2-5 ranges each under one arena lock, so no list reaches the heap.
+	// Inline backing for ranges and ops: a store's record change logs a few
+	// ranges and claims and frees a few blocks, so neither list reaches the
+	// heap.
 	rangeBuf [8]txRange
-	heldBuf  [2]heldArena
 	opBuf    [8]heapOp
-}
-
-type heldArena struct {
-	ar    *arena
-	dirty bool
-}
-
-// homeArena returns the transaction's home arena — the caller's rank modulo
-// the arena count, so every transaction of a rank meets in one arena and what
-// one frees the next reuses without stealing — taking its lock (blocking) on
-// first use. Blocking is safe here because the transaction holds no other
-// arena lock yet.
-func (tx *txn) homeArena() *arena {
-	if len(tx.held) > 0 {
-		return tx.held[0].ar
-	}
-	a := &tx.p.arenas[tx.clk.Rank%len(tx.p.arenas)]
-	a.mu.Lock()
-	tx.held = append(tx.held, heldArena{ar: a})
-	return a
-}
-
-// holdsArena reports whether tx owns a's lock.
-func (tx *txn) holdsArena(a *arena) bool {
-	for i := range tx.held {
-		if tx.held[i].ar == a {
-			return true
-		}
-	}
-	return false
-}
-
-// holdArena records an arena lock acquired by the caller (via TryLock).
-func (tx *txn) holdArena(a *arena) {
-	tx.held = append(tx.held, heldArena{ar: a})
-}
-
-// markArenaDirty flags a as mutated by this transaction; its lock is then
-// pinned until commit/abort.
-func (tx *txn) markArenaDirty(a *arena) {
-	for i := range tx.held {
-		if tx.held[i].ar == a {
-			tx.held[i].dirty = true
-			return
-		}
-	}
-}
-
-// releaseArenaIfClean unlocks a stolen arena the transaction never mutated.
-// The home arena (held[0]) is always kept so repeated Alloc/Free calls stay
-// on one stripe.
-func (tx *txn) releaseArenaIfClean(a *arena) {
-	for i := 1; i < len(tx.held); i++ {
-		if tx.held[i].ar == a {
-			if tx.held[i].dirty {
-				return
-			}
-			tx.held = append(tx.held[:i], tx.held[i+1:]...)
-			a.mu.Unlock()
-			return
-		}
-	}
 }
 
 type txRange struct{ off, n int64 }
@@ -241,7 +171,7 @@ func (p *Pool) begin(clk *sim.Clock) Tx {
 		t = new(txn)
 	}
 	*t = txn{p: p, clk: clk, lane: lane, base: p.laneBase(lane), seq: t.seq}
-	t.ranges, t.held, t.ops = t.rangeBuf[:0], t.heldBuf[:0], t.opBuf[:0]
+	t.ranges, t.ops = t.rangeBuf[:0], t.opBuf[:0]
 	p.stats.transactions.Add(1)
 	return Tx{t: t, seq: t.seq}
 }
@@ -385,7 +315,7 @@ func (tx *txn) WriteU64s(off PMID, vs ...uint64) error {
 
 // Commit persists every mutated range and retires the transaction. A Commit
 // that returns an error has rolled the transaction back exactly as Abort
-// does: either way the lane and every arena lock are released.
+// does: either way the lane is released.
 func (tx *txn) Commit() error {
 	err := tx.persistRanges()
 	if err == nil && tx.used > 0 {
@@ -393,7 +323,7 @@ func (tx *txn) Commit() error {
 		tx.regen = err != nil
 	}
 	if err == nil {
-		tx.commitHeap()
+		tx.settleHeap(true)
 		tx.finish(true)
 		return nil
 	}
@@ -442,22 +372,17 @@ func (tx *txn) rollback() error {
 			return err
 		}
 	}
-	// The headers are as they were; the free lists and current extents
-	// follow (their arenas are still locked here).
-	tx.undoHeap()
+	// The headers are as they were: the claimed blocks read free again.
+	tx.settleHeap(false)
 	return nil
 }
 
-// finish ends the transaction in DRAM: every arena lock is dropped and, when
-// its log is retired (or the device is dead), the lane goes back to the pool.
+// finish ends the transaction in DRAM: when its log is retired (or the device
+// is dead), the lane goes back to the pool.
 func (tx *txn) finish(recycle bool) {
 	tx.seq++ // every handle on this transaction is stale from here on
 	tx.p.stats.undoEntries.Add(int64(len(tx.ranges)))
 	tx.p.stats.undoBytes.Add(tx.used)
-	for i := range tx.held {
-		tx.held[i].ar.mu.Unlock()
-	}
-	tx.held = nil
 	if recycle {
 		tx.p.laneFree <- tx.lane
 	}

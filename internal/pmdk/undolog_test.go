@@ -406,7 +406,7 @@ func TestFinishedTxIsStale(t *testing.T) {
 			t.Errorf("Abort after %s succeeded", end)
 		}
 		for _, tx := range live {
-			if tx.t.used != 0 || len(tx.t.held) != 0 {
+			if tx.t.used != 0 || len(tx.t.ops) != 0 {
 				t.Errorf("a stale handle acted on a live transaction of lane %d", tx.t.lane)
 			}
 			if err := tx.Commit(); err != nil {

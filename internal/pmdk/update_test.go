@@ -361,9 +361,9 @@ func TestCrashSweepUpdateSupersedes(t *testing.T) {
 	}
 }
 
-// TestHomeArenaFollowsRank: a transaction's home arena is its clock's rank
-// modulo the arena count, whatever order transactions arrive in — so what one
-// of a rank's transactions frees its next one reuses, with no steal.
+// TestHomeArenaFollowsRank: a caller's home arena is its clock's rank modulo
+// the arena count, whatever order transactions arrive in — so what one of a
+// rank's transactions frees its next one reuses, with no steal.
 func TestHomeArenaFollowsRank(t *testing.T) {
 	m := sim.NewMachine(sim.DefaultConfig())
 	m.SetConcurrency(1)
@@ -379,11 +379,9 @@ func TestHomeArenaFollowsRank(t *testing.T) {
 	}
 	for _, rank := range []int{5, 0, 3, 5, 1, 0} {
 		clk := &sim.Clock{Rank: rank}
-		tx, _ := p.Begin(clk)
-		if got, want := tx.t.homeArena(), &p.arenas[rank%4]; got != want {
+		if got, want := p.home(clk), &p.arenas[rank%4]; got != want {
 			t.Errorf("rank %d: home arena is not arena %d", rank, rank%4)
 		}
-		tx.Abort()
 	}
 	// Rank 1 allocates in one transaction and frees in the next, with other
 	// ranks' transactions arriving in between: its third gets the block back.
