@@ -244,30 +244,40 @@ func (e commitEngine) reserve(plan *writePlan) error {
 }
 
 // claimForeign claims every unit outside its id's home pool: one transaction
-// per touched pool, pools in ascending order (inPool). A crash after one
-// commits and before the record's does leaks its blocks — the one leak window
-// a store has.
+// per touched pool, pools in ascending order. A crash after one commits and
+// before the record's does leaks its blocks — the one leak window a store
+// has. A failed Claim hands its block to the transaction all the same, so
+// when a pool's transaction does not commit, its abort has put back every
+// block it claimed.
 func (e commitEngine) claimForeign(plan *writePlan) error {
-	foreign := func(g *planGroup, u *writeUnit) bool {
-		return u.held == heldReserved && int(u.pool) != e.p.homeIdx(g.id)
-	}
-	var blks []blockRec
-	for g, u := range plan.units {
-		if foreign(g, u) {
-			blks = append(blks, blockRec{pool: u.pool, data: u.blk})
-		}
-	}
-	for pi := 0; len(blks) > 0 && pi < len(e.p.st.pools); pi++ {
-		err := e.inPool(blks, pi, true)
+	clk := e.p.comm.Clock()
+	for pi, pool := range e.p.st.pools {
+		var tx *pmdk.Tx
+		var err error
 		for g, u := range plan.units {
-			if int(u.pool) == pi && foreign(g, u) {
-				u.held = heldClaimed
-				if err != nil {
-					u.held = heldNone // the abort put it back
+			if err != nil || int(u.pool) != pi || u.held != heldReserved || pi == e.p.homeIdx(g.id) {
+				continue
+			}
+			if tx == nil {
+				if tx, err = pool.Begin(clk); err != nil {
+					return err
 				}
 			}
+			u.held, err = heldClaimed, pool.Claim(tx, u.blk)
+		}
+		switch {
+		case tx == nil:
+		case err != nil:
+			tx.Abort()
+		default:
+			err = tx.Commit()
 		}
 		if err != nil {
+			for _, u := range plan.units {
+				if int(u.pool) == pi && u.held == heldClaimed {
+					u.held = heldNone
+				}
+			}
 			return err
 		}
 	}
@@ -765,18 +775,15 @@ func (e commitEngine) change(key string, rec []byte) (bool, error) {
 // plan's claimed stripes.
 func (e commitEngine) freeBlocks(blks []blockRec) error {
 	for pi := 0; len(blks) > 0 && pi < len(e.p.st.pools); pi++ {
-		if err := e.inPool(blks, pi, false); err != nil {
+		if err := e.freeIn(blks, pi); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// inPool frees (or, with claim set, claims) every block of blks in pool pi,
-// in one transaction, committed only when every call succeeded. A failed
-// Claim hands its block to the transaction all the same, so every block is
-// claimed and the abort puts every one back.
-func (e commitEngine) inPool(blks []blockRec, pi int, claim bool) error {
+// freeIn is freeBlocks' transaction in pool pi, when blks has blocks there.
+func (e commitEngine) freeIn(blks []blockRec, pi int) error {
 	if !slices.ContainsFunc(blks, func(b blockRec) bool { return int(b.pool) == pi }) {
 		return nil
 	}
@@ -785,18 +792,14 @@ func (e commitEngine) inPool(blks []blockRec, pi int, claim bool) error {
 	if err != nil {
 		return err
 	}
-	for i := 0; i < len(blks) && (claim || err == nil); i++ {
-		switch b := blks[i]; {
-		case int(b.pool) != pi:
-		case claim:
-			err = cmp.Or(err, pool.Claim(tx, b.data))
-		default:
-			err = pool.Free(tx, b.data)
+	for _, b := range blks {
+		if int(b.pool) != pi {
+			continue
 		}
-	}
-	if err != nil {
-		tx.Abort()
-		return err
+		if err := pool.Free(tx, b.data); err != nil {
+			tx.Abort()
+			return err
+		}
 	}
 	return tx.Commit()
 }

@@ -28,8 +28,11 @@ import (
 //     reserved block is on no list and reads free on media: a crash before
 //     its claim leaves a free block the walk finds.
 //   - Claim logs the block's state word to alloc in the caller's transaction.
-//     An abort restores free and the block goes back on a list; a commit
-//     makes it allocated. Cancel puts a reservation back unclaimed.
+//     An abort restores free and gives the block back; a commit makes it
+//     allocated. Cancel gives a reservation back unclaimed. A block given
+//     back merges with the free block after it when a huge list holds that
+//     one, as a split off a huge free block left it, so the split is undone
+//     (giveBack).
 //   - Alloc is a Reserve and its Claim, with one saving: its split's head
 //     header is not persisted but logged by the claiming transaction before
 //     the arena lock is dropped, so recovery or an abort restores it as a free
@@ -53,13 +56,14 @@ import (
 // and the brk can never double-grant space.
 //
 // Locking: an arena's mutex is held for one list operation only — a
-// reservation's pop, split or carve, a Cancel's push, or a commit's or abort's
-// pushes — and brkMu, taken inside a carve, is a leaf. A caller's home arena
-// is its rank modulo the arena count (sim.Clock.Rank), so a rank's
+// reservation's pop, split or carve, a give-back's merge or push, or a
+// commit's pushes — and brkMu, taken inside a carve, is a leaf. A caller's
+// home arena is its rank modulo the arena count (sim.Clock.Rank), so a rank's
 // allocations and frees meet in one arena. A reservation that finds no fit at
 // home reuses from the other arenas, in ascending order, before it carves; a
-// freed or cancelled block joins the home arena's lists, wherever it was
-// carved, so memory migrates between arenas with no cross-arena locking.
+// freed block, or a given-back one that merges with nothing, joins the home
+// arena's lists, wherever it was carved, so memory migrates between arenas
+// with no cross-arena locking.
 const (
 	nSizeClasses  = 6 // block sizes 64, 128, 256, 512, 1024, 2048
 	minBlock      = 64
@@ -112,27 +116,27 @@ func (p *Pool) home(clk *sim.Clock) *arena { return &p.arenas[clk.Rank%len(p.are
 
 // settleHeap settles what a finished transaction did to the heap: at commit
 // it counts its claims and frees and puts the blocks it freed on its home
-// arena's lists; after a rollback (committed false) it puts the blocks it
-// claimed, whose headers read free again, back there, last first. The arena
-// lock is taken for the pushes only.
+// arena's lists, whose lock it takes for the pushes only; after a rollback
+// (committed false) it gives the blocks it claimed, whose headers read free
+// again, back (giveBack), last first, so each merges with what its split left.
 func (tx *txn) settleHeap(committed bool) {
-	var a *arena
-	for i, n := 0, len(tx.ops); i < n; i++ {
-		op := tx.ops[i]
-		if !committed {
-			op = tx.ops[n-1-i]
+	if !committed {
+		for i := len(tx.ops) - 1; i >= 0; i-- {
+			if op := tx.ops[i]; !op.freed {
+				tx.p.giveBack(tx.clk, op.id, op.size)
+			}
 		}
-		switch {
-		case committed && op.freed:
-			tx.p.stats.frees.Add(1)
-			tx.p.stats.freeBytes.Add(op.size)
-		case committed:
+		return
+	}
+	var a *arena
+	for _, op := range tx.ops {
+		if !op.freed {
 			tx.p.stats.allocs.Add(1)
 			tx.p.stats.allocBytes.Add(op.size)
-		}
-		if op.freed != committed {
 			continue
 		}
+		tx.p.stats.frees.Add(1)
+		tx.p.stats.freeBytes.Add(op.size)
 		if a == nil {
 			a = tx.p.home(tx.clk)
 			a.mu.Lock()
@@ -184,6 +188,11 @@ func (p *Pool) reserveExtent(clk *sim.Clock, want int64, exact bool) (freeBlock,
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(brk+ext))
 	if err := p.StoreBytesAt(clk, PMID(p.allocOff), b[:], true, ptAllocBrk); err != nil {
+		// A failed persist reached no line of the media: the old brk goes
+		// back in the cache (the same line: this store cannot fail), so the
+		// extent is past the brk again, not stranded before it.
+		binary.LittleEndian.PutUint64(b[:], raw)
+		p.StoreBytesAt(clk, PMID(p.allocOff), b[:], false, ptAllocBrk)
 		return freeBlock{}, err
 	}
 	p.stats.extents.Add(1)
@@ -373,8 +382,8 @@ func (p *Pool) reserve(clk *sim.Clock, n int64, tx *txn) (PMID, error) {
 	return Null, err
 }
 
-// Cancel puts a block Reserve returned, and no transaction claimed, back on
-// the caller's home arena's lists.
+// Cancel gives a block Reserve returned, and no transaction claimed, back
+// (giveBack).
 func (p *Pool) Cancel(clk *sim.Clock, id PMID) error {
 	size, state, err := p.blockHeader(clk, id)
 	if err != nil {
@@ -383,11 +392,52 @@ func (p *Pool) Cancel(clk *sim.Clock, id PMID) error {
 	if state != stateFree {
 		return fmt.Errorf("%w: Cancel of %d in state %#x (claimed?)", ErrBadPointer, id, state)
 	}
+	p.giveBack(clk, id, size)
+	return nil
+}
+
+// giveBack lists again block id of size bytes, which reads free on media and
+// which no list holds (a cancelled reservation, or a claim an abort undid):
+// merged with the free block right after it when an arena's huge list holds
+// that one, as the split that cut id off a huge free block left it, so giving
+// such a reservation back restores the block it came from. Else it joins the
+// caller's home arena's lists — a class block carved off a current extent
+// too, where other ranks' reservations still find it. One arena lock is held
+// at a time.
+func (p *Pool) giveBack(clk *sim.Clock, id PMID, size int64) {
+	for i := range p.arenas {
+		if p.mergeIn(clk, &p.arenas[i], id, size) {
+			return
+		}
+	}
 	a := p.home(clk)
 	a.mu.Lock()
 	a.push(id, size, false)
 	a.mu.Unlock()
-	return nil
+}
+
+// mergeIn merges free block id of size bytes, which no list holds, into the
+// block right after it when a's huge list holds that one, and reports whether
+// it did. The merge is one persisted header store, {size + the next block's,
+// free}: the media reads the two blocks or the one. A failed store reached no
+// line of the media and is put back in the cache; id is then left to the
+// caller.
+func (p *Pool) mergeIn(clk *sim.Clock, a *arena, id PMID, size int64) bool {
+	next := id + PMID(size)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	j := slices.IndexFunc(a.huge, func(fb freeBlock) bool { return fb.id == next })
+	if j < 0 {
+		return false
+	}
+	merged := freeBlock{id, size + a.huge[j].size}
+	if err := p.formatFree(clk, merged, ptAllocMerge, true); err != nil {
+		// The same line as the failed store: this store cannot fail.
+		p.formatFree(clk, freeBlock{id, size}, ptAllocMerge, false)
+		return false
+	}
+	a.huge[j] = merged
+	return true
 }
 
 // Claim allocates a block Reserve returned inside tx: its state word is
@@ -478,11 +528,10 @@ func (p *Pool) reuseIn(clk *sim.Clock, a *arena, c int, want int64, tx *txn) (PM
 	// First fit, most recently pushed first.
 	for i := len(a.huge) - 1; i >= 0; i-- {
 		if fb := a.huge[i]; fb.size >= want {
-			tail, err := p.split(clk, a, fb, want, tx)
-			switch {
-			case tail.size > 0:
-				a.huge[i] = tail
-			case err == nil:
+			rest, err := p.split(clk, fb, want, tx)
+			if rest.size > 0 {
+				a.huge[i] = rest
+			} else {
 				a.huge = slices.Delete(a.huge, i, i+1)
 				a.free.Add(-1)
 			}
@@ -495,34 +544,45 @@ func (p *Pool) reuseIn(clk *sim.Clock, a *arena, c int, want int64, tx *txn) (PM
 	return Null, nil
 }
 
-// split cuts a block of want bytes off the head of free block fb, one of a's,
-// and returns the free tail, which is empty when fb is exactly want bytes
-// (every block size is a multiple of minBlock) and is taken whole. The two
-// headers are written as free, unlogged: the tail's first, persisted, so a
-// crash before the head's persist leaves fb one free block, never two that
-// overlap. The head's is persisted too — or, when tx will claim the head,
+// split cuts a block of want bytes off the head of free block fb and returns
+// what is to be listed in fb's place: the free tail, empty when fb is exactly
+// want bytes (every block size is a multiple of minBlock) and is taken whole.
+// The two headers are written as free, unlogged: the tail's first, persisted,
+// so a crash before the head's persist leaves fb one free block, never two
+// that overlap. The head's is persisted too — or, when tx will claim the head,
 // logged by tx instead: recovery or an abort then restores the head as a free
-// block of want bytes, and the claim's state word is covered by the entry.
-// Either way it is durable before the tail can be anyone else's. Once the
-// tail's store is done the heap holds two blocks: if the head's then fails,
-// the head goes on a's lists and the tail is returned with the error.
-func (p *Pool) split(clk *sim.Clock, a *arena, fb freeBlock, want int64, tx *txn) (freeBlock, error) {
+// block of want bytes. Either way it is durable before the tail can be anyone
+// else's.
+//
+// A failure returns fb itself: a failed persist reached no line of the media,
+// so the head's header is put back in the cache, and the tail's durable one
+// lies inside fb, where no walk reads it. But a failed log entry may still be
+// valid, and the abort apply it, so then the split must stand: the head is
+// persisted and becomes tx's to give back at the abort, and the tail is
+// listed. When that persist fails too, nothing is listed in fb's place: the
+// media reads fb or the two halves, and the next Open's walk lists which.
+func (p *Pool) split(clk *sim.Clock, fb freeBlock, want int64, tx *txn) (freeBlock, error) {
 	if fb.size == want {
 		return freeBlock{}, nil
 	}
 	tail, head := freeBlock{fb.id + PMID(want), fb.size - want}, freeBlock{fb.id, want}
 	if err := p.formatFree(clk, tail, ptAllocSplit, true); err != nil {
-		return freeBlock{}, err
+		return fb, err
 	}
 	err := p.formatFree(clk, head, ptAllocSplit, tx == nil)
 	if err == nil && tx != nil {
 		if err = tx.Add(head.id-blockHeaderSize, blockHeaderSize); err != nil {
-			err = errors.Join(err, p.formatFree(clk, head, ptAllocSplit, true))
+			if perr := p.formatFree(clk, head, ptAllocSplit, true); perr != nil {
+				return freeBlock{}, errors.Join(err, perr)
+			}
+			tx.ops = append(tx.ops, heapOp{id: head.id, size: head.size})
+			return tail, err
 		}
 	}
 	if err != nil {
-		a.push(head.id, head.size, false)
-		return tail, err
+		// The same line as the failed store: this store cannot fail.
+		p.formatFree(clk, fb, ptAllocSplit, false)
+		return fb, err
 	}
 	return tail, nil
 }
@@ -562,11 +622,8 @@ func (p *Pool) carve(clk *sim.Clock, a *arena, want int64, tx *txn) (PMID, error
 		a.cur = fb
 	}
 	id := a.cur.id
-	tail, err := p.split(clk, a, a.cur, want, tx)
-	if tail.size > 0 || err == nil {
-		a.cur = tail
-	}
-	if err != nil {
+	rest, err := p.split(clk, a.cur, want, tx)
+	if a.cur = rest; err != nil {
 		return Null, err
 	}
 	return id, nil

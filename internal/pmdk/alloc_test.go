@@ -2,6 +2,7 @@ package pmdk
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -362,10 +363,11 @@ func TestAbortedPopStaysReusable(t *testing.T) {
 }
 
 // TestReserveHeapBudget: a reservation and its Cancel put nothing on the Go
-// heap — a class block popped off its list and pushed back, and a block split
-// off a huge free block (two header stores) and pushed onto another arena's
-// huge list, whose backing array is made big enough up front so that only
-// Reserve and Cancel are measured.
+// heap — a class block popped off its list and pushed back (no huge list
+// holds the block after it, so there is nothing to merge with), and a block split off
+// a huge free block (two header stores) and merged back into it from another
+// rank (one more) — and the splits leave nothing behind: the huge free block
+// is whole again after each Cancel.
 func TestReserveHeapBudget(t *testing.T) {
 	m := sim.NewMachine(sim.DefaultConfig())
 	m.SetConcurrency(1)
@@ -383,12 +385,14 @@ func TestReserveHeapBudget(t *testing.T) {
 	var class, huge PMID
 	withTx(t, p, func(tx *Tx) (err error) {
 		if class, err = p.Alloc(tx, 100); err == nil {
-			huge, err = p.Alloc(tx, 8<<20)
+			if _, err = p.Alloc(tx, 100); err == nil {
+				huge, err = p.Alloc(tx, 8<<20)
+			}
 		}
 		return err
 	})
 	withTx(t, p, func(tx *Tx) error { return errors.Join(p.Free(tx, class), p.Free(tx, huge)) })
-	p.arenas[1].huge = make([]freeBlock, 0, 256)
+	whole := slices.Clone(p.arenas[0].huge)
 	for _, c := range []struct {
 		name   string
 		n      int64
@@ -410,9 +414,147 @@ func TestReserveHeapBudget(t *testing.T) {
 			t.Errorf("%s: the reservations carved fresh extents", c.name)
 		}
 	}
-	if n := len(p.arenas[1].huge); n != 101 {
-		t.Errorf("arena 1 holds %d split-off blocks, want 101", n)
+	if got := p.arenas[0].huge; !slices.Equal(got, whole) || len(whole) != 1 || len(p.arenas[1].huge) != 0 {
+		t.Errorf("huge lists hold %v and %v after the cancels, want %v and none", got, p.arenas[1].huge, whole)
 	}
+	if got := p.arenas[0].class[classFor(100)]; !slices.Equal(got, []PMID{class}) {
+		t.Errorf("class list holds %v after the cancels, want [%d]", got, class)
+	}
+}
+
+// TestGiveBackRestoresSplitBlock: a block split off a huge free block goes
+// back whole however the reservation ends without a commit — a Cancel, an
+// aborted Claim, an aborted Alloc — so a later request of the original size
+// reuses it and the brk does not grow.
+func TestGiveBackRestoresSplitBlock(t *testing.T) {
+	p, _, clk := newTestPool(t, 8<<20)
+	var huge PMID
+	withTx(t, p, func(tx *Tx) (err error) { huge, err = p.Alloc(tx, 1<<20); return err })
+	withTx(t, p, func(tx *Tx) error { return p.Free(tx, huge) })
+	heap, _ := p.HeapUsed(clk)
+	for _, end := range []string{"cancel", "claim-abort", "alloc-abort"} {
+		for range 5 {
+			tx, err := p.Begin(clk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var id PMID
+			switch end {
+			case "cancel":
+				if id, err = p.Reserve(clk, 5000); err == nil {
+					err = p.Cancel(clk, id)
+				}
+			case "claim-abort":
+				if id, err = p.Reserve(clk, 5000); err == nil {
+					err = p.Claim(tx, id)
+				}
+			default:
+				id, err = p.Alloc(tx, 5000)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", end, err)
+			}
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if vs := p.Verify(clk); len(vs) != 0 {
+			t.Fatalf("%s: %v", end, vs)
+		}
+		withTx(t, p, func(tx *Tx) (err error) {
+			id, err := p.Alloc(tx, 1<<20)
+			if err == nil && id != huge {
+				err = fmt.Errorf("%s: the original size went to %d, not the freed block %d", end, id, huge)
+			}
+			if err == nil {
+				err = p.Free(tx, id)
+			}
+			return err
+		})
+	}
+	if now, _ := p.HeapUsed(clk); now != heap {
+		t.Errorf("HeapUsed %d -> %d: a given-back split stayed split", heap, now)
+	}
+}
+
+// TestFailedBrkAdvanceStrandsNothing fails the persist of the brk advance
+// that grants a fresh extent: the brk stays where it was, so the heap walk
+// and the free lists still agree, and the next reservation takes the same
+// space.
+func TestFailedBrkAdvanceStrandsNothing(t *testing.T) {
+	dev, _, p := crashRig(t, 8<<20)
+	clk := new(sim.Clock)
+	brk, _ := p.HeapUsed(clk)
+	dev.InjectTransient(1, 5) // the brk's persist: the extent's format is op 0
+	if _, err := p.Reserve(clk, 100_000); !errors.Is(err, pmem.ErrMedia) {
+		t.Fatalf("Reserve with the brk's persist failed = %v, want ErrMedia", err)
+	}
+	dev.DisarmInjection()
+	if now, _ := p.HeapUsed(clk); now != brk {
+		t.Errorf("HeapUsed %d -> %d after the failed advance", brk, now)
+	}
+	if vs := p.Verify(clk); len(vs) != 0 {
+		t.Errorf("after the failed advance: %v", vs)
+	}
+	id, err := p.Reserve(clk, 100_000)
+	if err != nil || int64(id) != p.heapOff+brk+blockHeaderSize {
+		t.Errorf("the next Reserve = %d, %v; want the block at the old brk, %d", id, err, p.heapOff+brk+blockHeaderSize)
+	}
+}
+
+// TestFailedSplitLeavesBlockWhole fails the persist of a split's head header
+// (after its tail's went through) and then allocates, in a committed
+// transaction, exactly what the tail would have been. The failed reservation
+// must leave the free block whole: listing its tail would let that block be
+// handed out while the head's header on media still spans it, and a crash
+// would then give its space to the next allocation.
+func TestFailedSplitLeavesBlockWhole(t *testing.T) {
+	dev, mp, p := crashRig(t, 8<<20)
+	clk := new(sim.Clock)
+	const size = 64 << 10
+	var huge PMID
+	withTx(t, p, func(tx *Tx) (err error) { huge, err = p.Alloc(tx, size); return err })
+	withTx(t, p, func(tx *Tx) error { return p.Free(tx, huge) })
+	fb := hugeBlockSize(size)
+	head := hugeBlockSize(8 << 10)
+	dev.InjectTransient(1, 5) // the head's persist: the tail's is op 0
+	if _, err := p.Reserve(clk, 8<<10); !errors.Is(err, pmem.ErrMedia) {
+		t.Fatalf("Reserve with the head's persist failed = %v, want ErrMedia", err)
+	}
+	dev.DisarmInjection()
+	if vs := p.Verify(clk); len(vs) != 0 {
+		t.Fatalf("after the failed split: %v", vs)
+	}
+	var tailSized PMID
+	withTx(t, p, func(tx *Tx) (err error) {
+		tailSized, err = p.Alloc(tx, fb-head-blockHeaderSize)
+		return err
+	})
+	if err := p.StoreBytesAt(clk, tailSized, []byte("committed"), true, ptTest); err != nil {
+		t.Fatal(err)
+	}
+	dev.Crash(pmem.CrashLoseAll, nil)
+	p2, err := Open(clk, mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs := p2.Verify(clk); len(vs) != 0 {
+		t.Fatalf("after the crash: %v", vs)
+	}
+	found := false
+	if err := p2.walkHeap(clk, func(id PMID, _ int64, free bool) { found = found || (id == tailSized && !free) }); err != nil {
+		t.Fatal(err)
+	}
+	if !found {
+		t.Fatalf("the heap walk after the crash does not find the committed block %d", tailSized)
+	}
+	withTx(t, p2, func(tx *Tx) (err error) {
+		id, err := p2.Alloc(tx, fb-blockHeaderSize)
+		if err == nil && overlaps(int64(id), fb-blockHeaderSize, int64(tailSized), fb-head-blockHeaderSize) {
+			err = fmt.Errorf("the allocation after the crash [%d,+%d) overlaps the committed block %d", id, fb, tailSized)
+		}
+		return err
+	})
 }
 
 // Property: a random interleaving of allocs and frees never hands out

@@ -229,13 +229,38 @@ func fillExtent(p *Pool, clk *sim.Clock) error {
 	}
 }
 
+// freeHuge puts a free block of 64 KiB on the huge list, for allocations to
+// split.
+func freeHuge(p *Pool, clk *sim.Clock) error {
+	tx, err := p.Begin(clk)
+	if err != nil {
+		return err
+	}
+	id, err := p.Alloc(tx, 64<<10)
+	if err == nil {
+		err = tx.Commit()
+	}
+	if err == nil {
+		tx, err = p.Begin(clk)
+	}
+	if err == nil {
+		err = p.Free(tx, id)
+	}
+	if err != nil {
+		return err
+	}
+	return tx.Commit()
+}
+
 // TestCrashSweepAllocatorConsistency verifies that after a crash at any
 // persist point during allocator traffic, recovery leaves the allocator
 // usable and the heap conserved. The traffic is alloc/free/alloc in one
 // transaction, a transaction that reserves a fresh class extent and retires
 // the old one's tail, one that takes an exact huge extent, one that does
-// both and aborts, and the same three blocks reserved outside a transaction —
-// each split's two headers persisted — and then claimed in one. After every recovery the pool verifies clean, every byte
+// both and aborts, the same three blocks reserved outside a transaction —
+// each split's two headers persisted — and then claimed in one, and two
+// splits of a huge free block that abort, so each given-back block merges
+// into what its split left (pmdk.alloc.merge). After every recovery the pool verifies clean, every byte
 // up to the brk is exactly one block (no leaked extent), a reopen
 // rebuilds the same free blocks, and new allocations succeed without
 // overlapping a block committed before the crash.
@@ -255,6 +280,7 @@ func TestCrashSweepAllocatorConsistency(t *testing.T) {
 		{name: "huge-extent", sizes: []int64{100_000}},
 		{name: "both-abort", setup: fillExtent, sizes: []int64{maxClassBlock - blockHeaderSize, 100_000}, abort: true},
 		{name: "reserve-claim", setup: fillExtent, sizes: []int64{maxClassBlock - blockHeaderSize, 100_000, 100}, reserve: true},
+		{name: "split-abort", setup: freeHuge, sizes: []int64{5000, 100}, abort: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -14,10 +14,12 @@ var (
 
 	// Allocator: an extent formatted as one free block, then the un-logged
 	// brk advance that grants it; a reservation's split, the tail's free
-	// header and then the head's.
+	// header and then the head's; a given-back block's merge with the free
+	// block after it.
 	ptAllocExtentFormat = pmem.RegisterPoint("pmdk.alloc.extent.format")
 	ptAllocBrk          = pmem.RegisterPoint("pmdk.alloc.brk")
 	ptAllocSplit        = pmem.RegisterPoint("pmdk.alloc.split")
+	ptAllocMerge        = pmem.RegisterPoint("pmdk.alloc.merge")
 
 	// Undo-log transaction protocol (see the lane layout comment in tx.go):
 	// the entry, the mutated ranges at commit, the generation bump.
