@@ -210,11 +210,10 @@ func BenchmarkParallelWrite(b *testing.B) {
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d/procs=8", par), func(b *testing.B) {
 			p := benchParams(8)
-			p.Parallelism = par
 			var res harness.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = harness.Run(core.Library{}, p)
+				res, err = harness.Run(core.Library{Parallelism: par}, p)
 				if err != nil {
 					b.Fatal(err)
 				}

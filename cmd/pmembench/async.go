@@ -133,7 +133,7 @@ func runAsyncCase(ranks int, cfg sim.Config, codec string, window int, async boo
 // virtual write times: sync vs window-1 (group-commit machinery, no batching)
 // vs window-32 (coalescing on), under the identity codec where adjacent
 // submissions merge and under bp4 where they cannot.
-func runAsyncAblation(rankCounts []int, base harness.Params) ([]harness.Result, error) {
+func runAsyncAblation(rankCounts []int, base harness.Params, lib core.Library) ([]harness.Result, error) {
 	const perRank = int64(1 << 20)
 	sizes := []int64{1 << 10, 4 << 10, 16 << 10, 64 << 10}
 	variants := []struct {
@@ -197,15 +197,15 @@ func runAsyncAblation(rankCounts []int, base harness.Params) ([]harness.Result, 
 		}
 	}
 
-	// Harness parity: the same pipeline through the pio surface — Params.Async
-	// reaches the library through pio.Configurable, session writes queue, Close drains — with every
-	// byte verified on read-back. This is a correctness cross-check on the
-	// bulk-transfer workload, not a small-write measurement.
+	// Harness parity: the same pipeline through the pio surface — session
+	// writes queue, Close drains — with every byte verified on read-back.
+	// This is a correctness cross-check on the bulk-transfer workload, not a
+	// small-write measurement.
 	p := base
 	p.Verify = true
-	p.Async = true
-	p.CoalesceWindow = 32
-	libs := []harness.Entry{{Label: "harness-async", Lib: core.Library{Codec: "raw"}}}
+	libs := []harness.Entry{{Label: "harness-async", Lib: variant(lib, func(l *core.Library) {
+		l.Codec, l.Async, l.CoalesceWindow = "raw", true, 32
+	})}}
 	res, err := harness.Sweep(libs, rankCounts[:1], p)
 	if err != nil {
 		return all, fmt.Errorf("async ablation harness parity: %w", err)

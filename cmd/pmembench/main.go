@@ -27,7 +27,6 @@ import (
 	"pmemcpy/internal/harness"
 	"pmemcpy/internal/netcdf"
 	"pmemcpy/internal/obs"
-	"pmemcpy/internal/pio"
 	"pmemcpy/internal/pnetcdf"
 	"pmemcpy/internal/sim"
 	"pmemcpy/internal/workload"
@@ -77,36 +76,35 @@ func main() {
 		Runs:       *runs,
 		Pattern:    pat,
 		ReadRanks:  *readprocs,
-		Capabilities: pio.Capabilities{
-			Parallelism:     *parallel,
-			ReadParallelism: *readpar,
-			Metrics:         *metrics != "",
-		},
 	}
+	// lib is the pMEMCPY library the flags configure. The figure sweep runs
+	// it as it is; every PMCPY ablation variant is a copy of it with the
+	// variant's own field set, which wins over a flag setting the same one.
+	lib := core.Library{Parallelism: *parallel, ReadParallelism: *readpar, Metrics: *metrics != ""}
 	fmt.Printf("pmembench: modelled %.1f GB across %d rectangles, profile scale %.0fx (physical %.0f MB)\n\n",
 		*size/1e9, *vars, scale, float64(base.TotalBytes)/1e6)
 
 	var results []harness.Result
 	switch {
 	case *ablation == "obs":
-		results, err = runObsAblation(rankCounts, base)
+		results, err = runObsAblation(rankCounts, base, lib)
 	case *ablation == "integrity":
-		results, err = runIntegrityAblation(rankCounts, base)
+		results, err = runIntegrityAblation(rankCounts, base, lib)
 	case *ablation == "async":
-		results, err = runAsyncAblation(rankCounts, base)
+		results, err = runAsyncAblation(rankCounts, base, lib)
 	case *ablation == "pools":
-		results, err = runPoolsAblation(rankCounts, base)
+		results, err = runPoolsAblation(rankCounts, base, lib)
 	case *ablation == "views":
 		results, err = runViewsAblation(rankCounts, base)
 	case *ablation != "":
-		results, err = runAblation(*ablation, rankCounts, base)
+		results, err = runAblation(*ablation, rankCounts, base, lib)
 	default:
 		libs := []harness.Entry{
 			{Lib: adios.Library{}},
 			{Lib: netcdf.Library{}},
 			{Lib: pnetcdf.Library{}},
-			{Lib: core.Library{}},
-			{Lib: core.Library{MapSync: true}},
+			{Lib: lib},
+			{Lib: variant(lib, func(l *core.Library) { l.MapSync = true })},
 		}
 		results, err = harness.Sweep(libs, rankCounts, base)
 		if err == nil {
@@ -220,40 +218,46 @@ func printClaims(results []harness.Result, rankCounts []int) {
 		harness.Speedup(ad, b, "read"))
 }
 
-func runAblation(name string, rankCounts []int, base harness.Params) ([]harness.Result, error) {
+// variant returns a copy of the flag-configured library with set applied:
+// the variant's own fields win over the flags.
+func variant(lib core.Library, set func(*core.Library)) core.Library {
+	set(&lib)
+	return lib
+}
+
+func runAblation(name string, rankCounts []int, base harness.Params, lib core.Library) ([]harness.Result, error) {
 	var libs []harness.Entry
 	switch name {
 	case "staging":
 		libs = []harness.Entry{
-			{Label: "direct", Lib: core.Library{}},
-			{Label: "staged", Lib: core.Library{StagedSerialization: true}},
+			{Label: "direct", Lib: lib},
+			{Label: "staged", Lib: variant(lib, func(l *core.Library) { l.StagedSerialization = true })},
 		}
 	case "layout":
 		libs = []harness.Entry{
-			{Label: "hashtable", Lib: core.Library{}},
-			{Label: "hierarchy", Lib: core.Library{Layout: core.LayoutHierarchy}},
+			{Label: "hashtable", Lib: lib},
+			{Label: "hierarchy", Lib: variant(lib, func(l *core.Library) { l.Layout = core.LayoutHierarchy })},
 		}
 	case "mapsync":
-		libs = []harness.Entry{{Lib: core.Library{}}, {Lib: core.Library{MapSync: true}}}
+		libs = []harness.Entry{{Lib: lib}, {Lib: variant(lib, func(l *core.Library) { l.MapSync = true })}}
 	case "serializer":
-		libs = []harness.Entry{
-			{Label: "bp4", Lib: core.Library{Codec: "bp4"}},
-			{Label: "flat", Lib: core.Library{Codec: "flat"}},
-			{Label: "cbin", Lib: core.Library{Codec: "cbin"}},
-			{Label: "raw", Lib: core.Library{Codec: "raw"}},
+		for _, c := range []string{"bp4", "flat", "cbin", "raw"} {
+			libs = append(libs, harness.Entry{Label: c, Lib: variant(lib, func(l *core.Library) { l.Codec = c })})
 		}
 	case "parallel":
 		// The copy-engine sweep: the paper's procs sweep reproduced as a
 		// per-rank worker sweep (run with a fixed -procs, e.g. -procs 8).
 		for _, k := range []int{1, 2, 4, 8, 16, 32, 48} {
-			libs = append(libs, harness.Entry{Label: fmt.Sprintf("par=%d", k), Lib: core.Library{Parallelism: k}})
+			libs = append(libs, harness.Entry{Label: fmt.Sprintf("par=%d", k),
+				Lib: variant(lib, func(l *core.Library) { l.Parallelism = k })})
 		}
 	case "readparallel":
 		// The gather-engine sweep: read-side mirror of "parallel". Writes are
 		// kept serial so the write column stays flat and only the read column
 		// responds to the worker count (run with a fixed -procs, e.g. -procs 8).
 		for _, k := range []int{1, 2, 4, 8, 16, 32} {
-			libs = append(libs, harness.Entry{Label: fmt.Sprintf("rpar=%d", k), Lib: core.Library{ReadParallelism: k}})
+			libs = append(libs, harness.Entry{Label: fmt.Sprintf("rpar=%d", k),
+				Lib: variant(lib, func(l *core.Library) { l.ReadParallelism = k })})
 		}
 	case "fill":
 		libs = []harness.Entry{

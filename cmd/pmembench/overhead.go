@@ -11,14 +11,6 @@ import (
 	"pmemcpy/internal/harness"
 )
 
-// wallVariant is one configuration of a wall-overhead experiment: the library
-// literal, and what it asks of the harness on top of the base parameters.
-type wallVariant struct {
-	name string
-	lib  core.Library
-	set  func(*harness.Params)
-}
-
 // wallExperiment is a host-wall-clock overhead experiment (E14, E15). The
 // layers it measures deliberately charge no virtual time, so their real cost
 // is host wall-clock only, and the defenses against a shared machine are the
@@ -28,11 +20,11 @@ type wallVariant struct {
 // a tiny scheduling jitter (which rank wins an arena steal or rebuilds a
 // variable's DRAM block index first is scheduling-dependent).
 type wallExperiment struct {
-	name     string        // the -ablation name, for error text
-	title    string        // table caption
-	column   string        // heading of the variant column
-	overCol  string        // printf verb laying out the overhead column
-	variants []wallVariant // variants[0] is the baseline
+	name     string          // the -ablation name, for error text
+	title    string          // table caption
+	column   string          // heading of the variant column
+	overCol  string          // printf verb laying out the overhead column
+	variants []harness.Entry // variants[0] is the baseline
 	reps     int
 	// paired selects the estimator. false: the ratio of per-variant minimum
 	// walls — the minimum is the least noise-contaminated sample of a
@@ -56,11 +48,9 @@ type wallOutcome struct {
 
 // run executes the experiment and prints its table.
 func (e wallExperiment) run(rankCounts []int, base harness.Params) (wallOutcome, error) {
-	sweep := func(v wallVariant) ([]harness.Result, time.Duration, error) {
-		p := base
-		v.set(&p)
+	sweep := func(v harness.Entry) ([]harness.Result, time.Duration, error) {
 		t0 := time.Now()
-		res, err := harness.Sweep([]harness.Entry{{Label: v.name, Lib: v.lib}}, rankCounts, p)
+		res, err := harness.Sweep([]harness.Entry{v}, rankCounts, base)
 		return res, time.Since(t0), err
 	}
 	// Untimed warmup so the first timed variant doesn't absorb one-time costs
@@ -78,7 +68,7 @@ func (e wallExperiment) run(rankCounts []int, base harness.Params) (wallOutcome,
 		for i, v := range e.variants {
 			res, wall, err := sweep(v)
 			if err != nil {
-				return wallOutcome{}, fmt.Errorf("%s ablation %q: %w", e.name, v.name, err)
+				return wallOutcome{}, fmt.Errorf("%s ablation %q: %w", e.name, v.Label, err)
 			}
 			walls[i] = append(walls[i], wall.Seconds())
 			reps[i] = append(reps[i], res)
@@ -110,7 +100,7 @@ func (e wallExperiment) run(rankCounts []int, base harness.Params) (wallOutcome,
 		return s[len(s)/2]
 	}
 
-	baseName := e.variants[0].name
+	baseName := e.variants[0].Label
 	baseJitter := devPPM(reps[0])
 	fmt.Printf("%s (host wall-clock of the full sweep, %d interleaved rounds):\n", e.title, e.reps)
 	fmt.Printf("%-8s %10s %10s "+e.overCol+"%s\n", e.column, "MIN", "MEDIAN", "OVERHEAD",
@@ -121,7 +111,7 @@ func (e wallExperiment) run(rankCounts []int, base harness.Params) (wallOutcome,
 		over, verdict := "-", fmt.Sprintf("self-jitter %.1f ppm", dev)
 		if i != 0 {
 			mins := 100 * (slices.Min(walls[i])/slices.Min(walls[0]) - 1)
-			out.overhead[v.name] = mins
+			out.overhead[v.Label] = mins
 			over = fmt.Sprintf("%+.2f%%", mins)
 			if e.paired {
 				ratios := make([]float64, e.reps)
@@ -129,14 +119,14 @@ func (e wallExperiment) run(rankCounts []int, base harness.Params) (wallOutcome,
 					ratios[j] = walls[i][j] / walls[0][j]
 				}
 				med := 100 * (median(ratios) - 1)
-				out.overhead[v.name] = min(mins, med)
-				over = fmt.Sprintf("%+.2f%% (min %+.1f%%, med %+.1f%%)", out.overhead[v.name], mins, med)
+				out.overhead[v.Label] = min(mins, med)
+				over = fmt.Sprintf("%+.2f%% (min %+.1f%%, med %+.1f%%)", out.overhead[v.Label], mins, med)
 			}
 			out.worstDev = max(out.worstDev, dev)
 			verdict = fmt.Sprintf("dev %.1f ppm", dev)
 		}
 		fmt.Printf("%-8s %9.3fs %9.3fs "+e.overCol+"%s (%s self-jitter %.1f ppm)\n",
-			v.name, slices.Min(walls[i]), median(walls[i]), over, verdict, baseName, baseJitter)
+			v.Label, slices.Min(walls[i]), median(walls[i]), over, verdict, baseName, baseJitter)
 	}
 	out.noise = 100 * (median(walls[0])/slices.Min(walls[0]) - 1)
 	fmt.Printf("machine noise floor (%s median vs min): %.1f%%\n", baseName, out.noise)
@@ -145,20 +135,18 @@ func (e wallExperiment) run(rankCounts []int, base harness.Params) (wallOutcome,
 
 // runObsAblation is E14: the observability overhead experiment. The
 // instrumentation layer never touches the virtual clock.
-func runObsAblation(rankCounts []int, base harness.Params) ([]harness.Result, error) {
-	metrics := func(on bool) func(*harness.Params) {
-		return func(p *harness.Params) { p.Metrics = on }
-	}
+func runObsAblation(rankCounts []int, base harness.Params, lib core.Library) ([]harness.Result, error) {
 	out, err := wallExperiment{
 		name: "obs", title: "E14 — OBSERVABILITY OVERHEAD", column: "VARIANT", overCol: "%10s  ", reps: 7,
-		variants: []wallVariant{
-			// Counters are always on; "base" is the library as every other
-			// experiment runs it. "hist" adds latency/shape histograms (the
-			// WithMetrics surface plus per-phase snapshot capture), "trace"
-			// additionally records operation spans with device persist points.
-			{"base", core.Library{}, metrics(false)},
-			{"hist", core.Library{Metrics: true}, metrics(true)},
-			{"trace", core.Library{Metrics: true, Tracing: true}, metrics(true)},
+		variants: []harness.Entry{
+			// Counters are always on, and the harness snapshots them after
+			// each phase in every variant; "base" is the library as every
+			// other experiment runs it. "hist" adds latency/shape histograms
+			// (the WithMetrics surface), "trace" additionally records
+			// operation spans with device persist points.
+			{Label: "base", Lib: variant(lib, func(l *core.Library) { l.Metrics = false })},
+			{Label: "hist", Lib: variant(lib, func(l *core.Library) { l.Metrics = true })},
+			{Label: "trace", Lib: variant(lib, func(l *core.Library) { l.Metrics, l.Tracing = true, true })},
 		},
 	}.run(rankCounts, base)
 	if err != nil {
@@ -188,17 +176,16 @@ const (
 // runIntegrityAblation is E15: the verified-read overhead experiment. Read-
 // path CRC verification deliberately charges no virtual time (the checksum
 // pass streams bytes the gather moves anyway).
-func runIntegrityAblation(rankCounts []int, base harness.Params) ([]harness.Result, error) {
-	mode := func(name string, m int) wallVariant {
-		return wallVariant{name, core.Library{VerifyReads: core.VerifyMode(m)},
-			func(p *harness.Params) { p.VerifyReads = m }}
+func runIntegrityAblation(rankCounts []int, base harness.Params, lib core.Library) ([]harness.Result, error) {
+	mode := func(name string, m core.VerifyMode) harness.Entry {
+		return harness.Entry{Label: name, Lib: variant(lib, func(l *core.Library) { l.VerifyReads = m })}
 	}
 	out, err := wallExperiment{
 		name: "integrity", title: "E15 — VERIFIED-READ OVERHEAD", column: "MODE", overCol: "%-22s ", reps: 9, paired: true,
 		// "off" is the library exactly as every other experiment runs it;
 		// "sampled" fully verifies every 8th load; "full" verifies every
 		// gathered block of every load.
-		variants: []wallVariant{mode("off", 0), mode("sampled", 1), mode("full", 2)},
+		variants: []harness.Entry{mode("off", core.VerifyOff), mode("sampled", core.VerifySampled), mode("full", core.VerifyFull)},
 	}.run(rankCounts, base)
 	if err != nil {
 		return nil, err

@@ -21,10 +21,10 @@ import (
 const poolsBandwidthTarget = 1.5
 
 // runPoolsCase stores one large per-rank array (raw codec, par copy workers)
-// on an npools-member namespace, times the store and a full verified
-// read-back (virtual time, max over ranks), and returns both phases.
+// on the namespace of an npools-device node, times the store and a full
+// verified read-back (virtual time, max over ranks), and returns both phases.
 func runPoolsCase(cfg sim.Config, ranks, npools, par int, perRank int64) (write, read time.Duration, err error) {
-	opts := []core.MmapOption{core.WithCodec("raw"), core.WithParallelism(par), core.WithReadParallelism(par), core.WithPools(npools)}
+	opts := []core.MmapOption{core.WithCodec("raw"), core.WithParallelism(par), core.WithReadParallelism(par)}
 	write, read, _, err = rankCase(cfg, ranks, npools, "/e17.pool", opts, perRank, perRank,
 		func(c *mpi.Comm, p *core.PMEM, id string, buf []byte) (wdt, rdt time.Duration, err error) {
 			t0 := c.Clock().Now()
@@ -53,7 +53,7 @@ func runPoolsCase(cfg sim.Config, ranks, npools, par int, perRank int64) (write,
 // The sweep holds the workload fixed (large raw-codec stores, a deep worker
 // pool per rank) and varies only the member count; the single-pool row is the
 // exact pre-existing store, so the ratio is the layer's contribution.
-func runPoolsAblation(rankCounts []int, base harness.Params) ([]harness.Result, error) {
+func runPoolsAblation(rankCounts []int, base harness.Params, lib core.Library) ([]harness.Result, error) {
 	const (
 		ranks   = 4
 		par     = 16
@@ -97,16 +97,15 @@ func runPoolsAblation(rankCounts []int, base harness.Params) ([]harness.Result, 
 		gateErr = fmt.Errorf("pools ablation: 4-pool aggregate write speedup %.2fx below the %.1fx target", s, poolsBandwidthTarget)
 	}
 
-	// Harness parity: the same striping through the pio surface — Params.Pools
-	// reaches the library through pio.Configurable, the node carries one device per member — with
+	// Harness parity: the same striping through the pio surface — the
+	// harness node carries 4 devices, so the namespace has 4 members — with
 	// every byte verified on read-back.
 	p := base
 	p.Verify = true
 	p.Pools = 4
-	p.Parallelism = par
-	// Only the codec is baked into the literal; the pool and worker counts
-	// arrive through Params via pio.Configurable.
-	libs := []harness.Entry{{Label: "harness-pools4", Lib: core.Library{Codec: "raw"}}}
+	libs := []harness.Entry{{Label: "harness-pools4", Lib: variant(lib, func(l *core.Library) {
+		l.Codec, l.Parallelism = "raw", par
+	})}}
 	res, err := harness.Sweep(libs, rankCounts[:1], p)
 	if err != nil {
 		return all, fmt.Errorf("pools ablation harness parity: %w", err)

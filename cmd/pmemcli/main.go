@@ -68,7 +68,6 @@ func main() {
 		pmemcpy.WithCodec(*codec),
 		pmemcpy.WithParallelism(*parallel),
 		pmemcpy.WithReadParallelism(*readpar),
-		pmemcpy.WithPools(*pools),
 	}
 	if *async {
 		opts = append(opts, pmemcpy.WithAsync(), pmemcpy.WithCoalesceWindow(*window))

@@ -301,7 +301,6 @@ func TestErrorConformance(t *testing.T) {
 			// matter which member the id hashes to.
 			name:  "multi-pool Load missing id",
 			pools: 4,
-			opts:  []pmemcpy.MmapOption{pmemcpy.WithPools(4)},
 			fn: func(p *pmemcpy.PMEM, _ *pmemcpy.Node) error {
 				_, err := pmemcpy.Load[int64](p, "missing")
 				return err
@@ -311,7 +310,7 @@ func TestErrorConformance(t *testing.T) {
 		{
 			name:  "multi-pool parallel StoreSub outside extent",
 			pools: 4,
-			opts:  []pmemcpy.MmapOption{pmemcpy.WithPools(4), pmemcpy.WithParallelism(4)},
+			opts:  []pmemcpy.MmapOption{pmemcpy.WithParallelism(4)},
 			fn: func(p *pmemcpy.PMEM, _ *pmemcpy.Node) error {
 				if err := pmemcpy.Alloc[float64](p, "big", bigElems); err != nil {
 					return fmt.Errorf("setup: %v", err)
@@ -323,7 +322,6 @@ func TestErrorConformance(t *testing.T) {
 		{
 			name:  "multi-pool Store media failure",
 			pools: 4,
-			opts:  []pmemcpy.MmapOption{pmemcpy.WithPools(4)},
 			fn: func(p *pmemcpy.PMEM, n *pmemcpy.Node) error {
 				// Arm every member device: the id routes to one pool, and the
 				// escalated persist failure must surface from whichever member
@@ -339,7 +337,7 @@ func TestErrorConformance(t *testing.T) {
 		{
 			name:  "multi-pool async Store missing Alloc",
 			pools: 4,
-			opts:  []pmemcpy.MmapOption{pmemcpy.WithPools(4), pmemcpy.WithAsync()},
+			opts:  []pmemcpy.MmapOption{pmemcpy.WithAsync()},
 			fn: func(p *pmemcpy.PMEM, _ *pmemcpy.Node) error {
 				fut := pmemcpy.StoreSubAsync(p, "missing", make([]float64, 4), []uint64{0}, []uint64{4})
 				return fut.Wait(context.Background())
@@ -352,7 +350,6 @@ func TestErrorConformance(t *testing.T) {
 			name:  "multi-pool async Load corrupt block",
 			pools: 4,
 			opts: []pmemcpy.MmapOption{
-				pmemcpy.WithPools(4),
 				pmemcpy.WithAsync(),
 				pmemcpy.WithVerifyReads(pmemcpy.VerifyFull),
 			},
@@ -423,7 +420,6 @@ func TestErrorConformance(t *testing.T) {
 			// other error class.
 			name:  "multi-pool View data after Close",
 			pools: 4,
-			opts:  []pmemcpy.MmapOption{pmemcpy.WithPools(4)},
 			fn: func(p *pmemcpy.PMEM, _ *pmemcpy.Node) error {
 				if err := pmemcpy.Alloc[float64](p, "arr", 16); err != nil {
 					return fmt.Errorf("setup: %v", err)

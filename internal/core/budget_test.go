@@ -115,9 +115,9 @@ func TestPersistBudgetPinned(t *testing.T) {
 			fn   func(*core.PMEM) error
 			opts []core.MmapOption
 		}{
-			{sync, []core.MmapOption{core.WithPools(pools)}},
-			{async, []core.MmapOption{core.WithPools(pools), core.WithAsync(), core.WithCodec("raw")}},
-			{deleteArray, []core.MmapOption{core.WithPools(pools)}},
+			{sync, nil},
+			{async, []core.MmapOption{core.WithAsync(), core.WithCodec("raw")}},
+			{deleteArray, nil},
 		} {
 			_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
 				p, err := core.Mmap(c, n, "/budget.pool", run.opts...)

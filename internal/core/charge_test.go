@@ -30,7 +30,7 @@ func TestChargeMoveTable(t *testing.T) {
 			n := node.New(sim.DefaultConfig(), 64<<20, node.WithPMEMPools(pools))
 			n.Machine.SetConcurrency(1)
 			_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
-				p, err := Mmap(c, n, "/charge.pool", optionsOption(Options{Pools: pools, MapSync: mapsync}))
+				p, err := Mmap(c, n, "/charge.pool", optionsOption(Options{MapSync: mapsync}))
 				if err != nil {
 					return err
 				}

@@ -49,9 +49,9 @@ type Options struct {
 	// MapSync enables MAP_SYNC semantics on the mapping (PMCPY-B). Swept by
 	// E6, and the A/B columns of E1 and E2.
 	MapSync bool
-	// PoolSize is the pool file size for the hashtable layout; 0 sizes it
-	// to 3/4 of the device. Deployment sizing, not an ablation: every E-row's
-	// harness run sets it from its dataset (harness.runOnce).
+	// PoolSize is the size of each member pool file of the hashtable
+	// layout; 0 sizes it to 3/4 of the device. Deployment sizing, not an
+	// ablation: no experiment sets it (tests do, for a small heap).
 	PoolSize int64
 	// StagedSerialization disables the direct-to-PMEM path: data is
 	// serialized into a DRAM buffer first and then copied to PMEM, the way
@@ -106,14 +106,6 @@ type Options struct {
 	// queue holds at most defaultInflightWindows of them before submitting
 	// stalls. Swept by E16 (window 1 vs 32).
 	CoalesceWindow int
-	// Pools stripes the namespace over this many independent pools, one per
-	// PMEM device of the node (which must have been built with that many
-	// devices). Ids are placed on a home pool by a deterministic hash and
-	// large parallel stores stripe their shards round-robin across all
-	// pools, so aggregate bandwidth scales with the pool count. Creation is
-	// crash-consistent under pmdk's prepare/publish commit (pmdk.CreateSet),
-	// whatever the count. Hashtable layout only. 0 = 1. Swept by E17.
-	Pools int
 }
 
 // PMEM is the library handle, the analogue of pmemcpy::PMEM in Figure 2.
@@ -254,9 +246,6 @@ func (o Options) resolve(n *node.Node) Options {
 	if o.ReadParallelism < 1 {
 		o.ReadParallelism = 1
 	}
-	if o.Pools < 1 {
-		o.Pools = 1
-	}
 	if o.PoolSize == 0 {
 		o.PoolSize = n.Device.Size() / 4 * 3
 	}
@@ -272,8 +261,8 @@ func openShared(c *mpi.Comm, n *node.Node, path string, o Options) (*shared, err
 	clk := c.Clock()
 	st := &shared{
 		opt:        o,
-		pools:      make([]*pmdk.Pool, o.Pools),
-		hts:        make([]*pmdk.Hashtable, o.Pools),
+		pools:      make([]*pmdk.Pool, n.Pools()),
+		hts:        make([]*pmdk.Hashtable, n.Pools()),
 		vars:       make(map[string]*variable),
 		quar:       make(map[poolPMID]struct{}),
 		viewLeases: make(map[uint64]int),
@@ -312,11 +301,7 @@ func setID(path string) uint64 { return pmdk.HashKey(path) }
 // format version (pmdk.ErrBadPool) is intact, just not this build's to read.
 func (st *shared) openPools(clk *sim.Clock, n *node.Node, path string) error {
 	o := &st.opt
-	if o.Pools > 1 && n.Pools() != o.Pools {
-		return fmt.Errorf("core: WithPools(%d) needs a node built with %d PMEM devices, have %d",
-			o.Pools, o.Pools, n.Pools())
-	}
-	maps := make([]*pmem.Mapping, o.Pools)
+	maps := make([]*pmem.Mapping, n.Pools())
 	for i := range maps {
 		fs := n.FSAt(i)
 		f, err := fs.Open(clk, path)
@@ -338,9 +323,10 @@ func (st *shared) openPools(clk *sim.Clock, n *node.Node, path string) error {
 	pools, err := pmdk.OpenSet(clk, maps)
 	if errors.Is(err, pmdk.ErrSetUnpublished) {
 		// Arenas are pinned rather than left to GOMAXPROCS so virtual-time
-		// results are host-independent: at least 8 (one per DIMM of the
-		// modelled node, the count needed to saturate PMEM), more if the copy
-		// engine runs more workers than that.
+		// results are host-independent. Fill workers never reserve, so the
+		// count is not a concurrency bound: it sizes the default extent
+		// (heap/(arenas*16)), and changing max(8, Parallelism) would move
+		// where blocks land and with it the E12 and E17 rows.
 		po := pmdk.DefaultOptions()
 		po.Arenas = max(8, o.Parallelism)
 		pools, err = pmdk.CreateSet(clk, setID(path), maps, &po)

@@ -253,10 +253,11 @@ func (a modelBlock) contains(b modelBlock) bool {
 // --- backends and driver ---
 
 type diffBackend struct {
-	name string
-	path string
-	opts *core.Options
-	hier bool // hierarchy layout: no corruption injection
+	name  string
+	path  string
+	opts  *core.Options
+	pools int  // PMEM devices of the backend's node, so its member pools (0 = 1)
+	hier  bool // hierarchy layout: no corruption injection
 }
 
 func applyDiffOp(p *core.PMEM, op diffOp, hier bool) error {
@@ -291,21 +292,23 @@ func applyDiffOp(p *core.PMEM, op diffOp, hier bool) error {
 
 // runDiff replays ops on every backend and the model, comparing all
 // observables after each op. It returns a divergence description ("" when
-// the backends agree everywhere) and an infrastructure error. nodePools > 1
-// provisions the shared node with that many PMEM devices (flavor E's sharded
-// backend needs them; single-pool backends use device 0 and are unaffected).
-func runDiff(ops []diffOp, backends []diffBackend, devSize int64, nodePools int) (string, error) {
-	var nopts []node.Option
-	if nodePools > 1 {
-		nopts = append(nopts, node.WithPMEMPools(nodePools))
+// the backends agree everywhere) and an infrastructure error. Backends with
+// the same device count share one node of devSize-byte devices: a namespace
+// spans every device of its node, so a single-pool backend needs a node of
+// its own beside a sharded one.
+func runDiff(ops []diffOp, backends []diffBackend, devSize int64) (string, error) {
+	nodes := map[int]*node.Node{}
+	for _, b := range backends {
+		if nodes[b.pools] == nil {
+			nodes[b.pools] = node.New(sim.DefaultConfig(), devSize, node.WithPMEMPools(b.pools))
+			nodes[b.pools].Machine.SetConcurrency(1)
+		}
 	}
-	n := node.New(sim.DefaultConfig(), devSize, nopts...)
-	n.Machine.SetConcurrency(1)
 	var diverged string
-	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+	_, err := mpi.Run(nodes[backends[0].pools].Machine, 1, func(c *mpi.Comm) error {
 		handles := make([]*core.PMEM, len(backends))
 		for i, b := range backends {
-			p, err := core.Mmap(c, n, b.path, core.OptionsArg(b.opts))
+			p, err := core.Mmap(c, nodes[b.pools], b.path, core.OptionsArg(b.opts))
 			if err != nil {
 				return fmt.Errorf("mmap %s: %w", b.name, err)
 			}
@@ -567,17 +570,9 @@ func shrinkOps(ops []diffOp, failing func([]diffOp) bool) []diffOp {
 func runDifferential(t *testing.T, seed int64, nOps int, shapes map[string][]uint64,
 	datumIDs []string, backends []diffBackend, devSize int64, corrupt bool) {
 	t.Helper()
-	runDifferentialPools(t, seed, nOps, shapes, datumIDs, backends, devSize, corrupt, 0)
-}
-
-// runDifferentialPools is runDifferential with an explicit node pool count
-// (flavor E: the sharded backend needs a multi-device node).
-func runDifferentialPools(t *testing.T, seed int64, nOps int, shapes map[string][]uint64,
-	datumIDs []string, backends []diffBackend, devSize int64, corrupt bool, nodePools int) {
-	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ops := genDiffOps(rng, nOps, shapes, datumIDs, 1<<16, corrupt)
-	msg, err := runDiff(ops, backends, devSize, nodePools)
+	msg, err := runDiff(ops, backends, devSize)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -585,10 +580,10 @@ func runDifferentialPools(t *testing.T, seed int64, nOps int, shapes map[string]
 		return
 	}
 	min := shrinkOps(ops, func(cand []diffOp) bool {
-		m, err := runDiff(cand, backends, devSize, nodePools)
+		m, err := runDiff(cand, backends, devSize)
 		return err == nil && m != ""
 	})
-	minMsg, _ := runDiff(min, backends, devSize, nodePools)
+	minMsg, _ := runDiff(min, backends, devSize)
 	t.Fatalf("seed %d: backends diverged: %s\nminimal failing sequence (%d ops):\n%s(divergence: %s)",
 		seed, msg, len(min), fmtOps(min), minMsg)
 }
@@ -678,15 +673,15 @@ func TestDifferentialMultiPool(t *testing.T) {
 	}
 	backends := []diffBackend{
 		{name: "multipool", path: "/mp.pool",
-			opts: &core.Options{PoolSize: 12 << 20, Pools: 4, Parallelism: 4, ReadParallelism: 4}},
+			opts: &core.Options{PoolSize: 12 << 20, Parallelism: 4, ReadParallelism: 4}, pools: 4},
 		{name: "multipool-serial", path: "/mps.pool",
-			opts: &core.Options{PoolSize: 12 << 20, Pools: 4}},
+			opts: &core.Options{PoolSize: 12 << 20}, pools: 4},
 		{name: "singlepool", path: "/sp.pool",
 			opts: &core.Options{PoolSize: 20 << 20}},
 	}
 	for _, seed := range []int64{5, 17, 303} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runDifferentialPools(t, seed, 18, shapes, []string{"s1", "s2"}, backends, 64<<20, false, 4)
+			runDifferential(t, seed, 18, shapes, []string{"s1", "s2"}, backends, 64<<20, false)
 		})
 	}
 }
@@ -704,13 +699,13 @@ func TestDifferentialMultiPoolCorruption(t *testing.T) {
 	}
 	backends := []diffBackend{
 		{name: "verify-multipool", path: "/vmp.pool",
-			opts: &core.Options{PoolSize: 12 << 20, Pools: 4, VerifyReads: core.VerifyFull}},
+			opts: &core.Options{PoolSize: 12 << 20, VerifyReads: core.VerifyFull}, pools: 4},
 		{name: "verify-singlepool", path: "/vsp.pool",
 			opts: &core.Options{PoolSize: 16 << 20, VerifyReads: core.VerifyFull}},
 	}
 	for _, seed := range []int64{4, 21, 777} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runDifferentialPools(t, seed, 60, shapes, []string{"s1"}, backends, 32<<20, true, 4)
+			runDifferential(t, seed, 60, shapes, []string{"s1"}, backends, 32<<20, true)
 		})
 	}
 }

@@ -44,6 +44,9 @@ type Script struct {
 	DevSize int64
 	// Path is the pool path (default "/explore.pool").
 	Path string
+	// Pools is the node's PMEM device count, and so the namespace's member
+	// pool count (0 = 1).
+	Pools int
 	// Options configures the store (nil = defaults).
 	Options *Options
 	// Setup prepares the store (not under injection). Optional.
@@ -167,11 +170,8 @@ func (s *Script) mmapOpts(extra ...MmapOption) []MmapOption {
 // domain, so persist ordinals, tracing, and armed crashes span every pool in
 // one coherent sequence.
 func (s *Script) newNode() *node.Node {
-	opts := []node.Option{node.WithDeviceOptions(pmem.WithCrashTracking())}
-	if s.Options != nil {
-		opts = append(opts, node.WithPMEMPools(s.Options.Pools))
-	}
-	n := node.New(sim.DefaultConfig(), s.DevSize, opts...)
+	n := node.New(sim.DefaultConfig(), s.DevSize,
+		node.WithDeviceOptions(pmem.WithCrashTracking()), node.WithPMEMPools(s.Pools))
 	n.Machine.SetConcurrency(1)
 	return n
 }

@@ -19,6 +19,10 @@ func OptionsArg(o *Options) MmapOption {
 	return optionsOption(*o)
 }
 
+// ResolvedOptions returns the options the handle group runs with, every
+// default applied.
+func (p *PMEM) ResolvedOptions() Options { return p.st.opt }
+
 // RawValue returns the raw metadata record stored under id — value refs,
 // block lists, dims records — exactly as published. The write-path
 // equivalence suite compares these bytes across store modes: identical

@@ -24,34 +24,6 @@ func (l Library) Name() string {
 	return "PMCPY-A"
 }
 
-// Configure implements pio.Configurable: it applies the non-zero fields of c
-// on top of the literal's configuration, which zero-valued fields leave
-// untouched. This is how the harness enables features.
-func (l Library) Configure(c pio.Capabilities) pio.Library {
-	if c.Parallelism != 0 {
-		l.Parallelism = c.Parallelism
-	}
-	if c.ReadParallelism != 0 {
-		l.ReadParallelism = c.ReadParallelism
-	}
-	if c.Metrics {
-		l.Metrics = true
-	}
-	if c.VerifyReads != 0 {
-		l.VerifyReads = VerifyMode(c.VerifyReads)
-	}
-	if c.Async {
-		l.Async = true
-	}
-	if c.CoalesceWindow != 0 {
-		l.CoalesceWindow = c.CoalesceWindow
-	}
-	if c.Pools != 0 {
-		l.Pools = c.Pools
-	}
-	return l
-}
-
 // OpenWrite implements pio.Library.
 func (l Library) OpenWrite(c *mpi.Comm, n *node.Node, path string) (pio.Writer, error) {
 	p, err := Mmap(c, n, path, optionsOption(l))
@@ -125,7 +97,6 @@ var (
 	_ pio.Reader       = (*session)(nil)
 	_ pio.Instrumented = (*session)(nil)
 	_ pio.Library      = Library{}
-	_ pio.Configurable = Library{}
 )
 
 // Handle returns the underlying PMEM for callers that need the full API.

@@ -97,8 +97,8 @@ type layout interface {
 // one place Options.Layout is examined.
 func newLayout(clk *sim.Clock, st *shared, n *node.Node, path string) (layout, error) {
 	if st.opt.Layout == LayoutHierarchy {
-		if st.opt.Pools > 1 {
-			return nil, fmt.Errorf("core: WithPools(%d) requires the hashtable layout", st.opt.Pools)
+		if n.Pools() > 1 {
+			return nil, fmt.Errorf("core: the hierarchy layout needs a node with one PMEM device, not %d (use the hashtable layout)", n.Pools())
 		}
 		return &hierStore{node: n, root: path}, n.FS.MkdirAll(clk, path)
 	}

@@ -41,10 +41,6 @@ func multiNode(pools int, devSize int64, conc int) *node.Node {
 // multi runs fn as a 1-rank job on a fresh npools-member store.
 func multi(t *testing.T, pools int, opts *core.Options, fn func(p *core.PMEM) error) {
 	t.Helper()
-	if opts == nil {
-		opts = &core.Options{}
-	}
-	opts.Pools = pools
 	n := multiNode(pools, 64<<20, 1)
 	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
 		p, err := core.Mmap(c, n, "/multi.pool", core.OptionsArg(opts))
@@ -163,7 +159,7 @@ func TestMultiPoolMetricsSumMembers(t *testing.T) {
 	const elems = 1 << 16 // 512 KB of f64: striped over all four pools
 	n := multiNode(4, 64<<20, 1)
 	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
-		p, err := core.Mmap(c, n, "/metrics.pool", core.WithPools(4), core.WithCodec("raw"), core.WithParallelism(4))
+		p, err := core.Mmap(c, n, "/metrics.pool", core.WithCodec("raw"), core.WithParallelism(4))
 		if err != nil {
 			return err
 		}
@@ -222,7 +218,7 @@ func TestMultiPoolMetricsSumMembers(t *testing.T) {
 func TestMultiPoolReopen(t *testing.T) {
 	const elems = 1 << 15
 	n := multiNode(4, 64<<20, 1)
-	opts := &core.Options{Pools: 4, Codec: "raw", Parallelism: 4}
+	opts := &core.Options{Codec: "raw", Parallelism: 4}
 	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
 		p, err := core.Mmap(c, n, "/reopen.pool", core.OptionsArg(opts))
 		if err != nil {
@@ -274,37 +270,68 @@ func TestMultiPoolReopen(t *testing.T) {
 	}
 }
 
-// TestMultiPoolConfigErrors pins the configuration contract: the node's
-// device count must match WithPools, and the hierarchy layout has no sharded
-// variant.
+// TestMultiPoolConfigErrors pins the one configuration a multi-device node
+// refuses: the hierarchy layout, which has no sharded variant.
 func TestMultiPoolConfigErrors(t *testing.T) {
-	cases := []struct {
-		name    string
-		devices int
-		opts    *core.Options
-		want    string
-	}{
-		{"more-pools-than-devices", 1, &core.Options{Pools: 4}, "devices"},
-		{"fewer-pools-than-devices", 4, &core.Options{Pools: 2}, "devices"},
-		{"hierarchy-layout", 4, &core.Options{Pools: 4, Layout: core.LayoutHierarchy}, "hashtable"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			n := multiNode(tc.devices, 32<<20, 1)
-			_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
-				_, merr := core.Mmap(c, n, "/bad.pool", core.OptionsArg(tc.opts))
-				if merr == nil {
-					return fmt.Errorf("Mmap accepted %+v on a %d-device node", tc.opts, tc.devices)
-				}
-				if !strings.Contains(merr.Error(), tc.want) {
-					return fmt.Errorf("Mmap error = %q, want mention of %q", merr, tc.want)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("hierarchy-layout", func(t *testing.T) {
+		n := multiNode(4, 32<<20, 1)
+		_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+			_, merr := core.Mmap(c, n, "/bad.pool", core.WithLayout(core.LayoutHierarchy))
+			if merr == nil {
+				return fmt.Errorf("Mmap accepted the hierarchy layout on a 4-device node")
 			}
+			if !strings.Contains(merr.Error(), "hashtable") || !strings.Contains(merr.Error(), "4") {
+				return fmt.Errorf("Mmap error = %q, want the device count and the hashtable layout named", merr)
+			}
+			return nil
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestNamespaceSpansNodeDevices pins where the member pool count comes from:
+// Mmap with no options on a 4-device node maps 4 member pools, and a parallel
+// store above the sharding threshold stripes over all of them.
+func TestNamespaceSpansNodeDevices(t *testing.T) {
+	const elems = 1 << 16 // 512 KB of f64: above the parallel threshold
+	n := multiNode(4, 64<<20, 1)
+	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+		p, err := core.Mmap(c, n, "/span.pool")
+		if err != nil {
+			return err
+		}
+		if got := p.Pools(); got != 4 {
+			return fmt.Errorf("Pools() = %d on a 4-device node, want 4", got)
+		}
+		if err := p.Munmap(); err != nil {
+			return err
+		}
+		if p, err = core.Mmap(c, n, "/span.pool", core.WithParallelism(4)); err != nil {
+			return err
+		}
+		if err := p.Alloc("grid", serial.Float64, []uint64{elems}); err != nil {
+			return err
+		}
+		if err := p.StoreBlock("grid", []uint64{0}, []uint64{elems}, uniformF64(elems, 2)); err != nil {
+			return err
+		}
+		blocks, err := p.BlockStatsOf("grid")
+		if err != nil {
+			return err
+		}
+		pools := map[int]bool{}
+		for _, b := range blocks {
+			pools[b.Pool] = true
+		}
+		if len(pools) != 4 {
+			return fmt.Errorf("the striped store's %d blocks sit on %d pools, want all 4", len(blocks), len(pools))
+		}
+		return p.Munmap()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -315,10 +342,9 @@ func TestMultiPoolConfigErrors(t *testing.T) {
 // deleting the variable clears the entries.
 func TestMultiPoolQuarantine(t *testing.T) {
 	n := multiNode(4, 64<<20, 1)
-	opts := &core.Options{Pools: 4}
 	var victim string
 	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
-		p, err := core.Mmap(c, n, "/quar.pool", core.OptionsArg(opts))
+		p, err := core.Mmap(c, n, "/quar.pool")
 		if err != nil {
 			return err
 		}
@@ -358,7 +384,7 @@ func TestMultiPoolQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
-		p, err := core.Mmap(c, n, "/quar.pool", core.OptionsArg(opts))
+		p, err := core.Mmap(c, n, "/quar.pool")
 		if err != nil {
 			return err
 		}
@@ -401,7 +427,8 @@ func exploreMultiPoolScript() core.Script {
 	return core.Script{
 		Name:    "multipool",
 		DevSize: 32 << 20,
-		Options: &core.Options{Pools: 4, Parallelism: 4, Codec: "raw"},
+		Pools:   4,
+		Options: &core.Options{Parallelism: 4, Codec: "raw"},
 		Setup: func(p *core.PMEM) error {
 			if err := p.Alloc("A", serial.Float64, []uint64{elems}); err != nil {
 				return err
@@ -510,10 +537,9 @@ func exploreSetCommit(t *testing.T, pools int) {
 		devSize = 16 << 20
 		path    = "/set.pool"
 	)
-	opts := func() *core.Options { return &core.Options{Pools: pools} }
 	openClose := func(n *node.Node) error {
 		_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
-			p, err := core.Mmap(c, n, path, core.OptionsArg(opts()))
+			p, err := core.Mmap(c, n, path)
 			if err != nil {
 				return err
 			}
@@ -577,7 +603,7 @@ func exploreSetCommit(t *testing.T, pools int) {
 			// Recovery: the reopened namespace must be empty (it either never
 			// published, or published with nothing stored) and fully usable.
 			_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
-				p, merr := core.Mmap(c, n, path, core.OptionsArg(opts()))
+				p, merr := core.Mmap(c, n, path)
 				if merr != nil {
 					return fmt.Errorf("reopen after crash: %w", merr)
 				}
@@ -647,7 +673,7 @@ func TestNamespaceDamageRefused(t *testing.T) {
 			value := func(i int) []byte { return []byte(strings.Repeat(fmt.Sprintf("v%d", i), 9)) }
 			open := func(fn func(p *core.PMEM) error) error {
 				_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
-					p, err := core.Mmap(c, n, path, core.OptionsArg(&core.Options{Pools: pools}))
+					p, err := core.Mmap(c, n, path)
 					if err != nil {
 						return err
 					}
@@ -772,7 +798,7 @@ func TestConcurrentMultiPoolStress(t *testing.T) {
 		opsEach = 30
 	)
 	n := multiNode(4, 64<<20, ranks)
-	opts := &core.Options{Pools: 4, Codec: "raw", Parallelism: 4, ReadParallelism: 4}
+	opts := &core.Options{Codec: "raw", Parallelism: 4, ReadParallelism: 4}
 
 	var (
 		modelMu  [nvars]sync.Mutex

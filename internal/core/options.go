@@ -42,13 +42,6 @@ func WithPoolSize(n int64) MmapOption {
 	return mmapOptionFunc(func(o *Options) { o.PoolSize = n })
 }
 
-// WithPools shards the namespace across n independent member pools (hashtable
-// layout only; n <= 1 keeps the classic single-pool store). The node must
-// carry matching devices — see node.WithPMEMPools.
-func WithPools(n int) MmapOption {
-	return mmapOptionFunc(func(o *Options) { o.Pools = n })
-}
-
 // WithStagedSerialization enables the staging ablation (serialize into DRAM,
 // then copy to PMEM).
 func WithStagedSerialization() MmapOption {

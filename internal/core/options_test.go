@@ -2,8 +2,8 @@ package core_test
 
 // Configuration-surface tests: Options is the one declaration of a pMEMCPY
 // knob, each field has exactly one With* option (re-exported by package
-// pmemcpy), and Library.Configure maps pio.Capabilities onto the Options
-// fields of the same name without touching what the literal configured.
+// pmemcpy), and a Library literal is the whole configuration of the handles
+// its sessions map.
 
 import (
 	"go/ast"
@@ -16,7 +16,9 @@ import (
 	"testing"
 
 	"pmemcpy/internal/core"
-	"pmemcpy/internal/pio"
+	"pmemcpy/internal/mpi"
+	"pmemcpy/internal/node"
+	"pmemcpy/internal/sim"
 )
 
 // withOptions lists every With* constructor of package core. The test below
@@ -26,7 +28,6 @@ var withOptions = map[string]any{
 	"WithLayout":              core.WithLayout,
 	"WithMapSync":             core.WithMapSync,
 	"WithPoolSize":            core.WithPoolSize,
-	"WithPools":               core.WithPools,
 	"WithStagedSerialization": core.WithStagedSerialization,
 	"WithParallelism":         core.WithParallelism,
 	"WithReadParallelism":     core.WithReadParallelism,
@@ -149,37 +150,41 @@ func TestOptionsDeclaredOnce(t *testing.T) {
 	}
 }
 
-// TestLibraryConfigure is the pio.Configurable contract over every
-// Capabilities field: a zero field never overwrites what the literal
-// configured, a non-zero field always does, and no other field moves.
-func TestLibraryConfigure(t *testing.T) {
-	// literal has every knob a Capabilities can reach (and one it cannot)
-	// set to a non-default value.
-	literal := core.Library{
+// TestLibraryLiteralReachesHandle holds a Library literal to being the whole
+// configuration of the handles its sessions map: every knob an experiment
+// varies reaches the resolved handle from the literal alone, and the
+// namespace spans every PMEM device of the node it is opened on.
+func TestLibraryLiteralReachesHandle(t *testing.T) {
+	lib := core.Library{
 		Codec: "cbin", Parallelism: 7, ReadParallelism: 5, Metrics: true,
-		VerifyReads: core.VerifySampled, Async: true, CoalesceWindow: 4, Pools: 3,
+		VerifyReads: core.VerifySampled, Async: true, CoalesceWindow: 4,
 	}
-	if got := literal.Configure(pio.Capabilities{}); got != pio.Library(literal) {
-		t.Errorf("zero Capabilities changed the literal:\n got %+v\nwant %+v", got, literal)
+	n := node.New(sim.DefaultConfig(), 32<<20, node.WithPMEMPools(4))
+	var got core.Options
+	var pools int
+	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
+		w, err := lib.OpenWrite(c, n, "/lib.pool")
+		if err != nil {
+			return err
+		}
+		p := w.(interface{ Handle() *core.PMEM }).Handle()
+		got, pools = p.ResolvedOptions(), p.Pools()
+		return w.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	ct := reflect.TypeOf(pio.Capabilities{})
-	for i := 0; i < ct.NumField(); i++ {
-		name := ct.Field(i).Name
+	for _, name := range []string{"Async", "CoalesceWindow", "Metrics", "Parallelism", "ReadParallelism", "VerifyReads"} {
 		t.Run(name, func(t *testing.T) {
-			var c pio.Capabilities
-			nonZero(t, reflect.ValueOf(&c).Elem().Field(i))
-			for _, base := range []core.Library{{}, literal} {
-				got := reflect.ValueOf(base.Configure(c).(core.Library))
-				want := reflect.ValueOf(&base).Elem()
-				// The capability lands in the Options field of the same name...
-				set := reflect.ValueOf(c).Field(i)
-				want.FieldByName(name).Set(set.Convert(want.FieldByName(name).Type()))
-				// ...and nothing else differs from the literal.
-				if got.Interface() != want.Interface() {
-					t.Errorf("Configure(%+v):\n got %+v\nwant %+v", c, got, want)
-				}
+			g := reflect.ValueOf(got).FieldByName(name).Interface()
+			if w := reflect.ValueOf(lib).FieldByName(name).Interface(); g != w {
+				t.Errorf("handle runs with %s = %v, the literal set %v", name, g, w)
 			}
 		})
 	}
+	t.Run("Pools", func(t *testing.T) {
+		if pools != n.Pools() {
+			t.Errorf("handle spans %d pools on a node with %d PMEM devices", pools, n.Pools())
+		}
+	})
 }

@@ -283,7 +283,7 @@ func exploreRecordChangeScript(pools int) core.Script {
 	s := valueScript(fmt.Sprintf("record-change/pools=%d", pools),
 		map[string]*serial.Datum{"v": blobDatum(1)}, []string{"D", "C", "W"},
 		[]owStep{{id: "D"}, {id: "C", full: true}, {id: "W", val: scalarDatum(5)}, {id: "v"}})
-	s.Options = &core.Options{Pools: pools}
+	s.Pools = pools
 	return s
 }
 
@@ -701,7 +701,7 @@ func TestWholeValueOverArrayFreesItsBlocks(t *testing.T) {
 				n := node.New(sim.DefaultConfig(), 16<<20, node.WithPMEMPools(pools))
 				n.Machine.SetConcurrency(1)
 				_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
-					p, err := core.Mmap(c, n, "/over.pool", core.WithPools(pools), core.WithCodec("raw"))
+					p, err := core.Mmap(c, n, "/over.pool", core.WithCodec("raw"))
 					if err != nil {
 						return err
 					}
@@ -889,13 +889,14 @@ func ownedOnce(p *core.PMEM) error {
 // coalesced quarters merge into one block that contains the old one). A
 // crash anywhere recovers to 3s with MinMax [1, 3] or to 5s with [1, 5], no
 // block named twice or named and free; the explorer adds VerifyStore.
-func listOverwriteScript(name string, elems int, opts *core.Options, run func(p *core.PMEM) error) core.Script {
+func listOverwriteScript(name string, elems, pools int, opts *core.Options, run func(p *core.PMEM) error) core.Script {
 	store := func(p *core.PMEM, v float64) error {
 		return p.StoreBlock("A", []uint64{0}, []uint64{uint64(elems)}, uniformF64(elems, v))
 	}
 	return core.Script{
 		Name:    name,
 		DevSize: 8 << 20,
+		Pools:   pools,
 		Options: opts,
 		Setup: func(p *core.PMEM) error {
 			if err := p.Alloc("A", serial.Float64, []uint64{uint64(elems)}); err != nil {
@@ -953,9 +954,9 @@ func listOverwriteScript(name string, elems int, opts *core.Options, run func(p 
 func TestExploreListOverwrite(t *testing.T) {
 	const q = 16
 	for _, s := range []core.Script{
-		listOverwriteScript("list-overwrite/serial", 64, nil, nil),
-		listOverwriteScript("list-overwrite/sharded", 32768, &core.Options{Pools: 4, Parallelism: 4, Codec: "raw"}, nil),
-		listOverwriteScript("list-overwrite/async", 4*q, &core.Options{Async: true, CoalesceWindow: 8, Codec: "raw"},
+		listOverwriteScript("list-overwrite/serial", 64, 1, nil, nil),
+		listOverwriteScript("list-overwrite/sharded", 32768, 4, &core.Options{Parallelism: 4, Codec: "raw"}, nil),
+		listOverwriteScript("list-overwrite/async", 4*q, 1, &core.Options{Async: true, CoalesceWindow: 8, Codec: "raw"},
 			func(p *core.PMEM) error {
 				for i := uint64(0); i < 4; i++ {
 					p.StoreBlockAsync("A", []uint64{i * q}, []uint64{q}, uniformF64(q, 5))

@@ -6,13 +6,14 @@ import (
 
 // Parallel store planners: a large StoreBlock payload is split along its
 // slowest-varying dimension into per-shard blocks that worker goroutines
-// serialize into PMEM concurrently. All shard blocks are allocated in ONE
-// transaction (amortizing tx begin/commit across blocks, as "Persistent
-// Memory Transactions" prescribes) and published in the variable's block list
-// with ONE metadata update, so a crash anywhere leaves either the whole
-// multi-shard store or none of it — never a torn block list. The crash-matrix
-// tests drive exactly that property. A large StoreDatum payload under an
-// identity codec stays ONE block, cut into per-worker byte ranges.
+// serialize into PMEM concurrently. Every shard block is reserved with no
+// transaction and claimed by the store's ONE metadata update, which publishes
+// them all in the variable's block list (a stripe on another member pool is
+// claimed first, in one transaction per pool), so a crash anywhere leaves
+// either the whole multi-shard store or none of it — never a torn block
+// list. The crash-matrix tests drive exactly that property. A large
+// StoreDatum payload under an identity codec stays ONE block, cut into
+// per-worker byte ranges.
 //
 // This file only plans (shard the payload, assign stripe pools, cut chunks);
 // the commit engine's fill (writeplan.go) runs either as one concurrent wave,
@@ -86,9 +87,10 @@ func (p *PMEM) parallelEligible(counts []uint64, encSize int64) bool {
 // shardUnits plans StoreBlock's sharded write path: one writeUnit per shard.
 // On a sharded namespace the shards stripe round-robin across the member
 // pools starting at the id's home pool, so one large store drives every device
-// concurrently — the aggregate-bandwidth win E17 sweeps. The engine allocates
-// in ONE batched transaction per touched pool (ascending pool order), fills
-// the shards as one concurrent wave, and persists after the join; the shards
+// concurrently — the aggregate-bandwidth win E17 sweeps. The engine reserves
+// every shard's block with no transaction, fills the shards as one concurrent
+// wave, persists after the join, claims the stripes off the home pool in one
+// transaction per pool and the home-pool blocks in the publish; the shards
 // publish as separate block records, so their CRCs need no joining.
 func (p *PMEM) shardUnits(id string, d *serial.Datum, offs, counts []uint64) []writeUnit {
 	shards := splitShards(d, offs, counts, p.st.opt.Parallelism)

@@ -65,7 +65,7 @@ func (r readReq) size() int {
 // on a sharded namespace.
 func reqStore(t *testing.T, n *node.Node, layout core.Layout, codec string, pools int) {
 	t.Helper()
-	opts := &core.Options{Layout: layout, Codec: codec, Pools: pools, Parallelism: 4}
+	opts := &core.Options{Layout: layout, Codec: codec, Parallelism: 4}
 	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
 		p, err := core.Mmap(c, n, "/req.pool", core.OptionsArg(opts))
 		if err != nil {
@@ -114,7 +114,7 @@ type reqResult struct {
 // measured results plus the handle's verified-block and worker-pool counters.
 func reqRun(t *testing.T, n *node.Node, layout core.Layout, codec string, pools int, verify core.VerifyMode, mode string) ([]reqResult, int64, int64) {
 	t.Helper()
-	opts := &core.Options{Layout: layout, Codec: codec, Pools: pools, VerifyReads: verify}
+	opts := &core.Options{Layout: layout, Codec: codec, VerifyReads: verify}
 	switch mode {
 	case "par1":
 		opts.ReadParallelism = 1

@@ -29,7 +29,7 @@ import (
 func TestRecordBytesPinned(t *testing.T) {
 	var got strings.Builder
 	for _, pools := range []int{1, 4} {
-		recs := eqRun(t, &core.Options{Pools: pools, Parallelism: 4}, func(p *core.PMEM) error {
+		recs := eqRun(t, pools, &core.Options{Parallelism: 4}, func(p *core.PMEM) error {
 			if err := pinScript(p); err != nil {
 				return err
 			}

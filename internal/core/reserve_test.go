@@ -22,7 +22,7 @@ func reserveRig(t *testing.T, pools int, opts []core.MmapOption, fns ...func(p *
 	n.Machine.SetConcurrency(1)
 	for _, fn := range fns {
 		_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
-			p, err := core.Mmap(c, n, "/reserve.pool", append([]core.MmapOption{core.WithPools(pools)}, opts...)...)
+			p, err := core.Mmap(c, n, "/reserve.pool", opts...)
 			if err != nil {
 				return err
 			}
@@ -274,7 +274,7 @@ func TestFailedStripedStoreGivesBlocksBack(t *testing.T) {
 		n := node.New(sim.DefaultConfig(), 16<<20, node.WithPMEMPools(4))
 		n.Machine.SetConcurrency(1)
 		_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
-			p, err := core.Mmap(c, n, "/striped.pool", core.WithPools(4), core.WithParallelism(4))
+			p, err := core.Mmap(c, n, "/striped.pool", core.WithParallelism(4))
 			if err != nil {
 				return err
 			}

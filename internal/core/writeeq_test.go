@@ -46,12 +46,12 @@ func eqNode(pools int) *node.Node {
 	return n
 }
 
-// eqRun maps a fresh store with opts, runs script on it, and returns every
-// published metadata record, keyed by id.
-func eqRun(t *testing.T, opts *core.Options, script func(p *core.PMEM) error) map[string]string {
+// eqRun maps a fresh store with opts on a node of pools devices, runs script
+// on it, and returns every published metadata record, keyed by id.
+func eqRun(t *testing.T, pools int, opts *core.Options, script func(p *core.PMEM) error) map[string]string {
 	t.Helper()
 	recs := map[string]string{}
-	n := eqNode(opts.Pools)
+	n := eqNode(pools)
 	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
 		p, err := core.Mmap(c, n, "/eq.pool", core.OptionsArg(opts))
 		if err != nil {
@@ -86,7 +86,7 @@ func eqRun(t *testing.T, opts *core.Options, script func(p *core.PMEM) error) ma
 // the published records.
 func eqRecords(t *testing.T, codec string, pools int, mode string) map[string]string {
 	t.Helper()
-	opts := &core.Options{Codec: codec, Pools: pools}
+	opts := &core.Options{Codec: codec}
 	switch mode {
 	case "parallel":
 		opts.Parallelism = 1
@@ -94,7 +94,7 @@ func eqRecords(t *testing.T, codec string, pools int, mode string) map[string]st
 		opts.Async = true
 		opts.CoalesceWindow = 1
 	}
-	return eqRun(t, opts, func(p *core.PMEM) error {
+	return eqRun(t, pools, opts, func(p *core.PMEM) error {
 		ctx := context.Background()
 		storeBlock := func(id string, offs, counts []uint64, data []byte) error {
 			if mode == "async" {
@@ -245,7 +245,7 @@ func TestWritePathEquivalence(t *testing.T) {
 		d := &serial.Datum{Type: serial.Float64, Dims: []uint64{300 << 7}, Payload: eqPattern(300<<10, 5)}
 		var recs []map[string]string
 		for _, workers := range []int{1, 4} {
-			recs = append(recs, eqRun(t, &core.Options{Codec: "raw", Parallelism: workers}, func(p *core.PMEM) error {
+			recs = append(recs, eqRun(t, 1, &core.Options{Codec: "raw", Parallelism: workers}, func(p *core.PMEM) error {
 				if err := p.StoreDatum("V", &serial.Datum{Type: serial.Bytes, Payload: eqPattern(200<<10, 4)}); err != nil {
 					return err
 				}
@@ -268,7 +268,7 @@ func TestWritePathEquivalence(t *testing.T) {
 		const rows, cols, frags = 4, 16, 5
 		data := eqPattern(frags*rows*cols*8, 9)
 		alloc := func(p *core.PMEM) error { return p.Alloc("C", serial.Float64, []uint64{frags * rows, cols}) }
-		coalesced := eqRun(t, &core.Options{Codec: "raw", Async: true}, func(p *core.PMEM) error {
+		coalesced := eqRun(t, 1, &core.Options{Codec: "raw", Async: true}, func(p *core.PMEM) error {
 			if err := alloc(p); err != nil {
 				return err
 			}
@@ -283,7 +283,7 @@ func TestWritePathEquivalence(t *testing.T) {
 			}
 			return nil
 		})
-		serialStore := eqRun(t, &core.Options{Codec: "raw"}, func(p *core.PMEM) error {
+		serialStore := eqRun(t, 1, &core.Options{Codec: "raw"}, func(p *core.PMEM) error {
 			if err := alloc(p); err != nil {
 				return err
 			}

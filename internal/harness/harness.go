@@ -44,17 +44,15 @@ type Params struct {
 	// ReadRanks overrides the reader count for the restart pattern
 	// (0 = same as Ranks).
 	ReadRanks int
-	// Capabilities are the optional library features the run asks for
-	// (worker pools, histograms, verified reads, async writes, striping),
-	// handed as they stand to a pio.Configurable library; the baselines have
-	// nothing to enable and ignore them. Metrics also captures a per-phase
-	// observability snapshot into the Result, and with Pools > 1 the harness
-	// provisions the node with one device of DeviceSize bytes per pool.
-	pio.Capabilities
+	// Pools is the node's PMEM device count (0 = 1). A pMEMCPY namespace
+	// spans every device, one member pool each; with Pools > 1 a zero
+	// DeviceSize sizes each device for its share of the data.
+	Pools int
 }
 
-// Entry is one library of a sweep. Label, when set, replaces the library's
-// own name in the results — how ablation tables tell variants of one library
+// Entry is one library of a sweep. The library value is run as it is handed:
+// its configuration is its own. Label, when set, replaces the library's own
+// name in the results — how ablation tables tell variants of one library
 // apart.
 type Entry struct {
 	Label string
@@ -70,9 +68,9 @@ type Result struct {
 	Read    time.Duration
 	// WriteMetrics and ReadMetrics are the per-phase observability snapshots,
 	// captured on rank 0 after the collective Close (so every rank's
-	// operations are included). Empty unless Params.Metrics was set and the
-	// library's sessions implement pio.Instrumented; for multi-run averages
-	// they are the last run's snapshots.
+	// operations are included). Empty unless the library's sessions
+	// implement pio.Instrumented; for multi-run averages they are the last
+	// run's snapshots.
 	WriteMetrics obs.Snapshot
 	ReadMetrics  obs.Snapshot
 }
@@ -93,16 +91,12 @@ func run(e Entry, p Params) (Result, error) {
 	if p.Runs <= 0 {
 		p.Runs = 1
 	}
-	lib := e.Lib
-	if cz, ok := lib.(pio.Configurable); ok {
-		lib = cz.Configure(p.Capabilities)
-	}
 	if e.Label == "" {
-		e.Label = lib.Name()
+		e.Label = e.Lib.Name()
 	}
 	res := Result{Library: e.Label, Ranks: p.Ranks}
 	for i := 0; i < p.Runs; i++ {
-		one, err := runOnce(lib, p)
+		one, err := runOnce(e.Lib, p)
 		if err != nil {
 			return res, fmt.Errorf("%s n=%d run %d: %w", e.Label, p.Ranks, i, err)
 		}
@@ -168,10 +162,8 @@ func runOnce(lib pio.Library, p Params) (Result, error) {
 		}
 		// Close is collective, so by the time rank 0 returns from it every
 		// rank's operations have landed in the shared registry.
-		if p.Metrics && rank == 0 {
-			if im, ok := w.(pio.Instrumented); ok {
-				writeSnap = im.Metrics()
-			}
+		if im, ok := w.(pio.Instrumented); ok && rank == 0 {
+			writeSnap = im.Metrics()
 		}
 		dt := c.Clock().Now() - t0 - genTime
 		mx, err := c.AllreduceU64(uint64(dt), mpi.OpMax)
@@ -230,10 +222,8 @@ func runOnce(lib pio.Library, p Params) (Result, error) {
 		if err := r.Close(); err != nil {
 			return err
 		}
-		if p.Metrics && rank == 0 {
-			if im, ok := r.(pio.Instrumented); ok {
-				readSnap = im.Metrics()
-			}
+		if im, ok := r.(pio.Instrumented); ok && rank == 0 {
+			readSnap = im.Metrics()
 		}
 		dt := c.Clock().Now() - t1 - verifyTime
 		mx, err := c.AllreduceU64(uint64(dt), mpi.OpMax)

@@ -7,17 +7,15 @@ import (
 )
 
 // TestLabelledEntryIsConfigured pins that a sweep entry's display label is
-// only a label: the library under it still receives the run's Capabilities.
-// A labelled raw-codec library is swept with Pools and Parallelism set in
-// Params alone, and the captured snapshot must show every store striped over
-// every member pool.
+// only a label: the library under it runs with the configuration its literal
+// carries. A labelled raw-codec library with four copy workers is swept on a
+// node of four PMEM devices, and the captured snapshot must show every store
+// striped over every member pool.
 func TestLabelledEntryIsConfigured(t *testing.T) {
 	p := smallParams(1)
 	p.Vars = 2 // two slabs, each far above the parallel-store threshold
 	p.Pools = 4
-	p.Parallelism = 4
-	p.Metrics = true
-	lib := core.Library{Codec: "raw"}
+	lib := core.Library{Codec: "raw", Parallelism: 4}
 
 	res, err := Sweep([]Entry{{Label: "harness-pools4", Lib: lib}}, []int{1}, p)
 	if err != nil {
@@ -44,13 +42,13 @@ func TestLabelledEntryIsConfigured(t *testing.T) {
 		}
 	}
 	if parallelStores != int64(p.Vars) {
-		t.Errorf("%d stores took the parallel path, want %d: Params.Parallelism did not reach the library",
+		t.Errorf("%d stores took the parallel path, want %d: the literal's Parallelism did not reach the handle",
 			parallelStores, p.Vars)
 	}
 	// Every member pool is formatted in a transaction of its own, and a
 	// striped store allocates in one transaction per member pool.
 	wantTx := int64(p.Pools + p.Vars*p.Pools)
 	if tx := got.WriteMetrics.Get("pmemcpy_alloc_transactions_total"); tx < wantTx {
-		t.Errorf("%d pool transactions, want >= %d: Params.Pools did not reach the library", tx, wantTx)
+		t.Errorf("%d pool transactions, want >= %d: the namespace does not span the node's devices", tx, wantTx)
 	}
 }

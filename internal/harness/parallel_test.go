@@ -18,9 +18,7 @@ func TestParallelWriteSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := base
-	par.Parallelism = 8
-	parallel, err := Run(core.Library{}, par)
+	parallel, err := Run(core.Library{Parallelism: 8}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +42,7 @@ func TestParallelismSweepMonotone(t *testing.T) {
 	for _, par := range []int{1, 2, 4, 8} {
 		p := smallParams(1)
 		p.Vars = 2
-		p.Parallelism = par
-		res, err := Run(core.Library{}, p)
+		res, err := Run(core.Library{Parallelism: par}, p)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}

@@ -19,9 +19,7 @@ func TestParallelReadSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := base
-	par.ReadParallelism = 8
-	parallel, err := Run(core.Library{}, par)
+	parallel, err := Run(core.Library{ReadParallelism: 8}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +42,7 @@ func TestReadParallelismSweepMonotone(t *testing.T) {
 	for _, rpar := range []int{1, 2, 4, 8} {
 		p := smallParams(1)
 		p.Vars = 2
-		p.ReadParallelism = rpar
-		res, err := Run(core.Library{}, p)
+		res, err := Run(core.Library{ReadParallelism: rpar}, p)
 		if err != nil {
 			t.Fatalf("rpar=%d: %v", rpar, err)
 		}

@@ -70,45 +70,6 @@ type Library interface {
 	OpenRead(c *mpi.Comm, n *node.Node, path string) (Reader, error)
 }
 
-// Capabilities is the full set of optional features a harness run may ask a
-// library to enable — the only library-neutral declaration of those knobs:
-// harness.Params embeds it, and a Configurable library maps each field onto
-// its own option of the same name. Zero values mean "leave the library's own
-// default": Configure applies only the non-zero fields, so a Capabilities
-// taken straight from harness parameters composes with configuration already
-// baked into the library literal.
-type Capabilities struct {
-	// Parallelism is the per-rank write copy-engine worker count
-	// (0: library default; 1: serial).
-	Parallelism int
-	// ReadParallelism is the gather (read) engine worker count
-	// (0: follow Parallelism; 1: serial reads).
-	ReadParallelism int
-	// Metrics enables latency/shape histogram recording on sessions.
-	Metrics bool
-	// VerifyReads selects read-path checksum verification:
-	// 0 = off, 1 = sampled, 2 = full.
-	VerifyReads int
-	// Async routes writes through the asynchronous submission pipeline:
-	// writes queue and group-commit in batches, and Close drains the queue.
-	Async bool
-	// CoalesceWindow is the async batch size (0: library default).
-	CoalesceWindow int
-	// Pools shards the namespace across n member pools (0: library default;
-	// 1: single pool). The node driving the session must carry a matching
-	// device per pool.
-	Pools int
-}
-
-// Configurable is implemented by libraries that accept a Capabilities set.
-// Configure returns a copy of the library with the non-zero fields applied;
-// it must leave fields at their zero value untouched so literal-level
-// configuration (codec, layout, ...) survives.
-type Configurable interface {
-	Library
-	Configure(c Capabilities) Library
-}
-
 // Instrumented is implemented by sessions (Writers/Readers) that expose an
 // observability snapshot. The harness captures it on rank 0 before Close so
 // benchmark tools can write a Prometheus-style exposition next to results.

@@ -3,7 +3,6 @@ package pio_test
 import (
 	"testing"
 
-	"pmemcpy/internal/core"
 	"pmemcpy/internal/pio"
 	"pmemcpy/internal/serial"
 )
@@ -36,45 +35,5 @@ func TestVarValidate(t *testing.T) {
 	}
 	if got := (pio.Var{Type: serial.Int16}).ElemSize(); got != 2 {
 		t.Errorf("ElemSize(int16) = %d, want 2", got)
-	}
-}
-
-// TestConfigureAppliesOnlyNonZero is the merge rule of pio.Configurable, held
-// on its one implementation (pMEMCPY's library): a Capabilities field at its
-// zero value leaves the library's own setting alone, a non-zero one replaces
-// it, and two Configure calls compose — the second keeps what the first set
-// unless it sets the same field.
-func TestConfigureAppliesOnlyNonZero(t *testing.T) {
-	base := core.Library{Codec: "raw", MapSync: true, Parallelism: 3, VerifyReads: core.VerifySampled, CoalesceWindow: 5}
-	with := func(f func(*core.Library)) core.Library {
-		l := base
-		f(&l)
-		return l
-	}
-	cases := []struct {
-		name string
-		caps pio.Capabilities
-		want core.Library
-	}{
-		{"empty set", pio.Capabilities{}, base},
-		{"Parallelism", pio.Capabilities{Parallelism: 8}, with(func(l *core.Library) { l.Parallelism = 8 })},
-		{"ReadParallelism", pio.Capabilities{ReadParallelism: 2}, with(func(l *core.Library) { l.ReadParallelism = 2 })},
-		{"Metrics", pio.Capabilities{Metrics: true}, with(func(l *core.Library) { l.Metrics = true })},
-		{"VerifyReads", pio.Capabilities{VerifyReads: 2}, with(func(l *core.Library) { l.VerifyReads = core.VerifyFull })},
-		{"Async", pio.Capabilities{Async: true}, with(func(l *core.Library) { l.Async = true })},
-		{"CoalesceWindow", pio.Capabilities{CoalesceWindow: 9}, with(func(l *core.Library) { l.CoalesceWindow = 9 })},
-		{"Pools", pio.Capabilities{Pools: 4}, with(func(l *core.Library) { l.Pools = 4 })},
-	}
-	for _, tc := range cases {
-		if got := base.Configure(tc.caps); got != tc.want {
-			t.Errorf("%s: Configure = %+v, want %+v", tc.name, got, tc.want)
-		}
-	}
-
-	first := base.Configure(pio.Capabilities{Parallelism: 8, Async: true})
-	got := first.(core.Library).Configure(pio.Capabilities{Parallelism: 2, Pools: 4})
-	want := with(func(l *core.Library) { l.Parallelism, l.Async, l.Pools = 2, true, 4 })
-	if got != want {
-		t.Errorf("two Configure calls: %+v, want %+v", got, want)
 	}
 }

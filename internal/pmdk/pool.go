@@ -86,9 +86,12 @@ type Options struct {
 	// Lanes is the number of independent transaction lanes (concurrent
 	// transactions).
 	Lanes int
-	// Arenas is the number of independent allocator arenas (one lock each).
-	// 0 means GOMAXPROCS; values above Lanes are clamped to Lanes, since at
-	// most Lanes transactions can allocate concurrently.
+	// Arenas is the number of independent allocator arenas (one lock each;
+	// a caller's home arena is its rank modulo the count). 0 means
+	// GOMAXPROCS; values above Lanes are clamped to Lanes. The count also
+	// sizes the default extent, heap/(Arenas*16), so it decides where blocks
+	// land: the clamp stands because lifting it would shrink every extent and
+	// move the placement of pools created with more arenas than lanes.
 	Arenas int
 	// LaneLogSize is the undo-log capacity per lane.
 	LaneLogSize int64
@@ -237,8 +240,8 @@ func Create(clk *sim.Clock, m *pmem.Mapping, opts *Options) (*Pool, error) {
 		return nil, fmt.Errorf("pmdk: invalid options %+v", o)
 	}
 	if o.Arenas > o.Lanes {
-		// At most Lanes transactions exist at once, so extra arenas would
-		// mostly hold idle extents; clamping keeps regions usefully big.
+		// The clamp keeps extents (heap/(arenas*16)) at least a 16th of
+		// the heap over Lanes; see Options.Arenas.
 		o.Arenas = o.Lanes
 	}
 	allocOff := int64(headerSize)

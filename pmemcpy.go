@@ -75,9 +75,10 @@ func WithCrashTracking() NodeOption {
 }
 
 // WithPMEMPools provisions the node with n independent PMEM devices of
-// devSize bytes each (n <= 1 keeps the classic single device). Pair it with
-// the WithPools Mmap option to shard one namespace across the devices. All
-// devices share one fault domain: SimulateCrash power-cycles them together.
+// devSize bytes each (n <= 1 keeps the classic single device). A namespace
+// mapped on the node spans every device: one member pool each, with ids
+// placed by hash and large parallel stores striped across them. All devices
+// share one fault domain: SimulateCrash power-cycles them together.
 func WithPMEMPools(n int) NodeOption {
 	return func(o *nodeOptions) { o.pools = n }
 }
@@ -128,13 +129,6 @@ func Run(n *Node, ranks int, fn func(*Comm) error) ([]time.Duration, error) {
 
 // PMEM is the library handle (the paper's pmemcpy::PMEM object).
 type PMEM = core.PMEM
-
-// Options is the configuration carrier struct; the zero value gives the
-// paper's evaluated configuration: BP4 serialization, hashtable layout,
-// MAP_SYNC off. Since v2 it is no longer accepted by Mmap directly — pass the
-// functional options (WithCodec, WithParallelism, WithMetrics, ...) instead,
-// each of which sets one of its fields.
-type Options = core.Options
 
 // Layout selects the data layout.
 type Layout = core.Layout
@@ -199,9 +193,6 @@ var (
 	WithMapSync = core.WithMapSync
 	// WithPoolSize sets the pool file size for the hashtable layout.
 	WithPoolSize = core.WithPoolSize
-	// WithPools shards the namespace across n member pools (hashtable layout
-	// only); the node must carry matching devices (WithPMEMPools).
-	WithPools = core.WithPools
 	// WithStagedSerialization enables the DRAM-staging ablation.
 	WithStagedSerialization = core.WithStagedSerialization
 	// WithParallelism sets the per-rank copy-engine worker count.
