@@ -86,7 +86,7 @@ loc:
 # module's total non-test code lines exceed the ceiling, which records the
 # figure of the last change that lowered it. A change that must grow the code
 # raises the ceiling in the same diff, where a reviewer sees it.
-LOC_CEILING ?= 15469
+LOC_CEILING ?= 15452
 loccheck:
 	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
 		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \

@@ -59,15 +59,6 @@ func chargeLibrary(c *mpi.Comm, n uint64, passes float64) {
 	m.ChargePasses(c.Clock(), int64(n), passes, m.Config().PackBPS, c.Size())
 }
 
-// DefineVar implements pio.Writer.
-func (w *chunkedWriter) DefineVar(v pio.Var) error {
-	if err := w.LogWriter.DefineVar(v); err != nil {
-		return err
-	}
-	w.Comm.Machine().ChargeMetaOp(w.Comm.Clock())
-	return nil
-}
-
 // Write implements pio.Writer: the block becomes one filtered chunk;
 // collective space allocation, independent chunk write.
 func (w *chunkedWriter) Write(name string, offs, counts []uint64, data []byte) error {

@@ -345,7 +345,6 @@ func (h *Hashtable) UpdateAt(clk *sim.Clock, key []byte, at PMID) (Update, error
 	if len(key) == 0 {
 		return Update{}, fmt.Errorf("pmdk: empty hashtable key")
 	}
-	h.p.m.Device().Machine().ChargeMetaOp(clk)
 	hash := HashKey(key)
 	lock := h.p.Lock(h.bucketOff(hash))
 	lock.Lock()
@@ -542,7 +541,7 @@ func (h *Hashtable) Get(clk *sim.Clock, key []byte) ([]byte, bool, error) {
 	lock := h.p.Lock(h.bucketOff(hash))
 	lock.RLock()
 	defer lock.RUnlock()
-	pr, err := h.getRefLocked(clk, key, hash, Null)
+	pr, err := h.probeLocked(clk, key, hash, Null)
 	if err != nil || pr.entry == Null {
 		return nil, false, err
 	}
@@ -573,14 +572,8 @@ func (h *Hashtable) GetRefAt(clk *sim.Clock, key []byte, at PMID) (val PMID, vle
 	lock := h.p.Lock(h.bucketOff(hash))
 	lock.RLock()
 	defer lock.RUnlock()
-	pr, err := h.getRefLocked(clk, key, hash, at)
+	pr, err := h.probeLocked(clk, key, hash, at)
 	return pr.val, pr.vlen, pr.entry, err
-}
-
-// getRefLocked is GetRefAt under the bucket lock the caller holds.
-func (h *Hashtable) getRefLocked(clk *sim.Clock, key []byte, hash uint64, at PMID) (probe, error) {
-	h.p.m.Device().Machine().ChargeMetaOp(clk)
-	return h.probeLocked(clk, key, hash, at)
 }
 
 // Delete removes key. It reports whether the key existed.

@@ -61,7 +61,8 @@ func poke(t *testing.T, p *Pool, off PMID, v uint64) {
 // Delete k+1, next to what the allocator and the undo log read on their
 // behalf: a carve 1 and a Free 2 of their own, and one pre-image read per
 // undo entry. Virtual time is held to the nanosecond against the same accesses
-// charged one by one to a scratch clock.
+// charged one by one to a scratch clock: a lookup costs the reads it makes and
+// nothing else.
 func TestProbeAccessesPerEntry(t *testing.T) {
 	const (
 		klen, vlen = 5, 8 // "key-i", "8 bytes."
@@ -75,7 +76,6 @@ func TestProbeAccessesPerEntry(t *testing.T) {
 	for L := 1; L <= 8; L++ {
 		ht, p, clk := chainTable(t, L)
 		dev := p.m.Device()
-		metaOp := dev.Machine().Config().MetaOp
 		// cost is the virtual time of the given accesses, one ChargeRead each.
 		cost := func(sizes ...int64) time.Duration {
 			var c sim.Clock
@@ -116,19 +116,19 @@ func TestProbeAccessesPerEntry(t *testing.T) {
 				if v, ok, err := ht.Get(clk, key); err != nil || !ok || string(v) != "8 bytes." {
 					t.Fatalf("Get(%s) = %q, %v, %v", key, v, ok, err)
 				}
-			}, int64(k+2), metaOp+cost(append(walk(k, true), vlen)...))
+			}, int64(k+2), cost(append(walk(k, true), vlen)...))
 			measure(fmt.Sprintf("GetRef hit k=%d", k), func() {
 				if _, n, ok, err := ht.GetRef(clk, key); err != nil || !ok || n != vlen {
 					t.Fatalf("GetRef(%s) = %d, %v, %v", key, n, ok, err)
 				}
-			}, int64(k+1), metaOp+cost(walk(k, true)...))
+			}, int64(k+1), cost(walk(k, true)...))
 			var u Update
 			measure(fmt.Sprintf("Update k=%d", k), func() {
 				var err error
 				if u, err = ht.Update(clk, key); err != nil {
 					t.Fatal(err)
 				}
-			}, int64(k+1), metaOp+cost(walk(k, true)...))
+			}, int64(k+1), cost(walk(k, true)...))
 			measure("Old", func() { u.Old() }, 1, cost(vlen))
 			if err := u.Abort(); err != nil {
 				t.Fatal(err)
@@ -138,7 +138,7 @@ func TestProbeAccessesPerEntry(t *testing.T) {
 			if _, ok, err := ht.Get(clk, []byte("absent")); err != nil || ok {
 				t.Fatalf("Get(absent) = %v, %v", ok, err)
 			}
-		}, int64(1+L), metaOp+cost(walk(L, false)...))
+		}, int64(1+L), cost(walk(L, false)...))
 
 		// The key compare survived: an entry carrying the probe key's hash and
 		// klen but other key bytes is visited at the price of a match, and is
@@ -152,7 +152,7 @@ func TestProbeAccessesPerEntry(t *testing.T) {
 			if _, ok, err := ht.Get(clk, chainKey(L-1)); err != nil || ok {
 				t.Fatalf("Get of an entry with other key bytes = %v, %v; want absent", ok, err)
 			}
-		}, int64(1+L), metaOp+cost(walk(L, true)...))
+		}, int64(1+L), cost(walk(L, true)...))
 		if err := p.StoreBytesAt(newClock(), last+entryKeyStart, []byte("key"), true, ptTest); err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,6 @@ func TestProbeHintedAccesses(t *testing.T) {
 	)
 	ht, p, clk := chainTable(t, L)
 	dev := p.m.Device()
-	metaOp := dev.Machine().Config().MetaOp
 	measure := func(what string, fn func(), reads int64) {
 		t.Helper()
 		r0 := dev.Counters().Reads
@@ -231,8 +230,8 @@ func TestProbeHintedAccesses(t *testing.T) {
 		getAt(fmt.Sprintf("hit k=%d", k), key, e, e, 1)
 		var c sim.Clock
 		p.m.ChargeRead(&c, blockHeaderSize+entryKeyStart+klen)
-		if got := clk.Now() - t0; got != metaOp+c.Now() {
-			t.Errorf("hit k=%d: %v virtual, want %v", k, got, metaOp+c.Now())
+		if got := clk.Now() - t0; got != c.Now() {
+			t.Errorf("hit k=%d: %v virtual, want %v", k, got, c.Now())
 		}
 		measure(fmt.Sprintf("UpdateAt k=%d", k), func() {
 			u, err := ht.UpdateAt(clk, key, e)

@@ -6,8 +6,10 @@ import "time"
 // methods below, named for what it pays for. Each advances the caller's clock
 // by a formula over the Config constants and the pools' current shares, and
 // nothing outside this package advances a clock (commitvet's charge rule), so
-// "what does an operation cost, and why" is answered by this file. DESIGN §5
-// tabulates the methods, their formulas and their callers.
+// "what does an operation cost, and why" is answered by this file. There is no
+// flat per-operation charge: a metadata operation costs the reads and persists
+// it makes. DESIGN §5 tabulates the methods, their formulas and their callers,
+// and what each Config constant charges.
 
 // Dir is the direction of a DAX move: it selects the device latency the move
 // pays once.
@@ -109,10 +111,6 @@ func (m *Machine) ChargePersist(clk *Clock) { clk.Advance(m.cfg.PMEMWriteLatency
 func (m *Machine) ChargeRetry(clk *Clock, attempt int) {
 	clk.Advance(m.cfg.PMEMWriteLatency * time.Duration(int64(1)<<attempt))
 }
-
-// ChargeMetaOp charges one metadata operation (a hashtable lookup or update, a
-// header field, a variable definition): MetaOp.
-func (m *Machine) ChargeMetaOp(clk *Clock) { clk.Advance(m.cfg.MetaOp) }
 
 // ChargeSyscall charges one kernel crossing: Syscall.
 func (m *Machine) ChargeSyscall(clk *Clock) { clk.Advance(m.cfg.Syscall) }

@@ -58,10 +58,6 @@ type Config struct {
 	// BarrierCost is the synchronization overhead of one barrier/collective
 	// rendezvous after clock alignment.
 	BarrierCost time.Duration
-
-	// MetaOp is the cost of one metadata operation (hashtable insert/lookup
-	// persist, header field update).
-	MetaOp time.Duration
 }
 
 // Sizes used throughout the model.
@@ -100,7 +96,6 @@ func DefaultConfig() Config {
 		MapSyncLine:        55 * time.Nanosecond,
 		Syscall:            1200 * time.Nanosecond,
 		BarrierCost:        5 * time.Microsecond,
-		MetaOp:             2 * time.Microsecond,
 	}
 }
 
@@ -125,10 +120,10 @@ func (c Config) Validate() error {
 // same virtual time as running size D under the original configuration:
 // bandwidth terms scale exactly, and per-line (cacheline) costs are
 // multiplied by k to compensate for the k-times-fewer lines touched.
-// Per-operation latencies (syscalls, barriers, metadata ops) are unchanged;
-// their contribution depends on call counts, not bytes, so scaling leaves
-// them alone. This is how the harness emulates the paper's 40 GB runs within
-// a small physical memory budget.
+// Per-operation latencies (device and network latencies, syscalls, barriers)
+// are unchanged: their contribution depends on call counts, not bytes, so
+// scaling leaves them alone. This is how the harness emulates the paper's
+// 40 GB runs within a small physical memory budget.
 func (c Config) Scale(k float64) Config {
 	if k <= 0 {
 		panic(fmt.Sprintf("sim: scale factor must be positive, got %g", k))

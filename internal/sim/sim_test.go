@@ -273,7 +273,7 @@ func TestConfigScaleLineCost(t *testing.T) {
 		t.Fatalf("scaled MapSyncLine = %v, want %v", got, want)
 	}
 	// Per-op latencies unchanged.
-	if s.Syscall != c.Syscall || s.BarrierCost != c.BarrierCost || s.MetaOp != c.MetaOp {
+	if s.Syscall != c.Syscall || s.BarrierCost != c.BarrierCost {
 		t.Fatal("Scale changed per-op latencies")
 	}
 }
