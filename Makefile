@@ -86,7 +86,7 @@ loc:
 # module's total non-test code lines exceed the ceiling, which records the
 # figure of the last change that lowered it. A change that must grow the code
 # raises the ceiling in the same diff, where a reviewer sees it.
-LOC_CEILING ?= 15452
+LOC_CEILING ?= 15032
 loccheck:
 	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
 		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \
@@ -270,6 +270,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCodecRoundTrip -fuzztime=$(FUZZTIME) ./internal/serial/
 	$(GO) test -run=NONE -fuzz=FuzzFold -fuzztime=$(FUZZTIME) ./internal/serial/
 	$(GO) test -run=NONE -fuzz=FuzzSweep -fuzztime=$(FUZZTIME) ./internal/serial/
+	$(GO) test -run=NONE -fuzz=FuzzUnmarshalStruct -fuzztime=$(FUZZTIME) ./internal/serial/
 	$(GO) test -run=NONE -fuzz=FuzzStreamCopy -fuzztime=$(FUZZTIME) ./internal/bytesview/
 	$(GO) test -run=NONE -fuzz=FuzzCombine -fuzztime=$(FUZZTIME) ./internal/checksum/
 

@@ -177,6 +177,16 @@ func TestErrorConformance(t *testing.T) {
 			want: pmemcpy.ErrOutOfBounds,
 		},
 		{
+			name: "StoreSub offset wraps past extent",
+			fn: func(p *pmemcpy.PMEM, _ *pmemcpy.Node) error {
+				if err := pmemcpy.Alloc[float64](p, "arr", 10); err != nil {
+					return fmt.Errorf("setup: %v", err)
+				}
+				return pmemcpy.StoreSub(p, "arr", []float64{1, 2}, []uint64{^uint64(0)}, []uint64{2})
+			},
+			want: pmemcpy.ErrOutOfBounds,
+		},
+		{
 			name: "StoreSub rank mismatch",
 			fn: func(p *pmemcpy.PMEM, _ *pmemcpy.Node) error {
 				if err := pmemcpy.Alloc[float64](p, "arr", 16); err != nil {

@@ -32,6 +32,7 @@ func (p *PMEM) LoadString(id string) (string, error) {
 // StoreStruct persists a structured value — a Go struct with arbitrary
 // nesting, dynamically sized slices, fixed arrays and strings — under id.
 // v may be a struct or a pointer to one; only exported fields are stored.
+// The payload is v's encoding/gob encoding, held as a Bytes datum.
 func (p *PMEM) StoreStruct(id string, v any) error {
 	raw, err := serial.MarshalStruct(v)
 	if err != nil {
@@ -43,7 +44,9 @@ func (p *PMEM) StoreStruct(id string, v any) error {
 // LoadStruct reads a structured value stored with StoreStruct into out, which
 // must be a non-nil pointer to a struct. Fields are matched by name: unknown
 // fields in the data are skipped and missing ones keep their current values,
-// so readers and writers may evolve independently.
+// so readers and writers may evolve independently. gob does not store a
+// field at its zero value, so such a field also keeps out's current value;
+// decoding into a zero value returns exactly what was stored.
 func (p *PMEM) LoadStruct(id string, out any) error {
 	d, err := p.LoadDatum(id)
 	if err != nil {

@@ -48,9 +48,10 @@ func CheckBlock(dims, offs, counts []uint64) error {
 			len(dims), len(offs), len(counts), ErrOutOfBounds)
 	}
 	for i := range dims {
-		if offs[i]+counts[i] > dims[i] {
-			return fmt.Errorf("nd: block [%d,%d) exceeds dim %d of extent %d: %w",
-				offs[i], offs[i]+counts[i], i, dims[i], ErrOutOfBounds)
+		// Written so offs+counts cannot wrap past 2^64 into range.
+		if counts[i] > dims[i] || offs[i] > dims[i]-counts[i] {
+			return fmt.Errorf("nd: block of %d at %d exceeds dim %d of extent %d: %w",
+				counts[i], offs[i], i, dims[i], ErrOutOfBounds)
 		}
 	}
 	return nil

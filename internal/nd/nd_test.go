@@ -40,6 +40,12 @@ func TestCheckBlock(t *testing.T) {
 	if err := CheckBlock(dims, []uint64{5}, []uint64{5, 5}); err == nil {
 		t.Error("rank mismatch accepted")
 	}
+	if err := CheckBlock(dims, []uint64{^uint64(0), 5}, []uint64{2, 5}); err == nil {
+		t.Error("block whose offs+counts wraps past 2^64 accepted")
+	}
+	if err := CheckBlock(dims, []uint64{0, 5}, []uint64{^uint64(0), 5}); err == nil {
+		t.Error("count past the extent accepted")
+	}
 }
 
 func collectRuns(t *testing.T, dims, offs, counts []uint64, esize int) [][3]int64 {

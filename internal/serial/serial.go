@@ -19,6 +19,7 @@ package serial
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // DType identifies the element type of a datum.
@@ -125,8 +126,8 @@ func (d *Datum) Elems() uint64 {
 }
 
 // Validate checks internal consistency: known type, rank within MaxDims,
-// payload length matching dims for fixed-size types, no dims for
-// variable-length types.
+// payload length matching dims for fixed-size types (whose byte size must
+// fit 64 bits), no dims for variable-length types.
 func (d *Datum) Validate() error {
 	if !d.Type.Valid() {
 		return fmt.Errorf("%w: invalid type %v", ErrBadDatum, d.Type)
@@ -135,7 +136,21 @@ func (d *Datum) Validate() error {
 		return fmt.Errorf("%w: rank %d exceeds %d", ErrBadDatum, len(d.Dims), MaxDims)
 	}
 	if d.Type.Fixed() {
-		want := d.Elems() * uint64(d.Type.Size())
+		// dims × element size without wrapping: a product past 2^64 is
+		// refused unless a zero extent makes it 0.
+		want, hi := uint64(d.Type.Size()), uint64(0)
+		for _, v := range d.Dims {
+			if v == 0 {
+				want, hi = 0, 0
+				break
+			}
+			if hi == 0 {
+				hi, want = bits.Mul64(want, v)
+			}
+		}
+		if hi != 0 {
+			return fmt.Errorf("%w: dims %v of %v overflow 64 bits", ErrBadDatum, d.Dims, d.Type)
+		}
 		if uint64(len(d.Payload)) != want {
 			return fmt.Errorf("%w: payload %d bytes, dims %v of %v require %d",
 				ErrBadDatum, len(d.Payload), d.Dims, d.Type, want)

@@ -67,6 +67,21 @@ func TestDatumValidate(t *testing.T) {
 	if err := dimmedString.Validate(); !errors.Is(err, ErrBadDatum) {
 		t.Errorf("dimensioned string accepted: %v", err)
 	}
+	// 1<<62 × 4 elements wraps Elems to 0, which an empty payload matched.
+	wrapped := &Datum{Type: Float64, Dims: []uint64{1 << 62, 4}, Payload: nil}
+	if err := wrapped.Validate(); !errors.Is(err, ErrBadDatum) {
+		t.Errorf("shape whose element count wraps accepted: %v", err)
+	}
+	// Byte size 1<<61 × 8 wraps while the element count does not.
+	wrappedBytes := &Datum{Type: Float64, Dims: []uint64{1 << 61}, Payload: nil}
+	if err := wrappedBytes.Validate(); !errors.Is(err, ErrBadDatum) {
+		t.Errorf("shape whose byte size wraps accepted: %v", err)
+	}
+	// A zero extent makes the size 0 however large the others are.
+	empty := &Datum{Type: Float64, Dims: []uint64{1 << 62, 1 << 62, 0}, Payload: nil}
+	if err := empty.Validate(); err != nil {
+		t.Errorf("empty shape with huge extents rejected: %v", err)
+	}
 	str := &Datum{Type: String, Payload: []byte("hello")}
 	if err := str.Validate(); err != nil {
 		t.Errorf("string datum rejected: %v", err)

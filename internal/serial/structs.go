@@ -1,9 +1,9 @@
 package serial
 
 import (
-	"encoding/binary"
+	"bytes"
+	"encoding/gob"
 	"fmt"
-	"math"
 	"reflect"
 )
 
@@ -11,513 +11,51 @@ import (
 // not supporting "the nesting of compound types or dynamically sized
 // arrays"; pMEMCPY's structured values support both. A Go struct (possibly
 // containing nested structs, fixed arrays, dynamically sized slices, strings
-// and numeric scalars) is marshalled into a self-describing byte payload
-// that travels through the ordinary codec path as a Bytes datum, so every
-// serializer and layout handles structured values unchanged.
+// and numeric scalars) is marshalled by encoding/gob into a self-describing
+// byte payload that travels through the ordinary codec path as a Bytes
+// datum, so every serializer and layout handles structured values unchanged.
 //
-// Wire format (little-endian, recursive, every value skippable):
-//
-//	value  := scalar | string | seq | bulk | struct
-//	scalar := tag(u8) fixed-width raw bytes
-//	string := tagString(u8) len(uvarint) bytes
-//	seq    := tagSeq(u8) count(uvarint) value*          (heterogeneous path)
-//	bulk   := tagBulk(u8) elemTag(u8) count(uvarint) raw little-endian bytes
-//	struct := tagStruct(u8) fieldCount(uvarint)
-//	          { nameLen(uvarint) name value }*
-//
-// Field names travel with the data, so decoding tolerates field reordering
-// and skips unknown fields (schema evolution), unlike positional compound
-// layouts.
-const (
-	stInvalid = iota
-	stBool
-	stInt8
-	stUint8
-	stInt16
-	stUint16
-	stInt32
-	stUint32
-	stInt64
-	stUint64
-	stFloat32
-	stFloat64
-	stString
-	stSeq
-	stBulk
-	stStruct
-)
-
-// scalarWidth maps scalar tags to their fixed encoded width.
-var scalarWidth = map[byte]int{
-	stBool: 1, stInt8: 1, stUint8: 1,
-	stInt16: 2, stUint16: 2,
-	stInt32: 4, stUint32: 4, stFloat32: 4,
-	stInt64: 8, stUint64: 8, stFloat64: 8,
-}
-
-// bulkTagFor returns the bulk element tag for a kind eligible for the raw
-// fast path, or 0.
-func bulkTagFor(k reflect.Kind) byte {
-	switch k {
-	case reflect.Uint8:
-		return stUint8
-	case reflect.Int32:
-		return stInt32
-	case reflect.Uint32:
-		return stUint32
-	case reflect.Int64:
-		return stInt64
-	case reflect.Uint64:
-		return stUint64
-	case reflect.Float32:
-		return stFloat32
-	case reflect.Float64:
-		return stFloat64
-	}
-	return 0
-}
+// Like the paper's serializers, the format is an existing library's: field
+// names travel with the data, so decoding tolerates field reordering, skips
+// unknown fields and leaves missing ones as they were (schema evolution),
+// unlike positional compound layouts. gob does not transmit a field at its
+// zero value (0, "", false, an empty slice), so decoding leaves such a field
+// of the destination as it was; decoding into a zero value gives back
+// exactly what was stored.
 
 // MarshalStruct encodes v (a struct or pointer to struct, with arbitrary
 // nesting, slices and strings) into a self-describing byte payload.
 func MarshalStruct(v any) ([]byte, error) {
 	rv := reflect.ValueOf(v)
-	for rv.Kind() == reflect.Pointer {
-		if rv.IsNil() {
-			return nil, fmt.Errorf("serial: MarshalStruct of nil pointer")
-		}
+	for rv.Kind() == reflect.Pointer && !rv.IsNil() {
 		rv = rv.Elem()
 	}
 	if rv.Kind() != reflect.Struct {
-		return nil, fmt.Errorf("serial: MarshalStruct of %s, want struct", rv.Kind())
+		return nil, fmt.Errorf("serial: MarshalStruct of %T, want a struct or a non-nil pointer to one", v)
 	}
-	return appendValue(nil, rv)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).EncodeValue(rv); err != nil {
+		return nil, fmt.Errorf("serial: MarshalStruct: %w", err)
+	}
+	return buf.Bytes(), nil
 }
 
 // UnmarshalStruct decodes data produced by MarshalStruct into out, which
 // must be a non-nil pointer to a struct. Fields are matched by name; fields
 // present in the data but absent from out are skipped, and fields absent
-// from the data keep their current values.
+// from the data (or stored at their zero value) keep their current values.
+// Malformed data is an error, never a panic or an allocation sized by it.
 func UnmarshalStruct(data []byte, out any) error {
 	rv := reflect.ValueOf(out)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return fmt.Errorf("serial: UnmarshalStruct needs a non-nil pointer, got %T", out)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() || rv.Elem().Kind() != reflect.Struct {
+		return fmt.Errorf("serial: UnmarshalStruct needs a non-nil pointer to a struct, got %T", out)
 	}
-	rv = rv.Elem()
-	if rv.Kind() != reflect.Struct {
-		return fmt.Errorf("serial: UnmarshalStruct into %s, want struct", rv.Kind())
+	r := bytes.NewReader(data)
+	if err := gob.NewDecoder(r).DecodeValue(rv); err != nil {
+		return fmt.Errorf("serial: UnmarshalStruct: %w", err)
 	}
-	rest, err := readValue(data, rv)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("serial: %d trailing bytes after struct", len(rest))
+	if r.Len() != 0 {
+		return fmt.Errorf("serial: %d trailing bytes after struct", r.Len())
 	}
 	return nil
-}
-
-func appendUvarint(buf []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(buf, tmp[:n]...)
-}
-
-func appendValue(buf []byte, rv reflect.Value) ([]byte, error) {
-	switch rv.Kind() {
-	case reflect.Bool:
-		b := byte(0)
-		if rv.Bool() {
-			b = 1
-		}
-		return append(buf, stBool, b), nil
-	case reflect.Int8:
-		return append(buf, stInt8, byte(rv.Int())), nil
-	case reflect.Uint8:
-		return append(buf, stUint8, byte(rv.Uint())), nil
-	case reflect.Int16:
-		buf = append(buf, stInt16, 0, 0)
-		binary.LittleEndian.PutUint16(buf[len(buf)-2:], uint16(rv.Int()))
-		return buf, nil
-	case reflect.Uint16:
-		buf = append(buf, stUint16, 0, 0)
-		binary.LittleEndian.PutUint16(buf[len(buf)-2:], uint16(rv.Uint()))
-		return buf, nil
-	case reflect.Int32:
-		buf = append(buf, stInt32, 0, 0, 0, 0)
-		binary.LittleEndian.PutUint32(buf[len(buf)-4:], uint32(rv.Int()))
-		return buf, nil
-	case reflect.Uint32:
-		buf = append(buf, stUint32, 0, 0, 0, 0)
-		binary.LittleEndian.PutUint32(buf[len(buf)-4:], uint32(rv.Uint()))
-		return buf, nil
-	case reflect.Int, reflect.Int64:
-		buf = append(buf, stInt64, 0, 0, 0, 0, 0, 0, 0, 0)
-		binary.LittleEndian.PutUint64(buf[len(buf)-8:], uint64(rv.Int()))
-		return buf, nil
-	case reflect.Uint, reflect.Uint64:
-		buf = append(buf, stUint64, 0, 0, 0, 0, 0, 0, 0, 0)
-		binary.LittleEndian.PutUint64(buf[len(buf)-8:], rv.Uint())
-		return buf, nil
-	case reflect.Float32:
-		buf = append(buf, stFloat32, 0, 0, 0, 0)
-		binary.LittleEndian.PutUint32(buf[len(buf)-4:], math.Float32bits(float32(rv.Float())))
-		return buf, nil
-	case reflect.Float64:
-		buf = append(buf, stFloat64, 0, 0, 0, 0, 0, 0, 0, 0)
-		binary.LittleEndian.PutUint64(buf[len(buf)-8:], math.Float64bits(rv.Float()))
-		return buf, nil
-	case reflect.String:
-		buf = append(buf, stString)
-		buf = appendUvarint(buf, uint64(rv.Len()))
-		return append(buf, rv.String()...), nil
-	case reflect.Slice, reflect.Array:
-		if tag := bulkTagFor(rv.Type().Elem().Kind()); tag != 0 {
-			return appendBulk(buf, rv, tag)
-		}
-		buf = append(buf, stSeq)
-		buf = appendUvarint(buf, uint64(rv.Len()))
-		var err error
-		for i := 0; i < rv.Len(); i++ {
-			if buf, err = appendValue(buf, rv.Index(i)); err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
-	case reflect.Struct:
-		t := rv.Type()
-		exported := 0
-		for i := 0; i < t.NumField(); i++ {
-			if t.Field(i).IsExported() {
-				exported++
-			}
-		}
-		buf = append(buf, stStruct)
-		buf = appendUvarint(buf, uint64(exported))
-		var err error
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue
-			}
-			buf = appendUvarint(buf, uint64(len(f.Name)))
-			buf = append(buf, f.Name...)
-			if buf, err = appendValue(buf, rv.Field(i)); err != nil {
-				return nil, fmt.Errorf("field %s: %w", f.Name, err)
-			}
-		}
-		return buf, nil
-	case reflect.Pointer:
-		if rv.IsNil() {
-			return nil, fmt.Errorf("serial: cannot marshal nil pointer field")
-		}
-		return appendValue(buf, rv.Elem())
-	default:
-		return nil, fmt.Errorf("serial: unsupported kind %s", rv.Kind())
-	}
-}
-
-// appendBulk encodes a numeric slice/array as raw little-endian bytes.
-func appendBulk(buf []byte, rv reflect.Value, elemTag byte) ([]byte, error) {
-	n := rv.Len()
-	buf = append(buf, stBulk, elemTag)
-	buf = appendUvarint(buf, uint64(n))
-	w := scalarWidth[elemTag]
-	var tmp [8]byte
-	for i := 0; i < n; i++ {
-		e := rv.Index(i)
-		var raw uint64
-		switch elemTag {
-		case stFloat32:
-			raw = uint64(math.Float32bits(float32(e.Float())))
-		case stFloat64:
-			raw = math.Float64bits(e.Float())
-		case stInt32, stInt64:
-			raw = uint64(e.Int())
-		default:
-			raw = e.Uint()
-		}
-		binary.LittleEndian.PutUint64(tmp[:], raw)
-		buf = append(buf, tmp[:w]...)
-	}
-	return buf, nil
-}
-
-func readUvarint(data []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, nil, ErrTruncated
-	}
-	return v, data[n:], nil
-}
-
-func need(data []byte, n int) error {
-	if n < 0 || len(data) < n {
-		return ErrTruncated
-	}
-	return nil
-}
-
-// readValue decodes one value into rv (which must be settable) and returns
-// the remaining bytes.
-func readValue(data []byte, rv reflect.Value) ([]byte, error) {
-	if err := need(data, 1); err != nil {
-		return nil, err
-	}
-	tag := data[0]
-	data = data[1:]
-	if w, ok := scalarWidth[tag]; ok {
-		if err := need(data, w); err != nil {
-			return nil, err
-		}
-		if err := setScalar(rv, tag, data[:w]); err != nil {
-			return nil, err
-		}
-		return data[w:], nil
-	}
-	switch tag {
-	case stString:
-		n, rest, err := readUvarint(data)
-		if err != nil {
-			return nil, err
-		}
-		if err := need(rest, int(n)); err != nil {
-			return nil, err
-		}
-		if rv.Kind() != reflect.String {
-			return nil, typeErr("string", rv)
-		}
-		rv.SetString(string(rest[:n]))
-		return rest[n:], nil
-	case stSeq:
-		n, rest, err := readUvarint(data)
-		if err != nil {
-			return nil, err
-		}
-		if err := prepareSeq(rv, int(n)); err != nil {
-			return nil, err
-		}
-		for i := 0; i < int(n); i++ {
-			if rest, err = readValue(rest, rv.Index(i)); err != nil {
-				return nil, err
-			}
-		}
-		return rest, nil
-	case stBulk:
-		if err := need(data, 1); err != nil {
-			return nil, err
-		}
-		elemTag := data[0]
-		w, ok := scalarWidth[elemTag]
-		if !ok {
-			return nil, fmt.Errorf("serial: bad bulk element tag %#x", elemTag)
-		}
-		n, rest, err := readUvarint(data[1:])
-		if err != nil {
-			return nil, err
-		}
-		total := int(n) * w
-		if err := need(rest, total); err != nil {
-			return nil, err
-		}
-		if err := prepareSeq(rv, int(n)); err != nil {
-			return nil, err
-		}
-		for i := 0; i < int(n); i++ {
-			if err := setScalar(rv.Index(i), elemTag, rest[i*w:(i+1)*w]); err != nil {
-				return nil, err
-			}
-		}
-		return rest[total:], nil
-	case stStruct:
-		nf, rest, err := readUvarint(data)
-		if err != nil {
-			return nil, err
-		}
-		if rv.Kind() != reflect.Struct {
-			return nil, typeErr("struct", rv)
-		}
-		for i := 0; i < int(nf); i++ {
-			var nameLen uint64
-			nameLen, rest, err = readUvarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			if err := need(rest, int(nameLen)); err != nil {
-				return nil, err
-			}
-			name := string(rest[:nameLen])
-			rest = rest[nameLen:]
-			field := rv.FieldByName(name)
-			if field.IsValid() && field.CanSet() {
-				if rest, err = readValue(rest, field); err != nil {
-					return nil, fmt.Errorf("field %s: %w", name, err)
-				}
-			} else {
-				if rest, err = SkipStructValue(rest); err != nil {
-					return nil, fmt.Errorf("skipping field %s: %w", name, err)
-				}
-			}
-		}
-		return rest, nil
-	default:
-		return nil, fmt.Errorf("serial: unknown struct tag %#x", tag)
-	}
-}
-
-// prepareSeq readies a slice (allocated) or array (length-checked) target.
-func prepareSeq(rv reflect.Value, n int) error {
-	switch rv.Kind() {
-	case reflect.Slice:
-		rv.Set(reflect.MakeSlice(rv.Type(), n, n))
-		return nil
-	case reflect.Array:
-		if rv.Len() != n {
-			return fmt.Errorf("serial: array length %d, data has %d", rv.Len(), n)
-		}
-		return nil
-	}
-	return typeErr("sequence", rv)
-}
-
-// setScalar stores one fixed-width encoded scalar into rv with conversion
-// checks.
-func setScalar(rv reflect.Value, tag byte, raw []byte) error {
-	var u uint64
-	switch len(raw) {
-	case 1:
-		u = uint64(raw[0])
-	case 2:
-		u = uint64(binary.LittleEndian.Uint16(raw))
-	case 4:
-		u = uint64(binary.LittleEndian.Uint32(raw))
-	case 8:
-		u = binary.LittleEndian.Uint64(raw)
-	}
-	switch tag {
-	case stBool:
-		if rv.Kind() != reflect.Bool {
-			return typeErr("bool", rv)
-		}
-		rv.SetBool(u != 0)
-		return nil
-	case stFloat32:
-		if rv.Kind() != reflect.Float32 && rv.Kind() != reflect.Float64 {
-			return typeErr("float32", rv)
-		}
-		rv.SetFloat(float64(math.Float32frombits(uint32(u))))
-		return nil
-	case stFloat64:
-		if rv.Kind() != reflect.Float64 {
-			return typeErr("float64", rv)
-		}
-		rv.SetFloat(math.Float64frombits(u))
-		return nil
-	case stInt8, stInt16, stInt32, stInt64:
-		v := signExtend(u, len(raw))
-		switch rv.Kind() {
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-			if rv.OverflowInt(v) {
-				return fmt.Errorf("serial: %d overflows %s", v, rv.Type())
-			}
-			rv.SetInt(v)
-			return nil
-		}
-		return typeErr("signed integer", rv)
-	case stUint8, stUint16, stUint32, stUint64:
-		switch rv.Kind() {
-		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-			if rv.OverflowUint(u) {
-				return fmt.Errorf("serial: %d overflows %s", u, rv.Type())
-			}
-			rv.SetUint(u)
-			return nil
-		}
-		return typeErr("unsigned integer", rv)
-	}
-	return fmt.Errorf("serial: bad scalar tag %#x", tag)
-}
-
-func signExtend(raw uint64, width int) int64 {
-	shift := uint(64 - 8*width)
-	return int64(raw<<shift) >> shift
-}
-
-func typeErr(want string, rv reflect.Value) error {
-	return fmt.Errorf("serial: data holds %s, destination field is %s", want, rv.Type())
-}
-
-// SkipStructValue advances past one encoded value without decoding it,
-// enabling schema evolution (readers skip fields they don't know).
-func SkipStructValue(data []byte) ([]byte, error) {
-	if err := need(data, 1); err != nil {
-		return nil, err
-	}
-	tag := data[0]
-	data = data[1:]
-	if w, ok := scalarWidth[tag]; ok {
-		if err := need(data, w); err != nil {
-			return nil, err
-		}
-		return data[w:], nil
-	}
-	switch tag {
-	case stString:
-		n, rest, err := readUvarint(data)
-		if err != nil {
-			return nil, err
-		}
-		if err := need(rest, int(n)); err != nil {
-			return nil, err
-		}
-		return rest[n:], nil
-	case stSeq:
-		n, rest, err := readUvarint(data)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < int(n); i++ {
-			if rest, err = SkipStructValue(rest); err != nil {
-				return nil, err
-			}
-		}
-		return rest, nil
-	case stBulk:
-		if err := need(data, 1); err != nil {
-			return nil, err
-		}
-		w, ok := scalarWidth[data[0]]
-		if !ok {
-			return nil, fmt.Errorf("serial: bad bulk element tag %#x", data[0])
-		}
-		n, rest, err := readUvarint(data[1:])
-		if err != nil {
-			return nil, err
-		}
-		total := int(n) * w
-		if err := need(rest, total); err != nil {
-			return nil, err
-		}
-		return rest[total:], nil
-	case stStruct:
-		nf, rest, err := readUvarint(data)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < int(nf); i++ {
-			var nameLen uint64
-			nameLen, rest, err = readUvarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			if err := need(rest, int(nameLen)); err != nil {
-				return nil, err
-			}
-			rest = rest[nameLen:]
-			if rest, err = SkipStructValue(rest); err != nil {
-				return nil, err
-			}
-		}
-		return rest, nil
-	}
-	return nil, fmt.Errorf("serial: cannot skip tag %#x", tag)
 }

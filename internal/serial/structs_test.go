@@ -1,7 +1,9 @@
 package serial
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -275,4 +277,158 @@ func TestQuickStructRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The zero-field contract of gob: a field stored at its zero value is not
+// transmitted, so it leaves the destination's field as it was. Decoding
+// into a zero value (the usual pattern) is unaffected.
+func TestStructZeroFieldsLeaveDestination(t *testing.T) {
+	type rec struct {
+		N int64
+		S string
+		B bool
+		E []float64
+		K int64
+	}
+	raw, err := MarshalStruct(rec{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := rec{N: 5, S: "kept", B: true, E: []float64{1}, K: 9}
+	if err := UnmarshalStruct(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	want := rec{N: 5, S: "kept", B: true, E: []float64{1}, K: 3}
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("decode into a filled value = %+v, want %+v", out, want)
+	}
+	var fresh rec
+	if err := UnmarshalStruct(raw, &fresh); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh, rec{K: 3}) {
+		t.Fatalf("decode into a zero value = %+v", fresh)
+	}
+}
+
+// gobUint appends gob's encoding of an unsigned integer: one byte below
+// 0x80, else the negated byte count and the big-endian bytes.
+func gobUint(b []byte, v uint64) []byte {
+	if v < 0x80 {
+		return append(b, byte(v))
+	}
+	var be [8]byte
+	binary.BigEndian.PutUint64(be[:], v)
+	skip := bits.LeadingZeros64(v) / 8
+	return append(append(b, byte(256-(8-skip))), be[skip:]...)
+}
+
+// gobUintAt decodes the gob unsigned integer at the start of b.
+func gobUintAt(b []byte) (v uint64, width int) {
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	width = 1 + int(-int8(b[0]))
+	for _, c := range b[1:width] {
+		v = v<<8 | uint64(c)
+	}
+	return v, width
+}
+
+// withSliceCount rewrites the payload of a struct whose first field is a
+// one-element slice so that the slice claims n elements, keeping the
+// message framing valid. The value is the payload's last message: type id,
+// field delta 1, element count, then the element and the struct's end.
+func withSliceCount(t *testing.T, raw []byte, n uint64) []byte {
+	t.Helper()
+	last := 0
+	for off := 0; off < len(raw); {
+		last = off
+		l, w := gobUintAt(raw[off:])
+		off += w + int(l)
+	}
+	_, w := gobUintAt(raw[last:])
+	body := raw[last+w:]
+	_, idw := gobUintAt(body)
+	if body[idw] != 1 || body[idw+1] != 1 {
+		t.Fatalf("unexpected value message % x", body)
+	}
+	nb := append(append([]byte(nil), body[:idw+1]...), gobUint(nil, n)...)
+	nb = append(nb, body[idw+2:]...)
+	out := append(append([]byte(nil), raw[:last]...), gobUint(nil, uint64(len(nb)))...)
+	return append(out, nb...)
+}
+
+// A payload whose element count cannot be allocated (negative as an int,
+// or whose byte size wraps) is an error: never a panic, and never an
+// allocation sized by the count.
+func TestStructHostileCountsRejected(t *testing.T) {
+	type seqOf struct{ S []vec3 }
+	type bulkOf struct{ E []float64 }
+	gobCount := func(v any, n uint64) func(*testing.T) []byte {
+		return func(t *testing.T) []byte {
+			raw, err := MarshalStruct(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return withSliceCount(t, raw, n)
+		}
+	}
+	bytesOf := func(b ...byte) func(*testing.T) []byte {
+		return func(*testing.T) []byte { return b }
+	}
+	cases := []struct {
+		name string
+		data func(*testing.T) []byte
+		out  any
+	}{
+		// Payloads in the tag-per-value struct format of earlier builds,
+		// which an old pool may still hold: a struct whose one field, S,
+		// is a sequence of 1<<63 structs...
+		{"legacy seq 1<<63", bytesOf(15, 1, 1, 'S', 13, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01), new(seqOf)},
+		// ... and of one field, E, holding 1<<61 raw float64s.
+		{"legacy bulk 1<<61", bytesOf(15, 1, 1, 'E', 14, 11, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20), new(bulkOf)},
+		{"gob seq 1<<63", gobCount(seqOf{S: []vec3{{X: 2}}}, 1<<63), new(seqOf)},
+		{"gob bulk 1<<61", gobCount(bulkOf{E: []float64{2}}, 1<<61), new(bulkOf)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			data := c.data(t)
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panic: %v", r)
+					}
+				}()
+				err = UnmarshalStruct(data, c.out)
+			}()
+			if err == nil {
+				t.Fatalf("payload % x accepted: %+v", data, c.out)
+			}
+		})
+	}
+	// The rewrite itself keeps a well-formed payload: count 1 decodes.
+	var one seqOf
+	if err := UnmarshalStruct(gobCount(seqOf{S: []vec3{{X: 2}}}, 1)(t), &one); err != nil || len(one.S) != 1 {
+		t.Fatalf("count-1 rewrite: %v, %+v", err, one)
+	}
+}
+
+func FuzzUnmarshalStruct(f *testing.F) {
+	raw, err := MarshalStruct(sampleParticle())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(raw[:len(raw)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var out particle
+		if err := UnmarshalStruct(data, &out); err != nil {
+			return
+		}
+		if _, err := MarshalStruct(&out); err != nil {
+			t.Fatalf("decoded value does not re-encode: %v", err)
+		}
+	})
 }

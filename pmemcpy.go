@@ -480,8 +480,9 @@ func FindBlocks(p *PMEM, id string, lo, hi float64) ([]BlockStats, error) {
 // nesting, dynamically sized slices, fixed arrays and strings — under id.
 // This covers the two things the paper notes HDF5 compound types cannot
 // express: nested compound types and dynamically sized arrays. v may be a
-// struct or a pointer to one; only exported fields are stored. Equivalent to
-// p.StoreStruct.
+// struct or a pointer to one; only exported fields are stored. The value is
+// encoded with encoding/gob, so the rules of a gob-encodable type apply.
+// Equivalent to p.StoreStruct.
 func StoreStruct(p *PMEM, id string, v any) error {
 	return p.StoreStruct(id, v)
 }
@@ -489,8 +490,11 @@ func StoreStruct(p *PMEM, id string, v any) error {
 // LoadStruct reads a structured value stored with StoreStruct into out,
 // which must be a non-nil pointer to a struct. Fields are matched by name:
 // unknown fields in the data are skipped and missing ones keep their current
-// values, so readers and writers may evolve independently. Equivalent to
-// p.LoadStruct.
+// values, so readers and writers may evolve independently. As with
+// encoding/gob, a field stored at its zero value (0, "", false, an empty
+// slice) is not in the data either, so it too leaves out's field as it was:
+// load into a zero value to get back exactly what was stored. Malformed data
+// is an error. Equivalent to p.LoadStruct.
 func LoadStruct(p *PMEM, id string, out any) error {
 	return p.LoadStruct(id, out)
 }
