@@ -86,7 +86,7 @@ loc:
 # module's total non-test code lines exceed the ceiling, which records the
 # figure of the last change that lowered it. A change that must grow the code
 # raises the ceiling in the same diff, where a reviewer sees it.
-LOC_CEILING ?= 15032
+LOC_CEILING ?= 14899
 loccheck:
 	@$(MAKE) -s loc | awk -v c="$(LOC_CEILING)" '{ print } $$3 == "total" { t = $$2 } \
 		END { if (t == "" || t+0 > c+0) { printf "loc gate FAILED: %s non-test code lines > ceiling %s\n", t, c; exit 1 } \
@@ -214,8 +214,9 @@ bench-async:
 bench-views:
 	$(GO) run ./cmd/pmembench -ablation views -procs 4
 
-# Fault-injection suite: the crash-point explorer smoke workloads (every
-# reached persist point crash-tested, clean and torn) plus the differential
+# Fault-injection suite: pmemfsck's crash-point exploration of its serial and
+# sharded store scripts (every reached persist point crash-tested under the
+# lose-all, keep-all and random adversaries and torn) plus the differential
 # property tests and the explorer-hosted crash matrices under -race (namespace
 # creation included: TestExploreMultiPoolSetCommit), the device's
 # same-seed-same-crash guarantee they all replay on, the handle staying
@@ -225,7 +226,7 @@ bench-views:
 # and every kind of load result owning its bytes while the handle's scratch
 # is reused (the scatter's workers on their own decode slots).
 faults:
-	$(GO) run ./cmd/pmembench -faults
+	$(GO) run ./cmd/pmemfsck
 	$(GO) test -race -run 'TestCrashRandomSameSeed' ./internal/pmem/
 	$(GO) test -race -run 'TestChainCycleIsErrCorrupt|TestFinishedTxIsStale|TestCrashSweepAllocatorConsistency|TestHostileHeaderEndsOpen' ./internal/pmdk/
 	$(GO) test -race -run 'TestLoadResultsOwnTheirBytes' .

@@ -48,13 +48,8 @@ func main() {
 		readprocs = flag.Int("readprocs", 0, "reader count for the restart pattern (0 = same as writers)")
 		csvPath   = flag.String("csv", "", "also write results as CSV to this file")
 		metrics   = flag.String("metrics", "", "capture per-phase observability snapshots and write a Prometheus-style exposition to this file")
-		faults    = flag.Bool("faults", false, "run the fault-injection smoke suite instead of benchmarks")
 	)
 	flag.Parse()
-
-	if *faults {
-		os.Exit(runFaults())
-	}
 
 	rankCounts, err := parseProcs(*procs)
 	if err != nil {

@@ -73,7 +73,7 @@ func main() {
 		opts = append(opts, pmemcpy.WithAsync(), pmemcpy.WithCoalesceWindow(*window))
 	}
 
-	// Populate: a small 3-D decomposition plus scalars, in parallel. With
+	// Populate the demo dataset: arrays plus scalars, in parallel. With
 	// -async the rectangle writes queue through the submission pipeline and
 	// Munmap drains them; the counters printed afterwards show the batching
 	// and which form each metadata publish took.
@@ -83,24 +83,8 @@ func main() {
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 0 {
-			if err := pmemcpy.Store(p, "sim/timestep", int64(42)); err != nil {
-				return err
-			}
-			if err := pmemcpy.StoreString(p, "sim/label", "demo dataset"); err != nil {
-				return err
-			}
-		}
-		for v := 0; v < workload.DemoVars; v++ {
-			name, data, offs, counts := workload.DemoBlock(v, c.Rank())
-			if err := pmemcpy.Alloc[float64](p, name, uint64(*ranks)*workload.DemoElems); err != nil {
-				return err
-			}
-			if *async {
-				pmemcpy.StoreSubAsync(p, name, data, offs, counts)
-			} else if err := pmemcpy.StoreSub(p, name, data, offs, counts); err != nil {
-				return err
-			}
+		if err := workload.StoreDemo(p, "demo dataset", *async); err != nil {
+			return err
 		}
 		if *async {
 			if err := p.Flush(context.Background()); err != nil {
@@ -289,19 +273,11 @@ func runStats(args []string) {
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 0 {
-			if err := pmemcpy.Store(p, "sim/timestep", int64(42)); err != nil {
-				return err
-			}
+		if err := workload.StoreDemo(p, "demo dataset", false); err != nil {
+			return err
 		}
 		for v := 0; v < workload.DemoVars; v++ {
 			name, data, offs, counts := workload.DemoBlock(v, c.Rank())
-			if err := pmemcpy.Alloc[float64](p, name, uint64(*ranks)*workload.DemoElems); err != nil {
-				return err
-			}
-			if err := pmemcpy.StoreSub(p, name, data, offs, counts); err != nil {
-				return err
-			}
 			if err := pmemcpy.LoadSub(p, name, make([]float64, len(data)), offs, counts); err != nil {
 				return err
 			}

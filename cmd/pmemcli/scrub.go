@@ -35,14 +35,8 @@ func runScrub(args []string) {
 		if err != nil {
 			return err
 		}
-		for v := 0; v < workload.DemoVars; v++ {
-			name, data, offs, counts := workload.DemoBlock(v, c.Rank())
-			if err := pmemcpy.Alloc[float64](p, name, uint64(*ranks)*workload.DemoElems); err != nil {
-				return err
-			}
-			if err := pmemcpy.StoreSub(p, name, data, offs, counts); err != nil {
-				return err
-			}
+		if err := workload.StoreDemo(p, "demo dataset", false); err != nil {
+			return err
 		}
 		return p.Munmap()
 	})
@@ -69,8 +63,10 @@ func runScrub(args []string) {
 		fmt.Printf("%s\n", rep)
 		if q := p.Quarantined(); len(q) > 0 {
 			fmt.Printf("quarantined pool offsets: %v\n", q)
-			dst := make([]float64, workload.DemoElems)
-			err := pmemcpy.LoadSub(p, "rect1", dst, []uint64{0}, []uint64{workload.DemoElems})
+			// The whole array: which rank's block is block 0 depends on
+			// which rank published first.
+			elems := uint64(*ranks) * workload.DemoElems
+			err := pmemcpy.LoadSub(p, "rect1", make([]float64, elems), []uint64{0}, []uint64{elems})
 			switch {
 			case errors.Is(err, pmemcpy.ErrCorrupt):
 				fmt.Printf("read of \"rect1\" fails fast: %v\n", err)

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"pmemcpy"
 	"pmemcpy/internal/workload"
@@ -14,35 +13,16 @@ import (
 // offsets) are stable across runs and pinned by golden files.
 const deepRanks = 2
 
-// buildStore populates a deterministic store the way the experiment harness
-// does: a few decomposed arrays plus scalar metadata, written by deepRanks
-// parallel ranks.
+// buildStore populates a deterministic store: the demo dataset, written by
+// deepRanks parallel ranks.
 func buildStore(n *pmemcpy.Node) error {
 	_, err := pmemcpy.Run(n, deepRanks, func(c *pmemcpy.Comm) error {
 		p, err := pmemcpy.Mmap(c, n, "/deep.pool")
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 0 {
-			if err := pmemcpy.Store(p, "sim/timestep", int64(42)); err != nil {
-				return err
-			}
-			if err := pmemcpy.StoreString(p, "sim/label", "deep-check dataset"); err != nil {
-				return err
-			}
-			// Too long to live in its record: a whole value in a block of its own.
-			if err := pmemcpy.StoreString(p, "sim/notes", strings.Repeat("deep-check dataset; ", 10)); err != nil {
-				return err
-			}
-		}
-		for v := 0; v < workload.DemoVars; v++ {
-			name, data, offs, counts := workload.DemoBlock(v, c.Rank())
-			if err := pmemcpy.Alloc[float64](p, name, uint64(deepRanks)*workload.DemoElems); err != nil {
-				return err
-			}
-			if err := pmemcpy.StoreSub(p, name, data, offs, counts); err != nil {
-				return err
-			}
+		if err := workload.StoreDemo(p, "deep-check dataset", false); err != nil {
+			return err
 		}
 		return p.Munmap()
 	})

@@ -1,11 +1,15 @@
-// Command pmemfsck exercises pMEMCPY's crash-consistency machinery: it runs
-// a transactional key-value workload against the emulated device, injects a
-// power failure after every possible persist point, recovers the pool, and
-// checks the recovered state against the set of states the undo-log protocol
-// permits (atomicity: committed data intact, uncommitted data absent or
-// fully rolled back). Every recovered pool additionally passes the
-// structural checker (internal/fsck) — allocator, lane, and hashtable
-// invariants.
+// Command pmemfsck checks pMEMCPY's crash consistency and its pools.
+//
+// By default it runs the library's crash-point explorer (core.Explore) on two
+// store workloads — a serial overwrite, store and delete, and a sharded
+// overwrite over 4 copy workers: it records each workload's persist trace,
+// then crashes a fresh run at every persist point on it under every cache-loss
+// adversary (lose-all, keep-all, random) and with a torn in-flight store.
+// Every recovered pool must pass the structural checker (internal/fsck), the
+// core metadata invariants, a CRC deep check, and the workload's own check
+// that each transaction is all-or-nothing (every array holds uniformly old or
+// uniformly new data). It prints each workload's coverage map and exits 1 on
+// any failure or any reached persist point left unexplored.
 //
 // With -fsck it instead acts as a plain filesystem-checker: build a namespace
 // of -pools member pools the way the library does, verify its structural
@@ -25,9 +29,7 @@
 //
 // Examples:
 //
-//	pmemfsck                 # sweep all crash points, all adversary modes
-//	pmemfsck -mode random -seed 7
-//	pmemfsck -v              # report every crash point's outcome
+//	pmemfsck                 # crash-test every persist point, all adversaries
 //	pmemfsck -fsck           # structural check of a clean pool
 //	pmemfsck -fsck -corrupt  # ...of a pool with a torn metadata record
 //	pmemfsck -fsck -pools 4  # ...of a 4-member pool set
@@ -38,11 +40,9 @@ package main
 
 import (
 	"encoding/binary"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 
 	"pmemcpy/internal/fsck"
@@ -58,9 +58,6 @@ func main() {
 func run(args []string, w io.Writer) int {
 	fs := flag.NewFlagSet("pmemfsck", flag.ContinueOnError)
 	var (
-		mode    = fs.String("mode", "all", `crash adversary: "loseall", "keepall", "random", or "all"`)
-		seed    = fs.Int64("seed", 1, "seed for the random adversary")
-		verbose = fs.Bool("v", false, "report every crash point")
 		check   = fs.Bool("fsck", false, "structural check mode: build a pool and verify its invariants")
 		deep    = fs.Bool("deep", false, "content check mode: build a store and verify every block checksum")
 		corrupt = fs.Bool("corrupt", false, "with -fsck/-deep: damage the pool before checking")
@@ -77,30 +74,7 @@ func run(args []string, w io.Writer) int {
 		return runFsck(w, *pools, *corrupt)
 	}
 
-	modes := map[string][]pmem.CrashMode{
-		"loseall": {pmem.CrashLoseAll},
-		"keepall": {pmem.CrashKeepAll},
-		"random":  {pmem.CrashRandom},
-		"all":     {pmem.CrashLoseAll, pmem.CrashKeepAll, pmem.CrashRandom},
-	}[*mode]
-	if modes == nil {
-		fmt.Fprintf(w, "pmemfsck: unknown mode %q\n", *mode)
-		return 2
-	}
-
-	total, failures := 0, 0
-	for _, m := range modes {
-		points, bad := sweep(w, m, *seed, *verbose)
-		fmt.Fprintf(w, "mode %-8v: %3d crash points checked, %d violations\n", m, points, bad)
-		total += points
-		failures += bad
-	}
-	if failures > 0 {
-		fmt.Fprintf(w, "FAIL: %d of %d crash points violated consistency\n", failures, total)
-		return 1
-	}
-	fmt.Fprintf(w, "OK: all %d crash points recovered to consistent states\n", total)
-	return 0
+	return explore(w, crashScripts())
 }
 
 // runFsck builds a published npools-member namespace through the pmdk create
@@ -166,129 +140,4 @@ func runFsck(w io.Writer, npools int, corrupt bool) int {
 		return 1
 	}
 	return 0
-}
-
-// sweep runs the update+insert workload, crashing after the k-th persist for
-// every k until the workload completes without injection firing.
-func sweep(w io.Writer, mode pmem.CrashMode, seed int64, verbose bool) (points, violations int) {
-	rng := rand.New(rand.NewSource(seed))
-	for k := int64(0); ; k++ {
-		points++
-		completed, err := crashPoint(w, mode, k, rng, verbose)
-		if err != nil {
-			violations++
-			fmt.Fprintf(w, "  k=%d: VIOLATION: %v\n", k, err)
-		}
-		if completed {
-			return points, violations
-		}
-		if k > 5000 {
-			fmt.Fprintln(w, "  sweep did not terminate (workload never completes)")
-			violations++
-			return points, violations
-		}
-	}
-}
-
-// crashPoint builds a fresh pool with two committed keys, then (under
-// injection) updates one and inserts another, crashes, recovers, and checks
-// the permitted states plus the structural invariants.
-func crashPoint(w io.Writer, mode pmem.CrashMode, k int64, rng *rand.Rand, verbose bool) (completed bool, err error) {
-	machine := sim.NewMachine(sim.DefaultConfig())
-	machine.SetConcurrency(1)
-	dev := pmem.New(machine, 16<<20, pmem.WithCrashTracking())
-	mp, err := pmem.NewMapping(dev, 0, 16<<20, false)
-	if err != nil {
-		return false, err
-	}
-	clk := new(sim.Clock)
-	pool, err := pmdk.Create(clk, mp, nil)
-	if err != nil {
-		return false, err
-	}
-	htID, err := pmdk.FormatPool(clk, pool, 16)
-	if err != nil {
-		return false, err
-	}
-	ht, err := pmdk.OpenHashtable(clk, pool, htID)
-	if err != nil {
-		return false, err
-	}
-	if err := ht.Put(clk, []byte("stable"), []byte("old-stable")); err != nil {
-		return false, err
-	}
-	if err := ht.Put(clk, []byte("victim"), []byte("old-victim")); err != nil {
-		return false, err
-	}
-
-	dev.ArmCrashAtOp(k, 0)
-	err1 := ht.Put(clk, []byte("victim"), []byte("new-victim"))
-	var err2 error
-	if err1 == nil {
-		err2 = ht.Put(clk, []byte("fresh"), []byte("new-fresh"))
-	}
-	completed = err1 == nil && err2 == nil
-	for _, e := range []error{err1, err2} {
-		if e != nil && !errors.Is(e, pmem.ErrFailed) {
-			return completed, fmt.Errorf("unexpected workload error: %w", e)
-		}
-	}
-
-	dev.Crash(mode, rng)
-
-	// Structural pass first — the same checker the crash-point explorer runs.
-	rep, err := fsck.Check(clk, mp)
-	if err != nil {
-		return completed, fmt.Errorf("fsck: %w", err)
-	}
-	if !rep.OK() {
-		return completed, fmt.Errorf("fsck: %s", rep.Summary())
-	}
-
-	pool2, err := pmdk.Open(clk, mp)
-	if err != nil {
-		return completed, fmt.Errorf("recovery failed: %w", err)
-	}
-	ht2, err := pmdk.OpenHashtable(clk, pool2, htID)
-	if err != nil {
-		return completed, fmt.Errorf("reopening table failed: %w", err)
-	}
-
-	check := func(key string, allowed ...string) error {
-		v, ok, err := ht2.Get(clk, []byte(key))
-		if err != nil {
-			return fmt.Errorf("Get(%s): %w", key, err)
-		}
-		for _, a := range allowed {
-			if a == "" && !ok {
-				return nil
-			}
-			if ok && string(v) == a {
-				return nil
-			}
-		}
-		return fmt.Errorf("Get(%s) = (%q, %v); allowed %q", key, v, ok, allowed)
-	}
-	if err := check("stable", "old-stable"); err != nil {
-		return completed, err
-	}
-	if err := check("victim", "old-victim", "new-victim"); err != nil {
-		return completed, err
-	}
-	if err := check("fresh", "", "new-fresh"); err != nil {
-		return completed, err
-	}
-	if completed {
-		if err := check("victim", "new-victim"); err != nil {
-			return completed, fmt.Errorf("committed update lost: %w", err)
-		}
-		if err := check("fresh", "new-fresh"); err != nil {
-			return completed, fmt.Errorf("committed insert lost: %w", err)
-		}
-	}
-	if verbose {
-		st := pool2.Stats()
-		fmt.Fprintf(w, "  k=%-4d recovered=%d completed=%v\n", k, st.Recovered, completed)
-	}
-	return completed, nil
 }

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"pmemcpy/internal/core"
+	"pmemcpy/internal/serial"
 )
 
 // fsckCase runs -fsck with args and holds the exit code and the whole report
@@ -33,21 +37,59 @@ func TestFsckSmashedSetMember(t *testing.T) {
 	fsckCase(t, "fsck_torn_4.golden", 1, "-pools", "4", "-corrupt")
 }
 
-func TestUnknownModeExitsTwo(t *testing.T) {
+// TestDefaultModeExploresEveryPoint runs the default mode end to end: both
+// scripts crashed at every reached persist point under keep-all and a torn
+// store as well as lose-all and random, with no failure and no point left
+// unexplored.
+func TestDefaultModeExploresEveryPoint(t *testing.T) {
 	var out strings.Builder
-	if code := run([]string{"-mode", "nonsense"}, &out); code != 2 {
-		t.Fatalf("exit %d on unknown mode (want 2)", code)
+	if code := run(nil, &out); code != 0 {
+		t.Fatalf("exit %d (want 0), output:\n%s", code, out.String())
+	}
+	got := out.String()
+	for _, want := range []string{
+		"variants: loseall, keepall, random, torn\n",
+		`crash-point coverage for "serial"`,
+		`crash-point coverage for "parallel"`,
+		"OK: every reached persist point crash-tested",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output lacks %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "UNEXPLORED") || strings.Contains(got, "FAIL") {
+		t.Errorf("unexplored point or failure:\n%s", got)
 	}
 }
 
-// TestSweepModeStillPasses pins the original sweep behavior end to end on
-// one adversary (the full matrix runs in CI via the binary / make verify).
-func TestSweepModeStillPasses(t *testing.T) {
-	var out strings.Builder
-	if code := run([]string{"-mode", "loseall"}, &out); code != 0 {
-		t.Fatalf("sweep failed (exit %d):\n%s", code, out.String())
+// TestExploreFailureExitsOne hands the explorer a script whose check wants
+// the new value even after a crash, which a crash before the commit cannot
+// give: the failures are listed and the exit is 1.
+func TestExploreFailureExitsOne(t *testing.T) {
+	strict := core.Script{
+		Name:    "strict",
+		DevSize: 8 << 20,
+		Setup: func(p *core.PMEM) error {
+			if err := p.Alloc("A", serial.Float64, []uint64{8}); err != nil {
+				return err
+			}
+			return p.StoreBlock("A", []uint64{0}, []uint64{8}, fill(8, 1))
+		},
+		Run: func(p *core.PMEM) error {
+			return p.StoreBlock("A", []uint64{0}, []uint64{8}, fill(8, 2))
+		},
+		Verify: func(p *core.PMEM) error {
+			if v, err := uniform(p, "A", 8); err != nil || v != 2 {
+				return fmt.Errorf("A = %g, %v; want all 2", v, err)
+			}
+			return nil
+		},
 	}
-	if !strings.Contains(out.String(), "OK: all") {
-		t.Fatalf("sweep output:\n%s", out.String())
+	var out strings.Builder
+	if code := explore(&out, []core.Script{strict}); code != 1 {
+		t.Fatalf("exit %d (want 1), output:\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "  FAIL: persist ") {
+		t.Fatalf("output names no failed crash point:\n%s", out.String())
 	}
 }

@@ -167,6 +167,26 @@ func TestErrorConformance(t *testing.T) {
 			want: pmemcpy.ErrOutOfBounds,
 		},
 		{
+			// 1<<64 elements: a product that wraps to 0 must not declare an
+			// empty array that later stores and loads disagree about.
+			name: "Alloc dims wrapping 64 bits",
+			fn: func(p *pmemcpy.PMEM, _ *pmemcpy.Node) error {
+				return pmemcpy.Alloc[float64](p, "arr", 1<<62, 4)
+			},
+			want: pmemcpy.ErrOutOfBounds,
+		},
+		{
+			name: "StoreSlice short buffer declares nothing",
+			fn: func(p *pmemcpy.PMEM, _ *pmemcpy.Node) error {
+				if err := pmemcpy.StoreSlice(p, "arr", []float64{1, 2}, 3); !errors.Is(err, pmemcpy.ErrOutOfBounds) {
+					return fmt.Errorf("StoreSlice of 2 elements into dims [3]: %v, want ErrOutOfBounds", err)
+				}
+				_, err := pmemcpy.LoadDims(p, "arr")
+				return err
+			},
+			want: pmemcpy.ErrNotFound,
+		},
+		{
 			name: "StoreSub outside extent",
 			fn: func(p *pmemcpy.PMEM, _ *pmemcpy.Node) error {
 				if err := pmemcpy.Alloc[float64](p, "arr", 16); err != nil {

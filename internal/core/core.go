@@ -470,6 +470,10 @@ func (p *PMEM) alloc(id string, dtype serial.DType, gdims []uint64) error {
 	if len(gdims) == 0 || len(gdims) > serial.MaxDims {
 		return fmt.Errorf("core: Alloc(%q) with rank %d: %w", id, len(gdims), ErrOutOfBounds)
 	}
+	if _, ok := dtype.ByteSize(gdims); !ok {
+		// A clone to format, as below: gdims itself would move to the heap.
+		return fmt.Errorf("core: Alloc(%q) dims %v of %v overflow 64 bits: %w", id, slices.Clone(gdims), dtype, ErrOutOfBounds)
+	}
 	v := p.variable(id)
 	v.Lock()
 	defer v.Unlock()

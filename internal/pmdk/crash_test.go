@@ -142,9 +142,10 @@ func setupCrashTable(t *testing.T) (*pmem.Device, *pmem.Mapping, *Hashtable, PMI
 
 // TestCrashSweepHashtablePut kills the device after every possible persist
 // count during an update+insert pair, crashes with each adversary mode, and
-// verifies the recovered table is always in a consistent state: "stable" is
-// untouched, "victim" holds exactly the old or the new value, and "fresh" is
-// either fully present or fully absent.
+// verifies the recovered pool and table pass their structural checks and the
+// table is always in a consistent state: "stable" is untouched, "victim"
+// holds exactly the old or the new value, and "fresh" is either fully present
+// or fully absent.
 func TestCrashSweepHashtablePut(t *testing.T) {
 	modes := []pmem.CrashMode{pmem.CrashLoseAll, pmem.CrashKeepAll, pmem.CrashRandom}
 	rng := rand.New(rand.NewSource(31337))
@@ -175,6 +176,11 @@ func TestCrashSweepHashtablePut(t *testing.T) {
 			ht2, err := OpenHashtable(clk, p2, htID)
 			if err != nil {
 				t.Fatalf("mode %v k=%d: reopen table: %v", mode, k, err)
+			}
+			// The structural pass: allocator, lanes and every chain of the
+			// table hold their invariants after recovery.
+			if vs := append(p2.Verify(clk), ht2.Verify(clk)...); len(vs) > 0 {
+				t.Fatalf("mode %v k=%d: recovered pool violates %v", mode, k, vs)
 			}
 
 			assertValue := func(key string, allowed ...string) {

@@ -82,6 +82,22 @@ func (t DType) Size() int {
 	return 0
 }
 
+// ByteSize is the byte size of an array of t with extents dims, and false
+// when dims × element size wraps 64 bits. A zero extent makes it 0 whatever
+// the other extents are.
+func (t DType) ByteSize(dims []uint64) (uint64, bool) {
+	n, hi := uint64(t.Size()), uint64(0)
+	for _, v := range dims {
+		if v == 0 {
+			return 0, true
+		}
+		if hi == 0 {
+			hi, n = bits.Mul64(n, v)
+		}
+	}
+	return n, hi == 0
+}
+
 // Valid reports whether t is a known type.
 func (t DType) Valid() bool {
 	return t > Invalid && int(t) < len(dtypeNames)
@@ -136,19 +152,8 @@ func (d *Datum) Validate() error {
 		return fmt.Errorf("%w: rank %d exceeds %d", ErrBadDatum, len(d.Dims), MaxDims)
 	}
 	if d.Type.Fixed() {
-		// dims × element size without wrapping: a product past 2^64 is
-		// refused unless a zero extent makes it 0.
-		want, hi := uint64(d.Type.Size()), uint64(0)
-		for _, v := range d.Dims {
-			if v == 0 {
-				want, hi = 0, 0
-				break
-			}
-			if hi == 0 {
-				hi, want = bits.Mul64(want, v)
-			}
-		}
-		if hi != 0 {
+		want, ok := d.Type.ByteSize(d.Dims)
+		if !ok {
 			return fmt.Errorf("%w: dims %v of %v overflow 64 bits", ErrBadDatum, d.Dims, d.Type)
 		}
 		if uint64(len(d.Payload)) != want {

@@ -9,8 +9,10 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"pmemcpy/internal/bytesview"
+	"pmemcpy/internal/core"
 	"pmemcpy/internal/mpi"
 	"pmemcpy/internal/nd"
 	"pmemcpy/internal/pio"
@@ -272,8 +274,8 @@ func (s *Spec) Verify(c *mpi.Comm, m *sim.Machine, varIdx, rank int, buf []byte)
 }
 
 // DemoVars and DemoElems shape the demo dataset the inspection tools (pmemcli,
-// pmemfsck -deep) populate: DemoVars 1-D float64 arrays of ranks*DemoElems
-// elements, one DemoElems block per rank.
+// pmemfsck -deep) populate with StoreDemo: DemoVars 1-D float64 arrays of
+// ranks*DemoElems elements, one DemoElems block per rank.
 const DemoVars, DemoElems = 3, 64
 
 // DemoBlock returns rank's block of demo array v — its name, the values (every
@@ -284,4 +286,38 @@ func DemoBlock(v, rank int) (name string, data []float64, offs, counts []uint64)
 		data[i] = float64(v)*1e6 + float64(off) + float64(i)
 	}
 	return fmt.Sprintf("rect%d", v), data, []uint64{off}, []uint64{DemoElems}
+}
+
+// StoreDemo stores the calling rank's share of the demo dataset in p, which
+// every rank of p's communicator populates together. Rank 0 stores the
+// scalar "sim/timestep" and two strings: "sim/label" holds label (short
+// enough to live in its record), "sim/notes" holds it ten times (a block of
+// its own). Every rank declares each demo array and stores its DemoBlock,
+// queued on p's asynchronous pipeline when async: the caller flushes.
+func StoreDemo(p *core.PMEM, label string, async bool) error {
+	c := p.Comm()
+	if c.Rank() == 0 {
+		ts := &serial.Datum{Type: serial.Int64, Payload: bytesview.Bytes([]int64{42})}
+		if err := p.StoreDatum("sim/timestep", ts); err != nil {
+			return err
+		}
+		if err := p.StoreString("sim/label", label); err != nil {
+			return err
+		}
+		if err := p.StoreString("sim/notes", strings.Repeat(label+"; ", 10)); err != nil {
+			return err
+		}
+	}
+	for v := 0; v < DemoVars; v++ {
+		name, data, offs, counts := DemoBlock(v, c.Rank())
+		if err := p.Alloc(name, serial.Float64, []uint64{uint64(c.Size()) * DemoElems}); err != nil {
+			return err
+		}
+		if async {
+			p.StoreBlockAsync(name, offs, counts, bytesview.Bytes(data))
+		} else if err := p.StoreBlock(name, offs, counts, bytesview.Bytes(data)); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -35,6 +35,7 @@ package pmemcpy
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"pmemcpy/internal/burstbuffer"
@@ -401,8 +402,11 @@ func StoreAsync[T Scalar](p *PMEM, id string, v T) *Future {
 }
 
 // StoreSlice stores a whole array in one call: it declares dims (Alloc) and
-// stores the full extent.
+// stores the full extent. data too short for dims declares nothing.
 func StoreSlice[T Scalar](p *PMEM, id string, data []T, dims ...uint64) error {
+	if n, ok := dtypeOf[T]().ByteSize(dims); !ok || n > uint64(len(data))*uint64(bytesview.Size[T]()) {
+		return fmt.Errorf("pmemcpy: StoreSlice(%q) of %d elements, dims %v: %w", id, len(data), slices.Clone(dims), ErrOutOfBounds)
+	}
 	if err := Alloc[T](p, id, dims...); err != nil {
 		return err
 	}
@@ -416,11 +420,11 @@ func LoadSlice[T Scalar](p *PMEM, id string) ([]T, []uint64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	n := uint64(1)
-	for _, d := range dims {
-		n *= d
+	n, ok := dtypeOf[T]().ByteSize(dims)
+	if !ok {
+		return nil, nil, fmt.Errorf("pmemcpy: LoadSlice(%q) dims %v overflow 64 bits: %w", id, dims, ErrOutOfBounds)
 	}
-	out := make([]T, n)
+	out := make([]T, n/uint64(bytesview.Size[T]()))
 	offs := make([]uint64, len(dims))
 	if err := LoadSub(p, id, out, offs, dims); err != nil {
 		return nil, nil, err
